@@ -43,6 +43,14 @@
 #                  also exercises sampled capture + record self-diff), their
 #                  Benchmark rows folded into BENCH_serve.json via
 #                  cmd/benchjson, temp-then-rename like the other captures
+#   make bench-ab BASE=<rev> W=<workload> [PAIRS=10 SECONDS=20] - compare
+#                  the repository benchmark (./bench, BENCHMARK.json) between
+#                  a revision and the working tree: builds BASE's ./bench in a
+#                  throwaway git worktree under .bench_build/ and the working
+#                  tree's next to it, runs PAIRS untraced pairs of workload W
+#                  alternating which side goes first (this host drifts by
+#                  minutes; see bench/README.md), and ends with
+#                  `bench -compare old/ new/`, whose exit code it returns
 #   make bench-check - validate that the committed benchmark JSONs parse and
 #                  that BENCH_hotpath.json still carries allocation columns
 #                  (CI gate)
@@ -52,7 +60,7 @@ REPLAYTMP := .replaytmp
 BENCHTMP := .benchtmp
 SERVETMP := .servetmp
 
-.PHONY: ci vet build test race race-multiloop replay-determinism alloc-check zoo-check obs-check bench bench-short serve-smoke bench-check
+.PHONY: ci vet build test race race-multiloop replay-determinism alloc-check zoo-check obs-check bench bench-short bench-ab serve-smoke bench-check
 
 ci: vet build race race-multiloop replay-determinism alloc-check zoo-check obs-check bench-short serve-smoke bench-check
 
@@ -148,6 +156,32 @@ bench-short:
 	$(GO) run ./cmd/benchjson -check BENCH_obs.json.part
 	mv BENCH_obs.json.part BENCH_obs.json
 	rm -f $(BENCHTMP)
+
+# Both binaries run from the working tree's root, so both read the same
+# bench/platforms file and BENCHMARK.json; only the program under test
+# differs. Seeds are the pair numbers, the same on both sides.
+W ?= fine_chunk
+PAIRS ?= 10
+SECONDS ?= 20
+AB := .bench_build/ab
+
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> W=<workload> [PAIRS=10 SECONDS=20]"; exit 2; }
+	rm -rf $(AB)/old $(AB)/new
+	if [ -d $(AB)/base ]; then git worktree remove --force $(AB)/base; fi
+	mkdir -p $(AB)
+	git worktree add --detach $(AB)/base $(BASE)
+	cd $(AB)/base && $(GO) build -o ../bench-old ./bench
+	git worktree remove --force $(AB)/base
+	$(GO) build -o $(AB)/bench-new ./bench
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="old new"; else order="new old"; fi; \
+		for side in $$order; do \
+			$(AB)/bench-$$side -workload $(W) -seed $$i -seconds $(SECONDS) -trace 0 \
+				-out $(AB)/$$side/result-$(W)-seed$$i.json > /dev/null || exit 1; \
+		done; \
+	done
+	$(AB)/bench-new -compare $(AB)/old $(AB)/new
 
 # The service smoke runs short enough for CI but long enough to admit a
 # few hundred loops; the real run's -record path also proves the sampled

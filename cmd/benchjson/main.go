@@ -22,7 +22,10 @@
 //
 // keeping every value/unit pair (including the -benchmem B/op and allocs/op
 // columns and custom b.ReportMetric units such as iters/s); non-benchmark
-// lines are ignored.
+// lines are ignored. The -GOMAXPROCS suffix go test appends to names (absent
+// when GOMAXPROCS is 1) is dropped when every line carries the same one, so
+// the rows of a capture — and the -baseline diff — do not depend on how many
+// CPUs the capturing host had.
 package main
 
 import (
@@ -36,8 +39,8 @@ import (
 	"strings"
 )
 
-// Result is one benchmark line: the name (with -cpu suffix preserved), the
-// run count, and every reported metric keyed by unit.
+// Result is one benchmark line: the name (see stripProcs for its -cpu
+// suffix), the run count, and every reported metric keyed by unit.
 type Result struct {
 	Name    string             `json:"name"`
 	Runs    int64              `json:"runs"`
@@ -125,7 +128,32 @@ func parse(r io.Reader) ([]Result, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	stripProcs(results)
 	return results, nil
+}
+
+// stripProcs removes the "-<GOMAXPROCS>" suffix from the names when all of
+// them end in the same one. A capture taken with a -cpu list has differing
+// suffixes, which distinguish its rows, and keeps them.
+func stripProcs(results []Result) {
+	suffix := ""
+	for i, r := range results {
+		dash := strings.LastIndexByte(r.Name, '-')
+		if dash < 0 {
+			return
+		}
+		if _, err := strconv.ParseUint(r.Name[dash+1:], 10, 32); err != nil {
+			return
+		}
+		if i == 0 {
+			suffix = r.Name[dash:]
+		} else if r.Name[dash:] != suffix {
+			return
+		}
+	}
+	for i := range results {
+		results[i].Name = strings.TrimSuffix(results[i].Name, suffix)
+	}
 }
 
 func emit(results []Result, path string) error {

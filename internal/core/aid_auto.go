@@ -200,11 +200,11 @@ func (a *AIDAuto) finalAssign(tid int, st *perThread, asg *Assign) (Assign, bool
 	if want <= 0 {
 		return a.take(tid, st, a.chunk, asg)
 	}
-	rs, acc := a.ws.StealSpan(a.info.TypeOf(tid), want)
+	rs, acc := st.claimSpan(a.ws, a.info.TypeOf(tid), want)
 	normalizeOrigin(a.ws, rs) // the classifier's pool is a single global window
 	asg.PoolAccesses += acc
 	st.delta += spanN(rs)
-	return st.serve(rs, asg)
+	return st.serve(asg)
 }
 
 // Next implements Scheduler.
@@ -310,12 +310,12 @@ func newAIDDynamicAdopting(info LoopInfo, m, major int64, ws *pool.ShardedWorkSh
 		sc:    pool.NewSampleCounters(info.NumTypes, info.NThreads),
 		th:    make([]aidDynThread, info.NThreads),
 		types: info.atomicTypes(),
+		rbuf:  newRBuf(info.NumTypes),
 	}
-	rv := make([]float64, len(r))
 	for i, v := range r {
-		rv[i] = clampR(v)
+		d.rbuf[0][i] = clampR(v)
 	}
-	d.r.Store(&rv)
+	d.r.Store(&d.rbuf[0])
 	// Epoch 1 opens with all threads outstanding, as if they had just
 	// finished the initial sampling phase.
 	d.phase.init(1, info.NThreads)

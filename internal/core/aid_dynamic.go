@@ -48,10 +48,14 @@ type AIDDynamic struct {
 	// phase packs (epoch, remaining): epoch 0 is the initial sampling, n>0
 	// the nth AID phase. r is published by pointer swap inside the
 	// transition window, so mid-run readers never observe a half-written
-	// table.
+	// table. The tables themselves are the two preallocated rbuf slots,
+	// written alternately: the window closing epoch e fills rbuf[e&1] while
+	// readers hold the other, so a published table stays intact until the
+	// window after next.
 	phase phaseWord
 	r     atomic.Pointer[[]float64] // per core type, progress vs slowest type
-	tail  atomic.Bool               // switched to dynamic(m) for the loop's end
+	rbuf  [2][]float64
+	tail  atomic.Bool // switched to dynamic(m) for the loop's end
 
 	// Ablation toggles (see SetAblation); set before the first Next call.
 	noTailSwitch bool
@@ -115,9 +119,15 @@ func NewAIDDynamic(info LoopInfo, m, M int64) (*AIDDynamic, error) {
 		sc:    pool.NewSampleCounters(info.NumTypes, info.NThreads),
 		th:    make([]aidDynThread, info.NThreads),
 		types: info.atomicTypes(),
+		rbuf:  newRBuf(info.NumTypes),
 	}
 	a.phase.init(0, info.NThreads)
 	return a, nil
+}
+
+// newRBuf allocates the two alternating R tables of one scheduler.
+func newRBuf(numTypes int) [2][]float64 {
+	return [2][]float64{make([]float64, numTypes), make([]float64, numTypes)}
 }
 
 // Name implements Scheduler.
@@ -198,8 +208,11 @@ func (a *AIDDynamic) R() (r []float64, ok bool) {
 func (a *AIDDynamic) SFEstimate() ([]float64, bool) { return a.R() }
 
 // SFLiveView implements SFLiveViewer: R tables are published by pointer
-// swap and never mutated in place (smoothR builds a fresh slice), so the
-// current table can be handed out without a copy.
+// swap and the published one is never mutated in place (the transition
+// window fills the spare rbuf slot), so the current table can be handed out
+// without a copy. The view stays intact until the second transition after
+// it was loaded — which cannot overtake one of the loop's own threads, since
+// every transition needs that thread's measurement.
 func (a *AIDDynamic) SFLiveView() []float64 {
 	if rp := a.r.Load(); rp != nil {
 		return *rp
@@ -231,18 +244,25 @@ func clampR(r float64) float64 {
 	return r
 }
 
-// computeInitialR derives R from the initial sampling counters exactly as
-// AID-static derives SF (per-iteration-normalized times). Runs inside the
-// single-threaded transition window of epoch 0.
-func (a *AIDDynamic) computeInitialR() []float64 {
-	r := make([]float64, a.info.NumTypes)
+// slowestAvg returns the largest per-type average of the current sampling
+// counters (0 when no type has samples).
+func (a *AIDDynamic) slowestAvg() float64 {
 	slowest := 0.0
 	for t := 0; t < a.info.NumTypes; t++ {
 		if avg, ok := a.sc.Avg(t); ok && avg > slowest {
 			slowest = avg
 		}
 	}
-	for t := 0; t < a.info.NumTypes; t++ {
+	return slowest
+}
+
+// computeInitialR derives R from the initial sampling counters exactly as
+// AID-static derives SF (per-iteration-normalized times) and publishes it.
+// Runs inside the single-threaded transition window of epoch 0.
+func (a *AIDDynamic) computeInitialR() []float64 {
+	r := a.rbuf[0]
+	slowest := a.slowestAvg()
+	for t := range r {
 		avg, ok := a.sc.Avg(t)
 		if !ok || avg <= 0 || slowest <= 0 {
 			r[t] = 1
@@ -250,6 +270,7 @@ func (a *AIDDynamic) computeInitialR() []float64 {
 		}
 		r[t] = clampR(slowest / avg)
 	}
+	a.r.Store(&a.rbuf[0])
 	return r
 }
 
@@ -262,17 +283,15 @@ func (a *AIDDynamic) computeInitialR() []float64 {
 // without the bound, loops with coarse content-dependent cost variation
 // oscillate, which is precisely what AID-dynamic's reduced chunk
 // sensitivity (Fig. 8) is meant to avoid. Runs inside the transition
-// window; the new table is published by pointer swap.
-func (a *AIDDynamic) smoothR() {
+// window closing the given epoch; the new table is written to the spare
+// rbuf slot and published by pointer swap.
+func (a *AIDDynamic) smoothR(epoch uint32) []float64 {
 	old := *a.r.Load()
-	r := append([]float64(nil), old...)
-	slowest := 0.0
-	for t := 0; t < a.info.NumTypes; t++ {
-		if avg, ok := a.sc.Avg(t); ok && avg > slowest {
-			slowest = avg
-		}
-	}
-	for t := 0; t < a.info.NumTypes; t++ {
+	slot := &a.rbuf[epoch&1]
+	r := *slot
+	slowest := a.slowestAvg()
+	for t := range r {
+		r[t] = old[t]
 		avg, ok := a.sc.Avg(t)
 		if !ok || avg <= 0 || slowest <= 0 {
 			continue
@@ -285,9 +304,10 @@ func (a *AIDDynamic) smoothR() {
 				sm = 1.5
 			}
 		}
-		r[t] = clampR(r[t] * sm)
+		r[t] = clampR(old[t] * sm)
 	}
-	a.r.Store(&r)
+	a.r.Store(slot)
+	return r
 }
 
 // phaseSpan returns the iteration count one full AID phase consumes,
@@ -350,10 +370,12 @@ func (a *AIDDynamic) aidAssign(tid int, st *aidDynThread, asg *Assign, nowNs int
 	// measured chunk to the nominal size amplifies timer noise straight
 	// into the SM update. Tail pieces go to the stash and are served (and
 	// measured) before the phase completes.
-	rs, acc := a.ws.StealSpan(int(a.types[tid].Load()), want)
+	rs, acc := st.claimSpan(a.ws, int(a.types[tid].Load()), want)
 	normalizeOrigin(a.ws, rs) // adopted single-shard pools (AID-auto) have no type tags
 	asg.PoolAccesses += acc
-	got, ok := a.serveAllotment(st, rs, asg)
+	// The phase-measurement window starts over the claimed span.
+	got, ok := st.serve(asg)
+	st.servedN = st.lastN
 	if !ok {
 		// Pool drained under the allotment claim, but the thread may still
 		// hold credit; the drain path serves it — a thread must never
@@ -365,13 +387,6 @@ func (a *AIDDynamic) aidAssign(tid int, st *aidDynThread, asg *Assign, nowNs int
 		}
 		return a.take(tid, st, a.m, asg)
 	}
-	return got, ok
-}
-
-// serveAllotment starts the phase-measurement window over the claimed span.
-func (a *AIDDynamic) serveAllotment(st *aidDynThread, rs []pool.Range, asg *Assign) (Assign, bool) {
-	got, ok := st.serve(rs, asg)
-	st.servedN = st.lastN
 	return got, ok
 }
 
@@ -407,7 +422,6 @@ func (a *AIDDynamic) Next(tid int, nowNs int64) (Assign, bool) {
 			a.sc.Add(int(a.types[tid].Load()), perIter)
 			if a.phase.complete(0) {
 				rv := a.computeInitialR()
-				a.r.Store(&rv)
 				a.sc.Reset()
 				a.maybeReweight(rv, true)
 				if a.observe != nil {
@@ -450,12 +464,12 @@ func (a *AIDDynamic) Next(tid int, nowNs int64) (Assign, bool) {
 			}
 			a.sc.Add(int(a.types[tid].Load()), scaled)
 			if a.phase.complete(st.epoch) {
-				a.smoothR()
+				rv := a.smoothR(st.epoch)
 				a.sc.Reset()
-				a.maybeReweight(*a.r.Load(), false)
+				a.maybeReweight(rv, false)
 				if a.observe != nil {
 					a.observe(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: int(st.epoch) + 1,
-						Kind: PhaseRSmoothed, SF: append([]float64(nil), *a.r.Load()...)})
+						Kind: PhaseRSmoothed, SF: append([]float64(nil), rv...)})
 				}
 				a.phase.advance(st.epoch+1, a.info.NThreads)
 				return a.aidAssign(tid, st, asg, nowNs)

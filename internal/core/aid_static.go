@@ -267,13 +267,11 @@ func (a *AIDHybrid) finalAssign(tid int, st *perThread, asg *Assign) (Assign, bo
 	st.state = stDrain
 	home := int(a.types[tid].Load())
 	asg.Origin = home // drained-pool probes are charged to the home line
-	var rs []pool.Range
-	want := int64(math.Round(a.sf[home]*a.k)) - st.delta
-	if want > 0 {
-		var acc int
-		rs, acc = a.ws.StealSpan(home, want)
+	claimed := int64(0)
+	if want := int64(math.Round(a.sf[home]*a.k)) - st.delta; want > 0 {
+		rs, acc := st.claimSpan(a.ws, home, want)
 		asg.PoolAccesses += acc
-		st.delta += spanN(rs)
+		claimed += spanN(rs)
 	}
 	// Claim order is load-bearing without a lock: each thread claims its
 	// own span BEFORE announcing itself assigned, so when the last
@@ -283,14 +281,15 @@ func (a *AIDHybrid) finalAssign(tid int, st *perThread, asg *Assign) (Assign, bo
 	if a.static && int(a.assigned.Add(1)) == a.info.NThreads {
 		drained, acc := a.ws.DrainAll(home)
 		asg.PoolAccesses += acc
-		st.delta += spanN(drained)
-		rs = append(rs, drained...)
+		claimed += spanN(drained)
+		st.pending = append(st.pending, drained...)
 	}
-	if len(rs) == 0 {
+	st.delta += claimed
+	if claimed == 0 {
 		if asg.PoolAccesses > 0 && len(st.pending) == 0 && st.credit.Empty() {
 			// The span/drain probes above already observed the drained pool
 			// and the thread owns nothing: retire without a further access.
-			return st.serve(nil, asg)
+			return st.serve(asg)
 		}
 		// Fall through to the drain path, which serves the stash AND the
 		// thread's credit — a thread must never retire while it still owns
@@ -298,7 +297,7 @@ func (a *AIDHybrid) finalAssign(tid int, st *perThread, asg *Assign) (Assign, bo
 		// share during sampling and mops up leftovers, if any).
 		return a.take(tid, st, a.chunk, asg)
 	}
-	return st.serve(rs, asg)
+	return st.serve(asg)
 }
 
 // Migrate implements Migratable (§4.3): the runtime is told that thread tid

@@ -11,10 +11,13 @@ import (
 //
 // Coverage is limited to the schedulers whose steady state IS the per-chunk
 // claim loop. AID-static (one-shot allotments, a handful of calls total)
-// and AID-dynamic (legitimately refreshes a multi-range allotment every M
-// chunks — a bounded, amortized allocation) have no such steady state;
-// guided has one but drains in O(P·log NI) calls, so it gets a huge loop
-// and a short measurement window.
+// has no such steady state; guided has one but drains in O(P·log NI) calls,
+// so it gets a huge loop and a short measurement window. AID-dynamic's
+// steady state is its AID phases, and a phase only turns over when every
+// thread reports, so its measured run is one Next per thread (allThreads):
+// the window then spans whole phases — span claims into the stash, R
+// smoothing into the spare table, the epoch advance — not just thread 0's
+// wait state.
 func TestNextSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -24,15 +27,18 @@ func TestNextSteadyStateAllocs(t *testing.T) {
 		ni         int64
 		build      func(info LoopInfo) (Scheduler, error)
 		warm, runs int
+		allThreads bool
 	}{
 		{"static-chunked", 1 << 24,
-			func(info LoopInfo) (Scheduler, error) { return NewStaticChunked(info, 3) }, 64, 2000},
+			func(info LoopInfo) (Scheduler, error) { return NewStaticChunked(info, 3) }, 64, 2000, false},
 		{"dynamic", 1 << 24,
-			func(info LoopInfo) (Scheduler, error) { return NewDynamic(info, 4) }, 64, 2000},
+			func(info LoopInfo) (Scheduler, error) { return NewDynamic(info, 4) }, 64, 2000, false},
 		{"guided", 1 << 40,
-			func(info LoopInfo) (Scheduler, error) { return NewGuided(info, 1) }, 4, 32},
+			func(info LoopInfo) (Scheduler, error) { return NewGuided(info, 1) }, 4, 32, false},
 		{"aid-hybrid", 1 << 24,
-			func(info LoopInfo) (Scheduler, error) { return NewAIDHybrid(info, 1, 0.8) }, 20000, 2000},
+			func(info LoopInfo) (Scheduler, error) { return NewAIDHybrid(info, 1, 0.8) }, 20000, 2000, false},
+		{"aid-dynamic", 1 << 24,
+			func(info LoopInfo) (Scheduler, error) { return NewAIDDynamic(info, 1, 5) }, 64, 2000, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -53,13 +59,30 @@ func TestNextSteadyStateAllocs(t *testing.T) {
 					now += 100
 				}
 			}
-			if n := testing.AllocsPerRun(c.runs, func() {
-				if _, ok := s.Next(0, now); !ok {
-					t.Fatalf("%s drained mid-measurement", c.name)
+			ad, _ := s.(*AIDDynamic)
+			var epoch uint32
+			if ad != nil {
+				if epoch = ad.phase.epoch(); epoch == 0 {
+					t.Fatalf("%s still sampling after warm-up", c.name)
 				}
-				now += 100
+			}
+			measured := 1
+			if c.allThreads {
+				measured = info.NThreads
+			}
+			if n := testing.AllocsPerRun(c.runs, func() {
+				for tid := 0; tid < measured; tid++ {
+					if _, ok := s.Next(tid, now); !ok {
+						t.Fatalf("%s drained mid-measurement", c.name)
+					}
+					now += 100
+				}
 			}); n != 0 {
 				t.Errorf("%s: steady-state Next allocates %v per op, want 0", c.name, n)
+			}
+			if ad != nil && ad.phase.epoch() < epoch+10 {
+				t.Errorf("%s: measurement window covered %d phase transitions, want >= 10",
+					c.name, ad.phase.epoch()-epoch)
 			}
 		})
 	}

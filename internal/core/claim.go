@@ -18,9 +18,12 @@ type claimState struct {
 	delta int64
 	// lastN is the size of the chunk served by the most recent call.
 	lastN int64
-	// pending is the stash: ranges already claimed from the pool and
-	// awaiting execution by this thread.
+	// pending[head:] is the stash: ranges already claimed from the pool and
+	// awaiting execution by this thread. pop advances head and rewinds both
+	// once the stash empties, so the backing array is reused for the whole
+	// loop and len(pending) == 0 still means "nothing stashed".
 	pending []pool.Range
+	head    int
 	// credit is the thread-local claim balance of the batched credit path
 	// (takeCredit): iterations removed from the pool in one RMW and drawn
 	// down locally. Like pending, it counts in delta at claim time.
@@ -32,8 +35,10 @@ func (cs *claimState) pop() (pool.Range, bool) {
 	if len(cs.pending) == 0 {
 		return pool.Range{}, false
 	}
-	r := cs.pending[0]
-	cs.pending = cs.pending[1:]
+	r := cs.pending[cs.head]
+	if cs.head++; cs.head == len(cs.pending) {
+		cs.pending, cs.head = cs.pending[:0], 0
+	}
 	return r, true
 }
 
@@ -55,10 +60,8 @@ func originOf(ws *pool.ShardedWorkShare, from int) int {
 // ranges carry their provenance (Assign.Origin); stashed surplus keeps it
 // in Range.From.
 func (cs *claimState) take(ws *pool.ShardedWorkShare, home int, n int64, asg *Assign) (Assign, bool) {
-	if r, ok := cs.pop(); ok {
-		cs.lastN = r.N()
-		asg.Lo, asg.Hi, asg.Origin = r.Lo, r.Hi, int(r.From)
-		return *asg, true
+	if len(cs.pending) > 0 {
+		return cs.serve(asg)
 	}
 	lo, hi, from, acc, ok := ws.TryStealBatchFrom(home, n, n*pool.HandoffBatch)
 	asg.PoolAccesses += acc
@@ -86,10 +89,8 @@ func (cs *claimState) take(ws *pool.ShardedWorkShare, home int, n int64, asg *As
 // equals the iterations this thread owns. ok=false only when the pool,
 // stash and credit are all empty.
 func (cs *claimState) takeCredit(ws *pool.ShardedWorkShare, home int, n int64, asg *Assign) (Assign, bool) {
-	if r, ok := cs.pop(); ok {
-		cs.lastN = r.N()
-		asg.Lo, asg.Hi, asg.Origin = r.Lo, r.Hi, int(r.From)
-		return *asg, true
+	if len(cs.pending) > 0 {
+		return cs.serve(asg)
 	}
 	lo, hi, st, ok := ws.TryStealCredit(home, n, &cs.credit)
 	asg.PoolAccesses += st.Accesses
@@ -119,11 +120,20 @@ func normalizeOrigin(ws *pool.ShardedWorkShare, rs []pool.Range) {
 	}
 }
 
-// serve hands the first of the given claimed ranges to the thread and
-// stashes the rest, falling back to the stash; ok=false means the thread
-// has nothing left at all. The caller accounts δ for the span itself.
-func (cs *claimState) serve(rs []pool.Range, asg *Assign) (Assign, bool) {
-	cs.pending = append(cs.pending, rs...)
+// claimSpan claims up to want iterations across shards (pool.StealSpan)
+// straight into the stash and returns the freshly stashed ranges — a view
+// into the stash, valid until the next pop — with the pool accesses paid.
+// The caller accounts δ for the span and hands out its first piece with
+// serve.
+func (cs *claimState) claimSpan(ws *pool.ShardedWorkShare, home int, want int64) (fresh []pool.Range, accesses int) {
+	was := len(cs.pending)
+	cs.pending, accesses = ws.StealSpan(home, want, cs.pending)
+	return cs.pending[was:], accesses
+}
+
+// serve hands the thread the next stashed range; ok=false means the stash
+// is empty.
+func (cs *claimState) serve(asg *Assign) (Assign, bool) {
 	if r, ok := cs.pop(); ok {
 		cs.lastN = r.N()
 		asg.Lo, asg.Hi, asg.Origin = r.Lo, r.Hi, int(r.From)

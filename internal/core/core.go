@@ -388,11 +388,15 @@ type SFEstimator interface {
 // paths: SFLiveView returns the scheduler's current estimate WITHOUT
 // copying, or nil while none is published. The returned slice is the
 // published table itself — the implementations replace it wholesale
-// (pointer swap, epoch-gated publication) and never mutate it in place, so
-// it is safe to read concurrently but MUST be treated as immutable by the
-// caller. The multi-loop registry reads it on every scheduling pick; the
-// copy SFEstimate makes per call is exactly the allocation a steady-state
-// pick cannot afford.
+// (pointer swap, epoch-gated publication) and never mutate the published
+// one in place, so it is safe to read concurrently but MUST be treated as
+// immutable by the caller, and consumed rather than kept: AID-dynamic
+// recycles a table two phase transitions after publishing it. One of the
+// loop's own threads cannot be overtaken by that (a transition needs its
+// measurement), which is the multi-loop registry's case: it reads the view
+// on every scheduling pick, on the picking worker. The copy SFEstimate
+// makes per call is exactly the allocation a steady-state pick cannot
+// afford.
 type SFLiveViewer interface {
 	SFLiveView() []float64
 }

@@ -251,7 +251,7 @@ func TestReweightConcurrentCoverageCredit(t *testing.T) {
 				case g == 0 && n%64 == 63:
 					// One claimer mixes in span steals: its credit stays
 					// untouched in between, exercising stale-seq returns.
-					rs, _ := ws.StealSpan(home, 50)
+					rs, _ := ws.StealSpan(home, 50, nil)
 					for _, r := range rs {
 						for i := r.Lo; i < r.Hi; i++ {
 							seen[i].Add(1)

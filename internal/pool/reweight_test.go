@@ -216,7 +216,7 @@ func TestReweightConcurrentCoverage(t *testing.T) {
 				var ok bool
 				switch {
 				case g == 0 && n%64 == 63:
-					rs, _ := ws.StealSpan(home, 50)
+					rs, _ := ws.StealSpan(home, 50, nil)
 					for _, r := range rs {
 						for i := r.Lo; i < r.Hi; i++ {
 							seen[i].Add(1)

@@ -566,14 +566,17 @@ func (ws *ShardedWorkShare) TryStealFuncFrom(home int, sizeOf func(remaining int
 }
 
 // StealSpan claims up to want iterations across shards (home shards first,
-// then nearest-first foreign shards) and returns them as contiguous,
-// provenance-tagged ranges. The AID final assignment uses it so an
-// allotment that exceeds the home shard is not silently truncated. An empty
-// slice means the pool is drained.
-func (ws *ShardedWorkShare) StealSpan(home int, want int64) (rs []Range, accesses int) {
+// then nearest-first foreign shards) and appends them to dst as contiguous,
+// provenance-tagged ranges, returning the extended slice. The AID final
+// assignment uses it so an allotment that exceeds the home shard is not
+// silently truncated; dst is the caller's per-thread stash, so a span per
+// AID phase allocates nothing once the stash has grown to the shard count.
+// Nothing appended means the pool is drained.
+func (ws *ShardedWorkShare) StealSpan(home int, want int64, dst []Range) (rs []Range, accesses int) {
 	if want <= 0 {
 		panic(fmt.Sprintf("pool: non-positive span want %d", want))
 	}
+	rs = dst
 	for {
 		seq := ws.seq.Load()
 		g := ws.gen.Load()
@@ -601,14 +604,14 @@ func (ws *ShardedWorkShare) StealSpan(home int, want int64) (rs []Range, accesse
 			}
 			pick = next
 		}
-		if len(rs) > 0 || got >= want {
+		if got > 0 {
 			return rs, accesses
 		}
 		if ws.drainedValid(seq) {
 			if accesses == 0 {
 				accesses = 1 // drained-pool observation
 			}
-			return nil, accesses
+			return rs, accesses
 		}
 		runtime.Gosched()
 	}

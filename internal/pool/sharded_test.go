@@ -60,7 +60,7 @@ func TestShardedValidation(t *testing.T) {
 		func() { NewSharded(10, []int{1}).TrySteal(0, 0) },
 		func() { NewSharded(10, []int{1}).TrySteal(-1, 1) },
 		func() { NewSharded(10, []int{1}).TryStealBatch(0, 4, 2) },
-		func() { NewSharded(10, []int{1}).StealSpan(0, 0) },
+		func() { NewSharded(10, []int{1}).StealSpan(0, 0, nil) },
 	} {
 		func() {
 			defer func() {
@@ -138,8 +138,16 @@ func TestShardedSpanAndDrain(t *testing.T) {
 	cover(t, ni, func(mark func(lo, hi int64)) {
 		ws := NewSharded(ni, []int{1, 1})
 		// A span bigger than the home shard must cross into the other.
-		rs, acc := ws.StealSpan(0, 70)
-		if acc < 2 || len(rs) != 2 || spanTotal(rs) != 70 {
+		// The span lands behind whatever the caller's stash already holds,
+		// in the stash's own backing array.
+		kept := Range{Lo: -2, Hi: -1}
+		stash := append(make([]Range, 0, 4), kept)
+		rs, acc := ws.StealSpan(0, 70, stash)
+		if len(rs) != 3 || rs[0] != kept || &rs[0] != &stash[0] {
+			t.Fatalf("span = %v, want 2 ranges appended in place behind %v", rs, kept)
+		}
+		rs = rs[1:]
+		if acc < 2 || spanTotal(rs) != 70 {
 			t.Fatalf("span = %v (accesses %d), want 70 iterations over 2 ranges", rs, acc)
 		}
 		for _, r := range rs {
@@ -215,7 +223,7 @@ func TestShardedConcurrentCoverage(t *testing.T) {
 				var ok bool
 				switch {
 				case g == 0 && n%64 == 63:
-					rs, _ := ws.StealSpan(home, 50)
+					rs, _ := ws.StealSpan(home, 50, nil)
 					for _, r := range rs {
 						for i := r.Lo; i < r.Hi; i++ {
 							seen[i].Add(1)

@@ -84,7 +84,7 @@ func TestDrainAllTierOrder(t *testing.T) {
 // overflow into the nearest foreign shard.
 func TestStealSpanProvenance(t *testing.T) {
 	ws := newTopo4(400)
-	rs, _ := ws.StealSpan(0, 150)
+	rs, _ := ws.StealSpan(0, 150, nil)
 	if len(rs) != 2 || rs[0].From != 0 || rs[1].From != 2 {
 		t.Fatalf("StealSpan ranges %+v, want home then nearest foreign", rs)
 	}

@@ -1,10 +1,15 @@
 package rt
 
 import (
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
+
+	"repro/internal/amp"
+	"repro/internal/stats"
 )
 
 // TestRegistryHotLayout is the false-sharing guard for the registry's hot
@@ -28,6 +33,56 @@ func TestRegistryHotLayout(t *testing.T) {
 	}
 	if gap := unsafe.Offsetof(r.mu) - (genOff + unsafe.Sizeof(r.gen)); gap < 56 {
 		t.Errorf("mu is %d bytes after gen, want >= 56 (Submit's increment must not share the mutex line)", gap)
+	}
+}
+
+// TestRegistryThrottleFidelity checks the small-core emulation the chunk
+// loop spins inline: on a 1B+1S fleet, with a body that takes the same wall
+// time on either worker, the small worker's chunk occupancy (body plus spin,
+// ExecNs) over the big worker's must be the configured slowdown. The body is
+// long (50 us) against the clock reads that bracket it. Medians, not means:
+// when the host runs both workers on one CPU for a while, the chunk that
+// holds a context switch is milliseconds long and owns the mean.
+func TestRegistryThrottleFidelity(t *testing.T) {
+	a := amp.PlatformA()
+	clusters := append([]amp.Cluster(nil), a.Clusters...)
+	for i := range clusters {
+		clusters[i].NumCores = 1
+	}
+	pl, err := amp.New("A-1B1S", clusters, a.Overhead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := NewRegistry(RegistryConfig{Platform: pl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	want := reg.Slowdown(1)
+	if reg.NThreads() != 2 || reg.Slowdown(0) != 1 || want < 1.5 {
+		t.Fatalf("fleet of %d with slowdowns %v/%v, want 1B+1S", reg.NThreads(), reg.Slowdown(0), want)
+	}
+	l, err := reg.Submit(LoopRequest{N: 400, Schedule: Schedule{Kind: KindDynamic, Chunk: 1},
+		Capture: true, Body: func(_ int, _, _ int64) {
+			for start := time.Now(); time.Since(start) < 50*time.Microsecond; {
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var execNs [2][]float64
+	for _, ev := range l.Wait().Events {
+		if !ev.Retire {
+			execNs[ev.Tid] = append(execNs[ev.Tid], float64(ev.ExecNs))
+		}
+	}
+	if len(execNs[0]) < 20 || len(execNs[1]) < 20 {
+		t.Fatalf("workers served %d and %d chunks, want both busy", len(execNs[0]), len(execNs[1]))
+	}
+	big, _ := stats.Median(execNs[0]) // errors only on an empty sample, excluded above
+	small, _ := stats.Median(execNs[1])
+	if ratio := small / big; math.Abs(ratio-want) > 0.1*want {
+		t.Errorf("small/big median ExecNs = %.0f/%.0f = %.3f, want %.3f within 10%%", small, big, ratio, want)
 	}
 }
 

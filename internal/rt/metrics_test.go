@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // TestRegistryMetricsCounters checks the counter wiring end to end: a loop
@@ -71,6 +73,45 @@ func TestRegistryMetricsCounters(t *testing.T) {
 	}
 	if snap.Chunks != m.Chunks {
 		t.Errorf("fleet snapshot Chunks = %d, loop says %d", snap.Chunks, m.Chunks)
+	}
+}
+
+// TestRegistryMetricsTileCapture pins the conservation law the chunk loop's
+// shared stamps give for free. Metrics and capture consume the same two
+// clock reads per chunk, and a chunk's end is the next chunk's start, so
+// within a burst (a lone loop is served in one) every worker's timeline is
+// gapless from its first scheduler call to the barrier, and its counters
+// equal the tape's interval sums to the nanosecond.
+func TestRegistryMetricsTileCapture(t *testing.T) {
+	reg, err := NewRegistry(RegistryConfig{NThreads: 4, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	// The body yields so every worker serves chunks even on one CPU.
+	l, err := reg.Submit(LoopRequest{N: 4000, Schedule: Schedule{Kind: KindAIDDynamic, Chunk: 1, Major: 5},
+		Capture: true, Body: func(_ int, _, _ int64) { runtime.Gosched() }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := l.Wait()
+	if len(st.Events) < 100 {
+		t.Fatalf("captured %d events, want a multi-chunk loop", len(st.Events))
+	}
+	for tid := 0; tid < reg.NThreads(); tid++ {
+		ivs := st.Trace.Intervals(tid)
+		for k := 0; k+1 < len(ivs); k++ {
+			if ivs[k].End != ivs[k+1].Start {
+				t.Fatalf("worker %d: gap between interval %d %+v and %d %+v", tid, k, ivs[k], k+1, ivs[k+1])
+			}
+		}
+		w := st.Metrics.Workers[tid]
+		if tape := st.Trace.TimeIn(tid, trace.Sched) + st.Trace.TimeIn(tid, trace.Running); w.SchedNs+w.BusyNs != tape {
+			t.Errorf("worker %d: SchedNs %d + BusyNs %d != %d ns of Sched+Running intervals", tid, w.SchedNs, w.BusyNs, tape)
+		}
+		if sync := st.Trace.TimeIn(tid, trace.Sync); w.IdleNs != sync {
+			t.Errorf("worker %d: IdleNs %d != %d ns of Sync intervals", tid, w.IdleNs, sync)
+		}
 	}
 }
 

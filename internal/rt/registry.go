@@ -105,8 +105,10 @@ type RegistryConfig struct {
 	// loop gets per-worker counter cells surfaced via LoopStats.Metrics,
 	// and Registry.MetricsSnapshot serves the live fleet-wide view. The
 	// hot path stays allocation free with metrics on (gated by
-	// TestRegistryMetricsSteadyStateAllocs); the per-chunk cost is a few
-	// single-writer counter bumps (BenchmarkMetricsOverhead pins it).
+	// TestRegistryMetricsSteadyStateAllocs) and reads the clock no more
+	// often: busy and sched time come from the chunk loop's own two stamps,
+	// so the per-chunk cost is a few plain adds into a batch flushed every
+	// 32 chunks (BenchmarkMetricsOverhead pins it).
 	Metrics bool
 }
 
@@ -353,8 +355,8 @@ func (l *Loop) Latency() time.Duration { return l.latency }
 // goroutine at any time: the schedulers publish their tables through
 // atomics, so this is the mid-run view the fairness policy steers by, not
 // a retirement-only statistic.
-// The returned slice is the scheduler's published table — read-only; do
-// not mutate it.
+// The returned slice is the scheduler's published table — read-only, and
+// to be consumed at once, not kept (see core.SFLiveViewer).
 func (l *Loop) LiveSF() []float64 {
 	if l.sfView != nil {
 		return l.sfView.SFLiveView()
@@ -614,13 +616,20 @@ type pickScratch struct {
 }
 
 // worker is one fleet goroutine: pick a loop under the fairness policy,
-// serve it for the granted burst of scheduler calls, repeat. The chunk
-// execution path is the same lock-free hot path as Team's — the control
-// plane (pick/retire) takes the registry lock only between bursts, and
-// capture (when a loop requests it) appends to the worker's private tape.
+// serve it for the granted burst of scheduler calls, repeat. The control
+// plane (pick/retire) takes the registry lock only between bursts; the
+// chunk loop in between is lock free and reads the clock twice per chunk,
+// schedEnd after Next and end after the body (doc.go has the budget). The
+// stamps are chained — a chunk's end is the next chunk's nowNs, re-read only
+// when a burst starts — and shared by the schedulers' sampling, the
+// small-core throttle, the metrics batch and the capture tape, whose
+// intervals therefore tile a burst without gaps.
 func (r *Registry) worker(tid int) {
 	defer r.wg.Done()
-	f := r.slowdown[tid]
+	// stretch is the share of its own time a body is stretched by on this
+	// worker: a chunk that ran d ns occupies the worker for d·(1+stretch),
+	// so its effective throughput is 1/slowdown of a big core's.
+	stretch := r.slowdown[tid] - 1
 	myType := r.types[tid]
 	// fleet is this worker's registry-lifetime counter cell (idle time spent
 	// between loops lands here, not on any tenant); per-loop counters go to
@@ -640,8 +649,9 @@ func (r *Registry) worker(tid int) {
 			pickStart = r.now()
 		}
 		l, burst, gen := r.pick(tid)
+		nowNs := r.now()
 		if fleet != nil {
-			fleet.Idle(r.now() - pickStart)
+			fleet.Idle(nowNs - pickStart)
 		}
 		if l == nil {
 			return
@@ -656,83 +666,65 @@ func (r *Registry) worker(tid int) {
 		if l.metrics != nil {
 			mc = l.metrics.Cell(tid)
 		}
+		var tp *trace.WorkerTape
+		if l.capture != nil {
+			tp = &l.capture[tid].WorkerTape
+		}
 		const flushEvery = 32
 		for served := 0; served < burst; served++ {
 			if r.gen.Load() != gen {
 				break // a new loop arrived: give the policy a say
 			}
-			nowNs := r.now()
 			asg, ok := l.sched.Next(tid, nowNs)
+			schedEnd := r.now()
 			cell.accesses += int64(asg.PoolAccesses)
+			if mc != nil {
+				mb.SchedNs += schedEnd - nowNs
+				mb.CreditClaimed += asg.CreditClaimed
+				mb.CreditReturned += asg.CreditReturned
+			}
+			if tp != nil {
+				tp.Intervals = append(tp.Intervals, trace.Interval{Start: nowNs, End: schedEnd, State: trace.Sched})
+			}
 			if !ok {
-				if l.capture != nil || mc != nil {
-					schedEnd := r.now()
-					cell.finishNs = schedEnd
-					if mc != nil {
-						mb.SchedNs += schedEnd - nowNs
-						mb.CreditClaimed += asg.CreditClaimed
-						mb.CreditReturned += asg.CreditReturned
-						mc.Apply(&mb)
-					}
-					if l.capture != nil {
-						tp := &l.capture[tid].WorkerTape
-						tp.Intervals = append(tp.Intervals, trace.Interval{Start: nowNs, End: schedEnd, State: trace.Sched})
-						tp.Events = append(tp.Events, trace.ChunkEvent{Seq: wseq, TimeNs: nowNs,
-							Tid: tid, Shard: r.types[tid], Origin: asg.Origin,
-							PoolAccesses: asg.PoolAccesses,
-							Timestamps: asg.Timestamps, Retire: true})
-						wseq++
-					}
+				cell.finishNs = schedEnd
+				if tp != nil {
+					tp.Events = append(tp.Events, trace.ChunkEvent{Seq: wseq, TimeNs: nowNs,
+						Tid: tid, Shard: myType, Origin: asg.Origin, Retire: true,
+						PoolAccesses: asg.PoolAccesses, Timestamps: asg.Timestamps})
+					wseq++
+				}
+				if mc != nil {
+					mc.Apply(&mb) // retire merges the cells under the lock
 				}
 				r.retire(l, tid)
 				break
 			}
 			cell.iters += asg.N()
+			l.body(tid, asg.Lo, asg.Hi)
+			end := r.now()
+			if stretch > 0 {
+				// Busy wait, as a pinned thread on a slow core would keep its
+				// core busy; the spin's last read is the chunk's end.
+				for deadline := end + int64(float64(end-schedEnd)*stretch); end < deadline; {
+					end = r.now()
+				}
+			}
 			if mc != nil {
 				mb.Grant(asg.N(), obs.Tier(r.dist, myType, asg.Origin))
-				mb.CreditClaimed += asg.CreditClaimed
-				mb.CreditReturned += asg.CreditReturned
-			}
-			if l.capture == nil {
-				start := time.Now()
-				if mc != nil {
-					// The scheduling window ends where the body clock starts;
-					// deriving it from `start` keeps the metrics path at the
-					// same three clock reads per chunk as the bare path.
-					mb.SchedNs += int64(start.Sub(r.base)) - nowNs
-				}
-				l.body(tid, asg.Lo, asg.Hi)
-				d := int64(time.Since(start))
-				throttle(d, f)
-				if mc != nil {
-					mb.BusyNs += throttledNs(d, f)
-					if mb.Chunks >= flushEvery {
-						mc.Apply(&mb)
-					}
-				}
-				continue
-			}
-			schedEnd := r.now()
-			start := time.Now()
-			l.body(tid, asg.Lo, asg.Hi)
-			throttle(int64(time.Since(start)), f)
-			end := r.now()
-			if mc != nil {
-				mb.SchedNs += schedEnd - nowNs
 				mb.BusyNs += end - schedEnd
 				if mb.Chunks >= flushEvery {
 					mc.Apply(&mb)
 				}
 			}
-			tp := &l.capture[tid].WorkerTape
-			tp.Intervals = append(tp.Intervals,
-				trace.Interval{Start: nowNs, End: schedEnd, State: trace.Sched},
-				trace.Interval{Start: schedEnd, End: end, State: trace.Running})
-			tp.Events = append(tp.Events, trace.ChunkEvent{Seq: wseq, TimeNs: nowNs,
-				Tid: tid, Lo: asg.Lo, Hi: asg.Hi, Shard: r.types[tid], Origin: asg.Origin,
-				ExecNs: end - schedEnd,
-				PoolAccesses: asg.PoolAccesses, Timestamps: asg.Timestamps})
-			wseq++
+			if tp != nil {
+				tp.Intervals = append(tp.Intervals, trace.Interval{Start: schedEnd, End: end, State: trace.Running})
+				tp.Events = append(tp.Events, trace.ChunkEvent{Seq: wseq, TimeNs: nowNs,
+					Tid: tid, Lo: asg.Lo, Hi: asg.Hi, Shard: myType, Origin: asg.Origin,
+					ExecNs: end - schedEnd, PoolAccesses: asg.PoolAccesses, Timestamps: asg.Timestamps})
+				wseq++
+			}
+			nowNs = end
 		}
 		if mc != nil {
 			// Burst exit without retirement (generation change): publish what
@@ -740,16 +732,6 @@ func (r *Registry) worker(tid int) {
 			mc.Apply(&mb)
 		}
 	}
-}
-
-// throttledNs is the wall-clock occupancy of a body that measured execNs of
-// its own time and was then throttled by slowdown factor f (throttle
-// busy-waits roughly execNs*(f-1) more, so the worker occupied ~execNs*f).
-func throttledNs(execNs int64, f float64) int64 {
-	if f > 1 {
-		return int64(float64(execNs) * f)
-	}
-	return execNs
 }
 
 // pick blocks until some admitted loop still wants scheduler calls from

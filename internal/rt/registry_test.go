@@ -2,6 +2,7 @@ package rt
 
 import (
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -84,22 +85,44 @@ func TestRegistryMultiTenantConformance(t *testing.T) {
 
 // TestRegistryBarrierIndependence verifies per-loop barrier accounting: a
 // small loop submitted behind a large one releases its own barrier while
-// the large loop is still executing.
+// the large loop is still executing. Two gates in the long body hold the
+// large loop open, so the outcome does not depend on how fast chunks go:
+// every worker waits in its first long chunk until the short loop is
+// admitted, and a worker that has since retired from the short loop parks in
+// its next long chunk until the test has checked the barriers. (A worker
+// must not park before its own retirement: the short barrier needs every
+// worker's.) In between, round-robin turns of 8 let each worker through at
+// most a dozen long chunks, of 5000.
 func TestRegistryBarrierIndependence(t *testing.T) {
 	reg, err := NewRegistry(RegistryConfig{NThreads: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reg.Close()
+	admitted, checked := make(chan struct{}), make(chan struct{})
+	var admitOnce, checkOnce sync.Once
+	admit := func() { admitOnce.Do(func() { close(admitted) }) }
+	check := func() { checkOnce.Do(func() { close(checked) }) }
+	// Runs before Close on every exit path; Close would wait on held workers.
+	defer func() { admit(); check() }()
 
+	const longN, shortN = 20_000, 64
+	var short *Loop // written before admitted closes, read by the body after
 	var longIters atomic.Int64
 	long, err := reg.Submit(LoopRequest{
-		N:        300_000,
+		N:        longN,
 		Schedule: Schedule{Kind: KindDynamic, Chunk: 4},
-		Body: func(_ int, lo, hi int64) {
-			for i := lo; i < hi; i++ {
-				longIters.Add(1)
-				spinWork(30)
+		Body: func(tid int, lo, hi int64) {
+			longIters.Add(hi - lo)
+			<-admitted
+			if short == nil {
+				return // the test bailed out before submitting
+			}
+			reg.mu.Lock()
+			retired := short.retired[tid]
+			reg.mu.Unlock()
+			if retired {
+				<-checked
 			}
 		},
 	})
@@ -107,8 +130,8 @@ func TestRegistryBarrierIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var shortIters atomic.Int64
-	short, err := reg.Submit(LoopRequest{
-		N:        64,
+	short, err = reg.Submit(LoopRequest{
+		N:        shortN,
 		Schedule: Schedule{Kind: KindDynamic, Chunk: 4},
 		Weight:   4,
 		Body:     func(_ int, lo, hi int64) { shortIters.Add(hi - lo) },
@@ -116,20 +139,22 @@ func TestRegistryBarrierIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	admit()
 	short.Wait()
-	if got := shortIters.Load(); got != 64 {
-		t.Fatalf("short loop covered %d of 64", got)
+	if got := shortIters.Load(); got != shortN {
+		t.Fatalf("short loop covered %d of %d", got, shortN)
 	}
 	select {
 	case <-long.Done():
-		t.Error("long loop finished before the short loop's barrier check — barrier independence untestable")
+		t.Error("long loop's barrier released with every worker parked inside it")
 	default:
 		// Expected: the short loop's barrier released on its own while the
-		// long loop still owns most of the fleet.
+		// long loop still holds the fleet.
 	}
+	check()
 	long.Wait()
-	if got := longIters.Load(); got != 300_000 {
-		t.Fatalf("long loop covered %d of 300000", got)
+	if got := longIters.Load(); got != longN {
+		t.Fatalf("long loop covered %d of %d", got, longN)
 	}
 }
 

@@ -1,25 +1,3 @@
-// Package rt is the user-facing runtime of the reproduction — the analog of
-// libgomp as the paper modified it. It provides:
-//
-//   - Schedule: a parsed loop-schedule selection (method + parameters),
-//     configurable programmatically or through environment variables that
-//     mirror the paper's setup (§4.1): GOOMP_SCHEDULE plays the role of
-//     OMP_SCHEDULE (the modified GCC defaults every loop to the `runtime`
-//     schedule, so this variable governs all loops), and GOOMP_AMP_AFFINITY
-//     selects the SB/BS thread-to-core binding convention like
-//     GOMP_AMP_AFFINITY does in the paper (§4.3).
-//   - Registry: the multi-loop executor — a persistent fleet of worker
-//     goroutines (one per modeled CPU, with per-worker speed throttling
-//     that emulates big/small cores) serving many concurrent loop
-//     submissions, each with its own scheduler, sharded pool and barrier,
-//     under a pluggable fairness policy (internal/fair). This is the
-//     building block for serving many users' loops at once.
-//   - Team: the single-loop fork/join facade over Registry, used by the
-//     runnable examples. Go offers no thread-to-core affinity, so
-//     wall-clock fidelity is limited; the discrete-event engine
-//     (internal/sim, including the multi-loop sim.RunLoops) carries the
-//     paper's evaluation, while Team and Registry demonstrate the
-//     schedulers as real concurrent code.
 package rt
 
 import (

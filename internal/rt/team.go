@@ -2,7 +2,6 @@ package rt
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/amp"
 	"repro/internal/obs"
@@ -80,20 +79,6 @@ func (t *Team) Schedule() Schedule { return t.schedule }
 
 // Slowdown returns worker tid's emulated slowdown factor (1 = big core).
 func (t *Team) Slowdown(tid int) float64 { return t.slowdown[tid] }
-
-// throttle busy-waits to stretch a chunk that took execNs to the duration it
-// would have taken on a core slower by factor f.
-func throttle(execNs int64, f float64) {
-	if f <= 1 {
-		return
-	}
-	extra := time.Duration(float64(execNs) * (f - 1))
-	deadline := time.Now().Add(extra)
-	for time.Now().Before(deadline) {
-		// Busy wait, as a pinned thread on a slow core would keep its core
-		// busy. The loop body is intentionally empty.
-	}
-}
 
 // ParallelFor executes body(i) for every i in [0, n) across the team's
 // workers under the team's schedule, blocking until the implicit barrier
