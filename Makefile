@@ -12,7 +12,8 @@
 #                  CI, not in production
 #   make replay-determinism - record a simulated run, exact-replay it twice,
 #                  assert the two replays serialize byte-identically (the
-#                  record & replay subsystem's end-to-end determinism gate)
+#                  record & replay subsystem's end-to-end determinism gate;
+#                  a Go test in cmd/aidtrace, so tier-1 runs it too)
 #   make alloc-check - the zero-allocation and cache-line-layout gates: the
 #                  AllocsPerRun assertions and unsafe.Offsetof layout tests
 #                  over the pool/core/rt hot paths (run without -race; the
@@ -24,8 +25,8 @@
 #   make obs-check - the flight-recorder gates: the internal/obs suite
 #                  (counter cells, Prometheus rendering, analyzer, the
 #                  byte-deterministic chrome export), the engine wiring
-#                  tests in rt and sim, the histogram-vs-reservoir
-#                  cross-check, aidserve's metrics endpoint and per-class
+#                  tests in rt and sim, the histogram-vs-exact-percentile
+#                  accuracy gate, aidserve's metrics endpoint and per-class
 #                  shed attribution, and aidstat's committed golden fixture
 #   make bench   - the full benchmark harness (figures + micro-benchmarks)
 #   make bench-short - benchmarks compiled and run once per case (smoke);
@@ -56,7 +57,6 @@
 #                  (CI gate)
 
 GO ?= go
-REPLAYTMP := .replaytmp
 BENCHTMP := .benchtmp
 SERVETMP := .servetmp
 
@@ -82,13 +82,7 @@ race-multiloop:
 	$(GO) test -race -count=2 ./internal/fair/
 
 replay-determinism:
-	rm -rf $(REPLAYTMP) && mkdir -p $(REPLAYTMP)
-	$(GO) run ./cmd/aidtrace -app EP -sched aid-dynamic,1,5 -record $(REPLAYTMP)/rec.jsonl
-	$(GO) run ./cmd/aidtrace -replay $(REPLAYTMP)/rec.jsonl -o $(REPLAYTMP)/replay1.jsonl > /dev/null
-	$(GO) run ./cmd/aidtrace -replay $(REPLAYTMP)/rec.jsonl -o $(REPLAYTMP)/replay2.jsonl > /dev/null
-	cmp $(REPLAYTMP)/replay1.jsonl $(REPLAYTMP)/replay2.jsonl
-	$(GO) run ./cmd/aidtrace -diff $(REPLAYTMP)/replay1.jsonl,$(REPLAYTMP)/replay2.jsonl > /dev/null
-	rm -rf $(REPLAYTMP)
+	$(GO) test -count=1 -run ReplayDeterminism ./cmd/aidtrace/
 
 # The allocation gates must run without the race detector (its
 # instrumentation allocates; the tests skip themselves under -race), and

@@ -9,9 +9,10 @@ import (
 	"repro/internal/workloads"
 )
 
-// Ablation benchmarks quantify the individual design decisions called out
-// in DESIGN.md by running the same workload with one mechanism disabled and
-// reporting the completion-time ratio (ablated / full; > 1 means the
+// Ablation benchmarks quantify the individual design decisions of the AID
+// schedulers (each is argued where it is made, in the comments of
+// internal/core) by running the same workload with one mechanism disabled
+// and reporting the completion-time ratio (ablated / full; > 1 means the
 // mechanism helps).
 
 // runWorkload executes one workload on Platform A under a factory.

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -39,17 +40,17 @@ func main() {
 	migrate := flag.String("migrate", "", "inject migrations: tid:cpu:atNs[,tid:cpu:atNs...]")
 	flag.Parse()
 
-	if err := run(*platform, *threads, *bindingText, *schedText, *ni, *cost, *slope,
+	if err := run(os.Stdout, *platform, *threads, *bindingText, *schedText, *ni, *cost, *slope,
 		*ilp, *mem, *footprint, *showTrace, *migrate); err != nil {
 		fmt.Fprintln(os.Stderr, "aidsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(platform string, threads int, bindingText, schedText string,
+func run(w io.Writer, platform string, threads int, bindingText, schedText string,
 	ni int64, cost, slope, ilp, mem, footprint float64, showTrace bool, migrate string) error {
 	if strings.EqualFold(platform, "list") {
-		fmt.Println(strings.Join(amp.Names(), "\n"))
+		fmt.Fprintln(w, strings.Join(amp.Names(), "\n"))
 		return nil
 	}
 	pl, err := amp.Resolve(platform)
@@ -103,10 +104,10 @@ func run(platform string, threads int, bindingText, schedText string,
 		schedules = []rt.Schedule{s}
 	}
 
-	fmt.Printf("platform %s, %d threads, %s binding, NI=%d, profile{ILP %.2f, mem %.2f, fp %.2fMB}\n",
+	fmt.Fprintf(w, "platform %s, %d threads, %s binding, NI=%d, profile{ILP %.2f, mem %.2f, fp %.2fMB}\n",
 		pl.Name, threads, binding, ni, ilp, mem, footprint)
 	if sf, err := sim.MeasureLoopSF(pl, spec); err == nil {
-		fmt.Printf("offline SF: %.2f\n", sf)
+		fmt.Fprintf(w, "offline SF: %.2f\n", sf)
 	}
 	for _, sched := range schedules {
 		var tr *trace.Trace
@@ -125,10 +126,17 @@ func run(platform string, threads int, bindingText, schedText string,
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-20s %12.3f ms   pool accesses %7d   sched time %8.3f ms\n",
-			sched, float64(res.End-res.Start)/1e6, res.PoolAccesses, float64(res.SchedNs)/1e6)
+		var iters int64
+		for _, n := range res.Iters {
+			iters += n
+		}
+		fmt.Fprintf(w, "%-20s %12.3f ms   pool accesses %7d   sched time %8.3f ms   iterations %d/%d\n",
+			sched, float64(res.End-res.Start)/1e6, res.PoolAccesses, float64(res.SchedNs)/1e6, iters, ni)
+		if iters != ni {
+			return fmt.Errorf("schedule %s executed %d of %d iterations", sched, iters, ni)
+		}
 		if tr != nil {
-			fmt.Print(tr.Render(88))
+			fmt.Fprint(w, tr.Render(88))
 		}
 	}
 	return nil

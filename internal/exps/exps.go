@@ -3,7 +3,8 @@
 // with a text renderer; cmd/aidbench exposes them on the command line and
 // the repository-root benchmarks wrap them for `go test -bench`.
 //
-// Experiment index (see DESIGN.md for the full mapping):
+// Experiment index (each Run function's comment has the paper section it
+// reproduces and what it varies):
 //
 //	Fig1       EP execution traces, static schedule, 2B-2S vs 4S
 //	Fig2       per-loop offline SF, BT and CG, Platforms A and B

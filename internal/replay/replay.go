@@ -4,11 +4,13 @@
 //
 //   - Exact re-executes the recorded chunk assignments: a script scheduler
 //     replays each worker's grant sequence (including the recorded
-//     pool-access and timestamp charges) through sim.RunLoop/RunLoops, and
-//     the result is checked against the record — identical coverage always,
-//     identical event times and makespan for sim-produced records. Replays
-//     are fully deterministic: replaying the same record twice yields
-//     byte-identical serialized output.
+//     pool-access and timestamp charges) through the simulator's engine —
+//     as a fork/join team (sim.RunLoop) for a record that names no fairness
+//     policy, as a fleet (sim.RunLoops) with the recorded arrival stamps
+//     otherwise — and the result is checked against the record: identical
+//     coverage always, identical event times and makespan for sim-produced
+//     records. Replays are fully deterministic: replaying the same record
+//     twice yields byte-identical serialized output.
 //   - WhatIf keeps the recorded workload (trip counts, cost profile,
 //     platform, fleet shape) but swaps the scheduler, fairness policy,
 //     binding or thread count — answering "would AID-dynamic have beaten
@@ -163,7 +165,7 @@ func specsOf(rec *trace.Record) ([]sim.LoopSpec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("replay: loop %q: %w", l.Name, err)
 		}
-		specs[li] = sim.LoopSpec{Name: l.Name, NI: l.NI, Profile: l.Profile, Cost: cost, Weight: l.Weight}
+		specs[li] = sim.LoopSpec{Name: l.Name, NI: l.NI, Profile: l.Profile, Cost: cost, Weight: l.Weight, Arrive: l.ArriveNs}
 	}
 	return specs, nil
 }
@@ -206,7 +208,7 @@ func scriptsOf(rec *trace.Record) (scheds []*scriptSched, visit [][]int) {
 		s.perThread[ev.Tid] = append(s.perThread[ev.Tid], grant{
 			lo: ev.Lo, hi: ev.Hi, origin: ev.Origin,
 			poolAccesses: ev.PoolAccesses,
-			timestamps: ev.Timestamps, retire: ev.Retire,
+			timestamps:   ev.Timestamps, retire: ev.Retire,
 		})
 		visit[ev.Tid] = append(visit[ev.Tid], ev.Loop)
 	}
@@ -243,8 +245,8 @@ func Exact(rec *trace.Record) (*Result, error) {
 		NThreads: rec.NThreads,
 		Binding:  binding,
 		FactoryNamed: func(string, core.LoopInfo) (core.Scheduler, error) {
-			// Loops are built in spec order by both RunLoop and RunLoops,
-			// so a counter maps factory calls to script schedulers.
+			// The engine builds loops in spec order, so a counter maps
+			// factory calls to script schedulers.
 			s := scheds[next]
 			next++
 			return s, nil
@@ -263,37 +265,30 @@ func Exact(rec *trace.Record) (*Result, error) {
 	return res, nil
 }
 
-// runConfigured executes a rebuilt configuration through the matching
-// engine: single-loop records run through sim.RunLoop (with a per-thread
-// timeline when withTrace is set); multi-loop records run through
-// sim.RunLoops under the given fairness policy. Shared by exact (scripted
-// schedulers + scripted policy) and what-if (real schedulers + real
-// policy) replay.
+// runConfigured executes a rebuilt configuration in the mode the record was
+// made in: a record of one loop that names no fairness policy is a
+// fork/join team (sim.RunLoop), anything else a fleet under the given
+// policy (sim.RunLoops). withTrace adds a per-thread timeline. Shared by
+// exact (scripted schedulers + scripted policy) and what-if (real
+// schedulers + real policy) replay.
 func runConfigured(cfg sim.Config, rec *trace.Record, specs []sim.LoopSpec, policy fair.Policy, withTrace bool) (*Result, error) {
-	if len(specs) == 1 && rec.Policy == "" {
-		if withTrace {
-			cfg.Trace = trace.New(cfg.NThreads)
-		}
-		r, err := sim.RunLoop(cfg, specs[0], rec.StartNs)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Results:    []sim.LoopResult{r},
-			Record:     cfg.Recorder.Record(),
-			MakespanNs: r.End - r.Start,
-		}, nil
+	if withTrace {
+		cfg.Trace = trace.New(cfg.NThreads)
 	}
-	cfg.Migrations = nil // RunLoops rejects them; multi-loop records carry none
-	rs, err := sim.RunLoops(cfg, specs, policy, rec.StartNs)
+	var rs []sim.LoopResult
+	var err error
+	if len(specs) == 1 && rec.Policy == "" {
+		rs = make([]sim.LoopResult, 1)
+		rs[0], err = sim.RunLoop(cfg, specs[0], rec.StartNs)
+	} else {
+		rs, err = sim.RunLoops(cfg, specs, policy, rec.StartNs)
+	}
 	if err != nil {
 		return nil, err
 	}
 	var maxEnd int64
 	for _, r := range rs {
-		if r.End > maxEnd {
-			maxEnd = r.End
-		}
+		maxEnd = max(maxEnd, r.End)
 	}
 	return &Result{Results: rs, Record: cfg.Recorder.Record(), MakespanNs: maxEnd - rec.StartNs}, nil
 }
@@ -452,8 +447,8 @@ func WhatIf(rec *trace.Record, wcfg WhatIfConfig) (*Result, error) {
 		NThreads: nthreads,
 		Binding:  binding,
 		FactoryNamed: func(_ string, info core.LoopInfo) (core.Scheduler, error) {
-			// Both run paths build loop schedulers in spec order, so a
-			// counter maps factory calls to per-loop schedules.
+			// The engine builds loops in spec order, so a counter maps
+			// factory calls to per-loop schedules.
 			f := factories[next]
 			next++
 			return f(info)

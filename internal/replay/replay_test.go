@@ -97,44 +97,66 @@ func TestExactReplaySimLoop(t *testing.T) {
 	}
 }
 
-// TestExactReplaySimMultiLoop replays a recorded sim.RunLoops run: the
+// TestExactReplaySimMultiLoop: a sim.RunLoops record replays exactly — the
 // scripted policy must reproduce each worker's loop-visit order, and the
-// makespan must match exactly.
+// makespan must match exactly — both for a closed burst (every loop
+// admitted at the start) and for an open-loop record whose loops arrive at
+// 0, 5 ms and 500 ms: the record carries the admission stamps, so the replay
+// idles forward over the same gaps, and a what-if keeps the arrival pattern.
 func TestExactReplaySimMultiLoop(t *testing.T) {
-	pl := amp.PlatformA()
-	aid, _ := rt.ParseSchedule("aid-dynamic,1,5")
-	rec := trace.NewRecorder()
-	cfg := sim.Config{
-		Platform: pl,
-		NThreads: pl.NumCores(),
-		Factory:  aid.Factory(),
-		Recorder: rec,
-	}
-	specs := []sim.LoopSpec{
-		{Name: "a", NI: 4000, Profile: amp.Profile{ILP: 0.6}, Cost: sim.UniformCost{PerIter: 50000}, Weight: 2},
-		{Name: "b", NI: 2000, Profile: amp.Profile{ILP: 0.2, MemIntensity: 0.4}, Cost: sim.LinearCost{Base: 20000, Slope: 30}},
-		{Name: "c", NI: 1000, Profile: amp.Profile{MemIntensity: 0.7}, Cost: sim.UniformCost{PerIter: 90000}},
-	}
-	if _, err := sim.RunLoops(cfg, specs, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := range specs {
-		rec.SetLoopSchedule(i, aid.Canonical())
-	}
-	record := roundTrip(t, rec.Record())
-	r1, err := Exact(record)
-	if err != nil {
-		t.Fatalf("Exact multi-loop: %v", err)
-	}
-	if r1.MakespanNs != record.MakespanNs {
-		t.Fatalf("makespan %d, recorded %d", r1.MakespanNs, record.MakespanNs)
-	}
-	r2, err := Exact(record)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encode(t, r1.Record), encode(t, r2.Record)) {
-		t.Fatal("two exact multi-loop replays serialized differently")
+	for name, arrive := range map[string][3]int64{
+		"closed":    {},
+		"staggered": {0, 5_000_000, 500_000_000},
+	} {
+		t.Run(name, func(t *testing.T) {
+			pl := amp.PlatformA()
+			aid, _ := rt.ParseSchedule("aid-dynamic,1,5")
+			rec := trace.NewRecorder()
+			cfg := sim.Config{
+				Platform: pl,
+				NThreads: pl.NumCores(),
+				Factory:  aid.Factory(),
+				Recorder: rec,
+			}
+			specs := []sim.LoopSpec{
+				{Name: "a", NI: 4000, Profile: amp.Profile{ILP: 0.6}, Cost: sim.UniformCost{PerIter: 50000}, Weight: 2},
+				{Name: "b", NI: 2000, Profile: amp.Profile{ILP: 0.2, MemIntensity: 0.4}, Cost: sim.LinearCost{Base: 20000, Slope: 30}},
+				{Name: "c", NI: 1000, Profile: amp.Profile{MemIntensity: 0.7}, Cost: sim.UniformCost{PerIter: 90000}},
+			}
+			for i := range specs {
+				specs[i].Arrive = arrive[i]
+			}
+			if _, err := sim.RunLoops(cfg, specs, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			for i := range specs {
+				rec.SetLoopSchedule(i, aid.Canonical())
+			}
+			record := roundTrip(t, rec.Record())
+			r1, err := Exact(record)
+			if err != nil {
+				t.Fatalf("Exact multi-loop: %v", err)
+			}
+			if r1.MakespanNs != record.MakespanNs {
+				t.Fatalf("makespan %d, recorded %d", r1.MakespanNs, record.MakespanNs)
+			}
+			r2, err := Exact(record)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encode(t, r1.Record), encode(t, r2.Record)) {
+				t.Fatal("two exact multi-loop replays serialized differently")
+			}
+			wi, err := WhatIf(record, WhatIfConfig{Schedule: "dynamic,8"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range wi.Results {
+				if r.Start != arrive[i] {
+					t.Errorf("what-if admitted loop %q at %d, recorded arrival %d", specs[i].Name, r.Start, arrive[i])
+				}
+			}
+		})
 	}
 }
 

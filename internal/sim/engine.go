@@ -1,0 +1,428 @@
+package sim
+
+import (
+	"fmt"
+	"math"
+	"slices"
+
+	"repro/internal/core"
+	"repro/internal/fair"
+	"repro/internal/obs"
+	"repro/internal/trace"
+)
+
+// run is the simulator's one event loop (see the package comment). A nil
+// policy selects team mode: specs is RunLoop's single loop, forked at
+// startNs and joined at its barrier. A non-nil policy selects fleet mode:
+// the loops share a persistent fleet under that policy, as RunLoops
+// describes. The i-th result corresponds to specs[i].
+func run(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]LoopResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("sim: no loops to run")
+	}
+	for _, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	team := policy == nil
+	if cfg.Recorder != nil {
+		name := ""
+		if !team {
+			name = policy.Name()
+		}
+		if err := beginRecording(cfg, name, startNs); err != nil {
+			return nil, err
+		}
+	}
+
+	pl := cfg.Platform
+	ov := pl.Overhead
+	nt, nl, ntypes := cfg.NThreads, len(specs), len(pl.Clusters)
+	dist := pl.TypeDist()
+
+	// Worker placement. Cluster occupancy is the whole fleet for every loop:
+	// a loop's chunks share the cluster's LLC with all resident threads,
+	// whichever loop those happen to be serving.
+	coreOf := make([]int, nt)
+	typeOf := make([]int, nt)
+	activeInCluster := make([]int, ntypes)
+	for tid := range coreOf {
+		coreOf[tid] = pl.CoreOf(tid, nt, cfg.Binding)
+		typeOf[tid] = pl.ClusterOf(coreOf[tid])
+		activeInCluster[typeOf[tid]]++
+	}
+
+	// Per-loop state. The tables the event loop reads on every event are
+	// flat: [li] per loop, [li*nt+tid] per loop and worker, [li*ntypes+t]
+	// per loop and core type.
+	scheds := make([]core.Scheduler, nl)
+	results := make([]LoopResult, nl)
+	arrive := make([]int64, nl)
+	weights := make([]int, nl)
+	speed := make([]float64, nl*nt)
+	lastHi := make([]int64, nl*nt)
+	retired := make([]bool, nl*nt)
+	nretired := make([]int, nl)
+	// liveSF[li] is loop li's most recently published SF table (nil until the
+	// scheduler's estimate stabilizes). It is fed to the fairness policy on
+	// every pick — the mid-run view, not a retirement-only statistic — and
+	// each publication is appended to the loop's SFTrajectory.
+	liveSF := make([][]float64, nl)
+	// engaged[li*ntypes+t] counts the workers currently scheduling loop li
+	// from core type t (engagedTotal[li] across all types): the population
+	// of loop li's pool lines, which is what a pool access on that loop
+	// contends with. setCur keeps the counts in step with cur transitions.
+	engaged := make([]int, nl*ntypes)
+	engagedTotal := make([]int, nl)
+	// Counter cells are keyed by each worker's home cluster at the start (a
+	// later migration moves the worker, not its occupancy bucket — same
+	// convention as the registry's binding-derived home types). Each loop
+	// counts only its own grants.
+	var mets []*obs.Metrics
+	if cfg.Metrics {
+		mets = make([]*obs.Metrics, nl)
+	}
+	setSpeeds := func() {
+		for li := range specs {
+			for tid := 0; tid < nt; tid++ {
+				speed[li*nt+tid] = pl.Speed(coreOf[tid], specs[li].Profile, activeInCluster[typeOf[tid]])
+			}
+		}
+	}
+	setSpeeds()
+	info := loopInfo(cfg, dist)
+	for li, spec := range specs {
+		info.NI = spec.NI
+		s, err := cfg.buildScheduler(spec.Name, info)
+		if err != nil {
+			return nil, fmt.Errorf("sim: building scheduler for loop %q: %w", spec.Name, err)
+		}
+		scheds[li] = s
+		arrive[li] = startNs
+		var stamp int64 // what a record carries: zero is "admitted at start"
+		if !team && spec.Arrive > startNs {
+			arrive[li], stamp = spec.Arrive, spec.Arrive
+		}
+		weights[li] = max(spec.Weight, 1)
+		res := &results[li]
+		*res = LoopResult{
+			Start:         arrive[li],
+			Iters:         make([]int64, nt),
+			Finish:        make([]int64, nt),
+			SchedulerName: s.Name(),
+		}
+		if cfg.Recorder != nil {
+			addLoopRecord(cfg.Recorder, spec, s, stamp)
+		}
+		if po, observable := s.(core.PhaseObservable); observable {
+			// A scheduler has one observer slot; decision capture and the
+			// live SF table share it.
+			li, rec := li, cfg.Recorder
+			po.SetPhaseObserver(func(ev core.PhaseEvent) {
+				if rec != nil {
+					rec.Phase(trace.PhaseEvent{TimeNs: ev.TimeNs, Tid: ev.Tid, Loop: li,
+						Epoch: ev.Epoch, Kind: ev.Kind, SF: ev.SF})
+				}
+				if ev.SF != nil {
+					liveSF[li] = ev.SF
+					res.SFTrajectory = append(res.SFTrajectory, SFPoint{TimeNs: ev.TimeNs, SF: ev.SF})
+				}
+			})
+		}
+		if est, isEst := s.(core.SFEstimator); isEst {
+			// Offline-SF variants publish at construction with no event;
+			// the table is live from the moment the loop exists.
+			if sf, ready := est.SFEstimate(); ready {
+				liveSF[li] = sf
+				res.SFTrajectory = append(res.SFTrajectory, SFPoint{TimeNs: arrive[li], SF: sf})
+			}
+		}
+		for i := li * nt; i < (li+1)*nt; i++ {
+			lastHi[i] = -1
+		}
+		if mets != nil {
+			mets[li] = obs.New(nt, ntypes, func(tid int) int { return typeOf[tid] })
+		}
+	}
+	// now never goes back (the loop below always advances the earliest
+	// clock), so the loops admitted by now are a prefix of the sorted stamps.
+	// The ones admitted at the start are behind the cursor before any grant.
+	byTime := arrive
+	if nl > 1 {
+		byTime = slices.Clone(arrive)
+		slices.Sort(byTime)
+	}
+	arrived := 0
+	for arrived < nl && byTime[arrived] <= startNs {
+		arrived++
+	}
+
+	// Worker state: virtual clock, the loop currently served (-1 between
+	// loops), the burst remaining in the policy's grant, and the number of
+	// loops that have not retired the worker. A worker is live while it owes
+	// a retirement; after its last one its clock is parked at the end of
+	// time, so the earliest clock is always a live worker's.
+	clock := make([]int64, nt)
+	cur := make([]int, nt)
+	burst := make([]int, nt)
+	owed := make([]int, nt)
+	setCur := func(tid, li int) {
+		prev := cur[tid]
+		if prev == li {
+			return
+		}
+		if prev >= 0 {
+			engaged[prev*ntypes+typeOf[tid]]--
+			engagedTotal[prev]--
+		}
+		if li >= 0 {
+			engaged[li*ntypes+typeOf[tid]]++
+			engagedTotal[li]++
+		}
+		cur[tid] = li
+	}
+	var forkNs, joinNs int64
+	if team {
+		forkNs = int64(ov.ForkJoinNs / 2)
+		joinNs = int64(ov.ForkJoinNs) - forkNs
+	}
+	for tid := range clock {
+		clock[tid] = startNs
+		cur[tid] = -1
+		owed[tid] = nl
+		if !team {
+			continue
+		}
+		// Fork: every thread pays the fork half of the fork/join cost and
+		// is on the loop's pool lines from then on, under a grant that
+		// never runs out.
+		clock[tid] += forkNs
+		setCur(tid, 0)
+		burst[tid] = math.MaxInt
+		results[0].SchedNs += forkNs
+		if cfg.Trace != nil {
+			cfg.Trace.Add(tid, startNs, clock[tid], trace.Sched)
+		}
+		if mets != nil {
+			mets[0].Cell(tid).Sched(forkNs)
+		}
+	}
+	migrations := slices.Clone(cfg.Migrations) // consumed as they are delivered
+
+	var cands []fair.Candidate
+	var candLoop []int
+	for live := nt; live > 0; {
+		// Earliest-clock-first among live workers; ties resolve to the
+		// lowest thread ID, keeping the simulation deterministic.
+		tid := 0
+		for i := 1; i < nt; i++ {
+			if clock[i] < clock[tid] {
+				tid = i
+			}
+		}
+		now := clock[tid]
+		// A worker only sees loops that have arrived by its own clock. An
+		// arrival ends every grant made before it (the registry's admission
+		// generation: an unbounded single-tenant burst must yield the moment
+		// a second tenant shows up).
+		for arrived < nl && byTime[arrived] <= now {
+			arrived++
+			clear(burst)
+		}
+
+		// Deliver any due migration for this thread before it re-enters the
+		// runtime (the "signal observed at next runtime call" semantics).
+		for i := 0; i < len(migrations); i++ {
+			mg := migrations[i]
+			if mg.Tid != tid || mg.AtNs > now {
+				continue
+			}
+			if mg.ToCPU < 0 || mg.ToCPU >= pl.NumCores() {
+				return nil, fmt.Errorf("sim: migration to invalid CPU %d", mg.ToCPU)
+			}
+			migrations = slices.Delete(migrations, i, i+1)
+			i--
+			from, to := typeOf[tid], pl.ClusterOf(mg.ToCPU)
+			coreOf[tid] = mg.ToCPU
+			if from == to {
+				continue
+			}
+			// The worker takes its slot on the served loop's pool lines
+			// with it; cluster occupancies changed, so every speed does.
+			typeOf[tid] = to
+			activeInCluster[from]--
+			activeInCluster[to]++
+			if li := cur[tid]; li >= 0 {
+				engaged[li*ntypes+from]--
+				engaged[li*ntypes+to]++
+			}
+			setSpeeds()
+			for li, s := range scheds {
+				if m, isMig := s.(core.Migratable); isMig && !retired[li*nt+tid] {
+					m.Migrate(tid, to, now)
+				}
+			}
+		}
+
+		// Re-enter the policy when the worker is between loops or its grant
+		// is used up.
+		li := cur[tid]
+		if li < 0 || burst[tid] <= 0 {
+			cands, candLoop = cands[:0], candLoop[:0]
+			for i := 0; i < nl; i++ {
+				if !retired[i*nt+tid] && arrive[i] <= now {
+					cands = append(cands, fair.Candidate{ID: uint64(i), Weight: weights[i],
+						CoreType: typeOf[tid], SF: liveSF[i]})
+					candLoop = append(candLoop, i)
+				}
+			}
+			if len(cands) == 0 {
+				// Nothing runnable yet (so the worker is between loops):
+				// idle forward to the next arrival. One must exist —
+				// owed[tid] > 0 and every arrived loop would have been a
+				// candidate — and no loop retires a worker before it arrives.
+				next := byTime[arrived]
+				if cfg.Trace != nil {
+					cfg.Trace.Add(tid, now, next, trace.Sync)
+				}
+				clock[tid] = next
+				continue
+			}
+			idx, n := policy.Pick(tid, cands)
+			if idx < 0 || idx >= len(cands) {
+				idx = 0
+			}
+			li = candLoop[idx]
+			setCur(tid, li)
+			burst[tid] = max(n, 1)
+		}
+		burst[tid]--
+
+		asg, ok := scheds[li].Next(tid, now)
+		res := &results[li]
+		// Charge the runtime-call overhead whether or not work was handed
+		// out (the final empty call still costs a pool access). Contention
+		// is charged by the occupancy of the accessed shard's line among
+		// the workers engaged on THIS loop.
+		contend := contenders(engaged[li*ntypes:(li+1)*ntypes], engagedTotal[li], typeOf[tid], asg.Origin)
+		ovhNs := float64(asg.PoolAccesses)*(ov.PoolAccessNs+ov.ContentionNs*float64(contend)) +
+			float64(asg.Timestamps)*ov.TimestampNs
+		var units, execNs float64
+		if ok {
+			// Locality penalty: a chunk that does not extend the thread's
+			// previous one in this loop lands cold in the cache (§2), at a
+			// price tiered by how far the chunk's home pool line sits from
+			// the consuming core (home / same-package / cross-package).
+			if asg.Lo != lastHi[li*nt+tid] {
+				ovhNs += localityNs(ov, dist, typeOf[tid], asg.Origin)
+			}
+			lastHi[li*nt+tid] = asg.Hi
+			units = specs[li].Cost.RangeUnits(asg.Lo, asg.Hi)
+			execNs = units / speed[li*nt+tid]
+			res.Iters[tid] += asg.N()
+		}
+		schedEnd := now + int64(ovhNs)
+		clock[tid] = schedEnd + int64(execNs)
+		res.PoolAccesses += int64(asg.PoolAccesses)
+		res.SchedNs += int64(ovhNs)
+		if cfg.Trace != nil {
+			cfg.Trace.Add(tid, now, schedEnd, trace.Sched)
+			cfg.Trace.Add(tid, schedEnd, clock[tid], trace.Running)
+		}
+		if cfg.Recorder != nil {
+			ev := trace.ChunkEvent{TimeNs: now, Tid: tid, Loop: li, Shard: typeOf[tid], Origin: asg.Origin,
+				PoolAccesses: asg.PoolAccesses, Timestamps: asg.Timestamps, Retire: !ok}
+			if ok {
+				ev.Lo, ev.Hi, ev.Cost, ev.ExecNs = asg.Lo, asg.Hi, units, int64(execNs)
+			}
+			cfg.Recorder.Chunk(ev)
+		}
+		if mets != nil {
+			c := mets[li].Cell(tid)
+			if ok {
+				c.Grant(asg.N(), obs.Tier(dist, typeOf[tid], asg.Origin))
+				c.Busy(int64(execNs))
+			}
+			c.Credit(asg.CreditClaimed, asg.CreditReturned)
+			c.Sched(int64(ovhNs))
+		}
+		if ok {
+			continue
+		}
+
+		// The worker is done scheduling this loop; drop it from the engaged
+		// counts now (not at the next policy grant) so a fully retired
+		// worker cannot leak an engaged slot forever.
+		res.Finish[tid] = schedEnd
+		setCur(tid, -1)
+		retired[li*nt+tid] = true
+		nretired[li]++
+		if owed[tid]--; owed[tid] == 0 {
+			clock[tid] = math.MaxInt64
+			live--
+		}
+		if nretired[li] < nt {
+			continue
+		}
+		// This loop's barrier releases at the last retirement, plus the
+		// join half of the fork/join cost in team mode.
+		maxFinish := slices.Max(res.Finish)
+		res.End = maxFinish + joinNs
+		if est, isEst := scheds[li].(core.SFEstimator); isEst {
+			if sf, ready := est.SFEstimate(); ready {
+				res.SFEstimate = sf
+			}
+		}
+		if team {
+			// Only a team's waits and watts belong to one loop: each worker
+			// idles from its own arrival at the barrier to the release, and
+			// its core draws ActiveW until that arrival and IdleW after. A
+			// fleet worker retired from one loop moves on to others.
+			res.SchedNs += joinNs
+			res.ClusterEnergyJ = make([]float64, ntypes)
+			for w, finish := range res.Finish {
+				if cfg.Trace != nil {
+					cfg.Trace.Add(w, finish, maxFinish, trace.Sync)
+					cfg.Trace.Add(w, maxFinish, res.End, trace.Sched)
+				}
+				if mets != nil {
+					// Quiescent merge (obs doc.go, invariant 5): all nt
+					// retirements are in, no worker writes these cells again.
+					mets[li].Cell(w).Idle(maxFinish - finish)
+					mets[li].Cell(w).Sched(joinNs)
+				}
+				ct := &pl.Clusters[typeOf[w]].Type
+				j := (float64(finish-res.Start)*ct.ActiveW + float64(res.End-finish)*ct.IdleW) * 1e-9
+				res.ClusterEnergyJ[typeOf[w]] += j
+				res.EnergyJ += j
+			}
+		} else if rp, isRet := policy.(fair.Retirer); isRet {
+			rp.Retire(uint64(li)) // drop cursors naming the finished loop
+		}
+		if cfg.Recorder != nil && res.SFEstimate != nil {
+			cfg.Recorder.SFSample(trace.SFSample{TimeNs: res.End, Loop: li, SF: slices.Clone(res.SFEstimate)})
+		}
+		if mets != nil {
+			if rc, isRC := scheds[li].(core.ReweightCounter); isRC {
+				mets[li].Cell(0).SetReweights(rc.PoolReweights())
+			}
+			snap := mets[li].Snapshot()
+			res.Metrics = &snap
+		}
+	}
+	if cfg.Recorder != nil {
+		if cfg.Trace != nil {
+			cfg.Recorder.AttachTimeline(cfg.Trace)
+		}
+		var maxEnd int64
+		for i := range results {
+			maxEnd = max(maxEnd, results[i].End)
+		}
+		cfg.Recorder.EndRun(maxEnd - startNs)
+	}
+	return results, nil
+}

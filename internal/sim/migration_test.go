@@ -93,8 +93,9 @@ func TestAIDStaticAdaptsToEarlyMigration(t *testing.T) {
 	// thread's allotment is sized for its new, slower core type. A
 	// migration *after* the allotment cannot be compensated by AID-static —
 	// the paper suggests work stealing for that case — but the simulator
-	// charges whole chunks at claim time, so the post-allotment scenario is
-	// not observable at this granularity (documented in DESIGN.md).
+	// charges whole chunks at claim time (a worker's clock advances past a
+	// granted chunk in one event; see the package comment), so the
+	// post-allotment scenario is not observable at this granularity.
 	pl := amp.PlatformA()
 	cfg := baseCfg(pl, 8, amp.BindBS, aidStaticFactory)
 	cfg.Migrations = []Migration{{AtNs: 50_000, Tid: 0, ToCPU: 1}} // demote during sampling
@@ -143,5 +144,161 @@ func TestMigrationNoCrossClusterIsNoOp(t *testing.T) {
 	}
 	if r0.End != r1.End {
 		t.Errorf("intra-cluster migration changed completion: %d vs %d", r0.End, r1.End)
+	}
+}
+
+// migrateCounter counts the migration notifications a scheduler receives.
+// Embedding the interface hides the wrapped scheduler's optional interfaces
+// (SF estimates, phase events), which these tests do not need.
+type migrateCounter struct {
+	core.Scheduler
+	calls []int // per tid
+}
+
+func (m *migrateCounter) Migrate(tid, newType int, nowNs int64) {
+	m.calls[tid]++
+	m.Scheduler.(core.Migratable).Migrate(tid, newType, nowNs)
+}
+
+// TestMultiLoopMigration injects cross-cluster migrations into a fleet: one
+// reaches a worker mid-burst, one a worker parked between loops. Every loop
+// keeps exactly-once coverage, and a migration is announced exactly once to
+// every scheduler that has not yet retired the moved worker — the running
+// loop and the ones still to arrive — and not to a loop already done with it.
+func TestMultiLoopMigration(t *testing.T) {
+	pl := amp.PlatformA()
+	var scheds []*migrateCounter
+	cfg := baseCfg(pl, 8, amp.BindBS, func(info core.LoopInfo) (core.Scheduler, error) {
+		s, err := core.NewAIDDynamic(info, 1, 20)
+		m := &migrateCounter{Scheduler: s, calls: make([]int, info.NThreads)}
+		scheds = append(scheds, m)
+		return m, err
+	})
+	const midBurst, parked = 1_000_000, 900_000_000
+	cfg.Migrations = []Migration{
+		{AtNs: midBurst, Tid: 0, ToCPU: 1}, // big -> small while "long" runs
+		{AtNs: parked, Tid: 7, ToCPU: 6},   // small -> big while the fleet is quiet
+	}
+	mk := func(name string, ni, arrive int64) LoopSpec {
+		s := migrationLoop()
+		s.Name, s.NI, s.Arrive = name, ni, arrive
+		return s
+	}
+	specs := []LoopSpec{
+		mk("short", 8, 0),
+		mk("long", 20000, 0),
+		mk("late", 4000, 2_000_000),
+		mk("after-quiet", 4000, 1_000_000_000),
+	}
+	rs, err := RunLoops(cfg, specs, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, r := range rs {
+		if got := sumIters(r); got != specs[li].NI {
+			t.Errorf("loop %q covered %d of %d iterations", specs[li].Name, got, specs[li].NI)
+		}
+	}
+	// The scenario is what the comment says it is.
+	if rs[0].Finish[0] >= midBurst || rs[1].End <= midBurst {
+		t.Fatalf("first migration not mid-run: short retired tid 0 at %d, long ended %d", rs[0].Finish[0], rs[1].End)
+	}
+	if rs[2].End >= parked {
+		t.Fatalf("second migration not in the quiet gap: late ended %d", rs[2].End)
+	}
+	want := [][2]int{{0, 0}, {1, 0}, {1, 0}, {1, 1}} // per loop: calls for tid 0, tid 7
+	for li, m := range scheds {
+		if got := [2]int{m.calls[0], m.calls[7]}; got != want[li] {
+			t.Errorf("loop %q: migrations announced (tid 0, tid 7) = %v, want %v", specs[li].Name, got, want[li])
+		}
+	}
+}
+
+// engagedProbe is a chunk-1 self-scheduler that keeps its own account of who
+// is on its pool line: a worker from its first call (from the fork, in a
+// team) to its retiring call, typed by binding and by the migrations it is
+// told of. Every call is a home access, so the engine must charge it for
+// the other engaged workers of the caller's current type; wantNs sums that
+// expectation per worker at one ns per contender.
+type engagedProbe struct {
+	ni, next int64
+	typ      []int
+	on       []bool
+	wantNs   []int64
+}
+
+func (p *engagedProbe) Name() string { return "engaged-probe" }
+
+func (p *engagedProbe) Next(tid int, _ int64) (core.Assign, bool) {
+	p.on[tid] = true
+	for w, on := range p.on {
+		if on && w != tid && p.typ[w] == p.typ[tid] {
+			p.wantNs[tid]++
+		}
+	}
+	asg := core.Assign{Origin: p.typ[tid], PoolAccesses: 1}
+	if p.next == p.ni {
+		p.on[tid] = false
+		return asg, false
+	}
+	asg.Lo, asg.Hi = p.next, p.next+1
+	p.next++
+	return asg, true
+}
+
+func (p *engagedProbe) Migrate(tid, newType int, _ int64) { p.typ[tid] = newType }
+
+// TestEngagedFollowsMigration pins the contention population in both modes
+// against the probe's reference account, with workers changing core type
+// mid-run in both directions: a worker's slot on the pool lines moves with
+// it (a slot left behind would overcharge its old cluster for the rest of
+// the loop and drive its new cluster's count below the truth), and a team is
+// engaged from the fork while a fleet worker is only from its first pick.
+func TestEngagedFollowsMigration(t *testing.T) {
+	for _, team := range []bool{true, false} {
+		pl := amp.PlatformA()
+		pl.Overhead = amp.Overheads{ContentionNs: 1} // contenders are the only charge
+		var probe *engagedProbe
+		cfg := baseCfg(pl, 8, amp.BindBS, func(info core.LoopInfo) (core.Scheduler, error) {
+			probe = &engagedProbe{ni: info.NI, typ: make([]int, 8), on: make([]bool, 8), wantNs: make([]int64, 8)}
+			for tid := range probe.typ {
+				probe.typ[tid] = info.TypeOf(tid)
+				probe.on[tid] = team
+			}
+			return probe, nil
+		})
+		cfg.Metrics = true
+		cfg.Migrations = []Migration{
+			{AtNs: 300_000, Tid: 0, ToCPU: 1},   // big -> small
+			{AtNs: 600_000, Tid: 7, ToCPU: 6},   // small -> big
+			{AtNs: 1_200_000, Tid: 0, ToCPU: 7}, // and back
+		}
+		spec := migrationLoop()
+		spec.NI = 1000
+		var res LoopResult
+		var err error
+		if team {
+			res, err = RunLoop(cfg, spec, 0)
+		} else {
+			var rs []LoopResult
+			if rs, err = RunLoops(cfg, []LoopSpec{spec}, nil, 0); err == nil {
+				res = rs[0]
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.End <= 1_200_000 {
+			t.Fatalf("team=%v: loop ended at %d, before the last migration", team, res.End)
+		}
+		if got := sumIters(res); got != spec.NI {
+			t.Errorf("team=%v: covered %d of %d iterations", team, got, spec.NI)
+		}
+		for tid, w := range res.Metrics.Workers {
+			if w.SchedNs != probe.wantNs[tid] {
+				t.Errorf("team=%v: thread %d charged %d ns of contention, its pool line's population says %d",
+					team, tid, w.SchedNs, probe.wantNs[tid])
+			}
+		}
 	}
 }

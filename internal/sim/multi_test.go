@@ -6,6 +6,7 @@ import (
 	"repro/internal/amp"
 	"repro/internal/core"
 	"repro/internal/fair"
+	"repro/internal/trace"
 )
 
 // multiCfg is the shared fleet configuration of the multi-loop tests:
@@ -172,27 +173,41 @@ func TestMultiLoopEqualWeightsBalanced(t *testing.T) {
 }
 
 // TestMultiLoopSingleMatchesDedicatedDistribution runs one loop through
-// RunLoops and through RunLoop and asserts the dynamic scheduler makes the
-// same per-thread distribution decisions (the multi-loop engine differs
-// only in fork/join accounting, which dynamic ignores).
+// RunLoops and through RunLoop under schedulers whose decisions do not
+// depend on time, and asserts the same per-thread distribution and the same
+// pool traffic: the two modes differ only in fork/join accounting and in
+// who contends at the start, and neither reaches such a scheduler. (Online
+// AID-static is not one: its sampled SF sees the start's contention.)
 func TestMultiLoopSingleMatchesDedicatedDistribution(t *testing.T) {
-	cfg := multiCfg(16)
-	spec := uniformSpec("solo", 40_000, 1)
-	multi, err := RunLoops(cfg, []LoopSpec{spec}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := RunLoop(cfg, spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sumIters(multi[0]) != sumIters(single) {
-		t.Fatalf("coverage differs: multi %d vs single %d", sumIters(multi[0]), sumIters(single))
-	}
-	for tid := range multi[0].Iters {
-		if multi[0].Iters[tid] != single.Iters[tid] {
-			t.Errorf("thread %d iters differ: multi %d vs single %d",
-				tid, multi[0].Iters[tid], single.Iters[tid])
+	for name, f := range map[string]SchedulerFactory{
+		"dynamic,16": func(info core.LoopInfo) (core.Scheduler, error) { return core.NewDynamic(info, 16) },
+		"static":     staticFactory,
+		"aid-static-offline": func(info core.LoopInfo) (core.Scheduler, error) {
+			return core.NewAIDStaticOffline(info, 1, []float64{1.9, 1})
+		},
+	} {
+		cfg := multiCfg(0)
+		cfg.Factory = f
+		spec := uniformSpec("solo", 40_000, 1)
+		multi, err := RunLoops(cfg, []LoopSpec{spec}, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := RunLoop(cfg, spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sumIters(multi[0]) != spec.NI || sumIters(single) != spec.NI {
+			t.Fatalf("%s: coverage: multi %d, single %d of %d", name, sumIters(multi[0]), sumIters(single), spec.NI)
+		}
+		if multi[0].PoolAccesses != single.PoolAccesses {
+			t.Errorf("%s: pool accesses differ: multi %d vs single %d", name, multi[0].PoolAccesses, single.PoolAccesses)
+		}
+		for tid := range multi[0].Iters {
+			if multi[0].Iters[tid] != single.Iters[tid] {
+				t.Errorf("%s: thread %d iters differ: multi %d vs single %d",
+					name, tid, multi[0].Iters[tid], single.Iters[tid])
+			}
 		}
 	}
 }
@@ -204,9 +219,9 @@ func TestMultiLoopErrors(t *testing.T) {
 		t.Error("empty spec list accepted")
 	}
 	bad := cfg
-	bad.Migrations = []Migration{{Tid: 0, ToCPU: 1}}
+	bad.Migrations = []Migration{{Tid: 0, ToCPU: 99}}
 	if _, err := RunLoops(bad, []LoopSpec{spec}, nil, 0); err == nil {
-		t.Error("migrations accepted under multi-loop execution")
+		t.Error("migration to invalid CPU accepted")
 	}
 	neg := spec
 	neg.Weight = -1
@@ -336,5 +351,56 @@ func TestMultiLoopArrivalBreaksBurst(t *testing.T) {
 	}
 	if fcfs[1].End <= fcfs[0].End {
 		t.Errorf("FCFS baseline lost head-of-line ordering: small End %d, big End %d", fcfs[1].End, fcfs[0].End)
+	}
+}
+
+// TestMultiLoopTraceTiles: a fleet timeline accounts for every nanosecond
+// of every worker from the run's start to the worker's last retirement —
+// Sched and Running per runtime call, Sync across the gaps a worker idles
+// forward over — with no hole and no overlap, and its Sched and Running
+// totals are the results' own.
+func TestMultiLoopTraceTiles(t *testing.T) {
+	const startNs = 5_000
+	cfg := multiCfg(8)
+	cfg.Trace = trace.New(cfg.NThreads)
+	specs := []LoopSpec{
+		uniformSpec("at-start", 20_000, 1),
+		uniformSpec("mid-run", 10_000, 2),
+		uniformSpec("after-quiet", 5_000, 1),
+	}
+	specs[1].Arrive = startNs + 1_000_000
+	specs[2].Arrive = startNs + 1_000_000_000_000
+	rs, err := RunLoops(cfg, specs, nil, startNs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var schedNs, tracedSched int64
+	for _, r := range rs {
+		schedNs += r.SchedNs
+	}
+	for tid := 0; tid < cfg.NThreads; tid++ {
+		ivs := cfg.Trace.Intervals(tid)
+		at := int64(startNs)
+		for _, iv := range ivs {
+			if iv.Start != at {
+				t.Fatalf("thread %d: interval starts at %d, previous ended at %d", tid, iv.Start, at)
+			}
+			at = iv.End
+		}
+		var last int64
+		for _, r := range rs {
+			last = max(last, r.Finish[tid])
+		}
+		if at != last {
+			t.Errorf("thread %d: timeline ends at %d, last retirement at %d", tid, at, last)
+		}
+		if cfg.Trace.TimeIn(tid, trace.Sync) < specs[2].Arrive-max(rs[0].End, rs[1].End) {
+			t.Errorf("thread %d: %d ns of Sync do not cover the quiet gap before the last arrival",
+				tid, cfg.Trace.TimeIn(tid, trace.Sync))
+		}
+		tracedSched += cfg.Trace.TimeIn(tid, trace.Sched)
+	}
+	if tracedSched != schedNs {
+		t.Errorf("timeline has %d ns of Sched, the loops report %d", tracedSched, schedNs)
 	}
 }

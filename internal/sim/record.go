@@ -59,50 +59,17 @@ func beginRecording(cfg Config, policy string, startNs int64) error {
 	})
 }
 
-// addLoopRecord registers one loop descriptor with the recorder and returns
-// its record index.
-func addLoopRecord(rec *trace.Recorder, spec LoopSpec, sched core.Scheduler) int {
-	return rec.AddLoop(trace.LoopRecord{
+// addLoopRecord registers the next loop's descriptor with the recorder.
+// arriveNs is the loop's admission stamp, zero when it was admitted at the
+// run's start.
+func addLoopRecord(rec *trace.Recorder, spec LoopSpec, sched core.Scheduler, arriveNs int64) {
+	rec.AddLoop(trace.LoopRecord{
 		Name:      spec.Name,
 		NI:        spec.NI,
 		Weight:    spec.Weight,
+		ArriveNs:  arriveNs,
 		Scheduler: sched.Name(),
 		Profile:   spec.Profile,
 		Cost:      costRecord(spec.Cost),
-	})
-}
-
-// phaseRecorder returns the decision-capture sink for loop idx: it forwards
-// the scheduler's phase transitions into the run record. The simulator is
-// single-goroutine, so the sink appends directly.
-func phaseRecorder(rec *trace.Recorder, idx int) func(core.PhaseEvent) {
-	return func(ev core.PhaseEvent) {
-		rec.Phase(trace.PhaseEvent{TimeNs: ev.TimeNs, Tid: ev.Tid, Loop: idx,
-			Epoch: ev.Epoch, Kind: ev.Kind, SF: ev.SF})
-	}
-}
-
-// installPhaseSinks chains the non-nil sinks behind one phase observer when
-// the scheduler exposes its transitions. A Scheduler holds a single observer
-// slot, so every consumer — the recorder's decision capture, the engines'
-// live-SF tracking — must share it through this chain.
-func installPhaseSinks(sched core.Scheduler, sinks ...func(core.PhaseEvent)) {
-	po, ok := sched.(core.PhaseObservable)
-	if !ok {
-		return
-	}
-	var live []func(core.PhaseEvent)
-	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	po.SetPhaseObserver(func(ev core.PhaseEvent) {
-		for _, s := range live {
-			s(ev)
-		}
 	})
 }

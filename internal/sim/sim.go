@@ -3,19 +3,68 @@
 // loops) on a modeled asymmetric multicore platform in virtual time.
 //
 // Substituting simulation for the paper's physical testbeds is the central
-// reproduction decision (see DESIGN.md): Go cannot pin OS threads to cores
-// of chosen types, but every phenomenon the paper studies is a function of
-// (a) per-loop big/small speed ratios and (b) runtime overhead per
-// iteration-pool access — both first-class quantities in this model. The
-// virtual clock has nanosecond resolution and the engine is fully
-// deterministic: the same configuration always yields the same trace.
+// reproduction decision: Go cannot pin OS threads to cores of chosen types,
+// but every phenomenon the paper studies is a function of (a) per-loop
+// big/small speed ratios and (b) runtime overhead per iteration-pool access —
+// both first-class quantities in this model. The virtual clock has
+// nanosecond resolution and the engine is fully deterministic: the same
+// configuration always yields the same trace.
+//
+// # The engine
 //
 // One simulated worker thread is bound to each platform CPU according to
-// the SB/BS convention (§5). Worker execution interleaves through a
-// earliest-clock-first event loop; each scheduler invocation is charged the
-// platform's pool-access, contention, timestamp and locality costs, and each
-// chunk's execution time follows the platform speed model for the loop's
-// instruction-mix profile.
+// the SB/BS convention (§5), and one event loop (run, in engine.go) drives
+// every execution; RunLoop and RunLoops are its two entry points. Each
+// worker carries a virtual clock. An event picks the live worker with the
+// earliest clock (ties go to the lowest thread ID) and, at that worker's
+// time, in this order: admits the loops whose arrival stamp has passed,
+// delivers the worker's due migrations (the thread observes the OS signal
+// when it next enters the runtime, §4.3; every scheduler that has not yet
+// retired the worker is told), asks the fairness policy for a loop if the
+// worker's grant is used up, and makes one runtime call — Scheduler.Next on
+// the served loop. The worker's clock then advances past the call's
+// overhead and the granted chunk's execution, so time never runs backwards
+// and an event's effects are visible to every later event.
+//
+// A runtime call is charged, whether or not it hands out work (the final
+// empty call that retires the worker still touches the pool):
+// PoolAccessNs per pool access, plus ContentionNs per access and per OTHER
+// worker engaged on the accessed shard's line (contenders), plus
+// TimestampNs per clock read, plus — for a chunk that does not extend the
+// worker's previous chunk of that loop — a cache-refill penalty tiered by
+// the distance between the worker's core type and the chunk's home shard
+// (localityNs). The chunk then executes for its cost-model units divided by
+// the platform speed of the worker's core for the loop's instruction mix,
+// at the cluster occupancy of the whole fleet.
+//
+// # Team and fleet
+//
+// The engine has two modes, told apart by what the caller asks for, not by
+// an option. RunLoop runs a fork/join team: one loop, every worker forked
+// onto it at the start (half of ForkJoinNs before the first runtime call,
+// the other half after the last retirement), the fairness policy never
+// consulted. RunLoops runs a persistent fleet, the model of rt.Registry:
+// no fork/join cost, loops admitted at their arrival stamps, workers handed
+// between runnable loops by a fair.Policy in bursts, a worker with nothing
+// runnable idling forward to the next arrival, and each loop's barrier
+// releasing at its own last retirement.
+//
+// The modes differ in who counts as engaged on a loop's pool lines at the
+// start, and that is the one difference in what a pool access costs. A
+// team's workers all contend from the fork, because all of them are about to
+// call into the same pool. A fleet worker is engaged on a loop only from the
+// moment the policy hands it that loop until it retires from it or is
+// handed another, so the first workers to reach a fresh loop find its lines
+// empty, and a worker parked against a future arrival or busy on another
+// loop's pool contends with nobody.
+//
+// Barrier waits and energy can be attributed to a loop only in a team:
+// there each worker idles from its own retirement to the release, and its
+// core draws ActiveW before and IdleW after, so LoopResult.EnergyJ, the
+// Sync intervals of Config.Trace and Metrics.IdleNs are filled. A fleet
+// worker that retires from one loop moves on to the next; its time belongs
+// to the fleet, so those fields stay zero and the only Sync intervals of a
+// fleet timeline are the idle-forwards.
 package sim
 
 import (
@@ -23,6 +72,7 @@ import (
 
 	"repro/internal/amp"
 	"repro/internal/core"
+	"repro/internal/fair"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -96,16 +146,16 @@ type LoopSpec struct {
 	Profile amp.Profile
 	// Cost is the per-iteration work model.
 	Cost CostModel
-	// Weight is the loop's relative fairness share when several loops run
-	// concurrently on one fleet (RunLoops); 0 selects the default weight 1.
-	// Single-loop execution (RunLoop) ignores it.
+	// Weight is the loop's relative fairness share on a fleet (RunLoops);
+	// 0 selects the default weight 1. A team (RunLoop) consults no policy
+	// and ignores it.
 	Weight int
-	// Arrive is the loop's admission time on the virtual clock under
-	// multi-loop execution (RunLoops) — the open-loop arrival stamp. The
-	// loop is invisible to the fairness policy before Arrive, and its
-	// latency is End-Arrive. Values at or below the run's startNs
-	// (including the zero value) mean "admitted at start", which keeps the
-	// closed-loop callers unchanged. Single-loop execution ignores it.
+	// Arrive is the loop's admission time on the virtual clock on a fleet
+	// (RunLoops) — the open-loop arrival stamp. The loop is invisible to
+	// the fairness policy before Arrive, and its latency is End-Arrive.
+	// Values at or below the run's startNs (including the zero value) mean
+	// "admitted at start", which keeps the closed-loop callers unchanged. A
+	// team (RunLoop) forks at startNs and ignores it.
 	Arrive int64
 }
 
@@ -146,15 +196,18 @@ type Config struct {
 	// migration takes effect the next time the affected thread enters the
 	// runtime system at or after AtNs — modeling the paper's proposal of a
 	// signal delivered to the process, observed at the next runtime call.
-	// Schedulers implementing core.Migratable are notified.
+	// Schedulers implementing core.Migratable are notified, on a fleet
+	// those of every loop that has not yet retired the thread.
 	Migrations []Migration
-	// Trace, when non-nil, records per-thread timelines.
+	// Trace, when non-nil, records per-thread timelines: Sched and Running
+	// for every runtime call and chunk, Sync for a team's barrier waits and
+	// a fleet worker's idle-forwards.
 	Trace *trace.Trace
 	// Recorder, when non-nil, captures the run as a serializable
 	// trace.Record — loop descriptors, every chunk grant with its
 	// runtime-cost metadata, AID phase transitions and the SF trajectory —
-	// for internal/replay. A Recorder serves exactly one RunLoop or
-	// RunLoops call.
+	// and, with Trace set, the timeline — for internal/replay. A Recorder
+	// serves exactly one RunLoop or RunLoops call.
 	Recorder *trace.Recorder
 	// Metrics populates LoopResult.Metrics with the runtime-counter
 	// snapshot (internal/obs) of each loop: chunks and steals by provenance
@@ -199,7 +252,8 @@ func (c Config) buildScheduler(loopName string, info core.LoopInfo) (core.Schedu
 
 // LoopResult reports one loop execution.
 type LoopResult struct {
-	// Start and End are the fork time and the barrier-release time.
+	// Start is the fork time of a team, the admission time of a fleet loop;
+	// End is the barrier-release time (a team's includes the join cost).
 	Start, End int64
 	// PoolAccesses counts shared-pool atomic operations across all threads.
 	PoolAccesses int64
@@ -225,17 +279,17 @@ type LoopResult struct {
 	// EnergyJ is the modeled energy of the loop in Joules, summed over the
 	// worker-occupied cores: each worker draws its core type's ActiveW from
 	// fork to its barrier arrival and IdleW from there to barrier release.
-	// Unoccupied cores are not charged. Filled by single-loop execution
-	// (RunLoop); the multi-loop engine leaves it zero, since fleet energy
-	// cannot be attributed to one loop.
+	// Unoccupied cores are not charged. Filled for a team (RunLoop); zero
+	// for a fleet loop (RunLoops), since fleet energy cannot be attributed
+	// to one loop.
 	EnergyJ float64
 	// ClusterEnergyJ breaks EnergyJ down by platform cluster.
 	ClusterEnergyJ []float64
 	// Metrics is the loop's runtime-counter snapshot, populated when
-	// Config.Metrics is set. Under single-loop execution (RunLoop) IdleNs
-	// is each worker's barrier wait; the multi-loop engine leaves IdleNs
-	// zero, because a worker retired from one loop moves on to others and
-	// its waits are not attributable to any single loop.
+	// Config.Metrics is set. For a team (RunLoop) IdleNs is each worker's
+	// barrier wait; for a fleet loop (RunLoops) it is zero, because a worker
+	// retired from one loop moves on to others and its waits are not
+	// attributable to any single loop.
 	Metrics *obs.Snapshot
 }
 
@@ -247,16 +301,17 @@ type SFPoint struct {
 	SF []float64
 }
 
-// loopInfo builds the scheduler-facing description of a loop under cfg.
-func loopInfo(cfg Config, ni int64) core.LoopInfo {
+// loopInfo builds the scheduler-facing description of a run's loops under
+// cfg, all but the trip count; dist is the platform's TypeDist matrix, which
+// the schedulers only read.
+func loopInfo(cfg Config, dist [][]int) core.LoopInfo {
 	return core.LoopInfo{
-		NI:       ni,
 		NThreads: cfg.NThreads,
 		NumTypes: len(cfg.Platform.Clusters),
 		TypeOf: func(tid int) int {
 			return cfg.Platform.ClusterOf(cfg.Platform.CoreOf(tid, cfg.NThreads, cfg.Binding))
 		},
-		TypeDist: cfg.Platform.TypeDist(),
+		TypeDist: dist,
 	}
 }
 
@@ -302,270 +357,34 @@ func contenders(activeByType []int, activeCount, ownType, origin int) int {
 	return occ - 1
 }
 
-// RunLoop simulates one execution of the loop starting at startNs and
-// returns the result. The caller sequences loops and serial phases.
+// RunLoop simulates one fork/join execution of the loop starting at startNs
+// and returns the result: the engine's team mode (see the package comment).
+// The caller sequences loops and serial phases.
 func RunLoop(cfg Config, spec LoopSpec, startNs int64) (LoopResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return LoopResult{}, err
-	}
-	if err := spec.Validate(); err != nil {
-		return LoopResult{}, err
-	}
-	info := loopInfo(cfg, spec.NI)
-	sched, err := cfg.buildScheduler(spec.Name, info)
+	rs, err := run(cfg, []LoopSpec{spec}, nil, startNs)
 	if err != nil {
-		return LoopResult{}, fmt.Errorf("sim: building scheduler for loop %q: %w", spec.Name, err)
+		return LoopResult{}, err
 	}
-	recLoop := -1
-	var recSink func(core.PhaseEvent)
-	if cfg.Recorder != nil {
-		if err := beginRecording(cfg, "", startNs); err != nil {
-			return LoopResult{}, err
-		}
-		recLoop = addLoopRecord(cfg.Recorder, spec, sched)
-		recSink = phaseRecorder(cfg.Recorder, recLoop)
-	}
-	var traj []SFPoint
-	installPhaseSinks(sched, recSink, func(ev core.PhaseEvent) {
-		if ev.SF != nil {
-			traj = append(traj, SFPoint{TimeNs: ev.TimeNs, SF: ev.SF})
-		}
-	})
-	if est, isEst := sched.(core.SFEstimator); isEst {
-		// Offline-SF variants publish their table at construction, before
-		// any phase event fires; seed the trajectory with it.
-		if sf, ready := est.SFEstimate(); ready {
-			traj = append(traj, SFPoint{TimeNs: startNs, SF: sf})
-		}
-	}
+	return rs[0], nil
+}
 
-	pl := cfg.Platform
-	ov := pl.Overhead
-	res := LoopResult{
-		Start:         startNs,
-		Iters:         make([]int64, cfg.NThreads),
-		Finish:        make([]int64, cfg.NThreads),
-		SchedulerName: sched.Name(),
+// RunLoops simulates the concurrent execution of several parallel loops on
+// one persistent worker fleet in virtual time — the engine's fleet mode and
+// the discrete-event model of the multi-loop registry (internal/rt). Each
+// loop is admitted at its LoopSpec.Arrive stamp (clamped up to startNs; the
+// zero value admits at start, the closed-loop case), so an open-loop
+// arrival stream maps directly onto specs. Each loop gets its own scheduler
+// instance (and so its own sharded iteration pool) and its own barrier,
+// while the fleet's workers are handed between runnable loops by the
+// fairness policy (nil selects weighted round-robin). Because the same
+// fair.Policy implementations drive both engines, fairness behaviour
+// sanity-checked here deterministically carries over to the real-goroutine
+// executor. The i-th result corresponds to specs[i].
+func RunLoops(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]LoopResult, error) {
+	if policy == nil {
+		policy = fair.NewWeightedRoundRobin(0)
 	}
-
-	// Pre-resolve per-thread core, cluster, speed and cluster occupancy.
-	coreOf := make([]int, cfg.NThreads)
-	typeOf := make([]int, cfg.NThreads)
-	speed := make([]float64, cfg.NThreads)
-	activeInCluster := make([]int, len(pl.Clusters))
-	// activeByType counts threads still scheduling per core type — the
-	// population of each type's pool-shard line, which is what a claim on
-	// that shard contends with.
-	activeByType := make([]int, len(pl.Clusters))
-	dist := pl.TypeDist()
-	for tid := 0; tid < cfg.NThreads; tid++ {
-		coreOf[tid] = pl.CoreOf(tid, cfg.NThreads, cfg.Binding)
-		typeOf[tid] = pl.ClusterOf(coreOf[tid])
-		activeInCluster[typeOf[tid]]++
-		activeByType[typeOf[tid]]++
-	}
-	for tid := 0; tid < cfg.NThreads; tid++ {
-		speed[tid] = pl.Speed(coreOf[tid], spec.Profile, activeInCluster[typeOf[tid]])
-	}
-
-	// Counter cells, keyed by each worker's home cluster at fork time (a
-	// later migration moves the worker, not its occupancy bucket — same
-	// convention as the registry's binding-derived home types).
-	var met *obs.Metrics
-	if cfg.Metrics {
-		met = obs.New(cfg.NThreads, len(pl.Clusters), func(tid int) int { return typeOf[tid] })
-	}
-
-	// Fork: every thread pays the fork half of the fork/join cost.
-	forkNs := int64(ov.ForkJoinNs / 2)
-	clock := make([]int64, cfg.NThreads)
-	lastHi := make([]int64, cfg.NThreads)
-	active := make([]bool, cfg.NThreads)
-	for tid := range clock {
-		clock[tid] = startNs + forkNs
-		lastHi[tid] = -1
-		active[tid] = true
-		res.SchedNs += forkNs
-		if cfg.Trace != nil {
-			cfg.Trace.Add(tid, startNs, clock[tid], trace.Sched)
-		}
-		if met != nil {
-			met.Cell(tid).Sched(forkNs)
-		}
-	}
-
-	// Pending migrations, consumed in order per thread.
-	pending := append([]Migration(nil), cfg.Migrations...)
-	migratable, _ := sched.(core.Migratable)
-
-	activeCount := cfg.NThreads
-	for activeCount > 0 {
-		// Earliest-clock-first; ties resolve to the lowest thread ID, which
-		// keeps the simulation deterministic.
-		tid := -1
-		for i := 0; i < cfg.NThreads; i++ {
-			if active[i] && (tid == -1 || clock[i] < clock[tid]) {
-				tid = i
-			}
-		}
-		now := clock[tid]
-		// Deliver any due migration for this thread before it re-enters the
-		// runtime (the "signal observed at next runtime call" semantics).
-		for i := 0; i < len(pending); i++ {
-			mg := pending[i]
-			if mg.Tid != tid || mg.AtNs > now {
-				continue
-			}
-			if mg.ToCPU < 0 || mg.ToCPU >= pl.NumCores() {
-				return LoopResult{}, fmt.Errorf("sim: migration to invalid CPU %d", mg.ToCPU)
-			}
-			oldCluster := pl.ClusterOf(coreOf[tid])
-			newCluster := pl.ClusterOf(mg.ToCPU)
-			coreOf[tid] = mg.ToCPU
-			if oldCluster != newCluster {
-				activeInCluster[oldCluster]--
-				activeInCluster[newCluster]++
-				activeByType[oldCluster]--
-				activeByType[newCluster]++
-				typeOf[tid] = newCluster
-				// Cluster occupancies changed; refresh every thread's speed.
-				for t := 0; t < cfg.NThreads; t++ {
-					speed[t] = pl.Speed(coreOf[t], spec.Profile, activeInCluster[pl.ClusterOf(coreOf[t])])
-				}
-				if migratable != nil {
-					migratable.Migrate(tid, newCluster, now)
-				}
-			}
-			pending = append(pending[:i], pending[i+1:]...)
-			i--
-		}
-		asg, ok := sched.Next(tid, now)
-
-		// Charge the runtime-call overhead whether or not work was handed
-		// out (the final empty call still costs a pool access). Contention
-		// is charged by the occupancy of the accessed shard's line — the
-		// threads actually sharing it — not by the whole fleet.
-		contend := contenders(activeByType, activeCount, typeOf[tid], asg.Origin)
-		ovhNs := float64(asg.PoolAccesses)*(ov.PoolAccessNs+ov.ContentionNs*float64(contend)) +
-			float64(asg.Timestamps)*ov.TimestampNs
-		res.PoolAccesses += int64(asg.PoolAccesses)
-		if !ok {
-			end := now + int64(ovhNs)
-			if cfg.Trace != nil {
-				cfg.Trace.Add(tid, now, end, trace.Sched)
-			}
-			if cfg.Recorder != nil {
-				cfg.Recorder.Chunk(trace.ChunkEvent{TimeNs: now, Tid: tid, Loop: recLoop,
-					Shard: pl.ClusterOf(coreOf[tid]), Origin: asg.Origin,
-					PoolAccesses: asg.PoolAccesses,
-					Timestamps: asg.Timestamps, Retire: true})
-			}
-			if met != nil {
-				c := met.Cell(tid)
-				c.Sched(int64(ovhNs))
-				c.Credit(asg.CreditClaimed, asg.CreditReturned)
-			}
-			res.SchedNs += int64(ovhNs)
-			res.Finish[tid] = end
-			active[tid] = false
-			activeCount--
-			activeByType[typeOf[tid]]--
-			continue
-		}
-		// Locality penalty: a chunk that does not extend the thread's
-		// previous one lands cold in the cache (§2), at a price tiered by
-		// the chunk's provenance.
-		if asg.Lo != lastHi[tid] {
-			ovhNs += localityNs(ov, dist, typeOf[tid], asg.Origin)
-		}
-		lastHi[tid] = asg.Hi
-
-		units := spec.Cost.RangeUnits(asg.Lo, asg.Hi)
-		execNs := units / speed[tid]
-		schedEnd := now + int64(ovhNs)
-		runEnd := schedEnd + int64(execNs)
-		if cfg.Trace != nil {
-			cfg.Trace.Add(tid, now, schedEnd, trace.Sched)
-			cfg.Trace.Add(tid, schedEnd, runEnd, trace.Running)
-		}
-		if cfg.Recorder != nil {
-			cfg.Recorder.Chunk(trace.ChunkEvent{TimeNs: now, Tid: tid, Loop: recLoop,
-				Lo: asg.Lo, Hi: asg.Hi, Shard: pl.ClusterOf(coreOf[tid]), Origin: asg.Origin,
-				Cost: units, ExecNs: int64(execNs), PoolAccesses: asg.PoolAccesses,
-				Timestamps: asg.Timestamps})
-		}
-		if met != nil {
-			c := met.Cell(tid)
-			c.Grant(asg.N(), obs.Tier(dist, typeOf[tid], asg.Origin))
-			c.Credit(asg.CreditClaimed, asg.CreditReturned)
-			c.Sched(int64(ovhNs))
-			c.Busy(int64(execNs))
-		}
-		res.SchedNs += int64(ovhNs)
-		res.Iters[tid] += asg.N()
-		clock[tid] = runEnd
-	}
-
-	if est, isEst := sched.(core.SFEstimator); isEst {
-		if sf, ready := est.SFEstimate(); ready {
-			res.SFEstimate = sf
-		}
-	}
-	res.SFTrajectory = traj
-
-	// Implicit barrier: release at the max finish time plus the join half.
-	var maxFinish int64
-	for _, f := range res.Finish {
-		if f > maxFinish {
-			maxFinish = f
-		}
-	}
-	joinNs := int64(ov.ForkJoinNs) - forkNs
-	res.End = maxFinish + joinNs
-	if cfg.Trace != nil {
-		for tid := 0; tid < cfg.NThreads; tid++ {
-			cfg.Trace.Add(tid, res.Finish[tid], maxFinish, trace.Sync)
-			cfg.Trace.Add(tid, maxFinish, res.End, trace.Sched)
-		}
-	}
-	res.SchedNs += joinNs
-	if met != nil {
-		// Quiescent merge (obs doc.go, invariant 5): the event loop is done,
-		// so writing barrier-wait idle into every worker's cell is safe.
-		for tid := 0; tid < cfg.NThreads; tid++ {
-			c := met.Cell(tid)
-			if gap := maxFinish - res.Finish[tid]; gap > 0 {
-				c.Idle(gap)
-			}
-			c.Sched(joinNs)
-		}
-		if rc, isRC := sched.(core.ReweightCounter); isRC {
-			met.Cell(0).SetReweights(rc.PoolReweights())
-		}
-		snap := met.Snapshot()
-		res.Metrics = &snap
-	}
-	// Energy: each worker's core draws ActiveW until the worker reaches the
-	// barrier and IdleW while it waits for release.
-	res.ClusterEnergyJ = make([]float64, len(pl.Clusters))
-	for tid := 0; tid < cfg.NThreads; tid++ {
-		ct := &pl.Clusters[typeOf[tid]].Type
-		j := (float64(res.Finish[tid]-res.Start)*ct.ActiveW +
-			float64(res.End-res.Finish[tid])*ct.IdleW) * 1e-9
-		res.ClusterEnergyJ[typeOf[tid]] += j
-		res.EnergyJ += j
-	}
-	if cfg.Recorder != nil {
-		if res.SFEstimate != nil {
-			cfg.Recorder.SFSample(trace.SFSample{TimeNs: res.End, Loop: recLoop,
-				SF: append([]float64(nil), res.SFEstimate...)})
-		}
-		if cfg.Trace != nil {
-			cfg.Recorder.AttachTimeline(cfg.Trace)
-		}
-		cfg.Recorder.EndRun(res.End - res.Start)
-	}
-	return res, nil
+	return run(cfg, specs, policy, startNs)
 }
 
 // MeasureLoopSF reproduces the paper's offline SF measurement (§2): run the

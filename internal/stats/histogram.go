@@ -20,18 +20,18 @@ const histSub = 1 << histSubBits
 const histBuckets = (64 - histSubBits) * histSub
 
 // Histogram is a mergeable log-bucketed latency histogram — the streaming
-// percentile store that complements Reservoir where merging and a fixed
-// error bound matter more than exactness. Values (nanoseconds, but any
+// percentile store, for where merging and a fixed error bound matter more
+// than the exactness of Percentile over a kept sample. Values (nanoseconds, but any
 // non-negative magnitude works) land in HDR-style buckets: exact below
 // histSub, then power-of-two octaves split into histSub sub-buckets, so a
 // quantile read is off by at most RelError of the true value no matter how
 // many observations streamed through. Memory is a fixed ~15 KiB of
 // counts; Merge is an element-wise add, which is what lets per-class
-// histograms roll up into fleet-wide ones (and what a reservoir, whose
-// merged sample is no longer uniform, cannot offer).
+// histograms roll up into fleet-wide ones (and what a bounded uniform
+// sample, no longer uniform once merged, cannot offer).
 //
 // The zero value is NOT ready; use NewHistogram. Not safe for concurrent
-// use; callers serialize Add like they do for Reservoir.
+// use; callers serialize Add.
 type Histogram struct {
 	counts []int64
 	count  int64

@@ -59,8 +59,7 @@ type Record struct {
 	// SFSamples is the SF-estimate trajectory (one sample per transition
 	// that published an estimate, plus the final estimate per loop).
 	SFSamples []SFSample `json:"-"`
-	// Timeline is the per-thread interval timeline of single-loop runs
-	// (nil when not captured, e.g. multi-loop runs).
+	// Timeline is the per-thread interval timeline (nil when not captured).
 	Timeline []IntervalRecord `json:"-"`
 }
 
@@ -103,6 +102,10 @@ type LoopRecord struct {
 	NI int64 `json:"ni"`
 	// Weight is the fairness weight under multi-loop execution.
 	Weight int `json:"weight,omitempty"`
+	// ArriveNs is the loop's admission stamp on the producing engine's clock
+	// under open-loop multi-loop execution (sim.LoopSpec.Arrive, clamped to
+	// the run's start); zero means admitted at StartNs.
+	ArriveNs int64 `json:"arrive_ns,omitempty"`
 	// Scheduler is the scheduling method as the scheduler reported it
 	// (core.Scheduler.Name, e.g. "aid-dynamic").
 	Scheduler string `json:"scheduler"`
@@ -248,6 +251,9 @@ func (r *Record) Validate() error {
 		}
 		if l.NI < 0 {
 			return fmt.Errorf("trace: loop %d has negative trip count %d", i, l.NI)
+		}
+		if l.ArriveNs < 0 {
+			return fmt.Errorf("trace: loop %d has negative arrival stamp %d", i, l.ArriveNs)
 		}
 	}
 	for i, ev := range r.Events {

@@ -28,7 +28,7 @@ func sampleRecord() *Record {
 			{Index: 0, Name: "ep-main", NI: 128, Weight: 2, Scheduler: "aid-dynamic",
 				Schedule: "aid-dynamic,1,5", Profile: amp.Profile{ILP: 0.25, MemIntensity: 0.05, FootprintMB: 0.1},
 				Cost: &CostRecord{Kind: "block", Base: 120000, Amp: 0.35, BlockLen: 256, Seed: 0xE9}},
-			{Index: 1, Name: "is-l0", NI: 64, Weight: 1, Scheduler: "dynamic", Schedule: "dynamic,4",
+			{Index: 1, Name: "is-l0", NI: 64, Weight: 1, ArriveNs: 108, Scheduler: "dynamic", Schedule: "dynamic,4",
 				Profile: amp.Profile{ILP: 0.3, MemIntensity: 0.55, FootprintMB: 0.1},
 				Cost:    &CostRecord{Kind: "uniform", Base: 230}},
 		},
@@ -110,6 +110,7 @@ func randomRecord(rng *rand.Rand) *Record {
 			Name:      fmt.Sprintf("loop-%d", li),
 			NI:        rng.Int63n(1 << 20),
 			Weight:    rng.Intn(4),
+			ArriveNs:  rng.Int63n(3) * rng.Int63n(1<<40), // zero (omitted) in a third of the loops
 			Scheduler: "aid-static",
 			Profile:   amp.Profile{ILP: rng.Float64(), MemIntensity: rng.Float64(), FootprintMB: rng.Float64() * 4},
 		}
@@ -292,12 +293,13 @@ func TestValidateRejectsOutOfRangeReferences(t *testing.T) {
 		"phase tid":      func(r *Record) { r.Phases[0].Tid = -1 },
 		"phase loop":     func(r *Record) { r.Phases[0].Loop = len(r.Loops) },
 		"sf sample loop": func(r *Record) { r.SFSamples[0].Loop = 99 },
+		"loop arrival":   func(r *Record) { r.Loops[1].ArriveNs = -1 },
 	}
 	for name, corrupt := range cases {
 		r := sampleRecord()
 		corrupt(r)
 		if err := r.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted an out-of-range reference", name)
+			t.Errorf("%s: Validate accepted an out-of-range value", name)
 		}
 	}
 }

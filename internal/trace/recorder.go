@@ -130,7 +130,7 @@ func (t *WorkerTape) Reserve(nEvents int) {
 	}
 }
 
-// AttachTimeline stores the per-thread timeline (single-loop runs).
+// AttachTimeline stores the per-thread timeline.
 func (r *Recorder) AttachTimeline(t *Trace) {
 	r.rec.Timeline = TimelineOf(t)
 }
