@@ -118,8 +118,6 @@ bench:
 # exists) before replacing it — allocs/op may only go down.
 bench-short:
 	rm -f $(BENCHTMP) $(BENCHTMP).part
-	$(GO) test -short -run=XXX -bench=BenchmarkChunkRemoval -benchtime=100000x ./internal/pool/
-	$(GO) test -short -run=XXX -bench=BenchmarkWorkShareSteal -benchtime=100000x .
 	$(GO) test -short -run=XXX -bench=BenchmarkMultiLoop -benchtime=2x ./internal/rt/ > $(BENCHTMP).part
 	mv $(BENCHTMP).part $(BENCHTMP)
 	cat $(BENCHTMP)

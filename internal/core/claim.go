@@ -63,7 +63,11 @@ func (cs *claimState) take(ws *pool.ShardedWorkShare, home int, n int64, asg *As
 	if len(cs.pending) > 0 {
 		return cs.serve(asg)
 	}
-	lo, hi, from, acc, ok := ws.TryStealBatchFrom(home, n, n*pool.HandoffBatch)
+	batch := int64(math.MaxInt64) // n×HandoffBatch, saturating
+	if n <= batch/pool.HandoffBatch {
+		batch = n * pool.HandoffBatch
+	}
+	lo, hi, from, acc, ok := ws.TryStealBatchFrom(home, n, batch)
 	asg.PoolAccesses += acc
 	asg.Origin = originOf(ws, from)
 	if !ok {

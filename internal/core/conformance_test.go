@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -71,6 +72,23 @@ func conformanceSchedulers(t *testing.T, info LoopInfo) map[string]Scheduler {
 	add("aid-auto", au, err)
 	wsl, err := NewWorkSteal(info, 2)
 	add("work-steal", wsl, err)
+	// The largest chunks the GOOMP_SCHEDULE grammar accepts: every size sum
+	// and product on the claim paths must saturate, not wrap.
+	const huge = math.MaxInt64
+	scm, err := NewStaticChunked(info, huge)
+	add("static-chunked-max", scm, err)
+	dym, err := NewDynamic(info, huge)
+	add("dynamic-max", dym, err)
+	gum, err := NewGuided(info, huge)
+	add("guided-max", gum, err)
+	asm, err := NewAIDStatic(info, huge)
+	add("aid-static-max", asm, err)
+	ahm, err := NewAIDHybrid(info, huge, 0.8)
+	add("aid-hybrid-max", ahm, err)
+	adm, err := NewAIDDynamic(info, huge, huge)
+	add("aid-dynamic-max", adm, err)
+	aum, err := NewAIDAuto(info, 1<<62, 0.8, 1<<62, 0)
+	add("aid-auto-max", aum, err)
 	return mk
 }
 

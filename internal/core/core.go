@@ -247,7 +247,7 @@ func NewStaticChunked(info LoopInfo, chunk int64) (*StaticChunked, error) {
 	}
 	s := &StaticChunked{info: info, chunk: chunk, pos: make([]int64, info.NThreads)}
 	for tid := range s.pos {
-		s.pos[tid] = int64(tid) * chunk
+		s.pos[tid] = s.after(0, int64(tid))
 	}
 	return s, nil
 }
@@ -255,17 +255,24 @@ func NewStaticChunked(info LoopInfo, chunk int64) (*StaticChunked, error) {
 // Name implements Scheduler.
 func (s *StaticChunked) Name() string { return "static-chunked" }
 
+// after returns lo + k·chunk, the start of the block k blocks after the one
+// at lo, saturating at NI (no further block) instead of wrapping: a chunk
+// the parser accepts may exceed NI by any amount.
+func (s *StaticChunked) after(lo, k int64) int64 {
+	if k > 0 && s.chunk > (s.info.NI-lo)/k {
+		return s.info.NI
+	}
+	return lo + k*s.chunk
+}
+
 // Next implements Scheduler.
 func (s *StaticChunked) Next(tid int, _ int64) (Assign, bool) {
 	lo := s.pos[tid]
 	if lo >= s.info.NI {
 		return Assign{}, false
 	}
-	hi := lo + s.chunk
-	if hi > s.info.NI {
-		hi = s.info.NI
-	}
-	s.pos[tid] = lo + s.chunk*int64(s.info.NThreads)
+	hi := s.after(lo, 1)
+	s.pos[tid] = s.after(lo, int64(s.info.NThreads))
 	return Assign{Lo: lo, Hi: hi, Origin: s.info.TypeOf(tid)}, true
 }
 

@@ -1,6 +1,6 @@
 package pool
 
-import "runtime"
+import "math"
 
 // CreditBatch is the number of chunks a credit acquisition claims from the
 // pool in one atomic RMW. A worker on the credit path (TryStealCredit) pays
@@ -50,7 +50,7 @@ type CreditSteal struct {
 	From     int
 }
 
-// ReturnCredit attempts to hand the unused part of a credit back to the
+// returnCredit attempts to hand a non-empty credit's balance back to the
 // pool, so a re-partition (Reweight) can redistribute it. The return is a
 // single CAS that rolls the shard's claim counter back from the credit's
 // upper bound to its lower bound; it can only succeed while the counter
@@ -59,22 +59,13 @@ type CreditSteal struct {
 // longer owns the iterations and the credit is emptied; on failure the
 // caller keeps the credit and must serve it.
 //
-// A credit that reaches its shard's end is never returned (the CAS is
-// refused outright): Reweight concludes a shard is drained without writing
-// its counter in exactly that state, so a successful end-of-shard rollback
-// could resurrect work on a generation no claimer can reach. Keeping the
-// strict-inequality guard is what makes the return linearizable against the
-// Reweight drain — see doc.go, "Hot-path invariants".
-func (ws *ShardedWorkShare) ReturnCredit(c *Credit) (returned int64, casTried bool) {
-	if c.s == nil {
-		return 0, false
-	}
-	if c.lo >= c.hi {
-		*c = Credit{}
-		return 0, false
-	}
+// A credit that reaches its shard's end is never returned (refused outright,
+// no RMW): a successful end-of-shard rollback could resurrect work on a
+// generation Reweight already concluded drained. The strict-inequality guard
+// is what makes the return linearizable against the Reweight drain — see
+// doc.go, "Credit-based claiming".
+func (ws *ShardedWorkShare) returnCredit(c *Credit) (returned int64, casTried bool) {
 	if c.hi >= c.s.end {
-		// End-of-shard credit: refused outright, no RMW performed.
 		return 0, false
 	}
 	if c.s.next.CompareAndSwap(c.hi, c.lo) {
@@ -85,35 +76,40 @@ func (ws *ShardedWorkShare) ReturnCredit(c *Credit) (returned int64, casTried bo
 	return 0, true
 }
 
-// creditClamp tapers a credit acquisition as its shard drains, guided
-// style: the grab never exceeds remaining/(4·CreditBatch) iterations (a
-// possibly stale shared-mode read — the clamp is a balance heuristic, never
-// a correctness condition) and never shrinks below one chunk. Far from the
-// end the full batch goes through, so the steady-state RMW amortization is
-// untouched; the last few dozen grabs of a shard degenerate to strict
-// single chunks, which keeps the end-of-loop imbalance of batched claiming
-// at the strict path's level instead of multiplying it by CreditBatch.
-func creditClamp(batch, chunk, remaining int64) int64 {
-	if cap := remaining / (4 * CreditBatch); cap < batch {
+// taper sizes a credit acquisition of batch iterations (floor > 0: the
+// chunk it serves) as its shard drains, guided style: the grab never
+// exceeds remaining/(4·CreditBatch) iterations (a possibly stale
+// shared-mode read — the clamp is a balance heuristic, never a correctness
+// condition) and never shrinks below one chunk. Far from the end the full
+// batch goes through, so the steady-state RMW amortization is untouched;
+// the last few dozen grabs of a shard degenerate to strict single chunks,
+// which keeps the end-of-loop imbalance of batched claiming at the strict
+// path's level instead of multiplying it by CreditBatch. floor == 0 (the
+// strict and handoff paths) passes the request through without a read.
+func (s *shard) taper(batch, floor int64) int64 {
+	if floor <= 0 {
+		return batch
+	}
+	if cap := s.remaining() / (4 * CreditBatch); cap < batch {
 		batch = cap
 	}
-	if batch < chunk {
-		return chunk
+	if batch < floor {
+		return floor
 	}
 	return batch
 }
 
 // TryStealCredit removes up to chunk iterations with batched credit-based
 // claiming: a claim that has to go to the pool acquires CreditBatch×chunk
-// iterations in one fetch-and-add (home shard preferred, richest foreign
-// shard as fallback, exactly like TryStealBatch) and the surplus is kept in
-// the caller's credit, from which subsequent calls draw without touching
-// shared memory. The steady-state cost is therefore one atomic RMW per
-// CreditBatch chunks and zero heap allocations.
+// iterations in one fetch-and-add (TryStealBatchFrom's acquisition, asked
+// for a tapered batch at home and abroad) and banks them in the caller's
+// credit, from which this and subsequent calls draw without touching shared
+// memory. The steady-state cost is therefore one atomic RMW per CreditBatch
+// chunks and zero heap allocations.
 //
 // When a re-partition has been published since the credit was acquired
 // (the pool's seqlock moved), the unused balance is first offered back to
-// the pool via ReturnCredit so Reweight's new cut can cover it; if the
+// the pool via returnCredit so Reweight's new cut can cover it; if the
 // return loses the race the caller simply keeps serving the credit — the
 // iterations are owned either way, so exactly-once coverage is preserved.
 //
@@ -124,15 +120,13 @@ func (ws *ShardedWorkShare) TryStealCredit(home int, chunk int64, c *Credit) (lo
 	if chunk <= 0 || home < 0 {
 		badSteal(home, chunk)
 	}
-	if c.s != nil && c.lo < c.hi {
+	if !c.Empty() {
 		if seq := ws.seq.Load(); seq != c.seq {
-			ret, tried := ws.ReturnCredit(c)
+			ret, tried := ws.returnCredit(c)
 			if tried {
 				st.Accesses++
 			}
-			if ret > 0 {
-				st.Returned = ret
-			} else {
+			if st.Returned = ret; ret == 0 {
 				// Keep the balance, stop re-trying the return on every draw:
 				// the counter has moved on, so the CAS can never succeed for
 				// this credit again.
@@ -140,80 +134,24 @@ func (ws *ShardedWorkShare) TryStealCredit(home int, chunk int64, c *Credit) (lo
 			}
 		}
 	}
-	if c.s != nil && c.lo < c.hi {
-		st.From = int(c.s.owner)
-		lo = c.lo
-		hi = lo + chunk
-		if hi > c.hi {
-			hi = c.hi
+	if c.Empty() {
+		batch := int64(math.MaxInt64) // chunk×CreditBatch, saturating
+		if chunk <= batch/CreditBatch {
+			batch = chunk * CreditBatch
 		}
-		c.lo = hi
-		if c.lo >= c.hi {
-			*c = Credit{}
-		}
-		return lo, hi, st, true
-	}
-	batch := chunk * CreditBatch
-	if batch/CreditBatch != chunk {
-		batch = chunk // overflow guard for absurd chunk sizes
-	}
-	for {
-		seq := ws.seq.Load()
-		g := ws.gen.Load()
-		ht := g.clampType(home)
-		for _, si := range g.byType[ht] {
-			s := &g.shards[si]
-			if s.dead.Load() {
-				continue
-			}
-			b := creditClamp(batch, chunk, s.remaining())
-			if lo = s.next.Add(b) - b; lo < s.end {
-				end := lo + b
-				if end > s.end {
-					end = s.end
-				}
-				if hi = lo + chunk; hi > end {
-					hi = end
-				}
-				if end > hi {
-					*c = Credit{lo: hi, hi: end, s: s, seq: seq}
-				}
-				st.Accesses++
-				st.Claimed += end - lo
-				st.From = int(s.owner)
-				return lo, hi, st, true
-			}
-			s.dead.Store(true)
-			st.Accesses++
-		}
-		for {
-			v := ws.victimForeign(g, ht)
-			if v < 0 {
-				break
-			}
-			st.Accesses++
-			b := creditClamp(batch, chunk, g.shards[v].remaining())
-			if clo, chi, cok := g.shards[v].claim(b); cok {
-				ws.foreign.Add(1)
-				lo = clo
-				if hi = lo + chunk; hi > chi {
-					hi = chi
-				}
-				if chi > hi {
-					*c = Credit{lo: hi, hi: chi, s: &g.shards[v], seq: seq}
-				}
-				st.Claimed += chi - clo
-				st.From = int(g.shards[v].owner)
-				return lo, hi, st, true
-			}
-			g.shards[v].dead.Store(true)
-		}
-		if ws.drainedValid(seq) {
-			if st.Accesses == 0 {
-				st.Accesses = 1 // the drained-pool observation
-			}
+		var acc int
+		*c, _, acc = ws.acquire(home, batch, batch, chunk)
+		st.Accesses += acc
+		st.Claimed = c.N()
+		if c.s == nil {
 			return 0, 0, st, false
 		}
-		runtime.Gosched() // re-partition in flight: retry on the new generation
 	}
+	st.From = int(c.s.owner)
+	lo = c.lo
+	hi = lo + min(chunk, c.hi-lo)
+	if c.lo = hi; c.lo >= c.hi {
+		*c = Credit{}
+	}
+	return lo, hi, st, true
 }

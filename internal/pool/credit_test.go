@@ -2,8 +2,6 @@ package pool
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -42,7 +40,7 @@ func TestCreditSingleThreadCoverage(t *testing.T) {
 }
 
 // TestCreditTripCountsBelowBatch covers loops shorter than one credit grab
-// (trip count < CreditBatch x chunk), where creditClamp degenerates every
+// (trip count < CreditBatch x chunk), where the taper degenerates every
 // acquisition to a strict chunk: coverage must stay exactly-once and the
 // drained conclusion must still arrive.
 func TestCreditTripCountsBelowBatch(t *testing.T) {
@@ -70,8 +68,8 @@ func TestCreditTripCountsBelowBatch(t *testing.T) {
 
 // TestReturnCreditDirect unit-tests the rollback CAS in isolation: success
 // while the shard counter still stands at the credit's upper bound, refusal
-// after an intervening claim moved the counter, outright (RMW-free) refusal
-// for an end-of-shard credit, and the no-op cases.
+// after an intervening claim moved the counter, and outright (RMW-free)
+// refusal for an end-of-shard credit.
 func TestReturnCreditDirect(t *testing.T) {
 	const ni = 4096
 	const chunk = 2
@@ -93,9 +91,9 @@ func TestReturnCreditDirect(t *testing.T) {
 
 	// Success: nothing claimed since the acquisition, the CAS rolls back.
 	retN := c.N()
-	returned, tried := ws.ReturnCredit(&c)
+	returned, tried := ws.returnCredit(&c)
 	if !tried || returned != retN {
-		t.Fatalf("ReturnCredit = (%d,%v), want (%d,true)", returned, tried, retN)
+		t.Fatalf("returnCredit = (%d,%v), want (%d,true)", returned, tried, retN)
 	}
 	if !c.Empty() {
 		t.Fatal("successful return left a non-empty credit")
@@ -109,12 +107,12 @@ func TestReturnCreditDirect(t *testing.T) {
 	if _, _, _, ok := ws.TryStealCredit(0, chunk, &c); !ok {
 		t.Fatal("re-acquisition failed")
 	}
-	if _, _, _, ok := ws.TrySteal(0, 3); !ok {
+	if _, _, _, _, ok := ws.TryStealBatchFrom(0, 3, 3); !ok {
 		t.Fatal("intervening strict steal failed")
 	}
 	held := c.N()
-	if returned, tried = ws.ReturnCredit(&c); returned != 0 || !tried {
-		t.Fatalf("ReturnCredit after intervening claim = (%d,%v), want (0,true)", returned, tried)
+	if returned, tried = ws.returnCredit(&c); returned != 0 || !tried {
+		t.Fatalf("returnCredit after intervening claim = (%d,%v), want (0,true)", returned, tried)
 	}
 	if c.N() != held {
 		t.Fatal("failed return modified the credit")
@@ -124,25 +122,13 @@ func TestReturnCreditDirect(t *testing.T) {
 	// end must be refused without an RMW — returning it could resurrect
 	// work on a generation Reweight already concluded drained.
 	eos := Credit{lo: c.s.end - chunk, hi: c.s.end, s: c.s, seq: c.seq}
-	if returned, tried = ws.ReturnCredit(&eos); returned != 0 || tried {
-		t.Fatalf("end-of-shard ReturnCredit = (%d,%v), want (0,false)", returned, tried)
+	if returned, tried = ws.returnCredit(&eos); returned != 0 || tried {
+		t.Fatalf("end-of-shard returnCredit = (%d,%v), want (0,false)", returned, tried)
 	}
 	if eos.N() != chunk {
 		t.Fatal("end-of-shard refusal modified the credit")
 	}
 
-	// No-ops: the zero credit and an already-drained balance.
-	var zero Credit
-	if returned, tried = ws.ReturnCredit(&zero); returned != 0 || tried {
-		t.Fatalf("zero-credit ReturnCredit = (%d,%v), want (0,false)", returned, tried)
-	}
-	drained := Credit{lo: 8, hi: 8, s: c.s, seq: c.seq}
-	if returned, tried = ws.ReturnCredit(&drained); returned != 0 || tried {
-		t.Fatalf("empty-balance ReturnCredit = (%d,%v), want (0,false)", returned, tried)
-	}
-	if drained.s != nil {
-		t.Fatal("empty-balance return did not reset the credit")
-	}
 }
 
 // TestCreditHeldAcrossReweight pins the losing side of the return race:
@@ -213,74 +199,19 @@ func TestCreditHeldAcrossReweight(t *testing.T) {
 // seqlock stress test: claimers that own thread-local credits race repeated
 // re-partitions, so returns, lost return CASes, and drained conclusions all
 // interleave with the generation swap. Exactly-once coverage must survive,
-// and no claimer may retire holding a non-empty credit.
+// and no claimer may retire holding a non-empty credit. One claimer mixes in
+// span steals: its credit stays untouched in between, exercising stale-seq
+// returns.
 func TestReweightConcurrentCoverageCredit(t *testing.T) {
-	const ni = 200000
-	const workers = 6
-	ws := NewSharded(ni, []int{1, 1})
-	seen := make([]atomic.Int32, ni)
-	var claimers, rw sync.WaitGroup
-	stop := make(chan struct{})
-	rw.Add(1)
-	go func() { // the single re-weighter, alternating skew
-		defer rw.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if i%2 == 0 {
-				ws.Reweight([]int{7, 1})
-			} else {
-				ws.Reweight([]int{1, 7})
+	credit, span := byName("credit"), byName("span")
+	raceReweight(t, 200000, func(ws *ShardedWorkShare, g, n int, c *Credit, dst []Range) []Range {
+		if g == 0 && n%64 == 63 {
+			if rs := span(ws, g%2, 50, c, dst); len(rs) > 0 {
+				return rs
 			}
 		}
-	}()
-	for g := 0; g < workers; g++ {
-		claimers.Add(1)
-		go func(g int) {
-			defer claimers.Done()
-			home := g % 2
-			var c Credit
-			chunk := int64(1 + g%3) // mix chunk sizes across claimers
-			for n := 0; ; n++ {
-				var lo, hi int64
-				var ok bool
-				switch {
-				case g == 0 && n%64 == 63:
-					// One claimer mixes in span steals: its credit stays
-					// untouched in between, exercising stale-seq returns.
-					rs, _ := ws.StealSpan(home, 50, nil)
-					for _, r := range rs {
-						for i := r.Lo; i < r.Hi; i++ {
-							seen[i].Add(1)
-						}
-					}
-					ok = len(rs) > 0
-				default:
-					lo, hi, _, ok = ws.TryStealCredit(home, chunk, &c)
-				}
-				for i := lo; i < hi; i++ {
-					seen[i].Add(1)
-				}
-				if !ok {
-					if !c.Empty() {
-						t.Errorf("claimer %d retired holding %d credited iterations", g, c.N())
-					}
-					return
-				}
-			}
-		}(g)
-	}
-	claimers.Wait()
-	close(stop)
-	rw.Wait()
-	for i := range seen {
-		if c := seen[i].Load(); c != 1 {
-			t.Fatalf("iteration %d claimed %d times", i, c)
-		}
-	}
+		return credit(ws, g%2, int64(1+g%3), c, dst) // mix chunk sizes across claimers
+	})
 }
 
 // TestCreditStealAllocs pins the zero-allocation property of the claim hot
@@ -301,16 +232,16 @@ func TestCreditStealAllocs(t *testing.T) {
 		t.Errorf("TryStealCredit allocates %v per op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		if _, _, _, ok := ws.TrySteal(1, 4); !ok {
+		if _, _, _, _, ok := ws.TryStealBatchFrom(1, 4, 4); !ok {
 			t.Fatal("pool drained mid-measurement")
 		}
 	}); n != 0 {
-		t.Errorf("TrySteal allocates %v per op, want 0", n)
+		t.Errorf("TryStealBatchFrom allocates %v per op, want 0", n)
 	}
 }
 
 // BenchmarkHotPath is the headline chunk-removal comparison for the credit
-// work: per-chunk CAS claiming (claim=cas, the strict TrySteal path) against
+// work: per-chunk claiming (claim=cas, the strict TryStealBatchFrom path) against
 // batched credit claiming (claim=credit) over the chunk sizes where the
 // paper's Fig. 8 sweep shows per-chunk overhead dominating. At chunk=1 the
 // credit path must win clearly (one RMW per CreditBatch iterations instead
@@ -324,7 +255,7 @@ func BenchmarkHotPath(b *testing.B) {
 				b.ReportAllocs()
 				benchSteal(b, threads, func(g int) func() {
 					home := g % 2
-					return func() { ws.TrySteal(home, chunk) }
+					return func() { ws.TryStealBatchFrom(home, chunk, chunk) }
 				})
 			})
 			b.Run(fmt.Sprintf("claim=credit/chunk=%d/threads=%d", chunk, threads), func(b *testing.B) {

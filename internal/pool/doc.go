@@ -1,9 +1,12 @@
 // Package pool implements the shared iteration pool that libgomp maintains
-// per parallel loop in its work_share structure (§4.2 of the paper). The
-// state of the pool is a pair (next, end): `next` is the first iteration not
-// yet assigned to any thread and `end` is one past the last iteration of the
-// loop. Threads remove ("steal") chunks with an atomic fetch-and-add on
-// `next`, so the pool is lock free.
+// per parallel loop in its work_share structure (§4.2 of the paper). There
+// the pool is a pair (next, end): `next` is the first iteration not yet
+// assigned to any thread, `end` one past the last iteration of the loop, and
+// a thread removes ("steals") a chunk with an atomic fetch-and-add on
+// `next`, so the pool is lock free. Here the pool (ShardedWorkShare) is a
+// set of such pairs, one contiguous shard per core type — a pool built with
+// a single weight is exactly libgomp's pair — and every way of removing
+// iterations is a size policy over one claim walk.
 //
 // The package also provides the per-core-type sampling counters the AID
 // methods add to work_share: a lock-free accumulator of sampling-phase
@@ -25,19 +28,65 @@
 // which line you just merged. The ShardedWorkShare header keeps the hot
 // gen/seq words away from the foreign-claims metric the same way.
 //
-// Claim protocol. All claim paths share one structure: read the seqlock
-// (`seq`), load the generation pointer, try home shards, then foreign
-// shards, and — only if everything looks drained — validate the "drained"
-// conclusion with drainedValid(seq). Successful claims are linearized by the
-// per-shard `next` RMWs alone and never consult the seqlock; only the
-// drained conclusion can be stale, because Reweight may have moved the
-// remaining work to a generation the claimer has not seen. The governing
-// invariant of a live shard is
+// Claim protocol. There is one claim walk: read the seqlock (`seq`), load
+// the generation pointer, try the caller's home shards in iteration order,
+// then victims nearest-first (victim, below), and — only if every shard
+// looks drained — validate the "drained" conclusion with drainedValid(seq),
+// starting over on the new generation when it does not hold. Successful
+// claims are linearized by the per-shard `next` RMWs alone and never consult
+// the seqlock; only the drained conclusion can be stale, because Reweight
+// may have moved the remaining work to a generation the claimer has not
+// seen. The walk is written out twice, because the home-shard fast path —
+// one flag load plus one fetch-and-add — must carry no func value:
+//
+//   - acquire is the walk of the fetch-and-add families. Each attempt is
+//     shard.claim, the one fetch-and-add; the entry points only choose
+//     sizes. TryStealBatchFrom asks for chunk at home and batch abroad
+//     (batch == chunk is the strict path of the conventional schedules,
+//     batch == HandoffBatch×chunk the handoff stash). TryStealCredit asks
+//     for CreditBatch×chunk from either, tapered as the shard drains
+//     (shard.taper), and keeps what it gets as its thread-local balance:
+//     credit is that acquisition plus a Credit to draw it down from.
+//   - walk is the same walk around a per-shard visit function, for the
+//     paths that take from several shards or size by CAS. StealSpan visits
+//     with shard.claim until its want is met; DrainAll visits every shard
+//     with shard.drain, the one CAS-to-end loop (Reweight's too), and is the
+//     only caller that asks victim for iteration order inside a tier;
+//     TryStealFuncFrom visits with a CAS of sizeOf(remaining) and stops at
+//     the first success.
+//
+// Every path reports the RMWs it performed (failed fetch-and-adds and CAS
+// retries included, read-only probes of a drained shard not) and at least
+// one, the drained-pool observation. The governing invariant of a live
+// shard is
 //
 //	unclaimed(s) ≡ [min(next, end), end)
 //
 // `next` only ever moves forward — with the single exception of a credit
-// return, below.
+// return, below — and it cannot wrap: shard.claim clamps every request to
+// the shard's extent, end − base, before the fetch-and-add (the CAS paths
+// clip at end and never overshoot), and a goroutine that has seen a shard
+// drained — its own failed add, the dead flag, a remaining() probe — never
+// adds to it again, so with G goroutines claiming
+//
+//	next < end + (G+1)·(end − base) ≤ (G+2)·NI
+//
+// which stays below 2^63 for any loop a machine can finish (G = 1022
+// goroutines leave NI up to 2^53); the size a caller asks for, which the
+// GOOMP_SCHEDULE grammar lets reach 2^63−1, is not in the bound. The clip
+// that follows an add compares n with end − lo and never forms lo + n
+// beyond end; the callers' own products (HandoffBatch×n in core,
+// CreditBatch×chunk here) saturate.
+//
+// Who claims how. Dynamic (strict) and Guided (CAS) remove exactly what
+// OpenMP says they remove, one RMW per chunk; AID-auto's sampling uses the
+// handoff batch on a single shard; AID-static/hybrid/dynamic use credit plus
+// StealSpan. Moving Dynamic, Guided or AID-auto onto credit would change the
+// PoolAccesses they report, which the simulator's golden digests
+// (internal/sim/testdata/engine_golden.txt) and the benchmark's
+// core.pool_accesses_per_chunk.* rungs pin; that is a behaviour change for a
+// perf issue to argue with a measured gain, not something a consolidation
+// may do in passing, so each scheduler stays on the family it had.
 //
 // Reweight (generation + seqlock). Reweight bumps `seq` to odd, CAS-drains
 // each shard of the current generation to its end (collecting the
@@ -56,7 +105,7 @@
 // credit is just a claimed-but-unserved range — exactly like the handoff
 // stash — owned by one thread that either serves it or returns it:
 //
-//   - A return (ReturnCredit) is a single CAS rolling `next` back from the
+//   - A return (returnCredit) is a single CAS rolling `next` back from the
 //     credit's upper bound to its lower bound. It can only succeed while
 //     `next` still equals the upper bound, i.e. no claim intervened, so a
 //     successful return restores the invariant above with the returned
@@ -78,23 +127,27 @@
 // Credit holders notice a published re-cut via the seq stamp captured at
 // acquisition and offer their balance back once; whichever way that race
 // resolves, each iteration retains exactly one owner. The conformance
-// harness and the Reweight stress test (reweight_test.go) exercise all
-// three claim families — strict, batch, credit — against concurrent
-// re-cuts and assert exactly-once coverage per iteration.
+// harness and the Reweight stress tests (raceReweight in reweight_test.go)
+// exercise every entry point, at ordinary sizes and at sizes beyond a shard
+// up to 2^63−1, against concurrent re-cuts and assert exactly-once coverage
+// per iteration.
 //
 // Nearest-victim steal order. A claim that falls over to a foreign shard
 // picks its victim by topology distance, not by wealth alone: with a
 // distance matrix installed (SetTopology, typically amp.Platform.TypeDist),
-// victimForeign ranks candidate shards by the distance between the
-// claimer's core type and the shard's owner type and takes the richest
-// shard of the NEAREST non-drained tier — a same-cluster handoff moves a
-// cache line inside one LLC, a cross-package one pays an interconnect
-// round-trip, so wealth only breaks ties within a tier. DrainAll walks
-// foreign shards in the same tier order. Without a matrix the selection
-// degenerates to richest-only, the pre-topology behavior. Victim selection
-// is a read-only heuristic over possibly stale remaining() reads — it
-// never participates in the coverage argument above, which rests solely on
-// the per-shard RMWs and the seqlock. Every claim is provenance-tagged
+// victim — the one selection, used by both walks — ranks the shards that
+// still have work by the distance between the claimer's core type and the
+// shard's owner type and takes the richest shard of the NEAREST non-drained
+// tier — a same-cluster handoff moves a cache line inside one LLC, a
+// cross-package one pays an interconnect round-trip, so wealth only breaks
+// ties within a tier. DrainAll walks the same tiers, in iteration order
+// inside each. Without a matrix every foreign type is one tier away and the
+// selection degenerates to richest-only. No shard is excluded by owner or
+// by index: a walk reaches victim only after its home shards, and drained
+// is absorbing, so a home shard cannot come back as a victim. Victim
+// selection is a read-only heuristic over possibly stale remaining() reads
+// — it never participates in the coverage argument above, which rests
+// solely on the per-shard RMWs and the seqlock. Every claim is provenance-tagged
 // with the victim shard's owner type (Range.From, the From results of the
 // claim paths) so the cost model can price the handoff by the same
 // distance tiers.

@@ -6,38 +6,31 @@ import (
 	"testing/quick"
 )
 
-func TestNewWorkShare(t *testing.T) {
-	ws := NewWorkShare(100)
-	if ws.End() != 100 || ws.Next() != 0 || ws.Remaining() != 100 {
-		t.Errorf("fresh pool: end=%d next=%d rem=%d", ws.End(), ws.Next(), ws.Remaining())
-	}
-}
-
-func TestNewWorkShareNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewWorkShare(-1) did not panic")
-		}
-	}()
-	NewWorkShare(-1)
+// The tests down to TestTryStealFuncBadSizePanics run (all but one) on a
+// one-shard pool: the bare (next, end) pair of libgomp's work_share, which
+// is also what AID-auto's classifier builds. steal is its strict chunk
+// removal.
+func steal(ws *ShardedWorkShare, chunk int64) (lo, hi int64, ok bool) {
+	lo, hi, _, _, ok = ws.TryStealBatchFrom(0, chunk, chunk)
+	return lo, hi, ok
 }
 
 func TestTryStealSequential(t *testing.T) {
-	ws := NewWorkShare(10)
-	lo, hi, ok := ws.TrySteal(4)
+	ws := NewSharded(10, []int{1})
+	lo, hi, ok := steal(ws, 4)
 	if !ok || lo != 0 || hi != 4 {
 		t.Fatalf("first steal: [%d,%d) ok=%v", lo, hi, ok)
 	}
-	lo, hi, ok = ws.TrySteal(4)
+	lo, hi, ok = steal(ws, 4)
 	if !ok || lo != 4 || hi != 8 {
 		t.Fatalf("second steal: [%d,%d) ok=%v", lo, hi, ok)
 	}
 	// Final steal is clipped at end.
-	lo, hi, ok = ws.TrySteal(4)
+	lo, hi, ok = steal(ws, 4)
 	if !ok || lo != 8 || hi != 10 {
 		t.Fatalf("clipped steal: [%d,%d) ok=%v", lo, hi, ok)
 	}
-	if _, _, ok := ws.TrySteal(4); ok {
+	if _, _, ok := steal(ws, 4); ok {
 		t.Error("steal from drained pool succeeded")
 	}
 	if ws.Remaining() != 0 {
@@ -48,15 +41,15 @@ func TestTryStealSequential(t *testing.T) {
 func TestTryStealZeroChunkPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("TrySteal(0) did not panic")
+			t.Error("steal of 0 iterations did not panic")
 		}
 	}()
-	NewWorkShare(10).TrySteal(0)
+	steal(NewSharded(10, []int{1}), 0)
 }
 
 func TestEmptyLoop(t *testing.T) {
-	ws := NewWorkShare(0)
-	if _, _, ok := ws.TrySteal(1); ok {
+	ws := NewSharded(0, []int{1})
+	if _, _, ok := steal(ws, 1); ok {
 		t.Error("steal from empty loop succeeded")
 	}
 	if ws.Remaining() != 0 {
@@ -65,14 +58,14 @@ func TestEmptyLoop(t *testing.T) {
 }
 
 func TestTryStealRest(t *testing.T) {
-	ws := NewWorkShare(100)
-	ws.TrySteal(30)
-	lo, hi, ok := ws.TryStealRest()
-	if !ok || lo != 30 || hi != 100 {
-		t.Fatalf("TryStealRest: [%d,%d) ok=%v", lo, hi, ok)
+	ws := NewSharded(100, []int{1})
+	steal(ws, 30)
+	rs, _ := ws.DrainAll(0)
+	if len(rs) != 1 || rs[0].Lo != 30 || rs[0].Hi != 100 {
+		t.Fatalf("DrainAll: %v, want [30,100)", rs)
 	}
-	if _, _, ok := ws.TryStealRest(); ok {
-		t.Error("TryStealRest on drained pool succeeded")
+	if rs, _ := ws.DrainAll(0); len(rs) != 0 {
+		t.Errorf("DrainAll on drained pool returned %v", rs)
 	}
 }
 
@@ -84,7 +77,7 @@ func TestConcurrentStealExactCoverage(t *testing.T) {
 		ni      = 100000
 		workers = 16
 	)
-	ws := NewWorkShare(ni)
+	ws := NewSharded(ni, []int{1})
 	var mu sync.Mutex
 	claimed := make([]int32, ni)
 	var wg sync.WaitGroup
@@ -95,7 +88,7 @@ func TestConcurrentStealExactCoverage(t *testing.T) {
 			defer wg.Done()
 			local := make([][2]int64, 0, ni/workers)
 			for {
-				lo, hi, ok := ws.TrySteal(chunk)
+				lo, hi, ok := steal(ws, chunk)
 				if !ok {
 					break
 				}
@@ -119,9 +112,9 @@ func TestConcurrentStealExactCoverage(t *testing.T) {
 }
 
 func TestConcurrentStealRestRace(t *testing.T) {
-	// TryStealRest racing against TrySteal must still yield exact coverage.
+	// DrainAll racing against strict steals must still yield exact coverage.
 	const ni = 50000
-	ws := NewWorkShare(ni)
+	ws := NewSharded(ni, []int{1})
 	var total int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -132,13 +125,15 @@ func TestConcurrentStealRestRace(t *testing.T) {
 			defer wg.Done()
 			sum := int64(0)
 			for {
-				var lo, hi int64
-				var ok bool
 				if rest {
-					lo, hi, ok = ws.TryStealRest()
-				} else {
-					lo, hi, ok = ws.TrySteal(3)
+					rs, _ := ws.DrainAll(0)
+					if len(rs) == 0 {
+						break
+					}
+					sum += spanTotal(rs)
+					continue
 				}
+				lo, hi, ok := steal(ws, 3)
 				if !ok {
 					break
 				}
@@ -160,10 +155,10 @@ func TestStealCoverageProperty(t *testing.T) {
 	f := func(niRaw uint16, chunkRaw uint8) bool {
 		ni := int64(niRaw % 5000)
 		chunk := int64(chunkRaw%64) + 1
-		ws := NewWorkShare(ni)
+		ws := NewSharded(ni, []int{1})
 		var cursor int64
 		for {
-			lo, hi, ok := ws.TrySteal(chunk)
+			lo, hi, ok := steal(ws, chunk)
 			if !ok {
 				break
 			}
@@ -179,20 +174,23 @@ func TestStealCoverageProperty(t *testing.T) {
 	}
 }
 
+// guidedSize is the guided schedule's chunk rule for n threads.
+func guidedSize(n int64) func(rem int64) int64 {
+	return func(rem int64) int64 {
+		if s := rem / n; s >= 1 {
+			return s
+		}
+		return 1
+	}
+}
+
 func TestTryStealFuncGuidedShape(t *testing.T) {
 	// Guided with 4 threads: chunk sizes decrease as the pool drains.
-	ws := NewWorkShare(1000)
-	sizeOf := func(rem int64) int64 {
-		s := rem / 4
-		if s < 1 {
-			s = 1
-		}
-		return s
-	}
+	ws := NewSharded(1000, []int{1})
 	var sizes []int64
 	cursor := int64(0)
 	for {
-		lo, hi, ok, _ := ws.TryStealFunc(sizeOf)
+		lo, hi, _, _, ok := ws.TryStealFuncFrom(0, guidedSize(4))
 		if !ok {
 			break
 		}
@@ -220,23 +218,17 @@ func TestTryStealFuncGuidedShape(t *testing.T) {
 
 func TestTryStealFuncConcurrent(t *testing.T) {
 	const ni = 40000
-	ws := NewWorkShare(ni)
+	ws := NewSharded(ni, []int{1, 1})
 	var total int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func() {
+		go func(home int) {
 			defer wg.Done()
 			sum := int64(0)
 			for {
-				lo, hi, ok, _ := ws.TryStealFunc(func(rem int64) int64 {
-					s := rem / 8
-					if s < 1 {
-						s = 1
-					}
-					return s
-				})
+				lo, hi, _, _, ok := ws.TryStealFuncFrom(home, guidedSize(8))
 				if !ok {
 					break
 				}
@@ -245,7 +237,7 @@ func TestTryStealFuncConcurrent(t *testing.T) {
 			mu.Lock()
 			total += sum
 			mu.Unlock()
-		}()
+		}(w % 2)
 	}
 	wg.Wait()
 	if total != ni {
@@ -256,10 +248,10 @@ func TestTryStealFuncConcurrent(t *testing.T) {
 func TestTryStealFuncBadSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("TryStealFunc with zero size did not panic")
+			t.Error("TryStealFuncFrom with zero size did not panic")
 		}
 	}()
-	NewWorkShare(10).TryStealFunc(func(int64) int64 { return 0 })
+	NewSharded(10, []int{1}).TryStealFuncFrom(0, func(int64) int64 { return 0 })
 }
 
 func TestSampleCounters(t *testing.T) {

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -99,7 +100,7 @@ func TestReweightMovesUnclaimedWork(t *testing.T) {
 		ws := NewSharded(ni, []int{1, 1})
 		// Consume a little from each home so the leftover is fragmented.
 		for home := 0; home < 2; home++ {
-			lo, hi, _, ok := ws.TrySteal(home, 100)
+			lo, hi, _, _, ok := ws.TryStealBatchFrom(home, 100, 100)
 			if !ok {
 				t.Fatal("warm-up steal failed")
 			}
@@ -123,7 +124,7 @@ func TestReweightMovesUnclaimedWork(t *testing.T) {
 		// shards are gone.
 		base := ws.ForeignClaims()
 		for own0 > 0 {
-			lo, hi, _, ok := ws.TrySteal(0, 7)
+			lo, hi, _, _, ok := ws.TryStealBatchFrom(0, 7, 7)
 			if !ok {
 				t.Fatal("home steal failed with home work left")
 			}
@@ -134,7 +135,7 @@ func TestReweightMovesUnclaimedWork(t *testing.T) {
 			t.Fatalf("%d foreign claims while home shards had work", got)
 		}
 		for {
-			lo, hi, _, ok := ws.TrySteal(1, 7)
+			lo, hi, _, _, ok := ws.TryStealBatchFrom(1, 7, 7)
 			if !ok {
 				break
 			}
@@ -148,7 +149,7 @@ func TestReweightMovesUnclaimedWork(t *testing.T) {
 func TestReweightEmptyAndDegenerate(t *testing.T) {
 	ws := NewSharded(10, []int{1, 1})
 	for {
-		if _, _, _, ok := ws.TrySteal(0, 4); !ok {
+		if _, _, _, _, ok := ws.TryStealBatchFrom(0, 4, 4); !ok {
 			break
 		}
 	}
@@ -156,7 +157,7 @@ func TestReweightEmptyAndDegenerate(t *testing.T) {
 	if ws.Remaining() != 0 {
 		t.Fatalf("drained pool has %d remaining after reweight", ws.Remaining())
 	}
-	if _, _, _, ok := ws.TrySteal(1, 1); ok {
+	if _, _, _, _, ok := ws.TryStealBatchFrom(1, 1, 1); ok {
 		t.Fatal("claim on drained reweighted pool succeeded")
 	}
 
@@ -166,7 +167,7 @@ func TestReweightEmptyAndDegenerate(t *testing.T) {
 	if ws.Remaining() != 100 {
 		t.Fatalf("double reweight lost work: %d remaining", ws.Remaining())
 	}
-	lo, hi, _, ok := ws.TrySteal(1, 5) // type 1 must hand off from type 0's shards
+	lo, hi, _, _, ok := ws.TryStealBatchFrom(1, 5, 5) // type 1 must hand off from type 0's shards
 	if !ok || hi-lo != 5 {
 		t.Fatalf("post-reweight handoff = [%d,%d) ok=%v", lo, hi, ok)
 	}
@@ -179,19 +180,22 @@ func TestReweightEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-// TestReweightConcurrentCoverage races repeated re-partitions against all
-// claim paths and asserts exactly-once coverage — the seqlock property: a
-// thief that concludes "drained" against a superseded generation must
-// retry rather than retire with work still in flight.
-func TestReweightConcurrentCoverage(t *testing.T) {
-	const ni = 200000
+// raceReweight drains a two-type pool of ni iterations from six claimers
+// while a single re-weighter re-cuts it continuously with alternating skew,
+// and asserts exactly-once coverage — the seqlock property: a thief that
+// concludes "drained" against a superseded generation must retry rather
+// than retire with work still in flight. claim is claimer g's n-th request
+// (see claimers: nothing appended means drained); no claimer may retire
+// holding credit.
+func raceReweight(t *testing.T, ni int64, claim func(ws *ShardedWorkShare, g, n int, c *Credit, dst []Range) []Range) {
+	t.Helper()
 	const workers = 6
 	ws := NewSharded(ni, []int{1, 1})
 	seen := make([]atomic.Int32, ni)
 	var claimers, rw sync.WaitGroup
 	stop := make(chan struct{})
 	rw.Add(1)
-	go func() { // the single re-weighter, alternating skew
+	go func() {
 		defer rw.Done()
 		for i := 0; ; i++ {
 			select {
@@ -210,28 +214,23 @@ func TestReweightConcurrentCoverage(t *testing.T) {
 		claimers.Add(1)
 		go func(g int) {
 			defer claimers.Done()
-			home := g % 2
+			var c Credit
+			var rs []Range
 			for n := 0; ; n++ {
-				var lo, hi int64
-				var ok bool
-				switch {
-				case g == 0 && n%64 == 63:
-					rs, _ := ws.StealSpan(home, 50, nil)
-					for _, r := range rs {
-						for i := r.Lo; i < r.Hi; i++ {
-							seen[i].Add(1)
-						}
+				rs = claim(ws, g, n, &c, rs[:0])
+				for _, r := range rs {
+					if r.Lo < 0 || r.Hi > ni || r.Lo > r.Hi {
+						t.Errorf("claimer %d got bad range [%d,%d)", g, r.Lo, r.Hi)
+						return
 					}
-					ok = len(rs) > 0
-				case n%3 == 0:
-					lo, hi, _, ok = ws.TryStealBatch(home, 2, 8)
-				default:
-					lo, hi, _, ok = ws.TrySteal(home, 3)
+					for i := r.Lo; i < r.Hi; i++ {
+						seen[i].Add(1)
+					}
 				}
-				for i := lo; i < hi; i++ {
-					seen[i].Add(1)
-				}
-				if !ok {
+				if spanTotal(rs) == 0 {
+					if !c.Empty() {
+						t.Errorf("claimer %d retired holding %d credited iterations", g, c.N())
+					}
 					return
 				}
 			}
@@ -244,5 +243,42 @@ func TestReweightConcurrentCoverage(t *testing.T) {
 		if c := seen[i].Load(); c != 1 {
 			t.Fatalf("iteration %d claimed %d times", i, c)
 		}
+	}
+}
+
+// byName picks one of the claimers.
+func byName(name string) func(ws *ShardedWorkShare, home int, n int64, c *Credit, dst []Range) []Range {
+	for _, cl := range claimers {
+		if cl.name == name {
+			return cl.claim
+		}
+	}
+	panic("no claimer " + name)
+}
+
+// TestReweightConcurrentCoverage races repeated re-partitions against the
+// strict, batch and span paths at ordinary sizes, then against all entry
+// points, one per claimer, at each of the sizes that reach or exceed a shard
+// (short pools, many rounds: a request that large drains a shard per call).
+func TestReweightConcurrentCoverage(t *testing.T) {
+	strict, batch, span := byName("strict"), byName("batch"), byName("span")
+	raceReweight(t, 200000, func(ws *ShardedWorkShare, g, n int, c *Credit, dst []Range) []Range {
+		switch {
+		case g == 0 && n%64 == 63:
+			return span(ws, g%2, 50, c, dst)
+		case n%3 == 0:
+			return batch(ws, g%2, 8, c, dst)
+		}
+		return strict(ws, g%2, 3, c, dst)
+	})
+	const ni = 4096
+	for _, size := range claimSizes(ni / 2)[1:] {
+		t.Run(fmt.Sprintf("n=%d", size), func(t *testing.T) {
+			for round := 0; round < 25; round++ {
+				raceReweight(t, ni, func(ws *ShardedWorkShare, g, n int, c *Credit, dst []Range) []Range {
+					return claimers[(g+round)%len(claimers)].claim(ws, g%2, size, c, dst)
+				})
+			}
+		})
 	}
 }

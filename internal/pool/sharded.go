@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"sync/atomic"
@@ -23,9 +24,9 @@ func (r Range) N() int64 { return r.Hi - r.Lo }
 // HandoffBatch is the multiplier applied to a steal request when it has to
 // be served from a foreign shard: the thief claims up to HandoffBatch times
 // the requested size in one atomic operation and keeps the surplus in a
-// thread-local stash (see TryStealBatch). Amortizing foreign-shard accesses
-// this way keeps cross-core-type cache-line traffic bounded even after a
-// shard drains.
+// thread-local stash (see TryStealBatchFrom). Amortizing foreign-shard
+// accesses this way keeps cross-core-type cache-line traffic bounded even
+// after a shard drains.
 const HandoffBatch = 4
 
 // shard is one sub-pool: a contiguous iteration range with a single claim
@@ -48,34 +49,46 @@ type shard struct {
 	_    [60]byte
 	base int64
 	end  int64
-	// owner is the core type whose threads call this shard home. Foreign
-	// steals exclude shards by owner, not index, because a re-weighted
-	// generation may hold several shards per type.
+	// owner is the core type whose threads call this shard home (a
+	// re-weighted generation may hold several shards per type): the
+	// provenance of every range claimed from it, the key of its distance.
 	owner int32
 	_     [44]byte
 }
 
 // remaining returns the shard's unclaimed iteration count (never negative).
-func (s *shard) remaining() int64 {
-	r := s.end - s.next.Load()
-	if r < 0 {
-		return 0
-	}
-	return r
-}
+func (s *shard) remaining() int64 { return max(s.end-s.next.Load(), 0) }
 
-// claim fetch-and-adds n iterations out of shard s and clips against the
-// shard end. ok=false when the shard was already drained.
+// claim fetch-and-adds up to n iterations out of the shard: the one
+// acquisition behind every fetch-and-add entry point. The request is clamped
+// to the shard's extent first, so no add — successful, overshooting or
+// failed — moves next by more than end-base (the no-overflow bound in
+// doc.go), and the clip against end never forms lo+n beyond it. ok=false
+// when the shard was already drained.
 func (s *shard) claim(n int64) (lo, hi int64, ok bool) {
+	n = min(n, s.end-s.base)
 	lo = s.next.Add(n) - n
 	if lo >= s.end {
 		return 0, 0, false
 	}
-	hi = lo + n
-	if hi > s.end {
-		hi = s.end
+	return lo, lo + min(n, s.end-lo), true
+}
+
+// drain CAS-claims everything the shard has left, [lo, end): the one
+// drain-to-end loop, shared by Reweight and DrainAll. tries counts the CAS
+// attempts; ok=false when the shard was already drained. Concurrent claims
+// serialize against the CAS: work a thief wins first stays with the thief.
+func (s *shard) drain() (lo int64, tries int, ok bool) {
+	for {
+		cur := s.next.Load()
+		if cur >= s.end {
+			return 0, tries, false
+		}
+		tries++
+		if s.next.CompareAndSwap(cur, s.end) {
+			return cur, tries, true
+		}
 	}
-	return lo, hi, true
 }
 
 // generation is one immutable partition of the (remaining) iteration space:
@@ -88,15 +101,14 @@ type generation struct {
 	// byType[t] lists the indexes of the shards owned by core type t, in
 	// iteration order. Every type has at least one (possibly empty) shard.
 	byType [][]int32
-	ntypes int
 }
 
 // clampType maps a home core type onto the generation's type range: indexes
 // beyond the type count clamp to the last type, preserving NewSharded's
 // contract for pools built with fewer shards than the platform has types.
 func (g *generation) clampType(home int) int {
-	if home >= g.ntypes {
-		return g.ntypes - 1
+	if home >= len(g.byType) {
+		return len(g.byType) - 1
 	}
 	return home
 }
@@ -110,12 +122,12 @@ func (g *generation) remaining() int64 {
 	return r
 }
 
-// ShardedWorkShare is the sharded version of WorkShare: the iteration space
-// is partitioned into one contiguous sub-pool per core type, sized
+// ShardedWorkShare is the per-loop iteration pool: the iteration space is
+// partitioned into one contiguous sub-pool per core type, sized
 // proportionally to the number of threads of that type. Threads remove
-// chunks from their home shard with a single fetch-and-add — the same lock
-// free hot path as WorkShare, minus the cross-core-type contention — and
-// fall over to the richest foreign shard when their home shard drains.
+// chunks from their home shard with a single fetch-and-add — libgomp's lock
+// free work_share hot path, minus the cross-core-type contention — and fall
+// over to the nearest foreign shard when their home shard drains.
 //
 // The partition is replaceable mid-loop: Reweight drains the current
 // generation of shards and re-cuts the leftover iterations under new
@@ -169,8 +181,8 @@ type ShardedWorkShare struct {
 // SetTopology must be called before the pool is shared with other threads;
 // it is not synchronized with the claim paths.
 func (ws *ShardedWorkShare) SetTopology(dist [][]int) {
-	if dist != nil && len(dist) < ws.gen.Load().ntypes {
-		panic(fmt.Sprintf("pool: topology matrix covers %d types, pool has %d", len(dist), ws.gen.Load().ntypes))
+	if dist != nil && len(dist) < ws.NumTypes() {
+		panic(fmt.Sprintf("pool: topology matrix covers %d types, pool has %d", len(dist), ws.NumTypes()))
 	}
 	ws.dist = dist
 }
@@ -187,43 +199,21 @@ func (ws *ShardedWorkShare) distOf(a, b int) int {
 	return ws.dist[a][b]
 }
 
-// victimForeign picks the foreign shard a fallen-over claim steals from:
-// the topologically nearest non-drained victim, richest within the nearest
-// distance tier. -1 when every foreign shard is drained.
-func (ws *ShardedWorkShare) victimForeign(g *generation, home int) int {
-	victim, best, bestD := -1, int64(0), int(^uint(0)>>1)
+// victim picks the shard a claim that found its home shards drained moves on
+// to: the topologically nearest shard of g with unclaimed work, seen from
+// core type ht. Within the nearest tier the richest shard wins, or, with
+// inOrder, the first in iteration order (DrainAll's fixed sweep). No shard
+// is excluded by owner or index: every caller has just walked its home
+// shards dry, and drained is absorbing, so those can not be picked again.
+// -1 when every shard is drained.
+func (ws *ShardedWorkShare) victim(g *generation, ht int, inOrder bool) int {
+	victim, best, bestD := -1, int64(0), math.MaxInt
 	for i := range g.shards {
-		o := int(g.shards[i].owner)
-		if o == home {
-			continue
-		}
 		r := g.shards[i].remaining()
 		if r <= 0 {
 			continue
 		}
-		if d := ws.distOf(home, o); d < bestD || (d == bestD && r > best) {
-			victim, best, bestD = i, r, d
-		}
-	}
-	return victim
-}
-
-// victimOther is victimForeign with exclusion by shard index instead of
-// owner — the victim-selection rule of the span path, which walks shards
-// individually and may legitimately revisit other home-owned shards.
-// Distance is measured from core type home to each shard's owner, so
-// same-type leftovers rank before any foreign tier.
-func (ws *ShardedWorkShare) victimOther(g *generation, home, exclude int) int {
-	victim, best, bestD := -1, int64(0), int(^uint(0)>>1)
-	for i := range g.shards {
-		if i == exclude {
-			continue
-		}
-		r := g.shards[i].remaining()
-		if r <= 0 {
-			continue
-		}
-		if d := ws.distOf(home, int(g.shards[i].owner)); d < bestD || (d == bestD && r > best) {
+		if d := ws.distOf(ht, int(g.shards[i].owner)); d < bestD || (d == bestD && r > best && !inOrder) {
 			victim, best, bestD = i, r, d
 		}
 	}
@@ -265,7 +255,7 @@ func checkWeights(weights []int) int64 {
 // NewSharded partitions [0, ni) into one shard per entry of weights, with
 // shard sizes proportional to the weights (typically the per-core-type
 // thread counts). A zero weight yields an empty shard; the weight sum must
-// be positive. ni may be 0; negative values panic like NewWorkShare.
+// be positive. ni may be 0 (an empty loop); negative values panic.
 //
 // A pool may be built with fewer shards than the platform has core types
 // (a single shard preserves the unsharded global consumption order, which
@@ -277,24 +267,7 @@ func NewSharded(ni int64, weights []int) *ShardedWorkShare {
 	}
 	total := checkWeights(weights)
 	ws := &ShardedWorkShare{ni: ni}
-	g := &generation{
-		shards: make([]shard, len(weights)),
-		byType: make([][]int32, len(weights)),
-		ntypes: len(weights),
-	}
-	// Cumulative proportional bounds: monotone and exactly covering [0, ni).
-	cum, lo := int64(0), int64(0)
-	for i, w := range weights {
-		cum += int64(w)
-		hi := propCut(ni, cum, total)
-		s := &g.shards[i]
-		s.base, s.end = lo, hi
-		s.owner = int32(i)
-		s.next.Store(lo)
-		g.byType[i] = []int32{int32(i)}
-		lo = hi
-	}
-	ws.gen.Store(g)
+	ws.gen.Store(buildGeneration([]Range{{Hi: ni}}, ni, weights, total))
 	return ws
 }
 
@@ -306,7 +279,7 @@ func (ws *ShardedWorkShare) NI() int64 { return ws.ni }
 func (ws *ShardedWorkShare) NumShards() int { return len(ws.gen.Load().shards) }
 
 // NumTypes returns the number of core types the pool partitions for.
-func (ws *ShardedWorkShare) NumTypes() int { return ws.gen.Load().ntypes }
+func (ws *ShardedWorkShare) NumTypes() int { return len(ws.gen.Load().byType) }
 
 // ForeignClaims returns the number of successful foreign-shard claims so
 // far — the cross-core-type handoff traffic SF-aware re-weighting reduces.
@@ -316,10 +289,6 @@ func (ws *ShardedWorkShare) ForeignClaims() int64 { return ws.foreign.Load() }
 // shards. Iterations claimed but not yet executed (e.g. a thread-local
 // handoff stash) do not count — they are spoken for.
 func (ws *ShardedWorkShare) Remaining() int64 { return ws.gen.Load().remaining() }
-
-// ShardRemaining returns the unclaimed iteration count of one shard of the
-// current generation.
-func (ws *ShardedWorkShare) ShardRemaining(i int) int64 { return ws.gen.Load().shards[i].remaining() }
 
 // Reweight re-partitions the pool's remaining iterations under new per-type
 // weights: the current generation's shards are drained, the leftovers are
@@ -334,27 +303,19 @@ func (ws *ShardedWorkShare) ShardRemaining(i int) int64 { return ws.gen.Load().s
 func (ws *ShardedWorkShare) Reweight(weights []int) {
 	total := checkWeights(weights)
 	g := ws.gen.Load()
-	if len(weights) != g.ntypes {
-		panic(fmt.Sprintf("pool: reweight with %d weights, pool has %d types", len(weights), g.ntypes))
+	if len(weights) != len(g.byType) {
+		panic(fmt.Sprintf("pool: reweight with %d weights, pool has %d types", len(weights), len(g.byType)))
 	}
 	ws.seq.Add(1) // odd: re-partition in progress
 	// Drain the current generation, collecting the leftover ranges in
-	// iteration order. Concurrent claims serialize against the CAS: work a
-	// thief wins before the drain stays with the thief.
+	// iteration order.
 	var rs []Range
 	var left int64
 	for i := range g.shards {
 		s := &g.shards[i]
-		for {
-			cur := s.next.Load()
-			if cur >= s.end {
-				break
-			}
-			if s.next.CompareAndSwap(cur, s.end) {
-				rs = append(rs, Range{Lo: cur, Hi: s.end})
-				left += s.end - cur
-				break
-			}
+		if lo, _, ok := s.drain(); ok {
+			rs = append(rs, Range{Lo: lo, Hi: s.end})
+			left += s.end - lo
 		}
 		s.dead.Store(true)
 	}
@@ -366,50 +327,41 @@ func (ws *ShardedWorkShare) Reweight(weights []int) {
 // Reweights returns how many re-partitions have been published.
 func (ws *ShardedWorkShare) Reweights() int64 { return ws.reweights.Load() }
 
-// buildGeneration cuts the collected leftover ranges at overflow-safe
-// proportional boundaries into owner-tagged shards. A type whose share
-// lands entirely inside one leftover range gets one shard; shares spanning
-// range gaps get one shard per covered piece. Types left with no work get
-// an empty shard so they always have a home.
+// buildGeneration cuts the unclaimed ranges rs (left iterations in all, in
+// iteration order; consumed in place) at overflow-safe cumulative
+// proportional boundaries — monotone and exactly covering — into
+// owner-tagged shards. A type whose share lands entirely inside one range
+// gets one shard, which is every type of a fresh pool; shares spanning range
+// gaps get one shard per covered piece. Types left with no work get an empty
+// shard so they always have a home.
 func buildGeneration(rs []Range, left int64, weights []int, total int64) *generation {
-	ng := &generation{byType: make([][]int32, len(weights)), ntypes: len(weights)}
-	ri, pos := 0, int64(0) // current range and work consumed so far
-	curLo := int64(0)
-	if ri < len(rs) {
-		curLo = rs[ri].Lo
+	ng := &generation{
+		// One shard per type, one more per range boundary inside a share.
+		shards: make([]shard, 0, len(weights)+max(len(rs), 1)-1),
+		byType: make([][]int32, len(weights)),
 	}
-	cum := int64(0)
+	at := int64(0) // end of the last shard cut
+	add := func(t int, lo, hi int64) {
+		ng.byType[t] = append(ng.byType[t], int32(len(ng.shards)))
+		ng.shards = append(ng.shards, shard{base: lo, end: hi, owner: int32(t)})
+		ng.shards[len(ng.shards)-1].next.Store(lo)
+		at = hi
+	}
+	ri, pos, cum := 0, int64(0), int64(0) // current range, work cut, weight cut
 	for t, w := range weights {
 		cum += int64(w)
-		cut := propCut(left, cum, total)
-		for pos < cut {
-			take := cut - pos
-			if rem := rs[ri].Hi - curLo; take > rem {
-				take = rem
-			}
-			idx := int32(len(ng.shards))
-			ng.shards = append(ng.shards, shard{})
-			s := &ng.shards[idx]
-			s.base, s.end = curLo, curLo+take
-			s.owner = int32(t)
-			ng.byType[t] = append(ng.byType[t], idx)
+		for cut := propCut(left, cum, total); pos < cut; {
+			r := &rs[ri]
+			take := min(cut-pos, r.Hi-r.Lo)
+			add(t, r.Lo, r.Lo+take)
 			pos += take
-			curLo += take
-			if curLo == rs[ri].Hi {
+			if r.Lo += take; r.Lo == r.Hi {
 				ri++
-				if ri < len(rs) {
-					curLo = rs[ri].Lo
-				}
 			}
 		}
 		if len(ng.byType[t]) == 0 {
-			idx := int32(len(ng.shards))
-			ng.shards = append(ng.shards, shard{owner: int32(t)})
-			ng.byType[t] = append(ng.byType[t], idx)
+			add(t, at, at)
 		}
-	}
-	for i := range ng.shards {
-		ng.shards[i].next.Store(ng.shards[i].base)
 	}
 	return ng
 }
@@ -428,37 +380,22 @@ func badSteal(home int, chunk int64) {
 	panic(fmt.Sprintf("pool: bad steal request (home %d, chunk %d)", home, chunk))
 }
 
-// TrySteal removes up to chunk iterations, preferring the caller's home
-// shard and falling over to the richest foreign shard when it drains. It is
-// the strict (unbatched) removal path used by the conventional schedules:
-// every call claims at most chunk iterations, exactly like
-// gomp_iter_dynamic_next. accesses reports the RMW operations performed
-// (minimum 1, the drained-pool observation the caller is charged for).
-// The hot path is one flag load plus one fetch-and-add on the home shard's
-// private cache line.
-func (ws *ShardedWorkShare) TrySteal(home int, chunk int64) (lo, hi int64, accesses int, ok bool) {
-	lo, hi, _, accesses, ok = ws.TryStealBatchFrom(home, chunk, chunk)
-	return lo, hi, accesses, ok
-}
-
-// TryStealBatch is TrySteal with batched handoff: a claim served by the
-// caller's home shard returns at most chunk iterations, but a claim that
-// had to fall over to a foreign shard returns up to batch iterations in one
-// RMW. The caller keeps the surplus in thread-local state, amortizing the
-// contended foreign access. batch must be >= chunk.
-func (ws *ShardedWorkShare) TryStealBatch(home int, chunk, batch int64) (lo, hi int64, accesses int, ok bool) {
-	lo, hi, _, accesses, ok = ws.TryStealBatchFrom(home, chunk, batch)
-	return lo, hi, accesses, ok
-}
-
-// TryStealBatchFrom is TryStealBatch additionally reporting the claimed
-// range's provenance: from is the owner core type of the shard the range
-// came from (the caller's own clamped type on the home fast path), which
-// the cost model prices by topology distance. Foreign victims are picked
-// nearest-first (see SetTopology).
-func (ws *ShardedWorkShare) TryStealBatchFrom(home int, chunk, batch int64) (lo, hi int64, from, accesses int, ok bool) {
-	if chunk <= 0 || home < 0 || batch < chunk {
-		badSteal(home, chunk)
+// acquire is the claim walk (doc.go, "Claim protocol") of the fetch-and-add
+// families — strict, batched handoff, credit — which differ only in the sizes
+// they pass: homeN iterations from the first live home shard, else foreignN
+// from the nearest victim, both tapered as the shard drains when floor > 0
+// (shard.taper). The result is the claimed range as a Credit (its shard and
+// the sequence it was claimed under; the zero Credit when the pool is
+// drained), its provenance (the owner core type of that shard; the caller's
+// own clamped type when drained), and the RMWs performed: one per
+// fetch-and-add, failed ones included, and at least 1 — the drained-pool
+// observation the caller is charged for.
+//
+// The home fast path is one flag load plus one fetch-and-add on the home
+// shard's private cache line; nothing on it is a func value.
+func (ws *ShardedWorkShare) acquire(home int, homeN, foreignN, floor int64) (c Credit, from, accesses int) {
+	if homeN <= 0 || home < 0 || foreignN < homeN {
+		badSteal(home, homeN)
 	}
 	for {
 		seq := ws.seq.Load()
@@ -469,203 +406,150 @@ func (ws *ShardedWorkShare) TryStealBatchFrom(home int, chunk, batch int64) (lo,
 			if s.dead.Load() {
 				continue
 			}
-			if lo = s.next.Add(chunk) - chunk; lo < s.end {
-				if hi = lo + chunk; hi > s.end {
-					hi = s.end
-				}
-				return lo, hi, ht, accesses + 1, true
+			accesses++
+			if lo, hi, ok := s.claim(s.taper(homeN, floor)); ok {
+				return Credit{lo: lo, hi: hi, s: s, seq: seq}, ht, accesses
 			}
 			s.dead.Store(true)
-			accesses++
 		}
-		for {
-			v := ws.victimForeign(g, ht)
-			if v < 0 {
-				break
-			}
+		for v := ws.victim(g, ht, false); v >= 0; v = ws.victim(g, ht, false) {
+			s := &g.shards[v]
 			accesses++
-			if lo, hi, ok = g.shards[v].claim(batch); ok {
+			if lo, hi, ok := s.claim(s.taper(foreignN, floor)); ok {
 				ws.foreign.Add(1)
-				return lo, hi, int(g.shards[v].owner), accesses, true
+				return Credit{lo: lo, hi: hi, s: s, seq: seq}, int(s.owner), accesses
 			}
-			g.shards[v].dead.Store(true)
+			s.dead.Store(true)
 		}
 		if ws.drainedValid(seq) {
-			if accesses == 0 {
-				accesses = 1 // the drained-pool observation
-			}
-			return 0, 0, ht, accesses, false
+			return Credit{}, ht, max(accesses, 1)
 		}
 		runtime.Gosched() // re-partition in flight: retry on the new generation
 	}
 }
 
-// TryStealFunc removes a chunk whose size depends on the total number of
-// remaining iterations, as the guided schedule requires. sizeOf receives
-// the global remaining count (always > 0) and must return a positive size;
-// the claim is CAS-based on a single shard (home preferred) and clipped at
-// the shard boundary. accesses reports RMW attempts including CAS retries.
-func (ws *ShardedWorkShare) TryStealFunc(home int, sizeOf func(remaining int64) int64) (lo, hi int64, accesses int, ok bool) {
-	lo, hi, _, accesses, ok = ws.TryStealFuncFrom(home, sizeOf)
-	return lo, hi, accesses, ok
+// TryStealBatchFrom removes up to chunk iterations from the caller's home
+// shard, or — when that has drained — up to batch iterations from the
+// nearest foreign shard in one RMW (see SetTopology); the caller keeps the
+// surplus in thread-local state, amortizing the contended foreign access.
+// batch == chunk is the strict removal path of the conventional schedules:
+// every call claims at most chunk iterations, exactly like
+// gomp_iter_dynamic_next. batch must be >= chunk. from is the claimed
+// range's provenance, which the cost model prices by topology distance;
+// from and accesses as in acquire.
+func (ws *ShardedWorkShare) TryStealBatchFrom(home int, chunk, batch int64) (lo, hi int64, from, accesses int, ok bool) {
+	c, from, accesses := ws.acquire(home, chunk, batch, 0)
+	return c.lo, c.hi, from, accesses, c.s != nil
 }
 
-// TryStealFuncFrom is TryStealFunc additionally reporting the claimed
-// range's provenance (the owner core type of the shard it was cut from);
-// foreign victims are picked nearest-first when a topology is installed.
+// walk is the same claim walk for the span, drain and guided paths, which
+// differ only in how visit sizes and collects what it takes from one shard.
+// It offers visit the shards of the current generation in claim order — the
+// caller's home shards in iteration order, then victims nearest-first (see
+// victim) — until visit reports it has all it wants; visit must leave a
+// shard it is not done with drained, and reports the RMWs it tried. Returns
+// the caller's clamped home type and the RMWs in all (at least 1, the
+// drained-pool observation).
+func (ws *ShardedWorkShare) walk(home int, inOrder bool, visit func(g *generation, s *shard) (tries int, done bool)) (ht, accesses int) {
+	for {
+		seq := ws.seq.Load()
+		g := ws.gen.Load()
+		ht = g.clampType(home)
+		for _, si := range g.byType[ht] {
+			tries, done := visit(g, &g.shards[si])
+			if accesses += tries; done {
+				return ht, accesses
+			}
+		}
+		for v := ws.victim(g, ht, inOrder); v >= 0; v = ws.victim(g, ht, inOrder) {
+			tries, done := visit(g, &g.shards[v])
+			if accesses += tries; done {
+				return ht, accesses
+			}
+		}
+		if ws.drainedValid(seq) {
+			return ht, max(accesses, 1)
+		}
+		runtime.Gosched() // re-partition in flight: resume on the new generation
+	}
+}
+
+// TryStealFuncFrom removes a chunk whose size depends on the total number
+// of remaining iterations, as the guided schedule requires. sizeOf receives
+// the global remaining count (always > 0) and must return a positive size;
+// the claim is CAS-based on a single shard (home preferred, then
+// nearest-first) and clipped at the shard boundary. from is the claimed
+// range's provenance; accesses counts CAS attempts including retries
+// (minimum 1, the drained-pool observation).
 func (ws *ShardedWorkShare) TryStealFuncFrom(home int, sizeOf func(remaining int64) int64) (lo, hi int64, from, accesses int, ok bool) {
 	if home < 0 {
 		panic(fmt.Sprintf("pool: home shard %d out of range", home))
 	}
-	for {
-		seq := ws.seq.Load()
-		g := ws.gen.Load()
-		ht := g.clampType(home)
-		var s *shard
-		for _, si := range g.byType[ht] {
-			if g.shards[si].remaining() > 0 {
-				s = &g.shards[si]
-				break
+	ht, accesses := ws.walk(home, false, func(g *generation, s *shard) (tries int, done bool) {
+		for {
+			cur := s.next.Load()
+			if cur >= s.end {
+				return tries, false
+			}
+			rem := g.remaining()
+			if rem <= 0 {
+				continue // raced to empty; the reload sees it
+			}
+			size := sizeOf(rem)
+			if size <= 0 {
+				panic(fmt.Sprintf("pool: sizeOf returned non-positive size %d", size))
+			}
+			size = min(size, s.end-cur)
+			tries++
+			if s.next.CompareAndSwap(cur, cur+size) {
+				lo, hi, from, ok = cur, cur+size, int(s.owner), true
+				return tries, true
 			}
 		}
-		if s == nil {
-			v := ws.victimForeign(g, ht)
-			if v < 0 {
-				if ws.drainedValid(seq) {
-					if accesses == 0 {
-						accesses = 1
-					}
-					return 0, 0, ht, accesses, false
-				}
-				runtime.Gosched()
-				continue
-			}
-			s = &g.shards[v]
-		}
-		cur := s.next.Load()
-		if cur >= s.end {
-			continue // raced to empty; re-select
-		}
-		rem := g.remaining()
-		if rem <= 0 {
-			continue
-		}
-		size := sizeOf(rem)
-		if size <= 0 {
-			panic(fmt.Sprintf("pool: sizeOf returned non-positive size %d", size))
-		}
-		hi = cur + size
-		if hi > s.end {
-			hi = s.end
-		}
-		accesses++
-		if s.next.CompareAndSwap(cur, hi) {
-			return cur, hi, int(s.owner), accesses, true
-		}
+	})
+	if !ok {
+		from = ht
 	}
+	return lo, hi, from, accesses, ok
 }
 
 // StealSpan claims up to want iterations across shards (home shards first,
-// then nearest-first foreign shards) and appends them to dst as contiguous,
+// then nearest-first) and appends them to dst as contiguous,
 // provenance-tagged ranges, returning the extended slice. The AID final
 // assignment uses it so an allotment that exceeds the home shard is not
 // silently truncated; dst is the caller's per-thread stash, so a span per
 // AID phase allocates nothing once the stash has grown to the shard count.
-// Nothing appended means the pool is drained.
+// Nothing appended means the pool is drained. accesses counts the
+// fetch-and-adds (minimum 1 on a drained pool).
 func (ws *ShardedWorkShare) StealSpan(home int, want int64, dst []Range) (rs []Range, accesses int) {
 	if want <= 0 {
 		panic(fmt.Sprintf("pool: non-positive span want %d", want))
 	}
 	rs = dst
-	for {
-		seq := ws.seq.Load()
-		g := ws.gen.Load()
-		ht := g.clampType(home)
-		got := int64(0)
-		pick := int(g.byType[ht][0])
-		hi := 0 // next home shard to fall over to
-		for got < want {
-			s := &g.shards[pick]
-			if s.remaining() > 0 {
-				accesses++
-				if lo, shi, ok := s.claim(want - got); ok {
-					rs = append(rs, Range{Lo: lo, Hi: shi, From: s.owner})
-					got += shi - lo
-					continue
-				}
+	_, accesses = ws.walk(home, false, func(_ *generation, s *shard) (tries int, done bool) {
+		if s.remaining() > 0 {
+			tries = 1
+			if lo, hi, ok := s.claim(want); ok {
+				rs = append(rs, Range{Lo: lo, Hi: hi, From: s.owner})
+				want -= hi - lo
 			}
-			if hi++; hi < len(g.byType[ht]) {
-				pick = int(g.byType[ht][hi])
-				continue
-			}
-			next := ws.victimOther(g, ht, pick)
-			if next < 0 || next == pick {
-				break
-			}
-			pick = next
 		}
-		if got > 0 {
-			return rs, accesses
-		}
-		if ws.drainedValid(seq) {
-			if accesses == 0 {
-				accesses = 1 // drained-pool observation
-			}
-			return rs, accesses
-		}
-		runtime.Gosched()
-	}
+		return tries, want == 0
+	})
+	return rs, accesses
 }
 
 // DrainAll claims every remaining iteration, home shards first and foreign
-// shards in nearest-tier order, as a list of contiguous, provenance-tagged
-// ranges. It is the sharded analog of TryStealRest, used by the AID-static
-// last-thread assignment so SF rounding never orphans work.
+// shards tier by tier in iteration order, as a list of contiguous,
+// provenance-tagged ranges. The AID-static last-thread assignment uses it so
+// SF rounding never orphans work. accesses counts CAS attempts (minimum 1).
 func (ws *ShardedWorkShare) DrainAll(home int) (rs []Range, accesses int) {
-	for {
-		seq := ws.seq.Load()
-		g := ws.gen.Load()
-		ht := g.clampType(home)
-		order := make([]int, 0, len(g.shards))
-		for _, si := range g.byType[ht] {
-			order = append(order, int(si))
+	_, accesses = ws.walk(home, true, func(_ *generation, s *shard) (tries int, done bool) {
+		lo, tries, ok := s.drain()
+		if ok {
+			rs = append(rs, Range{Lo: lo, Hi: s.end, From: s.owner})
 		}
-		maxD := 0
-		for i := range g.shards {
-			if d := ws.distOf(ht, int(g.shards[i].owner)); d > maxD {
-				maxD = d
-			}
-		}
-		for d := 0; d <= maxD; d++ {
-			for i := range g.shards {
-				if o := int(g.shards[i].owner); o != ht && ws.distOf(ht, o) == d {
-					order = append(order, i)
-				}
-			}
-		}
-		for _, i := range order {
-			s := &g.shards[i]
-			for {
-				cur := s.next.Load()
-				if cur >= s.end {
-					break
-				}
-				accesses++
-				if s.next.CompareAndSwap(cur, s.end) {
-					rs = append(rs, Range{Lo: cur, Hi: s.end, From: s.owner})
-					break
-				}
-			}
-		}
-		if len(rs) > 0 {
-			return rs, accesses
-		}
-		if ws.drainedValid(seq) {
-			if accesses == 0 {
-				accesses = 1
-			}
-			return nil, accesses
-		}
-		runtime.Gosched()
-	}
+		return tries, false
+	})
+	return rs, accesses
 }

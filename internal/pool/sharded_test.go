@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,9 +58,10 @@ func TestShardedValidation(t *testing.T) {
 		func() { NewSharded(10, nil) },
 		func() { NewSharded(10, []int{0, 0}) },
 		func() { NewSharded(10, []int{-1, 2}) },
-		func() { NewSharded(10, []int{1}).TrySteal(0, 0) },
-		func() { NewSharded(10, []int{1}).TrySteal(-1, 1) },
-		func() { NewSharded(10, []int{1}).TryStealBatch(0, 4, 2) },
+		func() { NewSharded(10, []int{1}).TryStealBatchFrom(0, 0, 0) },
+		func() { NewSharded(10, []int{1}).TryStealBatchFrom(-1, 1, 1) },
+		func() { NewSharded(10, []int{1}).TryStealBatchFrom(0, 4, 2) },
+		func() { NewSharded(10, []int{1}).TryStealCredit(0, 0, new(Credit)) },
 		func() { NewSharded(10, []int{1}).StealSpan(0, 0, nil) },
 	} {
 		func() {
@@ -93,33 +95,98 @@ func cover(t *testing.T, ni int64, fn func(mark func(lo, hi int64))) {
 	}
 }
 
+// claimers are the five claim entry points (TryStealBatchFrom twice: strict
+// and with batched handoff) behind one shape: claim about n iterations for
+// home, append what came back to dst. Nothing appended means drained.
+var claimers = []struct {
+	name  string
+	claim func(ws *ShardedWorkShare, home int, n int64, c *Credit, dst []Range) []Range
+}{
+	{"strict", func(ws *ShardedWorkShare, home int, n int64, _ *Credit, dst []Range) []Range {
+		lo, hi, from, _, _ := ws.TryStealBatchFrom(home, n, n)
+		return append(dst, Range{Lo: lo, Hi: hi, From: int32(from)})
+	}},
+	{"batch", func(ws *ShardedWorkShare, home int, n int64, _ *Credit, dst []Range) []Range {
+		lo, hi, from, _, _ := ws.TryStealBatchFrom(home, 2, n)
+		return append(dst, Range{Lo: lo, Hi: hi, From: int32(from)})
+	}},
+	{"credit", func(ws *ShardedWorkShare, home int, n int64, c *Credit, dst []Range) []Range {
+		lo, hi, st, _ := ws.TryStealCredit(home, n, c)
+		return append(dst, Range{Lo: lo, Hi: hi, From: int32(st.From)})
+	}},
+	{"func", func(ws *ShardedWorkShare, home int, n int64, _ *Credit, dst []Range) []Range {
+		lo, hi, from, _, _ := ws.TryStealFuncFrom(home, func(int64) int64 { return n })
+		return append(dst, Range{Lo: lo, Hi: hi, From: int32(from)})
+	}},
+	{"span", func(ws *ShardedWorkShare, home int, n int64, _ *Credit, dst []Range) []Range {
+		rs, _ := ws.StealSpan(home, n, dst)
+		return rs
+	}},
+	{"drain", func(ws *ShardedWorkShare, home int, _ int64, _ *Credit, dst []Range) []Range {
+		rs, _ := ws.DrainAll(home)
+		return append(dst, rs...)
+	}},
+}
+
+// claimSizes are the request sizes every entry point must survive on a pool
+// whose shards hold extent iterations: an ordinary chunk, exactly one shard,
+// one more than a shard, and the two sizes whose sums and products leave
+// int64 (the parser accepts both as a chunk).
+func claimSizes(extent int64) []int64 {
+	return []int64{7, extent, extent + 1, 1 << 62, math.MaxInt64}
+}
+
+// spanTotal sums the iterations of rs; drained claimers append an empty
+// range, which counts for nothing.
+func spanTotal(rs []Range) int64 {
+	var n int64
+	for _, r := range rs {
+		n += r.N()
+	}
+	return n
+}
+
 func TestShardedStealCoverage(t *testing.T) {
 	const ni = 1003
-	cover(t, ni, func(mark func(lo, hi int64)) {
-		ws := NewSharded(ni, []int{2, 2})
-		for home := 0; ; home = 1 - home {
-			lo, hi, acc, ok := ws.TrySteal(home, 7)
-			if !ok {
-				if acc < 1 {
-					t.Fatal("failed steal reported no accesses")
-				}
-				break
-			}
-			mark(lo, hi)
+	for _, cl := range claimers {
+		for _, n := range claimSizes(ni / 2) {
+			t.Run(fmt.Sprintf("%s/n=%d", cl.name, n), func(t *testing.T) {
+				cover(t, ni, func(mark func(lo, hi int64)) {
+					ws := NewSharded(ni, []int{2, 2})
+					var c Credit
+					for home := 0; ; home = 1 - home {
+						rs := cl.claim(ws, home, n, &c, nil)
+						if spanTotal(rs) == 0 {
+							break
+						}
+						for _, r := range rs {
+							mark(r.Lo, r.Hi)
+						}
+					}
+					if !c.Empty() || ws.Remaining() != 0 {
+						t.Fatalf("drained with %d credited, %d unclaimed", c.N(), ws.Remaining())
+					}
+				})
+			})
 		}
-	})
+	}
+	// A failed steal still reports the access it paid.
+	ws := NewSharded(0, []int{2, 2})
+	if _, _, _, acc, ok := ws.TryStealBatchFrom(0, 7, 7); ok || acc < 1 {
+		t.Fatalf("steal from an empty pool: ok=%v accesses=%d", ok, acc)
+	}
 }
 
 func TestShardedHandoffBatches(t *testing.T) {
 	// Home shard 0 is empty (zero weight); a chunk-1 batched steal must
 	// come back from the foreign shard with up to batch iterations.
 	ws := NewSharded(100, []int{0, 1})
-	lo, hi, _, ok := ws.TryStealBatch(0, 1, 8)
+	lo, hi, _, _, ok := ws.TryStealBatchFrom(0, 1, 8)
 	if !ok || hi-lo != 8 {
 		t.Fatalf("handoff claim = [%d,%d) ok=%v, want 8 iterations", lo, hi, ok)
 	}
 	// Strict steal never exceeds the requested chunk, even on handoff.
-	lo, hi, _, ok = ws.TrySteal(0, 3)
+	lo, hi, _, _, ok = ws.TryStealBatchFrom(0, 3, 3)
 	if !ok || hi-lo != 3 {
 		t.Fatalf("strict handoff claim = [%d,%d) ok=%v, want 3 iterations", lo, hi, ok)
 	}
@@ -127,7 +194,7 @@ func TestShardedHandoffBatches(t *testing.T) {
 
 func TestShardedHomeClamp(t *testing.T) {
 	ws := NewSharded(10, []int{4})
-	lo, hi, _, ok := ws.TrySteal(3, 5) // home beyond shard count clamps
+	lo, hi, _, _, ok := ws.TryStealBatchFrom(3, 5, 5) // home beyond shard count clamps
 	if !ok || lo != 0 || hi != 5 {
 		t.Fatalf("clamped steal = [%d,%d) ok=%v", lo, hi, ok)
 	}
@@ -170,21 +237,13 @@ func TestShardedSpanAndDrain(t *testing.T) {
 	})
 }
 
-func spanTotal(rs []Range) int64 {
-	var n int64
-	for _, r := range rs {
-		n += r.N()
-	}
-	return n
-}
-
 func TestShardedStealFunc(t *testing.T) {
 	const ni = 1000
 	cover(t, ni, func(mark func(lo, hi int64)) {
 		ws := NewSharded(ni, []int{2, 2})
 		first := true
 		for {
-			lo, hi, _, ok := ws.TryStealFunc(1, func(rem int64) int64 {
+			lo, hi, _, _, ok := ws.TryStealFuncFrom(1, func(rem int64) int64 {
 				if first {
 					if rem != ni {
 						t.Fatalf("first sizeOf saw remaining %d, want %d", rem, ni)
@@ -231,9 +290,9 @@ func TestShardedConcurrentCoverage(t *testing.T) {
 					}
 					ok = len(rs) > 0
 				case n%3 == 0:
-					lo, hi, _, ok = ws.TryStealBatch(home, 2, 8)
+					lo, hi, _, _, ok = ws.TryStealBatchFrom(home, 2, 8)
 				default:
-					lo, hi, _, ok = ws.TrySteal(home, 3)
+					lo, hi, _, _, ok = ws.TryStealBatchFrom(home, 3, 3)
 				}
 				for i := lo; i < hi; i++ {
 					seen[i].Add(1)
@@ -249,33 +308,6 @@ func TestShardedConcurrentCoverage(t *testing.T) {
 		if c := seen[i].Load(); c != 1 {
 			t.Fatalf("iteration %d claimed %d times", i, c)
 		}
-	}
-}
-
-// BenchmarkChunkRemoval compares chunk removal from the single-counter pool
-// against the sharded pool under increasing goroutine counts. The headline
-// numbers: at 1 thread the sharded fast path must not be slower (it is the
-// same single fetch-and-add, plus a shard bound check), and at >=8 threads
-// on real multicore hardware the per-core-type shards relieve the
-// cache-line contention the single counter suffers. (On a single-CPU
-// machine goroutines timeshare and the contention difference vanishes.)
-func BenchmarkChunkRemoval(b *testing.B) {
-	for _, threads := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("pool=single/threads=%d", threads), func(b *testing.B) {
-			ws := NewWorkShare(int64(b.N) + 1024)
-			benchSteal(b, threads, func(int) func() {
-				return func() { ws.TrySteal(1) }
-			})
-		})
-		b.Run(fmt.Sprintf("pool=sharded/threads=%d", threads), func(b *testing.B) {
-			// Two core types, threads split between them, pool sized so no
-			// shard drains: pure hot-path measurement.
-			ws := NewSharded(int64(b.N)*2+4096, []int{1, 1})
-			benchSteal(b, threads, func(g int) func() {
-				home := g % 2
-				return func() { ws.TrySteal(home, 1) }
-			})
-		})
 	}
 }
 

@@ -24,11 +24,11 @@ func newTopo4(ni int64) *ShardedWorkShare {
 func TestNearestVictimSteal(t *testing.T) {
 	ws := newTopo4(400) // shards of 100 per type
 	// Make the near victim (type 2) poorer than the far ones.
-	if _, _, _, ok := ws.TrySteal(2, 30); !ok {
+	if _, _, _, _, ok := ws.TryStealBatchFrom(2, 30, 30); !ok {
 		t.Fatal("priming claim failed")
 	}
 	// Drain type 0's home shard.
-	if lo, hi, _, ok := ws.TrySteal(0, 100); !ok || lo != 0 || hi != 100 {
+	if lo, hi, _, _, ok := ws.TryStealBatchFrom(0, 100, 100); !ok || lo != 0 || hi != 100 {
 		t.Fatalf("home drain got [%d,%d) ok=%v", lo, hi, ok)
 	}
 	// First foreign claim must come from type 2 (distance 1, 70 left)
@@ -52,9 +52,9 @@ func TestNearestVictimSteal(t *testing.T) {
 	}
 	// Without a topology the same setup steals from the richest shard.
 	ws = NewSharded(400, []int{1, 1, 1, 1})
-	ws.TrySteal(2, 30)
-	ws.TrySteal(1, 60)
-	ws.TrySteal(0, 100)
+	ws.TryStealBatchFrom(2, 30, 30)
+	ws.TryStealBatchFrom(1, 60, 60)
+	ws.TryStealBatchFrom(0, 100, 100)
 	if _, _, from, _, ok := ws.TryStealBatchFrom(0, 10, 40); !ok || from != 3 {
 		t.Fatalf("richest-only fallback claimed from type %d, want 3", from)
 	}
@@ -104,7 +104,7 @@ func TestCreditProvenance(t *testing.T) {
 	}
 	// Drain the rest of the home shard behind the credit's back (the first
 	// credit acquisition consumed [0,31): a 31-iteration clamped batch).
-	if lo, hi, _, ok := ws.TrySteal(0, 969); !ok || hi-lo != 969 {
+	if lo, hi, _, _, ok := ws.TryStealBatchFrom(0, 969, 969); !ok || hi-lo != 969 {
 		t.Fatalf("home drain got [%d,%d) ok=%v", lo, hi, ok)
 	}
 	// Draws against the surviving credit still report the home provenance...

@@ -14,7 +14,7 @@ import (
 // signal is that aggregate throughput (the iters/s metric) holds steady or
 // improves as tenancy rises — the registry control plane must not collapse
 // when many loops share the fleet. It is the rt-level companion of
-// internal/pool's BenchmarkChunkRemoval.
+// internal/pool's BenchmarkHotPath.
 func BenchmarkMultiLoop(b *testing.B) {
 	const totalIters = 1 << 17
 	for _, nloops := range []int{1, 4, 16} {
