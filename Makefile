@@ -16,8 +16,11 @@
 #                  a Go test in cmd/aidtrace, so tier-1 runs it too)
 #   make alloc-check - the zero-allocation and cache-line-layout gates: the
 #                  AllocsPerRun assertions and unsafe.Offsetof layout tests
-#                  over the pool/core/rt hot paths (run without -race; the
-#                  race run covers the same tests with the gates skipped)
+#                  over the pool/core/rt hot paths, the simulator's
+#                  per-repetition gate (TestRunProgramAllocs) and the event
+#                  codec's per-event gate (TestEventCodecAllocs) (run without
+#                  -race; the race run covers the same tests with the gates
+#                  skipped)
 #   make zoo-check - the platform-zoo gates: JSON codec round-trip and
 #                  Validate rejections in internal/amp, the exactly-once
 #                  conformance harness over every named platform, and the
@@ -88,7 +91,7 @@ replay-determinism:
 # instrumentation allocates; the tests skip themselves under -race), and
 # with -count=1 so a cached pass cannot mask a fresh regression.
 alloc-check:
-	$(GO) test -count=1 -run 'Allocs|Layout' ./internal/pool/ ./internal/core/ ./internal/rt/ ./internal/obs/
+	$(GO) test -count=1 -run 'Allocs|Layout' ./internal/pool/ ./internal/core/ ./internal/rt/ ./internal/obs/ ./internal/sim/ ./internal/trace/
 
 # The zoo gates run with -count=1 so a cached pass cannot mask a fresh
 # regression in a preset or the codec.

@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/amp"
@@ -32,26 +33,26 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table (fig6/fig7)")
 	flag.Parse()
 
-	if err := run(*exp, *csv); err != nil {
+	if err := run(os.Stdout, *exp, *csv); err != nil {
 		fmt.Fprintln(os.Stderr, "aidbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, csv bool) error {
+func run(w io.Writer, exp string, csv bool) error {
 	switch exp {
 	case "fig6":
-		return fig(amp.PlatformA(), csv)
+		return fig(w, amp.PlatformA(), csv)
 	case "fig7":
-		return fig(amp.PlatformB(), csv)
+		return fig(w, amp.PlatformB(), csv)
 	case "table2":
-		return table2()
+		return table2(w)
 	case "fig8":
 		f, err := exps.RunFig8()
 		if err != nil {
 			return err
 		}
-		fmt.Print(f.Render())
+		fmt.Fprint(w, f.Render())
 		return nil
 	case "fig9":
 		for _, pl := range []*amp.Platform{amp.PlatformA(), amp.PlatformB()} {
@@ -59,8 +60,8 @@ func run(exp string, csv bool) error {
 			if err != nil {
 				return err
 			}
-			fmt.Print(f.Render())
-			fmt.Println()
+			fmt.Fprint(w, f.Render())
+			fmt.Fprintln(w)
 		}
 		return nil
 	case "fig9c":
@@ -68,7 +69,7 @@ func run(exp string, csv bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(f.Render())
+		fmt.Fprint(w, f.Render())
 		return nil
 	case "guided":
 		for _, pl := range []*amp.Platform{amp.PlatformA(), amp.PlatformB()} {
@@ -76,8 +77,8 @@ func run(exp string, csv bool) error {
 			if err != nil {
 				return err
 			}
-			fmt.Print(g.Render())
-			fmt.Println()
+			fmt.Fprint(w, g.Render())
+			fmt.Fprintln(w)
 		}
 		return nil
 	case "hybridpct":
@@ -85,22 +86,22 @@ func run(exp string, csv bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(h.Render())
+		fmt.Fprint(w, h.Render())
 		return nil
 	case "zoo":
 		z, err := exps.RunZoo()
 		if err != nil {
 			return err
 		}
-		fmt.Print(z.Render())
+		fmt.Fprint(w, z.Render())
 		return nil
 	case "all":
 		for _, e := range []string{"fig6", "fig7", "table2", "fig8", "fig9", "fig9c", "guided", "hybridpct", "zoo"} {
-			fmt.Printf("==== %s ====\n", e)
-			if err := run(e, csv); err != nil {
+			fmt.Fprintf(w, "==== %s ====\n", e)
+			if err := run(w, e, csv); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		return nil
 	default:
@@ -108,20 +109,20 @@ func run(exp string, csv bool) error {
 	}
 }
 
-func fig(pl *amp.Platform, csv bool) error {
+func fig(w io.Writer, pl *amp.Platform, csv bool) error {
 	f, err := exps.RunFig6(pl)
 	if err != nil {
 		return err
 	}
 	if csv {
-		fmt.Print(f.CSV())
+		fmt.Fprint(w, f.CSV())
 	} else {
-		fmt.Print(f.Render())
+		fmt.Fprint(w, f.Render())
 	}
 	return nil
 }
 
-func table2() error {
+func table2(w io.Writer) error {
 	fa, err := exps.RunFig6(amp.PlatformA())
 	if err != nil {
 		return err
@@ -130,6 +131,6 @@ func table2() error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(exps.RunTable2(fa, fb).Render())
+	fmt.Fprint(w, exps.RunTable2(fa, fb).Render())
 	return nil
 }

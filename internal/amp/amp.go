@@ -178,6 +178,7 @@ type Platform struct {
 	Overhead Overheads
 
 	cores []coreInfo // flattened topology
+	dist  [][]int    // cluster-to-cluster distances, built once by New
 }
 
 type coreInfo struct {
@@ -253,6 +254,13 @@ func New(name string, clusters []Cluster, ov Overheads) (*Platform, error) {
 	if p.Overhead.LocalityRemoteNs == 0 {
 		p.Overhead.LocalityRemoteNs = 2.5 * p.Overhead.LocalityPenaltyNs
 	}
+	p.dist = make([][]int, len(p.Clusters))
+	for i := range p.dist {
+		p.dist[i] = make([]int, len(p.Clusters))
+		for j := range p.dist[i] {
+			p.dist[i][j] = p.ClusterDist(i, j)
+		}
+	}
 	return p, nil
 }
 
@@ -271,17 +279,11 @@ func (p *Platform) ClusterDist(a, b int) int {
 }
 
 // TypeDist returns the full cluster-to-cluster distance matrix (see
-// ClusterDist), in the shape pool.SetTopology and core.LoopInfo consume.
-func (p *Platform) TypeDist() [][]int {
-	d := make([][]int, len(p.Clusters))
-	for i := range d {
-		d[i] = make([]int, len(p.Clusters))
-		for j := range d[i] {
-			d[i][j] = p.ClusterDist(i, j)
-		}
-	}
-	return d
-}
+// ClusterDist), in the shape pool.SetTopology and core.LoopInfo consume. The
+// matrix is built once, by New, from the clusters' packages as they were
+// then, and every call returns that same matrix: it is shared by every pool,
+// scheduler and engine of the platform and must be treated as read-only.
+func (p *Platform) TypeDist() [][]int { return p.dist }
 
 // Validate checks the platform description for the malformations a hand-
 // written or corrupted platform file can carry: zero-core clusters,

@@ -48,6 +48,8 @@ type AIDAuto struct {
 	mu        sync.Mutex
 	th        []perThread
 	samples   []float64 // per-thread per-iteration sampling time (scaled)
+	typeAvg   []float64 // decide's per-type mean sampling time
+	counts    []int     // threads per core type
 	decided   bool
 	irregular bool
 	cv        float64
@@ -56,7 +58,7 @@ type AIDAuto struct {
 	sf       []float64
 	k        float64
 	assigned int
-	dyn      *AIDDynamic // initialized lazily for irregular loops
+	dyn      *AIDDynamic // allocated by the first irregular loop, re-adopted by later ones
 
 	// observe, when non-nil, receives the classification decision and is
 	// forwarded to the adopted AID-dynamic instance (decision-capture hook
@@ -72,9 +74,6 @@ func (a *AIDAuto) SetPhaseObserver(fn func(PhaseEvent)) { a.observe = fn }
 // chunk used for irregular loops, and threshold the CV above which a loop
 // counts as irregular (0 selects the default of 0.25).
 func NewAIDAuto(info LoopInfo, chunk int64, pct float64, major int64, threshold float64) (*AIDAuto, error) {
-	if err := info.Validate(); err != nil {
-		return nil, err
-	}
 	if chunk <= 0 {
 		return nil, fmt.Errorf("core: AID-auto sampling chunk must be positive, got %d", chunk)
 	}
@@ -90,23 +89,43 @@ func NewAIDAuto(info LoopInfo, chunk int64, pct float64, major int64, threshold 
 	if threshold == 0 {
 		threshold = 0.25
 	}
-	return &AIDAuto{
-		info:      info,
+	a := &AIDAuto{
 		chunk:     chunk,
 		pct:       pct,
 		major:     major,
 		threshold: threshold,
-		// A single shard, deliberately: the CV classifier reads cost
-		// variation out of the sampling chunks, which must tile one
-		// contiguous global window of the iteration space — per-type
-		// shards would fragment the window and alias against block-
-		// structured cost patterns. The adopted AID-dynamic inherits the
-		// pool; the pool clamps core-type home indexes to its shard count.
-		ws:      pool.NewSharded(info.NI, []int{info.NThreads}),
-		sc:      pool.NewSampleCounters(info.NumTypes, info.NThreads),
-		th:      make([]perThread, info.NThreads),
-		samples: make([]float64, info.NThreads),
-	}, nil
+		ws:        new(pool.ShardedWorkShare),
+		sc:        new(pool.SampleCounters),
+	}
+	if err := a.Reset(info); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Reset implements Resettable: the loop is sampled and classified afresh.
+func (a *AIDAuto) Reset(info LoopInfo) error {
+	if err := info.Validate(); err != nil {
+		return err
+	}
+	a.info = info
+	// A single shard, deliberately: the CV classifier reads cost variation
+	// out of the sampling chunks, which must tile one contiguous global
+	// window of the iteration space — per-type shards would fragment the
+	// window and alias against block-structured cost patterns. The adopted
+	// AID-dynamic inherits the pool; the pool clamps core-type home indexes
+	// to its shard count.
+	a.ws.Reset(info.NI, []int{info.NThreads})
+	a.sc.Resize(info.NumTypes, info.NThreads)
+	a.th = resetThreads(a.th, info.NThreads)
+	a.samples = sized(a.samples, info.NThreads)
+	a.typeAvg = sized(a.typeAvg, info.NumTypes)
+	a.counts = info.typeCounts(a.counts)
+	a.sf = sized(a.sf, info.NumTypes)
+	a.decided, a.irregular, a.cv = false, false, 0
+	a.k, a.assigned = 0, 0
+	a.observe = nil
+	return nil
 }
 
 // Name implements Scheduler.
@@ -132,9 +151,8 @@ func (a *AIDAuto) take(tid int, st *perThread, n int64, asg *Assign) (Assign, bo
 // per-iteration times, then locks in the variant.
 func (a *AIDAuto) decide() {
 	// Per-type means (the SF estimate, identical to AID-static's).
-	a.sf = make([]float64, a.info.NumTypes)
 	slowest := 0.0
-	typeAvg := make([]float64, a.info.NumTypes)
+	typeAvg := a.typeAvg
 	for t := 0; t < a.info.NumTypes; t++ {
 		if avg, ok := a.sc.Avg(t); ok {
 			typeAvg[t] = avg
@@ -175,14 +193,17 @@ func (a *AIDAuto) decide() {
 	if a.irregular {
 		// Hand the remaining pool to an AID-dynamic instance seeded with
 		// the estimated R, skipping its own sampling phase.
-		a.dyn = newAIDDynamicAdopting(a.info, a.chunk, a.major, a.ws, a.sf)
+		if a.dyn == nil {
+			a.dyn = &AIDDynamic{sc: new(pool.SampleCounters)}
+		}
+		a.dyn.adopt(a.info, a.chunk, a.major, a.ws, a.sf)
 		if a.observe != nil {
 			a.dyn.SetPhaseObserver(a.observe)
 		}
 		return
 	}
 	denom := 0.0
-	for t, cnt := range a.info.typeCounts() {
+	for t, cnt := range a.counts {
 		denom += float64(cnt) * a.sf[t]
 	}
 	if denom > 0 {
@@ -298,20 +319,12 @@ func sqrt(x float64) float64 {
 	return z
 }
 
-// newAIDDynamicAdopting builds an AID-dynamic instance that adopts an
-// existing iteration pool and a pre-computed R table, entering the AID-phase
-// regime directly (its own sampling already happened in the caller).
-func newAIDDynamicAdopting(info LoopInfo, m, major int64, ws *pool.ShardedWorkShare, r []float64) *AIDDynamic {
-	d := &AIDDynamic{
-		info:  info,
-		m:     m,
-		M:     major,
-		ws:    ws,
-		sc:    pool.NewSampleCounters(info.NumTypes, info.NThreads),
-		th:    make([]aidDynThread, info.NThreads),
-		types: info.atomicTypes(),
-		rbuf:  newRBuf(info.NumTypes),
-	}
+// adopt arms d as an AID-dynamic schedule that takes over an existing
+// iteration pool and a pre-computed R table, entering the AID-phase regime
+// directly (its own sampling already happened in the caller).
+func (d *AIDDynamic) adopt(info LoopInfo, m, major int64, ws *pool.ShardedWorkShare, r []float64) {
+	d.m, d.M, d.ws = m, major, ws
+	d.rearm(info)
 	for i, v := range r {
 		d.rbuf[0][i] = clampR(v)
 	}
@@ -322,5 +335,4 @@ func newAIDDynamicAdopting(info LoopInfo, m, major int64, ws *pool.ShardedWorkSh
 	for tid := range d.th {
 		d.th[tid].state = stSamplingWait
 	}
-	return d
 }

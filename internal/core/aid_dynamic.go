@@ -42,8 +42,9 @@ type AIDDynamic struct {
 	ws *pool.ShardedWorkShare
 	sc *pool.SampleCounters
 
-	th    []aidDynThread
-	types []atomic.Int32 // per-thread core type; mutable via Migrate (§4.3)
+	th     []aidDynThread
+	types  []atomic.Int32 // per-thread core type; mutable via Migrate (§4.3)
+	counts []int          // threads per core type, as the loop started
 
 	// phase packs (epoch, remaining): epoch 0 is the initial sampling, n>0
 	// the nth AID phase. r is published by pointer swap inside the
@@ -102,32 +103,54 @@ type aidDynThread struct {
 // NewAIDDynamic returns an AID-dynamic scheduler with minor chunk m and
 // Major chunk M (the paper's default experiments use m=1, M=5).
 func NewAIDDynamic(info LoopInfo, m, M int64) (*AIDDynamic, error) {
-	if err := info.Validate(); err != nil {
-		return nil, err
-	}
 	if m <= 0 {
 		return nil, fmt.Errorf("core: minor chunk must be positive, got %d", m)
 	}
 	if M < m {
 		return nil, fmt.Errorf("core: Major chunk %d must be >= minor chunk %d", M, m)
 	}
-	a := &AIDDynamic{
-		info:  info,
-		m:     m,
-		M:     M,
-		ws:    info.newSharded(),
-		sc:    pool.NewSampleCounters(info.NumTypes, info.NThreads),
-		th:    make([]aidDynThread, info.NThreads),
-		types: info.atomicTypes(),
-		rbuf:  newRBuf(info.NumTypes),
+	a := &AIDDynamic{m: m, M: M, ws: new(pool.ShardedWorkShare), sc: new(pool.SampleCounters)}
+	if err := a.Reset(info); err != nil {
+		return nil, err
 	}
-	a.phase.init(0, info.NThreads)
 	return a, nil
 }
 
-// newRBuf allocates the two alternating R tables of one scheduler.
-func newRBuf(numTypes int) [2][]float64 {
-	return [2][]float64{make([]float64, numTypes), make([]float64, numTypes)}
+// Reset implements Resettable: a new pool cut, and the schedule starts over
+// at its initial sampling phase.
+func (a *AIDDynamic) Reset(info LoopInfo) error {
+	if err := info.Validate(); err != nil {
+		return err
+	}
+	a.rearm(info)
+	info.resetPool(a.ws, a.counts)
+	a.phase.init(0, info.NThreads)
+	return nil
+}
+
+// rearm starts every piece of per-loop state over except the pool and the
+// phase word: Reset and adopt, the two ways into a loop, set those.
+func (a *AIDDynamic) rearm(info LoopInfo) {
+	a.info = info
+	a.counts = info.typeCounts(a.counts)
+	a.sc.Resize(info.NumTypes, info.NThreads)
+	if cap(a.th) < info.NThreads {
+		a.th = make([]aidDynThread, info.NThreads)
+	}
+	a.th = a.th[:info.NThreads]
+	for i := range a.th {
+		stash := a.th[i].pending[:0]
+		a.th[i] = aidDynThread{}
+		a.th[i].pending = stash
+	}
+	a.types = info.atomicTypes(a.types)
+	a.r.Store(nil)
+	for i := range a.rbuf {
+		a.rbuf[i] = sized(a.rbuf[i], info.NumTypes)
+	}
+	a.tail.Store(false)
+	a.lastRW = a.lastRW[:0]
+	a.observe = nil
 }
 
 // Name implements Scheduler.
@@ -184,7 +207,7 @@ func (a *AIDDynamic) maybeReweight(r []float64, force bool) {
 			return
 		}
 	}
-	if w := sfWeights(a.info.typeCounts(), r); w != nil && a.ws.NumTypes() == len(w) {
+	if w := sfWeights(a.counts, r); w != nil && a.ws.NumTypes() == len(w) {
 		a.ws.Reweight(w)
 		a.lastRW = append(a.lastRW[:0], r...)
 	}

@@ -51,6 +51,20 @@ type perThread struct {
 	_ [64]byte
 }
 
+// resetThreads returns th with n entries, each as a new loop finds it, in th's
+// storage (the stashes' included) when that is large enough.
+func resetThreads(th []perThread, n int) []perThread {
+	if cap(th) < n {
+		return make([]perThread, n)
+	}
+	th = th[:n]
+	for i := range th {
+		th[i].state, th[i].lastTS = stNew, 0
+		th[i].claimState.reset()
+	}
+	return th
+}
+
 // AIDHybrid implements both AID-static and AID-hybrid (§4.2): AID-static is
 // the pct=1.0 special case. The state machine follows Fig. 3:
 //
@@ -75,20 +89,22 @@ type perThread struct {
 // entirely and the distribution uses the given per-type SF values — the
 // AID-static(offline-SF) variant of §5C.
 type AIDHybrid struct {
-	info   LoopInfo
-	chunk  int64 // sampling and drain chunk (paper default: 1)
-	pct    float64
-	static bool // report as AID-static
+	info    LoopInfo
+	chunk   int64 // sampling and drain chunk (paper default: 1)
+	pct     float64
+	static  bool      // report as AID-static
+	offline []float64 // the offline-SF variant's table; nil samples online
 
 	ws *pool.ShardedWorkShare
 	sc *pool.SampleCounters
 
-	th    []perThread
-	types []atomic.Int32 // per-thread core type; mutable via Migrate (§4.3)
+	th     []perThread
+	types  []atomic.Int32 // per-thread core type; mutable via Migrate (§4.3)
+	counts []int          // threads per core type (N_t in §4.2), as the loop started
 
 	// phase epoch 0 is the sampling phase; epoch 1 means SF and k are
 	// published. sf and k are written only inside the transition window
-	// (or by the constructor for the offline variant).
+	// (or by Reset for the offline variant).
 	phase    phaseWord
 	sf       []float64 // per core type, relative to the slowest sampled type
 	k        float64
@@ -120,12 +136,7 @@ func (a *AIDHybrid) SetPhaseObserver(fn func(PhaseEvent)) { a.observe = fn }
 // NewAIDStatic returns an AID-static scheduler with the given sampling
 // chunk. The paper uses chunk 1 in all experiments (§5A).
 func NewAIDStatic(info LoopInfo, chunk int64) (*AIDHybrid, error) {
-	s, err := NewAIDHybrid(info, chunk, 1.0)
-	if err != nil {
-		return nil, err
-	}
-	s.static = true
-	return s, nil
+	return newAIDHybrid(info, &AIDHybrid{chunk: chunk, pct: 1.0, static: true})
 }
 
 // NewAIDStaticOffline returns the AID-static(offline-SF) variant: sampling
@@ -134,49 +145,65 @@ func NewAIDStatic(info LoopInfo, chunk int64) (*AIDHybrid, error) {
 // directly. The paper uses this variant to quantify the impact of online SF
 // estimation errors (§5C, Fig. 9).
 func NewAIDStaticOffline(info LoopInfo, chunk int64, sf []float64) (*AIDHybrid, error) {
-	s, err := NewAIDHybrid(info, chunk, 1.0)
-	if err != nil {
-		return nil, err
-	}
-	if len(sf) != info.NumTypes {
-		return nil, fmt.Errorf("core: offline SF table has %d entries, platform has %d core types", len(sf), info.NumTypes)
-	}
 	for i, v := range sf {
 		if v <= 0 {
 			return nil, fmt.Errorf("core: offline SF[%d] = %v must be positive", i, v)
 		}
 	}
-	s.static = true
-	s.sf = append([]float64(nil), sf...)
-	s.k = s.computeK(s.sf, s.pct)
-	s.phase.init(1, info.NThreads) // SF published; no sampling phase
-	return s, nil
+	// Non-nil even when empty: an empty table must fail Reset's length check,
+	// not select online sampling.
+	return newAIDHybrid(info, &AIDHybrid{chunk: chunk, pct: 1.0, static: true, offline: append([]float64{}, sf...)})
 }
 
 // NewAIDHybrid returns an AID-hybrid scheduler distributing pct (in (0,1])
 // of the iterations via asymmetric distribution and the rest dynamically.
 // The paper's sensitivity study selects pct=0.80 as the safe default (§5B).
 func NewAIDHybrid(info LoopInfo, chunk int64, pct float64) (*AIDHybrid, error) {
-	if err := info.Validate(); err != nil {
+	return newAIDHybrid(info, &AIDHybrid{chunk: chunk, pct: pct})
+}
+
+// newAIDHybrid checks a's configuration, gives it its pool and counters and
+// arms it for the loop.
+func newAIDHybrid(info LoopInfo, a *AIDHybrid) (*AIDHybrid, error) {
+	if a.chunk <= 0 {
+		return nil, fmt.Errorf("core: AID sampling chunk must be positive, got %d", a.chunk)
+	}
+	if a.pct <= 0 || a.pct > 1 {
+		return nil, fmt.Errorf("core: AID-hybrid percentage %v out of (0,1]", a.pct)
+	}
+	a.ws, a.sc = new(pool.ShardedWorkShare), new(pool.SampleCounters)
+	if err := a.Reset(info); err != nil {
 		return nil, err
 	}
-	if chunk <= 0 {
-		return nil, fmt.Errorf("core: AID sampling chunk must be positive, got %d", chunk)
-	}
-	if pct <= 0 || pct > 1 {
-		return nil, fmt.Errorf("core: AID-hybrid percentage %v out of (0,1]", pct)
-	}
-	a := &AIDHybrid{
-		info:  info,
-		chunk: chunk,
-		pct:   pct,
-		ws:    info.newSharded(),
-		sc:    pool.NewSampleCounters(info.NumTypes, info.NThreads),
-		th:    make([]perThread, info.NThreads),
-		types: info.atomicTypes(),
-	}
-	a.phase.init(0, info.NThreads)
 	return a, nil
+}
+
+// Reset implements Resettable. The offline-SF variant publishes its table
+// again, for the new loop's trip count.
+func (a *AIDHybrid) Reset(info LoopInfo) error {
+	if err := info.Validate(); err != nil {
+		return err
+	}
+	if a.offline != nil && len(a.offline) != info.NumTypes {
+		return fmt.Errorf("core: offline SF table has %d entries, platform has %d core types", len(a.offline), info.NumTypes)
+	}
+	a.info = info
+	a.counts = info.typeCounts(a.counts)
+	info.resetPool(a.ws, a.counts)
+	a.sc.Resize(info.NumTypes, info.NThreads)
+	a.th = resetThreads(a.th, info.NThreads)
+	a.types = info.atomicTypes(a.types)
+	a.sf, a.k = sized(a.sf, info.NumTypes), 0
+	a.assigned.Store(0)
+	a.observe = nil
+	if a.offline == nil {
+		a.phase.init(0, info.NThreads)
+		return nil
+	}
+	copy(a.sf, a.offline)
+	a.k = a.computeK(a.sf, a.pct)
+	a.phase.init(1, info.NThreads) // SF published; no sampling phase
+	return nil
 }
 
 // Name implements Scheduler.
@@ -228,7 +255,7 @@ func (a *AIDHybrid) take(tid int, st *perThread, n int64, asg *Assign) (Assign, 
 // with SF=1; every other type's SF is slowestAvg/typeAvg. Types with no
 // running threads keep SF=1; they receive no iterations anyway (N_t = 0).
 func (a *AIDHybrid) computeSF() []float64 {
-	sf := make([]float64, a.info.NumTypes)
+	sf := a.sf // Reset's table; no reader sees it before the epoch advances
 	slowest := 0.0
 	for t := 0; t < a.info.NumTypes; t++ {
 		if avg, ok := a.sc.Avg(t); ok && avg > slowest {
@@ -250,7 +277,7 @@ func (a *AIDHybrid) computeSF() []float64 {
 // core types).
 func (a *AIDHybrid) computeK(sf []float64, pct float64) float64 {
 	denom := 0.0
-	for t, n := range a.info.typeCounts() {
+	for t, n := range a.counts {
 		denom += float64(n) * sf[t]
 	}
 	if denom <= 0 {
@@ -345,7 +372,7 @@ func (a *AIDHybrid) Next(tid int, nowNs int64) (Assign, bool) {
 					// Re-cut the pool before the final assignments claim
 					// their spans: the drain tail then serves each type
 					// from SF-proportional home shards.
-					if w := sfWeights(a.info.typeCounts(), a.sf); w != nil && a.ws.NumTypes() == len(w) {
+					if w := sfWeights(a.counts, a.sf); w != nil && a.ws.NumTypes() == len(w) {
 						a.ws.Reweight(w)
 					}
 				}

@@ -87,38 +87,52 @@ func (li LoopInfo) Validate() error {
 	return nil
 }
 
-// newSharded builds the loop's per-core-type sharded pool with the
-// topology distance matrix installed when the loop description carries one.
-func (li LoopInfo) newSharded() *pool.ShardedWorkShare {
-	ws := pool.NewSharded(li.NI, li.typeCounts())
-	if li.TypeDist != nil {
-		ws.SetTopology(li.TypeDist)
+// sized returns s with length n and every element zero, in s's own storage
+// when that is large enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return ws
+	s = s[:n]
+	clear(s)
+	return s
 }
 
-// typeCounts returns the number of threads per core type (N_t in §4.2).
-func (li LoopInfo) typeCounts() []int {
-	counts := make([]int, li.NumTypes)
+// typeCounts returns the number of threads per core type (N_t in §4.2),
+// written into buf's storage.
+func (li LoopInfo) typeCounts(buf []int) []int {
+	counts := sized(buf, li.NumTypes)
 	for tid := 0; tid < li.NThreads; tid++ {
 		counts[li.TypeOf(tid)]++
 	}
 	return counts
 }
 
-// typeSlice snapshots the thread-to-core-type mapping.
-func (li LoopInfo) typeSlice() []int {
-	types := make([]int, li.NThreads)
+// resetPool re-cuts ws for the loop: one shard per core type, sized by the
+// type's thread count, with the loop's topology matrix installed (nil keeps
+// the richest-only victim selection).
+func (li LoopInfo) resetPool(ws *pool.ShardedWorkShare, counts []int) {
+	ws.Reset(li.NI, counts)
+	ws.SetTopology(li.TypeDist)
+}
+
+// typeSlice snapshots the thread-to-core-type mapping into buf's storage.
+func (li LoopInfo) typeSlice(buf []int) []int {
+	types := sized(buf, li.NThreads)
 	for tid := range types {
 		types[tid] = li.TypeOf(tid)
 	}
 	return types
 }
 
-// atomicTypes snapshots the mapping into atomics, for schedulers whose
-// Migrate updates it concurrently with readers.
-func (li LoopInfo) atomicTypes() []atomic.Int32 {
-	types := make([]atomic.Int32, li.NThreads)
+// atomicTypes snapshots the mapping into atomics (in buf's storage), for
+// schedulers whose Migrate updates it concurrently with readers.
+func (li LoopInfo) atomicTypes(buf []atomic.Int32) []atomic.Int32 {
+	types := buf
+	if cap(types) < li.NThreads {
+		types = make([]atomic.Int32, li.NThreads)
+	}
+	types = types[:li.NThreads]
 	for tid := range types {
 		types[tid].Store(int32(li.TypeOf(tid)))
 	}
@@ -166,7 +180,8 @@ func (a Assign) N() int64 { return a.Hi - a.Lo }
 
 // Scheduler hands out iteration chunks to worker threads. Implementations
 // must be safe for concurrent use by NThreads goroutines. A Scheduler
-// instance is single use: it schedules exactly one execution of one loop.
+// schedules exactly one execution of one loop; one that also implements
+// Resettable can then be re-armed for another.
 type Scheduler interface {
 	// Next returns the next chunk for thread tid given the current time in
 	// nanoseconds. ok=false means no work remains for this thread and it
@@ -174,6 +189,39 @@ type Scheduler interface {
 	Next(tid int, nowNs int64) (Assign, bool)
 	// Name identifies the scheduling method (for reports).
 	Name() string
+}
+
+// Resettable is implemented by every scheduler of this package: Reset re-arms
+// the scheduler for one execution of the loop info describes, in place — the
+// pool is re-cut and all per-thread and per-phase state starts over, in the
+// storage the previous execution used. Each constructor is an allocation
+// followed by Reset, so a re-armed scheduler and a new one are the same
+// scheduler: they hand out the same chunks at the same times.
+//
+// The contract:
+//
+//   - Quiescent only. No Next (or Migrate, or SFLiveView) call of the previous
+//     execution may still be running or be made afterwards, and a table
+//     obtained from SFLiveView must not be read again: Reset is not
+//     synchronized with them. The caller's own join (the simulator's event
+//     loop, a barrier every worker has passed) provides that.
+//   - Configuration survives: the constructor's parameters (chunks, pct, an
+//     offline SF table) and the settings made through SetAblation and
+//     SetReweight carry over. info may differ from the previous one in every
+//     field; a trip count, thread count or type count that changed re-sizes
+//     what depends on it.
+//   - Observers do not survive. A phase observer belongs to the execution
+//     that installed it, so Reset drops it and the engine installs the next
+//     one (SetPhaseObserver, before the first Next, as always).
+//   - An error (info fails Validate, or does not fit the configuration)
+//     leaves the scheduler unusable until a Reset succeeds.
+//
+// Engines that run a loop repeatedly (sim.RunProgram) use it to build one
+// scheduler per loop instead of one per repetition; schedulers from other
+// packages need not implement it and are then built anew each time.
+type Resettable interface {
+	Scheduler
+	Reset(info LoopInfo) error
 }
 
 // --- static ---
@@ -189,10 +237,21 @@ type Static struct {
 
 // NewStatic returns a static scheduler for the loop.
 func NewStatic(info LoopInfo) (*Static, error) {
-	if err := info.Validate(); err != nil {
+	s := &Static{}
+	if err := s.Reset(info); err != nil {
 		return nil, err
 	}
-	return &Static{info: info, done: make([]bool, info.NThreads)}, nil
+	return s, nil
+}
+
+// Reset implements Resettable.
+func (s *Static) Reset(info LoopInfo) error {
+	if err := info.Validate(); err != nil {
+		return err
+	}
+	s.info = info
+	s.done = sized(s.done, info.NThreads)
+	return nil
 }
 
 // Name implements Scheduler.
@@ -239,17 +298,27 @@ type StaticChunked struct {
 
 // NewStaticChunked returns a static,chunk scheduler.
 func NewStaticChunked(info LoopInfo, chunk int64) (*StaticChunked, error) {
-	if err := info.Validate(); err != nil {
-		return nil, err
-	}
 	if chunk <= 0 {
 		return nil, fmt.Errorf("core: static chunk must be positive, got %d", chunk)
 	}
-	s := &StaticChunked{info: info, chunk: chunk, pos: make([]int64, info.NThreads)}
+	s := &StaticChunked{chunk: chunk}
+	if err := s.Reset(info); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset implements Resettable.
+func (s *StaticChunked) Reset(info LoopInfo) error {
+	if err := info.Validate(); err != nil {
+		return err
+	}
+	s.info = info
+	s.pos = sized(s.pos, info.NThreads)
 	for tid := range s.pos {
 		s.pos[tid] = s.after(0, int64(tid))
 	}
-	return s, nil
+	return nil
 }
 
 // Name implements Scheduler.
@@ -286,21 +355,35 @@ func (s *StaticChunked) Next(tid int, _ int64) (Assign, bool) {
 // at most chunk iterations (strict OpenMP semantics — no handoff batching).
 // The default chunk is 1.
 type Dynamic struct {
-	info  LoopInfo
-	chunk int64
-	types []int
-	ws    *pool.ShardedWorkShare
+	info   LoopInfo
+	chunk  int64
+	types  []int
+	counts []int // threads per core type: the pool's partition weights
+	ws     *pool.ShardedWorkShare
 }
 
 // NewDynamic returns a dynamic scheduler with the given chunk.
 func NewDynamic(info LoopInfo, chunk int64) (*Dynamic, error) {
-	if err := info.Validate(); err != nil {
-		return nil, err
-	}
 	if chunk <= 0 {
 		return nil, fmt.Errorf("core: dynamic chunk must be positive, got %d", chunk)
 	}
-	return &Dynamic{info: info, chunk: chunk, types: info.typeSlice(), ws: info.newSharded()}, nil
+	d := &Dynamic{chunk: chunk, ws: new(pool.ShardedWorkShare)}
+	if err := d.Reset(info); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Reset implements Resettable.
+func (d *Dynamic) Reset(info LoopInfo) error {
+	if err := info.Validate(); err != nil {
+		return err
+	}
+	d.info = info
+	d.types = info.typeSlice(d.types)
+	d.counts = info.typeCounts(d.counts)
+	info.resetPool(d.ws, d.counts)
+	return nil
 }
 
 // Name implements Scheduler.
@@ -329,18 +412,32 @@ type Guided struct {
 	info     LoopInfo
 	minChunk int64
 	types    []int
+	counts   []int // threads per core type: the pool's partition weights
 	ws       *pool.ShardedWorkShare
 }
 
 // NewGuided returns a guided scheduler with the given minimum chunk.
 func NewGuided(info LoopInfo, minChunk int64) (*Guided, error) {
-	if err := info.Validate(); err != nil {
-		return nil, err
-	}
 	if minChunk <= 0 {
 		return nil, fmt.Errorf("core: guided min chunk must be positive, got %d", minChunk)
 	}
-	return &Guided{info: info, minChunk: minChunk, types: info.typeSlice(), ws: info.newSharded()}, nil
+	g := &Guided{minChunk: minChunk, ws: new(pool.ShardedWorkShare)}
+	if err := g.Reset(info); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Reset implements Resettable.
+func (g *Guided) Reset(info LoopInfo) error {
+	if err := info.Validate(); err != nil {
+		return err
+	}
+	g.info = info
+	g.types = info.typeSlice(g.types)
+	g.counts = info.typeCounts(g.counts)
+	info.resetPool(g.ws, g.counts)
+	return nil
 }
 
 // Name implements Scheduler.

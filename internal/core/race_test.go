@@ -99,3 +99,34 @@ func TestAIDDynamicManyPhases(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	stressExec(t, a, info, false)
 }
+
+// TestResetStress is Reset under real goroutines: every conformance
+// scheduler runs a migrating loop to completion, is Reset for a loop of
+// another trip count and thread mix, runs that, and is Reset back — three
+// executions on one instance, each covering its loop exactly once. The
+// goroutines of one execution have all returned before the Reset (the
+// contract's quiescence), which is the only ordering between them and it:
+// the race detector checks that this suffices.
+func TestResetStress(t *testing.T) {
+	ni := int64(60_000)
+	if testing.Short() {
+		ni = 10_000
+	}
+	loops := []LoopInfo{conformanceInfo(ni, 2, 6), conformanceInfo(ni/3+1, 3, 1), conformanceInfo(ni/2, 2, 6)}
+	for name, s := range conformanceSchedulers(t, loops[0]) {
+		t.Run(name, func(t *testing.T) {
+			rs, ok := s.(Resettable)
+			if !ok {
+				t.Fatalf("%s does not implement Resettable", name)
+			}
+			for i, info := range loops {
+				if i > 0 {
+					if err := rs.Reset(info); err != nil {
+						t.Fatal(err)
+					}
+				}
+				stressExec(t, rs, info, i == 0)
+			}
+		})
+	}
+}

@@ -37,13 +37,23 @@ type stealRange struct {
 
 // NewWorkSteal returns a work-stealing scheduler with the given bite size.
 func NewWorkSteal(info LoopInfo, chunk int64) (*WorkSteal, error) {
-	if err := info.Validate(); err != nil {
-		return nil, err
-	}
 	if chunk <= 0 {
 		return nil, fmt.Errorf("core: work-steal chunk must be positive, got %d", chunk)
 	}
-	w := &WorkSteal{info: info, chunk: chunk, ranges: make([]stealRange, info.NThreads)}
+	w := &WorkSteal{chunk: chunk}
+	if err := w.Reset(info); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// Reset implements Resettable.
+func (w *WorkSteal) Reset(info LoopInfo) error {
+	if err := info.Validate(); err != nil {
+		return err
+	}
+	w.info, w.steals = info, 0
+	w.ranges = sized(w.ranges, info.NThreads)
 	// Even contiguous split, exactly like Static.Range.
 	n := int64(info.NThreads)
 	q := info.NI / n
@@ -57,7 +67,7 @@ func NewWorkSteal(info LoopInfo, chunk int64) (*WorkSteal, error) {
 		w.ranges[tid] = stealRange{lo: cursor, hi: cursor + size}
 		cursor += size
 	}
-	return w, nil
+	return nil
 }
 
 // Name implements Scheduler.

@@ -98,6 +98,19 @@
 // across a re-cut: every iteration is either claimed by exactly one thread
 // in the old generation or carried into exactly one shard of the new one.
 //
+// Reset (one pool, many loops). Reset re-arms a pool for another loop: it
+// cuts [0, ni) under the given weights exactly as NewSharded does — NewSharded
+// is an allocation followed by Reset — and publishes the result the way
+// Reweight publishes a generation, `seq` odd before and even after, so
+// whatever still carries the previous loop's sequence stamp can never be
+// taken for current. Unlike Reweight it is not concurrent with claimers: the
+// new generation is cut in the storage of the one it replaces, which is what
+// makes re-arming free of allocation, so the caller must have joined every
+// claimer of the previous loop first and must have dropped their Credits and
+// stashed Ranges (core's schedulers reset their per-thread state in the same
+// step). The foreign-claim and re-partition counters start over; an installed
+// topology stays, being a property of the platform, not of the loop.
+//
 // Credit-based claiming. TryStealCredit batches the claim RMW: one
 // fetch-and-add removes CreditBatch×chunk iterations, the first chunk is
 // served, and the surplus is kept in a caller-owned Credit from which later

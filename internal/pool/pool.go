@@ -21,17 +21,28 @@ type SampleCounters struct {
 // NewSampleCounters returns counters for nCoreTypes core types and nThreads
 // participating threads. Both must be positive.
 func NewSampleCounters(nCoreTypes int, nThreads int) *SampleCounters {
+	sc := &SampleCounters{}
+	sc.Resize(nCoreTypes, nThreads)
+	return sc
+}
+
+// Resize re-arms the counters for a new loop with nCoreTypes core types and
+// nThreads participating threads (both positive), keeping their storage when
+// it is large enough. Like Reset it must not race with a sampler.
+func (sc *SampleCounters) Resize(nCoreTypes int, nThreads int) {
 	if nCoreTypes <= 0 {
 		panic(fmt.Sprintf("pool: non-positive core type count %d", nCoreTypes))
 	}
 	if nThreads <= 0 {
 		panic(fmt.Sprintf("pool: non-positive thread count %d", nThreads))
 	}
-	return &SampleCounters{
-		sumNs:  make([]atomic.Int64, nCoreTypes),
-		counts: make([]atomic.Int64, nCoreTypes),
-		total:  int64(nThreads),
+	if cap(sc.sumNs) < nCoreTypes {
+		sc.sumNs = make([]atomic.Int64, nCoreTypes)
+		sc.counts = make([]atomic.Int64, nCoreTypes)
 	}
+	sc.sumNs, sc.counts = sc.sumNs[:nCoreTypes], sc.counts[:nCoreTypes]
+	sc.total = int64(nThreads)
+	sc.Reset()
 }
 
 // Record adds one thread's sampling-phase completion time (in ns) for its

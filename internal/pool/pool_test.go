@@ -345,3 +345,28 @@ func TestSampleCountersValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestSampleCountersResize: Resize re-arms for another loop's shape, in
+// place when the counters are large enough, and forgets every sample.
+func TestSampleCountersResize(t *testing.T) {
+	sc := NewSampleCounters(3, 4)
+	sc.Record(2, 100)
+	sums := &sc.sumNs[0]
+	sc.Resize(2, 2)
+	if &sc.sumNs[0] != sums {
+		t.Error("Resize to fewer core types reallocated the counters")
+	}
+	if _, ok := sc.Avg(1); ok || sc.AllDone() {
+		t.Error("Resize kept samples of the previous loop")
+	}
+	if sc.Record(0, 10) || !sc.Record(1, 30) {
+		t.Error("after Resize(2, 2) the second of two samples is not the last")
+	}
+	sc.Resize(5, 1)
+	if avg, ok := sc.Avg(4); ok || avg != 0 {
+		t.Error("Resize to more core types did not start them empty")
+	}
+	if !sc.Record(4, 7) {
+		t.Error("after Resize(5, 1) the only sample is not the last")
+	}
+}

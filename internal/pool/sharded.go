@@ -139,9 +139,10 @@ func (g *generation) remaining() int64 {
 // shard of a superseded generation empty retries on the new one, so
 // exactly-once coverage holds across re-partitions.
 //
-// All methods are safe for concurrent use (Reweight additionally requires
-// external serialization of re-weighters; the AID transition window provides
-// it). PoolAccess accounting counts atomic read-modify-write operations
+// All methods but Reset are safe for concurrent use (Reweight additionally
+// requires external serialization of re-weighters; the AID transition window
+// provides it). The zero value is an unarmed pool: Reset arms it, and re-arms
+// it for each further loop. PoolAccess accounting counts atomic read-modify-write operations
 // (fetch-and-add / CAS); read-only probes of a drained shard are not
 // charged, matching the cost asymmetry of a shared-mode cache-line read
 // versus an exclusive-mode RMW.
@@ -262,13 +263,33 @@ func checkWeights(weights []int) int64 {
 // AID-auto's cost-variation classifier depends on); home indexes beyond
 // the shard count clamp to the last shard.
 func NewSharded(ni int64, weights []int) *ShardedWorkShare {
+	ws := &ShardedWorkShare{}
+	ws.Reset(ni, weights)
+	return ws
+}
+
+// Reset re-arms the pool for a new loop of ni iterations partitioned under
+// weights, exactly as NewSharded cuts a new pool (which is an allocation plus
+// this call), and zeroes the foreign-claim and re-partition counters; an
+// installed topology stays. The new generation is published as Reweight
+// publishes one, between two bumps of the sequence word, so a Credit taken
+// before the Reset can never pass for a current one.
+//
+// Unlike Reweight, Reset may not run concurrently with any claim path: it
+// recycles the storage of the generation it supersedes, so the pool must be
+// quiescent — every claimer of the previous loop has returned and none holds
+// a Credit or a stashed Range it still means to serve.
+func (ws *ShardedWorkShare) Reset(ni int64, weights []int) {
 	if ni < 0 {
 		panic(fmt.Sprintf("pool: negative iteration count %d", ni))
 	}
 	total := checkWeights(weights)
-	ws := &ShardedWorkShare{ni: ni}
-	ws.gen.Store(buildGeneration([]Range{{Hi: ni}}, ni, weights, total))
-	return ws
+	ws.seq.Add(1)
+	ws.ni = ni
+	ws.gen.Store(buildGeneration(ws.gen.Load(), []Range{{Hi: ni}}, ni, weights, total))
+	ws.seq.Add(1)
+	ws.foreign.Store(0)
+	ws.reweights.Store(0)
 }
 
 // NI returns the total trip count of the pool.
@@ -319,7 +340,7 @@ func (ws *ShardedWorkShare) Reweight(weights []int) {
 		}
 		s.dead.Store(true)
 	}
-	ws.gen.Store(buildGeneration(rs, left, weights, total))
+	ws.gen.Store(buildGeneration(nil, rs, left, weights, total))
 	ws.seq.Add(1) // even: new generation published
 	ws.reweights.Add(1)
 }
@@ -333,12 +354,23 @@ func (ws *ShardedWorkShare) Reweights() int64 { return ws.reweights.Load() }
 // owner-tagged shards. A type whose share lands entirely inside one range
 // gets one shard, which is every type of a fresh pool; shares spanning range
 // gaps get one shard per covered piece. Types left with no work get an empty
-// shard so they always have a home.
-func buildGeneration(rs []Range, left int64, weights []int, total int64) *generation {
-	ng := &generation{
-		// One shard per type, one more per range boundary inside a share.
-		shards: make([]shard, 0, len(weights)+max(len(rs), 1)-1),
-		byType: make([][]int32, len(weights)),
+// shard so they always have a home. The generation is built in ng's storage
+// when ng is non-nil (Reset, on a quiescent pool), else in a new one.
+func buildGeneration(ng *generation, rs []Range, left int64, weights []int, total int64) *generation {
+	if ng == nil {
+		ng = &generation{}
+	}
+	// One shard per type, one more per range boundary inside a share.
+	if need := len(weights) + max(len(rs), 1) - 1; cap(ng.shards) < need {
+		ng.shards = make([]shard, 0, need)
+	}
+	ng.shards = ng.shards[:0]
+	if cap(ng.byType) < len(weights) {
+		ng.byType = make([][]int32, len(weights))
+	}
+	ng.byType = ng.byType[:len(weights)]
+	for t := range ng.byType {
+		ng.byType[t] = ng.byType[t][:0]
 	}
 	at := int64(0) // end of the last shard cut
 	add := func(t int, lo, hi int64) {

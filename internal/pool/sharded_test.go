@@ -334,3 +334,72 @@ func benchSteal(b *testing.B, threads int, mk func(g int) func()) {
 	}
 	wg.Wait()
 }
+
+// TestShardedReset: a pool that was partly drained, re-weighted and drained
+// is, after Reset, the pool NewSharded would build — same shards, counters
+// back at zero, the topology still installed — in the storage it had, and
+// every claim entry point covers the new loop exactly once. The zero pool is
+// a pool no Reset has armed yet.
+func TestShardedReset(t *testing.T) {
+	dist := [][]int{{0, 1, 2}, {1, 0, 2}, {2, 2, 0}}
+	for _, cl := range claimers {
+		ws := new(ShardedWorkShare)
+		ws.Reset(900, []int{2, 1, 1})
+		ws.SetTopology(dist)
+		var c Credit
+		ws.TryStealCredit(0, 5, &c)
+		ws.Reweight([]int{1, 8, 1}) // a generation with more shards than types
+		ws.DrainAll(1)
+		if ws.Reweights() != 1 || ws.Remaining() != 0 {
+			t.Fatalf("set-up: %d reweights, %d remaining", ws.Reweights(), ws.Remaining())
+		}
+		shards := &ws.gen.Load().shards[0]
+		for round, loop := range []struct {
+			ni      int64
+			weights []int
+		}{{4000, []int{1, 2, 1}}, {0, []int{1, 1, 1}}, {77, []int{5, 0, 1}}} {
+			seq := ws.seq.Load()
+			ws.Reset(loop.ni, loop.weights)
+			fresh := NewSharded(loop.ni, loop.weights)
+			if got := ws.seq.Load(); got != seq+2 {
+				t.Errorf("%s round %d: sequence word moved %d -> %d, want two bumps", cl.name, round, seq, got)
+			}
+			if &ws.gen.Load().shards[0] != shards {
+				t.Errorf("%s round %d: Reset did not reuse the generation's shards", cl.name, round)
+			}
+			if ws.NI() != loop.ni || ws.Remaining() != loop.ni || ws.Reweights() != 0 || ws.ForeignClaims() != 0 {
+				t.Errorf("%s round %d: NI %d, remaining %d, reweights %d, foreign %d after Reset to %d",
+					cl.name, round, ws.NI(), ws.Remaining(), ws.Reweights(), ws.ForeignClaims(), loop.ni)
+			}
+			g, fg := ws.gen.Load(), fresh.gen.Load()
+			if len(g.shards) != len(fg.shards) || fmt.Sprint(g.byType) != fmt.Sprint(fg.byType) {
+				t.Fatalf("%s round %d: %d shards %v, a new pool has %d %v", cl.name, round, len(g.shards), g.byType, len(fg.shards), fg.byType)
+			}
+			for i := range g.shards {
+				s, f := &g.shards[i], &fg.shards[i]
+				if s.base != f.base || s.end != f.end || s.owner != f.owner || s.next.Load() != f.next.Load() || s.dead.Load() {
+					t.Errorf("%s round %d: shard %d is [%d,%d) owner %d next %d dead %v, a new pool's is [%d,%d) owner %d",
+						cl.name, round, i, s.base, s.end, s.owner, s.next.Load(), s.dead.Load(), f.base, f.end, f.owner)
+				}
+			}
+			if ws.distOf(0, 2) != 2 {
+				t.Errorf("%s round %d: Reset dropped the topology", cl.name, round)
+			}
+			cover(t, loop.ni, func(mark func(lo, hi int64)) {
+				var c Credit
+				var dst []Range
+				for home := 0; ; home = (home + 1) % 3 {
+					dst = cl.claim(ws, home, 7, &c, dst[:0])
+					if spanTotal(dst) == 0 {
+						return
+					}
+					for _, r := range dst {
+						if r.N() > 0 {
+							mark(r.Lo, r.Hi)
+						}
+					}
+				}
+			})
+		}
+	}
+}

@@ -45,7 +45,9 @@
 package replay
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/amp"
@@ -182,28 +184,53 @@ func migrationsOf(rec *trace.Record) []sim.Migration {
 // scriptsOf compiles the record's event stream into per-loop, per-thread
 // grant scripts plus each worker's loop-visit order. Events are taken in
 // (TimeNs, Tid, Seq) order, which preserves every worker's recorded grant
-// sequence (Seq breaks wall-clock ties within a worker under rt records).
+// sequence (Seq breaks wall-clock ties within a worker under rt records); a
+// simulator's record is in that order already and is read in place. Every
+// script is cut to its exact length from one array: a counting pass sizes
+// them before the filling pass.
 func scriptsOf(rec *trace.Record) (scheds []*scriptSched, visit [][]int) {
-	evs := append([]trace.ChunkEvent(nil), rec.Events...)
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].TimeNs != evs[j].TimeNs {
-			return evs[i].TimeNs < evs[j].TimeNs
+	byTime := func(a, b trace.ChunkEvent) int {
+		if a.TimeNs != b.TimeNs {
+			return cmp.Compare(a.TimeNs, b.TimeNs)
 		}
-		if evs[i].Tid != evs[j].Tid {
-			return evs[i].Tid < evs[j].Tid
+		if a.Tid != b.Tid {
+			return cmp.Compare(a.Tid, b.Tid)
 		}
-		return evs[i].Seq < evs[j].Seq
-	})
+		return cmp.Compare(a.Seq, b.Seq)
+	}
+	evs := rec.Events
+	if !slices.IsSortedFunc(evs, byTime) {
+		evs = slices.Clone(evs)
+		slices.SortStableFunc(evs, byTime)
+	}
+	nt := rec.NThreads
+	perScript := make([]int, len(rec.Loops)*nt)
+	perWorker := make([]int, nt)
+	for i := range evs {
+		perScript[evs[i].Loop*nt+evs[i].Tid]++
+		perWorker[evs[i].Tid]++
+	}
+	grants := make([]grant, len(evs))
 	scheds = make([]*scriptSched, len(rec.Loops))
 	for li, l := range rec.Loops {
-		scheds[li] = &scriptSched{
+		s := &scriptSched{
 			name:      "replay(" + l.Scheduler + ")",
-			perThread: make([][]grant, rec.NThreads),
-			pos:       make([]int, rec.NThreads),
+			perThread: make([][]grant, nt),
+			pos:       make([]int, nt),
 		}
+		for tid := range s.perThread {
+			n := perScript[li*nt+tid]
+			s.perThread[tid], grants = grants[:0:n], grants[n:]
+		}
+		scheds[li] = s
 	}
-	visit = make([][]int, rec.NThreads)
-	for _, ev := range evs {
+	visits := make([]int, len(evs))
+	visit = make([][]int, nt)
+	for tid, n := range perWorker {
+		visit[tid], visits = visits[:0:n], visits[n:]
+	}
+	for i := range evs {
+		ev := &evs[i]
 		s := scheds[ev.Loop]
 		s.perThread[ev.Tid] = append(s.perThread[ev.Tid], grant{
 			lo: ev.Lo, hi: ev.Hi, origin: ev.Origin,
@@ -240,6 +267,8 @@ func Exact(rec *trace.Record) (*Result, error) {
 	}
 	scheds, visit := scriptsOf(rec)
 	next := 0
+	recorder := trace.NewRecorder()
+	recorder.ReserveChunks(len(rec.Events)) // a faithful replay makes the same calls
 	cfg := sim.Config{
 		Platform: pl,
 		NThreads: rec.NThreads,
@@ -252,7 +281,7 @@ func Exact(rec *trace.Record) (*Result, error) {
 			return s, nil
 		},
 		Migrations: migrationsOf(rec),
-		Recorder:   trace.NewRecorder(),
+		Recorder:   recorder,
 	}
 	pol := &scriptPolicy{perThread: visit, pos: make([]int, rec.NThreads)}
 	res, err := runConfigured(cfg, rec, specs, pol, rec.Timeline != nil)

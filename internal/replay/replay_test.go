@@ -2,7 +2,9 @@ package replay
 
 import (
 	"bytes"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/amp"
@@ -200,6 +202,12 @@ func TestExactDetectsCorruptRecord(t *testing.T) {
 	}
 	if _, err := Exact(doubled); err == nil {
 		t.Error("Exact accepted a record with a doubly granted chunk")
+	}
+	// A cost with no JSON form: named by its event, before anything runs.
+	poisoned := roundTrip(t, rec)
+	poisoned.Events[3].Cost = math.NaN()
+	if _, err := Exact(poisoned); err == nil || !strings.Contains(err.Error(), "event 3 ") {
+		t.Errorf("Exact on a NaN chunk cost: %v, want an error naming event 3", err)
 	}
 }
 

@@ -11,21 +11,98 @@ import (
 	"repro/internal/trace"
 )
 
+// workspace is what the engine keeps between calls made under one Config:
+// the scheduler-facing loop description, the schedulers of the previous call,
+// and every table the event loop reads and writes while it runs (see "What a
+// call allocates" in the package comment). A workspace serves one call at a
+// time, and its results never point into it.
+type workspace struct {
+	cfg  Config
+	info core.LoopInfo // all but the trip count; TypeDist is the platform's shared, read-only matrix
+
+	// scheds[li] is the scheduler loop li ran under in the previous call. The
+	// next call re-arms it through core.Resettable instead of asking the
+	// factory for another; forgetSchedulers says the next call runs different
+	// loops.
+	scheds []core.Scheduler
+
+	coreOf, typeOf, activeInCluster []int
+	arrive, byTime                  []int64
+	weights, nretired               []int
+	speed                           []float64
+	lastHi                          []int64
+	retired                         []bool
+	liveSF                          [][]float64
+	engaged, engagedTotal           []int
+	clock                           []int64
+	cur, burst, owed                []int
+	migrations                      []Migration
+	cands                           []fair.Candidate
+	candLoop                        []int
+}
+
+// newWorkspace checks cfg and returns an empty workspace for calls under it;
+// the tables are sized by the first call.
+func newWorkspace(cfg Config) (*workspace, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	pl, nt, binding := cfg.Platform, cfg.NThreads, cfg.Binding
+	return &workspace{
+		cfg: cfg,
+		info: core.LoopInfo{
+			NThreads: nt,
+			NumTypes: len(pl.Clusters),
+			TypeOf:   func(tid int) int { return pl.ClusterOf(pl.CoreOf(tid, nt, binding)) },
+			TypeDist: pl.TypeDist(),
+		},
+	}, nil
+}
+
+// forgetSchedulers makes the next call build its schedulers with the
+// configured factory: the loops it runs are not the previous call's.
+func (ws *workspace) forgetSchedulers() { clear(ws.scheds) }
+
+// sized returns s with length n and every element zero, in s's own storage
+// when that is large enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// scheduler returns the scheduler for this call's loop li: the previous
+// call's, re-armed, when that one can be; otherwise a new one from the
+// configured factory (a replay script, a test probe).
+func (ws *workspace) scheduler(li int, name string, info core.LoopInfo) (core.Scheduler, error) {
+	if rs, ok := ws.scheds[li].(core.Resettable); ok {
+		return rs, rs.Reset(info)
+	}
+	s, err := ws.cfg.buildScheduler(name, info)
+	ws.scheds[li] = s
+	return s, err
+}
+
 // run is the simulator's one event loop (see the package comment). A nil
 // policy selects team mode: specs is RunLoop's single loop, forked at
 // startNs and joined at its barrier. A non-nil policy selects fleet mode:
 // the loops share a persistent fleet under that policy, as RunLoops
-// describes. The i-th result corresponds to specs[i].
-func run(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]LoopResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// describes. results[i] is overwritten with the outcome of specs[i], in the
+// manner of append: a slice field it already carries is reused when it is
+// large enough, so zero results come back with new slices and a caller that
+// passes the previous call's results gives up what those held. results has
+// one entry per spec.
+func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Policy, startNs int64) error {
+	cfg := ws.cfg
 	if len(specs) == 0 {
-		return nil, fmt.Errorf("sim: no loops to run")
+		return fmt.Errorf("sim: no loops to run")
 	}
 	for _, spec := range specs {
 		if err := spec.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	team := policy == nil
@@ -35,21 +112,21 @@ func run(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]Loo
 			name = policy.Name()
 		}
 		if err := beginRecording(cfg, name, startNs); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
 	pl := cfg.Platform
 	ov := pl.Overhead
 	nt, nl, ntypes := cfg.NThreads, len(specs), len(pl.Clusters)
-	dist := pl.TypeDist()
+	dist := ws.info.TypeDist
 
 	// Worker placement. Cluster occupancy is the whole fleet for every loop:
 	// a loop's chunks share the cluster's LLC with all resident threads,
 	// whichever loop those happen to be serving.
-	coreOf := make([]int, nt)
-	typeOf := make([]int, nt)
-	activeInCluster := make([]int, ntypes)
+	ws.coreOf, ws.typeOf = sized(ws.coreOf, nt), sized(ws.typeOf, nt)
+	ws.activeInCluster = sized(ws.activeInCluster, ntypes)
+	coreOf, typeOf, activeInCluster := ws.coreOf, ws.typeOf, ws.activeInCluster
 	for tid := range coreOf {
 		coreOf[tid] = pl.CoreOf(tid, nt, cfg.Binding)
 		typeOf[tid] = pl.ClusterOf(coreOf[tid])
@@ -59,25 +136,26 @@ func run(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]Loo
 	// Per-loop state. The tables the event loop reads on every event are
 	// flat: [li] per loop, [li*nt+tid] per loop and worker, [li*ntypes+t]
 	// per loop and core type.
-	scheds := make([]core.Scheduler, nl)
-	results := make([]LoopResult, nl)
-	arrive := make([]int64, nl)
-	weights := make([]int, nl)
-	speed := make([]float64, nl*nt)
-	lastHi := make([]int64, nl*nt)
-	retired := make([]bool, nl*nt)
-	nretired := make([]int, nl)
+	if len(ws.scheds) != nl {
+		ws.scheds = make([]core.Scheduler, nl)
+	}
+	ws.arrive, ws.weights = sized(ws.arrive, nl), sized(ws.weights, nl)
+	ws.speed, ws.lastHi = sized(ws.speed, nl*nt), sized(ws.lastHi, nl*nt)
+	ws.retired, ws.nretired = sized(ws.retired, nl*nt), sized(ws.nretired, nl)
+	scheds, arrive, weights := ws.scheds, ws.arrive, ws.weights
+	speed, lastHi, retired, nretired := ws.speed, ws.lastHi, ws.retired, ws.nretired
 	// liveSF[li] is loop li's most recently published SF table (nil until the
 	// scheduler's estimate stabilizes). It is fed to the fairness policy on
 	// every pick — the mid-run view, not a retirement-only statistic — and
 	// each publication is appended to the loop's SFTrajectory.
-	liveSF := make([][]float64, nl)
+	ws.liveSF = sized(ws.liveSF, nl)
+	liveSF := ws.liveSF
 	// engaged[li*ntypes+t] counts the workers currently scheduling loop li
 	// from core type t (engagedTotal[li] across all types): the population
 	// of loop li's pool lines, which is what a pool access on that loop
 	// contends with. setCur keeps the counts in step with cur transitions.
-	engaged := make([]int, nl*ntypes)
-	engagedTotal := make([]int, nl)
+	ws.engaged, ws.engagedTotal = sized(ws.engaged, nl*ntypes), sized(ws.engagedTotal, nl)
+	engaged, engagedTotal := ws.engaged, ws.engagedTotal
 	// Counter cells are keyed by each worker's home cluster at the start (a
 	// later migration moves the worker, not its occupancy bucket — same
 	// convention as the registry's binding-derived home types). Each loop
@@ -94,14 +172,13 @@ func run(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]Loo
 		}
 	}
 	setSpeeds()
-	info := loopInfo(cfg, dist)
+	info := ws.info
 	for li, spec := range specs {
 		info.NI = spec.NI
-		s, err := cfg.buildScheduler(spec.Name, info)
+		s, err := ws.scheduler(li, spec.Name, info)
 		if err != nil {
-			return nil, fmt.Errorf("sim: building scheduler for loop %q: %w", spec.Name, err)
+			return fmt.Errorf("sim: building scheduler for loop %q: %w", spec.Name, err)
 		}
-		scheds[li] = s
 		arrive[li] = startNs
 		var stamp int64 // what a record carries: zero is "admitted at start"
 		if !team && spec.Arrive > startNs {
@@ -110,10 +187,12 @@ func run(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]Loo
 		weights[li] = max(spec.Weight, 1)
 		res := &results[li]
 		*res = LoopResult{
-			Start:         arrive[li],
-			Iters:         make([]int64, nt),
-			Finish:        make([]int64, nt),
-			SchedulerName: s.Name(),
+			Start:          arrive[li],
+			Iters:          sized(res.Iters, nt),
+			Finish:         sized(res.Finish, nt),
+			SchedulerName:  s.Name(),
+			SFTrajectory:   res.SFTrajectory[:0],
+			ClusterEnergyJ: res.ClusterEnergyJ[:0],
 		}
 		if cfg.Recorder != nil {
 			addLoopRecord(cfg.Recorder, spec, s, stamp)
@@ -153,7 +232,8 @@ func run(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]Loo
 	// The ones admitted at the start are behind the cursor before any grant.
 	byTime := arrive
 	if nl > 1 {
-		byTime = slices.Clone(arrive)
+		ws.byTime = append(ws.byTime[:0], arrive...)
+		byTime = ws.byTime
 		slices.Sort(byTime)
 	}
 	arrived := 0
@@ -166,10 +246,9 @@ func run(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]Loo
 	// loops that have not retired the worker. A worker is live while it owes
 	// a retirement; after its last one its clock is parked at the end of
 	// time, so the earliest clock is always a live worker's.
-	clock := make([]int64, nt)
-	cur := make([]int, nt)
-	burst := make([]int, nt)
-	owed := make([]int, nt)
+	ws.clock, ws.cur = sized(ws.clock, nt), sized(ws.cur, nt)
+	ws.burst, ws.owed = sized(ws.burst, nt), sized(ws.owed, nt)
+	clock, cur, burst, owed := ws.clock, ws.cur, ws.burst, ws.owed
 	setCur := func(tid, li int) {
 		prev := cur[tid]
 		if prev == li {
@@ -211,10 +290,9 @@ func run(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]Loo
 			mets[0].Cell(tid).Sched(forkNs)
 		}
 	}
-	migrations := slices.Clone(cfg.Migrations) // consumed as they are delivered
+	ws.migrations = append(ws.migrations[:0], cfg.Migrations...) // consumed as they are delivered
+	migrations := ws.migrations
 
-	var cands []fair.Candidate
-	var candLoop []int
 	for live := nt; live > 0; {
 		// Earliest-clock-first among live workers; ties resolve to the
 		// lowest thread ID, keeping the simulation deterministic.
@@ -242,7 +320,7 @@ func run(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]Loo
 				continue
 			}
 			if mg.ToCPU < 0 || mg.ToCPU >= pl.NumCores() {
-				return nil, fmt.Errorf("sim: migration to invalid CPU %d", mg.ToCPU)
+				return fmt.Errorf("sim: migration to invalid CPU %d", mg.ToCPU)
 			}
 			migrations = slices.Delete(migrations, i, i+1)
 			i--
@@ -272,7 +350,7 @@ func run(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]Loo
 		// is used up.
 		li := cur[tid]
 		if li < 0 || burst[tid] <= 0 {
-			cands, candLoop = cands[:0], candLoop[:0]
+			cands, candLoop := ws.cands[:0], ws.candLoop[:0]
 			for i := 0; i < nl; i++ {
 				if !retired[i*nt+tid] && arrive[i] <= now {
 					cands = append(cands, fair.Candidate{ID: uint64(i), Weight: weights[i],
@@ -280,6 +358,7 @@ func run(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]Loo
 					candLoop = append(candLoop, i)
 				}
 			}
+			ws.cands, ws.candLoop = cands, candLoop // keep what they grew to
 			if len(cands) == 0 {
 				// Nothing runnable yet (so the worker is between loops):
 				// idle forward to the next arrival. One must exist —
@@ -383,7 +462,7 @@ func run(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]Loo
 			// its core draws ActiveW until that arrival and IdleW after. A
 			// fleet worker retired from one loop moves on to others.
 			res.SchedNs += joinNs
-			res.ClusterEnergyJ = make([]float64, ntypes)
+			res.ClusterEnergyJ = sized(res.ClusterEnergyJ, ntypes)
 			for w, finish := range res.Finish {
 				if cfg.Trace != nil {
 					cfg.Trace.Add(w, finish, maxFinish, trace.Sync)
@@ -424,5 +503,5 @@ func run(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]Loo
 		}
 		cfg.Recorder.EndRun(maxEnd - startNs)
 	}
-	return results, nil
+	return nil
 }

@@ -86,7 +86,8 @@ type ProgramResult struct {
 
 // RunProgram simulates the program under cfg and returns its result.
 func RunProgram(cfg Config, prog Program) (ProgramResult, error) {
-	if err := cfg.Validate(); err != nil {
+	ws, err := newWorkspace(cfg)
+	if err != nil {
 		return ProgramResult{}, err
 	}
 	if err := prog.Validate(); err != nil {
@@ -96,6 +97,9 @@ func RunProgram(cfg Config, prog Program) (ProgramResult, error) {
 	masterCore := pl.CoreOf(0, cfg.NThreads, cfg.Binding)
 	var res ProgramResult
 	cursor := int64(0)
+	// The loop results stay in here: every repetition overwrites the previous
+	// one's, slices included.
+	var lr [1]LoopResult
 	for _, ph := range prog.Phases {
 		if ph.Loop == nil {
 			// Serial phase: the master thread alone, no cluster contention.
@@ -115,15 +119,18 @@ func RunProgram(cfg Config, prog Program) (ProgramResult, error) {
 		if reps == 0 {
 			reps = 1
 		}
+		// One scheduler per loop phase: the first repetition builds it, the
+		// others re-arm it (workspace.scheduler).
+		ws.forgetSchedulers()
+		spec := []LoopSpec{*ph.Loop}
 		for r := 0; r < reps; r++ {
-			lr, err := RunLoop(cfg, *ph.Loop, cursor)
-			if err != nil {
+			if err := ws.run(lr[:], spec, nil, cursor); err != nil {
 				return ProgramResult{}, err
 			}
-			res.LoopNs += lr.End - lr.Start
-			res.SchedNs += lr.SchedNs
-			res.PoolAccesses += lr.PoolAccesses
-			cursor = lr.End
+			res.LoopNs += lr[0].End - lr[0].Start
+			res.SchedNs += lr[0].SchedNs
+			res.PoolAccesses += lr[0].PoolAccesses
+			cursor = lr[0].End
 		}
 	}
 	res.TotalNs = cursor

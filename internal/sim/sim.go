@@ -65,6 +65,35 @@
 // worker that retires from one loop moves on to the next; its time belongs
 // to the fleet, so those fields stay zero and the only Sync intervals of a
 // fleet timeline are the idle-forwards.
+//
+// # What a call allocates
+//
+// Everything the event loop needs between its first and its last event lives
+// in one workspace (engine.go): the scheduler-facing loop description with its
+// TypeOf mapping, built once per Config; the platform's TypeDist matrix, which
+// amp.Platform builds once and everybody shares read-only; and some twenty
+// tables — placement, speeds, clocks, grants, engagement counts, the policy's
+// candidate scratch — which a call sizes on first use and clears, not
+// reallocates, afterwards. The workspace also remembers the schedulers of its
+// previous call, and re-arms one through core.Resettable instead of asking
+// the factory for another; a scheduler that cannot be re-armed (a replay
+// script, a test probe) comes from the factory every time.
+//
+// RunLoop and RunLoops make one call each and own a workspace for its
+// duration, so they pay for the tables once and give up nothing. RunProgram
+// keeps one workspace for the whole program: it builds a scheduler per loop
+// phase, not per repetition, and a repetition allocates only what its
+// scheduler hands out anew (the copies of the SF tables it publishes).
+//
+// Results are never part of the workspace. The engine fills the LoopResults
+// it is handed the way append fills a slice: zero results, which is what
+// RunLoop and RunLoops pass, come back with slices of their own, so a result
+// a caller holds is not touched by any later call, whatever that call
+// recycles; RunProgram, which reads a repetition's result and drops it, hands
+// the same one in again and so reuses its slices too. The SF tables in
+// SFEstimate and SFTrajectory are copies the scheduler made for the result;
+// the scheduler's own tables, which the next Reset overwrites, are only ever
+// read through them.
 package sim
 
 import (
@@ -173,9 +202,12 @@ func (ls LoopSpec) Validate() error {
 	return ls.Profile.Validate()
 }
 
-// SchedulerFactory builds a fresh scheduler for one execution of one loop.
-// Scheduler instances are single use, so the engine calls the factory for
-// every loop instance (and every repetition).
+// SchedulerFactory builds the scheduler for one execution of one loop.
+// RunLoop and RunLoops call it once per loop. RunProgram calls it once per
+// loop phase when what it returns implements core.Resettable — the phase's
+// further repetitions re-arm that scheduler — and once per repetition
+// otherwise, so a factory must return the same kind of scheduler, configured
+// the same way, every time it is asked for the same loop.
 type SchedulerFactory func(info core.LoopInfo) (core.Scheduler, error)
 
 // Config describes one simulated program execution.
@@ -301,20 +333,6 @@ type SFPoint struct {
 	SF []float64
 }
 
-// loopInfo builds the scheduler-facing description of a run's loops under
-// cfg, all but the trip count; dist is the platform's TypeDist matrix, which
-// the schedulers only read.
-func loopInfo(cfg Config, dist [][]int) core.LoopInfo {
-	return core.LoopInfo{
-		NThreads: cfg.NThreads,
-		NumTypes: len(cfg.Platform.Clusters),
-		TypeOf: func(tid int) int {
-			return cfg.Platform.ClusterOf(cfg.Platform.CoreOf(tid, cfg.NThreads, cfg.Binding))
-		},
-		TypeDist: dist,
-	}
-}
-
 // localityNs prices a chunk-discontinuity cache refill by the chunk's
 // provenance: a chunk from the thread's home shard refills from the home
 // cluster's LLC (base tier), a same-package foreign chunk crosses LLCs
@@ -361,11 +379,15 @@ func contenders(activeByType []int, activeCount, ownType, origin int) int {
 // and returns the result: the engine's team mode (see the package comment).
 // The caller sequences loops and serial phases.
 func RunLoop(cfg Config, spec LoopSpec, startNs int64) (LoopResult, error) {
-	rs, err := run(cfg, []LoopSpec{spec}, nil, startNs)
+	ws, err := newWorkspace(cfg)
 	if err != nil {
 		return LoopResult{}, err
 	}
-	return rs[0], nil
+	var res [1]LoopResult
+	if err := ws.run(res[:], []LoopSpec{spec}, nil, startNs); err != nil {
+		return LoopResult{}, err
+	}
+	return res[0], nil
 }
 
 // RunLoops simulates the concurrent execution of several parallel loops on
@@ -384,7 +406,15 @@ func RunLoops(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) (
 	if policy == nil {
 		policy = fair.NewWeightedRoundRobin(0)
 	}
-	return run(cfg, specs, policy, startNs)
+	ws, err := newWorkspace(cfg)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]LoopResult, len(specs))
+	if err := ws.run(results, specs, policy, startNs); err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // MeasureLoopSF reproduces the paper's offline SF measurement (§2): run the

@@ -1,0 +1,283 @@
+package sim
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/amp"
+	"repro/internal/core"
+	"repro/internal/fair"
+	"repro/internal/trace"
+)
+
+// reuseFactories are the schedules the reuse tests run under: the four the
+// allocation gate names plus the ones with the most state to re-arm.
+var reuseFactories = []struct {
+	name    string
+	factory SchedulerFactory
+}{
+	{"static", staticFactory},
+	{"dynamic,1", dynamicFactory},
+	{"aid-static,1", aidStaticFactory},
+	{"aid-dynamic,1,5", aidDynamicFactory},
+	{"aid-hybrid,80,rw", func(info core.LoopInfo) (core.Scheduler, error) {
+		s, err := core.NewAIDHybrid(info, 1, 0.8)
+		if err == nil {
+			s.SetReweight(true)
+		}
+		return s, err
+	}},
+	{"aid-static-offline", func(info core.LoopInfo) (core.Scheduler, error) {
+		sf := make([]float64, info.NumTypes)
+		for i := range sf {
+			sf[i] = float64(info.NumTypes - i)
+		}
+		return core.NewAIDStaticOffline(info, 1, sf)
+	}},
+	{"aid-auto", func(info core.LoopInfo) (core.Scheduler, error) { return core.NewAIDAuto(info, 2, 0.8, 8, 0) }},
+	{"guided", func(info core.LoopInfo) (core.Scheduler, error) { return core.NewGuided(info, 1) }},
+}
+
+// clone copies a result as deeply as a caller can reach into it.
+func (r LoopResult) clone() LoopResult {
+	c := r
+	c.Iters = append([]int64(nil), r.Iters...)
+	c.Finish = append([]int64(nil), r.Finish...)
+	c.SFEstimate = append([]float64(nil), r.SFEstimate...)
+	c.ClusterEnergyJ = append([]float64(nil), r.ClusterEnergyJ...)
+	c.SFTrajectory = nil
+	for _, p := range r.SFTrajectory {
+		c.SFTrajectory = append(c.SFTrajectory, SFPoint{TimeNs: p.TimeNs, SF: append([]float64(nil), p.SF...)})
+	}
+	return c
+}
+
+// TestWorkspaceReuse drives one workspace through a sequence of calls the
+// way RunProgram does, with new results each time: call k's result equals
+// what RunLoop returns for the same loop (a recycled scheduler and workspace
+// change nothing), and it is still that after call k+1 has recycled both — no
+// slice of it, SFEstimate, SFTrajectory and Iters included, aliases engine or
+// scheduler state.
+func TestWorkspaceReuse(t *testing.T) {
+	pl := amp.PlatformA()
+	loops := []LoopSpec{epLoop(4096), migrationLoop(), epLoop(640), epLoop(0), epLoop(4096)}
+	for _, f := range reuseFactories {
+		cfg := baseCfg(pl, pl.NumCores(), amp.BindBS, f.factory)
+		cfg.Migrations = []Migration{{AtNs: 40_000, Tid: 0, ToCPU: 0}}
+		ws, err := newWorkspace(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prev, prevCopy *LoopResult
+		start := int64(0)
+		for k, spec := range loops {
+			var res [1]LoopResult
+			if err := ws.run(res[:], []LoopSpec{spec}, nil, start); err != nil {
+				t.Fatalf("%s: call %d: %v", f.name, k, err)
+			}
+			want, err := RunLoop(cfg, spec, start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res[0].clone(), want.clone()) {
+				t.Errorf("%s: call %d on a reused workspace:\n got %+v\nwant %+v", f.name, k, res[0], want)
+			}
+			if prev != nil && !reflect.DeepEqual(prev.clone(), *prevCopy) {
+				t.Errorf("%s: call %d changed the result of call %d:\n now %+v\n was %+v", f.name, k, k-1, *prev, *prevCopy)
+			}
+			c := res[0].clone()
+			prev, prevCopy = &res[0], &c
+			start = res[0].End
+		}
+	}
+}
+
+// TestFleetWorkspaceReuse is the same on a fleet: two RunLoops-shaped calls on
+// one workspace, schedulers re-armed in between.
+func TestFleetWorkspaceReuse(t *testing.T) {
+	cfg := multiCfg(4)
+	cfg.Factory = aidDynamicFactory
+	specs := []LoopSpec{uniformSpec("a", 3000, 2), uniformSpec("b", 1200, 1), uniformSpec("c", 0, 1)}
+	specs[1].Arrive = 20_000
+	ws, err := newWorkspace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunLoops(cfg, specs, fair.NewWeightedRoundRobin(0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 3; k++ {
+		got := make([]LoopResult, len(specs))
+		if err := ws.run(got, specs, fair.NewWeightedRoundRobin(0), 0); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i].clone(), want[i].clone()) {
+				t.Errorf("call %d, loop %d:\n got %+v\nwant %+v", k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestRunProgramMatchesRunLoops: RunProgram, which keeps one scheduler per
+// phase, one workspace and one result, adds up exactly what a caller
+// sequencing RunLoop calls by hand gets.
+func TestRunProgramMatchesRunLoops(t *testing.T) {
+	pl := amp.PlatformTri()
+	a, b := epLoop(3000), migrationLoop()
+	prog := Program{Name: "p", Phases: []Phase{
+		{Loop: &a, Reps: 3},
+		{SerialUnits: 1e6, SerialProfile: amp.Profile{ILP: 0.5}},
+		{Loop: &b, Reps: 2},
+		{Loop: &a},
+	}}
+	for _, f := range reuseFactories {
+		cfg := baseCfg(pl, pl.NumCores(), amp.BindBS, f.factory)
+		got, err := RunProgram(cfg, prog)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		var want ProgramResult
+		cursor := int64(0)
+		for _, ph := range prog.Phases {
+			if ph.Loop == nil {
+				dur := int64(ph.SerialUnits / pl.Speed(pl.CoreOf(0, cfg.NThreads, cfg.Binding), ph.SerialProfile, 1))
+				cursor, want.SerialNs = cursor+dur, want.SerialNs+dur
+				continue
+			}
+			for r := 0; r < max(ph.Reps, 1); r++ {
+				lr, err := RunLoop(cfg, *ph.Loop, cursor)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.LoopNs += lr.End - lr.Start
+				want.SchedNs += lr.SchedNs
+				want.PoolAccesses += lr.PoolAccesses
+				cursor = lr.End
+			}
+		}
+		want.TotalNs = cursor
+		if got != want {
+			t.Errorf("%s: RunProgram = %+v, RunLoop by hand = %+v", f.name, got, want)
+		}
+	}
+}
+
+// countingFactory counts the schedulers a program run asks for.
+func countingFactory(f SchedulerFactory, n *int) SchedulerFactory {
+	return func(info core.LoopInfo) (core.Scheduler, error) { *n++; return f(info) }
+}
+
+// foreign hides a scheduler's Reset, as a scheduler from another package (a
+// replay script, a probe) has none.
+type foreign struct{ core.Scheduler }
+
+// TestRunProgramBuildsOncePerPhase: a phase's repetitions share one scheduler
+// when it can be re-armed, and get one each from the factory when it cannot.
+func TestRunProgramBuildsOncePerPhase(t *testing.T) {
+	pl := amp.PlatformA()
+	a, b := epLoop(512), epLoop(256)
+	prog := Program{Name: "p", Phases: []Phase{{Loop: &a, Reps: 5}, {Loop: &b, Reps: 4}}}
+	built := 0
+	cfg := baseCfg(pl, 8, amp.BindBS, countingFactory(aidStaticFactory, &built))
+	if _, err := RunProgram(cfg, prog); err != nil {
+		t.Fatal(err)
+	}
+	if built != 2 {
+		t.Errorf("factory called %d times for two phases of re-armable schedulers, want 2", built)
+	}
+	built = 0
+	cfg.Factory = countingFactory(func(info core.LoopInfo) (core.Scheduler, error) {
+		s, err := core.NewAIDStatic(info, 1)
+		return foreign{s}, err
+	}, &built)
+	if _, err := RunProgram(cfg, prog); err != nil {
+		t.Fatal(err)
+	}
+	if built != 9 {
+		t.Errorf("factory called %d times for nine repetitions of a scheduler without Reset, want 9", built)
+	}
+}
+
+// TestRunProgramAllocs is the simulator's allocation gate (`make
+// alloc-check`): what RunProgram allocates per program and per phase is paid
+// once, and each further repetition of a phase costs a small constant number
+// of allocations — none under the conventional schedules, and under the AID
+// ones only what a repetition hands to its result (the copies of the SF table
+// it published and of the final estimate, and the observer that files them).
+func TestRunProgramAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	pl := amp.PlatformA()
+	loop := epLoop(64)
+	for _, c := range []struct {
+		name    string
+		factory SchedulerFactory
+		perRep  float64
+	}{
+		{"static", staticFactory, 0},
+		{"dynamic,1", dynamicFactory, 0},
+		{"aid-static,1", aidStaticFactory, 3},
+		{"aid-dynamic,1,5", aidDynamicFactory, 3},
+	} {
+		cfg := baseCfg(pl, pl.NumCores(), amp.BindBS, c.factory)
+		allocs := func(reps int) float64 {
+			prog := Program{Name: "p", Phases: []Phase{{Loop: &loop, Reps: reps}}}
+			return testing.AllocsPerRun(10, func() {
+				if _, err := RunProgram(cfg, prog); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		few, many := allocs(2), allocs(102)
+		if per := (many - few) / 100; per > c.perRep {
+			t.Errorf("%s: %.2f allocations per additional repetition (%.0f for 2, %.0f for 102), want at most %.0f",
+				c.name, per, few, many, c.perRep)
+		} else {
+			t.Logf("%s: %.2f allocations per additional repetition, %.0f for a program of 2", c.name, per, few)
+		}
+	}
+}
+
+// TestTypeDistIsShared: amp.Platform hands every caller the one matrix it
+// built, so nobody may write to it. Everything that receives it — the engine's
+// locality and tier lookups, core.LoopInfo, pool.SetTopology behind every
+// pool-backed scheduler, a re-partitioning pool, the recorder — runs here,
+// across every zoo platform, and the matrix is compared with a copy taken
+// before.
+func TestTypeDistIsShared(t *testing.T) {
+	for _, name := range amp.Names() {
+		pl, _ := amp.Lookup(name)
+		dist := pl.TypeDist()
+		if len(dist) != len(pl.Clusters) || &dist[0][0] != &pl.TypeDist()[0][0] {
+			t.Fatalf("%s: TypeDist is not one cached %dx%d matrix", name, len(pl.Clusters), len(pl.Clusters))
+		}
+		before := make([][]int, len(dist))
+		for i := range dist {
+			before[i] = append([]int(nil), dist[i]...)
+			for j := range dist[i] {
+				if dist[i][j] != pl.ClusterDist(i, j) {
+					t.Fatalf("%s: TypeDist[%d][%d] = %d, ClusterDist = %d", name, i, j, dist[i][j], pl.ClusterDist(i, j))
+				}
+			}
+		}
+		a := migrationLoop()
+		for _, f := range reuseFactories {
+			cfg := baseCfg(pl, pl.NumCores(), amp.BindBS, f.factory)
+			cfg.Migrations = []Migration{{AtNs: 30_000, Tid: 0, ToCPU: 0}}
+			cfg.Metrics = true
+			if _, err := RunProgram(cfg, Program{Name: "p", Phases: []Phase{{Loop: &a, Reps: 2}}}); err != nil {
+				t.Fatalf("%s/%s: %v", name, f.name, err)
+			}
+			cfg.Recorder, cfg.Trace = trace.NewRecorder(), trace.New(cfg.NThreads)
+			if _, err := RunLoops(cfg, []LoopSpec{a, epLoop(900)}, fair.NewSFAware(0, 0), 0); err != nil {
+				t.Fatalf("%s/%s: %v", name, f.name, err)
+			}
+		}
+		if !reflect.DeepEqual(pl.TypeDist(), before) {
+			t.Errorf("%s: TypeDist changed under its readers:\n now %v\n was %v", name, pl.TypeDist(), before)
+		}
+	}
+}

@@ -1,0 +1,398 @@
+package trace
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// marshalEventLine is the reference encoder of a chunk-event line: the two
+// json.Marshal calls EncodeJSONL made per line before evline.go.
+func marshalEventLine(t testing.TB, ev *ChunkEvent) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := writeLine(bw, lineEvent, ev); err != nil {
+		t.Fatalf("json.Marshal(%+v): %v", *ev, err)
+	}
+	bw.Flush()
+	return buf.Bytes()
+}
+
+// decodeJSONLRef is the reference decoder: DecodeJSONL as it was when every
+// line, envelope and payload, went through encoding/json.
+func decodeJSONLRef(rd io.Reader) (*Record, error) {
+	sc := bufio.NewScanner(rd)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	var rec *Record
+	for sc.Scan() {
+		raw := sc.Bytes()
+		if len(raw) == 0 {
+			continue
+		}
+		var env jsonlLine
+		if err := json.Unmarshal(raw, &env); err != nil {
+			return nil, err
+		}
+		if rec == nil && env.T != lineRun {
+			return nil, fmt.Errorf("expected run header, got %q", env.T)
+		}
+		var err error
+		switch env.T {
+		case lineRun:
+			if rec != nil {
+				return nil, fmt.Errorf("duplicate run header")
+			}
+			rec = &Record{}
+			if err = json.Unmarshal(env.D, rec); err == nil && (rec.Version < 1 || rec.Version > RecordVersion) {
+				err = fmt.Errorf("unsupported record version %d", rec.Version)
+			}
+		case lineLoop:
+			var l LoopRecord
+			err = json.Unmarshal(env.D, &l)
+			rec.Loops = append(rec.Loops, l)
+		case lineEvent:
+			var ev ChunkEvent
+			err = json.Unmarshal(env.D, &ev)
+			rec.Events = append(rec.Events, ev)
+		case linePhase:
+			var p PhaseEvent
+			err = json.Unmarshal(env.D, &p)
+			rec.Phases = append(rec.Phases, p)
+		case lineSF:
+			var s SFSample
+			err = json.Unmarshal(env.D, &s)
+			rec.SFSamples = append(rec.SFSamples, s)
+		case lineInterval:
+			var iv IntervalRecord
+			err = json.Unmarshal(env.D, &iv)
+			rec.Timeline = append(rec.Timeline, iv)
+		default:
+			err = fmt.Errorf("unknown line type %q", env.T)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if rec == nil {
+		return nil, fmt.Errorf("empty record stream")
+	}
+	return rec, rec.Validate()
+}
+
+// randomEvent draws an event that exercises every omitempty rule and both
+// float formats: zero and negative fields, Origin -1, retire lines, costs
+// from 1e-9 to 1e22 with the format switches at 1e-6 and 1e21 hit exactly.
+func randomEvent(rng *rand.Rand) ChunkEvent {
+	num := func() int64 {
+		switch rng.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return -rng.Int63()
+		case 2:
+			return math.MaxInt64
+		case 3:
+			return math.MinInt64
+		}
+		return rng.Int63n(1 << uint(1+rng.Intn(40)))
+	}
+	cost := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return []float64{1e-6, 1e21, 1e-7, 9.999999999999999e20, 1e-9, 1e22, 0.000001234, 5e-324, math.MaxFloat64}[rng.Intn(9)]
+		case 3:
+			return float64(rng.Int63n(1 << 50)) // whole numbers, as UniformCost yields
+		}
+		f := math.Pow(10, -9+31*rng.Float64()) * (0.1 + rng.Float64())
+		if rng.Intn(4) == 0 {
+			f = -f
+		}
+		return f
+	}
+	ev := ChunkEvent{Seq: num(), TimeNs: num(), Tid: int(num()), Loop: int(num()), Lo: num(), Hi: num(),
+		Shard: int(num()), Origin: rng.Intn(4) - 1, Cost: cost(), ExecNs: num(),
+		PoolAccesses: int(num()), Timestamps: rng.Intn(3)}
+	if rng.Intn(5) == 0 {
+		ev = ChunkEvent{Seq: ev.Seq, TimeNs: ev.TimeNs, Tid: ev.Tid, Loop: ev.Loop, Shard: ev.Shard,
+			Origin: ev.Origin, PoolAccesses: ev.PoolAccesses, Retire: true}
+	}
+	return ev
+}
+
+// TestEventLineMatchesJSON is the differential test of the encoder: for
+// randomized events the appended line is byte for byte what json.Marshal
+// produced, and decodeEvent reads it back to the event.
+func TestEventLineMatchesJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var line []byte
+	for i := 0; i < 20000; i++ {
+		ev := randomEvent(rng)
+		line = appendEventLine(line[:0], &ev)
+		if want := marshalEventLine(t, &ev); !bytes.Equal(line, want) {
+			t.Fatalf("event %+v:\n got %s\nwant %s", ev, line, want)
+		}
+		tag, payload, err := splitLine(bytes.TrimSuffix(line, []byte("\n")))
+		if err != nil || string(tag) != lineEvent {
+			t.Fatalf("splitLine(%s) = %q, %v", line, tag, err)
+		}
+		var back ChunkEvent
+		if err := decodeEvent(payload, &back); err != nil {
+			t.Fatalf("decodeEvent(%s): %v", payload, err)
+		}
+		// -0 is omitted like 0 and so reads back as +0, under encoding/json too.
+		if ev.Cost == 0 {
+			ev.Cost = 0
+		}
+		if back != ev && !(math.IsNaN(back.Cost) && math.IsNaN(ev.Cost)) {
+			t.Fatalf("line %s decodes to %+v, want %+v", line, back, ev)
+		}
+	}
+}
+
+// eventLineCases are hand-written chunk-event lines, each one a thing
+// encoding/json has an opinion on: the decoder must share it.
+var eventLineCases = []string{
+	`{"t":"ev","d":{"seq":0,"time_ns":104,"tid":0,"loop":0,"lo":0,"hi":16,"shard":0,"cost":1234.5,"exec_ns":700,"pool":1,"ts":1}}`,
+	// key order, white space, the envelope's keys swapped
+	" {\t\"d\" : { \"hi\" : 4 , \"lo\":1,\"loop\":1,\"tid\":1 } ,\r \"t\" : \"ev\" } ",
+	// repeated keys: the last one counts; null leaves what is there
+	`{"t":"loop","t":"ev","d":{"lo":9},"d":{"lo":0,"hi":2,"hi":3,"lo":null,"retire":null}}`,
+	`{"t":"ev","t":null,"d":{"hi":1}}`,
+	// keys match without regard to case, Unicode folding included (U+017F folds to s)
+	`{"T":"ev","D":{"SEQ":3,"Time_NS":5,"HI":2,"ſeq":4,"co\u017ft":2.5,"po\u006fl":1,"retire":true}}`,
+	// unknown keys with values of every kind, nested
+	`{"t":"ev","x":[1,{"a":[],"b":{}},"s\"\\\u00e9",true,null,-0.5e+3],"d":{"hi":1,"note":{"k":[null]},"":0}}`,
+	// escapes in the tag
+	`{"t":"\u0065v","d":{"hi":1}}`,
+	// integer fields take integer literals only
+	`{"t":"ev","d":{"hi":1.0}}`,
+	`{"t":"ev","d":{"hi":1e2}}`,
+	`{"t":"ev","d":{"hi":"1"}}`,
+	`{"t":"ev","d":{"hi":-0}}`,
+	`{"t":"ev","d":{"hi":9223372036854775807}}`,
+	`{"t":"ev","d":{"hi":9223372036854775808}}`,
+	`{"t":"ev","d":{"tid":true}}`,
+	`{"t":"ev","d":{"cost":1e999}}`,
+	`{"t":"ev","d":{"cost":"1"}}`,
+	`{"t":"ev","d":{"cost":-1.5E-7,"hi":1}}`,
+	`{"t":"ev","d":{"retire":1}}`,
+	`{"t":"ev","d":{"retire":false,"hi":1}}`,
+	// payloads that are no object, or absent
+	`{"t":"ev","d":null}`,
+	`{"t":"ev","d":[]}`,
+	`{"t":"ev","d":7}`,
+	`{"t":"ev"}`,
+	`{"t":5,"d":{}}`,
+	`null`,
+	`[]`,
+	// not JSON
+	`{"t":"ev","d":{"hi":01}}`,
+	`{"t":"ev","d":{"hi":1,}}`,
+	`{"t":"ev","d":{"hi":1}} x`,
+	`{"t":"ev","d":{"hi":+1}}`,
+	`{"t":"ev","d":{"hi":1.}}`,
+	`{"t":"ev","d":{"hi":.5}}`,
+	`{"t":"ev","d":{"hi":1e}}`,
+	`{"t":"ev","d":{"hi":-}}`,
+	`{"t":"ev","d":{"x":"\q"}}`,
+	`{"t":"ev","d":{"x":"\u12g4"}}`,
+	"{\"t\":\"ev\",\"d\":{\"x\":\"a\tb\"}}",
+	"{\"t\":\"ev\",\"d\":{\"hi\":1}}\x00",
+	`{"t":"ev","d":{"x":tru}}`,
+	`{"t":"ev","d":{"hi":1}`,
+	`{"t":"ev" "d":{}}`,
+	`{"t":"ev","d":{"hi" 1}}`,
+	`{,"t":"ev"}`,
+	`{"t":"ev","d":{"x":[1,]}}`,
+	`   `,
+}
+
+// TestEventLineDecodesLikeJSON feeds every case, after a run header and a loop
+// descriptor, to the decoder and to the reference: they must agree on
+// acceptance and, when both accept, on the record.
+func TestEventLineDecodesLikeJSON(t *testing.T) {
+	deep := func(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
+	accepted := 0
+	for _, line := range append(eventLineCases, deep(maxDepth-1),
+		`{"t":"ev","d":{"hi":1},"x":`+deep(maxDepth-1)+`}`, `{"t":"ev","d":{"hi":1},"x":`+deep(maxDepth)+`}`) {
+		if checkAgainstReference(t, headerLines(t)+line+"\n") != nil {
+			accepted++
+		}
+	}
+	if accepted != 11 {
+		t.Errorf("%d of the cases were accepted, want 11: the table no longer tests what it says", accepted)
+	}
+	// Agreement with the reference is the test; two cases are also spelled out
+	// so that it cannot pass by both sides reading nothing.
+	for line, want := range map[string]ChunkEvent{
+		eventLineCases[2]: {Lo: 0, Hi: 3},
+		eventLineCases[4]: {Seq: 4, TimeNs: 5, Hi: 2, Cost: 2.5, PoolAccesses: 1, Retire: true},
+	} {
+		rec, err := DecodeJSONL(strings.NewReader(headerLines(t) + line + "\n"))
+		if err != nil || len(rec.Events) != 1 || rec.Events[0] != want {
+			t.Errorf("%s decodes to %+v, %v; want %+v", line, rec, err, want)
+		}
+	}
+}
+
+// headerLines is a record's run header and one loop descriptor: what an event
+// line needs in front of it to be looked at.
+func headerLines(t testing.TB) string {
+	t.Helper()
+	r := sampleRecord()
+	r.Loops, r.Events, r.Phases, r.SFSamples, r.Timeline = r.Loops[:2], nil, nil, nil, nil
+	var buf bytes.Buffer
+	if err := EncodeJSONL(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// checkAgainstReference decodes data both ways and reports any disagreement;
+// it returns the decoded record when both accepted.
+func checkAgainstReference(t testing.TB, data string) *Record {
+	t.Helper()
+	got, gotErr := DecodeJSONL(strings.NewReader(data))
+	want, wantErr := decodeJSONLRef(strings.NewReader(data))
+	show := data
+	if len(show) > 300 {
+		show = show[:300] + "..."
+	}
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%q:\nDecodeJSONL error: %v\nencoding/json error: %v", show, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return nil
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q:\nDecodeJSONL:   %+v\nencoding/json: %+v", show, got.Events, want.Events)
+	}
+	return got
+}
+
+// FuzzDecodeJSONL: the decoder never panics; it accepts exactly the streams
+// the encoding/json path accepted and decodes them to the same record; and
+// the events of a record it produced survive their re-encoding. (The other
+// sections are encoding/json's on both sides, and it does not promise that:
+// an explicit "migrations":[] comes back nil.)
+func FuzzDecodeJSONL(f *testing.F) {
+	head := headerLines(f)
+	for _, line := range eventLineCases {
+		f.Add([]byte(head + line + "\n"))
+	}
+	var whole bytes.Buffer
+	if err := EncodeJSONL(&whole, sampleRecord()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(whole.Bytes())
+	f.Add([]byte(head))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec := checkAgainstReference(t, string(data))
+		if rec == nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := EncodeJSONL(&buf, rec); err != nil {
+			t.Fatalf("re-encoding a decoded record: %v", err)
+		}
+		back, err := DecodeJSONL(&buf)
+		if err != nil {
+			t.Fatalf("decoding the re-encoded record: %v", err)
+		}
+		if !reflect.DeepEqual(back.Events, rec.Events) {
+			t.Fatalf("re-encoding changed the events:\n got %+v\nwant %+v", back.Events, rec.Events)
+		}
+	})
+}
+
+// TestNonFiniteCostRejected: a NaN or infinite chunk cost has no JSON form.
+// Validate names the event, so EncodeJSONL refuses before its first byte
+// (json.Marshal used to fail in the middle of the stream) and replay.Exact,
+// which validates first, never sees such a record.
+func TestNonFiniteCostRejected(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		r := sampleRecord()
+		r.Events[1].Cost = bad
+		err := r.Validate()
+		if err == nil || !strings.Contains(err.Error(), "event 1 ") {
+			t.Errorf("cost %v: Validate = %v, want an error naming event 1", bad, err)
+		}
+		var buf bytes.Buffer
+		if err := EncodeJSONL(&buf, r); err == nil {
+			t.Errorf("cost %v: EncodeJSONL succeeded", bad)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("cost %v: EncodeJSONL wrote %d bytes before failing", bad, buf.Len())
+		}
+	}
+}
+
+// TestEventCodecAllocs is the codec's allocation gate (`make alloc-check`):
+// encoding allocates nothing per event, decoding less than one allocation per
+// ten events (the event array doubles; nothing else is per line).
+func TestEventCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n = 4096
+	r := sampleRecord()
+	r.Phases, r.SFSamples, r.Timeline = nil, nil, nil
+	r.Events = r.Events[:0]
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		r.Events = append(r.Events, ChunkEvent{Seq: int64(i), TimeNs: int64(i) * 37, Tid: i % r.NThreads, Loop: i % 2,
+			Lo: int64(i), Hi: int64(i) + 1 + rng.Int63n(64), Shard: i % 2, Origin: rng.Intn(3) - 1,
+			Cost: rng.Float64() * 1e5, ExecNs: rng.Int63n(1e6), PoolAccesses: rng.Intn(3), Timestamps: rng.Intn(2)})
+	}
+	var buf bytes.Buffer
+	if err := EncodeJSONL(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// The lines around the events (header, two loops) and the writer's and the
+	// scanner's buffers are per call, not per event: measure them on the
+	// record without events and take them off.
+	bare := *r
+	bare.Events = nil
+	var bareBuf bytes.Buffer
+	if err := EncodeJSONL(&bareBuf, &bare); err != nil {
+		t.Fatal(err)
+	}
+	bareData := bareBuf.Bytes()
+	encode := func(rec *Record) float64 {
+		return testing.AllocsPerRun(20, func() {
+			buf.Reset()
+			if err := EncodeJSONL(&buf, rec); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	decode := func(data []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := DecodeJSONL(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if per := (encode(r) - encode(&bare)) / n; per > 0 {
+		t.Errorf("EncodeJSONL: %.4f allocations per event, want 0", per)
+	}
+	if per := (decode(data) - decode(bareData)) / n; per > 0.1 {
+		t.Errorf("DecodeJSONL: %.4f allocations per event, want at most 0.1", per)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/amp"
 )
@@ -266,6 +267,9 @@ func (r *Record) Validate() error {
 		if !ev.Retire && ev.Hi <= ev.Lo {
 			return fmt.Errorf("trace: event %d grants empty range [%d,%d)", i, ev.Lo, ev.Hi)
 		}
+		if math.IsNaN(ev.Cost) || math.IsInf(ev.Cost, 0) {
+			return fmt.Errorf("trace: event %d has non-finite cost %v", i, ev.Cost)
+		}
 	}
 	for i, p := range r.Phases {
 		if p.Loop < 0 || p.Loop >= len(r.Loops) {
@@ -325,7 +329,10 @@ func writeLine(w *bufio.Writer, tag string, v any) error {
 // descriptor, chunk event, phase transition, SF sample and timeline
 // interval, in that order. The encoding is deterministic: encoding the same
 // record twice yields byte-identical output (the property `make
-// replay-determinism` checks end to end).
+// replay-determinism` checks end to end). A record that fails Validate is
+// refused before the first byte is written; chunk-event lines, which are
+// nearly all of a record, are appended without reflection (evline.go), the
+// rest go through encoding/json.
 func EncodeJSONL(w io.Writer, r *Record) error {
 	if err := r.Validate(); err != nil {
 		return err
@@ -339,8 +346,10 @@ func EncodeJSONL(w io.Writer, r *Record) error {
 			return err
 		}
 	}
+	line := make([]byte, 0, 256) // one buffer for every event line (evline.go)
 	for i := range r.Events {
-		if err := writeLine(bw, lineEvent, &r.Events[i]); err != nil {
+		line = appendEventLine(line[:0], &r.Events[i])
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -364,7 +373,9 @@ func EncodeJSONL(w io.Writer, r *Record) error {
 
 // DecodeJSONL reads a record previously written by EncodeJSONL. It fails on
 // unknown versions, unknown line types and structurally invalid records, so
-// a corrupt or future-format file cannot silently replay as garbage.
+// a corrupt or future-format file cannot silently replay as garbage. Lines
+// need not be spelled the way EncodeJSONL spells them: whatever encoding/json
+// would read into the line's struct is read the same here (evline.go).
 func DecodeJSONL(rd io.Reader) (*Record, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
@@ -376,20 +387,20 @@ func DecodeJSONL(rd io.Reader) (*Record, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var env jsonlLine
-		if err := json.Unmarshal(raw, &env); err != nil {
+		tag, payload, err := splitLine(raw)
+		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 		}
-		if rec == nil && env.T != lineRun {
-			return nil, fmt.Errorf("trace: line %d: expected run header, got %q", lineNo, env.T)
+		if rec == nil && string(tag) != lineRun {
+			return nil, fmt.Errorf("trace: line %d: expected run header, got %q", lineNo, tag)
 		}
-		switch env.T {
+		switch string(tag) {
 		case lineRun:
 			if rec != nil {
 				return nil, fmt.Errorf("trace: line %d: duplicate run header", lineNo)
 			}
 			rec = &Record{}
-			if err := json.Unmarshal(env.D, rec); err != nil {
+			if err := json.Unmarshal(payload, rec); err != nil {
 				return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 			}
 			if rec.Version < 1 || rec.Version > RecordVersion {
@@ -397,36 +408,36 @@ func DecodeJSONL(rd io.Reader) (*Record, error) {
 			}
 		case lineLoop:
 			var l LoopRecord
-			if err := json.Unmarshal(env.D, &l); err != nil {
+			if err := json.Unmarshal(payload, &l); err != nil {
 				return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 			}
 			rec.Loops = append(rec.Loops, l)
 		case lineEvent:
-			var ev ChunkEvent
-			if err := json.Unmarshal(env.D, &ev); err != nil {
+			var ev *ChunkEvent
+			rec.Events, ev = nextEvent(rec.Events)
+			if err := decodeEvent(payload, ev); err != nil {
 				return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 			}
-			rec.Events = append(rec.Events, ev)
 		case linePhase:
 			var p PhaseEvent
-			if err := json.Unmarshal(env.D, &p); err != nil {
+			if err := json.Unmarshal(payload, &p); err != nil {
 				return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 			}
 			rec.Phases = append(rec.Phases, p)
 		case lineSF:
 			var s SFSample
-			if err := json.Unmarshal(env.D, &s); err != nil {
+			if err := json.Unmarshal(payload, &s); err != nil {
 				return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 			}
 			rec.SFSamples = append(rec.SFSamples, s)
 		case lineInterval:
 			var iv IntervalRecord
-			if err := json.Unmarshal(env.D, &iv); err != nil {
+			if err := json.Unmarshal(payload, &iv); err != nil {
 				return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 			}
 			rec.Timeline = append(rec.Timeline, iv)
 		default:
-			return nil, fmt.Errorf("trace: line %d: unknown line type %q", lineNo, env.T)
+			return nil, fmt.Errorf("trace: line %d: unknown line type %q", lineNo, tag)
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -49,6 +49,7 @@ func (r *Recorder) BeginRun(meta RunMeta) error {
 		Policy:     meta.Policy,
 		StartNs:    meta.StartNs,
 		Migrations: meta.Migrations,
+		Events:     r.rec.Events, // empty; whatever ReserveChunks set aside stays
 	}
 	return nil
 }
@@ -81,9 +82,11 @@ func (r *Recorder) ReserveChunks(n int) {
 
 // Chunk appends one grant event, assigning its global sequence number.
 func (r *Recorder) Chunk(ev ChunkEvent) {
-	ev.Seq = r.seq
+	var slot *ChunkEvent
+	r.rec.Events, slot = nextEvent(r.rec.Events)
+	*slot = ev
+	slot.Seq = r.seq
 	r.seq++
-	r.rec.Events = append(r.rec.Events, ev)
 }
 
 // Phase appends one scheduler transition.
