@@ -3,30 +3,60 @@ package main
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 )
 
-// TestFig6Golden is the figure-level twin of sim's TestEngineGolden: the
-// command's whole path for `-exp fig6 -csv` (21 applications under the seven
-// schemes of Fig. 6 on Platform A, through exps and sim.RunProgram) must
-// print, byte for byte, what it printed before RunProgram began to reuse one
-// scheduler and one engine workspace across a loop's repetitions. The file
-// was written by the commit before that change; regenerate it (`go run
-// ./cmd/aidbench -exp fig6 -csv > cmd/aidbench/testdata/fig6_A.csv`) only for
-// a deliberate change of what the simulator computes.
-func TestFig6Golden(t *testing.T) {
-	want, err := os.ReadFile("testdata/fig6_A.csv")
-	if err != nil {
-		t.Fatal(err)
+// TestExpGolden is the figure-level twin of sim's TestEngineGolden: every
+// `aidbench -exp` must print, byte for byte, its committed golden file. The
+// simulator runs in virtual time, so these tables are the one measurement a
+// noisy host can gate to the digit: Fig. 6/7 normalized makespans, Table 2
+// gains, the Fig. 8 chunk sweep, the Fig. 9 offline-SF studies, the guided
+// and hybrid-percentage sweeps, and the platform zoo's makespan and energy
+// per platform x scheme. fig6_A.csv additionally pins the -csv rendering.
+//
+// The files were written by the commit before the one that added this test.
+// Regenerate one (`go run ./cmd/aidbench -exp <e> > cmd/aidbench/testdata/<e>.txt`)
+// only for a deliberate change of what the simulator computes, and say which
+// numbers moved and why.
+func TestExpGolden(t *testing.T) {
+	cases := []struct {
+		exp    string
+		csv    bool
+		golden string
+	}{
+		{"fig6", true, "fig6_A.csv"},
+		{"fig6", false, "fig6.txt"},
+		{"fig7", false, "fig7.txt"},
+		{"table2", false, "table2.txt"},
+		{"fig8", false, "fig8.txt"},
+		{"fig9", false, "fig9.txt"},
+		{"fig9c", false, "fig9c.txt"},
+		{"guided", false, "guided.txt"},
+		{"hybridpct", false, "hybridpct.txt"},
+		{"zoo", false, "zoo.txt"},
 	}
-	var got bytes.Buffer
-	if err := run(&got, "fig6", true); err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		t.Run(c.golden, func(t *testing.T) {
+			want, err := os.ReadFile("testdata/" + c.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := run(&got, c.exp, c.csv); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+				i := 0
+				for i < len(g)-1 && i < len(w)-1 && g[i] == w[i] {
+					i++
+				}
+				t.Errorf("aidbench -exp %s differs from testdata/%s at line %d:\n got  %q\n want %q", c.exp, c.golden, i+1, g[i], w[i])
+			}
+		})
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("fig6 CSV differs from testdata/fig6_A.csv:\n%s", got.String())
-	}
-	if err := run(&got, "fig99", false); err == nil {
+	if err := run(new(bytes.Buffer), "fig99", false); err == nil {
 		t.Error("an unknown experiment was accepted")
 	}
 }

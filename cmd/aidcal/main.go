@@ -5,6 +5,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/amp"
@@ -15,19 +16,24 @@ import (
 func main() {
 	platform := flag.String("platform", "A", "platform: a registry name or a platform JSON file")
 	flag.Parse()
-	pl, err := amp.Resolve(*platform)
-	if err != nil {
+	if err := run(os.Stdout, *platform); err != nil {
 		fmt.Fprintln(os.Stderr, "aidcal:", err)
 		os.Exit(1)
 	}
-	for _, w := range workloads.All() {
-		loops := w.Program.Loops()
+}
+
+func run(w io.Writer, platform string) error {
+	pl, err := amp.Resolve(platform)
+	if err != nil {
+		return err
+	}
+	for _, wl := range workloads.All() {
+		loops := wl.Program.Loops()
 		minOff, maxOff, minOn, maxOn := 1e9, 0.0, 1e9, 0.0
 		for _, l := range loops {
 			off, err := sim.MeasureLoopSF(pl, l)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fmt.Errorf("%s loop %s: %w", wl.Name, l.Name, err)
 			}
 			on := pl.SF(l.Profile, 4, 4)
 			if off < minOff {
@@ -43,7 +49,8 @@ func main() {
 				maxOn = on
 			}
 		}
-		fmt.Printf("%-16s loops=%2d  offlineSF[%5.2f %5.2f]  onlineSF[%5.2f %5.2f]\n",
-			w.Name, len(loops), minOff, maxOff, minOn, maxOn)
+		fmt.Fprintf(w, "%-16s loops=%2d  offlineSF[%5.2f %5.2f]  onlineSF[%5.2f %5.2f]\n",
+			wl.Name, len(loops), minOff, maxOff, minOn, maxOn)
 	}
+	return nil
 }

@@ -25,7 +25,6 @@
 //	aidserve -arrivals diurnal -virtual        # same stream in virtual time
 //	aidserve -arrivals poisson -sample 8 -record run.jsonl
 //	                                           # sampled capture -> run record
-//	aidserve -arrivals poisson -bench          # benchjson-compatible lines
 //	aidserve -arrivals poisson -metrics :9090 -metrics-interval 500ms
 //	                                           # live Prometheus scrape + stderr ticker
 //
@@ -82,7 +81,6 @@ func main() {
 	sampleBudget := flag.Int("sample-budget", 256, "per-loop event budget of sampled captures (0 = unbounded)")
 	sampleHead := flag.Int("sample-head", 0, "head-retention share of -sample-budget (0 = half)")
 	recordPath := flag.String("record", "", "write the sampled run record as JSONL to this path (real mode, needs -sample)")
-	bench := flag.Bool("bench", false, "also emit benchjson-compatible Benchmark lines")
 	metricsAddr := flag.String("metrics", "", "serve live runtime metrics in Prometheus text format on this address (real mode, e.g. :9090)")
 	metricsInterval := flag.Duration("metrics-interval", 0, "print a one-line service summary to stderr at this period (real mode, 0 = off)")
 	flag.Parse()
@@ -97,8 +95,7 @@ func main() {
 			kind: *arrivals, rate: *rate, duration: *duration, seed: *seed,
 			classesCSV: *classesCSV, maxPending: *maxPending, shed: *shed,
 			sampleEvery: *sample, sampleBudget: *sampleBudget, sampleHead: *sampleHead,
-			recordPath: *recordPath, bench: *bench,
-			metricsAddr: *metricsAddr, metricsInterval: *metricsInterval,
+			recordPath: *recordPath, metricsAddr: *metricsAddr, metricsInterval: *metricsInterval,
 			iters: *iters, threads: *threads, pl: pl, schedText: *schedText,
 			policyName: *policyName, spin: *spin, virtual: *virtual,
 		}, os.Stdout)
@@ -324,7 +321,6 @@ type serveOpts struct {
 	sampleBudget int
 	sampleHead   int
 	recordPath   string
-	bench        bool
 
 	metricsAddr     string        // Prometheus endpoint address ("" = off)
 	metricsInterval time.Duration // stderr summary period (0 = off)
@@ -480,11 +476,6 @@ func serve(o serveOpts, w io.Writer) error {
 		return err
 	}
 	writeServeSummary(w, sum)
-	if o.bench {
-		if err := writeServeBench(w, sum); err != nil {
-			return err
-		}
-	}
 	if o.recordPath != "" {
 		if err := writeServeRecord(o.recordPath, sum.record); err != nil {
 			return err
@@ -738,28 +729,6 @@ func writeServeSummary(w io.Writer, s *serveSummary) {
 		float64(s.admitted)/s.elapsed.Seconds(), s.maxInFlight)
 }
 
-// writeServeBench emits the run as one benchjson-compatible Benchmark
-// line, so cmd/benchjson can fold service runs into BENCH snapshots. Shed
-// counts are broken out per QoS class (one `shed-<class>` column each), so
-// a snapshot pins which tenant the full queue turned away, not just how
-// often it was full.
-func writeServeBench(w io.Writer, s *serveSummary) error {
-	p50, err := s.overall.Percentile(50)
-	if err != nil {
-		return err
-	}
-	p95, _ := s.overall.Percentile(95)
-	p99, _ := s.overall.Percentile(99)
-	fmt.Fprintf(w, "BenchmarkServe/engine=%s/arrivals=%s %d %.0f p50-ns %.0f p95-ns %.0f p99-ns %.2f loops/sec %d admitted %d shed",
-		s.engine, s.arrivals, s.admitted, p50, p95, p99,
-		float64(s.admitted)/s.elapsed.Seconds(), s.admitted, s.shed)
-	for _, c := range s.classes {
-		fmt.Fprintf(w, " %d shed-%s", c.shed, c.class.Name)
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
 // writeServeRecord persists the sampled run record and checks it survives
 // a self-diff — a corrupt or internally inconsistent record fails loudly
 // at write time rather than at the replay that needed it.
@@ -771,13 +740,22 @@ func writeServeRecord(path string, rec *trace.Record) error {
 	if rep.Regressions > 0 {
 		return fmt.Errorf("sampled record fails its self-diff:\n%s", rep)
 	}
-	f, err := os.Create(path)
+	// Temp-then-rename: a failed encode leaves neither a truncated file at
+	// path nor the staging file behind.
+	part := path + ".part"
+	f, err := os.Create(part)
 	if err != nil {
 		return err
 	}
-	if err := trace.EncodeJSONL(f, rec); err != nil {
-		f.Close()
-		return err
+	err = trace.EncodeJSONL(f, rec)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		err = os.Rename(part, path)
+	}
+	if err != nil {
+		os.Remove(part)
+	}
+	return err
 }

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -17,6 +20,7 @@ import (
 	"repro/internal/replay"
 	"repro/internal/rt"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestParseWeightsCyclesShortList(t *testing.T) {
@@ -308,7 +312,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestShedAttribution pins the per-class shed accounting: with the queue
 // too small for the offered load, sheds land on the class whose arrival
-// was refused, and the bench line breaks them out per class.
+// was refused, and the report breaks them out per class.
 func TestShedAttribution(t *testing.T) {
 	o := testServeOpts(false)
 	o.maxPending = 1
@@ -339,47 +343,101 @@ func TestShedAttribution(t *testing.T) {
 	if sum.shed == 0 {
 		t.Skip("queue of 1 never filled; timing too coarse to assert attribution")
 	}
+	// The report's per-class shed column carries the same attribution.
 	var b bytes.Buffer
-	if err := writeServeBench(&b, sum); err != nil {
-		t.Fatal(err)
-	}
-	line := b.String()
-	for _, c := range sum.classes {
-		want := " shed-" + c.class.Name
-		if !strings.Contains(line, want) {
-			t.Errorf("bench line lacks %q: %q", want, line)
+	writeServeSummary(&b, sum)
+	lines := strings.Split(b.String(), "\n")
+	for i, c := range sum.classes {
+		fields := strings.Fields(lines[2+i])
+		if len(fields) < 4 || fields[0] != c.class.Name || fields[3] != strconv.FormatInt(c.shed, 10) {
+			t.Errorf("class %s shed %d, report row says %q", c.class.Name, c.shed, lines[2+i])
 		}
 	}
 }
 
-func TestWriteServeBenchFormat(t *testing.T) {
-	o := testServeOpts(true)
-	classes, _ := fair.ParseClasses(o.classesCSV)
-	sched, _ := rt.ParseSchedule(o.schedText)
-	policy, _ := parsePolicy(o.policyName)
-	sum, err := serveVirtual(o, classes, sched, policy)
-	if err != nil {
-		t.Fatal(err)
+// smokeOpts is the short open-loop run CI drives through both engines: a
+// few hundred loops under Poisson arrivals across three QoS classes.
+func smokeOpts(virtual bool) serveOpts {
+	return serveOpts{
+		kind: "poisson", rate: 200, duration: time.Second, seed: 1,
+		classesCSV: "gold:8,silver:4,bronze:1", maxPending: 64, shed: true,
+		iters: 5000, pl: amp.PlatformA(), schedText: "aid-dynamic,1,5",
+		policyName: "wrr", spin: 50, virtual: virtual,
 	}
-	var b bytes.Buffer
-	if err := writeServeBench(&b, sum); err != nil {
-		t.Fatal(err)
-	}
-	// The line must satisfy cmd/benchjson's grammar: Benchmark prefix,
-	// integer run count, then value/unit pairs.
-	fields := strings.Fields(strings.TrimSpace(b.String()))
-	if len(fields) < 4 || len(fields)%2 != 0 {
-		t.Fatalf("bench line has %d fields: %q", len(fields), b.String())
-	}
-	if !strings.HasPrefix(fields[0], "Benchmark") {
-		t.Fatalf("bench line name %q", fields[0])
-	}
-	if _, err := strconv.Atoi(fields[1]); err != nil {
-		t.Fatalf("bench line run count %q: %v", fields[1], err)
-	}
-	for i := 2; i < len(fields); i += 2 {
-		if _, err := strconv.ParseFloat(fields[i], 64); err != nil {
-			t.Fatalf("bench value %q: %v", fields[i], err)
+}
+
+// smokeVirtualReport is what the virtual smoke run prints. Virtual time is
+// seed-deterministic, so the admitted count and every latency percentile are
+// pinned to the digit; a change here is a change in what the simulator or
+// the arrival stream computes, and must be deliberate.
+const smokeVirtualReport = `virtual serve: poisson arrivals, 194 admitted, 0 shed, span 993.176ms
+   class  weight    count     shed          p50          p95          p99
+    gold       8       65        0      1.605ms      2.523ms      2.916ms
+  silver       4       65        0       1.61ms       3.31ms       4.03ms
+  bronze       1       64        0      2.195ms      5.177ms      6.619ms
+overall: p50/p95/p99 1.619ms / 4.606ms / 6.226ms, throughput 195.33 loops/s, max in-flight 0
+`
+
+// TestServeSmoke drives the open-loop service tier end to end through
+// serve, once per engine. The real run also exercises sampled capture: the
+// record file it leaves must decode and self-diff clean, and a later write
+// that fails must not damage it.
+func TestServeSmoke(t *testing.T) {
+	t.Run("virtual", func(t *testing.T) {
+		var out bytes.Buffer
+		if err := serve(smokeOpts(true), &out); err != nil {
+			t.Fatal(err)
 		}
-	}
+		if out.String() != smokeVirtualReport {
+			t.Errorf("virtual smoke report moved; got:\n%s\nwant:\n%s", out.String(), smokeVirtualReport)
+		}
+	})
+	t.Run("real", func(t *testing.T) {
+		o := smokeOpts(false)
+		o.sampleEvery, o.sampleBudget = 8, 128
+		o.recordPath = filepath.Join(t.TempDir(), "smoke.jsonl")
+		var out bytes.Buffer
+		if err := serve(o, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(out.String(), "real serve: poisson arrivals, ") || !strings.Contains(out.String(), "(self-diff clean)") {
+			t.Errorf("real smoke report:\n%s", out.String())
+		}
+		f, err := os.Open(o.recordPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		rec, err := trace.DecodeJSONL(f)
+		if err != nil {
+			t.Fatalf("record file does not decode: %v", err)
+		}
+		if len(rec.Loops) == 0 || len(rec.Events) == 0 {
+			t.Fatalf("record holds %d loops, %d events", len(rec.Loops), len(rec.Events))
+		}
+		if rep := replay.Diff(rec, rec, 1.0); rep.Regressions > 0 {
+			t.Errorf("decoded record fails its self-diff:\n%s", rep)
+		}
+
+		// A record the encoder refuses must leave the file already at the
+		// path as it was, and no staging file next to it.
+		before, err := os.ReadFile(o.recordPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Events[0].Cost = math.NaN()
+		if err := writeServeRecord(o.recordPath, rec); err == nil {
+			t.Fatal("a record with a NaN cost was written")
+		}
+		after, err := os.ReadFile(o.recordPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("failed write changed the file: %d bytes before, %d after", len(before), len(after))
+		}
+		if entries, _ := os.ReadDir(filepath.Dir(o.recordPath)); len(entries) != 1 {
+			t.Errorf("failed write left %d files in the directory, want only the record", len(entries))
+		}
+	})
 }

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -26,24 +27,24 @@ func main() {
 	platform := flag.String("platform", "", "restrict to one platform: a registry name or a platform JSON file (default: A and B)")
 	flag.Parse()
 
-	if err := run(*app, *platform); err != nil {
+	if err := run(os.Stdout, *app, *platform); err != nil {
 		fmt.Fprintln(os.Stderr, "aidsf:", err)
 		os.Exit(1)
 	}
 }
 
-func run(app, platform string) error {
+func run(w io.Writer, app, platform string) error {
 	if app == "" {
 		series, err := exps.RunFig2()
 		if err != nil {
 			return err
 		}
 		for _, s := range series {
-			fmt.Println(s.Render())
+			fmt.Fprintln(w, s.Render())
 		}
 		return nil
 	}
-	w, ok := workloads.ByName(app)
+	wl, ok := workloads.ByName(app)
 	if !ok {
 		var names []string
 		for _, x := range workloads.All() {
@@ -60,15 +61,15 @@ func run(app, platform string) error {
 		platforms = []*amp.Platform{pl}
 	}
 	for _, pl := range platforms {
-		fmt.Printf("%s — per-loop offline SF on Platform %s\n", w.Name, pl.Name)
-		for i, spec := range w.Program.Loops() {
+		fmt.Fprintf(w, "%s — per-loop offline SF on Platform %s\n", wl.Name, pl.Name)
+		for i, spec := range wl.Program.Loops() {
 			sf, err := sim.MeasureLoopSF(pl, spec)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("loop %2d %-14s SF %5.2f  %s\n", i, spec.Name, sf, strings.Repeat("*", int(sf*4+0.5)))
+			fmt.Fprintf(w, "loop %2d %-14s SF %5.2f  %s\n", i, spec.Name, sf, strings.Repeat("*", int(sf*4+0.5)))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }

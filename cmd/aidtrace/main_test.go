@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// TestReplayDeterminism is the record & replay subsystem's end-to-end gate
-// (`make replay-determinism`): record a simulated run, exact-replay it twice
+// TestReplayDeterminism is the record & replay subsystem's end-to-end gate:
+// record a simulated run, exact-replay it twice
 // — each replay verifies event times and makespan against the record — and
 // require the two replays to serialize byte-identically and to diff clean.
 func TestReplayDeterminism(t *testing.T) {

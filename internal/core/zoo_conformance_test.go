@@ -7,7 +7,7 @@ import (
 )
 
 // TestZooConformance runs the exactly-once conformance harness over every
-// named platform in the zoo (`make zoo-check`). Unlike the synthetic
+// named platform in the zoo. Unlike the synthetic
 // two-type mixes of TestSchedulerConformance, each platform contributes its
 // real shape: cluster count, core counts per cluster under the BS binding,
 // and the topology-distance matrix that drives nearest-victim stealing —

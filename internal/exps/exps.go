@@ -241,8 +241,8 @@ type GuidedResult struct {
 // increasing completion time by 44% and 65% on average relative to static
 // and dynamic, never outperforming both for any program.
 //
-// KNOWN DEVIATION (see EXPERIMENTS.md): our abstract overhead model does
-// not reproduce guided's catastrophic slowdown. In the model, guided
+// KNOWN DEVIATION: our abstract overhead model does not
+// reproduce guided's catastrophic slowdown. In the model, guided
 // behaves like an adaptive schedule with few pool accesses and lands
 // *between* static and dynamic. The paper gives no mechanism for guided's
 // collapse; reproducing it would require implementation-specific detail of

@@ -259,7 +259,7 @@ func TestFig4HybridBeatsAIDStatic(t *testing.T) {
 func TestGuidedComparisonRuns(t *testing.T) {
 	// The paper's guided result (+44%/+65% vs static/dynamic) is a KNOWN
 	// DEVIATION: the abstract overhead model does not reproduce guided's
-	// collapse (see RunGuided's doc comment and EXPERIMENTS.md). This test
+	// collapse (see RunGuided's doc comment). This test
 	// pins the *model's* behaviour so a future change that silently brings
 	// guided to either extreme is noticed: guided must land between the
 	// catastrophic and dominant extremes and never beat AID-hybrid overall.

@@ -8,7 +8,7 @@ import (
 
 // TestCellLayout pins the counter block at exactly two cache lines, so
 // neighbouring workers' per-chunk updates never share a line (doc.go,
-// invariant 2). Runs under alloc-check's Layout regex.
+// invariant 2).
 func TestCellLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Cell{}); got != 128 {
 		t.Fatalf("Cell is %d bytes, want exactly 128 (two cache lines)", got)

@@ -239,34 +239,3 @@ func TestCreditStealAllocs(t *testing.T) {
 		t.Errorf("TryStealBatchFrom allocates %v per op, want 0", n)
 	}
 }
-
-// BenchmarkHotPath is the headline chunk-removal comparison for the credit
-// work: per-chunk claiming (claim=cas, the strict TryStealBatchFrom path) against
-// batched credit claiming (claim=credit) over the chunk sizes where the
-// paper's Fig. 8 sweep shows per-chunk overhead dominating. At chunk=1 the
-// credit path must win clearly (one RMW per CreditBatch iterations instead
-// of one per iteration); as chunk grows the gap closes, which is the
-// motivation for keeping both paths.
-func BenchmarkHotPath(b *testing.B) {
-	for _, chunk := range []int64{1, 4, 16} {
-		for _, threads := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("claim=cas/chunk=%d/threads=%d", chunk, threads), func(b *testing.B) {
-				ws := NewSharded(int64(b.N)*chunk*2+1<<20, []int{1, 1})
-				b.ReportAllocs()
-				benchSteal(b, threads, func(g int) func() {
-					home := g % 2
-					return func() { ws.TryStealBatchFrom(home, chunk, chunk) }
-				})
-			})
-			b.Run(fmt.Sprintf("claim=credit/chunk=%d/threads=%d", chunk, threads), func(b *testing.B) {
-				ws := NewSharded(int64(b.N)*chunk*2+1<<20, []int{1, 1})
-				b.ReportAllocs()
-				benchSteal(b, threads, func(g int) func() {
-					home := g % 2
-					c := new(Credit) // per-goroutine, as in the runtime
-					return func() { ws.TryStealCredit(home, chunk, c) }
-				})
-			})
-		}
-	}
-}

@@ -311,30 +311,6 @@ func TestShardedConcurrentCoverage(t *testing.T) {
 	}
 }
 
-// benchSteal distributes b.N steal operations over the given goroutine
-// count and waits for all of them.
-func benchSteal(b *testing.B, threads int, mk func(g int) func()) {
-	per := b.N / threads
-	rem := b.N % threads
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for g := 0; g < threads; g++ {
-		n := per
-		if g < rem {
-			n++
-		}
-		steal := mk(g)
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				steal()
-			}
-		}(n)
-	}
-	wg.Wait()
-}
-
 // TestShardedReset: a pool that was partly drained, re-weighted and drained
 // is, after Reset, the pool NewSharded would build — same shards, counters
 // back at zero, the topology still installed — in the storage it had, and

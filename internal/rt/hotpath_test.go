@@ -135,48 +135,3 @@ func TestRegistrySteadyStateAllocs(t *testing.T) {
 		t.Fatalf("covered %d iterations, want %d", got, 2*50000+2*n)
 	}
 }
-
-// BenchmarkHotPath measures the registry's steady-state per-iteration cost
-// on the claim hot path — submit one loop per b.N batch and drive it through
-// the fleet — at the fine chunk sizes where per-chunk overhead dominates.
-// With -benchmem this is the allocation trajectory the issue pins: the
-// steady-state rows must report 0 allocs/op beyond the per-submission
-// constants (which amortize to ~0 over the iteration counts measured).
-func BenchmarkHotPath(b *testing.B) {
-	for _, c := range []struct {
-		name  string
-		sched Schedule
-	}{
-		{"sched=dynamic/chunk=1", Schedule{Kind: KindDynamic, Chunk: 1}},
-		{"sched=dynamic/chunk=16", Schedule{Kind: KindDynamic, Chunk: 16}},
-		{"sched=aid-hybrid/chunk=1", Schedule{Kind: KindAIDHybrid, Chunk: 1}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			reg, err := NewRegistry(RegistryConfig{NThreads: 4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer reg.Close()
-			var sink atomic.Int64
-			run := func(n int64) {
-				l, err := reg.Submit(LoopRequest{N: n, Schedule: c.sched,
-					Body: func(_ int, lo, hi int64) { sink.Add(hi - lo) }})
-				if err != nil {
-					b.Fatal(err)
-				}
-				l.Wait()
-			}
-			run(1 << 14) // warm the fleet before the clock starts
-			b.ReportAllocs()
-			b.ResetTimer()
-			run(int64(b.N))
-			b.StopTimer()
-			if got := sink.Load(); got != int64(b.N)+1<<14 {
-				b.Fatalf("covered %d iterations, want %d", got, int64(b.N)+1<<14)
-			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(b.N)/secs, "iters/s")
-			}
-		})
-	}
-}

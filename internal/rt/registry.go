@@ -108,7 +108,7 @@ type RegistryConfig struct {
 	// TestRegistryMetricsSteadyStateAllocs) and reads the clock no more
 	// often: busy and sched time come from the chunk loop's own two stamps,
 	// so the per-chunk cost is a few plain adds into a batch flushed every
-	// 32 chunks (BenchmarkMetricsOverhead pins it).
+	// 32 chunks (./bench measures it as obs.metrics_overhead_pct).
 	Metrics bool
 }
 

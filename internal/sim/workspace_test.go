@@ -200,8 +200,7 @@ func TestRunProgramBuildsOncePerPhase(t *testing.T) {
 	}
 }
 
-// TestRunProgramAllocs is the simulator's allocation gate (`make
-// alloc-check`): what RunProgram allocates per program and per phase is paid
+// TestRunProgramAllocs is the simulator's allocation gate: what RunProgram allocates per program and per phase is paid
 // once, and each further repetition of a phase costs a small constant number
 // of allocations — none under the conventional schedules, and under the AID
 // ones only what a repetition hands to its result (the copies of the SF table

@@ -342,7 +342,7 @@ func TestNonFiniteCostRejected(t *testing.T) {
 	}
 }
 
-// TestEventCodecAllocs is the codec's allocation gate (`make alloc-check`):
+// TestEventCodecAllocs is the codec's allocation gate:
 // encoding allocates nothing per event, decoding less than one allocation per
 // ten events (the event array doubles; nothing else is per line).
 func TestEventCodecAllocs(t *testing.T) {

@@ -328,8 +328,8 @@ func writeLine(w *bufio.Writer, tag string, v any) error {
 // engine, platform, fleet shape, makespan) followed by one line per loop
 // descriptor, chunk event, phase transition, SF sample and timeline
 // interval, in that order. The encoding is deterministic: encoding the same
-// record twice yields byte-identical output (the property `make
-// replay-determinism` checks end to end). A record that fails Validate is
+// record twice yields byte-identical output (the property cmd/aidtrace's
+// TestReplayDeterminism checks end to end). A record that fails Validate is
 // refused before the first byte is written; chunk-event lines, which are
 // nearly all of a record, are appended without reflection (evline.go), the
 // rest go through encoding/json.
