@@ -1,8 +1,9 @@
 # CI entry points for the conf_icpp_SaezCP20 reproduction.
 #
-#   make ci      - everything a PR must pass: vet, build, the whole suite
-#                  (plain, plus the lock-free layers under -race), and the
-#                  multi-loop conformance/race suite under -race -count=2.
+#   make ci      - everything a PR must pass: vet (go vet, and gofmt -l .
+#                  listing no file), build, the whole suite (plain, plus the
+#                  lock-free layers under -race), and the multi-loop
+#                  conformance/race suite under -race -count=2.
 #                  It writes nothing into the tree.
 #   make test    - tier-1: go build ./... && go test -count=1 ./...
 #   make race    - race-detector run over the lock-free scheduler/pool layers
@@ -48,8 +49,11 @@ GO ?= go
 
 ci: vet build race race-multiloop
 
+# gofmt -l prints the files it would rewrite; grep passes them on and makes
+# any such line a failure.
 vet:
 	$(GO) vet ./...
+	! gofmt -l . | grep .
 
 build:
 	$(GO) build ./...

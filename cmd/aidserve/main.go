@@ -138,18 +138,6 @@ func parseWeights(csv string, nloops int) ([]int, error) {
 	return weights, nil
 }
 
-func parsePolicy(name string) (fair.Policy, error) {
-	switch name {
-	case "wrr":
-		return fair.NewWeightedRoundRobin(0), nil
-	case "fcfs":
-		return fair.NewFCFS(), nil
-	case "sf-aware":
-		return fair.NewSFAware(0, 0), nil
-	}
-	return nil, fmt.Errorf("unknown policy %q (want wrr, fcfs or sf-aware)", name)
-}
-
 // virtualNsPerSpinUnit converts -spin work units into the discrete-event
 // engine's per-iteration cost, so the knob shapes virtual runs exactly as
 // it shapes real ones. The factor keeps the default -spin 200 at the
@@ -192,7 +180,7 @@ func run(loops int, iters int64, threads int, pl *amp.Platform, schedText, polic
 	if err != nil {
 		return err
 	}
-	policy, err := parsePolicy(policyName)
+	policy, err := fair.ParsePolicy(policyName)
 	if err != nil {
 		return err
 	}
@@ -456,7 +444,7 @@ func serve(o serveOpts, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	policy, err := parsePolicy(o.policyName)
+	policy, err := fair.ParsePolicy(o.policyName)
 	if err != nil {
 		return err
 	}
@@ -740,22 +728,5 @@ func writeServeRecord(path string, rec *trace.Record) error {
 	if rep.Regressions > 0 {
 		return fmt.Errorf("sampled record fails its self-diff:\n%s", rep)
 	}
-	// Temp-then-rename: a failed encode leaves neither a truncated file at
-	// path nor the staging file behind.
-	part := path + ".part"
-	f, err := os.Create(part)
-	if err != nil {
-		return err
-	}
-	err = trace.EncodeJSONL(f, rec)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(part, path)
-	}
-	if err != nil {
-		os.Remove(part)
-	}
-	return err
+	return trace.WriteFile(path, rec)
 }

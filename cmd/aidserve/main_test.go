@@ -56,13 +56,13 @@ func TestParseWeightsRejectsSurplus(t *testing.T) {
 
 func TestParsePolicy(t *testing.T) {
 	for _, name := range []string{"wrr", "fcfs", "sf-aware"} {
-		p, err := parsePolicy(name)
-		if err != nil || p == nil {
-			t.Fatalf("parsePolicy(%q) = %v, %v", name, p, err)
+		p, err := fair.ParsePolicy(name)
+		if err != nil || p.Name() != name {
+			t.Fatalf("fair.ParsePolicy(%q) = %v, %v", name, p, err)
 		}
 	}
-	if _, err := parsePolicy("lifo"); err == nil {
-		t.Fatal("parsePolicy accepted an unknown name")
+	if _, err := fair.ParsePolicy("lifo"); err == nil {
+		t.Fatal("fair.ParsePolicy accepted an unknown name")
 	}
 }
 
@@ -135,7 +135,7 @@ func TestServeVirtualDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *serveSummary {
-		policy, err := parsePolicy(o.policyName)
+		policy, err := fair.ParsePolicy(o.policyName)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestServeRealSampledRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy, err := parsePolicy(o.policyName)
+	policy, err := fair.ParsePolicy(o.policyName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestShedAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy, err := parsePolicy(o.policyName)
+	policy, err := fair.ParsePolicy(o.policyName)
 	if err != nil {
 		t.Fatal(err)
 	}

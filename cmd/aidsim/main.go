@@ -60,14 +60,9 @@ func run(w io.Writer, platform string, threads int, bindingText, schedText strin
 	if threads == 0 {
 		threads = pl.NumCores()
 	}
-	var binding amp.Binding
-	switch strings.ToUpper(bindingText) {
-	case "SB":
-		binding = amp.BindSB
-	case "BS":
-		binding = amp.BindBS
-	default:
-		return fmt.Errorf("binding must be SB or BS, got %q", bindingText)
+	binding, err := amp.ParseBinding(bindingText)
+	if err != nil {
+		return err
 	}
 	var costModel sim.CostModel = sim.UniformCost{PerIter: cost}
 	if slope != 0 {

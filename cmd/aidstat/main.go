@@ -43,14 +43,9 @@ func run(args []string, stdout io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: aidstat [-export chrome [-o out.json]] record.jsonl")
 	}
-	f, err := os.Open(fs.Arg(0))
+	rec, err := trace.ReadFile(fs.Arg(0))
 	if err != nil {
 		return err
-	}
-	defer f.Close()
-	rec, err := trace.DecodeJSONL(f)
-	if err != nil {
-		return fmt.Errorf("reading %s: %w", fs.Arg(0), err)
 	}
 	switch *export {
 	case "":

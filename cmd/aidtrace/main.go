@@ -21,7 +21,7 @@
 //	                                # chunk assignments in virtual time and
 //	                                # verify coverage (and, for sim records,
 //	                                # the exact makespan and event times)
-//	aidtrace -whatif run.jsonl -sched aid-static [-policy wrr] [-o out.jsonl]
+//	aidtrace -whatif run.jsonl -sched aid-static [-policy wrr|fcfs|sf-aware] [-o out.jsonl]
 //	                                # keep the recorded workload, swap the
 //	                                # scheduler/policy, compare to the record
 //	aidtrace -diff a.jsonl,b.jsonl [-tol 2]
@@ -120,14 +120,9 @@ func resolveWorkload(app, schedText, bindingText, platform string) (resolved, er
 	if err != nil {
 		return resolved{}, err
 	}
-	var binding amp.Binding
-	switch strings.ToUpper(bindingText) {
-	case "SB":
-		binding = amp.BindSB
-	case "BS":
-		binding = amp.BindBS
-	default:
-		return resolved{}, fmt.Errorf("binding must be SB or BS, got %q", bindingText)
+	binding, err := amp.ParseBinding(bindingText)
+	if err != nil {
+		return resolved{}, err
 	}
 	pl, err := amp.Resolve(platform)
 	if err != nil {
@@ -138,27 +133,6 @@ func resolveWorkload(app, schedText, bindingText, platform string) (resolved, er
 		return resolved{}, fmt.Errorf("workload %s has no parallel loops", app)
 	}
 	return resolved{workload: w.Name, spec: loops[0], sched: sched, binding: binding, pl: pl}, nil
-}
-
-func writeRecord(path string, rec *trace.Record) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.EncodeJSONL(f, rec); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func readRecord(path string) (*trace.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return trace.DecodeJSONL(f)
 }
 
 // runRecord records one loop execution — simulated (virtual time, exact
@@ -227,7 +201,7 @@ func runRecord(path, app, schedText, bindingText, platform, engine string) error
 	default:
 		return fmt.Errorf("engine must be sim or rt, got %q", engine)
 	}
-	if err := writeRecord(path, rec); err != nil {
+	if err := trace.WriteFile(path, rec); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)
@@ -236,7 +210,7 @@ func runRecord(path, app, schedText, bindingText, platform, engine string) error
 
 // runReplay exact-replays a record file and reports the verification.
 func runReplay(path, outPath string) error {
-	rec, err := readRecord(path)
+	rec, err := trace.ReadFile(path)
 	if err != nil {
 		return err
 	}
@@ -255,7 +229,7 @@ func runReplay(path, outPath string) error {
 		fmt.Print(tr.Render(88))
 	}
 	if outPath != "" {
-		if err := writeRecord(outPath, res.Record); err != nil {
+		if err := trace.WriteFile(outPath, res.Record); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", outPath)
@@ -266,7 +240,7 @@ func runReplay(path, outPath string) error {
 // runWhatIf re-executes the recorded workload under a swapped configuration
 // and diffs the counterfactual against the record.
 func runWhatIf(path, schedOverride, policy, outPath string, tolPct float64) error {
-	rec, err := readRecord(path)
+	rec, err := trace.ReadFile(path)
 	if err != nil {
 		return err
 	}
@@ -299,7 +273,7 @@ func runWhatIf(path, schedOverride, policy, outPath string, tolPct float64) erro
 		fmt.Print(tr.Render(88))
 	}
 	if outPath != "" {
-		if err := writeRecord(outPath, res.Record); err != nil {
+		if err := trace.WriteFile(outPath, res.Record); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", outPath)
@@ -314,11 +288,11 @@ func runDiff(paths string, tolPct float64) error {
 	if len(parts) != 2 {
 		return fmt.Errorf("-diff wants two files: a.jsonl,b.jsonl")
 	}
-	a, err := readRecord(strings.TrimSpace(parts[0]))
+	a, err := trace.ReadFile(strings.TrimSpace(parts[0]))
 	if err != nil {
 		return err
 	}
-	b, err := readRecord(strings.TrimSpace(parts[1]))
+	b, err := trace.ReadFile(strings.TrimSpace(parts[1]))
 	if err != nil {
 		return err
 	}

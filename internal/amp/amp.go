@@ -45,6 +45,7 @@ package amp
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Profile characterizes the instruction mix of a piece of code (one parallel
@@ -208,6 +209,24 @@ func (b Binding) String() string {
 	return "SB"
 }
 
+// ParseBinding reads a binding as String writes it, "BS" or "SB"; letter case
+// and surrounding space do not matter (it is also the value grammar of the
+// -binding flags and of GOOMP_AMP_AFFINITY).
+func ParseBinding(text string) (Binding, error) {
+	switch strings.ToUpper(strings.TrimSpace(text)) {
+	case "BS":
+		return BindBS, nil
+	case "SB":
+		return BindSB, nil
+	}
+	return 0, fmt.Errorf("amp: binding %q is neither BS nor SB", text)
+}
+
+// maxCores bounds a platform's core count. A description can come from a
+// platform file or a run record, and New allocates per core and per pair of
+// clusters, so the count in a file must not decide how much.
+const maxCores = 4096
+
 // New assembles a platform from clusters and overheads. Clusters must be
 // ordered big-to-small (cluster 0 = big), mirroring the paper's convention
 // that CPUs with higher numbers are big cores: the flattened CPU numbering
@@ -225,6 +244,9 @@ func New(name string, clusters []Cluster, ov Overheads) (*Platform, error) {
 		c := clusters[ci]
 		if c.NumCores <= 0 {
 			return nil, fmt.Errorf("amp: cluster %d of %q has %d cores", ci, name, c.NumCores)
+		}
+		if c.NumCores > maxCores-len(p.cores) {
+			return nil, fmt.Errorf("amp: platform %q has more than %d cores", name, maxCores)
 		}
 		for i := 0; i < c.NumCores; i++ {
 			p.cores = append(p.cores, coreInfo{cluster: ci, big: ci == 0})
@@ -356,9 +378,6 @@ func (p *Platform) NumCores() int { return len(p.cores) }
 // NumBig returns the number of cores in the big cluster (cluster 0).
 func (p *Platform) NumBig() int { return p.Clusters[0].NumCores }
 
-// NumSmall returns the number of cores outside the big cluster.
-func (p *Platform) NumSmall() int { return p.NumCores() - p.NumBig() }
-
 // IsBig reports whether CPU id belongs to the big cluster.
 func (p *Platform) IsBig(cpu int) bool { return p.cores[cpu].big }
 
@@ -379,17 +398,6 @@ func (p *Platform) CoreOf(tid, nthreads int, b Binding) int {
 		return tid // ascending: thread 0 -> CPU 0 (small)
 	}
 	return p.NumCores() - 1 - tid // descending: thread 0 -> highest CPU (big)
-}
-
-// BigThreads returns how many of nthreads land on big cores under binding b.
-func (p *Platform) BigThreads(nthreads int, b Binding) int {
-	n := 0
-	for tid := 0; tid < nthreads; tid++ {
-		if p.IsBig(p.CoreOf(tid, nthreads, b)) {
-			n++
-		}
-	}
-	return n
 }
 
 // effectiveMem returns the profile's memory intensity after accounting for

@@ -62,13 +62,24 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New("zero-cores", bad, Overheads{}); err == nil {
 		t.Error("New with zero-core cluster should fail")
 	}
+	// A core count is outside input (platform files, run records): New must
+	// refuse it before allocating a table of that size.
+	huge := []Cluster{{NumCores: maxCores}, {NumCores: 1}}
+	if _, err := New("huge", huge, Overheads{}); err == nil {
+		t.Errorf("New with %d cores should fail", maxCores+1)
+	}
+	if _, err := New("huge", []Cluster{{NumCores: 1 << 62}, {NumCores: 1 << 62}}, Overheads{}); err == nil {
+		t.Error("New with 2^63 cores should fail")
+	}
+	if p, err := New("large", huge[:1], Overheads{}); err != nil || p.NumCores() != maxCores {
+		t.Errorf("New with %d cores: %v", maxCores, err)
+	}
 }
 
 func TestPlatformTopologyA(t *testing.T) {
 	p := PlatformA()
-	if p.NumCores() != 8 || p.NumBig() != 4 || p.NumSmall() != 4 {
-		t.Fatalf("Platform A topology: cores=%d big=%d small=%d",
-			p.NumCores(), p.NumBig(), p.NumSmall())
+	if p.NumCores() != 8 || p.NumBig() != 4 {
+		t.Fatalf("Platform A topology: cores=%d big=%d", p.NumCores(), p.NumBig())
 	}
 	// Paper convention: CPUs 0-3 are small, CPUs 4-7 are big.
 	for cpu := 0; cpu < 4; cpu++ {
@@ -104,18 +115,11 @@ func TestBindings(t *testing.T) {
 			t.Errorf("BS thread %d not on small core", tid)
 		}
 	}
-	if n := p.BigThreads(8, BindBS); n != 4 {
-		t.Errorf("BigThreads(8, BS) = %d, want 4", n)
-	}
-	if n := p.BigThreads(8, BindSB); n != 4 {
-		t.Errorf("BigThreads(8, SB) = %d, want 4", n)
-	}
 	// 4-thread runs: BS gives all-big, SB gives all-small.
-	if n := p.BigThreads(4, BindBS); n != 4 {
-		t.Errorf("BigThreads(4, BS) = %d, want 4", n)
-	}
-	if n := p.BigThreads(4, BindSB); n != 0 {
-		t.Errorf("BigThreads(4, SB) = %d, want 0", n)
+	for tid := 0; tid < 4; tid++ {
+		if !p.IsBig(p.CoreOf(tid, 4, BindBS)) || p.IsBig(p.CoreOf(tid, 4, BindSB)) {
+			t.Errorf("4 threads: thread %d is not on a big core under BS and a small one under SB", tid)
+		}
 	}
 }
 
@@ -317,8 +321,8 @@ func TestPlatformTriTopology(t *testing.T) {
 		}
 	}
 	// Only cluster 0 counts as "big".
-	if p.NumBig() != 2 || p.NumSmall() != 6 {
-		t.Errorf("big/small counts: %d/%d, want 2/6", p.NumBig(), p.NumSmall())
+	if p.NumBig() != 2 || p.NumCores() != 8 {
+		t.Errorf("big/all counts: %d/%d, want 2/8", p.NumBig(), p.NumCores())
 	}
 }
 

@@ -279,26 +279,6 @@ func RunGuided(pl *amp.Platform) (GuidedResult, error) {
 	return res, nil
 }
 
-// RunGuidedVsAID returns the geometric-mean speedup of guided relative to
-// AID-hybrid(80%) across all workloads (< 1 means AID-hybrid dominates).
-func RunGuidedVsAID(pl *amp.Platform) (float64, error) {
-	guided := Scheme{Label: "guided(BS)", Sched: rt.Schedule{Kind: rt.KindGuided}, Binding: amp.BindBS}
-	hybrid := Scheme{Label: "AID-hybrid", Sched: rt.Schedule{Kind: rt.KindAIDHybrid, Pct: 0.80}, Binding: amp.BindBS}
-	var ratios []float64
-	for _, w := range workloads.All() {
-		tG, err := runApp(pl, w, guided)
-		if err != nil {
-			return 0, err
-		}
-		tH, err := runApp(pl, w, hybrid)
-		if err != nil {
-			return 0, err
-		}
-		ratios = append(ratios, tH/tG)
-	}
-	return stats.GeoMean(ratios), nil
-}
-
 // Render prints the guided summary.
 func (g GuidedResult) Render() string {
 	var b strings.Builder

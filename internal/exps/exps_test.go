@@ -273,16 +273,6 @@ func TestGuidedComparisonRuns(t *testing.T) {
 	if !strings.Contains(g.Render(), "guided") {
 		t.Error("guided render malformed")
 	}
-	// Pin guided's relation to AID-hybrid: in the model they land at rough
-	// parity (the paper's guided collapse is the documented deviation); a
-	// drift outside this band signals an unintended model change.
-	gb, err := RunGuidedVsAID(amp.PlatformA())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gb < 0.85 || gb > 1.08 {
-		t.Errorf("guided/AID-hybrid gmean speedup = %v, outside the pinned parity band", gb)
-	}
 }
 
 func TestFig9OfflineSFComparison(t *testing.T) {

@@ -18,6 +18,20 @@ type Class struct {
 	Weight int
 }
 
+// ParsePolicy returns a fresh policy of the given name, as Policy.Name reports
+// it: "wrr", "fcfs" or "sf-aware", each with its default quantum.
+func ParsePolicy(name string) (Policy, error) {
+	switch name {
+	case "wrr":
+		return NewWeightedRoundRobin(0), nil
+	case "fcfs":
+		return NewFCFS(), nil
+	case "sf-aware":
+		return NewSFAware(0, 0), nil
+	}
+	return nil, fmt.Errorf("fair: unknown policy %q (want wrr, fcfs or sf-aware)", name)
+}
+
 // ParseClasses parses a QoS tier list of the form
 // "gold:8,silver:4,bronze:1" into ordered classes. Names must be non-empty
 // and unique; weights must be positive integers. A single bare name

@@ -12,28 +12,12 @@ import (
 	"repro/internal/xrand"
 )
 
-// MonteCarloPi estimates π from n pseudo-random points in the unit square,
-// using a deterministic stream derived from seed. It is the EP-style kernel:
-// every iteration performs the same amount of independent arithmetic.
-func MonteCarloPi(n int, seed uint64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	rng := xrand.New(seed)
-	in := 0
-	for i := 0; i < n; i++ {
-		x := rng.Float64()
-		y := rng.Float64()
-		if x*x+y*y <= 1 {
-			in++
-		}
-	}
-	return 4 * float64(in) / float64(n)
-}
-
-// MonteCarloPiRange processes samples [lo, hi) of the stream for seed and
-// returns the hit count, so a parallel loop can partition the sample space
-// across worker threads and sum the partial results.
+// MonteCarloPiRange is the EP-style kernel: every iteration performs the same
+// amount of independent arithmetic. It processes samples [lo, hi) of the
+// pseudo-random stream for seed (points in the unit square) and returns how
+// many fall inside the quarter circle, so a parallel loop can partition the
+// sample space across worker threads and sum the partial results; π is
+// estimated as 4·hits/samples.
 func MonteCarloPiRange(lo, hi int64, seed uint64) int64 {
 	var in int64
 	for i := lo; i < hi; i++ {

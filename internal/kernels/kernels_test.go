@@ -6,21 +6,22 @@ import (
 )
 
 func TestMonteCarloPiConverges(t *testing.T) {
-	pi := MonteCarloPi(200000, 42)
+	const n = 200000
+	pi := 4 * float64(MonteCarloPiRange(0, n, 42)) / n
 	if math.Abs(pi-math.Pi) > 0.02 {
-		t.Errorf("MonteCarloPi = %v, want ~%v", pi, math.Pi)
+		t.Errorf("pi from %d samples = %v, want ~%v", n, pi, math.Pi)
 	}
 }
 
 func TestMonteCarloPiDeterministic(t *testing.T) {
-	if MonteCarloPi(1000, 7) != MonteCarloPi(1000, 7) {
-		t.Error("MonteCarloPi not deterministic")
+	if MonteCarloPiRange(0, 1000, 7) != MonteCarloPiRange(0, 1000, 7) {
+		t.Error("MonteCarloPiRange not deterministic")
 	}
-	if MonteCarloPi(1000, 7) == MonteCarloPi(1000, 8) {
-		t.Error("MonteCarloPi ignores seed")
+	if MonteCarloPiRange(0, 1000, 7) == MonteCarloPiRange(0, 1000, 8) {
+		t.Error("MonteCarloPiRange ignores seed")
 	}
-	if MonteCarloPi(0, 1) != 0 {
-		t.Error("MonteCarloPi(0) != 0")
+	if MonteCarloPiRange(5, 5, 1) != 0 {
+		t.Error("an empty sample range has hits")
 	}
 }
 

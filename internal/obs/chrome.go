@@ -31,8 +31,12 @@ func ExportChrome(w io.Writer, rec *trace.Record) error {
 	if err != nil {
 		return fmt.Errorf("obs: rebuilding recorded platform: %w", err)
 	}
+	binding, err := amp.ParseBinding(rec.Binding)
+	if err != nil {
+		return fmt.Errorf("obs: %w", err)
+	}
 	for tid := 0; tid < rec.NThreads; tid++ {
-		cluster := pl.ClusterOf(pl.CoreOf(tid, rec.NThreads, bindingOf(rec.Binding)))
+		cluster := pl.ClusterOf(pl.CoreOf(tid, rec.NThreads, binding))
 		events = append(events, obj{
 			"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
 			"args": obj{"name": fmt.Sprintf("worker-%d (type%d)", tid, cluster)},
@@ -83,15 +87,6 @@ func ExportChrome(w io.Writer, rec *trace.Record) error {
 	}
 	_, err = w.Write([]byte("\n"))
 	return err
-}
-
-// bindingOf parses a record's binding string ("SB" selects small-first;
-// anything else the default BS, mirroring the recorders' String output).
-func bindingOf(s string) amp.Binding {
-	if s == "SB" {
-		return amp.BindSB
-	}
-	return amp.BindBS
 }
 
 // loopName resolves an event's loop index to the recorded loop name.

@@ -273,9 +273,6 @@ func New(nworkers, ntypes int, typeOf func(tid int) int) *Metrics {
 // through it (doc.go, invariant 1).
 func (m *Metrics) Cell(tid int) *Cell { return &m.cells[tid] }
 
-// NWorkers returns the fleet size the metrics were built for.
-func (m *Metrics) NWorkers() int { return len(m.cells) }
-
 // Snapshot scrapes every cell: the fleet-wide totals, the per-worker
 // breakdown, and busy time rolled up by each worker's home core type. Safe
 // to call from any goroutine while workers keep counting; see doc.go,

@@ -63,9 +63,6 @@ func (sc *SampleCounters) Add(coreType int, elapsedNs int64) {
 	sc.counts[coreType].Add(1)
 }
 
-// AllDone reports whether every participating thread has recorded a sample.
-func (sc *SampleCounters) AllDone() bool { return sc.done.Load() >= sc.total }
-
 // Avg returns the average sampling time for a core type in ns, and ok=false
 // when no thread of that type recorded a sample.
 func (sc *SampleCounters) Avg(coreType int) (float64, bool) {

@@ -256,9 +256,6 @@ func TestTryStealFuncBadSizePanics(t *testing.T) {
 
 func TestSampleCounters(t *testing.T) {
 	sc := NewSampleCounters(2, 4)
-	if sc.AllDone() {
-		t.Error("fresh counters report AllDone")
-	}
 	if last := sc.Record(0, 100); last {
 		t.Error("first Record reported last")
 	}
@@ -270,9 +267,6 @@ func TestSampleCounters(t *testing.T) {
 	}
 	if last := sc.Record(1, 1200); !last {
 		t.Error("fourth Record did not report last")
-	}
-	if !sc.AllDone() {
-		t.Error("AllDone false after all records")
 	}
 	if avg, ok := sc.Avg(0); !ok || avg != 200 {
 		t.Errorf("Avg(0) = %v, %v; want 200, true", avg, ok)
@@ -296,8 +290,8 @@ func TestSampleCountersReset(t *testing.T) {
 	sc.Record(0, 50)
 	sc.Record(1, 70)
 	sc.Reset()
-	if sc.AllDone() {
-		t.Error("AllDone true after Reset")
+	if sc.done.Load() != 0 {
+		t.Error("Reset kept the completion count")
 	}
 	if _, ok := sc.Avg(0); ok {
 		t.Error("Avg(0) ok after Reset")
@@ -356,7 +350,7 @@ func TestSampleCountersResize(t *testing.T) {
 	if &sc.sumNs[0] != sums {
 		t.Error("Resize to fewer core types reallocated the counters")
 	}
-	if _, ok := sc.Avg(1); ok || sc.AllDone() {
+	if _, ok := sc.Avg(1); ok || sc.done.Load() != 0 {
 		t.Error("Resize kept samples of the previous loop")
 	}
 	if sc.Record(0, 10) || !sc.Record(1, 30) {

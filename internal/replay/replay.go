@@ -140,9 +140,9 @@ func platformOf(rec *trace.Record) (*amp.Platform, amp.Binding, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("replay: rebuilding platform: %w", err)
 	}
-	binding := amp.BindBS
-	if rec.Binding == "SB" {
-		binding = amp.BindSB
+	binding, err := amp.ParseBinding(rec.Binding)
+	if err != nil {
+		return nil, 0, fmt.Errorf("replay: %w", err)
 	}
 	if rec.NThreads > pl.NumCores() {
 		return nil, 0, fmt.Errorf("replay: record has %d threads but platform %q has %d cores", rec.NThreads, pl.Name, pl.NumCores())
@@ -405,9 +405,10 @@ type WhatIfConfig struct {
 	// which the record must then carry in parseable form.
 	Schedule string
 	// Policy, when non-empty, selects the fairness policy for multi-loop
-	// records: "wrr" or "fcfs".
+	// records by name (fair.ParsePolicy: "wrr", "fcfs" or "sf-aware").
 	Policy string
-	// Binding, when non-empty, overrides the binding convention: "BS"/"SB".
+	// Binding, when non-empty, overrides the binding convention
+	// (amp.ParseBinding: "BS" or "SB").
 	Binding string
 	// NThreads, when non-zero, overrides the worker count.
 	NThreads int
@@ -434,13 +435,8 @@ func WhatIf(rec *trace.Record, wcfg WhatIfConfig) (*Result, error) {
 		return nil, err
 	}
 	if wcfg.Binding != "" {
-		switch wcfg.Binding {
-		case "BS":
-			binding = amp.BindBS
-		case "SB":
-			binding = amp.BindSB
-		default:
-			return nil, fmt.Errorf("replay: binding %q is neither BS nor SB", wcfg.Binding)
+		if binding, err = amp.ParseBinding(wcfg.Binding); err != nil {
+			return nil, fmt.Errorf("replay: %w", err)
 		}
 	}
 	nthreads := rec.NThreads
@@ -486,21 +482,19 @@ func WhatIf(rec *trace.Record, wcfg WhatIfConfig) (*Result, error) {
 		Recorder:   trace.NewRecorder(),
 	}
 	// The fairness policy keeps the recorded configuration unless
-	// overridden, like every other zero-value field.
+	// overridden, like every other zero-value field; a record that names none
+	// (a fork/join run, or several loops from a recorder that did not say) is
+	// run under wrr.
 	polName := wcfg.Policy
 	if polName == "" {
 		polName = rec.Policy
 	}
-	var policy fair.Policy
-	switch polName {
-	case "", "wrr":
-		policy = fair.NewWeightedRoundRobin(0)
-	case "fcfs":
-		policy = fair.NewFCFS()
-	case "sf-aware":
-		policy = fair.NewSFAware(0, 0)
-	default:
-		return nil, fmt.Errorf("replay: unknown fairness policy %q (wrr, fcfs or sf-aware)", polName)
+	if polName == "" {
+		polName = "wrr"
+	}
+	policy, err := fair.ParsePolicy(polName)
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
 	}
 	res, err := runConfigured(cfg, rec, specs, policy, true)
 	if err != nil {

@@ -285,15 +285,6 @@ func TestParallelForEmptyLoop(t *testing.T) {
 	}
 }
 
-func TestSerial(t *testing.T) {
-	team, _ := NewTeam(TeamConfig{NThreads: 2})
-	ran := false
-	team.Serial(func() { ran = true })
-	if !ran {
-		t.Error("Serial did not run f")
-	}
-}
-
 func TestTeamScheduleAccessor(t *testing.T) {
 	s := Schedule{Kind: KindAIDDynamic, Chunk: 2, Major: 6}
 	team, _ := NewTeam(TeamConfig{NThreads: 2, Schedule: s})

@@ -226,6 +226,32 @@ func reweightable(k Kind) bool {
 	return k == KindAIDStatic || k == KindAIDHybrid || k == KindAIDDynamic
 }
 
+// A param names what one positional parameter of the GOOMP_SCHEDULE syntax
+// sets: the chunk, AID-dynamic's Major chunk, or AID-hybrid's percentage.
+type param int
+
+const (
+	paramChunk param = iota
+	paramMajor
+	paramPct
+)
+
+// scheduleSyntax is the GOOMP_SCHEDULE grammar: the kind each method name
+// selects and its positional parameters, every one optional, in order.
+var scheduleSyntax = map[string]struct {
+	kind   Kind
+	params []param
+}{
+	"static":      {KindStatic, []param{paramChunk}}, // with a chunk: KindStaticChunked
+	"dynamic":     {KindDynamic, []param{paramChunk}},
+	"guided":      {KindGuided, []param{paramChunk}},
+	"aid-static":  {KindAIDStatic, []param{paramChunk}},
+	"aid-hybrid":  {KindAIDHybrid, []param{paramPct, paramChunk}},
+	"aid-dynamic": {KindAIDDynamic, []param{paramChunk, paramMajor}},
+	"aid-auto":    {KindAIDAuto, []param{paramChunk, paramMajor}},
+	"work-steal":  {KindWorkSteal, []param{paramChunk}},
+}
+
 // ParseSchedule parses the GOOMP_SCHEDULE syntax. Accepted forms (method
 // names are case-insensitive; parameters follow after commas):
 //
@@ -234,8 +260,8 @@ func reweightable(k Kind) bool {
 //	guided            guided,<chunk>
 //	aid-static        aid-static,<chunk>
 //	aid-hybrid        aid-hybrid,<pct>[,<chunk>]   (pct in percent, e.g. 80)
-//	aid-dynamic       aid-dynamic,<m>,<M>
-//	aid-auto          aid-auto,<m>,<M>
+//	aid-dynamic       aid-dynamic,<m>[,<M>]
+//	aid-auto          aid-auto,<m>[,<M>]
 //	work-steal        work-steal,<chunk>
 //
 // The AID methods with an online SF estimate (aid-static, aid-hybrid,
@@ -251,128 +277,33 @@ func ParseSchedule(text string) (Schedule, error) {
 		reweight = true
 		args = args[:n-1]
 	}
-	argN := func(i int) (int64, error) {
-		v, err := strconv.ParseInt(strings.TrimSpace(args[i]), 10, 64)
-		if err != nil || v <= 0 {
-			return 0, fmt.Errorf("rt: bad schedule parameter %q in %q", args[i], text)
-		}
-		return v, nil
-	}
-	var s Schedule
-	switch name {
-	case "static":
-		s.Kind = KindStatic
-		if len(args) == 1 {
-			c, err := argN(0)
-			if err != nil {
-				return Schedule{}, err
-			}
-			s.Kind = KindStaticChunked
-			s.Chunk = c
-		} else if len(args) > 1 {
-			return Schedule{}, fmt.Errorf("rt: too many parameters in %q", text)
-		}
-	case "dynamic", "guided":
-		s.Kind = KindDynamic
-		if name == "guided" {
-			s.Kind = KindGuided
-		}
-		if len(args) > 1 {
-			return Schedule{}, fmt.Errorf("rt: too many parameters in %q", text)
-		}
-		if len(args) == 1 {
-			c, err := argN(0)
-			if err != nil {
-				return Schedule{}, err
-			}
-			s.Chunk = c
-		}
-	case "aid-static":
-		s.Kind = KindAIDStatic
-		if len(args) > 1 {
-			return Schedule{}, fmt.Errorf("rt: too many parameters in %q", text)
-		}
-		if len(args) == 1 {
-			c, err := argN(0)
-			if err != nil {
-				return Schedule{}, err
-			}
-			s.Chunk = c
-		}
-	case "aid-hybrid":
-		s.Kind = KindAIDHybrid
-		if len(args) > 2 {
-			return Schedule{}, fmt.Errorf("rt: too many parameters in %q", text)
-		}
-		if len(args) >= 1 {
-			p, err := argN(0)
-			if err != nil {
-				return Schedule{}, err
-			}
-			if p > 100 {
-				return Schedule{}, fmt.Errorf("rt: AID-hybrid percentage %d out of (0,100]", p)
-			}
-			s.Pct = float64(p) / 100
-		}
-		if len(args) == 2 {
-			c, err := argN(1)
-			if err != nil {
-				return Schedule{}, err
-			}
-			s.Chunk = c
-		}
-	case "work-steal":
-		s.Kind = KindWorkSteal
-		if len(args) > 1 {
-			return Schedule{}, fmt.Errorf("rt: too many parameters in %q", text)
-		}
-		if len(args) == 1 {
-			c, err := argN(0)
-			if err != nil {
-				return Schedule{}, err
-			}
-			s.Chunk = c
-		}
-	case "aid-auto":
-		s.Kind = KindAIDAuto
-		if len(args) > 2 {
-			return Schedule{}, fmt.Errorf("rt: too many parameters in %q", text)
-		}
-		if len(args) >= 1 {
-			m, err := argN(0)
-			if err != nil {
-				return Schedule{}, err
-			}
-			s.Chunk = m
-		}
-		if len(args) == 2 {
-			mm, err := argN(1)
-			if err != nil {
-				return Schedule{}, err
-			}
-			s.Major = mm
-		}
-	case "aid-dynamic":
-		s.Kind = KindAIDDynamic
-		if len(args) > 2 {
-			return Schedule{}, fmt.Errorf("rt: too many parameters in %q", text)
-		}
-		if len(args) >= 1 {
-			m, err := argN(0)
-			if err != nil {
-				return Schedule{}, err
-			}
-			s.Chunk = m
-		}
-		if len(args) == 2 {
-			mm, err := argN(1)
-			if err != nil {
-				return Schedule{}, err
-			}
-			s.Major = mm
-		}
-	default:
+	syntax, ok := scheduleSyntax[name]
+	if !ok {
 		return Schedule{}, fmt.Errorf("rt: unknown schedule %q", name)
+	}
+	if len(args) > len(syntax.params) {
+		return Schedule{}, fmt.Errorf("rt: too many parameters in %q", text)
+	}
+	s := Schedule{Kind: syntax.kind}
+	for i, arg := range args {
+		v, err := strconv.ParseInt(strings.TrimSpace(arg), 10, 64)
+		if err != nil || v <= 0 {
+			return Schedule{}, fmt.Errorf("rt: bad schedule parameter %q in %q", arg, text)
+		}
+		switch syntax.params[i] {
+		case paramChunk:
+			s.Chunk = v
+			if s.Kind == KindStatic {
+				s.Kind = KindStaticChunked
+			}
+		case paramMajor:
+			s.Major = v
+		case paramPct:
+			if v > 100 {
+				return Schedule{}, fmt.Errorf("rt: AID-hybrid percentage %d out of (0,100]", v)
+			}
+			s.Pct = float64(v) / 100
+		}
 	}
 	if reweight {
 		if !reweightable(s.Kind) {
@@ -409,14 +340,11 @@ func FromEnv(defSched Schedule, defBind amp.Binding, defThreads int) (Schedule, 
 	}
 	bind := defBind
 	if v := os.Getenv(EnvAffinity); v != "" {
-		switch strings.ToUpper(strings.TrimSpace(v)) {
-		case "SB":
-			bind = amp.BindSB
-		case "BS":
-			bind = amp.BindBS
-		default:
-			return Schedule{}, 0, 0, fmt.Errorf("rt: %s must be SB or BS, got %q", EnvAffinity, v)
+		b, err := amp.ParseBinding(v)
+		if err != nil {
+			return Schedule{}, 0, 0, fmt.Errorf("rt: %s: %w", EnvAffinity, err)
 		}
+		bind = b
 	}
 	n := defThreads
 	if v := os.Getenv(EnvNThreads); v != "" {

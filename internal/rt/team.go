@@ -183,7 +183,3 @@ func (t *Team) run(name string, n int64, body func(tid int, lo, hi int64), recor
 	rec, err := reg.BuildRecord(l)
 	return stats, rec, err
 }
-
-// Serial runs f on the calling goroutine, corresponding to code between
-// parallel loops (executed by the master thread).
-func (t *Team) Serial(f func()) { f() }

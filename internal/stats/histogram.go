@@ -8,7 +8,7 @@ import (
 
 // histSubBits is the log2 sub-bucket resolution of Histogram: each power-
 // of-two octave is split into 2^histSubBits equal-width buckets, bounding
-// the relative quantile error at 2^-histSubBits (see RelError).
+// the relative quantile error at 2^-histSubBits.
 const histSubBits = 5
 
 // histSub is the sub-bucket count per octave.
@@ -24,7 +24,7 @@ const histBuckets = (64 - histSubBits) * histSub
 // than the exactness of Percentile over a kept sample. Values (nanoseconds, but any
 // non-negative magnitude works) land in HDR-style buckets: exact below
 // histSub, then power-of-two octaves split into histSub sub-buckets, so a
-// quantile read is off by at most RelError of the true value no matter how
+// quantile read is off by at most 1/histSub of the true value no matter how
 // many observations streamed through. Memory is a fixed ~15 KiB of
 // counts; Merge is an element-wise add, which is what lets per-class
 // histograms roll up into fleet-wide ones (and what a bounded uniform
@@ -123,13 +123,10 @@ func (h *Histogram) Max() (float64, error) {
 	return h.max, nil
 }
 
-// RelError returns the histogram's relative quantile error bound: a
-// Percentile result is within RelError×value of some true order statistic
-// adjacent to the requested rank (the bucket width over its lower edge).
-func (h *Histogram) RelError() float64 { return 1.0 / histSub }
-
-// Percentile returns the p-th percentile (0 <= p <= 100) to within
-// RelError: the rank convention matches stats.Percentile (p=0 the minimum
+// Percentile returns the p-th percentile (0 <= p <= 100) to within a relative
+// error of 1/histSub: the result is within that fraction of some true order
+// statistic adjacent to the requested rank (the bucket width over its lower
+// edge). The rank convention matches stats.Percentile (p=0 the minimum
 // bucket, p=100 the maximum), with the position inside the winning bucket
 // interpolated across its width.
 func (h *Histogram) Percentile(p float64) (float64, error) {

@@ -105,22 +105,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
 }
 
-// Normalize returns xs[i]/baseline for every element. A zero baseline yields
-// +Inf/NaN entries, as with ordinary float division.
-func Normalize(xs []float64, baseline float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x / baseline
-	}
-	return out
-}
-
-// Speedup converts a completion-time ratio into the paper's "normalized
-// performance": baselineTime / time. Higher is better.
-func Speedup(baselineTime, time float64) float64 {
-	return baselineTime / time
-}
-
 // RelGainPct returns the relative performance gain, in percent, of `next`
 // over `prev` where both are completion times (lower is better):
 // (prev/next - 1) * 100.
@@ -144,17 +128,6 @@ func JainIndex(xs []float64) float64 {
 		return 0
 	}
 	return sum * sum / (float64(len(xs)) * sq)
-}
-
-// AggregateRuns reproduces the paper's measurement protocol (§5): the first
-// run is discarded (warm-up / input load) and the geometric mean of the
-// remaining runs' completion times is reported. It returns an error when
-// fewer than two runs are supplied.
-func AggregateRuns(runTimes []float64) (float64, error) {
-	if len(runTimes) < 2 {
-		return 0, ErrEmpty
-	}
-	return GeoMean(runTimes[1:]), nil
 }
 
 // MeanGainPct returns the arithmetic mean of per-application relative gains

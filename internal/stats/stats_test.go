@@ -109,19 +109,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestNormalizeAndSpeedup(t *testing.T) {
-	got := Normalize([]float64{2, 4, 8}, 4)
-	want := []float64{0.5, 1, 2}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Errorf("Normalize[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if s := Speedup(10, 5); s != 2 {
-		t.Errorf("Speedup(10,5) = %v, want 2", s)
-	}
-}
-
 func TestRelGainPct(t *testing.T) {
 	// next twice as fast as prev -> +100% gain.
 	if g := RelGainPct(10, 5); !almostEqual(g, 100, 1e-12) {
@@ -134,23 +121,6 @@ func TestRelGainPct(t *testing.T) {
 	// regression -> negative.
 	if g := RelGainPct(5, 10); !almostEqual(g, -50, 1e-12) {
 		t.Errorf("RelGainPct(5,10) = %v, want -50", g)
-	}
-}
-
-func TestAggregateRuns(t *testing.T) {
-	// First run discarded; geomean of the rest.
-	got, err := AggregateRuns([]float64{100, 1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 2, 1e-12) {
-		t.Errorf("AggregateRuns = %v, want 2", got)
-	}
-	if _, err := AggregateRuns([]float64{1}); err == nil {
-		t.Error("AggregateRuns with one run should error")
-	}
-	if _, err := AggregateRuns(nil); err == nil {
-		t.Error("AggregateRuns(nil) should error")
 	}
 }
 

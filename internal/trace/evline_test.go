@@ -136,7 +136,8 @@ func randomEvent(rng *rand.Rand) ChunkEvent {
 
 // TestEventLineMatchesJSON is the differential test of the encoder: for
 // randomized events the appended line is byte for byte what json.Marshal
-// produced, and decodeEvent reads it back to the event.
+// produced, and every one of them takes DecodeJSONL's in-place path
+// (parseEventLine accepts it) and reads back to the event.
 func TestEventLineMatchesJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	var line []byte
@@ -146,13 +147,9 @@ func TestEventLineMatchesJSON(t *testing.T) {
 		if want := marshalEventLine(t, &ev); !bytes.Equal(line, want) {
 			t.Fatalf("event %+v:\n got %s\nwant %s", ev, line, want)
 		}
-		tag, payload, err := splitLine(bytes.TrimSuffix(line, []byte("\n")))
-		if err != nil || string(tag) != lineEvent {
-			t.Fatalf("splitLine(%s) = %q, %v", line, tag, err)
-		}
 		var back ChunkEvent
-		if err := decodeEvent(payload, &back); err != nil {
-			t.Fatalf("decodeEvent(%s): %v", payload, err)
+		if !parseEventLine(bytes.TrimSuffix(line, []byte("\n")), &back) {
+			t.Fatalf("parseEventLine refuses the encoder's own line %s", line)
 		}
 		// -0 is omitted like 0 and so reads back as +0, under encoding/json too.
 		if ev.Cost == 0 {
@@ -222,14 +219,18 @@ var eventLineCases = []string{
 	`   `,
 }
 
+// deep is n arrays nested in each other.
+func deep(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
+
 // TestEventLineDecodesLikeJSON feeds every case, after a run header and a loop
 // descriptor, to the decoder and to the reference: they must agree on
 // acceptance and, when both accept, on the record.
 func TestEventLineDecodesLikeJSON(t *testing.T) {
-	deep := func(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
 	accepted := 0
-	for _, line := range append(eventLineCases, deep(maxDepth-1),
-		`{"t":"ev","d":{"hi":1},"x":`+deep(maxDepth-1)+`}`, `{"t":"ev","d":{"hi":1},"x":`+deep(maxDepth)+`}`) {
+	// encoding/json lets a line's arrays and objects nest 10000 deep, envelope
+	// included (its scanner's maxNestingDepth): under "x" that is 9999 more.
+	for _, line := range append(eventLineCases, deep(10000-1),
+		`{"t":"ev","d":{"hi":1},"x":`+deep(10000-1)+`}`, `{"t":"ev","d":{"hi":1},"x":`+deep(10000)+`}`) {
 		if checkAgainstReference(t, headerLines(t)+line+"\n") != nil {
 			accepted++
 		}
@@ -246,6 +247,76 @@ func TestEventLineDecodesLikeJSON(t *testing.T) {
 		rec, err := DecodeJSONL(strings.NewReader(headerLines(t) + line + "\n"))
 		if err != nil || len(rec.Events) != 1 || rec.Events[0] != want {
 			t.Errorf("%s decodes to %+v, %v; want %+v", line, rec, err, want)
+		}
+	}
+}
+
+// envelopeCases are lines of the other five types, each spelled at or near the
+// way writeLine spells an envelope: the in-place split must not read a line
+// differently from encoding/json reading it whole.
+var envelopeCases = []string{
+	`{"t":"loop","d":{"index":2,"name":"l2","ni":8,"scheduler":"static","profile":{"ilp":0,"mem":0,"footprint_mb":0}}}`,
+	`{"t":"phase","d":{"time_ns":300,"tid":3,"loop":0,"epoch":1,"kind":"r-initial","sf":[2.5,1]}}`,
+	`{"t":"sf","d":{"time_ns":300,"loop":1,"sf":[2.5,1]}}`,
+	`{"t":"iv","d":{"tid":0,"start_ns":100,"end_ns":104,"state":1}}`,
+	// the payload's own spelling is free
+	`{"t":"iv","d": { "TID" : 1 , "tid" : 0, "x" : [ {} ] } }`,
+	`{"t":"phase","d":null}`,
+	// the envelope's is not: these go to encoding/json whole and read the same
+	`{"t":"iv","d":{"tid":0}} `,
+	`{"t":"iv" ,"d":{"tid":0}}`,
+	`{"t":"i\u0076","d":{"tid":0}}`,
+	`{"d":{"tid":0},"t":"iv"}`,
+	// the bytes behind "d": are more than one value: the last t and d count
+	`{"t":"loop","d":{"hi":1},"t":"ev"}`,
+	`{"t":"iv","d":{"tid":9},"d":{"tid":1}}`,
+	// rejected: the closing brace inside a string, no value, two values, a value
+	// of the wrong kind, one brace too many
+	`{"t":"iv","d":{"tid":0},"x":"}`,
+	`{"t":"iv","d":}`,
+	`{"t":"iv","d":{"tid":0}{"tid":0}}`,
+	`{"t":"iv","d":{"tid":"0"}}`,
+	`{"t":"iv","d":7}`,
+	`{"t":"iv","d":{"tid":0}}}`,
+	`{"t":"sf","d":{"loop":2}}`,
+	`{"t":"wat","d":{}}`,
+	`{"t":"","d":{}}`,
+	`{"t":"run","d":{"version":1,"engine":"sim","nthreads":1,"binding":"BS"}}`,
+}
+
+// TestEnvelopeDecodesLikeJSON is TestEventLineDecodesLikeJSON for the lines
+// that are not chunk events, and checks that the encoder's own lines do take
+// the in-place split: tag and payload are the ones encoding/json finds.
+func TestEnvelopeDecodesLikeJSON(t *testing.T) {
+	accepted := 0
+	// Nesting: a payload is one level shallower than its line, so at
+	// encoding/json's limit of 10000 only the whole line gives its verdict.
+	for _, line := range append(envelopeCases,
+		`{"t":"iv","d":{"tid":0,"x":`+deep(10000-2)+`}}`, `{"t":"iv","d":{"tid":0,"x":`+deep(10000-1)+`}}`) {
+		if checkAgainstReference(t, headerLines(t)+line+"\n") != nil {
+			accepted++
+		}
+	}
+	if accepted != 13 {
+		t.Errorf("%d of the cases were accepted, want 13: the table no longer tests what it says", accepted)
+	}
+	rec, err := DecodeJSONL(strings.NewReader(headerLines(t) + envelopeCases[10] + "\n"))
+	if err != nil || len(rec.Loops) != 2 || len(rec.Events) != 1 || rec.Events[0] != (ChunkEvent{Hi: 1}) {
+		t.Errorf("%s decodes to %+v, %v; want one event and no third loop", envelopeCases[10], rec, err)
+	}
+
+	var whole bytes.Buffer
+	if err := EncodeJSONL(&whole, sampleRecord()); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSuffix(whole.Bytes(), []byte("\n")), []byte("\n")) {
+		var env jsonlLine
+		if err := json.Unmarshal(line, &env); err != nil {
+			t.Fatal(err)
+		}
+		tag, payload, ok := splitEnvelope(line)
+		if !ok || string(tag) != env.T || !bytes.Equal(payload, env.D) {
+			t.Errorf("splitEnvelope(%s) = %q, %q, %v; encoding/json finds %q, %q", line, tag, payload, ok, env.T, env.D)
 		}
 	}
 }
@@ -286,10 +357,11 @@ func checkAgainstReference(t testing.TB, data string) *Record {
 }
 
 // FuzzDecodeJSONL: the decoder never panics; it accepts exactly the streams
-// the encoding/json path accepted and decodes them to the same record; and
-// the events of a record it produced survive their re-encoding. (The other
-// sections are encoding/json's on both sides, and it does not promise that:
-// an explicit "migrations":[] comes back nil.)
+// the encoding/json path accepted and decodes them to the same record; a line
+// parseEventLine accepts is the line appendEventLine writes for what it read;
+// and the events of a record the decoder produced survive their re-encoding.
+// (The other sections are encoding/json's on both sides, and it does not
+// promise that: an explicit "migrations":[] comes back nil.)
 func FuzzDecodeJSONL(f *testing.F) {
 	head := headerLines(f)
 	for _, line := range eventLineCases {
@@ -301,7 +373,21 @@ func FuzzDecodeJSONL(f *testing.F) {
 	}
 	f.Add(whole.Bytes())
 	f.Add([]byte(head))
+	for _, line := range envelopeCases {
+		f.Add([]byte(head + line + "\n"))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := bufio.NewScanner(bytes.NewReader(data))
+		sc.Buffer(nil, 1<<24)
+		for sc.Scan() {
+			var ev ChunkEvent
+			if !parseEventLine(sc.Bytes(), &ev) {
+				continue
+			}
+			if back := appendEventLine(nil, &ev); string(back) != sc.Text()+"\n" {
+				t.Fatalf("parseEventLine accepts %q, which appendEventLine spells %q", sc.Text(), back)
+			}
+		}
 		rec := checkAgainstReference(t, string(data))
 		if rec == nil {
 			return

@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"repro/internal/amp"
 )
@@ -36,7 +38,7 @@ type Record struct {
 	Platform PlatformRecord `json:"platform"`
 	// NThreads is the worker-fleet size of the recorded run.
 	NThreads int `json:"nthreads"`
-	// Binding is the thread-to-core convention, "BS" or "SB".
+	// Binding is the thread-to-core convention, "BS" or "SB" (amp.ParseBinding).
 	Binding string `json:"binding"`
 	// Policy names the fairness policy of a multi-loop run ("" for
 	// single-loop fork/join runs).
@@ -243,8 +245,8 @@ func (r *Record) Validate() error {
 	if r.NThreads <= 0 {
 		return fmt.Errorf("trace: record has non-positive thread count %d", r.NThreads)
 	}
-	if r.Binding != "BS" && r.Binding != "SB" {
-		return fmt.Errorf("trace: record binding %q is neither BS nor SB", r.Binding)
+	if _, err := amp.ParseBinding(r.Binding); err != nil {
+		return fmt.Errorf("trace: record: %w", err)
 	}
 	for i, l := range r.Loops {
 		if l.Index != i {
@@ -330,9 +332,10 @@ func writeLine(w *bufio.Writer, tag string, v any) error {
 // interval, in that order. The encoding is deterministic: encoding the same
 // record twice yields byte-identical output (the property cmd/aidtrace's
 // TestReplayDeterminism checks end to end). A record that fails Validate is
-// refused before the first byte is written; chunk-event lines, which are
-// nearly all of a record, are appended without reflection (evline.go), the
-// rest go through encoding/json.
+// refused before the first byte is written. Every line is spelled as
+// encoding/json spells it; chunk-event lines, which are nearly all of a
+// record, are appended without reflection (evline.go), the rest are
+// json.Marshal's.
 func EncodeJSONL(w io.Writer, r *Record) error {
 	if err := r.Validate(); err != nil {
 		return err
@@ -371,15 +374,84 @@ func EncodeJSONL(w io.Writer, r *Record) error {
 	return bw.Flush()
 }
 
+// envelopeLimit bounds the lines whose envelope splitEnvelope splits in place.
+// encoding/json refuses a value nested more than 10000 levels deep; a payload
+// read without its envelope is one level shallower than the line, and a line
+// shorter than the limit cannot nest that deep either way.
+const envelopeLimit = 10000
+
+// splitEnvelope splits a line that is spelled {"t":"<tag>","d":<payload>} the
+// way writeLine spells it — no space, that key order — in place. A tag it
+// returns is one of the format's only if the line began exactly so (none of
+// them holds a quote or an escape); whether the payload is one JSON value is
+// for its reader to find.
+func splitEnvelope(line []byte) (tag, payload []byte, ok bool) {
+	rest, ok := bytes.CutPrefix(line, []byte(`{"t":"`))
+	if !ok || len(line) >= envelopeLimit || line[len(line)-1] != '}' {
+		return nil, nil, false
+	}
+	return bytes.Cut(rest[:len(rest)-1], []byte(`","d":`))
+}
+
+// appendJSON appends the value encoding/json reads from payload.
+func appendJSON[T any](s []T, payload []byte) ([]T, error) {
+	var v T
+	if err := json.Unmarshal(payload, &v); err != nil {
+		return s, err
+	}
+	return append(s, v), nil
+}
+
 // DecodeJSONL reads a record previously written by EncodeJSONL. It fails on
 // unknown versions, unknown line types and structurally invalid records, so
-// a corrupt or future-format file cannot silently replay as garbage. Lines
-// need not be spelled the way EncodeJSONL spells them: whatever encoding/json
-// would read into the line's struct is read the same here (evline.go).
+// a corrupt or future-format file cannot silently replay as garbage.
+//
+// It accepts a stream exactly when encoding/json accepts every line of it,
+// and reads what encoding/json reads, because apart from one shortcut it is
+// encoding/json: a line spelled byte for byte as EncodeJSONL spells it is
+// read in place (a chunk event by parseEventLine, the envelope of the other
+// line types by splitEnvelope, their payloads by json.Unmarshal), and any
+// other line goes whole through json.Unmarshal, envelope first. Which of the
+// two a line takes is decided by its bytes alone, and both give the same
+// record.
 func DecodeJSONL(rd io.Reader) (*Record, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	var rec *Record
+	// add reads a line's payload into the section its tag names; a payload
+	// that does not read changes nothing.
+	add := func(tag, payload []byte) (err error) {
+		if rec == nil && string(tag) != lineRun {
+			return fmt.Errorf("expected run header, got %q", tag)
+		}
+		switch string(tag) {
+		case lineRun:
+			if rec != nil {
+				return fmt.Errorf("duplicate run header")
+			}
+			r := &Record{}
+			if err := json.Unmarshal(payload, r); err != nil {
+				return err
+			}
+			if r.Version < 1 || r.Version > RecordVersion {
+				return fmt.Errorf("unsupported record version %d (this build reads [1,%d])", r.Version, RecordVersion)
+			}
+			rec = r
+		case lineLoop:
+			rec.Loops, err = appendJSON(rec.Loops, payload)
+		case lineEvent:
+			rec.Events, err = appendJSON(rec.Events, payload)
+		case linePhase:
+			rec.Phases, err = appendJSON(rec.Phases, payload)
+		case lineSF:
+			rec.SFSamples, err = appendJSON(rec.SFSamples, payload)
+		case lineInterval:
+			rec.Timeline, err = appendJSON(rec.Timeline, payload)
+		default:
+			return fmt.Errorf("unknown line type %q", tag)
+		}
+		return err
+	}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -387,57 +459,22 @@ func DecodeJSONL(rd io.Reader) (*Record, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		tag, payload, err := splitLine(raw)
+		var ev ChunkEvent
+		if rec != nil && parseEventLine(raw, &ev) {
+			rec.Events = appendEvent(rec.Events, &ev)
+			continue
+		}
+		if tag, payload, ok := splitEnvelope(raw); ok && add(tag, payload) == nil {
+			continue
+		}
+		// Not the encoder's spelling, or not a line at all: encoding/json says.
+		var env jsonlLine
+		err := json.Unmarshal(raw, &env)
+		if err == nil {
+			err = add([]byte(env.T), env.D)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-		}
-		if rec == nil && string(tag) != lineRun {
-			return nil, fmt.Errorf("trace: line %d: expected run header, got %q", lineNo, tag)
-		}
-		switch string(tag) {
-		case lineRun:
-			if rec != nil {
-				return nil, fmt.Errorf("trace: line %d: duplicate run header", lineNo)
-			}
-			rec = &Record{}
-			if err := json.Unmarshal(payload, rec); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-			}
-			if rec.Version < 1 || rec.Version > RecordVersion {
-				return nil, fmt.Errorf("trace: unsupported record version %d (this build reads [1,%d])", rec.Version, RecordVersion)
-			}
-		case lineLoop:
-			var l LoopRecord
-			if err := json.Unmarshal(payload, &l); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-			}
-			rec.Loops = append(rec.Loops, l)
-		case lineEvent:
-			var ev *ChunkEvent
-			rec.Events, ev = nextEvent(rec.Events)
-			if err := decodeEvent(payload, ev); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-			}
-		case linePhase:
-			var p PhaseEvent
-			if err := json.Unmarshal(payload, &p); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-			}
-			rec.Phases = append(rec.Phases, p)
-		case lineSF:
-			var s SFSample
-			if err := json.Unmarshal(payload, &s); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-			}
-			rec.SFSamples = append(rec.SFSamples, s)
-		case lineInterval:
-			var iv IntervalRecord
-			if err := json.Unmarshal(payload, &iv); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-			}
-			rec.Timeline = append(rec.Timeline, iv)
-		default:
-			return nil, fmt.Errorf("trace: line %d: unknown line type %q", lineNo, tag)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -450,4 +487,41 @@ func DecodeJSONL(rd io.Reader) (*Record, error) {
 		return nil, err
 	}
 	return rec, nil
+}
+
+// WriteFile writes the record to path as EncodeJSONL spells it, through a
+// staging file next to it that is renamed into place: a record that Validate
+// refuses, or a write that fails, leaves whatever was at path as it was and
+// no staging file behind.
+func WriteFile(path string, r *Record) error {
+	part := path + ".part"
+	f, err := os.Create(part)
+	if err != nil {
+		return err
+	}
+	err = EncodeJSONL(f, r)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(part, path)
+	}
+	if err != nil {
+		os.Remove(part)
+	}
+	return err
+}
+
+// ReadFile reads the record file at path with DecodeJSONL.
+func ReadFile(path string) (*Record, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	r, err := DecodeJSONL(f)
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", path, err)
+	}
+	return r, nil
 }

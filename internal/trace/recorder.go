@@ -82,11 +82,9 @@ func (r *Recorder) ReserveChunks(n int) {
 
 // Chunk appends one grant event, assigning its global sequence number.
 func (r *Recorder) Chunk(ev ChunkEvent) {
-	var slot *ChunkEvent
-	r.rec.Events, slot = nextEvent(r.rec.Events)
-	*slot = ev
-	slot.Seq = r.seq
+	ev.Seq = r.seq
 	r.seq++
+	r.rec.Events = appendEvent(r.rec.Events, &ev)
 }
 
 // Phase appends one scheduler transition.

@@ -125,16 +125,6 @@ func (t *Trace) TimeIn(tid int, s State) int64 {
 	return sum
 }
 
-// Utilization returns the fraction of the full trace duration that thread
-// tid spent Running.
-func (t *Trace) Utilization(tid int) float64 {
-	end := t.EndTime()
-	if end == 0 {
-		return 0
-	}
-	return float64(t.TimeIn(tid, Running)) / float64(end)
-}
-
 // ImbalancePct quantifies load imbalance as the percentage of total trace
 // time that the least-utilized thread spends not Running relative to the
 // most-utilized one: 100·(maxRun − minRun)/maxRun. A perfectly balanced

@@ -76,11 +76,11 @@ func TestUtilizationAndImbalance(t *testing.T) {
 	tr.Add(0, 0, 1000, Running)
 	tr.Add(1, 0, 500, Running)
 	tr.Add(1, 500, 1000, Sync)
-	if got := tr.Utilization(0); got != 1.0 {
-		t.Errorf("Utilization(0) = %v", got)
+	if got := tr.TimeIn(0, Running); got != 1000 {
+		t.Errorf("TimeIn(0, Running) = %v", got)
 	}
-	if got := tr.Utilization(1); got != 0.5 {
-		t.Errorf("Utilization(1) = %v", got)
+	if got := tr.TimeIn(1, Running); got != 500 {
+		t.Errorf("TimeIn(1, Running) = %v", got)
 	}
 	if got := tr.ImbalancePct(); got != 50 {
 		t.Errorf("ImbalancePct = %v, want 50", got)
@@ -108,7 +108,7 @@ func TestSchedOverheadPct(t *testing.T) {
 
 func TestEmptyTraceMetrics(t *testing.T) {
 	tr := New(2)
-	if tr.EndTime() != 0 || tr.ImbalancePct() != 0 || tr.SchedOverheadPct() != 0 || tr.Utilization(0) != 0 {
+	if tr.EndTime() != 0 || tr.ImbalancePct() != 0 || tr.SchedOverheadPct() != 0 || tr.TimeIn(0, Running) != 0 {
 		t.Error("empty trace should report zero metrics")
 	}
 	out := tr.Render(40)
@@ -200,8 +200,8 @@ func TestAllSyncThreads(t *testing.T) {
 	if got := tr.SchedOverheadPct(); got != 0 {
 		t.Errorf("SchedOverheadPct = %v, want 0", got)
 	}
-	if got := tr.Utilization(1); got != 0 {
-		t.Errorf("Utilization = %v, want 0", got)
+	if got := tr.TimeIn(1, Running); got != 0 {
+		t.Errorf("TimeIn(1, Running) = %v, want 0", got)
 	}
 	out := tr.Render(20)
 	if !strings.Contains(out, "....................") {

@@ -40,18 +40,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// NormFloat64 returns an approximately standard-normal variate using the
-// sum-of-uniforms (Irwin–Hall, n=12) method. The tails are clipped at ±6,
-// which is adequate for cost-noise modeling and avoids math.Log/Sqrt in the
-// hot path.
-func (r *Rand) NormFloat64() float64 {
-	sum := 0.0
-	for i := 0; i < 12; i++ {
-		sum += r.Float64()
-	}
-	return sum - 6
-}
-
 // Exp returns an approximately exponential variate with mean 1 generated via
 // inverse transform on a uniform sample. Used for heavy-tailed iteration
 // costs (leukocyte/particlefilter models).

@@ -77,25 +77,6 @@ func TestIntnPanics(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(5)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		x := r.NormFloat64()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance = %v, want ~1", variance)
-	}
-}
-
 func TestExpMoments(t *testing.T) {
 	r := New(9)
 	const n = 200000
