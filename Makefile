@@ -2,15 +2,18 @@
 #
 #   make ci      - everything a PR must pass: vet (go vet, and gofmt -l .
 #                  listing no file), build, the whole suite (plain, plus the
-#                  lock-free layers under -race), and the multi-loop
-#                  conformance/race suite under -race -count=2.
+#                  lock-free layers and the figure sweeps under -race), and
+#                  the multi-loop conformance/race suite under -race -count=2.
 #                  It writes nothing into the tree.
 #   make test    - tier-1: go build ./... && go test -count=1 ./...
-#   make race    - race-detector run over the lock-free scheduler/pool layers
-#                  plus the real-goroutine runtime, then the whole suite
-#                  without -race (-count=1). The second run is where every
-#                  gate that a `-run` list used to select lives, since a
-#                  renamed test cannot drop out of ./...: the AllocsPerRun
+#   make race    - race-detector run over the lock-free scheduler/pool layers,
+#                  the real-goroutine runtime and internal/exps (its sweeps
+#                  run simulator calls on every CPU at once, so this is where
+#                  "concurrent calls share only read-only inputs" is checked),
+#                  then the whole suite without -race (-count=1). The second
+#                  run is where every gate that a `-run` list used to select
+#                  lives, since a renamed test cannot drop out of ./...: the
+#                  AllocsPerRun
 #                  and cache-line layout gates (they skip themselves under
 #                  -race), record/replay determinism (cmd/aidtrace), the
 #                  platform-zoo codec, conformance and cross-engine tests,
@@ -62,7 +65,7 @@ test: build
 	$(GO) test -count=1 ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/pool/... ./internal/rt/... ./internal/fair/...
+	$(GO) test -race ./internal/core/... ./internal/pool/... ./internal/rt/... ./internal/fair/... ./internal/exps/...
 	$(GO) test -count=1 ./...
 
 race-multiloop:

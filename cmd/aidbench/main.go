@@ -12,7 +12,8 @@
 //	aidbench -exp guided            # guided vs static/dynamic summary
 //	aidbench -exp hybridpct         # AID-hybrid percentage sweep
 //	aidbench -exp zoo               # platform zoo: makespan + energy per preset
-//	aidbench -exp all               # everything above, in order
+//	aidbench -exp all               # everything above, in order (fig6 and
+//	                                # fig7 are run once, table2 reuses them)
 //
 // Add -csv to emit comma-separated values for fig6/fig7.
 package main
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"repro/internal/amp"
 	"repro/internal/exps"
@@ -39,14 +41,28 @@ func main() {
 	}
 }
 
+// sweeps are the Fig. 6 (Platform A) and Fig. 7 (Platform B) sweeps of one
+// invocation, each run when first asked for and then kept: -exp all prints
+// three sections from the two, since Table 2 is computed from both.
+type sweeps struct {
+	a, b func() (exps.FigResult, error)
+}
+
 func run(w io.Writer, exp string, csv bool) error {
+	return runExp(w, exp, csv, sweeps{
+		a: sync.OnceValues(func() (exps.FigResult, error) { return exps.RunFig6(amp.PlatformA()) }),
+		b: sync.OnceValues(func() (exps.FigResult, error) { return exps.RunFig6(amp.PlatformB()) }),
+	})
+}
+
+func runExp(w io.Writer, exp string, csv bool, sw sweeps) error {
 	switch exp {
 	case "fig6":
-		return fig(w, amp.PlatformA(), csv)
+		return fig(w, sw.a, csv)
 	case "fig7":
-		return fig(w, amp.PlatformB(), csv)
+		return fig(w, sw.b, csv)
 	case "table2":
-		return table2(w)
+		return table2(w, sw)
 	case "fig8":
 		f, err := exps.RunFig8()
 		if err != nil {
@@ -98,7 +114,7 @@ func run(w io.Writer, exp string, csv bool) error {
 	case "all":
 		for _, e := range []string{"fig6", "fig7", "table2", "fig8", "fig9", "fig9c", "guided", "hybridpct", "zoo"} {
 			fmt.Fprintf(w, "==== %s ====\n", e)
-			if err := run(w, e, csv); err != nil {
+			if err := runExp(w, e, csv, sw); err != nil {
 				return err
 			}
 			fmt.Fprintln(w)
@@ -109,8 +125,8 @@ func run(w io.Writer, exp string, csv bool) error {
 	}
 }
 
-func fig(w io.Writer, pl *amp.Platform, csv bool) error {
-	f, err := exps.RunFig6(pl)
+func fig(w io.Writer, sweep func() (exps.FigResult, error), csv bool) error {
+	f, err := sweep()
 	if err != nil {
 		return err
 	}
@@ -122,12 +138,12 @@ func fig(w io.Writer, pl *amp.Platform, csv bool) error {
 	return nil
 }
 
-func table2(w io.Writer) error {
-	fa, err := exps.RunFig6(amp.PlatformA())
+func table2(w io.Writer, sw sweeps) error {
+	fa, err := sw.a()
 	if err != nil {
 		return err
 	}
-	fb, err := exps.RunFig6(amp.PlatformB())
+	fb, err := sw.b()
 	if err != nil {
 		return err
 	}

@@ -60,3 +60,26 @@ func TestExpGolden(t *testing.T) {
 		t.Error("an unknown experiment was accepted")
 	}
 }
+
+// TestExpAll: `-exp all` prints the nine golden files under their headings.
+// It prints fig6, fig7 and table2 from one run of each sweep, which no single
+// experiment's case above goes through.
+func TestExpAll(t *testing.T) {
+	var want bytes.Buffer
+	for _, e := range []string{"fig6", "fig7", "table2", "fig8", "fig9", "fig9c", "guided", "hybridpct", "zoo"} {
+		golden, err := os.ReadFile("testdata/" + e + ".txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.WriteString("==== " + e + " ====\n")
+		want.Write(golden)
+		want.WriteString("\n")
+	}
+	var got bytes.Buffer
+	if err := run(&got, "all", false); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("aidbench -exp all is not the nine golden files under their headings:\n%s", got.String())
+	}
+}

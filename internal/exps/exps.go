@@ -16,6 +16,31 @@
 //	Guided     guided vs static/dynamic (§5, text)
 //	Fig9       AID-static vs AID-static(offline-SF) vs AID-hybrid
 //	Fig9c      blackscholes estimated-vs-offline SF per loop instance
+//
+// # How a sweep runs
+//
+// An experiment that walks a grid — applications x schemes, platforms x
+// schemes, platforms x applications — numbers its cells and hands them to
+// sweep (sweep.go), which runs them on every CPU the process may use:
+// min(GOMAXPROCS, cells) workers, the caller among them, each claiming the
+// next unclaimed cell off one atomic counter until none is left, the paper's
+// dynamic,1. A cell is a simulation in virtual time (one sim.RunProgram on the
+// apps x schemes grid, one sim.RunLoop in the zoo, a series of single-thread
+// loops in Fig. 2); cells cost between microseconds and tens of milliseconds
+// of host time, which is why they are not dealt out in equal blocks. With one
+// worker the same code is a plain loop on the caller's goroutine, so there is
+// no second, serial path. Fig9c is the one experiment that is not a grid: each
+// invocation starts where the previous one ended.
+//
+// Three rules make the outcome independent of the worker count and of the
+// order the cells happen to finish in. A cell's result is stored at the
+// cell's index and the tables are assembled from that array afterwards, never
+// in completion order. The error returned is that of the lowest failing
+// index. And cells share only what none of them writes: the platform, the
+// workloads' programs and cost models; everything a cell mutates — its
+// sim.Config with the scheduler factory, hence the engine's workspace, the
+// schedulers and their pools — it builds itself. A new experiment keeps the
+// third rule by constructing its Config inside the cell.
 package exps
 
 import (
@@ -25,7 +50,6 @@ import (
 
 	"repro/internal/amp"
 	"repro/internal/rt"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -74,37 +98,19 @@ type FigResult struct {
 	Apps     []AppTimes
 }
 
-// runApp executes one workload under one scheme.
-func runApp(pl *amp.Platform, w workloads.Workload, s Scheme) (float64, error) {
-	res, err := sim.RunProgram(sim.Config{
-		Platform: pl,
-		NThreads: pl.NumCores(),
-		Binding:  s.Binding,
-		Factory:  s.Sched.Factory(),
-	}, w.Program)
-	if err != nil {
-		return 0, fmt.Errorf("exps: %s under %s: %w", w.Name, s.Label, err)
-	}
-	return float64(res.TotalNs), nil
-}
-
 // RunFig6 regenerates Fig. 6 (Platform A) or Fig. 7 (Platform B): all 21
 // applications under the seven schemes, normalized to static(SB).
 func RunFig6(pl *amp.Platform) (FigResult, error) {
-	return runSweep(pl, Fig6Schemes(), workloads.All())
-}
-
-// runSweep is the generic apps-x-schemes runner.
-func runSweep(pl *amp.Platform, schemes []Scheme, apps []workloads.Workload) (FigResult, error) {
+	schemes, apps := Fig6Schemes(), workloads.All()
+	ns, err := runGrid(pl, apps, schemes)
+	if err != nil {
+		return FigResult{}, err
+	}
 	out := FigResult{Platform: pl.Name, Schemes: schemes}
-	for _, w := range apps {
+	for a, w := range apps {
 		at := AppTimes{App: w.Name, Suite: w.Suite, TimeNs: make(map[string]float64, len(schemes))}
-		for _, s := range schemes {
-			tns, err := runApp(pl, w, s)
-			if err != nil {
-				return FigResult{}, err
-			}
-			at.TimeNs[s.Label] = tns
+		for i, s := range schemes {
+			at.TimeNs[s.Label] = ns[a][i]
 		}
 		out.Apps = append(out.Apps, at)
 	}
@@ -256,18 +262,15 @@ func RunGuided(pl *amp.Platform) (GuidedResult, error) {
 		{Label: "dynamic(BS)", Sched: rt.Schedule{Kind: rt.KindDynamic}, Binding: amp.BindBS},
 		{Label: "guided(BS)", Sched: rt.Schedule{Kind: rt.KindGuided}, Binding: amp.BindBS},
 	}
+	apps := workloads.All()
+	ns, err := runGrid(pl, apps, schemes)
+	if err != nil {
+		return GuidedResult{}, err
+	}
 	res := GuidedResult{Platform: pl.Name}
 	var incStatic, incDynamic []float64
-	for _, w := range workloads.All() {
-		times := map[string]float64{}
-		for _, s := range schemes {
-			tns, err := runApp(pl, w, s)
-			if err != nil {
-				return GuidedResult{}, err
-			}
-			times[s.Label] = tns
-		}
-		g, st, dy := times["guided(BS)"], times["static(BS)"], times["dynamic(BS)"]
+	for a, w := range apps {
+		st, dy, g := ns[a][0], ns[a][1], ns[a][2]
 		incStatic = append(incStatic, (g/st-1)*100)
 		incDynamic = append(incDynamic, (g/dy-1)*100)
 		if g < st && g < dy {
@@ -318,26 +321,25 @@ func RunHybridPct(pl *amp.Platform, apps []workloads.Workload) (HybridPctResult,
 		PerApp:    map[string]map[int]float64{},
 		Best:      map[string]int{},
 	}
-	base := Scheme{Label: "static(BS)", Sched: rt.Schedule{Kind: rt.KindStatic}, Binding: amp.BindBS}
+	// Column 0 is the baseline, column 1+i is pcts[i].
+	schemes := []Scheme{{Label: "static(BS)", Sched: rt.Schedule{Kind: rt.KindStatic}, Binding: amp.BindBS}}
+	for _, pct := range pcts {
+		schemes = append(schemes, Scheme{
+			Label:   fmt.Sprintf("AID-hybrid(%d%%)", pct),
+			Sched:   rt.Schedule{Kind: rt.KindAIDHybrid, Pct: float64(pct) / 100},
+			Binding: amp.BindBS,
+		})
+	}
+	ns, err := runGrid(pl, apps, schemes)
+	if err != nil {
+		return HybridPctResult{}, err
+	}
 	norms := map[int][]float64{}
-	for _, w := range apps {
-		tBase, err := runApp(pl, w, base)
-		if err != nil {
-			return HybridPctResult{}, err
-		}
+	for a, w := range apps {
 		out.PerApp[w.Name] = map[int]float64{}
 		bestPct, bestNorm := 0, 0.0
-		for _, pct := range pcts {
-			s := Scheme{
-				Label:   fmt.Sprintf("AID-hybrid(%d%%)", pct),
-				Sched:   rt.Schedule{Kind: rt.KindAIDHybrid, Pct: float64(pct) / 100},
-				Binding: amp.BindBS,
-			}
-			tns, err := runApp(pl, w, s)
-			if err != nil {
-				return HybridPctResult{}, err
-			}
-			norm := tBase / tns
+		for i, pct := range pcts {
+			norm := ns[a][0] / ns[a][1+i]
 			out.PerApp[w.Name][pct] = norm
 			norms[pct] = append(norms[pct], norm)
 			if norm > bestNorm {

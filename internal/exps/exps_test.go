@@ -3,6 +3,7 @@ package exps
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/amp"
@@ -10,21 +11,25 @@ import (
 	"repro/internal/workloads"
 )
 
-// figA/figB are computed once; the sweeps cost a few seconds each.
+// The Fig. 6 and Fig. 7 sweeps most tests read are run once, by the first
+// test that asks: a test selected with -run pays only for what it reads, and
+// a sweep's error fails the tests that asked for it.
 var (
-	figA = mustFig(amp.PlatformA())
-	figB = mustFig(amp.PlatformB())
+	sweepA = sync.OnceValues(func() (FigResult, error) { return RunFig6(amp.PlatformA()) })
+	sweepB = sync.OnceValues(func() (FigResult, error) { return RunFig6(amp.PlatformB()) })
 )
 
-func mustFig(pl *amp.Platform) FigResult {
-	f, err := RunFig6(pl)
+func mustFig(t *testing.T, sweep func() (FigResult, error)) FigResult {
+	t.Helper()
+	f, err := sweep()
 	if err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
 	return f
 }
 
 func TestFig6Shape(t *testing.T) {
+	figA := mustFig(t, sweepA)
 	if len(figA.Apps) != 21 {
 		t.Fatalf("Fig 6 covers %d apps, want 21", len(figA.Apps))
 	}
@@ -49,6 +54,7 @@ func TestFig6Shape(t *testing.T) {
 // workloads". particlefilter and leukocyte are the documented exceptions
 // (rising/uneven cost hands AID-static the same problem as static(BS)).
 func TestAIDStaticOutperformsStaticAcrossTheBoard(t *testing.T) {
+	figA, figB := mustFig(t, sweepA), mustFig(t, sweepB)
 	for _, fig := range []FigResult{figA, figB} {
 		wins := 0
 		for _, a := range fig.Apps {
@@ -63,6 +69,7 @@ func TestAIDStaticOutperformsStaticAcrossTheBoard(t *testing.T) {
 }
 
 func TestAIDHybridBeatsAIDStaticOnAverage(t *testing.T) {
+	figA, figB := mustFig(t, sweepA), mustFig(t, sweepB)
 	for _, fig := range []FigResult{figA, figB} {
 		var better int
 		for _, a := range fig.Apps {
@@ -79,6 +86,7 @@ func TestAIDHybridBeatsAIDStaticOnAverage(t *testing.T) {
 // TestDynamicDisasters asserts the documented dynamic(1) pathologies: CG,
 // IS, blackscholes and bfs suffer under dynamic on Platform A (§5A).
 func TestDynamicDisasters(t *testing.T) {
+	figA := mustFig(t, sweepA)
 	for _, app := range []string{"CG", "IS", "blackscholes", "bfs"} {
 		for _, a := range figA.Apps {
 			if a.App != app {
@@ -94,6 +102,7 @@ func TestDynamicDisasters(t *testing.T) {
 // TestCGDynamicBlowupPlatformB asserts the paper's most extreme overhead
 // case: CG slows down by up to 2.86x under dynamic on Platform B.
 func TestCGDynamicBlowupPlatformB(t *testing.T) {
+	figB := mustFig(t, sweepB)
 	for _, a := range figB.Apps {
 		if a.App != "CG" {
 			continue
@@ -108,6 +117,7 @@ func TestCGDynamicBlowupPlatformB(t *testing.T) {
 // TestDynamicFriendlyApps asserts that FT, leukocyte and particlefilter
 // benefit from dynamic relative to static under the same binding (§5A).
 func TestDynamicFriendlyApps(t *testing.T) {
+	figA := mustFig(t, sweepA)
 	for _, app := range []string{"FT", "leukocyte", "particlefilter"} {
 		for _, a := range figA.Apps {
 			if a.App != app {
@@ -123,6 +133,7 @@ func TestDynamicFriendlyApps(t *testing.T) {
 
 // TestParticleFilterInversion asserts the static(BS) < static(SB) anomaly.
 func TestParticleFilterInversion(t *testing.T) {
+	figA := mustFig(t, sweepA)
 	for _, a := range figA.Apps {
 		if a.App != "particlefilter" {
 			continue
@@ -134,6 +145,7 @@ func TestParticleFilterInversion(t *testing.T) {
 }
 
 func TestTable2SignsAndMagnitudes(t *testing.T) {
+	figA, figB := mustFig(t, sweepA), mustFig(t, sweepB)
 	tab := RunTable2(figA, figB)
 	if len(tab.Rows) != 3 || len(tab.Platforms) != 2 {
 		t.Fatalf("Table 2 shape: %d rows, %d platforms", len(tab.Rows), len(tab.Platforms))
@@ -165,6 +177,7 @@ func TestTable2SignsAndMagnitudes(t *testing.T) {
 }
 
 func TestRenderOutputs(t *testing.T) {
+	figA, figB := mustFig(t, sweepA), mustFig(t, sweepB)
 	out := figA.Render()
 	for _, want := range []string{"static(SB)", "AID-dynamic", "streamcluster", "-- NPB --"} {
 		if !strings.Contains(out, want) {

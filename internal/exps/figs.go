@@ -108,29 +108,28 @@ func (s Fig2Series) Render() string {
 // big and a small core, ratio of completion times. Expected shapes: wide SF
 // spread on Platform A (up to ~7.7), narrow band (~1.7-2.3) on Platform B.
 func RunFig2() ([]Fig2Series, error) {
-	var out []Fig2Series
-	for _, pl := range []*amp.Platform{amp.PlatformA(), amp.PlatformB()} {
-		for _, name := range []string{"BT", "CG"} {
-			w, ok := workloads.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("exps: workload %s missing", name)
-			}
-			loops := w.Program.Loops()
-			if len(loops) > 30 {
-				loops = loops[:30]
-			}
-			s := Fig2Series{App: name, Platform: pl.Name}
-			for _, spec := range loops {
-				sf, err := sim.MeasureLoopSF(pl, spec)
-				if err != nil {
-					return nil, err
-				}
-				s.SF = append(s.SF, sf)
-			}
-			out = append(out, s)
-		}
+	platforms := []*amp.Platform{amp.PlatformA(), amp.PlatformB()}
+	apps, err := appsNamed([]string{"BT", "CG"})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	// One cell per series, platform-major.
+	return sweep(len(platforms)*len(apps), func(i int) (Fig2Series, error) {
+		pl, w := platforms[i/len(apps)], apps[i%len(apps)]
+		loops := w.Program.Loops()
+		if len(loops) > 30 {
+			loops = loops[:30]
+		}
+		s := Fig2Series{App: w.Name, Platform: pl.Name}
+		for _, spec := range loops {
+			sf, err := sim.MeasureLoopSF(pl, spec)
+			if err != nil {
+				return Fig2Series{}, err
+			}
+			s.SF = append(s.SF, sf)
+		}
+		return s, nil
+	})
 }
 
 // RunFig4 regenerates Fig. 4: EP's loop with 8 threads on Platform A under
@@ -203,27 +202,18 @@ func RunFig8() (Fig8Result, error) {
 			Binding: amp.BindBS,
 		})
 	}
-	for _, appName := range out.Apps {
-		w, ok := workloads.ByName(appName)
-		if !ok {
-			return Fig8Result{}, fmt.Errorf("exps: workload %s missing", appName)
-		}
-		var baseTime float64
-		for _, s := range schemes {
-			tns, err := runApp(pl, w, s)
-			if err != nil {
-				return Fig8Result{}, err
-			}
-			if s.Label == "static(BS)" {
-				baseTime = tns
-			}
-			if out.Norm[s.Label] == nil {
-				out.Norm[s.Label] = map[string]float64{}
-			}
-			out.Norm[s.Label][appName] = tns // store raw; normalize below
-		}
-		for _, s := range schemes {
-			out.Norm[s.Label][appName] = baseTime / out.Norm[s.Label][appName]
+	apps, err := appsNamed(out.Apps)
+	if err != nil {
+		return Fig8Result{}, err
+	}
+	ns, err := runGrid(pl, apps, schemes)
+	if err != nil {
+		return Fig8Result{}, err
+	}
+	for i, s := range schemes {
+		out.Norm[s.Label] = map[string]float64{}
+		for a, w := range apps {
+			out.Norm[s.Label][w.Name] = ns[a][0] / ns[a][i] // schemes[0] is the baseline
 		}
 	}
 	return out, nil
@@ -277,21 +267,36 @@ type Fig9Result struct {
 	Norm map[string]map[string]float64
 }
 
-// offlineSFTable measures each loop's offline SF (single-thread method) and
-// returns a per-loop table keyed by loop name, which the offline-SF variant
-// consumes — mirroring how the paper feeds offline-collected per-loop SF
-// values to the runtime (§5C).
-func offlineSFTable(pl *amp.Platform, w workloads.Workload) (map[string][]float64, error) {
-	out := map[string][]float64{}
+// runOfflineSF executes one workload under AID-static fed with offline SF:
+// each loop's SF is measured single-threaded first (sim.MeasureLoopSF) and
+// handed to that loop's scheduler — mirroring how the paper feeds
+// offline-collected per-loop SF values to the runtime (§5C).
+func runOfflineSF(pl *amp.Platform, w workloads.Workload) (float64, error) {
+	table := map[string][]float64{}
 	for _, spec := range w.Program.Loops() {
 		sf, err := sim.MeasureLoopSF(pl, spec)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		// Two core types: [bigSF, 1] relative to the small (slowest) type.
-		out[spec.Name] = []float64{sf, 1}
+		table[spec.Name] = []float64{sf, 1}
 	}
-	return out, nil
+	res, err := sim.RunProgram(sim.Config{
+		Platform: pl,
+		NThreads: pl.NumCores(),
+		Binding:  amp.BindBS,
+		FactoryNamed: func(loopName string, info core.LoopInfo) (core.Scheduler, error) {
+			sf, ok := table[loopName]
+			if !ok {
+				return nil, fmt.Errorf("exps: no offline SF for loop %q", loopName)
+			}
+			return core.NewAIDStaticOffline(info, 1, sf)
+		},
+	}, w.Program)
+	if err != nil {
+		return 0, err
+	}
+	return float64(res.TotalNs), nil
 }
 
 // RunFig9 regenerates Figs. 9a/9b on the given platform. The expected
@@ -300,52 +305,33 @@ func offlineSFTable(pl *amp.Platform, w workloads.Workload) (map[string][]float6
 // blackscholes because offline SF ignores LLC contention (§5C).
 func RunFig9(pl *amp.Platform) (Fig9Result, error) {
 	out := Fig9Result{Platform: pl.Name, Apps: Fig9Apps(), Norm: map[string]map[string]float64{}}
-	labels := []string{"AID-static", "AID-static(offline-SF)", "AID-hybrid"}
-	for _, l := range labels {
-		out.Norm[l] = map[string]float64{}
+	apps, err := appsNamed(out.Apps)
+	if err != nil {
+		return Fig9Result{}, err
 	}
-	base := Scheme{Label: "static(SB)", Sched: rt.Schedule{Kind: rt.KindStatic}, Binding: amp.BindSB}
-	for _, appName := range out.Apps {
-		w, ok := workloads.ByName(appName)
-		if !ok {
-			return Fig9Result{}, fmt.Errorf("exps: workload %s missing", appName)
+	schemes := []Scheme{
+		{Label: "static(SB)", Sched: rt.Schedule{Kind: rt.KindStatic}, Binding: amp.BindSB},
+		{Label: "AID-static", Sched: rt.Schedule{Kind: rt.KindAIDStatic}, Binding: amp.BindBS},
+		{Label: "AID-hybrid", Sched: rt.Schedule{Kind: rt.KindAIDHybrid, Pct: 0.80}, Binding: amp.BindBS},
+	}
+	// An application's last cell is the offline-SF variant, which is no
+	// Scheme: its factory depends on the workload.
+	cols := len(schemes) + 1
+	ns, err := sweep(len(apps)*cols, func(i int) (float64, error) {
+		w, c := apps[i/cols], i%cols
+		if c < len(schemes) {
+			return runApp(pl, w, schemes[c])
 		}
-		tBase, err := runApp(pl, w, base)
-		if err != nil {
-			return Fig9Result{}, err
+		return runOfflineSF(pl, w)
+	})
+	if err != nil {
+		return Fig9Result{}, err
+	}
+	for c, label := range []string{"AID-static", "AID-hybrid", "AID-static(offline-SF)"} {
+		out.Norm[label] = map[string]float64{}
+		for a, w := range apps {
+			out.Norm[label][w.Name] = ns[a*cols] / ns[a*cols+1+c] // column 0 is the baseline
 		}
-		// AID-static and AID-hybrid.
-		for _, s := range []Scheme{
-			{Label: "AID-static", Sched: rt.Schedule{Kind: rt.KindAIDStatic}, Binding: amp.BindBS},
-			{Label: "AID-hybrid", Sched: rt.Schedule{Kind: rt.KindAIDHybrid, Pct: 0.80}, Binding: amp.BindBS},
-		} {
-			tns, err := runApp(pl, w, s)
-			if err != nil {
-				return Fig9Result{}, err
-			}
-			out.Norm[s.Label][appName] = tBase / tns
-		}
-		// Offline-SF variant: per-loop SF tables measured single-threaded.
-		table, err := offlineSFTable(pl, w)
-		if err != nil {
-			return Fig9Result{}, err
-		}
-		res, err := sim.RunProgram(sim.Config{
-			Platform: pl,
-			NThreads: pl.NumCores(),
-			Binding:  amp.BindBS,
-			FactoryNamed: func(loopName string, info core.LoopInfo) (core.Scheduler, error) {
-				sf, ok := table[loopName]
-				if !ok {
-					return nil, fmt.Errorf("exps: no offline SF for loop %q", loopName)
-				}
-				return core.NewAIDStaticOffline(info, 1, sf)
-			},
-		}, w.Program)
-		if err != nil {
-			return Fig9Result{}, err
-		}
-		out.Norm["AID-static(offline-SF)"][appName] = tBase / float64(res.TotalNs)
 	}
 	return out, nil
 }

@@ -46,37 +46,41 @@ func zooSchemes() []Scheme {
 // contention or locality differently across the zoo's topologies produce
 // visibly different rows.
 func RunZoo() (ZooResult, error) {
-	var out ZooResult
-	for _, name := range amp.Names() {
+	names, schemes := amp.Names(), zooSchemes()
+	platforms := make([]*amp.Platform, len(names))
+	for i, name := range names {
 		pl, ok := amp.Lookup(name)
 		if !ok {
 			return ZooResult{}, fmt.Errorf("exps: zoo platform %q not registered", name)
 		}
-		spec := sim.LoopSpec{
-			Name:    "zoo",
-			NI:      40_000,
-			Profile: amp.Profile{ILP: 0.6, MemIntensity: 0.2},
-			Cost:    sim.LinearCost{Base: 20_000, Slope: 1.5},
-		}
-		for _, s := range zooSchemes() {
-			res, err := sim.RunLoop(sim.Config{
-				Platform: pl,
-				NThreads: pl.NumCores(),
-				Binding:  s.Binding,
-				Factory:  s.Sched.Factory(),
-			}, spec, 0)
-			if err != nil {
-				return ZooResult{}, fmt.Errorf("exps: zoo %s under %s: %w", name, s.Label, err)
-			}
-			out.Rows = append(out.Rows, ZooRow{
-				Platform:   name,
-				Scheme:     s.Label,
-				MakespanNs: float64(res.End - res.Start),
-				EnergyJ:    res.EnergyJ,
-			})
-		}
+		platforms[i] = pl
 	}
-	return out, nil
+	spec := sim.LoopSpec{
+		Name:    "zoo",
+		NI:      40_000,
+		Profile: amp.Profile{ILP: 0.6, MemIntensity: 0.2},
+		Cost:    sim.LinearCost{Base: 20_000, Slope: 1.5},
+	}
+	rows, err := sweep(len(names)*len(schemes), func(i int) (ZooRow, error) {
+		p, s := i/len(schemes), schemes[i%len(schemes)]
+		pl := platforms[p]
+		res, err := sim.RunLoop(sim.Config{
+			Platform: pl,
+			NThreads: pl.NumCores(),
+			Binding:  s.Binding,
+			Factory:  s.Sched.Factory(),
+		}, spec, 0)
+		if err != nil {
+			return ZooRow{}, fmt.Errorf("exps: zoo %s under %s: %w", names[p], s.Label, err)
+		}
+		return ZooRow{
+			Platform:   names[p],
+			Scheme:     s.Label,
+			MakespanNs: float64(res.End - res.Start),
+			EnergyJ:    res.EnergyJ,
+		}, nil
+	})
+	return ZooResult{Rows: rows}, err
 }
 
 // Render prints the sweep as an aligned table.

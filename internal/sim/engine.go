@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -27,7 +28,8 @@ type workspace struct {
 	scheds []core.Scheduler
 
 	coreOf, typeOf, activeInCluster []int
-	arrive, byTime                  []int64
+	arrive                          []int64
+	order, open                     []int
 	weights, nretired               []int
 	speed                           []float64
 	lastHi                          []int64
@@ -62,6 +64,18 @@ func newWorkspace(cfg Config) (*workspace, error) {
 // forgetSchedulers makes the next call build its schedulers with the
 // configured factory: the loops it runs are not the previous call's.
 func (ws *workspace) forgetSchedulers() { clear(ws.scheds) }
+
+// admit enters loop li into the open list, which stays in ascending order
+// whatever order the loops arrive in; release takes it out again.
+func (ws *workspace) admit(li int) {
+	at, _ := slices.BinarySearch(ws.open, li)
+	ws.open = slices.Insert(ws.open, at, li)
+}
+
+func (ws *workspace) release(li int) {
+	at, _ := slices.BinarySearch(ws.open, li)
+	ws.open = slices.Delete(ws.open, at, at+1)
+}
 
 // sized returns s with length n and every element zero, in s's own storage
 // when that is large enough.
@@ -228,17 +242,22 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		}
 	}
 	// now never goes back (the loop below always advances the earliest
-	// clock), so the loops admitted by now are a prefix of the sorted stamps.
-	// The ones admitted at the start are behind the cursor before any grant.
-	byTime := arrive
+	// clock), so the loops admitted by now are a prefix of order, the loop
+	// indices by arrival stamp. open lists, ascending, the admitted loops whose
+	// barrier has not released: the only ones a worker can be handed, so a
+	// pick costs what is in flight, not what the run holds. The loops admitted
+	// at the start are behind the cursor before any grant.
+	ws.order, ws.open = sized(ws.order, nl), ws.open[:0]
+	order := ws.order
+	for li := range order {
+		order[li] = li
+	}
 	if nl > 1 {
-		ws.byTime = append(ws.byTime[:0], arrive...)
-		byTime = ws.byTime
-		slices.Sort(byTime)
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(arrive[a], arrive[b]) })
 	}
 	arrived := 0
-	for arrived < nl && byTime[arrived] <= startNs {
-		arrived++
+	for ; arrived < nl && arrive[order[arrived]] <= startNs; arrived++ {
+		ws.admit(order[arrived])
 	}
 
 	// Worker state: virtual clock, the loop currently served (-1 between
@@ -307,8 +326,8 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		// arrival ends every grant made before it (the registry's admission
 		// generation: an unbounded single-tenant burst must yield the moment
 		// a second tenant shows up).
-		for arrived < nl && byTime[arrived] <= now {
-			arrived++
+		for ; arrived < nl && arrive[order[arrived]] <= now; arrived++ {
+			ws.admit(order[arrived])
 			clear(burst)
 		}
 
@@ -351,8 +370,8 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		li := cur[tid]
 		if li < 0 || burst[tid] <= 0 {
 			cands, candLoop := ws.cands[:0], ws.candLoop[:0]
-			for i := 0; i < nl; i++ {
-				if !retired[i*nt+tid] && arrive[i] <= now {
+			for _, i := range ws.open {
+				if !retired[i*nt+tid] {
 					cands = append(cands, fair.Candidate{ID: uint64(i), Weight: weights[i],
 						CoreType: typeOf[tid], SF: liveSF[i]})
 					candLoop = append(candLoop, i)
@@ -362,9 +381,10 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 			if len(cands) == 0 {
 				// Nothing runnable yet (so the worker is between loops):
 				// idle forward to the next arrival. One must exist —
-				// owed[tid] > 0 and every arrived loop would have been a
-				// candidate — and no loop retires a worker before it arrives.
-				next := byTime[arrived]
+				// owed[tid] > 0 and every arrived loop that still owes this
+				// worker a retirement is open, so would have been a candidate
+				// — and no loop retires a worker before it arrives.
+				next := arrive[order[arrived]]
 				if cfg.Trace != nil {
 					cfg.Trace.Add(tid, now, next, trace.Sync)
 				}
@@ -449,6 +469,7 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		}
 		// This loop's barrier releases at the last retirement, plus the
 		// join half of the fork/join cost in team mode.
+		ws.release(li)
 		maxFinish := slices.Max(res.Finish)
 		res.End = maxFinish + joinNs
 		if est, isEst := scheds[li].(core.SFEstimator); isEst {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/amp"
@@ -402,5 +403,57 @@ func TestMultiLoopTraceTiles(t *testing.T) {
 	}
 	if tracedSched != schedNs {
 		t.Errorf("timeline has %d ns of Sched, the loops report %d", tracedSched, schedNs)
+	}
+}
+
+// TestMultiLoopArrivalOrderPinned runs a fleet whose loops arrive in an order
+// unrelated to their indices — a pair at the start, pairs sharing a stamp,
+// most while earlier ones are still in flight — which the four ascending
+// arrivals of TestEngineGolden's fleet do not: the engine keeps its open
+// loops in index order whatever order they were admitted in, because the
+// position of a candidate decides what a policy picks. The digests were
+// written by the commit before the open-loop list replaced the scan over all
+// loops.
+func TestMultiLoopArrivalOrderPinned(t *testing.T) {
+	const n = 24
+	specs := make([]LoopSpec, n)
+	for i := range specs {
+		specs[i] = uniformSpec("p", 300+int64(i%5)*170, 1+i%3)
+		// 7 is coprime to 24, so the slots are a permutation of the indices;
+		// halving them makes the loops arrive in pairs.
+		specs[i].Arrive = int64(i*7%n/2) * 90_000
+	}
+	for _, c := range []struct {
+		policy fair.Policy
+		want   uint64
+	}{
+		{fair.NewWeightedRoundRobin(0), 0x99a03695df4c019f},
+		{fair.NewFCFS(), 0x1b33c94f7354f377},
+	} {
+		rs, err := RunLoops(multiCfg(4), specs, c.policy, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		maxInFlight := 0
+		for li, r := range rs {
+			if got := sumIters(r); got != specs[li].NI {
+				t.Errorf("%s: loop %d covered %d of %d iterations", c.policy.Name(), li, got, specs[li].NI)
+			}
+			dumpResult(h, r)
+			inFlight := 0
+			for _, o := range rs {
+				if o.Start <= r.Start && r.Start < o.End {
+					inFlight++
+				}
+			}
+			maxInFlight = max(maxInFlight, inFlight)
+		}
+		if maxInFlight < 4 {
+			t.Errorf("%s: at most %d loops in flight at once; the case is meant to overlap them", c.policy.Name(), maxInFlight)
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: digest %#016x, pinned %#016x", c.policy.Name(), got, c.want)
+		}
 	}
 }

@@ -94,6 +94,16 @@
 // SFEstimate and SFTrajectory are copies the scheduler made for the result;
 // the scheduler's own tables, which the next Reset overwrites, are only ever
 // read through them.
+//
+// # Concurrency
+//
+// A call runs on its caller's goroutine and starts none. Calls under distinct
+// Configs are independent and may run at the same time, which is how
+// internal/exps fills a figure's grid: the platform, the cost models and the
+// loop descriptions are only read, and every table a call writes is in the
+// workspace it owns. What a Config points to and a call writes is not shared
+// that way: a Config carrying a Recorder or a Trace serves one call at a time,
+// and so does a stateful fair.Policy handed to RunLoops.
 package sim
 
 import (
