@@ -2,14 +2,19 @@
 #
 #   make ci      - everything a PR must pass: vet (go vet, and gofmt -l .
 #                  listing no file), build, the whole suite (plain, plus the
-#                  lock-free layers and the figure sweeps under -race), and
-#                  the multi-loop conformance/race suite under -race -count=2.
+#                  lock-free layers and the figure sweeps under -race), the
+#                  multi-loop conformance/race suite under -race -count=2,
+#                  and every example run to its end.
 #                  It writes nothing into the tree.
 #   make test    - tier-1: go build ./... && go test -count=1 ./...
 #   make race    - race-detector run over the lock-free scheduler/pool layers,
 #                  the real-goroutine runtime and internal/exps (its sweeps
 #                  run simulator calls on every CPU at once, so this is where
-#                  "concurrent calls share only read-only inputs" is checked),
+#                  "concurrent calls share only read-only inputs" is checked;
+#                  about 20 s alone on a 2-CPU box and 30 beside the other
+#                  packages, 11 of them TestRunProgramDifferential, which
+#                  simulates every repetition of the figures' programs twice
+#                  over on purpose),
 #                  then the whole suite without -race (-count=1). The second
 #                  run is where every gate that a `-run` list used to select
 #                  lives, since a renamed test cannot drop out of ./...: the
@@ -23,6 +28,9 @@
 #   make race-multiloop - the multi-tenant conformance + registry race suite
 #                  under -race -count=2, so flaky interleavings surface in
 #                  CI, not in production
+#   make examples - go run on each examples/* main, output dropped: all
+#                  eight end by themselves, in about 3 s together, and must
+#                  exit 0. Nothing else executes them.
 #   make bench   - every `go test` benchmark that is left (trace figures,
 #                  ablations, the goroutine executor); for a look, not a gate
 #   make bench-ab BASE=<rev> W=<workload> [PAIRS=10 SECONDS=20] - compare
@@ -48,9 +56,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-multiloop bench bench-ab
+.PHONY: ci vet build test race race-multiloop examples bench bench-ab
 
-ci: vet build race race-multiloop
+ci: vet build race race-multiloop examples
 
 # gofmt -l prints the files it would rewrite; grep passes them on and makes
 # any such line a failure.
@@ -71,6 +79,9 @@ race:
 race-multiloop:
 	$(GO) test -race -count=2 -run 'MultiTenant|Registry|MultiLoop' ./internal/core/ ./internal/rt/ ./internal/sim/
 	$(GO) test -race -count=2 ./internal/fair/
+
+examples:
+	for d in examples/*/; do $(GO) run ./$$d > /dev/null || exit 1; done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -15,7 +15,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/amp"
 	"repro/internal/core"
@@ -24,6 +26,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	pl := amp.PlatformA()
 	uniform := sim.LoopSpec{
 		Name:    "uniform-kernel",
@@ -60,15 +68,21 @@ func main() {
 		}
 		res, err := sim.RunProgram(cfg, program)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-20s %10.3f ms (virtual), %6d pool accesses\n",
+		fmt.Fprintf(w, "%-20s %10.3f ms (virtual), %6d pool accesses\n",
 			sched, float64(res.TotalNs)/1e6, res.PoolAccesses)
 	}
 
-	// Show the per-loop decisions AID-auto takes.
-	fmt.Println("\nAID-auto per-loop decisions:")
-	var autos []*core.AIDAuto
+	// Show the decision AID-auto takes on each loop. RunProgram asks the
+	// factory once per loop phase, whatever the phase's Reps, so there is one
+	// scheduler, and one decision, per phase.
+	fmt.Fprintln(w, "\nAID-auto per-loop decisions:")
+	type decided struct {
+		loop  string
+		sched *core.AIDAuto
+	}
+	var autos []decided
 	cfg := sim.Config{
 		Platform: pl,
 		NThreads: 8,
@@ -78,25 +92,20 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			autos = append(autos, s)
+			autos = append(autos, decided{name, s})
 			return s, nil
 		},
 	}
 	if _, err := sim.RunProgram(cfg, program); err != nil {
-		log.Fatal(err)
-	}
-	names := []string{}
-	for _, ph := range program.Phases {
-		for r := 0; r < ph.Reps; r++ {
-			names = append(names, ph.Loop.Name)
-		}
+		return err
 	}
 	for i, a := range autos {
-		irregularPick, cv, ok := a.Decision()
+		irregularPick, cv, ok := a.sched.Decision()
 		verdict := "uniform   -> hybrid path"
 		if irregularPick {
 			verdict = "irregular -> dynamic path"
 		}
-		fmt.Printf("loop %2d %-18s CV %.3f  %s (decided=%v)\n", i, names[i], cv, verdict, ok)
+		fmt.Fprintf(w, "loop %2d %-18s CV %.3f  %s (decided=%v)\n", i, a.loop, cv, verdict, ok)
 	}
+	return nil
 }

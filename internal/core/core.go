@@ -186,6 +186,16 @@ type Scheduler interface {
 	// Next returns the next chunk for thread tid given the current time in
 	// nanoseconds. ok=false means no work remains for this thread and it
 	// should proceed to the loop's implicit barrier.
+	//
+	// Time enters only as differences. An implementation may subtract one
+	// nowNs from another (a sampling window, the length of a phase) and hand
+	// nowNs on unchanged (PhaseEvent.TimeNs); no decision may depend on nowNs
+	// itself — its size, its parity, its conversion to float64. Where the
+	// clock starts is the engine's business: rt reads a monotonic clock, sim
+	// counts from wherever its caller says, and sim.RunProgram relies on an
+	// execution being the same wherever it starts ("Repetitions" in
+	// internal/sim; sim.TestRunTimeTranslation holds every schedule family
+	// to it at starts up to 2^61).
 	Next(tid int, nowNs int64) (Assign, bool)
 	// Name identifies the scheduling method (for reports).
 	Name() string
@@ -196,7 +206,15 @@ type Scheduler interface {
 // pool is re-cut and all per-thread and per-phase state starts over, in the
 // storage the previous execution used. Each constructor is an allocation
 // followed by Reset, so a re-armed scheduler and a new one are the same
-// scheduler: they hand out the same chunks at the same times.
+// scheduler: they hand out the same chunks at the same times. Together with
+// Next's rule on time that makes an execution after Reset, given the same info
+// and the same calls at the same offsets from its start, the previous one
+// translated in time: nothing an execution learned (an SF estimate, R, a CV
+// verdict) reaches the next. sim.RunProgram accounts a loop's repetitions from
+// its first execution on the strength of that, and
+// exps.TestRunProgramDifferential holds it to the figures' programs; a Reset
+// that keeps a piece of the previous execution must fail that test first, and
+// needs RunProgram changed with it.
 //
 // The contract:
 //

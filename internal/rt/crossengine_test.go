@@ -102,14 +102,17 @@ func TestCrossEngineEquivalence(t *testing.T) {
 		t.Errorf("scheduler name differs across engines: %q vs %q", simRes.SchedulerName, rtRes.SchedulerName)
 	}
 
-	// Both engines must surface a structurally valid online SF estimate.
-	checkSF := func(engine string, sf []float64) {
+	// Both engines must surface a structurally valid online SF estimate. The
+	// upper bound is asked only of an estimate whose size means something:
+	// wall-clock samples taken by more workers than there are CPUs include
+	// other workers' timeslices, and under load the ratio has read 80-110.
+	checkSF := func(engine string, sf []float64, bounded bool) {
 		if len(sf) != len(pl.Clusters) {
 			t.Fatalf("%s: SF estimate %v has %d entries, want %d", engine, sf, len(sf), len(pl.Clusters))
 		}
 		slowest := math.Inf(1)
 		for ty, v := range sf {
-			if v <= 0 || v > 64 {
+			if v <= 0 || (bounded && v > 64) {
 				t.Errorf("%s: SF[%d] = %v out of sane range", engine, ty, v)
 			}
 			if v < slowest {
@@ -120,7 +123,7 @@ func TestCrossEngineEquivalence(t *testing.T) {
 			t.Errorf("%s: slowest-type SF = %v, want 1 (normalization)", engine, slowest)
 		}
 	}
-	checkSF("sim", simRes.SFEstimate)
+	checkSF("sim", simRes.SFEstimate, true)
 	if simRes.SFEstimate[0] <= 1.2 {
 		t.Errorf("sim big-core SF estimate = %v, expected clearly above 1", simRes.SFEstimate[0])
 	}
@@ -135,7 +138,7 @@ func TestCrossEngineEquivalence(t *testing.T) {
 			runtime.NumCPU(), simRes.SFEstimate)
 		return
 	}
-	checkSF("rt", rtRes.SFEstimate)
+	checkSF("rt", rtRes.SFEstimate, runtime.NumCPU() >= nthreads)
 
 	// SF convergence across engines needs real parallelism: on an
 	// oversubscribed machine the wall-clock sampling window of one worker

@@ -129,10 +129,10 @@ func goldenTeam(cfg Config, spec LoopSpec, startNs int64, observe bool) (uint64,
 	return h.Sum64(), nil
 }
 
-// goldenFleet runs four loops of one schedule on the persistent fleet:
+// goldenFleetSpecs are four loops for a fleet that starts at startNs:
 // admitted at start, early in the first loop's run, mid-run, and long after
 // the fleet has gone quiet, with mixed trip counts, mixes and weights.
-func goldenFleet(cfg Config, cost func(int64) CostModel, policy fair.Policy, startNs int64) (uint64, error) {
+func goldenFleetSpecs(cost func(int64) CostModel, startNs int64) []LoopSpec {
 	specs := []LoopSpec{
 		{Name: "at-start", NI: 2400, Profile: amp.Profile{ILP: 0.9, MemIntensity: 0.05}, Weight: 1},
 		{Name: "early", NI: 1201, Profile: amp.Profile{ILP: 0.3, MemIntensity: 0.7}, Weight: 4, Arrive: startNs + 250_000},
@@ -142,6 +142,13 @@ func goldenFleet(cfg Config, cost func(int64) CostModel, policy fair.Policy, sta
 	for i := range specs {
 		specs[i].Cost = cost(specs[i].NI)
 	}
+	return specs
+}
+
+// goldenFleet runs goldenFleetSpecs under one schedule on the persistent
+// fleet and digests everything it reports.
+func goldenFleet(cfg Config, cost func(int64) CostModel, policy fair.Policy, startNs int64) (uint64, error) {
+	specs := goldenFleetSpecs(cost, startNs)
 	cfg.Recorder = trace.NewRecorder()
 	cfg.Metrics = true
 	rs, err := RunLoops(cfg, specs, policy, startNs)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/amp"
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -14,7 +15,10 @@ import (
 type Phase struct {
 	// Loop, when non-nil, makes this a parallel-loop phase.
 	Loop *LoopSpec
-	// Reps is the loop repetition count; 0 means 1.
+	// Reps is the loop repetition count; 0 means 1. Every execution of the
+	// phase is the first one translated in time, and RunProgram accounts the
+	// others from it unless something attached to the Config sees them one by
+	// one ("Repetitions" in the package comment).
 	Reps int
 	// SerialUnits, for serial phases, is the work executed by the master.
 	SerialUnits float64
@@ -100,6 +104,9 @@ func RunProgram(cfg Config, prog Program) (ProgramResult, error) {
 	// The loop results stay in here: every repetition overwrites the previous
 	// one's, slices included.
 	var lr [1]LoopResult
+	// Nothing attached can tell one execution of a phase from the next: a
+	// timeline and a record hold every execution, a migration's AtNs is absolute.
+	unobserved := cfg.Trace == nil && cfg.Recorder == nil && len(cfg.Migrations) == 0
 	for _, ph := range prog.Phases {
 		if ph.Loop == nil {
 			// Serial phase: the master thread alone, no cluster contention.
@@ -119,18 +126,25 @@ func RunProgram(cfg Config, prog Program) (ProgramResult, error) {
 		if reps == 0 {
 			reps = 1
 		}
-		// One scheduler per loop phase: the first repetition builds it, the
-		// others re-arm it (workspace.scheduler).
+		// One scheduler per loop phase: the first execution builds it, every
+		// further one that is simulated re-arms it (workspace.scheduler).
 		ws.forgetSchedulers()
 		spec := []LoopSpec{*ph.Loop}
-		for r := 0; r < reps; r++ {
+		for r, n := 0, 1; r < reps; r += n {
 			if err := ws.run(lr[:], spec, nil, cursor); err != nil {
 				return ProgramResult{}, err
 			}
-			res.LoopNs += lr[0].End - lr[0].Start
-			res.SchedNs += lr[0].SchedNs
-			res.PoolAccesses += lr[0].PoolAccesses
-			cursor = lr[0].End
+			// What a re-armed scheduler does unobserved is this execution
+			// translated in time ("Repetitions" in the package comment), so this
+			// one stands for all that are left of the phase.
+			if _, rearms := ws.scheds[0].(core.Resettable); rearms && unobserved {
+				n = reps - r
+			}
+			dur := lr[0].End - lr[0].Start
+			res.LoopNs += int64(n) * dur
+			res.SchedNs += int64(n) * lr[0].SchedNs
+			res.PoolAccesses += int64(n) * lr[0].PoolAccesses
+			cursor += int64(n) * dur
 		}
 	}
 	res.TotalNs = cursor

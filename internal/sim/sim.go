@@ -81,9 +81,11 @@
 //
 // RunLoop and RunLoops make one call each and own a workspace for its
 // duration, so they pay for the tables once and give up nothing. RunProgram
-// keeps one workspace for the whole program: it builds a scheduler per loop
-// phase, not per repetition, and a repetition allocates only what its
-// scheduler hands out anew (the copies of the SF tables it publishes).
+// keeps one workspace for the whole program and builds a scheduler per loop
+// phase, not per repetition. A repetition it accounts from the phase's first
+// execution (see "Repetitions") allocates nothing; one it simulates allocates
+// only what its scheduler hands out anew (the copies of the SF tables it
+// publishes).
 //
 // Results are never part of the workspace. The engine fills the LoopResults
 // it is handed the way append fills a slice: zero results, which is what
@@ -94,6 +96,48 @@
 // SFEstimate and SFTrajectory are copies the scheduler made for the result;
 // the scheduler's own tables, which the next Reset overwrites, are only ever
 // read through them.
+//
+// # Repetitions
+//
+// A run is a function of its Config and its specs, translated by startNs:
+// start the same loops d nanoseconds later (on a fleet, with every Arrive
+// stamp moved by d as well) and every time in the results — Start, End,
+// Finish, the SFTrajectory stamps — is d later, and nothing else changes. It
+// holds because virtual time enters the model only as differences. The engine
+// adds durations, which it computes from counts, cost units and speeds, to
+// clocks that start at startNs; a cost model is keyed by iteration index; and
+// a scheduler may use the nowNs it is handed only through differences
+// (core.Scheduler). Since the engine is deterministic and a re-armed scheduler
+// is a new one (core.Resettable), every execution of a loop phase is the
+// phase's first execution translated to where the previous one ended.
+//
+// RunProgram spends that. It simulates the first execution of a phase and
+// accounts the other Reps-1 as copies of it: LoopNs, SchedNs, PoolAccesses and
+// the program's clock advance by their count times the first execution's
+// values, which is to the digit what simulating each of them adds up to. It
+// still simulates each of them whenever something could tell them apart:
+//
+//   - Config.Trace is set: the timeline holds every execution's intervals.
+//   - Config.Recorder is set: a record holds one run, so a program's second
+//     execution is refused with BeginRun's error. Accounting it instead would
+//     hand back a record that is silently short of the program it describes.
+//   - Config.Migrations is not empty: AtNs is a point on the absolute clock,
+//     so the execution it falls into, those before and those after all differ.
+//   - the phase's scheduler is not a core.Resettable (a replay script, a test
+//     probe): the contract is written down for the schedulers that are, and
+//     the factory is owed one call per execution (SchedulerFactory).
+//
+// TestRunTimeTranslation pins the contract (every zoo platform x schedule
+// family x cost model x binding, as a team and as a fleet under each policy,
+// at five starts up to 2^61) and exps.TestRunProgramDifferential the
+// accounting (all 21 applications x the Fig. 6 schemes: accounted = re-armed
+// and simulated every time = RunLoop chained by hand). The model has no
+// variation between the invocations of a loop at all today. A change that adds
+// one — noise per invocation, an SF estimate carried from one invocation to
+// the next, a throttle at an absolute time — makes an execution depend on its
+// index or on its start, must fail one of the two tests before it is merged,
+// and has to show RunProgram what it added, the way the attachments above are
+// seen, rather than leave it accounting executions that are no longer alike.
 //
 // # Concurrency
 //
@@ -215,9 +259,10 @@ func (ls LoopSpec) Validate() error {
 // SchedulerFactory builds the scheduler for one execution of one loop.
 // RunLoop and RunLoops call it once per loop. RunProgram calls it once per
 // loop phase when what it returns implements core.Resettable — the phase's
-// further repetitions re-arm that scheduler — and once per repetition
-// otherwise, so a factory must return the same kind of scheduler, configured
-// the same way, every time it is asked for the same loop.
+// further repetitions re-arm that scheduler, or are accounted from its first
+// execution without one ("Repetitions" in the package comment) — and once per
+// repetition otherwise, so a factory must return the same kind of scheduler,
+// configured the same way, every time it is asked for the same loop.
 type SchedulerFactory func(info core.LoopInfo) (core.Scheduler, error)
 
 // Config describes one simulated program execution.

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/amp"
@@ -121,8 +123,12 @@ func TestFleetWorkspaceReuse(t *testing.T) {
 }
 
 // TestRunProgramMatchesRunLoops: RunProgram, which keeps one scheduler per
-// phase, one workspace and one result, adds up exactly what a caller
-// sequencing RunLoop calls by hand gets.
+// phase, one workspace and one result, and simulates only the first execution
+// of a phase when nothing can tell the others from it, adds up exactly what a
+// caller sequencing RunLoop calls by hand gets. Every program runs twice: bare,
+// and with a migration that comes due halfway through the second execution of
+// the first phase, so that the first three executions all differ (none, mid-run,
+// at the fork) and accounting any of them from another shows.
 func TestRunProgramMatchesRunLoops(t *testing.T) {
 	pl := amp.PlatformTri()
 	a, b := epLoop(3000), migrationLoop()
@@ -133,33 +139,120 @@ func TestRunProgramMatchesRunLoops(t *testing.T) {
 		{Loop: &a},
 	}}
 	for _, f := range reuseFactories {
-		cfg := baseCfg(pl, pl.NumCores(), amp.BindBS, f.factory)
-		got, err := RunProgram(cfg, prog)
-		if err != nil {
-			t.Fatalf("%s: %v", f.name, err)
-		}
-		var want ProgramResult
-		cursor := int64(0)
-		for _, ph := range prog.Phases {
-			if ph.Loop == nil {
-				dur := int64(ph.SerialUnits / pl.Speed(pl.CoreOf(0, cfg.NThreads, cfg.Binding), ph.SerialProfile, 1))
-				cursor, want.SerialNs = cursor+dur, want.SerialNs+dur
-				continue
-			}
-			for r := 0; r < max(ph.Reps, 1); r++ {
-				lr, err := RunLoop(cfg, *ph.Loop, cursor)
+		for _, migrate := range []bool{false, true} {
+			cfg := baseCfg(pl, pl.NumCores(), amp.BindBS, f.factory)
+			if migrate {
+				first, err := RunLoop(cfg, a, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want.LoopNs += lr.End - lr.Start
-				want.SchedNs += lr.SchedNs
-				want.PoolAccesses += lr.PoolAccesses
-				cursor = lr.End
+				cfg.Migrations = []Migration{{AtNs: first.End * 3 / 2, Tid: 0, ToCPU: 0}}
+			}
+			got, err := RunProgram(cfg, prog)
+			if err != nil {
+				t.Fatalf("%s: %v", f.name, err)
+			}
+			var want ProgramResult
+			cursor := int64(0)
+			for _, ph := range prog.Phases {
+				if ph.Loop == nil {
+					dur := int64(ph.SerialUnits / pl.Speed(pl.CoreOf(0, cfg.NThreads, cfg.Binding), ph.SerialProfile, 1))
+					cursor, want.SerialNs = cursor+dur, want.SerialNs+dur
+					continue
+				}
+				for r := 0; r < max(ph.Reps, 1); r++ {
+					lr, err := RunLoop(cfg, *ph.Loop, cursor)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want.LoopNs += lr.End - lr.Start
+					want.SchedNs += lr.SchedNs
+					want.PoolAccesses += lr.PoolAccesses
+					cursor = lr.End
+				}
+			}
+			want.TotalNs = cursor
+			if got != want {
+				t.Errorf("%s, migration %v: RunProgram = %+v, RunLoop by hand = %+v", f.name, migrate, got, want)
 			}
 		}
-		want.TotalNs = cursor
-		if got != want {
-			t.Errorf("%s: RunProgram = %+v, RunLoop by hand = %+v", f.name, got, want)
+	}
+}
+
+// TestRunProgramObserved: what is attached to a Config sees every execution
+// of a phase, so RunProgram simulates every one. A timeline holds Reps times
+// the intervals of one execution, back to back; a Recorder holds one run, and
+// a program with a second execution is refused with BeginRun's error, not
+// recorded short.
+func TestRunProgramObserved(t *testing.T) {
+	pl := amp.PlatformA()
+	a, b := epLoop(700), migrationLoop()
+	serial := Phase{SerialUnits: 1e6, SerialProfile: amp.Profile{ILP: 0.5}}
+	prog := Program{Name: "p", Phases: []Phase{{Loop: &a, Reps: 3}, serial, {Loop: &b, Reps: 2}}}
+	for _, f := range reuseFactories {
+		cfg := baseCfg(pl, pl.NumCores(), amp.BindBS, f.factory)
+		bare, err := RunProgram(cfg, prog)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		nt := cfg.NThreads
+		cfg.Trace = trace.New(nt)
+		traced, err := RunProgram(cfg, prog)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if traced != bare {
+			t.Errorf("%s: a timeline changed the result: %+v with, %+v without", f.name, traced, bare)
+		}
+		// The expected timeline: one traced execution per phase, laid down Reps
+		// times from the cursor on, through the same Add (which merges the join
+		// of one execution with the fork of the next).
+		want := trace.New(nt)
+		cursor := int64(0)
+		for _, ph := range prog.Phases {
+			one, reps := trace.New(nt), 1
+			c := cfg
+			c.Trace = one
+			if ph.Loop == nil {
+				_, err = RunProgram(c, Program{Name: "serial", Phases: []Phase{ph}})
+			} else {
+				_, err = RunLoop(c, *ph.Loop, 0)
+				reps = ph.Reps
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < reps; r++ {
+				for tid := 0; tid < nt; tid++ {
+					for _, iv := range one.Intervals(tid) {
+						want.Add(tid, cursor+iv.Start, cursor+iv.End, iv.State)
+					}
+				}
+				cursor += one.EndTime()
+			}
+		}
+		if cursor != bare.TotalNs {
+			t.Errorf("%s: the expected timeline ends at %d, the program at %d", f.name, cursor, bare.TotalNs)
+		}
+		for tid := 0; tid < nt; tid++ {
+			if got, want := cfg.Trace.Intervals(tid), want.Intervals(tid); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: thread %d: timeline has %d intervals ending at %d, want %d ending at %d",
+					f.name, tid, len(got), got[len(got)-1].End, len(want), want[len(want)-1].End)
+			}
+		}
+
+		cfg.Trace, cfg.Recorder = nil, trace.NewRecorder()
+		if _, err := RunProgram(cfg, prog); err == nil || !strings.Contains(err.Error(), "recorder already holds a run") {
+			t.Errorf("%s: a program of 5 executions under one Recorder: error %v, want BeginRun's refusal", f.name, err)
+		}
+		cfg.Recorder = trace.NewRecorder()
+		once, err := RunProgram(cfg, Program{Name: "once", Phases: []Phase{serial, {Loop: &a, Reps: 1}}})
+		if err != nil {
+			t.Fatalf("%s: a program of one execution under a Recorder: %v", f.name, err)
+		}
+		if rec := cfg.Recorder.Record(); rec.MakespanNs != once.LoopNs || len(rec.Loops) != 1 {
+			t.Errorf("%s: the record holds %d loops and a makespan of %d, want the one execution's %d",
+				f.name, len(rec.Loops), rec.MakespanNs, once.LoopNs)
 		}
 	}
 }
@@ -200,11 +293,15 @@ func TestRunProgramBuildsOncePerPhase(t *testing.T) {
 	}
 }
 
-// TestRunProgramAllocs is the simulator's allocation gate: what RunProgram allocates per program and per phase is paid
-// once, and each further repetition of a phase costs a small constant number
-// of allocations — none under the conventional schedules, and under the AID
-// ones only what a repetition hands to its result (the copies of the SF table
-// it published and of the final estimate, and the observer that files them).
+// TestRunProgramAllocs is the simulator's allocation gate: what RunProgram
+// allocates per program and per phase is paid once. A further repetition that
+// is accounted from the first costs nothing, under every schedule. One that is
+// simulated — here because the Config carries a migration, which no clock of
+// the run ever reaches and which allocates nothing itself — costs a small
+// constant number of allocations: none under the conventional schedules, and
+// under the AID ones only what an execution hands to its result (the copies of
+// the SF table it published and of the final estimate, and the observer that
+// files them).
 func TestRunProgramAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -214,28 +311,35 @@ func TestRunProgramAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		factory SchedulerFactory
-		perRep  float64
+		perRep  float64 // per simulated repetition
 	}{
 		{"static", staticFactory, 0},
 		{"dynamic,1", dynamicFactory, 0},
 		{"aid-static,1", aidStaticFactory, 3},
 		{"aid-dynamic,1,5", aidDynamicFactory, 3},
 	} {
-		cfg := baseCfg(pl, pl.NumCores(), amp.BindBS, c.factory)
-		allocs := func(reps int) float64 {
-			prog := Program{Name: "p", Phases: []Phase{{Loop: &loop, Reps: reps}}}
-			return testing.AllocsPerRun(10, func() {
-				if _, err := RunProgram(cfg, prog); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		few, many := allocs(2), allocs(102)
-		if per := (many - few) / 100; per > c.perRep {
-			t.Errorf("%s: %.2f allocations per additional repetition (%.0f for 2, %.0f for 102), want at most %.0f",
-				c.name, per, few, many, c.perRep)
-		} else {
-			t.Logf("%s: %.2f allocations per additional repetition, %.0f for a program of 2", c.name, per, few)
+		for _, simulated := range []bool{false, true} {
+			cfg := baseCfg(pl, pl.NumCores(), amp.BindBS, c.factory)
+			perRep := 0.0
+			if simulated {
+				cfg.Migrations = []Migration{{AtNs: math.MaxInt64, Tid: 0, ToCPU: 0}}
+				perRep = c.perRep
+			}
+			allocs := func(reps int) float64 {
+				prog := Program{Name: "p", Phases: []Phase{{Loop: &loop, Reps: reps}}}
+				return testing.AllocsPerRun(10, func() {
+					if _, err := RunProgram(cfg, prog); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			few, many := allocs(2), allocs(102)
+			if per := (many - few) / 100; per > perRep {
+				t.Errorf("%s, simulated %v: %.2f allocations per additional repetition (%.0f for 2, %.0f for 102), want at most %.0f",
+					c.name, simulated, per, few, many, perRep)
+			} else {
+				t.Logf("%s, simulated %v: %.2f allocations per additional repetition, %.0f for a program of 2", c.name, simulated, per, few)
+			}
 		}
 	}
 }
