@@ -35,8 +35,9 @@
 #                  ablations, the goroutine executor); for a look, not a gate
 #   make bench-ab BASE=<rev> W=<workload> [PAIRS=10 SECONDS=20] - compare
 #                  the repository benchmark (./bench, BENCHMARK.json) between
-#                  a revision and the working tree: builds BASE's ./bench in a
-#                  throwaway git worktree under .bench_build/ and the working
+#                  a revision and the working tree: builds BASE's ./bench from
+#                  a `git archive` of BASE unpacked under .bench_build/ (no
+#                  git worktree, so it runs in any clone) and the working
 #                  tree's next to it, runs PAIRS untraced pairs of workload W
 #                  alternating which side goes first (this host drifts by
 #                  minutes; see bench/README.md), and ends with
@@ -96,12 +97,11 @@ AB := .bench_build/ab
 
 bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> W=<workload> [PAIRS=10 SECONDS=20]"; exit 2; }
-	rm -rf $(AB)/old $(AB)/new
-	if [ -d $(AB)/base ]; then git worktree remove --force $(AB)/base; fi
-	mkdir -p $(AB)
-	git worktree add --detach $(AB)/base $(BASE)
+	rm -rf $(AB)/old $(AB)/new $(AB)/base
+	mkdir -p $(AB)/base
+	git archive $(BASE) | tar -x -C $(AB)/base
 	cd $(AB)/base && $(GO) build -o ../bench-old ./bench
-	git worktree remove --force $(AB)/base
+	rm -rf $(AB)/base
 	$(GO) build -o $(AB)/bench-new ./bench
 	for i in $$(seq 1 $(PAIRS)); do \
 		if [ $$((i % 2)) -eq 1 ]; then order="old new"; else order="new old"; fi; \

@@ -44,19 +44,7 @@ func TestRegistryHotLayout(t *testing.T) {
 // when the host runs both workers on one CPU for a while, the chunk that
 // holds a context switch is milliseconds long and owns the mean.
 func TestRegistryThrottleFidelity(t *testing.T) {
-	a := amp.PlatformA()
-	clusters := append([]amp.Cluster(nil), a.Clusters...)
-	for i := range clusters {
-		clusters[i].NumCores = 1
-	}
-	pl, err := amp.New("A-1B1S", clusters, a.Overhead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err := NewRegistry(RegistryConfig{Platform: pl})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newFleet1B1S(t)
 	defer reg.Close()
 	want := reg.Slowdown(1)
 	if reg.NThreads() != 2 || reg.Slowdown(0) != 1 || want < 1.5 {
@@ -86,12 +74,71 @@ func TestRegistryThrottleFidelity(t *testing.T) {
 	}
 }
 
+// newFleet1B1S returns a registry on Platform A cut down to one core of each
+// type: the benchmark's two-worker fleet.
+func newFleet1B1S(t *testing.T) *Registry {
+	t.Helper()
+	a := amp.PlatformA()
+	clusters := append([]amp.Cluster(nil), a.Clusters...)
+	for i := range clusters {
+		clusters[i].NumCores = 1
+	}
+	pl, err := amp.New("A-1B1S", clusters, a.Overhead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := NewRegistry(RegistryConfig{Platform: pl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// TestRegistrySubmitAllocs pins what one Submit+Wait costs once the fleet
+// has released a loop of the same schedule: its scheduler, pool, cells and
+// retirement flags come off the free list, so what is left is the handle,
+// its done channel, the default name, the published Iters and, for the AID
+// schedules, the final SF table: 4 to 5 objects, one more once loop IDs pass
+// 255 and formatting the default name boxes them. Building a scheduler per
+// Submit cost 8 (static) to 25 (aid-dynamic), so the bound of 7 catches any
+// schedule falling back to construction. (AllocsPerRun rounds down.)
+func TestRegistrySubmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	reg := newFleet1B1S(t)
+	defer reg.Close()
+	var sink atomic.Int64
+	body := func(_ int, lo, hi int64) { sink.Add(hi - lo) }
+	for _, text := range []string{"static", "dynamic,16", "guided", "aid-static",
+		"aid-hybrid,80,4", "aid-dynamic,1,5", "aid-auto", "work-steal"} {
+		s, err := ParseSchedule(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			l, err := reg.Submit(LoopRequest{N: 2048, Schedule: s, Body: body})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.Wait()
+		}
+		run() // warm: the free list now holds this schedule's scheduler
+		got := testing.AllocsPerRun(20, run)
+		t.Logf("%s: %.1f objects per Submit+Wait", text, got)
+		if got > 7 {
+			t.Errorf("%s: Submit+Wait allocated %.1f objects, want <= 7", text, got)
+		}
+	}
+}
+
 // TestRegistrySteadyStateAllocs pins the allocation-free hot path end to
-// end: with the fleet warm (scratch grown, policy cursors populated), a
-// multi-tenant run of tens of thousands of chunks may only allocate the
-// per-submission constants (loop handles, schedulers, pool shards) — if the
-// per-chunk path (claim, serve, pick) allocates, the delta explodes past the
-// threshold and this test fails make ci.
+// end: with the fleet warm (scratch grown, policy cursors populated, the
+// free list holding both schedules), a multi-tenant run of tens of
+// thousands of chunks may only allocate the per-submission constants (loop
+// handles, done channels, published stats) — if the per-chunk path (claim,
+// serve, pick) allocates, the delta explodes past the threshold and this
+// test fails make ci.
 func TestRegistrySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -125,9 +172,9 @@ func TestRegistrySteadyStateAllocs(t *testing.T) {
 	run(n)
 	runtime.ReadMemStats(&m1)
 	delta := m1.Mallocs - m0.Mallocs
-	// Submission constants (schedulers, shards, cells, handles) are a few
-	// hundred objects; 125k chunks at even one alloc each would be 1000x
-	// that. The threshold splits the difference conservatively.
+	// Submission constants are about ten objects; 125k chunks at even one
+	// alloc each would be 10000x that. The threshold splits the difference
+	// conservatively.
 	if delta > 4000 {
 		t.Errorf("steady-state run of ~125k chunks allocated %d objects, want < 4000 (per-chunk path must not allocate)", delta)
 	}

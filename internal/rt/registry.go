@@ -17,8 +17,11 @@ import (
 // Registry is the multi-loop executor: it owns a fixed fleet of worker
 // goroutines (one per modeled CPU, with the same per-worker slowdown
 // emulation as Team) and admits many concurrent loop submissions. Each
-// admitted loop gets its own single-use core.Scheduler — and therefore its
-// own sharded iteration pool — while the fleet is shared: a configurable
+// admitted loop gets its own core.Scheduler — and therefore its own sharded
+// iteration pool — for as long as it runs; a released loop's scheduler goes
+// on a bounded free list and is re-armed through core.Resettable for a later
+// loop of the same schedule, the way libgomp reuses a team's work-share
+// instead of allocating one per loop. The fleet is shared: a configurable
 // fairness policy (internal/fair) decides which runnable loop a free worker
 // serves next. This is the building block for serving many users at once:
 // one request's parallel loop no longer needs a private set of threads.
@@ -83,6 +86,41 @@ type Registry struct {
 	// (guarded by mu), so MetricsSnapshot stays O(live loops), not
 	// O(all loops ever served).
 	retiredAgg obs.Snapshot
+	// free holds released loops' schedulers and worker-indexed storage for
+	// Submit to re-arm, oldest first, at most maxFree (guarded by mu).
+	free []freeLoop
+}
+
+// maxFree bounds the free list: room for every loop a busy fleet keeps in
+// flight to find its schedule there, while a fleet that stopped using a
+// schedule holds only a few dozen of its schedulers until newer ones push
+// them out.
+const maxFree = 32
+
+// schedKey is what a pooled scheduler must match to be re-armed for a
+// request: the defaulted schedule's comparable fields. Canonical would do
+// too, at the price of a formatted string per Submit.
+type schedKey struct {
+	kind         Kind
+	chunk, major int64
+	pct          float64
+	reweight     bool
+}
+
+// keyOf returns s's free-list key, and ok=false for the offline-SF schedules,
+// whose table is not part of the key and which are therefore never pooled.
+func keyOf(s Schedule) (k schedKey, ok bool) {
+	d := s.withDefaults()
+	return schedKey{d.Kind, d.Chunk, d.Major, d.Pct, d.Reweight}, d.OfflineSF == nil
+}
+
+// freeLoop is one released loop's reusable storage: its scheduler, which owns
+// the loop's sharded pool, and its per-worker cells and retirement flags.
+type freeLoop struct {
+	key     schedKey
+	sched   core.Resettable
+	cells   []workerCell
+	retired []bool
 }
 
 // RegistryConfig configures NewRegistry.
@@ -271,21 +309,25 @@ type LoopRequest struct {
 // the loop's own barrier: it releases when this loop's iterations are done,
 // independent of the rest of the fleet's work.
 type Loop struct {
+	reg      *Registry
 	id       uint64
 	name     string
 	weight   int
 	n        int64
 	schedule Schedule
-	sched    core.Scheduler
 	body     func(tid int, lo, hi int64)
 
+	// sched, cells, retired and sfView are the loop's until its barrier
+	// releases; then retire hands them to the free list and sets them to nil
+	// under Registry.mu, so whatever reads them after release must hold that
+	// lock and check.
+	sched core.Scheduler
 	// cells is worker-indexed: cell tid is written only by worker tid and
-	// published to the waiter by close(done), which happens-after every
-	// worker's retirement (each retirement passes through the registry
-	// lock). One padded cell per worker replaces the old parallel
-	// iters/accesses/finishNs slices, whose 8-byte slots shared cache
-	// lines across workers — every chunk's counter bump invalidated the
-	// line of up to seven neighbours.
+	// read by retire once every worker has retired (each retirement passes
+	// through the registry lock). One padded cell per worker replaces the
+	// old parallel iters/accesses/finishNs slices, whose 8-byte slots shared
+	// cache lines across workers — every chunk's counter bump invalidated
+	// the line of up to seven neighbours.
 	cells    []workerCell
 	retired  []bool // guarded by Registry.mu
 	nretired int    // guarded by Registry.mu
@@ -353,11 +395,24 @@ func (l *Loop) Latency() time.Duration { return l.latency }
 // or nil while its scheduler has not published one (or never will — the
 // conventional schedules estimate nothing). Safe to call from any
 // goroutine at any time: the schedulers publish their tables through
-// atomics, so this is the mid-run view the fairness policy steers by, not
-// a retirement-only statistic.
-// The returned slice is the scheduler's published table — read-only, and
-// to be consumed at once, not kept (see core.SFLiveViewer).
+// atomics, so while the loop runs this is the mid-run view the fairness
+// policy steers by; once its barrier has released it is the final
+// estimate, LoopStats.SFEstimate. The returned slice is a copy the caller
+// owns. It takes the registry lock, which is what keeps a released loop
+// from reading a scheduler the free list has re-armed for a later one.
 func (l *Loop) LiveSF() []float64 {
+	l.reg.mu.Lock()
+	defer l.reg.mu.Unlock()
+	return append([]float64(nil), l.liveSF()...)
+}
+
+// liveSF is LiveSF for callers holding the registry lock, without the copy:
+// the scheduler's published table, to be consumed before the lock is
+// released (see core.SFLiveViewer).
+func (l *Loop) liveSF() []float64 {
+	if l.sched == nil {
+		return l.stats.SFEstimate // released
+	}
 	if l.sfView != nil {
 		return l.sfView.SFLiveView()
 	}
@@ -373,6 +428,8 @@ func (l *Loop) LiveSF() []float64 {
 // the loop starts as soon as the policy hands workers to it. It fails if
 // the registry is closed or the request is invalid.
 func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
+	// Every check comes before arm: a refused request neither builds a
+	// scheduler nor takes one off the free list.
 	if req.N < 0 {
 		return nil, fmt.Errorf("rt: negative trip count %d", req.N)
 	}
@@ -382,34 +439,31 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 	if req.Weight < 0 {
 		return nil, fmt.Errorf("rt: negative loop weight %d", req.Weight)
 	}
+	if req.CaptureMaxEvents < 0 {
+		return nil, fmt.Errorf("rt: negative capture event budget %d", req.CaptureMaxEvents)
+	}
 	if req.Weight == 0 {
 		req.Weight = 1
 	}
-	sched, err := req.Schedule.Factory()(r.loopInfo(req.N))
-	if err != nil {
-		return nil, err
-	}
 	l := &Loop{
+		reg:       r,
 		name:      req.Name,
 		weight:    req.Weight,
 		n:         req.N,
 		schedule:  req.Schedule,
-		sched:     sched,
 		body:      req.Body,
-		cells:     make([]workerCell, r.nthreads),
-		retired:   make([]bool, r.nthreads),
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
-	if v, ok := sched.(core.SFLiveViewer); ok {
+	if err := r.arm(l); err != nil {
+		return nil, err
+	}
+	if v, ok := l.sched.(core.SFLiveViewer); ok {
 		l.sfView = v
 	}
 	if r.metrics != nil {
 		l.metrics = obs.New(r.nthreads, len(r.platform.Clusters), r.typeOf)
 		l.startNs = r.now()
-	}
-	if req.CaptureMaxEvents < 0 {
-		return nil, fmt.Errorf("rt: negative capture event budget %d", req.CaptureMaxEvents)
 	}
 	if req.Capture {
 		l.capture = make([]paddedTape, r.nthreads)
@@ -427,7 +481,7 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 		for tid := range l.capture {
 			l.capture[tid].Reserve(est)
 		}
-		if po, ok := sched.(core.PhaseObservable); ok {
+		if po, ok := l.sched.(core.PhaseObservable); ok {
 			// The observer runs on the transition-owning worker and appends
 			// to that worker's private tape, so the capture path inherits
 			// the schedulers' lock freedom.
@@ -453,6 +507,64 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	return l, nil
+}
+
+// arm gives l a scheduler armed for its trip count and zeroed per-worker
+// storage: a released loop's, re-armed through core.Resettable outside the
+// lock, when the free list holds one of l's schedule, and new ones
+// otherwise.
+func (r *Registry) arm(l *Loop) error {
+	info := r.loopInfo(l.n)
+	if key, ok := keyOf(l.schedule); ok {
+		r.mu.Lock()
+		fl, ok := r.takeFree(key)
+		r.mu.Unlock()
+		if ok {
+			clear(fl.cells)
+			clear(fl.retired)
+			l.sched, l.cells, l.retired = fl.sched, fl.cells, fl.retired
+			return fl.sched.Reset(info)
+		}
+	}
+	sched, err := l.schedule.Factory()(info)
+	if err != nil {
+		return err
+	}
+	l.sched = sched
+	l.cells = make([]workerCell, r.nthreads)
+	l.retired = make([]bool, r.nthreads)
+	return nil
+}
+
+// takeFree removes and returns the newest free-list entry for key (caller
+// holds mu).
+func (r *Registry) takeFree(key schedKey) (freeLoop, bool) {
+	for i := len(r.free) - 1; i >= 0; i-- {
+		if r.free[i].key == key {
+			fl, last := r.free[i], len(r.free)-1
+			copy(r.free[i:], r.free[i+1:])
+			r.free[last] = freeLoop{}
+			r.free = r.free[:last]
+			return fl, true
+		}
+	}
+	return freeLoop{}, false
+}
+
+// recycle hands a released loop's scheduler and worker-indexed storage to
+// the free list, dropping the oldest entry when the list is full, and
+// clears the loop's references to them (caller holds mu; every worker has
+// retired from l).
+func (r *Registry) recycle(l *Loop) {
+	key, ok := keyOf(l.schedule)
+	if rs, resettable := l.sched.(core.Resettable); ok && resettable {
+		if len(r.free) == maxFree {
+			copy(r.free, r.free[1:])
+			r.free = r.free[:maxFree-1]
+		}
+		r.free = append(r.free, freeLoop{key, rs, l.cells, l.retired})
+	}
+	l.sched, l.sfView, l.cells, l.retired = nil, nil, nil, nil
 }
 
 // BuildRecord assembles a serializable run record from completed captured
@@ -524,7 +636,7 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 			Name:      l.name,
 			NI:        l.n,
 			Weight:    l.weight,
-			Scheduler: l.sched.Name(),
+			Scheduler: l.stats.SchedulerName,
 			Schedule:  l.schedule.Canonical(),
 			Profile:   r.profile,
 		})
@@ -750,7 +862,7 @@ func (r *Registry) pick(tid int) (*Loop, int, uint64) {
 		for _, l := range r.run {
 			if !l.retired[tid] {
 				cands = append(cands, fair.Candidate{ID: l.id, Weight: l.weight,
-					CoreType: r.types[tid], SF: l.LiveSF()})
+					CoreType: r.types[tid], SF: l.liveSF()})
 				loops = append(loops, l)
 			}
 		}
@@ -795,7 +907,8 @@ func (r *Registry) pick(tid int) (*Loop, int, uint64) {
 
 // retire records that worker tid has no more work in loop l. The last
 // retirement releases the loop's barrier: the loop leaves the runnable
-// list, its stats are published, and Done/Wait unblock.
+// list, its stats are published, its scheduler goes to the free list, and
+// Done/Wait unblock.
 func (r *Registry) retire(l *Loop, tid int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -842,6 +955,7 @@ func (r *Registry) retire(l *Loop, tid int) {
 	if l.capture != nil {
 		l.mergeCapture(r.nthreads)
 	}
+	r.recycle(l)
 	close(l.done)
 }
 

@@ -3,10 +3,12 @@ package rt
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fair"
 )
 
@@ -149,6 +151,126 @@ func TestRegistryTeardownRace(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRegistryRecycleConcurrent drives the free list from four submitters
+// at once, each cycling 200 loops through aid-dynamic,1,5, aid-static and
+// dynamic,16 with trip counts from 0 up, while a poller calls LiveSF on the
+// newest handle (usually live) and on older ones (usually released) and
+// checks, under the registry lock, that no two live loops share a
+// scheduler. Every loop must cover its iterations exactly once, LiveSF after
+// Done must be the published estimate, and schedulers must actually be
+// re-armed. Under -race this is the check that a released handle never
+// reads a scheduler re-armed for a later loop.
+func TestRegistryRecycleConcurrent(t *testing.T) {
+	reg, err := NewRegistry(RegistryConfig{NThreads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	scheds := []Schedule{
+		{Kind: KindAIDDynamic, Chunk: 1, Major: 5},
+		{Kind: KindAIDStatic},
+		{Kind: KindDynamic, Chunk: 16},
+	}
+	const submitters, loopsEach = 4, 200
+
+	var (
+		mu      sync.Mutex
+		handles []*Loop
+		owner   = map[core.Scheduler]uint64{} // last loop seen holding each scheduler
+		reused  int
+	)
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		var sink float64
+		var live []core.Scheduler
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			mu.Lock()
+			var newest, older *Loop
+			if n := len(handles); n > 0 {
+				newest, older = handles[n-1], handles[i%n]
+			}
+			mu.Unlock()
+			for _, l := range []*Loop{newest, older} {
+				if l != nil {
+					for _, v := range l.LiveSF() {
+						sink += v
+					}
+				}
+			}
+			reg.mu.Lock()
+			live = live[:0]
+			for _, l := range reg.run {
+				for _, s := range live {
+					if s == l.sched {
+						t.Errorf("loop %d shares its scheduler with another live loop", l.id)
+					}
+				}
+				live = append(live, l.sched)
+			}
+			reg.mu.Unlock()
+			runtime.Gosched()
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for j := 0; j < loopsEach; j++ {
+				ni := int64((s*loopsEach + j) * 7 % 613)
+				sched := scheds[j%len(scheds)]
+				covered := make([]atomic.Int32, ni)
+				l, err := reg.Submit(LoopRequest{N: ni, Schedule: sched,
+					Body: func(_ int, lo, hi int64) {
+						for i := lo; i < hi; i++ {
+							covered[i].Add(1)
+						}
+					}})
+				if err != nil {
+					t.Errorf("submitter %d loop %d: %v", s, j, err)
+					return
+				}
+				reg.mu.Lock()
+				held := l.sched // nil if the loop has already released
+				reg.mu.Unlock()
+				mu.Lock()
+				handles = append(handles, l)
+				if held != nil {
+					if _, seen := owner[held]; seen {
+						reused++
+					}
+					owner[held] = l.ID()
+				}
+				mu.Unlock()
+				st := l.Wait()
+				for i := range covered {
+					if c := covered[i].Load(); c != 1 {
+						t.Errorf("submitter %d loop %d (%s): iteration %d covered %d times", s, j, sched, i, c)
+						return
+					}
+				}
+				if sf := l.LiveSF(); !slices.Equal(sf, st.SFEstimate) {
+					t.Errorf("submitter %d loop %d (%s): LiveSF after Done = %v, Wait's SFEstimate = %v",
+						s, j, sched, sf, st.SFEstimate)
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	close(stop)
+	<-polled
+	if reused == 0 {
+		t.Error("no scheduler was re-armed for a later loop")
 	}
 }
 
