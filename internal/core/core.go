@@ -195,10 +195,26 @@ type Scheduler interface {
 	// counts from wherever its caller says, and sim.RunProgram relies on an
 	// execution being the same wherever it starts ("Repetitions" in
 	// internal/sim; sim.TestRunTimeTranslation holds every schedule family
-	// to it at starts up to 2^61).
+	// to it at starts up to 2^61). An engine that pays for its clock may ask
+	// ReadsClock whether a scheduler needs a fresh nowNs at all.
 	Next(tid int, nowNs int64) (Assign, bool)
 	// Name identifies the scheduling method (for reports).
 	Name() string
+}
+
+// ReadsClock reports whether s's Next may depend on its nowNs argument. It is
+// false only for the schedules known to ignore it — static, static-chunked,
+// dynamic, guided and work-steal, whose Next names the parameter _ — so an
+// engine may hand those any nowNs, a stale one included, and skip the clock
+// read that would have produced it. Every other scheduler, whatever its
+// package, is taken to read it. TestClockFreeSchedulersIgnoreNow holds the
+// list to that.
+func ReadsClock(s Scheduler) bool {
+	switch s.(type) {
+	case *Static, *StaticChunked, *Dynamic, *Guided, *WorkSteal:
+		return false
+	}
+	return true
 }
 
 // Resettable is implemented by every scheduler of this package: Reset re-arms

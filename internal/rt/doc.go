@@ -23,27 +23,45 @@
 //
 // # The per-chunk budget
 //
-// Between two bodies a Registry worker pays, per chunk (chunk 1, ~18 ns
-// body, 1B+1S fleet, two-CPU host; the bench ladder's fine_chunk rungs,
-// medians of three alternating 10 s traced pairs, before -> after the chunk
-// loop was merged into one path with chained stamps):
+// Between two bodies a Registry worker reads the monotonic clock (r.now,
+// 33 ns) only for a consumer, and decides which reads it takes once per
+// burst, by its role in the loop:
 //
-//	Dynamic.Next, pool claim included              31 ->  23 ns (untouched; probe noise)
-//	body                                           18 ->  18 ns
-//	registry chunk loop (rt.self_ns)              205 -> 104 ns
-//	  clock reads  3-5 per chunk (r.now 33 ns, time.Now 57 ns) -> 2 x 33 ns
-//	  small-worker spin, time.Now per turn -> r.now per turn, ~1 turn
-//	  gen load, Next dispatch, cell bumps, body call: ~20 ns, unchanged
-//	rt.chunk_ns                                   240 -> 158 ns
+//	unthrottled, unobserved, clock-free schedule    0 reads per chunk
+//	unthrottled, unobserved, schedule reads nowNs   1 (end)
+//	throttled, or observed (Metrics or Capture)     2 (schedEnd, end)
 //
-// The two reads that remain each have a consumer no cheaper source serves.
 // end (after the body, or the spin's last read) is the nowNs of the next
-// Next: AID sampling divides real elapsed time by iterations, so it needs
-// a real clock once per call. schedEnd (after Next) separates scheduler
-// time from body time: the throttle stretches the body only — stretching
-// Next too would put AID-dynamic's ~200 ns phase transitions on the small
-// worker's critical path 1.9 times over — and metrics and capture split
-// Sched from Running at the same stamp, so they cost no reads of their own.
+// Next: AID sampling divides real elapsed time by iterations, so a
+// scheduler that reads its nowNs needs a real clock once per call.
+// core.ReadsClock names the ones that do not — static, static-chunked,
+// dynamic, guided, work-steal — and those are handed the burst's first read
+// throughout. schedEnd (after Next) separates scheduler time from body time.
+// The throttle stretches the body only: stretching Next too would put
+// AID-dynamic's ~200 ns phase transitions on the small worker's critical
+// path 1.9 times over. Metrics and capture split Sched from Running at the
+// same stamp. So the small worker of a 1B+1S fleet still takes both reads.
+//
+// The rungs, per chunk (chunk 1, ~19 ns body, 1B+1S fleet, two-CPU host;
+// the bench ladder's fine_chunk rungs, medians of five traced passes per
+// column, run in rotating order; the rungs drain dynamic,1 unobserved):
+//
+//	                 2 reads always   schedEnd on a consumer   + end on a consumer
+//	rt.chunk_ns          194 ns               152 ns                  83 ns
+//	rt.self_ns           129 ns               102 ns                  41 ns
+//
+// fine_chunk's p50_ms went from 120.7 to 101.0 ms and its iters_per_s from
+// 3.57e7 to 4.26e7 (10 alternating 20 s pairs, every pair faster). The
+// first column is the loop as it was built when merging it into one path
+// with chained stamps took rt.self_ns from 205 to 104 ns (3-5 reads per
+// chunk, some of them time.Now at 57 ns, down to 2 of r.now), measured on
+// a later tree.
+//
+// Metrics and capture pay up to two reads per chunk that the unobserved
+// worker no longer pays, so turning them on costs more than it did:
+// obs.metrics_overhead_pct, the fine registry rung with Metrics on against
+// off, read 8 % with two reads always and 124 % now (medians of the passes
+// above). The off path got faster; the on path is unchanged.
 //
 // # The per-loop budget
 //
@@ -70,10 +88,10 @@
 //	serve_open_lo alloc_kb_per_op (./bench, 10 pairs)     2.63 -> 1.16 kB
 //	serve_open_hi, fine_chunk, coarse_chunk (3-6 pairs)  2.5-2.6 -> 1.1-1.2 kB
 //
-// What is left is the Loop handle, its done channel, the default name (and
-// the boxed ID it formats), the published Iters and, for the AID schedules,
-// the copy of the final SF table; TestRegistrySubmitAllocs holds it under
-// 8 objects. Submit's time moved less: rt.submit_us read 11-15 us before and
-// 10 us after in two alternating traced passes, admission to first body
-// 15-17 us on both sides.
+// What is left is the Loop handle, its done channel, the default name, the
+// published Iters and, for the AID schedules, the copy of the final SF
+// table: 4 to 5 objects at any loop ID, held to that by
+// TestRegistrySubmitAllocs. Submit's time moved less: rt.submit_us read
+// 11-15 us before and 10 us after in two alternating traced passes,
+// admission to first body 15-17 us on both sides.
 package rt

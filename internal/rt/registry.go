@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,10 +144,11 @@ type RegistryConfig struct {
 	// loop gets per-worker counter cells surfaced via LoopStats.Metrics,
 	// and Registry.MetricsSnapshot serves the live fleet-wide view. The
 	// hot path stays allocation free with metrics on (gated by
-	// TestRegistryMetricsSteadyStateAllocs) and reads the clock no more
-	// often: busy and sched time come from the chunk loop's own two stamps,
-	// so the per-chunk cost is a few plain adds into a batch flushed every
-	// 32 chunks (./bench measures it as obs.metrics_overhead_pct).
+	// TestRegistryMetricsSteadyStateAllocs). Busy and sched time need both
+	// of the chunk loop's stamps, which an unobserved, unthrottled worker
+	// skips, so metrics cost up to two clock reads per chunk plus a few
+	// plain adds into a batch flushed every 32 chunks (./bench measures it
+	// as obs.metrics_overhead_pct; doc.go has the budget).
 	Metrics bool
 }
 
@@ -360,10 +362,12 @@ type Loop struct {
 }
 
 // workerCell is one worker's private counters for one loop: iterations
-// executed, pool accesses charged, and (under capture) the worker's
-// retirement time on the fleet clock. Padded to exactly one cache line so
-// neighbouring workers' per-chunk updates never contend; the size is pinned
-// by a layout test.
+// executed, pool accesses charged, and the worker's retirement time on the
+// fleet clock. finishNs is read only by finishMetrics and mergeCapture, both
+// observed paths, so an unobserved worker, which skips the clock reads
+// nothing else consumes, may leave a stale stamp there. Padded to exactly one
+// cache line so neighbouring workers' per-chunk updates never contend; the
+// size is pinned by a layout test.
 type workerCell struct {
 	iters    int64
 	accesses int64
@@ -500,7 +504,10 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 	l.id = r.nextID
 	r.nextID++
 	if l.name == "" {
-		l.name = fmt.Sprintf("loop-%d", l.id)
+		// One allocation at any ID: Sprintf boxes an ID past 255, and
+		// concatenating FormatUint's result allocates twice past 99.
+		var buf [24]byte
+		l.name = string(strconv.AppendUint(append(buf[:0], "loop-"...), l.id, 10))
 	}
 	r.run = append(r.run, l)
 	r.gen.Add(1)
@@ -730,11 +737,12 @@ type pickScratch struct {
 // worker is one fleet goroutine: pick a loop under the fairness policy,
 // serve it for the granted burst of scheduler calls, repeat. The control
 // plane (pick/retire) takes the registry lock only between bursts; the
-// chunk loop in between is lock free and reads the clock twice per chunk,
-// schedEnd after Next and end after the body (doc.go has the budget). The
-// stamps are chained — a chunk's end is the next chunk's nowNs, re-read only
-// when a burst starts — and shared by the schedulers' sampling, the
-// small-core throttle, the metrics batch and the capture tape, whose
+// chunk loop in between is lock free and reads the clock at most twice per
+// chunk, schedEnd after Next and end after the body, and only for a consumer:
+// which reads a burst takes is decided once, when it starts (doc.go has the
+// budget). The stamps are chained — a chunk's end is the next chunk's nowNs,
+// re-read only when a burst starts — and shared by the schedulers' sampling,
+// the small-core throttle, the metrics batch and the capture tape, whose
 // intervals therefore tile a burst without gaps.
 func (r *Registry) worker(tid int) {
 	defer r.wg.Done()
@@ -782,13 +790,23 @@ func (r *Registry) worker(tid int) {
 		if l.capture != nil {
 			tp = &l.capture[tid].WorkerTape
 		}
+		// split: something needs Next's time apart from the body's (the
+		// throttle stretches the body only; metrics and capture tell Sched
+		// from Running). clocked: something needs the chunk's end — split's
+		// consumers, or a scheduler that samples nowNs. A clock-free schedule
+		// on an unthrottled, unobserved worker reads no clock per chunk.
+		split := stretch > 0 || mc != nil || tp != nil
+		clocked := split || core.ReadsClock(l.sched)
 		const flushEvery = 32
 		for served := 0; served < burst; served++ {
 			if r.gen.Load() != gen {
 				break // a new loop arrived: give the policy a say
 			}
 			asg, ok := l.sched.Next(tid, nowNs)
-			schedEnd := r.now()
+			schedEnd := nowNs
+			if split {
+				schedEnd = r.now()
+			}
 			cell.accesses += int64(asg.PoolAccesses)
 			if mc != nil {
 				mb.SchedNs += schedEnd - nowNs
@@ -814,6 +832,9 @@ func (r *Registry) worker(tid int) {
 			}
 			cell.iters += asg.N()
 			l.body(tid, asg.Lo, asg.Hi)
+			if !clocked {
+				continue // nowNs stays the burst's first read
+			}
 			end := r.now()
 			if stretch > 0 {
 				// Busy wait, as a pinned thread on a slow core would keep its
