@@ -1,7 +1,8 @@
 # CI entry points for the conf_icpp_SaezCP20 reproduction.
 #
-#   make ci      - everything a PR must pass: vet (go vet, and gofmt -l .
-#                  listing no file), build, the whole suite (plain, plus the
+#   make ci      - everything a PR must pass: vet (go vet, gofmt -l .
+#                  listing no file, and no Go benchmark outside bench/),
+#                  build, the whole suite (plain, plus the
 #                  lock-free layers and the figure sweeps under -race), the
 #                  multi-loop conformance/race suite under -race -count=2,
 #                  and every example run to its end.
@@ -31,8 +32,6 @@
 #   make examples - go run on each examples/* main, output dropped: all
 #                  eight end by themselves, in about 3 s together, and must
 #                  exit 0. Nothing else executes them.
-#   make bench   - every `go test` benchmark that is left (trace figures,
-#                  ablations, the goroutine executor); for a look, not a gate
 #   make bench-ab BASE=<rev> W=<workload> [PAIRS=10 SECONDS=20] - compare
 #                  the repository benchmark (./bench, BENCHMARK.json) between
 #                  a revision and the working tree: builds BASE's ./bench from
@@ -51,21 +50,26 @@
 #       sample of host time is committed anywhere.
 #   simulated numbers (virtual time, so exact) - gated to the digit by
 #       tier-1: cmd/aidbench TestExpGolden (every `aidbench -exp` table:
-#       Fig. 6-9, Table 2, guided, hybrid-pct, the zoo's makespan and
-#       energy), internal/sim TestEngineGolden (1200 engine digests), and
-#       cmd/aidserve TestServeSmoke (the virtual serve's percentiles).
+#       the Fig. 1/4 traces, Fig. 2 SF series, Fig. 6-9, Table 2, guided,
+#       hybrid-pct, the zoo's makespan and energy, and the ablation table of
+#       the AID design choices), internal/sim TestEngineGolden (1200 engine
+#       digests), and cmd/aidserve TestServeSmoke (the virtual serve's
+#       percentiles). There are no `go test` benchmarks outside bench/, and
+#       `make vet` keeps it so: a simulated number belongs in a golden table.
 
 GO ?= go
 
-.PHONY: ci vet build test race race-multiloop examples bench bench-ab
+.PHONY: ci vet build test race race-multiloop examples bench-ab
 
 ci: vet build race race-multiloop examples
 
-# gofmt -l prints the files it would rewrite; grep passes them on and makes
-# any such line a failure.
+# gofmt -l prints the files it would rewrite, and git grep every test file,
+# tracked or not, that declares a benchmark outside bench/; grep passes them
+# on and makes any such line a failure.
 vet:
 	$(GO) vet ./...
 	! gofmt -l . | grep .
+	! git grep --untracked -l '^func Benchmark' -- '*_test.go' ':!bench/' | grep .
 
 build:
 	$(GO) build ./...
@@ -83,9 +87,6 @@ race-multiloop:
 
 examples:
 	for d in examples/*/; do $(GO) run ./$$d > /dev/null || exit 1; done
-
-bench:
-	$(GO) test -bench=. -benchmem ./...
 
 # Both binaries run from the working tree's root, so both read the same
 # bench/platforms file and BENCHMARK.json; only the program under test

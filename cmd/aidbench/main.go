@@ -1,8 +1,11 @@
 // aidbench regenerates the paper's evaluation tables and figures on the
-// modeled platforms.
+// modeled platforms, the one place every simulated number is printed.
 //
 // Usage:
 //
+//	aidbench -exp fig1              # Fig 1: EP traces, static, 2B-2S vs 4S
+//	aidbench -exp fig2              # Fig 2: per-loop offline SF, BT and CG
+//	aidbench -exp fig4              # Fig 4: EP traces, AID-static vs AID-hybrid(80%)
 //	aidbench -exp fig6              # Fig 6: 21 apps x 7 schemes, Platform A
 //	aidbench -exp fig7              # Fig 7: same on Platform B
 //	aidbench -exp table2            # Table 2: AID gains (runs fig6 + fig7)
@@ -12,6 +15,7 @@
 //	aidbench -exp guided            # guided vs static/dynamic summary
 //	aidbench -exp hybridpct         # AID-hybrid percentage sweep
 //	aidbench -exp zoo               # platform zoo: makespan + energy per preset
+//	aidbench -exp ablation          # each AID design choice taken away, A and B
 //	aidbench -exp all               # everything above, in order (fig6 and
 //	                                # fig7 are run once, table2 reuses them)
 //
@@ -19,10 +23,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 
 	"repro/internal/amp"
@@ -31,7 +37,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig6|fig7|table2|fig8|fig9|fig9c|guided|hybridpct|zoo|all")
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(experiments, "|")+"|all")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table (fig6/fig7)")
 	flag.Parse()
 
@@ -55,64 +61,49 @@ func run(w io.Writer, exp string, csv bool) error {
 	})
 }
 
+// experiments are the -exp names in paper order, the order -exp all prints.
+var experiments = []string{"fig1", "fig2", "fig4", "fig6", "fig7", "table2", "fig8", "fig9", "fig9c", "guided", "hybridpct", "zoo", "ablation"}
+
 func runExp(w io.Writer, exp string, csv bool, sw sweeps) error {
 	switch exp {
+	case "fig1":
+		return traces(w, exps.RunFig1)
+	case "fig2":
+		series, err := exps.RunFig2()
+		for _, s := range series {
+			fmt.Fprintln(w, s.Render())
+		}
+		return err
+	case "fig4":
+		return traces(w, exps.RunFig4)
 	case "fig6":
 		return fig(w, sw.a, csv)
 	case "fig7":
 		return fig(w, sw.b, csv)
 	case "table2":
-		return table2(w, sw)
+		return show(w, func() (exps.Table2, error) {
+			fa, errA := sw.a()
+			fb, errB := sw.b()
+			return exps.RunTable2(fa, fb), errors.Join(errA, errB)
+		})
 	case "fig8":
-		f, err := exps.RunFig8()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, f.Render())
-		return nil
+		return show(w, exps.RunFig8)
 	case "fig9":
-		for _, pl := range []*amp.Platform{amp.PlatformA(), amp.PlatformB()} {
-			f, err := exps.RunFig9(pl)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, f.Render())
-			fmt.Fprintln(w)
-		}
-		return nil
+		return onAB(w, exps.RunFig9)
 	case "fig9c":
-		f, err := exps.RunFig9c(100)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, f.Render())
-		return nil
+		return show(w, func() (exps.Fig9cResult, error) { return exps.RunFig9c(100) })
 	case "guided":
-		for _, pl := range []*amp.Platform{amp.PlatformA(), amp.PlatformB()} {
-			g, err := exps.RunGuided(pl)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, g.Render())
-			fmt.Fprintln(w)
-		}
-		return nil
+		return onAB(w, exps.RunGuided)
 	case "hybridpct":
-		h, err := exps.RunHybridPct(amp.PlatformA(), workloads.All())
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, h.Render())
-		return nil
+		return show(w, func() (exps.HybridPctResult, error) {
+			return exps.RunHybridPct(amp.PlatformA(), workloads.All())
+		})
 	case "zoo":
-		z, err := exps.RunZoo()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, z.Render())
-		return nil
+		return show(w, exps.RunZoo)
+	case "ablation":
+		return onAB(w, exps.RunAblation)
 	case "all":
-		for _, e := range []string{"fig6", "fig7", "table2", "fig8", "fig9", "fig9c", "guided", "hybridpct", "zoo"} {
+		for _, e := range experiments {
 			fmt.Fprintf(w, "==== %s ====\n", e)
 			if err := runExp(w, e, csv, sw); err != nil {
 				return err
@@ -125,28 +116,45 @@ func runExp(w io.Writer, exp string, csv bool, sw sweeps) error {
 	}
 }
 
-func fig(w io.Writer, sweep func() (exps.FigResult, error), csv bool) error {
-	f, err := sweep()
+// show prints the table run returns.
+func show[T interface{ Render() string }](w io.Writer, run func() (T, error)) error {
+	t, err := run()
 	if err != nil {
 		return err
 	}
-	if csv {
-		fmt.Fprint(w, f.CSV())
-	} else {
-		fmt.Fprint(w, f.Render())
+	fmt.Fprint(w, t.Render())
+	return nil
+}
+
+// onAB prints run's table for Platform A, then B, each with a blank line after.
+func onAB[T interface{ Render() string }](w io.Writer, run func(*amp.Platform) (T, error)) error {
+	for _, pl := range []*amp.Platform{amp.PlatformA(), amp.PlatformB()} {
+		if err := show(w, func() (T, error) { return run(pl) }); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func table2(w io.Writer, sw sweeps) error {
-	fa, err := sw.a()
+// traces prints Fig. 1's or Fig. 4's two traces, each with a blank line after.
+func traces(w io.Writer, run func() (a, b exps.TraceResult, err error)) error {
+	a, b, err := run()
 	if err != nil {
 		return err
 	}
-	fb, err := sw.b()
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, exps.RunTable2(fa, fb).Render())
+	fmt.Fprintln(w, a.Render())
+	fmt.Fprintln(w, b.Render())
 	return nil
+}
+
+func fig(w io.Writer, sweep func() (exps.FigResult, error), csv bool) error {
+	if !csv {
+		return show(w, sweep)
+	}
+	f, err := sweep()
+	if err == nil {
+		fmt.Fprint(w, f.CSV())
+	}
+	return err
 }

@@ -1,13 +1,10 @@
-// aidtrace renders Paraver-style execution traces for the paper's trace
-// figures and for arbitrary workload/schedule combinations, and fronts the
-// record & replay subsystem (internal/replay): runs can be serialized to
-// JSONL, re-executed deterministically, counterfactually re-scheduled, and
-// diffed for regressions.
+// aidtrace renders the Paraver-style trace of a workload's loop under any
+// schedule, and fronts the record & replay subsystem (internal/replay): runs
+// can be serialized to JSONL, re-executed deterministically, counterfactually
+// re-scheduled, and diffed for regressions.
 //
 // Usage:
 //
-//	aidtrace -fig 1                 # Fig 1: EP, static, 2B-2S vs 4S
-//	aidtrace -fig 4                 # Fig 4: EP, AID-static vs AID-hybrid(80%)
 //	aidtrace -app EP -sched aid-dynamic,1,5 -binding BS
 //
 //	aidtrace -app EP -sched dynamic,1 -record run.jsonl
@@ -51,7 +48,6 @@ import (
 )
 
 func main() {
-	figNo := flag.Int("fig", 0, "render a paper figure: 1 or 4")
 	app := flag.String("app", "", "workload name for free-form tracing (e.g. EP)")
 	schedText := flag.String("sched", "aid-static", "schedule in GOOMP_SCHEDULE syntax")
 	bindingText := flag.String("binding", "BS", "thread binding: SB or BS")
@@ -88,7 +84,7 @@ func main() {
 	case *recordPath != "":
 		err = runRecord(*recordPath, *app, *schedText, *bindingText, *platform, *engine)
 	default:
-		err = run(*figNo, *app, *schedText, *bindingText, *platform)
+		err = run(*app, *schedText, *bindingText, *platform)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aidtrace:", err)
@@ -304,50 +300,19 @@ func runDiff(paths string, tolPct float64) error {
 	return nil
 }
 
-func run(figNo int, app, schedText, bindingText, platform string) error {
-	switch figNo {
-	case 1:
-		a, b, err := exps.RunFig1()
-		if err != nil {
-			return err
-		}
-		fmt.Println(a.Render())
-		fmt.Println(b.Render())
-		return nil
-	case 4:
-		a, b, err := exps.RunFig4()
-		if err != nil {
-			return err
-		}
-		fmt.Println(a.Render())
-		fmt.Println(b.Render())
-		return nil
-	case 0:
-		// free-form below
-	default:
-		return fmt.Errorf("unknown figure %d (supported: 1, 4)", figNo)
-	}
+func run(app, schedText, bindingText, platform string) error {
 	if app == "" {
-		return fmt.Errorf("need -fig 1, -fig 4, -app <workload>, or a -record/-replay/-whatif/-diff invocation")
+		return fmt.Errorf("need -app <workload> or a -record/-replay/-whatif/-diff invocation")
 	}
 	r, err := resolveWorkload(app, schedText, bindingText, platform)
 	if err != nil {
 		return err
 	}
-	tr := trace.New(r.pl.NumCores())
-	cfg := sim.Config{
-		Platform: r.pl,
-		NThreads: r.pl.NumCores(),
-		Binding:  r.binding,
-		Factory:  r.sched.Factory(),
-		Trace:    tr,
-	}
-	res, err := sim.RunLoop(cfg, r.spec, 0)
+	tr, err := exps.TraceLoop(r.pl, r.pl.NumCores(), exps.Scheme{Sched: r.sched, Binding: r.binding}, r.spec,
+		fmt.Sprintf("%s / loop %q / %s / %s binding / Platform %s", r.workload, r.spec.Name, r.sched, r.binding, r.pl.Name))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s / loop %q / %s / %s binding / Platform %s (completion: %d ns)\n",
-		r.workload, r.spec.Name, r.sched, r.binding, r.pl.Name, res.End-res.Start)
-	fmt.Print(tr.Render(88))
+	fmt.Print(tr.Render())
 	return nil
 }

@@ -1,21 +1,23 @@
 // Package exps regenerates every table and figure of the paper's evaluation
 // (§5) on the modeled platforms. Each experiment returns a structured result
-// with a text renderer; cmd/aidbench exposes them on the command line and
-// the repository-root benchmarks wrap them for `go test -bench`.
+// with a text renderer; cmd/aidbench prints each as one `-exp` table, and its
+// TestExpGolden pins every table byte for byte.
 //
 // Experiment index (each Run function's comment has the paper section it
-// reproduces and what it varies):
+// reproduces and what it varies; the aidbench -exp name is on the right):
 //
-//	Fig1       EP execution traces, static schedule, 2B-2S vs 4S
-//	Fig2       per-loop offline SF, BT and CG, Platforms A and B
-//	Fig4       EP traces under AID-static and AID-hybrid(80%)
-//	Fig6/Fig7  normalized performance, 21 apps x 7 schemes, Platform A/B
-//	Table2     mean/gmean AID gains over the schemes they replace
-//	Fig8       chunk sensitivity of dynamic and AID-dynamic
-//	HybridPct  AID-hybrid percentage sensitivity (§5B, text)
-//	Guided     guided vs static/dynamic (§5, text)
-//	Fig9       AID-static vs AID-static(offline-SF) vs AID-hybrid
-//	Fig9c      blackscholes estimated-vs-offline SF per loop instance
+//	Fig1       EP execution traces, static schedule, 2B-2S vs 4S      fig1
+//	Fig2       per-loop offline SF, BT and CG, Platforms A and B      fig2
+//	Fig4       EP traces under AID-static and AID-hybrid(80%)         fig4
+//	Fig6/Fig7  normalized performance, 21 apps x 7 schemes, A/B       fig6, fig7
+//	Table2     mean/gmean AID gains over the schemes they replace     table2
+//	Fig8       chunk sensitivity of dynamic and AID-dynamic           fig8
+//	Fig9       AID-static vs AID-static(offline-SF) vs AID-hybrid     fig9
+//	Fig9c      blackscholes estimated-vs-offline SF per loop instance fig9c
+//	Guided     guided vs static/dynamic (§5, text)                    guided
+//	HybridPct  AID-hybrid percentage sensitivity (§5B, text)          hybridpct
+//	Zoo        makespan and energy per registry platform x scheme     zoo
+//	Ablation   each AID design choice taken away, 21 apps, A and B    ablation
 //
 // # How a sweep runs
 //
@@ -50,6 +52,7 @@ import (
 
 	"repro/internal/amp"
 	"repro/internal/rt"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -59,6 +62,9 @@ type Scheme struct {
 	Label   string
 	Sched   rt.Schedule
 	Binding amp.Binding
+	// factory, when set, builds the scheduler in place of Sched: a variant
+	// no schedule text names (the ablation table's, aidDynamic).
+	factory sim.SchedulerFactory
 }
 
 // Fig6Schemes returns the seven schemes of Figs. 6 and 7 in the legend's

@@ -412,6 +412,39 @@ func TestFig8ChunkSensitivity(t *testing.T) {
 	}
 }
 
+// TestAblationMechanismsBind: each mechanism column of the ablation table —
+// the Fig. 5 tail switch and the per-phase SM bound — has, on both
+// platforms, some application that runs longer without the mechanism. If a
+// change leaves one of them dead weight, this test names it.
+func TestAblationMechanismsBind(t *testing.T) {
+	for _, pl := range []*amp.Platform{amp.PlatformA(), amp.PlatformB()} {
+		r, err := RunAblation(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for c, col := range ablationColumns {
+			if col.name != "tail-switch" && col.name != "sm-clamp" {
+				continue
+			}
+			checked++
+			most, app := 0.0, ""
+			for a := range r.Apps {
+				if r.Ratio[a][c] > most {
+					most, app = r.Ratio[a][c], r.Apps[a]
+				}
+			}
+			if most <= 1 {
+				t.Errorf("%s on %s is dead weight: no application runs longer without it (largest ratio %.4f, %s)",
+					col.name, r.Platform, most, app)
+			}
+		}
+		if checked != 2 {
+			t.Fatalf("the ablation table has %d of the two mechanism columns", checked)
+		}
+	}
+}
+
 func labelDyn(c int64) string { return fmt.Sprintf("dynamic(BS)/%d", c) }
 func labelAID(m int64) string { return fmt.Sprintf("AID-dynamic/1,%d", m) }
 

@@ -44,8 +44,8 @@ func epMainLoop() sim.LoopSpec {
 	return loops[0]
 }
 
-// traceLoop runs one loop under a scheme with tracing enabled.
-func traceLoop(pl *amp.Platform, nthreads int, s Scheme, spec sim.LoopSpec, title string) (TraceResult, error) {
+// TraceLoop runs one loop under a scheme with tracing enabled.
+func TraceLoop(pl *amp.Platform, nthreads int, s Scheme, spec sim.LoopSpec, title string) (TraceResult, error) {
 	tr := trace.New(nthreads)
 	cfg := sim.Config{
 		Platform: pl,
@@ -72,13 +72,13 @@ func RunFig1() (a, b TraceResult, err error) {
 		return TraceResult{}, TraceResult{}, err
 	}
 	st := Scheme{Sched: rt.Schedule{Kind: rt.KindStatic}, Binding: amp.BindBS}
-	a, err = traceLoop(mixed, 4, st, spec, "Fig 1a: EP, static, 2B-2S")
+	a, err = TraceLoop(mixed, 4, st, spec, "Fig 1a: EP, static, 2B-2S")
 	if err != nil {
 		return TraceResult{}, TraceResult{}, err
 	}
 	// 4 threads under SB on the full platform occupy CPUs 0-3: four small.
 	st.Binding = amp.BindSB
-	b, err = traceLoop(amp.PlatformA(), 4, st, spec, "Fig 1b: EP, static, 4S")
+	b, err = TraceLoop(amp.PlatformA(), 4, st, spec, "Fig 1b: EP, static, 4S")
 	if err != nil {
 		return TraceResult{}, TraceResult{}, err
 	}
@@ -139,13 +139,13 @@ func RunFig2() ([]Fig2Series, error) {
 func RunFig4() (aidStatic, aidHybrid TraceResult, err error) {
 	spec := epMainLoop()
 	pl := amp.PlatformA()
-	aidStatic, err = traceLoop(pl, 8,
+	aidStatic, err = TraceLoop(pl, 8,
 		Scheme{Sched: rt.Schedule{Kind: rt.KindAIDStatic}, Binding: amp.BindBS},
 		spec, "Fig 4a: EP, AID-static, 8 threads")
 	if err != nil {
 		return TraceResult{}, TraceResult{}, err
 	}
-	aidHybrid, err = traceLoop(pl, 8,
+	aidHybrid, err = TraceLoop(pl, 8,
 		Scheme{Sched: rt.Schedule{Kind: rt.KindAIDHybrid, Pct: 0.80}, Binding: amp.BindBS},
 		spec, "Fig 4b: EP, AID-hybrid(80%), 8 threads")
 	if err != nil {

@@ -59,11 +59,15 @@ func sweep[T any](n int, cell func(i int) (T, error)) ([]T, error) {
 // runApp executes one workload under one scheme and returns its virtual
 // completion time.
 func runApp(pl *amp.Platform, w workloads.Workload, s Scheme) (float64, error) {
+	f := s.factory
+	if f == nil {
+		f = s.Sched.Factory()
+	}
 	res, err := sim.RunProgram(sim.Config{
 		Platform: pl,
 		NThreads: pl.NumCores(),
 		Binding:  s.Binding,
-		Factory:  s.Sched.Factory(),
+		Factory:  f,
 	}, w.Program)
 	if err != nil {
 		return 0, fmt.Errorf("exps: %s under %s: %w", w.Name, s.Label, err)

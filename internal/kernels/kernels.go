@@ -1,16 +1,11 @@
-// Package kernels provides small, real computational kernels used by the
-// runnable examples and by the real-goroutine executor tests. Each kernel
+// Package kernels provides small, real computational kernels that the
+// runnable examples execute under the real-goroutine runtime. Each kernel
 // corresponds to one of the workload archetypes in the paper's evaluation:
-// Monte-Carlo sampling (NPB EP), option pricing (PARSEC blackscholes), a
-// heat-diffusion stencil (Rodinia hotspot), level-synchronous BFS (Rodinia
-// bfs) and sparse matrix-vector products (NPB CG).
+// Monte-Carlo sampling (NPB EP), a heat-diffusion stencil (Rodinia hotspot)
+// and level-synchronous BFS (Rodinia bfs).
 package kernels
 
-import (
-	"math"
-
-	"repro/internal/xrand"
-)
+import "repro/internal/xrand"
 
 // MonteCarloPiRange is the EP-style kernel: every iteration performs the same
 // amount of independent arithmetic. It processes samples [lo, hi) of the
@@ -31,26 +26,6 @@ func MonteCarloPiRange(lo, hi int64, seed uint64) int64 {
 		}
 	}
 	return in
-}
-
-// BlackScholesCall prices a European call option with the Black-Scholes
-// closed form. s is the spot price, k the strike, t the time to maturity in
-// years, r the risk-free rate and sigma the volatility.
-func BlackScholesCall(s, k, t, r, sigma float64) float64 {
-	if t <= 0 || sigma <= 0 {
-		if v := s - k; v > 0 {
-			return v
-		}
-		return 0
-	}
-	d1 := (math.Log(s/k) + (r+sigma*sigma/2)*t) / (sigma * math.Sqrt(t))
-	d2 := d1 - sigma*math.Sqrt(t)
-	return s*cnd(d1) - k*math.Exp(-r*t)*cnd(d2)
-}
-
-// cnd is the cumulative standard normal distribution via math.Erf.
-func cnd(x float64) float64 {
-	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
 }
 
 // Grid is a dense 2-D scalar field for the stencil kernel.
@@ -135,38 +110,4 @@ func BFSLevel(g *Graph, frontier []int32, level []int32, depth int32) []int32 {
 		}
 	}
 	return next
-}
-
-// CSR is a sparse matrix in compressed-sparse-row form.
-type CSR struct {
-	N      int
-	RowPtr []int32
-	ColIdx []int32
-	Values []float64
-}
-
-// RandomCSR builds an n×n sparse matrix with about nnzPerRow non-zeros per
-// row, deterministically from seed.
-func RandomCSR(n, nnzPerRow int, seed uint64) *CSR {
-	rng := xrand.New(seed)
-	m := &CSR{N: n, RowPtr: make([]int32, n+1)}
-	for i := 0; i < n; i++ {
-		nnz := 1 + rng.Intn(2*nnzPerRow)
-		for j := 0; j < nnz; j++ {
-			m.ColIdx = append(m.ColIdx, int32(rng.Intn(n)))
-			m.Values = append(m.Values, rng.Float64()*2-1)
-		}
-		m.RowPtr[i+1] = int32(len(m.ColIdx))
-	}
-	return m
-}
-
-// SpMVRow computes one row of y = A·x. Row costs vary with the row's
-// non-zero count, mirroring CG's irregular per-iteration work.
-func (m *CSR) SpMVRow(y, x []float64, row int) {
-	sum := 0.0
-	for k := m.RowPtr[row]; k < m.RowPtr[row+1]; k++ {
-		sum += m.Values[k] * x[m.ColIdx[k]]
-	}
-	y[row] = sum
 }

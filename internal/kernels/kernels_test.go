@@ -41,25 +41,6 @@ func TestMonteCarloPiRangePartitionInvariant(t *testing.T) {
 	}
 }
 
-func TestBlackScholesCall(t *testing.T) {
-	// Reference value: S=100, K=100, T=1, r=0.05, sigma=0.2 -> ~10.4506.
-	got := BlackScholesCall(100, 100, 1, 0.05, 0.2)
-	if math.Abs(got-10.4506) > 0.001 {
-		t.Errorf("BlackScholesCall = %v, want ~10.4506", got)
-	}
-	// Deep in the money with zero time: intrinsic value.
-	if got := BlackScholesCall(150, 100, 0, 0.05, 0.2); got != 50 {
-		t.Errorf("expired ITM call = %v, want 50", got)
-	}
-	if got := BlackScholesCall(50, 100, 0, 0.05, 0.2); got != 0 {
-		t.Errorf("expired OTM call = %v, want 0", got)
-	}
-	// Monotone in spot.
-	if BlackScholesCall(110, 100, 1, 0.05, 0.2) <= got {
-		t.Error("call price not monotone in spot")
-	}
-}
-
 func TestGridAndStencil(t *testing.T) {
 	src := NewGrid(8, 8)
 	dst := NewGrid(8, 8)
@@ -145,47 +126,6 @@ func TestBFSLevelsMonotone(t *testing.T) {
 		}
 		if !ok {
 			t.Errorf("vertex %d at level %d has no level-%d neighbour", v, lv, lv-1)
-		}
-	}
-}
-
-func TestCSRSpMV(t *testing.T) {
-	// Hand-built 3x3: [[2,0,0],[0,3,1],[1,0,1]] times [1,2,3].
-	m := &CSR{
-		N:      3,
-		RowPtr: []int32{0, 1, 3, 5},
-		ColIdx: []int32{0, 1, 2, 0, 2},
-		Values: []float64{2, 3, 1, 1, 1},
-	}
-	x := []float64{1, 2, 3}
-	y := make([]float64, 3)
-	for r := 0; r < 3; r++ {
-		m.SpMVRow(y, x, r)
-	}
-	want := []float64{2, 9, 4}
-	for i := range want {
-		if math.Abs(y[i]-want[i]) > 1e-12 {
-			t.Errorf("y[%d] = %v, want %v", i, y[i], want[i])
-		}
-	}
-}
-
-func TestRandomCSRShape(t *testing.T) {
-	m := RandomCSR(100, 8, 3)
-	if m.N != 100 || len(m.RowPtr) != 101 {
-		t.Fatalf("bad CSR shape: N=%d rows=%d", m.N, len(m.RowPtr))
-	}
-	if int(m.RowPtr[100]) != len(m.ColIdx) || len(m.ColIdx) != len(m.Values) {
-		t.Error("CSR arrays inconsistent")
-	}
-	for r := 0; r < 100; r++ {
-		if m.RowPtr[r+1] < m.RowPtr[r] {
-			t.Fatalf("row pointers not monotone at %d", r)
-		}
-	}
-	for _, c := range m.ColIdx {
-		if c < 0 || c >= 100 {
-			t.Fatalf("column index %d out of range", c)
 		}
 	}
 }
