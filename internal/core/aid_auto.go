@@ -232,6 +232,20 @@ func (a *AIDAuto) finalAssign(tid int, st *perThread, asg *Assign) (Assign, bool
 	return st.serve(asg)
 }
 
+// readsClock answers ReadsClock. After an irregular decision every thread's
+// calls go to the adopted AID-dynamic, whose answer counts; this scheduler's
+// own stDrain marks only its uniform path's drain (and the deciding thread's
+// bookkeeping on the irregular one). A thread waiting for the decision must
+// answer true: an irregular verdict hands its next call to AID-dynamic.
+func (a *AIDAuto) readsClock(tid int) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.irregular {
+		return a.dyn.readsClock(tid)
+	}
+	return a.th[tid].state != stDrain
+}
+
 // Next implements Scheduler.
 func (a *AIDAuto) Next(tid int, nowNs int64) (Assign, bool) {
 	a.mu.Lock()

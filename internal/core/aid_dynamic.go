@@ -433,6 +433,11 @@ func (a *AIDDynamic) Migrate(tid, newType int, _ int64) {
 	}
 }
 
+// readsClock answers ReadsClock: the dynamic(m) drain — after the tail switch,
+// or after the pool drained under an allotment — is the only state nowNs can
+// no longer reach, and no transition leaves it.
+func (a *AIDDynamic) readsClock(tid int) bool { return a.th[tid].state != stDrain }
+
 // Next implements Scheduler, realizing the Fig. 5 state machine.
 func (a *AIDDynamic) Next(tid int, nowNs int64) (Assign, bool) {
 	st := &a.th[tid]

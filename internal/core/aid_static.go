@@ -339,6 +339,10 @@ func (a *AIDHybrid) Migrate(tid, newType int, _ int64) {
 	}
 }
 
+// readsClock answers ReadsClock: the drain after the final allotment is the
+// only state nowNs can no longer reach, and no transition leaves it.
+func (a *AIDHybrid) readsClock(tid int) bool { return a.th[tid].state != stDrain }
+
 // Next implements Scheduler, realizing the Fig. 3 state machine.
 func (a *AIDHybrid) Next(tid int, nowNs int64) (Assign, bool) {
 	st := &a.th[tid]

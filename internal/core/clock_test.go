@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // grant is one Next call's outcome.
@@ -11,61 +12,146 @@ type grant struct {
 	ok  bool
 }
 
-// nextRecorder passes Next calls through to its Scheduler and records which
-// thread called and what it got.
+// call is one recorded Next call: who called, with which nowNs, what it got,
+// and what ReadsClock answered for the caller right after.
+type call struct {
+	tid   int
+	nowNs int64
+	got   grant
+	reads bool
+}
+
+// nextRecorder passes Next calls through to its Scheduler and records them.
 type nextRecorder struct {
 	Scheduler
-	tids []int
-	got  []grant
+	calls []call
 }
 
 func (r *nextRecorder) Next(tid int, nowNs int64) (Assign, bool) {
 	asg, ok := r.Scheduler.Next(tid, nowNs)
-	r.tids = append(r.tids, tid)
-	r.got = append(r.got, grant{asg, ok})
+	r.calls = append(r.calls, call{tid, nowNs, grant{asg, ok}, ReadsClock(r.Scheduler, tid)})
 	return asg, ok
 }
 
-// TestClockFreeSchedulersIgnoreNow holds ReadsClock to its promise. Every
-// scheduler it calls clock-free, driven in the pick order a clocked run
-// (virtualExec) produced but with nowNs frozen at 0, must return exactly the
-// grants the clocked run got — fresh, and again after both instances were
-// Reset for a loop of another shape. Every AID family must report that it
-// reads the clock, and so must a scheduler type ReadsClock does not know.
+// alienNs is a nowNs no virtualExec run produces: its clocks start at 0 and
+// stay below a second on these loops.
+const alienNs = 1<<50 + 12345
+
+// TestClockFreeSchedulersIgnoreNow holds ReadsClock to its promise, per
+// thread. Every conformance scheduler is driven clocked (virtualExec), fresh
+// and again after a Reset to another loop shape and to a loop whose iteration
+// costs vary enough for AID-auto to take its irregular path. Per thread, the
+// answer before the first call is false for the five clock-free types and
+// true for the AID families; once false it stays false; and every call after
+// the flip carries Timestamps == 0. A twin driven in the same pick order must
+// return exactly the same grants when each post-flip call is handed (a) the
+// thread's last stamp before the flip — 0 for a thread that never read the
+// clock — as the registry hands it, and (b) alienNs. The AID-static/hybrid/
+// dynamic families must flip at least one thread of the first loop, and
+// AID-auto one of the irregular loop; a wrapper the switch does not know
+// reads the clock.
 func TestClockFreeSchedulersIgnoreNow(t *testing.T) {
-	infos := []LoopInfo{conformanceInfo(10007, 2, 2), conformanceInfo(4099, 1, 3)}
-	clocked := conformanceSchedulers(t, infos[0])
-	frozen := conformanceSchedulers(t, infos[0])
+	uniform := func(ct int, _ int64) int64 { return []int64{100, 300}[ct] }
+	// Pairs of iterations alternate between cheap and ten times dearer, so
+	// the big threads' 2-iteration sampling chunks disagree.
+	irregular := func(ct int, i int64) int64 { return uniform(ct, i) * (1 + 9*(i/2%2)) }
+	rounds := []struct {
+		info   LoopInfo
+		iterNs func(ct int, i int64) int64
+	}{
+		{conformanceInfo(10007, 2, 2), uniform},
+		{conformanceInfo(4099, 1, 3), uniform},
+		{conformanceInfo(10007, 2, 2), irregular},
+	}
+	mustFlip := map[string]int{"aid-static": 0, "aid-static-offline": 0, "aid-hybrid": 0,
+		"aid-hybrid-rw": 0, "aid-dynamic": 0, "aid-dynamic-rw": 0, "aid-auto": 2}
+	clocked := conformanceSchedulers(t, rounds[0].info)
+	stale := conformanceSchedulers(t, rounds[0].info)
+	alien := conformanceSchedulers(t, rounds[0].info)
 	for name, s := range clocked {
-		reads := ReadsClock(s)
-		if want := strings.HasPrefix(name, "aid-"); reads != want {
-			t.Errorf("%s (%T): ReadsClock = %v, want %v", name, s, reads, want)
-		}
-		if reads {
-			continue
-		}
-		for round, info := range infos {
+		clockFree := !strings.HasPrefix(name, "aid-")
+		for round, rd := range rounds {
 			if round > 0 {
-				if err := s.(Resettable).Reset(info); err != nil {
-					t.Fatal(err)
+				for _, sc := range []Scheduler{s, stale[name], alien[name]} {
+					if err := sc.(Resettable).Reset(rd.info); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if err := frozen[name].(Resettable).Reset(info); err != nil {
-					t.Fatal(err)
+			}
+			nt := rd.info.NThreads
+			for tid := 0; tid < nt; tid++ {
+				if got := ReadsClock(s, tid); got == clockFree {
+					t.Errorf("%s, round %d: ReadsClock(thread %d) = %v before its first call, want %v",
+						name, round, tid, got, !clockFree)
 				}
 			}
 			rec := &nextRecorder{Scheduler: s}
-			virtualExec(t, rec, info, []int64{100, 300})
-			if !ReadsClock(rec) {
-				t.Errorf("%s: ReadsClock called a scheduler type it does not list clock-free", name)
+			virtualExecCost(t, rec, rd.info, rd.iterNs)
+			if !ReadsClock(rec, 0) {
+				t.Errorf("%s: ReadsClock called a scheduler type it does not know clock-free", name)
 			}
-			for i, tid := range rec.tids {
-				asg, ok := frozen[name].Next(tid, 0)
-				if g := (grant{asg, ok}); g != rec.got[i] {
-					t.Errorf("%s, round %d: call %d (thread %d) with nowNs 0 returned %+v, with the clock %+v",
-						name, round, i, tid, g, rec.got[i])
-					break
+
+			// post[i]: call i came after its thread's flip. stamp[tid]: the
+			// thread's last nowNs before the flip.
+			post := make([]bool, len(rec.calls))
+			stamp := make([]int64, nt)
+			free := make([]bool, nt)
+			for tid := range free {
+				free[tid] = clockFree
+			}
+			flipped := 0
+			for i, c := range rec.calls {
+				post[i] = free[c.tid]
+				switch {
+				case post[i] && c.got.asg.Timestamps != 0:
+					t.Errorf("%s, round %d: call %d (thread %d) after the flip carries %d timestamps",
+						name, round, i, c.tid, c.got.asg.Timestamps)
+				case post[i] && c.reads:
+					t.Errorf("%s, round %d: ReadsClock(thread %d) went back to true after call %d",
+						name, round, c.tid, i)
+				case !post[i] && !c.reads:
+					free[c.tid], stamp[c.tid] = true, c.nowNs
+					flipped++
+				}
+			}
+			if want, ok := mustFlip[name]; ok && want == round && flipped == 0 {
+				t.Errorf("%s, round %d: no thread stopped reading the clock", name, round)
+			}
+			if name == "aid-auto" && round == 2 {
+				if irr, cv, _ := s.(*AIDAuto).Decision(); !irr {
+					t.Errorf("%s, round %d: classified uniform (CV %.3f), want the irregular path", name, round, cv)
+				}
+			}
+
+			for _, twin := range []struct {
+				kind   string
+				s      Scheduler
+				frozen func(tid int) int64
+			}{
+				{"its last stamp", stale[name], func(tid int) int64 { return stamp[tid] }},
+				{"a constant", alien[name], func(int) int64 { return alienNs }},
+			} {
+				for i, c := range rec.calls {
+					now := c.nowNs
+					if post[i] {
+						now = twin.frozen(c.tid)
+					}
+					asg, ok := twin.s.Next(c.tid, now)
+					if g := (grant{asg, ok}); g != c.got {
+						t.Errorf("%s, round %d: call %d (thread %d) handed %s (%d) returned %+v, with the clock (%d) %+v",
+							name, round, i, c.tid, twin.kind, now, g, c.nowNs, c.got)
+						break
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestAssignLayout pins the size of Assign, which every Next returns by value:
+// the comment on the type has what one field more cost the registry's chunk.
+func TestAssignLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Assign{}); got != 56 {
+		t.Errorf("sizeof(Assign) = %d, want 56", got)
 	}
 }

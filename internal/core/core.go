@@ -148,6 +148,14 @@ const OriginShared = -1
 
 // Assign is the result of one scheduler invocation: a half-open iteration
 // range plus the runtime-cost metadata the simulator charges for the call.
+//
+// It is returned by value on every chunk, so its size is on the hot path and
+// TestAssignLayout pins it at 56 bytes. One bool field more, and nothing else
+// changed, took a dynamic,1 registry chunk from 80-96 to 108-112 ns (three
+// rotations of a 1 M-iteration loop, 1B+1S fleet, two-CPU host; a repeat made
+// it slower by 11-23 % in four rotations of four): a per-chunk flag must be
+// measured before it rides here. ReadsClock answers per thread
+// instead, which the clock-free path never pays for.
 type Assign struct {
 	// Lo, Hi delimit the assigned iterations [Lo, Hi).
 	Lo, Hi int64
@@ -196,23 +204,44 @@ type Scheduler interface {
 	// execution being the same wherever it starts ("Repetitions" in
 	// internal/sim; sim.TestRunTimeTranslation holds every schedule family
 	// to it at starts up to 2^61). An engine that pays for its clock may ask
-	// ReadsClock whether a scheduler needs a fresh nowNs at all.
+	// ReadsClock whether thread tid's remaining calls need a fresh nowNs at
+	// all, and once told no, hand them any nowNs, a stale one included.
 	Next(tid int, nowNs int64) (Assign, bool)
 	// Name identifies the scheduling method (for reports).
 	Name() string
 }
 
-// ReadsClock reports whether s's Next may depend on its nowNs argument. It is
-// false only for the schedules known to ignore it — static, static-chunked,
-// dynamic, guided and work-steal, whose Next names the parameter _ — so an
-// engine may hand those any nowNs, a stale one included, and skip the clock
-// read that would have produced it. Every other scheduler, whatever its
-// package, is taken to read it. TestClockFreeSchedulersIgnoreNow holds the
-// list to that.
-func ReadsClock(s Scheduler) bool {
-	switch s.(type) {
+// ReadsClock reports whether thread tid's remaining Next calls in this
+// execution of s may depend on their nowNs argument. Where it is false an
+// engine may hand those calls any nowNs, a stale one included, and skip the
+// clock read that would have produced it. The answer is monotone: once false
+// for a thread it stays false until Reset, so an engine may stop asking.
+//
+//   - static, static-chunked, dynamic, guided and work-steal, whose Next names
+//     the parameter _: false throughout.
+//   - AID-static, AID-hybrid and AID-dynamic: true until the thread is past
+//     its last sampling point (the AID-static/hybrid final allotment,
+//     AID-dynamic's tail switch or a pool that drained under its allotment),
+//     false for the drain after it, which only mops up leftovers.
+//   - AID-auto: true until its verdict; then false from the thread's drain on
+//     after a uniform one, the adopted AID-dynamic's answer after an
+//     irregular one.
+//   - Every other scheduler, whatever its package, wrappers included: true.
+//
+// While Next calls may run, only thread tid may ask about tid, between its own
+// calls: the answer reads the thread's own state, which nothing else writes.
+// TestClockFreeSchedulersIgnoreNow holds every scheduler of this package to
+// these answers.
+func ReadsClock(s Scheduler, tid int) bool {
+	switch s := s.(type) {
 	case *Static, *StaticChunked, *Dynamic, *Guided, *WorkSteal:
 		return false
+	case *AIDHybrid:
+		return s.readsClock(tid)
+	case *AIDDynamic:
+		return s.readsClock(tid)
+	case *AIDAuto:
+		return s.readsClock(tid)
 	}
 	return true
 }

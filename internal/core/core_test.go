@@ -28,6 +28,12 @@ func twoTypeInfo(ni int64, nBig, nSmall int) LoopInfo {
 // iteration counts, a coverage bitmap, and the per-thread finish times.
 func virtualExec(t *testing.T, s Scheduler, info LoopInfo, perIterNs []int64) (counts []int64, finish []int64) {
 	t.Helper()
+	return virtualExecCost(t, s, info, func(ct int, _ int64) int64 { return perIterNs[ct] })
+}
+
+// virtualExecCost is virtualExec with iteration i costing iterNs(coreType, i).
+func virtualExecCost(t *testing.T, s Scheduler, info LoopInfo, iterNs func(ct int, i int64) int64) (counts []int64, finish []int64) {
+	t.Helper()
 	counts = make([]int64, info.NThreads)
 	finish = make([]int64, info.NThreads)
 	clock := make([]int64, info.NThreads)
@@ -56,11 +62,12 @@ func virtualExec(t *testing.T, s Scheduler, info LoopInfo, perIterNs []int64) (c
 		if asg.Lo < 0 || asg.Hi > info.NI || asg.Lo >= asg.Hi {
 			t.Fatalf("scheduler %s returned bad range [%d,%d)", s.Name(), asg.Lo, asg.Hi)
 		}
+		ct := info.TypeOf(tid)
 		for i := asg.Lo; i < asg.Hi; i++ {
 			covered[i]++
+			clock[tid] += iterNs(ct, i)
 		}
 		counts[tid] += asg.N()
-		clock[tid] += asg.N() * perIterNs[info.TypeOf(tid)]
 	}
 	for i, c := range covered {
 		if c != 1 {

@@ -24,20 +24,27 @@
 // # The per-chunk budget
 //
 // Between two bodies a Registry worker reads the monotonic clock (r.now,
-// 33 ns) only for a consumer, and decides which reads it takes once per
-// burst, by its role in the loop:
+// 33 ns) only for a consumer, and decides which reads it takes when a burst
+// starts, by its role in the loop:
 //
 //	unthrottled, unobserved, clock-free schedule    0 reads per chunk
+//	unthrottled, unobserved, AID thread past its
+//	  last sampling point                           0 (asked every 32 chunks)
 //	unthrottled, unobserved, schedule reads nowNs   1 (end)
 //	throttled, or observed (Metrics or Capture)     2 (schedEnd, end)
 //
 // end (after the body, or the spin's last read) is the nowNs of the next
 // Next: AID sampling divides real elapsed time by iterations, so a
 // scheduler that reads its nowNs needs a real clock once per call.
-// core.ReadsClock names the ones that do not — static, static-chunked,
-// dynamic, guided, work-steal — and those are handed the burst's first read
-// throughout. schedEnd (after Next) separates scheduler time from body time.
-// The throttle stretches the body only: stretching Next too would put
+// core.ReadsClock(sched, tid) says when thread tid's remaining calls do not:
+// never for static, static-chunked, dynamic, guided and work-steal, which are
+// handed the burst's first read throughout, and from the drain on for an AID
+// thread — AID-hybrid's (1−pct) dynamic tail, AID-static's rounding residue,
+// AID-dynamic's dynamic(m) tail. The answer never turns true again, so a
+// worker that reads end asks every 32 chunks (the metrics batch's flush
+// period) and, told no, hands the rest of its burst the last read. The
+// clock-free path never asks. schedEnd (after Next) separates scheduler time
+// from body time. The throttle stretches the body only: stretching Next too would put
 // AID-dynamic's ~200 ns phase transitions on the small worker's critical
 // path 1.9 times over. Metrics and capture split Sched from Running at the
 // same stamp. So the small worker of a 1B+1S fleet still takes both reads.
@@ -56,6 +63,23 @@
 // with chained stamps took rt.self_ns from 205 to 104 ns (3-5 reads per
 // chunk, some of them time.Now at 57 ns, down to 2 of r.now), measured on
 // a later tree.
+//
+// The AID drain row is worth most where the end-to-end median lives:
+// fine_chunk's p50_ms is its aid-hybrid,80,1 loop, 20 % of whose 4 M
+// iterations are drained at chunk 1. Asking per thread took p50_ms from 99.9
+// to 81.4 ms (10 alternating 20 s pairs, every run below every run of the
+// parent) with p90_ms, the aid-dynamic loop whose waiting threads still need
+// the clock, unchanged. With AID-hybrid's SF pinned to {1.9, 1} on both
+// sides, that loop went from 105-115 to 81-103 ms (medians of 15 loops, four
+// rotations), so the gain is the clock's and not a luckier SF estimate's. The
+// signal is a query and not a field of core.Assign: one bool more in Assign
+// made the dynamic,1 chunk 80-96 -> 108-112 ns (11-23 % slower in a repeat of
+// four rotations), while the clock-free path
+// never asks (core.TestAssignLayout pins Assign at 56 bytes). The dynamic,1
+// rungs read rt.chunk_ns 81.8 -> 87.5 ns and rt.self_ns 51.8 -> 49.7 ns over
+// twelve rotating traced passes per side (spreads 13 % and 48 %), and
+// 85.1 -> 83.0 and 79.8 -> 78.8 ns (fine and empty body) when only the two
+// rungs are repeated, eight rotations of eight fleets each.
 //
 // Metrics and capture pay up to two reads per chunk that the unobserved
 // worker no longer pays, so turning them on costs more than it did:

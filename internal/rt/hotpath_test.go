@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"repro/internal/amp"
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -128,6 +129,97 @@ func TestRegistryThrottleUnobserved(t *testing.T) {
 	}
 	if ratio, _ := stats.Median(ratios); math.Abs(ratio-want) > 0.15*want {
 		t.Errorf("big/small iterations, median of %v = %.3f, want %.3f within 15%%", ratios, ratio, want)
+	}
+}
+
+// TestRegistryClockFreeDrain runs AID schedules on unobserved fleets long
+// enough that the workers' drains pass 64 chunks, so an unthrottled worker
+// asks core.ReadsClock mid-burst, is told no, and serves the rest of its
+// drain without reading the clock. Every loop must cover each iteration
+// exactly once.
+//
+// aid-hybrid,80,1 runs on the benchmark's 1B+1S fleet with 1 us bodies; when
+// it releases, both threads must be past their last sampling point and the SF
+// estimate published. aid-auto needs two threads of one type to see cost
+// variation at all (normalized by its type's mean, a lone thread's sample is
+// 1), so it runs on two big workers, with a first iteration of 50 us and free
+// ones after it: whichever thread samples the dear one disagrees with the
+// other by orders of magnitude, the loop takes the irregular path, and the
+// adopted AID-dynamic answers for the threads. Its Major chunk of 256 makes
+// the dynamic(1) tail long enough to be asked about.
+func TestRegistryClockFreeDrain(t *testing.T) {
+	spin := func(d time.Duration) {
+		for start := time.Now(); time.Since(start) < d; {
+		}
+	}
+	for _, c := range []struct {
+		sched string
+		fleet func() *Registry
+		body  func(i int64)
+	}{
+		{"aid-hybrid,80,1", func() *Registry { return newFleet1B1S(t) },
+			func(int64) { spin(time.Microsecond) }},
+		{"aid-auto,1,256", func() *Registry {
+			reg, err := NewRegistry(RegistryConfig{NThreads: 2}) // Platform A's first two: big
+			if err != nil {
+				t.Fatal(err)
+			}
+			return reg
+		}, func(i int64) {
+			if i == 0 {
+				spin(50 * time.Microsecond)
+			}
+		}},
+	} {
+		s, err := ParseSchedule(c.sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := c.fleet()
+		const n, loops = 20000, 3
+		irregular := 0
+		for loop := 0; loop < loops; loop++ {
+			covered := make([]atomic.Int32, n)
+			l, err := reg.Submit(LoopRequest{N: n, Schedule: s, Body: func(_ int, lo, hi int64) {
+				for i := lo; i < hi; i++ {
+					covered[i].Add(1)
+					c.body(i)
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats := l.Wait()
+			for i := range covered {
+				if got := covered[i].Load(); got != 1 {
+					t.Fatalf("%s, loop %d: iteration %d covered %d times", c.sched, loop, i, got)
+				}
+			}
+			// The loop's scheduler is the free list's newest entry until the
+			// next Submit re-arms it.
+			reg.mu.Lock()
+			sched := reg.free[len(reg.free)-1].sched
+			switch sched := sched.(type) {
+			case *core.AIDHybrid:
+				if len(stats.SFEstimate) != 2 {
+					t.Errorf("%s, loop %d: SFEstimate = %v, want one entry per core type", c.sched, loop, stats.SFEstimate)
+				}
+				for tid := 0; tid < reg.NThreads(); tid++ {
+					if core.ReadsClock(sched, tid) {
+						t.Errorf("%s, loop %d: thread %d never got past its last sampling point", c.sched, loop, tid)
+					}
+				}
+			case *core.AIDAuto:
+				if irr, _, _ := sched.Decision(); irr {
+					irregular++
+				}
+			}
+			reg.mu.Unlock()
+		}
+		reg.Close()
+		if s.Kind == KindAIDAuto && irregular == 0 {
+			t.Errorf("%s: none of %d loops took the irregular path", c.sched, loops)
+		}
 	}
 }
 

@@ -739,11 +739,12 @@ type pickScratch struct {
 // plane (pick/retire) takes the registry lock only between bursts; the
 // chunk loop in between is lock free and reads the clock at most twice per
 // chunk, schedEnd after Next and end after the body, and only for a consumer:
-// which reads a burst takes is decided once, when it starts (doc.go has the
-// budget). The stamps are chained — a chunk's end is the next chunk's nowNs,
-// re-read only when a burst starts — and shared by the schedulers' sampling,
-// the small-core throttle, the metrics batch and the capture tape, whose
-// intervals therefore tile a burst without gaps.
+// which reads a burst takes is decided when it starts, and an unobserved
+// worker drops end mid-burst once the scheduler stops needing it (doc.go has
+// the budget). The stamps are chained — a chunk's end is the next chunk's
+// nowNs, re-read only when a burst starts — and shared by the schedulers'
+// sampling, the small-core throttle, the metrics batch and the capture tape,
+// whose intervals therefore tile a burst without gaps.
 func (r *Registry) worker(tid int) {
 	defer r.wg.Done()
 	// stretch is the share of its own time a body is stretched by on this
@@ -793,10 +794,12 @@ func (r *Registry) worker(tid int) {
 		// split: something needs Next's time apart from the body's (the
 		// throttle stretches the body only; metrics and capture tell Sched
 		// from Running). clocked: something needs the chunk's end — split's
-		// consumers, or a scheduler that samples nowNs. A clock-free schedule
-		// on an unthrottled, unobserved worker reads no clock per chunk.
+		// consumers, or a scheduler that samples nowNs. An unthrottled,
+		// unobserved worker reads no clock per chunk under a clock-free
+		// schedule, and under any other asks again every flushEvery chunks,
+		// so an AID thread past its last sampling point drains clock-free too.
 		split := stretch > 0 || mc != nil || tp != nil
-		clocked := split || core.ReadsClock(l.sched)
+		clocked := split || core.ReadsClock(l.sched, tid)
 		const flushEvery = 32
 		for served := 0; served < burst; served++ {
 			if r.gen.Load() != gen {
@@ -833,7 +836,7 @@ func (r *Registry) worker(tid int) {
 			cell.iters += asg.N()
 			l.body(tid, asg.Lo, asg.Hi)
 			if !clocked {
-				continue // nowNs stays the burst's first read
+				continue // nowNs stays the last read
 			}
 			end := r.now()
 			if stretch > 0 {
@@ -858,6 +861,9 @@ func (r *Registry) worker(tid int) {
 				wseq++
 			}
 			nowNs = end
+			if !split && served%flushEvery == flushEvery-1 && !core.ReadsClock(l.sched, tid) {
+				clocked = false // and stays false: ReadsClock is monotone
+			}
 		}
 		if mc != nil {
 			// Burst exit without retirement (generation change): publish what
