@@ -211,7 +211,7 @@ func (b Binding) String() string {
 
 // ParseBinding reads a binding as String writes it, "BS" or "SB"; letter case
 // and surrounding space do not matter (it is also the value grammar of the
-// -binding flags and of GOOMP_AMP_AFFINITY).
+// -binding flags).
 func ParseBinding(text string) (Binding, error) {
 	switch strings.ToUpper(strings.TrimSpace(text)) {
 	case "BS":

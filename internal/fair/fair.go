@@ -2,10 +2,13 @@
 // executor. When several parallel loops (typically loop instances from
 // different requests) are runnable on one worker fleet, a policy decides
 // which loop a free worker serves next and for how many consecutive
-// scheduler calls (the burst). The policies are engine agnostic: the
-// real-goroutine registry (internal/rt) and the discrete-event simulator
-// (internal/sim) consult the same implementations, so fairness behaviour
-// validated in virtual time carries over to real execution.
+// scheduler calls (the burst). The policies are engine agnostic, and so is
+// the machine around them: the real-goroutine registry (internal/rt) and the
+// discrete-event simulator (internal/sim) drive the same Fleet over the same
+// policies, so fairness behaviour validated in virtual time carries over to
+// real execution. Every grant asks Pick, a lone candidate's too; the built-in
+// policies give a lone candidate an unbounded burst, which an admission ends
+// in both engines.
 //
 // Fairness here is deliberately chunk-granular: a worker is never preempted
 // mid-chunk, matching the paper's model where the runtime system is only
@@ -42,10 +45,10 @@
 //     core class, it never removes the loop from its own class.
 package fair
 
-// Candidate describes one runnable loop to a policy. Slice order is
-// unspecified (the registry's runnable list is compacted by swap-remove,
-// so it is NOT admission order); policies that care about age must order
-// by ID, which is admission-ordered by construction.
+// Candidate describes one runnable loop to a policy. Fleet presents the
+// candidates by ascending ID, but a policy must not rely on slice order:
+// policies that care about age order by ID, which the registry assigns in
+// admission order (the simulator's IDs are loop indices).
 type Candidate struct {
 	// ID is the loop's admission-ordered identifier, unique within a fleet.
 	ID uint64
@@ -62,31 +65,23 @@ type Candidate struct {
 	SF []float64
 }
 
-// Policy selects the next loop for a free worker. Implementations need not
-// be safe for concurrent use: both execution engines invoke Pick under
-// their own serialization (the registry's control-plane lock, the
-// simulator's event loop), and a policy instance must not be shared between
-// fleets.
+// Policy selects the next loop for a free worker; the engines reach it only
+// through Fleet. Implementations need not be safe for concurrent use: both
+// execution engines drive their Fleet under their own serialization (the
+// registry's control-plane lock, the simulator's event loop), and a policy
+// instance must not be shared between fleets.
 type Policy interface {
 	// Pick returns the index into cands of the loop that worker tid should
 	// serve next, plus the number of consecutive scheduler calls (burst >=
 	// 1) to issue to that loop before re-picking. cands is never empty.
+	// Fleet asks on every grant, a lone candidate included; the built-in
+	// policies grant a lone candidate an unbounded burst.
 	Pick(tid int, cands []Candidate) (idx, burst int)
 	// Name identifies the policy in reports.
 	Name() string
 }
 
-// Observer is an optional Policy extension: engines that bypass Pick on a
-// fast path (the registry's single-candidate unbounded burst) call Observe
-// instead, so stateful policies keep their cursors in sync with what the
-// worker actually served and the first picks after a single-to-multi
-// tenant transition are not skewed by a stale cursor.
-type Observer interface {
-	// Observe records that worker tid was handed candidate c outside Pick.
-	Observe(tid int, c Candidate)
-}
-
-// Retirer is an optional Policy extension: engines call Retire when a loop
+// Retirer is an optional Policy extension: Fleet calls Retire when a loop
 // leaves the runnable set, letting stateful policies drop per-worker state
 // that references it.
 type Retirer interface {
@@ -99,6 +94,19 @@ type Retirer interface {
 // control-plane cost over several lock-free scheduler calls without
 // changing the relative shares (burst = weight x quantum).
 const DefaultQuantum = 8
+
+// unbounded is the burst of a grant that lasts until the worker retires from
+// the loop or an admission ends every grant: FCFS's, and every built-in
+// policy's for a lone candidate, which has nothing to share the worker with.
+const unbounded = 1 << 30
+
+// lone returns burst, or unbounded when cands holds a single loop.
+func lone(cands []Candidate, burst int) int {
+	if len(cands) == 1 {
+		return unbounded
+	}
+	return burst
+}
 
 // weightedRoundRobin cycles each worker independently through the runnable
 // loops in admission order, serving weight x quantum scheduler calls per
@@ -127,8 +135,14 @@ func (w *weightedRoundRobin) Name() string { return "wrr" }
 // Pick implements Policy: the lowest candidate ID above the one this
 // worker served last, wrapping to the oldest (lowest-ID) loop. Selection
 // is by ID, never by slice position, so it is independent of the order the
-// engine presents candidates in.
+// engine presents candidates in. A lone candidate's burst is unbounded.
 func (w *weightedRoundRobin) Pick(tid int, cands []Candidate) (int, int) {
+	idx, burst := w.pick(tid, cands)
+	return idx, lone(cands, burst)
+}
+
+// pick is Pick with a weight x quantum burst whatever the candidate count.
+func (w *weightedRoundRobin) pick(tid int, cands []Candidate) (int, int) {
 	last, seen := w.last[tid]
 	idx, oldest := -1, 0
 	for i, c := range cands {
@@ -149,13 +163,6 @@ func (w *weightedRoundRobin) Pick(tid int, cands []Candidate) (int, int) {
 		weight = 1
 	}
 	return idx, weight * w.quantum
-}
-
-// Observe implements Observer: a grant made outside Pick advances the
-// worker's cursor exactly as a Pick of the same loop would, so round-robin
-// resumes from the served loop when more tenants arrive.
-func (w *weightedRoundRobin) Observe(tid int, c Candidate) {
-	w.last[tid] = c.ID
 }
 
 // Retire implements Retirer: cursors pointing at the retired loop are
@@ -192,5 +199,5 @@ func (fcfs) Pick(_ int, cands []Candidate) (int, int) {
 			idx = i
 		}
 	}
-	return idx, 1 << 30
+	return idx, unbounded
 }

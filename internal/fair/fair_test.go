@@ -46,12 +46,13 @@ func TestWRRPerWorkerCursorsIndependent(t *testing.T) {
 
 func TestWRRBurstScalesWithWeight(t *testing.T) {
 	p := NewWeightedRoundRobin(4)
-	cs := []Candidate{{ID: 1, Weight: 3}}
-	if _, burst := p.Pick(0, cs); burst != 12 {
-		t.Fatalf("burst = %d, want weight 3 x quantum 4 = 12", burst)
+	cs := []Candidate{{ID: 1, Weight: 3}, {ID: 2, Weight: 1}}
+	if idx, burst := p.Pick(0, cs); idx != 0 || burst != 12 {
+		t.Fatalf("pick = %d burst %d, want loop 1 with weight 3 x quantum 4 = 12", idx, burst)
 	}
 	// Non-positive weights are clamped to 1.
 	cs[0].Weight = 0
+	p.Pick(0, cs) // loop 2's turn
 	if _, burst := p.Pick(0, cs); burst != 4 {
 		t.Fatalf("burst = %d, want 4 for clamped weight", burst)
 	}
@@ -72,7 +73,7 @@ func TestWRRSurvivesCandidateRemoval(t *testing.T) {
 
 func TestWRRDefaultQuantum(t *testing.T) {
 	p := NewWeightedRoundRobin(0)
-	if _, burst := p.Pick(0, cands(1)); burst != DefaultQuantum {
+	if _, burst := p.Pick(0, cands(1, 2)); burst != DefaultQuantum {
 		t.Fatalf("burst = %d, want DefaultQuantum %d", burst, DefaultQuantum)
 	}
 }
@@ -85,6 +86,33 @@ func TestFCFSHeadOfLine(t *testing.T) {
 	}
 	if burst < 1<<20 {
 		t.Fatalf("FCFS burst = %d, want effectively unbounded", burst)
+	}
+}
+
+// TestLoneCandidateUnbounded: a lone candidate has nobody to share the
+// worker with, so every built-in policy grants it an unbounded burst, which
+// only the worker's retirement or an admission ends. SF-aware does so whatever
+// the loop's SF table, including the zero table that would otherwise pass its
+// steering test (0 >= spread x 0).
+func TestLoneCandidateUnbounded(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    Policy
+		sf   []float64
+	}{
+		{"wrr", NewWeightedRoundRobin(0), nil},
+		{"fcfs", NewFCFS(), nil},
+		{"sf-aware/nil", NewSFAware(0, 0), nil},
+		{"sf-aware/equal", NewSFAware(0, 0), []float64{1, 1}},
+		{"sf-aware/steering", NewSFAware(0, 0), []float64{3, 1}},
+		{"sf-aware/zero", NewSFAware(0, 0), []float64{0, 0}},
+	} {
+		for _, ct := range []int{0, 1} {
+			cs := []Candidate{{ID: 4, Weight: 2, CoreType: ct, SF: c.sf}}
+			if idx, burst := c.p.Pick(ct, cs); idx != 0 || burst != unbounded {
+				t.Errorf("%s, core type %d: Pick = %d burst %d, want 0 burst %d", c.name, ct, idx, burst, unbounded)
+			}
+		}
 	}
 }
 

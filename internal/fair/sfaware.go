@@ -52,8 +52,16 @@ func bigSF(sf []float64) float64 {
 	return best
 }
 
-// Pick implements Policy.
+// Pick implements Policy. A lone candidate's burst is unbounded; the test
+// is on the full candidate set, so a steered class of one loop out of several
+// candidates keeps its weight x quantum burst.
 func (p *sfAware) Pick(tid int, cands []Candidate) (int, int) {
+	idx, burst := p.pick(tid, cands)
+	return idx, lone(cands, burst)
+}
+
+// pick is Pick with a weight x quantum burst whatever the candidate count.
+func (p *sfAware) pick(tid int, cands []Candidate) (int, int) {
 	// Fall back to WRR over all candidates until every loop has published a
 	// stabilized estimate: steering on partial information would starve the
 	// very sampling phases the estimates come from.
@@ -61,7 +69,7 @@ func (p *sfAware) Pick(tid int, cands []Candidate) (int, int) {
 	ntypes := 0
 	for _, c := range cands {
 		if len(c.SF) == 0 {
-			return p.wrr.Pick(tid, cands)
+			return p.wrr.pick(tid, cands)
 		}
 		if len(c.SF) > ntypes {
 			ntypes = len(c.SF)
@@ -76,7 +84,7 @@ func (p *sfAware) Pick(tid int, cands []Candidate) (int, int) {
 	}
 	if ntypes < 2 || maxSF < p.spread*minSF {
 		// One core type, or the loops speed up alike: placement can't help.
-		return p.wrr.Pick(tid, cands)
+		return p.wrr.pick(tid, cands)
 	}
 	// Classify the calling worker against the platform's type range: low
 	// cluster indexes are the fast cores under the BS convention. A worker
@@ -84,7 +92,7 @@ func (p *sfAware) Pick(tid int, cands []Candidate) (int, int) {
 	mid := float64(ntypes-1) / 2
 	ct := float64(cands[0].CoreType)
 	if ct == mid {
-		return p.wrr.Pick(tid, cands)
+		return p.wrr.pick(tid, cands)
 	}
 	// Partition at the geometric mid: big-core workers take the high-SF
 	// side, small-core workers the low-SF side. Both sides are non-empty
@@ -99,14 +107,11 @@ func (p *sfAware) Pick(tid int, cands []Candidate) (int, int) {
 		}
 	}
 	if len(p.sub) == 0 {
-		return p.wrr.Pick(tid, cands)
+		return p.wrr.pick(tid, cands)
 	}
-	idx, burst := p.wrr.Pick(tid, p.sub)
+	idx, burst := p.wrr.pick(tid, p.sub)
 	return p.subIdx[idx], burst
 }
-
-// Observe implements Observer by delegating to the shared WRR cursor.
-func (p *sfAware) Observe(tid int, c Candidate) { p.wrr.Observe(tid, c) }
 
 // Retire implements Retirer by delegating to the shared WRR cursor.
 func (p *sfAware) Retire(id uint64) { p.wrr.Retire(id) }

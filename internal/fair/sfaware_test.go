@@ -8,18 +8,17 @@ func sfCand(id uint64, ct int, sf ...float64) Candidate {
 	return Candidate{ID: id, Weight: 1, CoreType: ct, SF: sf}
 }
 
-func TestWRRObserveAdvancesCursor(t *testing.T) {
-	// The regression of the single-candidate fast path: a grant made
-	// outside Pick must advance the cursor, so the first Pick after a
-	// single-to-multi transition does NOT hand the worker the loop it has
-	// been serving all along.
-	p := NewWeightedRoundRobin(1).(*weightedRoundRobin)
-	p.Observe(0, Candidate{ID: 1})
-	if idx, _ := p.Pick(0, cands(1, 2)); cands(1, 2)[idx].ID != 2 {
-		t.Fatal("pick after Observe(1) should advance to loop 2")
+func TestWRRLonePickAdvancesCursor(t *testing.T) {
+	// A lone loop's unbounded grant still moves the worker's cursor, so the
+	// first Pick after a single-to-multi transition does NOT hand the worker
+	// the loop it has been serving all along.
+	for _, p := range []Policy{NewWeightedRoundRobin(1), NewSFAware(1, 0)} {
+		p.Pick(0, cands(1))
+		if idx, _ := p.Pick(0, cands(1, 2)); cands(1, 2)[idx].ID != 2 {
+			t.Errorf("%s: pick over {1, 2} after a pick over {1} should advance to loop 2", p.Name())
+		}
 	}
-	// Without Observe the stale cursor replays loop 1 first — the skew the
-	// hook removes. (Fresh policy: first pick is the oldest loop.)
+	// Without the lone pick, a fresh cursor starts at the oldest loop.
 	q := NewWeightedRoundRobin(1)
 	if idx, _ := q.Pick(0, cands(1, 2)); cands(1, 2)[idx].ID != 1 {
 		t.Fatal("fresh cursor should start at the oldest loop")
@@ -30,7 +29,7 @@ func TestWRRRetirePurgesCursors(t *testing.T) {
 	p := NewWeightedRoundRobin(1).(*weightedRoundRobin)
 	p.Pick(0, cands(5))
 	p.Pick(1, cands(5, 8)) // worker 1 cursor at 5 too
-	p.Observe(2, Candidate{ID: 8})
+	p.Pick(2, cands(8))
 	p.Retire(5)
 	if len(p.last) != 1 {
 		t.Fatalf("cursor map holds %d entries after Retire(5), want 1", len(p.last))
@@ -106,6 +105,21 @@ func TestSFAwareSteersByCoreType(t *testing.T) {
 	}
 }
 
+// TestSFAwareSteeredLoneClassKeepsQuantum: a steered class of one loop is not
+// a lone candidate. The other loop is still runnable, so the grant is
+// weight x quantum and the worker comes back to the policy, not unbounded.
+func TestSFAwareSteeredLoneClassKeepsQuantum(t *testing.T) {
+	p := NewSFAware(4, 0)
+	for ct, want := range []uint64{1, 2} {
+		cs := []Candidate{sfCand(1, ct, 4.0, 1.0), sfCand(2, ct, 1.0, 1.0)}
+		cs[want-1].Weight = 2
+		idx, burst := p.Pick(ct, cs)
+		if cs[idx].ID != want || burst != 8 {
+			t.Errorf("core type %d: pick = loop %d burst %d, want loop %d burst 2 x 4 = 8", ct, cs[idx].ID, burst, want)
+		}
+	}
+}
+
 func TestSFAwareRotatesWithinClass(t *testing.T) {
 	p := NewSFAware(1, 0)
 	cs := []Candidate{
@@ -147,11 +161,8 @@ func TestSFAwareName(t *testing.T) {
 	if got := NewSFAware(0, 0).Name(); got != "sf-aware" {
 		t.Errorf("Name() = %q", got)
 	}
-	// The optional hooks must be wired (the registry type-asserts them).
+	// The optional hook must be wired (Fleet type-asserts it).
 	var p Policy = NewSFAware(0, 0)
-	if _, ok := p.(Observer); !ok {
-		t.Error("SFAware does not implement Observer")
-	}
 	if _, ok := p.(Retirer); !ok {
 		t.Error("SFAware does not implement Retirer")
 	}

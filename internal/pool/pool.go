@@ -10,7 +10,7 @@ import (
 // counter of the summed sampling-phase execution times plus a thread count.
 // The average per core type is sum/count. A separate counter tracks how many
 // threads have completed the sampling phase so the last one can be detected
-// without locks.
+// without locks. The zero value holds no core type: Resize arms it.
 type SampleCounters struct {
 	sumNs  []atomic.Int64
 	counts []atomic.Int64
@@ -18,17 +18,9 @@ type SampleCounters struct {
 	total  int64
 }
 
-// NewSampleCounters returns counters for nCoreTypes core types and nThreads
-// participating threads. Both must be positive.
-func NewSampleCounters(nCoreTypes int, nThreads int) *SampleCounters {
-	sc := &SampleCounters{}
-	sc.Resize(nCoreTypes, nThreads)
-	return sc
-}
-
-// Resize re-arms the counters for a new loop with nCoreTypes core types and
-// nThreads participating threads (both positive), keeping their storage when
-// it is large enough. Like Reset it must not race with a sampler.
+// Resize arms or re-arms the counters for a new loop with nCoreTypes core
+// types and nThreads participating threads (both positive), keeping their
+// storage when it is large enough. Like Reset it must not race with a sampler.
 func (sc *SampleCounters) Resize(nCoreTypes int, nThreads int) {
 	if nCoreTypes <= 0 {
 		panic(fmt.Sprintf("pool: non-positive core type count %d", nCoreTypes))

@@ -254,8 +254,15 @@ func TestTryStealFuncBadSizePanics(t *testing.T) {
 	NewSharded(10, []int{1}).TryStealFuncFrom(0, func(int64) int64 { return 0 })
 }
 
+// counters returns SampleCounters armed by Resize, the way core builds them.
+func counters(types, threads int) *SampleCounters {
+	sc := new(SampleCounters)
+	sc.Resize(types, threads)
+	return sc
+}
+
 func TestSampleCounters(t *testing.T) {
-	sc := NewSampleCounters(2, 4)
+	sc := counters(2, 4)
 	if last := sc.Record(0, 100); last {
 		t.Error("first Record reported last")
 	}
@@ -277,7 +284,7 @@ func TestSampleCounters(t *testing.T) {
 }
 
 func TestSampleCountersEmptyType(t *testing.T) {
-	sc := NewSampleCounters(3, 2)
+	sc := counters(3, 2)
 	sc.Record(0, 10)
 	sc.Record(0, 20)
 	if _, ok := sc.Avg(2); ok {
@@ -286,7 +293,7 @@ func TestSampleCountersEmptyType(t *testing.T) {
 }
 
 func TestSampleCountersReset(t *testing.T) {
-	sc := NewSampleCounters(2, 2)
+	sc := counters(2, 2)
 	sc.Record(0, 50)
 	sc.Record(1, 70)
 	sc.Reset()
@@ -305,7 +312,7 @@ func TestSampleCountersReset(t *testing.T) {
 
 func TestSampleCountersConcurrentExactlyOneLast(t *testing.T) {
 	const threads = 32
-	sc := NewSampleCounters(2, threads)
+	sc := counters(2, threads)
 	var lastCount int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -332,10 +339,10 @@ func TestSampleCountersValidation(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewSampleCounters(%d,%d) did not panic", c.types, c.threads)
+					t.Errorf("Resize(%d,%d) did not panic", c.types, c.threads)
 				}
 			}()
-			NewSampleCounters(c.types, c.threads)
+			new(SampleCounters).Resize(c.types, c.threads)
 		}()
 	}
 }
@@ -343,7 +350,7 @@ func TestSampleCountersValidation(t *testing.T) {
 // TestSampleCountersResize: Resize re-arms for another loop's shape, in
 // place when the counters are large enough, and forgets every sample.
 func TestSampleCountersResize(t *testing.T) {
-	sc := NewSampleCounters(3, 4)
+	sc := counters(3, 4)
 	sc.Record(2, 100)
 	sums := &sc.sumNs[0]
 	sc.Resize(2, 2)

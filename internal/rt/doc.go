@@ -1,13 +1,10 @@
 // Package rt is the user-facing runtime of the reproduction — the analog of
 // libgomp as the paper modified it. It provides:
 //
-//   - Schedule: a parsed loop-schedule selection (method + parameters),
-//     configurable programmatically or through environment variables that
-//     mirror the paper's setup (§4.1): GOOMP_SCHEDULE plays the role of
-//     OMP_SCHEDULE (the modified GCC defaults every loop to the `runtime`
-//     schedule, so this variable governs all loops), and GOOMP_AMP_AFFINITY
-//     selects the SB/BS thread-to-core binding convention like
-//     GOMP_AMP_AFFINITY does in the paper (§4.3).
+//   - Schedule: a parsed loop-schedule selection (method + parameters).
+//     ParseSchedule reads its text form, the GOOMP_SCHEDULE syntax that
+//     mirrors the paper's OMP_SCHEDULE (§4.1) and that the commands take as
+//     -sched and run records carry.
 //   - Registry: the multi-loop executor — a persistent fleet of worker
 //     goroutines (one per modeled CPU, with per-worker speed throttling
 //     that emulates big/small cores) serving many concurrent loop
@@ -102,8 +99,9 @@
 //
 // Construction is not where Submit's time goes; it was where its memory
 // went. Now a released loop's scheduler goes on the registry's free list,
-// together with its cells and retirement flags, and a later Submit of the
-// same schedule re-arms it through core.Resettable, which makes it the same
+// together with its cells (its retirement flags stay in its fleet slot, for
+// the next admission), and a later Submit of the same schedule re-arms it
+// through core.Resettable, which makes it the same
 // scheduler as a new one (core.TestResetEquivalence). Per Submit+Wait of a
 // 2048-iteration loop on that fleet, building -> re-arming:
 //

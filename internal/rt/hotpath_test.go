@@ -14,22 +14,19 @@ import (
 )
 
 // TestRegistryHotLayout is the false-sharing guard for the registry's hot
-// data, the rt companion of pool.TestShardLayout: per-worker cells and pick
-// scratch must each fill exactly one cache line (so worker i's updates never
-// invalidate worker i+1's line), and the admission generation — loaded by
-// every worker once per served chunk — must sit clear of both the control
-// plane's mutex and the slice headers the pick path reads.
+// data, the rt companion of pool.TestShardLayout: per-worker cells must each
+// fill exactly one cache line (so worker i's updates never invalidate worker
+// i+1's line), and the admission generation — loaded by every worker once per
+// served chunk — must sit clear of both the control plane's mutex and the
+// fields before it.
 func TestRegistryHotLayout(t *testing.T) {
 	if got := unsafe.Sizeof(workerCell{}); got != 64 {
 		t.Errorf("sizeof(workerCell) = %d, want 64 (one cache line per worker)", got)
 	}
-	if got := unsafe.Sizeof(pickScratch{}); got != 64 {
-		t.Errorf("sizeof(pickScratch) = %d, want 64 (one cache line per worker)", got)
-	}
 	var r Registry
-	scratchEnd := unsafe.Offsetof(r.scratch) + unsafe.Sizeof(r.scratch)
+	prevEnd := unsafe.Offsetof(r.metrics) + unsafe.Sizeof(r.metrics)
 	genOff := unsafe.Offsetof(r.gen)
-	if gap := genOff - scratchEnd; gap < 64 {
+	if gap := genOff - prevEnd; gap < 64 {
 		t.Errorf("gen is %d bytes after the preceding field, want >= 64 (own cache line)", gap)
 	}
 	if gap := unsafe.Offsetof(r.mu) - (genOff + unsafe.Sizeof(r.gen)); gap < 56 {

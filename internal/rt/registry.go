@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -27,13 +28,16 @@ import (
 // serves next. This is the building block for serving many users at once:
 // one request's parallel loop no longer needs a private set of threads.
 //
-// Barrier accounting is per loop. A worker that receives ok=false from a
-// loop's scheduler is retired from that loop (ok=false is terminal per
-// thread, the contract every scheduler satisfies); the loop's implicit
-// barrier releases — Wait returns — when all fleet workers have retired
-// from it, which by the schedulers' exactly-once coverage guarantee is
-// exactly when all of its iterations have executed. Other loops are
-// unaffected: their workers keep running.
+// Which loops are runnable, who has retired from which, the candidates, the
+// policy's picks and the barrier release are a fair.Fleet's, the same machine
+// the simulator runs; the registry drives it under its lock and keeps to
+// itself the admission generation, the free list and the lock-free chunk
+// loop. A worker that receives ok=false from a loop's scheduler is retired
+// from that loop (ok=false is terminal per thread, the contract every
+// scheduler satisfies); the loop's implicit barrier releases — Wait returns —
+// when all fleet workers have retired from it, which by the schedulers'
+// exactly-once coverage guarantee is exactly when all of its iterations have
+// executed. Other loops are unaffected: their workers keep running.
 //
 // Every loop runs over the full fleet with the registry's thread-to-core
 // binding, so the scheduler-facing LoopInfo is identical to the one Team
@@ -62,10 +66,6 @@ type Registry struct {
 	// Enabled by RegistryConfig.Metrics for the registry's lifetime.
 	metrics *obs.Metrics
 
-	// scratch holds each worker's private pick buffers (reused across
-	// picks, so the steady-state scheduling path allocates nothing).
-	scratch []pickScratch
-
 	// gen counts admissions; workers snapshot it at pick time and re-enter
 	// the policy when it changes, so a newly submitted loop is noticed even
 	// by a worker in the middle of an unbounded single-loop burst. It sits
@@ -77,9 +77,12 @@ type Registry struct {
 	gen atomic.Uint64
 	_   [56]byte
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	run    []*Loop // admitted, incomplete loops in admission order
+	mu    sync.Mutex
+	cond  *sync.Cond
+	fleet *fair.Fleet // guarded by mu
+	// slots holds each admitted loop whose barrier has not released at its
+	// fleet slot, nil where the slot is free (guarded by mu).
+	slots  []*Loop
 	nextID uint64
 	closed bool
 	wg     sync.WaitGroup
@@ -116,12 +119,11 @@ func keyOf(s Schedule) (k schedKey, ok bool) {
 }
 
 // freeLoop is one released loop's reusable storage: its scheduler, which owns
-// the loop's sharded pool, and its per-worker cells and retirement flags.
+// the loop's sharded pool, and its per-worker cells.
 type freeLoop struct {
-	key     schedKey
-	sched   core.Resettable
-	cells   []workerCell
-	retired []bool
+	key   schedKey
+	sched core.Resettable
+	cells []workerCell
 }
 
 // RegistryConfig configures NewRegistry.
@@ -223,7 +225,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if cfg.Metrics {
 		r.metrics = obs.New(nthreads, len(pl.Clusters), r.typeOf)
 	}
-	r.scratch = make([]pickScratch, nthreads)
+	r.fleet = fair.NewFleet(cfg.Policy, nthreads, func(slot int) []float64 { return r.slots[slot].liveSF() })
 	r.cond = sync.NewCond(&r.mu)
 	r.wg.Add(nthreads)
 	for tid := 0; tid < nthreads; tid++ {
@@ -248,7 +250,7 @@ func (r *Registry) Policy() fair.Policy { return r.policy }
 func (r *Registry) InFlight() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.run)
+	return r.fleet.Len()
 }
 
 // now returns monotonic nanoseconds since fleet creation (the timestamp
@@ -319,10 +321,14 @@ type Loop struct {
 	schedule Schedule
 	body     func(tid int, lo, hi int64)
 
-	// sched, cells, retired and sfView are the loop's until its barrier
-	// releases; then retire hands them to the free list and sets them to nil
-	// under Registry.mu, so whatever reads them after release must hold that
-	// lock and check.
+	// slot is the loop's fleet slot until its barrier releases (guarded by
+	// Registry.mu).
+	slot int
+
+	// sched, cells and sfView are the loop's until its barrier releases; then
+	// retire hands them to the free list and sets them to nil under
+	// Registry.mu, so whatever reads them after release must hold that lock
+	// and check.
 	sched core.Scheduler
 	// cells is worker-indexed: cell tid is written only by worker tid and
 	// read by retire once every worker has retired (each retirement passes
@@ -330,9 +336,7 @@ type Loop struct {
 	// old parallel iters/accesses/finishNs slices, whose 8-byte slots shared
 	// cache lines across workers — every chunk's counter bump invalidated
 	// the line of up to seven neighbours.
-	cells    []workerCell
-	retired  []bool // guarded by Registry.mu
-	nretired int    // guarded by Registry.mu
+	cells []workerCell
 
 	// sfView caches the scheduler's zero-copy live-SF interface (nil when
 	// unsupported), so the per-pick candidate build is a plain call, not a
@@ -509,7 +513,13 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 		var buf [24]byte
 		l.name = string(strconv.AppendUint(append(buf[:0], "loop-"...), l.id, 10))
 	}
-	r.run = append(r.run, l)
+	l.slot = slices.Index(r.slots, nil)
+	if l.slot < 0 {
+		l.slot = len(r.slots)
+		r.slots = append(r.slots, nil)
+	}
+	r.slots[l.slot] = l
+	r.fleet.Admit(l.slot, l.id, l.weight)
 	r.gen.Add(1)
 	r.cond.Broadcast()
 	r.mu.Unlock()
@@ -528,8 +538,7 @@ func (r *Registry) arm(l *Loop) error {
 		r.mu.Unlock()
 		if ok {
 			clear(fl.cells)
-			clear(fl.retired)
-			l.sched, l.cells, l.retired = fl.sched, fl.cells, fl.retired
+			l.sched, l.cells = fl.sched, fl.cells
 			return fl.sched.Reset(info)
 		}
 	}
@@ -539,7 +548,6 @@ func (r *Registry) arm(l *Loop) error {
 	}
 	l.sched = sched
 	l.cells = make([]workerCell, r.nthreads)
-	l.retired = make([]bool, r.nthreads)
 	return nil
 }
 
@@ -569,9 +577,9 @@ func (r *Registry) recycle(l *Loop) {
 			copy(r.free, r.free[1:])
 			r.free = r.free[:maxFree-1]
 		}
-		r.free = append(r.free, freeLoop{key, rs, l.cells, l.retired})
+		r.free = append(r.free, freeLoop{key, rs, l.cells})
 	}
-	l.sched, l.sfView, l.cells, l.retired = nil, nil, nil, nil
+	l.sched, l.sfView, l.cells = nil, nil, nil
 }
 
 // BuildRecord assembles a serializable run record from completed captured
@@ -723,17 +731,6 @@ func tapeEstimate(n, chunk int64, nthreads int) int {
 	return int(per)
 }
 
-// pickScratch is one worker's private, reusable pick buffers. The slices
-// grow to the fleet's high-water tenant count and stay there, so the
-// steady-state pick path performs no allocations; the pad keeps
-// neighbouring workers' slice headers off each other's cache lines (the
-// size is pinned by a layout test).
-type pickScratch struct {
-	cands []fair.Candidate
-	loops []*Loop
-	_     [16]byte
-}
-
 // worker is one fleet goroutine: pick a loop under the fairness policy,
 // serve it for the granted burst of scheduler calls, repeat. The control
 // plane (pick/retire) takes the registry lock only between bursts; the
@@ -873,95 +870,38 @@ func (r *Registry) worker(tid int) {
 	}
 }
 
-// pick blocks until some admitted loop still wants scheduler calls from
-// worker tid, returning it with the policy's burst and the admission
+// pick blocks until the fleet has a loop that still wants scheduler calls
+// from worker tid, returning it with the policy's burst and the admission
 // generation, or returns nil after Close once nothing is left for this
-// worker. A lone runnable loop is granted an effectively unbounded burst —
-// the generation check in the worker loop restores fairness the moment a
-// second loop arrives — so single-tenant execution pays one pick per loop,
-// not one per chunk.
+// worker. A lone runnable loop gets an unbounded burst from the built-in
+// policies — the generation check in the worker loop restores fairness the
+// moment a second loop arrives — so single-tenant execution pays one pick per
+// loop, not one per chunk.
 func (r *Registry) pick(tid int) (*Loop, int, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sc := &r.scratch[tid]
 	for {
-		cands, loops := sc.cands[:0], sc.loops[:0]
-		for _, l := range r.run {
-			if !l.retired[tid] {
-				cands = append(cands, fair.Candidate{ID: l.id, Weight: l.weight,
-					CoreType: r.types[tid], SF: l.liveSF()})
-				loops = append(loops, l)
-			}
-		}
-		sc.cands, sc.loops = cands, loops
-		gen := r.gen.Load()
-		if len(cands) == 1 {
-			// The policy is bypassed, not left behind: stateful policies
-			// see the grant through the Observe hook, so their cursors are
-			// current when a second tenant arrives.
-			if ob, ok := r.policy.(fair.Observer); ok {
-				ob.Observe(tid, cands[0])
-			}
-			return loops[0], 1 << 30, gen
-		}
-		if len(cands) > 0 {
-			idx, burst := r.policy.Pick(tid, cands)
-			if idx < 0 || idx >= len(cands) {
-				idx = 0 // a broken policy must not crash the fleet
-			}
-			if burst < 1 {
-				burst = 1
-			}
-			return loops[idx], burst, gen
+		if slot, burst, ok := r.fleet.Grant(tid, r.types[tid]); ok {
+			return r.slots[slot], burst, r.gen.Load()
 		}
 		if r.closed {
 			return nil, 0, 0
-		}
-		// Idle: drop stale loop references (the truncated slices' backing
-		// arrays still hold them) before sleeping, so a long-lived fleet
-		// does not pin retired loops and their capture tapes in memory.
-		full := sc.loops[:cap(sc.loops)]
-		for i := range full {
-			full[i] = nil
-		}
-		fullc := sc.cands[:cap(sc.cands)]
-		for i := range fullc {
-			fullc[i] = fair.Candidate{}
 		}
 		r.cond.Wait()
 	}
 }
 
 // retire records that worker tid has no more work in loop l. The last
-// retirement releases the loop's barrier: the loop leaves the runnable
-// list, its stats are published, its scheduler goes to the free list, and
-// Done/Wait unblock.
+// retirement releases the loop's barrier: the fleet drops the loop, its
+// stats are published, its scheduler goes to the free list, and Done/Wait
+// unblock.
 func (r *Registry) retire(l *Loop, tid int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if l.retired[tid] {
+	if !r.fleet.Retire(l.slot, tid) {
 		return
 	}
-	l.retired[tid] = true
-	l.nretired++
-	if l.nretired < r.nthreads {
-		return
-	}
-	// Swap-remove: the runnable list is consulted on every pick under this
-	// lock, and fairness policies order by loop ID, not slice position, so
-	// shifting the whole tail on each retirement buys nothing.
-	for i, cand := range r.run {
-		if cand == l {
-			last := len(r.run) - 1
-			r.run[i] = r.run[last]
-			r.run[last] = nil
-			r.run = r.run[:last]
-			break
-		}
-	}
-	if rt, ok := r.policy.(fair.Retirer); ok {
-		rt.Retire(l.id) // drop cursors referencing the finished loop
-	}
+	r.slots[l.slot] = nil
 	l.latency = time.Since(l.submitted)
 	l.stats = LoopStats{
 		Iters:         make([]int64, len(l.cells)),
@@ -1028,9 +968,9 @@ func (r *Registry) MetricsSnapshot() obs.Snapshot {
 	}
 	r.mu.Lock()
 	agg := r.retiredAgg
-	live := make([]*obs.Metrics, 0, len(r.run))
-	for _, l := range r.run {
-		if l.metrics != nil {
+	live := make([]*obs.Metrics, 0, r.fleet.Len())
+	for _, l := range r.slots {
+		if l != nil && l.metrics != nil {
 			live = append(live, l.metrics)
 		}
 	}

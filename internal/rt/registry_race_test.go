@@ -208,7 +208,10 @@ func TestRegistryRecycleConcurrent(t *testing.T) {
 			}
 			reg.mu.Lock()
 			live = live[:0]
-			for _, l := range reg.run {
+			for _, l := range reg.slots {
+				if l == nil {
+					continue
+				}
 				for _, s := range live {
 					if s == l.sched {
 						t.Errorf("loop %d shares its scheduler with another live loop", l.id)

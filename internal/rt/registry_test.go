@@ -119,7 +119,7 @@ func TestRegistryBarrierIndependence(t *testing.T) {
 				return // the test bailed out before submitting
 			}
 			reg.mu.Lock()
-			retired := short.retired == nil || short.retired[tid] // nil: released
+			retired := short.sched == nil || reg.fleet.Retired(short.slot, tid) // nil: released
 			reg.mu.Unlock()
 			if retired {
 				<-checked

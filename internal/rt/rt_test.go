@@ -118,55 +118,6 @@ func TestFactoryProducesRightSchedulers(t *testing.T) {
 	}
 }
 
-func TestFromEnv(t *testing.T) {
-	t.Setenv(EnvSchedule, "aid-dynamic,2,10")
-	t.Setenv(EnvAffinity, "sb")
-	t.Setenv(EnvNThreads, "6")
-	sched, bind, n, err := FromEnv(Schedule{Kind: KindStatic}, amp.BindBS, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.Kind != KindAIDDynamic || sched.Chunk != 2 || sched.Major != 10 {
-		t.Errorf("schedule = %+v", sched)
-	}
-	if bind != amp.BindSB {
-		t.Errorf("binding = %v", bind)
-	}
-	if n != 6 {
-		t.Errorf("threads = %d", n)
-	}
-}
-
-func TestFromEnvDefaults(t *testing.T) {
-	t.Setenv(EnvSchedule, "")
-	t.Setenv(EnvAffinity, "")
-	t.Setenv(EnvNThreads, "")
-	sched, bind, n, err := FromEnv(Schedule{Kind: KindAIDHybrid}, amp.BindBS, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.Kind != KindAIDHybrid || bind != amp.BindBS || n != 8 {
-		t.Errorf("defaults not honored: %+v %v %d", sched, bind, n)
-	}
-}
-
-func TestFromEnvErrors(t *testing.T) {
-	t.Setenv(EnvSchedule, "bogus")
-	if _, _, _, err := FromEnv(Schedule{}, amp.BindBS, 8); err == nil {
-		t.Error("bad schedule accepted")
-	}
-	t.Setenv(EnvSchedule, "")
-	t.Setenv(EnvAffinity, "XX")
-	if _, _, _, err := FromEnv(Schedule{}, amp.BindBS, 8); err == nil {
-		t.Error("bad affinity accepted")
-	}
-	t.Setenv(EnvAffinity, "")
-	t.Setenv(EnvNThreads, "-1")
-	if _, _, _, err := FromEnv(Schedule{}, amp.BindBS, 8); err == nil {
-		t.Error("bad thread count accepted")
-	}
-}
-
 // --- Team (real executor) ---
 
 func TestNewTeamDefaults(t *testing.T) {

@@ -2,11 +2,9 @@ package rt
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
-	"repro/internal/amp"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -312,47 +310,4 @@ func ParseSchedule(text string) (Schedule, error) {
 		s.Reweight = true
 	}
 	return s, nil
-}
-
-// Env variable names, mirroring the paper's configuration surface.
-const (
-	// EnvSchedule selects the schedule applied to every parallel loop
-	// (the paper's OMP_SCHEDULE under the modified compiler, §4.1).
-	EnvSchedule = "GOOMP_SCHEDULE"
-	// EnvAffinity selects the SB or BS binding convention (the paper's
-	// GOMP_AMP_AFFINITY, §4.3).
-	EnvAffinity = "GOOMP_AMP_AFFINITY"
-	// EnvNThreads sets the worker count (OMP_NUM_THREADS).
-	EnvNThreads = "GOOMP_NUM_THREADS"
-)
-
-// FromEnv reads the runtime configuration from the environment, with the
-// given fall-backs for unset variables. It returns the schedule, binding and
-// thread count.
-func FromEnv(defSched Schedule, defBind amp.Binding, defThreads int) (Schedule, amp.Binding, int, error) {
-	sched := defSched
-	if v := os.Getenv(EnvSchedule); v != "" {
-		s, err := ParseSchedule(v)
-		if err != nil {
-			return Schedule{}, 0, 0, err
-		}
-		sched = s
-	}
-	bind := defBind
-	if v := os.Getenv(EnvAffinity); v != "" {
-		b, err := amp.ParseBinding(v)
-		if err != nil {
-			return Schedule{}, 0, 0, fmt.Errorf("rt: %s: %w", EnvAffinity, err)
-		}
-		bind = b
-	}
-	n := defThreads
-	if v := os.Getenv(EnvNThreads); v != "" {
-		parsed, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil || parsed <= 0 {
-			return Schedule{}, 0, 0, fmt.Errorf("rt: bad %s value %q", EnvNThreads, v)
-		}
-		n = parsed
-	}
-	return sched, bind, n, nil
 }

@@ -10,18 +10,24 @@ import (
 	"repro/internal/fair"
 )
 
-// spyPolicy wraps a real policy and records every hook the registry drives:
-// Pick candidate sets, fast-path Observe grants, and Retire notifications.
-// The registry calls all three under its lock; the mutex makes the test
-// goroutine's reads race-clean.
+// spyPolicy wraps a real policy and records every hook the registry's fleet
+// drives: Pick candidate sets and Retire notifications. The fleet calls both
+// under the registry lock; the mutex makes the test goroutine's reads
+// race-clean.
 type spyPolicy struct {
 	inner fair.Policy
 
-	mu       sync.Mutex
-	observed []uint64   // loop IDs granted via the single-candidate fast path
-	picked   [][]uint64 // candidate ID sets per Pick call
-	retired  []uint64
-	sawSF    bool // some candidate carried a live SF estimate
+	mu      sync.Mutex
+	picked  []spyPick
+	retired []uint64
+}
+
+// spyPick is one Pick call's candidate set: IDs, and whether each candidate
+// carried a live SF table (the table itself is the scheduler's, readable only
+// under the registry lock).
+type spyPick struct {
+	ids []uint64
+	sf  []bool
 }
 
 func newSpyPolicy() *spyPolicy {
@@ -32,28 +38,14 @@ func (s *spyPolicy) Name() string { return "spy" }
 
 func (s *spyPolicy) Pick(tid int, cands []fair.Candidate) (int, int) {
 	s.mu.Lock()
-	ids := make([]uint64, len(cands))
-	for i, c := range cands {
-		ids[i] = c.ID
-		if c.SF != nil {
-			s.sawSF = true
-		}
+	var p spyPick
+	for _, c := range cands {
+		p.ids = append(p.ids, c.ID)
+		p.sf = append(p.sf, c.SF != nil)
 	}
-	s.picked = append(s.picked, ids)
+	s.picked = append(s.picked, p)
 	s.mu.Unlock()
 	return s.inner.Pick(tid, cands)
-}
-
-func (s *spyPolicy) Observe(tid int, c fair.Candidate) {
-	s.mu.Lock()
-	s.observed = append(s.observed, c.ID)
-	if c.SF != nil {
-		s.sawSF = true
-	}
-	s.mu.Unlock()
-	if ob, ok := s.inner.(fair.Observer); ok {
-		ob.Observe(tid, c)
-	}
 }
 
 func (s *spyPolicy) Retire(id uint64) {
@@ -65,11 +57,22 @@ func (s *spyPolicy) Retire(id uint64) {
 	}
 }
 
-// TestRegistryPolicyHooks drives the single→multi tenant transition the
-// fast-path bug hid from the policy: a lone loop must reach the policy
-// through Observe (the fast path bypasses Pick), a second concurrent tenant
-// must force a real Pick over both candidates, and each barrier release
-// must Retire its loop ID so cursor state cannot leak.
+// lonePick reports whether some Pick offered loop id as its only candidate,
+// and whether one such offer carried a live SF table (caller holds s.mu).
+func (s *spyPolicy) lonePick(id uint64) (seen, withSF bool) {
+	for _, p := range s.picked {
+		if len(p.ids) == 1 && p.ids[0] == id {
+			seen = true
+			withSF = withSF || p.sf[0]
+		}
+	}
+	return seen, withSF
+}
+
+// TestRegistryPolicyHooks drives the single→multi tenant transition through
+// the policy: a lone loop is offered to Pick as the only candidate, a second
+// concurrent tenant forces a Pick over both, and each barrier release
+// Retires its loop ID so cursor state cannot leak.
 func TestRegistryPolicyHooks(t *testing.T) {
 	spy := newSpyPolicy()
 	reg, err := NewRegistry(RegistryConfig{NThreads: 4, Policy: spy})
@@ -81,7 +84,7 @@ func TestRegistryPolicyHooks(t *testing.T) {
 	// Loop A blocks in its body until loop B has been admitted, so both are
 	// runnable together and the post-gate re-pick sees two candidates. B is
 	// only submitted once a worker is inside A's body — i.e. after a pick
-	// that saw A as the lone candidate — so the fast path provably ran.
+	// that saw A as the lone candidate.
 	gate := make(chan struct{})
 	var started atomic.Int32
 	a, err := reg.Submit(LoopRequest{N: 64, Schedule: Schedule{Kind: KindDynamic, Chunk: 4},
@@ -104,18 +107,12 @@ func TestRegistryPolicyHooks(t *testing.T) {
 
 	spy.mu.Lock()
 	defer spy.mu.Unlock()
-	sawA := false
-	for _, id := range spy.observed {
-		if id == a.ID() {
-			sawA = true
-		}
-	}
-	if !sawA {
-		t.Error("single-candidate fast path never reached the policy via Observe")
+	if seen, _ := spy.lonePick(a.ID()); !seen {
+		t.Error("no Pick offered the lone loop as its only candidate")
 	}
 	both := false
-	for _, ids := range spy.picked {
-		if len(ids) == 2 {
+	for _, p := range spy.picked {
+		if len(p.ids) == 2 {
 			both = true
 		}
 	}
@@ -134,7 +131,7 @@ func TestRegistryPolicyHooks(t *testing.T) {
 // TestRegistryLiveSFMidRun pins the tentpole's observability claim on the
 // real engine: an AID loop's SF estimate must be pollable through
 // Loop.LiveSF while the loop is still executing — not only at retirement —
-// and the fast-path Observe grants must carry it to the policy.
+// and a one-candidate Pick of that loop must carry it to the policy.
 func TestRegistryLiveSFMidRun(t *testing.T) {
 	spy := newSpyPolicy()
 	reg, err := NewRegistry(RegistryConfig{NThreads: 4, Policy: spy})
@@ -170,10 +167,12 @@ poll:
 		}
 	}
 	// A lone tenant is picked once (unbounded burst), before sampling has
-	// published anything. Admitting a second tenant now forces every worker
-	// back through Pick, where the AID loop's candidate must carry the
-	// estimate we just observed.
-	l2, err := reg.Submit(LoopRequest{N: 100, Schedule: Schedule{Kind: KindDynamic},
+	// published anything. Admitting a second tenant ends every grant. An
+	// empty one retires each worker at its first call, so a worker still
+	// inside the AID loop's allotment, whose round-robin turn goes to the
+	// newcomer first, comes back to a one-candidate Pick of the AID loop,
+	// which must carry the estimate we just observed.
+	l2, err := reg.Submit(LoopRequest{N: 0, Schedule: Schedule{Kind: KindDynamic},
 		Body: func(_ int, _, _ int64) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +190,8 @@ poll:
 	}
 	spy.mu.Lock()
 	defer spy.mu.Unlock()
-	if !spy.sawSF {
-		t.Error("no candidate handed to the policy carried a live SF estimate")
+	if _, withSF := spy.lonePick(l.ID()); !withSF {
+		t.Error("no one-candidate Pick of the AID loop carried its live SF estimate")
 	}
 }
 

@@ -27,20 +27,20 @@ type workspace struct {
 	// loops.
 	scheds []core.Scheduler
 
+	// fleet holds the runnable loops, the retirements and the policy's picks;
+	// loop li lives in slot li, under ID li.
+	fleet *fair.Fleet
+
 	coreOf, typeOf, activeInCluster []int
 	arrive                          []int64
-	order, open                     []int
-	weights, nretired               []int
+	order                           []int
 	speed                           []float64
 	lastHi                          []int64
-	retired                         []bool
 	liveSF                          [][]float64
 	engaged, engagedTotal           []int
 	clock                           []int64
 	cur, burst, owed                []int
 	migrations                      []Migration
-	cands                           []fair.Candidate
-	candLoop                        []int
 }
 
 // newWorkspace checks cfg and returns an empty workspace for calls under it;
@@ -50,7 +50,7 @@ func newWorkspace(cfg Config) (*workspace, error) {
 		return nil, err
 	}
 	pl, nt, binding := cfg.Platform, cfg.NThreads, cfg.Binding
-	return &workspace{
+	ws := &workspace{
 		cfg: cfg,
 		info: core.LoopInfo{
 			NThreads: nt,
@@ -58,24 +58,14 @@ func newWorkspace(cfg Config) (*workspace, error) {
 			TypeOf:   func(tid int) int { return pl.ClusterOf(pl.CoreOf(tid, nt, binding)) },
 			TypeDist: pl.TypeDist(),
 		},
-	}, nil
+	}
+	ws.fleet = fair.NewFleet(nil, nt, func(li int) []float64 { return ws.liveSF[li] })
+	return ws, nil
 }
 
 // forgetSchedulers makes the next call build its schedulers with the
 // configured factory: the loops it runs are not the previous call's.
 func (ws *workspace) forgetSchedulers() { clear(ws.scheds) }
-
-// admit enters loop li into the open list, which stays in ascending order
-// whatever order the loops arrive in; release takes it out again.
-func (ws *workspace) admit(li int) {
-	at, _ := slices.BinarySearch(ws.open, li)
-	ws.open = slices.Insert(ws.open, at, li)
-}
-
-func (ws *workspace) release(li int) {
-	at, _ := slices.BinarySearch(ws.open, li)
-	ws.open = slices.Delete(ws.open, at, at+1)
-}
 
 // sized returns s with length n and every element zero, in s's own storage
 // when that is large enough.
@@ -153,11 +143,11 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 	if len(ws.scheds) != nl {
 		ws.scheds = make([]core.Scheduler, nl)
 	}
-	ws.arrive, ws.weights = sized(ws.arrive, nl), sized(ws.weights, nl)
+	ws.arrive = sized(ws.arrive, nl)
 	ws.speed, ws.lastHi = sized(ws.speed, nl*nt), sized(ws.lastHi, nl*nt)
-	ws.retired, ws.nretired = sized(ws.retired, nl*nt), sized(ws.nretired, nl)
-	scheds, arrive, weights := ws.scheds, ws.arrive, ws.weights
-	speed, lastHi, retired, nretired := ws.speed, ws.lastHi, ws.retired, ws.nretired
+	scheds, arrive, speed, lastHi := ws.scheds, ws.arrive, ws.speed, ws.lastHi
+	fleet := ws.fleet
+	fleet.Reset(policy)
 	// liveSF[li] is loop li's most recently published SF table (nil until the
 	// scheduler's estimate stabilizes). It is fed to the fairness policy on
 	// every pick — the mid-run view, not a retirement-only statistic — and
@@ -198,7 +188,6 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		if !team && spec.Arrive > startNs {
 			arrive[li], stamp = spec.Arrive, spec.Arrive
 		}
-		weights[li] = max(spec.Weight, 1)
 		res := &results[li]
 		*res = LoopResult{
 			Start:          arrive[li],
@@ -243,12 +232,13 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 	}
 	// now never goes back (the loop below always advances the earliest
 	// clock), so the loops admitted by now are a prefix of order, the loop
-	// indices by arrival stamp. open lists, ascending, the admitted loops whose
-	// barrier has not released: the only ones a worker can be handed, so a
-	// pick costs what is in flight, not what the run holds. The loops admitted
-	// at the start are behind the cursor before any grant.
-	ws.order, ws.open = sized(ws.order, nl), ws.open[:0]
+	// indices by arrival stamp. Only the fleet's runnable loops — admitted,
+	// barrier not released — are offered to a worker, so a pick costs what is
+	// in flight, not what the run holds. The loops admitted at the start are
+	// behind the cursor before any grant.
+	ws.order = sized(ws.order, nl)
 	order := ws.order
+	admit := func(li int) { fleet.Admit(li, uint64(li), specs[li].Weight) }
 	for li := range order {
 		order[li] = li
 	}
@@ -257,7 +247,7 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 	}
 	arrived := 0
 	for ; arrived < nl && arrive[order[arrived]] <= startNs; arrived++ {
-		ws.admit(order[arrived])
+		admit(order[arrived])
 	}
 
 	// Worker state: virtual clock, the loop currently served (-1 between
@@ -327,7 +317,7 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		// generation: an unbounded single-tenant burst must yield the moment
 		// a second tenant shows up).
 		for ; arrived < nl && arrive[order[arrived]] <= now; arrived++ {
-			ws.admit(order[arrived])
+			admit(order[arrived])
 			clear(burst)
 		}
 
@@ -359,7 +349,7 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 			}
 			setSpeeds()
 			for li, s := range scheds {
-				if m, isMig := s.(core.Migratable); isMig && !retired[li*nt+tid] {
+				if m, isMig := s.(core.Migratable); isMig && !fleet.Retired(li, tid) {
 					m.Migrate(tid, to, now)
 				}
 			}
@@ -369,21 +359,13 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		// is used up.
 		li := cur[tid]
 		if li < 0 || burst[tid] <= 0 {
-			cands, candLoop := ws.cands[:0], ws.candLoop[:0]
-			for _, i := range ws.open {
-				if !retired[i*nt+tid] {
-					cands = append(cands, fair.Candidate{ID: uint64(i), Weight: weights[i],
-						CoreType: typeOf[tid], SF: liveSF[i]})
-					candLoop = append(candLoop, i)
-				}
-			}
-			ws.cands, ws.candLoop = cands, candLoop // keep what they grew to
-			if len(cands) == 0 {
+			var ok bool
+			if li, burst[tid], ok = fleet.Grant(tid, typeOf[tid]); !ok {
 				// Nothing runnable yet (so the worker is between loops):
 				// idle forward to the next arrival. One must exist —
 				// owed[tid] > 0 and every arrived loop that still owes this
-				// worker a retirement is open, so would have been a candidate
-				// — and no loop retires a worker before it arrives.
+				// worker a retirement is runnable, so would have been a
+				// candidate — and no loop retires a worker before it arrives.
 				next := arrive[order[arrived]]
 				if cfg.Trace != nil {
 					cfg.Trace.Add(tid, now, next, trace.Sync)
@@ -391,13 +373,7 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 				clock[tid] = next
 				continue
 			}
-			idx, n := policy.Pick(tid, cands)
-			if idx < 0 || idx >= len(cands) {
-				idx = 0
-			}
-			li = candLoop[idx]
 			setCur(tid, li)
-			burst[tid] = max(n, 1)
 		}
 		burst[tid]--
 
@@ -458,18 +434,15 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		// worker cannot leak an engaged slot forever.
 		res.Finish[tid] = schedEnd
 		setCur(tid, -1)
-		retired[li*nt+tid] = true
-		nretired[li]++
 		if owed[tid]--; owed[tid] == 0 {
 			clock[tid] = math.MaxInt64
 			live--
 		}
-		if nretired[li] < nt {
+		if !fleet.Retire(li, tid) {
 			continue
 		}
 		// This loop's barrier releases at the last retirement, plus the
 		// join half of the fork/join cost in team mode.
-		ws.release(li)
 		maxFinish := slices.Max(res.Finish)
 		res.End = maxFinish + joinNs
 		if est, isEst := scheds[li].(core.SFEstimator); isEst {
@@ -500,8 +473,6 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 				res.ClusterEnergyJ[typeOf[w]] += j
 				res.EnergyJ += j
 			}
-		} else if rp, isRet := policy.(fair.Retirer); isRet {
-			rp.Retire(uint64(li)) // drop cursors naming the finished loop
 		}
 		if cfg.Recorder != nil && res.SFEstimate != nil {
 			cfg.Recorder.SFSample(trace.SFSample{TimeNs: res.End, Loop: li, SF: slices.Clone(res.SFEstimate)})

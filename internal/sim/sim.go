@@ -20,8 +20,8 @@
 // time, in this order: admits the loops whose arrival stamp has passed,
 // delivers the worker's due migrations (the thread observes the OS signal
 // when it next enters the runtime, §4.3; every scheduler that has not yet
-// retired the worker is told), asks the fairness policy for a loop if the
-// worker's grant is used up, and makes one runtime call — Scheduler.Next on
+// retired the worker is told), asks the fleet for a grant if the worker's
+// current one is used up, and makes one runtime call — Scheduler.Next on
 // the served loop. The worker's clock then advances past the call's
 // overhead and the granted chunk's execution, so time never runs backwards
 // and an event's effects are visible to every later event.
@@ -40,14 +40,16 @@
 // # Team and fleet
 //
 // The engine has two modes, told apart by what the caller asks for, not by
-// an option. RunLoop runs a fork/join team: one loop, every worker forked
-// onto it at the start (half of ForkJoinNs before the first runtime call,
-// the other half after the last retirement), the fairness policy never
-// consulted. RunLoops runs a persistent fleet, the model of rt.Registry:
-// no fork/join cost, loops admitted at their arrival stamps, workers handed
-// between runnable loops by a fair.Policy in bursts, a worker with nothing
-// runnable idling forward to the next arrival, and each loop's barrier
-// releasing at its own last retirement.
+// an option. Both keep their loops in a fair.Fleet, the machine rt.Registry
+// drives too: it knows which loops are runnable and who has retired from
+// each, asks the policy for every grant, and releases a loop's barrier at
+// its last retirement. RunLoop runs a fork/join team: one loop, every worker
+// forked onto it at the start (half of ForkJoinNs before the first runtime
+// call, the other half after the last retirement), no grant ever asked for.
+// RunLoops runs a persistent fleet, the model of rt.Registry: no fork/join
+// cost, loops admitted at their arrival stamps, workers granted runnable
+// loops in bursts, a worker with nothing runnable idling forward to the
+// next arrival.
 //
 // The modes differ in who counts as engaged on a loop's pool lines at the
 // start, and that is the one difference in what a pool access costs. A
@@ -72,12 +74,12 @@
 // in one workspace (engine.go): the scheduler-facing loop description with its
 // TypeOf mapping, built once per Config; the platform's TypeDist matrix, which
 // amp.Platform builds once and everybody shares read-only; and some twenty
-// tables — placement, speeds, clocks, grants, engagement counts, the policy's
-// candidate scratch — which a call sizes on first use and clears, not
-// reallocates, afterwards. The workspace also remembers the schedulers of its
-// previous call, and re-arms one through core.Resettable instead of asking
-// the factory for another; a scheduler that cannot be re-armed (a replay
-// script, a test probe) comes from the factory every time.
+// tables — placement, speeds, clocks, grants, engagement counts, the fleet's
+// retirements and candidate scratch — which a call sizes on first use and
+// clears, not reallocates, afterwards. The workspace also remembers the
+// schedulers of its previous call, and re-arms one through core.Resettable
+// instead of asking the factory for another; a scheduler that cannot be
+// re-armed (a replay script, a test probe) comes from the factory every time.
 //
 // RunLoop and RunLoops make one call each and own a workspace for its
 // duration, so they pay for the tables once and give up nothing. RunProgram

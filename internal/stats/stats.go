@@ -105,10 +105,10 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
 }
 
-// RelGainPct returns the relative performance gain, in percent, of `next`
+// relGainPct returns the relative performance gain, in percent, of `next`
 // over `prev` where both are completion times (lower is better):
 // (prev/next - 1) * 100.
-func RelGainPct(prevTime, nextTime float64) float64 {
+func relGainPct(prevTime, nextTime float64) float64 {
 	return (prevTime/nextTime - 1) * 100
 }
 
@@ -140,7 +140,7 @@ func MeanGainPct(a, b []float64) float64 {
 	}
 	gains := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
-		gains = append(gains, RelGainPct(a[i], b[i]))
+		gains = append(gains, relGainPct(a[i], b[i]))
 	}
 	return Mean(gains)
 }

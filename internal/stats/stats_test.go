@@ -111,16 +111,16 @@ func TestMedian(t *testing.T) {
 
 func TestRelGainPct(t *testing.T) {
 	// next twice as fast as prev -> +100% gain.
-	if g := RelGainPct(10, 5); !almostEqual(g, 100, 1e-12) {
-		t.Errorf("RelGainPct(10,5) = %v, want 100", g)
+	if g := relGainPct(10, 5); !almostEqual(g, 100, 1e-12) {
+		t.Errorf("relGainPct(10,5) = %v, want 100", g)
 	}
 	// no change -> 0%.
-	if g := RelGainPct(7, 7); !almostEqual(g, 0, 1e-12) {
-		t.Errorf("RelGainPct(7,7) = %v, want 0", g)
+	if g := relGainPct(7, 7); !almostEqual(g, 0, 1e-12) {
+		t.Errorf("relGainPct(7,7) = %v, want 0", g)
 	}
 	// regression -> negative.
-	if g := RelGainPct(5, 10); !almostEqual(g, -50, 1e-12) {
-		t.Errorf("RelGainPct(5,10) = %v, want -50", g)
+	if g := relGainPct(5, 10); !almostEqual(g, -50, 1e-12) {
+		t.Errorf("relGainPct(5,10) = %v, want -50", g)
 	}
 }
 

@@ -217,10 +217,10 @@ func (r *Record) Trace() *Trace {
 	return t
 }
 
-// TimelineOf flattens a timeline into its serializable form (threads in
+// timelineOf flattens a timeline into its serializable form (threads in
 // order, intervals in time order — the canonical layout DecodeJSONL
 // produces).
-func TimelineOf(t *Trace) []IntervalRecord {
+func timelineOf(t *Trace) []IntervalRecord {
 	if t == nil {
 		return nil
 	}

@@ -250,8 +250,8 @@ func TestRecordTraceReconstruction(t *testing.T) {
 		t.Errorf("reconstructed Running time = %d, want 700", got)
 	}
 	// Flattening the reconstructed trace must reproduce the section.
-	if got := TimelineOf(tr); !reflect.DeepEqual(got, r.Timeline) {
-		t.Errorf("TimelineOf(Trace()) = %+v, want %+v", got, r.Timeline)
+	if got := timelineOf(tr); !reflect.DeepEqual(got, r.Timeline) {
+		t.Errorf("timelineOf(Trace()) = %+v, want %+v", got, r.Timeline)
 	}
 	r.Timeline = nil
 	if r.Trace() != nil {

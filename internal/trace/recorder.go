@@ -133,7 +133,7 @@ func (t *WorkerTape) Reserve(nEvents int) {
 
 // AttachTimeline stores the per-thread timeline.
 func (r *Recorder) AttachTimeline(t *Trace) {
-	r.rec.Timeline = TimelineOf(t)
+	r.rec.Timeline = timelineOf(t)
 }
 
 // EndRun finalizes the record with the run's makespan.
