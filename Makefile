@@ -1,8 +1,11 @@
 # CI entry points for the conf_icpp_SaezCP20 reproduction.
 #
 #   make ci      - everything a PR must pass: vet (go vet, gofmt -l .
-#                  listing no file, no Go benchmark outside bench/, and no
-#                  policy call in rt or sim outside fair.Fleet),
+#                  listing no file, no Go benchmark outside bench/, no
+#                  policy call in rt or sim outside fair.Fleet, and no
+#                  imbalance function or timeline TimeIn read outside
+#                  internal/trace, whose Record.Digest is the one per-thread
+#                  busy/sched/sync walk),
 #                  build, the whole suite (plain, plus the
 #                  lock-free layers and the figure sweeps under -race), the
 #                  multi-loop conformance/race suite under -race -count=2,
@@ -65,14 +68,17 @@ GO ?= go
 ci: vet build race race-multiloop examples
 
 # gofmt -l prints the files it would rewrite, and git grep every test file,
-# tracked or not, that declares a benchmark outside bench/, and every line of
-# the two engines' code that calls a fairness policy itself instead of through
-# fair.Fleet; grep passes them on and makes any such line a failure.
+# tracked or not, that declares a benchmark outside bench/, every line of the
+# two engines' code that calls a fairness policy itself instead of through
+# fair.Fleet, and every non-test Go line outside internal/trace that defines
+# an imbalance function or sums a timeline state with TimeIn; grep passes
+# them on and makes any such line a failure.
 vet:
 	$(GO) vet ./...
 	! gofmt -l . | grep .
 	! git grep --untracked -l '^func Benchmark' -- '*_test.go' ':!bench/' | grep .
 	! git grep --untracked -nE '\.Pick\(|fair\.Retirer' -- internal/rt internal/sim ':!*_test.go' | grep .
+	! git grep --untracked -nE 'func .*[Ii]mbalance|TimeIn\(' -- '*.go' ':!internal/trace' ':!*_test.go' | grep .
 
 build:
 	$(GO) build ./...

@@ -79,7 +79,6 @@ func main() {
 	shed := flag.Bool("shed", true, "when the pending queue is full, shed the arrival; false blocks the submitter (backpressure)")
 	sample := flag.Int("sample", 0, "capture every Nth admitted loop for the run record (0 = off, real mode)")
 	sampleBudget := flag.Int("sample-budget", 256, "per-loop event budget of sampled captures (0 = unbounded)")
-	sampleHead := flag.Int("sample-head", 0, "head-retention share of -sample-budget (0 = half)")
 	recordPath := flag.String("record", "", "write the sampled run record as JSONL to this path (real mode, needs -sample)")
 	metricsAddr := flag.String("metrics", "", "serve live runtime metrics in Prometheus text format on this address (real mode, e.g. :9090)")
 	metricsInterval := flag.Duration("metrics-interval", 0, "print a one-line service summary to stderr at this period (real mode, 0 = off)")
@@ -94,7 +93,7 @@ func main() {
 		err = serve(serveOpts{
 			kind: *arrivals, rate: *rate, duration: *duration, seed: *seed,
 			classesCSV: *classesCSV, maxPending: *maxPending, shed: *shed,
-			sampleEvery: *sample, sampleBudget: *sampleBudget, sampleHead: *sampleHead,
+			sampleEvery: *sample, sampleBudget: *sampleBudget,
 			recordPath: *recordPath, metricsAddr: *metricsAddr, metricsInterval: *metricsInterval,
 			iters: *iters, threads: *threads, pl: pl, schedText: *schedText,
 			policyName: *policyName, spin: *spin, virtual: *virtual,
@@ -307,7 +306,6 @@ type serveOpts struct {
 	shed         bool
 	sampleEvery  int
 	sampleBudget int
-	sampleHead   int
 	recordPath   string
 
 	metricsAddr     string        // Prometheus endpoint address ("" = off)
@@ -577,7 +575,6 @@ func serveReal(o serveOpts, classes []fair.Class, sched rt.Schedule, policy fair
 			req.Capture = true
 			req.CaptureCompact = true
 			req.CaptureMaxEvents = o.sampleBudget
-			req.CaptureHead = o.sampleHead
 		}
 		h, err := reg.Submit(req)
 		if err != nil {

@@ -2,9 +2,11 @@
 // reads a serialized run record (the JSONL produced by aidtrace -record,
 // aidserve -record or the Recorder API) and reports how the run actually
 // behaved — per-thread utilization with a Gantt strip, the load-imbalance
-// figure, the steal matrix bucketed by topology tier, and each loop's phase
-// transitions and SF trajectory. It can also convert records for interactive
-// inspection in chrome://tracing or Perfetto.
+// figure (100·(max − min)/max of the threads' busy times, the number
+// aidtrace -diff and the trace footers print), the steal matrix bucketed by
+// topology tier, and each loop's phase transitions and SF trajectory. It can
+// also convert records for interactive inspection in chrome://tracing or
+// Perfetto.
 //
 // Usage:
 //

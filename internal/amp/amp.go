@@ -36,9 +36,9 @@
 // A platform file is the JSON encoding produced by Platform.EncodeJSON: an
 // object with "Name" (string), "Clusters" (ordered big-first; each cluster
 // carries its CoreType, NumCores, LLCMB, MissSlope, SatGBps and Package) and
-// "Overhead" (the runtime cost constants). DecodeJSON/LoadFile rebuild the
-// platform through New — which fills defaulted energy and tiered-locality
-// fields — and reject files that fail Validate (zero-core clusters,
+// "Overhead" (the runtime cost constants). LoadFile rebuilds the platform
+// through New — which fills defaulted energy and tiered-locality fields —
+// and rejects files that fail Validate (zero-core clusters,
 // non-finite frequencies, clusters not ordered big-first, ...).
 package amp
 
@@ -312,7 +312,7 @@ func (p *Platform) TypeDist() [][]int { return p.dist }
 // non-finite or non-positive rates, duty cycles outside (0,1], negative
 // overheads, and clusters not ordered big-first (New's flattening convention
 // requires cluster 0 to be the fastest). New performs only the structural
-// checks; DecodeJSON and the registry run Validate on top.
+// checks; LoadFile and the registry run Validate on top.
 func (p *Platform) Validate() error {
 	if len(p.Clusters) == 0 {
 		return fmt.Errorf("amp: platform %q has no clusters", p.Name)

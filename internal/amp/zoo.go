@@ -26,10 +26,10 @@ func (p *Platform) EncodeJSON() ([]byte, error) {
 	return json.MarshalIndent(platformFile{Name: p.Name, Clusters: p.Clusters, Overhead: p.Overhead}, "", "  ")
 }
 
-// DecodeJSON parses a platform file, rebuilds the platform through New
+// decodeJSON parses a platform file, rebuilds the platform through New
 // (which fills defaulted energy/locality fields) and rejects descriptions
 // that fail Validate.
-func DecodeJSON(data []byte) (*Platform, error) {
+func decodeJSON(data []byte) (*Platform, error) {
 	var pf platformFile
 	if err := json.Unmarshal(data, &pf); err != nil {
 		return nil, fmt.Errorf("amp: parsing platform file: %w", err)
@@ -44,13 +44,13 @@ func DecodeJSON(data []byte) (*Platform, error) {
 	return p, nil
 }
 
-// LoadFile reads a platform file from disk (see DecodeJSON).
+// LoadFile reads a platform file from disk (see decodeJSON).
 func LoadFile(path string) (*Platform, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("amp: reading platform file: %w", err)
 	}
-	p, err := DecodeJSON(data)
+	p, err := decodeJSON(data)
 	if err != nil {
 		return nil, fmt.Errorf("amp: %s: %w", path, err)
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // FuzzDecodePlatform: a platform file is outside input (-platform <path>), so
-// DecodeJSON must never panic nor allocate by a number in the file, and what
+// decodeJSON must never panic nor allocate by a number in the file, and what
 // it accepts must be a platform the rest of the tree can use: it passes
-// Validate, and it survives EncodeJSON -> DecodeJSON unchanged, derived
+// Validate, and it survives EncodeJSON -> decodeJSON unchanged, derived
 // tables included (New's defaults are idempotent).
 func FuzzDecodePlatform(f *testing.F) {
 	for _, name := range Names() {
@@ -36,29 +36,29 @@ func FuzzDecodePlatform(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeJSON(data)
+		p, err := decodeJSON(data)
 		if err != nil {
 			if p != nil {
-				t.Fatalf("DecodeJSON failed (%v) but returned %+v", err, p)
+				t.Fatalf("decodeJSON failed (%v) but returned %+v", err, p)
 			}
 			return
 		}
 		if err := p.Validate(); err != nil {
-			t.Fatalf("DecodeJSON accepted a platform Validate refuses: %v", err)
+			t.Fatalf("decodeJSON accepted a platform Validate refuses: %v", err)
 		}
 		if p.NumCores() < 1 || p.NumCores() > maxCores {
-			t.Fatalf("DecodeJSON accepted a platform of %d cores", p.NumCores())
+			t.Fatalf("decodeJSON accepted a platform of %d cores", p.NumCores())
 		}
 		again, err := p.EncodeJSON()
 		if err != nil {
 			t.Fatalf("encoding an accepted platform: %v", err)
 		}
-		q, err := DecodeJSON(again)
+		q, err := decodeJSON(again)
 		if err != nil {
 			t.Fatalf("decoding a re-encoded platform: %v\n%s", err, again)
 		}
 		if !reflect.DeepEqual(p, q) {
-			t.Fatalf("EncodeJSON -> DecodeJSON changed the platform:\n%+v\nvs\n%+v", p, q)
+			t.Fatalf("EncodeJSON -> decodeJSON changed the platform:\n%+v\nvs\n%+v", p, q)
 		}
 	})
 }

@@ -82,7 +82,7 @@ func TestPlatformJSONRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		q, err := DecodeJSON(data)
+		q, err := decodeJSON(data)
 		if err != nil {
 			t.Fatalf("decode: %v\n%s", err, data)
 		}
@@ -163,11 +163,11 @@ func TestValidateRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeJSON(data); err == nil {
-		t.Fatal("DecodeJSON accepted a zero-core cluster")
+	if _, err := decodeJSON(data); err == nil {
+		t.Fatal("decodeJSON accepted a zero-core cluster")
 	}
-	if _, err := DecodeJSON([]byte("not json")); err == nil {
-		t.Fatal("DecodeJSON accepted garbage")
+	if _, err := decodeJSON([]byte("not json")); err == nil {
+		t.Fatal("decodeJSON accepted garbage")
 	}
 }
 

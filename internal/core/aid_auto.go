@@ -154,23 +154,10 @@ func (a *AIDAuto) take(tid int, st *perThread, n int64, asg *Assign) (Assign, bo
 // decide computes the SF table and the cross-thread CV of type-normalized
 // per-iteration times, then locks in the variant.
 func (a *AIDAuto) decide() {
-	// Per-type means (the SF estimate, identical to AID-static's).
-	slowest := 0.0
+	sampledSF(a.sc, a.sf) // the SF estimate, identical to AID-static's
 	typeAvg := a.typeAvg
-	for t := 0; t < a.info.NumTypes; t++ {
-		if avg, ok := a.sc.Avg(t); ok {
-			typeAvg[t] = avg
-			if avg > slowest {
-				slowest = avg
-			}
-		}
-	}
-	for t := 0; t < a.info.NumTypes; t++ {
-		if typeAvg[t] > 0 && slowest > 0 {
-			a.sf[t] = slowest / typeAvg[t]
-		} else {
-			a.sf[t] = 1
-		}
+	for t := range typeAvg {
+		typeAvg[t], _ = a.sc.Avg(t)
 	}
 	// Cross-thread CV of normalized samples.
 	var n, sum, sumSq float64
@@ -206,13 +193,7 @@ func (a *AIDAuto) decide() {
 		}
 		return
 	}
-	denom := 0.0
-	for t, cnt := range a.counts {
-		denom += float64(cnt) * a.sf[t]
-	}
-	if denom > 0 {
-		a.k = a.pct * float64(a.info.NI) / denom
-	}
+	a.k = allotmentK(a.counts, a.sf, a.pct, a.info.NI)
 }
 
 // finalAssign mirrors AIDHybrid's single asymmetric allotment, claimed

@@ -268,31 +268,13 @@ func clampR(r float64) float64 {
 	return r
 }
 
-// slowestAvg returns the largest per-type average of the current sampling
-// counters (0 when no type has samples).
-func (a *AIDDynamic) slowestAvg() float64 {
-	slowest := 0.0
-	for t := 0; t < a.info.NumTypes; t++ {
-		if avg, ok := a.sc.Avg(t); ok && avg > slowest {
-			slowest = avg
-		}
-	}
-	return slowest
-}
-
 // computeInitialR derives R from the initial sampling counters exactly as
 // AID-static derives SF (per-iteration-normalized times) and publishes it.
 // Runs inside the single-threaded transition window of epoch 0.
 func (a *AIDDynamic) computeInitialR() []float64 {
-	r := a.rbuf[0]
-	slowest := a.slowestAvg()
+	r := sampledSF(a.sc, a.rbuf[0])
 	for t := range r {
-		avg, ok := a.sc.Avg(t)
-		if !ok || avg <= 0 || slowest <= 0 {
-			r[t] = 1
-			continue
-		}
-		r[t] = clampR(slowest / avg)
+		r[t] = clampR(r[t])
 	}
 	a.r.Store(&a.rbuf[0])
 	return r
@@ -315,15 +297,10 @@ func (a *AIDDynamic) computeInitialR() []float64 {
 func (a *AIDDynamic) smoothR(epoch uint32) []float64 {
 	old := *a.r.Load()
 	slot := &a.rbuf[epoch&1]
-	r := *slot
-	slowest := a.slowestAvg()
-	for t := range r {
-		r[t] = old[t]
-		avg, ok := a.sc.Avg(t)
-		if !ok || avg <= 0 || slowest <= 0 {
-			continue
-		}
-		sm := slowest / avg
+	// SM is the sampled SF of this phase's raw times; a type with no sample
+	// reads 1 and keeps its R (every R already passed clampR).
+	r := sampledSF(a.sc, *slot)
+	for t, sm := range r {
 		if !a.noSMClamp {
 			if sm < 2.0/3.0 {
 				sm = 2.0 / 3.0

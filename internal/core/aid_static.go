@@ -201,7 +201,7 @@ func (a *AIDHybrid) Reset(info LoopInfo) error {
 		return nil
 	}
 	copy(a.sf, a.offline)
-	a.k = a.computeK(a.sf, a.pct)
+	a.k = allotmentK(a.counts, a.sf, a.pct, a.info.NI)
 	a.phase.init(1, info.NThreads) // SF published; no sampling phase
 	return nil
 }
@@ -250,40 +250,38 @@ func (a *AIDHybrid) take(tid int, st *perThread, n int64, asg *Assign) (Assign, 
 	return st.takeCredit(a.ws, int(a.types[tid].Load()), n, asg)
 }
 
-// computeSF derives per-type SF values from the sampling counters: the
-// slowest core type (largest average per-iteration time) is the reference
-// with SF=1; every other type's SF is slowestAvg/typeAvg. Types with no
-// running threads keep SF=1; they receive no iterations anyway (N_t = 0).
-func (a *AIDHybrid) computeSF() []float64 {
-	sf := a.sf // Reset's table; no reader sees it before the epoch advances
+// sampledSF writes into sf, one entry per core type, the speedup factor the
+// sampling counters measure (§4.2): the slowest core type (largest average
+// per-iteration time) is the reference with SF=1, and every other type's SF
+// is slowestAvg/typeAvg. Types with no sample (no running threads) get
+// SF=1; they receive no iterations anyway (N_t = 0). Callers clamp.
+func sampledSF(sc *pool.SampleCounters, sf []float64) []float64 {
 	slowest := 0.0
-	for t := 0; t < a.info.NumTypes; t++ {
-		if avg, ok := a.sc.Avg(t); ok && avg > slowest {
+	for t := range sf {
+		if avg, ok := sc.Avg(t); ok && avg > slowest {
 			slowest = avg
 		}
 	}
-	for t := 0; t < a.info.NumTypes; t++ {
-		avg, ok := a.sc.Avg(t)
-		if !ok || avg <= 0 || slowest <= 0 {
-			sf[t] = 1
-			continue
+	for t := range sf {
+		sf[t] = 1
+		if avg, ok := sc.Avg(t); ok && avg > 0 && slowest > 0 {
+			sf[t] = slowest / avg
 		}
-		sf[t] = slowest / avg
 	}
 	return sf
 }
 
-// computeK evaluates k = pct·NI / Σ_t N_t·SF_t (§4.2, generalized to NC
-// core types).
-func (a *AIDHybrid) computeK(sf []float64, pct float64) float64 {
+// allotmentK evaluates k = pct·NI / Σ_t N_t·SF_t (§4.2, generalized to NC
+// core types): counts holds N_t, and 0 means no type can take a share.
+func allotmentK(counts []int, sf []float64, pct float64, ni int64) float64 {
 	denom := 0.0
-	for t, n := range a.counts {
+	for t, n := range counts {
 		denom += float64(n) * sf[t]
 	}
 	if denom <= 0 {
 		return 0
 	}
-	return pct * float64(a.info.NI) / denom
+	return pct * float64(ni) / denom
 }
 
 // finalAssign hands thread tid its single AID allotment: SF_j·k − δ_i
@@ -370,8 +368,8 @@ func (a *AIDHybrid) Next(tid int, nowNs int64) (Assign, bool) {
 			a.sc.Add(int(a.types[tid].Load()), perIter)
 			if a.phase.complete(0) {
 				// Last sampler: single-threaded transition window.
-				a.sf = a.computeSF()
-				a.k = a.computeK(a.sf, a.pct)
+				a.sf = sampledSF(a.sc, a.sf)
+				a.k = allotmentK(a.counts, a.sf, a.pct, a.info.NI)
 				if a.reweight && a.pct < 1 {
 					// Re-cut the pool before the final assignments claim
 					// their spans: the drain tail then serves each type

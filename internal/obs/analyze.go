@@ -7,22 +7,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Analysis is the offline digest of one run record (trace.Record): the
-// flight-recorder view aidstat prints. All times are on the producing
-// engine's clock (virtual ns for sim records, monotonic wall ns for rt).
+// Analysis is aidstat's view of one run record (trace.Record): the record's
+// digest (per-thread busy/sched/sync time, chunks, per-loop summaries, the
+// imbalance) plus provenance and the steals bucketed by topology tier.
 type Analysis struct {
+	trace.Digest
 	// Engine and Policy echo the record's provenance.
 	Engine, Policy string
-	// SpanNs is the analysis window: the recorded makespan when present,
-	// otherwise the extent of the event stream.
-	SpanNs int64
-	// StartNs is the window's origin on the record's clock.
-	StartNs int64
-	// Threads is the per-thread usage breakdown, indexed by tid.
-	Threads []ThreadUsage
-	// ImbalancePct is the paper's load-imbalance metric over the busy
-	// times: (1 - avg/max) * 100.
-	ImbalancePct float64
 	// TierCounts buckets every grant by provenance tier (Tier-indexed).
 	TierCounts [3]int64
 	// SharedGrants counts grants served from central (shared) pools —
@@ -32,45 +23,6 @@ type Analysis struct {
 	// `thief` claimed from cluster `origin`'s shard (shared-pool grants are
 	// excluded; the diagonal holds home-shard grants).
 	StealMatrix [][]int64
-	// Loops summarizes each recorded loop.
-	Loops []LoopSummary
-}
-
-// ThreadUsage is one worker's share of the recorded run.
-type ThreadUsage struct {
-	Tid int
-	// Type is the thread's home cluster (the Shard of its grants).
-	Type int
-	// BusyNs sums the thread's chunk execution times; UtilPct is BusyNs
-	// over the analysis span.
-	BusyNs  int64
-	UtilPct float64
-	// Chunks and Iters count the thread's grants and their iterations.
-	Chunks, Iters int64
-	// PoolAccesses sums the runtime-cost metadata of its scheduler calls.
-	PoolAccesses int64
-}
-
-// LoopSummary condenses one loop's recorded life.
-type LoopSummary struct {
-	Name      string
-	Scheduler string
-	NI        int64
-	// Iters counts recorded granted iterations (< NI when the producer
-	// compacted or trimmed the event stream).
-	Iters  int64
-	Chunks int64
-	// StartNs/EndNs bound the loop's recorded events.
-	StartNs, EndNs int64
-	// PhaseCounts tallies the scheduler's transitions by kind, and
-	// PhaseKinds lists the kinds in first-occurrence order.
-	PhaseCounts map[string]int
-	PhaseKinds  []string
-	// SFFirst and SFLast are the loop's first and last published SF tables
-	// (nil when the method estimates nothing) — the SF trajectory's
-	// endpoints; SFSamples counts the points between them.
-	SFFirst, SFLast []float64
-	SFSamples       int
 }
 
 // Analyze digests a run record. The record must be valid (decoded records
@@ -83,86 +35,24 @@ func Analyze(rec *trace.Record) (*Analysis, error) {
 	dist := pl.TypeDist()
 	ntypes := len(pl.Clusters)
 	a := &Analysis{
+		Digest:      rec.Digest(),
 		Engine:      rec.Engine,
 		Policy:      rec.Policy,
-		StartNs:     rec.StartNs,
-		SpanNs:      rec.MakespanNs,
-		Threads:     make([]ThreadUsage, rec.NThreads),
 		StealMatrix: make([][]int64, ntypes),
-		Loops:       make([]LoopSummary, len(rec.Loops)),
 	}
 	for t := range a.StealMatrix {
 		a.StealMatrix[t] = make([]int64, ntypes)
 	}
-	for tid := range a.Threads {
-		a.Threads[tid].Tid = tid
-	}
-	for i, l := range rec.Loops {
-		a.Loops[i] = LoopSummary{Name: l.Name, Scheduler: l.Scheduler, NI: l.NI,
-			StartNs: -1, PhaseCounts: make(map[string]int)}
-	}
-	var maxEnd int64
 	for _, ev := range rec.Events {
-		th := &a.Threads[ev.Tid]
-		th.Type = ev.Shard
-		th.PoolAccesses += int64(ev.PoolAccesses)
-		ls := &a.Loops[ev.Loop]
-		if ls.StartNs < 0 || ev.TimeNs < ls.StartNs {
-			ls.StartNs = ev.TimeNs
-		}
-		if end := ev.TimeNs + ev.ExecNs; end > ls.EndNs {
-			ls.EndNs = end
-		}
-		if end := ev.TimeNs + ev.ExecNs; end > maxEnd {
-			maxEnd = end
-		}
 		if ev.Retire {
 			continue
 		}
-		th.BusyNs += ev.ExecNs
-		th.Chunks++
-		th.Iters += ev.Hi - ev.Lo
-		ls.Chunks++
-		ls.Iters += ev.Hi - ev.Lo
 		a.TierCounts[Tier(dist, ev.Shard, ev.Origin)]++
 		if ev.Origin < 0 {
 			a.SharedGrants++
 		} else if ev.Shard < ntypes && ev.Origin < ntypes {
 			a.StealMatrix[ev.Shard][ev.Origin]++
 		}
-	}
-	if a.SpanNs <= 0 && maxEnd > a.StartNs {
-		a.SpanNs = maxEnd - a.StartNs
-	}
-	var maxBusy, sumBusy int64
-	for tid := range a.Threads {
-		th := &a.Threads[tid]
-		if a.SpanNs > 0 {
-			th.UtilPct = 100 * float64(th.BusyNs) / float64(a.SpanNs)
-		}
-		sumBusy += th.BusyNs
-		if th.BusyNs > maxBusy {
-			maxBusy = th.BusyNs
-		}
-	}
-	if maxBusy > 0 {
-		avg := float64(sumBusy) / float64(len(a.Threads))
-		a.ImbalancePct = (1 - avg/float64(maxBusy)) * 100
-	}
-	for _, p := range rec.Phases {
-		ls := &a.Loops[p.Loop]
-		if _, seen := ls.PhaseCounts[p.Kind]; !seen {
-			ls.PhaseKinds = append(ls.PhaseKinds, p.Kind)
-		}
-		ls.PhaseCounts[p.Kind]++
-	}
-	for _, s := range rec.SFSamples {
-		ls := &a.Loops[s.Loop]
-		if ls.SFFirst == nil {
-			ls.SFFirst = s.SF
-		}
-		ls.SFLast = s.SF
-		ls.SFSamples++
 	}
 	return a, nil
 }
@@ -190,7 +80,7 @@ func WriteReport(w io.Writer, rec *trace.Record, a *Analysis) error {
 		e.printf("t%-3d %-4d %12.3f %7.1f %8d %9d  %s\n",
 			th.Tid, th.Type, float64(th.BusyNs)/1e6, th.UtilPct, th.Chunks, th.Iters, strips[th.Tid])
 	}
-	e.printf("\nimbalance: %.1f%% (1 - avg/max busy)\n", a.ImbalancePct)
+	e.printf("\nimbalance: %.1f%% ((max−min)/max busy)\n", a.ImbalancePct)
 
 	e.printf("\nsteals by tier: home=%d same-pkg=%d cross-pkg=%d (shared-pool grants: %d)\n",
 		a.TierCounts[TierHome], a.TierCounts[TierSamePkg], a.TierCounts[TierCross], a.SharedGrants)

@@ -44,7 +44,7 @@ func ExportChrome(w io.Writer, rec *trace.Record) error {
 	}
 	us := func(ns int64) float64 { return float64(ns) / 1000.0 }
 	for _, ev := range rec.Events {
-		name := loopName(rec, ev.Loop)
+		name := rec.LoopName(ev.Loop)
 		if ev.Retire {
 			events = append(events, obj{
 				"name": "retire " + name, "cat": "retire", "ph": "i", "s": "t",
@@ -61,7 +61,7 @@ func ExportChrome(w io.Writer, rec *trace.Record) error {
 	}
 	for _, p := range rec.Phases {
 		events = append(events, obj{
-			"name": p.Kind + " " + loopName(rec, p.Loop), "cat": "phase", "ph": "i", "s": "t",
+			"name": p.Kind + " " + rec.LoopName(p.Loop), "cat": "phase", "ph": "i", "s": "t",
 			"ts": us(p.TimeNs), "pid": 1, "tid": p.Tid,
 			"args": obj{"epoch": p.Epoch},
 		})
@@ -72,7 +72,7 @@ func ExportChrome(w io.Writer, rec *trace.Record) error {
 			args[fmt.Sprintf("sf%d", t)] = v
 		}
 		events = append(events, obj{
-			"name": "SF " + loopName(rec, s.Loop), "cat": "sf", "ph": "C",
+			"name": "SF " + rec.LoopName(s.Loop), "cat": "sf", "ph": "C",
 			"ts": us(s.TimeNs), "pid": 1,
 			"args": args,
 		})
@@ -87,12 +87,4 @@ func ExportChrome(w io.Writer, rec *trace.Record) error {
 	}
 	_, err = w.Write([]byte("\n"))
 	return err
-}
-
-// loopName resolves an event's loop index to the recorded loop name.
-func loopName(rec *trace.Record, idx int) string {
-	if idx >= 0 && idx < len(rec.Loops) {
-		return rec.Loops[idx].Name
-	}
-	return fmt.Sprintf("loop-%d", idx)
 }

@@ -1,12 +1,16 @@
 // Package obs is the flight-recorder observability layer: always-on,
 // lock-free runtime metrics for both execution engines, plus the offline
-// analysis that turns a recorded trace.Record into per-thread utilization,
+// analysis that turns a recorded trace.Record into a utilization report,
 // steal matrices and Chrome trace-event exports.
 //
 // The live half is Metrics: one cache-line-sized counter Cell per worker,
 // updated on the engines' chunk-grant hot path and scraped at any time into
 // a Snapshot (e.g. by aidserve's -metrics Prometheus endpoint). The offline
-// half is Analyze/WriteReport/ExportChrome, the cmd/aidstat backend.
+// half is Analyze/WriteReport/ExportChrome, the cmd/aidstat backend. Analyze
+// adds only the steals by tier to the record's trace.Digest, which owns the
+// per-thread busy/sched/sync times, the per-loop summaries and the one
+// imbalance formula, 100·(max − min)/max busy — the same numbers
+// replay.Diff compares.
 //
 // # Counter invariants
 //

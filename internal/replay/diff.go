@@ -34,120 +34,40 @@ type Report struct {
 	Regressions int
 }
 
-// summary is the per-run digest Diff compares. Every field derives from
-// the record alone, so recorded and replayed runs diff uniformly.
-type summary struct {
-	makespan  float64
-	pool      float64
-	chunks    float64
-	runNs     []float64 // per thread
-	schedNs   []float64
-	syncNs    []float64
-	haveTimes bool // timeline-derived Sched/Sync available
-	finalSF   map[string][]float64
-	sfSamples map[string]int
-}
-
-func summarize(rec *trace.Record) *summary {
-	s := &summary{
-		makespan:  float64(rec.MakespanNs),
-		runNs:     make([]float64, rec.NThreads),
-		schedNs:   make([]float64, rec.NThreads),
-		syncNs:    make([]float64, rec.NThreads),
-		finalSF:   map[string][]float64{},
-		sfSamples: map[string]int{},
-	}
-	for _, ev := range rec.Events {
-		s.pool += float64(ev.PoolAccesses)
-		if !ev.Retire {
-			s.chunks++
-		}
-	}
-	if tr := rec.Trace(); tr != nil {
-		s.haveTimes = true
-		for tid := 0; tid < rec.NThreads; tid++ {
-			s.runNs[tid] = float64(tr.TimeIn(tid, trace.Running))
-			s.schedNs[tid] = float64(tr.TimeIn(tid, trace.Sched))
-			s.syncNs[tid] = float64(tr.TimeIn(tid, trace.Sync))
-		}
-	} else {
-		// No timeline (multi-loop records): derive Running from the
-		// per-event execution times; Sched/Sync are not comparable.
-		for _, ev := range rec.Events {
-			if !ev.Retire {
-				s.runNs[ev.Tid] += float64(ev.ExecNs)
-			}
-		}
-	}
-	for _, sf := range rec.SFSamples {
-		name := loopName(rec, sf.Loop)
-		s.finalSF[name] = sf.SF // samples are chronological; last wins
-		s.sfSamples[name]++
-	}
-	return s
-}
-
-func loopName(rec *trace.Record, li int) string {
-	if li >= 0 && li < len(rec.Loops) {
-		return rec.Loops[li].Name
-	}
-	return fmt.Sprintf("loop-%d", li)
-}
-
-// imbalancePct mirrors trace.Trace.ImbalancePct over per-thread Running
-// time: 100·(maxRun−minRun)/maxRun.
-func imbalancePct(runNs []float64) float64 {
-	minR, maxR := math.Inf(1), 0.0
-	for _, r := range runNs {
-		minR = math.Min(minR, r)
-		maxR = math.Max(maxR, r)
-	}
-	if maxR == 0 {
-		return 0
-	}
-	return 100 * (maxR - minR) / maxR
-}
-
-func sum(xs []float64) float64 {
-	t := 0.0
-	for _, x := range xs {
-		t += x
-	}
-	return t
-}
-
 // Diff compares two runs — a baseline and a candidate — into a regression
-// report. Cost metrics (makespan, pool traffic, chunk count, aggregate
-// Sched/Sync time, imbalance) regress when the candidate exceeds the
-// baseline by more than tolPct percent; per-loop final SF estimates regress
+// report over their digests (trace.Record.Digest). Cost metrics (makespan,
+// pool traffic, chunk count, aggregate busy and Sched time, imbalance)
+// regress when the candidate exceeds the baseline by more than tolPct
+// percent; per-loop final SF estimates regress
 // on drift beyond tolPct in either direction (a shifted estimate signals a
 // changed sampling pipeline even when the makespan survives). Two identical
 // runs — e.g. two exact replays of one record — always produce zero
 // regressions.
 func Diff(a, b *trace.Record, tolPct float64) *Report {
-	sa, sb := summarize(a), summarize(b)
+	da, db := a.Digest(), b.Digest()
+	ta, tb := da.Total(), db.Total()
 	rep := &Report{TolerancePct: tolPct}
 
-	costMetric := func(name string, va, vb float64) {
-		m := Metric{Name: name, A: va, B: vb, DeltaPct: deltaPct(va, vb)}
+	costMetric := func(name string, va, vb int64) {
+		m := Metric{Name: name, A: float64(va), B: float64(vb), DeltaPct: deltaPct(float64(va), float64(vb))}
 		m.Regression = vb > va && exceeds(m.DeltaPct, tolPct)
 		rep.Metrics = append(rep.Metrics, m)
 	}
-	costMetric("makespan_ns", sa.makespan, sb.makespan)
-	costMetric("pool_accesses", sa.pool, sb.pool)
-	costMetric("chunks", sa.chunks, sb.chunks)
-	costMetric("running_ns_total", sum(sa.runNs), sum(sb.runNs))
-	if sa.haveTimes && sb.haveTimes {
-		costMetric("sched_ns_total", sum(sa.schedNs), sum(sb.schedNs))
+	costMetric("makespan_ns", a.MakespanNs, b.MakespanNs)
+	costMetric("pool_accesses", ta.PoolAccesses, tb.PoolAccesses)
+	costMetric("chunks", ta.Chunks, tb.Chunks)
+	costMetric("running_ns_total", ta.BusyNs, tb.BusyNs)
+	if da.Timed && db.Timed {
+		costMetric("sched_ns_total", ta.SchedNs, tb.SchedNs)
 		// Sync time is informational only: where the idle time sits is
 		// already judged by makespan and imbalance — a schedule can
 		// lengthen the barrier wait in absolute terms while finishing
 		// sooner, which is an improvement, not a regression.
-		va, vb := sum(sa.syncNs), sum(sb.syncNs)
+		va, vb := float64(ta.SyncNs), float64(tb.SyncNs)
 		rep.Metrics = append(rep.Metrics, Metric{Name: "sync_ns_total", A: va, B: vb, DeltaPct: deltaPct(va, vb)})
 	}
 	// Imbalance is already a percentage; compare in absolute points.
-	ia, ib := imbalancePct(sa.runNs), imbalancePct(sb.runNs)
+	ia, ib := da.ImbalancePct, db.ImbalancePct
 	im := Metric{Name: "imbalance_pct", A: ia, B: ib, DeltaPct: ib - ia}
 	im.Regression = ib-ia > tolPct
 	rep.Metrics = append(rep.Metrics, im)
@@ -155,14 +75,16 @@ func Diff(a, b *trace.Record, tolPct float64) *Report {
 	// SF trajectory: final estimate per loop (per core type) plus sample
 	// count. Only loops present in both runs are comparable; names are
 	// sorted so the report is reproducible (map order is not).
-	names := make([]string, 0, len(sa.finalSF))
-	for name := range sa.finalSF {
+	finalA, samplesA := finalSF(da)
+	finalB, samplesB := finalSF(db)
+	names := make([]string, 0, len(finalA))
+	for name := range finalA {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		sfA := sa.finalSF[name]
-		sfB, ok := sb.finalSF[name]
+		sfA := finalA[name]
+		sfB, ok := finalB[name]
 		if !ok {
 			continue
 		}
@@ -172,9 +94,9 @@ func Diff(a, b *trace.Record, tolPct float64) *Report {
 			m.Regression = exceeds(m.DeltaPct, tolPct)
 			rep.Metrics = append(rep.Metrics, m)
 		}
+		na, nb := float64(samplesA[name]), float64(samplesB[name])
 		rep.Metrics = append(rep.Metrics, Metric{Name: fmt.Sprintf("sf_samples[%s]", name),
-			A: float64(sa.sfSamples[name]), B: float64(sb.sfSamples[name]),
-			DeltaPct: deltaPct(float64(sa.sfSamples[name]), float64(sb.sfSamples[name]))})
+			A: na, B: nb, DeltaPct: deltaPct(na, nb)})
 	}
 	for _, m := range rep.Metrics {
 		if m.Regression {
@@ -182,6 +104,20 @@ func Diff(a, b *trace.Record, tolPct float64) *Report {
 		}
 	}
 	return rep
+}
+
+// finalSF keys each estimating loop's last SF table and sample count by
+// loop name; loops that share a name pool their samples, and the later
+// loop's table wins.
+func finalSF(d trace.Digest) (map[string][]float64, map[string]int) {
+	final, samples := map[string][]float64{}, map[string]int{}
+	for _, l := range d.Loops {
+		if l.SFSamples > 0 {
+			final[l.Name] = l.SFLast
+			samples[l.Name] += l.SFSamples
+		}
+	}
+	return final, samples
 }
 
 func deltaPct(a, b float64) float64 {

@@ -16,8 +16,9 @@
 //     binding or thread count — answering "would AID-dynamic have beaten
 //     the schedule we ran in production?" without re-running production.
 //   - Diff compares two runs (recorded or replayed) into a regression
-//     report over makespan, per-thread Running/Sched/Sync, imbalance, pool
-//     traffic and the SF trajectory.
+//     report over makespan, busy/Sched/Sync time, imbalance, pool traffic
+//     and the SF trajectory — all read from the two records' trace.Digest,
+//     so a diff and aidstat's report agree on every number they share.
 //
 // # Worked example: record, what-if, diff
 //

@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/amp"
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // spinWork burns deterministic CPU time; the result is returned so the
@@ -223,3 +225,55 @@ func TestCrossEngineCoverageAllSchedules(t *testing.T) {
 }
 
 var _ = fmt.Sprintf // keep fmt for debug additions
+
+// TestGrantExecIsRunningTime pins the invariant trace.Record.Digest rests on:
+// in a record with a timeline, each thread's grants' ExecNs sum to its
+// timeline Running time, under both engines — an aidtrace-style simulator
+// record of EP under AID-dynamic, and a Team capture on real goroutines.
+func TestGrantExecIsRunningTime(t *testing.T) {
+	pl := amp.PlatformA()
+	sched := Schedule{Kind: KindAIDDynamic, Chunk: 1, Major: 5}
+	w, ok := workloads.ByName("EP")
+	if !ok {
+		t.Fatal("no EP workload")
+	}
+	recorder := trace.NewRecorder()
+	cfg := sim.Config{Platform: pl, NThreads: pl.NumCores(), Binding: amp.BindBS,
+		Factory: sched.Factory(), Trace: trace.New(pl.NumCores()), Recorder: recorder}
+	if _, err := sim.RunLoop(cfg, w.Program.Loops()[0], 0); err != nil {
+		t.Fatal(err)
+	}
+	team, err := NewTeam(TeamConfig{Platform: pl, NThreads: 4, Schedule: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtRec, _, err := team.RecordParallelFor("spin", 20000, func(_ int, lo, hi int64) { spinWork(int(hi - lo)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		engine string
+		rec    *trace.Record
+	}{{"sim", recorder.Record()}, {"rt", rtRec}} {
+		tr := c.rec.Trace()
+		if tr == nil {
+			t.Fatalf("%s: record has no timeline", c.engine)
+		}
+		busy := make([]int64, c.rec.NThreads)
+		for _, ev := range c.rec.Events {
+			if !ev.Retire {
+				busy[ev.Tid] += ev.ExecNs
+			}
+		}
+		var total int64
+		for tid, b := range busy {
+			if run := tr.TimeIn(tid, trace.Running); b != run {
+				t.Errorf("%s t%d: grants' ExecNs sum to %d, timeline Running is %d", c.engine, tid, b, run)
+			}
+			total += b
+		}
+		if total == 0 {
+			t.Errorf("%s: no thread was busy", c.engine)
+		}
+	}
+}

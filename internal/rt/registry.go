@@ -299,14 +299,10 @@ type LoopRequest struct {
 	CaptureCompact bool
 	// CaptureMaxEvents, with Capture, bounds the loop's merged event
 	// stream: when the (possibly compacted) stream exceeds it, the first
-	// CaptureHead events and the last CaptureMaxEvents-CaptureHead events
-	// are retained and the middle is dropped (trace.TrimToBudget). 0 means
-	// unbounded. The budget is applied after compaction, so it bounds what
-	// a record actually stores.
+	// and the last CaptureMaxEvents/2 events are retained and the middle is
+	// dropped (trace.TrimToBudget). 0 means unbounded. The budget is applied
+	// after compaction, so it bounds what a record actually stores.
 	CaptureMaxEvents int
-	// CaptureHead is the head-retention share of CaptureMaxEvents; 0
-	// selects half the budget.
-	CaptureHead int
 }
 
 // Loop is the handle of one admitted submission. Wait (or Done) observes
@@ -353,11 +349,10 @@ type Loop struct {
 	// a private tape appended only by worker tid (published like cells).
 	capture []paddedTape
 	startNs int64
-	// captureCompact/captureMax/captureHead are the sampled-capture
-	// reductions applied when the tapes merge (see LoopRequest).
+	// captureCompact/captureMax are the sampled-capture reductions applied
+	// when the tapes merge (see LoopRequest).
 	captureCompact bool
 	captureMax     int
-	captureHead    int
 
 	submitted time.Time
 	latency   time.Duration
@@ -367,9 +362,9 @@ type Loop struct {
 
 // workerCell is one worker's private counters for one loop: iterations
 // executed, pool accesses charged, and the worker's retirement time on the
-// fleet clock. finishNs is read only by finishMetrics and mergeCapture, both
-// observed paths, so an unobserved worker, which skips the clock reads
-// nothing else consumes, may leave a stale stamp there. Padded to exactly one
+// fleet clock. retire publishes finishNs only for an observed loop (metrics
+// or capture), so an unobserved worker, which skips the clock reads nothing
+// else consumes, may leave a stale stamp there. Padded to exactly one
 // cache line so neighbouring workers' per-chunk updates never contend; the
 // size is pinned by a layout test.
 type workerCell struct {
@@ -478,10 +473,6 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 		l.startNs = r.now()
 		l.captureCompact = req.CaptureCompact
 		l.captureMax = req.CaptureMaxEvents
-		l.captureHead = req.CaptureHead
-		if l.captureMax > 0 && l.captureHead <= 0 {
-			l.captureHead = l.captureMax / 2
-		}
 		// Pre-size the tapes from the schedule's chunk geometry so the
 		// capturing hot path appends into reserved space instead of
 		// growing its buffers mid-run.
@@ -907,20 +898,29 @@ func (r *Registry) retire(l *Loop, tid int) {
 		Iters:         make([]int64, len(l.cells)),
 		SchedulerName: l.sched.Name(),
 	}
+	// maxFinish is the barrier-release stamp: the last worker's retirement
+	// on the fleet clock. Only an observed loop's workers stamp finishNs, so
+	// only an observed loop publishes it.
+	var maxFinish int64
 	for tid := range l.cells {
-		l.stats.Iters[tid] = l.cells[tid].iters
-		l.stats.PoolAccesses += l.cells[tid].accesses
+		c := &l.cells[tid]
+		l.stats.Iters[tid] = c.iters
+		l.stats.PoolAccesses += c.accesses
+		maxFinish = max(maxFinish, c.finishNs)
 	}
 	if est, ok := l.sched.(core.SFEstimator); ok {
 		if sf, ready := est.SFEstimate(); ready {
 			l.stats.SFEstimate = sf
 		}
 	}
+	if l.metrics != nil || l.capture != nil {
+		l.stats.StartNs, l.stats.EndNs = l.startNs, maxFinish
+	}
 	if l.metrics != nil {
-		l.finishMetrics(r)
+		l.finishMetrics(r, maxFinish)
 	}
 	if l.capture != nil {
-		l.mergeCapture(r.nthreads)
+		l.mergeCapture(r.nthreads, maxFinish)
 	}
 	r.recycle(l)
 	close(l.done)
@@ -929,17 +929,11 @@ func (r *Registry) retire(l *Loop, tid int) {
 // finishMetrics folds the loop's counter cells into its published stats at
 // barrier release (under the registry lock, after every worker's retirement
 // — the quiescent-merge window of obs's counter invariants). Each worker's
-// barrier wait is charged as idle time against its cell, the pool's
-// reweight count is read once from the scheduler, and the snapshot is both
-// attached to LoopStats and accumulated into the registry's completed-loop
-// aggregate for MetricsSnapshot.
-func (l *Loop) finishMetrics(r *Registry) {
-	var maxFinish int64
-	for tid := range l.cells {
-		if fn := l.cells[tid].finishNs; fn > maxFinish {
-			maxFinish = fn
-		}
-	}
+// barrier wait, from its retirement to maxFinish, is charged as idle time
+// against its cell, the pool's reweight count is read once from the
+// scheduler, and the snapshot is both attached to LoopStats and accumulated
+// into the registry's completed-loop aggregate for MetricsSnapshot.
+func (l *Loop) finishMetrics(r *Registry, maxFinish int64) {
 	for tid := range l.cells {
 		if gap := maxFinish - l.cells[tid].finishNs; gap > 0 {
 			l.metrics.Cell(tid).Idle(gap)
@@ -950,10 +944,6 @@ func (l *Loop) finishMetrics(r *Registry) {
 	}
 	snap := l.metrics.Snapshot()
 	l.stats.Metrics = &snap
-	// Start/end on the fleet clock; mergeCapture overwrites with the same
-	// values when the loop was also captured.
-	l.stats.StartNs = l.startNs
-	l.stats.EndNs = maxFinish
 	r.retiredAgg = r.retiredAgg.Add(snap)
 }
 
@@ -989,13 +979,9 @@ func (r *Registry) MetricsEnabled() bool { return r.metrics != nil }
 // retirement published its tape). Sync time — each worker's wait between
 // its own retirement and the barrier release — is synthesized here, like
 // the simulator does at its implicit barrier.
-func (l *Loop) mergeCapture(nthreads int) {
-	var maxFinish int64
+func (l *Loop) mergeCapture(nthreads int, maxFinish int64) {
 	var nev, nph int
 	for tid := 0; tid < nthreads; tid++ {
-		if f := l.cells[tid].finishNs; f > maxFinish {
-			maxFinish = f
-		}
 		nev += len(l.capture[tid].Events)
 		nph += len(l.capture[tid].Phases)
 	}
@@ -1023,10 +1009,8 @@ func (l *Loop) mergeCapture(nthreads int) {
 	if l.captureCompact {
 		evs = trace.CompactEvents(evs)
 	}
-	evs = trace.TrimToBudget(evs, l.captureMax, l.captureHead)
+	evs = trace.TrimToBudget(evs, l.captureMax, l.captureMax/2)
 	sort.Sort(phaseEventOrder(phs))
-	l.stats.StartNs = l.startNs
-	l.stats.EndNs = maxFinish
 	l.stats.Trace = tr
 	l.stats.Events = evs
 	l.stats.Phases = phs

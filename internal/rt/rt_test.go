@@ -236,14 +236,6 @@ func TestParallelForEmptyLoop(t *testing.T) {
 	}
 }
 
-func TestTeamScheduleAccessor(t *testing.T) {
-	s := Schedule{Kind: KindAIDDynamic, Chunk: 2, Major: 6}
-	team, _ := NewTeam(TeamConfig{NThreads: 2, Schedule: s})
-	if got := team.Schedule(); got.Kind != s.Kind || got.Chunk != s.Chunk || got.Major != s.Major {
-		t.Errorf("Schedule() = %+v", got)
-	}
-}
-
 func TestScheduleStringsAreDistinct(t *testing.T) {
 	seen := map[string]bool{}
 	for _, s := range []Schedule{

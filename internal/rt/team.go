@@ -74,9 +74,6 @@ func NewTeam(cfg TeamConfig) (*Team, error) {
 // NThreads returns the worker count.
 func (t *Team) NThreads() int { return t.nthreads }
 
-// Schedule returns the team's configured schedule.
-func (t *Team) Schedule() Schedule { return t.schedule }
-
 // Slowdown returns worker tid's emulated slowdown factor (1 = big core).
 func (t *Team) Slowdown(tid int) float64 { return t.slowdown[tid] }
 

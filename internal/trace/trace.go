@@ -125,25 +125,11 @@ func (t *Trace) TimeIn(tid int, s State) int64 {
 	return sum
 }
 
-// ImbalancePct quantifies load imbalance as the percentage of total trace
-// time that the least-utilized thread spends not Running relative to the
-// most-utilized one: 100·(maxRun − minRun)/maxRun. A perfectly balanced
-// trace scores 0.
+// ImbalancePct is the load imbalance of the threads' Running times,
+// 100·(maxRun − minRun)/maxRun — the formula Record.Digest applies to busy
+// time. A perfectly balanced trace scores 0.
 func (t *Trace) ImbalancePct() float64 {
-	var minRun, maxRun int64 = -1, 0
-	for tid := range t.perThread {
-		r := t.TimeIn(tid, Running)
-		if minRun == -1 || r < minRun {
-			minRun = r
-		}
-		if r > maxRun {
-			maxRun = r
-		}
-	}
-	if maxRun == 0 {
-		return 0
-	}
-	return 100 * float64(maxRun-minRun) / float64(maxRun)
+	return imbalancePct(len(t.perThread), func(tid int) int64 { return t.TimeIn(tid, Running) })
 }
 
 // SchedOverheadPct returns the share of the aggregate thread-time spent in
