@@ -74,9 +74,10 @@ func run(w io.Writer) error {
 			sched, float64(res.TotalNs)/1e6, res.PoolAccesses)
 	}
 
-	// Show the decision AID-auto takes on each loop. RunProgram asks the
-	// factory once per loop phase, whatever the phase's Reps, so there is one
-	// scheduler, and one decision, per phase.
+	// Show the decision AID-auto takes on each loop. RunProgram asks a
+	// FactoryNamed once per loop phase, whatever the phase's Reps (a plain
+	// Factory once per program), so there is one scheduler, and one decision,
+	// per phase.
 	fmt.Fprintln(w, "\nAID-auto per-loop decisions:")
 	type decided struct {
 		loop  string

@@ -279,9 +279,10 @@ func ReadsClock(s Scheduler, tid int) bool {
 //   - An error (info fails Validate, or does not fit the configuration)
 //     leaves the scheduler unusable until a Reset succeeds.
 //
-// Engines that run a loop repeatedly (sim.RunProgram) use it to build one
-// scheduler per loop instead of one per repetition; schedulers from other
-// packages need not implement it and are then built anew each time.
+// Engines that run loops one after another use it to build one scheduler for
+// many executions: sim.RunProgram builds one per program (one per loop phase
+// under a per-loop factory) instead of one per execution. Schedulers from
+// other packages need not implement it and are then built anew each time.
 type Resettable interface {
 	Scheduler
 	Reset(info LoopInfo) error

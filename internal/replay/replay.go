@@ -186,9 +186,9 @@ func migrationsOf(rec *trace.Record) []sim.Migration {
 // grant scripts plus each worker's loop-visit order. Events are taken in
 // (TimeNs, Tid, Seq) order, which preserves every worker's recorded grant
 // sequence (Seq breaks wall-clock ties within a worker under rt records); a
-// simulator's record is in that order already and is read in place. Every
-// script is cut to its exact length from one array: a counting pass sizes
-// them before the filling pass.
+// simulator's record is in that order already and is read in place. A
+// counting pass sizes every script and visit list (carve) before the filling
+// pass.
 func scriptsOf(rec *trace.Record) (scheds []*scriptSched, visit [][]int) {
 	byTime := func(a, b trace.ChunkEvent) int {
 		if a.TimeNs != b.TimeNs {
@@ -211,25 +211,16 @@ func scriptsOf(rec *trace.Record) (scheds []*scriptSched, visit [][]int) {
 		perScript[evs[i].Loop*nt+evs[i].Tid]++
 		perWorker[evs[i].Tid]++
 	}
-	grants := make([]grant, len(evs))
+	scripts := carve[grant](perScript)
 	scheds = make([]*scriptSched, len(rec.Loops))
 	for li, l := range rec.Loops {
-		s := &scriptSched{
+		scheds[li] = &scriptSched{
 			name:      "replay(" + l.Scheduler + ")",
-			perThread: make([][]grant, nt),
+			perThread: scripts[li*nt : (li+1)*nt : (li+1)*nt],
 			pos:       make([]int, nt),
 		}
-		for tid := range s.perThread {
-			n := perScript[li*nt+tid]
-			s.perThread[tid], grants = grants[:0:n], grants[n:]
-		}
-		scheds[li] = s
 	}
-	visits := make([]int, len(evs))
-	visit = make([][]int, nt)
-	for tid, n := range perWorker {
-		visit[tid], visits = visits[:0:n], visits[n:]
-	}
+	visit = carve[int](perWorker)
 	for i := range evs {
 		ev := &evs[i]
 		s := scheds[ev.Loop]
@@ -241,6 +232,22 @@ func scriptsOf(rec *trace.Record) (scheds []*scriptSched, visit [][]int) {
 		visit[ev.Tid] = append(visit[ev.Tid], ev.Loop)
 	}
 	return scheds, visit
+}
+
+// carve returns len(counts) empty lists cut from one array, list i with room
+// for exactly counts[i] elements, so filling each by append allocates
+// nothing more and never reaches into its neighbour.
+func carve[T any](counts []int) [][]T {
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	all := make([]T, total)
+	lists := make([][]T, len(counts))
+	for i, n := range counts {
+		lists[i], all = all[:0:n], all[n:]
+	}
+	return lists
 }
 
 // Exact re-executes the recorded chunk assignments in virtual time and
@@ -325,12 +332,19 @@ func runConfigured(cfg sim.Config, rec *trace.Record, specs []sim.LoopSpec, poli
 
 // checkCoverage asserts the record's grant events tile each loop's
 // iteration space [0, NI) exactly once — the schedulers' exactly-once
-// guarantee, which a truncated or corrupted record file would violate.
+// guarantee, which a truncated or corrupted record file would violate. A
+// counting pass sizes each loop's span list (carve) before the filling pass.
 func checkCoverage(rec *trace.Record) error {
 	type span struct{ lo, hi int64 }
-	perLoop := make([][]span, len(rec.Loops))
-	for _, ev := range rec.Events {
-		if !ev.Retire {
+	counts := make([]int, len(rec.Loops))
+	for i := range rec.Events {
+		if !rec.Events[i].Retire {
+			counts[rec.Events[i].Loop]++
+		}
+	}
+	perLoop := carve[span](counts)
+	for i := range rec.Events {
+		if ev := &rec.Events[i]; !ev.Retire {
 			perLoop[ev.Loop] = append(perLoop[ev.Loop], span{ev.Lo, ev.Hi})
 		}
 	}

@@ -22,9 +22,9 @@ type workspace struct {
 	info core.LoopInfo // all but the trip count; TypeDist is the platform's shared, read-only matrix
 
 	// scheds[li] is the scheduler loop li ran under in the previous call. The
-	// next call re-arms it through core.Resettable instead of asking the
-	// factory for another; forgetSchedulers says the next call runs different
-	// loops.
+	// next call re-arms it through core.Resettable for its own loop li instead
+	// of asking the factory for another; forgetSchedulers says the next call's
+	// loops need schedulers of their own (RunProgram under FactoryNamed).
 	scheds []core.Scheduler
 
 	// fleet holds the runnable loops, the retirements and the policy's picks;
@@ -64,7 +64,8 @@ func newWorkspace(cfg Config) (*workspace, error) {
 }
 
 // forgetSchedulers makes the next call build its schedulers with the
-// configured factory: the loops it runs are not the previous call's.
+// configured factory: the loops it runs are not the previous call's, and the
+// factory may configure their schedulers differently.
 func (ws *workspace) forgetSchedulers() { clear(ws.scheds) }
 
 // sized returns s with length n and every element zero, in s's own storage

@@ -126,9 +126,14 @@ func RunProgram(cfg Config, prog Program) (ProgramResult, error) {
 		if reps == 0 {
 			reps = 1
 		}
-		// One scheduler per loop phase: the first execution builds it, every
-		// further one that is simulated re-arms it (workspace.scheduler).
-		ws.forgetSchedulers()
+		// Factory cannot tell one loop from another, so one scheduler serves
+		// the program: the first execution builds it, every further one that is
+		// simulated, of this phase or a later one, re-arms it for its loop
+		// (workspace.scheduler). FactoryNamed may build each loop's differently,
+		// so under it each loop phase builds its own.
+		if cfg.FactoryNamed != nil {
+			ws.forgetSchedulers()
+		}
 		spec := []LoopSpec{*ph.Loop}
 		for r, n := 0, 1; r < reps; r += n {
 			if err := ws.run(lr[:], spec, nil, cursor); err != nil {

@@ -83,11 +83,14 @@
 //
 // RunLoop and RunLoops make one call each and own a workspace for its
 // duration, so they pay for the tables once and give up nothing. RunProgram
-// keeps one workspace for the whole program and builds a scheduler per loop
-// phase, not per repetition. A repetition it accounts from the phase's first
-// execution (see "Repetitions") allocates nothing; one it simulates allocates
-// only what its scheduler hands out anew (the copies of the SF tables it
-// publishes).
+// keeps one workspace for the whole program, and under Config.Factory one
+// scheduler too: the first loop phase builds it and every later phase re-arms
+// it for its own loop, so a program of twenty loop phases builds one
+// scheduler, not twenty. Under Config.FactoryNamed, which may configure each
+// loop's scheduler differently, it builds one per loop phase. A repetition it
+// accounts from the phase's first execution (see "Repetitions") allocates
+// nothing; one it simulates allocates only what its scheduler hands out anew
+// (the copies of the SF tables it publishes).
 //
 // Results are never part of the workspace. The engine fills the LoopResults
 // it is handed the way append fills a slice: zero results, which is what
@@ -260,11 +263,14 @@ func (ls LoopSpec) Validate() error {
 
 // SchedulerFactory builds the scheduler for one execution of one loop.
 // RunLoop and RunLoops call it once per loop. RunProgram calls it once per
-// loop phase when what it returns implements core.Resettable — the phase's
-// further repetitions re-arm that scheduler, or are accounted from its first
-// execution without one ("Repetitions" in the package comment) — and once per
-// repetition otherwise, so a factory must return the same kind of scheduler,
-// configured the same way, every time it is asked for the same loop.
+// program when what it returns implements core.Resettable — every further
+// execution, of the same loop phase or a later one, re-arms that scheduler
+// for its loop, or is accounted from its phase's first execution without one
+// ("Repetitions" in the package comment) — and once per execution otherwise.
+// A factory sees a loop only through info, so it must return the same kind of
+// scheduler, configured the same way, for every loop of a program: what it
+// makes of one loop's info a Reset makes of the next's. A configuration that
+// differs between loops belongs in Config.FactoryNamed.
 type SchedulerFactory func(info core.LoopInfo) (core.Scheduler, error)
 
 // Config describes one simulated program execution.
@@ -279,7 +285,9 @@ type Config struct {
 	Factory SchedulerFactory
 	// FactoryNamed, when non-nil, takes precedence over Factory and also
 	// receives the loop's name, letting experiments key behaviour per loop
-	// (e.g. the per-loop offline-SF tables of §5C).
+	// (e.g. the per-loop offline-SF tables of §5C). RunProgram calls it once
+	// per loop phase, not once per program, when what it returns implements
+	// core.Resettable, and once per execution otherwise.
 	FactoryNamed func(loopName string, info core.LoopInfo) (core.Scheduler, error)
 	// Migrations lists OS-driven thread migrations to inject (§4.3). A
 	// migration takes effect the next time the affected thread enters the

@@ -266,30 +266,64 @@ func countingFactory(f SchedulerFactory, n *int) SchedulerFactory {
 // replay script, a probe) has none.
 type foreign struct{ core.Scheduler }
 
-// TestRunProgramBuildsOncePerPhase: a phase's repetitions share one scheduler
+// foreignAIDStatic builds AID-static without its Reset.
+func foreignAIDStatic(info core.LoopInfo) (core.Scheduler, error) {
+	s, err := core.NewAIDStatic(info, 1)
+	return foreign{s}, err
+}
+
+// buildsOfProgram runs a program of two loop phases, of five and four
+// repetitions, under cfg and returns how many schedulers the factory that
+// count counts was asked for.
+func buildsOfProgram(t *testing.T, cfg Config, count *int) int {
+	t.Helper()
+	a, b := epLoop(512), epLoop(256)
+	*count = 0
+	if _, err := RunProgram(cfg, Program{Name: "p", Phases: []Phase{{Loop: &a, Reps: 5}, {Loop: &b, Reps: 4}}}); err != nil {
+		t.Fatal(err)
+	}
+	return *count
+}
+
+// TestRunProgramBuildsOncePerPhase: under FactoryNamed, which may configure
+// each loop's scheduler differently, a phase's repetitions share one scheduler
 // when it can be re-armed, and get one each from the factory when it cannot.
 func TestRunProgramBuildsOncePerPhase(t *testing.T) {
-	pl := amp.PlatformA()
-	a, b := epLoop(512), epLoop(256)
-	prog := Program{Name: "p", Phases: []Phase{{Loop: &a, Reps: 5}, {Loop: &b, Reps: 4}}}
 	built := 0
-	cfg := baseCfg(pl, 8, amp.BindBS, countingFactory(aidStaticFactory, &built))
-	if _, err := RunProgram(cfg, prog); err != nil {
-		t.Fatal(err)
+	cfg := baseCfg(amp.PlatformA(), 8, amp.BindBS, nil)
+	for _, c := range []struct {
+		factory SchedulerFactory
+		want    int
+		what    string
+	}{
+		{aidStaticFactory, 2, "two phases of re-armable schedulers"},
+		{foreignAIDStatic, 9, "nine repetitions of a scheduler without Reset"},
+	} {
+		f := countingFactory(c.factory, &built)
+		cfg.FactoryNamed = func(_ string, info core.LoopInfo) (core.Scheduler, error) { return f(info) }
+		if got := buildsOfProgram(t, cfg, &built); got != c.want {
+			t.Errorf("FactoryNamed called %d times for %s, want %d", got, c.what, c.want)
+		}
 	}
-	if built != 2 {
-		t.Errorf("factory called %d times for two phases of re-armable schedulers, want 2", built)
-	}
-	built = 0
-	cfg.Factory = countingFactory(func(info core.LoopInfo) (core.Scheduler, error) {
-		s, err := core.NewAIDStatic(info, 1)
-		return foreign{s}, err
-	}, &built)
-	if _, err := RunProgram(cfg, prog); err != nil {
-		t.Fatal(err)
-	}
-	if built != 9 {
-		t.Errorf("factory called %d times for nine repetitions of a scheduler without Reset, want 9", built)
+}
+
+// TestRunProgramBuildsOncePerProgram: under Factory, which cannot tell one
+// loop from another, the whole program shares one scheduler when it can be
+// re-armed, and every execution gets one from the factory when it cannot.
+func TestRunProgramBuildsOncePerProgram(t *testing.T) {
+	built := 0
+	for _, c := range []struct {
+		factory SchedulerFactory
+		want    int
+		what    string
+	}{
+		{aidStaticFactory, 1, "a program of re-armable schedulers"},
+		{foreignAIDStatic, 9, "nine executions of a scheduler without Reset"},
+	} {
+		cfg := baseCfg(amp.PlatformA(), 8, amp.BindBS, countingFactory(c.factory, &built))
+		if got := buildsOfProgram(t, cfg, &built); got != c.want {
+			t.Errorf("Factory called %d times for %s, want %d", got, c.what, c.want)
+		}
 	}
 }
 

@@ -80,16 +80,6 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// appendEvent is append for a record's event stream. A full array doubles:
-// the stream is long, and append's quarter steps would allocate five times
-// its final size on the way there, not twice.
-func appendEvent(evs []ChunkEvent, ev *ChunkEvent) []ChunkEvent {
-	if len(evs) == cap(evs) {
-		evs = append(make([]ChunkEvent, 0, max(2*cap(evs), 16)), evs...)
-	}
-	return append(evs, *ev)
-}
-
 // eventText is what is left of a chunk-event line while parseEventLine reads
 // it. ok turns false at the first byte appendEventLine would not have
 // written there, and stays false.

@@ -9,8 +9,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"repro/internal/amp"
 )
 
 // marshalEventLine is the reference encoder of a chunk-event line: the two
@@ -27,11 +31,15 @@ func marshalEventLine(t testing.TB, ev *ChunkEvent) []byte {
 }
 
 // decodeJSONLRef is the reference decoder: DecodeJSONL as it was when every
-// line, envelope and payload, went through encoding/json.
+// line, envelope and payload, went through encoding/json, with the rule on
+// the run header's event count.
 func decodeJSONLRef(rd io.Reader) (*Record, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	var rec *Record
+	var count struct {
+		Events int `json:"events"`
+	}
 	for sc.Scan() {
 		raw := sc.Bytes()
 		if len(raw) == 0 {
@@ -53,6 +61,9 @@ func decodeJSONLRef(rd io.Reader) (*Record, error) {
 			rec = &Record{}
 			if err = json.Unmarshal(env.D, rec); err == nil && (rec.Version < 1 || rec.Version > RecordVersion) {
 				err = fmt.Errorf("unsupported record version %d", rec.Version)
+			}
+			if err == nil {
+				err = json.Unmarshal(env.D, &count)
 			}
 		case lineLoop:
 			var l LoopRecord
@@ -86,6 +97,9 @@ func decodeJSONLRef(rd io.Reader) (*Record, error) {
 	}
 	if rec == nil {
 		return nil, fmt.Errorf("empty record stream")
+	}
+	if count.Events != 0 && len(rec.Events) != count.Events {
+		return nil, fmt.Errorf("header counts %d events, stream holds %d", count.Events, len(rec.Events))
 	}
 	return rec, rec.Validate()
 }
@@ -334,6 +348,12 @@ func headerLines(t testing.TB) string {
 	return buf.String()
 }
 
+// withEventCount gives the run header at the start of data, which must count
+// no events, the count n.
+func withEventCount(data string, n int64) string {
+	return strings.Replace(data, "}}\n", fmt.Sprintf(`,"events":%d}}`, n)+"\n", 1)
+}
+
 // checkAgainstReference decodes data both ways and reports any disagreement;
 // it returns the decoded record when both accepted.
 func checkAgainstReference(t testing.TB, data string) *Record {
@@ -373,6 +393,7 @@ func FuzzDecodeJSONL(f *testing.F) {
 	}
 	f.Add(whole.Bytes())
 	f.Add([]byte(head))
+	f.Add([]byte(withEventCount(head, 1<<40)))
 	for _, line := range envelopeCases {
 		f.Add([]byte(head + line + "\n"))
 	}
@@ -428,9 +449,9 @@ func TestNonFiniteCostRejected(t *testing.T) {
 	}
 }
 
-// TestEventCodecAllocs is the codec's allocation gate:
-// encoding allocates nothing per event, decoding less than one allocation per
-// ten events (the event array doubles; nothing else is per line).
+// TestEventCodecAllocs is the codec's allocation gate: encoding allocates
+// nothing per event, and decoding allocates the event array once, sized by the
+// run header's count, and nothing per line.
 func TestEventCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -449,7 +470,7 @@ func TestEventCodecAllocs(t *testing.T) {
 	if err := EncodeJSONL(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
+	data := bytes.Clone(buf.Bytes()) // encode below rewrites buf
 	// The lines around the events (header, two loops) and the writer's and the
 	// scanner's buffers are per call, not per event: measure them on the
 	// record without events and take them off.
@@ -478,7 +499,101 @@ func TestEventCodecAllocs(t *testing.T) {
 	if per := (encode(r) - encode(&bare)) / n; per > 0 {
 		t.Errorf("EncodeJSONL: %.4f allocations per event, want 0", per)
 	}
-	if per := (decode(data) - decode(bareData)) / n; per > 0.1 {
-		t.Errorf("DecodeJSONL: %.4f allocations per event, want at most 0.1", per)
+	if per := (decode(data) - decode(bareData)) / n; per > 0.01 {
+		t.Errorf("DecodeJSONL: %.4f allocations per event, want at most 0.01", per)
+	}
+}
+
+// allocatedBytes is the number of bytes f allocates per call, averaged over
+// runs calls after one that warms up; like testing.AllocsPerRun, it runs them
+// on one processor.
+func allocatedBytes(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// recordEvents records n one-iteration grants on one loop with a new
+// Recorder, reserving nothing, and returns the record.
+func recordEvents(t testing.TB, n int) *Record {
+	rec := NewRecorder()
+	if err := rec.BeginRun(RunMeta{Engine: "sim", Platform: PlatformRecordOf(amp.PlatformA()), NThreads: 4, Binding: "BS"}); err != nil {
+		t.Fatal(err)
+	}
+	li := rec.AddLoop(LoopRecord{Name: "l", NI: int64(n), Scheduler: "dynamic"})
+	for i := 0; i < n; i++ {
+		rec.Chunk(ChunkEvent{TimeNs: int64(i), Tid: i % 4, Loop: li, Lo: int64(i), Hi: int64(i) + 1, Cost: 1})
+	}
+	return rec.Record()
+}
+
+// TestEventArrayBytes is the byte-level gate of the event arrays, over a
+// small stream, the recorded burst of the sim_figures benchmark (21 725
+// events) and one past the decoder's reservation cap:
+//
+//   - a Recorder without a reservation allocates at most 2.2n events for n
+//     (blocks, then one exact copy), where an array that doubles took up to 4n;
+//   - DecodeJSONL of an encoded n-event record, whose header counts them,
+//     allocates at most 1.2n up to the cap and the Recorder's 2.2n past it;
+//   - a header that claims 1<<40 events and has none is refused for no more
+//     than the cap.
+func TestEventArrayBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	size := float64(unsafe.Sizeof(ChunkEvent{}))
+	recordBare := allocatedBytes(5, func() { recordEvents(t, 0) })
+	var bare bytes.Buffer
+	if err := EncodeJSONL(&bare, recordEvents(t, 0)); err != nil {
+		t.Fatal(err)
+	}
+	decodeBare := allocatedBytes(5, func() {
+		if _, err := DecodeJSONL(bytes.NewReader(bare.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, n := range []int{10, 21_725, 100_000} {
+		r := recordEvents(t, n)
+		for i := range r.Events {
+			if r.Events[i].Seq != int64(i) || r.Events[i].Lo != int64(i) {
+				t.Fatalf("n=%d: event %d is %+v", n, i, r.Events[i])
+			}
+		}
+		recorded := allocatedBytes(3, func() { recordEvents(t, n) }) - recordBare
+		if recorded > 2.2*float64(n)*size {
+			t.Errorf("Recorder: %.0f bytes for %d events, %.2f times their size, want at most 2.2", recorded, n, recorded/(float64(n)*size))
+		}
+		var buf bytes.Buffer
+		if err := EncodeJSONL(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+		limit := 1.2
+		if n > maxEventReservation {
+			limit = 2.2
+		}
+		got := allocatedBytes(3, func() {
+			if back, err := DecodeJSONL(bytes.NewReader(buf.Bytes())); err != nil || len(back.Events) != n {
+				t.Fatalf("n=%d: decoded %v", n, err)
+			}
+		}) - decodeBare
+		if got > limit*float64(n)*size {
+			t.Errorf("DecodeJSONL: %.0f bytes for %d events, %.2f times their size, want at most %.1f", got, n, got/(float64(n)*size), limit)
+		}
+		t.Logf("%d events: Recorder %.2f, DecodeJSONL %.2f times their size", n, recorded/(float64(n)*size), got/(float64(n)*size))
+	}
+	forged := []byte(withEventCount(bare.String(), 1<<40))
+	got := allocatedBytes(3, func() {
+		if _, err := DecodeJSONL(bytes.NewReader(forged)); err == nil {
+			t.Fatal("a header claiming 1<<40 events and none behind it decodes")
+		}
+	}) - decodeBare
+	if got > maxEventReservation*size+64<<10 {
+		t.Errorf("a forged event count costs %.0f bytes, want at most the %d-event reservation", got, maxEventReservation)
 	}
 }

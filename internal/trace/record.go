@@ -326,11 +326,27 @@ func writeLine(w *bufio.Writer, tag string, v any) error {
 	return w.WriteByte('\n')
 }
 
+// runHeader is the payload of the "run" line: the record's header fields and,
+// when the record has events, their count, which lets DecodeJSONL size the
+// event array once and tell a truncated stream from a whole one. The count
+// is optional in version 1: a reader that does not know it ignores it, and a
+// record without it decodes as before.
+type runHeader struct {
+	*Record
+	Events int `json:"events,omitempty"`
+}
+
+// maxEventReservation caps what a run header's event count reserves before
+// any event line backs it: 1<<16 events, about 6.8 MB. A stream longer than
+// that grows in blocks past it (eventStream).
+const maxEventReservation = 1 << 16
+
 // EncodeJSONL writes the record as JSON Lines: a "run" header line (version,
-// engine, platform, fleet shape, makespan) followed by one line per loop
-// descriptor, chunk event, phase transition, SF sample and timeline
-// interval, in that order. The encoding is deterministic: encoding the same
-// record twice yields byte-identical output (the property cmd/aidtrace's
+// engine, platform, fleet shape, makespan and, unless there are none, the
+// number of chunk events) followed by one line per loop descriptor, chunk
+// event, phase transition, SF sample and timeline interval, in that order.
+// The encoding is deterministic: encoding the same record twice yields
+// byte-identical output (the property cmd/aidtrace's
 // TestReplayDeterminism checks end to end). A record that fails Validate is
 // refused before the first byte is written. Every line is spelled as
 // encoding/json spells it; chunk-event lines, which are nearly all of a
@@ -341,7 +357,7 @@ func EncodeJSONL(w io.Writer, r *Record) error {
 		return err
 	}
 	bw := bufio.NewWriter(w)
-	if err := writeLine(bw, lineRun, r); err != nil {
+	if err := writeLine(bw, lineRun, runHeader{r, len(r.Events)}); err != nil {
 		return err
 	}
 	for i := range r.Loops {
@@ -404,7 +420,12 @@ func appendJSON[T any](s []T, payload []byte) ([]T, error) {
 
 // DecodeJSONL reads a record previously written by EncodeJSONL. It fails on
 // unknown versions, unknown line types and structurally invalid records, so
-// a corrupt or future-format file cannot silently replay as garbage.
+// a corrupt or future-format file cannot silently replay as garbage. When
+// the run header counts the events, the decoder reserves that many up front,
+// at most 1<<16 before the event lines back the count, and fails, naming
+// both numbers, on a stream that holds a different number: a record cut
+// short is an error, not a shorter run. A header without a count (as older
+// builds wrote it) is read as before.
 //
 // It accepts a stream exactly when encoding/json accepts every line of it,
 // and reads what encoding/json reads, because apart from one shortcut it is
@@ -418,6 +439,8 @@ func DecodeJSONL(rd io.Reader) (*Record, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	var rec *Record
+	var events eventStream
+	counted := 0 // the header's event count; 0 when it carries none
 	// add reads a line's payload into the section its tag names; a payload
 	// that does not read changes nothing.
 	add := func(tag, payload []byte) (err error) {
@@ -429,18 +452,24 @@ func DecodeJSONL(rd io.Reader) (*Record, error) {
 			if rec != nil {
 				return fmt.Errorf("duplicate run header")
 			}
-			r := &Record{}
-			if err := json.Unmarshal(payload, r); err != nil {
+			h := runHeader{Record: &Record{}}
+			if err := json.Unmarshal(payload, &h); err != nil {
 				return err
 			}
-			if r.Version < 1 || r.Version > RecordVersion {
-				return fmt.Errorf("unsupported record version %d (this build reads [1,%d])", r.Version, RecordVersion)
+			if h.Version < 1 || h.Version > RecordVersion {
+				return fmt.Errorf("unsupported record version %d (this build reads [1,%d])", h.Version, RecordVersion)
 			}
-			rec = r
+			rec, counted = h.Record, h.Events
+			if counted > 0 {
+				events.head = make([]ChunkEvent, 0, min(counted, maxEventReservation))
+			}
 		case lineLoop:
 			rec.Loops, err = appendJSON(rec.Loops, payload)
 		case lineEvent:
-			rec.Events, err = appendJSON(rec.Events, payload)
+			var ev ChunkEvent
+			if err = json.Unmarshal(payload, &ev); err == nil {
+				events.add(&ev)
+			}
 		case linePhase:
 			rec.Phases, err = appendJSON(rec.Phases, payload)
 		case lineSF:
@@ -461,7 +490,7 @@ func DecodeJSONL(rd io.Reader) (*Record, error) {
 		}
 		var ev ChunkEvent
 		if rec != nil && parseEventLine(raw, &ev) {
-			rec.Events = appendEvent(rec.Events, &ev)
+			events.add(&ev)
 			continue
 		}
 		if tag, payload, ok := splitEnvelope(raw); ok && add(tag, payload) == nil {
@@ -482,6 +511,10 @@ func DecodeJSONL(rd io.Reader) (*Record, error) {
 	}
 	if rec == nil {
 		return nil, fmt.Errorf("trace: empty record stream")
+	}
+	rec.Events = events.events(0)
+	if counted != 0 && len(rec.Events) != counted {
+		return nil, fmt.Errorf("trace: the run header counts %d events, the stream holds %d", counted, len(rec.Events))
 	}
 	if err := rec.Validate(); err != nil {
 		return nil, err

@@ -231,6 +231,81 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTruncatedRecord: the run header counts the events, so a
+// record cut after its k-th event line, for every k short of the whole, is
+// refused with an error naming both numbers, by the reference decoder too. A
+// header without a count, as older builds wrote it, reads as before: the
+// whole record back, and a cut one as the shorter run it looks like.
+func TestDecodeRejectsTruncatedRecord(t *testing.T) {
+	r := sampleRecord()
+	data := encodeToBytes(t, r)
+	count := fmt.Sprintf(`,"events":%d}}`, len(r.Events))
+	if !bytes.Contains(data, []byte(count+"\n")) {
+		t.Fatalf("the run header does not end in %s:\n%s", count, data)
+	}
+	uncounted := bytes.Replace(data, []byte(count), []byte("}}"), 1)
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	oldLines := bytes.SplitAfter(uncounted, []byte("\n"))
+	for k := 0; k < len(r.Events); k++ {
+		end := 1 + len(r.Loops) + k // the header, the loops, k events
+		cut := bytes.Join(lines[:end], nil)
+		want := fmt.Sprintf("counts %d events, the stream holds %d", len(r.Events), k)
+		if _, err := DecodeJSONL(bytes.NewReader(cut)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("cut after event %d: DecodeJSONL error %v, want one that %s", k, err, want)
+		}
+		if _, err := decodeJSONLRef(bytes.NewReader(cut)); err == nil {
+			t.Errorf("cut after event %d: the reference decoder accepts it", k)
+		}
+		var wantEvents []ChunkEvent // nil when there are none, as the decoder gives it
+		if k > 0 {
+			wantEvents = r.Events[:k]
+		}
+		got, err := DecodeJSONL(bytes.NewReader(bytes.Join(oldLines[:end], nil)))
+		if err != nil || !reflect.DeepEqual(got.Events, wantEvents) {
+			t.Errorf("cut after event %d without a count: %v, %+v", k, err, got)
+		}
+	}
+	got, err := DecodeJSONL(bytes.NewReader(uncounted))
+	if err != nil || !reflect.DeepEqual(got, r) {
+		t.Errorf("the record without a count decodes to %+v, %v; want %+v", got, err, r)
+	}
+}
+
+// TestRecorderEventOrder: a Recorder's events come back whole and in order
+// however the stream grew — from a reservation of any size into blocks, and
+// with Record called in the middle of the run.
+func TestRecorderEventOrder(t *testing.T) {
+	for _, n := range []int{0, 1, 15, 16, 17, 49, 5000, 9000} {
+		for _, reserve := range []int{0, 5, n} {
+			for _, mid := range []int{-1, n / 3} {
+				rec := NewRecorder()
+				rec.ReserveChunks(reserve)
+				if err := rec.BeginRun(RunMeta{Engine: "sim", NThreads: 1, Binding: "BS"}); err != nil {
+					t.Fatal(err)
+				}
+				li := rec.AddLoop(LoopRecord{Name: "l", NI: int64(n)})
+				for i := 0; i < n; i++ {
+					if i == mid {
+						if got := len(rec.Record().Events); got != i {
+							t.Errorf("n=%d reserve=%d: Record after %d events holds %d", n, reserve, i, got)
+						}
+					}
+					rec.Chunk(ChunkEvent{Loop: li, Lo: int64(i), Hi: int64(i) + 1})
+				}
+				evs := rec.Record().Events
+				if len(evs) != n {
+					t.Fatalf("n=%d reserve=%d mid=%d: %d events", n, reserve, mid, len(evs))
+				}
+				for i, ev := range evs {
+					if ev.Seq != int64(i) || ev.Lo != int64(i) {
+						t.Fatalf("n=%d reserve=%d mid=%d: event %d is %+v", n, reserve, mid, i, ev)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDecodeRejectsInconsistentRecord(t *testing.T) {
 	r := sampleRecord()
 	r.Events[0].Loop = 99 // dangling loop reference

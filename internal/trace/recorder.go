@@ -13,9 +13,68 @@ import (
 // A Recorder serves exactly one run (one sim.RunLoop, one sim.RunLoops, or
 // one rt loop/record batch): BeginRun fails on reuse.
 type Recorder struct {
-	rec   Record
-	begun bool
-	seq   int64
+	rec    Record
+	events eventStream // rec.Events until Record compacts it
+	begun  bool
+	seq    int64
+}
+
+// eventStream is the one growth policy of a record's event array, shared by
+// Recorder and DecodeJSONL. Events go straight into head while a reservation
+// leaves room there; the rest go into blocks that double from 16 events to
+// 4096 and then stay at 4096, so nothing is copied while the stream grows.
+// events copies the blocks once into an exact array: a stream of n events
+// allocates about 2n events' worth (2.13n for 21 725, 2.02n for 100 000), where
+// an array that doubles allocates 2n to 4n (3.02n for 21 725).
+type eventStream struct {
+	head   []ChunkEvent   // the reservation, filled in place
+	blocks [][]ChunkEvent // what did not fit into head, in order; all full but the last
+}
+
+// Block sizes of an eventStream, in events.
+const (
+	firstEventBlock = 16
+	maxEventBlock   = 4096
+)
+
+// add appends one event.
+func (s *eventStream) add(ev *ChunkEvent) {
+	n := len(s.blocks)
+	if n == 0 && len(s.head) < cap(s.head) {
+		s.head = append(s.head, *ev)
+		return
+	}
+	if n == 0 || len(s.blocks[n-1]) == cap(s.blocks[n-1]) {
+		size := firstEventBlock
+		if n > 0 {
+			size = min(2*cap(s.blocks[n-1]), maxEventBlock)
+		}
+		s.blocks = append(s.blocks, make([]ChunkEvent, 0, size))
+		n++
+	}
+	s.blocks[n-1] = append(s.blocks[n-1], *ev)
+}
+
+// events returns the stream as one array with room for extra more events,
+// which then go into it in place. It copies only when the stream is in
+// blocks or the room is short, and a lone block with the room is taken as is.
+func (s *eventStream) events(extra int) []ChunkEvent {
+	if len(s.head) == 0 && len(s.blocks) == 1 {
+		s.head, s.blocks = s.blocks[0], nil
+	}
+	n := len(s.head)
+	for _, b := range s.blocks {
+		n += len(b)
+	}
+	if len(s.blocks) > 0 || cap(s.head)-n < extra {
+		evs := make([]ChunkEvent, n, n+extra)
+		i := copy(evs, s.head)
+		for _, b := range s.blocks {
+			i += copy(evs[i:], b)
+		}
+		s.head, s.blocks = evs, nil
+	}
+	return s.head
 }
 
 // RunMeta is the run-level header BeginRun stamps into the record.
@@ -49,7 +108,6 @@ func (r *Recorder) BeginRun(meta RunMeta) error {
 		Policy:     meta.Policy,
 		StartNs:    meta.StartNs,
 		Migrations: meta.Migrations,
-		Events:     r.rec.Events, // empty; whatever ReserveChunks set aside stays
 	}
 	return nil
 }
@@ -70,21 +128,18 @@ func (r *Recorder) SetLoopSchedule(idx int, text string) {
 }
 
 // ReserveChunks pre-sizes the event stream for n upcoming Chunk calls, so
-// bulk merges (the registry feeding a whole run's worth of events) append
-// without reallocating mid-stream.
+// bulk merges (the registry feeding a whole run's worth of events, an exact
+// replay making the recorded calls again) fill one exact array in place.
+// Without a reservation the stream grows in blocks (eventStream).
 func (r *Recorder) ReserveChunks(n int) {
-	if free := cap(r.rec.Events) - len(r.rec.Events); free < n {
-		evs := make([]ChunkEvent, len(r.rec.Events), len(r.rec.Events)+n)
-		copy(evs, r.rec.Events)
-		r.rec.Events = evs
-	}
+	r.events.events(n)
 }
 
 // Chunk appends one grant event, assigning its global sequence number.
 func (r *Recorder) Chunk(ev ChunkEvent) {
 	ev.Seq = r.seq
 	r.seq++
-	r.rec.Events = appendEvent(r.rec.Events, &ev)
+	r.events.add(&ev)
 }
 
 // Phase appends one scheduler transition.
@@ -141,6 +196,11 @@ func (r *Recorder) EndRun(makespanNs int64) {
 	r.rec.MakespanNs = makespanNs
 }
 
-// Record returns the accumulated record. The recorder retains ownership;
-// callers must not mutate it while recording is still in progress.
-func (r *Recorder) Record() *Record { return &r.rec }
+// Record returns the accumulated record, its event stream compacted into one
+// array. The recorder retains ownership; callers must not mutate it while
+// recording is still in progress, and events recorded after the call reach
+// the record at the next call.
+func (r *Recorder) Record() *Record {
+	r.rec.Events = r.events.events(0)
+	return &r.rec
+}
