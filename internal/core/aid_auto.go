@@ -208,7 +208,7 @@ func (a *AIDAuto) finalAssign(tid int, st *perThread, asg *Assign) (Assign, bool
 	}
 	rs, acc := st.claimSpan(a.ws, a.info.TypeOf(tid), want)
 	normalizeOrigin(a.ws, rs) // the classifier's pool is a single global window
-	asg.PoolAccesses += acc
+	asg.addAccesses(acc)
 	st.delta += spanN(rs)
 	return st.serve(asg)
 }

@@ -356,7 +356,7 @@ func (a *AIDDynamic) aidAssign(tid int, st *aidDynThread, asg *Assign, nowNs int
 	st.state = stAID
 	st.epoch = a.phase.epoch()
 	st.lastTS = nowNs
-	asg.Origin = int(a.types[tid].Load()) // drained-pool probes charge the home line
+	asg.Origin = a.types[tid].Load() // drained-pool probes charge the home line
 	r := *a.r.Load()
 	nominal := int64(math.Round(r[a.types[tid].Load()] * float64(a.M)))
 	if nominal < a.m {
@@ -380,7 +380,7 @@ func (a *AIDDynamic) aidAssign(tid int, st *aidDynThread, asg *Assign, nowNs int
 	// measured) before the phase completes.
 	rs, acc := st.claimSpan(a.ws, int(a.types[tid].Load()), want)
 	normalizeOrigin(a.ws, rs) // adopted single-shard pools (AID-auto) have no type tags
-	asg.PoolAccesses += acc
+	asg.addAccesses(acc)
 	// The phase-measurement window starts over the claimed span.
 	got, ok := st.serve(asg)
 	st.servedN = st.lastN
@@ -460,7 +460,7 @@ func (a *AIDDynamic) Next(tid int, nowNs int64) (Assign, bool) {
 		// first piece.
 		if rg, ok := st.pop(); ok {
 			st.servedN += rg.N()
-			asg.Lo, asg.Hi, asg.Origin = rg.Lo, rg.Hi, int(rg.From)
+			asg.Lo, asg.Hi, asg.Origin = rg.Lo, rg.Hi, rg.From
 			return *asg, true
 		}
 		// The thread just completed its AID-phase allotment; the phase

@@ -291,11 +291,11 @@ func allotmentK(counts []int, sf []float64, pct float64, ni int64) float64 {
 func (a *AIDHybrid) finalAssign(tid int, st *perThread, asg *Assign) (Assign, bool) {
 	st.state = stDrain
 	home := int(a.types[tid].Load())
-	asg.Origin = home // drained-pool probes are charged to the home line
+	asg.Origin = int32(home) // drained-pool probes are charged to the home line
 	claimed := int64(0)
 	if want := int64(math.Round(a.sf[home]*a.k)) - st.delta; want > 0 {
 		rs, acc := st.claimSpan(a.ws, home, want)
-		asg.PoolAccesses += acc
+		asg.addAccesses(acc)
 		claimed += spanN(rs)
 	}
 	// Claim order is load-bearing without a lock: each thread claims its
@@ -305,7 +305,7 @@ func (a *AIDHybrid) finalAssign(tid int, st *perThread, asg *Assign) (Assign, bo
 	// never a peer's allotment whose steal has not executed yet.
 	if a.static && int(a.assigned.Add(1)) == a.info.NThreads {
 		drained, acc := a.ws.DrainAll(home)
-		asg.PoolAccesses += acc
+		asg.addAccesses(acc)
 		claimed += spanN(drained)
 		st.pending = append(st.pending, drained...)
 	}

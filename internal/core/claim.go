@@ -51,11 +51,11 @@ func (cs *claimState) pop() (pool.Range, bool) {
 // pool with a single shard is a type-shared line (AID-auto's deliberate
 // global window), whose owner tag means nothing in core-type space, so its
 // claims are marked OriginShared and charged globally.
-func originOf(ws *pool.ShardedWorkShare, from int) int {
+func originOf(ws *pool.ShardedWorkShare, from int) int32 {
 	if ws.NumTypes() == 1 {
 		return OriginShared
 	}
-	return from
+	return int32(from) // a shard owner, which the pool keeps in an int32
 }
 
 // take serves up to n iterations: first from the stash, then from the pool
@@ -73,7 +73,7 @@ func (cs *claimState) take(ws *pool.ShardedWorkShare, home int, n int64, asg *As
 		batch = n * pool.HandoffBatch
 	}
 	lo, hi, from, acc, ok := ws.TryStealBatchFrom(home, n, batch)
-	asg.PoolAccesses += acc
+	asg.addAccesses(acc)
 	asg.Origin = originOf(ws, from)
 	if !ok {
 		cs.lastN = 0
@@ -81,7 +81,7 @@ func (cs *claimState) take(ws *pool.ShardedWorkShare, home int, n int64, asg *As
 	}
 	cs.delta += hi - lo
 	if hi-lo > n {
-		cs.pending = append(cs.pending, pool.Range{Lo: lo + n, Hi: hi, From: int32(asg.Origin)})
+		cs.pending = append(cs.pending, pool.Range{Lo: lo + n, Hi: hi, From: asg.Origin})
 		hi = lo + n
 	}
 	cs.lastN = hi - lo
@@ -102,10 +102,12 @@ func (cs *claimState) takeCredit(ws *pool.ShardedWorkShare, home int, n int64, a
 		return cs.serve(asg)
 	}
 	lo, hi, st, ok := ws.TryStealCredit(home, n, &cs.credit)
-	asg.PoolAccesses += st.Accesses
+	asg.addAccesses(st.Accesses)
 	asg.Origin = originOf(ws, st.From)
-	asg.CreditClaimed += st.Claimed
-	asg.CreditReturned += st.Returned
+	// One call acquires or returns at most one credit, so each count is at
+	// most pool.MaxCredit and the sums below cannot wrap.
+	asg.CreditClaimed += int32(st.Claimed)
+	asg.CreditReturned += int32(st.Returned)
 	cs.delta += st.Claimed - st.Returned
 	if !ok {
 		cs.lastN = 0
@@ -145,7 +147,7 @@ func (cs *claimState) claimSpan(ws *pool.ShardedWorkShare, home int, want int64)
 func (cs *claimState) serve(asg *Assign) (Assign, bool) {
 	if r, ok := cs.pop(); ok {
 		cs.lastN = r.N()
-		asg.Lo, asg.Hi, asg.Origin = r.Lo, r.Hi, int(r.From)
+		asg.Lo, asg.Hi, asg.Origin = r.Lo, r.Hi, r.From
 		return *asg, true
 	}
 	cs.lastN = 0

@@ -3,7 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-	"unsafe"
 )
 
 // grant is one Next call's outcome.
@@ -145,13 +144,5 @@ func TestClockFreeSchedulersIgnoreNow(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestAssignLayout pins the size of Assign, which every Next returns by value:
-// the comment on the type has what one field more cost the registry's chunk.
-func TestAssignLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Assign{}); got != 56 {
-		t.Errorf("sizeof(Assign) = %d, want 56", got)
 	}
 }

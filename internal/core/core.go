@@ -31,6 +31,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/pool"
@@ -69,8 +70,8 @@ func (li LoopInfo) Validate() error {
 	if li.NThreads <= 0 {
 		return fmt.Errorf("core: non-positive thread count %d", li.NThreads)
 	}
-	if li.NumTypes <= 0 {
-		return fmt.Errorf("core: non-positive core type count %d", li.NumTypes)
+	if li.NumTypes <= 0 || li.NumTypes > math.MaxInt32 {
+		return fmt.Errorf("core: core type count %d out of [1,%d]", li.NumTypes, math.MaxInt32)
 	}
 	if li.TypeOf == nil {
 		return fmt.Errorf("core: nil TypeOf mapping")
@@ -149,39 +150,75 @@ const OriginShared = -1
 // Assign is the result of one scheduler invocation: a half-open iteration
 // range plus the runtime-cost metadata the simulator charges for the call.
 //
-// It is returned by value on every chunk, so its size is on the hot path and
-// TestAssignLayout pins it at 56 bytes. One bool field more, and nothing else
-// changed, took a dynamic,1 registry chunk from 80-96 to 108-112 ns (three
-// rotations of a 1 M-iteration loop, 1B+1S fleet, two-CPU host; a repeat made
-// it slower by 11-23 % in four rotations of four): a per-chunk flag must be
-// measured before it rides here. ReadsClock answers per thread
-// instead, which the clock-free path never pays for.
+// It is returned by value on every chunk, in both engines, so its shape is
+// on the hot path. The Go compiler keeps a value in registers only when its
+// type is at most 32 bytes and, for a struct, has at most 4 fields, each held
+// to the same rule (cmd/compile/internal/ssa.TypeOK, CanSSA in current
+// releases). Anything larger lives in memory: every copy is a block move, and
+// the `return *asg` that ends most schedulers' Next reloads the struct right
+// after stores to its fields. The byte count alone does not decide it. An
+// interface call into one helper ending in `return *p` costs 19-24 ns with a
+// seven-field 56-byte result, 20-26 ns with a five-field 24-byte one and 4-7 ns
+// with a four-field 32-byte one (go1.24, two-CPU Xeon host).
+//
+// Assign was that seven-field 56-byte struct, and TestAssignLayout pinned its
+// size: one bool field more, nothing else changed, had taken a dynamic,1
+// registry chunk from 80-96 to 108-112 ns. Regrouped as two bounds and two
+// embedded 8-byte structs, whose fields read as Assign's own (asg.Origin,
+// asg.CreditClaimed), it fits the rule, and Next cost, in medians of five
+// traced bench passes per side: dynamic,1 37 -> 30 ns, aid-hybrid,80,1
+// 67 -> 23 ns, aid-static,8 210 -> 82 ns and aid-dynamic,1,5 321 -> 154 ns;
+// the simulator's host cost per chunk went from 68 to 41 ns. TestAssignLayout
+// now fails on any layout that breaks the rule. A field more must fit into
+// one of the embedded structs or be measured first; a per-thread answer such
+// as ReadsClock costs the chunk nothing. The narrow fields are bounded where
+// they are produced, as each one says.
 type Assign struct {
 	// Lo, Hi delimit the assigned iterations [Lo, Hi).
 	Lo, Hi int64
+	AssignCost
+	AssignCredit
+}
+
+// AssignCost is the part of an Assign the simulator prices: where the
+// iterations came from and what the call did to get them.
+type AssignCost struct {
 	// Origin is the provenance of the assigned range: the core type whose
 	// shard (or static share) the iterations came from, or OriginShared
 	// for ranges from a type-shared pool line. The simulator charges
 	// ContentionNs by the occupancy of the Origin shard and tiers the
 	// locality penalty by the topology distance between the executing
-	// thread's type and Origin.
-	Origin int
+	// thread's type and Origin. A core type fits: LoopInfo.Validate refuses
+	// more than math.MaxInt32 types, and the pool tags ranges in int32.
+	Origin int32
 	// PoolAccesses counts atomic operations on the shared iteration pool
 	// performed during this call (0 for compiled-in static distribution,
-	// 1 for a dynamic steal, 1+retries for a guided CAS).
-	PoolAccesses int
+	// 1 for a dynamic steal, 1+retries for a guided CAS). Retries have no
+	// bound, so the count saturates at math.MaxInt16 (addAccesses).
+	PoolAccesses int16
 	// Timestamps counts clock reads performed during this call (the
-	// sampling machinery of the AID methods).
-	Timestamps int
-	// CreditClaimed and CreditReturned report the batched credit path's
-	// pool traffic for this call, in iterations: Claimed is what the call
-	// newly removed from the pool (served plus banked as thread-local
-	// credit), Returned what a credit return handed back across a
-	// re-partition (pool.CreditSteal). Both zero on the strict claim paths
-	// and on thread-local credit draws — which is exactly what the
-	// observability layer counts them to see.
-	CreditClaimed, CreditReturned int64
+	// sampling machinery of the AID methods): at most one per call for every
+	// scheduler in this package.
+	Timestamps int16
 }
+
+// AssignCredit is the batched credit path's pool traffic for one call, in
+// iterations: CreditClaimed is what the call newly removed from the pool
+// (served plus banked as thread-local credit), CreditReturned what a credit
+// return handed back across a re-partition (pool.CreditSteal). Both zero on
+// the strict claim paths and on thread-local credit draws — which is exactly
+// what the observability layer counts them to see. One credit acquisition
+// holds at most pool.MaxCredit iterations, so both fit in an int32.
+type AssignCredit struct {
+	CreditClaimed, CreditReturned int32
+}
+
+// accesses narrows a pool-access count to Assign's field, saturating at
+// math.MaxInt16 instead of wrapping.
+func accesses(n int) int16 { return int16(min(n, math.MaxInt16)) }
+
+// addAccesses adds n pool accesses to the call's count, saturating.
+func (c *AssignCost) addAccesses(n int) { c.PoolAccesses = accesses(int(c.PoolAccesses) + n) }
 
 // N returns the number of iterations in the assignment.
 func (a Assign) N() int64 { return a.Hi - a.Lo }
@@ -346,7 +383,7 @@ func (s *Static) Next(tid int, _ int64) (Assign, bool) {
 	if lo >= hi {
 		return Assign{}, false
 	}
-	return Assign{Lo: lo, Hi: hi, Origin: s.info.TypeOf(tid)}, true
+	return Assign{Lo: lo, Hi: hi, AssignCost: AssignCost{Origin: int32(s.info.TypeOf(tid))}}, true
 }
 
 // --- static with chunk ---
@@ -406,7 +443,7 @@ func (s *StaticChunked) Next(tid int, _ int64) (Assign, bool) {
 	}
 	hi := s.after(lo, 1)
 	s.pos[tid] = s.after(lo, int64(s.info.NThreads))
-	return Assign{Lo: lo, Hi: hi, Origin: s.info.TypeOf(tid)}, true
+	return Assign{Lo: lo, Hi: hi, AssignCost: AssignCost{Origin: int32(s.info.TypeOf(tid))}}, true
 }
 
 // --- dynamic ---
@@ -460,9 +497,9 @@ func (d *Dynamic) Chunk() int64 { return d.chunk }
 func (d *Dynamic) Next(tid int, _ int64) (Assign, bool) {
 	lo, hi, from, acc, ok := d.ws.TryStealBatchFrom(d.types[tid], d.chunk, d.chunk)
 	if !ok {
-		return Assign{Origin: d.types[tid], PoolAccesses: acc}, false
+		return Assign{AssignCost: AssignCost{Origin: int32(d.types[tid]), PoolAccesses: accesses(acc)}}, false
 	}
-	return Assign{Lo: lo, Hi: hi, Origin: from, PoolAccesses: acc}, true
+	return Assign{Lo: lo, Hi: hi, AssignCost: AssignCost{Origin: int32(from), PoolAccesses: accesses(acc)}}, true
 }
 
 // --- guided ---
@@ -518,9 +555,9 @@ func (g *Guided) Next(tid int, _ int64) (Assign, bool) {
 		return size
 	})
 	if !ok {
-		return Assign{Origin: g.types[tid], PoolAccesses: acc}, false
+		return Assign{AssignCost: AssignCost{Origin: int32(g.types[tid]), PoolAccesses: accesses(acc)}}, false
 	}
-	return Assign{Lo: lo, Hi: hi, Origin: from, PoolAccesses: acc}, true
+	return Assign{Lo: lo, Hi: hi, AssignCost: AssignCost{Origin: int32(from), PoolAccesses: accesses(acc)}}, true
 }
 
 // Migratable is implemented by schedulers that can adapt when the OS

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -89,6 +90,7 @@ func TestLoopInfoValidate(t *testing.T) {
 		{"negative-ni", func(li *LoopInfo) { li.NI = -1 }},
 		{"zero-threads", func(li *LoopInfo) { li.NThreads = 0 }},
 		{"zero-types", func(li *LoopInfo) { li.NumTypes = 0 }},
+		{"types-past-int32", func(li *LoopInfo) { li.NumTypes = math.MaxInt32; li.NumTypes++ }}, // Assign.Origin is an int32
 		{"nil-typeof", func(li *LoopInfo) { li.TypeOf = nil }},
 		{"bad-type", func(li *LoopInfo) { li.TypeOf = func(int) int { return 7 } }},
 	}
@@ -581,7 +583,7 @@ func TestAIDDynamicFewerPoolAccessesThanDynamic(t *testing.T) {
 				break
 			}
 			asg, ok := s.Next(tid, clock[tid])
-			accesses += asg.PoolAccesses
+			accesses += int(asg.PoolAccesses)
 			if !ok {
 				active[tid] = false
 				continue

@@ -94,7 +94,7 @@ func (w *WorkSteal) Next(tid int, _ int64) (Assign, bool) {
 	defer w.mu.Unlock()
 	// All range bookkeeping sits behind one mutex — a single shared line in
 	// the cost model, so contention is attributed globally.
-	asg := Assign{Origin: OriginShared}
+	asg := Assign{AssignCost: AssignCost{Origin: OriginShared}}
 	r := &w.ranges[tid]
 	if r.lo >= r.hi {
 		// Local range dry: steal the back half of the most-loaded victim.

@@ -91,7 +91,7 @@ func TestWorkStealVsAIDStatic(t *testing.T) {
 				break
 			}
 			asg, ok := s.Next(tid, clock[tid])
-			accesses += asg.PoolAccesses
+			accesses += int(asg.PoolAccesses)
 			if !ok {
 				active[tid] = false
 				continue

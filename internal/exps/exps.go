@@ -23,13 +23,17 @@
 //
 // An experiment that walks a grid — applications x schemes, platforms x
 // schemes, platforms x applications — numbers its cells and hands them to
-// sweep (sweep.go), which runs them on every CPU the process may use:
-// min(GOMAXPROCS, cells) workers, the caller among them, each claiming the
-// next unclaimed cell off one atomic counter until none is left, the paper's
-// dynamic,1. A cell is a simulation in virtual time (one sim.RunProgram on the
-// apps x schemes grid, one sim.RunLoop in the zoo, a series of single-thread
-// loops in Fig. 2); cells cost between microseconds and tens of milliseconds
-// of host time, which is why they are not dealt out in equal blocks. With one
+// sweep (sweep.go), which runs them on every CPU the process may use and no
+// more: min(GOMAXPROCS, max(NumCPU, 2), cells) workers, the caller among them,
+// each claiming the next unclaimed cell off one atomic counter until none is
+// left, the paper's dynamic,1. A cell computes without blocking, so a worker
+// past the host's CPUs would only take turns with the others (a process may
+// set GOMAXPROCS above NumCPU); the floor of two keeps the sweep concurrent,
+// and so under the race detector's eye, on a one-CPU host. A cell is a
+// simulation in virtual time (one sim.RunProgram on the apps x schemes grid,
+// one sim.RunLoop in the zoo, a series of single-thread loops in Fig. 2);
+// cells cost between microseconds and tens of milliseconds of host time,
+// which is why they are not dealt out in equal blocks. With one
 // worker the same code is a plain loop on the caller's goroutine, so there is
 // no second, serial path. Fig9c is the one experiment that is not a grid: each
 // invocation starts where the previous one ended.

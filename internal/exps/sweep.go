@@ -14,7 +14,7 @@ import (
 // sweep runs cell(0) … cell(n-1) and returns their results by index: the one
 // way an experiment walks its grid (see "How a sweep runs" in the package
 // comment). The cells are claimed one at a time off a shared counter by
-// min(GOMAXPROCS, n) workers, of which the caller is one, so with one worker
+// workers(n) workers, of which the caller is one, so with one worker
 // (GOMAXPROCS=1, or n <= 1) the sweep is a plain loop on the caller's
 // goroutine. sweep returns when every worker has, with no goroutine left.
 //
@@ -39,7 +39,7 @@ func sweep[T any](n int, cell func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), n); w > 1; w-- {
+	for w := workers(n); w > 1; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -54,6 +54,15 @@ func sweep[T any](n int, cell func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
+}
+
+// workers is the number of goroutines a sweep of n cells runs on:
+// min(GOMAXPROCS, max(NumCPU, 2), n). A cell never blocks, so a worker beyond
+// the CPUs only takes turns with the others, and GOMAXPROCS may be set above
+// NumCPU. The floor of 2 keeps a sweep concurrent, and so checked by the race
+// detector, on a one-CPU host.
+func workers(n int) int {
+	return min(runtime.GOMAXPROCS(0), max(runtime.NumCPU(), 2), n)
 }
 
 // runApp executes one workload under one scheme and returns its virtual

@@ -10,6 +10,13 @@ import "math"
 // paper's Fig. 8 chunk sweep).
 const CreditBatch = 8
 
+// MaxCredit bounds one credit acquisition, in iterations: TryStealCredit
+// serves at most MaxCredit iterations per call and banks at most MaxCredit
+// per fetch-and-add, so a CreditSteal's Claimed and Returned always fit in
+// an int32. Only a chunk of 2^28 or more, on a shard of more than MaxCredit
+// iterations, ever meets the bound.
+const MaxCredit = math.MaxInt32
+
 // Credit is a worker's thread-local claim balance: a contiguous iteration
 // range already removed from the pool but not yet served, plus the shard it
 // was claimed from and the re-partition sequence observed at claim time.
@@ -99,12 +106,12 @@ func (s *shard) taper(batch, floor int64) int64 {
 	return batch
 }
 
-// TryStealCredit removes up to chunk iterations with batched credit-based
-// claiming: a claim that has to go to the pool acquires CreditBatch×chunk
-// iterations in one fetch-and-add (TryStealBatchFrom's acquisition, asked
-// for a tapered batch at home and abroad) and banks them in the caller's
-// credit, from which this and subsequent calls draw without touching shared
-// memory. The steady-state cost is therefore one atomic RMW per CreditBatch
+// TryStealCredit removes up to chunk iterations (at most MaxCredit) with
+// batched credit-based claiming: a claim that has to go to the pool acquires
+// CreditBatch×chunk iterations (at most MaxCredit) in one fetch-and-add
+// (TryStealBatchFrom's acquisition, asked for a tapered batch at home and
+// abroad) and banks them in the caller's credit, from which this and
+// subsequent calls draw without touching shared memory. The steady-state cost is therefore one atomic RMW per CreditBatch
 // chunks and zero heap allocations.
 //
 // When a re-partition has been published since the credit was acquired
@@ -134,11 +141,9 @@ func (ws *ShardedWorkShare) TryStealCredit(home int, chunk int64, c *Credit) (lo
 			}
 		}
 	}
+	chunk = min(chunk, MaxCredit)
 	if c.Empty() {
-		batch := int64(math.MaxInt64) // chunk×CreditBatch, saturating
-		if chunk <= batch/CreditBatch {
-			batch = chunk * CreditBatch
-		}
+		batch := min(chunk*CreditBatch, MaxCredit) // chunk ≤ 2^31, so no wrap
 		var acc int
 		*c, _, acc = ws.acquire(home, batch, batch, chunk)
 		st.Accesses += acc

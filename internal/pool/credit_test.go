@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -63,6 +64,39 @@ func TestCreditTripCountsBelowBatch(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestCreditMaxChunk: a chunk of 1<<30, whose batch of CreditBatch chunks
+// is 2^33 iterations, and the largest chunk the grammar allows. Every
+// acquisition claims at most MaxCredit iterations and every grant is at most
+// one chunk and at most MaxCredit, so a CreditSteal fits core.AssignCredit's
+// int32 fields; a single claimer still covers the pool front to back, and a
+// credit handed back to the pool (returnCredit) is at most MaxCredit too.
+func TestCreditMaxChunk(t *testing.T) {
+	for _, chunk := range []int64{1 << 30, MaxCredit, MaxCredit + 1, math.MaxInt64} {
+		ws := NewSharded(1<<40, []int{1, 1})
+		var c Credit
+		next, claimed := int64(0), int64(0)
+		for call := 0; call < 7; call++ {
+			lo, hi, st, ok := ws.TryStealCredit(0, chunk, &c)
+			if !ok || lo != next || hi <= lo || hi-lo > min(chunk, MaxCredit) {
+				t.Fatalf("chunk %d, call %d: [%d,%d) ok=%v after %d", chunk, call, lo, hi, ok, next)
+			}
+			if st.Claimed < 0 || st.Claimed > MaxCredit || st.Returned != 0 {
+				t.Fatalf("chunk %d, call %d: claimed %d, returned %d", chunk, call, st.Claimed, st.Returned)
+			}
+			next, claimed = hi, claimed+st.Claimed
+		}
+		if claimed != next+c.N() {
+			t.Errorf("chunk %d: claimed %d, served %d with %d in credit", chunk, claimed, next, c.N())
+		}
+		if chunk >= MaxCredit {
+			continue // every acquisition was served whole
+		}
+		if ret, _ := ws.returnCredit(&c); ret <= 0 || ret > MaxCredit {
+			t.Errorf("chunk %d: returning the credit handed back %d iterations", chunk, ret)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package replay
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/trace"
@@ -46,7 +48,7 @@ func costFromEvents(rec *trace.Record, li int) (*PiecewiseCost, error) {
 		}
 		return nil, fmt.Errorf("replay: loop %q has no closed-form cost and no grant events to derive one", rec.Loops[li].Name)
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].lo < segs[j].lo })
+	slices.SortFunc(segs, func(a, b seg) int { return cmp.Compare(a.lo, b.lo) })
 	c := &PiecewiseCost{
 		los:   make([]int64, len(segs)),
 		his:   make([]int64, len(segs)),

@@ -48,8 +48,8 @@ package replay
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/amp"
 	"repro/internal/core"
@@ -74,12 +74,15 @@ type Result struct {
 
 // grant is one scripted scheduler reply.
 type grant struct {
-	lo, hi       int64
-	origin       int
-	poolAccesses int
-	timestamps   int
-	retire       bool
+	lo, hi int64
+	cost   core.AssignCost
+	retire bool
 }
+
+// clamp narrows a recorded count to the range of its core.AssignCost field
+// instead of wrapping it. A record this program wrote never leaves the range,
+// since the schedulers saturate at the same bounds; a hand-made one may.
+func clamp(v, lo, hi int) int { return min(max(v, lo), hi) }
 
 // scriptSched replays a recorded per-thread grant sequence. It ignores the
 // clock entirely — determinism comes from the script — and reproduces the
@@ -104,9 +107,7 @@ func (s *scriptSched) Next(tid int, _ int64) (core.Assign, bool) {
 	}
 	s.pos[tid] = i + 1
 	g := q[i]
-	asg := core.Assign{Lo: g.lo, Hi: g.hi, Origin: g.origin,
-		PoolAccesses: g.poolAccesses, Timestamps: g.timestamps}
-	return asg, !g.retire
+	return core.Assign{Lo: g.lo, Hi: g.hi, AssignCost: g.cost}, !g.retire
 }
 
 // scriptPolicy replays each worker's recorded loop-visit order under
@@ -225,9 +226,12 @@ func scriptsOf(rec *trace.Record) (scheds []*scriptSched, visit [][]int) {
 		ev := &evs[i]
 		s := scheds[ev.Loop]
 		s.perThread[ev.Tid] = append(s.perThread[ev.Tid], grant{
-			lo: ev.Lo, hi: ev.Hi, origin: ev.Origin,
-			poolAccesses: ev.PoolAccesses,
-			timestamps:   ev.Timestamps, retire: ev.Retire,
+			lo: ev.Lo, hi: ev.Hi, retire: ev.Retire,
+			cost: core.AssignCost{
+				Origin:       int32(clamp(ev.Origin, math.MinInt32, math.MaxInt32)),
+				PoolAccesses: int16(clamp(ev.PoolAccesses, math.MinInt16, math.MaxInt16)),
+				Timestamps:   int16(clamp(ev.Timestamps, math.MinInt16, math.MaxInt16)),
+			},
 		})
 		visit[ev.Tid] = append(visit[ev.Tid], ev.Loop)
 	}
@@ -349,7 +353,7 @@ func checkCoverage(rec *trace.Record) error {
 		}
 	}
 	for li, spans := range perLoop {
-		sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+		slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 		var pos int64
 		for _, s := range spans {
 			if s.lo != pos {

@@ -68,12 +68,21 @@
 // parent) with p90_ms, the aid-dynamic loop whose waiting threads still need
 // the clock, unchanged. With AID-hybrid's SF pinned to {1.9, 1} on both
 // sides, that loop went from 105-115 to 81-103 ms (medians of 15 loops, four
-// rotations), so the gain is the clock's and not a luckier SF estimate's. The
-// signal is a query and not a field of core.Assign: one bool more in Assign
-// made the dynamic,1 chunk 80-96 -> 108-112 ns (11-23 % slower in a repeat of
-// four rotations), while the clock-free path
-// never asks (core.TestAssignLayout pins Assign at 56 bytes). The dynamic,1
-// rungs read rt.chunk_ns 81.8 -> 87.5 ns and rt.self_ns 51.8 -> 49.7 ns over
+// rotations), so the gain is the clock's and not a luckier SF estimate's.
+//
+// The signal is a query and not a field of core.Assign, which every Next
+// returns by value. The compiler keeps a value in registers only when it is
+// at most 32 bytes and no struct in it has more than 4 fields
+// (cmd/compile/internal/ssa.TypeOK); a larger one is moved through memory on
+// every return. Assign was seven flat fields in 56 bytes, pinned there by
+// core.TestAssignLayout, when one bool more made the dynamic,1 chunk
+// 80-96 -> 108-112 ns (11-23 % slower in a repeat of four rotations). Since
+// then its fields are grouped into four, 32 bytes in all, and the test guards
+// the compiler's rule instead of a size: rt.chunk_ns went from 124 to 107 ns
+// and rt.self_ns from 65 to 48 ns (medians of five traced bench passes per
+// side, run alternately). A field more would send Assign back to memory,
+// while the clock-free path never asks. The per-thread query itself, before
+// the regrouping, moved the dynamic,1 rungs rt.chunk_ns 81.8 -> 87.5 ns and rt.self_ns 51.8 -> 49.7 ns over
 // twelve rotating traced passes per side (spreads 13 % and 48 %), and
 // 85.1 -> 83.0 and 79.8 -> 78.8 ns (fine and empty body) when only the two
 // rungs are repeated, eight rotations of eight fleets each.

@@ -801,8 +801,8 @@ func (r *Registry) worker(tid int) {
 			cell.accesses += int64(asg.PoolAccesses)
 			if mc != nil {
 				mb.SchedNs += schedEnd - nowNs
-				mb.CreditClaimed += asg.CreditClaimed
-				mb.CreditReturned += asg.CreditReturned
+				mb.CreditClaimed += int64(asg.CreditClaimed)
+				mb.CreditReturned += int64(asg.CreditReturned)
 			}
 			if tp != nil {
 				tp.Intervals = append(tp.Intervals, trace.Interval{Start: nowNs, End: schedEnd, State: trace.Sched})
@@ -811,8 +811,8 @@ func (r *Registry) worker(tid int) {
 				cell.finishNs = schedEnd
 				if tp != nil {
 					tp.Events = append(tp.Events, trace.ChunkEvent{Seq: wseq, TimeNs: nowNs,
-						Tid: tid, Shard: myType, Origin: asg.Origin, Retire: true,
-						PoolAccesses: asg.PoolAccesses, Timestamps: asg.Timestamps})
+						Tid: tid, Shard: myType, Origin: int(asg.Origin), Retire: true,
+						PoolAccesses: int(asg.PoolAccesses), Timestamps: int(asg.Timestamps)})
 					wseq++
 				}
 				if mc != nil {
@@ -835,7 +835,7 @@ func (r *Registry) worker(tid int) {
 				}
 			}
 			if mc != nil {
-				mb.Grant(asg.N(), obs.Tier(r.dist, myType, asg.Origin))
+				mb.Grant(asg.N(), obs.Tier(r.dist, myType, int(asg.Origin)))
 				mb.BusyNs += end - schedEnd
 				if mb.Chunks >= flushEvery {
 					mc.Apply(&mb)
@@ -844,8 +844,8 @@ func (r *Registry) worker(tid int) {
 			if tp != nil {
 				tp.Intervals = append(tp.Intervals, trace.Interval{Start: schedEnd, End: end, State: trace.Running})
 				tp.Events = append(tp.Events, trace.ChunkEvent{Seq: wseq, TimeNs: nowNs,
-					Tid: tid, Lo: asg.Lo, Hi: asg.Hi, Shard: myType, Origin: asg.Origin,
-					ExecNs: end - schedEnd, PoolAccesses: asg.PoolAccesses, Timestamps: asg.Timestamps})
+					Tid: tid, Lo: asg.Lo, Hi: asg.Hi, Shard: myType, Origin: int(asg.Origin),
+					ExecNs: end - schedEnd, PoolAccesses: int(asg.PoolAccesses), Timestamps: int(asg.Timestamps)})
 				wseq++
 			}
 			nowNs = end

@@ -384,7 +384,8 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		// out (the final empty call still costs a pool access). Contention
 		// is charged by the occupancy of the accessed shard's line among
 		// the workers engaged on THIS loop.
-		contend := contenders(engaged[li*ntypes:(li+1)*ntypes], engagedTotal[li], typeOf[tid], asg.Origin)
+		origin := int(asg.Origin)
+		contend := contenders(engaged[li*ntypes:(li+1)*ntypes], engagedTotal[li], typeOf[tid], origin)
 		ovhNs := float64(asg.PoolAccesses)*(ov.PoolAccessNs+ov.ContentionNs*float64(contend)) +
 			float64(asg.Timestamps)*ov.TimestampNs
 		var units, execNs float64
@@ -394,7 +395,7 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 			// price tiered by how far the chunk's home pool line sits from
 			// the consuming core (home / same-package / cross-package).
 			if asg.Lo != lastHi[li*nt+tid] {
-				ovhNs += localityNs(ov, dist, typeOf[tid], asg.Origin)
+				ovhNs += localityNs(ov, dist, typeOf[tid], origin)
 			}
 			lastHi[li*nt+tid] = asg.Hi
 			units = specs[li].Cost.RangeUnits(asg.Lo, asg.Hi)
@@ -410,8 +411,8 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 			cfg.Trace.Add(tid, schedEnd, clock[tid], trace.Running)
 		}
 		if cfg.Recorder != nil {
-			ev := trace.ChunkEvent{TimeNs: now, Tid: tid, Loop: li, Shard: typeOf[tid], Origin: asg.Origin,
-				PoolAccesses: asg.PoolAccesses, Timestamps: asg.Timestamps, Retire: !ok}
+			ev := trace.ChunkEvent{TimeNs: now, Tid: tid, Loop: li, Shard: typeOf[tid], Origin: origin,
+				PoolAccesses: int(asg.PoolAccesses), Timestamps: int(asg.Timestamps), Retire: !ok}
 			if ok {
 				ev.Lo, ev.Hi, ev.Cost, ev.ExecNs = asg.Lo, asg.Hi, units, int64(execNs)
 			}
@@ -420,10 +421,10 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		if mets != nil {
 			c := mets[li].Cell(tid)
 			if ok {
-				c.Grant(asg.N(), obs.Tier(dist, typeOf[tid], asg.Origin))
+				c.Grant(asg.N(), obs.Tier(dist, typeOf[tid], origin))
 				c.Busy(int64(execNs))
 			}
-			c.Credit(asg.CreditClaimed, asg.CreditReturned)
+			c.Credit(int64(asg.CreditClaimed), int64(asg.CreditReturned))
 			c.Sched(int64(ovhNs))
 		}
 		if ok {

@@ -236,7 +236,7 @@ func (p *engagedProbe) Next(tid int, _ int64) (core.Assign, bool) {
 			p.wantNs[tid]++
 		}
 	}
-	asg := core.Assign{Origin: p.typ[tid], PoolAccesses: 1}
+	asg := core.Assign{AssignCost: core.AssignCost{Origin: int32(p.typ[tid]), PoolAccesses: 1}}
 	if p.next == p.ni {
 		p.on[tid] = false
 		return asg, false

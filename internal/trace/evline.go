@@ -98,24 +98,34 @@ func (t *eventText) lit(s string) bool {
 }
 
 // integer consumes an integer of at most bits bits, spelled the one way
-// strconv.AppendInt spells it.
+// strconv.AppendInt spells it: an optional minus, then digits with no
+// leading zero, and 0 never negative. The digits are read in place, where
+// strconv.ParseInt would need them copied into a string first.
 func (t *eventText) integer(bits int) int64 {
+	b := t.b
 	n := 0
-	if n < len(t.b) && t.b[n] == '-' {
-		n++
+	limit := uint64(1)<<(bits-1) - 1 // the largest magnitude, one more when negative
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		n, limit = 1, limit+1
 	}
 	first := n
-	for n < len(t.b) && '0' <= t.b[n] && t.b[n] <= '9' {
-		n++
+	var u uint64
+	over := false
+	for ; n < len(b) && '0' <= b[n] && b[n] <= '9'; n++ {
+		d := uint64(b[n] - '0')
+		over = over || u > (limit-d)/10
+		u = u*10 + d
 	}
-	tok := t.b[:n]
-	t.b = t.b[n:]
-	v, err := strconv.ParseInt(string(tok), 10, bits)
-	// ParseInt also reads 01 and -0, which AppendInt never writes.
-	if err != nil || tok[first] == '0' && n > 1 {
+	t.b = b[n:]
+	if n == first || over || b[first] == '0' && (n-first > 1 || neg) {
 		t.ok = false
+		return 0
 	}
-	return v
+	if neg {
+		return -int64(u) // u = 2^63 wraps to itself, which is -2^63
+	}
+	return int64(u)
 }
 
 // required reads a field the encoder always writes.

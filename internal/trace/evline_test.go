@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -261,6 +262,63 @@ func TestEventLineDecodesLikeJSON(t *testing.T) {
 		rec, err := DecodeJSONL(strings.NewReader(headerLines(t) + line + "\n"))
 		if err != nil || len(rec.Events) != 1 || rec.Events[0] != want {
 			t.Errorf("%s decodes to %+v, %v; want %+v", line, rec, err, want)
+		}
+	}
+}
+
+// integerEdges are integer tokens at the edges of what parseEventLine reads:
+// the 64-bit limits and one past them, a 20-digit token, the 32-bit limits
+// and one past them, and the spellings strconv.ParseInt reads but
+// strconv.AppendInt never writes.
+var integerEdges = []string{
+	"0", "1", "-1", "9223372036854775807", "-9223372036854775807", "-9223372036854775808",
+	"9223372036854775808", "-9223372036854775809", "12345678901234567890", "99999999999999999999",
+	"2147483647", "-2147483648", "2147483648", "-2147483649", "4294967296",
+	"-0", "01", "-01", "00", "+1", "-", "",
+}
+
+// TestEventIntegerEdges: the in-place integer reader accepts a token exactly
+// when strconv.ParseInt reads it at the field's width and strconv.AppendInt
+// spells the value that way, and reads the same value; and a line with an
+// edge token in tid, loop, seq or origin takes the in-place path exactly when
+// encoding/json reads it to an event that the encoder spells the same way.
+func TestEventIntegerEdges(t *testing.T) {
+	accepted := 0
+	for _, bits := range []int{32, 64} {
+		for _, tok := range integerEdges {
+			txt := eventText{b: []byte(tok + ","), ok: true}
+			got := txt.integer(bits)
+			want, err := strconv.ParseInt(tok, 10, bits)
+			wantOK := err == nil && strconv.FormatInt(want, 10) == tok
+			if txt.ok != wantOK || wantOK && got != want || string(txt.b) != "," && wantOK {
+				t.Errorf("integer(%d) of %q = %d, ok %v, left %q; ParseInt: %d, %v", bits, tok, got, txt.ok, txt.b, want, err)
+			}
+			if wantOK {
+				accepted++
+			}
+		}
+	}
+	if accepted != 16 {
+		t.Errorf("%d (token, width) pairs accepted, want 16: the table no longer tests what it says", accepted)
+	}
+	for _, field := range []string{"seq", "tid", "loop", "origin"} {
+		for _, tok := range integerEdges {
+			fields := map[string]string{"seq": "0", "tid": "0", "loop": "0"}
+			fields[field] = tok
+			line := `{"t":"ev","d":{"seq":` + fields["seq"] + `,"time_ns":0,"tid":` + fields["tid"] +
+				`,"loop":` + fields["loop"] + `,"lo":0,"hi":1,"shard":0`
+			if field == "origin" {
+				line += `,"origin":` + tok
+			}
+			line += "}}"
+			var env jsonlLine
+			var want ChunkEvent
+			wantOK := json.Unmarshal([]byte(line), &env) == nil && json.Unmarshal(env.D, &want) == nil &&
+				string(appendEventLine(nil, &want)) == line+"\n"
+			var got ChunkEvent
+			if ok := parseEventLine([]byte(line), &got); ok != wantOK || ok && got != want {
+				t.Errorf("%s: parseEventLine read %+v, %v; encoding/json %+v, %v", line, got, ok, want, wantOK)
+			}
 		}
 	}
 }
