@@ -5,7 +5,10 @@
 #                  policy call in rt or sim outside fair.Fleet, and no
 #                  imbalance function or timeline TimeIn read outside
 #                  internal/trace, whose Record.Digest is the one per-thread
-#                  busy/sched/sync walk),
+#                  busy/sched/sync walk; then a darwin/arm64 and a windows
+#                  build of everything outside bench/, whose spinners are
+#                  Linux-only, so that the non-Linux twin of a Linux-only
+#                  file keeps compiling),
 #                  build, the whole suite (plain, plus the
 #                  lock-free layers and the figure sweeps under -race), the
 #                  multi-loop conformance/race suite under -race -count=2,
@@ -72,13 +75,17 @@ ci: vet build race race-multiloop examples
 # two engines' code that calls a fairness policy itself instead of through
 # fair.Fleet, and every non-test Go line outside internal/trace that defines
 # an imbalance function or sums a timeline state with TimeIn; grep passes
-# them on and makes any such line a failure.
+# them on and makes any such line a failure. The two cross builds compile
+# the build-tagged twins (internal/rt's worker placement) that a Linux build
+# never sees; go build of several packages writes no binary.
 vet:
 	$(GO) vet ./...
 	! gofmt -l . | grep .
 	! git grep --untracked -l '^func Benchmark' -- '*_test.go' ':!bench/' | grep .
 	! git grep --untracked -nE '\.Pick\(|fair\.Retirer' -- internal/rt internal/sim ':!*_test.go' | grep .
 	! git grep --untracked -nE 'func .*[Ii]mbalance|TimeIn\(' -- '*.go' ':!internal/trace' ':!*_test.go' | grep .
+	GOOS=darwin GOARCH=arm64 $(GO) build ./internal/... ./cmd/... ./examples/...
+	GOOS=windows $(GO) build ./internal/... ./cmd/... ./examples/...
 
 build:
 	$(GO) build ./...

@@ -92,6 +92,9 @@ type scriptSched struct {
 	name      string
 	perThread [][]grant
 	pos       []int
+	// served counts, per worker, the calls every script of the run has
+	// served it; the scripts and the scriptPolicy share it.
+	served []int
 }
 
 func (s *scriptSched) Name() string { return s.name }
@@ -106,31 +109,39 @@ func (s *scriptSched) Next(tid int, _ int64) (core.Assign, bool) {
 		return core.Assign{}, false
 	}
 	s.pos[tid] = i + 1
+	s.served[tid]++
 	g := q[i]
 	return core.Assign{Lo: g.lo, Hi: g.hi, AssignCost: g.cost}, !g.retire
 }
 
 // scriptPolicy replays each worker's recorded loop-visit order under
-// sim.RunLoops: every Pick grants a burst of 1, so the policy is consulted
-// before every scheduler call and hands back exactly the recorded sequence.
+// sim.RunLoops: a Pick grants the recorded loop for the whole run of calls
+// the worker made to it in a row, so the fleet is consulted once per run,
+// not once per call. The worker's place in its visit list is the number of
+// calls the scripts served it, not a cursor of the policy's own: an arrival
+// ends a grant early (sim.RunLoops re-picks for every worker), and the next
+// Pick must resume where the served calls left off.
 type scriptPolicy struct {
 	perThread [][]int // loop index sequence per tid
-	pos       []int
+	served    []int   // shared with every scriptSched of the run
 }
 
 func (p *scriptPolicy) Name() string { return "replay-script" }
 
 func (p *scriptPolicy) Pick(tid int, cands []fair.Candidate) (int, int) {
 	q := p.perThread[tid]
-	i := p.pos[tid]
+	i := p.served[tid]
 	if i >= len(q) {
 		return 0, 1 // script exhausted; unreachable on a consistent record
 	}
-	p.pos[tid] = i + 1
+	run := 1
+	for i+run < len(q) && q[i+run] == q[i] {
+		run++
+	}
 	want := uint64(q[i])
 	for idx, c := range cands {
 		if c.ID == want {
-			return idx, 1
+			return idx, run
 		}
 	}
 	return 0, 1 // recorded loop already retired this worker; unreachable
@@ -184,13 +195,14 @@ func migrationsOf(rec *trace.Record) []sim.Migration {
 }
 
 // scriptsOf compiles the record's event stream into per-loop, per-thread
-// grant scripts plus each worker's loop-visit order. Events are taken in
+// grant scripts plus the policy that replays each worker's loop-visit order,
+// all sharing one per-worker count of served calls. Events are taken in
 // (TimeNs, Tid, Seq) order, which preserves every worker's recorded grant
 // sequence (Seq breaks wall-clock ties within a worker under rt records); a
 // simulator's record is in that order already and is read in place. A
 // counting pass sizes every script and visit list (carve) before the filling
 // pass.
-func scriptsOf(rec *trace.Record) (scheds []*scriptSched, visit [][]int) {
+func scriptsOf(rec *trace.Record) (scheds []*scriptSched, pol *scriptPolicy) {
 	byTime := func(a, b trace.ChunkEvent) int {
 		if a.TimeNs != b.TimeNs {
 			return cmp.Compare(a.TimeNs, b.TimeNs)
@@ -214,14 +226,16 @@ func scriptsOf(rec *trace.Record) (scheds []*scriptSched, visit [][]int) {
 	}
 	scripts := carve[grant](perScript)
 	scheds = make([]*scriptSched, len(rec.Loops))
+	served := make([]int, nt)
 	for li, l := range rec.Loops {
 		scheds[li] = &scriptSched{
 			name:      "replay(" + l.Scheduler + ")",
 			perThread: scripts[li*nt : (li+1)*nt : (li+1)*nt],
 			pos:       make([]int, nt),
+			served:    served,
 		}
 	}
-	visit = carve[int](perWorker)
+	visit := carve[int](perWorker)
 	for i := range evs {
 		ev := &evs[i]
 		s := scheds[ev.Loop]
@@ -235,7 +249,7 @@ func scriptsOf(rec *trace.Record) (scheds []*scriptSched, visit [][]int) {
 		})
 		visit[ev.Tid] = append(visit[ev.Tid], ev.Loop)
 	}
-	return scheds, visit
+	return scheds, &scriptPolicy{perThread: visit, served: served}
 }
 
 // carve returns len(counts) empty lists cut from one array, list i with room
@@ -277,7 +291,7 @@ func Exact(rec *trace.Record) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	scheds, visit := scriptsOf(rec)
+	scheds, pol := scriptsOf(rec)
 	next := 0
 	recorder := trace.NewRecorder()
 	recorder.ReserveChunks(len(rec.Events)) // a faithful replay makes the same calls
@@ -295,7 +309,6 @@ func Exact(rec *trace.Record) (*Result, error) {
 		Migrations: migrationsOf(rec),
 		Recorder:   recorder,
 	}
-	pol := &scriptPolicy{perThread: visit, pos: make([]int, rec.NThreads)}
 	res, err := runConfigured(cfg, rec, specs, pol, rec.Timeline != nil)
 	if err != nil {
 		return nil, err

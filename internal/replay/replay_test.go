@@ -2,12 +2,15 @@ package replay
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/amp"
+	"repro/internal/fair"
 	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -404,4 +407,73 @@ func TestPiecewiseCost(t *testing.T) {
 	if got := c.Units(5); got != 50 {
 		t.Errorf("Units(5) = %v, want 50", got)
 	}
+}
+
+// TestExactReplayArrivalsCutRuns: the scripted policy grants a worker its
+// whole recorded run of calls to one loop, and an arrival ends that grant
+// early, so the next pick must resume at the calls the scripts actually
+// served. Under FCFS a worker goes back to the oldest loop after every
+// arrival, so its recorded runs span arrivals. A simulated fleet record
+// whose loops arrive while others run, and an rt-captured one whose second
+// and third loops are submitted mid-run, must both replay exactly.
+func TestExactReplayArrivalsCutRuns(t *testing.T) {
+	t.Run("sim", func(t *testing.T) {
+		pl := amp.PlatformA()
+		dyn, _ := rt.ParseSchedule("dynamic,4")
+		rec := trace.NewRecorder()
+		cfg := sim.Config{Platform: pl, NThreads: pl.NumCores(), Factory: dyn.Factory(), Recorder: rec}
+		var specs []sim.LoopSpec
+		for i := 0; i < 6; i++ {
+			specs = append(specs, sim.LoopSpec{Name: fmt.Sprint("l", i), NI: 3000,
+				Profile: amp.Profile{ILP: 0.5}, Cost: sim.UniformCost{PerIter: 20000},
+				Weight: 1 + i%3, Arrive: int64(i) * 700_000})
+		}
+		if _, err := sim.RunLoops(cfg, specs, fair.NewFCFS(), 0); err != nil {
+			t.Fatal(err)
+		}
+		for i := range specs {
+			rec.SetLoopSchedule(i, dyn.Canonical())
+		}
+		record := roundTrip(t, rec.Record())
+		r1, err := Exact(record)
+		if err != nil {
+			t.Fatalf("Exact: %v", err)
+		}
+		if r1.MakespanNs != record.MakespanNs {
+			t.Fatalf("makespan %d, recorded %d", r1.MakespanNs, record.MakespanNs)
+		}
+	})
+	t.Run("rt", func(t *testing.T) {
+		reg, err := rt.NewRegistry(rt.RegistryConfig{NThreads: 2, Policy: fair.NewFCFS()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reg.Close()
+		var loops []*rt.Loop
+		for i := 0; i < 3; i++ {
+			l, err := reg.Submit(rt.LoopRequest{Name: fmt.Sprint("l", i), N: 2000, Capture: true,
+				Schedule: rt.Schedule{Kind: rt.KindDynamic, Chunk: 8},
+				Body: func(_ int, lo, hi int64) {
+					// About a microsecond per iteration, so that every
+					// loop is still running when the next one arrives.
+					for start := time.Now(); time.Since(start) < time.Duration(hi-lo)*time.Microsecond; {
+					}
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loops = append(loops, l)
+			time.Sleep(200 * time.Microsecond)
+		}
+		for _, l := range loops {
+			l.Wait()
+		}
+		rec, err := reg.BuildRecord(loops...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Exact(roundTrip(t, rec)); err != nil {
+			t.Fatalf("Exact on rt record: %v", err)
+		}
+	})
 }

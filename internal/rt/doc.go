@@ -12,11 +12,46 @@
 //     under a pluggable fairness policy (internal/fair). This is the
 //     building block for serving many users' loops at once.
 //   - Team: the single-loop fork/join facade over Registry, used by the
-//     runnable examples. Go offers no thread-to-core affinity, so
-//     wall-clock fidelity is limited; the discrete-event engine
-//     (internal/sim, including the multi-loop sim.RunLoops) carries the
-//     paper's evaluation, while Team and Registry demonstrate the
-//     schedulers as real concurrent code.
+//     runnable examples. Big and small cores are emulated by throttling
+//     on whatever CPUs the host has, so wall-clock fidelity is limited;
+//     the discrete-event engine (internal/sim, including the multi-loop
+//     sim.RunLoops) carries the paper's evaluation, while Team and
+//     Registry demonstrate the schedulers as real concurrent code.
+//
+// # Worker placement
+//
+// The paper's runtime runs one thread per core (libgomp's OMP_PROC_BIND),
+// and so does a Registry where it can. NewRegistry reads the process's CPU
+// mask once. When the mask holds at least as many CPUs as the fleet has
+// workers, each worker locks its goroutine to its OS thread and binds the
+// thread to a CPU of its own, the CPUs taken in mask order from a start
+// that rotates between registries, so fleets alive together spread out. A
+// smaller mask leaves the whole fleet to the kernel, since two workers
+// fixed on one CPU could never be separated; a refused system call leaves
+// that one worker unpinned. Only Linux binds (placement_linux.go).
+//
+// Why: left to the kernel, the two threads of a 1B+1S fleet on a two-CPU
+// host often run on one CPU after an idle gap, taking turns. Under
+// serve_open_hi's open loop (20 s, two runs per side), the dynamic,16 loops
+// that one worker ran alone went from 383-408 to 278-291 of 1660, and the
+// last-body-to-Wait p90 from 3.7-3.9 to 1.6 ms (dynamic,16), 2.4-2.5 to
+// 1.5 ms (aid-hybrid,80,4) and 1.1-1.4 to 0.5-0.6 ms (aid-dynamic,1,5).
+// The workload's p90_ms went from 15.1 to 9.1 ms and its iters_per_s from
+// 2.37e6 to 2.86e6 (medians of 10 alternating 20 s pairs, every pair
+// better); traced, rt.first_to_done_ms read 2.3-2.7 ms before and 1.9 ms
+// after, rt.p99_ms 22-39 ms before and 15-16 ms after.
+//
+// A bound thread is never unlocked: it ends with its worker goroutine at
+// Close, so a one-CPU thread never goes back to the runtime to serve other
+// goroutines (TestWorkerPlacement checks this and the placement rule).
+//
+// The cost is in waking and starting workers. A worker that sleeps between
+// loops is locked to its thread, so the runtime wakes it by handing a P to
+// that thread rather than running it on whichever thread is awake:
+// admission to first body went from 19-24 to 25-31 us at the median (the
+// same runs, per schedule). And since bound threads exit at Close, every
+// registry starts a fresh thread per worker: rt.new_registry_ms, a
+// NewRegistry and Close of the 1B+1S fleet, went from 0.002 to 0.09 ms.
 //
 // # The per-chunk budget
 //

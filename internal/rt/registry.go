@@ -57,6 +57,9 @@ type Registry struct {
 	typeOf   func(tid int) int
 	policy   fair.Policy
 	base     time.Time
+	// cpus is the CPU each worker binds its thread to, nil when the fleet
+	// is left to the kernel's placement (doc.go, "Worker placement").
+	cpus []int
 
 	// dist caches the platform's cluster-distance matrix for the metrics
 	// layer's provenance-tier bucketing (nil-safe; obs.Tier handles it).
@@ -212,6 +215,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		types:    make([]int, nthreads),
 		policy:   cfg.Policy,
 		base:     time.Now(),
+		cpus:     placement(nthreads),
 	}
 	for tid := 0; tid < nthreads; tid++ {
 		r.types[tid] = pl.ClusterOf(pl.CoreOf(tid, nthreads, cfg.Binding))
@@ -735,6 +739,9 @@ func tapeEstimate(n, chunk int64, nthreads int) int {
 // whose intervals therefore tile a burst without gaps.
 func (r *Registry) worker(tid int) {
 	defer r.wg.Done()
+	if r.cpus != nil {
+		bind(r.cpus[tid])
+	}
 	// stretch is the share of its own time a body is stretched by on this
 	// worker: a chunk that ran d ns occupies the worker for d·(1+stretch),
 	// so its effective throughput is 1/slowdown of a big core's.

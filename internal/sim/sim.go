@@ -3,8 +3,9 @@
 // loops) on a modeled asymmetric multicore platform in virtual time.
 //
 // Substituting simulation for the paper's physical testbeds is the central
-// reproduction decision: Go cannot pin OS threads to cores of chosen types,
-// but every phenomenon the paper studies is a function of (a) per-loop
+// reproduction decision: the runtime (internal/rt) can bind a thread to a
+// CPU but not to a core of a chosen type, since the host has no big and
+// small cores, but every phenomenon the paper studies is a function of (a) per-loop
 // big/small speed ratios and (b) runtime overhead per iteration-pool access —
 // both first-class quantities in this model. The virtual clock has
 // nanosecond resolution and the engine is fully deterministic: the same
@@ -203,24 +204,6 @@ func (l LinearCost) RangeUnits(lo, hi int64) float64 {
 	n := float64(hi - lo)
 	// sum of indices lo..hi-1 = n*(lo+hi-1)/2
 	return l.Base*n + l.Slope*n*(float64(lo+hi-1))/2
-}
-
-// FuncCost wraps an arbitrary per-iteration cost function. RangeUnits is
-// computed by summation; prefer analytic models for very long loops.
-type FuncCost struct {
-	F func(i int64) float64
-}
-
-// Units implements CostModel.
-func (f FuncCost) Units(i int64) float64 { return f.F(i) }
-
-// RangeUnits implements CostModel.
-func (f FuncCost) RangeUnits(lo, hi int64) float64 {
-	sum := 0.0
-	for i := lo; i < hi; i++ {
-		sum += f.F(i)
-	}
-	return sum
 }
 
 // LoopSpec describes one parallel loop.

@@ -44,10 +44,6 @@ func TestCostModels(t *testing.T) {
 	if got := l.RangeUnits(2, 5); got != 21 {
 		t.Errorf("LinearCost.RangeUnits(2,5) = %v, want 21", got)
 	}
-	f := FuncCost{F: func(i int64) float64 { return float64(i * i) }}
-	if f.Units(4) != 16 || f.RangeUnits(0, 4) != 0+1+4+9 {
-		t.Error("FuncCost wrong")
-	}
 }
 
 func TestCostModelRangeMatchesSum(t *testing.T) {
