@@ -5,10 +5,14 @@
 #                  policy call in rt or sim outside fair.Fleet, and no
 #                  imbalance function or timeline TimeIn read outside
 #                  internal/trace, whose Record.Digest is the one per-thread
-#                  busy/sched/sync walk; then a darwin/arm64 and a windows
-#                  build of everything outside bench/, whose spinners are
-#                  Linux-only, so that the non-Linux twin of a Linux-only
-#                  file keeps compiling),
+#                  busy/sched/sync walk, no sync.Mutex in an AID scheduler
+#                  (internal/core/aid_*.go: AID-auto after its verdict takes
+#                  no lock), and no phase.complete( call or `* 1024 /` sample
+#                  arithmetic in internal/core outside sampler.go, the one
+#                  sampling phase of the three AID machines; then a
+#                  darwin/arm64 and a windows build of everything outside
+#                  bench/, whose spinners are Linux-only, so that the
+#                  non-Linux twin of a Linux-only file keeps compiling),
 #                  build, the whole suite (plain, plus the
 #                  lock-free layers and the figure sweeps under -race), the
 #                  multi-loop conformance/race suite under -race -count=2,
@@ -73,17 +77,22 @@ ci: vet build race race-multiloop examples
 # gofmt -l prints the files it would rewrite, and git grep every test file,
 # tracked or not, that declares a benchmark outside bench/, every line of the
 # two engines' code that calls a fairness policy itself instead of through
-# fair.Fleet, and every non-test Go line outside internal/trace that defines
-# an imbalance function or sums a timeline state with TimeIn; grep passes
-# them on and makes any such line a failure. The two cross builds compile
-# the build-tagged twins (internal/rt's worker placement) that a Linux build
-# never sees; go build of several packages writes no binary.
+# fair.Fleet, every non-test Go line outside internal/trace that defines
+# an imbalance function or sums a timeline state with TimeIn, every non-test
+# line of an AID scheduler that names sync.Mutex, and every non-test line of
+# internal/core outside sampler.go that completes a phase or scales a sample
+# by 1024; grep passes them on and makes any such line a failure. The two
+# cross builds compile the build-tagged twins (internal/rt's worker
+# placement) that a Linux build never sees; go build of several packages
+# writes no binary.
 vet:
 	$(GO) vet ./...
 	! gofmt -l . | grep .
 	! git grep --untracked -l '^func Benchmark' -- '*_test.go' ':!bench/' | grep .
 	! git grep --untracked -nE '\.Pick\(|fair\.Retirer' -- internal/rt internal/sim ':!*_test.go' | grep .
 	! git grep --untracked -nE 'func .*[Ii]mbalance|TimeIn\(' -- '*.go' ':!internal/trace' ':!*_test.go' | grep .
+	! git grep --untracked -n 'sync\.Mutex' -- 'internal/core/aid_*.go' ':!*_test.go' | grep .
+	! git grep --untracked -nE 'phase\.complete\(|\*[[:space:]]*1024[[:space:]]*/' -- internal/core ':!internal/core/sampler.go' ':!*_test.go' | grep .
 	GOOS=darwin GOARCH=arm64 $(GO) build ./internal/... ./cmd/... ./examples/...
 	GOOS=windows $(GO) build ./internal/... ./cmd/... ./examples/...
 

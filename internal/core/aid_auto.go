@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"math"
 
 	"repro/internal/pool"
 )
@@ -30,6 +30,12 @@ import (
 // The wrapped variants reuse this scheduler's pool, so no iteration is lost
 // or duplicated at the handover.
 //
+// The scheduler takes no lock. The last thread to finish sampling decides
+// inside the sampler's transition window and publishes the verdict — with
+// the SF table, k, or the adopted AID-dynamic — by advancing the sampler's
+// epoch to 1, as AIDHybrid publishes SF and k; every reader of the verdict
+// (Next's wait state, readsClock, Decision) loads the epoch first.
+//
 // Caveat: the classifier only sees NThreads·chunk iterations. Cost
 // variation at a coarser granularity than that window is invisible and the
 // loop is classified uniform; choose the sampling chunk so the window spans
@@ -46,23 +52,20 @@ type AIDAuto struct {
 	major     int64
 	threshold float64
 
-	ws *pool.ShardedWorkShare
-	sc *pool.SampleCounters
+	ws  *pool.ShardedWorkShare
+	smp sampler // epoch 1 publishes the verdict and the state below
 
-	mu        sync.Mutex
-	th        []perThread
-	samples   []float64 // per-thread per-iteration sampling time (scaled)
-	typeAvg   []float64 // decide's per-type mean sampling time
-	counts    []int     // threads per core type
-	decided   bool
+	th      []perThread
+	typeAvg []float64 // decide's per-type mean sampling time
+	counts  []int     // threads per core type
+
 	irregular bool
 	cv        float64
 
 	// Post-decision state (one of the two is active).
-	sf       []float64
-	k        float64
-	assigned int
-	dyn      *AIDDynamic // allocated by the first irregular loop, re-adopted by later ones
+	sf  []float64
+	k   float64
+	dyn *AIDDynamic // allocated by the first irregular loop, re-adopted by later ones
 
 	// observe, when non-nil, receives the classification decision and is
 	// forwarded to the adopted AID-dynamic instance (decision-capture hook
@@ -99,7 +102,6 @@ func NewAIDAuto(info LoopInfo, chunk int64, pct float64, major int64, threshold 
 		major:     major,
 		threshold: threshold,
 		ws:        new(pool.ShardedWorkShare),
-		sc:        new(pool.SampleCounters),
 	}
 	if err := a.Reset(info); err != nil {
 		return nil, err
@@ -120,14 +122,12 @@ func (a *AIDAuto) Reset(info LoopInfo) error {
 	// AID-dynamic inherits the pool; the pool clamps core-type home indexes
 	// to its shard count.
 	a.ws.Reset(info.NI, []int{info.NThreads})
-	a.sc.Resize(info.NumTypes, info.NThreads)
+	a.smp.reset(info, 0)
 	a.th = resetThreads(a.th, info.NThreads)
-	a.samples = sized(a.samples, info.NThreads)
 	a.typeAvg = sized(a.typeAvg, info.NumTypes)
 	a.counts = info.typeCounts(a.counts)
 	a.sf = sized(a.sf, info.NumTypes)
-	a.decided, a.irregular, a.cv = false, false, 0
-	a.k, a.assigned = 0, 0
+	a.irregular, a.cv, a.k = false, 0, 0
 	a.observe = nil
 	return nil
 }
@@ -142,9 +142,10 @@ func (a *AIDAuto) PoolReweights() int64 { return a.ws.Reweights() }
 // Decision reports the variant chosen for this loop and the measured
 // coefficient of variation; ok is false before sampling completes.
 func (a *AIDAuto) Decision() (irregular bool, cv float64, ok bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.irregular, a.cv, a.decided
+	if a.smp.epoch() == 0 {
+		return false, 0, false
+	}
+	return a.irregular, a.cv, true
 }
 
 func (a *AIDAuto) take(tid int, st *perThread, n int64, asg *Assign) (Assign, bool) {
@@ -152,17 +153,18 @@ func (a *AIDAuto) take(tid int, st *perThread, n int64, asg *Assign) (Assign, bo
 }
 
 // decide computes the SF table and the cross-thread CV of type-normalized
-// per-iteration times, then locks in the variant.
+// per-iteration times, then locks in the variant. It runs in the sampler's
+// transition window; the caller publishes the verdict with advance.
 func (a *AIDAuto) decide() {
-	sampledSF(a.sc, a.sf) // the SF estimate, identical to AID-static's
+	a.smp.sampledSF(a.sf) // the SF estimate, identical to AID-static's
 	typeAvg := a.typeAvg
 	for t := range typeAvg {
-		typeAvg[t], _ = a.sc.Avg(t)
+		typeAvg[t], _ = a.smp.avg(t)
 	}
 	// Cross-thread CV of normalized samples.
 	var n, sum, sumSq float64
-	for tid, s := range a.samples {
-		t := a.info.TypeOf(tid)
+	for tid := range a.th {
+		s, t := float64(a.th[tid].sample), a.info.TypeOf(tid)
 		if s <= 0 || typeAvg[t] <= 0 {
 			continue
 		}
@@ -177,15 +179,14 @@ func (a *AIDAuto) decide() {
 		if variance < 0 {
 			variance = 0
 		}
-		a.cv = sqrt(variance) / mean
+		a.cv = math.Sqrt(variance) / mean
 	}
 	a.irregular = a.cv > a.threshold
-	a.decided = true
 	if a.irregular {
 		// Hand the remaining pool to an AID-dynamic instance seeded with
 		// the estimated R, skipping its own sampling phase.
 		if a.dyn == nil {
-			a.dyn = &AIDDynamic{sc: new(pool.SampleCounters)}
+			a.dyn = new(AIDDynamic)
 		}
 		a.dyn.adopt(a.info, a.chunk, a.major, a.ws, a.sf)
 		if a.observe != nil {
@@ -199,7 +200,6 @@ func (a *AIDAuto) decide() {
 // finalAssign mirrors AIDHybrid's single asymmetric allotment, claimed
 // across shards so a share larger than the home shard is not truncated.
 func (a *AIDAuto) finalAssign(tid int, st *perThread, asg *Assign) (Assign, bool) {
-	a.assigned++
 	st.state = stDrain
 	asg.Origin = OriginShared
 	want := int64(a.sf[a.info.TypeOf(tid)]*a.k+0.5) - st.delta
@@ -219,9 +219,7 @@ func (a *AIDAuto) finalAssign(tid int, st *perThread, asg *Assign) (Assign, bool
 // bookkeeping on the irregular one). A thread waiting for the decision must
 // answer true: an irregular verdict hands its next call to AID-dynamic.
 func (a *AIDAuto) readsClock(tid int) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.irregular {
+	if a.smp.epoch() > 0 && a.irregular {
 		return a.dyn.readsClock(tid)
 	}
 	return a.th[tid].state != stDrain
@@ -229,29 +227,16 @@ func (a *AIDAuto) readsClock(tid int) bool {
 
 // Next implements Scheduler.
 func (a *AIDAuto) Next(tid int, nowNs int64) (Assign, bool) {
-	a.mu.Lock()
 	st := &a.th[tid]
 	asg := &Assign{}
 	switch st.state {
 	case stNew:
-		st.lastTS = nowNs
-		asg.Timestamps++
+		a.smp.open(&st.window, nowNs, asg)
 		st.state = stSampling
-		r, ok := a.take(tid, st, a.chunk, asg)
-		a.mu.Unlock()
-		return r, ok
+		return a.take(tid, st, a.chunk, asg)
 
 	case stSampling:
-		asg.Timestamps++
-		elapsed := nowNs - st.lastTS
-		st.lastTS = nowNs
-		last := false
-		if st.lastN > 0 {
-			perIter := elapsed * 1024 / st.lastN
-			a.samples[tid] = float64(perIter)
-			last = a.sc.Record(a.info.TypeOf(tid), perIter)
-		}
-		if last {
+		if a.smp.close(&st.window, a.info.TypeOf(tid), nowNs, st.lastN, sampleScale, asg) {
 			a.decide()
 			if a.observe != nil {
 				kind := PhaseAutoUniform
@@ -261,61 +246,32 @@ func (a *AIDAuto) Next(tid int, nowNs int64) (Assign, bool) {
 				a.observe(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: 1,
 					Kind: kind, SF: append([]float64(nil), a.sf...)})
 			}
+			a.smp.advance(1)
 			if a.irregular {
 				st.state = stDrain // bookkeeping only; dyn takes over
-				dyn := a.dyn
-				a.mu.Unlock()
-				return dyn.Next(tid, nowNs)
+				return a.dyn.Next(tid, nowNs)
 			}
-			r, ok := a.finalAssign(tid, st, asg)
-			a.mu.Unlock()
-			return r, ok
+			return a.finalAssign(tid, st, asg)
 		}
 		st.state = stSamplingWait
-		r, ok := a.take(tid, st, a.chunk, asg)
-		a.mu.Unlock()
-		return r, ok
+		return a.take(tid, st, a.chunk, asg)
 
 	case stSamplingWait:
-		if a.decided {
-			if a.irregular {
-				dyn := a.dyn
-				a.mu.Unlock()
-				return dyn.Next(tid, nowNs)
-			}
-			r, ok := a.finalAssign(tid, st, asg)
-			a.mu.Unlock()
-			return r, ok
+		if a.smp.epoch() == 0 {
+			return a.take(tid, st, a.chunk, asg)
 		}
-		r, ok := a.take(tid, st, a.chunk, asg)
-		a.mu.Unlock()
-		return r, ok
+		if a.irregular {
+			return a.dyn.Next(tid, nowNs)
+		}
+		return a.finalAssign(tid, st, asg)
 
 	case stDrain:
 		if a.irregular {
-			dyn := a.dyn
-			a.mu.Unlock()
-			return dyn.Next(tid, nowNs)
+			return a.dyn.Next(tid, nowNs)
 		}
-		r, ok := a.take(tid, st, a.chunk, asg)
-		a.mu.Unlock()
-		return r, ok
+		return a.take(tid, st, a.chunk, asg)
 	}
-	a.mu.Unlock()
 	panic(fmt.Sprintf("core: thread %d in invalid state %v", tid, st.state))
-}
-
-// sqrt is a local Newton iteration to avoid importing math for one call in
-// the scheduling hot path (the decision runs once per loop).
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 32; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
 }
 
 // adopt arms d as an AID-dynamic schedule that takes over an existing
@@ -323,14 +279,13 @@ func sqrt(x float64) float64 {
 // directly (its own sampling already happened in the caller).
 func (d *AIDDynamic) adopt(info LoopInfo, m, major int64, ws *pool.ShardedWorkShare, r []float64) {
 	d.m, d.M, d.ws = m, major, ws
-	d.rearm(info)
+	// Epoch 1 opens with all threads outstanding, as if they had just
+	// finished the initial sampling phase.
+	d.rearm(info, 1)
 	for i, v := range r {
 		d.rbuf[0][i] = clampR(v)
 	}
 	d.r.Store(&d.rbuf[0])
-	// Epoch 1 opens with all threads outstanding, as if they had just
-	// finished the initial sampling phase.
-	d.phase.init(1, info.NThreads)
 	for tid := range d.th {
 		d.th[tid].state = stSamplingWait
 	}

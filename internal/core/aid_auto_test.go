@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -174,50 +175,104 @@ func TestAIDAutoTinyLoops(t *testing.T) {
 	}
 }
 
+// TestAIDAutoConcurrent runs the lock-free AID-auto on one goroutine per
+// thread, each asking ReadsClock between its own Next calls while another
+// goroutine polls Decision, once with a uniform cost (the hybrid path) and
+// once with an irregular one (the adopted AID-dynamic). Under -race this is
+// the check that the verdict is published by the sampler's epoch alone.
+// Every thread's first chunk is claimed before any thread asks again, so
+// the sampling window is the loop's first NThreads chunks and the verdict
+// is fixed: 128-iteration chunks over the 64-iteration heavy/light blocks
+// sample per-iteration times 7, 7, 2 and 7 (×64).
 func TestAIDAutoConcurrent(t *testing.T) {
-	info := twoTypeInfo(30000, 2, 2)
-	a, _ := NewAIDAuto(info, 4, 0.8, 16, 0.25)
-	covered := make([]int32, info.NI)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for tid := 0; tid < info.NThreads; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			now := int64(tid)
-			local := make([][2]int64, 0, 64)
-			for {
-				asg, ok := a.Next(tid, now)
-				if !ok {
-					break
+	for _, c := range []struct {
+		name      string
+		irregular bool
+	}{{"uniform", false}, {"irregular", true}} {
+		t.Run(c.name, func(t *testing.T) {
+			info := twoTypeInfo(30000, 2, 2)
+			a, _ := NewAIDAuto(info, 128, 0.8, 256, 0.25)
+			cost := func(tid int, i int64) int64 {
+				v := int64(100 + 200*info.TypeOf(tid))
+				if c.irregular && (i/64)%3 == 0 {
+					v *= 6
 				}
-				now += asg.N() * 100
-				local = append(local, [2]int64{asg.Lo, asg.Hi})
+				return v
 			}
-			mu.Lock()
-			for _, r := range local {
-				for i := r[0]; i < r[1]; i++ {
-					covered[i]++
+			covered := make([]int32, info.NI)
+			var mu sync.Mutex
+			var first, wg sync.WaitGroup
+			first.Add(info.NThreads)
+			done := make(chan struct{})
+			polled := make(chan error)
+			go func() {
+				var err error
+				decided := false
+				for {
+					select {
+					case <-done:
+						polled <- err
+						return
+					default:
+					}
+					irregular, cv, ok := a.Decision()
+					if decided && !ok && err == nil {
+						err = fmt.Errorf("Decision went back to undecided")
+					}
+					if ok && irregular != c.irregular && err == nil {
+						err = fmt.Errorf("Decision: irregular %v (CV %v), want %v", irregular, cv, c.irregular)
+					}
+					decided = decided || ok
+				}
+			}()
+			for tid := 0; tid < info.NThreads; tid++ {
+				wg.Add(1)
+				go func(tid int) {
+					defer wg.Done()
+					now := int64(tid)
+					local := make([][2]int64, 0, 64)
+					clocked := true
+					for n := 0; ; n++ {
+						asg, ok := a.Next(tid, now)
+						if n == 0 {
+							first.Done()
+							first.Wait()
+						}
+						if !ok {
+							break
+						}
+						for i := asg.Lo; i < asg.Hi; i++ {
+							now += cost(tid, i)
+						}
+						local = append(local, [2]int64{asg.Lo, asg.Hi})
+						if rc := ReadsClock(a, tid); rc && !clocked {
+							t.Errorf("thread %d: ReadsClock true again after false", tid)
+						} else {
+							clocked = rc
+						}
+					}
+					mu.Lock()
+					for _, r := range local {
+						for i := r[0]; i < r[1]; i++ {
+							covered[i]++
+						}
+					}
+					mu.Unlock()
+				}(tid)
+			}
+			wg.Wait()
+			close(done)
+			if err := <-polled; err != nil {
+				t.Error(err)
+			}
+			if irregular, cv, ok := a.Decision(); !ok || irregular != c.irregular {
+				t.Errorf("final Decision: irregular %v (CV %v), decided %v; want irregular %v", irregular, cv, ok, c.irregular)
+			}
+			for i, n := range covered {
+				if n != 1 {
+					t.Fatalf("iteration %d covered %d times", i, n)
 				}
 			}
-			mu.Unlock()
-		}(tid)
-	}
-	wg.Wait()
-	for i, c := range covered {
-		if c != 1 {
-			t.Fatalf("iteration %d covered %d times", i, c)
-		}
-	}
-}
-
-func TestSqrtHelper(t *testing.T) {
-	for _, c := range []struct{ in, want float64 }{
-		{0, 0}, {-4, 0}, {1, 1}, {4, 2}, {9, 3}, {2, 1.4142135623730951},
-	} {
-		got := sqrt(c.in)
-		if diff := got - c.want; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("sqrt(%v) = %v, want %v", c.in, got, c.want)
-		}
+		})
 	}
 }

@@ -40,23 +40,21 @@ type AIDDynamic struct {
 	m, M int64
 
 	ws *pool.ShardedWorkShare
-	sc *pool.SampleCounters
 
 	th     []aidDynThread
 	types  []atomic.Int32 // per-thread core type; mutable via Migrate (§4.3)
 	counts []int          // threads per core type, as the loop started
 
-	// phase packs (epoch, remaining): epoch 0 is the initial sampling, n>0
-	// the nth AID phase. r is published by pointer swap inside the
-	// transition window, so mid-run readers never observe a half-written
-	// table. The tables themselves are the two preallocated rbuf slots,
-	// written alternately: the window closing epoch e fills rbuf[e&1] while
-	// readers hold the other, so a published table stays intact until the
-	// window after next.
-	phase phaseWord
-	r     atomic.Pointer[[]float64] // per core type, progress vs slowest type
-	rbuf  [2][]float64
-	tail  atomic.Bool // switched to dynamic(m) for the loop's end
+	// smp's epoch 0 is the initial sampling, n>0 the nth AID phase. r is
+	// published by pointer swap inside the transition window, so mid-run
+	// readers never observe a half-written table. The tables themselves are
+	// the two preallocated rbuf slots, written alternately: the window
+	// closing epoch e fills rbuf[e&1] while readers hold the other, so a
+	// published table stays intact until the window after next.
+	smp  sampler
+	r    atomic.Pointer[[]float64] // per core type, progress vs slowest type
+	rbuf [2][]float64
+	tail atomic.Bool // switched to dynamic(m) for the loop's end
 
 	// Ablation toggles (see SetAblation); set before the first Next call.
 	noTailSwitch bool
@@ -82,9 +80,10 @@ type AIDDynamic struct {
 func (a *AIDDynamic) SetPhaseObserver(fn func(PhaseEvent)) { a.observe = fn }
 
 type aidDynThread struct {
-	state  threadState
-	epoch  uint32 // last epoch this thread received an AID assignment for
-	lastTS int64
+	state threadState
+	// window's epoch is the last epoch this thread received an AID
+	// assignment for, the one its phase measurement reports to.
+	window
 	// nominalN is the intended allotment (R_j·M) of the thread's current
 	// AID phase. The actual allotment may be smaller (δ subtraction, pool
 	// drain); measured phase times are rescaled to the nominal size so
@@ -109,7 +108,7 @@ func NewAIDDynamic(info LoopInfo, m, M int64) (*AIDDynamic, error) {
 	if M < m {
 		return nil, fmt.Errorf("core: Major chunk %d must be >= minor chunk %d", M, m)
 	}
-	a := &AIDDynamic{m: m, M: M, ws: new(pool.ShardedWorkShare), sc: new(pool.SampleCounters)}
+	a := &AIDDynamic{m: m, M: M, ws: new(pool.ShardedWorkShare)}
 	if err := a.Reset(info); err != nil {
 		return nil, err
 	}
@@ -122,18 +121,18 @@ func (a *AIDDynamic) Reset(info LoopInfo) error {
 	if err := info.Validate(); err != nil {
 		return err
 	}
-	a.rearm(info)
+	a.rearm(info, 0)
 	info.resetPool(a.ws, a.counts)
-	a.phase.init(0, info.NThreads)
 	return nil
 }
 
-// rearm starts every piece of per-loop state over except the pool and the
-// phase word: Reset and adopt, the two ways into a loop, set those.
-func (a *AIDDynamic) rearm(info LoopInfo) {
+// rearm starts every piece of per-loop state over except the pool, and arms
+// the sampler at epoch: Reset and adopt, the two ways into a loop, set the
+// pool and choose the epoch.
+func (a *AIDDynamic) rearm(info LoopInfo, epoch uint32) {
 	a.info = info
 	a.counts = info.typeCounts(a.counts)
-	a.sc.Resize(info.NumTypes, info.NThreads)
+	a.smp.reset(info, epoch)
 	if cap(a.th) < info.NThreads {
 		a.th = make([]aidDynThread, info.NThreads)
 	}
@@ -268,11 +267,11 @@ func clampR(r float64) float64 {
 	return r
 }
 
-// computeInitialR derives R from the initial sampling counters exactly as
+// computeInitialR derives R from the initial sampling phase exactly as
 // AID-static derives SF (per-iteration-normalized times) and publishes it.
 // Runs inside the single-threaded transition window of epoch 0.
 func (a *AIDDynamic) computeInitialR() []float64 {
-	r := sampledSF(a.sc, a.rbuf[0])
+	r := a.smp.sampledSF(a.rbuf[0])
 	for t := range r {
 		r[t] = clampR(r[t])
 	}
@@ -299,7 +298,7 @@ func (a *AIDDynamic) smoothR(epoch uint32) []float64 {
 	slot := &a.rbuf[epoch&1]
 	// SM is the sampled SF of this phase's raw times; a type with no sample
 	// reads 1 and keeps its R (every R already passed clampR).
-	r := sampledSF(a.sc, *slot)
+	r := a.smp.sampledSF(*slot)
 	for t, sm := range r {
 		if !a.noSMClamp {
 			if sm < 2.0/3.0 {
@@ -346,7 +345,7 @@ func (a *AIDDynamic) aidAssign(tid int, st *aidDynThread, asg *Assign, nowNs int
 		if a.tail.CompareAndSwap(false, true) && a.observe != nil {
 			// The CAS winner reports the switch exactly once.
 			a.observe(PhaseEvent{TimeNs: nowNs, Tid: tid,
-				Epoch: int(a.phase.epoch()), Kind: PhaseTailSwitch})
+				Epoch: int(a.smp.epoch()), Kind: PhaseTailSwitch})
 		}
 	}
 	if a.tail.Load() {
@@ -354,8 +353,8 @@ func (a *AIDDynamic) aidAssign(tid int, st *aidDynThread, asg *Assign, nowNs int
 		return a.take(tid, st, a.m, asg)
 	}
 	st.state = stAID
-	st.epoch = a.phase.epoch()
-	st.lastTS = nowNs
+	st.epoch = a.smp.epoch()
+	a.smp.restamp(&st.window, nowNs)
 	asg.Origin = a.types[tid].Load() // drained-pool probes charge the home line
 	r := *a.r.Load()
 	nominal := int64(math.Round(r[a.types[tid].Load()] * float64(a.M)))
@@ -421,35 +420,26 @@ func (a *AIDDynamic) Next(tid int, nowNs int64) (Assign, bool) {
 	asg := &Assign{}
 	switch st.state {
 	case stNew:
-		st.lastTS = nowNs
-		asg.Timestamps++
+		a.smp.open(&st.window, nowNs, asg)
 		st.state = stSampling
 		return a.take(tid, st, a.m, asg)
 
 	case stSampling:
-		asg.Timestamps++
-		elapsed := nowNs - st.lastTS
-		st.lastTS = nowNs
-		if st.lastN > 0 {
-			perIter := elapsed * 1024 / st.lastN
-			a.sc.Add(int(a.types[tid].Load()), perIter)
-			if a.phase.complete(0) {
-				rv := a.computeInitialR()
-				a.sc.Reset()
-				a.maybeReweight(rv, true)
-				if a.observe != nil {
-					a.observe(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: 1,
-						Kind: PhaseRInitial, SF: append([]float64(nil), rv...)})
-				}
-				a.phase.advance(1, a.info.NThreads)
-				return a.aidAssign(tid, st, asg, nowNs)
+		if a.smp.close(&st.window, int(a.types[tid].Load()), nowNs, st.lastN, sampleScale, asg) {
+			rv := a.computeInitialR()
+			a.maybeReweight(rv, true)
+			if a.observe != nil {
+				a.observe(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: 1,
+					Kind: PhaseRInitial, SF: append([]float64(nil), rv...)})
 			}
+			a.smp.advance(1)
+			return a.aidAssign(tid, st, asg, nowNs)
 		}
 		st.state = stSamplingWait
 		return a.take(tid, st, a.m, asg)
 
 	case stSamplingWait:
-		if a.phase.epoch() > 0 {
+		if a.smp.epoch() > 0 {
 			return a.aidAssign(tid, st, asg, nowNs)
 		}
 		return a.take(tid, st, a.m, asg)
@@ -465,34 +455,23 @@ func (a *AIDDynamic) Next(tid int, nowNs int64) (Assign, bool) {
 		}
 		// The thread just completed its AID-phase allotment; the phase
 		// completion time is the next sampling measurement (Fig. 5). The
-		// elapsed time is rescaled from the actual to the nominal allotment
+		// elapsed time is rescaled from the served to the nominal allotment
 		// so that δ subtraction and pool drain cannot distort SM.
-		asg.Timestamps++
-		elapsed := nowNs - st.lastTS
-		st.lastTS = nowNs
-		if st.servedN > 0 {
-			scaled := elapsed
-			if st.nominalN > 0 && st.nominalN != st.servedN {
-				scaled = elapsed * st.nominalN / st.servedN
+		if a.smp.close(&st.window, int(a.types[tid].Load()), nowNs, st.servedN, st.nominalN, asg) {
+			rv := a.smoothR(st.epoch)
+			a.maybeReweight(rv, false)
+			if a.observe != nil {
+				a.observe(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: int(st.epoch) + 1,
+					Kind: PhaseRSmoothed, SF: append([]float64(nil), rv...)})
 			}
-			a.sc.Add(int(a.types[tid].Load()), scaled)
-			if a.phase.complete(st.epoch) {
-				rv := a.smoothR(st.epoch)
-				a.sc.Reset()
-				a.maybeReweight(rv, false)
-				if a.observe != nil {
-					a.observe(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: int(st.epoch) + 1,
-						Kind: PhaseRSmoothed, SF: append([]float64(nil), rv...)})
-				}
-				a.phase.advance(st.epoch+1, a.info.NThreads)
-				return a.aidAssign(tid, st, asg, nowNs)
-			}
+			a.smp.advance(st.epoch + 1)
+			return a.aidAssign(tid, st, asg, nowNs)
 		}
 		st.state = stSamplingWait2
 		return a.take(tid, st, a.m, asg)
 
 	case stSamplingWait2:
-		if st.epoch < a.phase.epoch() {
+		if st.epoch < a.smp.epoch() {
 			return a.aidAssign(tid, st, asg, nowNs)
 		}
 		return a.take(tid, st, a.m, asg)

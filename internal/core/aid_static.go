@@ -45,8 +45,8 @@ func (s threadState) String() string {
 // needed; the trailing pad keeps neighbouring entries off each other's
 // cache lines.
 type perThread struct {
-	state  threadState
-	lastTS int64
+	state threadState
+	window
 	claimState
 	_ [64]byte
 }
@@ -59,7 +59,7 @@ func resetThreads(th []perThread, n int) []perThread {
 	}
 	th = th[:n]
 	for i := range th {
-		th[i].state, th[i].lastTS = stNew, 0
+		th[i].state, th[i].window = stNew, window{}
 		th[i].claimState.reset()
 	}
 	return th
@@ -96,16 +96,15 @@ type AIDHybrid struct {
 	offline []float64 // the offline-SF variant's table; nil samples online
 
 	ws *pool.ShardedWorkShare
-	sc *pool.SampleCounters
 
 	th     []perThread
 	types  []atomic.Int32 // per-thread core type; mutable via Migrate (§4.3)
 	counts []int          // threads per core type (N_t in §4.2), as the loop started
 
-	// phase epoch 0 is the sampling phase; epoch 1 means SF and k are
+	// smp's epoch 0 is the sampling phase; epoch 1 means SF and k are
 	// published. sf and k are written only inside the transition window
 	// (or by Reset for the offline variant).
-	phase    phaseWord
+	smp      sampler
 	sf       []float64 // per core type, relative to the slowest sampled type
 	k        float64
 	assigned atomic.Int32
@@ -162,8 +161,8 @@ func NewAIDHybrid(info LoopInfo, chunk int64, pct float64) (*AIDHybrid, error) {
 	return newAIDHybrid(info, &AIDHybrid{chunk: chunk, pct: pct})
 }
 
-// newAIDHybrid checks a's configuration, gives it its pool and counters and
-// arms it for the loop.
+// newAIDHybrid checks a's configuration, gives it its pool and arms it for
+// the loop.
 func newAIDHybrid(info LoopInfo, a *AIDHybrid) (*AIDHybrid, error) {
 	if a.chunk <= 0 {
 		return nil, fmt.Errorf("core: AID sampling chunk must be positive, got %d", a.chunk)
@@ -171,7 +170,7 @@ func newAIDHybrid(info LoopInfo, a *AIDHybrid) (*AIDHybrid, error) {
 	if a.pct <= 0 || a.pct > 1 {
 		return nil, fmt.Errorf("core: AID-hybrid percentage %v out of (0,1]", a.pct)
 	}
-	a.ws, a.sc = new(pool.ShardedWorkShare), new(pool.SampleCounters)
+	a.ws = new(pool.ShardedWorkShare)
 	if err := a.Reset(info); err != nil {
 		return nil, err
 	}
@@ -190,19 +189,18 @@ func (a *AIDHybrid) Reset(info LoopInfo) error {
 	a.info = info
 	a.counts = info.typeCounts(a.counts)
 	info.resetPool(a.ws, a.counts)
-	a.sc.Resize(info.NumTypes, info.NThreads)
 	a.th = resetThreads(a.th, info.NThreads)
 	a.types = info.atomicTypes(a.types)
 	a.sf, a.k = sized(a.sf, info.NumTypes), 0
 	a.assigned.Store(0)
 	a.observe = nil
 	if a.offline == nil {
-		a.phase.init(0, info.NThreads)
+		a.smp.reset(info, 0)
 		return nil
 	}
 	copy(a.sf, a.offline)
 	a.k = allotmentK(a.counts, a.sf, a.pct, a.info.NI)
-	a.phase.init(1, info.NThreads) // SF published; no sampling phase
+	a.smp.reset(info, 1) // SF published; no sampling phase
 	return nil
 }
 
@@ -225,7 +223,7 @@ func (a *AIDHybrid) PoolReweights() int64 { return a.ws.Reweights() }
 // yet. Implements SFEstimator; exposed for the Fig. 9c experiment, the
 // cross-engine conformance harness and tests.
 func (a *AIDHybrid) SFEstimate() (sf []float64, ok bool) {
-	if a.phase.epoch() == 0 {
+	if a.smp.epoch() == 0 {
 		return nil, false
 	}
 	return append([]float64(nil), a.sf...), true
@@ -236,7 +234,7 @@ func (a *AIDHybrid) SFEstimate() (sf []float64, ok bool) {
 // once by the offline constructor) before the epoch advances, so returning
 // it without a copy is safe for concurrent readers.
 func (a *AIDHybrid) SFLiveView() []float64 {
-	if a.phase.epoch() == 0 {
+	if a.smp.epoch() == 0 {
 		return nil
 	}
 	return a.sf
@@ -248,27 +246,6 @@ func (a *AIDHybrid) SFLiveView() []float64 {
 // paying one pool RMW per chunk.
 func (a *AIDHybrid) take(tid int, st *perThread, n int64, asg *Assign) (Assign, bool) {
 	return st.takeCredit(a.ws, int(a.types[tid].Load()), n, asg)
-}
-
-// sampledSF writes into sf, one entry per core type, the speedup factor the
-// sampling counters measure (§4.2): the slowest core type (largest average
-// per-iteration time) is the reference with SF=1, and every other type's SF
-// is slowestAvg/typeAvg. Types with no sample (no running threads) get
-// SF=1; they receive no iterations anyway (N_t = 0). Callers clamp.
-func sampledSF(sc *pool.SampleCounters, sf []float64) []float64 {
-	slowest := 0.0
-	for t := range sf {
-		if avg, ok := sc.Avg(t); ok && avg > slowest {
-			slowest = avg
-		}
-	}
-	for t := range sf {
-		sf[t] = 1
-		if avg, ok := sc.Avg(t); ok && avg > 0 && slowest > 0 {
-			sf[t] = slowest / avg
-		}
-	}
-	return sf
 }
 
 // allotmentK evaluates k = pct·NI / Σ_t N_t·SF_t (§4.2, generalized to NC
@@ -347,9 +324,8 @@ func (a *AIDHybrid) Next(tid int, nowNs int64) (Assign, bool) {
 	asg := &Assign{}
 	switch st.state {
 	case stNew:
-		st.lastTS = nowNs
-		asg.Timestamps++
-		if a.phase.epoch() > 0 {
+		a.smp.open(&st.window, nowNs, asg)
+		if a.smp.epoch() > 0 {
 			// Offline-SF variant: no sampling phase at all (§5C).
 			return a.finalAssign(tid, st, asg)
 		}
@@ -358,39 +334,30 @@ func (a *AIDHybrid) Next(tid int, nowNs int64) (Assign, bool) {
 
 	case stSampling:
 		// The chunk just finished is this thread's sampling phase.
-		asg.Timestamps++
-		elapsed := nowNs - st.lastTS
-		st.lastTS = nowNs
-		if st.lastN > 0 {
-			// Record per-iteration time (scaled for integer precision) so
-			// end-of-loop clipping cannot bias the estimate.
-			perIter := elapsed * 1024 / st.lastN
-			a.sc.Add(int(a.types[tid].Load()), perIter)
-			if a.phase.complete(0) {
-				// Last sampler: single-threaded transition window.
-				a.sf = sampledSF(a.sc, a.sf)
-				a.k = allotmentK(a.counts, a.sf, a.pct, a.info.NI)
-				if a.reweight && a.pct < 1 {
-					// Re-cut the pool before the final assignments claim
-					// their spans: the drain tail then serves each type
-					// from SF-proportional home shards.
-					if w := sfWeights(a.counts, a.sf); w != nil && a.ws.NumTypes() == len(w) {
-						a.ws.Reweight(w)
-					}
+		if a.smp.close(&st.window, int(a.types[tid].Load()), nowNs, st.lastN, sampleScale, asg) {
+			// Last sampler: single-threaded transition window.
+			a.sf = a.smp.sampledSF(a.sf)
+			a.k = allotmentK(a.counts, a.sf, a.pct, a.info.NI)
+			if a.reweight && a.pct < 1 {
+				// Re-cut the pool before the final assignments claim
+				// their spans: the drain tail then serves each type
+				// from SF-proportional home shards.
+				if w := sfWeights(a.counts, a.sf); w != nil && a.ws.NumTypes() == len(w) {
+					a.ws.Reweight(w)
 				}
-				if a.observe != nil {
-					a.observe(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: 1,
-						Kind: PhaseSFPublished, SF: append([]float64(nil), a.sf...)})
-				}
-				a.phase.advance(1, a.info.NThreads)
-				return a.finalAssign(tid, st, asg)
 			}
+			if a.observe != nil {
+				a.observe(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: 1,
+					Kind: PhaseSFPublished, SF: append([]float64(nil), a.sf...)})
+			}
+			a.smp.advance(1)
+			return a.finalAssign(tid, st, asg)
 		}
 		st.state = stSamplingWait
 		return a.take(tid, st, a.chunk, asg)
 
 	case stSamplingWait:
-		if a.phase.epoch() > 0 {
+		if a.smp.epoch() > 0 {
 			return a.finalAssign(tid, st, asg)
 		}
 		return a.take(tid, st, a.chunk, asg)

@@ -23,10 +23,11 @@
 // work_share; the entire hot path is lock free. Chunk removal is an atomic
 // fetch-and-add on the caller's per-core-type sub-pool
 // (internal/pool.ShardedWorkShare), so big- and small-core threads do not
-// contend on a single counter cache line, and AID phase-transition
-// bookkeeping rides a packed CAS epoch word (phaseWord) instead of a mutex:
-// the thread reporting the last measurement of a phase owns the transition
-// window and publishes the next phase in one atomic store.
+// contend on a single counter cache line, and the three AID machines share
+// one sampling phase (sampler) whose phase transitions ride a packed CAS
+// epoch word (phaseWord) instead of a mutex: the thread reporting the last
+// measurement of a phase owns the transition window and publishes the next
+// phase in one atomic store.
 package core
 
 import (

@@ -7,8 +7,8 @@ import (
 
 // phaseWord is the packed CAS state word that serializes AID phase
 // transitions without a lock (§4.2 keeps the whole loop hot path lock
-// free; the seed's mutex around the O(1) transition bookkeeping was the
-// last blocking piece). One 64-bit word packs:
+// free). Its one caller is the sampler (sampler.go), the sampling phase
+// every AID scheduler embeds. One 64-bit word packs:
 //
 //	bits 32..63  epoch      — 0 is the sampling phase, n>0 the nth AID phase
 //	bits  0..31  remaining  — threads yet to report a measurement this epoch
@@ -16,12 +16,12 @@ import (
 // A thread finishing its measured chunk calls complete: a CAS decrement of
 // remaining under an unchanged epoch. The thread that decrements remaining
 // to zero is the LAST of the epoch — it owns the single-threaded transition
-// window (compute SF/R, reset the sample counters) and then publishes the
-// next epoch with advance, re-arming remaining in the same store. Readers
-// observe the epoch with a plain atomic load. Because every measurement is
-// added to the sample counters before complete, and advance is the only
-// publication of the new epoch, the counters are never touched concurrently
-// with the transition — the property the seed bought with a mutex.
+// window (compute SF/R or AID-auto's verdict, clear the accumulators) and
+// then publishes the next epoch with open, re-arming remaining in the
+// same store. Readers observe the epoch with a plain atomic load. Because
+// every measurement is added to the accumulators before complete, and open
+// is the only publication of the new epoch, the accumulators are never
+// touched concurrently with the transition.
 type phaseWord struct {
 	v atomic.Uint64
 }
@@ -30,10 +30,11 @@ func packPhase(epoch, remaining uint32) uint64 {
 	return uint64(epoch)<<32 | uint64(remaining)
 }
 
-// init arms the word for the given epoch with nthreads outstanding
-// measurements. Also used by adopting constructors (AID-auto) that enter
-// mid-schedule.
-func (p *phaseWord) init(epoch uint32, nthreads int) {
+// open publishes epoch with all nthreads measurements outstanding: at the
+// start of a loop (epoch 0, or 1 for a schedule that enters past its
+// sampling), and as the end of a transition window, called only by the
+// thread that observed last=true from complete.
+func (p *phaseWord) open(epoch uint32, nthreads int) {
 	p.v.Store(packPhase(epoch, uint32(nthreads)))
 }
 
@@ -56,11 +57,4 @@ func (p *phaseWord) complete(myEpoch uint32) (last bool) {
 			return rem == 1
 		}
 	}
-}
-
-// advance publishes the next epoch with all nthreads measurements
-// outstanding. Only the thread that observed last=true from complete may
-// call it, after finishing its transition work.
-func (p *phaseWord) advance(nextEpoch uint32, nthreads int) {
-	p.v.Store(packPhase(nextEpoch, uint32(nthreads)))
 }

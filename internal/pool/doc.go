@@ -8,11 +8,6 @@
 // a single weight is exactly libgomp's pair — and every way of removing
 // iterations is a size policy over one claim walk.
 //
-// The package also provides the per-core-type sampling counters the AID
-// methods add to work_share: a lock-free accumulator of sampling-phase
-// completion times per core type, and a counter of threads that completed
-// the sampling phase (footnote 2 of §4.2).
-//
 // # Hot-path invariants
 //
 // This section records the memory layout and coverage arguments the sharded

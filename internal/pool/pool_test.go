@@ -253,121 +253,3 @@ func TestTryStealFuncBadSizePanics(t *testing.T) {
 	}()
 	NewSharded(10, []int{1}).TryStealFuncFrom(0, func(int64) int64 { return 0 })
 }
-
-// counters returns SampleCounters armed by Resize, the way core builds them.
-func counters(types, threads int) *SampleCounters {
-	sc := new(SampleCounters)
-	sc.Resize(types, threads)
-	return sc
-}
-
-func TestSampleCounters(t *testing.T) {
-	sc := counters(2, 4)
-	if last := sc.Record(0, 100); last {
-		t.Error("first Record reported last")
-	}
-	if last := sc.Record(0, 300); last {
-		t.Error("second Record reported last")
-	}
-	if last := sc.Record(1, 800); last {
-		t.Error("third Record reported last")
-	}
-	if last := sc.Record(1, 1200); !last {
-		t.Error("fourth Record did not report last")
-	}
-	if avg, ok := sc.Avg(0); !ok || avg != 200 {
-		t.Errorf("Avg(0) = %v, %v; want 200, true", avg, ok)
-	}
-	if avg, ok := sc.Avg(1); !ok || avg != 1000 {
-		t.Errorf("Avg(1) = %v, %v; want 1000, true", avg, ok)
-	}
-}
-
-func TestSampleCountersEmptyType(t *testing.T) {
-	sc := counters(3, 2)
-	sc.Record(0, 10)
-	sc.Record(0, 20)
-	if _, ok := sc.Avg(2); ok {
-		t.Error("Avg for unused core type reported ok")
-	}
-}
-
-func TestSampleCountersReset(t *testing.T) {
-	sc := counters(2, 2)
-	sc.Record(0, 50)
-	sc.Record(1, 70)
-	sc.Reset()
-	if sc.done.Load() != 0 {
-		t.Error("Reset kept the completion count")
-	}
-	if _, ok := sc.Avg(0); ok {
-		t.Error("Avg(0) ok after Reset")
-	}
-	// Counters are reusable for the next AID-dynamic phase.
-	sc.Record(0, 10)
-	if last := sc.Record(1, 10); !last {
-		t.Error("Record after Reset did not detect last thread")
-	}
-}
-
-func TestSampleCountersConcurrentExactlyOneLast(t *testing.T) {
-	const threads = 32
-	sc := counters(2, threads)
-	var lastCount int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		ct := i % 2
-		go func() {
-			defer wg.Done()
-			if sc.Record(ct, 17) {
-				mu.Lock()
-				lastCount++
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if lastCount != 1 {
-		t.Errorf("%d threads observed themselves as last, want exactly 1", lastCount)
-	}
-}
-
-func TestSampleCountersValidation(t *testing.T) {
-	for _, c := range []struct{ types, threads int }{{0, 1}, {1, 0}, {-1, 1}, {1, -1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Resize(%d,%d) did not panic", c.types, c.threads)
-				}
-			}()
-			new(SampleCounters).Resize(c.types, c.threads)
-		}()
-	}
-}
-
-// TestSampleCountersResize: Resize re-arms for another loop's shape, in
-// place when the counters are large enough, and forgets every sample.
-func TestSampleCountersResize(t *testing.T) {
-	sc := counters(3, 4)
-	sc.Record(2, 100)
-	sums := &sc.sumNs[0]
-	sc.Resize(2, 2)
-	if &sc.sumNs[0] != sums {
-		t.Error("Resize to fewer core types reallocated the counters")
-	}
-	if _, ok := sc.Avg(1); ok || sc.done.Load() != 0 {
-		t.Error("Resize kept samples of the previous loop")
-	}
-	if sc.Record(0, 10) || !sc.Record(1, 30) {
-		t.Error("after Resize(2, 2) the second of two samples is not the last")
-	}
-	sc.Resize(5, 1)
-	if avg, ok := sc.Avg(4); ok || avg != 0 {
-		t.Error("Resize to more core types did not start them empty")
-	}
-	if !sc.Record(4, 7) {
-		t.Error("after Resize(5, 1) the only sample is not the last")
-	}
-}
