@@ -9,7 +9,13 @@
 #                  (internal/core/aid_*.go: AID-auto after its verdict takes
 #                  no lock), and no phase.complete( call or `* 1024 /` sample
 #                  arithmetic in internal/core outside sampler.go, the one
-#                  sampling phase of the three AID machines; then a
+#                  sampling phase of the three AID machines; the schedule
+#                  vocabulary's layering: internal/rt does not import
+#                  internal/sim, the simulated side (internal/exps,
+#                  internal/replay, aidsim, aidbench, examples/replay) does
+#                  not import internal/rt, and no Go file outside bench/
+#                  names rt.Schedule, rt.ParseSchedule or rt.Kind*, whose
+#                  home is internal/core; then a
 #                  darwin/arm64 and a windows build of everything outside
 #                  bench/, whose spinners are Linux-only, so that the
 #                  non-Linux twin of a Linux-only file keeps compiling),
@@ -93,6 +99,9 @@ vet:
 	! git grep --untracked -nE 'func .*[Ii]mbalance|TimeIn\(' -- '*.go' ':!internal/trace' ':!*_test.go' | grep .
 	! git grep --untracked -n 'sync\.Mutex' -- 'internal/core/aid_*.go' ':!*_test.go' | grep .
 	! git grep --untracked -nE 'phase\.complete\(|\*[[:space:]]*1024[[:space:]]*/' -- internal/core ':!internal/core/sampler.go' ':!*_test.go' | grep .
+	! $(GO) list -deps ./internal/rt | grep -x 'repro/internal/sim'
+	! $(GO) list -deps ./internal/exps ./internal/replay ./cmd/aidsim ./cmd/aidbench ./examples/replay | grep -x 'repro/internal/rt'
+	! git grep --untracked -nE '(^|[^[:alnum:]_.])rt\.(Schedule|ParseSchedule|Kind)' -- '*.go' ':!bench/' | grep .
 	GOOS=darwin GOARCH=arm64 $(GO) build ./internal/... ./cmd/... ./examples/...
 	GOOS=windows $(GO) build ./internal/... ./cmd/... ./examples/...
 

@@ -50,6 +50,7 @@ import (
 
 	"repro/internal/amp"
 	"repro/internal/arrival"
+	"repro/internal/core"
 	"repro/internal/fair"
 	"repro/internal/obs"
 	"repro/internal/replay"
@@ -171,7 +172,7 @@ func run(loops int, iters int64, threads int, pl *amp.Platform, schedText, polic
 	if iters < 0 {
 		return fmt.Errorf("negative iteration count %d", iters)
 	}
-	sched, err := rt.ParseSchedule(schedText)
+	sched, err := core.ParseSchedule(schedText)
 	if err != nil {
 		return err
 	}
@@ -221,7 +222,7 @@ func durNs(ns float64) time.Duration {
 	return time.Duration(ns).Round(time.Microsecond)
 }
 
-func runReal(loops int, iters int64, threads int, pl *amp.Platform, sched rt.Schedule, policy fair.Policy, weights []int, spin int) error {
+func runReal(loops int, iters int64, threads int, pl *amp.Platform, sched core.Schedule, policy fair.Policy, weights []int, spin int) error {
 	reg, err := rt.NewRegistry(rt.RegistryConfig{Platform: pl, NThreads: threads, Policy: policy})
 	if err != nil {
 		return err
@@ -260,7 +261,7 @@ func runReal(loops int, iters int64, threads int, pl *amp.Platform, sched rt.Sch
 	return nil
 }
 
-func runVirtual(loops int, iters int64, threads int, pl *amp.Platform, sched rt.Schedule, policy fair.Policy, weights []int, spin int) error {
+func runVirtual(loops int, iters int64, threads int, pl *amp.Platform, sched core.Schedule, policy fair.Policy, weights []int, spin int) error {
 	if threads == 0 {
 		threads = pl.NumCores()
 	}
@@ -438,7 +439,7 @@ func serve(o serveOpts, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sched, err := rt.ParseSchedule(o.schedText)
+	sched, err := core.ParseSchedule(o.schedText)
 	if err != nil {
 		return err
 	}
@@ -477,7 +478,7 @@ func serve(o serveOpts, w io.Writer) error {
 // completions, and a semaphore bounds the loops admitted but not yet
 // complete — the pending queue. A full queue either sheds the arrival or
 // blocks the submitter, per -shed.
-func serveReal(o serveOpts, classes []fair.Class, sched rt.Schedule, policy fair.Policy) (*serveSummary, error) {
+func serveReal(o serveOpts, classes []fair.Class, sched core.Schedule, policy fair.Policy) (*serveSummary, error) {
 	proc, err := arrival.New(o.kind, o.rate, o.seed)
 	if err != nil {
 		return nil, err
@@ -644,7 +645,7 @@ func metricsHandler(reg *rt.Registry, sum *serveSummary) http.Handler {
 // engine: arrival stamps become LoopSpec.Arrive and every arrival is
 // admitted (the simulator has no pending bound, so shed stays 0). The
 // numbers are exactly reproducible for a given seed.
-func serveVirtual(o serveOpts, classes []fair.Class, sched rt.Schedule, policy fair.Policy) (*serveSummary, error) {
+func serveVirtual(o serveOpts, classes []fair.Class, sched core.Schedule, policy fair.Policy) (*serveSummary, error) {
 	proc, err := arrival.New(o.kind, o.rate, o.seed)
 	if err != nil {
 		return nil, err

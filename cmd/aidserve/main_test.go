@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/amp"
+	"repro/internal/core"
 	"repro/internal/fair"
 	"repro/internal/replay"
 	"repro/internal/rt"
@@ -130,7 +131,7 @@ func TestServeVirtualDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := rt.ParseSchedule(o.schedText)
+	sched, err := core.ParseSchedule(o.schedText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestServeRealSampledRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := rt.ParseSchedule(o.schedText)
+	sched, err := core.ParseSchedule(o.schedText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer reg.Close()
 	h, err := reg.Submit(rt.LoopRequest{
 		N:        5000,
-		Schedule: rt.Schedule{Kind: rt.KindAIDDynamic, Chunk: 8, Major: 64},
+		Schedule: core.Schedule{Kind: core.KindAIDDynamic, Chunk: 8, Major: 64},
 		Body:     func(_ int, lo, hi int64) {},
 	})
 	if err != nil {
@@ -321,7 +322,7 @@ func TestShedAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := rt.ParseSchedule(o.schedText)
+	sched, err := core.ParseSchedule(o.schedText)
 	if err != nil {
 		t.Fatal(err)
 	}

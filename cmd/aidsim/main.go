@@ -20,7 +20,7 @@ import (
 	"strings"
 
 	"repro/internal/amp"
-	"repro/internal/rt"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -79,24 +79,24 @@ func run(w io.Writer, platform string, threads int, bindingText, schedText strin
 		return err
 	}
 
-	var schedules []rt.Schedule
+	var schedules []core.Schedule
 	if schedText == "all" {
-		schedules = []rt.Schedule{
-			{Kind: rt.KindStatic},
-			{Kind: rt.KindDynamic},
-			{Kind: rt.KindGuided},
-			{Kind: rt.KindAIDStatic},
-			{Kind: rt.KindAIDHybrid},
-			{Kind: rt.KindAIDDynamic},
-			{Kind: rt.KindAIDAuto},
-			{Kind: rt.KindWorkSteal, Chunk: 16},
+		schedules = []core.Schedule{
+			{Kind: core.KindStatic},
+			{Kind: core.KindDynamic},
+			{Kind: core.KindGuided},
+			{Kind: core.KindAIDStatic},
+			{Kind: core.KindAIDHybrid},
+			{Kind: core.KindAIDDynamic},
+			{Kind: core.KindAIDAuto},
+			{Kind: core.KindWorkSteal, Chunk: 16},
 		}
 	} else {
-		s, err := rt.ParseSchedule(schedText)
+		s, err := core.ParseSchedule(schedText)
 		if err != nil {
 			return err
 		}
-		schedules = []rt.Schedule{s}
+		schedules = []core.Schedule{s}
 	}
 
 	fmt.Fprintf(w, "platform %s, %d threads, %s binding, NI=%d, profile{ILP %.2f, mem %.2f, fp %.2fMB}\n",

@@ -39,6 +39,7 @@ import (
 	"strings"
 
 	"repro/internal/amp"
+	"repro/internal/core"
 	"repro/internal/exps"
 	"repro/internal/replay"
 	"repro/internal/rt"
@@ -98,7 +99,7 @@ func main() {
 type resolved struct {
 	workload string
 	spec     sim.LoopSpec
-	sched    rt.Schedule
+	sched    core.Schedule
 	binding  amp.Binding
 	pl       *amp.Platform
 }
@@ -112,7 +113,7 @@ func resolveWorkload(app, schedText, bindingText, platform string) (resolved, er
 		}
 		return resolved{}, fmt.Errorf("unknown workload %q; available: %s", app, strings.Join(names, ", "))
 	}
-	sched, err := rt.ParseSchedule(schedText)
+	sched, err := core.ParseSchedule(schedText)
 	if err != nil {
 		return resolved{}, err
 	}

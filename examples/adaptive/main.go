@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/amp"
 	"repro/internal/core"
-	"repro/internal/rt"
 	"repro/internal/sim"
 )
 
@@ -55,10 +54,10 @@ func run(w io.Writer) error {
 		},
 	}
 
-	for _, sched := range []rt.Schedule{
-		{Kind: rt.KindAIDHybrid, Pct: 0.8},
-		{Kind: rt.KindAIDDynamic, Chunk: 1, Major: 5},
-		{Kind: rt.KindAIDAuto, Chunk: 16, Major: 64},
+	for _, sched := range []core.Schedule{
+		{Kind: core.KindAIDHybrid, Pct: 0.8},
+		{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5},
+		{Kind: core.KindAIDAuto, Chunk: 16, Major: 64},
 	} {
 		cfg := sim.Config{
 			Platform: pl,

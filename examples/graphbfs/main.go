@@ -35,7 +35,7 @@ func main() {
 
 	team, err := rt.NewTeam(rt.TeamConfig{
 		NThreads: 4,
-		Schedule: rt.Schedule{Kind: rt.KindAIDDynamic, Chunk: 16, Major: 128},
+		Schedule: core.Schedule{Kind: core.KindAIDDynamic, Chunk: 16, Major: 128},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/amp"
+	"repro/internal/core"
 	"repro/internal/exps"
 	"repro/internal/kernels"
 	"repro/internal/rt"
@@ -29,17 +30,17 @@ const samples = 400000
 
 func main() {
 	fmt.Println("== real execution (4 goroutine workers, emulated 2B+2S) ==")
-	for _, sched := range []rt.Schedule{
-		{Kind: rt.KindStatic},
-		{Kind: rt.KindDynamic, Chunk: 256},
-		{Kind: rt.KindGuided},
+	for _, sched := range []core.Schedule{
+		{Kind: core.KindStatic},
+		{Kind: core.KindDynamic, Chunk: 256},
+		{Kind: core.KindGuided},
 		// On a machine with few real CPUs, goroutine workers timeshare, so
 		// the AID sampling phase uses a coarse chunk: with chunk=1 a
 		// not-yet-scheduled worker would keep the sampling phase open while
 		// the running workers drain the pool one iteration at a time.
-		{Kind: rt.KindAIDStatic, Chunk: 512},
-		{Kind: rt.KindAIDHybrid, Chunk: 512, Pct: 0.8},
-		{Kind: rt.KindAIDDynamic, Chunk: 64, Major: 512},
+		{Kind: core.KindAIDStatic, Chunk: 512},
+		{Kind: core.KindAIDHybrid, Chunk: 512, Pct: 0.8},
+		{Kind: core.KindAIDDynamic, Chunk: 64, Major: 512},
 	} {
 		team, err := rt.NewTeam(rt.TeamConfig{
 			NThreads: 4,

@@ -16,6 +16,7 @@ import (
 	"log"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/rt"
 )
 
@@ -43,7 +44,7 @@ func main() {
 		sink.Add(int64(acc) + (hi - lo))
 	}
 
-	submit := func(name string, n int64, weight int, sched rt.Schedule) *rt.Loop {
+	submit := func(name string, n int64, weight int, sched core.Schedule) *rt.Loop {
 		l, err := reg.Submit(rt.LoopRequest{N: n, Schedule: sched, Weight: weight, Body: body})
 		if err != nil {
 			log.Fatal(err)
@@ -52,9 +53,9 @@ func main() {
 		return l
 	}
 
-	batchA := submit("batch-a", 300_000, 1, rt.Schedule{Kind: rt.KindAIDDynamic})
-	batchB := submit("batch-b", 300_000, 1, rt.Schedule{Kind: rt.KindDynamic, Chunk: 16})
-	interactive := submit("interactive", 2_000, 8, rt.Schedule{Kind: rt.KindDynamic, Chunk: 8})
+	batchA := submit("batch-a", 300_000, 1, core.Schedule{Kind: core.KindAIDDynamic})
+	batchB := submit("batch-b", 300_000, 1, core.Schedule{Kind: core.KindDynamic, Chunk: 16})
+	interactive := submit("interactive", 2_000, 8, core.Schedule{Kind: core.KindDynamic, Chunk: 8})
 
 	interactive.Wait()
 	fmt.Printf("interactive done after %v (batch still running)\n", interactive.Latency())

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rt"
 )
@@ -46,7 +47,7 @@ func main() {
 		}
 		sink.Add(int64(acc) + (hi - lo))
 	}
-	submit := func(name string, n int64, weight int, sched rt.Schedule) *rt.Loop {
+	submit := func(name string, n int64, weight int, sched core.Schedule) *rt.Loop {
 		l, err := reg.Submit(rt.LoopRequest{
 			Name: name, N: n, Schedule: sched, Weight: weight, Body: body,
 			Capture: true, CaptureCompact: true, CaptureMaxEvents: 512,
@@ -80,9 +81,9 @@ func main() {
 		}
 	}()
 
-	batchA := submit("batch-a", 200_000, 1, rt.Schedule{Kind: rt.KindAIDDynamic, Reweight: true})
-	batchB := submit("batch-b", 200_000, 1, rt.Schedule{Kind: rt.KindDynamic, Chunk: 16})
-	interactive := submit("interactive", 2_000, 8, rt.Schedule{Kind: rt.KindDynamic, Chunk: 8})
+	batchA := submit("batch-a", 200_000, 1, core.Schedule{Kind: core.KindAIDDynamic, Reweight: true})
+	batchB := submit("batch-b", 200_000, 1, core.Schedule{Kind: core.KindDynamic, Chunk: 16})
+	interactive := submit("interactive", 2_000, 8, core.Schedule{Kind: core.KindDynamic, Chunk: 8})
 
 	loops := []*rt.Loop{batchA, batchB, interactive}
 	names := []string{"batch-a", "batch-b", "interactive"}

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/amp"
+	"repro/internal/core"
 	"repro/internal/rt"
 	"repro/internal/sim"
 )
@@ -32,9 +33,9 @@ func main() {
 		Cost:    sim.UniformCost{PerIter: 100000},
 	}
 
-	for _, sched := range []rt.Schedule{
-		{Kind: rt.KindStatic},
-		{Kind: rt.KindAIDStatic},
+	for _, sched := range []core.Schedule{
+		{Kind: core.KindStatic},
+		{Kind: core.KindAIDStatic},
 	} {
 		cfg := sim.Config{
 			Platform: platform,
@@ -53,7 +54,7 @@ func main() {
 	// --- 2. Real goroutine execution --------------------------------------
 	team, err := rt.NewTeam(rt.TeamConfig{
 		NThreads: 4,
-		Schedule: rt.Schedule{Kind: rt.KindAIDStatic},
+		Schedule: core.Schedule{Kind: core.KindAIDStatic},
 	})
 	if err != nil {
 		log.Fatal(err)

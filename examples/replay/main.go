@@ -24,8 +24,8 @@ import (
 	"log"
 
 	"repro/internal/amp"
+	"repro/internal/core"
 	"repro/internal/replay"
-	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -33,7 +33,7 @@ import (
 func main() {
 	// --- record: EP under dynamic,1 on Platform A -----------------------
 	pl := amp.PlatformA()
-	sched, err := rt.ParseSchedule("dynamic,1")
+	sched, err := core.ParseSchedule("dynamic,1")
 	if err != nil {
 		log.Fatal(err)
 	}

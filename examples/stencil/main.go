@@ -29,7 +29,7 @@ func main() {
 	src, dst := kernels.NewGrid(w, h), kernels.NewGrid(w, h)
 	src.Set(w/2, h/2, 1000)
 
-	team, err := rt.NewTeam(rt.TeamConfig{NThreads: 4, Schedule: rt.Schedule{Kind: rt.KindAIDStatic}})
+	team, err := rt.NewTeam(rt.TeamConfig{NThreads: 4, Schedule: core.Schedule{Kind: core.KindAIDStatic}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -84,14 +84,14 @@ func NewAIDAuto(info LoopInfo, chunk int64, pct float64, major int64, threshold 
 	if chunk <= 0 {
 		return nil, fmt.Errorf("core: AID-auto sampling chunk must be positive, got %d", chunk)
 	}
-	if pct <= 0 || pct > 1 {
+	if !(pct > 0 && pct <= 1) {
 		return nil, fmt.Errorf("core: AID-auto pct %v out of (0,1]", pct)
 	}
 	if major < chunk {
 		return nil, fmt.Errorf("core: AID-auto Major chunk %d must be >= sampling chunk %d", major, chunk)
 	}
-	if threshold < 0 {
-		return nil, fmt.Errorf("core: negative CV threshold %v", threshold)
+	if !(threshold >= 0) || math.IsInf(threshold, 1) {
+		return nil, fmt.Errorf("core: CV threshold %v must be finite and non-negative", threshold)
 	}
 	if threshold == 0 {
 		threshold = 0.25

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -65,6 +66,9 @@ func TestAIDAutoValidation(t *testing.T) {
 		{"pct-high", 1, 5, 1.5, 0.25},
 		{"major-lt-chunk", 4, 2, 0.8, 0.25},
 		{"neg-threshold", 1, 5, 0.8, -1},
+		{"nan-pct", 1, 5, math.NaN(), 0.25},
+		{"nan-threshold", 1, 5, 0.8, math.NaN()},
+		{"inf-threshold", 1, 5, 0.8, math.Inf(1)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

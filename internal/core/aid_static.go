@@ -145,8 +145,8 @@ func NewAIDStatic(info LoopInfo, chunk int64) (*AIDHybrid, error) {
 // estimation errors (§5C, Fig. 9).
 func NewAIDStaticOffline(info LoopInfo, chunk int64, sf []float64) (*AIDHybrid, error) {
 	for i, v := range sf {
-		if v <= 0 {
-			return nil, fmt.Errorf("core: offline SF[%d] = %v must be positive", i, v)
+		if !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("core: offline SF[%d] = %v must be positive and finite", i, v)
 		}
 	}
 	// Non-nil even when empty: an empty table must fail Reset's length check,
@@ -167,7 +167,7 @@ func newAIDHybrid(info LoopInfo, a *AIDHybrid) (*AIDHybrid, error) {
 	if a.chunk <= 0 {
 		return nil, fmt.Errorf("core: AID sampling chunk must be positive, got %d", a.chunk)
 	}
-	if a.pct <= 0 || a.pct > 1 {
+	if !(a.pct > 0 && a.pct <= 1) {
 		return nil, fmt.Errorf("core: AID-hybrid percentage %v out of (0,1]", a.pct)
 	}
 	a.ws = new(pool.ShardedWorkShare)

@@ -16,6 +16,11 @@
 //     re-estimation of R via a smoothing factor, and switches to dynamic(m)
 //     when few iterations remain (Fig. 5).
 //
+// The schedule vocabulary (schedule.go) selects among them as OpenMP selects
+// a schedule: a Schedule is a Kind and its parameters, ParseSchedule reads
+// the GOOMP_SCHEDULE text (the paper's OMP_SCHEDULE, §4.1) that -sched flags
+// and run records carry, Canonical writes it, Factory builds for any engine.
+//
 // Schedulers are engine agnostic: every Next call receives the current
 // timestamp from the caller, so the same implementation runs under the
 // discrete-event simulator (virtual ns) and under real goroutines (monotonic

@@ -260,6 +260,9 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewAIDHybrid(info, 1, 1.5); err == nil {
 		t.Error("NewAIDHybrid accepted pct > 1")
 	}
+	if _, err := NewAIDHybrid(info, 1, math.NaN()); err == nil {
+		t.Error("NewAIDHybrid accepted pct NaN")
+	}
 	if _, err := NewAIDDynamic(info, 0, 5); err == nil {
 		t.Error("NewAIDDynamic accepted m=0")
 	}
@@ -271,6 +274,11 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewAIDStaticOffline(info, 1, []float64{-3, 1}); err == nil {
 		t.Error("NewAIDStaticOffline accepted negative SF")
+	}
+	for _, sf := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewAIDStaticOffline(info, 1, []float64{sf, 1}); err == nil {
+			t.Errorf("NewAIDStaticOffline accepted SF %v", sf)
+		}
 	}
 }
 

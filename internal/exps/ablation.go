@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/amp"
 	"repro/internal/core"
-	"repro/internal/rt"
 	"repro/internal/workloads"
 )
 
@@ -24,22 +23,22 @@ var ablationColumns = []struct {
 	{"sm-clamp", "AID-dynamic 1,10 without the per-phase bound on SM / with it",
 		aidDynamic(10, false, true), []Scheme{aidDynamic(10, false, false)}},
 	{"sampling-chunk", "AID-static with sampling chunk 256 / with chunk 1",
-		bs(rt.Schedule{Kind: rt.KindAIDStatic, Chunk: 256}), []Scheme{bs(rt.Schedule{Kind: rt.KindAIDStatic})}},
+		bs(core.Schedule{Kind: core.KindAIDStatic, Chunk: 256}), []Scheme{bs(core.Schedule{Kind: core.KindAIDStatic})}},
 	{"work-steal", "work-steal 64 (§4.3) / AID-static 1",
-		bs(rt.Schedule{Kind: rt.KindWorkSteal, Chunk: 64}), []Scheme{bs(rt.Schedule{Kind: rt.KindAIDStatic})}},
+		bs(core.Schedule{Kind: core.KindWorkSteal, Chunk: 64}), []Scheme{bs(core.Schedule{Kind: core.KindAIDStatic})}},
 	{"aid-auto", "AID-auto (§6) / the faster of AID-hybrid(80%) and AID-dynamic 1,5",
-		bs(rt.Schedule{Kind: rt.KindAIDAuto}), []Scheme{bs(rt.Schedule{Kind: rt.KindAIDHybrid}), aidDynamic(5, false, false)}},
+		bs(core.Schedule{Kind: core.KindAIDAuto}), []Scheme{bs(core.Schedule{Kind: core.KindAIDHybrid}), aidDynamic(5, false, false)}},
 }
 
 // bs is the scheme that runs sched under the BS binding, labeled as sched.
-func bs(sched rt.Schedule) Scheme {
+func bs(sched core.Schedule) Scheme {
 	return Scheme{Label: sched.String(), Sched: sched, Binding: amp.BindBS}
 }
 
 // aidDynamic is AID-dynamic 1,major, with the named mechanisms switched off
 // (AIDDynamic.SetAblation, which no schedule text can select).
 func aidDynamic(major int64, noTail, noSMClamp bool) Scheme {
-	s := bs(rt.Schedule{Kind: rt.KindAIDDynamic, Chunk: 1, Major: major})
+	s := bs(core.Schedule{Kind: core.KindAIDDynamic, Chunk: 1, Major: major})
 	if noTail || noSMClamp {
 		s.Label += " (ablated)"
 		s.factory = func(info core.LoopInfo) (core.Scheduler, error) {

@@ -55,7 +55,7 @@ import (
 	"strings"
 
 	"repro/internal/amp"
-	"repro/internal/rt"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -64,7 +64,7 @@ import (
 // Scheme is one column of Figs. 6/7: a schedule plus a binding convention.
 type Scheme struct {
 	Label   string
-	Sched   rt.Schedule
+	Sched   core.Schedule
 	Binding amp.Binding
 	// factory, when set, builds the scheduler in place of Sched: a variant
 	// no schedule text names (the ablation table's, aidDynamic).
@@ -76,13 +76,13 @@ type Scheme struct {
 // evaluated under both bindings to isolate the serial-phase effect (§5A).
 func Fig6Schemes() []Scheme {
 	return []Scheme{
-		{Label: "static(SB)", Sched: rt.Schedule{Kind: rt.KindStatic}, Binding: amp.BindSB},
-		{Label: "static(BS)", Sched: rt.Schedule{Kind: rt.KindStatic}, Binding: amp.BindBS},
-		{Label: "dynamic(SB)", Sched: rt.Schedule{Kind: rt.KindDynamic}, Binding: amp.BindSB},
-		{Label: "dynamic(BS)", Sched: rt.Schedule{Kind: rt.KindDynamic}, Binding: amp.BindBS},
-		{Label: "AID-static", Sched: rt.Schedule{Kind: rt.KindAIDStatic}, Binding: amp.BindBS},
-		{Label: "AID-hybrid", Sched: rt.Schedule{Kind: rt.KindAIDHybrid, Pct: 0.80}, Binding: amp.BindBS},
-		{Label: "AID-dynamic", Sched: rt.Schedule{Kind: rt.KindAIDDynamic, Chunk: 1, Major: 5}, Binding: amp.BindBS},
+		{Label: "static(SB)", Sched: core.Schedule{Kind: core.KindStatic}, Binding: amp.BindSB},
+		{Label: "static(BS)", Sched: core.Schedule{Kind: core.KindStatic}, Binding: amp.BindBS},
+		{Label: "dynamic(SB)", Sched: core.Schedule{Kind: core.KindDynamic}, Binding: amp.BindSB},
+		{Label: "dynamic(BS)", Sched: core.Schedule{Kind: core.KindDynamic}, Binding: amp.BindBS},
+		{Label: "AID-static", Sched: core.Schedule{Kind: core.KindAIDStatic}, Binding: amp.BindBS},
+		{Label: "AID-hybrid", Sched: core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.80}, Binding: amp.BindBS},
+		{Label: "AID-dynamic", Sched: core.Schedule{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5}, Binding: amp.BindBS},
 	}
 }
 
@@ -268,9 +268,9 @@ type GuidedResult struct {
 // rather than force the number.
 func RunGuided(pl *amp.Platform) (GuidedResult, error) {
 	schemes := []Scheme{
-		{Label: "static(BS)", Sched: rt.Schedule{Kind: rt.KindStatic}, Binding: amp.BindBS},
-		{Label: "dynamic(BS)", Sched: rt.Schedule{Kind: rt.KindDynamic}, Binding: amp.BindBS},
-		{Label: "guided(BS)", Sched: rt.Schedule{Kind: rt.KindGuided}, Binding: amp.BindBS},
+		{Label: "static(BS)", Sched: core.Schedule{Kind: core.KindStatic}, Binding: amp.BindBS},
+		{Label: "dynamic(BS)", Sched: core.Schedule{Kind: core.KindDynamic}, Binding: amp.BindBS},
+		{Label: "guided(BS)", Sched: core.Schedule{Kind: core.KindGuided}, Binding: amp.BindBS},
 	}
 	apps := workloads.All()
 	ns, err := runGrid(pl, apps, schemes)
@@ -332,11 +332,11 @@ func RunHybridPct(pl *amp.Platform, apps []workloads.Workload) (HybridPctResult,
 		Best:      map[string]int{},
 	}
 	// Column 0 is the baseline, column 1+i is pcts[i].
-	schemes := []Scheme{{Label: "static(BS)", Sched: rt.Schedule{Kind: rt.KindStatic}, Binding: amp.BindBS}}
+	schemes := []Scheme{{Label: "static(BS)", Sched: core.Schedule{Kind: core.KindStatic}, Binding: amp.BindBS}}
 	for _, pct := range pcts {
 		schemes = append(schemes, Scheme{
 			Label:   fmt.Sprintf("AID-hybrid(%d%%)", pct),
-			Sched:   rt.Schedule{Kind: rt.KindAIDHybrid, Pct: float64(pct) / 100},
+			Sched:   core.Schedule{Kind: core.KindAIDHybrid, Pct: float64(pct) / 100},
 			Binding: amp.BindBS,
 		})
 	}

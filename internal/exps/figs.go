@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/amp"
 	"repro/internal/core"
-	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -71,7 +70,7 @@ func RunFig1() (a, b TraceResult, err error) {
 	if err != nil {
 		return TraceResult{}, TraceResult{}, err
 	}
-	st := Scheme{Sched: rt.Schedule{Kind: rt.KindStatic}, Binding: amp.BindBS}
+	st := Scheme{Sched: core.Schedule{Kind: core.KindStatic}, Binding: amp.BindBS}
 	a, err = TraceLoop(mixed, 4, st, spec, "Fig 1a: EP, static, 2B-2S")
 	if err != nil {
 		return TraceResult{}, TraceResult{}, err
@@ -140,13 +139,13 @@ func RunFig4() (aidStatic, aidHybrid TraceResult, err error) {
 	spec := epMainLoop()
 	pl := amp.PlatformA()
 	aidStatic, err = TraceLoop(pl, 8,
-		Scheme{Sched: rt.Schedule{Kind: rt.KindAIDStatic}, Binding: amp.BindBS},
+		Scheme{Sched: core.Schedule{Kind: core.KindAIDStatic}, Binding: amp.BindBS},
 		spec, "Fig 4a: EP, AID-static, 8 threads")
 	if err != nil {
 		return TraceResult{}, TraceResult{}, err
 	}
 	aidHybrid, err = TraceLoop(pl, 8,
-		Scheme{Sched: rt.Schedule{Kind: rt.KindAIDHybrid, Pct: 0.80}, Binding: amp.BindBS},
+		Scheme{Sched: core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.80}, Binding: amp.BindBS},
 		spec, "Fig 4b: EP, AID-hybrid(80%), 8 threads")
 	if err != nil {
 		return TraceResult{}, TraceResult{}, err
@@ -187,18 +186,18 @@ func RunFig8() (Fig8Result, error) {
 		AIDMajors: []int64{1, 2, 4, 5, 10, 15, 20, 25, 30, 35},
 		Norm:      map[string]map[string]float64{},
 	}
-	schemes := []Scheme{{Label: "static(BS)", Sched: rt.Schedule{Kind: rt.KindStatic}, Binding: amp.BindBS}}
+	schemes := []Scheme{{Label: "static(BS)", Sched: core.Schedule{Kind: core.KindStatic}, Binding: amp.BindBS}}
 	for _, c := range out.DynChunks {
 		schemes = append(schemes, Scheme{
 			Label:   fmt.Sprintf("dynamic(BS)/%d", c),
-			Sched:   rt.Schedule{Kind: rt.KindDynamic, Chunk: c},
+			Sched:   core.Schedule{Kind: core.KindDynamic, Chunk: c},
 			Binding: amp.BindBS,
 		})
 	}
 	for _, m := range out.AIDMajors {
 		schemes = append(schemes, Scheme{
 			Label:   fmt.Sprintf("AID-dynamic/1,%d", m),
-			Sched:   rt.Schedule{Kind: rt.KindAIDDynamic, Chunk: 1, Major: m},
+			Sched:   core.Schedule{Kind: core.KindAIDDynamic, Chunk: 1, Major: m},
 			Binding: amp.BindBS,
 		})
 	}
@@ -310,9 +309,9 @@ func RunFig9(pl *amp.Platform) (Fig9Result, error) {
 		return Fig9Result{}, err
 	}
 	schemes := []Scheme{
-		{Label: "static(SB)", Sched: rt.Schedule{Kind: rt.KindStatic}, Binding: amp.BindSB},
-		{Label: "AID-static", Sched: rt.Schedule{Kind: rt.KindAIDStatic}, Binding: amp.BindBS},
-		{Label: "AID-hybrid", Sched: rt.Schedule{Kind: rt.KindAIDHybrid, Pct: 0.80}, Binding: amp.BindBS},
+		{Label: "static(SB)", Sched: core.Schedule{Kind: core.KindStatic}, Binding: amp.BindSB},
+		{Label: "AID-static", Sched: core.Schedule{Kind: core.KindAIDStatic}, Binding: amp.BindBS},
+		{Label: "AID-hybrid", Sched: core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.80}, Binding: amp.BindBS},
 	}
 	// An application's last cell is the offline-SF variant, which is no
 	// Scheme: its factory depends on the workload.

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/internal/amp"
-	"repro/internal/rt"
+	"repro/internal/core"
 	"repro/internal/workloads"
 )
 
@@ -60,10 +60,10 @@ func TestSweepResultsIndependentOfWorkers(t *testing.T) {
 // lower-indexed one every time, and leaves no goroutine behind.
 func TestSweepFirstErrorByIndex(t *testing.T) {
 	ep, _ := workloads.ByName("EP")
-	ok := Scheme{Label: "ok", Sched: rt.Schedule{Kind: rt.KindDynamic}, Binding: amp.BindBS}
+	ok := Scheme{Label: "ok", Sched: core.Schedule{Kind: core.KindDynamic}, Binding: amp.BindBS}
 	// No static or dynamic scheduler re-cuts its pool, so these factories fail.
-	bad1 := Scheme{Label: "bad-1", Sched: rt.Schedule{Kind: rt.KindStatic, Reweight: true}, Binding: amp.BindBS}
-	bad2 := Scheme{Label: "bad-2", Sched: rt.Schedule{Kind: rt.KindDynamic, Reweight: true}, Binding: amp.BindBS}
+	bad1 := Scheme{Label: "bad-1", Sched: core.Schedule{Kind: core.KindStatic, Reweight: true}, Binding: amp.BindBS}
+	bad2 := Scheme{Label: "bad-2", Sched: core.Schedule{Kind: core.KindDynamic, Reweight: true}, Binding: amp.BindBS}
 	schemes := []Scheme{ok, ok, bad1, ok, ok, bad2, ok, ok}
 	withProcs(4, func() {
 		before := runtime.NumGoroutine()

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/amp"
-	"repro/internal/rt"
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -34,9 +34,9 @@ type ZooResult struct {
 // is supposed to separate.
 func zooSchemes() []Scheme {
 	return []Scheme{
-		{Label: "static", Sched: rt.Schedule{Kind: rt.KindStatic}, Binding: amp.BindBS},
-		{Label: "dynamic", Sched: rt.Schedule{Kind: rt.KindDynamic, Chunk: 8}, Binding: amp.BindBS},
-		{Label: "aid-dynamic", Sched: rt.Schedule{Kind: rt.KindAIDDynamic, Chunk: 1, Major: 5}, Binding: amp.BindBS},
+		{Label: "static", Sched: core.Schedule{Kind: core.KindStatic}, Binding: amp.BindBS},
+		{Label: "dynamic", Sched: core.Schedule{Kind: core.KindDynamic, Chunk: 8}, Binding: amp.BindBS},
+		{Label: "aid-dynamic", Sched: core.Schedule{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5}, Binding: amp.BindBS},
 	}
 }
 

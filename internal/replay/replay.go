@@ -26,7 +26,7 @@
 // virtual time whether AID-dynamic would have beaten the schedule it ran
 // under:
 //
-//	team, _ := rt.NewTeam(rt.TeamConfig{Schedule: rt.Schedule{Kind: rt.KindDynamic}})
+//	team, _ := rt.NewTeam(rt.TeamConfig{Schedule: core.Schedule{Kind: core.KindDynamic}})
 //	rec, _, _ := team.RecordParallelFor("ingest", 1<<20, body)
 //
 //	// Persist / reload (e.g. ship the JSONL from production to a dev box).
@@ -54,7 +54,6 @@ import (
 	"repro/internal/amp"
 	"repro/internal/core"
 	"repro/internal/fair"
-	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -491,7 +490,7 @@ func WhatIf(rec *trace.Record, wcfg WhatIfConfig) (*Result, error) {
 		if text == "" {
 			return nil, fmt.Errorf("replay: loop %q carries no parseable schedule; pass an explicit what-if schedule", l.Name)
 		}
-		s, err := rt.ParseSchedule(text)
+		s, err := core.ParseSchedule(text)
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/amp"
+	"repro/internal/core"
 	"repro/internal/fair"
 	"repro/internal/rt"
 	"repro/internal/sim"
@@ -19,7 +20,7 @@ import (
 // recordSim records one simulated loop under the given schedule text.
 func recordSim(t *testing.T, schedText string, spec sim.LoopSpec, withTrace bool) *trace.Record {
 	t.Helper()
-	sched, err := rt.ParseSchedule(schedText)
+	sched, err := core.ParseSchedule(schedText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestExactReplaySimMultiLoop(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			pl := amp.PlatformA()
-			aid, _ := rt.ParseSchedule("aid-dynamic,1,5")
+			aid, _ := core.ParseSchedule("aid-dynamic,1,5")
 			rec := trace.NewRecorder()
 			cfg := sim.Config{
 				Platform: pl,
@@ -267,7 +268,7 @@ func TestWhatIfKeepsRecordedSchedule(t *testing.T) {
 // what-if replay of an rt-recorded run under a swapped scheduler is
 // deterministic across repeated invocations.
 func TestWhatIfFromRTRecord(t *testing.T) {
-	team, err := rt.NewTeam(rt.TeamConfig{NThreads: 4, Schedule: rt.Schedule{Kind: rt.KindDynamic, Chunk: 8}})
+	team, err := rt.NewTeam(rt.TeamConfig{NThreads: 4, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +420,7 @@ func TestPiecewiseCost(t *testing.T) {
 func TestExactReplayArrivalsCutRuns(t *testing.T) {
 	t.Run("sim", func(t *testing.T) {
 		pl := amp.PlatformA()
-		dyn, _ := rt.ParseSchedule("dynamic,4")
+		dyn, _ := core.ParseSchedule("dynamic,4")
 		rec := trace.NewRecorder()
 		cfg := sim.Config{Platform: pl, NThreads: pl.NumCores(), Factory: dyn.Factory(), Recorder: rec}
 		var specs []sim.LoopSpec
@@ -452,7 +453,7 @@ func TestExactReplayArrivalsCutRuns(t *testing.T) {
 		var loops []*rt.Loop
 		for i := 0; i < 3; i++ {
 			l, err := reg.Submit(rt.LoopRequest{Name: fmt.Sprint("l", i), N: 2000, Capture: true,
-				Schedule: rt.Schedule{Kind: rt.KindDynamic, Chunk: 8},
+				Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 8},
 				Body: func(_ int, lo, hi int64) {
 					// About a microsecond per iteration, so that every
 					// loop is still running when the next one arrives.

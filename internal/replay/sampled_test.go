@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/rt"
 	"repro/internal/trace"
 )
@@ -22,7 +23,7 @@ func captureRun(t *testing.T, compact bool, budget int) *trace.Record {
 	for i := 0; i < 3; i++ {
 		h, err := reg.Submit(rt.LoopRequest{
 			N:                4000,
-			Schedule:         rt.Schedule{Kind: rt.KindDynamic, Chunk: 16},
+			Schedule:         core.Schedule{Kind: core.KindDynamic, Chunk: 16},
 			Body:             func(_ int, lo, hi int64) {},
 			Capture:          true,
 			CaptureCompact:   compact,

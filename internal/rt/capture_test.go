@@ -37,7 +37,7 @@ func coverageFromEvents(t *testing.T, evs []trace.ChunkEvent, n int64) int {
 // executor now produces a trace.Trace timeline, where before only the
 // simulator did.
 func TestTeamParallelForCapturesTimeline(t *testing.T) {
-	team, err := NewTeam(TeamConfig{NThreads: 4, Schedule: Schedule{Kind: KindAIDStatic}, Capture: true})
+	team, err := NewTeam(TeamConfig{NThreads: 4, Schedule: core.Schedule{Kind: core.KindAIDStatic}, Capture: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +128,12 @@ func TestRegistryBuildRecordMultiLoop(t *testing.T) {
 	defer reg.Close()
 	const n0, n1 = 6000, 3000
 	l0, err := reg.Submit(LoopRequest{Name: "alpha", N: n0, Capture: true, Weight: 2,
-		Schedule: Schedule{Kind: KindAIDDynamic}, Body: func(_ int, _, _ int64) {}})
+		Schedule: core.Schedule{Kind: core.KindAIDDynamic}, Body: func(_ int, _, _ int64) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	l1, err := reg.Submit(LoopRequest{Name: "beta", N: n1, Capture: true,
-		Schedule: Schedule{Kind: KindDynamic, Chunk: 16}, Body: func(_ int, _, _ int64) {}})
+		Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 16}, Body: func(_ int, _, _ int64) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestCaptureBudgetBounded(t *testing.T) {
 	l, err := reg.Submit(LoopRequest{
 		Name: "budgeted", N: n, Capture: true, CaptureCompact: true,
 		CaptureMaxEvents: budget,
-		Schedule:         Schedule{Kind: KindDynamic, Chunk: 8},
+		Schedule:         core.Schedule{Kind: core.KindDynamic, Chunk: 8},
 		Body:             func(_ int, _, _ int64) {},
 	})
 	if err != nil {
@@ -243,7 +243,7 @@ func TestCaptureCompactionPreservesCoverage(t *testing.T) {
 	const n = 20000
 	l, err := reg.Submit(LoopRequest{
 		Name: "compacted", N: n, Capture: true, CaptureCompact: true,
-		Schedule: Schedule{Kind: KindStatic, Chunk: 4},
+		Schedule: core.Schedule{Kind: core.KindStatic, Chunk: 4},
 		Body:     func(_ int, _, _ int64) {},
 	})
 	if err != nil {
@@ -270,7 +270,7 @@ func TestSubmitRejectsNegativeCaptureBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	s := Schedule{Kind: KindAIDDynamic, Chunk: 1, Major: 5}
+	s := core.Schedule{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5}
 	body := func(_ int, _, _ int64) {}
 	l, err := reg.Submit(LoopRequest{N: 10, Schedule: s, Body: body})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/amp"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -44,7 +45,7 @@ func TestCrossEngineEquivalence(t *testing.T) {
 		// loop drains and the SF transition can complete.
 		spin = 20000
 	)
-	sched := Schedule{Kind: KindAIDStatic, Chunk: chunk}
+	sched := core.Schedule{Kind: core.KindAIDStatic, Chunk: chunk}
 
 	// Engine 1: the simulator, in virtual time.
 	simCfg := sim.Config{
@@ -165,16 +166,16 @@ func TestCrossEngineCoverageAllSchedules(t *testing.T) {
 	pl := amp.PlatformA()
 	profile := amp.Profile{ILP: 0.5, MemIntensity: 0.2}
 	const ni = 2003
-	schedules := []Schedule{
-		{Kind: KindStatic},
-		{Kind: KindStaticChunked, Chunk: 7},
-		{Kind: KindDynamic, Chunk: 3},
-		{Kind: KindGuided, Chunk: 2},
-		{Kind: KindAIDStatic, Chunk: 4},
-		{Kind: KindAIDHybrid, Chunk: 4, Pct: 0.8},
-		{Kind: KindAIDDynamic, Chunk: 2, Major: 10},
-		{Kind: KindAIDAuto, Chunk: 4, Major: 16},
-		{Kind: KindWorkSteal, Chunk: 4},
+	schedules := []core.Schedule{
+		{Kind: core.KindStatic},
+		{Kind: core.KindStaticChunked, Chunk: 7},
+		{Kind: core.KindDynamic, Chunk: 3},
+		{Kind: core.KindGuided, Chunk: 2},
+		{Kind: core.KindAIDStatic, Chunk: 4},
+		{Kind: core.KindAIDHybrid, Chunk: 4, Pct: 0.8},
+		{Kind: core.KindAIDDynamic, Chunk: 2, Major: 10},
+		{Kind: core.KindAIDAuto, Chunk: 4, Major: 16},
+		{Kind: core.KindWorkSteal, Chunk: 4},
 	}
 	for _, s := range schedules {
 		t.Run(s.String(), func(t *testing.T) {
@@ -232,7 +233,7 @@ var _ = fmt.Sprintf // keep fmt for debug additions
 // record of EP under AID-dynamic, and a Team capture on real goroutines.
 func TestGrantExecIsRunningTime(t *testing.T) {
 	pl := amp.PlatformA()
-	sched := Schedule{Kind: KindAIDDynamic, Chunk: 1, Major: 5}
+	sched := core.Schedule{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5}
 	w, ok := workloads.ByName("EP")
 	if !ok {
 		t.Fatal("no EP workload")

@@ -1,10 +1,8 @@
 // Package rt is the user-facing runtime of the reproduction — the analog of
-// libgomp as the paper modified it. It provides:
+// libgomp as the paper modified it. It executes loops under the schedules
+// internal/core names (core.Schedule, read from GOOMP_SCHEDULE text by
+// core.ParseSchedule) and provides:
 //
-//   - Schedule: a parsed loop-schedule selection (method + parameters).
-//     ParseSchedule reads its text form, the GOOMP_SCHEDULE syntax that
-//     mirrors the paper's OMP_SCHEDULE (§4.1) and that the commands take as
-//     -sched and run records carry.
 //   - Registry: the multi-loop executor — a persistent fleet of worker
 //     goroutines (one per modeled CPU, with per-worker speed throttling
 //     that emulates big/small cores) serving many concurrent loop

@@ -48,7 +48,7 @@ func TestRegistryThrottleFidelity(t *testing.T) {
 	if reg.NThreads() != 2 || reg.Slowdown(0) != 1 || want < 1.5 {
 		t.Fatalf("fleet of %d with slowdowns %v/%v, want 1B+1S", reg.NThreads(), reg.Slowdown(0), want)
 	}
-	l, err := reg.Submit(LoopRequest{N: 400, Schedule: Schedule{Kind: KindDynamic, Chunk: 1},
+	l, err := reg.Submit(LoopRequest{N: 400, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 1},
 		Capture: true, Body: func(_ int, _, _ int64) {
 			for start := time.Now(); time.Since(start) < 50*time.Microsecond; {
 			}
@@ -99,7 +99,7 @@ func TestRegistryThrottleUnobserved(t *testing.T) {
 		// Slot tid is written by worker tid only and read after Wait.
 		var first, last [2]time.Time
 		var paused [2]bool
-		l, err := reg.Submit(LoopRequest{N: 400, Schedule: Schedule{Kind: KindDynamic, Chunk: 1},
+		l, err := reg.Submit(LoopRequest{N: 400, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 1},
 			Body: func(tid int, _, _ int64) {
 				start := time.Now()
 				if first[tid].IsZero() {
@@ -168,7 +168,7 @@ func TestRegistryClockFreeDrain(t *testing.T) {
 			}
 		}},
 	} {
-		s, err := ParseSchedule(c.sched)
+		s, err := core.ParseSchedule(c.sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestRegistryClockFreeDrain(t *testing.T) {
 			reg.mu.Unlock()
 		}
 		reg.Close()
-		if s.Kind == KindAIDAuto && irregular == 0 {
+		if s.Kind == core.KindAIDAuto && irregular == 0 {
 			t.Errorf("%s: none of %d loops took the irregular path", c.sched, loops)
 		}
 	}
@@ -263,7 +263,7 @@ func TestRegistrySubmitAllocs(t *testing.T) {
 	body := func(_ int, lo, hi int64) { sink.Add(hi - lo) }
 	for _, text := range []string{"static", "dynamic,16", "guided", "aid-static",
 		"aid-hybrid,80,4", "aid-dynamic,1,5", "aid-auto", "work-steal"} {
-		s, err := ParseSchedule(text)
+		s, err := core.ParseSchedule(text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,12 +301,12 @@ func TestRegistrySteadyStateAllocs(t *testing.T) {
 	defer reg.Close()
 	var sink atomic.Int64
 	run := func(n int64) {
-		a, err := reg.Submit(LoopRequest{N: n, Schedule: Schedule{Kind: KindDynamic, Chunk: 4},
+		a, err := reg.Submit(LoopRequest{N: n, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 4},
 			Body: func(_ int, lo, hi int64) { sink.Add(hi - lo) }})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := reg.Submit(LoopRequest{N: n, Schedule: Schedule{Kind: KindAIDHybrid, Chunk: 1},
+		b, err := reg.Submit(LoopRequest{N: n, Schedule: core.Schedule{Kind: core.KindAIDHybrid, Chunk: 1},
 			Body: func(_ int, lo, hi int64) { sink.Add(hi - lo) }})
 		if err != nil {
 			t.Fatal(err)

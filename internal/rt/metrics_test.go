@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -21,7 +22,7 @@ func TestRegistryMetricsCounters(t *testing.T) {
 	defer reg.Close()
 	const n = 5000
 	var sink atomic.Int64
-	l, err := reg.Submit(LoopRequest{N: n, Schedule: Schedule{Kind: KindAIDDynamic, Chunk: 8, Major: 64, Reweight: true},
+	l, err := reg.Submit(LoopRequest{N: n, Schedule: core.Schedule{Kind: core.KindAIDDynamic, Chunk: 8, Major: 64, Reweight: true},
 		Body: func(_ int, lo, hi int64) { sink.Add(hi - lo) }})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +90,7 @@ func TestRegistryMetricsTileCapture(t *testing.T) {
 	}
 	defer reg.Close()
 	// The body yields so every worker serves chunks even on one CPU.
-	l, err := reg.Submit(LoopRequest{N: 4000, Schedule: Schedule{Kind: KindAIDDynamic, Chunk: 1, Major: 5},
+	l, err := reg.Submit(LoopRequest{N: 4000, Schedule: core.Schedule{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5},
 		Capture: true, Body: func(_ int, _, _ int64) { runtime.Gosched() }})
 	if err != nil {
 		t.Fatal(err)
@@ -152,12 +153,12 @@ func TestRegistryMetricsSteadyStateAllocs(t *testing.T) {
 	defer reg.Close()
 	var sink atomic.Int64
 	run := func(n int64) {
-		a, err := reg.Submit(LoopRequest{N: n, Schedule: Schedule{Kind: KindDynamic, Chunk: 4},
+		a, err := reg.Submit(LoopRequest{N: n, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 4},
 			Body: func(_ int, lo, hi int64) { sink.Add(hi - lo) }})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := reg.Submit(LoopRequest{N: n, Schedule: Schedule{Kind: KindAIDHybrid, Chunk: 1},
+		b, err := reg.Submit(LoopRequest{N: n, Schedule: core.Schedule{Kind: core.KindAIDHybrid, Chunk: 1},
 			Body: func(_ int, lo, hi int64) { sink.Add(hi - lo) }})
 		if err != nil {
 			t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/amp"
+	"repro/internal/core"
 )
 
 // cpuCount is the number of CPUs in m.
@@ -38,7 +39,7 @@ func workerMasks(t *testing.T, nthreads int) []cpuMask {
 	defer reg.Close()
 	masks := make([]cpuMask, nthreads)
 	read := make([]bool, nthreads)
-	l, err := reg.Submit(LoopRequest{N: int64(4 * nthreads), Schedule: Schedule{Kind: KindStatic},
+	l, err := reg.Submit(LoopRequest{N: int64(4 * nthreads), Schedule: core.Schedule{Kind: core.KindStatic},
 		Body: func(tid int, _, _ int64) {
 			masks[tid], read[tid] = affinity()
 		}})

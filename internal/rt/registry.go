@@ -108,7 +108,7 @@ const maxFree = 32
 // request: the defaulted schedule's comparable fields. Canonical would do
 // too, at the price of a formatted string per Submit.
 type schedKey struct {
-	kind         Kind
+	kind         core.Kind
 	chunk, major int64
 	pct          float64
 	reweight     bool
@@ -116,8 +116,8 @@ type schedKey struct {
 
 // keyOf returns s's free-list key, and ok=false for the offline-SF schedules,
 // whose table is not part of the key and which are therefore never pooled.
-func keyOf(s Schedule) (k schedKey, ok bool) {
-	d := s.withDefaults()
+func keyOf(s core.Schedule) (k schedKey, ok bool) {
+	d := s.WithDefaults()
 	return schedKey{d.Kind, d.Chunk, d.Major, d.Pct, d.Reweight}, d.OfflineSF == nil
 }
 
@@ -283,7 +283,7 @@ type LoopRequest struct {
 	N int64
 	// Schedule selects the scheduling method (the zero value is the plain
 	// static schedule).
-	Schedule Schedule
+	Schedule core.Schedule
 	// Weight is the loop's relative fairness share; 0 selects 1.
 	Weight int
 	// Body executes iterations [lo, hi) on fleet worker tid.
@@ -318,7 +318,7 @@ type Loop struct {
 	name     string
 	weight   int
 	n        int64
-	schedule Schedule
+	schedule core.Schedule
 	body     func(tid int, lo, hi int64)
 
 	// slot is the loop's fleet slot until its barrier releases (guarded by

@@ -14,14 +14,14 @@ import (
 
 // stressSchedules cycles every pool-backed scheduling family through the
 // stress runs, mirroring internal/core/race_test.go at the registry level.
-var stressSchedules = []Schedule{
-	{Kind: KindDynamic, Chunk: 3},
-	{Kind: KindGuided},
-	{Kind: KindAIDStatic},
-	{Kind: KindAIDHybrid},
-	{Kind: KindAIDDynamic, Chunk: 1, Major: 5},
-	{Kind: KindAIDAuto, Chunk: 2, Major: 8},
-	{Kind: KindWorkSteal, Chunk: 2},
+var stressSchedules = []core.Schedule{
+	{Kind: core.KindDynamic, Chunk: 3},
+	{Kind: core.KindGuided},
+	{Kind: core.KindAIDStatic},
+	{Kind: core.KindAIDHybrid},
+	{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5},
+	{Kind: core.KindAIDAuto, Chunk: 2, Major: 8},
+	{Kind: core.KindWorkSteal, Chunk: 2},
 }
 
 // TestRegistrySubmitStress hammers one fleet with concurrent submitters
@@ -124,7 +124,7 @@ func TestRegistryTeardownRace(t *testing.T) {
 						ni := int64(500 + 100*j)
 						l, err := reg.Submit(LoopRequest{
 							N:        ni,
-							Schedule: Schedule{Kind: KindDynamic, Chunk: 8},
+							Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 8},
 							Body:     func(_ int, lo, hi int64) { total.Add(hi - lo) },
 						})
 						if err != nil {
@@ -169,10 +169,10 @@ func TestRegistryRecycleConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	scheds := []Schedule{
-		{Kind: KindAIDDynamic, Chunk: 1, Major: 5},
-		{Kind: KindAIDStatic},
-		{Kind: KindDynamic, Chunk: 16},
+	scheds := []core.Schedule{
+		{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5},
+		{Kind: core.KindAIDStatic},
+		{Kind: core.KindDynamic, Chunk: 16},
 	}
 	const submitters, loopsEach = 4, 200
 

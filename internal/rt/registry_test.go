@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fair"
 )
 
@@ -13,19 +14,19 @@ import (
 type registryTenant struct {
 	name  string
 	ni    int64
-	sched Schedule
+	sched core.Schedule
 }
 
 // registryTenants mixes trip counts {0, 1, prime, big} with schedulers
 // from every family, mirroring the core-level harness on the real fleet.
 func registryTenants(big int64) []registryTenant {
 	return []registryTenant{
-		{"empty/static", 0, Schedule{Kind: KindStatic}},
-		{"one/aid-static", 1, Schedule{Kind: KindAIDStatic}},
-		{"prime/aid-dynamic", 10007, Schedule{Kind: KindAIDDynamic, Chunk: 1, Major: 5}},
-		{"prime/guided", 10007, Schedule{Kind: KindGuided}},
-		{"big/dynamic", big, Schedule{Kind: KindDynamic, Chunk: 16}},
-		{"big/aid-hybrid", big, Schedule{Kind: KindAIDHybrid, Chunk: 4}},
+		{"empty/static", 0, core.Schedule{Kind: core.KindStatic}},
+		{"one/aid-static", 1, core.Schedule{Kind: core.KindAIDStatic}},
+		{"prime/aid-dynamic", 10007, core.Schedule{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5}},
+		{"prime/guided", 10007, core.Schedule{Kind: core.KindGuided}},
+		{"big/dynamic", big, core.Schedule{Kind: core.KindDynamic, Chunk: 16}},
+		{"big/aid-hybrid", big, core.Schedule{Kind: core.KindAIDHybrid, Chunk: 4}},
 	}
 }
 
@@ -111,7 +112,7 @@ func TestRegistryBarrierIndependence(t *testing.T) {
 	var longIters atomic.Int64
 	long, err := reg.Submit(LoopRequest{
 		N:        longN,
-		Schedule: Schedule{Kind: KindDynamic, Chunk: 4},
+		Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 4},
 		Body: func(tid int, lo, hi int64) {
 			longIters.Add(hi - lo)
 			<-admitted
@@ -132,7 +133,7 @@ func TestRegistryBarrierIndependence(t *testing.T) {
 	var shortIters atomic.Int64
 	short, err = reg.Submit(LoopRequest{
 		N:        shortN,
-		Schedule: Schedule{Kind: KindDynamic, Chunk: 4},
+		Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 4},
 		Weight:   4,
 		Body:     func(_ int, lo, hi int64) { shortIters.Add(hi - lo) },
 	})
@@ -171,12 +172,12 @@ func TestRegistryFCFSPolicy(t *testing.T) {
 		t.Errorf("Policy().Name() = %q", reg.Policy().Name())
 	}
 	var a, b atomic.Int64
-	la, err := reg.Submit(LoopRequest{N: 50_000, Schedule: Schedule{Kind: KindDynamic, Chunk: 8},
+	la, err := reg.Submit(LoopRequest{N: 50_000, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 8},
 		Body: func(_ int, lo, hi int64) { a.Add(hi - lo) }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := reg.Submit(LoopRequest{N: 50_000, Schedule: Schedule{Kind: KindDynamic, Chunk: 8},
+	lb, err := reg.Submit(LoopRequest{N: 50_000, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 8},
 		Body: func(_ int, lo, hi int64) { b.Add(hi - lo) }})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +205,7 @@ func TestRegistrySubmitValidation(t *testing.T) {
 	if _, err := reg.Submit(LoopRequest{N: 10, Weight: -2, Body: body}); err == nil {
 		t.Error("negative weight accepted")
 	}
-	if _, err := reg.Submit(LoopRequest{N: 10, Schedule: Schedule{Kind: Kind(99)}, Body: body}); err == nil {
+	if _, err := reg.Submit(LoopRequest{N: 10, Schedule: core.Schedule{Kind: core.Kind(99)}, Body: body}); err == nil {
 		t.Error("unknown schedule kind accepted")
 	}
 	l, err := reg.Submit(LoopRequest{N: 10, Body: body})
@@ -240,7 +241,7 @@ func TestRegistryCloseDrains(t *testing.T) {
 	var total atomic.Int64
 	loops := make([]*Loop, 5)
 	for i := range loops {
-		loops[i], err = reg.Submit(LoopRequest{N: 10_000, Schedule: Schedule{Kind: KindDynamic, Chunk: 16},
+		loops[i], err = reg.Submit(LoopRequest{N: 10_000, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 16},
 			Body: func(_ int, lo, hi int64) { total.Add(hi - lo) }})
 		if err != nil {
 			t.Fatal(err)
@@ -293,7 +294,7 @@ func TestRegistrySFEstimateSurfaced(t *testing.T) {
 	defer reg.Close()
 	l, err := reg.Submit(LoopRequest{
 		N:        8000,
-		Schedule: Schedule{Kind: KindAIDStatic, OfflineSF: []float64{3, 1}},
+		Schedule: core.Schedule{Kind: core.KindAIDStatic, OfflineSF: []float64{3, 1}},
 		Body:     func(int, int64, int64) {},
 	})
 	if err != nil {

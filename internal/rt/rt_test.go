@@ -9,115 +9,6 @@ import (
 	"repro/internal/core"
 )
 
-func TestKindString(t *testing.T) {
-	want := map[Kind]string{
-		KindStatic: "static", KindStaticChunked: "static-chunked",
-		KindDynamic: "dynamic", KindGuided: "guided",
-		KindAIDStatic: "aid-static", KindAIDHybrid: "aid-hybrid",
-		KindAIDDynamic: "aid-dynamic", Kind(42): "Kind(42)",
-	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Errorf("Kind(%d).String() = %q, want %q", int(k), k.String(), s)
-		}
-	}
-}
-
-func TestScheduleString(t *testing.T) {
-	cases := []struct {
-		s    Schedule
-		want string
-	}{
-		{Schedule{Kind: KindStatic}, "static"},
-		{Schedule{Kind: KindStaticChunked, Chunk: 4}, "static/4"},
-		{Schedule{Kind: KindDynamic}, "dynamic/1"},
-		{Schedule{Kind: KindDynamic, Chunk: 5}, "dynamic/5"},
-		{Schedule{Kind: KindGuided, Chunk: 2}, "guided/2"},
-		{Schedule{Kind: KindAIDStatic}, "AID-static"},
-		{Schedule{Kind: KindAIDStatic, OfflineSF: []float64{3, 1}}, "AID-static(offline-SF)"},
-		{Schedule{Kind: KindAIDHybrid}, "AID-hybrid(80%)"},
-		{Schedule{Kind: KindAIDHybrid, Pct: 0.6}, "AID-hybrid(60%)"},
-		{Schedule{Kind: KindAIDDynamic}, "AID-dynamic/1,5"},
-		{Schedule{Kind: KindAIDDynamic, Chunk: 2, Major: 10}, "AID-dynamic/2,10"},
-	}
-	for _, c := range cases {
-		if got := c.s.String(); got != c.want {
-			t.Errorf("String() = %q, want %q", got, c.want)
-		}
-	}
-}
-
-func TestParseSchedule(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Schedule
-	}{
-		{"static", Schedule{Kind: KindStatic}},
-		{"static,8", Schedule{Kind: KindStaticChunked, Chunk: 8}},
-		{"dynamic", Schedule{Kind: KindDynamic}},
-		{"dynamic,4", Schedule{Kind: KindDynamic, Chunk: 4}},
-		{"guided,2", Schedule{Kind: KindGuided, Chunk: 2}},
-		{"AID-STATIC", Schedule{Kind: KindAIDStatic}},
-		{"aid-static,2", Schedule{Kind: KindAIDStatic, Chunk: 2}},
-		{"aid-hybrid,60", Schedule{Kind: KindAIDHybrid, Pct: 0.6}},
-		{"aid-dynamic,1,5", Schedule{Kind: KindAIDDynamic, Chunk: 1, Major: 5}},
-		{" dynamic , 3 ", Schedule{Kind: KindDynamic, Chunk: 3}},
-	}
-	for _, c := range cases {
-		got, err := ParseSchedule(c.in)
-		if err != nil {
-			t.Errorf("ParseSchedule(%q) error: %v", c.in, err)
-			continue
-		}
-		if got.Kind != c.want.Kind || got.Chunk != c.want.Chunk ||
-			got.Major != c.want.Major || got.Pct != c.want.Pct {
-			t.Errorf("ParseSchedule(%q) = %+v, want %+v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestParseScheduleErrors(t *testing.T) {
-	bad := []string{
-		"", "nonsense", "dynamic,0", "dynamic,-3", "dynamic,x", "dynamic,1,2",
-		"aid-hybrid,0", "aid-hybrid,150", "aid-dynamic,1,2,3", "static,1,2",
-	}
-	for _, in := range bad {
-		if _, err := ParseSchedule(in); err == nil {
-			t.Errorf("ParseSchedule(%q) accepted", in)
-		}
-	}
-}
-
-func TestFactoryProducesRightSchedulers(t *testing.T) {
-	info := core.LoopInfo{NI: 100, NThreads: 4, NumTypes: 2, TypeOf: func(tid int) int { return tid % 2 }}
-	cases := []struct {
-		sched Schedule
-		want  string
-	}{
-		{Schedule{Kind: KindStatic}, "static"},
-		{Schedule{Kind: KindStaticChunked, Chunk: 2}, "static-chunked"},
-		{Schedule{Kind: KindDynamic}, "dynamic"},
-		{Schedule{Kind: KindGuided}, "guided"},
-		{Schedule{Kind: KindAIDStatic}, "aid-static"},
-		{Schedule{Kind: KindAIDStatic, OfflineSF: []float64{3, 1}}, "aid-static"},
-		{Schedule{Kind: KindAIDHybrid}, "aid-hybrid"},
-		{Schedule{Kind: KindAIDDynamic}, "aid-dynamic"},
-	}
-	for _, c := range cases {
-		s, err := c.sched.Factory()(info)
-		if err != nil {
-			t.Errorf("factory for %v: %v", c.sched, err)
-			continue
-		}
-		if s.Name() != c.want {
-			t.Errorf("factory for %v built %q", c.sched, s.Name())
-		}
-	}
-	if _, err := (Schedule{Kind: Kind(99)}).Factory()(info); err == nil {
-		t.Error("unknown kind accepted")
-	}
-}
-
 // --- Team (real executor) ---
 
 func TestNewTeamDefaults(t *testing.T) {
@@ -173,13 +64,13 @@ func TestNewTeamThreadCountMessage(t *testing.T) {
 }
 
 func TestParallelForCoverage(t *testing.T) {
-	for _, sched := range []Schedule{
-		{Kind: KindStatic},
-		{Kind: KindDynamic, Chunk: 7},
-		{Kind: KindGuided},
-		{Kind: KindAIDStatic},
-		{Kind: KindAIDHybrid, Pct: 0.7},
-		{Kind: KindAIDDynamic, Chunk: 1, Major: 8},
+	for _, sched := range []core.Schedule{
+		{Kind: core.KindStatic},
+		{Kind: core.KindDynamic, Chunk: 7},
+		{Kind: core.KindGuided},
+		{Kind: core.KindAIDStatic},
+		{Kind: core.KindAIDHybrid, Pct: 0.7},
+		{Kind: core.KindAIDDynamic, Chunk: 1, Major: 8},
 	} {
 		t.Run(sched.String(), func(t *testing.T) {
 			team, err := NewTeam(TeamConfig{NThreads: 4, Schedule: sched})
@@ -203,7 +94,7 @@ func TestParallelForCoverage(t *testing.T) {
 }
 
 func TestParallelForChunked(t *testing.T) {
-	team, err := NewTeam(TeamConfig{NThreads: 4, Schedule: Schedule{Kind: KindDynamic, Chunk: 16}})
+	team, err := NewTeam(TeamConfig{NThreads: 4, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,55 +127,8 @@ func TestParallelForEmptyLoop(t *testing.T) {
 	}
 }
 
-func TestScheduleStringsAreDistinct(t *testing.T) {
-	seen := map[string]bool{}
-	for _, s := range []Schedule{
-		{Kind: KindStatic}, {Kind: KindDynamic}, {Kind: KindGuided},
-		{Kind: KindAIDStatic}, {Kind: KindAIDHybrid}, {Kind: KindAIDDynamic},
-	} {
-		str := s.String()
-		if seen[str] {
-			t.Errorf("duplicate schedule string %q", str)
-		}
-		seen[str] = true
-		if strings.Contains(str, "Kind(") {
-			t.Errorf("schedule %v renders as raw kind: %q", s, str)
-		}
-	}
-}
-
-func TestParseScheduleAIDAuto(t *testing.T) {
-	s, err := ParseSchedule("aid-auto,2,16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Kind != KindAIDAuto || s.Chunk != 2 || s.Major != 16 {
-		t.Errorf("ParseSchedule(aid-auto,2,16) = %+v", s)
-	}
-	if _, err := ParseSchedule("aid-auto,1,2,3"); err == nil {
-		t.Error("extra aid-auto parameters accepted")
-	}
-	if got := (Schedule{Kind: KindAIDAuto}).String(); got != "AID-auto/1,5" {
-		t.Errorf("String() = %q", got)
-	}
-	if KindAIDAuto.String() != "aid-auto" {
-		t.Errorf("Kind.String() = %q", KindAIDAuto)
-	}
-}
-
-func TestFactoryAIDAuto(t *testing.T) {
-	info := core.LoopInfo{NI: 100, NThreads: 4, NumTypes: 2, TypeOf: func(tid int) int { return tid % 2 }}
-	s, err := (Schedule{Kind: KindAIDAuto}).Factory()(info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "aid-auto" {
-		t.Errorf("factory built %q", s.Name())
-	}
-}
-
 func TestParallelForAIDAuto(t *testing.T) {
-	team, err := NewTeam(TeamConfig{NThreads: 4, Schedule: Schedule{Kind: KindAIDAuto, Chunk: 32, Major: 64}})
+	team, err := NewTeam(TeamConfig{NThreads: 4, Schedule: core.Schedule{Kind: core.KindAIDAuto, Chunk: 32, Major: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,12 +147,12 @@ func TestParallelForAIDAuto(t *testing.T) {
 }
 
 func TestWorkStealSchedule(t *testing.T) {
-	s, err := ParseSchedule("work-steal,16")
+	s, err := core.ParseSchedule("work-steal,16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Kind != KindWorkSteal || s.Chunk != 16 {
-		t.Errorf("ParseSchedule(work-steal,16) = %+v", s)
+	if s.Kind != core.KindWorkSteal || s.Chunk != 16 {
+		t.Errorf("core.ParseSchedule(work-steal,16) = %+v", s)
 	}
 	if got := s.String(); got != "work-steal/16" {
 		t.Errorf("String() = %q", got)
@@ -331,33 +175,5 @@ func TestWorkStealSchedule(t *testing.T) {
 	}
 	if sum.Load() != 3000 {
 		t.Errorf("coverage %d, want 3000", sum.Load())
-	}
-}
-
-// TestScheduleCanonicalRoundTrip: ParseSchedule(s.Canonical()) must select
-// the same schedule — the property run records rely on to re-run a loop
-// under its recorded configuration.
-func TestScheduleCanonicalRoundTrip(t *testing.T) {
-	for _, txt := range []string{
-		"static", "static,8", "dynamic,1", "dynamic,16", "guided,2",
-		"aid-static", "aid-static,2", "aid-hybrid,70", "aid-hybrid,80,4",
-		"aid-dynamic,2,10", "aid-auto,16,64", "work-steal,4",
-	} {
-		s, err := ParseSchedule(txt)
-		if err != nil {
-			t.Fatalf("%s: %v", txt, err)
-		}
-		c := s.Canonical()
-		s2, err := ParseSchedule(c)
-		if err != nil {
-			t.Fatalf("%s -> Canonical %q does not parse: %v", txt, c, err)
-		}
-		d, d2 := s.withDefaults(), s2.withDefaults()
-		if d.Kind != d2.Kind || d.Chunk != d2.Chunk || d.Major != d2.Major || d.Pct != d2.Pct {
-			t.Errorf("%s -> %q round-trips to %+v, want %+v", txt, c, d2, d)
-		}
-		if c2 := s2.Canonical(); c2 != c {
-			t.Errorf("%s: Canonical not a fixed point: %q -> %q", txt, c, c2)
-		}
 	}
 }

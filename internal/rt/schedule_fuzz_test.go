@@ -3,13 +3,15 @@ package rt
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // FuzzParseSchedule: GOOMP_SCHEDULE text comes from the environment, command
 // lines and run records, so the parser must never panic, and whatever it
 // accepts must survive the trip through Canonical that records rely on:
 // Canonical is never "" for a parsed schedule, and parsing it again selects
-// the same schedule. "Same" is equality after withDefaults — an omitted
+// the same schedule. "Same" is equality after WithDefaults — an omitted
 // parameter and its default are one schedule ("dynamic" and "dynamic,1"),
 // and TestParseSchedule pins that the parser leaves an omitted one zero.
 func FuzzParseSchedule(f *testing.F) {
@@ -33,22 +35,22 @@ func FuzzParseSchedule(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
-		s, err := ParseSchedule(text)
+		s, err := core.ParseSchedule(text)
 		if err != nil {
-			if !reflect.DeepEqual(s, Schedule{}) {
-				t.Fatalf("ParseSchedule(%q) failed (%v) but returned %+v", text, err, s)
+			if !reflect.DeepEqual(s, core.Schedule{}) {
+				t.Fatalf("core.ParseSchedule(%q) failed (%v) but returned %+v", text, err, s)
 			}
 			return
 		}
 		c := s.Canonical()
 		if c == "" {
-			t.Fatalf("ParseSchedule(%q) = %+v has no canonical form", text, s)
+			t.Fatalf("core.ParseSchedule(%q) = %+v has no canonical form", text, s)
 		}
-		s2, err := ParseSchedule(c)
+		s2, err := core.ParseSchedule(c)
 		if err != nil {
 			t.Fatalf("%q -> Canonical %q does not parse: %v", text, c, err)
 		}
-		if d, d2 := s.withDefaults(), s2.withDefaults(); !reflect.DeepEqual(d, d2) {
+		if d, d2 := s.WithDefaults(), s2.WithDefaults(); !reflect.DeepEqual(d, d2) {
 			t.Fatalf("%q -> Canonical %q selects %+v, want %+v", text, c, d2, d)
 		}
 	})

@@ -87,7 +87,7 @@ func TestRegistryPolicyHooks(t *testing.T) {
 	// that saw A as the lone candidate.
 	gate := make(chan struct{})
 	var started atomic.Int32
-	a, err := reg.Submit(LoopRequest{N: 64, Schedule: Schedule{Kind: KindDynamic, Chunk: 4},
+	a, err := reg.Submit(LoopRequest{N: 64, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 4},
 		Body: func(_ int, _, _ int64) { started.Add(1); <-gate }})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestRegistryPolicyHooks(t *testing.T) {
 	for started.Load() == 0 {
 		time.Sleep(10 * time.Microsecond)
 	}
-	b, err := reg.Submit(LoopRequest{N: 64, Schedule: Schedule{Kind: KindDynamic, Chunk: 4},
+	b, err := reg.Submit(LoopRequest{N: 64, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 4},
 		Body: func(_ int, _, _ int64) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestRegistryLiveSFMidRun(t *testing.T) {
 	// A per-iteration stall keeps the AID phase (the bulk of the loop) slow
 	// enough for the poller, while the chunk-1 sampling phase that produces
 	// the estimate finishes almost immediately.
-	l, err := reg.Submit(LoopRequest{N: 20000, Schedule: Schedule{Kind: KindAIDStatic},
+	l, err := reg.Submit(LoopRequest{N: 20000, Schedule: core.Schedule{Kind: core.KindAIDStatic},
 		Body: func(_ int, lo, hi int64) {
 			for i := lo; i < hi; i += 256 {
 				time.Sleep(50 * time.Microsecond)
@@ -172,7 +172,7 @@ poll:
 	// inside the AID loop's allotment, whose round-robin turn goes to the
 	// newcomer first, comes back to a one-candidate Pick of the AID loop,
 	// which must carry the estimate we just observed.
-	l2, err := reg.Submit(LoopRequest{N: 0, Schedule: Schedule{Kind: KindDynamic},
+	l2, err := reg.Submit(LoopRequest{N: 0, Schedule: core.Schedule{Kind: core.KindDynamic},
 		Body: func(_ int, _, _ int64) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestRegistryLiveSFNilForConventional(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	l, err := reg.Submit(LoopRequest{N: 100, Schedule: Schedule{Kind: KindDynamic},
+	l, err := reg.Submit(LoopRequest{N: 100, Schedule: core.Schedule{Kind: core.KindDynamic},
 		Body: func(_ int, _, _ int64) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -214,80 +214,13 @@ func TestRegistryLiveSFNilForConventional(t *testing.T) {
 	}
 }
 
-// TestParseScheduleReweight covers the ",rw" GOOMP_SCHEDULE extension:
-// accepted on the online-SF AID methods (any case, any parameter count),
-// rejected everywhere else, and round-tripped by Canonical.
-func TestParseScheduleReweight(t *testing.T) {
-	good := map[string]Schedule{
-		"aid-static,rw":      {Kind: KindAIDStatic, Reweight: true},
-		"aid-static,2,rw":    {Kind: KindAIDStatic, Chunk: 2, Reweight: true},
-		"aid-hybrid,80,rw":   {Kind: KindAIDHybrid, Pct: 0.8, Reweight: true},
-		"aid-dynamic,1,5,rw": {Kind: KindAIDDynamic, Chunk: 1, Major: 5, Reweight: true},
-		"AID-DYNAMIC,1,5,RW": {Kind: KindAIDDynamic, Chunk: 1, Major: 5, Reweight: true},
-	}
-	for in, want := range good {
-		got, err := ParseSchedule(in)
-		if err != nil {
-			t.Errorf("ParseSchedule(%q): %v", in, err)
-			continue
-		}
-		if got.Kind != want.Kind || got.Chunk != want.Chunk ||
-			got.Major != want.Major || got.Pct != want.Pct || !got.Reweight {
-			t.Errorf("ParseSchedule(%q) = %+v, want %+v", in, got, want)
-		}
-	}
-	for _, in := range []string{
-		"static,rw", "dynamic,4,rw", "guided,rw", "work-steal,4,rw",
-		"aid-auto,2,8,rw", "rw",
-	} {
-		if _, err := ParseSchedule(in); err == nil {
-			t.Errorf("ParseSchedule(%q) accepted", in)
-		}
-	}
-	for _, in := range []string{"aid-static,rw", "aid-hybrid,70,rw", "aid-dynamic,2,10,rw"} {
-		s, err := ParseSchedule(in)
-		if err != nil {
-			t.Fatalf("%s: %v", in, err)
-		}
-		c := s.Canonical()
-		s2, err := ParseSchedule(c)
-		if err != nil {
-			t.Fatalf("%s -> Canonical %q does not parse: %v", in, c, err)
-		}
-		if !s2.Reweight {
-			t.Errorf("%s: Canonical %q dropped the rw flag", in, c)
-		}
-		if c2 := s2.Canonical(); c2 != c {
-			t.Errorf("%s: Canonical not a fixed point: %q -> %q", in, c, c2)
-		}
-	}
-	if got := (Schedule{Kind: KindAIDDynamic, Reweight: true}).String(); got != "AID-dynamic/1,5+rw" {
-		t.Errorf("String() = %q, want AID-dynamic/1,5+rw", got)
-	}
-}
-
-// TestFactoryReweight: the factory must apply SetReweight to schedulers that
-// support it and refuse Reweight on kinds that do not (the struct field is
-// reachable without going through ParseSchedule's validation).
-func TestFactoryReweight(t *testing.T) {
-	info := core.LoopInfo{NI: 100, NThreads: 4, NumTypes: 2, TypeOf: func(tid int) int { return tid % 2 }}
-	for _, k := range []Kind{KindAIDStatic, KindAIDHybrid, KindAIDDynamic} {
-		if _, err := (Schedule{Kind: k, Reweight: true}).Factory()(info); err != nil {
-			t.Errorf("factory for %v+rw: %v", k, err)
-		}
-	}
-	if _, err := (Schedule{Kind: KindDynamic, Reweight: true}).Factory()(info); err == nil {
-		t.Error("factory accepted Reweight on dynamic")
-	}
-}
-
 // TestParallelForReweightCoverage runs the ,rw variants end-to-end on the
 // real executor: re-partitioning mid-loop must not lose or duplicate
 // iterations.
 func TestParallelForReweightCoverage(t *testing.T) {
 	for _, txt := range []string{"aid-hybrid,80,rw", "aid-dynamic,1,5,rw"} {
 		t.Run(txt, func(t *testing.T) {
-			s, err := ParseSchedule(txt)
+			s, err := core.ParseSchedule(txt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/amp"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -27,7 +28,7 @@ type Team struct {
 	platform *amp.Platform
 	nthreads int
 	binding  amp.Binding
-	schedule Schedule
+	schedule core.Schedule
 	profile  amp.Profile
 	slowdown []float64 // per thread, >= 1
 	capture  bool
@@ -44,7 +45,7 @@ type TeamConfig struct {
 	// Binding defaults to BS (the convention all AID variants assume).
 	Binding amp.Binding
 	// Schedule defaults to the zero value (the plain static schedule).
-	Schedule Schedule
+	Schedule core.Schedule
 	// Profile is the instruction mix used to derive emulated slowdown
 	// factors from the platform model; the zero value is a moderate mix.
 	Profile amp.Profile

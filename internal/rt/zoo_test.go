@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/amp"
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -19,10 +20,10 @@ import (
 func TestCrossEngineZooEquivalence(t *testing.T) {
 	profile := amp.Profile{ILP: 0.6, MemIntensity: 0.15}
 	const ni = 3001
-	schedules := []Schedule{
-		{Kind: KindDynamic, Chunk: 5},
-		{Kind: KindAIDStatic, Chunk: 8},
-		{Kind: KindAIDDynamic, Chunk: 4, Major: 20},
+	schedules := []core.Schedule{
+		{Kind: core.KindDynamic, Chunk: 5},
+		{Kind: core.KindAIDStatic, Chunk: 8},
+		{Kind: core.KindAIDDynamic, Chunk: 4, Major: 20},
 	}
 	for _, name := range []string{"Cluster", "Hybrid"} {
 		pl, ok := amp.Lookup(name)

@@ -121,7 +121,7 @@ func (r *Recorder) AddLoop(l LoopRecord) int {
 }
 
 // SetLoopSchedule attaches the re-parseable schedule text to a registered
-// loop (callers that know the rt.Schedule set it; engines only know the
+// loop (callers that know the core.Schedule set it; engines only know the
 // resolved scheduler name).
 func (r *Recorder) SetLoopSchedule(idx int, text string) {
 	r.rec.Loops[idx].Schedule = text
