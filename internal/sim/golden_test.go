@@ -14,6 +14,7 @@ import (
 	"repro/internal/amp"
 	"repro/internal/core"
 	"repro/internal/fair"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -40,6 +41,7 @@ var goldenSchedules = []struct {
 		}
 		return core.NewAIDStaticOffline(i, 1, sf)
 	}},
+	{"aid-hybrid80", func(i core.LoopInfo) (core.Scheduler, error) { return core.NewAIDHybrid(i, 1, 0.8) }},
 	{"aid-hybrid80-rw", func(i core.LoopInfo) (core.Scheduler, error) {
 		s, err := core.NewAIDHybrid(i, 1, 0.8)
 		if err == nil {
@@ -75,7 +77,22 @@ func dumpResult(h hash.Hash64, r LoopResult) {
 	r.Metrics = nil // a pointer; its target is printed below
 	fmt.Fprintf(h, "%+v\n", r)
 	if m != nil {
-		fmt.Fprintf(h, "%+v\n", *m)
+		dumpSnapshot(h, m)
+	}
+}
+
+// dumpSnapshot prints a metrics snapshot field by field, for the same reason
+// dumpRecord does: a counter later added to or dropped from obs.Counters
+// does not move the digests of runs whose behaviour did not change.
+func dumpSnapshot(h hash.Hash64, s *obs.Snapshot) {
+	counters := func(c obs.Counters) {
+		fmt.Fprintf(h, "%d %d %d %d %d %d %d %d %d\n", c.Chunks, c.Iters, c.StealsHome, c.StealsSamePkg,
+			c.StealsCross, c.CreditClaimed, c.BusyNs, c.SchedNs, c.IdleNs)
+	}
+	counters(s.Counters)
+	fmt.Fprintf(h, "occupancy %v\n", s.OccupancyNs)
+	for _, w := range s.Workers {
+		counters(w)
 	}
 }
 
