@@ -10,8 +10,8 @@
 //	aidserve -loops 16 -iters 500000          # heavier replay
 //	aidserve -policy fcfs                     # run-to-completion baseline
 //	aidserve -weights 4,1,1,1,1,1,1,1         # weighted tenants (one per loop)
-//	aidserve -policy sf-aware -sched aid-dynamic,1,5,rw
-//	                                          # SF-aware steering + re-cut pools
+//	aidserve -policy sf-aware -sched aid-dynamic,1,5
+//	                                          # SF-aware steering
 //	aidserve -virtual                         # same replay in virtual time
 //
 // The open-loop service mode (-arrivals) runs the registry as a long-lived

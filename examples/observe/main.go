@@ -81,7 +81,7 @@ func main() {
 		}
 	}()
 
-	batchA := submit("batch-a", 200_000, 1, core.Schedule{Kind: core.KindAIDDynamic, Reweight: true})
+	batchA := submit("batch-a", 200_000, 1, core.Schedule{Kind: core.KindAIDDynamic})
 	batchB := submit("batch-b", 200_000, 1, core.Schedule{Kind: core.KindDynamic, Chunk: 16})
 	interactive := submit("interactive", 2_000, 8, core.Schedule{Kind: core.KindDynamic, Chunk: 8})
 
@@ -95,12 +95,12 @@ func main() {
 	<-scrapeDone
 
 	fmt.Println("\nper-loop counters:")
-	fmt.Printf("%-12s %8s %9s %6s %8s %7s %9s %9s %9s\n",
-		"loop", "chunks", "iters", "steals", "credit", "reweigh", "busy-ms", "sched-ms", "idle-ms")
+	fmt.Printf("%-12s %8s %9s %6s %8s %9s %9s %9s\n",
+		"loop", "chunks", "iters", "steals", "credit", "busy-ms", "sched-ms", "idle-ms")
 	for i, st := range statsOf {
 		m := st.Metrics
-		fmt.Printf("%-12s %8d %9d %6d %8d %7d %9.2f %9.2f %9.2f\n",
-			names[i], m.Chunks, m.Iters, m.Steals(), m.CreditClaimed, m.Reweights,
+		fmt.Printf("%-12s %8d %9d %6d %8d %9.2f %9.2f %9.2f\n",
+			names[i], m.Chunks, m.Iters, m.Steals(), m.CreditClaimed,
 			float64(m.BusyNs)/1e6, float64(m.SchedNs)/1e6, float64(m.IdleNs)/1e6)
 	}
 

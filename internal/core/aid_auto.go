@@ -135,10 +135,6 @@ func (a *AIDAuto) Reset(info LoopInfo) error {
 // Name implements Scheduler.
 func (a *AIDAuto) Name() string { return "aid-auto" }
 
-// PoolReweights implements ReweightCounter (the adopted post-decision
-// scheduler shares this pool, so its re-cuts are counted too).
-func (a *AIDAuto) PoolReweights() int64 { return a.ws.Reweights() }
-
 // Decision reports the variant chosen for this loop and the measured
 // coefficient of variation; ok is false before sampling completes.
 func (a *AIDAuto) Decision() (irregular bool, cv float64, ok bool) {

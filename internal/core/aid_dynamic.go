@@ -60,14 +60,6 @@ type AIDDynamic struct {
 	noTailSwitch bool
 	noSMClamp    bool
 
-	// reweight re-partitions the pool under R-proportional per-type
-	// weights when the estimate is first published and again whenever it
-	// drifts past reweightDrift (see SetReweight). lastRW is the table the
-	// pool was last cut for; both are touched only inside the
-	// single-threaded transition windows.
-	reweight bool
-	lastRW   []float64
-
 	// observe, when non-nil, receives R publications and the tail switch
 	// (the decision-capture hook of the record & replay subsystem). Set
 	// before the first Next call. Epoch transitions invoke it inside the
@@ -148,15 +140,11 @@ func (a *AIDDynamic) rearm(info LoopInfo, epoch uint32) {
 		a.rbuf[i] = sized(a.rbuf[i], info.NumTypes)
 	}
 	a.tail.Store(false)
-	a.lastRW = a.lastRW[:0]
 	a.observe = nil
 }
 
 // Name implements Scheduler.
 func (a *AIDDynamic) Name() string { return "aid-dynamic" }
-
-// PoolReweights implements ReweightCounter.
-func (a *AIDDynamic) PoolReweights() int64 { return a.ws.Reweights() }
 
 // SetAblation disables individual design mechanisms so their contribution
 // can be quantified (`aidbench -exp ablation` measures both, in its
@@ -167,50 +155,6 @@ func (a *AIDDynamic) PoolReweights() int64 { return a.ws.Reweights() }
 func (a *AIDDynamic) SetAblation(disableTail, disableSMClamp bool) {
 	a.noTailSwitch = disableTail
 	a.noSMClamp = disableSMClamp
-}
-
-// reweightDrift is the stabilization threshold of the re-partition path: a
-// published R table triggers a fresh pool cut only when some type's ratio
-// moved by more than this relative fraction since the last cut. Within the
-// band the estimate is considered stable and the partition is left alone —
-// re-cutting on every smoothing step would churn shard ownership for noise.
-const reweightDrift = 0.25
-
-// SetReweight enables SF-aware pool re-partitioning: when the initial
-// sampling publishes R — and again whenever smoothing moves it past
-// reweightDrift — the pool's unclaimed iterations are re-cut so each core
-// type's home shards hold a share proportional to its consumption rate
-// N_t·R_t. Big-core threads then serve their R·M allotments from home
-// shards instead of paying foreign-shard handoff traffic once the
-// thread-count-proportional partition runs dry under them. Off by default
-// (the paper's partition is per-type thread counts). Must be called before
-// the first Next.
-func (a *AIDDynamic) SetReweight(on bool) { a.reweight = on }
-
-// maybeReweight re-cuts the pool for the just-published table r. Runs only
-// inside the single-threaded transition windows; force skips the drift
-// band (the initial publication, where there is no previous cut).
-func (a *AIDDynamic) maybeReweight(r []float64, force bool) {
-	if !a.reweight || a.tail.Load() {
-		return
-	}
-	if !force {
-		drift := 0.0
-		for t := range r {
-			if t < len(a.lastRW) && a.lastRW[t] > 0 {
-				if d := math.Abs(r[t]-a.lastRW[t]) / a.lastRW[t]; d > drift {
-					drift = d
-				}
-			}
-		}
-		if drift <= reweightDrift {
-			return
-		}
-	}
-	if w := sfWeights(a.counts, r); w != nil && a.ws.NumTypes() == len(w) {
-		a.ws.Reweight(w)
-		a.lastRW = append(a.lastRW[:0], r...)
-	}
 }
 
 // Chunks returns the configured (m, M) pair.
@@ -427,7 +371,6 @@ func (a *AIDDynamic) Next(tid int, nowNs int64) (Assign, bool) {
 	case stSampling:
 		if a.smp.close(&st.window, int(a.types[tid].Load()), nowNs, st.lastN, sampleScale, asg) {
 			rv := a.computeInitialR()
-			a.maybeReweight(rv, true)
 			if a.observe != nil {
 				a.observe(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: 1,
 					Kind: PhaseRInitial, SF: append([]float64(nil), rv...)})
@@ -459,7 +402,6 @@ func (a *AIDDynamic) Next(tid int, nowNs int64) (Assign, bool) {
 		// so that δ subtraction and pool drain cannot distort SM.
 		if a.smp.close(&st.window, int(a.types[tid].Load()), nowNs, st.servedN, st.nominalN, asg) {
 			rv := a.smoothR(st.epoch)
-			a.maybeReweight(rv, false)
 			if a.observe != nil {
 				a.observe(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: int(st.epoch) + 1,
 					Kind: PhaseRSmoothed, SF: append([]float64(nil), rv...)})

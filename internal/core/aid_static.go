@@ -109,25 +109,11 @@ type AIDHybrid struct {
 	k        float64
 	assigned atomic.Int32
 
-	// reweight re-partitions the pool under SF-proportional per-type
-	// weights inside the sampling→AID transition window (see SetReweight).
-	reweight bool
-
 	// observe, when non-nil, receives the sampling→AID transition (the
 	// decision-capture hook of the record & replay subsystem). Set before
 	// the first Next call; invoked inside the transition window.
 	observe func(PhaseEvent)
 }
-
-// SetReweight enables SF-aware pool re-partitioning: once the sampling
-// phase publishes the SF estimate, the pool's unclaimed iterations are
-// re-cut so each core type's home shards hold a share proportional to its
-// consumption rate N_t·SF_t — big-core threads then serve their larger
-// allotments and the (1−pct) dynamic tail from home shards instead of
-// paying foreign-shard handoff traffic. Off by default (the paper's
-// partition is per-type thread counts); meaningful for pct < 1, where the
-// tail is drained chunk-wise. Must be called before the first Next.
-func (a *AIDHybrid) SetReweight(on bool) { a.reweight = on }
 
 // SetPhaseObserver implements PhaseObservable.
 func (a *AIDHybrid) SetPhaseObserver(fn func(PhaseEvent)) { a.observe = fn }
@@ -214,9 +200,6 @@ func (a *AIDHybrid) Name() string {
 
 // Pct returns the fraction distributed asymmetrically.
 func (a *AIDHybrid) Pct() float64 { return a.pct }
-
-// PoolReweights implements ReweightCounter.
-func (a *AIDHybrid) PoolReweights() int64 { return a.ws.Reweights() }
 
 // SFEstimate returns the speedup factors the scheduler derived (or was
 // given), indexed by core type, and ok=false when sampling has not finished
@@ -338,14 +321,6 @@ func (a *AIDHybrid) Next(tid int, nowNs int64) (Assign, bool) {
 			// Last sampler: single-threaded transition window.
 			a.sf = a.smp.sampledSF(a.sf)
 			a.k = allotmentK(a.counts, a.sf, a.pct, a.info.NI)
-			if a.reweight && a.pct < 1 {
-				// Re-cut the pool before the final assignments claim
-				// their spans: the drain tail then serves each type
-				// from SF-proportional home shards.
-				if w := sfWeights(a.counts, a.sf); w != nil && a.ws.NumTypes() == len(w) {
-					a.ws.Reweight(w)
-				}
-			}
 			if a.observe != nil {
 				a.observe(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: 1,
 					Kind: PhaseSFPublished, SF: append([]float64(nil), a.sf...)})

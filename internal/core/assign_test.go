@@ -85,9 +85,8 @@ func TestAssignCreditWide(t *testing.T) {
 			if !ok || asg.N() != chunk {
 				t.Fatalf("%s: thread %d got %+v, %v; want a chunk of %d", s.Name(), tid, asg, ok, chunk)
 			}
-			if asg.CreditClaimed != pool.MaxCredit || asg.CreditReturned != 0 {
-				t.Errorf("%s: thread %d claimed/returned %d/%d, want %d/0",
-					s.Name(), tid, asg.CreditClaimed, asg.CreditReturned, pool.MaxCredit)
+			if asg.CreditClaimed != pool.MaxCredit {
+				t.Errorf("%s: thread %d claimed %d, want %d", s.Name(), tid, asg.CreditClaimed, pool.MaxCredit)
 			}
 		}
 	}

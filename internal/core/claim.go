@@ -93,10 +93,8 @@ func (cs *claimState) take(ws *pool.ShardedWorkShare, home int, n int64, asg *As
 // thread's credit (a thread-local draw, no shared RMW), then the pool —
 // where one fetch-and-add claims pool.CreditBatch chunks and banks the
 // surplus as new credit. δ accounting mirrors take: everything claimed is
-// added at claim time and anything successfully returned to the pool (a
-// credit handed back across a re-partition) is subtracted, so δ always
-// equals the iterations this thread owns. ok=false only when the pool,
-// stash and credit are all empty.
+// added at claim time, so δ always equals the iterations this thread owns.
+// ok=false only when the pool, stash and credit are all empty.
 func (cs *claimState) takeCredit(ws *pool.ShardedWorkShare, home int, n int64, asg *Assign) (Assign, bool) {
 	if len(cs.pending) > 0 {
 		return cs.serve(asg)
@@ -104,11 +102,10 @@ func (cs *claimState) takeCredit(ws *pool.ShardedWorkShare, home int, n int64, a
 	lo, hi, st, ok := ws.TryStealCredit(home, n, &cs.credit)
 	asg.addAccesses(st.Accesses)
 	asg.Origin = originOf(ws, st.From)
-	// One call acquires or returns at most one credit, so each count is at
-	// most pool.MaxCredit and the sums below cannot wrap.
+	// One call acquires at most one credit, so the count is at most
+	// pool.MaxCredit and the sum below cannot wrap.
 	asg.CreditClaimed += int32(st.Claimed)
-	asg.CreditReturned += int32(st.Returned)
-	cs.delta += st.Claimed - st.Returned
+	cs.delta += st.Claimed
 	if !ok {
 		cs.lastN = 0
 		return *asg, false
@@ -161,28 +158,4 @@ func spanN(rs []pool.Range) int64 {
 		n += r.N()
 	}
 	return n
-}
-
-// sfWeights converts per-type thread counts and a speedup-factor table to
-// pool partition weights proportional to each type's consumption rate
-// N_t·SF_t, scaled x16 so fractional SFs survive integer rounding. nil
-// means the table yields no usable partition (all shares rounded to zero);
-// the caller keeps the existing one.
-func sfWeights(counts []int, sf []float64) []int {
-	w := make([]int, len(counts))
-	any := false
-	for t, n := range counts {
-		f := 1.0
-		if t < len(sf) && sf[t] > 0 {
-			f = sf[t]
-		}
-		w[t] = int(math.Round(float64(n) * f * 16))
-		if w[t] > 0 {
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return w
 }

@@ -63,7 +63,7 @@ func TestClockFreeSchedulersIgnoreNow(t *testing.T) {
 		{conformanceInfo(10007, 2, 2), irregular},
 	}
 	mustFlip := map[string]int{"aid-static": 0, "aid-static-offline": 0, "aid-hybrid": 0,
-		"aid-hybrid-rw": 0, "aid-dynamic": 0, "aid-dynamic-rw": 0, "aid-auto": 2}
+		"aid-dynamic": 0, "aid-auto": 2}
 	clocked := conformanceSchedulers(t, rounds[0].info)
 	stale := conformanceSchedulers(t, rounds[0].info)
 	alien := conformanceSchedulers(t, rounds[0].info)

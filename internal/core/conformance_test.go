@@ -56,18 +56,6 @@ func conformanceSchedulers(t *testing.T, info LoopInfo) map[string]Scheduler {
 	add("aid-hybrid", ah, err)
 	ad, err := NewAIDDynamic(info, 1, 5)
 	add("aid-dynamic", ad, err)
-	// SF-aware pool re-partitioning must preserve exactly-once coverage
-	// through every mid-loop re-cut.
-	ahrw, err := NewAIDHybrid(info, 1, 0.8)
-	if err == nil {
-		ahrw.SetReweight(true)
-	}
-	add("aid-hybrid-rw", ahrw, err)
-	adrw, err := NewAIDDynamic(info, 1, 5)
-	if err == nil {
-		adrw.SetReweight(true)
-	}
-	add("aid-dynamic-rw", adrw, err)
 	au, err := NewAIDAuto(info, 2, 0.8, 8, 0)
 	add("aid-auto", au, err)
 	wsl, err := NewWorkSteal(info, 2)

@@ -210,13 +210,13 @@ type AssignCost struct {
 
 // AssignCredit is the batched credit path's pool traffic for one call, in
 // iterations: CreditClaimed is what the call newly removed from the pool
-// (served plus banked as thread-local credit), CreditReturned what a credit
-// return handed back across a re-partition (pool.CreditSteal). Both zero on
-// the strict claim paths and on thread-local credit draws — which is exactly
-// what the observability layer counts them to see. One credit acquisition
-// holds at most pool.MaxCredit iterations, so both fit in an int32.
+// (served plus banked as thread-local credit, pool.CreditSteal). It is zero
+// on the strict claim paths and on thread-local credit draws — which is
+// exactly what the observability layer counts it to see. One credit
+// acquisition holds at most pool.MaxCredit iterations, so it fits in an
+// int32.
 type AssignCredit struct {
-	CreditClaimed, CreditReturned int32
+	CreditClaimed int32
 }
 
 // accesses narrows a pool-access count to Assign's field, saturating at
@@ -312,8 +312,8 @@ func ReadsClock(s Scheduler, tid int) bool {
 //     synchronized with them. The caller's own join (the simulator's event
 //     loop, a barrier every worker has passed) provides that.
 //   - Configuration survives: the constructor's parameters (chunks, pct, an
-//     offline SF table) and the settings made through SetAblation and
-//     SetReweight carry over. info may differ from the previous one in every
+//     offline SF table) and the settings made through SetAblation carry
+//     over. info may differ from the previous one in every
 //     field; a trip count, thread count or type count that changed re-sizes
 //     what depends on it.
 //   - Observers do not survive. A phase observer belongs to the execution

@@ -40,16 +40,6 @@ const (
 	PhaseAutoIrregular = "auto-irregular"
 )
 
-// ReweightCounter is implemented by schedulers whose iteration pool can be
-// re-cut mid-loop (the SF-driven Reweight path): PoolReweights returns how
-// many re-partitions the loop's pool has published so far. The engines
-// read it once, at barrier release, and fold it into the loop's metrics
-// snapshot (internal/obs) — it is an observability accessor, not part of
-// the scheduling contract.
-type ReweightCounter interface {
-	PoolReweights() int64
-}
-
 // PhaseObservable is implemented by schedulers that can report their phase
 // transitions to an observer — the decision-capture hook of the record &
 // replay subsystem. SetPhaseObserver must be called before the first Next

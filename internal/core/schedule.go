@@ -60,12 +60,6 @@ type Schedule struct {
 	// AID-static(offline-SF) variant of §5C with the given per-core-type
 	// speedup factors.
 	OfflineSF []float64
-	// Reweight enables SF-aware pool re-partitioning for the AID methods
-	// that support it (aid-static/aid-hybrid/aid-dynamic): once the
-	// scheduler's SF estimate stabilizes, the sharded pool is re-cut so
-	// each core type's home shards match its consumption rate. Parsed from
-	// a trailing ",rw" in GOOMP_SCHEDULE syntax.
-	Reweight bool
 }
 
 // WithDefaults fills unset parameters with the paper's defaults (chunk 1,
@@ -84,12 +78,8 @@ func (s Schedule) WithDefaults() Schedule {
 }
 
 // String renders the schedule in the paper's notation, e.g. "dynamic/4" or
-// "AID-dynamic/1,5"; "+rw" marks SF-aware re-partitioning.
+// "AID-dynamic/1,5".
 func (s Schedule) String() string {
-	rw := ""
-	if s.Reweight {
-		rw = "+rw"
-	}
 	d := s.WithDefaults()
 	switch s.Kind {
 	case KindStatic:
@@ -100,13 +90,13 @@ func (s Schedule) String() string {
 		return fmt.Sprintf("%s/%d", s.Kind, d.Chunk)
 	case KindAIDStatic:
 		if s.OfflineSF != nil {
-			return "AID-static(offline-SF)" + rw
+			return "AID-static(offline-SF)"
 		}
-		return "AID-static" + rw
+		return "AID-static"
 	case KindAIDHybrid:
-		return fmt.Sprintf("AID-hybrid(%d%%)%s", int(d.Pct*100+0.5), rw)
+		return fmt.Sprintf("AID-hybrid(%d%%)", int(d.Pct*100+0.5))
 	case KindAIDDynamic:
-		return fmt.Sprintf("AID-dynamic/%d,%d%s", d.Chunk, d.Major, rw)
+		return fmt.Sprintf("AID-dynamic/%d,%d", d.Chunk, d.Major)
 	case KindAIDAuto:
 		return fmt.Sprintf("AID-auto/%d,%d", d.Chunk, d.Major)
 	}
@@ -118,19 +108,13 @@ func (s Schedule) String() string {
 // this form so replay's what-if mode can rebuild the recorded schedule.
 // It is "" where the syntax cannot write the fields exactly: the offline-SF
 // table, an AID-hybrid share that is no whole percentage in (0,100], an
-// AID-auto share other than the default, rw on a kind without it, a chunk
-// or Major below 1. A record of such a run carries no re-parseable schedule
+// AID-auto share other than the default, a chunk or Major below 1. A record of such a run carries no re-parseable schedule
 // and what-if replay demands an explicit override rather than silently
 // substituting a different schedule.
 func (s Schedule) Canonical() string {
 	d := s.WithDefaults()
-	rw := ""
-	if s.Reweight {
-		rw = ",rw"
-	}
 	switch {
-	case s.Reweight && !scheduleSyntax[s.Kind.String()].rw,
-		s.Kind != KindStatic && d.Chunk <= 0,
+	case s.Kind != KindStatic && d.Chunk <= 0,
 		s.Kind == KindAIDStatic && s.OfflineSF != nil,
 		s.Kind == KindAIDAuto && d.Pct != 0.80:
 		return ""
@@ -141,21 +125,21 @@ func (s Schedule) Canonical() string {
 	case KindStaticChunked:
 		return fmt.Sprintf("static,%d", d.Chunk)
 	case KindDynamic, KindGuided, KindAIDStatic, KindWorkSteal:
-		return fmt.Sprintf("%s,%d%s", s.Kind, d.Chunk, rw)
+		return fmt.Sprintf("%s,%d", s.Kind, d.Chunk)
 	case KindAIDHybrid:
 		pct := math.Round(d.Pct * 100)
 		if !(pct >= 1 && pct <= 100) || pct/100 != d.Pct {
 			return ""
 		}
 		if d.Chunk != 1 {
-			return fmt.Sprintf("aid-hybrid,%d,%d%s", int(pct), d.Chunk, rw)
+			return fmt.Sprintf("aid-hybrid,%d,%d", int(pct), d.Chunk)
 		}
-		return fmt.Sprintf("aid-hybrid,%d%s", int(pct), rw)
+		return fmt.Sprintf("aid-hybrid,%d", int(pct))
 	case KindAIDDynamic, KindAIDAuto:
 		if d.Major <= 0 {
 			return ""
 		}
-		return fmt.Sprintf("%s,%d,%d%s", s.Kind, d.Chunk, d.Major, rw)
+		return fmt.Sprintf("%s,%d,%d", s.Kind, d.Chunk, d.Major)
 	}
 	return ""
 }
@@ -163,19 +147,7 @@ func (s Schedule) Canonical() string {
 // Factory returns a scheduler factory for either engine: sim's
 // SchedulerFactory and the rt registry's loops both take it as it is.
 func (s Schedule) Factory() func(LoopInfo) (Scheduler, error) {
-	d := s.WithDefaults()
-	return func(info LoopInfo) (Scheduler, error) {
-		sched, err := d.build(info)
-		if err != nil || !d.Reweight {
-			return sched, err
-		}
-		rw, ok := sched.(interface{ SetReweight(bool) })
-		if !ok {
-			return nil, fmt.Errorf("core: schedule %s does not support SF-aware reweighting", d.Kind)
-		}
-		rw.SetReweight(true)
-		return sched, nil
-	}
+	return s.WithDefaults().build
 }
 
 // build constructs the scheduler for an already-defaulted schedule.
@@ -217,21 +189,19 @@ const (
 )
 
 // scheduleSyntax is the GOOMP_SCHEDULE grammar: the kind each method name
-// selects, its positional parameters, every one optional, in order, and
-// whether it takes a trailing ",rw" (Schedule.Reweight).
+// selects and its positional parameters, every one optional, in order.
 var scheduleSyntax = map[string]struct {
 	kind   Kind
 	params []param
-	rw     bool
 }{
-	"static":      {KindStatic, []param{paramChunk}, false}, // with a chunk: KindStaticChunked
-	"dynamic":     {KindDynamic, []param{paramChunk}, false},
-	"guided":      {KindGuided, []param{paramChunk}, false},
-	"aid-static":  {KindAIDStatic, []param{paramChunk}, true},
-	"aid-hybrid":  {KindAIDHybrid, []param{paramPct, paramChunk}, true},
-	"aid-dynamic": {KindAIDDynamic, []param{paramChunk, paramMajor}, true},
-	"aid-auto":    {KindAIDAuto, []param{paramChunk, paramMajor}, false},
-	"work-steal":  {KindWorkSteal, []param{paramChunk}, false},
+	"static":      {KindStatic, []param{paramChunk}}, // with a chunk: KindStaticChunked
+	"dynamic":     {KindDynamic, []param{paramChunk}},
+	"guided":      {KindGuided, []param{paramChunk}},
+	"aid-static":  {KindAIDStatic, []param{paramChunk}},
+	"aid-hybrid":  {KindAIDHybrid, []param{paramPct, paramChunk}},
+	"aid-dynamic": {KindAIDDynamic, []param{paramChunk, paramMajor}},
+	"aid-auto":    {KindAIDAuto, []param{paramChunk, paramMajor}},
+	"work-steal":  {KindWorkSteal, []param{paramChunk}},
 }
 
 // ParseSchedule parses the GOOMP_SCHEDULE syntax. Accepted forms (method
@@ -246,19 +216,12 @@ var scheduleSyntax = map[string]struct {
 //	aid-auto          aid-auto,<m>[,<M>]
 //	work-steal        work-steal,<chunk>
 //
-// The AID methods with an online SF estimate (aid-static, aid-hybrid,
-// aid-dynamic) additionally accept a trailing ",rw" argument selecting
-// SF-aware pool re-partitioning (Schedule.Reweight), e.g.
-// "aid-dynamic,1,5,rw".
+// Every parameter is a positive integer; any other word, such as a flag
+// after the parameters, is an error.
 func ParseSchedule(text string) (Schedule, error) {
 	parts := strings.Split(strings.TrimSpace(text), ",")
 	name := strings.ToLower(strings.TrimSpace(parts[0]))
 	args := parts[1:]
-	reweight := false
-	if n := len(args); n > 0 && strings.EqualFold(strings.TrimSpace(args[n-1]), "rw") {
-		reweight = true
-		args = args[:n-1]
-	}
 	syntax, ok := scheduleSyntax[name]
 	if !ok {
 		return Schedule{}, fmt.Errorf("core: unknown schedule %q", name)
@@ -266,10 +229,7 @@ func ParseSchedule(text string) (Schedule, error) {
 	if len(args) > len(syntax.params) {
 		return Schedule{}, fmt.Errorf("core: too many parameters in %q", text)
 	}
-	if reweight && !syntax.rw {
-		return Schedule{}, fmt.Errorf("core: schedule %q does not support the rw flag", name)
-	}
-	s := Schedule{Kind: syntax.kind, Reweight: reweight}
+	s := Schedule{Kind: syntax.kind}
 	for i, arg := range args {
 		v, err := strconv.ParseInt(strings.TrimSpace(arg), 10, 64)
 		if err != nil || v <= 0 {

@@ -46,8 +46,7 @@
 //
 //  5. Quiescent-merge writes are the one exception to rule 1: when a
 //     loop's barrier releases, the retiring worker folds barrier-wait idle
-//     time and the scheduler's re-partition count into cells it does not
-//     own. By then every worker has retired from the loop — the cells are
+//     time into cells it does not own. By then every worker has retired from the loop — the cells are
 //     quiescent — and the engines serialize the merge (the registry under
 //     its lock, the simulator on its single goroutine), so the single-
 //     writer discipline is preserved in time rather than by thread

@@ -160,7 +160,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	m.Cell(0).Busy(500)
 	m.Cell(1).Grant(5, obs.TierCross)
 	m.Cell(1).Idle(100)
-	m.Cell(1).Credit(32, 4)
+	m.Cell(1).Credit(32)
 	var buf bytes.Buffer
 	if err := obs.WritePrometheus(&buf, "", m.Snapshot()); err != nil {
 		t.Fatal(err)

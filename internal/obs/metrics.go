@@ -45,18 +45,16 @@ func Tier(dist [][]int, own, origin int) int {
 // pairs, not LOCK-prefixed RMWs (doc.go, invariant 1). The block is padded
 // to exactly two cache lines (invariant 2, pinned by TestCellLayout).
 type Cell struct {
-	chunks         atomic.Int64
-	iters          atomic.Int64
-	stealsHome     atomic.Int64
-	stealsSamePkg  atomic.Int64
-	stealsCross    atomic.Int64
-	creditClaimed  atomic.Int64
-	creditReturned atomic.Int64
-	reweights      atomic.Int64
-	busyNs         atomic.Int64
-	schedNs        atomic.Int64
-	idleNs         atomic.Int64
-	_              [40]byte
+	chunks        atomic.Int64
+	iters         atomic.Int64
+	stealsHome    atomic.Int64
+	stealsSamePkg atomic.Int64
+	stealsCross   atomic.Int64
+	creditClaimed atomic.Int64
+	busyNs        atomic.Int64
+	schedNs       atomic.Int64
+	idleNs        atomic.Int64
+	_             [56]byte
 }
 
 // bump is the owner-side increment: a plain load plus a plain store of the
@@ -79,15 +77,11 @@ func (c *Cell) Grant(n int64, tier int) {
 }
 
 // Credit records the batched credit path's pool traffic for one scheduler
-// call: claimed iterations newly removed from the pool, returned iterations
-// handed back across a re-partition. No-op when both are zero (the common
-// thread-local draw). Owner-only.
-func (c *Cell) Credit(claimed, returned int64) {
+// call: the iterations it newly removed from the pool. No-op when zero (the
+// common thread-local draw). Owner-only.
+func (c *Cell) Credit(claimed int64) {
 	if claimed != 0 {
 		bump(&c.creditClaimed, claimed)
-	}
-	if returned != 0 {
-		bump(&c.creditReturned, returned)
 	}
 }
 
@@ -101,10 +95,6 @@ func (c *Cell) Sched(ns int64) { bump(&c.schedNs, ns) }
 // barrier). Owner-only.
 func (c *Cell) Idle(ns int64) { bump(&c.idleNs, ns) }
 
-// SetReweights publishes the pool's re-partition count. Called at barrier
-// release, when the loop's cells are quiescent (doc.go, invariant 5).
-func (c *Cell) SetReweights(n int64) { c.reweights.Store(n) }
-
 // Batch is a worker-local accumulator for the hottest loops. Go's atomic
 // stores compile to serializing instructions (XCHG on amd64), so even
 // uncontended owner-side bumps cost tens of nanoseconds per chunk at fine
@@ -114,10 +104,10 @@ func (c *Cell) SetReweights(n int64) { c.reweights.Store(n) }
 // to a fraction of a chunk. Scrapers lag the owner by at most one
 // unflushed batch; totals are exact after Apply at retirement.
 type Batch struct {
-	Chunks, Iters                 int64
-	Steals                        [3]int64 // indexed by tier (TierHome..TierCross)
-	CreditClaimed, CreditReturned int64
-	BusyNs, SchedNs, IdleNs       int64
+	Chunks, Iters           int64
+	Steals                  [3]int64 // indexed by tier (TierHome..TierCross)
+	CreditClaimed           int64
+	BusyNs, SchedNs, IdleNs int64
 }
 
 // Grant accumulates one chunk grant of n iterations at the given tier.
@@ -149,9 +139,6 @@ func (c *Cell) Apply(b *Batch) {
 	if b.CreditClaimed != 0 {
 		bump(&c.creditClaimed, b.CreditClaimed)
 	}
-	if b.CreditReturned != 0 {
-		bump(&c.creditReturned, b.CreditReturned)
-	}
 	if b.BusyNs != 0 {
 		bump(&c.busyNs, b.BusyNs)
 	}
@@ -167,17 +154,15 @@ func (c *Cell) Apply(b *Batch) {
 // load scrapes the cell into plain counters (concurrent-scraper safe).
 func (c *Cell) load() Counters {
 	return Counters{
-		Chunks:         c.chunks.Load(),
-		Iters:          c.iters.Load(),
-		StealsHome:     c.stealsHome.Load(),
-		StealsSamePkg:  c.stealsSamePkg.Load(),
-		StealsCross:    c.stealsCross.Load(),
-		CreditClaimed:  c.creditClaimed.Load(),
-		CreditReturned: c.creditReturned.Load(),
-		Reweights:      c.reweights.Load(),
-		BusyNs:         c.busyNs.Load(),
-		SchedNs:        c.schedNs.Load(),
-		IdleNs:         c.idleNs.Load(),
+		Chunks:        c.chunks.Load(),
+		Iters:         c.iters.Load(),
+		StealsHome:    c.stealsHome.Load(),
+		StealsSamePkg: c.stealsSamePkg.Load(),
+		StealsCross:   c.stealsCross.Load(),
+		CreditClaimed: c.creditClaimed.Load(),
+		BusyNs:        c.busyNs.Load(),
+		SchedNs:       c.schedNs.Load(),
+		IdleNs:        c.idleNs.Load(),
 	}
 }
 
@@ -188,11 +173,9 @@ type Counters struct {
 	// StealsHome/StealsSamePkg/StealsCross bucket Chunks by provenance
 	// tier (their sum equals Chunks).
 	StealsHome, StealsSamePkg, StealsCross int64
-	// CreditClaimed/CreditReturned are the batched credit path's pool
-	// traffic in iterations (pool.CreditSteal).
-	CreditClaimed, CreditReturned int64
-	// Reweights counts the pool re-partitions published for the loop.
-	Reweights int64
+	// CreditClaimed is the batched credit path's pool traffic in
+	// iterations (pool.CreditSteal).
+	CreditClaimed int64
 	// BusyNs/SchedNs/IdleNs split the worker's time: chunk execution,
 	// runtime-system calls, and no-work waits.
 	BusyNs, SchedNs, IdleNs int64
@@ -201,34 +184,30 @@ type Counters struct {
 // plus returns the element-wise sum.
 func (c Counters) plus(o Counters) Counters {
 	return Counters{
-		Chunks:         c.Chunks + o.Chunks,
-		Iters:          c.Iters + o.Iters,
-		StealsHome:     c.StealsHome + o.StealsHome,
-		StealsSamePkg:  c.StealsSamePkg + o.StealsSamePkg,
-		StealsCross:    c.StealsCross + o.StealsCross,
-		CreditClaimed:  c.CreditClaimed + o.CreditClaimed,
-		CreditReturned: c.CreditReturned + o.CreditReturned,
-		Reweights:      c.Reweights + o.Reweights,
-		BusyNs:         c.BusyNs + o.BusyNs,
-		SchedNs:        c.SchedNs + o.SchedNs,
-		IdleNs:         c.IdleNs + o.IdleNs,
+		Chunks:        c.Chunks + o.Chunks,
+		Iters:         c.Iters + o.Iters,
+		StealsHome:    c.StealsHome + o.StealsHome,
+		StealsSamePkg: c.StealsSamePkg + o.StealsSamePkg,
+		StealsCross:   c.StealsCross + o.StealsCross,
+		CreditClaimed: c.CreditClaimed + o.CreditClaimed,
+		BusyNs:        c.BusyNs + o.BusyNs,
+		SchedNs:       c.SchedNs + o.SchedNs,
+		IdleNs:        c.IdleNs + o.IdleNs,
 	}
 }
 
 // minus returns the element-wise difference.
 func (c Counters) minus(o Counters) Counters {
 	return Counters{
-		Chunks:         c.Chunks - o.Chunks,
-		Iters:          c.Iters - o.Iters,
-		StealsHome:     c.StealsHome - o.StealsHome,
-		StealsSamePkg:  c.StealsSamePkg - o.StealsSamePkg,
-		StealsCross:    c.StealsCross - o.StealsCross,
-		CreditClaimed:  c.CreditClaimed - o.CreditClaimed,
-		CreditReturned: c.CreditReturned - o.CreditReturned,
-		Reweights:      c.Reweights - o.Reweights,
-		BusyNs:         c.BusyNs - o.BusyNs,
-		SchedNs:        c.SchedNs - o.SchedNs,
-		IdleNs:         c.IdleNs - o.IdleNs,
+		Chunks:        c.Chunks - o.Chunks,
+		Iters:         c.Iters - o.Iters,
+		StealsHome:    c.StealsHome - o.StealsHome,
+		StealsSamePkg: c.StealsSamePkg - o.StealsSamePkg,
+		StealsCross:   c.StealsCross - o.StealsCross,
+		CreditClaimed: c.CreditClaimed - o.CreditClaimed,
+		BusyNs:        c.BusyNs - o.BusyNs,
+		SchedNs:       c.SchedNs - o.SchedNs,
+		IdleNs:        c.IdleNs - o.IdleNs,
 	}
 }
 

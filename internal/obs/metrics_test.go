@@ -56,7 +56,7 @@ func TestSnapshotTotalsAndOccupancy(t *testing.T) {
 	m.Cell(1).Busy(50)
 	m.Cell(2).Grant(3, TierCross)
 	m.Cell(2).Busy(30)
-	m.Cell(2).Credit(8, 2)
+	m.Cell(2).Credit(8)
 	m.Cell(3).Idle(40)
 	m.Cell(3).Sched(7)
 
@@ -70,8 +70,8 @@ func TestSnapshotTotalsAndOccupancy(t *testing.T) {
 	if s.Steals() != 2 {
 		t.Fatalf("Steals() = %d, want 2", s.Steals())
 	}
-	if s.CreditClaimed != 8 || s.CreditReturned != 2 {
-		t.Fatalf("credit %d/%d, want 8/2", s.CreditClaimed, s.CreditReturned)
+	if s.CreditClaimed != 8 {
+		t.Fatalf("credit %d, want 8", s.CreditClaimed)
 	}
 	if s.BusyNs != 180 || s.IdleNs != 40 || s.SchedNs != 7 {
 		t.Fatalf("time busy=%d idle=%d sched=%d, want 180/40/7", s.BusyNs, s.IdleNs, s.SchedNs)

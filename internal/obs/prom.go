@@ -31,8 +31,7 @@ func (e *errWriter) printf(format string, args ...any) {
 //
 //	<p>_chunks_total, <p>_iters_total
 //	<p>_steals_total{tier="home|same_pkg|cross_pkg"}
-//	<p>_credit_claimed_iters_total, <p>_credit_returned_iters_total
-//	<p>_pool_reweights_total
+//	<p>_credit_claimed_iters_total
 //	<p>_busy_ns_total, <p>_sched_ns_total, <p>_idle_ns_total
 //	<p>_occupancy_ns_total{type="<cluster>"}
 //	<p>_workers
@@ -56,8 +55,6 @@ func WritePrometheus(w io.Writer, prefix string, s Snapshot) error {
 		e.printf("%s_steals_total{tier=%q} %d\n", prefix, tierLabels[tier], v)
 	}
 	counter("credit_claimed_iters_total", "Iterations claimed through the batched credit path.", s.CreditClaimed)
-	counter("credit_returned_iters_total", "Iterations returned to the pool across re-partitions.", s.CreditReturned)
-	counter("pool_reweights_total", "Pool re-partitions published.", s.Reweights)
 	counter("busy_ns_total", "Worker time executing chunks.", s.BusyNs)
 	counter("sched_ns_total", "Worker time inside the runtime system.", s.SchedNs)
 	counter("idle_ns_total", "Worker time without work.", s.IdleNs)

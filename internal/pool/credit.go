@@ -12,75 +12,41 @@ const CreditBatch = 8
 
 // MaxCredit bounds one credit acquisition, in iterations: TryStealCredit
 // serves at most MaxCredit iterations per call and banks at most MaxCredit
-// per fetch-and-add, so a CreditSteal's Claimed and Returned always fit in
-// an int32. Only a chunk of 2^28 or more, on a shard of more than MaxCredit
+// per fetch-and-add, so a CreditSteal's Claimed always fits in an int32.
+// Only a chunk of 2^28 or more, on a shard of more than MaxCredit
 // iterations, ever meets the bound.
 const MaxCredit = math.MaxInt32
 
 // Credit is a worker's thread-local claim balance: a contiguous iteration
 // range already removed from the pool but not yet served, plus the shard it
-// was claimed from and the re-partition sequence observed at claim time.
-// Draws against the balance are plain loads and stores — no shared memory
-// is touched — so only the acquisition (and the drained-pool conclusion)
-// costs an atomic RMW.
+// was claimed from. Draws against the balance are plain loads and stores —
+// no shared memory is touched — so only the acquisition (and the
+// drained-pool conclusion) costs an atomic RMW. A balance is always served
+// by its holder; nothing hands it back to the pool.
 //
 // A Credit belongs to exactly one worker and must never be shared. The zero
 // value is an empty credit.
 type Credit struct {
 	lo, hi int64
 	s      *shard
-	seq    uint64
 }
 
 // N returns the number of unserved iterations in the credit.
-func (c *Credit) N() int64 {
-	if c.s == nil {
-		return 0
-	}
-	return c.hi - c.lo
-}
+func (c *Credit) N() int64 { return c.hi - c.lo }
 
 // Empty reports whether the credit holds no iterations.
 func (c *Credit) Empty() bool { return c.N() == 0 }
 
 // CreditSteal reports what one TryStealCredit call did, for the caller's δ
 // and pool-access accounting: Accesses counts atomic RMW operations
-// (acquisition fetch-and-adds, return CAS attempts, drained-pool
-// observations), Claimed the iterations newly removed from the pool
-// (served plus credited), Returned the iterations handed back to the
-// pool by a credit return, and From the owner core type of the shard the
-// served range came from (its provenance; meaningful only on ok).
+// (acquisition fetch-and-adds and drained-pool observations), Claimed the
+// iterations newly removed from the pool (served plus credited), and From
+// the owner core type of the shard the served range came from (its
+// provenance; meaningful only on ok).
 type CreditSteal struct {
 	Accesses int
 	Claimed  int64
-	Returned int64
 	From     int
-}
-
-// returnCredit attempts to hand a non-empty credit's balance back to the
-// pool, so a re-partition (Reweight) can redistribute it. The return is a
-// single CAS that rolls the shard's claim counter back from the credit's
-// upper bound to its lower bound; it can only succeed while the counter
-// still stands exactly at the credit's upper bound — i.e. nothing was
-// claimed from the shard since the acquisition. On success the caller no
-// longer owns the iterations and the credit is emptied; on failure the
-// caller keeps the credit and must serve it.
-//
-// A credit that reaches its shard's end is never returned (refused outright,
-// no RMW): a successful end-of-shard rollback could resurrect work on a
-// generation Reweight already concluded drained. The strict-inequality guard
-// is what makes the return linearizable against the Reweight drain — see
-// doc.go, "Credit-based claiming".
-func (ws *ShardedWorkShare) returnCredit(c *Credit) (returned int64, casTried bool) {
-	if c.hi >= c.s.end {
-		return 0, false
-	}
-	if c.s.next.CompareAndSwap(c.hi, c.lo) {
-		returned = c.hi - c.lo
-		*c = Credit{}
-		return returned, true
-	}
-	return 0, true
 }
 
 // taper sizes a credit acquisition of batch iterations (floor > 0: the
@@ -111,42 +77,19 @@ func (s *shard) taper(batch, floor int64) int64 {
 // CreditBatch×chunk iterations (at most MaxCredit) in one fetch-and-add
 // (TryStealBatchFrom's acquisition, asked for a tapered batch at home and
 // abroad) and banks them in the caller's credit, from which this and
-// subsequent calls draw without touching shared memory. The steady-state cost is therefore one atomic RMW per CreditBatch
-// chunks and zero heap allocations.
+// subsequent calls draw without touching shared memory. The steady-state
+// cost is therefore one atomic RMW per CreditBatch chunks and zero heap
+// allocations.
 //
-// When a re-partition has been published since the credit was acquired
-// (the pool's seqlock moved), the unused balance is first offered back to
-// the pool via returnCredit so Reweight's new cut can cover it; if the
-// return loses the race the caller simply keeps serving the credit — the
-// iterations are owned either way, so exactly-once coverage is preserved.
-//
-// ok=false means the pool is drained AND the credit is empty; as with
-// every claim path, that conclusion is validated against the re-partition
-// seqlock before it is returned.
+// ok=false means the pool is drained AND the credit is empty.
 func (ws *ShardedWorkShare) TryStealCredit(home int, chunk int64, c *Credit) (lo, hi int64, st CreditSteal, ok bool) {
 	if chunk <= 0 || home < 0 {
 		badSteal(home, chunk)
 	}
-	if !c.Empty() {
-		if seq := ws.seq.Load(); seq != c.seq {
-			ret, tried := ws.returnCredit(c)
-			if tried {
-				st.Accesses++
-			}
-			if st.Returned = ret; ret == 0 {
-				// Keep the balance, stop re-trying the return on every draw:
-				// the counter has moved on, so the CAS can never succeed for
-				// this credit again.
-				c.seq = seq
-			}
-		}
-	}
 	chunk = min(chunk, MaxCredit)
 	if c.Empty() {
 		batch := min(chunk*CreditBatch, MaxCredit) // chunk ≤ 2^31, so no wrap
-		var acc int
-		*c, _, acc = ws.acquire(home, batch, batch, chunk)
-		st.Accesses += acc
+		*c, _, st.Accesses = ws.acquire(home, batch, batch, chunk)
 		st.Claimed = c.N()
 		if c.s == nil {
 			return 0, 0, st, false

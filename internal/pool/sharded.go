@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"sync/atomic"
 )
 
@@ -49,9 +48,8 @@ type shard struct {
 	_    [60]byte
 	base int64
 	end  int64
-	// owner is the core type whose threads call this shard home (a
-	// re-weighted generation may hold several shards per type): the
-	// provenance of every range claimed from it, the key of its distance.
+	// owner is the core type whose threads call this shard home, its index
+	// in the pool: the provenance of every range claimed from it.
 	owner int32
 	_     [44]byte
 }
@@ -74,10 +72,10 @@ func (s *shard) claim(n int64) (lo, hi int64, ok bool) {
 	return lo, lo + min(n, s.end-lo), true
 }
 
-// drain CAS-claims everything the shard has left, [lo, end): the one
-// drain-to-end loop, shared by Reweight and DrainAll. tries counts the CAS
-// attempts; ok=false when the shard was already drained. Concurrent claims
-// serialize against the CAS: work a thief wins first stays with the thief.
+// drain CAS-claims everything the shard has left, [lo, end): DrainAll's
+// per-shard step. tries counts the CAS attempts; ok=false when the shard was
+// already drained. Concurrent claims serialize against the CAS: work a thief
+// wins first stays with the thief.
 func (s *shard) drain() (lo int64, tries int, ok bool) {
 	for {
 		cur := s.next.Load()
@@ -91,83 +89,36 @@ func (s *shard) drain() (lo int64, tries int, ok bool) {
 	}
 }
 
-// generation is one immutable partition of the (remaining) iteration space:
-// a set of contiguous shards, each owned by a core type, plus the per-type
-// index lists home claims walk. A generation's shard bounds never change
-// after publication; Reweight replaces the whole generation instead
-// (see ShardedWorkShare).
-type generation struct {
-	shards []shard
-	// byType[t] lists the indexes of the shards owned by core type t, in
-	// iteration order. Every type has at least one (possibly empty) shard.
-	byType [][]int32
-}
-
-// clampType maps a home core type onto the generation's type range: indexes
-// beyond the type count clamp to the last type, preserving NewSharded's
-// contract for pools built with fewer shards than the platform has types.
-func (g *generation) clampType(home int) int {
-	if home >= len(g.byType) {
-		return len(g.byType) - 1
-	}
-	return home
-}
-
-// remaining sums the unclaimed iterations of every shard.
-func (g *generation) remaining() int64 {
-	var r int64
-	for i := range g.shards {
-		r += g.shards[i].remaining()
-	}
-	return r
-}
-
 // ShardedWorkShare is the per-loop iteration pool: the iteration space is
 // partitioned into one contiguous sub-pool per core type, sized
 // proportionally to the number of threads of that type. Threads remove
 // chunks from their home shard with a single fetch-and-add — libgomp's lock
 // free work_share hot path, minus the cross-core-type contention — and fall
-// over to the nearest foreign shard when their home shard drains.
+// over to the nearest foreign shard when their home shard drains. The
+// partition is cut once per loop, by Reset, and never changes while the
+// loop runs.
 //
-// The partition is replaceable mid-loop: Reweight drains the current
-// generation of shards and re-cuts the leftover iterations under new
-// per-type weights (the SF-aware re-partitioning of the AID schedulers once
-// their speedup-factor estimate stabilizes). Claims and re-partitioning
-// synchronize via a generation pointer plus a seqlock: claim successes are
-// serialized by the per-shard atomics alone, and only a "pool drained"
-// conclusion must re-check the sequence word — a thief that finds every
-// shard of a superseded generation empty retries on the new one, so
-// exactly-once coverage holds across re-partitions.
-//
-// All methods but Reset are safe for concurrent use (Reweight additionally
-// requires external serialization of re-weighters; the AID transition window
-// provides it). The zero value is an unarmed pool: Reset arms it, and re-arms
-// it for each further loop. PoolAccess accounting counts atomic read-modify-write operations
+// All methods but Reset are safe for concurrent use. The zero value is an
+// unarmed pool: Reset arms it, and re-arms it for each further loop.
+// PoolAccess accounting counts atomic read-modify-write operations
 // (fetch-and-add / CAS); read-only probes of a drained shard are not
 // charged, matching the cost asymmetry of a shared-mode cache-line read
 // versus an exclusive-mode RMW.
 type ShardedWorkShare struct {
-	ni  int64
-	gen atomic.Pointer[generation]
-	// seq is the re-partition seqlock: odd while Reweight is moving work
-	// between generations, bumped to even when the new generation is
-	// published. Claim paths validate "drained" conclusions against it.
-	seq atomic.Uint64
-	_   [48]byte
-	// foreign counts successful foreign-shard claims (handoff traffic), the
-	// signal Reweight exists to reduce. Padded so the metric's line is not
-	// the seq/gen line the hot path reads.
+	ni int64
+	// shards[t] is core type t's home shard; the shards tile [0, ni) in
+	// type order. Cut by Reset, read-only while the loop runs.
+	shards []shard
+	_      [32]byte
+	// foreign counts successful foreign-shard claims (handoff traffic).
+	// Padded so the metric's line is not the line the hot path reads the
+	// shard slice from.
 	foreign atomic.Int64
 	_       [56]byte
 	// dist is the optional topology distance matrix installed by
 	// SetTopology; nil means richest-only victim selection. Written once
 	// before the pool is shared, read-only afterwards.
 	dist [][]int
-	// reweights counts published re-partitions (Reweight calls) — the
-	// observability layer's "how often did the pool re-cut" signal. It is
-	// written only by the externally-serialized re-weighter, on the cold
-	// re-partition path, so it needs no cache-line isolation of its own.
-	reweights atomic.Int64
 }
 
 // SetTopology installs a topology distance matrix for victim selection:
@@ -200,21 +151,21 @@ func (ws *ShardedWorkShare) distOf(a, b int) int {
 	return ws.dist[a][b]
 }
 
-// victim picks the shard a claim that found its home shards drained moves on
-// to: the topologically nearest shard of g with unclaimed work, seen from
-// core type ht. Within the nearest tier the richest shard wins, or, with
-// inOrder, the first in iteration order (DrainAll's fixed sweep). No shard
-// is excluded by owner or index: every caller has just walked its home
-// shards dry, and drained is absorbing, so those can not be picked again.
-// -1 when every shard is drained.
-func (ws *ShardedWorkShare) victim(g *generation, ht int, inOrder bool) int {
+// victim picks the shard a claim that found its home shard drained moves on
+// to: the topologically nearest shard with unclaimed work, seen from core
+// type ht. Within the nearest tier the richest shard wins, or, with inOrder,
+// the first in iteration order (DrainAll's fixed sweep). No shard is
+// excluded by owner: every caller has just walked its home shard dry, and
+// drained is absorbing, so it can not be picked again. -1 when every shard
+// is drained.
+func (ws *ShardedWorkShare) victim(ht int, inOrder bool) int {
 	victim, best, bestD := -1, int64(0), math.MaxInt
-	for i := range g.shards {
-		r := g.shards[i].remaining()
+	for i := range ws.shards {
+		r := ws.shards[i].remaining()
 		if r <= 0 {
 			continue
 		}
-		if d := ws.distOf(ht, int(g.shards[i].owner)); d < bestD || (d == bestD && r > best && !inOrder) {
+		if d := ws.distOf(ht, i); d < bestD || (d == bestD && r > best && !inOrder) {
 			victim, best, bestD = i, r, d
 		}
 	}
@@ -270,141 +221,62 @@ func NewSharded(ni int64, weights []int) *ShardedWorkShare {
 
 // Reset re-arms the pool for a new loop of ni iterations partitioned under
 // weights, exactly as NewSharded cuts a new pool (which is an allocation plus
-// this call), and zeroes the foreign-claim and re-partition counters; an
-// installed topology stays. The new generation is published as Reweight
-// publishes one, between two bumps of the sequence word, so a Credit taken
-// before the Reset can never pass for a current one.
+// this call), and zeroes the foreign-claim counter; an installed topology
+// stays. Shard boundaries fall at overflow-safe cumulative proportional
+// cuts, so they are monotone and tile [0, ni) exactly; a zero weight gets an
+// empty shard, so every type has a home.
 //
-// Unlike Reweight, Reset may not run concurrently with any claim path: it
-// recycles the storage of the generation it supersedes, so the pool must be
-// quiescent — every claimer of the previous loop has returned and none holds
-// a Credit or a stashed Range it still means to serve.
+// Reset may not run concurrently with any claim path: it recycles the
+// storage of the previous loop's shards, so the pool must be quiescent —
+// every claimer of the previous loop has returned and none holds a Credit
+// or a stashed Range it still means to serve.
 func (ws *ShardedWorkShare) Reset(ni int64, weights []int) {
 	if ni < 0 {
 		panic(fmt.Sprintf("pool: negative iteration count %d", ni))
 	}
 	total := checkWeights(weights)
-	ws.seq.Add(1)
 	ws.ni = ni
-	ws.gen.Store(buildGeneration(ws.gen.Load(), []Range{{Hi: ni}}, ni, weights, total))
-	ws.seq.Add(1)
+	if cap(ws.shards) < len(weights) {
+		ws.shards = make([]shard, len(weights))
+	}
+	ws.shards = ws.shards[:len(weights)]
+	lo, cum := int64(0), int64(0)
+	for t, w := range weights {
+		cum += int64(w)
+		hi := propCut(ni, cum, total)
+		ws.shards[t] = shard{base: lo, end: hi, owner: int32(t)}
+		ws.shards[t].next.Store(lo)
+		lo = hi
+	}
 	ws.foreign.Store(0)
-	ws.reweights.Store(0)
 }
 
 // NI returns the total trip count of the pool.
 func (ws *ShardedWorkShare) NI() int64 { return ws.ni }
 
-// NumShards returns the number of sub-pools of the current generation (one
-// per type at construction; a re-weighted generation may hold more).
-func (ws *ShardedWorkShare) NumShards() int { return len(ws.gen.Load().shards) }
-
-// NumTypes returns the number of core types the pool partitions for.
-func (ws *ShardedWorkShare) NumTypes() int { return len(ws.gen.Load().byType) }
+// NumTypes returns the number of core types the pool partitions for, which
+// is its number of shards.
+func (ws *ShardedWorkShare) NumTypes() int { return len(ws.shards) }
 
 // ForeignClaims returns the number of successful foreign-shard claims so
-// far — the cross-core-type handoff traffic SF-aware re-weighting reduces.
+// far — the cross-core-type handoff traffic.
 func (ws *ShardedWorkShare) ForeignClaims() int64 { return ws.foreign.Load() }
 
 // Remaining returns the total number of unclaimed iterations across all
 // shards. Iterations claimed but not yet executed (e.g. a thread-local
 // handoff stash) do not count — they are spoken for.
-func (ws *ShardedWorkShare) Remaining() int64 { return ws.gen.Load().remaining() }
-
-// Reweight re-partitions the pool's remaining iterations under new per-type
-// weights: the current generation's shards are drained, the leftovers are
-// re-cut at proportional boundaries (one or more contiguous shards per
-// type), and the new generation is published. Iterations already claimed —
-// including thread-local stashes — are untouched; only unclaimed work
-// moves. len(weights) must equal NumTypes.
-//
-// Reweight may run concurrently with every claim path, but re-weighters
-// must be externally serialized (the AID schedulers call it from their
-// single-threaded phase-transition window).
-func (ws *ShardedWorkShare) Reweight(weights []int) {
-	total := checkWeights(weights)
-	g := ws.gen.Load()
-	if len(weights) != len(g.byType) {
-		panic(fmt.Sprintf("pool: reweight with %d weights, pool has %d types", len(weights), len(g.byType)))
+func (ws *ShardedWorkShare) Remaining() int64 {
+	var r int64
+	for i := range ws.shards {
+		r += ws.shards[i].remaining()
 	}
-	ws.seq.Add(1) // odd: re-partition in progress
-	// Drain the current generation, collecting the leftover ranges in
-	// iteration order.
-	var rs []Range
-	var left int64
-	for i := range g.shards {
-		s := &g.shards[i]
-		if lo, _, ok := s.drain(); ok {
-			rs = append(rs, Range{Lo: lo, Hi: s.end})
-			left += s.end - lo
-		}
-		s.dead.Store(true)
-	}
-	ws.gen.Store(buildGeneration(nil, rs, left, weights, total))
-	ws.seq.Add(1) // even: new generation published
-	ws.reweights.Add(1)
+	return r
 }
 
-// Reweights returns how many re-partitions have been published.
-func (ws *ShardedWorkShare) Reweights() int64 { return ws.reweights.Load() }
-
-// buildGeneration cuts the unclaimed ranges rs (left iterations in all, in
-// iteration order; consumed in place) at overflow-safe cumulative
-// proportional boundaries — monotone and exactly covering — into
-// owner-tagged shards. A type whose share lands entirely inside one range
-// gets one shard, which is every type of a fresh pool; shares spanning range
-// gaps get one shard per covered piece. Types left with no work get an empty
-// shard so they always have a home. The generation is built in ng's storage
-// when ng is non-nil (Reset, on a quiescent pool), else in a new one.
-func buildGeneration(ng *generation, rs []Range, left int64, weights []int, total int64) *generation {
-	if ng == nil {
-		ng = &generation{}
-	}
-	// One shard per type, one more per range boundary inside a share.
-	if need := len(weights) + max(len(rs), 1) - 1; cap(ng.shards) < need {
-		ng.shards = make([]shard, 0, need)
-	}
-	ng.shards = ng.shards[:0]
-	if cap(ng.byType) < len(weights) {
-		ng.byType = make([][]int32, len(weights))
-	}
-	ng.byType = ng.byType[:len(weights)]
-	for t := range ng.byType {
-		ng.byType[t] = ng.byType[t][:0]
-	}
-	at := int64(0) // end of the last shard cut
-	add := func(t int, lo, hi int64) {
-		ng.byType[t] = append(ng.byType[t], int32(len(ng.shards)))
-		ng.shards = append(ng.shards, shard{base: lo, end: hi, owner: int32(t)})
-		ng.shards[len(ng.shards)-1].next.Store(lo)
-		at = hi
-	}
-	ri, pos, cum := 0, int64(0), int64(0) // current range, work cut, weight cut
-	for t, w := range weights {
-		cum += int64(w)
-		for cut := propCut(left, cum, total); pos < cut; {
-			r := &rs[ri]
-			take := min(cut-pos, r.Hi-r.Lo)
-			add(t, r.Lo, r.Lo+take)
-			pos += take
-			if r.Lo += take; r.Lo == r.Hi {
-				ri++
-			}
-		}
-		if len(ng.byType[t]) == 0 {
-			add(t, at, at)
-		}
-	}
-	return ng
-}
-
-// drainedValid reports whether a "pool drained" conclusion reached while
-// the sequence word read seq is trustworthy: no re-partition was in flight
-// or completed meanwhile. On false the caller must reload the generation
-// and retry — the work it failed to find may have moved.
-func (ws *ShardedWorkShare) drainedValid(seq uint64) bool {
-	return seq&1 == 0 && ws.seq.Load() == seq
-}
+// clampType maps a caller's core type onto its home shard: indexes beyond the
+// type count clamp to the last type, preserving NewSharded's contract for
+// pools built with fewer shards than the platform has types.
+func (ws *ShardedWorkShare) clampType(t int) int { return min(t, len(ws.shards)-1) }
 
 // badSteal reports an invalid steal request; out of line so the hot-path
 // callers only pay a branch for it.
@@ -414,14 +286,13 @@ func badSteal(home int, chunk int64) {
 
 // acquire is the claim walk (doc.go, "Claim protocol") of the fetch-and-add
 // families — strict, batched handoff, credit — which differ only in the sizes
-// they pass: homeN iterations from the first live home shard, else foreignN
-// from the nearest victim, both tapered as the shard drains when floor > 0
-// (shard.taper). The result is the claimed range as a Credit (its shard and
-// the sequence it was claimed under; the zero Credit when the pool is
-// drained), its provenance (the owner core type of that shard; the caller's
-// own clamped type when drained), and the RMWs performed: one per
-// fetch-and-add, failed ones included, and at least 1 — the drained-pool
-// observation the caller is charged for.
+// they pass: homeN iterations from the home shard while it is live, else
+// foreignN from the nearest victim, both tapered as the shard drains when
+// floor > 0 (shard.taper). The result is the claimed range as a Credit (the
+// zero Credit when the pool is drained), its provenance (the owner core type
+// of that shard; the caller's own clamped type when drained), and the RMWs
+// performed: one per fetch-and-add, failed ones included, and at least 1 —
+// the drained-pool observation the caller is charged for.
 //
 // The home fast path is one flag load plus one fetch-and-add on the home
 // shard's private cache line; nothing on it is a func value.
@@ -429,35 +300,24 @@ func (ws *ShardedWorkShare) acquire(home int, homeN, foreignN, floor int64) (c C
 	if homeN <= 0 || home < 0 || foreignN < homeN {
 		badSteal(home, homeN)
 	}
-	for {
-		seq := ws.seq.Load()
-		g := ws.gen.Load()
-		ht := g.clampType(home)
-		for _, si := range g.byType[ht] {
-			s := &g.shards[si]
-			if s.dead.Load() {
-				continue
-			}
-			accesses++
-			if lo, hi, ok := s.claim(s.taper(homeN, floor)); ok {
-				return Credit{lo: lo, hi: hi, s: s, seq: seq}, ht, accesses
-			}
-			s.dead.Store(true)
+	ht := ws.clampType(home)
+	if s := &ws.shards[ht]; !s.dead.Load() {
+		accesses++
+		if lo, hi, ok := s.claim(s.taper(homeN, floor)); ok {
+			return Credit{lo: lo, hi: hi, s: s}, ht, accesses
 		}
-		for v := ws.victim(g, ht, false); v >= 0; v = ws.victim(g, ht, false) {
-			s := &g.shards[v]
-			accesses++
-			if lo, hi, ok := s.claim(s.taper(foreignN, floor)); ok {
-				ws.foreign.Add(1)
-				return Credit{lo: lo, hi: hi, s: s, seq: seq}, int(s.owner), accesses
-			}
-			s.dead.Store(true)
-		}
-		if ws.drainedValid(seq) {
-			return Credit{}, ht, max(accesses, 1)
-		}
-		runtime.Gosched() // re-partition in flight: retry on the new generation
+		s.dead.Store(true)
 	}
+	for v := ws.victim(ht, false); v >= 0; v = ws.victim(ht, false) {
+		s := &ws.shards[v]
+		accesses++
+		if lo, hi, ok := s.claim(s.taper(foreignN, floor)); ok {
+			ws.foreign.Add(1)
+			return Credit{lo: lo, hi: hi, s: s}, int(s.owner), accesses
+		}
+		s.dead.Store(true)
+	}
+	return Credit{}, ht, max(accesses, 1)
 }
 
 // TryStealBatchFrom removes up to chunk iterations from the caller's home
@@ -476,34 +336,20 @@ func (ws *ShardedWorkShare) TryStealBatchFrom(home int, chunk, batch int64) (lo,
 
 // walk is the same claim walk for the span, drain and guided paths, which
 // differ only in how visit sizes and collects what it takes from one shard.
-// It offers visit the shards of the current generation in claim order — the
-// caller's home shards in iteration order, then victims nearest-first (see
-// victim) — until visit reports it has all it wants; visit must leave a
-// shard it is not done with drained, and reports the RMWs it tried. Returns
-// the caller's clamped home type and the RMWs in all (at least 1, the
-// drained-pool observation).
-func (ws *ShardedWorkShare) walk(home int, inOrder bool, visit func(g *generation, s *shard) (tries int, done bool)) (ht, accesses int) {
-	for {
-		seq := ws.seq.Load()
-		g := ws.gen.Load()
-		ht = g.clampType(home)
-		for _, si := range g.byType[ht] {
-			tries, done := visit(g, &g.shards[si])
-			if accesses += tries; done {
-				return ht, accesses
-			}
+// It offers visit the shards in claim order — the caller's home shard, then
+// victims nearest-first (see victim) — until visit reports it has all it
+// wants; visit must leave a shard it is not done with drained, and reports
+// the RMWs it tried. Returns the caller's clamped home type and the RMWs in
+// all (at least 1, the drained-pool observation).
+func (ws *ShardedWorkShare) walk(home int, inOrder bool, visit func(s *shard) (tries int, done bool)) (ht, accesses int) {
+	ht = ws.clampType(home)
+	for v := ht; v >= 0; v = ws.victim(ht, inOrder) {
+		tries, done := visit(&ws.shards[v])
+		if accesses += tries; done {
+			return ht, accesses
 		}
-		for v := ws.victim(g, ht, inOrder); v >= 0; v = ws.victim(g, ht, inOrder) {
-			tries, done := visit(g, &g.shards[v])
-			if accesses += tries; done {
-				return ht, accesses
-			}
-		}
-		if ws.drainedValid(seq) {
-			return ht, max(accesses, 1)
-		}
-		runtime.Gosched() // re-partition in flight: resume on the new generation
 	}
+	return ht, max(accesses, 1)
 }
 
 // TryStealFuncFrom removes a chunk whose size depends on the total number
@@ -517,13 +363,13 @@ func (ws *ShardedWorkShare) TryStealFuncFrom(home int, sizeOf func(remaining int
 	if home < 0 {
 		panic(fmt.Sprintf("pool: home shard %d out of range", home))
 	}
-	ht, accesses := ws.walk(home, false, func(g *generation, s *shard) (tries int, done bool) {
+	ht, accesses := ws.walk(home, false, func(s *shard) (tries int, done bool) {
 		for {
 			cur := s.next.Load()
 			if cur >= s.end {
 				return tries, false
 			}
-			rem := g.remaining()
+			rem := ws.Remaining()
 			if rem <= 0 {
 				continue // raced to empty; the reload sees it
 			}
@@ -545,7 +391,7 @@ func (ws *ShardedWorkShare) TryStealFuncFrom(home int, sizeOf func(remaining int
 	return lo, hi, from, accesses, ok
 }
 
-// StealSpan claims up to want iterations across shards (home shards first,
+// StealSpan claims up to want iterations across shards (home shard first,
 // then nearest-first) and appends them to dst as contiguous,
 // provenance-tagged ranges, returning the extended slice. The AID final
 // assignment uses it so an allotment that exceeds the home shard is not
@@ -558,7 +404,7 @@ func (ws *ShardedWorkShare) StealSpan(home int, want int64, dst []Range) (rs []R
 		panic(fmt.Sprintf("pool: non-positive span want %d", want))
 	}
 	rs = dst
-	_, accesses = ws.walk(home, false, func(_ *generation, s *shard) (tries int, done bool) {
+	_, accesses = ws.walk(home, false, func(s *shard) (tries int, done bool) {
 		if s.remaining() > 0 {
 			tries = 1
 			if lo, hi, ok := s.claim(want); ok {
@@ -571,12 +417,12 @@ func (ws *ShardedWorkShare) StealSpan(home int, want int64, dst []Range) (rs []R
 	return rs, accesses
 }
 
-// DrainAll claims every remaining iteration, home shards first and foreign
+// DrainAll claims every remaining iteration, home shard first and foreign
 // shards tier by tier in iteration order, as a list of contiguous,
 // provenance-tagged ranges. The AID-static last-thread assignment uses it so
 // SF rounding never orphans work. accesses counts CAS attempts (minimum 1).
 func (ws *ShardedWorkShare) DrainAll(home int) (rs []Range, accesses int) {
-	_, accesses = ws.walk(home, true, func(_ *generation, s *shard) (tries int, done bool) {
+	_, accesses = ws.walk(home, true, func(s *shard) (tries int, done bool) {
 		lo, tries, ok := s.drain()
 		if ok {
 			rs = append(rs, Range{Lo: lo, Hi: s.end, From: s.owner})

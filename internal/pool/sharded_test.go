@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func TestShardedPartition(t *testing.T) {
@@ -25,15 +26,14 @@ func TestShardedPartition(t *testing.T) {
 		if ws.NI() != c.ni {
 			t.Errorf("NI() = %d, want %d", ws.NI(), c.ni)
 		}
-		if ws.NumShards() != len(c.weights) {
-			t.Errorf("NumShards() = %d, want %d", ws.NumShards(), len(c.weights))
+		if ws.NumTypes() != len(c.weights) {
+			t.Errorf("NumTypes() = %d, want %d", ws.NumTypes(), len(c.weights))
 		}
 		// Shards must tile [0, ni) exactly.
 		var total int64
 		lo := int64(0)
-		g := ws.gen.Load()
-		for i := range g.shards {
-			s := &g.shards[i]
+		for i := range ws.shards {
+			s := &ws.shards[i]
 			if s.base != lo {
 				t.Errorf("ni=%d weights=%v: shard %d starts at %d, want %d", c.ni, c.weights, i, s.base, lo)
 			}
@@ -311,11 +311,11 @@ func TestShardedConcurrentCoverage(t *testing.T) {
 	}
 }
 
-// TestShardedReset: a pool that was partly drained, re-weighted and drained
-// is, after Reset, the pool NewSharded would build — same shards, counters
-// back at zero, the topology still installed — in the storage it had, and
-// every claim entry point covers the new loop exactly once. The zero pool is
-// a pool no Reset has armed yet.
+// TestShardedReset: a pool that was partly drained and then drained is,
+// after Reset, the pool NewSharded would build — same shards, the foreign
+// counter back at zero, the topology still installed — in the storage it
+// had, and every claim entry point covers the new loop exactly once. The
+// zero pool is a pool no Reset has armed yet.
 func TestShardedReset(t *testing.T) {
 	dist := [][]int{{0, 1, 2}, {1, 0, 2}, {2, 2, 0}}
 	for _, cl := range claimers {
@@ -324,35 +324,31 @@ func TestShardedReset(t *testing.T) {
 		ws.SetTopology(dist)
 		var c Credit
 		ws.TryStealCredit(0, 5, &c)
-		ws.Reweight([]int{1, 8, 1}) // a generation with more shards than types
+		ws.TryStealBatchFrom(1, 1000, 1000) // drains shard 1
+		ws.TryStealBatchFrom(1, 1, 1)       // and claims abroad
 		ws.DrainAll(1)
-		if ws.Reweights() != 1 || ws.Remaining() != 0 {
-			t.Fatalf("set-up: %d reweights, %d remaining", ws.Reweights(), ws.Remaining())
+		if ws.ForeignClaims() == 0 || ws.Remaining() != 0 {
+			t.Fatalf("set-up: %d foreign claims, %d remaining", ws.ForeignClaims(), ws.Remaining())
 		}
-		shards := &ws.gen.Load().shards[0]
+		shards := &ws.shards[0]
 		for round, loop := range []struct {
 			ni      int64
 			weights []int
 		}{{4000, []int{1, 2, 1}}, {0, []int{1, 1, 1}}, {77, []int{5, 0, 1}}} {
-			seq := ws.seq.Load()
 			ws.Reset(loop.ni, loop.weights)
 			fresh := NewSharded(loop.ni, loop.weights)
-			if got := ws.seq.Load(); got != seq+2 {
-				t.Errorf("%s round %d: sequence word moved %d -> %d, want two bumps", cl.name, round, seq, got)
+			if &ws.shards[0] != shards {
+				t.Errorf("%s round %d: Reset did not reuse the shards", cl.name, round)
 			}
-			if &ws.gen.Load().shards[0] != shards {
-				t.Errorf("%s round %d: Reset did not reuse the generation's shards", cl.name, round)
+			if ws.NI() != loop.ni || ws.Remaining() != loop.ni || ws.ForeignClaims() != 0 {
+				t.Errorf("%s round %d: NI %d, remaining %d, foreign %d after Reset to %d",
+					cl.name, round, ws.NI(), ws.Remaining(), ws.ForeignClaims(), loop.ni)
 			}
-			if ws.NI() != loop.ni || ws.Remaining() != loop.ni || ws.Reweights() != 0 || ws.ForeignClaims() != 0 {
-				t.Errorf("%s round %d: NI %d, remaining %d, reweights %d, foreign %d after Reset to %d",
-					cl.name, round, ws.NI(), ws.Remaining(), ws.Reweights(), ws.ForeignClaims(), loop.ni)
+			if len(ws.shards) != len(fresh.shards) {
+				t.Fatalf("%s round %d: %d shards, a new pool has %d", cl.name, round, len(ws.shards), len(fresh.shards))
 			}
-			g, fg := ws.gen.Load(), fresh.gen.Load()
-			if len(g.shards) != len(fg.shards) || fmt.Sprint(g.byType) != fmt.Sprint(fg.byType) {
-				t.Fatalf("%s round %d: %d shards %v, a new pool has %d %v", cl.name, round, len(g.shards), g.byType, len(fg.shards), fg.byType)
-			}
-			for i := range g.shards {
-				s, f := &g.shards[i], &fg.shards[i]
+			for i := range ws.shards {
+				s, f := &ws.shards[i], &fresh.shards[i]
 				if s.base != f.base || s.end != f.end || s.owner != f.owner || s.next.Load() != f.next.Load() || s.dead.Load() {
 					t.Errorf("%s round %d: shard %d is [%d,%d) owner %d next %d dead %v, a new pool's is [%d,%d) owner %d",
 						cl.name, round, i, s.base, s.end, s.owner, s.next.Load(), s.dead.Load(), f.base, f.end, f.owner)
@@ -378,4 +374,142 @@ func TestShardedReset(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestShardedConcurrentClaimSizes drains short two-type pools from six
+// claimers, one entry point each, at every claim size — an ordinary chunk,
+// one shard, more than a shard, and the sizes whose sums and products leave
+// int64 — and asserts exactly-once coverage: the no-overflow bound of
+// doc.go with G goroutines adding at once. No claimer may retire holding
+// credit.
+func TestShardedConcurrentClaimSizes(t *testing.T) {
+	const ni, workers = 4096, 6
+	for _, size := range claimSizes(ni / 2) {
+		t.Run(fmt.Sprintf("n=%d", size), func(t *testing.T) {
+			for round := 0; round < 25; round++ {
+				ws := NewSharded(ni, []int{1, 1})
+				seen := make([]atomic.Int32, ni)
+				var wg sync.WaitGroup
+				for g := 0; g < workers; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						claim := claimers[(g+round)%len(claimers)].claim
+						var c Credit
+						var rs []Range
+						for {
+							rs = claim(ws, g%2, size, &c, rs[:0])
+							for _, r := range rs {
+								if r.Lo < 0 || r.Hi > ni || r.Lo > r.Hi {
+									t.Errorf("claimer %d got bad range [%d,%d)", g, r.Lo, r.Hi)
+									return
+								}
+								for i := r.Lo; i < r.Hi; i++ {
+									seen[i].Add(1)
+								}
+							}
+							if spanTotal(rs) == 0 {
+								if !c.Empty() {
+									t.Errorf("claimer %d retired holding %d credited iterations", g, c.N())
+								}
+								return
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
+				for i := range seen {
+					if c := seen[i].Load(); c != 1 {
+						t.Fatalf("round %d: iteration %d claimed %d times", round, i, c)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestShardLayout is the false-sharing guard for the shard struct: the two
+// mutable fields must each sit alone on their own 64-byte cache line —
+// next because home threads fetch-and-add it on every chunk, dead because
+// a foreign thief's store to it must not invalidate the line next lives on
+// (the regression this pins: base/end/dead used to share next's line).
+func TestShardLayout(t *testing.T) {
+	var s shard
+	if got := unsafe.Sizeof(s); got != 256 {
+		t.Errorf("sizeof(shard) = %d, want 256", got)
+	}
+	offNext := unsafe.Offsetof(s.next)
+	offDead := unsafe.Offsetof(s.dead)
+	offBase := unsafe.Offsetof(s.base)
+	if offNext != 64 {
+		t.Errorf("offsetof(next) = %d, want 64", offNext)
+	}
+	if offDead != 128 {
+		t.Errorf("offsetof(dead) = %d, want 128", offDead)
+	}
+	if offBase != 192 {
+		t.Errorf("offsetof(base) = %d, want 192 (read-only fields off the mutable lines)", offBase)
+	}
+	// No other field may share next's or dead's cache line.
+	lineOf := func(off uintptr) uintptr { return off / 64 }
+	if lineOf(offDead) == lineOf(offNext) || lineOf(offBase) == lineOf(offNext) ||
+		lineOf(unsafe.Offsetof(s.end)) == lineOf(offNext) ||
+		lineOf(unsafe.Offsetof(s.owner)) == lineOf(offNext) {
+		t.Error("a field shares next's cache line")
+	}
+	if lineOf(offBase) == lineOf(offDead) {
+		t.Error("base shares dead's cache line")
+	}
+	// The pool's foreign-claim counter, written on every foreign claim, is
+	// off the line the hot path reads the shard slice from.
+	var ws ShardedWorkShare
+	if lineOf(unsafe.Offsetof(ws.foreign)) == lineOf(unsafe.Offsetof(ws.shards)) {
+		t.Error("foreign shares the shard slice's cache line")
+	}
+}
+
+// TestShardedPartitionNearOverflow pins the overflow fix in the cumulative
+// proportional split: with ni near MaxInt64 the old int64 multiply
+// ni*cum wrapped negative and produced inverted shard bounds. The 128-bit
+// split must tile [0, ni) monotonically for any weight sum.
+func TestShardedPartitionNearOverflow(t *testing.T) {
+	for _, c := range []struct {
+		ni      int64
+		weights []int
+	}{
+		{math.MaxInt64, []int{1, 1}},
+		{math.MaxInt64 - 1, []int{3, 5}},
+		{math.MaxInt64 / 2, []int{7, 1, 9}},
+		{1 << 62, []int{1000, 1}},
+	} {
+		ws := NewSharded(c.ni, c.weights)
+		lo := int64(0)
+		for i := range ws.shards {
+			s := &ws.shards[i]
+			if s.base != lo || s.end < s.base {
+				t.Fatalf("ni=%d weights=%v: shard %d = [%d,%d), prev end %d",
+					c.ni, c.weights, i, s.base, s.end, lo)
+			}
+			lo = s.end
+		}
+		if lo != c.ni {
+			t.Fatalf("ni=%d weights=%v: shards end at %d", c.ni, c.weights, lo)
+		}
+		// Shares must be proportional, not collapsed: with weights {1,1} the
+		// first shard holds half the space.
+		if len(c.weights) == 2 && c.weights[0] == c.weights[1] {
+			if got := ws.shards[0].end; got != c.ni/2 {
+				t.Fatalf("ni=%d: even split boundary at %d, want %d", c.ni, got, c.ni/2)
+			}
+		}
+	}
+}
+
+func TestShardedWeightSumTooLargePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("huge weight sum did not panic")
+		}
+	}()
+	NewSharded(10, []int{math.MaxInt32, math.MaxInt32})
 }

@@ -22,7 +22,7 @@ func TestRegistryMetricsCounters(t *testing.T) {
 	defer reg.Close()
 	const n = 5000
 	var sink atomic.Int64
-	l, err := reg.Submit(LoopRequest{N: n, Schedule: core.Schedule{Kind: core.KindAIDDynamic, Chunk: 8, Major: 64, Reweight: true},
+	l, err := reg.Submit(LoopRequest{N: n, Schedule: core.Schedule{Kind: core.KindAIDDynamic, Chunk: 8, Major: 64},
 		Body: func(_ int, lo, hi int64) { sink.Add(hi - lo) }})
 	if err != nil {
 		t.Fatal(err)

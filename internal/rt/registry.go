@@ -111,14 +111,13 @@ type schedKey struct {
 	kind         core.Kind
 	chunk, major int64
 	pct          float64
-	reweight     bool
 }
 
 // keyOf returns s's free-list key, and ok=false for the offline-SF schedules,
 // whose table is not part of the key and which are therefore never pooled.
 func keyOf(s core.Schedule) (k schedKey, ok bool) {
 	d := s.WithDefaults()
-	return schedKey{d.Kind, d.Chunk, d.Major, d.Pct, d.Reweight}, d.OfflineSF == nil
+	return schedKey{d.Kind, d.Chunk, d.Major, d.Pct}, d.OfflineSF == nil
 }
 
 // freeLoop is one released loop's reusable storage: its scheduler, which owns
@@ -809,7 +808,6 @@ func (r *Registry) worker(tid int) {
 			if mc != nil {
 				mb.SchedNs += schedEnd - nowNs
 				mb.CreditClaimed += int64(asg.CreditClaimed)
-				mb.CreditReturned += int64(asg.CreditReturned)
 			}
 			if tp != nil {
 				tp.Intervals = append(tp.Intervals, trace.Interval{Start: nowNs, End: schedEnd, State: trace.Sched})
@@ -937,17 +935,14 @@ func (r *Registry) retire(l *Loop, tid int) {
 // barrier release (under the registry lock, after every worker's retirement
 // — the quiescent-merge window of obs's counter invariants). Each worker's
 // barrier wait, from its retirement to maxFinish, is charged as idle time
-// against its cell, the pool's reweight count is read once from the
-// scheduler, and the snapshot is both attached to LoopStats and accumulated
-// into the registry's completed-loop aggregate for MetricsSnapshot.
+// against its cell, and the snapshot is both attached to LoopStats and
+// accumulated into the registry's completed-loop aggregate for
+// MetricsSnapshot.
 func (l *Loop) finishMetrics(r *Registry, maxFinish int64) {
 	for tid := range l.cells {
 		if gap := maxFinish - l.cells[tid].finishNs; gap > 0 {
 			l.metrics.Cell(tid).Idle(gap)
 		}
-	}
-	if rc, ok := l.sched.(core.ReweightCounter); ok {
-		l.metrics.Cell(0).SetReweights(rc.PoolReweights())
 	}
 	snap := l.metrics.Snapshot()
 	l.stats.Metrics = &snap

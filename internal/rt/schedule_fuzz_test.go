@@ -21,7 +21,8 @@ func FuzzParseSchedule(f *testing.F) {
 		"aid-static", "aid-static,2", "aid-hybrid", "aid-hybrid,80", "aid-hybrid,80,4",
 		"aid-dynamic", "aid-dynamic,1", "aid-dynamic,1,5", "aid-auto", "aid-auto,2", "aid-auto,2,16",
 		"work-steal", "work-steal,16",
-		// The rw flag: where it applies, where it does not, repeated, alone.
+		// A trailing rw word, which no method takes: after parameters or
+		// none, in any case, repeated, alone.
 		"aid-static,rw", "aid-static,2,rw", "aid-hybrid,80,rw", "aid-hybrid,100,1,rw",
 		"aid-dynamic,1,5,rw", "AID-DYNAMIC,1,5,RW", "aid-dynamic,rw,rw", "aid-dynamic,rw,5",
 		"static,rw", "dynamic,4,rw", "aid-auto,2,8,rw", "rw", ",rw",

@@ -123,55 +123,19 @@ func TestParseScheduleAIDAuto(t *testing.T) {
 	}
 }
 
-// TestParseScheduleReweight covers the ",rw" GOOMP_SCHEDULE extension:
-// accepted on the online-SF AID methods (any case, any parameter count),
-// rejected everywhere else, and round-tripped by Canonical.
+// TestParseScheduleReweight: a trailing "rw" word is not a parameter, so
+// every text that ends in one is refused — on every method, in any case,
+// after any parameter count, aid-static's included — as is "rw" alone.
 func TestParseScheduleReweight(t *testing.T) {
-	good := map[string]core.Schedule{
-		"aid-static,rw":      {Kind: core.KindAIDStatic, Reweight: true},
-		"aid-static,2,rw":    {Kind: core.KindAIDStatic, Chunk: 2, Reweight: true},
-		"aid-hybrid,80,rw":   {Kind: core.KindAIDHybrid, Pct: 0.8, Reweight: true},
-		"aid-dynamic,1,5,rw": {Kind: core.KindAIDDynamic, Chunk: 1, Major: 5, Reweight: true},
-		"AID-DYNAMIC,1,5,RW": {Kind: core.KindAIDDynamic, Chunk: 1, Major: 5, Reweight: true},
-	}
-	for in, want := range good {
-		got, err := core.ParseSchedule(in)
-		if err != nil {
-			t.Errorf("core.ParseSchedule(%q): %v", in, err)
-			continue
-		}
-		if got.Kind != want.Kind || got.Chunk != want.Chunk ||
-			got.Major != want.Major || got.Pct != want.Pct || !got.Reweight {
-			t.Errorf("core.ParseSchedule(%q) = %+v, want %+v", in, got, want)
-		}
-	}
 	for _, in := range []string{
+		"aid-static,rw", "aid-static,2,rw", "aid-hybrid,80,rw", "aid-hybrid,70,4,rw",
+		"aid-dynamic,1,5,rw", "AID-DYNAMIC,1,5,RW", "aid-dynamic,2,10,rw",
 		"static,rw", "dynamic,4,rw", "guided,rw", "work-steal,4,rw",
-		"aid-auto,2,8,rw", "rw",
+		"aid-auto,2,8,rw", "rw", ",rw",
 	} {
-		if _, err := core.ParseSchedule(in); err == nil {
-			t.Errorf("core.ParseSchedule(%q) accepted", in)
+		if s, err := core.ParseSchedule(in); err == nil {
+			t.Errorf("core.ParseSchedule(%q) accepted: %+v", in, s)
 		}
-	}
-	for _, in := range []string{"aid-static,rw", "aid-hybrid,70,rw", "aid-dynamic,2,10,rw"} {
-		s, err := core.ParseSchedule(in)
-		if err != nil {
-			t.Fatalf("%s: %v", in, err)
-		}
-		c := s.Canonical()
-		s2, err := core.ParseSchedule(c)
-		if err != nil {
-			t.Fatalf("%s -> Canonical %q does not parse: %v", in, c, err)
-		}
-		if !s2.Reweight {
-			t.Errorf("%s: Canonical %q dropped the rw flag", in, c)
-		}
-		if c2 := s2.Canonical(); c2 != c {
-			t.Errorf("%s: Canonical not a fixed point: %q -> %q", in, c, c2)
-		}
-	}
-	if got := (core.Schedule{Kind: core.KindAIDDynamic, Reweight: true}).String(); got != "AID-dynamic/1,5+rw" {
-		t.Errorf("String() = %q, want AID-dynamic/1,5+rw", got)
 	}
 }
 
@@ -189,7 +153,7 @@ func TestScheduleCanonicalRoundTrip(t *testing.T) {
 			return
 		}
 		d, d2 := s.WithDefaults(), s2.WithDefaults()
-		if d.Kind != d2.Kind || d.Chunk != d2.Chunk || d.Major != d2.Major || d.Pct != d2.Pct || d.Reweight != d2.Reweight {
+		if d.Kind != d2.Kind || d.Chunk != d2.Chunk || d.Major != d2.Major || d.Pct != d2.Pct {
 			t.Errorf("%s -> %q round-trips to %+v, want %+v", label, c, d2, d)
 		}
 		if c2 := s2.Canonical(); c2 != c {
@@ -212,18 +176,16 @@ func TestScheduleCanonicalRoundTrip(t *testing.T) {
 		want string
 	}{
 		{core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.29}, "aid-hybrid,29"},
-		{core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.07, Chunk: 3, Reweight: true}, "aid-hybrid,7,3,rw"},
+		{core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.07, Chunk: 3}, "aid-hybrid,7,3"},
 		{core.Schedule{Kind: core.KindAIDAuto, Chunk: 2, Major: 16, Pct: 0.8}, "aid-auto,2,16"},
-		{core.Schedule{Kind: core.KindAIDDynamic, Reweight: true}, "aid-dynamic,1,5,rw"},
+		{core.Schedule{Kind: core.KindAIDDynamic}, "aid-dynamic,1,5"},
 		// Fields the syntax cannot write: the AID-auto share, an AID-hybrid
 		// share that is not a whole percentage in (0,100], the offline-SF
-		// table, rw on a kind without it, a chunk or Major below 1.
+		// table, a chunk or Major below 1.
 		{core.Schedule{Kind: core.KindAIDAuto, Pct: 0.6}, ""},
 		{core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.805}, ""},
 		{core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.004}, ""},
 		{core.Schedule{Kind: core.KindAIDStatic, OfflineSF: []float64{3, 1}}, ""},
-		{core.Schedule{Kind: core.KindDynamic, Reweight: true}, ""},
-		{core.Schedule{Kind: core.KindAIDAuto, Reweight: true}, ""},
 		{core.Schedule{Kind: core.KindDynamic, Chunk: -3}, ""},
 		{core.Schedule{Kind: core.KindAIDDynamic, Major: -1}, ""},
 	} {
@@ -283,20 +245,5 @@ func TestFactoryAIDAuto(t *testing.T) {
 	}
 	if s.Name() != "aid-auto" {
 		t.Errorf("factory built %q", s.Name())
-	}
-}
-
-// TestFactoryReweight: the factory must apply SetReweight to schedulers that
-// support it and refuse Reweight on kinds that do not (the struct field is
-// reachable without going through ParseSchedule's validation).
-func TestFactoryReweight(t *testing.T) {
-	info := core.LoopInfo{NI: 100, NThreads: 4, NumTypes: 2, TypeOf: func(tid int) int { return tid % 2 }}
-	for _, k := range []core.Kind{core.KindAIDStatic, core.KindAIDHybrid, core.KindAIDDynamic} {
-		if _, err := (core.Schedule{Kind: k, Reweight: true}).Factory()(info); err != nil {
-			t.Errorf("factory for %v+rw: %v", k, err)
-		}
-	}
-	if _, err := (core.Schedule{Kind: core.KindDynamic, Reweight: true}).Factory()(info); err == nil {
-		t.Error("factory accepted Reweight on dynamic")
 	}
 }

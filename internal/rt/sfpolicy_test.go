@@ -213,38 +213,3 @@ func TestRegistryLiveSFNilForConventional(t *testing.T) {
 		t.Errorf("dynamic schedule reports LiveSF %v, want nil", sf)
 	}
 }
-
-// TestParallelForReweightCoverage runs the ,rw variants end-to-end on the
-// real executor: re-partitioning mid-loop must not lose or duplicate
-// iterations.
-func TestParallelForReweightCoverage(t *testing.T) {
-	for _, txt := range []string{"aid-hybrid,80,rw", "aid-dynamic,1,5,rw"} {
-		t.Run(txt, func(t *testing.T) {
-			s, err := core.ParseSchedule(txt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			team, err := NewTeam(TeamConfig{NThreads: 4, Schedule: s})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const n = 10007
-			hits := make([]int32, n)
-			var mu sync.Mutex
-			if err := team.ParallelForChunked(n, func(lo, hi int64) {
-				mu.Lock()
-				for i := lo; i < hi; i++ {
-					hits[i]++
-				}
-				mu.Unlock()
-			}); err != nil {
-				t.Fatal(err)
-			}
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("iteration %d executed %d times", i, h)
-				}
-			}
-		})
-	}
-}

@@ -424,7 +424,7 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 				c.Grant(asg.N(), obs.Tier(dist, typeOf[tid], origin))
 				c.Busy(int64(execNs))
 			}
-			c.Credit(int64(asg.CreditClaimed), int64(asg.CreditReturned))
+			c.Credit(int64(asg.CreditClaimed))
 			c.Sched(int64(ovhNs))
 		}
 		if ok {
@@ -480,9 +480,6 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 			cfg.Recorder.SFSample(trace.SFSample{TimeNs: res.End, Loop: li, SF: slices.Clone(res.SFEstimate)})
 		}
 		if mets != nil {
-			if rc, isRC := scheds[li].(core.ReweightCounter); isRC {
-				mets[li].Cell(0).SetReweights(rc.PoolReweights())
-			}
 			snap := mets[li].Snapshot()
 			res.Metrics = &snap
 		}

@@ -24,8 +24,8 @@ const goldenPath = "testdata/engine_golden.txt"
 
 // goldenSchedules has one member of every schedule family: block static,
 // chunked self-scheduling (a sharded pool), guided (a shrinking chunk), the
-// AID family on the credit path with and without sampling, with and without
-// pool re-cuts, and AID-auto's central pool (Origin < 0).
+// AID family on the credit path with and without sampling, and AID-auto's
+// central pool (Origin < 0).
 var goldenSchedules = []struct {
 	name string
 	f    SchedulerFactory
@@ -42,13 +42,6 @@ var goldenSchedules = []struct {
 		return core.NewAIDStaticOffline(i, 1, sf)
 	}},
 	{"aid-hybrid80", func(i core.LoopInfo) (core.Scheduler, error) { return core.NewAIDHybrid(i, 1, 0.8) }},
-	{"aid-hybrid80-rw", func(i core.LoopInfo) (core.Scheduler, error) {
-		s, err := core.NewAIDHybrid(i, 1, 0.8)
-		if err == nil {
-			s.SetReweight(true)
-		}
-		return s, err
-	}},
 	{"aid-dynamic1-5", func(i core.LoopInfo) (core.Scheduler, error) { return core.NewAIDDynamic(i, 1, 5) }},
 	{"aid-auto", func(i core.LoopInfo) (core.Scheduler, error) { return core.NewAIDAuto(i, 1, 0.8, 5, 0) }},
 }

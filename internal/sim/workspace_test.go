@@ -22,13 +22,7 @@ var reuseFactories = []struct {
 	{"dynamic,1", dynamicFactory},
 	{"aid-static,1", aidStaticFactory},
 	{"aid-dynamic,1,5", aidDynamicFactory},
-	{"aid-hybrid,80,rw", func(info core.LoopInfo) (core.Scheduler, error) {
-		s, err := core.NewAIDHybrid(info, 1, 0.8)
-		if err == nil {
-			s.SetReweight(true)
-		}
-		return s, err
-	}},
+	{"aid-hybrid,80", func(info core.LoopInfo) (core.Scheduler, error) { return core.NewAIDHybrid(info, 1, 0.8) }},
 	{"aid-static-offline", func(info core.LoopInfo) (core.Scheduler, error) {
 		sf := make([]float64, info.NumTypes)
 		for i := range sf {
