@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/trace"
@@ -183,5 +184,35 @@ func TestRegistryMetricsSteadyStateAllocs(t *testing.T) {
 	}
 	if got := sink.Load(); got != 2*50000+2*n {
 		t.Fatalf("covered %d iterations, want %d", got, 2*50000+2*n)
+	}
+}
+
+// TestRegistryMetricsFleetConservation pins busy + sched + idle <= wall per
+// worker on a fleet: a worker that retires from a loop early and waits in the
+// fleet for the next pick is idle once, in the fleet's cell, not also in the
+// loop's. Four workers run a static loop of four iterations whose tid-0 chunk
+// sleeps 50 ms, so workers 1-3 wait about 50 ms for the barrier.
+func TestRegistryMetricsFleetConservation(t *testing.T) {
+	start := time.Now()
+	reg, err := NewRegistry(RegistryConfig{NThreads: 4, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := reg.Submit(LoopRequest{N: 4, Body: func(tid int, _, _ int64) {
+		if tid == 0 {
+			time.Sleep(50 * time.Millisecond)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Wait()
+	reg.Close()
+	life := time.Since(start).Nanoseconds()
+	for tid, w := range reg.MetricsSnapshot().Workers {
+		if sum := w.BusyNs + w.SchedNs + w.IdleNs; sum > life {
+			t.Errorf("worker %d: busy %d + sched %d + idle %d = %d ns, more than the registry's %d ns life",
+				tid, w.BusyNs, w.SchedNs, w.IdleNs, sum, life)
+		}
 	}
 }
