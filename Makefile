@@ -15,7 +15,9 @@
 #                  internal/replay, aidsim, aidbench, examples/replay) does
 #                  not import internal/rt, and no Go file outside bench/
 #                  names rt.Schedule, rt.ParseSchedule or rt.Kind*, whose
-#                  home is internal/core; then a
+#                  home is internal/core; no line of the two engines' code
+#                  builds a trace.ChunkEvent or names obs.Batch, since a
+#                  grant is accounted once, in obs.Ledger; then a
 #                  darwin/arm64 and a windows build of everything outside
 #                  bench/, whose spinners are Linux-only, so that the
 #                  non-Linux twin of a Linux-only file keeps compiling),
@@ -87,7 +89,9 @@ ci: vet build race race-multiloop examples
 # an imbalance function or sums a timeline state with TimeIn, every non-test
 # line of an AID scheduler that names sync.Mutex, and every non-test line of
 # internal/core outside sampler.go that completes a phase or scales a sample
-# by 1024; grep passes them on and makes any such line a failure. The two
+# by 1024, and every non-test line of rt or sim that builds a chunk event or
+# names obs.Batch instead of calling a ledger lane; grep passes them on and
+# makes any such line a failure. The two
 # cross builds compile the build-tagged twins (internal/rt's worker
 # placement) that a Linux build never sees; go build of several packages
 # writes no binary.
@@ -102,6 +106,7 @@ vet:
 	! $(GO) list -deps ./internal/rt | grep -x 'repro/internal/sim'
 	! $(GO) list -deps ./internal/exps ./internal/replay ./cmd/aidsim ./cmd/aidbench ./examples/replay | grep -x 'repro/internal/rt'
 	! git grep --untracked -nE '(^|[^[:alnum:]_.])rt\.(Schedule|ParseSchedule|Kind)' -- '*.go' ':!bench/' | grep .
+	! git grep --untracked -nE 'trace\.ChunkEvent\{|obs\.Batch' -- internal/rt internal/sim ':!*_test.go' | grep .
 	GOOS=darwin GOARCH=arm64 $(GO) build ./internal/... ./cmd/... ./examples/...
 	GOOS=windows $(GO) build ./internal/... ./cmd/... ./examples/...
 

@@ -3,7 +3,7 @@
 // share a metrics-enabled registry; while they run, a scraper goroutine
 // samples the fleet counters the way a Prometheus endpoint would. After the
 // barriers release the example prints each loop's counter snapshot (chunks,
-// steals by provenance tier, credit traffic, busy/sched/idle split), a few
+// steals by provenance tier, credit traffic, busy/sched split), a few
 // lines of the Prometheus text rendering, and finally the offline analyzer's
 // report — per-thread Gantt strips and the steal matrix — rebuilt from the
 // same run's captured event tape.
@@ -95,13 +95,13 @@ func main() {
 	<-scrapeDone
 
 	fmt.Println("\nper-loop counters:")
-	fmt.Printf("%-12s %8s %9s %6s %8s %9s %9s %9s\n",
-		"loop", "chunks", "iters", "steals", "credit", "busy-ms", "sched-ms", "idle-ms")
+	fmt.Printf("%-12s %8s %9s %6s %8s %9s %9s\n",
+		"loop", "chunks", "iters", "steals", "credit", "busy-ms", "sched-ms")
 	for i, st := range statsOf {
 		m := st.Metrics
-		fmt.Printf("%-12s %8d %9d %6d %8d %9.2f %9.2f %9.2f\n",
+		fmt.Printf("%-12s %8d %9d %6d %8d %9.2f %9.2f\n",
 			names[i], m.Chunks, m.Iters, m.Steals(), m.CreditClaimed,
-			float64(m.BusyNs)/1e6, float64(m.SchedNs)/1e6, float64(m.IdleNs)/1e6)
+			float64(m.BusyNs)/1e6, float64(m.SchedNs)/1e6)
 	}
 
 	// The same totals in the wire format a scraper fetches.

@@ -4,10 +4,11 @@
 // steal matrices and Chrome trace-event exports.
 //
 // The live half is Metrics: one cache-line-sized counter Cell per worker,
-// updated on the engines' chunk-grant hot path and scraped at any time into
-// a Snapshot (e.g. by aidserve's -metrics Prometheus endpoint). The offline
-// half is Analyze/WriteReport/ExportChrome, the cmd/aidstat backend. Analyze
-// adds only the steals by tier to the record's trace.Digest, which owns the
+// scraped at any time into a Snapshot (e.g. by aidserve's -metrics
+// Prometheus endpoint), and Ledger, the one accounting of a loop's grants
+// that both engines call on their chunk-grant hot path. The offline half is
+// Analyze/WriteReport/ExportChrome, the cmd/aidstat backend. Analyze adds
+// only the steals by tier to the record's trace.Digest, which owns the
 // per-thread busy/sched/sync times, the per-loop summaries and the one
 // imbalance formula, 100·(max − min)/max busy — the same numbers
 // replay.Diff compares.
@@ -19,17 +20,21 @@
 // pinned by a layout or allocation test.
 //
 //  1. One cell per worker, one writer per cell. Cell tid is updated only by
-//     worker tid while the worker serves a loop. Because each counter has a
-//     single writer, updates are owner-side read-modify-writes expressed as
-//     atomic Load+Store pairs — plain MOV loads and stores on x86, no LOCK
-//     prefix — which keeps the metrics-on hot path within the overhead
-//     budget while staying exactly as visible to concurrent scrapers (and
-//     to the race detector) as atomic.Add would be.
+//     worker tid while the worker serves a loop, through its lane of the
+//     loop's ledger. Because each counter has a single writer, updates are
+//     owner-side read-modify-writes expressed as atomic Load+Store pairs —
+//     plain MOV loads and stores on x86, no LOCK prefix — which keeps the
+//     metrics-on hot path within the overhead budget while staying exactly
+//     as visible to concurrent scrapers (and to the race detector) as
+//     atomic.Add would be. A lane adds into a plain batch and applies it to
+//     its cell every 32 chunks and when its worker leaves the loop.
 //
 //  2. Cells are exactly two cache lines (128 bytes, pinned by
-//     TestCellLayout). Neighbouring workers' per-chunk updates therefore
-//     never share a line, the same false-sharing rule the registry's
-//     workerCell and the pool's shard obey.
+//     TestCellLayout), and so are a ledger's lanes (TestRegistryHotLayout).
+//     Neighbouring workers' per-chunk updates therefore never share a line,
+//     the same false-sharing rule the pool's shard obeys. A loop owns its
+//     workers' barrier waits only when it owns its fleet: a team's lanes
+//     charge them, a fleet's do not (Ledger).
 //
 //  3. Updates never allocate. Cell methods touch only the cell's own
 //     fields; Snapshot (which allocates its result slices) runs on cold
@@ -44,22 +49,18 @@
 //     same Metrics. Delta of two such snapshots is therefore always
 //     non-negative per counter.
 //
-//  5. Quiescent-merge writes are the one exception to rule 1: when a
-//     loop's barrier releases, the retiring worker folds barrier-wait idle
-//     time into cells it does not own. By then every worker has retired from the loop — the cells are
-//     quiescent — and the engines serialize the merge (the registry under
-//     its lock, the simulator on its single goroutine), so the single-
-//     writer discipline is preserved in time rather than by thread
-//     identity.
+//  5. Quiescent-merge writes are the one exception to rule 1: Ledger.Release,
+//     the loop's barrier release, charges a team's barrier waits to cells
+//     it does not own. By then every worker has retired from the loop — the
+//     cells are quiescent — and the engines serialize the release (the
+//     registry under its lock, the simulator on its single goroutine), so
+//     the single-writer discipline is preserved in time rather than by
+//     thread identity. A fleet's release writes no cell: a retired fleet
+//     worker's wait belongs to the fleet, which counts it once.
 //
-// What metrics cost is mostly the clock. Busy and sched time come from the
+// What metrics cost is mostly the clock: busy and sched time come from the
 // registry chunk loop's two stamps, which an unobserved, unthrottled worker
-// no longer takes (internal/rt/doc.go, "The per-chunk budget"), so turning
-// Metrics on puts up to two 33 ns clock reads per chunk back. On the bench
-// ladder's fine registry rung (chunk 1, ~19 ns body, 1B+1S fleet, two-CPU
-// host) obs.metrics_overhead_pct read 8 % while the unobserved worker still
-// took both reads and 124 % after it stopped: the off path got faster, the
-// on path is unchanged.
+// does not take (internal/rt/doc.go, "The per-chunk budget").
 //
 // Steals are bucketed by provenance tier — TierHome (the chunk came from
 // the worker's home shard or a shared pool), TierSamePkg (a foreign shard

@@ -156,11 +156,15 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_]+="[^"]*
 
 func TestWritePrometheusFormat(t *testing.T) {
 	m := obs.New(2, 2, func(tid int) int { return tid % 2 })
-	m.Cell(0).Grant(10, obs.TierHome)
-	m.Cell(0).Busy(500)
-	m.Cell(1).Grant(5, obs.TierCross)
+	var l obs.Ledger
+	l.Arm([]int{0, 1}, [][]int{{0, 2}, {2, 0}}, m, nil, nil, 0, false)
+	l.Lane(0).Chunk(core.Assign{Hi: 10}, 0, 0, 500, 0)
+	cross := core.Assign{Hi: 5, AssignCredit: core.AssignCredit{CreditClaimed: 32}} // worker 1 from type 0's shard
+	l.Lane(1).Call(cross, 0, 0)
+	l.Lane(1).Chunk(cross, 0, 0, 0, 0)
+	l.Lane(0).Flush()
+	l.Lane(1).Flush()
 	m.Cell(1).Idle(100)
-	m.Cell(1).Credit(32)
 	var buf bytes.Buffer
 	if err := obs.WritePrometheus(&buf, "", m.Snapshot()); err != nil {
 		t.Fatal(err)

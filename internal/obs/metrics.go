@@ -61,94 +61,49 @@ type Cell struct {
 // same word, legal because the owner is the only writer (invariant 1).
 func bump(c *atomic.Int64, n int64) { c.Store(c.Load() + n) }
 
-// Grant records one chunk grant of n iterations at the given provenance
-// tier (Tier). Owner-only.
-func (c *Cell) Grant(n int64, tier int) {
-	bump(&c.chunks, 1)
-	bump(&c.iters, n)
-	switch tier {
-	case TierSamePkg:
-		bump(&c.stealsSamePkg, 1)
-	case TierCross:
-		bump(&c.stealsCross, 1)
-	default:
-		bump(&c.stealsHome, 1)
-	}
-}
-
-// Credit records the batched credit path's pool traffic for one scheduler
-// call: the iterations it newly removed from the pool. No-op when zero (the
-// common thread-local draw). Owner-only.
-func (c *Cell) Credit(claimed int64) {
-	if claimed != 0 {
-		bump(&c.creditClaimed, claimed)
-	}
-}
-
-// Busy adds chunk-execution time. Owner-only.
-func (c *Cell) Busy(ns int64) { bump(&c.busyNs, ns) }
-
-// Sched adds runtime-system (scheduler-call) time. Owner-only.
-func (c *Cell) Sched(ns int64) { bump(&c.schedNs, ns) }
-
 // Idle adds time spent without work (waiting for a pick, or parked at a
-// barrier). Owner-only.
+// barrier). Owner-only, or the quiescent merge of a barrier release.
 func (c *Cell) Idle(ns int64) { bump(&c.idleNs, ns) }
 
-// Batch is a worker-local accumulator for the hottest loops. Go's atomic
-// stores compile to serializing instructions (XCHG on amd64), so even
-// uncontended owner-side bumps cost tens of nanoseconds per chunk at fine
-// granularity; a hot loop instead adds into a Batch's plain fields —
-// ordinary register/stack arithmetic — and applies it to its cell every few
-// dozen chunks (and at every burst boundary), amortizing the atomic stores
-// to a fraction of a chunk. Scrapers lag the owner by at most one
-// unflushed batch; totals are exact after Apply at retirement.
-type Batch struct {
-	Chunks, Iters           int64
-	Steals                  [3]int64 // indexed by tier (TierHome..TierCross)
-	CreditClaimed           int64
-	BusyNs, SchedNs, IdleNs int64
+// batch is a lane's accumulator (ledger.go). Go's atomic stores compile to
+// serializing instructions (XCHG on amd64), so even uncontended owner-side
+// bumps cost tens of nanoseconds per chunk at fine granularity; a lane
+// instead adds into its batch's plain fields and applies the batch to its
+// cell every flushEvery chunks and whenever its worker leaves the loop,
+// amortizing the atomic stores to a fraction of a chunk. Scrapers lag the
+// owner by at most one unflushed batch; totals are exact after the apply at
+// retirement.
+type batch struct {
+	Chunks, Iters   int64
+	Steals          [3]int64 // indexed by tier (TierHome..TierCross)
+	CreditClaimed   int64
+	BusyNs, SchedNs int64
 }
 
-// Grant accumulates one chunk grant of n iterations at the given tier.
-func (b *Batch) Grant(n int64, tier int) {
+// grant accumulates one chunk grant of n iterations at the given tier.
+func (b *batch) grant(n int64, tier int) {
 	b.Chunks++
 	b.Iters += n
 	b.Steals[tier]++
 }
 
-// Apply folds the batch into the cell and zeroes it. Owner-only, like every
+// apply folds the batch into the cell and zeroes it. Owner-only, like every
 // cell write; zero counters are skipped so an empty flush costs only the
 // field checks.
-func (c *Cell) Apply(b *Batch) {
-	if b.Chunks != 0 {
-		bump(&c.chunks, b.Chunks)
+func (c *Cell) apply(b *batch) {
+	for _, f := range [...]struct {
+		c *atomic.Int64
+		n int64
+	}{
+		{&c.chunks, b.Chunks}, {&c.iters, b.Iters},
+		{&c.stealsHome, b.Steals[TierHome]}, {&c.stealsSamePkg, b.Steals[TierSamePkg]}, {&c.stealsCross, b.Steals[TierCross]},
+		{&c.creditClaimed, b.CreditClaimed}, {&c.busyNs, b.BusyNs}, {&c.schedNs, b.SchedNs},
+	} {
+		if f.n != 0 {
+			bump(f.c, f.n)
+		}
 	}
-	if b.Iters != 0 {
-		bump(&c.iters, b.Iters)
-	}
-	if b.Steals[TierHome] != 0 {
-		bump(&c.stealsHome, b.Steals[TierHome])
-	}
-	if b.Steals[TierSamePkg] != 0 {
-		bump(&c.stealsSamePkg, b.Steals[TierSamePkg])
-	}
-	if b.Steals[TierCross] != 0 {
-		bump(&c.stealsCross, b.Steals[TierCross])
-	}
-	if b.CreditClaimed != 0 {
-		bump(&c.creditClaimed, b.CreditClaimed)
-	}
-	if b.BusyNs != 0 {
-		bump(&c.busyNs, b.BusyNs)
-	}
-	if b.SchedNs != 0 {
-		bump(&c.schedNs, b.SchedNs)
-	}
-	if b.IdleNs != 0 {
-		bump(&c.idleNs, b.IdleNs)
-	}
-	*b = Batch{}
+	*b = batch{}
 }
 
 // load scrapes the cell into plain counters (concurrent-scraper safe).
@@ -181,33 +136,19 @@ type Counters struct {
 	BusyNs, SchedNs, IdleNs int64
 }
 
-// plus returns the element-wise sum.
-func (c Counters) plus(o Counters) Counters {
+// plus returns c + sign·o, element-wise: the sum for sign 1, the
+// difference for -1.
+func (c Counters) plus(o Counters, sign int64) Counters {
 	return Counters{
-		Chunks:        c.Chunks + o.Chunks,
-		Iters:         c.Iters + o.Iters,
-		StealsHome:    c.StealsHome + o.StealsHome,
-		StealsSamePkg: c.StealsSamePkg + o.StealsSamePkg,
-		StealsCross:   c.StealsCross + o.StealsCross,
-		CreditClaimed: c.CreditClaimed + o.CreditClaimed,
-		BusyNs:        c.BusyNs + o.BusyNs,
-		SchedNs:       c.SchedNs + o.SchedNs,
-		IdleNs:        c.IdleNs + o.IdleNs,
-	}
-}
-
-// minus returns the element-wise difference.
-func (c Counters) minus(o Counters) Counters {
-	return Counters{
-		Chunks:        c.Chunks - o.Chunks,
-		Iters:         c.Iters - o.Iters,
-		StealsHome:    c.StealsHome - o.StealsHome,
-		StealsSamePkg: c.StealsSamePkg - o.StealsSamePkg,
-		StealsCross:   c.StealsCross - o.StealsCross,
-		CreditClaimed: c.CreditClaimed - o.CreditClaimed,
-		BusyNs:        c.BusyNs - o.BusyNs,
-		SchedNs:       c.SchedNs - o.SchedNs,
-		IdleNs:        c.IdleNs - o.IdleNs,
+		Chunks:        c.Chunks + sign*o.Chunks,
+		Iters:         c.Iters + sign*o.Iters,
+		StealsHome:    c.StealsHome + sign*o.StealsHome,
+		StealsSamePkg: c.StealsSamePkg + sign*o.StealsSamePkg,
+		StealsCross:   c.StealsCross + sign*o.StealsCross,
+		CreditClaimed: c.CreditClaimed + sign*o.CreditClaimed,
+		BusyNs:        c.BusyNs + sign*o.BusyNs,
+		SchedNs:       c.SchedNs + sign*o.SchedNs,
+		IdleNs:        c.IdleNs + sign*o.IdleNs,
 	}
 }
 
@@ -264,7 +205,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	for i := range m.cells {
 		w := m.cells[i].load()
 		s.Workers[i] = w
-		s.Counters = s.Counters.plus(w)
+		s.Counters = s.Counters.plus(w, 1)
 		s.OccupancyNs[m.types[i]] += w.BusyNs
 	}
 	return s
@@ -284,47 +225,25 @@ type Snapshot struct {
 // Delta returns the change from prev to s, element-wise. Both snapshots
 // should come from the same Metrics (or Add-compatible aggregates); every
 // counter of the result is non-negative then (invariant 4).
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	d := Snapshot{Counters: s.Counters.minus(prev.Counters)}
-	d.OccupancyNs = make([]int64, len(s.OccupancyNs))
-	copy(d.OccupancyNs, s.OccupancyNs)
-	for t := range prev.OccupancyNs {
-		if t < len(d.OccupancyNs) {
-			d.OccupancyNs[t] -= prev.OccupancyNs[t]
-		}
-	}
-	d.Workers = make([]Counters, len(s.Workers))
-	copy(d.Workers, s.Workers)
-	for i := range prev.Workers {
-		if i < len(d.Workers) {
-			d.Workers[i] = d.Workers[i].minus(prev.Workers[i])
-		}
-	}
-	return d
-}
+func (s Snapshot) Delta(prev Snapshot) Snapshot { return s.plus(prev, -1) }
 
 // Add returns the element-wise sum of two snapshots (e.g. folding several
-// loops' metrics into a fleet view). Slices are sized to the longer
-// operand; neither operand is mutated.
-func (s Snapshot) Add(o Snapshot) Snapshot {
-	r := Snapshot{Counters: s.Counters.plus(o.Counters)}
-	no := len(s.OccupancyNs)
-	if len(o.OccupancyNs) > no {
-		no = len(o.OccupancyNs)
-	}
-	r.OccupancyNs = make([]int64, no)
+// loops' metrics into a fleet view).
+func (s Snapshot) Add(o Snapshot) Snapshot { return s.plus(o, 1) }
+
+// plus returns s + sign·o, element-wise, in new slices sized to the longer
+// operand.
+func (s Snapshot) plus(o Snapshot, sign int64) Snapshot {
+	r := Snapshot{Counters: s.Counters.plus(o.Counters, sign),
+		OccupancyNs: make([]int64, max(len(s.OccupancyNs), len(o.OccupancyNs))),
+		Workers:     make([]Counters, max(len(s.Workers), len(o.Workers)))}
 	copy(r.OccupancyNs, s.OccupancyNs)
-	for t := range o.OccupancyNs {
-		r.OccupancyNs[t] += o.OccupancyNs[t]
+	for t, ns := range o.OccupancyNs {
+		r.OccupancyNs[t] += sign * ns
 	}
-	nw := len(s.Workers)
-	if len(o.Workers) > nw {
-		nw = len(o.Workers)
-	}
-	r.Workers = make([]Counters, nw)
 	copy(r.Workers, s.Workers)
-	for i := range o.Workers {
-		r.Workers[i] = r.Workers[i].plus(o.Workers[i])
+	for i, w := range o.Workers {
+		r.Workers[i] = r.Workers[i].plus(w, sign)
 	}
 	return r
 }

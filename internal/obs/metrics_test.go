@@ -47,18 +47,22 @@ func TestTier(t *testing.T) {
 	}
 }
 
+// count applies one grant of n iterations at tier, busy ns long, that claimed
+// credit iterations from the pool to c, the way a lane's flush does.
+func count(c *Cell, n int64, tier int, busy, credit int64) {
+	b := batch{Chunks: 1, Iters: n, CreditClaimed: credit, BusyNs: busy}
+	b.Steals[tier] = 1
+	c.apply(&b)
+}
+
 func TestSnapshotTotalsAndOccupancy(t *testing.T) {
 	// 4 workers, types 0,0,1,1.
 	m := New(4, 2, func(tid int) int { return tid / 2 })
-	m.Cell(0).Grant(10, TierHome)
-	m.Cell(0).Busy(100)
-	m.Cell(1).Grant(5, TierSamePkg)
-	m.Cell(1).Busy(50)
-	m.Cell(2).Grant(3, TierCross)
-	m.Cell(2).Busy(30)
-	m.Cell(2).Credit(8)
+	count(m.Cell(0), 10, TierHome, 100, 0)
+	count(m.Cell(1), 5, TierSamePkg, 50, 0)
+	count(m.Cell(2), 3, TierCross, 30, 8)
 	m.Cell(3).Idle(40)
-	m.Cell(3).Sched(7)
+	m.Cell(3).apply(&batch{SchedNs: 7})
 
 	s := m.Snapshot()
 	if s.Chunks != 3 || s.Iters != 18 {
@@ -86,11 +90,10 @@ func TestSnapshotTotalsAndOccupancy(t *testing.T) {
 
 func TestSnapshotDeltaAndAdd(t *testing.T) {
 	m := New(2, 2, func(tid int) int { return tid })
-	m.Cell(0).Grant(4, TierHome)
-	m.Cell(0).Busy(10)
+	count(m.Cell(0), 4, TierHome, 10, 0)
 	prev := m.Snapshot()
-	m.Cell(0).Grant(6, TierCross)
-	m.Cell(1).Busy(5)
+	count(m.Cell(0), 6, TierCross, 0, 0)
+	m.Cell(1).apply(&batch{BusyNs: 5})
 	cur := m.Snapshot()
 
 	d := cur.Delta(prev)
@@ -131,8 +134,7 @@ func TestSnapshotConcurrentScrape(t *testing.T) {
 				return
 			default:
 			}
-			m.Cell(0).Grant(1, TierHome)
-			m.Cell(0).Busy(2)
+			count(m.Cell(0), 1, TierHome, 2, 0)
 		}
 	}()
 	var last Snapshot

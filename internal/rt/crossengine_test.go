@@ -230,7 +230,11 @@ var _ = fmt.Sprintf // keep fmt for debug additions
 // TestGrantExecIsRunningTime pins the invariant trace.Record.Digest rests on:
 // in a record with a timeline, each thread's grants' ExecNs sum to its
 // timeline Running time, under both engines — an aidtrace-style simulator
-// record of EP under AID-dynamic, and a Team capture on real goroutines.
+// record of EP under AID-dynamic, and a Team capture on real goroutines. It
+// also pins the barrier-wait rule both engines' ledgers follow for a team:
+// each thread's Sync time runs from its retirement, the end of the runtime
+// call its retire event opens, to the release, the last retirement (the
+// record's end, before the simulator's join half of the fork/join cost).
 func TestGrantExecIsRunningTime(t *testing.T) {
 	pl := amp.PlatformA()
 	sched := core.Schedule{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5}
@@ -261,9 +265,27 @@ func TestGrantExecIsRunningTime(t *testing.T) {
 			t.Fatalf("%s: record has no timeline", c.engine)
 		}
 		busy := make([]int64, c.rec.NThreads)
+		retired := make([]int64, c.rec.NThreads)
 		for _, ev := range c.rec.Events {
 			if !ev.Retire {
 				busy[ev.Tid] += ev.ExecNs
+			} else {
+				retired[ev.Tid] = ev.TimeNs
+			}
+		}
+		release := c.rec.StartNs + c.rec.MakespanNs
+		if c.engine == "sim" {
+			fj := c.rec.Platform.Overhead.ForkJoinNs
+			release -= int64(fj) - int64(fj/2)
+		}
+		for tid, r := range retired {
+			for _, iv := range tr.Intervals(tid) {
+				if iv.State == trace.Sched && iv.Start <= r && r < iv.End {
+					r = min(iv.End, release) // the retire call; a join may extend it
+				}
+			}
+			if sync := tr.TimeIn(tid, trace.Sync); sync != release-r {
+				t.Errorf("%s t%d: %d ns of Sync, want release %d - retirement %d = %d", c.engine, tid, sync, release, r, release-r)
 			}
 		}
 		var total int64

@@ -88,11 +88,7 @@
 //	rt.self_ns           129 ns               102 ns                  41 ns
 //
 // fine_chunk's p50_ms went from 120.7 to 101.0 ms and its iters_per_s from
-// 3.57e7 to 4.26e7 (10 alternating 20 s pairs, every pair faster). The
-// first column is the loop as it was built when merging it into one path
-// with chained stamps took rt.self_ns from 205 to 104 ns (3-5 reads per
-// chunk, some of them time.Now at 57 ns, down to 2 of r.now), measured on
-// a later tree.
+// 3.57e7 to 4.26e7 (10 alternating 20 s pairs, every pair faster).
 //
 // The AID drain row is worth most where the end-to-end median lives:
 // fine_chunk's p50_ms is its aid-hybrid,80,1 loop, 20 % of whose 4 M
@@ -104,21 +100,11 @@
 // rotations), so the gain is the clock's and not a luckier SF estimate's.
 //
 // The signal is a query and not a field of core.Assign, which every Next
-// returns by value. The compiler keeps a value in registers only when it is
-// at most 32 bytes and no struct in it has more than 4 fields
-// (cmd/compile/internal/ssa.TypeOK); a larger one is moved through memory on
-// every return. Assign was seven flat fields in 56 bytes, pinned there by
-// core.TestAssignLayout, when one bool more made the dynamic,1 chunk
-// 80-96 -> 108-112 ns (11-23 % slower in a repeat of four rotations). Since
-// then its fields are grouped into four, 32 bytes in all, and the test guards
-// the compiler's rule instead of a size: rt.chunk_ns went from 124 to 107 ns
-// and rt.self_ns from 65 to 48 ns (medians of five traced bench passes per
-// side, run alternately). A field more would send Assign back to memory,
-// while the clock-free path never asks. The per-thread query itself, before
-// the regrouping, moved the dynamic,1 rungs rt.chunk_ns 81.8 -> 87.5 ns and rt.self_ns 51.8 -> 49.7 ns over
-// twelve rotating traced passes per side (spreads 13 % and 48 %), and
-// 85.1 -> 83.0 and 79.8 -> 78.8 ns (fine and empty body) when only the two
-// rungs are repeated, eight rotations of eight fleets each.
+// returns by value and which one field more would send from registers back
+// to memory (core.Assign has the rule and its cost). The per-thread query
+// moved the dynamic,1 rungs rt.chunk_ns 81.8 -> 87.5 ns and rt.self_ns
+// 51.8 -> 49.7 ns over twelve rotating traced passes per side (spreads 13 %
+// and 48 %); the clock-free path never asks.
 //
 // Metrics and capture pay up to two reads per chunk that the unobserved
 // worker no longer pays, so turning them on costs more than it did:
@@ -141,7 +127,7 @@
 //
 // Construction is not where Submit's time goes; it was where its memory
 // went. Now a released loop's scheduler goes on the registry's free list,
-// together with its cells (its retirement flags stay in its fleet slot, for
+// together with its ledger (its retirement flags stay in its fleet slot, for
 // the next admission), and a later Submit of the same schedule re-arms it
 // through core.Resettable, which makes it the same
 // scheduler as a new one (core.TestResetEquivalence). Per Submit+Wait of a

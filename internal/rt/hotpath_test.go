@@ -10,18 +10,24 @@ import (
 
 	"repro/internal/amp"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
 // TestRegistryHotLayout is the false-sharing guard for the registry's hot
-// data, the rt companion of pool.TestShardLayout: per-worker cells must each
-// fill exactly one cache line (so worker i's updates never invalidate worker
-// i+1's line), and the admission generation — loaded by every worker once per
-// served chunk — must sit clear of both the control plane's mutex and the
-// fields before it.
+// data, the rt companion of pool.TestShardLayout: the per-worker lanes of a
+// loop's ledger must each fill whole cache lines (so worker i's updates never
+// invalidate worker i+1's line), and the admission generation — loaded by
+// every worker once per served chunk — must sit clear of both the control
+// plane's mutex and the fields before it.
 func TestRegistryHotLayout(t *testing.T) {
-	if got := unsafe.Sizeof(workerCell{}); got != 64 {
-		t.Errorf("sizeof(workerCell) = %d, want 64 (one cache line per worker)", got)
+	var ledger obs.Ledger
+	ledger.Arm(make([]int, 2), nil, nil, nil, nil, 0, false)
+	if got := unsafe.Sizeof(obs.Lane{}); got != 128 {
+		t.Errorf("sizeof(obs.Lane) = %d, want 128 (two cache lines per worker)", got)
+	}
+	if d := uintptr(unsafe.Pointer(ledger.Lane(1))) - uintptr(unsafe.Pointer(ledger.Lane(0))); d != 128 {
+		t.Errorf("adjacent lanes are %d bytes apart, want 128", d)
 	}
 	var r Registry
 	prevEnd := unsafe.Offsetof(r.metrics) + unsafe.Sizeof(r.metrics)

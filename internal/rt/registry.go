@@ -1,9 +1,9 @@
 package rt
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -65,9 +65,11 @@ type Registry struct {
 	// layer's provenance-tier bucketing (nil-safe; obs.Tier handles it).
 	dist [][]int
 	// metrics, when non-nil, holds the fleet-level counter cells — idle
-	// time between picks lands here; per-loop counters live on each Loop.
-	// Enabled by RegistryConfig.Metrics for the registry's lifetime.
+	// time between picks, barrier waits included, lands here; per-loop
+	// counters live on each Loop. Enabled by RegistryConfig.Metrics for the
+	// registry's lifetime.
 	metrics *obs.Metrics
+	team    bool // a Team's: its one loop owns the barrier waits (obs.Ledger)
 
 	// gen counts admissions; workers snapshot it at pick time and re-enter
 	// the policy when it changes, so a newly submitted loop is noticed even
@@ -121,11 +123,11 @@ func keyOf(s core.Schedule) (k schedKey, ok bool) {
 }
 
 // freeLoop is one released loop's reusable storage: its scheduler, which owns
-// the loop's sharded pool, and its per-worker cells.
+// the loop's sharded pool, and its ledger.
 type freeLoop struct {
-	key   schedKey
-	sched core.Resettable
-	cells []workerCell
+	key    schedKey
+	sched  core.Resettable
+	ledger *obs.Ledger
 }
 
 // RegistryConfig configures NewRegistry.
@@ -152,7 +154,8 @@ type RegistryConfig struct {
 	// of the chunk loop's stamps, which an unobserved, unthrottled worker
 	// skips, so metrics cost up to two clock reads per chunk plus a few
 	// plain adds into a batch flushed every 32 chunks (./bench measures it
-	// as obs.metrics_overhead_pct; doc.go has the budget).
+	// as obs.metrics_overhead_pct; doc.go has the budget). A loop's IdleNs
+	// is zero: the fleet's cells count a worker's barrier wait (obs.Ledger).
 	Metrics bool
 }
 
@@ -324,18 +327,14 @@ type Loop struct {
 	// Registry.mu).
 	slot int
 
-	// sched, cells and sfView are the loop's until its barrier releases; then
-	// retire hands them to the free list and sets them to nil under
+	// sched, ledger and sfView are the loop's until its barrier releases;
+	// then retire hands them to the free list and sets them to nil under
 	// Registry.mu, so whatever reads them after release must hold that lock
 	// and check.
 	sched core.Scheduler
-	// cells is worker-indexed: cell tid is written only by worker tid and
-	// read by retire once every worker has retired (each retirement passes
-	// through the registry lock). One padded cell per worker replaces the
-	// old parallel iters/accesses/finishNs slices, whose 8-byte slots shared
-	// cache lines across workers — every chunk's counter bump invalidated
-	// the line of up to seven neighbours.
-	cells []workerCell
+	// ledger accounts the loop's grants: lane tid is written only by worker
+	// tid, and retire releases it once every worker has retired.
+	ledger *obs.Ledger
 
 	// sfView caches the scheduler's zero-copy live-SF interface (nil when
 	// unsupported), so the per-pick candidate build is a plain call, not a
@@ -343,14 +342,13 @@ type Loop struct {
 	sfView core.SFLiveViewer
 
 	// metrics is non-nil when the registry runs with counters enabled: the
-	// loop's per-worker cells (internal/obs), written on the hot path by
-	// single-writer bumps and merged into LoopStats.Metrics at barrier
-	// release.
+	// loop's per-worker cells (internal/obs), which its ledger's lanes flush
+	// into and MetricsSnapshot scrapes.
 	metrics *obs.Metrics
 
-	// capture is non-nil when the loop records its execution: slot tid is
-	// a private tape appended only by worker tid (published like cells).
-	capture []paddedTape
+	// capture is non-nil when the loop records its execution: the sink of
+	// its ledger, whose tape tid is appended only by worker tid.
+	capture tapes
 	startNs int64
 	// captureCompact/captureMax are the sampled-capture reductions applied
 	// when the tapes merge (see LoopRequest).
@@ -361,20 +359,6 @@ type Loop struct {
 	latency   time.Duration
 	stats     LoopStats
 	done      chan struct{}
-}
-
-// workerCell is one worker's private counters for one loop: iterations
-// executed, pool accesses charged, and the worker's retirement time on the
-// fleet clock. retire publishes finishNs only for an observed loop (metrics
-// or capture), so an unobserved worker, which skips the clock reads nothing
-// else consumes, may leave a stale stamp there. Padded to exactly one
-// cache line so neighbouring workers' per-chunk updates never contend; the
-// size is pinned by a layout test.
-type workerCell struct {
-	iters    int64
-	accesses int64
-	finishNs int64
-	_        [40]byte
 }
 
 // ID returns the loop's admission-ordered identifier.
@@ -467,12 +451,15 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 	if v, ok := l.sched.(core.SFLiveViewer); ok {
 		l.sfView = v
 	}
+	var tl obs.Timeline
+	var evs obs.Events
 	if r.metrics != nil {
 		l.metrics = obs.New(r.nthreads, len(r.platform.Clusters), r.typeOf)
 		l.startNs = r.now()
 	}
 	if req.Capture {
-		l.capture = make([]paddedTape, r.nthreads)
+		l.capture = make(tapes, r.nthreads)
+		tl, evs = l.capture, l.capture
 		l.startNs = r.now()
 		l.captureCompact = req.CaptureCompact
 		l.captureMax = req.CaptureMaxEvents
@@ -494,6 +481,7 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 			})
 		}
 	}
+	l.ledger.Arm(r.types, r.dist, l.metrics, tl, evs, 0, r.team)
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -520,10 +508,10 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 	return l, nil
 }
 
-// arm gives l a scheduler armed for its trip count and zeroed per-worker
-// storage: a released loop's, re-armed through core.Resettable outside the
-// lock, when the free list holds one of l's schedule, and new ones
-// otherwise.
+// arm gives l a scheduler armed for its trip count and a ledger for Submit
+// to arm: a released loop's, the scheduler re-armed through core.Resettable
+// outside the lock, when the free list holds one of l's schedule, and new
+// ones otherwise.
 func (r *Registry) arm(l *Loop) error {
 	info := r.loopInfo(l.n)
 	if key, ok := keyOf(l.schedule); ok {
@@ -531,8 +519,7 @@ func (r *Registry) arm(l *Loop) error {
 		fl, ok := r.takeFree(key)
 		r.mu.Unlock()
 		if ok {
-			clear(fl.cells)
-			l.sched, l.cells = fl.sched, fl.cells
+			l.sched, l.ledger = fl.sched, fl.ledger
 			return fl.sched.Reset(info)
 		}
 	}
@@ -540,8 +527,7 @@ func (r *Registry) arm(l *Loop) error {
 	if err != nil {
 		return err
 	}
-	l.sched = sched
-	l.cells = make([]workerCell, r.nthreads)
+	l.sched, l.ledger = sched, new(obs.Ledger)
 	return nil
 }
 
@@ -571,9 +557,9 @@ func (r *Registry) recycle(l *Loop) {
 			copy(r.free, r.free[1:])
 			r.free = r.free[:maxFree-1]
 		}
-		r.free = append(r.free, freeLoop{key, rs, l.cells})
+		r.free = append(r.free, freeLoop{key, rs, l.ledger})
 	}
-	l.sched, l.sfView, l.cells = nil, nil, nil
+	l.sched, l.sfView, l.ledger = nil, nil, nil
 }
 
 // BuildRecord assembles a serializable run record from completed captured
@@ -661,14 +647,14 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 			phs = append(phs, p)
 		}
 	}
-	sortEvents(evs)
+	slices.SortFunc(evs, eventOrder)
 	rec.ReserveChunks(len(evs))
 	for _, ev := range evs {
 		rec.Chunk(ev)
 	}
 	// Per-loop phase streams are already sorted; interleave them
 	// chronologically across loops (stable, to preserve each stream).
-	sort.Stable(phaseEventOrder(phs))
+	slices.SortStableFunc(phs, phaseOrder)
 	for _, p := range phs {
 		rec.Phase(p)
 	}
@@ -698,11 +684,22 @@ func (r *Registry) Close() {
 	r.wg.Wait()
 }
 
-// paddedTape is one worker's private capture buffer; the pad keeps
-// neighbouring workers' tape headers off each other's cache lines.
-type paddedTape struct {
+// tapes is a captured loop's per-worker tapes, the timeline and the events
+// of its ledger: the lane of worker tid appends to tape tid only. The pad
+// keeps neighbouring workers' tape headers off each other's cache lines.
+type tapes []struct {
 	trace.WorkerTape
 	_ [64]byte
+}
+
+func (t tapes) Add(tid int, start, end int64, s trace.State) {
+	tp := &t[tid]
+	tp.Intervals = append(tp.Intervals, trace.Interval{Start: start, End: end, State: s})
+}
+
+func (t tapes) Chunk(ev trace.ChunkEvent) {
+	tp := &t[ev.Tid]
+	tp.Events = append(tp.Events, ev)
 }
 
 // tapeEstimate guesses how many chunk grants one worker will capture for a
@@ -712,17 +709,7 @@ type paddedTape struct {
 // append growth the reservation usually avoids, and the cap keeps a huge
 // coarse loop from reserving megabytes per worker up front.
 func tapeEstimate(n, chunk int64, nthreads int) int {
-	if chunk <= 0 {
-		chunk = 1
-	}
-	per := n/(chunk*int64(nthreads)) + 4
-	if per < 8 {
-		per = 8
-	}
-	if per > 1<<14 {
-		per = 1 << 14
-	}
-	return int(per)
+	return int(min(max(n/(max(chunk, 1)*int64(nthreads))+4, 8), 1<<14))
 }
 
 // worker is one fleet goroutine: pick a loop under the fairness policy,
@@ -734,8 +721,8 @@ func tapeEstimate(n, chunk int64, nthreads int) int {
 // worker drops end mid-burst once the scheduler stops needing it (doc.go has
 // the budget). The stamps are chained — a chunk's end is the next chunk's
 // nowNs, re-read only when a burst starts — and shared by the schedulers'
-// sampling, the small-core throttle, the metrics batch and the capture tape,
-// whose intervals therefore tile a burst without gaps.
+// sampling, the small-core throttle and the loop's ledger, whose metrics and
+// capture intervals therefore tile a burst without gaps.
 func (r *Registry) worker(tid int) {
 	defer r.wg.Done()
 	if r.cpus != nil {
@@ -745,11 +732,9 @@ func (r *Registry) worker(tid int) {
 	// worker: a chunk that ran d ns occupies the worker for d·(1+stretch),
 	// so its effective throughput is 1/slowdown of a big core's.
 	stretch := r.slowdown[tid] - 1
-	myType := r.types[tid]
-	// fleet is this worker's registry-lifetime counter cell (idle time spent
-	// between loops lands here, not on any tenant); per-loop counters go to
-	// mc below. Both are nil when the registry runs without metrics, and the
-	// bump sites cost a single predictable branch each.
+	// fleet is this worker's registry-lifetime counter cell, nil without
+	// metrics: its time without a loop — between loops, and waiting out the
+	// barrier of a loop it retired from — lands here, not on any tenant.
 	var fleet *obs.Cell
 	if r.metrics != nil {
 		fleet = r.metrics.Cell(tid)
@@ -771,97 +756,56 @@ func (r *Registry) worker(tid int) {
 		if l == nil {
 			return
 		}
-		cell := &l.cells[tid]
-		// mb accumulates this burst's counter deltas in plain locals and is
-		// applied to the loop's cell every flushEvery chunks and at every
-		// burst exit — the batching that keeps the metrics path inside the
-		// overhead budget (see obs.Batch).
-		var mc *obs.Cell
-		var mb obs.Batch
-		if l.metrics != nil {
-			mc = l.metrics.Cell(tid)
-		}
-		var tp *trace.WorkerTape
-		if l.capture != nil {
-			tp = &l.capture[tid].WorkerTape
-		}
+		ln := l.ledger.Lane(tid)
+		ln.Seq = wseq
 		// split: something needs Next's time apart from the body's (the
-		// throttle stretches the body only; metrics and capture tell Sched
-		// from Running). clocked: something needs the chunk's end — split's
-		// consumers, or a scheduler that samples nowNs. An unthrottled,
-		// unobserved worker reads no clock per chunk under a clock-free
-		// schedule, and under any other asks again every flushEvery chunks,
-		// so an AID thread past its last sampling point drains clock-free too.
-		split := stretch > 0 || mc != nil || tp != nil
+		// throttle stretches the body only; the ledger's metrics and capture
+		// tell Sched from Running). clocked: something needs the chunk's end —
+		// split's consumers, or a scheduler that samples nowNs. An
+		// unthrottled, unobserved worker reads no clock per chunk under a
+		// clock-free schedule, and under any other asks again every askEvery
+		// chunks, so an AID thread past its last sampling point drains
+		// clock-free too.
+		split := stretch > 0 || l.metrics != nil || l.capture != nil
 		clocked := split || core.ReadsClock(l.sched, tid)
-		const flushEvery = 32
-		for served := 0; served < burst; served++ {
-			if r.gen.Load() != gen {
-				break // a new loop arrived: give the policy a say
+		const askEvery = 32
+		for served := 0; ; served++ {
+			if served == burst || r.gen.Load() != gen {
+				// The grant is used up, or a new loop arrived: publish the
+				// lane's counts and give the policy a say.
+				wseq = ln.Seq
+				ln.Flush()
+				break
 			}
 			asg, ok := l.sched.Next(tid, nowNs)
 			schedEnd := nowNs
 			if split {
 				schedEnd = r.now()
 			}
-			cell.accesses += int64(asg.PoolAccesses)
-			if mc != nil {
-				mb.SchedNs += schedEnd - nowNs
-				mb.CreditClaimed += int64(asg.CreditClaimed)
-			}
-			if tp != nil {
-				tp.Intervals = append(tp.Intervals, trace.Interval{Start: nowNs, End: schedEnd, State: trace.Sched})
-			}
+			ln.Call(asg, nowNs, schedEnd)
 			if !ok {
-				cell.finishNs = schedEnd
-				if tp != nil {
-					tp.Events = append(tp.Events, trace.ChunkEvent{Seq: wseq, TimeNs: nowNs,
-						Tid: tid, Shard: myType, Origin: int(asg.Origin), Retire: true,
-						PoolAccesses: int(asg.PoolAccesses), Timestamps: int(asg.Timestamps)})
-					wseq++
-				}
-				if mc != nil {
-					mc.Apply(&mb) // retire merges the cells under the lock
-				}
+				ln.Retire(asg, nowNs, schedEnd)
+				wseq = ln.Seq // once retire returns, the lane may be re-armed
 				r.retire(l, tid)
 				break
 			}
-			cell.iters += asg.N()
 			l.body(tid, asg.Lo, asg.Hi)
-			if !clocked {
-				continue // nowNs stays the last read
-			}
-			end := r.now()
-			if stretch > 0 {
-				// Busy wait, as a pinned thread on a slow core would keep its
-				// core busy; the spin's last read is the chunk's end.
-				for deadline := end + int64(float64(end-schedEnd)*stretch); end < deadline; {
-					end = r.now()
+			end := nowNs // stays the last read on the clock-free path
+			if clocked {
+				end = r.now()
+				if stretch > 0 {
+					// Busy wait, as a pinned thread on a slow core would keep
+					// its core busy; the spin's last read is the chunk's end.
+					for deadline := end + int64(float64(end-schedEnd)*stretch); end < deadline; {
+						end = r.now()
+					}
 				}
 			}
-			if mc != nil {
-				mb.Grant(asg.N(), obs.Tier(r.dist, myType, int(asg.Origin)))
-				mb.BusyNs += end - schedEnd
-				if mb.Chunks >= flushEvery {
-					mc.Apply(&mb)
-				}
-			}
-			if tp != nil {
-				tp.Intervals = append(tp.Intervals, trace.Interval{Start: schedEnd, End: end, State: trace.Running})
-				tp.Events = append(tp.Events, trace.ChunkEvent{Seq: wseq, TimeNs: nowNs,
-					Tid: tid, Lo: asg.Lo, Hi: asg.Hi, Shard: myType, Origin: int(asg.Origin),
-					ExecNs: end - schedEnd, PoolAccesses: int(asg.PoolAccesses), Timestamps: int(asg.Timestamps)})
-				wseq++
-			}
+			ln.Chunk(asg, nowNs, schedEnd, end, 0)
 			nowNs = end
-			if !split && served%flushEvery == flushEvery-1 && !core.ReadsClock(l.sched, tid) {
+			if clocked && !split && served%askEvery == askEvery-1 && !core.ReadsClock(l.sched, tid) {
 				clocked = false // and stays false: ReadsClock is monotone
 			}
-		}
-		if mc != nil {
-			// Burst exit without retirement (generation change): publish what
-			// the batch still holds before the next pick can land elsewhere.
-			mc.Apply(&mb)
 		}
 	}
 }
@@ -888,9 +832,10 @@ func (r *Registry) pick(tid int) (*Loop, int, uint64) {
 }
 
 // retire records that worker tid has no more work in loop l. The last
-// retirement releases the loop's barrier: the fleet drops the loop, its
-// stats are published, its scheduler goes to the free list, and Done/Wait
-// unblock.
+// retirement releases the loop's barrier: the fleet drops the loop, the
+// ledger's Release publishes its stats (under the registry lock, after every
+// worker's retirement — the quiescent merge of obs's counter invariants), its
+// scheduler and ledger go to the free list, and Done/Wait unblock.
 func (r *Registry) retire(l *Loop, tid int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -900,53 +845,30 @@ func (r *Registry) retire(l *Loop, tid int) {
 	r.slots[l.slot] = nil
 	l.latency = time.Since(l.submitted)
 	l.stats = LoopStats{
-		Iters:         make([]int64, len(l.cells)),
+		Iters:         make([]int64, r.nthreads),
 		SchedulerName: l.sched.Name(),
 	}
-	// maxFinish is the barrier-release stamp: the last worker's retirement
-	// on the fleet clock. Only an observed loop's workers stamp finishNs, so
-	// only an observed loop publishes it.
-	var maxFinish int64
-	for tid := range l.cells {
-		c := &l.cells[tid]
-		l.stats.Iters[tid] = c.iters
-		l.stats.PoolAccesses += c.accesses
-		maxFinish = max(maxFinish, c.finishNs)
-	}
+	maxFinish, accesses, snap := l.ledger.Release(0, l.stats.Iters, nil)
+	l.stats.PoolAccesses = accesses
 	if est, ok := l.sched.(core.SFEstimator); ok {
 		if sf, ready := est.SFEstimate(); ready {
 			l.stats.SFEstimate = sf
 		}
 	}
+	// Only an observed loop's workers read the clock for their retirement
+	// stamps, so only an observed loop publishes the release stamp.
 	if l.metrics != nil || l.capture != nil {
 		l.stats.StartNs, l.stats.EndNs = l.startNs, maxFinish
 	}
-	if l.metrics != nil {
-		l.finishMetrics(r, maxFinish)
+	if snap != nil {
+		l.stats.Metrics = snap
+		r.retiredAgg = r.retiredAgg.Add(*snap)
 	}
 	if l.capture != nil {
-		l.mergeCapture(r.nthreads, maxFinish)
+		l.mergeCapture()
 	}
 	r.recycle(l)
 	close(l.done)
-}
-
-// finishMetrics folds the loop's counter cells into its published stats at
-// barrier release (under the registry lock, after every worker's retirement
-// — the quiescent-merge window of obs's counter invariants). Each worker's
-// barrier wait, from its retirement to maxFinish, is charged as idle time
-// against its cell, and the snapshot is both attached to LoopStats and
-// accumulated into the registry's completed-loop aggregate for
-// MetricsSnapshot.
-func (l *Loop) finishMetrics(r *Registry, maxFinish int64) {
-	for tid := range l.cells {
-		if gap := maxFinish - l.cells[tid].finishNs; gap > 0 {
-			l.metrics.Cell(tid).Idle(gap)
-		}
-	}
-	snap := l.metrics.Snapshot()
-	l.stats.Metrics = &snap
-	r.retiredAgg = r.retiredAgg.Add(snap)
 }
 
 // MetricsSnapshot returns the live fleet-wide counter view: everything the
@@ -978,24 +900,22 @@ func (r *Registry) MetricsEnabled() bool { return r.metrics != nil }
 
 // mergeCapture folds the per-worker tapes into the loop's stats once the
 // barrier has released (runs under the registry lock, after every worker's
-// retirement published its tape). Sync time — each worker's wait between
-// its own retirement and the barrier release — is synthesized here, like
-// the simulator does at its implicit barrier.
-func (l *Loop) mergeCapture(nthreads int, maxFinish int64) {
+// retirement published its tape and the ledger's Release appended a team's
+// Sync intervals).
+func (l *Loop) mergeCapture() {
 	var nev, nph int
-	for tid := 0; tid < nthreads; tid++ {
+	for tid := range l.capture {
 		nev += len(l.capture[tid].Events)
 		nph += len(l.capture[tid].Phases)
 	}
-	tr := trace.New(nthreads)
+	tr := trace.New(len(l.capture))
 	evs := make([]trace.ChunkEvent, 0, nev)
 	phs := make([]trace.PhaseEvent, 0, nph)
-	for tid := 0; tid < nthreads; tid++ {
+	for tid := range l.capture {
 		tp := &l.capture[tid].WorkerTape
 		for _, iv := range tp.Intervals {
 			tr.Add(tid, iv.Start, iv.End, iv.State)
 		}
-		tr.Add(tid, l.cells[tid].finishNs, maxFinish, trace.Sync)
 		evs = append(evs, tp.Events...)
 		phs = append(phs, tp.Phases...)
 	}
@@ -1003,7 +923,7 @@ func (l *Loop) mergeCapture(nthreads int, maxFinish int64) {
 	// is the tie-break token BuildRecord needs when merging several loops'
 	// events whose wall-clock stamps collide; the Recorder assigns the
 	// global sequence when a record is built.
-	sortEvents(evs)
+	slices.SortFunc(evs, eventOrder)
 	// The sampled-capture reductions run here, after the merge sort and
 	// before publication: compaction needs the engines' event order, and
 	// the budget must bound what the loop's stats (and any record built
@@ -1012,44 +932,31 @@ func (l *Loop) mergeCapture(nthreads int, maxFinish int64) {
 		evs = trace.CompactEvents(evs)
 	}
 	evs = trace.TrimToBudget(evs, l.captureMax, l.captureMax/2)
-	sort.Sort(phaseEventOrder(phs))
+	slices.SortFunc(phs, phaseOrder)
 	l.stats.Trace = tr
 	l.stats.Events = evs
 	l.stats.Phases = phs
 }
 
-// chunkEventOrder orders captured events chronologically; timestamp ties
-// break by thread, then by the per-worker capture sequence (the ground
-// truth for one worker's grant order, which replay depends on). A named
-// sort.Interface instead of sort.Slice closures: the merge paths run per
-// barrier release, and the closure variants allocate on every call.
-type chunkEventOrder []trace.ChunkEvent
-
-func (e chunkEventOrder) Len() int      { return len(e) }
-func (e chunkEventOrder) Swap(i, j int) { e[i], e[j] = e[j], e[i] }
-func (e chunkEventOrder) Less(i, j int) bool {
-	if e[i].TimeNs != e[j].TimeNs {
-		return e[i].TimeNs < e[j].TimeNs
+// eventOrder orders captured events chronologically; timestamp ties break by
+// thread, then by the per-worker capture sequence (the ground truth for one
+// worker's grant order, which replay depends on).
+func eventOrder(a, b trace.ChunkEvent) int {
+	if a.TimeNs != b.TimeNs {
+		return cmp.Compare(a.TimeNs, b.TimeNs)
 	}
-	if e[i].Tid != e[j].Tid {
-		return e[i].Tid < e[j].Tid
+	if a.Tid != b.Tid {
+		return cmp.Compare(a.Tid, b.Tid)
 	}
-	return e[i].Seq < e[j].Seq
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
-// phaseEventOrder orders phase transitions chronologically, thread as the
+// phaseOrder orders phase transitions chronologically, thread as the
 // tie-break (per-loop streams are already internally ordered, so stable
 // merges across loops preserve each stream).
-type phaseEventOrder []trace.PhaseEvent
-
-func (e phaseEventOrder) Len() int      { return len(e) }
-func (e phaseEventOrder) Swap(i, j int) { e[i], e[j] = e[j], e[i] }
-func (e phaseEventOrder) Less(i, j int) bool {
-	if e[i].TimeNs != e[j].TimeNs {
-		return e[i].TimeNs < e[j].TimeNs
+func phaseOrder(a, b trace.PhaseEvent) int {
+	if a.TimeNs != b.TimeNs {
+		return cmp.Compare(a.TimeNs, b.TimeNs)
 	}
-	return e[i].Tid < e[j].Tid
+	return cmp.Compare(a.Tid, b.Tid)
 }
-
-// sortEvents orders captured events by chunkEventOrder.
-func sortEvents(evs []trace.ChunkEvent) { sort.Sort(chunkEventOrder(evs)) }

@@ -112,7 +112,9 @@ type LoopStats struct {
 	SFEstimate []float64
 	// Metrics is the loop's runtime-counter snapshot (chunks, steals by
 	// provenance tier, credit traffic, busy/sched/idle time) — populated
-	// only on registries built with RegistryConfig.Metrics.
+	// only on registries built with RegistryConfig.Metrics, and its IdleNs
+	// is zero: a registry's loops do not own their fleet, so a worker's
+	// barrier wait is the fleet's (obs.Ledger).
 	Metrics *obs.Snapshot
 
 	// The fields below are populated only for loops submitted with
@@ -123,8 +125,9 @@ type LoopStats struct {
 	StartNs, EndNs int64
 	// Trace is the merged per-worker wall-clock timeline: Sched for time
 	// inside the scheduler, Running for chunk execution (including the
-	// small-core throttle), Sync for the wait between a worker's
-	// retirement and the barrier release.
+	// small-core throttle), and on a Team, whose loop owns its fleet, Sync
+	// for the wait between a worker's retirement and the barrier release
+	// (obs.Ledger). A registry loop's timeline ends at each retirement.
 	Trace *trace.Trace
 	// Events is the loop's chunk-grant stream in wall-clock order; Seq
 	// holds each event's per-worker capture sequence (the tie-break token
@@ -169,6 +172,7 @@ func (t *Team) run(name string, n int64, body func(tid int, lo, hi int64), recor
 		return LoopStats{}, nil, err
 	}
 	defer reg.Close()
+	reg.team = true // the fleet is the loop's own, and so are its barrier waits
 	l, err := reg.Submit(LoopRequest{Name: name, N: n, Schedule: t.schedule, Body: body,
 		Capture: t.capture || record})
 	if err != nil {

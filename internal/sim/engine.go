@@ -31,6 +31,9 @@ type workspace struct {
 	// loop li lives in slot li, under ID li.
 	fleet *fair.Fleet
 
+	// ledgers[li] accounts loop li's grants.
+	ledgers []obs.Ledger
+
 	coreOf, typeOf, activeInCluster []int
 	arrive                          []int64
 	order                           []int
@@ -161,13 +164,18 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 	// contends with. setCur keeps the counts in step with cur transitions.
 	ws.engaged, ws.engagedTotal = sized(ws.engaged, nl*ntypes), sized(ws.engagedTotal, nl)
 	engaged, engagedTotal := ws.engaged, ws.engagedTotal
-	// Counter cells are keyed by each worker's home cluster at the start (a
-	// later migration moves the worker, not its occupancy bucket — same
-	// convention as the registry's binding-derived home types). Each loop
-	// counts only its own grants.
-	var mets []*obs.Metrics
-	if cfg.Metrics {
-		mets = make([]*obs.Metrics, nl)
+	// Loop li's ledger streams its intervals and events to the Config's Trace
+	// and Recorder in event-loop order. Not sized, which would clear them:
+	// Arm re-arms each in place.
+	ws.ledgers = slices.Grow(ws.ledgers[:0], nl)[:nl]
+	ledgers := ws.ledgers
+	var tl obs.Timeline
+	var evs obs.Events
+	if cfg.Trace != nil {
+		tl = cfg.Trace
+	}
+	if cfg.Recorder != nil {
+		evs = cfg.Recorder
 	}
 	setSpeeds := func() {
 		for li := range specs {
@@ -227,9 +235,15 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		for i := li * nt; i < (li+1)*nt; i++ {
 			lastHi[i] = -1
 		}
-		if mets != nil {
-			mets[li] = obs.New(nt, ntypes, func(tid int) int { return typeOf[tid] })
+		// Counter cells are keyed by each worker's home cluster at the start
+		// (a later migration moves the worker, not its occupancy bucket — same
+		// convention as the registry's binding-derived home types). Each loop
+		// counts only its own grants.
+		var m *obs.Metrics
+		if cfg.Metrics {
+			m = obs.New(nt, ntypes, func(tid int) int { return typeOf[tid] })
 		}
+		ledgers[li].Arm(typeOf, dist, m, tl, evs, li, team)
 	}
 	// now never goes back (the loop below always advances the earliest
 	// clock), so the loops admitted by now are a prefix of order, the loop
@@ -286,19 +300,14 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		if !team {
 			continue
 		}
-		// Fork: every thread pays the fork half of the fork/join cost and
-		// is on the loop's pool lines from then on, under a grant that
-		// never runs out.
+		// Fork: every thread pays the fork half of the fork/join cost, a
+		// runtime call that grants nothing, and is on the loop's pool lines
+		// from then on, under a grant that never runs out.
 		clock[tid] += forkNs
 		setCur(tid, 0)
 		burst[tid] = math.MaxInt
 		results[0].SchedNs += forkNs
-		if cfg.Trace != nil {
-			cfg.Trace.Add(tid, startNs, clock[tid], trace.Sched)
-		}
-		if mets != nil {
-			mets[0].Cell(tid).Sched(forkNs)
-		}
+		ledgers[0].Lane(tid).Call(core.Assign{}, startNs, clock[tid])
 	}
 	ws.migrations = append(ws.migrations[:0], cfg.Migrations...) // consumed as they are delivered
 	migrations := ws.migrations
@@ -400,41 +409,21 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 			lastHi[li*nt+tid] = asg.Hi
 			units = specs[li].Cost.RangeUnits(asg.Lo, asg.Hi)
 			execNs = units / speed[li*nt+tid]
-			res.Iters[tid] += asg.N()
 		}
 		schedEnd := now + int64(ovhNs)
 		clock[tid] = schedEnd + int64(execNs)
-		res.PoolAccesses += int64(asg.PoolAccesses)
 		res.SchedNs += int64(ovhNs)
-		if cfg.Trace != nil {
-			cfg.Trace.Add(tid, now, schedEnd, trace.Sched)
-			cfg.Trace.Add(tid, schedEnd, clock[tid], trace.Running)
-		}
-		if cfg.Recorder != nil {
-			ev := trace.ChunkEvent{TimeNs: now, Tid: tid, Loop: li, Shard: typeOf[tid], Origin: origin,
-				PoolAccesses: int(asg.PoolAccesses), Timestamps: int(asg.Timestamps), Retire: !ok}
-			if ok {
-				ev.Lo, ev.Hi, ev.Cost, ev.ExecNs = asg.Lo, asg.Hi, units, int64(execNs)
-			}
-			cfg.Recorder.Chunk(ev)
-		}
-		if mets != nil {
-			c := mets[li].Cell(tid)
-			if ok {
-				c.Grant(asg.N(), obs.Tier(dist, typeOf[tid], origin))
-				c.Busy(int64(execNs))
-			}
-			c.Credit(int64(asg.CreditClaimed))
-			c.Sched(int64(ovhNs))
-		}
+		ln := ledgers[li].Lane(tid)
+		ln.Call(asg, now, schedEnd)
 		if ok {
+			ln.Chunk(asg, now, schedEnd, clock[tid], units)
 			continue
 		}
 
+		ln.Retire(asg, now, schedEnd)
 		// The worker is done scheduling this loop; drop it from the engaged
 		// counts now (not at the next policy grant) so a fully retired
 		// worker cannot leak an engaged slot forever.
-		res.Finish[tid] = schedEnd
 		setCur(tid, -1)
 		if owed[tid]--; owed[tid] == 0 {
 			clock[tid] = math.MaxInt64
@@ -444,9 +433,10 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 			continue
 		}
 		// This loop's barrier releases at the last retirement, plus the
-		// join half of the fork/join cost in team mode.
-		maxFinish := slices.Max(res.Finish)
-		res.End = maxFinish + joinNs
+		// join half of the fork/join cost in team mode, where the ledger
+		// charges each worker's wait for it.
+		maxFinish, accesses, snap := ledgers[li].Release(joinNs, res.Iters, res.Finish)
+		res.End, res.PoolAccesses, res.Metrics = maxFinish+joinNs, accesses, snap
 		if est, isEst := scheds[li].(core.SFEstimator); isEst {
 			if sf, ready := est.SFEstimate(); ready {
 				res.SFEstimate = sf
@@ -460,16 +450,6 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 			res.SchedNs += joinNs
 			res.ClusterEnergyJ = sized(res.ClusterEnergyJ, ntypes)
 			for w, finish := range res.Finish {
-				if cfg.Trace != nil {
-					cfg.Trace.Add(w, finish, maxFinish, trace.Sync)
-					cfg.Trace.Add(w, maxFinish, res.End, trace.Sched)
-				}
-				if mets != nil {
-					// Quiescent merge (obs doc.go, invariant 5): all nt
-					// retirements are in, no worker writes these cells again.
-					mets[li].Cell(w).Idle(maxFinish - finish)
-					mets[li].Cell(w).Sched(joinNs)
-				}
 				ct := &pl.Clusters[typeOf[w]].Type
 				j := (float64(finish-res.Start)*ct.ActiveW + float64(res.End-finish)*ct.IdleW) * 1e-9
 				res.ClusterEnergyJ[typeOf[w]] += j
@@ -478,10 +458,6 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		}
 		if cfg.Recorder != nil && res.SFEstimate != nil {
 			cfg.Recorder.SFSample(trace.SFSample{TimeNs: res.End, Loop: li, SF: slices.Clone(res.SFEstimate)})
-		}
-		if mets != nil {
-			snap := mets[li].Snapshot()
-			res.Metrics = &snap
 		}
 	}
 	if cfg.Recorder != nil {

@@ -61,13 +61,13 @@
 // empty, and a worker parked against a future arrival or busy on another
 // loop's pool contends with nobody.
 //
-// Barrier waits and energy can be attributed to a loop only in a team:
-// there each worker idles from its own retirement to the release, and its
-// core draws ActiveW before and IdleW after, so LoopResult.EnergyJ, the
-// Sync intervals of Config.Trace and Metrics.IdleNs are filled. A fleet
-// worker that retires from one loop moves on to the next; its time belongs
-// to the fleet, so those fields stay zero and the only Sync intervals of a
-// fleet timeline are the idle-forwards.
+// A loop owns its workers' barrier waits and energy only when it owns its
+// fleet, the rule obs.Ledger keeps for both engines. In a team each worker
+// idles from its own retirement to the release, and its core draws ActiveW
+// before and IdleW after, so LoopResult.EnergyJ, the Sync intervals of
+// Config.Trace and Metrics.IdleNs are filled. A fleet worker that retires
+// from one loop moves on to the next, so those fields stay zero and the only
+// Sync intervals of a fleet timeline are the idle-forwards.
 //
 // # What a call allocates
 //
@@ -281,7 +281,8 @@ type Config struct {
 	Migrations []Migration
 	// Trace, when non-nil, records per-thread timelines: Sched and Running
 	// for every runtime call and chunk, Sync for a team's barrier waits and
-	// a fleet worker's idle-forwards.
+	// a fleet worker's idle-forwards; a fleet loop's barrier waits are the
+	// fleet's, not the loop's (obs.Ledger).
 	Trace *trace.Trace
 	// Recorder, when non-nil, captures the run as a serializable
 	// trace.Record — loop descriptors, every chunk grant with its
@@ -366,10 +367,9 @@ type LoopResult struct {
 	// ClusterEnergyJ breaks EnergyJ down by platform cluster.
 	ClusterEnergyJ []float64
 	// Metrics is the loop's runtime-counter snapshot, populated when
-	// Config.Metrics is set. For a team (RunLoop) IdleNs is each worker's
-	// barrier wait; for a fleet loop (RunLoops) it is zero, because a worker
-	// retired from one loop moves on to others and its waits are not
-	// attributable to any single loop.
+	// Config.Metrics is set. Its IdleNs is the workers' barrier waits for a
+	// team (RunLoop) and zero for a fleet loop (RunLoops), which does not own
+	// its workers' waits (obs.Ledger).
 	Metrics *obs.Snapshot
 }
 
