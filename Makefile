@@ -17,8 +17,10 @@
 #                  names rt.Schedule, rt.ParseSchedule or rt.Kind*, whose
 #                  home is internal/core; no line of the two engines' code
 #                  builds a trace.ChunkEvent or names obs.Batch, since a
-#                  grant is accounted once, in obs.Ledger; then a
-#                  darwin/arm64 and a windows build of everything outside
+#                  grant is accounted once, in obs.Ledger; no non-test Go
+#                  line that names the retired sf-aware policy or a live SF
+#                  view, since a policy sees a loop's ID and weight only;
+#                  then a darwin/arm64 and a windows build of everything outside
 #                  bench/, whose spinners are Linux-only, so that the
 #                  non-Linux twin of a Linux-only file keeps compiling),
 #                  build, the whole suite (plain, plus the
@@ -71,7 +73,7 @@
 #       tier-1: cmd/aidbench TestExpGolden (every `aidbench -exp` table:
 #       the Fig. 1/4 traces, Fig. 2 SF series, Fig. 6-9, Table 2, guided,
 #       hybrid-pct, the zoo's makespan and energy, and the ablation table of
-#       the AID design choices), internal/sim TestEngineGolden (1200 engine
+#       the AID design choices), internal/sim TestEngineGolden (960 engine
 #       digests), and cmd/aidserve TestServeSmoke (the virtual serve's
 #       percentiles). There are no `go test` benchmarks outside bench/, and
 #       `make vet` keeps it so: a simulated number belongs in a golden table.
@@ -90,9 +92,10 @@ ci: vet build race race-multiloop examples
 # line of an AID scheduler that names sync.Mutex, and every non-test line of
 # internal/core outside sampler.go that completes a phase or scales a sample
 # by 1024, and every non-test line of rt or sim that builds a chunk event or
-# names obs.Batch instead of calling a ledger lane; grep passes them on and
-# makes any such line a failure. The two
-# cross builds compile the build-tagged twins (internal/rt's worker
+# names obs.Batch instead of calling a ledger lane, and every non-test Go
+# line that still names the sf-aware policy or a live SF view (help text and
+# comments included); grep passes them on and makes any such line a failure.
+# The two cross builds compile the build-tagged twins (internal/rt's worker
 # placement) that a Linux build never sees; go build of several packages
 # writes no binary.
 vet:
@@ -107,6 +110,7 @@ vet:
 	! $(GO) list -deps ./internal/exps ./internal/replay ./cmd/aidsim ./cmd/aidbench ./examples/replay | grep -x 'repro/internal/rt'
 	! git grep --untracked -nE '(^|[^[:alnum:]_.])rt\.(Schedule|ParseSchedule|Kind)' -- '*.go' ':!bench/' | grep .
 	! git grep --untracked -nE 'trace\.ChunkEvent\{|obs\.Batch' -- internal/rt internal/sim ':!*_test.go' | grep .
+	! git grep --untracked -nE 'sf-aware|SFAware|SFLiveView|LiveSF' -- '*.go' ':!*_test.go' | grep .
 	GOOS=darwin GOARCH=arm64 $(GO) build ./internal/... ./cmd/... ./examples/...
 	GOOS=windows $(GO) build ./internal/... ./cmd/... ./examples/...
 

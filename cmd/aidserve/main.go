@@ -10,8 +10,6 @@
 //	aidserve -loops 16 -iters 500000          # heavier replay
 //	aidserve -policy fcfs                     # run-to-completion baseline
 //	aidserve -weights 4,1,1,1,1,1,1,1         # weighted tenants (one per loop)
-//	aidserve -policy sf-aware -sched aid-dynamic,1,5
-//	                                          # SF-aware steering
 //	aidserve -virtual                         # same replay in virtual time
 //
 // The open-loop service mode (-arrivals) runs the registry as a long-lived
@@ -66,7 +64,7 @@ func main() {
 	threads := flag.Int("threads", 0, "fleet size (0 = platform core count)")
 	platformText := flag.String("platform", "A", "platform: a registry name or a platform JSON file")
 	schedText := flag.String("sched", "aid-dynamic,1,5", "loop schedule in GOOMP_SCHEDULE syntax")
-	policyName := flag.String("policy", "wrr", "fairness policy: wrr|fcfs|sf-aware")
+	policyName := flag.String("policy", "wrr", "fairness policy: wrr|fcfs")
 	weightsCSV := flag.String("weights", "", "closed-loop mode: comma-separated per-loop weights (default all 1)")
 	spin := flag.Int("spin", 200, "per-iteration spin work units (scaled into virtual cost under -virtual)")
 	virtual := flag.Bool("virtual", false, "replay in the discrete-event engine instead of real goroutines")

@@ -18,7 +18,7 @@
 //	                                # chunk assignments in virtual time and
 //	                                # verify coverage (and, for sim records,
 //	                                # the exact makespan and event times)
-//	aidtrace -whatif run.jsonl -sched aid-static [-policy wrr|fcfs|sf-aware] [-o out.jsonl]
+//	aidtrace -whatif run.jsonl -sched aid-static [-policy wrr|fcfs] [-o out.jsonl]
 //	                                # keep the recorded workload, swap the
 //	                                # scheduler/policy, compare to the record
 //	aidtrace -diff a.jsonl,b.jsonl [-tol 2]
@@ -58,7 +58,7 @@ func main() {
 	replayPath := flag.String("replay", "", "exact-replay the given record file")
 	whatifPath := flag.String("whatif", "", "what-if replay the given record file (see -sched/-policy)")
 	diffPaths := flag.String("diff", "", "diff two record files: a.jsonl,b.jsonl")
-	policy := flag.String("policy", "", "what-if fairness policy for multi-loop records: wrr, fcfs or sf-aware")
+	policy := flag.String("policy", "", "what-if fairness policy for multi-loop records: wrr or fcfs")
 	outPath := flag.String("o", "", "write the replayed run's record to this JSONL file")
 	tol := flag.Float64("tol", 2.0, "regression tolerance in percent for -diff and the -whatif report")
 	flag.Parse()

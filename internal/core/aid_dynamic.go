@@ -174,19 +174,6 @@ func (a *AIDDynamic) R() (r []float64, ok bool) {
 // estimate of the per-core-type speedup factors.
 func (a *AIDDynamic) SFEstimate() ([]float64, bool) { return a.R() }
 
-// SFLiveView implements SFLiveViewer: R tables are published by pointer
-// swap and the published one is never mutated in place (the transition
-// window fills the spare rbuf slot), so the current table can be handed out
-// without a copy. The view stays intact until the second transition after
-// it was loaded — which cannot overtake one of the loop's own threads, since
-// every transition needs that thread's measurement.
-func (a *AIDDynamic) SFLiveView() []float64 {
-	if rp := a.r.Load(); rp != nil {
-		return *rp
-	}
-	return nil
-}
-
 // InTail reports whether the end-of-loop dynamic(m) switch has engaged.
 func (a *AIDDynamic) InTail() bool { return a.tail.Load() }
 

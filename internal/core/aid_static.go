@@ -212,17 +212,6 @@ func (a *AIDHybrid) SFEstimate() (sf []float64, ok bool) {
 	return append([]float64(nil), a.sf...), true
 }
 
-// SFLiveView implements SFLiveViewer: the published table is only ever
-// replaced wholesale inside the single-threaded transition window (or set
-// once by the offline constructor) before the epoch advances, so returning
-// it without a copy is safe for concurrent readers.
-func (a *AIDHybrid) SFLiveView() []float64 {
-	if a.smp.epoch() == 0 {
-		return nil
-	}
-	return a.sf
-}
-
 // take serves thread tid up to n iterations via its claimState, on the
 // batched credit path from the thread's current home shard: the sampling
 // and drain states draw most chunks from a thread-local credit instead of

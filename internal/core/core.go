@@ -306,11 +306,10 @@ func ReadsClock(s Scheduler, tid int) bool {
 //
 // The contract:
 //
-//   - Quiescent only. No Next (or Migrate, or SFLiveView) call of the previous
-//     execution may still be running or be made afterwards, and a table
-//     obtained from SFLiveView must not be read again: Reset is not
-//     synchronized with them. The caller's own join (the simulator's event
-//     loop, a barrier every worker has passed) provides that.
+//   - Quiescent only. No Next (or Migrate) call of the previous execution
+//     may still be running or be made afterwards: Reset is not synchronized
+//     with them. The caller's own join (the simulator's event loop, a
+//     barrier every worker has passed) provides that.
 //   - Configuration survives: the constructor's parameters (chunks, pct, an
 //     offline SF table) and the settings made through SetAblation carry
 //     over. info may differ from the previous one in every
@@ -588,26 +587,7 @@ type Migratable interface {
 // simulator and the real-goroutine runtime converge to compatible values.
 // ok is false while the estimate is not available yet. SFEstimate is safe
 // to poll from any goroutine mid-run: the implementations publish their
-// tables through atomics (the epoch word, a pointer swap), never in place
-// — this is what lets the engines feed live estimates to the fairness
-// policy (fair.Candidate.SF) instead of reading them only at retirement.
+// tables through atomics (the epoch word, a pointer swap), never in place.
 type SFEstimator interface {
 	SFEstimate() (sf []float64, ok bool)
-}
-
-// SFLiveViewer is the zero-copy companion of SFEstimator for polling hot
-// paths: SFLiveView returns the scheduler's current estimate WITHOUT
-// copying, or nil while none is published. The returned slice is the
-// published table itself — the implementations replace it wholesale
-// (pointer swap, epoch-gated publication) and never mutate the published
-// one in place, so it is safe to read concurrently but MUST be treated as
-// immutable by the caller, and consumed rather than kept: AID-dynamic
-// recycles a table two phase transitions after publishing it. One of the
-// loop's own threads cannot be overtaken by that (a transition needs its
-// measurement), which is the multi-loop registry's case: it reads the view
-// on every scheduling pick, on the picking worker. The copy SFEstimate
-// makes per call is exactly the allocation a steady-state pick cannot
-// afford.
-type SFLiveViewer interface {
-	SFLiveView() []float64
 }

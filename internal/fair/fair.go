@@ -17,32 +17,10 @@
 // hand out very large assignments (AID-static's one-shot allotment) make
 // the share approximate, exactly as a non-preemptive runtime would.
 //
-// # Speedup-factor-aware selection
-//
-// Beyond weights, candidates carry the asymmetry signal the paper's
-// schedulers estimate online: the calling worker's core type and each
-// loop's live per-core-type speedup factor (SF) table. The SFAware policy
-// (NewSFAware) uses them to steer big-core bursts toward the loops that
-// profit most from big cores and small-core bursts toward the loops that
-// profit least, while degenerating to plain weighted round-robin whenever
-// the estimates cannot support the distinction:
-//
-//   - Stabilization. A loop's estimate counts as stabilized once its
-//     scheduler has published a non-nil SF table (the end of the AID
-//     sampling phase). Until every candidate is stabilized the policy
-//     serves all loops under WRR — steering before the sampling phases
-//     complete would starve exactly the measurements it depends on.
-//   - Spread threshold. With all estimates live, steering engages only if
-//     maxSF >= spread * minSF across the candidates (spread defaults to
-//     DefaultSpread): when every loop speeds up alike, core placement
-//     cannot matter and WRR's shares are optimal.
-//   - Steering. Candidates partition at the geometric mid
-//     sqrt(minSF*maxSF): big-core workers serve the high-SF side,
-//     small-core workers the low-SF side, and the WRR cursor rotates
-//     within the side so weighted shares are preserved per class. A side
-//     is never empty (the extremes land on opposite sides), and a served
-//     loop always finishes: steering delays a loop's turn on the wrong
-//     core class, it never removes the loop from its own class.
+// A policy sees a loop's ID and weight and nothing else: no engine reads a
+// loop's scheduler to choose between loops. The asymmetry the paper's
+// schedulers estimate online (the speedup factor) divides one loop's
+// iterations between core types inside that loop's scheduler.
 package fair
 
 // Candidate describes one runnable loop to a policy. Fleet presents the
@@ -54,15 +32,6 @@ type Candidate struct {
 	ID uint64
 	// Weight is the loop's relative fleet share (>= 1).
 	Weight int
-	// CoreType is the core type (platform cluster index) of the worker the
-	// Pick call is selecting for — the same value for every candidate of
-	// one call. Engines that do not model core types leave it 0.
-	CoreType int
-	// SF is the loop's live per-core-type speedup-factor estimate, indexed
-	// by core type and relative to the slowest type (see core.SFEstimator),
-	// or nil while the loop's scheduler has not published one. Policies
-	// must treat it as read-only.
-	SF []float64
 }
 
 // Policy selects the next loop for a free worker; the engines reach it only
@@ -98,15 +67,8 @@ const DefaultQuantum = 8
 // unbounded is the burst of a grant that lasts until the worker retires from
 // the loop or an admission ends every grant: FCFS's, and every built-in
 // policy's for a lone candidate, which has nothing to share the worker with.
+// It is also the most a weighted burst can be.
 const unbounded = 1 << 30
-
-// lone returns burst, or unbounded when cands holds a single loop.
-func lone(cands []Candidate, burst int) int {
-	if len(cands) == 1 {
-		return unbounded
-	}
-	return burst
-}
 
 // weightedRoundRobin cycles each worker independently through the runnable
 // loops in admission order, serving weight x quantum scheduler calls per
@@ -135,14 +97,9 @@ func (w *weightedRoundRobin) Name() string { return "wrr" }
 // Pick implements Policy: the lowest candidate ID above the one this
 // worker served last, wrapping to the oldest (lowest-ID) loop. Selection
 // is by ID, never by slice position, so it is independent of the order the
-// engine presents candidates in. A lone candidate's burst is unbounded.
+// engine presents candidates in. The burst is weight x quantum, saturated at
+// unbounded so that no weight wraps it; a lone candidate's is unbounded.
 func (w *weightedRoundRobin) Pick(tid int, cands []Candidate) (int, int) {
-	idx, burst := w.pick(tid, cands)
-	return idx, lone(cands, burst)
-}
-
-// pick is Pick with a weight x quantum burst whatever the candidate count.
-func (w *weightedRoundRobin) pick(tid int, cands []Candidate) (int, int) {
 	last, seen := w.last[tid]
 	idx, oldest := -1, 0
 	for i, c := range cands {
@@ -158,9 +115,9 @@ func (w *weightedRoundRobin) pick(tid int, cands []Candidate) (int, int) {
 	}
 	c := cands[idx]
 	w.last[tid] = c.ID
-	weight := c.Weight
-	if weight < 1 {
-		weight = 1
+	weight := max(c.Weight, 1)
+	if len(cands) == 1 || weight > unbounded/w.quantum {
+		return idx, unbounded
 	}
 	return idx, weight * w.quantum
 }

@@ -1,6 +1,9 @@
 package fair
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func cands(ids ...uint64) []Candidate {
 	cs := make([]Candidate, len(ids))
@@ -56,6 +59,13 @@ func TestWRRBurstScalesWithWeight(t *testing.T) {
 	if _, burst := p.Pick(0, cs); burst != 4 {
 		t.Fatalf("burst = %d, want 4 for clamped weight", burst)
 	}
+	// A weight whose product with the quantum overflows saturates at the
+	// lone candidate's burst instead of wrapping.
+	cs[0].Weight = math.MaxInt
+	p.Pick(0, cs) // loop 2's turn
+	if _, burst := p.Pick(0, cs); burst != unbounded {
+		t.Fatalf("burst = %d, want %d for weight MaxInt", burst, unbounded)
+	}
 }
 
 func TestWRRSurvivesCandidateRemoval(t *testing.T) {
@@ -91,28 +101,45 @@ func TestFCFSHeadOfLine(t *testing.T) {
 
 // TestLoneCandidateUnbounded: a lone candidate has nobody to share the
 // worker with, so every built-in policy grants it an unbounded burst, which
-// only the worker's retirement or an admission ends. SF-aware does so whatever
-// the loop's SF table, including the zero table that would otherwise pass its
-// steering test (0 >= spread x 0).
+// only the worker's retirement or an admission ends.
 func TestLoneCandidateUnbounded(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		p    Policy
-		sf   []float64
-	}{
-		{"wrr", NewWeightedRoundRobin(0), nil},
-		{"fcfs", NewFCFS(), nil},
-		{"sf-aware/nil", NewSFAware(0, 0), nil},
-		{"sf-aware/equal", NewSFAware(0, 0), []float64{1, 1}},
-		{"sf-aware/steering", NewSFAware(0, 0), []float64{3, 1}},
-		{"sf-aware/zero", NewSFAware(0, 0), []float64{0, 0}},
-	} {
-		for _, ct := range []int{0, 1} {
-			cs := []Candidate{{ID: 4, Weight: 2, CoreType: ct, SF: c.sf}}
-			if idx, burst := c.p.Pick(ct, cs); idx != 0 || burst != unbounded {
-				t.Errorf("%s, core type %d: Pick = %d burst %d, want 0 burst %d", c.name, ct, idx, burst, unbounded)
+	for _, p := range []Policy{NewWeightedRoundRobin(0), NewFCFS()} {
+		for tid := 0; tid < 2; tid++ {
+			cs := []Candidate{{ID: 4, Weight: 2}}
+			if idx, burst := p.Pick(tid, cs); idx != 0 || burst != unbounded {
+				t.Errorf("%s, worker %d: Pick = %d burst %d, want 0 burst %d", p.Name(), tid, idx, burst, unbounded)
 			}
 		}
+	}
+}
+
+func TestWRRLonePickAdvancesCursor(t *testing.T) {
+	// A lone loop's unbounded grant still moves the worker's cursor, so the
+	// first Pick after a single-to-multi transition does NOT hand the worker
+	// the loop it has been serving all along.
+	p := NewWeightedRoundRobin(1)
+	p.Pick(0, cands(1))
+	if idx, _ := p.Pick(0, cands(1, 2)); cands(1, 2)[idx].ID != 2 {
+		t.Error("pick over {1, 2} after a pick over {1} should advance to loop 2")
+	}
+	// Without the lone pick, a fresh cursor starts at the oldest loop.
+	q := NewWeightedRoundRobin(1)
+	if idx, _ := q.Pick(0, cands(1, 2)); cands(1, 2)[idx].ID != 1 {
+		t.Fatal("fresh cursor should start at the oldest loop")
+	}
+}
+
+func TestWRRRetirePurgesCursors(t *testing.T) {
+	p := NewWeightedRoundRobin(1).(*weightedRoundRobin)
+	p.Pick(0, cands(5))
+	p.Pick(1, cands(5, 8)) // worker 1 cursor at 5 too
+	p.Pick(2, cands(8))
+	p.Retire(5)
+	if len(p.last) != 1 {
+		t.Fatalf("cursor map holds %d entries after Retire(5), want 1", len(p.last))
+	}
+	if p.last[2] != 8 {
+		t.Fatal("Retire dropped a cursor for a live loop")
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 type Fleet struct {
 	policy   Policy
 	nthreads int
-	sf       func(slot int) []float64
 
 	id       []uint64 // per slot: the loop's Candidate.ID
 	weight   []int    // per slot: the loop's Candidate.Weight, >= 1
@@ -28,11 +27,10 @@ type Fleet struct {
 }
 
 // NewFleet returns an empty fleet of nthreads workers. policy chooses among
-// the candidates (it may be nil for a fleet whose workers are never offered
-// a choice, such as a fork/join team), and sf, when non-nil, returns the
-// live SF table of the loop in a slot, read at every Grant.
-func NewFleet(policy Policy, nthreads int, sf func(slot int) []float64) *Fleet {
-	return &Fleet{policy: policy, nthreads: nthreads, sf: sf}
+// the candidates; it may be nil for a fleet whose workers are never offered
+// a choice, such as a fork/join team.
+func NewFleet(policy Policy, nthreads int) *Fleet {
+	return &Fleet{policy: policy, nthreads: nthreads}
 }
 
 // Reset empties the fleet for a run under policy, keeping its storage: no
@@ -71,22 +69,19 @@ func (f *Fleet) Retired(slot, tid int) bool {
 	return i < len(f.retired) && f.retired[i]
 }
 
-// Grant offers worker tid, on a core of type coreType, every runnable loop it
-// has not retired from and returns the slot of the policy's choice with the
-// number of scheduler calls to issue to it before picking again. A broken
-// policy is clamped: an index out of range selects the first candidate, a
-// burst below 1 is 1. ok is false when there is no candidate.
-func (f *Fleet) Grant(tid, coreType int) (slot, burst int, ok bool) {
+// Grant offers worker tid every runnable loop it has not retired from and
+// returns the slot of the policy's choice with the number of scheduler calls
+// to issue to it before picking again. A broken policy is clamped: an index
+// out of range selects the first candidate, a burst below 1 is 1. ok is false
+// when there is no candidate.
+func (f *Fleet) Grant(tid int) (slot, burst int, ok bool) {
 	cands, candSlot := f.cands[:0], f.candSlot[:0]
 	for _, s := range f.open {
 		if f.retired[s*f.nthreads+tid] {
 			continue
 		}
-		c := Candidate{ID: f.id[s], Weight: f.weight[s], CoreType: coreType}
-		if f.sf != nil {
-			c.SF = f.sf(s)
-		}
-		cands, candSlot = append(cands, c), append(candSlot, s)
+		cands = append(cands, Candidate{ID: f.id[s], Weight: f.weight[s]})
+		candSlot = append(candSlot, s)
 	}
 	f.cands, f.candSlot = cands, candSlot
 	if len(cands) == 0 {

@@ -33,28 +33,24 @@ func (r *recorder) offeredIDs() []uint64 {
 
 func TestFleetCandidatesExcludeRetired(t *testing.T) {
 	pol := &recorder{burst: 1}
-	sf := [][]float64{{2, 1}, nil, {3, 1}}
-	f := NewFleet(pol, 2, func(slot int) []float64 { return sf[slot] })
+	f := NewFleet(pol, 2)
 	// Admitted out of ID order: candidates come by ascending ID.
 	f.Admit(2, 30, 1)
 	f.Admit(0, 10, 0)
 	f.Admit(1, 20, 4)
-	if _, _, ok := f.Grant(0, 1); !ok {
+	if _, _, ok := f.Grant(0); !ok {
 		t.Fatal("Grant found no candidate among three runnable loops")
 	}
-	want := []Candidate{{ID: 10, Weight: 1, CoreType: 1, SF: sf[0]},
-		{ID: 20, Weight: 4, CoreType: 1}, {ID: 30, Weight: 1, CoreType: 1, SF: sf[2]}}
-	if got := pol.offered[0]; !slices.EqualFunc(got, want, func(a, b Candidate) bool {
-		return a.ID == b.ID && a.Weight == b.Weight && a.CoreType == b.CoreType && slices.Equal(a.SF, b.SF)
-	}) {
+	want := []Candidate{{ID: 10, Weight: 1}, {ID: 20, Weight: 4}, {ID: 30, Weight: 1}}
+	if got := pol.offered[0]; !slices.Equal(got, want) {
 		t.Fatalf("offered %+v, want %+v", got, want)
 	}
 	f.Retire(1, 0)
-	f.Grant(0, 0)
+	f.Grant(0)
 	if got := pol.offeredIDs(); !slices.Equal(got, []uint64{10, 30}) {
 		t.Errorf("worker 0 offered %v after retiring from loop 20, want [10 30]", got)
 	}
-	f.Grant(1, 0)
+	f.Grant(1)
 	if got := pol.offeredIDs(); !slices.Equal(got, []uint64{10, 20, 30}) {
 		t.Errorf("worker 1 offered %v, want all three: only worker 0 retired", got)
 	}
@@ -63,14 +59,14 @@ func TestFleetCandidatesExcludeRetired(t *testing.T) {
 	}
 	f.Retire(0, 0)
 	f.Retire(2, 0)
-	if _, _, ok := f.Grant(0, 0); ok {
+	if _, _, ok := f.Grant(0); ok {
 		t.Error("Grant found a candidate for a worker retired from every loop")
 	}
 }
 
 func TestFleetReleaseAtLastDistinctRetirement(t *testing.T) {
 	pol := &recorder{burst: 1}
-	f := NewFleet(pol, 3, nil)
+	f := NewFleet(pol, 3)
 	f.Admit(0, 5, 1)
 	f.Admit(1, 6, 1)
 	for i, tid := range []int{2, 2, 0, 0, 2} {
@@ -90,7 +86,7 @@ func TestFleetReleaseAtLastDistinctRetirement(t *testing.T) {
 	if f.Len() != 1 || !slices.Equal(pol.retired, []uint64{5}) {
 		t.Errorf("after the release: %d runnable, Retire calls %v, want 1 and [5]", f.Len(), pol.retired)
 	}
-	f.Grant(1, 0)
+	f.Grant(1)
 	if got := pol.offeredIDs(); !slices.Equal(got, []uint64{6}) {
 		t.Errorf("offered %v after loop 5 released, want [6]", got)
 	}
@@ -104,26 +100,26 @@ func TestFleetReleaseAtLastDistinctRetirement(t *testing.T) {
 
 func TestFleetClampsBrokenPolicy(t *testing.T) {
 	pol := &recorder{}
-	f := NewFleet(pol, 1, nil)
+	f := NewFleet(pol, 1)
 	f.Admit(3, 1, 1)
 	f.Admit(4, 2, 1)
 	for _, c := range []struct{ idx, burst int }{{-1, 0}, {2, -5}, {99, 1 << 40}} {
 		pol.idx, pol.burst = c.idx, c.burst
-		slot, burst, ok := f.Grant(0, 0)
+		slot, burst, ok := f.Grant(0)
 		if !ok || slot != 3 || burst != max(c.burst, 1) {
 			t.Errorf("policy answering (%d, %d): Grant = slot %d burst %d ok %v, want slot 3 burst %d",
 				c.idx, c.burst, slot, burst, ok, max(c.burst, 1))
 		}
 	}
 	pol.idx, pol.burst = 1, 7
-	if slot, burst, _ := f.Grant(0, 0); slot != 4 || burst != 7 {
+	if slot, burst, _ := f.Grant(0); slot != 4 || burst != 7 {
 		t.Errorf("Grant = slot %d burst %d, want the policy's slot 4 burst 7", slot, burst)
 	}
 }
 
 func TestFleetReusedSlotStartsClean(t *testing.T) {
 	pol := &recorder{burst: 1}
-	f := NewFleet(pol, 2, nil)
+	f := NewFleet(pol, 2)
 	f.Admit(0, 1, 3)
 	f.Retire(0, 1)
 	f.Retire(0, 0)
@@ -131,7 +127,7 @@ func TestFleetReusedSlotStartsClean(t *testing.T) {
 	if f.Retired(0, 0) || f.Retired(0, 1) {
 		t.Fatal("a reused slot kept the previous loop's retirements")
 	}
-	f.Grant(1, 0)
+	f.Grant(1)
 	if got := pol.offered[0]; len(got) != 1 || got[0].ID != 9 || got[0].Weight != 1 {
 		t.Fatalf("offered %+v, want the new loop 9 of weight 1", got)
 	}

@@ -9,8 +9,8 @@ import (
 // Class is one per-tenant QoS tier of the service front end: a human name
 // ("gold") bound to the fairness weight its loops are submitted with. The
 // policies themselves stay weight-based — a class is purely the service
-// tier's naming layer over Candidate.Weight, so the same wrr/sf-aware
-// machinery serves both hand-assigned weights and tiered tenants.
+// tier's naming layer over Candidate.Weight, so the same policies serve
+// both hand-assigned weights and tiered tenants.
 type Class struct {
 	// Name identifies the tier in reports.
 	Name string
@@ -19,17 +19,15 @@ type Class struct {
 }
 
 // ParsePolicy returns a fresh policy of the given name, as Policy.Name reports
-// it: "wrr", "fcfs" or "sf-aware", each with its default quantum.
+// it: "wrr" (with its default quantum) or "fcfs".
 func ParsePolicy(name string) (Policy, error) {
 	switch name {
 	case "wrr":
 		return NewWeightedRoundRobin(0), nil
 	case "fcfs":
 		return NewFCFS(), nil
-	case "sf-aware":
-		return NewSFAware(0, 0), nil
 	}
-	return nil, fmt.Errorf("fair: unknown policy %q (want wrr, fcfs or sf-aware)", name)
+	return nil, fmt.Errorf("fair: unknown policy %q (want wrr or fcfs)", name)
 }
 
 // ParseClasses parses a QoS tier list of the form

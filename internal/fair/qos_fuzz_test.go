@@ -8,7 +8,8 @@ import (
 // FuzzParseClasses: the class list is outside input (aidserve -classes), so
 // the parser must never panic, and what it accepts is what its comment
 // promises: at least one class, names non-empty, trimmed and unique, weights
-// positive.
+// positive. Whatever weight it accepts, WRR gives that class a burst at
+// least as long as a weight-1 peer's.
 func FuzzParseClasses(f *testing.F) {
 	for _, seed := range []string{
 		"gold:8,silver:4,bronze:1", "std", " gold : 8 , std ", "a:1,a:2", "a,a", ":3", "a:", "a:0", "a:-1",
@@ -33,6 +34,13 @@ func FuzzParseClasses(f *testing.F) {
 				t.Fatalf("ParseClasses(%q) = %+v: class %+v is unnamed, untrimmed, repeated or without a positive weight", text, classes, c)
 			}
 			seen[c.Name] = true
+			p := NewWeightedRoundRobin(0)
+			cs := []Candidate{{ID: 1, Weight: c.Weight}, {ID: 2, Weight: 1}}
+			_, heavy := p.Pick(0, cs)
+			_, peer := p.Pick(0, cs)
+			if heavy < peer {
+				t.Fatalf("ParseClasses(%q): class %+v gets a WRR burst of %d, below its weight-1 peer's %d", text, c, heavy, peer)
+			}
 		}
 	})
 }

@@ -436,7 +436,7 @@ type WhatIfConfig struct {
 	// which the record must then carry in parseable form.
 	Schedule string
 	// Policy, when non-empty, selects the fairness policy for multi-loop
-	// records by name (fair.ParsePolicy: "wrr", "fcfs" or "sf-aware").
+	// records by name (fair.ParsePolicy: "wrr" or "fcfs").
 	Policy string
 	// Binding, when non-empty, overrides the binding convention
 	// (amp.ParseBinding: "BS" or "SB").

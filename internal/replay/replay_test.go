@@ -109,6 +109,9 @@ func TestExactReplaySimLoop(t *testing.T) {
 // admitted at the start) and for an open-loop record whose loops arrive at
 // 0, 5 ms and 500 ms: the record carries the admission stamps, so the replay
 // idles forward over the same gaps, and a what-if keeps the arrival pattern.
+// A record an earlier build wrote under the retired "sf-aware" policy still
+// replays exactly; a what-if refuses to rerun that policy unless told which
+// one to use instead.
 func TestExactReplaySimMultiLoop(t *testing.T) {
 	for name, arrive := range map[string][3]int64{
 		"closed":    {},
@@ -161,6 +164,23 @@ func TestExactReplaySimMultiLoop(t *testing.T) {
 				if r.Start != arrive[i] {
 					t.Errorf("what-if admitted loop %q at %d, recorded arrival %d", specs[i].Name, r.Start, arrive[i])
 				}
+			}
+
+			old := *record
+			old.Policy = "sf-aware"
+			r3, err := Exact(&old)
+			if err != nil {
+				t.Fatalf("Exact on a record under sf-aware: %v", err)
+			}
+			if !bytes.Equal(encode(t, r1.Record), encode(t, r3.Record)) {
+				t.Fatal("a record under sf-aware replayed differently from the same record under its own policy")
+			}
+			_, err = WhatIf(&old, WhatIfConfig{})
+			if err == nil || !strings.Contains(err.Error(), "sf-aware") || !strings.Contains(err.Error(), "wrr or fcfs") {
+				t.Fatalf("WhatIf kept the retired policy of a record under sf-aware: err = %v, want one naming sf-aware and wrr or fcfs", err)
+			}
+			if _, err := WhatIf(&old, WhatIfConfig{Policy: "wrr"}); err != nil {
+				t.Fatalf("WhatIf under wrr of a record under sf-aware: %v", err)
 			}
 		})
 	}

@@ -231,7 +231,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if cfg.Metrics {
 		r.metrics = obs.New(nthreads, len(pl.Clusters), r.typeOf)
 	}
-	r.fleet = fair.NewFleet(cfg.Policy, nthreads, func(slot int) []float64 { return r.slots[slot].liveSF() })
+	r.fleet = fair.NewFleet(cfg.Policy, nthreads)
 	r.cond = sync.NewCond(&r.mu)
 	r.wg.Add(nthreads)
 	for tid := 0; tid < nthreads; tid++ {
@@ -327,19 +327,14 @@ type Loop struct {
 	// Registry.mu).
 	slot int
 
-	// sched, ledger and sfView are the loop's until its barrier releases;
-	// then retire hands them to the free list and sets them to nil under
-	// Registry.mu, so whatever reads them after release must hold that lock
-	// and check.
+	// sched and ledger are the loop's until its barrier releases; then
+	// retire hands them to the free list and sets them to nil under
+	// Registry.mu. Nothing but Submit, the loop's own workers and its
+	// release reads them.
 	sched core.Scheduler
 	// ledger accounts the loop's grants: lane tid is written only by worker
 	// tid, and retire releases it once every worker has retired.
 	ledger *obs.Ledger
-
-	// sfView caches the scheduler's zero-copy live-SF interface (nil when
-	// unsupported), so the per-pick candidate build is a plain call, not a
-	// type assertion plus a defensive copy.
-	sfView core.SFLiveViewer
 
 	// metrics is non-nil when the registry runs with counters enabled: the
 	// loop's per-worker cells (internal/obs), which its ledger's lanes flush
@@ -381,39 +376,6 @@ func (l *Loop) Wait() LoopStats {
 // meaningful once the loop is done.
 func (l *Loop) Latency() time.Duration { return l.latency }
 
-// LiveSF returns the loop's current per-core-type speedup-factor estimate,
-// or nil while its scheduler has not published one (or never will — the
-// conventional schedules estimate nothing). Safe to call from any
-// goroutine at any time: the schedulers publish their tables through
-// atomics, so while the loop runs this is the mid-run view the fairness
-// policy steers by; once its barrier has released it is the final
-// estimate, LoopStats.SFEstimate. The returned slice is a copy the caller
-// owns. It takes the registry lock, which is what keeps a released loop
-// from reading a scheduler the free list has re-armed for a later one.
-func (l *Loop) LiveSF() []float64 {
-	l.reg.mu.Lock()
-	defer l.reg.mu.Unlock()
-	return append([]float64(nil), l.liveSF()...)
-}
-
-// liveSF is LiveSF for callers holding the registry lock, without the copy:
-// the scheduler's published table, to be consumed before the lock is
-// released (see core.SFLiveViewer).
-func (l *Loop) liveSF() []float64 {
-	if l.sched == nil {
-		return l.stats.SFEstimate // released
-	}
-	if l.sfView != nil {
-		return l.sfView.SFLiveView()
-	}
-	if est, ok := l.sched.(core.SFEstimator); ok {
-		if sf, ready := est.SFEstimate(); ready {
-			return sf
-		}
-	}
-	return nil
-}
-
 // Submit admits a loop for execution on the fleet and returns immediately;
 // the loop starts as soon as the policy hands workers to it. It fails if
 // the registry is closed or the request is invalid.
@@ -447,9 +409,6 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 	}
 	if err := r.arm(l); err != nil {
 		return nil, err
-	}
-	if v, ok := l.sched.(core.SFLiveViewer); ok {
-		l.sfView = v
 	}
 	var tl obs.Timeline
 	var evs obs.Events
@@ -559,7 +518,7 @@ func (r *Registry) recycle(l *Loop) {
 		}
 		r.free = append(r.free, freeLoop{key, rs, l.ledger})
 	}
-	l.sched, l.sfView, l.ledger = nil, nil, nil
+	l.sched, l.ledger = nil, nil
 }
 
 // BuildRecord assembles a serializable run record from completed captured
@@ -821,7 +780,7 @@ func (r *Registry) pick(tid int) (*Loop, int, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		if slot, burst, ok := r.fleet.Grant(tid, r.types[tid]); ok {
+		if slot, burst, ok := r.fleet.Grant(tid); ok {
 			return r.slots[slot], burst, r.gen.Load()
 		}
 		if r.closed {

@@ -39,7 +39,6 @@ type workspace struct {
 	order                           []int
 	speed                           []float64
 	lastHi                          []int64
-	liveSF                          [][]float64
 	engaged, engagedTotal           []int
 	clock                           []int64
 	cur, burst, owed                []int
@@ -62,7 +61,7 @@ func newWorkspace(cfg Config) (*workspace, error) {
 			TypeDist: pl.TypeDist(),
 		},
 	}
-	ws.fleet = fair.NewFleet(nil, nt, func(li int) []float64 { return ws.liveSF[li] })
+	ws.fleet = fair.NewFleet(nil, nt)
 	return ws, nil
 }
 
@@ -152,12 +151,6 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 	scheds, arrive, speed, lastHi := ws.scheds, ws.arrive, ws.speed, ws.lastHi
 	fleet := ws.fleet
 	fleet.Reset(policy)
-	// liveSF[li] is loop li's most recently published SF table (nil until the
-	// scheduler's estimate stabilizes). It is fed to the fairness policy on
-	// every pick — the mid-run view, not a retirement-only statistic — and
-	// each publication is appended to the loop's SFTrajectory.
-	ws.liveSF = sized(ws.liveSF, nl)
-	liveSF := ws.liveSF
 	// engaged[li*ntypes+t] counts the workers currently scheduling loop li
 	// from core type t (engagedTotal[li] across all types): the population
 	// of loop li's pool lines, which is what a pool access on that loop
@@ -211,7 +204,7 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		}
 		if po, observable := s.(core.PhaseObservable); observable {
 			// A scheduler has one observer slot; decision capture and the
-			// live SF table share it.
+			// SF trajectory share it.
 			li, rec := li, cfg.Recorder
 			po.SetPhaseObserver(func(ev core.PhaseEvent) {
 				if rec != nil {
@@ -219,16 +212,14 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 						Epoch: ev.Epoch, Kind: ev.Kind, SF: ev.SF})
 				}
 				if ev.SF != nil {
-					liveSF[li] = ev.SF
 					res.SFTrajectory = append(res.SFTrajectory, SFPoint{TimeNs: ev.TimeNs, SF: ev.SF})
 				}
 			})
 		}
 		if est, isEst := s.(core.SFEstimator); isEst {
 			// Offline-SF variants publish at construction with no event;
-			// the table is live from the moment the loop exists.
+			// the trajectory starts when the loop arrives.
 			if sf, ready := est.SFEstimate(); ready {
-				liveSF[li] = sf
 				res.SFTrajectory = append(res.SFTrajectory, SFPoint{TimeNs: arrive[li], SF: sf})
 			}
 		}
@@ -370,7 +361,7 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		li := cur[tid]
 		if li < 0 || burst[tid] <= 0 {
 			var ok bool
-			if li, burst[tid], ok = fleet.Grant(tid, typeOf[tid]); !ok {
+			if li, burst[tid], ok = fleet.Grant(tid); !ok {
 				// Nothing runnable yet (so the worker is between loops):
 				// idle forward to the next arrival. One must exist —
 				// owed[tid] > 0 and every arrived loop that still owes this

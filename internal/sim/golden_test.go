@@ -62,7 +62,6 @@ var goldenPolicies = []struct {
 }{
 	{"wrr", func() fair.Policy { return fair.NewWeightedRoundRobin(0) }},
 	{"fcfs", func() fair.Policy { return fair.NewFCFS() }},
-	{"sf-aware", func() fair.Policy { return fair.NewSFAware(0, 0) }},
 }
 
 func dumpResult(h hash.Hash64, r LoopResult) {

@@ -45,7 +45,8 @@ func sumIters(r LoopResult) int64 {
 // mixed trip counts (0, 1, prime, large) and mixed schedulers on one fleet
 // and asserts per-loop exact coverage and per-loop barrier release: every
 // loop gets an End, and the degenerate tenants release long before the
-// large ones.
+// large ones. Each AID tenant publishes its SF estimate mid-run: its
+// trajectory starts before its own barrier release, one entry per cluster.
 func TestMultiLoopExactCoverageMixedTenants(t *testing.T) {
 	cfg := multiCfg(4)
 	cfg.Factory = nil
@@ -79,6 +80,20 @@ func TestMultiLoopExactCoverageMixedTenants(t *testing.T) {
 		}
 		if r.End <= 0 && specs[li].NI > 0 {
 			t.Errorf("loop %q barrier never released (End=%d)", specs[li].Name, r.End)
+		}
+	}
+	for _, li := range []int{2, 4} {
+		r := results[li]
+		if len(r.SFTrajectory) == 0 {
+			t.Errorf("loop %q has no SF trajectory", specs[li].Name)
+			continue
+		}
+		first := r.SFTrajectory[0]
+		if first.TimeNs >= r.End {
+			t.Errorf("loop %q first SF point at %d, not before End %d", specs[li].Name, first.TimeNs, r.End)
+		}
+		if len(first.SF) != len(cfg.Platform.Clusters) {
+			t.Errorf("loop %q SF table has %d entries, want %d", specs[li].Name, len(first.SF), len(cfg.Platform.Clusters))
 		}
 	}
 	// Independent barriers: the empty and single-iteration tenants release

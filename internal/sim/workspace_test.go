@@ -403,7 +403,7 @@ func TestTypeDistIsShared(t *testing.T) {
 				t.Fatalf("%s/%s: %v", name, f.name, err)
 			}
 			cfg.Recorder, cfg.Trace = trace.NewRecorder(), trace.New(cfg.NThreads)
-			if _, err := RunLoops(cfg, []LoopSpec{a, epLoop(900)}, fair.NewSFAware(0, 0), 0); err != nil {
+			if _, err := RunLoops(cfg, []LoopSpec{a, epLoop(900)}, fair.NewWeightedRoundRobin(0), 0); err != nil {
 				t.Fatalf("%s/%s: %v", name, f.name, err)
 			}
 		}

@@ -114,10 +114,8 @@ func relGainPct(prevTime, nextTime float64) float64 {
 
 // JainIndex returns Jain's fairness index (Σx)²/(n·Σx²) over the per-tenant
 // allocations xs. It is 1 when every tenant gets an equal share and
-// approaches 1/n when one tenant monopolizes the resource; the multi-tenant
-// harness uses it to pin the fairness band of the SF-aware policy against
-// plain weighted round-robin. An empty slice or an all-zero allocation
-// returns 0.
+// approaches 1/n when one tenant monopolizes the resource. An empty slice or
+// an all-zero allocation returns 0.
 func JainIndex(xs []float64) float64 {
 	var sum, sq float64
 	for _, x := range xs {
