@@ -1,23 +1,18 @@
 // aidserve exercises the multi-loop registry (rt.Registry) — the model of
-// a server executing parallel-loop requests from many users at once — in
-// two modes.
+// a server executing parallel-loop requests from many users at once — and
+// reports per-class latency percentiles plus throughput.
 //
-// The default closed-loop mode replays a fixed batch of simultaneous
-// submissions against one shared worker fleet and reports aggregate
-// throughput plus per-loop latency:
+// Every run is one request stream: a list of arrival stamps, request i
+// arriving stamps[i] after the run starts and belonging to QoS class
+// i mod len(classes), whose weight is its fairness share. With -arrivals an
+// open-loop process stamps requests over -duration regardless of
+// completions; without it the stream is a batch of -loops requests, all
+// stamped 0:
 //
-//	aidserve                                  # 8 loops, wrr, aid-dynamic
-//	aidserve -loops 16 -iters 500000          # heavier replay
+//	aidserve                                  # batch of 8 loops, wrr, aid-dynamic
+//	aidserve -loops 16 -iters 500000          # heavier batch
 //	aidserve -policy fcfs                     # run-to-completion baseline
-//	aidserve -weights 4,1,1,1,1,1,1,1         # weighted tenants (one per loop)
-//	aidserve -virtual                         # same replay in virtual time
-//
-// The open-loop service mode (-arrivals) runs the registry as a long-lived
-// server: an arrival process submits loops over wall time regardless of
-// completions, tenants are assigned QoS classes that map to fairness
-// weights, a bounded pending queue sheds (or backpressures) the excess,
-// and the report is latency percentiles plus throughput:
-//
+//	aidserve -loops 2 -classes a:8,b:1        # weighted tenants, one per loop
 //	aidserve -arrivals poisson -rate 50 -duration 2s
 //	aidserve -arrivals bursty -classes gold:8,bronze:1 -max-pending 32
 //	aidserve -arrivals diurnal -virtual        # same stream in virtual time
@@ -27,9 +22,12 @@
 //	                                           # live Prometheus scrape + stderr ticker
 //
 // Real mode runs goroutine workers with emulated asymmetry and reports
-// wall-clock numbers; -virtual replays the identical submission pattern in
-// the discrete-event engine (sim.RunLoops), where the results are exactly
-// reproducible.
+// wall-clock numbers. Its submitter sleeps until each stamp, so one that
+// falls behind catches up and every stamp is submitted; a bound on loops
+// admitted but not yet complete (-max-pending) sheds or backpressures the
+// excess, a batch's included. -virtual replays the same stamps in the
+// discrete-event engine (sim.RunLoops), which admits every request and whose
+// results are exactly reproducible.
 package main
 
 import (
@@ -40,8 +38,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,81 +55,39 @@ import (
 )
 
 func main() {
-	loops := flag.Int("loops", 8, "closed-loop mode: number of simultaneous loop submissions")
-	iters := flag.Int64("iters", 200_000, "iterations per loop")
-	threads := flag.Int("threads", 0, "fleet size (0 = platform core count)")
+	var o serveOpts
+	flag.IntVar(&o.loops, "loops", 8, "batch mode (no -arrivals): number of loops submitted at once")
+	flag.Int64Var(&o.iters, "iters", 200_000, "iterations per loop")
+	flag.IntVar(&o.threads, "threads", 0, "fleet size (0 = platform core count)")
 	platformText := flag.String("platform", "A", "platform: a registry name or a platform JSON file")
-	schedText := flag.String("sched", "aid-dynamic,1,5", "loop schedule in GOOMP_SCHEDULE syntax")
-	policyName := flag.String("policy", "wrr", "fairness policy: wrr|fcfs")
-	weightsCSV := flag.String("weights", "", "closed-loop mode: comma-separated per-loop weights (default all 1)")
-	spin := flag.Int("spin", 200, "per-iteration spin work units (scaled into virtual cost under -virtual)")
-	virtual := flag.Bool("virtual", false, "replay in the discrete-event engine instead of real goroutines")
+	flag.StringVar(&o.schedText, "sched", "aid-dynamic,1,5", "loop schedule in GOOMP_SCHEDULE syntax")
+	flag.StringVar(&o.policyName, "policy", "wrr", "fairness policy: wrr|fcfs")
+	flag.IntVar(&o.spin, "spin", 200, "per-iteration spin work units (scaled into virtual cost under -virtual)")
+	flag.BoolVar(&o.virtual, "virtual", false, "replay in the discrete-event engine instead of real goroutines")
 
-	arrivals := flag.String("arrivals", "", "open-loop service mode: arrival process (poisson|bursty|diurnal)")
-	rate := flag.Float64("rate", 50, "mean arrival rate in loops/sec")
-	duration := flag.Duration("duration", 2*time.Second, "length of the arrival window")
-	seed := flag.Uint64("seed", 1, "arrival and sampling seed")
-	classesCSV := flag.String("classes", "std", "QoS classes as name:weight list, assigned round-robin (e.g. gold:8,silver:4,bronze:1)")
-	maxPending := flag.Int("max-pending", 64, "bound on loops admitted but not yet complete (real mode)")
-	shed := flag.Bool("shed", true, "when the pending queue is full, shed the arrival; false blocks the submitter (backpressure)")
-	sample := flag.Int("sample", 0, "capture every Nth admitted loop for the run record (0 = off, real mode)")
-	sampleBudget := flag.Int("sample-budget", 256, "per-loop event budget of sampled captures (0 = unbounded)")
-	recordPath := flag.String("record", "", "write the sampled run record as JSONL to this path (real mode, needs -sample)")
-	metricsAddr := flag.String("metrics", "", "serve live runtime metrics in Prometheus text format on this address (real mode, e.g. :9090)")
-	metricsInterval := flag.Duration("metrics-interval", 0, "print a one-line service summary to stderr at this period (real mode, 0 = off)")
+	flag.StringVar(&o.kind, "arrivals", "", "open-loop mode: arrival process (poisson|bursty|diurnal)")
+	flag.Float64Var(&o.rate, "rate", 50, "mean arrival rate in loops/sec")
+	flag.DurationVar(&o.duration, "duration", 2*time.Second, "length of the arrival window")
+	flag.Uint64Var(&o.seed, "seed", 1, "arrival and sampling seed")
+	flag.StringVar(&o.classesCSV, "classes", "std", "QoS classes as name:weight list, request i in class i mod len (e.g. gold:8,silver:4,bronze:1)")
+	flag.IntVar(&o.maxPending, "max-pending", 64, "bound on loops admitted but not yet complete (real mode)")
+	flag.BoolVar(&o.shed, "shed", true, "when the pending queue is full, shed the arrival; false blocks the submitter (backpressure)")
+	flag.IntVar(&o.sampleEvery, "sample", 0, "capture every Nth admitted loop for the run record (0 = off, real mode)")
+	flag.IntVar(&o.sampleBudget, "sample-budget", 256, "per-loop event budget of sampled captures, compacted then trimmed (0 = unbounded, uncompacted)")
+	flag.StringVar(&o.recordPath, "record", "", "write the sampled run record as JSONL to this path (real mode, needs -sample)")
+	flag.StringVar(&o.metricsAddr, "metrics", "", "serve live runtime metrics in Prometheus text format on this address (real mode, e.g. :9090)")
+	flag.DurationVar(&o.metricsInterval, "metrics-interval", 0, "print a one-line service summary to stderr at this period (real mode, 0 = off)")
 	flag.Parse()
 
 	pl, err := amp.Resolve(*platformText)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "aidserve:", err)
-		os.Exit(1)
-	}
-	if *arrivals != "" {
-		err = serve(serveOpts{
-			kind: *arrivals, rate: *rate, duration: *duration, seed: *seed,
-			classesCSV: *classesCSV, maxPending: *maxPending, shed: *shed,
-			sampleEvery: *sample, sampleBudget: *sampleBudget,
-			recordPath: *recordPath, metricsAddr: *metricsAddr, metricsInterval: *metricsInterval,
-			iters: *iters, threads: *threads, pl: pl, schedText: *schedText,
-			policyName: *policyName, spin: *spin, virtual: *virtual,
-		}, os.Stdout)
-	} else {
-		err = run(*loops, *iters, *threads, pl, *schedText, *policyName, *weightsCSV, *spin, *virtual)
+	if err == nil {
+		o.pl = pl
+		err = serve(o, os.Stdout)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aidserve:", err)
 		os.Exit(1)
 	}
-}
-
-// parseWeights expands the -weights list over nloops submissions. Fewer
-// weights than loops cycle (a short prefix names the heavy tenants); more
-// weights than loops is an error — the surplus used to be dropped
-// silently, hiding typos in the loop count.
-func parseWeights(csv string, nloops int) ([]int, error) {
-	weights := make([]int, nloops)
-	for i := range weights {
-		weights[i] = 1
-	}
-	if csv == "" {
-		return weights, nil
-	}
-	parts := strings.Split(csv, ",")
-	if len(parts) > nloops {
-		return nil, fmt.Errorf("%d weights for %d loops; drop the surplus or raise -loops", len(parts), nloops)
-	}
-	vals := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad weight %q", p)
-		}
-		vals[i] = v
-	}
-	for i := range weights {
-		weights[i] = vals[i%len(vals)]
-	}
-	return weights, nil
 }
 
 // virtualNsPerSpinUnit converts -spin work units into the discrete-event
@@ -163,31 +117,6 @@ func spanOf(results []sim.LoopResult) time.Duration {
 	return time.Duration(maxEnd - minStart)
 }
 
-func run(loops int, iters int64, threads int, pl *amp.Platform, schedText, policyName, weightsCSV string, spin int, virtual bool) error {
-	if loops <= 0 {
-		return fmt.Errorf("need at least one loop, got %d", loops)
-	}
-	if iters < 0 {
-		return fmt.Errorf("negative iteration count %d", iters)
-	}
-	sched, err := core.ParseSchedule(schedText)
-	if err != nil {
-		return err
-	}
-	weights, err := parseWeights(weightsCSV, loops)
-	if err != nil {
-		return err
-	}
-	policy, err := fair.ParsePolicy(policyName)
-	if err != nil {
-		return err
-	}
-	if virtual {
-		return runVirtual(loops, iters, threads, pl, sched, policy, weights, spin)
-	}
-	return runReal(loops, iters, threads, pl, sched, policy, weights, spin)
-}
-
 // spinIter burns deterministic CPU work for one iteration; the result is
 // returned through an atomic sink so the compiler cannot elide it.
 func spinIter(units int) float64 {
@@ -198,105 +127,13 @@ func spinIter(units int) float64 {
 	return x
 }
 
-func report(w io.Writer, label string, weights []int, latencies []time.Duration, totalIters int64, makespan time.Duration) {
-	fmt.Fprintf(w, "%s: %d loops, makespan %v, aggregate %.2f Miters/s\n",
-		label, len(latencies), makespan.Round(time.Microsecond),
-		float64(totalIters)/makespan.Seconds()/1e6)
-	fmt.Fprintf(w, "%6s %7s %14s\n", "loop", "weight", "latency")
-	xs := make([]float64, len(latencies))
-	for i, lat := range latencies {
-		fmt.Fprintf(w, "%6d %7d %14v\n", i, weights[i], lat.Round(time.Microsecond))
-		xs[i] = float64(lat)
-	}
-	mn, _ := stats.Min(xs)
-	md, _ := stats.Median(xs)
-	p95, _ := stats.Percentile(xs, 95)
-	mx, _ := stats.Max(xs)
-	fmt.Fprintf(w, "latency min/median/p95/max: %v / %v / %v / %v\n",
-		durNs(mn), durNs(md), durNs(p95), durNs(mx))
-}
-
 func durNs(ns float64) time.Duration {
 	return time.Duration(ns).Round(time.Microsecond)
 }
 
-func runReal(loops int, iters int64, threads int, pl *amp.Platform, sched core.Schedule, policy fair.Policy, weights []int, spin int) error {
-	reg, err := rt.NewRegistry(rt.RegistryConfig{Platform: pl, NThreads: threads, Policy: policy})
-	if err != nil {
-		return err
-	}
-	defer reg.Close()
-
-	var sink atomic.Int64
-	handles := make([]*rt.Loop, loops)
-	start := time.Now()
-	for i := range handles {
-		handles[i], err = reg.Submit(rt.LoopRequest{
-			N:        iters,
-			Schedule: sched,
-			Weight:   weights[i],
-			Body: func(_ int, lo, hi int64) {
-				var acc float64
-				for j := lo; j < hi; j++ {
-					acc += spinIter(spin)
-				}
-				sink.Add(int64(acc) + (hi - lo))
-			},
-		})
-		if err != nil {
-			return err
-		}
-	}
-	latencies := make([]time.Duration, loops)
-	for i, h := range handles {
-		h.Wait()
-		latencies[i] = h.Latency()
-	}
-	makespan := time.Since(start)
-	fmt.Printf("fleet %d workers, schedule %s, policy %s (wall clock)\n",
-		reg.NThreads(), sched, policy.Name())
-	report(os.Stdout, "real", weights, latencies, int64(loops)*iters, makespan)
-	return nil
-}
-
-func runVirtual(loops int, iters int64, threads int, pl *amp.Platform, sched core.Schedule, policy fair.Policy, weights []int, spin int) error {
-	if threads == 0 {
-		threads = pl.NumCores()
-	}
-	cfg := sim.Config{
-		Platform: pl,
-		NThreads: threads,
-		Binding:  amp.BindBS,
-		Factory:  sched.Factory(),
-	}
-	specs := make([]sim.LoopSpec, loops)
-	for i := range specs {
-		specs[i] = sim.LoopSpec{
-			Name:    fmt.Sprintf("loop-%d", i),
-			NI:      iters,
-			Profile: amp.Profile{ILP: 0.5, MemIntensity: 0.2},
-			Cost:    virtualCost(spin),
-			Weight:  weights[i],
-		}
-	}
-	results, err := sim.RunLoops(cfg, specs, policy, 0)
-	if err != nil {
-		return err
-	}
-	latencies := make([]time.Duration, loops)
-	for i, r := range results {
-		latencies[i] = time.Duration(r.End - r.Start)
-	}
-	fmt.Printf("fleet %d workers, schedule %s, policy %s (virtual time)\n",
-		threads, sched, policy.Name())
-	report(os.Stdout, "virtual", weights, latencies, int64(loops)*iters, spanOf(results))
-	return nil
-}
-
-// ---- open-loop service mode ----
-
 type serveOpts struct {
-	kind         string // arrival process name
+	loops        int    // batch size when kind is ""
+	kind         string // arrival process name ("" = batch)
 	rate         float64
 	duration     time.Duration
 	seed         uint64
@@ -317,6 +154,58 @@ type serveOpts struct {
 	policyName string
 	spin       int
 	virtual    bool
+}
+
+// plan is a service run resolved from its options: the one request stream
+// both engines read, and what every request runs under.
+type plan struct {
+	arrivals string       // the stream's name in the report: a process name or "batch"
+	stamps   []int64      // request i arrives stamps[i] ns after the run starts
+	classes  []fair.Class // request i belongs to classes[i%len(classes)]
+	sched    core.Schedule
+	policy   fair.Policy
+}
+
+// newPlan checks o and builds its request stream: the arrival process's
+// stamps over [0, duration), or o.loops stamps at 0 when no process is named.
+func newPlan(o serveOpts) (p plan, err error) {
+	if o.iters < 0 {
+		return p, fmt.Errorf("negative iteration count %d", o.iters)
+	}
+	if o.maxPending <= 0 {
+		return p, fmt.Errorf("-max-pending must be positive, got %d", o.maxPending)
+	}
+	if o.recordPath != "" && (o.virtual || o.sampleEvery <= 0) {
+		return p, fmt.Errorf("-record needs real mode with -sample > 0")
+	}
+	if o.virtual && (o.metricsAddr != "" || o.metricsInterval > 0) {
+		return p, fmt.Errorf("-metrics and -metrics-interval need real mode; the virtual engine has no live run to scrape")
+	}
+	if p.classes, err = fair.ParseClasses(o.classesCSV); err != nil {
+		return p, err
+	}
+	if p.sched, err = core.ParseSchedule(o.schedText); err != nil {
+		return p, err
+	}
+	if p.policy, err = fair.ParsePolicy(o.policyName); err != nil {
+		return p, err
+	}
+	if o.kind == "" {
+		if o.loops <= 0 {
+			return p, fmt.Errorf("need at least one loop, got %d", o.loops)
+		}
+		p.arrivals, p.stamps = "batch", make([]int64, o.loops)
+		return p, nil
+	}
+	proc, err := arrival.New(o.kind, o.rate, o.seed)
+	if err != nil {
+		return p, err
+	}
+	p.arrivals, p.stamps = proc.Name(), arrival.Times(proc, 0, int64(o.duration))
+	if len(p.stamps) == 0 {
+		return p, fmt.Errorf("no arrivals within %v at rate %g/s", o.duration, o.rate)
+	}
+	return p, nil
 }
 
 // classTally is one QoS class's account: a mergeable log-bucketed latency
@@ -365,46 +254,25 @@ func newServeSummary(engine, arrivals string, classes []fair.Class) *serveSummar
 // writeMetrics renders one scrape: the registry's runtime counters (when
 // metrics are on), the service's admission counters, and the per-class
 // latency summaries. The body is built under the summary lock and written
-// out in one piece, so a slow scraper never stalls the submitter.
+// out in one piece, so a slow scraper never stalls the submitter. Writes to
+// the buffer cannot fail, so only the final write reports an error.
 func (s *serveSummary) writeMetrics(w io.Writer, reg *rt.Registry) error {
 	var buf bytes.Buffer
 	if reg != nil && reg.MetricsEnabled() {
-		if err := obs.WritePrometheus(&buf, "", reg.MetricsSnapshot()); err != nil {
-			return err
-		}
+		obs.WritePrometheus(&buf, "", reg.MetricsSnapshot())
 	}
 	s.mu.Lock()
-	e := &bufErr{buf: &buf}
-	e.printf("# HELP aidserve_admitted_total Loops admitted to the registry.\n# TYPE aidserve_admitted_total counter\naidserve_admitted_total %d\n", s.admitted)
-	e.printf("# HELP aidserve_shed_total Arrivals shed by QoS class.\n# TYPE aidserve_shed_total counter\n")
+	fmt.Fprintf(&buf, "# HELP aidserve_admitted_total Loops admitted to the registry.\n# TYPE aidserve_admitted_total counter\naidserve_admitted_total %d\n", s.admitted)
+	fmt.Fprintf(&buf, "# HELP aidserve_shed_total Arrivals shed by QoS class.\n# TYPE aidserve_shed_total counter\n")
 	for _, c := range s.classes {
-		e.printf("aidserve_shed_total{class=%q} %d\n", c.class.Name, c.shed)
+		fmt.Fprintf(&buf, "aidserve_shed_total{class=%q} %d\n", c.class.Name, c.shed)
 	}
-	if e.err == nil {
-		for i, c := range s.classes {
-			if e.err = obs.WriteLatencySummary(&buf, "aidserve_latency_ns", c.class.Name, c.hist, i == 0); e.err != nil {
-				break
-			}
-		}
+	for i, c := range s.classes {
+		obs.WriteLatencySummary(&buf, "aidserve_latency_ns", c.class.Name, c.hist, i == 0)
 	}
 	s.mu.Unlock()
-	if e.err != nil {
-		return e.err
-	}
 	_, err := w.Write(buf.Bytes())
 	return err
-}
-
-// bufErr is a tiny sticky-error printf over a buffer.
-type bufErr struct {
-	buf *bytes.Buffer
-	err error
-}
-
-func (e *bufErr) printf(format string, args ...any) {
-	if e.err == nil {
-		_, e.err = fmt.Fprintf(e.buf, format, args...)
-	}
 }
 
 // progressLine prints the periodic one-line stderr summary of a live run.
@@ -424,39 +292,18 @@ func (s *serveSummary) progressLine(w io.Writer, inFlight int) {
 }
 
 func serve(o serveOpts, w io.Writer) error {
-	if o.iters < 0 {
-		return fmt.Errorf("negative iteration count %d", o.iters)
-	}
-	if o.maxPending <= 0 {
-		return fmt.Errorf("-max-pending must be positive, got %d", o.maxPending)
-	}
 	if o.pl == nil {
 		o.pl = amp.PlatformA()
 	}
-	classes, err := fair.ParseClasses(o.classesCSV)
+	p, err := newPlan(o)
 	if err != nil {
 		return err
 	}
-	sched, err := core.ParseSchedule(o.schedText)
-	if err != nil {
-		return err
-	}
-	policy, err := fair.ParsePolicy(o.policyName)
-	if err != nil {
-		return err
-	}
-	if o.recordPath != "" && (o.virtual || o.sampleEvery <= 0) {
-		return fmt.Errorf("-record needs real mode with -sample > 0")
-	}
-	if o.virtual && (o.metricsAddr != "" || o.metricsInterval > 0) {
-		return fmt.Errorf("-metrics and -metrics-interval need real mode; the virtual engine has no live run to scrape")
-	}
-	var sum *serveSummary
+	run := serveReal
 	if o.virtual {
-		sum, err = serveVirtual(o, classes, sched, policy)
-	} else {
-		sum, err = serveReal(o, classes, sched, policy)
+		run = serveVirtual
 	}
+	sum, err := run(o, p)
 	if err != nil {
 		return err
 	}
@@ -471,23 +318,20 @@ func serve(o serveOpts, w io.Writer) error {
 	return nil
 }
 
-// serveReal runs the open-loop service against the real-goroutine
-// registry: arrivals are generated over wall time independent of
+// serveReal runs the request stream against the real-goroutine registry:
+// request i is submitted at stamps[i] on the wall clock, independent of
 // completions, and a semaphore bounds the loops admitted but not yet
 // complete — the pending queue. A full queue either sheds the arrival or
 // blocks the submitter, per -shed.
-func serveReal(o serveOpts, classes []fair.Class, sched core.Schedule, policy fair.Policy) (*serveSummary, error) {
-	proc, err := arrival.New(o.kind, o.rate, o.seed)
-	if err != nil {
-		return nil, err
-	}
-	reg, err := rt.NewRegistry(rt.RegistryConfig{Platform: o.pl, NThreads: o.threads, Policy: policy, Metrics: true})
+func serveReal(o serveOpts, p plan) (*serveSummary, error) {
+	reg, err := rt.NewRegistry(rt.RegistryConfig{Platform: o.pl, NThreads: o.threads, Policy: p.policy,
+		Metrics: o.metricsAddr != ""})
 	if err != nil {
 		return nil, err
 	}
 	defer reg.Close()
 
-	sum := newServeSummary("real", proc.Name(), classes)
+	sum := newServeSummary("real", p.arrivals, p.classes)
 	if o.metricsAddr != "" {
 		stop, err := serveMetrics(o.metricsAddr, reg, sum)
 		if err != nil {
@@ -526,24 +370,17 @@ func serveReal(o serveOpts, classes []fair.Class, sched core.Schedule, policy fa
 	}
 
 	start := time.Now()
-	deadline := start.Add(o.duration)
-	for i := 0; ; i++ {
-		now := time.Now()
-		if !now.Before(deadline) {
-			break
-		}
-		gap := time.Duration(proc.Gap(int64(now.Sub(start))))
-		if now.Add(gap).After(deadline) {
-			break
-		}
-		time.Sleep(gap)
+	for i, stamp := range p.stamps {
+		// Sleep to the stamp, not for a gap from now: a submitter that fell
+		// behind (a slow Submit, a late wake-up, backpressure) catches up
+		// on the next stamps instead of stretching the stream past its
+		// window and losing its tail.
+		time.Sleep(time.Until(start.Add(time.Duration(stamp))))
 
 		// The class is the arrival's, chosen by arrival index — shed or
-		// admitted, request i belongs to the same tenant. Assigning by
-		// admission count (as this used to) made the shed count
-		// unattributable: nobody could say which class the full queue
-		// turned away.
-		tally := sum.classes[i%len(classes)]
+		// admitted, request i belongs to the same tenant, so a shed is
+		// charged to the class the full queue turned away.
+		tally := sum.classes[i%len(p.classes)]
 		if o.shed {
 			select {
 			case sem <- struct{}{}:
@@ -566,13 +403,12 @@ func serveReal(o serveOpts, classes []fair.Class, sched core.Schedule, policy fa
 		req := rt.LoopRequest{
 			Name:     fmt.Sprintf("%s-%d", tally.class.Name, i),
 			N:        o.iters,
-			Schedule: sched,
+			Schedule: p.sched,
 			Weight:   tally.class.Weight,
 			Body:     body,
 		}
 		if o.sampleEvery > 0 && int(admitted)%o.sampleEvery == 0 {
 			req.Capture = true
-			req.CaptureCompact = true
 			req.CaptureMaxEvents = o.sampleBudget
 		}
 		h, err := reg.Submit(req)
@@ -600,9 +436,6 @@ func serveReal(o serveOpts, classes []fair.Class, sched core.Schedule, policy fa
 	}
 	wg.Wait()
 	sum.elapsed = time.Since(start)
-	if sum.admitted == 0 {
-		return nil, fmt.Errorf("no arrivals within %v at rate %g/s", o.duration, o.rate)
-	}
 	if len(sampled) > 0 {
 		rec, err := reg.BuildRecord(sampled...)
 		if err != nil {
@@ -639,33 +472,24 @@ func metricsHandler(reg *rt.Registry, sum *serveSummary) http.Handler {
 	})
 }
 
-// serveVirtual replays the same arrival stream in the discrete-event
-// engine: arrival stamps become LoopSpec.Arrive and every arrival is
-// admitted (the simulator has no pending bound, so shed stays 0). The
-// numbers are exactly reproducible for a given seed.
-func serveVirtual(o serveOpts, classes []fair.Class, sched core.Schedule, policy fair.Policy) (*serveSummary, error) {
-	proc, err := arrival.New(o.kind, o.rate, o.seed)
-	if err != nil {
-		return nil, err
-	}
-	times := arrival.Times(proc, 0, int64(o.duration))
-	if len(times) == 0 {
-		return nil, fmt.Errorf("no arrivals within %v at rate %g/s", o.duration, o.rate)
-	}
-	pl := o.pl
+// serveVirtual replays the request stream in the discrete-event engine:
+// each stamp becomes a LoopSpec.Arrive and every request is admitted (the
+// simulator has no pending bound, so shed stays 0). The numbers are exactly
+// reproducible for a given seed.
+func serveVirtual(o serveOpts, p plan) (*serveSummary, error) {
 	threads := o.threads
 	if threads == 0 {
-		threads = pl.NumCores()
+		threads = o.pl.NumCores()
 	}
 	cfg := sim.Config{
-		Platform: pl,
+		Platform: o.pl,
 		NThreads: threads,
 		Binding:  amp.BindBS,
-		Factory:  sched.Factory(),
+		Factory:  p.sched.Factory(),
 	}
-	specs := make([]sim.LoopSpec, len(times))
-	for i, t := range times {
-		class := classes[i%len(classes)]
+	specs := make([]sim.LoopSpec, len(p.stamps))
+	for i, t := range p.stamps {
+		class := p.classes[i%len(p.classes)]
 		specs[i] = sim.LoopSpec{
 			Name:    fmt.Sprintf("%s-%d", class.Name, i),
 			NI:      o.iters,
@@ -675,15 +499,15 @@ func serveVirtual(o serveOpts, classes []fair.Class, sched core.Schedule, policy
 			Arrive:  t,
 		}
 	}
-	results, err := sim.RunLoops(cfg, specs, policy, 0)
+	results, err := sim.RunLoops(cfg, specs, p.policy, 0)
 	if err != nil {
 		return nil, err
 	}
-	sum := newServeSummary("virtual", proc.Name(), classes)
+	sum := newServeSummary("virtual", p.arrivals, p.classes)
 	for i, r := range results {
 		lat := float64(r.End - r.Start)
 		sum.overall.Add(lat)
-		sum.classes[i%len(classes)].hist.Add(lat)
+		sum.classes[i%len(p.classes)].hist.Add(lat)
 	}
 	sum.admitted = int64(len(results))
 	sum.elapsed = spanOf(results)

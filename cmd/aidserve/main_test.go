@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/amp"
+	"repro/internal/arrival"
 	"repro/internal/core"
 	"repro/internal/fair"
 	"repro/internal/replay"
@@ -23,37 +23,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-func TestParseWeightsCyclesShortList(t *testing.T) {
-	got, err := parseWeights("4,1", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{4, 1, 4, 1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("parseWeights = %v, want %v", got, want)
-	}
-	got, err = parseWeights("", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{1, 1, 1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("default weights = %v, want %v", got, want)
-	}
-}
-
-func TestParseWeightsRejectsSurplus(t *testing.T) {
-	// More weights than loops used to be dropped silently; a typo'd
-	// -loops then ran with the wrong tenant shares.
-	if _, err := parseWeights("4,2,1", 2); err == nil {
-		t.Fatal("parseWeights accepted 3 weights for 2 loops")
-	}
-	if _, err := parseWeights("4,0", 4); err == nil {
-		t.Fatal("parseWeights accepted weight 0")
-	}
-	if _, err := parseWeights("4,x", 4); err == nil {
-		t.Fatal("parseWeights accepted a non-integer weight")
-	}
-}
 
 func TestParsePolicy(t *testing.T) {
 	for _, name := range []string{"wrr", "fcfs"} {
@@ -102,22 +71,6 @@ func TestVirtualCostScalesWithSpin(t *testing.T) {
 	}
 }
 
-func TestReportMedianInterpolates(t *testing.T) {
-	// Even-length latency sets: the median is the central average, not
-	// the upper-middle element the old sorted[len/2] picked.
-	var b bytes.Buffer
-	lats := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond,
-		30 * time.Millisecond, 40 * time.Millisecond}
-	report(&b, "test", []int{1, 1, 1, 1}, lats, 4, 40*time.Millisecond)
-	out := b.String()
-	if !strings.Contains(out, "10ms / 25ms /") {
-		t.Fatalf("report median not interpolated:\n%s", out)
-	}
-	if strings.Contains(out, "/ 30ms /") {
-		t.Fatalf("report still picks the upper-middle median:\n%s", out)
-	}
-}
-
 func testServeOpts(virtual bool) serveOpts {
 	return serveOpts{
 		kind: "poisson", rate: 400, duration: 250 * time.Millisecond, seed: 7,
@@ -127,28 +80,25 @@ func testServeOpts(virtual bool) serveOpts {
 	}
 }
 
+// runServe resolves o into a plan and runs it on one engine; each call
+// builds its own policy, so two runs share no state.
+func runServe(t *testing.T, o serveOpts, run func(serveOpts, plan) (*serveSummary, error)) (plan, *serveSummary) {
+	t.Helper()
+	p, err := newPlan(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := run(o, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, sum
+}
+
 func TestServeVirtualDeterministic(t *testing.T) {
 	o := testServeOpts(true)
-	classes, err := fair.ParseClasses(o.classesCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := core.ParseSchedule(o.schedText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() *serveSummary {
-		policy, err := fair.ParsePolicy(o.policyName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := serveVirtual(o, classes, sched, policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	a, b := run(), run()
+	_, a := runServe(t, o, serveVirtual)
+	_, b := runServe(t, o, serveVirtual)
 	if a.admitted == 0 {
 		t.Fatal("no arrivals admitted")
 	}
@@ -170,22 +120,7 @@ func TestServeRealSampledRecord(t *testing.T) {
 	o := testServeOpts(false)
 	o.sampleEvery = 4
 	o.sampleBudget = 32
-	classes, err := fair.ParseClasses(o.classesCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := core.ParseSchedule(o.schedText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	policy, err := fair.ParsePolicy(o.policyName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := serveReal(o, classes, sched, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, sum := runServe(t, o, serveReal)
 	if sum.admitted == 0 {
 		t.Fatal("no arrivals admitted")
 	}
@@ -320,22 +255,7 @@ func TestShedAttribution(t *testing.T) {
 	o := testServeOpts(false)
 	o.maxPending = 1
 	o.rate = 2000
-	classes, err := fair.ParseClasses(o.classesCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := core.ParseSchedule(o.schedText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	policy, err := fair.ParsePolicy(o.policyName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := serveReal(o, classes, sched, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, sum := runServe(t, o, serveReal)
 	var byClass int64
 	for _, c := range sum.classes {
 		byClass += c.shed
@@ -358,6 +278,30 @@ func TestShedAttribution(t *testing.T) {
 	}
 }
 
+// TestServeRealSubmitsEveryArrival: the real submitter sleeps until each
+// stamp of the stream the virtual engine replays, so every arrival is either
+// admitted or shed. A submitter that slept a gap from its own late wake-up
+// stretched the stream past its window and dropped the tail (84 of 103
+// arrivals for these options).
+func TestServeRealSubmitsEveryArrival(t *testing.T) {
+	o := testServeOpts(false)
+	proc, err := arrival.New(o.kind, o.rate, o.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(arrival.Times(proc, 0, int64(o.duration)))
+	p, sum := runServe(t, o, serveReal)
+	if len(p.stamps) != want {
+		t.Fatalf("plan holds %d stamps, arrival.Times gives %d", len(p.stamps), want)
+	}
+	if got := sum.admitted + sum.shed; got != int64(want) {
+		t.Fatalf("admitted %d + shed %d = %d of %d arrivals", sum.admitted, sum.shed, got, want)
+	}
+	if sum.overall.Count() != sum.admitted {
+		t.Fatalf("latency count %d != admitted %d", sum.overall.Count(), sum.admitted)
+	}
+}
+
 // smokeOpts is the short open-loop run CI drives through both engines: a
 // few hundred loops under Poisson arrivals across three QoS classes.
 func smokeOpts(virtual bool) serveOpts {
@@ -376,16 +320,41 @@ func smokeOpts(virtual bool) serveOpts {
 const smokeVirtualReport = `virtual serve: poisson arrivals, 194 admitted, 0 shed, span 993.176ms
    class  weight    count     shed          p50          p95          p99
     gold       8       65        0      1.605ms      2.523ms      2.916ms
-  silver       4       65        0       1.61ms       3.31ms       4.03ms
-  bronze       1       64        0      2.195ms      5.177ms      6.619ms
+  silver       4       65        0       1.61ms       3.31ms      4.017ms
+  bronze       1       64        0      2.195ms      5.177ms      6.576ms
 overall: p50/p95/p99 1.619ms / 4.606ms / 6.226ms, throughput 195.33 loops/s, max in-flight 0
 `
 
-// TestServeSmoke drives the open-loop service tier end to end through
-// serve, once per engine. The real run also exercises sampled capture: the
-// record file it leaves must decode and self-diff clean, and a later write
-// that fails must not damage it.
+// smokeBatchReport is what a virtual batch of two loops, one per class,
+// prints: each class's one latency at every percentile, and the batch's
+// makespan as the span. These are the per-loop latencies and the makespan
+// the closed-loop runner printed for the same two loops as weights 8 and 1.
+const smokeBatchReport = `virtual serve: batch arrivals, 2 admitted, 0 shed, span 484.017ms
+   class  weight    count     shed          p50          p95          p99
+       a       8        1        0    271.718ms    271.718ms    271.718ms
+       b       1        1        0    484.017ms    484.017ms    484.017ms
+overall: p50/p95/p99 482.345ms / 482.345ms / 482.345ms, throughput 4.13 loops/s, max in-flight 0
+`
+
+// TestServeSmoke drives the service tier end to end through serve: the
+// open-loop stream once per engine, and a batch in virtual time. The real
+// run also exercises sampled capture: the record file it leaves must decode
+// and self-diff clean, and a later write that fails must not damage it.
 func TestServeSmoke(t *testing.T) {
+	t.Run("batch", func(t *testing.T) {
+		o := serveOpts{
+			loops: 2, iters: 200_000, classesCSV: "a:8,b:1", maxPending: 64,
+			pl: amp.PlatformA(), schedText: "dynamic,16", policyName: "wrr",
+			spin: 200, virtual: true,
+		}
+		var out bytes.Buffer
+		if err := serve(o, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != smokeBatchReport {
+			t.Errorf("virtual batch report moved; got:\n%s\nwant:\n%s", out.String(), smokeBatchReport)
+		}
+	})
 	t.Run("virtual", func(t *testing.T) {
 		var out bytes.Buffer
 		if err := serve(smokeOpts(true), &out); err != nil {

@@ -50,7 +50,7 @@ func main() {
 	submit := func(name string, n int64, weight int, sched core.Schedule) *rt.Loop {
 		l, err := reg.Submit(rt.LoopRequest{
 			Name: name, N: n, Schedule: sched, Weight: weight, Body: body,
-			Capture: true, CaptureCompact: true, CaptureMaxEvents: 512,
+			Capture: true, CaptureMaxEvents: 512,
 		})
 		if err != nil {
 			log.Fatal(err)

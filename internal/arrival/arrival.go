@@ -8,11 +8,13 @@
 // distribution.
 //
 // The processes are engine agnostic: a Process yields inter-arrival gaps in
-// nanoseconds, which the real server (cmd/aidserve) sleeps out on the wall
-// clock and the discrete-event engine (sim.RunLoops) uses as virtual
-// admission stamps via LoopSpec.Arrive. All randomness comes from the
-// repository's deterministic PRNG (internal/xrand), so a seeded arrival
-// sequence is bit-identical across runs and engines.
+// nanoseconds, and Times turns them into one list of arrival stamps. The
+// real server (cmd/aidserve) sleeps until each stamp on the wall clock, so
+// a submitter that falls behind catches up instead of thinning the stream,
+// and the discrete-event engine (sim.RunLoops) admits each at its stamp via
+// LoopSpec.Arrive. All randomness comes from the repository's deterministic
+// PRNG (internal/xrand), so a seeded arrival sequence is bit-identical
+// across runs and engines.
 package arrival
 
 import (
@@ -198,10 +200,9 @@ func New(name string, ratePerSec float64, seed uint64) (Process, error) {
 
 // Times materializes the arrival stamps of p that fall inside
 // [startNs, startNs+durationNs), relative to the stream's own clock. The
-// first arrival is one gap after startNs (the window opens empty). This is
-// the virtual-time form of the stream: feed the stamps to
-// sim.LoopSpec.Arrive to mirror a wall-clock serve in the discrete-event
-// engine.
+// first arrival is one gap after startNs (the window opens empty). Both of
+// aidserve's engines read this form of the stream: the real one sleeps
+// until each stamp, the virtual one feeds them to sim.LoopSpec.Arrive.
 func Times(p Process, startNs, durationNs int64) []int64 {
 	var out []int64
 	end := startNs + durationNs

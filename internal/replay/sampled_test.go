@@ -10,9 +10,10 @@ import (
 )
 
 // captureRun executes a small multi-loop workload with capture on and
-// returns its run record. Compaction and the event budget are the sampled
-// service recorder's reductions (cmd/aidserve -sample).
-func captureRun(t *testing.T, compact bool, budget int) *trace.Record {
+// returns its run record. A positive budget applies the sampled service
+// recorder's reductions (cmd/aidserve -sample): compaction, then the event
+// budget; 0 keeps the full stream.
+func captureRun(t *testing.T, budget int) *trace.Record {
 	t.Helper()
 	reg, err := rt.NewRegistry(rt.RegistryConfig{NThreads: 4})
 	if err != nil {
@@ -26,7 +27,6 @@ func captureRun(t *testing.T, compact bool, budget int) *trace.Record {
 			Schedule:         core.Schedule{Kind: core.KindDynamic, Chunk: 16},
 			Body:             func(_ int, lo, hi int64) {},
 			Capture:          true,
-			CaptureCompact:   compact,
 			CaptureMaxEvents: budget,
 		})
 		if err != nil {
@@ -48,7 +48,7 @@ func captureRun(t *testing.T, compact bool, budget int) *trace.Record {
 // stores for its sampled loops — must still be internally consistent:
 // identical inputs diff clean, before and after a serialization roundtrip.
 func TestSampledRecordSelfDiffClean(t *testing.T) {
-	rec := captureRun(t, true, 48)
+	rec := captureRun(t, 48)
 	if rep := Diff(rec, rec, 1.0); rep.Regressions > 0 {
 		t.Fatalf("sampled record fails self-diff:\n%s", rep)
 	}
@@ -69,7 +69,7 @@ func TestSampledRecordSelfDiffClean(t *testing.T) {
 // not move any cost total the diff compares: pool traffic and per-thread
 // execution time stay exact, and the chunk count only shrinks.
 func TestCompactionPreservesCostTotals(t *testing.T) {
-	full := captureRun(t, false, 0)
+	full := captureRun(t, 0)
 	compacted := *full
 	compacted.Events = trace.CompactEvents(append([]trace.ChunkEvent(nil), full.Events...))
 	if len(compacted.Events) >= len(full.Events) {

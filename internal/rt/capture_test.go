@@ -194,10 +194,9 @@ func TestCaptureBudgetBounded(t *testing.T) {
 	defer reg.Close()
 	const n, budget = 50000, 64
 	l, err := reg.Submit(LoopRequest{
-		Name: "budgeted", N: n, Capture: true, CaptureCompact: true,
-		CaptureMaxEvents: budget,
-		Schedule:         core.Schedule{Kind: core.KindDynamic, Chunk: 8},
-		Body:             func(_ int, _, _ int64) {},
+		Name: "budgeted", N: n, Capture: true, CaptureMaxEvents: budget,
+		Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 8},
+		Body:     func(_ int, _, _ int64) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,9 +230,11 @@ func TestCaptureBudgetBounded(t *testing.T) {
 	}
 }
 
-// TestCaptureCompactionPreservesCoverage: with compaction but no budget the
-// merged grant stream must still tile [0, n) exactly once — merges only
-// coarsen contiguous runs, they never lose or duplicate iterations.
+// TestCaptureCompactionPreservesCoverage: a budget compacts the stream, and
+// with one larger than the uncompacted stream (n/4 grants plus a retirement
+// per worker) nothing is trimmed, so the merged grant stream must still tile
+// [0, n) exactly once — merges only coarsen contiguous runs, they never lose
+// or duplicate iterations.
 func TestCaptureCompactionPreservesCoverage(t *testing.T) {
 	reg, err := NewRegistry(RegistryConfig{NThreads: 4})
 	if err != nil {
@@ -242,7 +243,7 @@ func TestCaptureCompactionPreservesCoverage(t *testing.T) {
 	defer reg.Close()
 	const n = 20000
 	l, err := reg.Submit(LoopRequest{
-		Name: "compacted", N: n, Capture: true, CaptureCompact: true,
+		Name: "compacted", N: n, Capture: true, CaptureMaxEvents: n,
 		Schedule: core.Schedule{Kind: core.KindStatic, Chunk: 4},
 		Body:     func(_ int, _, _ int64) {},
 	})

@@ -297,17 +297,15 @@ type LoopRequest struct {
 	// the result lands in LoopStats.Trace/Events/Phases and feeds
 	// Registry.BuildRecord.
 	Capture bool
-	// CaptureCompact, with Capture, merges adjacent contiguous grants to
-	// the same worker at tape-merge time (trace.CompactEvents) — the
-	// always-on sampling recorder's first reduction. Totals (iterations,
-	// pool accesses, execution time) are preserved; only grant granularity
-	// is coarsened.
-	CaptureCompact bool
 	// CaptureMaxEvents, with Capture, bounds the loop's merged event
-	// stream: when the (possibly compacted) stream exceeds it, the first
-	// and the last CaptureMaxEvents/2 events are retained and the middle is
-	// dropped (trace.TrimToBudget). 0 means unbounded. The budget is applied
-	// after compaction, so it bounds what a record actually stores.
+	// stream — the sampling recorder's reductions. A positive budget first
+	// merges adjacent contiguous grants to the same worker
+	// (trace.CompactEvents), which keeps every total (iterations, pool
+	// accesses, execution time) and coarsens only grant granularity; then,
+	// when the compacted stream still exceeds the budget, the first and the
+	// last CaptureMaxEvents/2 events are retained and the middle is dropped
+	// (trace.TrimToBudget), so the budget bounds what a record actually
+	// stores. 0 means unbounded and uncompacted.
 	CaptureMaxEvents int
 }
 
@@ -345,10 +343,9 @@ type Loop struct {
 	// its ledger, whose tape tid is appended only by worker tid.
 	capture tapes
 	startNs int64
-	// captureCompact/captureMax are the sampled-capture reductions applied
-	// when the tapes merge (see LoopRequest).
-	captureCompact bool
-	captureMax     int
+	// captureMax is the sampled-capture budget applied when the tapes
+	// merge (see LoopRequest.CaptureMaxEvents).
+	captureMax int
 
 	submitted time.Time
 	latency   time.Duration
@@ -420,7 +417,6 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 		l.capture = make(tapes, r.nthreads)
 		tl, evs = l.capture, l.capture
 		l.startNs = r.now()
-		l.captureCompact = req.CaptureCompact
 		l.captureMax = req.CaptureMaxEvents
 		// Pre-size the tapes from the schedule's chunk geometry so the
 		// capturing hot path appends into reserved space instead of
@@ -887,10 +883,9 @@ func (l *Loop) mergeCapture() {
 	// before publication: compaction needs the engines' event order, and
 	// the budget must bound what the loop's stats (and any record built
 	// from them) actually retain.
-	if l.captureCompact {
-		evs = trace.CompactEvents(evs)
+	if l.captureMax > 0 {
+		evs = trace.TrimToBudget(trace.CompactEvents(evs), l.captureMax, l.captureMax/2)
 	}
-	evs = trace.TrimToBudget(evs, l.captureMax, l.captureMax/2)
 	slices.SortFunc(phs, phaseOrder)
 	l.stats.Trace = tr
 	l.stats.Events = evs

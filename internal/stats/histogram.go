@@ -128,7 +128,9 @@ func (h *Histogram) Max() (float64, error) {
 // statistic adjacent to the requested rank (the bucket width over its lower
 // edge). The rank convention matches stats.Percentile (p=0 the minimum
 // bucket, p=100 the maximum), with the position inside the winning bucket
-// interpolated across its width.
+// interpolated across its width and the result clamped to the exact
+// [Min, Max]: no quantile lies outside the observed range, and a histogram
+// of one value returns that value.
 func (h *Histogram) Percentile(p float64) (float64, error) {
 	if h.count == 0 {
 		return 0, fmt.Errorf("stats: empty histogram")
@@ -158,7 +160,8 @@ func (h *Histogram) Percentile(p float64) (float64, error) {
 					frac = 1
 				}
 			}
-			return float64(lo) + frac*float64(hi-lo), nil
+			v := float64(lo) + frac*float64(hi-lo)
+			return min(max(v, h.min), h.max), nil
 		}
 	}
 	return h.max, nil // unreachable unless counts and count disagree

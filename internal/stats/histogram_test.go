@@ -50,6 +50,34 @@ func TestHistogramExactStats(t *testing.T) {
 	}
 }
 
+// TestHistogramPercentileWithinRange: a quantile is interpolated inside its
+// bucket, but never past the observed extremes. Two values sharing the
+// bucket [992, 1008) put p0 and p100 a quarter-width inside it, below the
+// minimum and above the maximum, unless the result is clamped; one value
+// alone used to read as its bucket's midpoint.
+func TestHistogramPercentileWithinRange(t *testing.T) {
+	h := NewHistogram()
+	h.Add(1000)
+	h.Add(1001)
+	for _, c := range []struct{ p, want float64 }{{0, 1000}, {100, 1001}} {
+		if got, _ := h.Percentile(c.p); got != c.want {
+			t.Errorf("p%v of {1000, 1001} = %v, want %v", c.p, got, c.want)
+		}
+	}
+	for _, p := range []float64{1, 25, 50, 75, 99} {
+		if got, _ := h.Percentile(p); got < 1000 || got > 1001 {
+			t.Errorf("p%v of {1000, 1001} = %v, outside the observed range", p, got)
+		}
+	}
+	one := NewHistogram()
+	one.Add(4_017_123)
+	for _, p := range []float64{0, 50, 99, 100} {
+		if got, _ := one.Percentile(p); got != 4_017_123 {
+			t.Errorf("p%v of one value 4017123 = %v, want the value", p, got)
+		}
+	}
+}
+
 // TestHistogramVsReservoir is the accuracy gate: the histogram and the exact
 // order statistics of the same stream (stats.Percentile over the kept
 // samples; the reference was a full-capacity Reservoir until that type was

@@ -112,22 +112,6 @@ func relGainPct(prevTime, nextTime float64) float64 {
 	return (prevTime/nextTime - 1) * 100
 }
 
-// JainIndex returns Jain's fairness index (Σx)²/(n·Σx²) over the per-tenant
-// allocations xs. It is 1 when every tenant gets an equal share and
-// approaches 1/n when one tenant monopolizes the resource. An empty slice or
-// an all-zero allocation returns 0.
-func JainIndex(xs []float64) float64 {
-	var sum, sq float64
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(xs)) * sq)
-}
-
 // MeanGainPct returns the arithmetic mean of per-application relative gains
 // (in percent) of scheme `b` over scheme `a`, where a[i] and b[i] are the
 // completion times of application i under each scheme.

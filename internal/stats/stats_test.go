@@ -157,28 +157,3 @@ func TestGainPctProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestJainIndex(t *testing.T) {
-	if got := JainIndex([]float64{5, 5, 5, 5}); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("equal shares: JainIndex = %v, want 1", got)
-	}
-	// One tenant monopolizing n tenants' resource scores exactly 1/n.
-	if got := JainIndex([]float64{10, 0, 0, 0}); !almostEqual(got, 0.25, 1e-12) {
-		t.Errorf("monopoly: JainIndex = %v, want 0.25", got)
-	}
-	if got := JainIndex([]float64{4, 2}); !almostEqual(got, 0.9, 1e-12) {
-		t.Errorf("2:1 split: JainIndex = %v, want 0.9", got)
-	}
-	if got := JainIndex(nil); got != 0 {
-		t.Errorf("empty: JainIndex = %v, want 0", got)
-	}
-	if got := JainIndex([]float64{0, 0}); got != 0 {
-		t.Errorf("all-zero: JainIndex = %v, want 0", got)
-	}
-	// Scale invariance: the index only sees the shape of the allocation.
-	a := []float64{1, 2, 3, 4}
-	b := []float64{10, 20, 30, 40}
-	if !almostEqual(JainIndex(a), JainIndex(b), 1e-12) {
-		t.Errorf("not scale invariant: %v vs %v", JainIndex(a), JainIndex(b))
-	}
-}
