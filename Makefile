@@ -6,10 +6,11 @@
 #                  imbalance function or timeline TimeIn read outside
 #                  internal/trace, whose Record.Digest is the one per-thread
 #                  busy/sched/sync walk, no sync.Mutex in an AID scheduler
-#                  (internal/core/aid_*.go: AID-auto after its verdict takes
-#                  no lock), and no phase.complete( call or `* 1024 /` sample
+#                  (internal/core/aid_*.go: every AID phase transition rides
+#                  the sampler's CAS epoch word, so no AID path takes a
+#                  lock), and no phase.complete( call or `* 1024 /` sample
 #                  arithmetic in internal/core outside sampler.go, the one
-#                  sampling phase of the three AID machines; the schedule
+#                  sampling phase of the AID machines; the schedule
 #                  vocabulary's layering: internal/rt does not import
 #                  internal/sim, the simulated side (internal/exps,
 #                  internal/replay, aidsim, aidbench, examples/replay) does
@@ -19,7 +20,8 @@
 #                  builds a trace.ChunkEvent or names obs.Batch, since a
 #                  grant is accounted once, in obs.Ledger; no non-test Go
 #                  line that names the retired sf-aware policy or a live SF
-#                  view, since a policy sees a loop's ID and weight only;
+#                  view, since a policy sees a loop's ID and weight only, or
+#                  the retired AID-auto schedule;
 #                  then a darwin/arm64 and a windows build of everything outside
 #                  bench/, whose spinners are Linux-only, so that the
 #                  non-Linux twin of a Linux-only file keeps compiling),
@@ -93,8 +95,9 @@ ci: vet build race race-multiloop examples
 # internal/core outside sampler.go that completes a phase or scales a sample
 # by 1024, and every non-test line of rt or sim that builds a chunk event or
 # names obs.Batch instead of calling a ledger lane, and every non-test Go
-# line that still names the sf-aware policy or a live SF view (help text and
-# comments included); grep passes them on and makes any such line a failure.
+# line that still names the sf-aware policy, a live SF view or the AID-auto
+# schedule (help text and comments included); grep passes them on and makes
+# any such line a failure.
 # The two cross builds compile the build-tagged twins (internal/rt's worker
 # placement) that a Linux build never sees; go build of several packages
 # writes no binary.
@@ -110,7 +113,7 @@ vet:
 	! $(GO) list -deps ./internal/exps ./internal/replay ./cmd/aidsim ./cmd/aidbench ./examples/replay | grep -x 'repro/internal/rt'
 	! git grep --untracked -nE '(^|[^[:alnum:]_.])rt\.(Schedule|ParseSchedule|Kind)' -- '*.go' ':!bench/' | grep .
 	! git grep --untracked -nE 'trace\.ChunkEvent\{|obs\.Batch' -- internal/rt internal/sim ':!*_test.go' | grep .
-	! git grep --untracked -nE 'sf-aware|SFAware|SFLiveView|LiveSF' -- '*.go' ':!*_test.go' | grep .
+	! git grep --untracked -nE 'sf-aware|SFAware|SFLiveView|LiveSF|AIDAuto|aid-auto|AID-auto' -- '*.go' ':!*_test.go' | grep .
 	GOOS=darwin GOARCH=arm64 $(GO) build ./internal/... ./cmd/... ./examples/...
 	GOOS=windows $(GO) build ./internal/... ./cmd/... ./examples/...
 

@@ -32,12 +32,14 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,6 +117,36 @@ func spanOf(results []sim.LoopResult) time.Duration {
 		}
 	}
 	return time.Duration(maxEnd - minStart)
+}
+
+// span is one admitted loop's stay in the fleet: admitted at admit, its
+// barrier released at done, in ns from the start of the run.
+type span struct{ admit, done int64 }
+
+// maxInFlight is the most loops admitted and not yet done at once: the
+// deepest overlap of the half-open [admit, done) intervals, so a loop that
+// is released at the instant another is admitted does not overlap it.
+func maxInFlight(spans []span) int {
+	type edge struct {
+		at    int64
+		delta int
+	}
+	edges := make([]edge, 0, 2*len(spans))
+	for _, s := range spans {
+		edges = append(edges, edge{s.admit, +1}, edge{s.done, -1})
+	}
+	slices.SortFunc(edges, func(a, b edge) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		return a.delta - b.delta // a release before an admission at one instant
+	})
+	depth, most := 0, 0
+	for _, e := range edges {
+		depth += e.delta
+		most = max(most, depth)
+	}
+	return most
 }
 
 // spinIter burns deterministic CPU work for one iteration; the result is
@@ -224,16 +256,16 @@ type classTally struct {
 // the live metrics scrapers; the submitter and completion goroutines take
 // it for each update.
 type serveSummary struct {
-	engine      string
-	arrivals    string
-	mu          sync.Mutex
-	admitted    int64
-	shed        int64
-	maxInFlight int
-	elapsed     time.Duration
-	classes     []*classTally
-	overall     *stats.Histogram
-	record      *trace.Record // sampled captures, when -sample is on
+	engine   string
+	arrivals string
+	mu       sync.Mutex
+	admitted int64
+	shed     int64
+	spans    []span // one per completed loop
+	elapsed  time.Duration
+	classes  []*classTally
+	overall  *stats.Histogram
+	record   *trace.Record // sampled captures, when -sample is on
 }
 
 func newServeSummary(engine, arrivals string, classes []fair.Class) *serveSummary {
@@ -395,9 +427,6 @@ func serveReal(o serveOpts, p plan) (*serveSummary, error) {
 			sem <- struct{}{}
 		}
 		sum.mu.Lock()
-		if inflight := reg.InFlight(); inflight > sum.maxInFlight {
-			sum.maxInFlight = inflight
-		}
 		admitted := sum.admitted
 		sum.mu.Unlock()
 		req := rt.LoopRequest{
@@ -411,6 +440,7 @@ func serveReal(o serveOpts, p plan) (*serveSummary, error) {
 			req.Capture = true
 			req.CaptureMaxEvents = o.sampleBudget
 		}
+		admit := int64(time.Since(start))
 		h, err := reg.Submit(req)
 		if err != nil {
 			<-sem
@@ -426,10 +456,11 @@ func serveReal(o serveOpts, p plan) (*serveSummary, error) {
 		go func() {
 			defer wg.Done()
 			h.Wait()
-			lat := float64(h.Latency())
+			lat := h.Latency()
 			sum.mu.Lock()
-			sum.overall.Add(lat)
-			tally.hist.Add(lat)
+			sum.overall.Add(float64(lat))
+			tally.hist.Add(float64(lat))
+			sum.spans = append(sum.spans, span{admit, admit + int64(lat)})
 			sum.mu.Unlock()
 			<-sem
 		}()
@@ -508,6 +539,7 @@ func serveVirtual(o serveOpts, p plan) (*serveSummary, error) {
 		lat := float64(r.End - r.Start)
 		sum.overall.Add(lat)
 		sum.classes[i%len(p.classes)].hist.Add(lat)
+		sum.spans = append(sum.spans, span{r.Start, r.End})
 	}
 	sum.admitted = int64(len(results))
 	sum.elapsed = spanOf(results)
@@ -534,7 +566,7 @@ func writeServeSummary(w io.Writer, s *serveSummary) {
 	p99, _ := s.overall.Percentile(99)
 	fmt.Fprintf(w, "overall: p50/p95/p99 %v / %v / %v, throughput %.2f loops/s, max in-flight %d\n",
 		durNs(p50), durNs(p95), durNs(p99),
-		float64(s.admitted)/s.elapsed.Seconds(), s.maxInFlight)
+		float64(s.admitted)/s.elapsed.Seconds(), maxInFlight(s.spans))
 }
 
 // writeServeRecord persists the sampled run record and checks it survives

@@ -322,7 +322,7 @@ const smokeVirtualReport = `virtual serve: poisson arrivals, 194 admitted, 0 she
     gold       8       65        0      1.605ms      2.523ms      2.916ms
   silver       4       65        0       1.61ms       3.31ms      4.017ms
   bronze       1       64        0      2.195ms      5.177ms      6.576ms
-overall: p50/p95/p99 1.619ms / 4.606ms / 6.226ms, throughput 195.33 loops/s, max in-flight 0
+overall: p50/p95/p99 1.619ms / 4.606ms / 6.226ms, throughput 195.33 loops/s, max in-flight 4
 `
 
 // smokeBatchReport is what a virtual batch of two loops, one per class,
@@ -333,7 +333,7 @@ const smokeBatchReport = `virtual serve: batch arrivals, 2 admitted, 0 shed, spa
    class  weight    count     shed          p50          p95          p99
        a       8        1        0    271.718ms    271.718ms    271.718ms
        b       1        1        0    484.017ms    484.017ms    484.017ms
-overall: p50/p95/p99 482.345ms / 482.345ms / 482.345ms, throughput 4.13 loops/s, max in-flight 0
+overall: p50/p95/p99 482.345ms / 482.345ms / 482.345ms, throughput 4.13 loops/s, max in-flight 2
 `
 
 // TestServeSmoke drives the service tier end to end through serve: the
@@ -412,4 +412,22 @@ func TestServeSmoke(t *testing.T) {
 			t.Errorf("failed write left %d files in the directory, want only the record", len(entries))
 		}
 	})
+}
+
+// TestServeRealMaxInFlight: a batch of four loops on a four-worker fleet is
+// admitted at once and runs for tens of milliseconds, so all four are in
+// flight together. Sampling the registry's in-flight count before each
+// Submit missed the loop being admitted and printed 3.
+func TestServeRealMaxInFlight(t *testing.T) {
+	o := serveOpts{
+		loops: 4, iters: 20_000, threads: 4, classesCSV: "std", maxPending: 64, shed: true,
+		pl: amp.PlatformA(), schedText: "aid-dynamic,1,5", policyName: "wrr", spin: 200,
+	}
+	var out bytes.Buffer
+	if err := serve(o, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), " 4 admitted, ") || !strings.HasSuffix(out.String(), ", max in-flight 4\n") {
+		t.Errorf("four loops admitted at once, report:\n%s", out.String())
+	}
 }

@@ -88,7 +88,6 @@ func run(w io.Writer, platform string, threads int, bindingText, schedText strin
 			{Kind: core.KindAIDStatic},
 			{Kind: core.KindAIDHybrid},
 			{Kind: core.KindAIDDynamic},
-			{Kind: core.KindAIDAuto},
 			{Kind: core.KindWorkSteal, Chunk: 16},
 		}
 	} else {

@@ -17,7 +17,7 @@ func TestRunWithMigration(t *testing.T) {
 	if err := run(&out, "A", 0, "BS", "all", ni, 100000, 0, 0.5, 0.3, 0.2, true, "0:1:1000000"); err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
-	if got, want := strings.Count(out.String(), fmt.Sprintf("iterations %d/%d\n", ni, ni)), 8; got != want {
+	if got, want := strings.Count(out.String(), fmt.Sprintf("iterations %d/%d\n", ni, ni)), 7; got != want {
 		t.Errorf("%d of %d schedules report full coverage:\n%s", got, want, out.String())
 	}
 	// A chunk the schedule grammar accepts may exceed any trip count.

@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -29,7 +31,13 @@ import (
 const samples = 400000
 
 func main() {
-	fmt.Println("== real execution (4 goroutine workers, emulated 2B+2S) ==")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "== real execution (4 goroutine workers, emulated 2B+2S) ==")
 	for _, sched := range []core.Schedule{
 		{Kind: core.KindStatic},
 		{Kind: core.KindDynamic, Chunk: 256},
@@ -48,7 +56,7 @@ func main() {
 			Profile:  amp.Profile{ILP: 0.5},
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var hits atomic.Int64
 		start := time.Now()
@@ -56,18 +64,18 @@ func main() {
 			hits.Add(kernels.MonteCarloPiRange(lo, hi, 2024))
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		pi := 4 * float64(hits.Load()) / samples
-		fmt.Printf("%-20s pi = %.6f   wall %8.2f ms\n", sched, pi, float64(time.Since(start).Microseconds())/1000)
+		fmt.Fprintf(w, "%-20s pi = %.6f   wall %8.2f ms\n", sched, pi, float64(time.Since(start).Microseconds())/1000)
 	}
 
-	fmt.Println()
-	fmt.Println("== simulated EP loop on both modeled platforms ==")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "== simulated EP loop on both modeled platforms ==")
 	ep, _ := workloads.ByName("EP")
 	loop := ep.Program.Loops()[0]
 	for _, pl := range []*amp.Platform{amp.PlatformA(), amp.PlatformB()} {
-		fmt.Printf("-- Platform %s --\n", pl.Name)
+		fmt.Fprintf(w, "-- Platform %s --\n", pl.Name)
 		for _, scheme := range exps.Fig6Schemes() {
 			cfg := sim.Config{
 				Platform: pl,
@@ -77,9 +85,10 @@ func main() {
 			}
 			res, err := sim.RunLoop(cfg, loop, 0)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("%-14s %9.3f ms (virtual)\n", scheme.Label, float64(res.End-res.Start)/1e6)
+			fmt.Fprintf(w, "%-14s %9.3f ms (virtual)\n", scheme.Label, float64(res.End-res.Start)/1e6)
 		}
 	}
+	return nil
 }

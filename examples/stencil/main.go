@@ -13,8 +13,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 
 	"repro/internal/amp"
 	"repro/internal/core"
@@ -24,6 +26,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	// --- real row-parallel stencil -----------------------------------------
 	const w, h, steps = 256, 256, 20
 	src, dst := kernels.NewGrid(w, h), kernels.NewGrid(w, h)
@@ -31,13 +39,13 @@ func main() {
 
 	team, err := rt.NewTeam(rt.TeamConfig{NThreads: 4, Schedule: core.Schedule{Kind: core.KindAIDStatic}})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for s := 0; s < steps; s++ {
 		if err := team.ParallelFor(int64(h), func(y int64) {
 			kernels.StencilRow(dst, src, int(y), 0.2)
 		}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		src, dst = dst, src
 	}
@@ -45,7 +53,7 @@ func main() {
 	for _, v := range src.Data {
 		total += v
 	}
-	fmt.Printf("real stencil: %dx%d grid, %d steps, heat conserved: %.1f (want 1000.0, err %.2g)\n",
+	fmt.Fprintf(out, "real stencil: %dx%d grid, %d steps, heat conserved: %.1f (want 1000.0, err %.2g)\n",
 		w, h, steps, total, math.Abs(total-1000))
 
 	// --- simulated SF study --------------------------------------------------
@@ -58,26 +66,31 @@ func main() {
 	}
 	offline, err := sim.MeasureLoopSF(pl, loop)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	online := pl.SF(loop.Profile, 4, 4)
-	fmt.Printf("stencil loop SF on Platform A: offline (1 thread) %.2f, contended (8 threads) %.2f\n",
+	fmt.Fprintf(out, "stencil loop SF on Platform A: offline (1 thread) %.2f, contended (8 threads) %.2f\n",
 		offline, online)
 
-	runWith := func(name string, f sim.SchedulerFactory) {
+	for _, c := range []struct {
+		name string
+		f    sim.SchedulerFactory
+	}{
+		{"static", func(i core.LoopInfo) (core.Scheduler, error) { return core.NewStatic(i) }},
+		{"AID-static (online SF)", func(i core.LoopInfo) (core.Scheduler, error) {
+			return core.NewAIDStatic(i, 1)
+		}},
+		{"AID-static (offline SF)", func(i core.LoopInfo) (core.Scheduler, error) {
+			return core.NewAIDStaticOffline(i, 1, []float64{offline, 1})
+		}},
+	} {
 		res, err := sim.RunLoop(sim.Config{
-			Platform: pl, NThreads: 8, Binding: amp.BindBS, Factory: f,
+			Platform: pl, NThreads: 8, Binding: amp.BindBS, Factory: c.f,
 		}, loop, 0)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-28s %9.3f ms (virtual)\n", name, float64(res.End-res.Start)/1e6)
+		fmt.Fprintf(out, "%-28s %9.3f ms (virtual)\n", c.name, float64(res.End-res.Start)/1e6)
 	}
-	runWith("static", func(i core.LoopInfo) (core.Scheduler, error) { return core.NewStatic(i) })
-	runWith("AID-static (online SF)", func(i core.LoopInfo) (core.Scheduler, error) {
-		return core.NewAIDStatic(i, 1)
-	})
-	runWith("AID-static (offline SF)", func(i core.LoopInfo) (core.Scheduler, error) {
-		return core.NewAIDStaticOffline(i, 1, []float64{offline, 1})
-	})
+	return nil
 }

@@ -113,18 +113,9 @@ func (a *AIDDynamic) Reset(info LoopInfo) error {
 	if err := info.Validate(); err != nil {
 		return err
 	}
-	a.rearm(info, 0)
-	info.resetPool(a.ws, a.counts)
-	return nil
-}
-
-// rearm starts every piece of per-loop state over except the pool, and arms
-// the sampler at epoch: Reset and adopt, the two ways into a loop, set the
-// pool and choose the epoch.
-func (a *AIDDynamic) rearm(info LoopInfo, epoch uint32) {
 	a.info = info
 	a.counts = info.typeCounts(a.counts)
-	a.smp.reset(info, epoch)
+	a.smp.reset(info, 0)
 	if cap(a.th) < info.NThreads {
 		a.th = make([]aidDynThread, info.NThreads)
 	}
@@ -141,6 +132,8 @@ func (a *AIDDynamic) rearm(info LoopInfo, epoch uint32) {
 	}
 	a.tail.Store(false)
 	a.observe = nil
+	info.resetPool(a.ws, a.counts)
+	return nil
 }
 
 // Name implements Scheduler.
@@ -308,8 +301,7 @@ func (a *AIDDynamic) aidAssign(tid int, st *aidDynThread, asg *Assign, nowNs int
 	// measured chunk to the nominal size amplifies timer noise straight
 	// into the SM update. Tail pieces go to the stash and are served (and
 	// measured) before the phase completes.
-	rs, acc := st.claimSpan(a.ws, int(a.types[tid].Load()), want)
-	normalizeOrigin(a.ws, rs) // adopted single-shard pools (AID-auto) have no type tags
+	_, acc := st.claimSpan(a.ws, int(a.types[tid].Load()), want)
 	asg.addAccesses(acc)
 	// The phase-measurement window starts over the claimed span.
 	got, ok := st.serve(asg)

@@ -286,9 +286,13 @@ func (a *AIDHybrid) Migrate(tid, newType int, _ int64) {
 	}
 }
 
-// readsClock answers ReadsClock: the drain after the final allotment is the
-// only state nowNs can no longer reach, and no transition leaves it.
-func (a *AIDHybrid) readsClock(tid int) bool { return a.th[tid].state != stDrain }
+// readsClock answers ReadsClock: only the thread's own sampling window reads
+// nowNs, opened in stNew and closed in stSampling. The sampling wait and the
+// final allotment never touch it, and no transition leads back.
+func (a *AIDHybrid) readsClock(tid int) bool {
+	st := a.th[tid].state
+	return st == stNew || st == stSampling
+}
 
 // Next implements Scheduler, realizing the Fig. 3 state machine.
 func (a *AIDHybrid) Next(tid int, nowNs int64) (Assign, bool) {

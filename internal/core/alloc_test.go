@@ -17,8 +17,7 @@ import (
 // thread reports, so its measured run is one Next per thread (allThreads):
 // the window then spans whole phases — span claims into the stash, R
 // smoothing into the spare table, the epoch advance — not just thread 0's
-// wait state. AID-auto's steady state after a uniform verdict is its drain,
-// which must take no lock and touch no heap.
+// wait state.
 func TestNextSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -40,8 +39,6 @@ func TestNextSteadyStateAllocs(t *testing.T) {
 			func(info LoopInfo) (Scheduler, error) { return NewAIDHybrid(info, 1, 0.8) }, 20000, 2000, false},
 		{"aid-dynamic", 1 << 24,
 			func(info LoopInfo) (Scheduler, error) { return NewAIDDynamic(info, 1, 5) }, 64, 2000, true},
-		{"aid-auto", 1 << 24,
-			func(info LoopInfo) (Scheduler, error) { return NewAIDAuto(info, 1, 0.8, 5, 0) }, 64, 2000, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -67,13 +64,6 @@ func TestNextSteadyStateAllocs(t *testing.T) {
 			if ad != nil {
 				if epoch = ad.smp.epoch(); epoch == 0 {
 					t.Fatalf("%s still sampling after warm-up", c.name)
-				}
-			}
-			if aa, _ := s.(*AIDAuto); aa != nil {
-				// Equal clock steps sample a uniform loop: what is measured
-				// is the post-verdict drain.
-				if irregular, cv, ok := aa.Decision(); !ok || irregular {
-					t.Fatalf("%s after warm-up: irregular %v (CV %v), decided %v; want a uniform verdict", c.name, irregular, cv, ok)
 				}
 			}
 			measured := 1

@@ -1,16 +1,12 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/pool"
-)
+import "repro/internal/pool"
 
 // claimState is the per-thread claim bookkeeping shared by every AID
 // scheduler: the δ counter, the size of the last served chunk, and the
-// thread-local stash of claimed-but-unserved ranges (batched foreign-shard
-// handoffs, the tail pieces of a multi-shard span). It is only ever
-// touched by its owning thread.
+// thread-local stash of claimed-but-unserved ranges (the tail pieces of a
+// multi-shard span, AID-static's drained residue). It is only ever touched
+// by its owning thread.
 type claimState struct {
 	// delta counts the iterations the thread has claimed for itself (the
 	// δ_i of §4.2, including any not-yet-served stash), which is
@@ -47,61 +43,19 @@ func (cs *claimState) pop() (pool.Range, bool) {
 	return r, true
 }
 
-// originOf resolves a pool-reported provenance into Assign.Origin space: a
-// pool with a single shard is a type-shared line (AID-auto's deliberate
-// global window), whose owner tag means nothing in core-type space, so its
-// claims are marked OriginShared and charged globally.
-func originOf(ws *pool.ShardedWorkShare, from int) int32 {
-	if ws.NumTypes() == 1 {
-		return OriginShared
-	}
-	return int32(from) // a shard owner, which the pool keeps in an int32
-}
-
-// take serves up to n iterations: first from the stash, then from the pool
-// with batched foreign-shard handoff. Everything claimed (served or
-// stashed) is added to δ at claim time, so a thread can never exit with
-// stashed work and δ never under-counts what the thread owns. Served
-// ranges carry their provenance (Assign.Origin); stashed surplus keeps it
-// in Range.From.
-func (cs *claimState) take(ws *pool.ShardedWorkShare, home int, n int64, asg *Assign) (Assign, bool) {
-	if len(cs.pending) > 0 {
-		return cs.serve(asg)
-	}
-	batch := int64(math.MaxInt64) // n×HandoffBatch, saturating
-	if n <= batch/pool.HandoffBatch {
-		batch = n * pool.HandoffBatch
-	}
-	lo, hi, from, acc, ok := ws.TryStealBatchFrom(home, n, batch)
-	asg.addAccesses(acc)
-	asg.Origin = originOf(ws, from)
-	if !ok {
-		cs.lastN = 0
-		return *asg, false
-	}
-	cs.delta += hi - lo
-	if hi-lo > n {
-		cs.pending = append(cs.pending, pool.Range{Lo: lo + n, Hi: hi, From: asg.Origin})
-		hi = lo + n
-	}
-	cs.lastN = hi - lo
-	asg.Lo, asg.Hi = lo, hi
-	return *asg, true
-}
-
-// takeCredit is take on the batched credit path: stash first, then the
-// thread's credit (a thread-local draw, no shared RMW), then the pool —
-// where one fetch-and-add claims pool.CreditBatch chunks and banks the
-// surplus as new credit. δ accounting mirrors take: everything claimed is
-// added at claim time, so δ always equals the iterations this thread owns.
-// ok=false only when the pool, stash and credit are all empty.
+// takeCredit serves up to n iterations on the batched credit path: stash
+// first, then the thread's credit (a thread-local draw, no shared RMW), then
+// the pool — where one fetch-and-add claims pool.CreditBatch chunks and
+// banks the surplus as new credit. Everything claimed is added to δ at claim
+// time, so δ always equals the iterations this thread owns. ok=false only
+// when the pool, stash and credit are all empty.
 func (cs *claimState) takeCredit(ws *pool.ShardedWorkShare, home int, n int64, asg *Assign) (Assign, bool) {
 	if len(cs.pending) > 0 {
 		return cs.serve(asg)
 	}
 	lo, hi, st, ok := ws.TryStealCredit(home, n, &cs.credit)
 	asg.addAccesses(st.Accesses)
-	asg.Origin = originOf(ws, st.From)
+	asg.Origin = int32(st.From) // a shard owner, which the pool keeps in an int32
 	// One call acquires at most one credit, so the count is at most
 	// pool.MaxCredit and the sum below cannot wrap.
 	asg.CreditClaimed += int32(st.Claimed)
@@ -113,19 +67,6 @@ func (cs *claimState) takeCredit(ws *pool.ShardedWorkShare, home int, n int64, a
 	cs.lastN = hi - lo
 	asg.Lo, asg.Hi = lo, hi
 	return *asg, true
-}
-
-// normalizeOrigin rewrites the provenance tags of ranges claimed from a
-// type-shared (single-shard) pool to OriginShared — see originOf. A no-op
-// for per-type sharded pools, whose owner tags are already in core-type
-// space.
-func normalizeOrigin(ws *pool.ShardedWorkShare, rs []pool.Range) {
-	if ws.NumTypes() > 1 {
-		return
-	}
-	for i := range rs {
-		rs[i].From = OriginShared
-	}
 }
 
 // claimSpan claims up to want iterations across shards (pool.StealSpan)

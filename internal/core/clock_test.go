@@ -12,12 +12,14 @@ type grant struct {
 }
 
 // call is one recorded Next call: who called, with which nowNs, what it got,
-// and what ReadsClock answered for the caller right after.
+// what ReadsClock answered for the caller right after, and whether the call
+// left the caller in AID-static/hybrid's sampling wait.
 type call struct {
 	tid   int
 	nowNs int64
 	got   grant
 	reads bool
+	wait  bool
 }
 
 // nextRecorder passes Next calls through to its Scheduler and records them.
@@ -28,7 +30,9 @@ type nextRecorder struct {
 
 func (r *nextRecorder) Next(tid int, nowNs int64) (Assign, bool) {
 	asg, ok := r.Scheduler.Next(tid, nowNs)
-	r.calls = append(r.calls, call{tid, nowNs, grant{asg, ok}, ReadsClock(r.Scheduler, tid)})
+	a, _ := r.Scheduler.(*AIDHybrid)
+	wait := a != nil && a.th[tid].state == stSamplingWait
+	r.calls = append(r.calls, call{tid, nowNs, grant{asg, ok}, ReadsClock(r.Scheduler, tid), wait})
 	return asg, ok
 }
 
@@ -39,16 +43,18 @@ const alienNs = 1<<50 + 12345
 // TestClockFreeSchedulersIgnoreNow holds ReadsClock to its promise, per
 // thread. Every conformance scheduler is driven clocked (virtualExec), fresh
 // and again after a Reset to another loop shape and to a loop whose iteration
-// costs vary enough for AID-auto to take its irregular path. Per thread, the
-// answer before the first call is false for the five clock-free types and
-// true for the AID families; once false it stays false; and every call after
-// the flip carries Timestamps == 0. A twin driven in the same pick order must
-// return exactly the same grants when each post-flip call is handed (a) the
-// thread's last stamp before the flip — 0 for a thread that never read the
-// clock — as the registry hands it, and (b) alienNs. The AID-static/hybrid/
-// dynamic families must flip at least one thread of the first loop, and
-// AID-auto one of the irregular loop; a wrapper the switch does not know
-// reads the clock.
+// costs vary from pair to pair. Per thread, the answer before the first call
+// is false for the five clock-free types and true for the AID families; once
+// false it stays false; and every call after the flip carries Timestamps ==
+// 0. An AID-static/hybrid thread has filed its measurement once it waits for
+// the other samplers, so the answer is false from its sampling wait on, and
+// the sampling variants must reach that wait in the first loop. A twin driven
+// in the same pick order must return exactly the same grants when each
+// post-flip call is handed (a) the thread's last stamp before the flip — 0
+// for a thread that never read the clock — as the registry hands it, and (b)
+// alienNs. The AID-static/hybrid/dynamic families must flip at least one
+// thread of the first loop; a wrapper the switch does not know reads the
+// clock.
 func TestClockFreeSchedulersIgnoreNow(t *testing.T) {
 	uniform := func(ct int, _ int64) int64 { return []int64{100, 300}[ct] }
 	// Pairs of iterations alternate between cheap and ten times dearer, so
@@ -63,7 +69,8 @@ func TestClockFreeSchedulersIgnoreNow(t *testing.T) {
 		{conformanceInfo(10007, 2, 2), irregular},
 	}
 	mustFlip := map[string]int{"aid-static": 0, "aid-static-offline": 0, "aid-hybrid": 0,
-		"aid-dynamic": 0, "aid-auto": 2}
+		"aid-dynamic": 0}
+	mustWait := map[string]int{"aid-static": 0, "aid-hybrid": 0}
 	clocked := conformanceSchedulers(t, rounds[0].info)
 	stale := conformanceSchedulers(t, rounds[0].info)
 	alien := conformanceSchedulers(t, rounds[0].info)
@@ -98,10 +105,16 @@ func TestClockFreeSchedulersIgnoreNow(t *testing.T) {
 			for tid := range free {
 				free[tid] = clockFree
 			}
-			flipped := 0
+			flipped, waited := 0, 0
 			for i, c := range rec.calls {
 				post[i] = free[c.tid]
+				if c.wait {
+					waited++
+				}
 				switch {
+				case c.wait && c.reads:
+					t.Errorf("%s, round %d: ReadsClock(thread %d) = true in the sampling wait after call %d",
+						name, round, c.tid, i)
 				case post[i] && c.got.asg.Timestamps != 0:
 					t.Errorf("%s, round %d: call %d (thread %d) after the flip carries %d timestamps",
 						name, round, i, c.tid, c.got.asg.Timestamps)
@@ -116,10 +129,8 @@ func TestClockFreeSchedulersIgnoreNow(t *testing.T) {
 			if want, ok := mustFlip[name]; ok && want == round && flipped == 0 {
 				t.Errorf("%s, round %d: no thread stopped reading the clock", name, round)
 			}
-			if name == "aid-auto" && round == 2 {
-				if irr, cv, _ := s.(*AIDAuto).Decision(); !irr {
-					t.Errorf("%s, round %d: classified uniform (CV %.3f), want the irregular path", name, round, cv)
-				}
+			if want, ok := mustWait[name]; ok && want == round && waited == 0 {
+				t.Errorf("%s, round %d: no thread entered the sampling wait", name, round)
 			}
 
 			for _, twin := range []struct {

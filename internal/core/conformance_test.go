@@ -56,8 +56,6 @@ func conformanceSchedulers(t *testing.T, info LoopInfo) map[string]Scheduler {
 	add("aid-hybrid", ah, err)
 	ad, err := NewAIDDynamic(info, 1, 5)
 	add("aid-dynamic", ad, err)
-	au, err := NewAIDAuto(info, 2, 0.8, 8, 0)
-	add("aid-auto", au, err)
 	wsl, err := NewWorkSteal(info, 2)
 	add("work-steal", wsl, err)
 	// The largest chunks the GOOMP_SCHEDULE grammar accepts: every size sum
@@ -75,8 +73,6 @@ func conformanceSchedulers(t *testing.T, info LoopInfo) map[string]Scheduler {
 	add("aid-hybrid-max", ahm, err)
 	adm, err := NewAIDDynamic(info, huge, huge)
 	add("aid-dynamic-max", adm, err)
-	aum, err := NewAIDAuto(info, 1<<62, 0.8, 1<<62, 0)
-	add("aid-auto-max", aum, err)
 	return mk
 }
 

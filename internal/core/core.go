@@ -147,10 +147,9 @@ func (li LoopInfo) atomicTypes(buf []atomic.Int32) []atomic.Int32 {
 }
 
 // OriginShared marks an Assign whose iterations came from a type-shared
-// pool structure (a single-shard pool, a central mutex-protected deque)
-// rather than a per-core-type shard: there is no per-type line to charge,
-// so the cost model attributes contention globally and prices locality at
-// the base tier.
+// pool structure (work-steal's mutex-protected ranges) rather than a
+// per-core-type shard: there is no per-type line to charge, so the cost
+// model attributes contention globally and prices locality at the base tier.
 const OriginShared = -1
 
 // Assign is the result of one scheduler invocation: a half-open iteration
@@ -262,13 +261,12 @@ type Scheduler interface {
 //
 //   - static, static-chunked, dynamic, guided and work-steal, whose Next names
 //     the parameter _: false throughout.
-//   - AID-static, AID-hybrid and AID-dynamic: true until the thread is past
-//     its last sampling point (the AID-static/hybrid final allotment,
-//     AID-dynamic's tail switch or a pool that drained under its allotment),
-//     false for the drain after it, which only mops up leftovers.
-//   - AID-auto: true until its verdict; then false from the thread's drain on
-//     after a uniform one, the adopted AID-dynamic's answer after an
-//     irregular one.
+//   - AID-static and AID-hybrid: true until the thread has filed its
+//     sampling measurement, false from its sampling wait on: neither the wait
+//     nor the final allotment nor the drain after it reads nowNs.
+//   - AID-dynamic: true until the thread is past its last sampling point (the
+//     tail switch or a pool that drained under its allotment), false for the
+//     drain after it, which only mops up leftovers.
 //   - Every other scheduler, whatever its package, wrappers included: true.
 //
 // While Next calls may run, only thread tid may ask about tid, between its own
@@ -282,8 +280,6 @@ func ReadsClock(s Scheduler, tid int) bool {
 	case *AIDHybrid:
 		return s.readsClock(tid)
 	case *AIDDynamic:
-		return s.readsClock(tid)
-	case *AIDAuto:
 		return s.readsClock(tid)
 	}
 	return true

@@ -22,8 +22,6 @@ type PhaseEvent struct {
 	//	"r-initial"     AID-dynamic derived its first R from sampling
 	//	"r-smoothed"    AID-dynamic re-estimated R after an AID phase
 	//	"tail-switch"   AID-dynamic engaged the end-of-loop dynamic(m) mode
-	//	"auto-uniform"  AID-auto classified the loop as uniform (hybrid path)
-	//	"auto-irregular" AID-auto classified the loop as irregular (dynamic path)
 	Kind string
 	// SF is the per-core-type estimate published with the transition (a
 	// copy; nil for transitions that publish none, e.g. the tail switch).
@@ -32,12 +30,10 @@ type PhaseEvent struct {
 
 // PhaseEvent kind values (see PhaseEvent.Kind).
 const (
-	PhaseSFPublished   = "sf-published"
-	PhaseRInitial      = "r-initial"
-	PhaseRSmoothed     = "r-smoothed"
-	PhaseTailSwitch    = "tail-switch"
-	PhaseAutoUniform   = "auto-uniform"
-	PhaseAutoIrregular = "auto-irregular"
+	PhaseSFPublished = "sf-published"
+	PhaseRInitial    = "r-initial"
+	PhaseRSmoothed   = "r-smoothed"
+	PhaseTailSwitch  = "tail-switch"
 )
 
 // PhaseObservable is implemented by schedulers that can report their phase

@@ -16,7 +16,7 @@ import (
 // A thread finishing its measured chunk calls complete: a CAS decrement of
 // remaining under an unchanged epoch. The thread that decrements remaining
 // to zero is the LAST of the epoch — it owns the single-threaded transition
-// window (compute SF/R or AID-auto's verdict, clear the accumulators) and
+// window (compute SF or R, clear the accumulators) and
 // then publishes the next epoch with open, re-arming remaining in the
 // same store. Readers observe the epoch with a plain atomic load. Because
 // every measurement is added to the accumulators before complete, and open

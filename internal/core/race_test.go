@@ -11,8 +11,8 @@ import (
 // stressExec drives a scheduler with real concurrent goroutines, one per
 // thread, feeding Next a fabricated monotonic clock, and asserts the
 // exactly-once coverage invariant. Unlike virtualExec there is no global
-// serialization: every lock-free path — sharded chunk removal, batched
-// handoff, packed-word phase transitions, migration notifications — runs
+// serialization: every lock-free path — sharded chunk removal, credit and
+// span claims, packed-word phase transitions, migration notifications — runs
 // genuinely in parallel, which is what `go test -race` needs to see.
 func stressExec(t *testing.T, s Scheduler, info LoopInfo, migrate bool) {
 	t.Helper()
@@ -69,7 +69,7 @@ func TestLockFreeSchedulersStress(t *testing.T) {
 		}
 		return s
 	}
-	names := []string{"dynamic", "guided", "aid-static", "aid-hybrid", "aid-dynamic", "aid-auto"}
+	names := []string{"dynamic", "guided", "aid-static", "aid-hybrid", "aid-dynamic"}
 	for _, procs := range []int{1, 2, 8} {
 		for _, name := range names {
 			for _, migrate := range []bool{false, true} {

@@ -9,7 +9,7 @@ import "sync/atomic"
 const sampleScale = 1024
 
 // sampler is the one home of the AID sampling phase (§4.2, Figs. 3 and 5),
-// which AID-static/hybrid, AID-dynamic and AID-auto each embed. It owns
+// which AID-static/hybrid and AID-dynamic each embed. It owns
 //
 //   - the per-core-type sum/count accumulators of footnote 2 of §4.2: the
 //     average measurement of a core type is sum/count;
@@ -32,19 +32,16 @@ type sampler struct {
 // window is one thread's measuring window, kept in the thread's own padded
 // state: the clock stamp the window opened at, the epoch its measurement
 // reports to (0, the sampling phase, until AID-dynamic's aidAssign moves it
-// on), and what the thread's last close filed (AID-auto's classifier reads
-// every thread's sample).
+// on).
 type window struct {
 	lastTS int64
-	sample int64
 	epoch  uint32
 }
 
 // reset arms s for a loop of info's shape (info valid) at the given epoch:
-// 0 opens the sampling phase, 1 skips it (the offline-SF variant, and an
-// AID-dynamic adopted after AID-auto's sampling). The accumulators keep
-// their storage when it is large enough. Like Reset it must not race with
-// a measurer.
+// 0 opens the sampling phase, 1 skips it (the offline-SF variant). The
+// accumulators keep their storage when it is large enough. Like Reset it must
+// not race with a measurer.
 func (s *sampler) reset(info LoopInfo, epoch uint32) {
 	if cap(s.sumNs) < info.NumTypes {
 		s.sumNs = make([]atomic.Int64, info.NumTypes)
@@ -102,7 +99,6 @@ func (s *sampler) measure(w *window, typ int, nowNs, n, scale int64) (last bool)
 	if scale > 0 && scale != n {
 		elapsed = elapsed * scale / n
 	}
-	w.sample = elapsed
 	s.sumNs[typ].Add(elapsed)
 	s.counts[typ].Add(1)
 	return s.phase.complete(w.epoch)

@@ -118,8 +118,8 @@ func TestSamplerWindow(t *testing.T) {
 	if s.close(&w, 0, 2500, 0, sampleScale, &asg) {
 		t.Error("a window over no iterations reported last")
 	}
-	if w.lastTS != 2500 || asg.Timestamps != 2 || w.sample != 0 {
-		t.Errorf("empty close: lastTS %d, Timestamps %d, sample %d; want 2500, 2, 0", w.lastTS, asg.Timestamps, w.sample)
+	if w.lastTS != 2500 || asg.Timestamps != 2 {
+		t.Errorf("empty close: lastTS %d, Timestamps %d; want 2500, 2", w.lastTS, asg.Timestamps)
 	}
 	if _, ok := s.avg(0); ok {
 		t.Error("an empty window filed a measurement")
@@ -136,9 +136,10 @@ func TestSamplerWindow(t *testing.T) {
 		{"no nominal", 600, 3, 0, 600},
 	} {
 		before := asg.Timestamps
+		s.clear()
 		s.close(&w, 0, w.lastTS+c.elapsed, c.n, c.scale, &asg)
-		if w.sample != c.want || asg.Timestamps != before+1 {
-			t.Errorf("%s: filed %d with %d charge(s), want %d with 1", c.name, w.sample, asg.Timestamps-before, c.want)
+		if filed, _ := s.avg(0); filed != float64(c.want) || asg.Timestamps != before+1 {
+			t.Errorf("%s: filed %v with %d charge(s), want %d with 1", c.name, filed, asg.Timestamps-before, c.want)
 		}
 	}
 }

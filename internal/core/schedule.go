@@ -25,10 +25,6 @@ const (
 	KindAIDHybrid
 	// KindAIDDynamic is the paper's AID-dynamic (§4.2, Fig. 5).
 	KindAIDDynamic
-	// KindAIDAuto is the §6 future-work extension implemented here: per
-	// loop, the sampling phase classifies iteration costs as uniform or
-	// irregular and picks the AID-hybrid or AID-dynamic treatment.
-	KindAIDAuto
 	// KindWorkSteal is the work-stealing alternative of §4.3: an even
 	// initial split with back-half stealing from the most-loaded victim.
 	KindWorkSteal
@@ -36,7 +32,7 @@ const (
 
 // kindNames are the kinds' names, in Kind order.
 var kindNames = [...]string{"static", "static-chunked", "dynamic", "guided",
-	"aid-static", "aid-hybrid", "aid-dynamic", "aid-auto", "work-steal"}
+	"aid-static", "aid-hybrid", "aid-dynamic", "work-steal"}
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
@@ -97,8 +93,6 @@ func (s Schedule) String() string {
 		return fmt.Sprintf("AID-hybrid(%d%%)", int(d.Pct*100+0.5))
 	case KindAIDDynamic:
 		return fmt.Sprintf("AID-dynamic/%d,%d", d.Chunk, d.Major)
-	case KindAIDAuto:
-		return fmt.Sprintf("AID-auto/%d,%d", d.Chunk, d.Major)
 	}
 	return s.Kind.String()
 }
@@ -107,16 +101,15 @@ func (s Schedule) String() string {
 // ParseSchedule(s.Canonical()) selects the same schedule. Run records store
 // this form so replay's what-if mode can rebuild the recorded schedule.
 // It is "" where the syntax cannot write the fields exactly: the offline-SF
-// table, an AID-hybrid share that is no whole percentage in (0,100], an
-// AID-auto share other than the default, a chunk or Major below 1. A record of such a run carries no re-parseable schedule
+// table, an AID-hybrid share that is no whole percentage in (0,100], a chunk
+// or Major below 1. A record of such a run carries no re-parseable schedule
 // and what-if replay demands an explicit override rather than silently
 // substituting a different schedule.
 func (s Schedule) Canonical() string {
 	d := s.WithDefaults()
 	switch {
 	case s.Kind != KindStatic && d.Chunk <= 0,
-		s.Kind == KindAIDStatic && s.OfflineSF != nil,
-		s.Kind == KindAIDAuto && d.Pct != 0.80:
+		s.Kind == KindAIDStatic && s.OfflineSF != nil:
 		return ""
 	}
 	switch s.Kind {
@@ -135,7 +128,7 @@ func (s Schedule) Canonical() string {
 			return fmt.Sprintf("aid-hybrid,%d,%d", int(pct), d.Chunk)
 		}
 		return fmt.Sprintf("aid-hybrid,%d", int(pct))
-	case KindAIDDynamic, KindAIDAuto:
+	case KindAIDDynamic:
 		if d.Major <= 0 {
 			return ""
 		}
@@ -170,8 +163,6 @@ func (d Schedule) build(info LoopInfo) (Scheduler, error) {
 		return NewAIDHybrid(info, d.Chunk, d.Pct)
 	case KindAIDDynamic:
 		return NewAIDDynamic(info, d.Chunk, d.Major)
-	case KindAIDAuto:
-		return NewAIDAuto(info, d.Chunk, d.Pct, d.Major, 0)
 	case KindWorkSteal:
 		return NewWorkSteal(info, d.Chunk)
 	}
@@ -200,7 +191,6 @@ var scheduleSyntax = map[string]struct {
 	"aid-static":  {KindAIDStatic, []param{paramChunk}},
 	"aid-hybrid":  {KindAIDHybrid, []param{paramPct, paramChunk}},
 	"aid-dynamic": {KindAIDDynamic, []param{paramChunk, paramMajor}},
-	"aid-auto":    {KindAIDAuto, []param{paramChunk, paramMajor}},
 	"work-steal":  {KindWorkSteal, []param{paramChunk}},
 }
 
@@ -213,7 +203,6 @@ var scheduleSyntax = map[string]struct {
 //	aid-static        aid-static,<chunk>
 //	aid-hybrid        aid-hybrid,<pct>[,<chunk>]   (pct in percent, e.g. 80)
 //	aid-dynamic       aid-dynamic,<m>[,<M>]
-//	aid-auto          aid-auto,<m>[,<M>]
 //	work-steal        work-steal,<chunk>
 //
 // Every parameter is a positive integer; any other word, such as a flag

@@ -2,7 +2,6 @@ package exps
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/amp"
@@ -12,22 +11,19 @@ import (
 
 // ablationColumns are the columns of the ablation table: an application's
 // completion time under x, a design choice taken away or its alternative,
-// over that under the faster of y. Above 1, the choice wins.
+// over that under y. Above 1, the choice wins.
 var ablationColumns = []struct {
 	name, legend string
-	x            Scheme
-	y            []Scheme
+	x, y         Scheme
 }{
 	{"tail-switch", "AID-dynamic 1,30 without the Fig. 5 end-of-loop switch / with it",
-		aidDynamic(30, true, false), []Scheme{aidDynamic(30, false, false)}},
+		aidDynamic(30, true, false), aidDynamic(30, false, false)},
 	{"sm-clamp", "AID-dynamic 1,10 without the per-phase bound on SM / with it",
-		aidDynamic(10, false, true), []Scheme{aidDynamic(10, false, false)}},
+		aidDynamic(10, false, true), aidDynamic(10, false, false)},
 	{"sampling-chunk", "AID-static with sampling chunk 256 / with chunk 1",
-		bs(core.Schedule{Kind: core.KindAIDStatic, Chunk: 256}), []Scheme{bs(core.Schedule{Kind: core.KindAIDStatic})}},
+		bs(core.Schedule{Kind: core.KindAIDStatic, Chunk: 256}), bs(core.Schedule{Kind: core.KindAIDStatic})},
 	{"work-steal", "work-steal 64 (§4.3) / AID-static 1",
-		bs(core.Schedule{Kind: core.KindWorkSteal, Chunk: 64}), []Scheme{bs(core.Schedule{Kind: core.KindAIDStatic})}},
-	{"aid-auto", "AID-auto (§6) / the faster of AID-hybrid(80%) and AID-dynamic 1,5",
-		bs(core.Schedule{Kind: core.KindAIDAuto}), []Scheme{bs(core.Schedule{Kind: core.KindAIDHybrid}), aidDynamic(5, false, false)}},
+		bs(core.Schedule{Kind: core.KindWorkSteal, Chunk: 64}), bs(core.Schedule{Kind: core.KindAIDStatic})},
 }
 
 // bs is the scheme that runs sched under the BS binding, labeled as sched.
@@ -65,7 +61,7 @@ type AblationResult struct {
 func RunAblation(pl *amp.Platform) (AblationResult, error) {
 	var schemes []Scheme
 	for _, c := range ablationColumns {
-		schemes = append(append(schemes, c.x), c.y...)
+		schemes = append(schemes, c.x, c.y)
 	}
 	apps := workloads.All()
 	ns, err := runGrid(pl, apps, schemes)
@@ -75,9 +71,9 @@ func RunAblation(pl *amp.Platform) (AblationResult, error) {
 	out := AblationResult{Platform: pl.Name}
 	for a, w := range apps {
 		t, row := ns[a], []float64{}
-		for _, c := range ablationColumns {
-			row = append(row, t[0]/slices.Min(t[1:1+len(c.y)]))
-			t = t[1+len(c.y):]
+		for range ablationColumns {
+			row = append(row, t[0]/t[1])
+			t = t[2:]
 		}
 		out.Apps = append(out.Apps, w.Name)
 		out.Ratio = append(out.Ratio, row)

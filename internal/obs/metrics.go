@@ -8,7 +8,7 @@ import (
 // Provenance tiers of a chunk grant, measured from the consuming worker's
 // home cluster to the shard the chunk was claimed from (see Tier).
 const (
-	// TierHome: the worker's own shard, or a shared (single-shard) pool.
+	// TierHome: the worker's own shard, or a type-shared pool structure.
 	TierHome = 0
 	// TierSamePkg: a foreign shard whose owner cluster shares the package.
 	TierSamePkg = 1

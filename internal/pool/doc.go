@@ -37,8 +37,8 @@
 //   - acquire is the walk of the fetch-and-add families. Each attempt is
 //     shard.claim, the one fetch-and-add; the entry points only choose
 //     sizes. TryStealBatchFrom asks for chunk at home and batch abroad
-//     (batch == chunk is the strict path of the conventional schedules,
-//     batch == HandoffBatch×chunk the handoff stash). TryStealCredit asks
+//     (batch == chunk is the strict path of the conventional schedules; a
+//     larger batch leaves the surplus to the caller). TryStealCredit asks
 //     for CreditBatch×chunk from either, tapered as the shard drains
 //     (shard.taper), and keeps what it gets as its thread-local balance:
 //     credit is that acquisition plus a Credit to draw it down from.
@@ -68,15 +68,14 @@
 // goroutines leave NI up to 2^53); the size a caller asks for, which the
 // GOOMP_SCHEDULE grammar lets reach 2^63−1, is not in the bound. The clip
 // that follows an add compares n with end − lo and never forms lo + n
-// beyond end; the callers' own products (HandoffBatch×n in core,
-// CreditBatch×chunk here) saturate. TestShardedConcurrentClaimSizes drains
-// pools from every entry point at once with requests up to 2^63−1.
+// beyond end; the callers' own products (CreditBatch×chunk here) saturate.
+// TestShardedConcurrentClaimSizes drains pools from every entry point at
+// once with requests up to 2^63−1.
 //
 // Who claims how. Dynamic (strict) and Guided (CAS) remove exactly what
-// OpenMP says they remove, one RMW per chunk; AID-auto's sampling uses the
-// handoff batch on a single shard; AID-static/hybrid/dynamic use credit plus
-// StealSpan. Moving Dynamic, Guided or AID-auto onto credit would change the
-// PoolAccesses they report, which the simulator's golden digests
+// OpenMP says they remove, one RMW per chunk; AID-static/hybrid/dynamic use
+// credit plus StealSpan. Moving Dynamic or Guided onto credit would change
+// the PoolAccesses they report, which the simulator's golden digests
 // (internal/sim/testdata/engine_golden.txt) and the benchmark's
 // core.pool_accesses_per_chunk.* rungs pin; that is a behaviour change for a
 // perf issue to argue with a measured gain, not something a consolidation
@@ -96,8 +95,8 @@
 // fetch-and-add removes CreditBatch×chunk iterations, the first chunk is
 // served, and the surplus is kept in a caller-owned Credit from which later
 // calls draw with plain loads/stores. Coverage still holds because the
-// credit is just a claimed-but-unserved range — exactly like the handoff
-// stash — owned by one thread that serves all of it: nothing ever hands a
+// credit is just a claimed-but-unserved range — exactly like a span's
+// stashed tail — owned by one thread that serves all of it: nothing ever hands a
 // balance back to the pool, so `next` never moves back.
 //
 // Nearest-victim steal order. A claim that falls over to a foreign shard

@@ -7,9 +7,8 @@ import (
 )
 
 // The tests down to TestTryStealFuncBadSizePanics run (all but one) on a
-// one-shard pool: the bare (next, end) pair of libgomp's work_share, which
-// is also what AID-auto's classifier builds. steal is its strict chunk
-// removal.
+// one-shard pool: the bare (next, end) pair of libgomp's work_share. steal
+// is its strict chunk removal.
 func steal(ws *ShardedWorkShare, chunk int64) (lo, hi int64, ok bool) {
 	lo, hi, _, _, ok = ws.TryStealBatchFrom(0, chunk, chunk)
 	return lo, hi, ok

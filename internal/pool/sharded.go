@@ -20,14 +20,6 @@ type Range struct {
 // N returns the number of iterations in the range.
 func (r Range) N() int64 { return r.Hi - r.Lo }
 
-// HandoffBatch is the multiplier applied to a steal request when it has to
-// be served from a foreign shard: the thief claims up to HandoffBatch times
-// the requested size in one atomic operation and keeps the surplus in a
-// thread-local stash (see TryStealBatchFrom). Amortizing foreign-shard
-// accesses this way keeps cross-core-type cache-line traffic bounded even
-// after a shard drains.
-const HandoffBatch = 4
-
 // shard is one sub-pool: a contiguous iteration range with a single claim
 // counter. The two mutable fields live on separate cache lines, each alone:
 // next is fetch-and-added by the shard's home threads on every chunk, and
@@ -210,9 +202,8 @@ func checkWeights(weights []int) int64 {
 // be positive. ni may be 0 (an empty loop); negative values panic.
 //
 // A pool may be built with fewer shards than the platform has core types
-// (a single shard preserves the unsharded global consumption order, which
-// AID-auto's cost-variation classifier depends on); home indexes beyond
-// the shard count clamp to the last shard.
+// (a single shard keeps the unsharded global consumption order of libgomp's
+// work_share); home indexes beyond the shard count clamp to the last shard.
 func NewSharded(ni int64, weights []int) *ShardedWorkShare {
 	ws := &ShardedWorkShare{}
 	ws.Reset(ni, weights)
@@ -264,7 +255,7 @@ func (ws *ShardedWorkShare) ForeignClaims() int64 { return ws.foreign.Load() }
 
 // Remaining returns the total number of unclaimed iterations across all
 // shards. Iterations claimed but not yet executed (e.g. a thread-local
-// handoff stash) do not count — they are spoken for.
+// stash or credit) do not count — they are spoken for.
 func (ws *ShardedWorkShare) Remaining() int64 {
 	var r int64
 	for i := range ws.shards {

@@ -75,7 +75,7 @@ func roundTrip(t *testing.T, rec *trace.Record) *trace.Record {
 // of a sim-recorded run reproduces the identical event stream, timeline and
 // makespan (verified inside Exact), and two replays serialize identically.
 func TestExactReplaySimLoop(t *testing.T) {
-	for _, schedText := range []string{"aid-dynamic,1,5", "aid-static", "dynamic,8", "static", "aid-auto,16,64"} {
+	for _, schedText := range []string{"aid-dynamic,1,5", "aid-static", "dynamic,8", "static"} {
 		rec := roundTrip(t, recordSim(t, schedText, epSpec(), true))
 		r1, err := Exact(rec)
 		if err != nil {

@@ -174,7 +174,6 @@ func TestCrossEngineCoverageAllSchedules(t *testing.T) {
 		{Kind: core.KindAIDStatic, Chunk: 4},
 		{Kind: core.KindAIDHybrid, Chunk: 4, Pct: 0.8},
 		{Kind: core.KindAIDDynamic, Chunk: 2, Major: 10},
-		{Kind: core.KindAIDAuto, Chunk: 4, Major: 16},
 		{Kind: core.KindWorkSteal, Chunk: 4},
 	}
 	for _, s := range schedules {

@@ -68,11 +68,13 @@
 // scheduler that reads its nowNs needs a real clock once per call.
 // core.ReadsClock(sched, tid) says when thread tid's remaining calls do not:
 // never for static, static-chunked, dynamic, guided and work-steal, which are
-// handed the burst's first read throughout, and from the drain on for an AID
-// thread — AID-hybrid's (1−pct) dynamic tail, AID-static's rounding residue,
-// AID-dynamic's dynamic(m) tail. The answer never turns true again, so a
-// worker that reads end asks every 32 chunks (the metrics batch's flush
-// period) and, told no, hands the rest of its burst the last read. The
+// handed the burst's first read throughout; from the sampling wait on for an
+// AID-static/hybrid thread, whose wait, final allotment and drain (AID-hybrid's
+// (1−pct) dynamic tail, AID-static's rounding residue) ignore nowNs; and from
+// the drain on, its dynamic(m) tail, for an AID-dynamic thread. The answer
+// never turns true again, so a worker that reads end asks every 32 chunks
+// (the metrics batch's flush period) and, told no, hands the rest of its
+// burst the last read. The
 // clock-free path never asks. schedEnd (after Next) separates scheduler time
 // from body time. The throttle stretches the body only: stretching Next too would put
 // AID-dynamic's ~200 ns phase transitions on the small worker's critical

@@ -141,52 +141,26 @@ func TestRegistryThrottleUnobserved(t *testing.T) {
 // drain without reading the clock. Every loop must cover each iteration
 // exactly once.
 //
-// aid-hybrid,80,1 runs on the benchmark's 1B+1S fleet with 1 us bodies; when
-// it releases, both threads must be past their last sampling point and the SF
-// estimate published. aid-auto needs two threads of one type to see cost
-// variation at all (normalized by its type's mean, a lone thread's sample is
-// 1), so it runs on two big workers, with a first iteration of 50 us and free
-// ones after it: whichever thread samples the dear one disagrees with the
-// other by orders of magnitude, the loop takes the irregular path, and the
-// adopted AID-dynamic answers for the threads. Its Major chunk of 256 makes
-// the dynamic(1) tail long enough to be asked about.
+// Both run on the benchmark's 1B+1S fleet with 1 us bodies. When
+// aid-hybrid,80,1 releases, both threads must be past their last sampling
+// point and the SF estimate published. aid-dynamic,1,256's Major chunk makes
+// its dynamic(1) tail long enough to be asked about, and the loop must have
+// switched to that tail.
 func TestRegistryClockFreeDrain(t *testing.T) {
-	spin := func(d time.Duration) {
-		for start := time.Now(); time.Since(start) < d; {
-		}
-	}
-	for _, c := range []struct {
-		sched string
-		fleet func() *Registry
-		body  func(i int64)
-	}{
-		{"aid-hybrid,80,1", func() *Registry { return newFleet1B1S(t) },
-			func(int64) { spin(time.Microsecond) }},
-		{"aid-auto,1,256", func() *Registry {
-			reg, err := NewRegistry(RegistryConfig{NThreads: 2}) // Platform A's first two: big
-			if err != nil {
-				t.Fatal(err)
-			}
-			return reg
-		}, func(i int64) {
-			if i == 0 {
-				spin(50 * time.Microsecond)
-			}
-		}},
-	} {
-		s, err := core.ParseSchedule(c.sched)
+	for _, sched := range []string{"aid-hybrid,80,1", "aid-dynamic,1,256"} {
+		s, err := core.ParseSchedule(sched)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := c.fleet()
+		reg := newFleet1B1S(t)
 		const n, loops = 20000, 3
-		irregular := 0
 		for loop := 0; loop < loops; loop++ {
 			covered := make([]atomic.Int32, n)
 			l, err := reg.Submit(LoopRequest{N: n, Schedule: s, Body: func(_ int, lo, hi int64) {
 				for i := lo; i < hi; i++ {
 					covered[i].Add(1)
-					c.body(i)
+					for start := time.Now(); time.Since(start) < time.Microsecond; {
+					}
 				}
 			}})
 			if err != nil {
@@ -195,34 +169,30 @@ func TestRegistryClockFreeDrain(t *testing.T) {
 			stats := l.Wait()
 			for i := range covered {
 				if got := covered[i].Load(); got != 1 {
-					t.Fatalf("%s, loop %d: iteration %d covered %d times", c.sched, loop, i, got)
+					t.Fatalf("%s, loop %d: iteration %d covered %d times", sched, loop, i, got)
 				}
 			}
 			// The loop's scheduler is the free list's newest entry until the
 			// next Submit re-arms it.
 			reg.mu.Lock()
-			sched := reg.free[len(reg.free)-1].sched
-			switch sched := sched.(type) {
+			switch a := reg.free[len(reg.free)-1].sched.(type) {
 			case *core.AIDHybrid:
 				if len(stats.SFEstimate) != 2 {
-					t.Errorf("%s, loop %d: SFEstimate = %v, want one entry per core type", c.sched, loop, stats.SFEstimate)
+					t.Errorf("%s, loop %d: SFEstimate = %v, want one entry per core type", sched, loop, stats.SFEstimate)
 				}
 				for tid := 0; tid < reg.NThreads(); tid++ {
-					if core.ReadsClock(sched, tid) {
-						t.Errorf("%s, loop %d: thread %d never got past its last sampling point", c.sched, loop, tid)
+					if core.ReadsClock(a, tid) {
+						t.Errorf("%s, loop %d: thread %d never got past its last sampling point", sched, loop, tid)
 					}
 				}
-			case *core.AIDAuto:
-				if irr, _, _ := sched.Decision(); irr {
-					irregular++
+			case *core.AIDDynamic:
+				if !a.InTail() {
+					t.Errorf("%s, loop %d: never switched to its dynamic(1) tail", sched, loop)
 				}
 			}
 			reg.mu.Unlock()
 		}
 		reg.Close()
-		if s.Kind == core.KindAIDAuto && irregular == 0 {
-			t.Errorf("%s: none of %d loops took the irregular path", c.sched, loops)
-		}
 	}
 }
 
@@ -268,7 +238,7 @@ func TestRegistrySubmitAllocs(t *testing.T) {
 	var sink atomic.Int64
 	body := func(_ int, lo, hi int64) { sink.Add(hi - lo) }
 	for _, text := range []string{"static", "dynamic,16", "guided", "aid-static",
-		"aid-hybrid,80,4", "aid-dynamic,1,5", "aid-auto", "work-steal"} {
+		"aid-hybrid,80,4", "aid-dynamic,1,5", "work-steal"} {
 		s, err := core.ParseSchedule(text)
 		if err != nil {
 			t.Fatal(err)

@@ -19,7 +19,6 @@ var stressSchedules = []core.Schedule{
 	{Kind: core.KindAIDStatic},
 	{Kind: core.KindAIDHybrid},
 	{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5},
-	{Kind: core.KindAIDAuto, Chunk: 2, Major: 8},
 	{Kind: core.KindWorkSteal, Chunk: 2},
 }
 

@@ -127,25 +127,6 @@ func TestParallelForEmptyLoop(t *testing.T) {
 	}
 }
 
-func TestParallelForAIDAuto(t *testing.T) {
-	team, err := NewTeam(TeamConfig{NThreads: 4, Schedule: core.Schedule{Kind: core.KindAIDAuto, Chunk: 32, Major: 64}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 4000
-	hits := make([]int32, n)
-	if err := team.ParallelFor(n, func(i int64) {
-		atomic.AddInt32(&hits[i], 1)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("iteration %d executed %d times", i, h)
-		}
-	}
-}
-
 func TestWorkStealSchedule(t *testing.T) {
 	s, err := core.ParseSchedule("work-steal,16")
 	if err != nil {

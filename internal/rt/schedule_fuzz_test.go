@@ -19,13 +19,14 @@ func FuzzParseSchedule(f *testing.F) {
 		// Every form in ParseSchedule's doc comment.
 		"static", "static,8", "dynamic", "dynamic,4", "guided", "guided,2",
 		"aid-static", "aid-static,2", "aid-hybrid", "aid-hybrid,80", "aid-hybrid,80,4",
-		"aid-dynamic", "aid-dynamic,1", "aid-dynamic,1,5", "aid-auto", "aid-auto,2", "aid-auto,2,16",
-		"work-steal", "work-steal,16",
+		"aid-dynamic", "aid-dynamic,1", "aid-dynamic,1,5", "work-steal", "work-steal,16",
+		// OpenMP schedule kinds this vocabulary does not have.
+		"auto", "runtime", "auto,2", "runtime,2,16",
 		// A trailing rw word, which no method takes: after parameters or
 		// none, in any case, repeated, alone.
 		"aid-static,rw", "aid-static,2,rw", "aid-hybrid,80,rw", "aid-hybrid,100,1,rw",
 		"aid-dynamic,1,5,rw", "AID-DYNAMIC,1,5,RW", "aid-dynamic,rw,rw", "aid-dynamic,rw,5",
-		"static,rw", "dynamic,4,rw", "aid-auto,2,8,rw", "rw", ",rw",
+		"static,rw", "dynamic,4,rw", "guided,2,rw", "rw", ",rw",
 		// Huge and out-of-range parameters.
 		"dynamic,9223372036854775807", "dynamic,9223372036854775808", "aid-dynamic,9223372036854775807,9223372036854775807",
 		"aid-hybrid,101", "aid-hybrid,0", "dynamic,-3", "dynamic,+3", "dynamic,0x10", "dynamic,1e3", "dynamic,٣",

@@ -96,30 +96,12 @@ func TestParseScheduleErrors(t *testing.T) {
 	bad := []string{
 		"", "nonsense", "dynamic,0", "dynamic,-3", "dynamic,x", "dynamic,1,2",
 		"aid-hybrid,0", "aid-hybrid,150", "aid-dynamic,1,2,3", "static,1,2",
+		"auto", "runtime",
 	}
 	for _, in := range bad {
 		if _, err := core.ParseSchedule(in); err == nil {
 			t.Errorf("core.ParseSchedule(%q) accepted", in)
 		}
-	}
-}
-
-func TestParseScheduleAIDAuto(t *testing.T) {
-	s, err := core.ParseSchedule("aid-auto,2,16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Kind != core.KindAIDAuto || s.Chunk != 2 || s.Major != 16 {
-		t.Errorf("core.ParseSchedule(aid-auto,2,16) = %+v", s)
-	}
-	if _, err := core.ParseSchedule("aid-auto,1,2,3"); err == nil {
-		t.Error("extra aid-auto parameters accepted")
-	}
-	if got := (core.Schedule{Kind: core.KindAIDAuto}).String(); got != "AID-auto/1,5" {
-		t.Errorf("String() = %q", got)
-	}
-	if core.KindAIDAuto.String() != "aid-auto" {
-		t.Errorf("Kind.String() = %q", core.KindAIDAuto)
 	}
 }
 
@@ -131,7 +113,7 @@ func TestParseScheduleReweight(t *testing.T) {
 		"aid-static,rw", "aid-static,2,rw", "aid-hybrid,80,rw", "aid-hybrid,70,4,rw",
 		"aid-dynamic,1,5,rw", "AID-DYNAMIC,1,5,RW", "aid-dynamic,2,10,rw",
 		"static,rw", "dynamic,4,rw", "guided,rw", "work-steal,4,rw",
-		"aid-auto,2,8,rw", "rw", ",rw",
+		"rw", ",rw",
 	} {
 		if s, err := core.ParseSchedule(in); err == nil {
 			t.Errorf("core.ParseSchedule(%q) accepted: %+v", in, s)
@@ -163,7 +145,7 @@ func TestScheduleCanonicalRoundTrip(t *testing.T) {
 	for _, txt := range []string{
 		"static", "static,8", "dynamic,1", "dynamic,16", "guided,2",
 		"aid-static", "aid-static,2", "aid-hybrid,70", "aid-hybrid,80,4",
-		"aid-dynamic,2,10", "aid-auto,16,64", "work-steal,4",
+		"aid-dynamic,2,10", "work-steal,4",
 	} {
 		s, err := core.ParseSchedule(txt)
 		if err != nil {
@@ -177,12 +159,10 @@ func TestScheduleCanonicalRoundTrip(t *testing.T) {
 	}{
 		{core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.29}, "aid-hybrid,29"},
 		{core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.07, Chunk: 3}, "aid-hybrid,7,3"},
-		{core.Schedule{Kind: core.KindAIDAuto, Chunk: 2, Major: 16, Pct: 0.8}, "aid-auto,2,16"},
 		{core.Schedule{Kind: core.KindAIDDynamic}, "aid-dynamic,1,5"},
-		// Fields the syntax cannot write: the AID-auto share, an AID-hybrid
-		// share that is not a whole percentage in (0,100], the offline-SF
-		// table, a chunk or Major below 1.
-		{core.Schedule{Kind: core.KindAIDAuto, Pct: 0.6}, ""},
+		// Fields the syntax cannot write: an AID-hybrid share that is not a
+		// whole percentage in (0,100], the offline-SF table, a chunk or Major
+		// below 1.
 		{core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.805}, ""},
 		{core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.004}, ""},
 		{core.Schedule{Kind: core.KindAIDStatic, OfflineSF: []float64{3, 1}}, ""},
@@ -214,7 +194,6 @@ func TestFactoryProducesRightSchedulers(t *testing.T) {
 		{Kind: core.KindAIDStatic, OfflineSF: []float64{3, 1}},
 		{Kind: core.KindAIDHybrid},
 		{Kind: core.KindAIDDynamic},
-		{Kind: core.KindAIDAuto},
 		{Kind: core.KindWorkSteal, Chunk: 4},
 	} {
 		seen[sched.Kind] = true
@@ -234,16 +213,5 @@ func TestFactoryProducesRightSchedulers(t *testing.T) {
 	}
 	if _, err := (core.Schedule{Kind: core.Kind(99)}).Factory()(info); err == nil {
 		t.Error("unknown kind accepted")
-	}
-}
-
-func TestFactoryAIDAuto(t *testing.T) {
-	info := core.LoopInfo{NI: 100, NThreads: 4, NumTypes: 2, TypeOf: func(tid int) int { return tid % 2 }}
-	s, err := (core.Schedule{Kind: core.KindAIDAuto}).Factory()(info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "aid-auto" {
-		t.Errorf("factory built %q", s.Name())
 	}
 }

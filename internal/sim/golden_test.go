@@ -23,9 +23,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/engine_golden.tx
 const goldenPath = "testdata/engine_golden.txt"
 
 // goldenSchedules has one member of every schedule family: block static,
-// chunked self-scheduling (a sharded pool), guided (a shrinking chunk), the
-// AID family on the credit path with and without sampling, and AID-auto's
-// central pool (Origin < 0).
+// chunked self-scheduling (a sharded pool), guided (a shrinking chunk) and
+// the AID family on the credit path with and without sampling.
 var goldenSchedules = []struct {
 	name string
 	f    SchedulerFactory
@@ -43,7 +42,6 @@ var goldenSchedules = []struct {
 	}},
 	{"aid-hybrid80", func(i core.LoopInfo) (core.Scheduler, error) { return core.NewAIDHybrid(i, 1, 0.8) }},
 	{"aid-dynamic1-5", func(i core.LoopInfo) (core.Scheduler, error) { return core.NewAIDDynamic(i, 1, 5) }},
-	{"aid-auto", func(i core.LoopInfo) (core.Scheduler, error) { return core.NewAIDAuto(i, 1, 0.8, 5, 0) }},
 }
 
 var goldenCosts = []struct {

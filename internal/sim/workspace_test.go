@@ -30,7 +30,6 @@ var reuseFactories = []struct {
 		}
 		return core.NewAIDStaticOffline(info, 1, sf)
 	}},
-	{"aid-auto", func(info core.LoopInfo) (core.Scheduler, error) { return core.NewAIDAuto(info, 2, 0.8, 8, 0) }},
 	{"guided", func(info core.LoopInfo) (core.Scheduler, error) { return core.NewGuided(info, 1) }},
 }
 

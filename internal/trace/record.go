@@ -161,7 +161,8 @@ type ChunkEvent struct {
 	Shard int `json:"shard"`
 	// Origin is the chunk's provenance as the scheduler reported it: the
 	// owner core type of the shard the iterations were claimed from, or
-	// core.OriginShared (-1) for central single-shard pools. Replayed
+	// core.OriginShared (-1) for a type-shared structure (work-steal's
+	// deques). Replayed
 	// verbatim so the per-shard contention and provenance-tiered locality
 	// charges match the original run.
 	Origin int `json:"origin,omitempty"`
