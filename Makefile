@@ -32,7 +32,9 @@
 #                  It writes nothing into the tree.
 #   make test    - tier-1: go build ./... && go test -count=1 ./...
 #   make race    - race-detector run over the lock-free scheduler/pool layers,
-#                  the real-goroutine runtime and internal/exps (its sweeps
+#                  the real-goroutine runtime, aidserve (its scrapers read
+#                  the request records its submitter and completion
+#                  goroutines write) and internal/exps (its sweeps
 #                  run simulator calls on every CPU at once, so this is where
 #                  "concurrent calls share only read-only inputs" is checked;
 #                  about 20 s alone on a 2-CPU box and 30 beside the other
@@ -53,7 +55,7 @@
 #                  under -race -count=2, so flaky interleavings surface in
 #                  CI, not in production
 #   make examples - go run on each examples/* main, output dropped: all
-#                  eight end by themselves, in about 3 s together, and must
+#                  seven end by themselves, in about 3 s together, and must
 #                  exit 0. Nothing else executes them.
 #   make bench-ab BASE=<rev> W=<workload> [PAIRS=10 SECONDS=20] - compare
 #                  the repository benchmark (./bench, BENCHMARK.json) between
@@ -124,7 +126,7 @@ test: build
 	$(GO) test -count=1 ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/pool/... ./internal/rt/... ./internal/fair/... ./internal/exps/...
+	$(GO) test -race ./internal/core/... ./internal/pool/... ./internal/rt/... ./internal/fair/... ./internal/exps/... ./cmd/aidserve/...
 	$(GO) test -count=1 ./...
 
 race-multiloop:

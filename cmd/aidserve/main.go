@@ -1,6 +1,8 @@
 // aidserve exercises the multi-loop registry (rt.Registry) — the model of
 // a server executing parallel-loop requests from many users at once — and
-// reports per-class latency percentiles plus throughput.
+// reports per-class latency percentiles plus throughput. Each runner files
+// one record per request, and summarize turns the records into every number
+// the report, the -metrics scrape and the -metrics-interval line show.
 //
 // Every run is one request stream: a list of arrival stamps, request i
 // arriving stamps[i] after the run starts and belonging to QoS class
@@ -36,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -102,38 +105,18 @@ func virtualCost(spin int) sim.UniformCost {
 	return sim.UniformCost{PerIter: float64(spin) * virtualNsPerSpinUnit}
 }
 
-// spanOf is the fleet's makespan over a batch of results: last end minus
-// earliest start. The old per-loop maximum of End-Start equals this only
-// when every loop starts together — under staggered arrivals it reports a
-// single loop's latency, not the run's length.
-func spanOf(results []sim.LoopResult) time.Duration {
-	minStart, maxEnd := results[0].Start, results[0].End
-	for _, r := range results[1:] {
-		if r.Start < minStart {
-			minStart = r.Start
-		}
-		if r.End > maxEnd {
-			maxEnd = r.End
-		}
-	}
-	return time.Duration(maxEnd - minStart)
-}
-
-// span is one admitted loop's stay in the fleet: admitted at admit, its
-// barrier released at done, in ns from the start of the run.
-type span struct{ admit, done int64 }
-
 // maxInFlight is the most loops admitted and not yet done at once: the
-// deepest overlap of the half-open [admit, done) intervals, so a loop that
-// is released at the instant another is admitted does not overlap it.
-func maxInFlight(spans []span) int {
+// deepest overlap of the finished requests' half-open [admit, done)
+// intervals, so a loop that is released at the instant another is admitted
+// does not overlap it.
+func maxInFlight(done []request) int {
 	type edge struct {
 		at    int64
 		delta int
 	}
-	edges := make([]edge, 0, 2*len(spans))
-	for _, s := range spans {
-		edges = append(edges, edge{s.admit, +1}, edge{s.done, -1})
+	edges := make([]edge, 0, 2*len(done))
+	for _, r := range done {
+		edges = append(edges, edge{r.admit, +1}, edge{r.done, -1})
 	}
 	slices.SortFunc(edges, func(a, b edge) int {
 		if a.at != b.at {
@@ -240,87 +223,145 @@ func newPlan(o serveOpts) (p plan, err error) {
 	return p, nil
 }
 
-// classTally is one QoS class's account: a mergeable log-bucketed latency
-// histogram (so a live scrape and the end-of-run report read the same
-// quantiles, within the histogram's error bound) and the class's shed count
-// — sheds are attributed by arrival index, so a full queue charges the
-// class whose request was turned away.
-type classTally struct {
-	class fair.Class
-	hist  *stats.Histogram
-	shed  int64
+// request is one arrival's record, the one thing a runner hands on: its
+// class (an index into the plan's classes), its arrival stamp, and either
+// shed or its stay in the fleet — admitted at admit, its barrier released at
+// done — all in ns from the start of the run. done is -1 while the loop runs.
+type request struct {
+	class       int
+	arrive      int64
+	shed        bool
+	admit, done int64
 }
 
-// serveSummary is one service run's outcome, separated from printing so
-// tests can assert on it directly. mu guards every mutable field against
-// the live metrics scrapers; the submitter and completion goroutines take
-// it for each update.
-type serveSummary struct {
-	engine   string
-	arrivals string
-	mu       sync.Mutex
-	admitted int64
-	shed     int64
-	spans    []span // one per completed loop
-	elapsed  time.Duration
-	classes  []*classTally
-	overall  *stats.Histogram
-	record   *trace.Record // sampled captures, when -sample is on
+// serveRun is one service run: its engine, its plan and one record per
+// arrival so far, in arrival order. mu guards reqs against the
+// live scrapers; the submitter and the completion goroutines take it for
+// each update.
+type serveRun struct {
+	engine string
+	plan
+	mu     sync.Mutex
+	reqs   []request
+	record *trace.Record // sampled captures, when -sample is on
 }
 
-func newServeSummary(engine, arrivals string, classes []fair.Class) *serveSummary {
-	s := &serveSummary{
-		engine:   engine,
-		arrivals: arrivals,
-		overall:  stats.NewHistogram(),
+// summary is summarize over the records filed so far.
+func (r *serveRun) summary() summary {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return summarize(len(r.classes), r.reqs)
+}
+
+// quantiles are the latency percentiles every view shows.
+var quantiles = [...]float64{50, 95, 99}
+
+// tally is one class's account, or the run's: finished loops, their total
+// latency, sheds, and the exact percentiles q (NaN while none has finished).
+type tally struct {
+	count, shed int64
+	sum         float64
+	q           [len(quantiles)]float64
+}
+
+// summary holds every number the report, the scrape and the ticker line show.
+type summary struct {
+	classes     []tally
+	overall     tally
+	admitted    int64         // finished and running loops
+	span        time.Duration // first admission to last release
+	throughput  float64       // admitted loops per second of span
+	maxInFlight int
+}
+
+// summarize is the one function from records to numbers. A latency is done
+// minus admit, and a running loop counts as admitted but has no latency yet.
+// Sheds are charged to the class whose arrival was turned away.
+func summarize(nclass int, reqs []request) summary {
+	s := summary{classes: make([]tally, nclass)}
+	lats := make([][]float64, nclass+1) // by class, then overall
+	var done []request
+	first, last := int64(math.MaxInt64), int64(0)
+	for _, r := range reqs {
+		if r.shed {
+			s.classes[r.class].shed++
+			s.overall.shed++
+			continue
+		}
+		s.admitted++
+		if r.done < 0 {
+			continue
+		}
+		lat := float64(r.done - r.admit)
+		lats[r.class] = append(lats[r.class], lat)
+		lats[nclass] = append(lats[nclass], lat)
+		done = append(done, r)
+		first, last = min(first, r.admit), max(last, r.done)
 	}
-	for _, c := range classes {
-		s.classes = append(s.classes, &classTally{
-			class: c,
-			hist:  stats.NewHistogram(),
-		})
+	for i := range s.classes {
+		s.classes[i].fill(lats[i])
 	}
+	s.overall.fill(lats[nclass])
+	if len(done) > 0 {
+		s.span = time.Duration(last - first)
+		s.throughput = float64(s.admitted) / s.span.Seconds()
+	}
+	s.maxInFlight = maxInFlight(done)
 	return s
+}
+
+// fill sets t's count, sum and percentiles from its latencies.
+func (t *tally) fill(lats []float64) {
+	t.count = int64(len(lats))
+	for _, l := range lats {
+		t.sum += l
+	}
+	for i, pct := range quantiles {
+		var err error
+		if t.q[i], err = stats.Percentile(lats, pct); err != nil {
+			t.q[i] = math.NaN() // no finished loop: NaN, per Prometheus convention
+		}
+	}
 }
 
 // writeMetrics renders one scrape: the registry's runtime counters (when
 // metrics are on), the service's admission counters, and the per-class
-// latency summaries. The body is built under the summary lock and written
-// out in one piece, so a slow scraper never stalls the submitter. Writes to
-// the buffer cannot fail, so only the final write reports an error.
-func (s *serveSummary) writeMetrics(w io.Writer, reg *rt.Registry) error {
+// latency summary family. The body is built in a buffer and written out in
+// one piece, so a slow scraper never stalls the submitter. Writes to the
+// buffer cannot fail, so only the final write reports an error.
+func (r *serveRun) writeMetrics(w io.Writer, reg *rt.Registry) error {
 	var buf bytes.Buffer
 	if reg != nil && reg.MetricsEnabled() {
 		obs.WritePrometheus(&buf, "", reg.MetricsSnapshot())
 	}
-	s.mu.Lock()
+	s := r.summary()
 	fmt.Fprintf(&buf, "# HELP aidserve_admitted_total Loops admitted to the registry.\n# TYPE aidserve_admitted_total counter\naidserve_admitted_total %d\n", s.admitted)
 	fmt.Fprintf(&buf, "# HELP aidserve_shed_total Arrivals shed by QoS class.\n# TYPE aidserve_shed_total counter\n")
-	for _, c := range s.classes {
-		fmt.Fprintf(&buf, "aidserve_shed_total{class=%q} %d\n", c.class.Name, c.shed)
-	}
 	for i, c := range s.classes {
-		obs.WriteLatencySummary(&buf, "aidserve_latency_ns", c.class.Name, c.hist, i == 0)
+		fmt.Fprintf(&buf, "aidserve_shed_total{class=%q} %d\n", r.classes[i].Name, c.shed)
 	}
-	s.mu.Unlock()
+	fmt.Fprintf(&buf, "# HELP aidserve_latency_ns Request latency by QoS class.\n# TYPE aidserve_latency_ns summary\n")
+	for i, c := range s.classes {
+		name := r.classes[i].Name
+		for j, pct := range quantiles {
+			fmt.Fprintf(&buf, "aidserve_latency_ns{class=%q,quantile=\"%g\"} %g\n", name, pct/100, c.q[j])
+		}
+		fmt.Fprintf(&buf, "aidserve_latency_ns_sum{class=%q} %g\naidserve_latency_ns_count{class=%q} %d\n", name, c.sum, name, c.count)
+	}
 	_, err := w.Write(buf.Bytes())
 	return err
 }
 
 // progressLine prints the periodic one-line stderr summary of a live run.
-func (s *serveSummary) progressLine(w io.Writer, inFlight int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.overall.Count() == 0 {
+func (r *serveRun) progressLine(w io.Writer, inFlight int) {
+	s := r.summary()
+	if s.overall.count == 0 {
 		fmt.Fprintf(w, "aidserve: admitted %d, shed %d, in-flight %d, no completions yet\n",
-			s.admitted, s.shed, inFlight)
+			s.admitted, s.overall.shed, inFlight)
 		return
 	}
-	p50, _ := s.overall.Percentile(50)
-	p95, _ := s.overall.Percentile(95)
-	p99, _ := s.overall.Percentile(99)
 	fmt.Fprintf(w, "aidserve: admitted %d, shed %d, in-flight %d, p50/p95/p99 %v / %v / %v\n",
-		s.admitted, s.shed, inFlight, durNs(p50), durNs(p95), durNs(p99))
+		s.admitted, s.overall.shed, inFlight, durNs(s.overall.q[0]), durNs(s.overall.q[1]), durNs(s.overall.q[2]))
 }
 
 func serve(o serveOpts, w io.Writer) error {
@@ -331,21 +372,21 @@ func serve(o serveOpts, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	run := serveReal
+	runner := serveReal
 	if o.virtual {
-		run = serveVirtual
+		runner = serveVirtual
 	}
-	sum, err := run(o, p)
+	run, err := runner(o, p)
 	if err != nil {
 		return err
 	}
-	writeServeSummary(w, sum)
+	writeServeSummary(w, run)
 	if o.recordPath != "" {
-		if err := writeServeRecord(o.recordPath, sum.record); err != nil {
+		if err := writeServeRecord(o.recordPath, run.record); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "record: %d sampled loops, %d events -> %s (self-diff clean)\n",
-			len(sum.record.Loops), len(sum.record.Events), o.recordPath)
+			len(run.record.Loops), len(run.record.Events), o.recordPath)
 	}
 	return nil
 }
@@ -355,7 +396,7 @@ func serve(o serveOpts, w io.Writer) error {
 // completions, and a semaphore bounds the loops admitted but not yet
 // complete — the pending queue. A full queue either sheds the arrival or
 // blocks the submitter, per -shed.
-func serveReal(o serveOpts, p plan) (*serveSummary, error) {
+func serveReal(o serveOpts, p plan) (*serveRun, error) {
 	reg, err := rt.NewRegistry(rt.RegistryConfig{Platform: o.pl, NThreads: o.threads, Policy: p.policy,
 		Metrics: o.metricsAddr != ""})
 	if err != nil {
@@ -363,18 +404,20 @@ func serveReal(o serveOpts, p plan) (*serveSummary, error) {
 	}
 	defer reg.Close()
 
-	sum := newServeSummary("real", p.arrivals, p.classes)
+	run := &serveRun{engine: "real", plan: p}
 	if o.metricsAddr != "" {
-		stop, err := serveMetrics(o.metricsAddr, reg, sum)
+		stop, err := serveMetrics(o.metricsAddr, reg, run)
 		if err != nil {
 			return nil, err
 		}
 		defer stop()
 	}
 	if o.metricsInterval > 0 {
-		done := make(chan struct{})
-		defer close(done)
+		// Stop the ticker before returning: no line follows the run.
+		done, stopped := make(chan struct{}), make(chan struct{})
+		defer func() { close(done); <-stopped }()
 		go func() {
+			defer close(stopped)
 			tick := time.NewTicker(o.metricsInterval)
 			defer tick.Stop()
 			for {
@@ -382,16 +425,17 @@ func serveReal(o serveOpts, p plan) (*serveSummary, error) {
 				case <-done:
 					return
 				case <-tick.C:
-					sum.progressLine(os.Stderr, reg.InFlight())
+					run.progressLine(os.Stderr, reg.InFlight())
 				}
 			}
 		}()
 	}
 	sem := make(chan struct{}, o.maxPending)
 	var (
-		wg      sync.WaitGroup
-		sink    atomic.Int64
-		sampled []*rt.Loop
+		wg       sync.WaitGroup
+		sink     atomic.Int64
+		sampled  []*rt.Loop
+		admitted int
 	)
 	body := func(_ int, lo, hi int64) {
 		var acc float64
@@ -412,31 +456,27 @@ func serveReal(o serveOpts, p plan) (*serveSummary, error) {
 		// The class is the arrival's, chosen by arrival index — shed or
 		// admitted, request i belongs to the same tenant, so a shed is
 		// charged to the class the full queue turned away.
-		tally := sum.classes[i%len(p.classes)]
+		class := i % len(p.classes)
 		if o.shed {
 			select {
 			case sem <- struct{}{}:
 			default:
-				sum.mu.Lock()
-				sum.shed++
-				tally.shed++
-				sum.mu.Unlock()
+				run.mu.Lock()
+				run.reqs = append(run.reqs, request{class: class, arrive: stamp, shed: true})
+				run.mu.Unlock()
 				continue
 			}
 		} else {
 			sem <- struct{}{}
 		}
-		sum.mu.Lock()
-		admitted := sum.admitted
-		sum.mu.Unlock()
 		req := rt.LoopRequest{
-			Name:     fmt.Sprintf("%s-%d", tally.class.Name, i),
+			Name:     fmt.Sprintf("%s-%d", p.classes[class].Name, i),
 			N:        o.iters,
 			Schedule: p.sched,
-			Weight:   tally.class.Weight,
+			Weight:   p.classes[class].Weight,
 			Body:     body,
 		}
-		if o.sampleEvery > 0 && int(admitted)%o.sampleEvery == 0 {
+		if o.sampleEvery > 0 && admitted%o.sampleEvery == 0 {
 			req.Capture = true
 			req.CaptureMaxEvents = o.sampleBudget
 		}
@@ -446,47 +486,44 @@ func serveReal(o serveOpts, p plan) (*serveSummary, error) {
 			<-sem
 			return nil, err
 		}
-		sum.mu.Lock()
-		sum.admitted++
-		sum.mu.Unlock()
+		admitted++
+		run.mu.Lock() // request i's record is reqs[i]: every earlier arrival filed one
+		run.reqs = append(run.reqs, request{class: class, arrive: stamp, admit: admit, done: -1})
+		run.mu.Unlock()
 		if req.Capture {
 			sampled = append(sampled, h)
 		}
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
 			h.Wait()
-			lat := h.Latency()
-			sum.mu.Lock()
-			sum.overall.Add(float64(lat))
-			tally.hist.Add(float64(lat))
-			sum.spans = append(sum.spans, span{admit, admit + int64(lat)})
-			sum.mu.Unlock()
+			run.mu.Lock()
+			run.reqs[i].done = admit + int64(h.Latency())
+			run.mu.Unlock()
 			<-sem
-		}()
+		}(i)
 	}
 	wg.Wait()
-	sum.elapsed = time.Since(start)
 	if len(sampled) > 0 {
 		rec, err := reg.BuildRecord(sampled...)
 		if err != nil {
 			return nil, err
 		}
-		sum.record = rec
+		run.record = rec
 	}
-	return sum, nil
+	return run, nil
 }
 
 // serveMetrics starts the Prometheus endpoint for a live run: GET /metrics
 // (or any path) answers with the registry's runtime counters plus the
 // service's admission and latency families. It returns a stop function that
 // closes the listener; in-flight scrapes are abandoned with the run over.
-func serveMetrics(addr string, reg *rt.Registry, sum *serveSummary) (stop func(), err error) {
+func serveMetrics(addr string, reg *rt.Registry, run *serveRun) (stop func(), err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("-metrics %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: metricsHandler(reg, sum)}
+	srv := &http.Server{Handler: metricsHandler(reg, run)}
 	go srv.Serve(ln)
 	fmt.Fprintf(os.Stderr, "aidserve: metrics on http://%s/metrics\n", ln.Addr())
 	return func() { srv.Close() }, nil
@@ -494,10 +531,10 @@ func serveMetrics(addr string, reg *rt.Registry, sum *serveSummary) (stop func()
 
 // metricsHandler is the scrape handler behind -metrics, split out so tests
 // can hit it through httptest without binding a port flag.
-func metricsHandler(reg *rt.Registry, sum *serveSummary) http.Handler {
+func metricsHandler(reg *rt.Registry, run *serveRun) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := sum.writeMetrics(w, reg); err != nil {
+		if err := run.writeMetrics(w, reg); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -505,9 +542,10 @@ func metricsHandler(reg *rt.Registry, sum *serveSummary) http.Handler {
 
 // serveVirtual replays the request stream in the discrete-event engine:
 // each stamp becomes a LoopSpec.Arrive and every request is admitted (the
-// simulator has no pending bound, so shed stays 0). The numbers are exactly
-// reproducible for a given seed.
-func serveVirtual(o serveOpts, p plan) (*serveSummary, error) {
+// simulator has no pending bound, so nothing is shed). Request i's record
+// is its loop's Start and End. The numbers are exactly reproducible for a
+// given seed.
+func serveVirtual(o serveOpts, p plan) (*serveRun, error) {
 	threads := o.threads
 	if threads == 0 {
 		threads = o.pl.NumCores()
@@ -534,39 +572,29 @@ func serveVirtual(o serveOpts, p plan) (*serveSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum := newServeSummary("virtual", p.arrivals, p.classes)
+	run := &serveRun{engine: "virtual", plan: p, reqs: make([]request, len(results))}
 	for i, r := range results {
-		lat := float64(r.End - r.Start)
-		sum.overall.Add(lat)
-		sum.classes[i%len(p.classes)].hist.Add(lat)
-		sum.spans = append(sum.spans, span{r.Start, r.End})
+		run.reqs[i] = request{class: i % len(p.classes), arrive: p.stamps[i], admit: r.Start, done: r.End}
 	}
-	sum.admitted = int64(len(results))
-	sum.elapsed = spanOf(results)
-	return sum, nil
+	return run, nil
 }
 
-func writeServeSummary(w io.Writer, s *serveSummary) {
+// writeServeSummary prints the end-of-run report. A class with no finished
+// loop prints "-" for its percentiles.
+func writeServeSummary(w io.Writer, run *serveRun) {
+	s := run.summary()
 	fmt.Fprintf(w, "%s serve: %s arrivals, %d admitted, %d shed, span %v\n",
-		s.engine, s.arrivals, s.admitted, s.shed, s.elapsed.Round(time.Microsecond))
+		run.engine, run.arrivals, s.admitted, s.overall.shed, s.span.Round(time.Microsecond))
 	fmt.Fprintf(w, "%8s %7s %8s %8s %12s %12s %12s\n", "class", "weight", "count", "shed", "p50", "p95", "p99")
-	for _, c := range s.classes {
-		if c.hist.Count() == 0 {
-			fmt.Fprintf(w, "%8s %7d %8d %8d %12s %12s %12s\n", c.class.Name, c.class.Weight, 0, c.shed, "-", "-", "-")
-			continue
+	for i, c := range s.classes {
+		q := []any{"-", "-", "-"}
+		if c.count > 0 {
+			q = []any{durNs(c.q[0]), durNs(c.q[1]), durNs(c.q[2])}
 		}
-		p50, _ := c.hist.Percentile(50)
-		p95, _ := c.hist.Percentile(95)
-		p99, _ := c.hist.Percentile(99)
-		fmt.Fprintf(w, "%8s %7d %8d %8d %12v %12v %12v\n",
-			c.class.Name, c.class.Weight, c.hist.Count(), c.shed, durNs(p50), durNs(p95), durNs(p99))
+		fmt.Fprintf(w, "%8s %7d %8d %8d %12v %12v %12v\n", run.classes[i].Name, run.classes[i].Weight, c.count, c.shed, q[0], q[1], q[2])
 	}
-	p50, _ := s.overall.Percentile(50)
-	p95, _ := s.overall.Percentile(95)
-	p99, _ := s.overall.Percentile(99)
 	fmt.Fprintf(w, "overall: p50/p95/p99 %v / %v / %v, throughput %.2f loops/s, max in-flight %d\n",
-		durNs(p50), durNs(p95), durNs(p99),
-		float64(s.admitted)/s.elapsed.Seconds(), maxInFlight(s.spans))
+		durNs(s.overall.q[0]), durNs(s.overall.q[1]), durNs(s.overall.q[2]), s.throughput, s.maxInFlight)
 }
 
 // writeServeRecord persists the sampled run record and checks it survives

@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 
 	"repro/internal/amp"
@@ -24,10 +26,59 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// graph is the random graph the real BFS walks from vertex 0.
+func graph() *kernels.Graph { return kernels.RandomGraph(20000, 8, 77) }
+
+func run(out io.Writer) error {
 	// --- real parallel BFS ---------------------------------------------------
-	const n = 20000
-	g := kernels.RandomGraph(n, 8, 77)
-	level := make([]int32, n)
+	level, levels, err := parallelBFS(graph())
+	if err != nil {
+		return err
+	}
+	visited := 0
+	for _, lv := range level {
+		if lv >= 0 {
+			visited++
+		}
+	}
+	fmt.Fprintf(out, "real BFS: %d vertices, %d levels, visited %d/%d\n", len(level), levels, visited, len(level))
+
+	// --- simulated comparison --------------------------------------------------
+	w, _ := workloads.ByName("bfs")
+	fmt.Fprintln(out, "simulated bfs workload on Platform A:")
+	var pool [2]int64
+	for i, c := range []struct {
+		name string
+		f    sim.SchedulerFactory
+	}{
+		{"dynamic(1)", func(i core.LoopInfo) (core.Scheduler, error) { return core.NewDynamic(i, 1) }},
+		{"AID-dynamic(1,5)", func(i core.LoopInfo) (core.Scheduler, error) { return core.NewAIDDynamic(i, 1, 5) }},
+	} {
+		res, err := sim.RunProgram(sim.Config{
+			Platform: amp.PlatformA(), NThreads: 8, Binding: amp.BindBS, Factory: c.f,
+		}, w.Program)
+		if err != nil {
+			return err
+		}
+		pool[i] = res.PoolAccesses
+		fmt.Fprintf(out, "%-18s %9.3f ms (virtual), %6d pool accesses\n", c.name, float64(res.TotalNs)/1e6, res.PoolAccesses)
+	}
+	if pool[1] < pool[0] {
+		fmt.Fprintf(out, "AID-dynamic removed %.0f%% of the shared-pool traffic\n", 100*(1-float64(pool[1])/float64(pool[0])))
+	}
+	return nil
+}
+
+// parallelBFS runs a level-synchronous BFS of g from vertex 0 on four
+// goroutine workers under AID-dynamic, one parallel loop per frontier. It
+// returns each vertex's level (-1 if unreached) and the number of levels.
+func parallelBFS(g *kernels.Graph) ([]int32, int, error) {
+	level := make([]int32, len(g.Adj))
 	for i := range level {
 		level[i] = -1
 	}
@@ -38,14 +89,12 @@ func main() {
 		Schedule: core.Schedule{Kind: core.KindAIDDynamic, Chunk: 16, Major: 128},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return nil, 0, err
 	}
 
-	frontier := []int32{0}
 	var mu sync.Mutex
 	depth := int32(1)
-	levels := 0
-	for len(frontier) > 0 {
+	for frontier := []int32{0}; len(frontier) > 0; depth++ {
 		var next []int32
 		cur := frontier
 		err := team.ParallelForChunked(int64(len(cur)), func(lo, hi int64) {
@@ -57,50 +106,9 @@ func main() {
 			}
 		})
 		if err != nil {
-			log.Fatal(err)
+			return nil, 0, err
 		}
 		frontier = next
-		depth++
-		levels++
 	}
-	visited := 0
-	for _, lv := range level {
-		if lv >= 0 {
-			visited++
-		}
-	}
-	fmt.Printf("real BFS: %d vertices, %d levels, visited %d/%d\n", n, levels, visited, n)
-
-	// --- simulated comparison --------------------------------------------------
-	pl := amp.PlatformA()
-	w, _ := workloads.ByName("bfs")
-	type outcome struct {
-		name string
-		ns   int64
-		pool int64
-	}
-	var results []outcome
-	for _, c := range []struct {
-		name string
-		f    sim.SchedulerFactory
-	}{
-		{"dynamic(1)", func(i core.LoopInfo) (core.Scheduler, error) { return core.NewDynamic(i, 1) }},
-		{"AID-dynamic(1,5)", func(i core.LoopInfo) (core.Scheduler, error) { return core.NewAIDDynamic(i, 1, 5) }},
-	} {
-		res, err := sim.RunProgram(sim.Config{
-			Platform: pl, NThreads: 8, Binding: amp.BindBS, Factory: c.f,
-		}, w.Program)
-		if err != nil {
-			log.Fatal(err)
-		}
-		results = append(results, outcome{c.name, res.TotalNs, res.PoolAccesses})
-	}
-	fmt.Println("simulated bfs workload on Platform A:")
-	for _, r := range results {
-		fmt.Printf("%-18s %9.3f ms (virtual), %6d pool accesses\n", r.name, float64(r.ns)/1e6, r.pool)
-	}
-	if results[1].pool < results[0].pool {
-		fmt.Printf("AID-dynamic removed %.0f%% of the shared-pool traffic\n",
-			100*(1-float64(results[1].pool)/float64(results[0].pool)))
-	}
+	return level, int(depth - 1), nil
 }

@@ -21,7 +21,9 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/amp"
 	"repro/internal/core"
@@ -31,11 +33,17 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	// --- record: EP under dynamic,1 on Platform A -----------------------
 	pl := amp.PlatformA()
 	sched, err := core.ParseSchedule("dynamic,1")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rec := trace.NewRecorder()
 	cfg := sim.Config{
@@ -53,38 +61,39 @@ func main() {
 	}
 	res, err := sim.RunLoop(cfg, spec, 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rec.SetLoopSchedule(0, sched.Canonical())
 
 	// Serialize and reload, as a production record shipped to a dev box.
 	var wire bytes.Buffer
 	if err := trace.EncodeJSONL(&wire, rec.Record()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	record, err := trace.DecodeJSONL(&wire)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("recorded: %s under %s, makespan %d ns, %d grant events\n",
+	fmt.Fprintf(out, "recorded: %s under %s, makespan %d ns, %d grant events\n",
 		spec.Name, sched, res.End-res.Start, len(record.Events))
 
 	// --- exact replay ----------------------------------------------------
 	exact, err := replay.Exact(record)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("exact replay: makespan %d ns (recorded %d) — verified identical\n",
+	fmt.Fprintf(out, "exact replay: makespan %d ns (recorded %d) — verified identical\n",
 		exact.MakespanNs, record.MakespanNs)
 
 	// --- what-if: same workload, AID-dynamic instead ---------------------
 	whatif, err := replay.WhatIf(record, replay.WhatIfConfig{Schedule: "aid-dynamic,1,5"})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("what-if AID-dynamic: makespan %d ns (%+.1f%% vs recorded)\n\n",
+	fmt.Fprintf(out, "what-if AID-dynamic: makespan %d ns (%+.1f%% vs recorded)\n\n",
 		whatif.MakespanNs, 100*float64(whatif.MakespanNs-record.MakespanNs)/float64(record.MakespanNs))
 
 	// --- diff: is the candidate a regression? ---------------------------
-	fmt.Print(replay.Diff(record, whatif.Record, 2.0))
+	fmt.Fprint(out, replay.Diff(record, whatif.Record, 2.0))
+	return nil
 }

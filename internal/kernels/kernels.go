@@ -5,7 +5,11 @@
 // and level-synchronous BFS (Rodinia bfs).
 package kernels
 
-import "repro/internal/xrand"
+import (
+	"sync/atomic"
+
+	"repro/internal/xrand"
+)
 
 // MonteCarloPiRange is the EP-style kernel: every iteration performs the same
 // amount of independent arithmetic. It processes samples [lo, hi) of the
@@ -96,15 +100,16 @@ func RandomGraph(n, degree int, seed uint64) *Graph {
 
 // BFSLevel expands one BFS frontier: for frontier vertex index i, it scans
 // the vertex's neighbours and claims unvisited ones into next using the
-// level array (level < 0 means unvisited). It returns the claimed vertices.
+// level array (-1 means unvisited). It returns the claimed vertices. A claim
+// is a compare-and-swap, so workers may expand parts of one frontier at once
+// and each vertex is claimed by exactly one of them.
 // Iterations have irregular cost (degree-dependent), the bfs workload's
 // defining property.
 func BFSLevel(g *Graph, frontier []int32, level []int32, depth int32) []int32 {
 	var next []int32
 	for _, u := range frontier {
 		for _, v := range g.Adj[u] {
-			if level[v] < 0 {
-				level[v] = depth
+			if atomic.CompareAndSwapInt32(&level[v], -1, depth) {
 				next = append(next, v)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -13,7 +12,6 @@ import (
 	"repro/internal/fair"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -192,41 +190,5 @@ func TestWritePrometheusFormat(t *testing.T) {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestWriteLatencySummaryMatchesHistogram(t *testing.T) {
-	h := stats.NewHistogram()
-	for i := 1; i <= 1000; i++ {
-		h.Add(float64(i) * 1000)
-	}
-	var buf bytes.Buffer
-	if err := obs.WriteLatencySummary(&buf, "aidserve_latency_ns", "gold", h, true); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	p50, err := h.Percentile(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `aidserve_latency_ns{class="gold",quantile="0.5"} `
-	found := false
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, want) {
-			found = true
-			got, err := strconv.ParseFloat(line[len(want):], 64)
-			if err != nil {
-				t.Fatalf("unparseable quantile line %q: %v", line, err)
-			}
-			if got != p50 {
-				t.Errorf("exported p50 %g, histogram says %g", got, p50)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("no p50 line in:\n%s", out)
-	}
-	if !strings.Contains(out, `aidserve_latency_ns_count{class="gold"} 1000`) {
-		t.Errorf("count line missing:\n%s", out)
 	}
 }

@@ -3,9 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
-
-	"repro/internal/stats"
 )
 
 // tierLabels are the Prometheus label values of the provenance tiers,
@@ -64,34 +61,5 @@ func WritePrometheus(w io.Writer, prefix string, s Snapshot) error {
 	}
 	e.printf("# HELP %s_workers Worker cells in the snapshot.\n# TYPE %s_workers gauge\n%s_workers %d\n",
 		prefix, prefix, prefix, len(s.Workers))
-	return e.err
-}
-
-// summaryQuantiles are the quantile labels WriteLatencySummary emits.
-var summaryQuantiles = [...]struct {
-	label string
-	pct   float64
-}{{"0.5", 50}, {"0.95", 95}, {"0.99", 99}}
-
-// WriteLatencySummary renders one histogram as a Prometheus summary family
-// named name (e.g. "aidserve_latency_ns") with a class label — the per-QoS-
-// class latency export. The quantiles come from the histogram's log-bucketed
-// percentiles, so a scrape and the end-of-run report read the same numbers.
-// Emit the whole family through consecutive calls with writeHeader true on
-// the first only (Prometheus allows one TYPE line per family).
-func WriteLatencySummary(w io.Writer, name, class string, h *stats.Histogram, writeHeader bool) error {
-	e := &errWriter{w: w}
-	if writeHeader {
-		e.printf("# HELP %s Request latency by QoS class.\n# TYPE %s summary\n", name, name)
-	}
-	for _, q := range summaryQuantiles {
-		v, err := h.Percentile(q.pct)
-		if err != nil {
-			v = math.NaN() // empty class: NaN quantiles, per Prometheus convention
-		}
-		e.printf("%s{class=%q,quantile=%q} %g\n", name, class, q.label, v)
-	}
-	e.printf("%s_sum{class=%q} %g\n", name, class, h.Sum())
-	e.printf("%s_count{class=%q} %d\n", name, class, h.Count())
 	return e.err
 }

@@ -19,16 +19,13 @@ const histSub = 1 << histSubBits
 // buckets each.
 const histBuckets = (64 - histSubBits) * histSub
 
-// Histogram is a mergeable log-bucketed latency histogram — the streaming
-// percentile store, for where merging and a fixed error bound matter more
-// than the exactness of Percentile over a kept sample. Values (nanoseconds, but any
-// non-negative magnitude works) land in HDR-style buckets: exact below
-// histSub, then power-of-two octaves split into histSub sub-buckets, so a
-// quantile read is off by at most 1/histSub of the true value no matter how
-// many observations streamed through. Memory is a fixed ~15 KiB of
-// counts; Merge is an element-wise add, which is what lets per-class
-// histograms roll up into fleet-wide ones (and what a bounded uniform
-// sample, no longer uniform once merged, cannot offer).
+// Histogram is a log-bucketed latency histogram: a streaming percentile
+// store with a fixed error bound (stats.Percentile over a kept sample is the
+// exact alternative). Values (nanoseconds, but any non-negative magnitude
+// works) land in HDR-style buckets: exact below histSub, then power-of-two
+// octaves split into histSub sub-buckets, so a quantile read is off by at
+// most 1/histSub of the true value no matter how many observations streamed
+// through. Memory is a fixed ~15 KiB of counts.
 //
 // The zero value is NOT ready; use NewHistogram. Not safe for concurrent
 // use; callers serialize Add.
@@ -126,11 +123,11 @@ func (h *Histogram) Max() (float64, error) {
 // Percentile returns the p-th percentile (0 <= p <= 100) to within a relative
 // error of 1/histSub: the result is within that fraction of some true order
 // statistic adjacent to the requested rank (the bucket width over its lower
-// edge). The rank convention matches stats.Percentile (p=0 the minimum
-// bucket, p=100 the maximum), with the position inside the winning bucket
-// interpolated across its width and the result clamped to the exact
-// [Min, Max]: no quantile lies outside the observed range, and a histogram
-// of one value returns that value.
+// edge). The rank is stats.Percentile's (p=0 the minimum bucket, p=100 the
+// maximum), and so is the interpolation, but only within one bucket: a rank
+// between two occupied buckets reads inside the upper one (271.7 and 484.0
+// give 482.3 at p=50, stats.Percentile 377.9). The result is clamped to the
+// exact [Min, Max], and a histogram of one value returns that value.
 func (h *Histogram) Percentile(p float64) (float64, error) {
 	if h.count == 0 {
 		return 0, fmt.Errorf("stats: empty histogram")
@@ -165,23 +162,4 @@ func (h *Histogram) Percentile(p float64) (float64, error) {
 		}
 	}
 	return h.max, nil // unreachable unless counts and count disagree
-}
-
-// Merge folds other into h element-wise. Exact count/sum/min/max merge
-// exactly; bucket error bounds are unchanged.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if h.count == 0 || other.max > h.max {
-		h.max = other.max
-	}
-	h.count += other.count
-	h.sum += other.sum
 }

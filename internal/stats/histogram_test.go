@@ -117,37 +117,3 @@ func TestHistogramVsReservoir(t *testing.T) {
 		}
 	}
 }
-
-func TestHistogramMerge(t *testing.T) {
-	a, b, all := NewHistogram(), NewHistogram(), NewHistogram()
-	rng := xrand.New(9)
-	for i := 0; i < 5000; i++ {
-		v := float64(rng.Uint64() % 1_000_000)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-		all.Add(v)
-	}
-	a.Merge(b)
-	a.Merge(nil)
-	a.Merge(NewHistogram())
-	if a.Count() != all.Count() || a.Sum() != all.Sum() {
-		t.Fatalf("merged count/sum %d/%v, want %d/%v", a.Count(), a.Sum(), all.Count(), all.Sum())
-	}
-	amn, _ := a.Min()
-	mn, _ := all.Min()
-	amx, _ := a.Max()
-	mx, _ := all.Max()
-	if amn != mn || amx != mx {
-		t.Fatalf("merged min/max %v/%v, want %v/%v", amn, amx, mn, mx)
-	}
-	for _, p := range []float64{50, 99} {
-		ap, _ := a.Percentile(p)
-		fp, _ := all.Percentile(p)
-		if ap != fp {
-			t.Errorf("p%v after merge %v, direct %v", p, ap, fp)
-		}
-	}
-}
