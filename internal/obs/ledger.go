@@ -165,23 +165,53 @@ func (ln *Lane) event(asg core.Assign, now int64) trace.ChunkEvent {
 		PoolAccesses: int(asg.PoolAccesses), Timestamps: int(asg.Timestamps)}
 }
 
+// Outcome is what one loop execution reports, in the same terms in both
+// engines: rt.LoopStats and sim.LoopResult embed it, and the loop ledger's
+// Release fills every field but Start.
+//
+// Start and End bound the loop on the engine's clock: Start is the engine's
+// (a team's fork, a fleet loop's admission, a runtime loop's submission),
+// End the barrier release, the last retirement plus the join. The runtime
+// publishes stamps only for a loop that reads the clock for metrics or
+// capture: an unobserved loop's workers hand their lanes stale stamps, so
+// its Start and End stay zero.
+type Outcome struct {
+	Start, End int64
+	// Iters is the per-thread count of executed iterations.
+	Iters []int64
+	// PoolAccesses counts shared-pool operations across all threads.
+	PoolAccesses int64
+	// SchedulerName records which method ran the loop.
+	SchedulerName string
+	// SFEstimate is the scheduler's online per-core-type speedup-factor
+	// estimate at the release (nil when the method derives none), a copy
+	// the scheduler made for the outcome.
+	SFEstimate []float64
+	// Metrics is the loop's counter snapshot, nil without metrics. Its
+	// IdleNs is the workers' barrier waits in a team and zero in a fleet,
+	// whose loops do not own their workers' waits (Ledger).
+	Metrics *Snapshot
+}
+
 // Release is the loop's barrier release, made once every lane has retired
 // and by one goroutine: the quiescent merge of doc.go's invariant 5. It
-// writes each worker's iterations into iters and its retirement stamp into
-// finish (when non-nil), and in a team charges each worker's wait from its
-// retirement to the release as IdleNs and a Sync interval, and the join, a
-// runtime call after the release, as sched time and a Sched interval. It
-// returns the release stamp, the pool accesses and the metrics snapshot
-// (nil without metrics).
-func (l *Ledger) Release(join int64, iters, finish []int64) (maxFinish, accesses int64, snap *Snapshot) {
-	maxFinish = l.lanes[0].finish
+// fills out, but for its Start, from the lanes and from s, the loop's
+// scheduler, reusing the capacity of out.Iters; it writes each worker's
+// retirement stamp into finish (when non-nil). In a team it charges each
+// worker's wait from its retirement to the release as IdleNs and a Sync
+// interval, and the join, a runtime call after the release, as sched time
+// and a Sched interval.
+func (l *Ledger) Release(join int64, s core.Scheduler, out *Outcome, finish []int64) {
+	maxFinish := l.lanes[0].finish
 	for tid := range l.lanes {
 		maxFinish = max(maxFinish, l.lanes[tid].finish)
 	}
+	out.Iters = slices.Grow(out.Iters[:0], len(l.lanes))[:len(l.lanes)]
+	out.PoolAccesses = 0
 	for tid := range l.lanes {
 		ln := &l.lanes[tid]
-		accesses += ln.accesses
-		iters[tid] = ln.iters
+		out.PoolAccesses += ln.accesses
+		out.Iters[tid] = ln.iters
 		if finish != nil {
 			finish[tid] = ln.finish
 		}
@@ -198,9 +228,15 @@ func (l *Ledger) Release(join int64, iters, finish []int64) (maxFinish, accesses
 			l.timeline.Add(tid, maxFinish, maxFinish+join, trace.Sched)
 		}
 	}
-	if l.metrics != nil {
-		s := l.metrics.Snapshot()
-		snap = &s
+	out.End = maxFinish + join
+	out.SchedulerName, out.SFEstimate, out.Metrics = s.Name(), nil, nil
+	if est, ok := s.(core.SFEstimator); ok {
+		if sf, ready := est.SFEstimate(); ready {
+			out.SFEstimate = sf
+		}
 	}
-	return maxFinish, accesses, snap
+	if l.metrics != nil {
+		snap := l.metrics.Snapshot()
+		out.Metrics = &snap
+	}
 }

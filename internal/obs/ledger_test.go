@@ -19,6 +19,14 @@ func (s *tapeSink) Add(tid int, start, end int64, st trace.State) {
 
 func (s *tapeSink) Chunk(ev trace.ChunkEvent) { s.events = append(s.events, ev) }
 
+// estimator is a loop's scheduler as Release sees it: a name and, when sf is
+// non-nil, a finished SF estimate.
+type estimator struct{ sf []float64 }
+
+func (estimator) Next(int, int64) (core.Assign, bool) { return core.Assign{}, false }
+func (estimator) Name() string                        { return "probe" }
+func (e estimator) SFEstimate() ([]float64, bool)     { return e.sf, e.sf != nil }
+
 func (s *tapeSink) timeIn(tid int, st trace.State) int64 {
 	var sum int64
 	for _, iv := range s.ivs[tid] {
@@ -35,6 +43,8 @@ func (s *tapeSink) timeIn(tid int, st trace.State) int64 {
 // trip count, every non-retire event is one counted chunk, each worker's
 // busy + sched + idle spans its first call to the release in a team and to
 // its own retirement in a fleet, and a team's Sync intervals are its IdleNs.
+// The outcome is filled from the lanes and the scheduler, the join included
+// in End, and Release reuses a recycled outcome's Iters.
 func TestLedgerConservation(t *testing.T) {
 	const ni = 10
 	type step struct {
@@ -63,13 +73,25 @@ func TestLedgerConservation(t *testing.T) {
 				ln.Chunk(asg, s.now, s.schedEnd, s.end, 0)
 			}
 		}
-		iters, finish := make([]int64, 3), make([]int64, 3)
-		release, accesses, snap := l.Release(0, iters, finish)
-		if release != 11 || accesses != int64(len(script)) {
-			t.Errorf("team %v: release at %d with %d pool accesses, want 11 and %d", team, release, accesses, len(script))
+		const join = 2
+		iters := make([]int64, 0, 3)
+		out := Outcome{Start: -7, Iters: iters, PoolAccesses: 99, SFEstimate: []float64{9}}
+		finish := make([]int64, 3)
+		l.Release(join, estimator{sf: []float64{2, 1}}, &out, finish)
+		release := out.End - join
+		if out.Start != -7 || release != 11 || out.PoolAccesses != int64(len(script)) {
+			t.Errorf("team %v: start %d, release at %d with %d pool accesses, want -7, 11 and %d",
+				team, out.Start, release, out.PoolAccesses, len(script))
 		}
-		if sum := iters[0] + iters[1] + iters[2]; sum != ni || snap.Iters != ni {
-			t.Errorf("team %v: lanes count %v iterations, metrics %d, want %d in all", team, iters, snap.Iters, ni)
+		if &out.Iters[0] != &iters[:1][0] {
+			t.Errorf("team %v: Release reallocated Iters, whose capacity fits", team)
+		}
+		snap := out.Metrics
+		if sum := out.Iters[0] + out.Iters[1] + out.Iters[2]; sum != ni || snap.Iters != ni {
+			t.Errorf("team %v: lanes count %v iterations, metrics %d, want %d in all", team, out.Iters, snap.Iters, ni)
+		}
+		if out.SchedulerName != "probe" || len(out.SFEstimate) != 2 || out.SFEstimate[0] != 2 {
+			t.Errorf("team %v: scheduler %q with SF %v, want probe with [2 1]", team, out.SchedulerName, out.SFEstimate)
 		}
 		chunks := 0
 		for _, ev := range sink.events {
@@ -83,7 +105,7 @@ func TestLedgerConservation(t *testing.T) {
 		for tid, w := range snap.Workers {
 			want := finish[tid] - first[tid]
 			if team {
-				want = release - first[tid]
+				want = out.End - first[tid] // the join is the team's sched time
 			}
 			if got := w.BusyNs + w.SchedNs + w.IdleNs; got != want {
 				t.Errorf("team %v, worker %d: busy %d + sched %d + idle %d = %d, want %d", team, tid, w.BusyNs, w.SchedNs, w.IdleNs, got, want)
@@ -91,6 +113,12 @@ func TestLedgerConservation(t *testing.T) {
 			if sync := sink.timeIn(tid, trace.Sync); sync != w.IdleNs {
 				t.Errorf("team %v, worker %d: %d ns of Sync, IdleNs %d", team, tid, sync, w.IdleNs)
 			}
+		}
+		// Released again under a scheduler whose estimate is not ready, the
+		// outcome drops the earlier one.
+		l.Release(join, estimator{}, &out, nil)
+		if out.SFEstimate != nil {
+			t.Errorf("team %v: an estimate not ready publishes %v, want nil", team, out.SFEstimate)
 		}
 	}
 }

@@ -73,8 +73,8 @@ func TestTeamParallelForCapturesTimeline(t *testing.T) {
 	if totalRun <= 0 {
 		t.Error("timeline recorded no Running time")
 	}
-	if stats.EndNs <= stats.StartNs {
-		t.Errorf("loop bounds [%d,%d] not increasing", stats.StartNs, stats.EndNs)
+	if stats.End <= stats.Start {
+		t.Errorf("loop bounds [%d,%d] not increasing", stats.Start, stats.End)
 	}
 	if retires := coverageFromEvents(t, stats.Events, n); retires != 4 {
 		t.Errorf("%d retire events, want one per worker", retires)

@@ -66,8 +66,8 @@ func TestRegistryMetricsCounters(t *testing.T) {
 	if steals := m.StealsHome + m.StealsSamePkg + m.StealsCross; steals > m.Chunks {
 		t.Errorf("tier buckets count %d grants, more than the %d chunks granted", steals, m.Chunks)
 	}
-	if st.EndNs <= st.StartNs {
-		t.Errorf("loop bounds [%d, %d] not increasing", st.StartNs, st.EndNs)
+	if st.End <= st.Start {
+		t.Errorf("loop bounds [%d, %d] not increasing", st.Start, st.End)
 	}
 	snap := reg.MetricsSnapshot()
 	if snap.Iters != n {

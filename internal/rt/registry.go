@@ -556,8 +556,8 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 		if startNs == -1 || l.startNs < startNs {
 			startNs = l.startNs
 		}
-		if l.stats.EndNs > endNs {
-			endNs = l.stats.EndNs
+		if l.stats.End > endNs {
+			endNs = l.stats.End
 		}
 	}
 	policy := ""
@@ -617,7 +617,7 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 	// the serialized trajectory must stay chronological.
 	for idx, l := range loops {
 		if l.stats.SFEstimate != nil {
-			rec.SFSample(trace.SFSample{TimeNs: l.stats.EndNs, Loop: idx,
+			rec.SFSample(trace.SFSample{TimeNs: l.stats.End, Loop: idx,
 				SF: append([]float64(nil), l.stats.SFEstimate...)})
 		}
 	}
@@ -799,24 +799,12 @@ func (r *Registry) retire(l *Loop, tid int) {
 	}
 	r.slots[l.slot] = nil
 	l.latency = time.Since(l.submitted)
-	l.stats = LoopStats{
-		Iters:         make([]int64, r.nthreads),
-		SchedulerName: l.sched.Name(),
+	l.stats.Start = l.startNs
+	l.ledger.Release(0, l.sched, &l.stats.Outcome, nil)
+	if l.metrics == nil && l.capture == nil {
+		l.stats.End = 0 // its retirement stamps are stale (obs.Outcome)
 	}
-	maxFinish, accesses, snap := l.ledger.Release(0, l.stats.Iters, nil)
-	l.stats.PoolAccesses = accesses
-	if est, ok := l.sched.(core.SFEstimator); ok {
-		if sf, ready := est.SFEstimate(); ready {
-			l.stats.SFEstimate = sf
-		}
-	}
-	// Only an observed loop's workers read the clock for their retirement
-	// stamps, so only an observed loop publishes the release stamp.
-	if l.metrics != nil || l.capture != nil {
-		l.stats.StartNs, l.stats.EndNs = l.startNs, maxFinish
-	}
-	if snap != nil {
-		l.stats.Metrics = snap
+	if snap := l.stats.Metrics; snap != nil {
 		r.retiredAgg = r.retiredAgg.Add(*snap)
 	}
 	if l.capture != nil {

@@ -97,32 +97,17 @@ func (t *Team) ParallelForChunked(n int64, body func(lo, hi int64)) error {
 	return err
 }
 
-// LoopStats reports one real-goroutine loop execution in the same terms as
-// sim.LoopResult, so the cross-engine conformance harness can compare the
-// two execution engines on identical workloads.
+// LoopStats reports one real-goroutine loop execution: the outcome both
+// engines report (obs.Outcome), so the cross-engine conformance harness can
+// compare them on identical workloads, plus the loop's capture. Its Start
+// is the submission on the fleet's monotonic clock, and its Metrics exist
+// only on registries built with RegistryConfig.Metrics.
 type LoopStats struct {
-	// Iters is the per-thread count of executed iterations.
-	Iters []int64
-	// PoolAccesses counts shared-pool RMW operations across all threads.
-	PoolAccesses int64
-	// SchedulerName records which method ran the loop.
-	SchedulerName string
-	// SFEstimate is the scheduler's online per-core-type speedup-factor
-	// estimate at loop end (nil when the method derives none).
-	SFEstimate []float64
-	// Metrics is the loop's runtime-counter snapshot (chunks, steals by
-	// provenance tier, credit traffic, busy/sched/idle time) — populated
-	// only on registries built with RegistryConfig.Metrics, and its IdleNs
-	// is zero: a registry's loops do not own their fleet, so a worker's
-	// barrier wait is the fleet's (obs.Ledger).
-	Metrics *obs.Snapshot
+	obs.Outcome
 
 	// The fields below are populated only for loops submitted with
 	// LoopRequest.Capture (or run on a Team configured with Capture).
 
-	// StartNs and EndNs bound the loop on the fleet's monotonic clock
-	// (submission to barrier release).
-	StartNs, EndNs int64
 	// Trace is the merged per-worker wall-clock timeline: Sched for time
 	// inside the scheduler, Running for chunk execution (including the
 	// small-core throttle), and on a Team, whose loop owns its fleet, Sync

@@ -192,10 +192,8 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		}
 		res := &results[li]
 		*res = LoopResult{
-			Start:          arrive[li],
-			Iters:          sized(res.Iters, nt),
+			Outcome:        obs.Outcome{Start: arrive[li], Iters: res.Iters[:0]},
 			Finish:         sized(res.Finish, nt),
-			SchedulerName:  s.Name(),
 			SFTrajectory:   res.SFTrajectory[:0],
 			ClusterEnergyJ: res.ClusterEnergyJ[:0],
 		}
@@ -426,13 +424,7 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		// This loop's barrier releases at the last retirement, plus the
 		// join half of the fork/join cost in team mode, where the ledger
 		// charges each worker's wait for it.
-		maxFinish, accesses, snap := ledgers[li].Release(joinNs, res.Iters, res.Finish)
-		res.End, res.PoolAccesses, res.Metrics = maxFinish+joinNs, accesses, snap
-		if est, isEst := scheds[li].(core.SFEstimator); isEst {
-			if sf, ready := est.SFEstimate(); ready {
-				res.SFEstimate = sf
-			}
-		}
+		ledgers[li].Release(joinNs, scheds[li], &res.Outcome, res.Finish)
 		if team {
 			// Only a team's waits and watts belong to one loop: each worker
 			// idles from its own arrival at the barrier to the release, and

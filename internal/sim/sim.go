@@ -98,7 +98,9 @@
 // RunLoop and RunLoops pass, come back with slices of their own, so a result
 // a caller holds is not touched by any later call, whatever that call
 // recycles; RunProgram, which reads a repetition's result and drops it, hands
-// the same one in again and so reuses its slices too. The SF tables in
+// the same one in again and so reuses its slices too. A loop's ledger fills
+// the result's obs.Outcome at the barrier release, the way the runtime's
+// does, and the event loop the fields only the model knows. The SF tables in
 // SFEstimate and SFTrajectory are copies the scheduler made for the result;
 // the scheduler's own tables, which the next Reset overwrites, are only ever
 // read through them.
@@ -331,26 +333,16 @@ func (c Config) buildScheduler(loopName string, info core.LoopInfo) (core.Schedu
 	return c.Factory(info)
 }
 
-// LoopResult reports one loop execution.
+// LoopResult reports one loop execution: the outcome both engines report
+// (obs.Outcome), whose Start is the fork time of a team and the admission
+// time of a fleet loop, and whose End includes a team's join, plus what only
+// the model knows.
 type LoopResult struct {
-	// Start is the fork time of a team, the admission time of a fleet loop;
-	// End is the barrier-release time (a team's includes the join cost).
-	Start, End int64
-	// PoolAccesses counts shared-pool atomic operations across all threads.
-	PoolAccesses int64
+	obs.Outcome
 	// SchedNs is the total runtime-system time summed over threads.
 	SchedNs int64
-	// Iters is the per-thread count of executed iterations.
-	Iters []int64
 	// Finish is each thread's arrival time at the implicit barrier.
 	Finish []int64
-	// SchedulerName records which method ran the loop.
-	SchedulerName string
-	// SFEstimate is the scheduler's online per-core-type speedup-factor
-	// estimate at loop end (nil when the method derives none). The
-	// cross-engine conformance harness compares it against the real-
-	// goroutine runtime's estimate for the same workload.
-	SFEstimate []float64
 	// SFTrajectory is the time-ordered sequence of SF tables the scheduler
 	// published while the loop ran — the estimate was live mid-run at each
 	// point, not reconstructed at retirement. Offline-SF variants contribute
@@ -366,11 +358,6 @@ type LoopResult struct {
 	EnergyJ float64
 	// ClusterEnergyJ breaks EnergyJ down by platform cluster.
 	ClusterEnergyJ []float64
-	// Metrics is the loop's runtime-counter snapshot, populated when
-	// Config.Metrics is set. Its IdleNs is the workers' barrier waits for a
-	// team (RunLoop) and zero for a fleet loop (RunLoops), which does not own
-	// its workers' waits (obs.Ledger).
-	Metrics *obs.Snapshot
 }
 
 // SFPoint is one timestamped speedup-factor-table publication.
