@@ -26,13 +26,15 @@
 #                  bench/, whose spinners are Linux-only, so that the
 #                  non-Linux twin of a Linux-only file keeps compiling),
 #                  build, the whole suite (plain, plus the
-#                  lock-free layers and the figure sweeps under -race), the
-#                  multi-loop conformance/race suite under -race -count=2,
-#                  and every example run to its end.
+#                  lock-free layers and the figure sweeps under -race), and
+#                  the multi-loop conformance/race suite under -race
+#                  -count=2. Every example is run by its own tier-1 test.
 #                  It writes nothing into the tree.
 #   make test    - tier-1: go build ./... && go test -count=1 ./...
 #   make race    - race-detector run over the lock-free scheduler/pool layers,
-#                  the real-goroutine runtime, aidserve (its scrapers read
+#                  the metrics cells (a loop's release fills its outcome
+#                  while scrapers read the same cells), the real-goroutine
+#                  runtime, aidserve (its scrapers read
 #                  the request records its submitter and completion
 #                  goroutines write) and internal/exps (its sweeps
 #                  run simulator calls on every CPU at once, so this is where
@@ -54,9 +56,6 @@
 #   make race-multiloop - the multi-tenant conformance + registry race suite
 #                  under -race -count=2, so flaky interleavings surface in
 #                  CI, not in production
-#   make examples - go run on each examples/* main, output dropped: all
-#                  seven end by themselves, in about 3 s together, and must
-#                  exit 0. Nothing else executes them.
 #   make bench-ab BASE=<rev> W=<workload> [PAIRS=10 SECONDS=20] - compare
 #                  the repository benchmark (./bench, BENCHMARK.json) between
 #                  a revision and the working tree: builds BASE's ./bench from
@@ -84,9 +83,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-multiloop examples bench-ab
+.PHONY: ci vet build test race race-multiloop bench-ab
 
-ci: vet build race race-multiloop examples
+ci: vet build race race-multiloop
 
 # gofmt -l prints the files it would rewrite, and git grep every test file,
 # tracked or not, that declares a benchmark outside bench/, every line of the
@@ -126,15 +125,12 @@ test: build
 	$(GO) test -count=1 ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/pool/... ./internal/rt/... ./internal/fair/... ./internal/exps/... ./cmd/aidserve/...
+	$(GO) test -race ./internal/core/... ./internal/pool/... ./internal/obs/... ./internal/rt/... ./internal/fair/... ./internal/exps/... ./cmd/aidserve/...
 	$(GO) test -count=1 ./...
 
 race-multiloop:
 	$(GO) test -race -count=2 -run 'MultiTenant|Registry|MultiLoop' ./internal/core/ ./internal/rt/ ./internal/sim/
 	$(GO) test -race -count=2 ./internal/fair/
-
-examples:
-	for d in examples/*/; do $(GO) run ./$$d > /dev/null || exit 1; done
 
 # Both binaries run from the working tree's root, so both read the same
 # bench/platforms file and BENCHMARK.json; only the program under test

@@ -51,6 +51,7 @@ import (
 	"repro/internal/arrival"
 	"repro/internal/core"
 	"repro/internal/fair"
+	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/rt"
@@ -130,16 +131,6 @@ func maxInFlight(done []request) int {
 		most = max(most, depth)
 	}
 	return most
-}
-
-// spinIter burns deterministic CPU work for one iteration; the result is
-// returned through an atomic sink so the compiler cannot elide it.
-func spinIter(units int) float64 {
-	x := 1.0
-	for i := 0; i < units; i++ {
-		x += 1.0 / (x + float64(i))
-	}
-	return x
 }
 
 func durNs(ns float64) time.Duration {
@@ -437,13 +428,7 @@ func serveReal(o serveOpts, p plan) (*serveRun, error) {
 		sampled  []*rt.Loop
 		admitted int
 	)
-	body := func(_ int, lo, hi int64) {
-		var acc float64
-		for j := lo; j < hi; j++ {
-			acc += spinIter(o.spin)
-		}
-		sink.Add(int64(acc) + (hi - lo))
-	}
+	body := func(_ int, lo, hi int64) { sink.Add(kernels.Spin(lo, hi, o.spin)) }
 
 	start := time.Now()
 	for i, stamp := range p.stamps {

@@ -13,54 +13,54 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/kernels"
 	"repro/internal/rt"
 )
 
-func spin(units int) float64 {
-	x := 1.0
-	for i := 0; i < units; i++ {
-		x += 1.0 / (x + float64(i))
+func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
-	return x
 }
 
-func main() {
+func run(out io.Writer) error {
 	reg, err := rt.NewRegistry(rt.RegistryConfig{}) // Platform A: 8 workers
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer reg.Close()
 
 	var sink atomic.Int64
-	body := func(_ int, lo, hi int64) {
-		var acc float64
-		for i := lo; i < hi; i++ {
-			acc += spin(300)
+	body := func(_ int, lo, hi int64) { sink.Add(kernels.Spin(lo, hi, 300)) }
+
+	reqs := []rt.LoopRequest{
+		{Name: "batch-a", N: 300_000, Weight: 1, Schedule: core.Schedule{Kind: core.KindAIDDynamic}},
+		{Name: "batch-b", N: 300_000, Weight: 1, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 16}},
+		{Name: "interactive", N: 2_000, Weight: 8, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 8}},
+	}
+	loops := make([]*rt.Loop, len(reqs))
+	for i, req := range reqs {
+		req.Body = body
+		if loops[i], err = reg.Submit(req); err != nil {
+			return err
 		}
-		sink.Add(int64(acc) + (hi - lo))
+		fmt.Fprintf(out, "submitted %-12s %8d iterations, weight %d, schedule %s\n", req.Name, req.N, req.Weight, req.Schedule)
 	}
 
-	submit := func(name string, n int64, weight int, sched core.Schedule) *rt.Loop {
-		l, err := reg.Submit(rt.LoopRequest{N: n, Schedule: sched, Weight: weight, Body: body})
-		if err != nil {
-			log.Fatal(err)
+	// The interactive loop, submitted last, is waited for first; each line
+	// counts the iterations the loop's workers ran.
+	for _, i := range []int{2, 0, 1} {
+		var ran int64
+		for _, n := range loops[i].Wait().Iters {
+			ran += n
 		}
-		fmt.Printf("submitted %-12s %8d iterations, weight %d, schedule %s\n", name, n, weight, sched)
-		return l
+		fmt.Fprintf(out, "%-12s done after %v, %d/%d iterations\n", reqs[i].Name, loops[i].Latency(), ran, reqs[i].N)
 	}
-
-	batchA := submit("batch-a", 300_000, 1, core.Schedule{Kind: core.KindAIDDynamic})
-	batchB := submit("batch-b", 300_000, 1, core.Schedule{Kind: core.KindDynamic, Chunk: 16})
-	interactive := submit("interactive", 2_000, 8, core.Schedule{Kind: core.KindDynamic, Chunk: 8})
-
-	interactive.Wait()
-	fmt.Printf("interactive done after %v (batch still running)\n", interactive.Latency())
-	batchA.Wait()
-	batchB.Wait()
-	fmt.Printf("batch-a     done after %v\n", batchA.Latency())
-	fmt.Printf("batch-b     done after %v\n", batchB.Latency())
+	return nil
 }

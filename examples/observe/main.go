@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -20,42 +21,37 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/rt"
 )
 
-func spin(units int) float64 {
-	x := 1.0
-	for i := 0; i < units; i++ {
-		x += 1.0 / (x + float64(i))
+func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
-	return x
 }
 
-func main() {
+func run(out io.Writer) error {
 	reg, err := rt.NewRegistry(rt.RegistryConfig{Metrics: true}) // Platform A: 8 workers
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer reg.Close()
 
 	var sink atomic.Int64
-	body := func(_ int, lo, hi int64) {
-		var acc float64
-		for i := lo; i < hi; i++ {
-			acc += spin(300)
-		}
-		sink.Add(int64(acc) + (hi - lo))
+	body := func(_ int, lo, hi int64) { sink.Add(kernels.Spin(lo, hi, 300)) }
+	reqs := []rt.LoopRequest{
+		{Name: "batch-a", N: 200_000, Weight: 1, Schedule: core.Schedule{Kind: core.KindAIDDynamic}},
+		{Name: "batch-b", N: 200_000, Weight: 1, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 16}},
+		{Name: "interactive", N: 2_000, Weight: 8, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 8}},
 	}
-	submit := func(name string, n int64, weight int, sched core.Schedule) *rt.Loop {
-		l, err := reg.Submit(rt.LoopRequest{
-			Name: name, N: n, Schedule: sched, Weight: weight, Body: body,
-			Capture: true, CaptureMaxEvents: 512,
-		})
-		if err != nil {
-			log.Fatal(err)
+	loops := make([]*rt.Loop, len(reqs))
+	for i, req := range reqs {
+		req.Body, req.Capture, req.CaptureMaxEvents = body, true, 512
+		if loops[i], err = reg.Submit(req); err != nil {
+			return err
 		}
-		return l
 	}
 
 	// A live scraper: deltas between successive fleet snapshots, the shape
@@ -75,18 +71,11 @@ func main() {
 				cur := reg.MetricsSnapshot()
 				d := cur.Delta(prev)
 				prev = cur
-				fmt.Printf("scrape: +%d chunks, +%d iters, +%d steals in the last 100ms\n",
+				fmt.Fprintf(out, "scrape: +%d chunks, +%d iters, +%d steals in the last 100ms\n",
 					d.Chunks, d.Iters, d.Steals())
 			}
 		}
 	}()
-
-	batchA := submit("batch-a", 200_000, 1, core.Schedule{Kind: core.KindAIDDynamic})
-	batchB := submit("batch-b", 200_000, 1, core.Schedule{Kind: core.KindDynamic, Chunk: 16})
-	interactive := submit("interactive", 2_000, 8, core.Schedule{Kind: core.KindDynamic, Chunk: 8})
-
-	loops := []*rt.Loop{batchA, batchB, interactive}
-	names := []string{"batch-a", "batch-b", "interactive"}
 	statsOf := make([]rt.LoopStats, len(loops))
 	for i, l := range loops {
 		statsOf[i] = l.Wait()
@@ -94,27 +83,28 @@ func main() {
 	close(stopScrape)
 	<-scrapeDone
 
-	fmt.Println("\nper-loop counters:")
-	fmt.Printf("%-12s %8s %9s %6s %8s %9s %9s\n",
+	fmt.Fprintln(out, "\nper-loop counters:")
+	fmt.Fprintf(out, "%-12s %8s %9s %6s %8s %9s %9s\n",
 		"loop", "chunks", "iters", "steals", "credit", "busy-ms", "sched-ms")
 	for i, st := range statsOf {
 		m := st.Metrics
-		fmt.Printf("%-12s %8d %9d %6d %8d %9.2f %9.2f\n",
-			names[i], m.Chunks, m.Iters, m.Steals(), m.CreditClaimed,
+		fmt.Fprintf(out, "%-12s %8d %9d %6d %8d %9.2f %9.2f\n",
+			reqs[i].Name, m.Chunks, m.Iters, m.Steals(), m.CreditClaimed,
 			float64(m.BusyNs)/1e6, float64(m.SchedNs)/1e6)
 	}
 
 	// The same totals in the wire format a scraper fetches.
 	var prom strings.Builder
 	if err := obs.WritePrometheus(&prom, "", reg.MetricsSnapshot()); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nPrometheus rendering (sample lines):")
+	fmt.Fprintln(out, "\nPrometheus rendering (sample lines):")
 	for _, line := range strings.Split(prom.String(), "\n") {
 		if strings.HasPrefix(line, "aid_chunks_total") ||
+			strings.HasPrefix(line, "aid_iters_total") ||
 			strings.HasPrefix(line, "aid_steals_total") ||
 			strings.HasPrefix(line, "aid_occupancy_ns_total") {
-			fmt.Println("  " + line)
+			fmt.Fprintln(out, "  "+line)
 		}
 	}
 
@@ -122,14 +112,12 @@ func main() {
 	// analyzer's report — the view `aidstat run.jsonl` prints.
 	rec, err := reg.BuildRecord(loops...)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	a, err := obs.Analyze(rec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\naidstat report of the captured tape:")
-	if err := obs.WriteReport(os.Stdout, rec, a); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Fprintln(out, "\naidstat report of the captured tape:")
+	return obs.WriteReport(out, rec, a)
 }

@@ -14,7 +14,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync/atomic"
 
 	"repro/internal/amp"
@@ -24,6 +26,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	// --- 1. Simulated comparison -----------------------------------------
 	platform := amp.PlatformA()
 	loop := sim.LoopSpec{
@@ -45,9 +53,9 @@ func main() {
 		}
 		res, err := sim.RunLoop(cfg, loop, 0)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-12s completed %d iterations in %8.3f ms (virtual)\n",
+		fmt.Fprintf(out, "%-12s completed %d iterations in %8.3f ms (virtual)\n",
 			sched, loop.NI, float64(res.End-res.Start)/1e6)
 	}
 
@@ -57,13 +65,14 @@ func main() {
 		Schedule: core.Schedule{Kind: core.KindAIDStatic},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var sum atomic.Int64
 	if err := team.ParallelFor(100000, func(i int64) {
 		sum.Add(i)
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("real ParallelFor: sum of 0..99999 = %d (want 4999950000)\n", sum.Load())
+	_, err = fmt.Fprintf(out, "real ParallelFor: sum of 0..99999 = %d (want 4999950000)\n", sum.Load())
+	return err
 }

@@ -2,7 +2,8 @@
 // runnable examples execute under the real-goroutine runtime. Each kernel
 // corresponds to one of the workload archetypes in the paper's evaluation:
 // Monte-Carlo sampling (NPB EP), a heat-diffusion stencil (Rodinia hotspot)
-// and level-synchronous BFS (Rodinia bfs).
+// and level-synchronous BFS (Rodinia bfs); Spin is the synthetic body of the
+// multi-tenant examples and aidserve.
 package kernels
 
 import (
@@ -30,6 +31,22 @@ func MonteCarloPiRange(lo, hi int64, seed uint64) int64 {
 		}
 	}
 	return in
+}
+
+// Spin runs iterations [lo, hi) of a synthetic loop whose every iteration is
+// units steps of dependent floating-point work, and returns a value derived
+// from all of it: a caller that keeps the result (an atomic sink) keeps the
+// compiler from eliding the work.
+func Spin(lo, hi int64, units int) int64 {
+	var acc float64
+	for i := lo; i < hi; i++ {
+		x := 1.0
+		for j := 0; j < units; j++ {
+			x += 1.0 / (x + float64(j))
+		}
+		acc += x
+	}
+	return int64(acc) + (hi - lo)
 }
 
 // Grid is a dense 2-D scalar field for the stencil kernel.

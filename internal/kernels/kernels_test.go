@@ -129,3 +129,18 @@ func TestBFSLevelsMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestSpin: an iteration of zero units is worth 1, one of one unit 2
+// (1 + 1/(1+0)), and the range's length is added to the sum; an empty range
+// is worth nothing.
+func TestSpin(t *testing.T) {
+	for _, c := range []struct {
+		lo, hi int64
+		units  int
+		want   int64
+	}{{0, 4, 0, 8}, {5, 8, 1, 9}, {3, 3, 100, 0}} {
+		if got := Spin(c.lo, c.hi, c.units); got != c.want {
+			t.Errorf("Spin(%d, %d, %d) = %d, want %d", c.lo, c.hi, c.units, got, c.want)
+		}
+	}
+}

@@ -57,10 +57,8 @@
 //     the single-writer discipline is preserved in time rather than by
 //     thread identity. A fleet's release writes no cell: a retired fleet
 //     worker's wait belongs to the fleet, which counts it once. The same
-//     release fills the loop's Outcome, from the quiescent lanes, a
-//     Snapshot of the cells and the loop's scheduler; the engine publishes
-//     it only afterwards (rt closes the loop's done channel), so nothing
-//     reads an Outcome that Release is still writing.
+//     release fills the loop's Outcome, which the engine publishes only
+//     afterwards, so no reader sees one that Release is still writing.
 //
 // What metrics cost is mostly the clock: busy and sched time come from the
 // registry chunk loop's two stamps, which an unobserved, unthrottled worker

@@ -196,12 +196,11 @@ type Outcome struct {
 // Release is the loop's barrier release, made once every lane has retired
 // and by one goroutine: the quiescent merge of doc.go's invariant 5. It
 // fills out, but for its Start, from the lanes and from s, the loop's
-// scheduler, reusing the capacity of out.Iters; it writes each worker's
-// retirement stamp into finish (when non-nil). In a team it charges each
+// scheduler, reusing the capacity of out.Iters. In a team it charges each
 // worker's wait from its retirement to the release as IdleNs and a Sync
 // interval, and the join, a runtime call after the release, as sched time
 // and a Sched interval.
-func (l *Ledger) Release(join int64, s core.Scheduler, out *Outcome, finish []int64) {
+func (l *Ledger) Release(join int64, s core.Scheduler, out *Outcome) {
 	maxFinish := l.lanes[0].finish
 	for tid := range l.lanes {
 		maxFinish = max(maxFinish, l.lanes[tid].finish)
@@ -212,9 +211,6 @@ func (l *Ledger) Release(join int64, s core.Scheduler, out *Outcome, finish []in
 		ln := &l.lanes[tid]
 		out.PoolAccesses += ln.accesses
 		out.Iters[tid] = ln.iters
-		if finish != nil {
-			finish[tid] = ln.finish
-		}
 		if !l.team || !ln.observed {
 			continue
 		}

@@ -56,7 +56,7 @@ func TestLedgerConservation(t *testing.T) {
 		{0, 0, 1, 5, 0, 4}, {1, 0, 2, 8, 6, 9}, {2, 1, 2, 3, 9, 10},
 		{2, 3, 4, -1, 0, 0}, {0, 5, 6, 10, 4, 6}, {1, 8, 9, -1, 0, 0}, {0, 10, 11, -1, 0, 0},
 	}
-	first := []int64{0, 0, 1}
+	first, finish := []int64{0, 0, 1}, []int64{11, 9, 4} // the first call, the retirement
 	for _, team := range []bool{true, false} {
 		m := New(3, 2, func(tid int) int { return tid / 2 })
 		sink := &tapeSink{ivs: make([][]trace.Interval, 3)}
@@ -76,8 +76,7 @@ func TestLedgerConservation(t *testing.T) {
 		const join = 2
 		iters := make([]int64, 0, 3)
 		out := Outcome{Start: -7, Iters: iters, PoolAccesses: 99, SFEstimate: []float64{9}}
-		finish := make([]int64, 3)
-		l.Release(join, estimator{sf: []float64{2, 1}}, &out, finish)
+		l.Release(join, estimator{sf: []float64{2, 1}}, &out)
 		release := out.End - join
 		if out.Start != -7 || release != 11 || out.PoolAccesses != int64(len(script)) {
 			t.Errorf("team %v: start %d, release at %d with %d pool accesses, want -7, 11 and %d",
@@ -116,7 +115,7 @@ func TestLedgerConservation(t *testing.T) {
 		}
 		// Released again under a scheduler whose estimate is not ready, the
 		// outcome drops the earlier one.
-		l.Release(join, estimator{}, &out, nil)
+		l.Release(join, estimator{}, &out)
 		if out.SFEstimate != nil {
 			t.Errorf("team %v: an estimate not ready publishes %v, want nil", team, out.SFEstimate)
 		}

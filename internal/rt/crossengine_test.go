@@ -1,14 +1,15 @@
 package rt
 
 import (
-	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/amp"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -93,40 +94,23 @@ func TestCrossEngineEquivalence(t *testing.T) {
 			t.Fatalf("rt engine covered iteration %d %d times", i, c)
 		}
 	}
-	simTotal, rtTotal := int64(0), int64(0)
-	for tid := 0; tid < nthreads; tid++ {
-		simTotal += simRes.Iters[tid]
-		rtTotal += rtRes.Iters[tid]
-	}
-	if simTotal != ni || rtTotal != ni {
-		t.Fatalf("coverage differs: sim %d, rt %d, want %d", simTotal, rtTotal, ni)
-	}
+	checkOutcome(t, "sim", simRes.Outcome, pl, nthreads, ni)
+	checkOutcome(t, "rt", rtRes.Outcome, pl, nthreads, ni)
 	if simRes.SchedulerName != rtRes.SchedulerName {
 		t.Errorf("scheduler name differs across engines: %q vs %q", simRes.SchedulerName, rtRes.SchedulerName)
 	}
 
-	// Both engines must surface a structurally valid online SF estimate. The
-	// upper bound is asked only of an estimate whose size means something:
-	// wall-clock samples taken by more workers than there are CPUs include
-	// other workers' timeslices, and under load the ratio has read 80-110.
-	checkSF := func(engine string, sf []float64, bounded bool) {
-		if len(sf) != len(pl.Clusters) {
-			t.Fatalf("%s: SF estimate %v has %d entries, want %d", engine, sf, len(sf), len(pl.Clusters))
-		}
-		slowest := math.Inf(1)
-		for ty, v := range sf {
-			if v <= 0 || (bounded && v > 64) {
-				t.Errorf("%s: SF[%d] = %v out of sane range", engine, ty, v)
-			}
-			if v < slowest {
-				slowest = v
-			}
-		}
-		if math.Abs(slowest-1) > 1e-9 {
+	// Both engines must surface an online SF estimate, which AID-static
+	// normalizes to its slowest sampled type.
+	normalized := func(engine string, sf []float64) {
+		if slowest := slices.Min(sf); math.Abs(slowest-1) > 1e-9 {
 			t.Errorf("%s: slowest-type SF = %v, want 1 (normalization)", engine, slowest)
 		}
 	}
-	checkSF("sim", simRes.SFEstimate, true)
+	if simRes.SFEstimate == nil {
+		t.Fatal("sim engine produced no SF estimate")
+	}
+	normalized("sim", simRes.SFEstimate)
 	if simRes.SFEstimate[0] <= 1.2 {
 		t.Errorf("sim big-core SF estimate = %v, expected clearly above 1", simRes.SFEstimate[0])
 	}
@@ -141,7 +125,7 @@ func TestCrossEngineEquivalence(t *testing.T) {
 			runtime.NumCPU(), simRes.SFEstimate)
 		return
 	}
-	checkSF("rt", rtRes.SFEstimate, runtime.NumCPU() >= nthreads)
+	normalized("rt", rtRes.SFEstimate)
 
 	// SF convergence across engines needs real parallelism: on an
 	// oversubscribed machine the wall-clock sampling window of one worker
@@ -187,13 +171,7 @@ func TestCrossEngineCoverageAllSchedules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var simTotal int64
-			for _, n := range simRes.Iters {
-				simTotal += n
-			}
-			if simTotal != ni {
-				t.Fatalf("sim covered %d of %d", simTotal, ni)
-			}
+			checkOutcome(t, "sim", simRes.Outcome, pl, 8, ni)
 
 			team, err := NewTeam(TeamConfig{Platform: pl, Schedule: s, Profile: profile})
 			if err != nil {
@@ -208,13 +186,7 @@ func TestCrossEngineCoverageAllSchedules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var rtTotal int64
-			for _, n := range rtRes.Iters {
-				rtTotal += n
-			}
-			if rtTotal != ni {
-				t.Fatalf("rt covered %d of %d", rtTotal, ni)
-			}
+			checkOutcome(t, "rt", rtRes.Outcome, pl, team.NThreads(), ni)
 			for i := range covered {
 				if c := covered[i].Load(); c != 1 {
 					t.Fatalf("iteration %d covered %d times", i, c)
@@ -224,7 +196,43 @@ func TestCrossEngineCoverageAllSchedules(t *testing.T) {
 	}
 }
 
-var _ = fmt.Sprintf // keep fmt for debug additions
+// checkOutcome checks what a loop of ni iterations reports, whichever
+// engine ran it on nthreads workers of pl: one iteration count per worker,
+// summing to ni; a named scheduler; and, when the scheduler published one,
+// an SF estimate with one positive, finite entry per core type. The upper
+// bound, AID-dynamic's clamp of 64, is asked only of an estimate whose size
+// means something: virtual time's, or one sampled on wall clocks with a CPU
+// per worker. Wall-clock samples taken by more workers than there are CPUs
+// include other workers' timeslices, and under load the ratio has read
+// 80-110.
+func checkOutcome(t *testing.T, engine string, out obs.Outcome, pl *amp.Platform, nthreads int, ni int64) {
+	t.Helper()
+	if len(out.Iters) != nthreads {
+		t.Fatalf("%s: %d iteration counts for %d workers", engine, len(out.Iters), nthreads)
+	}
+	var total int64
+	for _, n := range out.Iters {
+		total += n
+	}
+	if total != ni {
+		t.Fatalf("%s covered %d of %d iterations", engine, total, ni)
+	}
+	if out.SchedulerName == "" {
+		t.Errorf("%s: no scheduler name", engine)
+	}
+	if out.SFEstimate == nil {
+		return
+	}
+	if len(out.SFEstimate) != len(pl.Clusters) {
+		t.Fatalf("%s: SF estimate %v has %d entries, want %d", engine, out.SFEstimate, len(out.SFEstimate), len(pl.Clusters))
+	}
+	bounded := engine == "sim" || runtime.NumCPU() >= nthreads
+	for ty, v := range out.SFEstimate {
+		if !(v > 0) || math.IsInf(v, 0) || (bounded && v > 64) {
+			t.Errorf("%s: SF[%d] = %v out of sane range", engine, ty, v)
+		}
+	}
+}
 
 // TestGrantExecIsRunningTime pins the invariant trace.Record.Digest rests on:
 // in a record with a timeline, each thread's grants' ExecNs sum to its

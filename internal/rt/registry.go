@@ -342,7 +342,6 @@ type Loop struct {
 	// capture is non-nil when the loop records its execution: the sink of
 	// its ledger, whose tape tid is appended only by worker tid.
 	capture tapes
-	startNs int64
 	// captureMax is the sampled-capture budget applied when the tapes
 	// merge (see LoopRequest.CaptureMaxEvents).
 	captureMax int
@@ -411,12 +410,12 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 	var evs obs.Events
 	if r.metrics != nil {
 		l.metrics = obs.New(r.nthreads, len(r.platform.Clusters), r.typeOf)
-		l.startNs = r.now()
+		l.stats.Start = r.now()
 	}
 	if req.Capture {
 		l.capture = make(tapes, r.nthreads)
 		tl, evs = l.capture, l.capture
-		l.startNs = r.now()
+		l.stats.Start = r.now()
 		l.captureMax = req.CaptureMaxEvents
 		// Pre-size the tapes from the schedule's chunk geometry so the
 		// capturing hot path appends into reserved space instead of
@@ -553,8 +552,8 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 		if l.capture == nil {
 			return nil, fmt.Errorf("rt: loop %q was not submitted with Capture", l.name)
 		}
-		if startNs == -1 || l.startNs < startNs {
-			startNs = l.startNs
+		if startNs == -1 || l.stats.Start < startNs {
+			startNs = l.stats.Start
 		}
 		if l.stats.End > endNs {
 			endNs = l.stats.End
@@ -799,8 +798,7 @@ func (r *Registry) retire(l *Loop, tid int) {
 	}
 	r.slots[l.slot] = nil
 	l.latency = time.Since(l.submitted)
-	l.stats.Start = l.startNs
-	l.ledger.Release(0, l.sched, &l.stats.Outcome, nil)
+	l.ledger.Release(0, l.sched, &l.stats.Outcome)
 	if l.metrics == nil && l.capture == nil {
 		l.stats.End = 0 // its retirement stamps are stale (obs.Outcome)
 	}

@@ -410,6 +410,7 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		}
 
 		ln.Retire(asg, now, schedEnd)
+		res.Finish[tid] = schedEnd
 		// The worker is done scheduling this loop; drop it from the engaged
 		// counts now (not at the next policy grant) so a fully retired
 		// worker cannot leak an engaged slot forever.
@@ -424,7 +425,7 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		// This loop's barrier releases at the last retirement, plus the
 		// join half of the fork/join cost in team mode, where the ledger
 		// charges each worker's wait for it.
-		ledgers[li].Release(joinNs, scheds[li], &res.Outcome, res.Finish)
+		ledgers[li].Release(joinNs, scheds[li], &res.Outcome)
 		if team {
 			// Only a team's waits and watts belong to one loop: each worker
 			// idles from its own arrival at the barrier to the release, and

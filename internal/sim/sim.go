@@ -98,9 +98,7 @@
 // RunLoop and RunLoops pass, come back with slices of their own, so a result
 // a caller holds is not touched by any later call, whatever that call
 // recycles; RunProgram, which reads a repetition's result and drops it, hands
-// the same one in again and so reuses its slices too. A loop's ledger fills
-// the result's obs.Outcome at the barrier release, the way the runtime's
-// does, and the event loop the fields only the model knows. The SF tables in
+// the same one in again and so reuses its slices too. The SF tables in
 // SFEstimate and SFTrajectory are copies the scheduler made for the result;
 // the scheduler's own tables, which the next Reset overwrites, are only ever
 // read through them.
