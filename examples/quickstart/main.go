@@ -73,6 +73,6 @@ func run(out io.Writer) error {
 	}); err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(out, "real ParallelFor: sum of 0..99999 = %d (want 4999950000)\n", sum.Load())
-	return err
+	fmt.Fprintf(out, "real ParallelFor: sum of 0..99999 = %d (want 4999950000)\n", sum.Load())
+	return nil
 }
