@@ -26,10 +26,11 @@
 #                  bench/, whose spinners are Linux-only, so that the
 #                  non-Linux twin of a Linux-only file keeps compiling),
 #                  build, the whole suite (plain, plus the
-#                  lock-free layers and the figure sweeps under -race), and
+#                  lock-free layers and the figure sweeps under -race),
 #                  the multi-loop conformance/race suite under -race
-#                  -count=2. Every example is run by its own tier-1 test.
-#                  It writes nothing into the tree.
+#                  -count=2, and make fuzz. Every example is run by its own
+#                  tier-1 test. It writes nothing into the tree (a fuzz
+#                  failure adds its input under the package's testdata/fuzz/).
 #   make test    - tier-1: go build ./... && go test -count=1 ./...
 #   make race    - race-detector run over the lock-free scheduler/pool layers,
 #                  the metrics cells (a loop's release fills its outcome
@@ -56,6 +57,12 @@
 #   make race-multiloop - the multi-tenant conformance + registry race suite
 #                  under -race -count=2, so flaky interleavings surface in
 #                  CI, not in production
+#   make fuzz    - every fuzz target of the tree's input codecs for 10 s each,
+#                  one worker, no test run first: the run-record
+#                  decoder (FuzzDecodeJSONL, whose in-place line readers are
+#                  right only as far as the fuzzer finds them agreeing with
+#                  encoding/json), platform files, -classes and schedule
+#                  text. Not tier-1: without -fuzz only the seed corpora run.
 #   make bench-ab BASE=<rev> W=<workload> [PAIRS=10 SECONDS=20] - compare
 #                  the repository benchmark (./bench, BENCHMARK.json) between
 #                  a revision and the working tree: builds BASE's ./bench from
@@ -83,9 +90,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-multiloop bench-ab
+.PHONY: ci vet build test race race-multiloop fuzz bench-ab
 
-ci: vet build race race-multiloop
+ci: vet build race race-multiloop fuzz
 
 # gofmt -l prints the files it would rewrite, and git grep every test file,
 # tracked or not, that declares a benchmark outside bench/, every line of the
@@ -131,6 +138,16 @@ race:
 race-multiloop:
 	$(GO) test -race -count=2 -run 'MultiTenant|Registry|MultiLoop' ./internal/core/ ./internal/rt/ ./internal/sim/
 	$(GO) test -race -count=2 ./internal/fair/
+
+# -fuzzminimizetime 0s: minimizing a new input can stall a run at a few
+# hundred executions; -parallel 1 keeps each run to one worker process.
+FUZZ := -run '^$$' -fuzztime 10s -fuzzminimizetime 0s -parallel 1
+
+fuzz:
+	$(GO) test ./internal/trace $(FUZZ) -fuzz '^FuzzDecodeJSONL$$'
+	$(GO) test ./internal/amp $(FUZZ) -fuzz '^FuzzDecodePlatform$$'
+	$(GO) test ./internal/fair $(FUZZ) -fuzz '^FuzzParseClasses$$'
+	$(GO) test ./internal/rt $(FUZZ) -fuzz '^FuzzParseSchedule$$'
 
 # Both binaries run from the working tree's root, so both read the same
 # bench/platforms file and BENCHMARK.json; only the program under test

@@ -21,7 +21,8 @@
 //	aidserve -arrivals poisson -sample 8 -record run.jsonl
 //	                                           # sampled capture -> run record
 //	aidserve -arrivals poisson -metrics :9090 -metrics-interval 500ms
-//	                                           # live Prometheus scrape + stderr ticker
+//	                                           # live Prometheus scrape and /debug/pprof/,
+//	                                           # stderr ticker
 //
 // Real mode runs goroutine workers with emulated asymmetry and reports
 // wall-clock numbers. Its submitter sleeps until each stamp, so one that
@@ -41,6 +42,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"slices"
 	"sync"
@@ -81,7 +83,7 @@ func main() {
 	flag.IntVar(&o.sampleEvery, "sample", 0, "capture every Nth admitted loop for the run record (0 = off, real mode)")
 	flag.IntVar(&o.sampleBudget, "sample-budget", 256, "per-loop event budget of sampled captures, compacted then trimmed (0 = unbounded, uncompacted)")
 	flag.StringVar(&o.recordPath, "record", "", "write the sampled run record as JSONL to this path (real mode, needs -sample)")
-	flag.StringVar(&o.metricsAddr, "metrics", "", "serve live runtime metrics in Prometheus text format on this address (real mode, e.g. :9090)")
+	flag.StringVar(&o.metricsAddr, "metrics", "", "serve live runtime metrics in Prometheus text format, and Go profiles under /debug/pprof/, on this address (real mode, e.g. :9090)")
 	flag.DurationVar(&o.metricsInterval, "metrics-interval", 0, "print a one-line service summary to stderr at this period (real mode, 0 = off)")
 	flag.Parse()
 
@@ -500,9 +502,11 @@ func serveReal(o serveOpts, p plan) (*serveRun, error) {
 }
 
 // serveMetrics starts the Prometheus endpoint for a live run: GET /metrics
-// (or any path) answers with the registry's runtime counters plus the
-// service's admission and latency families. It returns a stop function that
-// closes the listener; in-flight scrapes are abandoned with the run over.
+// (or any path outside /debug/pprof/) answers with the registry's runtime
+// counters plus the service's admission and latency families, and
+// /debug/pprof/ serves the Go runtime's profiles of the live run. It returns
+// a stop function that closes the listener; in-flight scrapes are abandoned
+// with the run over.
 func serveMetrics(addr string, reg *rt.Registry, run *serveRun) (stop func(), err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -514,15 +518,24 @@ func serveMetrics(addr string, reg *rt.Registry, run *serveRun) (stop func(), er
 	return func() { srv.Close() }, nil
 }
 
-// metricsHandler is the scrape handler behind -metrics, split out so tests
-// can hit it through httptest without binding a port flag.
+// metricsHandler is the handler behind -metrics, split out so tests can hit
+// it through httptest without binding a port flag: net/http/pprof's handlers
+// under /debug/pprof/ and the scrape everywhere else. Its mux is its own;
+// the pprof import's registrations on http.DefaultServeMux are never served.
 func metricsHandler(reg *rt.Registry, run *serveRun) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := run.writeMetrics(w, reg); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // the named profiles: heap, goroutine, block, ...
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // serveVirtual replays the request stream in the discrete-event engine:

@@ -338,6 +338,44 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsListenerServesPprof: the -metrics listener serves
+// net/http/pprof's handlers under /debug/pprof/ from its own mux, and every
+// other path, /metrics included, still answers with the scrape.
+func TestMetricsListenerServesPprof(t *testing.T) {
+	reg, err := rt.NewRegistry(rt.RegistryConfig{Platform: amp.PlatformA(), NThreads: 4, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	srv := httptest.NewServer(metricsHandler(reg, &serveRun{engine: "real"}))
+	defer srv.Close()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	if code, body := get("/debug/pprof/cmdline"); code != http.StatusOK || !strings.Contains(body, os.Args[0]) {
+		t.Errorf("/debug/pprof/cmdline: status %d, body %q; want 200 and the command line", code, body)
+	}
+	if code, body := get("/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "goroutine") {
+		t.Errorf("/debug/pprof/: status %d; want 200 and the profile index:\n%s", code, body)
+	}
+	for _, path := range []string{"/metrics", "/", "/debug/pprofx"} {
+		code, body := get(path)
+		if code != http.StatusOK || !strings.Contains(body, "aid_workers 4\n") || !strings.Contains(body, "aidserve_admitted_total 0\n") {
+			t.Errorf("%s: status %d; want 200 and the scrape's families:\n%s", path, code, body)
+		}
+	}
+}
+
 // TestServeRealLiveViews scrapes -metrics and ticks -metrics-interval while
 // serveReal is in flight, so that under -race (make race) the scrapers'
 // reads of the records meet the submitter's and the completion goroutines'

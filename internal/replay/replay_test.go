@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"strings"
@@ -51,11 +52,20 @@ func epSpec() sim.LoopSpec {
 	}
 }
 
+// encode encodes rec into a *bytes.Buffer, which the encoder reserves room
+// in, and checks that a writer hiding Grow, which takes the encoder's bufio
+// path, gets the same bytes.
 func encode(t *testing.T, rec *trace.Record) []byte {
 	t.Helper()
-	var buf bytes.Buffer
+	var buf, plain bytes.Buffer
 	if err := trace.EncodeJSONL(&buf, rec); err != nil {
 		t.Fatal(err)
+	}
+	if err := trace.EncodeJSONL(struct{ io.Writer }{&plain}, rec); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), plain.Bytes()) {
+		t.Fatalf("EncodeJSONL writes %d bytes into a *bytes.Buffer and %d different ones through a plain writer", buf.Len(), plain.Len())
 	}
 	return buf.Bytes()
 }

@@ -52,11 +52,7 @@ func TestSampledRecordSelfDiffClean(t *testing.T) {
 	if rep := Diff(rec, rec, 1.0); rep.Regressions > 0 {
 		t.Fatalf("sampled record fails self-diff:\n%s", rep)
 	}
-	var b bytes.Buffer
-	if err := trace.EncodeJSONL(&b, rec); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := trace.DecodeJSONL(&b)
+	dec, err := trace.DecodeJSONL(bytes.NewReader(encode(t, rec)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,17 +18,58 @@ import (
 	"repro/internal/amp"
 )
 
-// marshalEventLine is the reference encoder of a chunk-event line: the two
-// json.Marshal calls EncodeJSONL made per line before evline.go.
-func marshalEventLine(t testing.TB, ev *ChunkEvent) []byte {
+// writeLineRef is the reference encoder of one line: the two json.Marshal
+// calls EncodeJSONL made per line before evline.go, payload and envelope.
+func writeLineRef(w io.Writer, tag string, v any) error {
+	d, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	env, err := json.Marshal(jsonlLine{T: tag, D: d})
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(env, '\n'))
+	return err
+}
+
+// marshalLine is writeLineRef's line of v.
+func marshalLine(t testing.TB, tag string, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := writeLine(bw, lineEvent, ev); err != nil {
-		t.Fatalf("json.Marshal(%+v): %v", *ev, err)
+	if err := writeLineRef(&buf, tag, v); err != nil {
+		t.Fatalf("json.Marshal(%+v): %v", v, err)
 	}
-	bw.Flush()
 	return buf.Bytes()
+}
+
+// encodeJSONLRef is the reference encoder of a record: EncodeJSONL as it was
+// when json.Marshal spelled every line.
+func encodeJSONLRef(w io.Writer, r *Record) error {
+	if err := r.Validate(); err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(w)
+	err := writeLineRef(bw, lineRun, runHeader{r, len(r.Events)})
+	for i := 0; err == nil && i < len(r.Loops); i++ {
+		err = writeLineRef(bw, lineLoop, &r.Loops[i])
+	}
+	for i := 0; err == nil && i < len(r.Events); i++ {
+		err = writeLineRef(bw, lineEvent, &r.Events[i])
+	}
+	for i := 0; err == nil && i < len(r.Phases); i++ {
+		err = writeLineRef(bw, linePhase, &r.Phases[i])
+	}
+	for i := 0; err == nil && i < len(r.SFSamples); i++ {
+		err = writeLineRef(bw, lineSF, &r.SFSamples[i])
+	}
+	for i := 0; err == nil && i < len(r.Timeline); i++ {
+		err = writeLineRef(bw, lineInterval, &r.Timeline[i])
+	}
+	if err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // decodeJSONLRef is the reference decoder: DecodeJSONL as it was when every
@@ -105,42 +146,52 @@ func decodeJSONLRef(rd io.Reader) (*Record, error) {
 	return rec, rec.Validate()
 }
 
+// randomInt draws an integer field: zero, negative, the 64-bit limits, or up
+// to 40 bits.
+func randomInt(rng *rand.Rand) int64 {
+	switch rng.Intn(6) {
+	case 0:
+		return 0
+	case 1:
+		return -rng.Int63()
+	case 2:
+		return math.MaxInt64
+	case 3:
+		return math.MinInt64
+	}
+	return rng.Int63n(1 << uint(1+rng.Intn(40)))
+}
+
+// randomFloat draws a finite float of every format: ±0, the switches to
+// exponent form at 1e-6 and 1e21 and their neighbours, the extremes, whole
+// numbers around the 1e15 edge of whole's digits, and values from 1e-9 to
+// 1e22 of either sign.
+func randomFloat(rng *rand.Rand) float64 {
+	switch rng.Intn(8) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return []float64{1e-6, 1e21, 1e-7, 9.999999999999999e20, 1e-9, 1e22, 0.000001234, 5e-324, math.MaxFloat64,
+			1e15 - 1, 1e15, 1e15 + 1, -(1e15 - 1), 1 << 53, 1<<53 + 2, -1e20}[rng.Intn(16)]
+	case 3:
+		return float64(rng.Int63n(1 << 50)) // whole numbers, as UniformCost yields
+	}
+	f := math.Pow(10, -9+31*rng.Float64()) * (0.1 + rng.Float64())
+	if rng.Intn(4) == 0 {
+		f = -f
+	}
+	return f
+}
+
 // randomEvent draws an event that exercises every omitempty rule and both
 // float formats: zero and negative fields, Origin -1, retire lines, costs
 // from 1e-9 to 1e22 with the format switches at 1e-6 and 1e21 hit exactly.
 func randomEvent(rng *rand.Rand) ChunkEvent {
-	num := func() int64 {
-		switch rng.Intn(6) {
-		case 0:
-			return 0
-		case 1:
-			return -rng.Int63()
-		case 2:
-			return math.MaxInt64
-		case 3:
-			return math.MinInt64
-		}
-		return rng.Int63n(1 << uint(1+rng.Intn(40)))
-	}
-	cost := func() float64 {
-		switch rng.Intn(8) {
-		case 0:
-			return 0
-		case 1:
-			return math.Copysign(0, -1)
-		case 2:
-			return []float64{1e-6, 1e21, 1e-7, 9.999999999999999e20, 1e-9, 1e22, 0.000001234, 5e-324, math.MaxFloat64}[rng.Intn(9)]
-		case 3:
-			return float64(rng.Int63n(1 << 50)) // whole numbers, as UniformCost yields
-		}
-		f := math.Pow(10, -9+31*rng.Float64()) * (0.1 + rng.Float64())
-		if rng.Intn(4) == 0 {
-			f = -f
-		}
-		return f
-	}
+	num := func() int64 { return randomInt(rng) }
 	ev := ChunkEvent{Seq: num(), TimeNs: num(), Tid: int(num()), Loop: int(num()), Lo: num(), Hi: num(),
-		Shard: int(num()), Origin: rng.Intn(4) - 1, Cost: cost(), ExecNs: num(),
+		Shard: int(num()), Origin: rng.Intn(4) - 1, Cost: randomFloat(rng), ExecNs: num(),
 		PoolAccesses: int(num()), Timestamps: rng.Intn(3)}
 	if rng.Intn(5) == 0 {
 		ev = ChunkEvent{Seq: ev.Seq, TimeNs: ev.TimeNs, Tid: ev.Tid, Loop: ev.Loop, Shard: ev.Shard,
@@ -159,8 +210,11 @@ func TestEventLineMatchesJSON(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		ev := randomEvent(rng)
 		line = appendEventLine(line[:0], &ev)
-		if want := marshalEventLine(t, &ev); !bytes.Equal(line, want) {
+		if want := marshalLine(t, lineEvent, &ev); !bytes.Equal(line, want) {
 			t.Fatalf("event %+v:\n got %s\nwant %s", ev, line, want)
+		}
+		if n := eventLineLen(&ev); n != len(line) {
+			t.Fatalf("eventLineLen = %d for the %d-byte line %s", n, len(line), line)
 		}
 		var back ChunkEvent
 		if !parseEventLine(bytes.TrimSuffix(line, []byte("\n")), &back) {
@@ -377,11 +431,8 @@ func TestEnvelopeDecodesLikeJSON(t *testing.T) {
 		t.Errorf("%s decodes to %+v, %v; want one event and no third loop", envelopeCases[10], rec, err)
 	}
 
-	var whole bytes.Buffer
-	if err := EncodeJSONL(&whole, sampleRecord()); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range bytes.Split(bytes.TrimSuffix(whole.Bytes(), []byte("\n")), []byte("\n")) {
+	whole := encodeBoth(t, sampleRecord())
+	for _, line := range bytes.Split(bytes.TrimSuffix(whole, []byte("\n")), []byte("\n")) {
 		var env jsonlLine
 		if err := json.Unmarshal(line, &env); err != nil {
 			t.Fatal(err)
@@ -393,17 +444,173 @@ func TestEnvelopeDecodesLikeJSON(t *testing.T) {
 	}
 }
 
+// phaseKinds are kinds of every sort appendJSONString meets: the AID
+// machines' own, empty, and ones json.Marshal escapes (the HTML characters,
+// a quote, a backslash, a control character, U+2028, invalid UTF-8) or
+// leaves alone although they are not plain (é).
+var phaseKinds = []string{"r-initial", "r-smoothed", "tail-switch", "sf-published", "",
+	"<>&", "q\"uote", `back\slash`, "tab\t", "line\u2028sep", "bad\xffutf8", "é"}
+
+// randomSF draws an SF array: nil, empty, or one to three values.
+func randomSF(rng *rand.Rand) []float64 {
+	switch n := rng.Intn(6) - 2; {
+	case n == -2:
+		return nil
+	case n == -1:
+		return []float64{}
+	default:
+		sf := make([]float64, n+1)
+		for i := range sf {
+			sf[i] = randomFloat(rng)
+		}
+		return sf
+	}
+}
+
+// checkLineCodec checks one line of a per-event type against encoding/json:
+// the writer's line is json.Marshal's, the length function counts it (or
+// bounds it, unless exact), and the reader takes it exactly when takes says
+// so and then reads what json.Unmarshal reads from it.
+func checkLineCodec[T any](t *testing.T, tag string, v *T, line []byte, n int, exact bool, parse func([]byte, *T) bool, takes bool) {
+	t.Helper()
+	if want := marshalLine(t, tag, v); !bytes.Equal(line, want) {
+		t.Fatalf("%+v:\n got %s\nwant %s", *v, line, want)
+	}
+	if n < len(line) || exact && n != len(line) {
+		t.Fatalf("length %d for the %d-byte line %s (exact: %v)", n, len(line), line, exact)
+	}
+	var got T
+	if ok := parse(bytes.TrimSuffix(line, []byte("\n")), &got); ok != takes {
+		t.Fatalf("the in-place reader takes %s: %v, want %v", line, ok, takes)
+	} else if !ok {
+		return
+	}
+	var env jsonlLine
+	var want T
+	if err := json.Unmarshal(line, &env); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(env.D, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s reads in place as %+v, encoding/json reads %+v", line, got, want)
+	}
+}
+
+// TestPerEventLinesMatchJSON is TestEventLineMatchesJSON for phase, SF-sample
+// and interval lines: for randomized values each writer's bytes are
+// json.Marshal's and its length function counts them; the in-place reader
+// takes every line whose kind is plain and whose SF array has values, and
+// reads it to what json.Unmarshal reads.
+func TestPerEventLinesMatchJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	kinds := map[string]string{}
+	parsePhase := func(line []byte, p *PhaseEvent) bool { return parsePhaseLine(line, p, kinds) }
+	for i := 0; i < 20000; i++ {
+		p := PhaseEvent{TimeNs: randomInt(rng), Tid: int(randomInt(rng)), Loop: int(randomInt(rng)),
+			Epoch: int(randomInt(rng)), Kind: phaseKinds[rng.Intn(len(phaseKinds))], SF: randomSF(rng)}
+		checkLineCodec(t, linePhase, &p, appendPhaseLine(nil, &p), phaseLineLen(&p), isPlain(p.Kind),
+			parsePhase, isPlain(p.Kind) && len(p.SF) > 0)
+		s := SFSample{TimeNs: randomInt(rng), Loop: int(randomInt(rng)), SF: randomSF(rng)}
+		checkLineCodec(t, lineSF, &s, appendSFLine(nil, &s), sfLineLen(&s), true, parseSFLine, len(s.SF) > 0)
+		iv := IntervalRecord{Tid: int(randomInt(rng)), StartNs: randomInt(rng), EndNs: randomInt(rng), State: State(randomInt(rng))}
+		checkLineCodec(t, lineInterval, &iv, appendIntervalLine(nil, &iv), intervalLineLen(&iv), true, parseIntervalLine, true)
+	}
+	if len(kinds) != 5 {
+		t.Errorf("the phase reader interned %d kinds, want the 5 plain ones: %q", len(kinds), kinds)
+	}
+}
+
+// inPlaceLines are phase, SF-sample and interval lines spelled as the encoder
+// spells them: the in-place readers take them.
+var inPlaceLines = []string{
+	`{"t":"phase","d":{"time_ns":300,"tid":3,"loop":0,"epoch":1,"kind":"r-initial","sf":[2.5,1]}}`,
+	`{"t":"phase","d":{"time_ns":-5,"tid":0,"loop":1,"epoch":0,"kind":"","sf":[1.508450704225352,1.0158730158730158,0]}}`,
+	`{"t":"sf","d":{"time_ns":300,"loop":1,"sf":[1e-7,1e+21,5e-324,-0]}}`,
+	`{"t":"sf","d":{"time_ns":0,"loop":0,"sf":[100000000000000,1000000000000000,0.000001]}}`,
+	`{"t":"iv","d":{"tid":0,"start_ns":100,"end_ns":104,"state":1}}`,
+	`{"t":"iv","d":{"tid":3,"start_ns":-9223372036854775808,"end_ns":9223372036854775807,"state":-1}}`,
+}
+
+// fallThroughLines are phase, SF-sample and interval lines that the in-place
+// readers refuse, each spelled a way the encoder would not (or, for an SF
+// array that is absent, null or empty, a way that leaves nil and empty to
+// encoding/json): encoding/json decides them, and the decoder must agree.
+var fallThroughLines = []string{
+	// kinds json.Marshal escapes, escaped and raw
+	`{"t":"phase","d":{"time_ns":1,"tid":0,"loop":0,"epoch":1,"kind":"\u003c\u003e\u0026","sf":[1]}}`,
+	`{"t":"phase","d":{"time_ns":1,"tid":0,"loop":0,"epoch":1,"kind":"<>&","sf":[1]}}`,
+	`{"t":"phase","d":{"time_ns":1,"tid":0,"loop":0,"epoch":1,"kind":"a\u2028b","sf":[1]}}`,
+	"{\"t\":\"phase\",\"d\":{\"time_ns\":1,\"tid\":0,\"loop\":0,\"epoch\":1,\"kind\":\"a\u2028b\",\"sf\":[1]}}",
+	`{"t":"phase","d":{"time_ns":1,"tid":0,"loop":0,"epoch":1,"kind":"q\"uote","sf":[1]}}`,
+	`{"t":"phase","d":{"time_ns":1,"tid":0,"loop":0,"epoch":1,"kind":"\u0072-initial","sf":[1]}}`,
+	"{\"t\":\"phase\",\"d\":{\"time_ns\":1,\"tid\":0,\"loop\":0,\"epoch\":1,\"kind\":\"bad\xffutf8\",\"sf\":[1]}}",
+	// an SF array absent (a phase's nil or empty), null or empty
+	`{"t":"phase","d":{"time_ns":800,"tid":1,"loop":0,"epoch":2,"kind":"tail-switch"}}`,
+	`{"t":"phase","d":{"time_ns":800,"tid":1,"loop":0,"epoch":2,"kind":"tail-switch","sf":[]}}`,
+	`{"t":"phase","d":{"time_ns":800,"tid":1,"loop":0,"epoch":2,"kind":"tail-switch","sf":null}}`,
+	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":null}}`,
+	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[]}}`,
+	`{"t":"sf","d":{"time_ns":300,"loop":0}}`,
+	// numbers json.Marshal spells otherwise: exponent forms, trailing zeros,
+	// -0 in an integer field
+	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[2.5e0,1]}}`,
+	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[1E5]}}`,
+	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[1e21]}}`,
+	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[0.0000001]}}`,
+	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[2.50,1.0]}}`,
+	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[1e999]}}`,
+	`{"t":"iv","d":{"tid":-0,"start_ns":100,"end_ns":104,"state":1}}`,
+	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1.0,"kind":"r-initial","sf":[2.5,1]}}`,
+	// reordered keys, inserted spaces, a key repeated
+	`{"t":"sf","d":{"loop":1,"time_ns":300,"sf":[1]}}`,
+	`{"t":"iv","d":{"tid":0, "start_ns":100,"end_ns":104,"state":1}}`,
+	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":"r-initial","sf":[2.5, 1]}}`,
+	`{"t":"iv","d":{"tid":0,"start_ns":100,"end_ns":104,"state":1,"state":2}}`,
+	// not JSON, or not a value of the type
+	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[NaN]}}`,
+	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[1,]}}`,
+	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[1}}`,
+	`{"t":"iv","d":{"tid":0,"start_ns":100,"end_ns":104,"state":1.5}}`,
+	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":"r-initial","sf":[2.5,1]}} `,
+	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":r-initial,"sf":[2.5,1]}}`,
+}
+
+// TestPerEventLinesDecodeLikeJSON feeds every case, after a run header and
+// two loop descriptors, to the decoder and to the reference: they agree on
+// acceptance and on the record, the encoder's own spellings are read in
+// place, and the others are not.
+func TestPerEventLinesDecodeLikeJSON(t *testing.T) {
+	accepted := 0
+	for _, line := range inPlaceLines {
+		if _, ok := rewriteInPlace([]byte(line)); !ok {
+			t.Errorf("no in-place reader takes the encoder's own spelling %s", line)
+		}
+		if checkAgainstReference(t, headerLines(t)+line+"\n") == nil {
+			t.Errorf("%s does not decode", line)
+		}
+	}
+	for _, line := range fallThroughLines {
+		if _, ok := rewriteInPlace([]byte(line)); ok {
+			t.Errorf("an in-place reader takes %s, which it must leave to encoding/json", line)
+		}
+		if checkAgainstReference(t, headerLines(t)+line+"\n") != nil {
+			accepted++
+		}
+	}
+	if accepted != 24 {
+		t.Errorf("%d of the fall-through cases were accepted, want 24: the table no longer tests what it says", accepted)
+	}
+}
+
 // headerLines is a record's run header and one loop descriptor: what an event
 // line needs in front of it to be looked at.
 func headerLines(t testing.TB) string {
 	t.Helper()
 	r := sampleRecord()
 	r.Loops, r.Events, r.Phases, r.SFSamples, r.Timeline = r.Loops[:2], nil, nil, nil, nil
-	var buf bytes.Buffer
-	if err := EncodeJSONL(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
+	return string(encodeBoth(t, r))
 }
 
 // withEventCount gives the run header at the start of data, which must count
@@ -436,35 +643,32 @@ func checkAgainstReference(t testing.TB, data string) *Record {
 
 // FuzzDecodeJSONL: the decoder never panics; it accepts exactly the streams
 // the encoding/json path accepted and decodes them to the same record; a line
-// parseEventLine accepts is the line appendEventLine writes for what it read;
-// and the events of a record the decoder produced survive their re-encoding.
-// (The other sections are encoding/json's on both sides, and it does not
-// promise that: an explicit "migrations":[] comes back nil.)
+// an in-place reader accepts is the line its writer writes for what it read;
+// and the events, SF samples and timeline of a record the decoder produced
+// survive their re-encoding. (The header, loop and phase lines do not always,
+// on either path: an explicit "migrations":[] comes back nil, and so does a
+// phase's "sf":[], which the encoder leaves out.)
 func FuzzDecodeJSONL(f *testing.F) {
 	head := headerLines(f)
 	for _, line := range eventLineCases {
 		f.Add([]byte(head + line + "\n"))
 	}
-	var whole bytes.Buffer
-	if err := EncodeJSONL(&whole, sampleRecord()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(whole.Bytes())
+	f.Add(encodeBoth(f, sampleRecord()))
 	f.Add([]byte(head))
 	f.Add([]byte(withEventCount(head, 1<<40)))
 	for _, line := range envelopeCases {
 		f.Add([]byte(head + line + "\n"))
 	}
+	for _, line := range append(inPlaceLines, fallThroughLines...) {
+		f.Add([]byte(head + line + "\n"))
+	}
+	f.Add(encodeBoth(f, wildRecord(rand.New(rand.NewSource(1)))))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := bufio.NewScanner(bytes.NewReader(data))
 		sc.Buffer(nil, 1<<24)
 		for sc.Scan() {
-			var ev ChunkEvent
-			if !parseEventLine(sc.Bytes(), &ev) {
-				continue
-			}
-			if back := appendEventLine(nil, &ev); string(back) != sc.Text()+"\n" {
-				t.Fatalf("parseEventLine accepts %q, which appendEventLine spells %q", sc.Text(), back)
+			if back, ok := rewriteInPlace(sc.Bytes()); ok && string(back) != sc.Text()+"\n" {
+				t.Fatalf("an in-place reader accepts %q, which its writer spells %q", sc.Text(), back)
 			}
 		}
 		rec := checkAgainstReference(t, string(data))
@@ -482,7 +686,31 @@ func FuzzDecodeJSONL(f *testing.F) {
 		if !reflect.DeepEqual(back.Events, rec.Events) {
 			t.Fatalf("re-encoding changed the events:\n got %+v\nwant %+v", back.Events, rec.Events)
 		}
+		if !reflect.DeepEqual(back.SFSamples, rec.SFSamples) || !reflect.DeepEqual(back.Timeline, rec.Timeline) {
+			t.Fatalf("re-encoding changed the SF samples or the timeline:\n got %+v %+v\nwant %+v %+v",
+				back.SFSamples, back.Timeline, rec.SFSamples, rec.Timeline)
+		}
 	})
+}
+
+// rewriteInPlace reads line with whichever in-place reader takes it and
+// returns what that line type's writer spells for the value read.
+func rewriteInPlace(line []byte) ([]byte, bool) {
+	var ev ChunkEvent
+	var p PhaseEvent
+	var s SFSample
+	var iv IntervalRecord
+	switch {
+	case parseEventLine(line, &ev):
+		return appendEventLine(nil, &ev), true
+	case parsePhaseLine(line, &p, map[string]string{}):
+		return appendPhaseLine(nil, &p), true
+	case parseSFLine(line, &s):
+		return appendSFLine(nil, &s), true
+	case parseIntervalLine(line, &iv):
+		return appendIntervalLine(nil, &iv), true
+	}
+	return nil, false
 }
 
 // TestNonFiniteCostRejected: a NaN or infinite chunk cost has no JSON form.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
 
 	"repro/internal/amp"
 )
@@ -281,10 +282,16 @@ func (r *Record) Validate() error {
 		if p.Tid < 0 || p.Tid >= r.NThreads {
 			return fmt.Errorf("trace: phase %d references thread %d of %d", i, p.Tid, r.NThreads)
 		}
+		if !allFinite(p.SF) {
+			return fmt.Errorf("trace: phase %d has non-finite SF %v", i, p.SF)
+		}
 	}
 	for i, s := range r.SFSamples {
 		if s.Loop < 0 || s.Loop >= len(r.Loops) {
 			return fmt.Errorf("trace: SF sample %d references loop %d of %d", i, s.Loop, len(r.Loops))
+		}
+		if !allFinite(s.SF) {
+			return fmt.Errorf("trace: SF sample %d has non-finite SF %v", i, s.SF)
 		}
 	}
 	for i, iv := range r.Timeline {
@@ -293,6 +300,16 @@ func (r *Record) Validate() error {
 		}
 	}
 	return nil
+}
+
+// allFinite reports whether no value of fs is NaN or infinite.
+func allFinite(fs []float64) bool {
+	for _, f := range fs {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // jsonlLine is the envelope of one serialized line: a type tag plus the
@@ -311,21 +328,6 @@ const (
 	lineSF       = "sf"
 	lineInterval = "iv"
 )
-
-func writeLine(w *bufio.Writer, tag string, v any) error {
-	d, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	env, err := json.Marshal(jsonlLine{T: tag, D: d})
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(env); err != nil {
-		return err
-	}
-	return w.WriteByte('\n')
-}
 
 // runHeader is the payload of the "run" line: the record's header fields and,
 // when the record has events, their count, which lets DecodeJSONL size the
@@ -348,47 +350,184 @@ const maxEventReservation = 1 << 16
 // event, phase transition, SF sample and timeline interval, in that order.
 // The encoding is deterministic: encoding the same record twice yields
 // byte-identical output (the property cmd/aidtrace's
-// TestReplayDeterminism checks end to end). A record that fails Validate is
-// refused before the first byte is written. Every line is spelled as
-// encoding/json spells it; chunk-event lines, which are nearly all of a
-// record, are appended without reflection (evline.go), the rest are
-// json.Marshal's.
+// TestReplayDeterminism checks end to end). A record that fails Validate,
+// or whose header or loop lines json.Marshal refuses, is refused before the
+// first byte is written. Every line is spelled as encoding/json spells it:
+// the header and loop lines are json.Marshal's, the per-event lines, which
+// are nearly all of a record, are appended without reflection (evline.go).
+//
+// A destination that can reserve room, one with Grow(int) and
+// AvailableBuffer() []byte as *bytes.Buffer has, is grown once to the
+// record's encoded length and the lines are appended in place, so it
+// allocates the record's bytes and next to nothing else. Any other writer,
+// a file among them, gets the lines through a 4 KiB bufio.Writer.
 func EncodeJSONL(w io.Writer, r *Record) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	if err := writeLine(bw, lineRun, runHeader{r, len(r.Events)}); err != nil {
+	e := encoders.Get().(*encoder)
+	defer func() {
+		*e = encoder{json: e.json} // keep no line, and no destination's room
+		encoders.Put(e)
+	}()
+	// Spell the header and loop lines once without keeping them: json.Marshal
+	// may refuse one, and a reservation needs their length.
+	e.counting = true
+	if err := e.head(r); err != nil {
 		return err
 	}
-	for i := range r.Loops {
-		if err := writeLine(bw, lineLoop, &r.Loops[i]); err != nil {
+	e.counting = false
+	if dst, ok := w.(reserver); ok {
+		dst.Grow(e.n + r.bodyLen())
+		e.b = dst.AvailableBuffer()
+		if err := e.lines(r); err != nil {
 			return err
 		}
+		_, err := dst.Write(e.b)
+		return err
 	}
-	line := make([]byte, 0, 256) // one buffer for every event line (evline.go)
+	e.bw = bufio.NewWriter(w)
+	if err := e.lines(r); err != nil {
+		return err
+	}
+	return e.bw.Flush()
+}
+
+// reserver is a destination that EncodeJSONL appends a record to in place:
+// Grow reserves room, AvailableBuffer hands it out as an empty slice, and
+// Write takes the filled slice back, copying it onto itself.
+type reserver interface {
+	io.Writer
+	Grow(n int)
+	AvailableBuffer() []byte
+}
+
+// encoder appends a record's lines to b. On the bufio path each line is
+// handed to bw and b is reused; on a reservation b is the destination's
+// room and keeps every line. encoder is also the writer its json.Encoder
+// spells header and loop payloads into: into b, or, while counting, only
+// into the count n.
+type encoder struct {
+	b        []byte
+	bw       *bufio.Writer // nil when b is a reservation
+	json     *json.Encoder
+	counting bool
+	n        int
+	header   runHeader
+}
+
+// encoders keeps encoders, with the json.Encoder each writes through, from
+// one EncodeJSONL to the next: a small record then allocates its own bytes
+// and nothing else.
+var encoders = sync.Pool{New: func() any {
+	e := new(encoder)
+	e.json = json.NewEncoder(e)
+	return e
+}}
+
+// Write appends p to b, or counts it.
+func (e *encoder) Write(p []byte) (int, error) {
+	if e.counting {
+		e.n += len(p)
+	} else {
+		e.b = append(e.b, p...)
+	}
+	return len(p), nil
+}
+
+// line ends a line: the bufio path hands it on.
+func (e *encoder) line() error {
+	if e.bw == nil {
+		return nil
+	}
+	_, err := e.bw.Write(e.b)
+	e.b = e.b[:0]
+	return err
+}
+
+// lines appends every line of the record.
+func (e *encoder) lines(r *Record) error {
+	if err := e.head(r); err != nil {
+		return err
+	}
 	for i := range r.Events {
-		line = appendEventLine(line[:0], &r.Events[i])
-		if _, err := bw.Write(line); err != nil {
+		e.b = appendEventLine(e.b, &r.Events[i])
+		if err := e.line(); err != nil {
 			return err
 		}
 	}
 	for i := range r.Phases {
-		if err := writeLine(bw, linePhase, &r.Phases[i]); err != nil {
+		e.b = appendPhaseLine(e.b, &r.Phases[i])
+		if err := e.line(); err != nil {
 			return err
 		}
 	}
 	for i := range r.SFSamples {
-		if err := writeLine(bw, lineSF, &r.SFSamples[i]); err != nil {
+		e.b = appendSFLine(e.b, &r.SFSamples[i])
+		if err := e.line(); err != nil {
 			return err
 		}
 	}
 	for i := range r.Timeline {
-		if err := writeLine(bw, lineInterval, &r.Timeline[i]); err != nil {
+		e.b = appendIntervalLine(e.b, &r.Timeline[i])
+		if err := e.line(); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
+}
+
+// head appends the run header line and the loop lines.
+func (e *encoder) head(r *Record) error {
+	e.header = runHeader{r, len(r.Events)}
+	if err := e.marshalLine(lineRun, &e.header); err != nil {
+		return err
+	}
+	for i := range r.Loops {
+		if err := e.marshalLine(lineLoop, &r.Loops[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// marshalLine appends the line {"t":"<tag>","d":<payload>} whose payload is
+// json.Marshal's spelling of v. (That is the line encoding/json spells for
+// the envelope jsonlLine around the payload: its RawMessage is compacted and
+// HTML-escaped, which json.Marshal's output already is.)
+func (e *encoder) marshalLine(tag string, v any) error {
+	e.Write([]byte(`{"t":"`))
+	e.Write([]byte(tag))
+	e.Write([]byte(`","d":`))
+	if err := e.json.Encode(v); err != nil {
+		return err
+	}
+	// Encode ends the payload with a newline; the line ends with "}\n".
+	if e.counting {
+		e.n++
+	} else {
+		e.b = append(e.b[:len(e.b)-1], "}\n"...)
+	}
+	return e.line()
+}
+
+// bodyLen is the length of the per-event lines: exact when every phase kind
+// is plain (evline.go), and at least that otherwise.
+func (r *Record) bodyLen() int {
+	n := 0
+	for i := range r.Events {
+		n += eventLineLen(&r.Events[i])
+	}
+	for i := range r.Phases {
+		n += phaseLineLen(&r.Phases[i])
+	}
+	for i := range r.SFSamples {
+		n += sfLineLen(&r.SFSamples[i])
+	}
+	for i := range r.Timeline {
+		n += intervalLineLen(&r.Timeline[i])
+	}
+	return n
 }
 
 // envelopeLimit bounds the lines whose envelope splitEnvelope splits in place.
@@ -431,8 +570,9 @@ func appendJSON[T any](s []T, payload []byte) ([]T, error) {
 // It accepts a stream exactly when encoding/json accepts every line of it,
 // and reads what encoding/json reads, because apart from one shortcut it is
 // encoding/json: a line spelled byte for byte as EncodeJSONL spells it is
-// read in place (a chunk event by parseEventLine, the envelope of the other
-// line types by splitEnvelope, their payloads by json.Unmarshal), and any
+// read in place (a chunk event, phase transition, SF sample or timeline
+// interval by its parse*Line in evline.go, the envelope of the header and
+// loop lines by splitEnvelope, their payloads by json.Unmarshal), and any
 // other line goes whole through json.Unmarshal, envelope first. Which of the
 // two a line takes is decided by its bytes alone, and both give the same
 // record.
@@ -482,6 +622,31 @@ func DecodeJSONL(rd io.Reader) (*Record, error) {
 		}
 		return err
 	}
+	kinds := make(map[string]string) // parsePhaseLine's phase kinds
+	// inPlace reads a per-event line spelled as the encoder spells it.
+	inPlace := func(raw []byte) bool {
+		var ev ChunkEvent
+		if parseEventLine(raw, &ev) {
+			events.add(&ev)
+			return true
+		}
+		var p PhaseEvent
+		if parsePhaseLine(raw, &p, kinds) {
+			rec.Phases = append(rec.Phases, p)
+			return true
+		}
+		var s SFSample
+		if parseSFLine(raw, &s) {
+			rec.SFSamples = append(rec.SFSamples, s)
+			return true
+		}
+		var iv IntervalRecord
+		if parseIntervalLine(raw, &iv) {
+			rec.Timeline = append(rec.Timeline, iv)
+			return true
+		}
+		return false
+	}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -489,9 +654,7 @@ func DecodeJSONL(rd io.Reader) (*Record, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var ev ChunkEvent
-		if rec != nil && parseEventLine(raw, &ev) {
-			events.add(&ev)
+		if rec != nil && inPlace(raw) {
 			continue
 		}
 		if tag, payload, ok := splitEnvelope(raw); ok && add(tag, payload) == nil {

@@ -53,13 +53,11 @@ func sampleRecord() *Record {
 	}
 }
 
+// encodeToBytes is encodeBoth: both writer paths, checked against the
+// reference encoder.
 func encodeToBytes(t *testing.T, r *Record) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := EncodeJSONL(&buf, r); err != nil {
-		t.Fatalf("EncodeJSONL: %v", err)
-	}
-	return buf.Bytes()
+	return encodeBoth(t, r)
 }
 
 func TestRecordRoundTrip(t *testing.T) {
