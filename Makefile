@@ -16,12 +16,11 @@
 #                  internal/replay, aidsim, aidbench, examples/replay) does
 #                  not import internal/rt, and no Go file outside bench/
 #                  names rt.Schedule, rt.ParseSchedule or rt.Kind*, whose
-#                  home is internal/core; no line of the two engines' code
-#                  builds a trace.ChunkEvent or names obs.Batch, since a
-#                  grant is accounted once, in obs.Ledger; no non-test Go
-#                  line that names the retired sf-aware policy or a live SF
-#                  view, since a policy sees a loop's ID and weight only, or
-#                  the retired AID-auto schedule;
+#                  home is internal/core; no non-test Go line that names the
+#                  retired sf-aware policy or a live SF view, since a policy
+#                  sees a loop's ID and weight only, or the retired AID-auto
+#                  schedule (the rules that read parsed code, not text, are
+#                  the tier-1 test internal/rules);
 #                  then a darwin/arm64 and a windows build of everything outside
 #                  bench/, whose spinners are Linux-only, so that the
 #                  non-Linux twin of a Linux-only file keeps compiling),
@@ -101,11 +100,9 @@ ci: vet build race race-multiloop fuzz
 # an imbalance function or sums a timeline state with TimeIn, every non-test
 # line of an AID scheduler that names sync.Mutex, and every non-test line of
 # internal/core outside sampler.go that completes a phase or scales a sample
-# by 1024, and every non-test line of rt or sim that builds a chunk event or
-# names obs.Batch instead of calling a ledger lane, and every non-test Go
-# line that still names the sf-aware policy, a live SF view or the AID-auto
-# schedule (help text and comments included); grep passes them on and makes
-# any such line a failure.
+# by 1024, and every non-test Go line that still names the sf-aware policy,
+# a live SF view or the AID-auto schedule (help text and comments included);
+# grep passes them on and makes any such line a failure.
 # The two cross builds compile the build-tagged twins (internal/rt's worker
 # placement) that a Linux build never sees; go build of several packages
 # writes no binary.
@@ -120,7 +117,6 @@ vet:
 	! $(GO) list -deps ./internal/rt | grep -x 'repro/internal/sim'
 	! $(GO) list -deps ./internal/exps ./internal/replay ./cmd/aidsim ./cmd/aidbench ./examples/replay | grep -x 'repro/internal/rt'
 	! git grep --untracked -nE '(^|[^[:alnum:]_.])rt\.(Schedule|ParseSchedule|Kind)' -- '*.go' ':!bench/' | grep .
-	! git grep --untracked -nE 'trace\.ChunkEvent\{|obs\.Batch' -- internal/rt internal/sim ':!*_test.go' | grep .
 	! git grep --untracked -nE 'sf-aware|SFAware|SFLiveView|LiveSF|AIDAuto|aid-auto|AID-auto' -- '*.go' ':!*_test.go' | grep .
 	GOOS=darwin GOARCH=arm64 $(GO) build ./internal/... ./cmd/... ./examples/...
 	GOOS=windows $(GO) build ./internal/... ./cmd/... ./examples/...

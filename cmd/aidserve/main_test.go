@@ -221,7 +221,7 @@ func TestServeRealSampledRecord(t *testing.T) {
 		t.Fatal("sampling enabled but no record built")
 	}
 	// The per-loop event budget must hold in what the record stores.
-	perLoop := make(map[int]int)
+	perLoop := make(map[int32]int)
 	for _, ev := range run.record.Events {
 		perLoop[ev.Loop]++
 	}

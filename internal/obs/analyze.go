@@ -47,10 +47,10 @@ func Analyze(rec *trace.Record) (*Analysis, error) {
 		if ev.Retire {
 			continue
 		}
-		a.TierCounts[Tier(dist, ev.Shard, ev.Origin)]++
+		a.TierCounts[Tier(dist, int(ev.Shard), int(ev.Origin))]++
 		if ev.Origin < 0 {
 			a.SharedGrants++
-		} else if ev.Shard < ntypes && ev.Origin < ntypes {
+		} else if int(ev.Shard) < ntypes && int(ev.Origin) < ntypes {
 			a.StealMatrix[ev.Shard][ev.Origin]++
 		}
 	}
@@ -142,7 +142,7 @@ func ganttStrips(rec *trace.Record, a *Analysis) []string {
 	}
 	scale := float64(ganttWidth) / float64(a.SpanNs)
 	for _, ev := range rec.Events {
-		if ev.Retire || ev.Tid >= len(strips) {
+		if ev.Retire || int(ev.Tid) >= len(strips) {
 			continue
 		}
 		lo := int(float64(ev.TimeNs-a.StartNs) * scale)

@@ -44,7 +44,7 @@ func ExportChrome(w io.Writer, rec *trace.Record) error {
 	}
 	us := func(ns int64) float64 { return float64(ns) / 1000.0 }
 	for _, ev := range rec.Events {
-		name := rec.LoopName(ev.Loop)
+		name := rec.LoopName(int(ev.Loop))
 		if ev.Retire {
 			events = append(events, obj{
 				"name": "retire " + name, "cat": "retire", "ph": "i", "s": "t",

@@ -160,9 +160,9 @@ func (ln *Lane) Flush() {
 // grant carries.
 func (ln *Lane) event(asg core.Assign, now int64) trace.ChunkEvent {
 	ln.Seq++
-	return trace.ChunkEvent{Seq: ln.Seq - 1, TimeNs: now, Tid: ln.tid, Loop: ln.led.loop,
-		Shard: ln.led.types[ln.tid], Origin: int(asg.Origin),
-		PoolAccesses: int(asg.PoolAccesses), Timestamps: int(asg.Timestamps)}
+	return trace.ChunkEvent{Seq: ln.Seq - 1, TimeNs: now, Tid: int32(ln.tid), Loop: int32(ln.led.loop),
+		Shard: int32(ln.led.types[ln.tid]), Origin: asg.Origin,
+		PoolAccesses: asg.PoolAccesses, Timestamps: asg.Timestamps}
 }
 
 // Outcome is what one loop execution reports, in the same terms in both

@@ -37,7 +37,7 @@ func costFromEvents(rec *trace.Record, li int) (*PiecewiseCost, error) {
 	}
 	var segs []seg
 	for _, ev := range rec.Events {
-		if ev.Loop != li || ev.Retire {
+		if int(ev.Loop) != li || ev.Retire {
 			continue
 		}
 		segs = append(segs, seg{ev.Lo, ev.Hi, ev.Cost})

@@ -48,7 +48,6 @@ package replay
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/amp"
@@ -77,11 +76,6 @@ type grant struct {
 	cost   core.AssignCost
 	retire bool
 }
-
-// clamp narrows a recorded count to the range of its core.AssignCost field
-// instead of wrapping it. A record this program wrote never leaves the range,
-// since the schedulers saturate at the same bounds; a hand-made one may.
-func clamp(v, lo, hi int) int { return min(max(v, lo), hi) }
 
 // scriptSched replays a recorded per-thread grant sequence. It ignores the
 // clock entirely — determinism comes from the script — and reproduces the
@@ -220,7 +214,7 @@ func scriptsOf(rec *trace.Record) (scheds []*scriptSched, pol *scriptPolicy) {
 	perScript := make([]int, len(rec.Loops)*nt)
 	perWorker := make([]int, nt)
 	for i := range evs {
-		perScript[evs[i].Loop*nt+evs[i].Tid]++
+		perScript[int(evs[i].Loop)*nt+int(evs[i].Tid)]++
 		perWorker[evs[i].Tid]++
 	}
 	scripts := carve[grant](perScript)
@@ -240,13 +234,9 @@ func scriptsOf(rec *trace.Record) (scheds []*scriptSched, pol *scriptPolicy) {
 		s := scheds[ev.Loop]
 		s.perThread[ev.Tid] = append(s.perThread[ev.Tid], grant{
 			lo: ev.Lo, hi: ev.Hi, retire: ev.Retire,
-			cost: core.AssignCost{
-				Origin:       int32(clamp(ev.Origin, math.MinInt32, math.MaxInt32)),
-				PoolAccesses: int16(clamp(ev.PoolAccesses, math.MinInt16, math.MaxInt16)),
-				Timestamps:   int16(clamp(ev.Timestamps, math.MinInt16, math.MaxInt16)),
-			},
+			cost: core.AssignCost{Origin: ev.Origin, PoolAccesses: ev.PoolAccesses, Timestamps: ev.Timestamps},
 		})
-		visit[ev.Tid] = append(visit[ev.Tid], ev.Loop)
+		visit[ev.Tid] = append(visit[ev.Tid], int(ev.Loop))
 	}
 	return scheds, &scriptPolicy{perThread: visit, served: served}
 }

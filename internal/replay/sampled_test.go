@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/amp"
 	"repro/internal/core"
 	"repro/internal/rt"
 	"repro/internal/trace"
@@ -83,5 +84,45 @@ func TestCompactionPreservesCostTotals(t *testing.T) {
 				t.Fatalf("%s changed under compaction: %v -> %v", m.Name, m.A, m.B)
 			}
 		}
+	}
+}
+
+// A compacted event's call charges are int16, as the scheduler reports
+// them, so compaction must split a run of grants before their sum leaves
+// that range: 40 000 contiguous one-access grants of one worker become two
+// events, not one that a replay could only charge 32 767 accesses.
+func TestCompactionKeepsPoolAccessesExact(t *testing.T) {
+	const n = 40000
+	rec := &trace.Record{
+		Version:  trace.RecordVersion,
+		Engine:   "rt",
+		Platform: trace.PlatformRecordOf(amp.PlatformA()),
+		NThreads: 1,
+		Binding:  "BS",
+		Loops: []trace.LoopRecord{{Name: "l", NI: n, Scheduler: "dynamic",
+			Cost: &trace.CostRecord{Kind: "uniform", Base: 100}}},
+	}
+	for i := int64(0); i < n; i++ {
+		rec.Events = append(rec.Events, trace.ChunkEvent{Seq: i, TimeNs: i, Lo: i, Hi: i + 1,
+			Cost: 100, ExecNs: 50, PoolAccesses: 1})
+	}
+	rec.Events = trace.CompactEvents(rec.Events)
+	if len(rec.Events) != 2 {
+		t.Fatalf("compaction left %d events, want 2", len(rec.Events))
+	}
+	var pool int
+	for _, ev := range rec.Events {
+		pool += int(ev.PoolAccesses)
+	}
+	if pool != n || rec.Events[0].Hi != rec.Events[1].Lo || rec.Events[1].Hi != n {
+		t.Fatalf("compacted events %+v: %d pool accesses over [0,%d), want %d over [0,%d)",
+			rec.Events, pool, rec.Events[1].Hi, n, n)
+	}
+	res, err := Exact(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Results[0].PoolAccesses; got != n {
+		t.Fatalf("exact replay charged %d pool accesses, the record holds %d", got, n)
 	}
 }

@@ -90,7 +90,7 @@ func TestTeamParallelForCapturesTimeline(t *testing.T) {
 		t.Errorf("no sf-published phase captured: %+v", stats.Phases)
 	}
 	// Events must be time-ordered with per-worker sequence preserved.
-	perTid := map[int]int64{}
+	perTid := map[int32]int64{}
 	for i, ev := range stats.Events {
 		if i > 0 && ev.TimeNs < stats.Events[i-1].TimeNs {
 			t.Fatalf("event %d out of time order", i)

@@ -590,7 +590,7 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 			Profile:   r.profile,
 		})
 		for _, ev := range l.stats.Events {
-			ev.Loop = idx
+			ev.Loop = int32(idx)
 			if !ev.Retire {
 				ev.Cost = float64(ev.ExecNs) * speed[ev.Tid]
 			}

@@ -12,7 +12,10 @@ package trace
 // CompactEvents merges adjacent same-thread grants: consecutive events of
 // one worker in one loop whose ranges are contiguous (previous Hi == next
 // Lo) collapse into a single event spanning both, with their execution
-// time, cost and runtime-call charges summed. The merged event keeps the
+// time, cost and runtime-call charges summed. The call charges are int16, as
+// the scheduler reports them, so a grant whose PoolAccesses or Timestamps
+// would take a sum out of that range starts a new event instead, and the
+// totals a replay charges stay exact. The merged event keeps the
 // first grant's Seq and TimeNs — it describes work that started then — so
 // a compacted stream stays chronologically ordered and replays through the
 // same code paths, just at coarser grain. Retirements never merge (they
@@ -29,16 +32,17 @@ func CompactEvents(evs []ChunkEvent) []ChunkEvent {
 	// last[tid] is the index in out of worker tid's most recent kept
 	// event; a worker's grants are sequential per loop, so contiguity only
 	// needs to be checked against that one event.
-	last := map[int]int{}
+	last := map[int32]int{}
 	for _, ev := range evs {
 		if li, ok := last[ev.Tid]; ok && !ev.Retire {
 			prev := &out[li]
-			if !prev.Retire && prev.Loop == ev.Loop && prev.Hi == ev.Lo {
+			pool, poolFits := sum16(prev.PoolAccesses, ev.PoolAccesses)
+			ts, tsFits := sum16(prev.Timestamps, ev.Timestamps)
+			if !prev.Retire && prev.Loop == ev.Loop && prev.Hi == ev.Lo && poolFits && tsFits {
 				prev.Hi = ev.Hi
 				prev.Cost += ev.Cost
 				prev.ExecNs += ev.ExecNs
-				prev.PoolAccesses += ev.PoolAccesses
-				prev.Timestamps += ev.Timestamps
+				prev.PoolAccesses, prev.Timestamps = pool, ts
 				continue
 			}
 		}
@@ -46,6 +50,12 @@ func CompactEvents(evs []ChunkEvent) []ChunkEvent {
 		last[ev.Tid] = len(out) - 1
 	}
 	return out
+}
+
+// sum16 returns a+b and whether it fits in an int16.
+func sum16(a, b int16) (int16, bool) {
+	s := int32(a) + int32(b)
+	return int16(s), s == int32(int16(s))
 }
 
 // TrimToBudget bounds evs to at most budget events by dropping the middle:

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-func grant(seq, t int64, tid, loop int, lo, hi, execNs int64, pool int) ChunkEvent {
+func grant(seq, t int64, tid, loop int32, lo, hi, execNs int64, pool int16) ChunkEvent {
 	return ChunkEvent{Seq: seq, TimeNs: t, Tid: tid, Loop: loop, Lo: lo, Hi: hi,
 		ExecNs: execNs, Cost: float64(execNs), PoolAccesses: pool}
 }
 
-func retire(seq, t int64, tid, loop int) ChunkEvent {
+func retire(seq, t int64, tid, loop int32) ChunkEvent {
 	return ChunkEvent{Seq: seq, TimeNs: t, Tid: tid, Loop: loop, Retire: true, PoolAccesses: 1}
 }
 
@@ -53,7 +53,7 @@ func TestCompactRespectsBoundaries(t *testing.T) {
 	sum := func(evs []ChunkEvent) (iters int64, pool int) {
 		for _, ev := range evs {
 			iters += ev.Hi - ev.Lo
-			pool += ev.PoolAccesses
+			pool += int(ev.PoolAccesses)
 		}
 		return
 	}

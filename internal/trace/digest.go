@@ -87,7 +87,7 @@ func (r *Record) Digest() Digest {
 	var maxEnd int64
 	for _, ev := range r.Events {
 		th := &d.Threads[ev.Tid]
-		th.Type = ev.Shard
+		th.Type = int(ev.Shard)
 		th.PoolAccesses += int64(ev.PoolAccesses)
 		ls := &d.Loops[ev.Loop]
 		if ls.StartNs < 0 || ev.TimeNs < ls.StartNs {

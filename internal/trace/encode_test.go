@@ -55,7 +55,7 @@ func wildRecord(rng *rand.Rand) *Record {
 	r.Events, r.Phases, r.SFSamples, r.Timeline = nil, nil, nil, nil
 	for i := rng.Intn(40); i > 0; i-- {
 		ev := randomEvent(rng)
-		ev.Tid, ev.Loop = rng.Intn(r.NThreads), rng.Intn(len(r.Loops))
+		ev.Tid, ev.Loop = int32(rng.Intn(r.NThreads)), int32(rng.Intn(len(r.Loops)))
 		if !ev.Retire {
 			ev.Lo, ev.Hi = rng.Int63n(1<<40), 1<<40+rng.Int63n(1<<40)
 		}
@@ -251,13 +251,14 @@ func burstRecord(t testing.TB) *Record {
 	for i := 0; i < 21725; i++ {
 		now += rng.Int63n(900)
 		lo := rng.Int63n(30000)
-		ev := ChunkEvent{TimeNs: now, Tid: i % 2, Loop: i % 21, Lo: lo, Hi: lo + 1 + rng.Int63n(8), Shard: i % 2,
-			Cost: 800, ExecNs: 400 + rng.Int63n(400), PoolAccesses: rng.Intn(2), Timestamps: 1}
+		tid, loop := int32(i%2), int32(i%21)
+		ev := ChunkEvent{TimeNs: now, Tid: tid, Loop: loop, Lo: lo, Hi: lo + 1 + rng.Int63n(8), Shard: tid,
+			Cost: 800, ExecNs: 400 + rng.Int63n(400), PoolAccesses: int16(rng.Intn(2)), Timestamps: 1}
 		if i%2 == 1 {
 			ev.Origin = 1
 		}
 		if i%1000 == 999 {
-			ev = ChunkEvent{TimeNs: now, Tid: i % 2, Loop: i % 21, Shard: i % 2, PoolAccesses: 1, Retire: true}
+			ev = ChunkEvent{TimeNs: now, Tid: tid, Loop: loop, Shard: tid, PoolAccesses: 1, Retire: true}
 		}
 		rec.Chunk(ev)
 	}

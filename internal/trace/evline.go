@@ -437,16 +437,16 @@ func parseEventLine(line []byte, ev *ChunkEvent) bool {
 	}
 	ev.Seq = t.required(`"seq":`, 64)
 	ev.TimeNs = t.required(`,"time_ns":`, 64)
-	ev.Tid = int(t.required(`,"tid":`, strconv.IntSize))
-	ev.Loop = int(t.required(`,"loop":`, strconv.IntSize))
+	ev.Tid = int32(t.required(`,"tid":`, 32))
+	ev.Loop = int32(t.required(`,"loop":`, 32))
 	ev.Lo = t.required(`,"lo":`, 64)
 	ev.Hi = t.required(`,"hi":`, 64)
-	ev.Shard = int(t.required(`,"shard":`, strconv.IntSize))
-	ev.Origin = int(t.optional(`,"origin":`, strconv.IntSize))
+	ev.Shard = int32(t.required(`,"shard":`, 32))
+	ev.Origin = int32(t.optional(`,"origin":`, 32))
 	ev.Cost = t.cost()
 	ev.ExecNs = t.optional(`,"exec_ns":`, 64)
-	ev.PoolAccesses = int(t.optional(`,"pool":`, strconv.IntSize))
-	ev.Timestamps = int(t.optional(`,"ts":`, strconv.IntSize))
+	ev.PoolAccesses = int16(t.optional(`,"pool":`, 16))
+	ev.Timestamps = int16(t.optional(`,"ts":`, 16))
 	ev.Retire = t.lit(`,"retire":true`)
 	return t.lit("}}") && len(t.b) == 0 && t.ok
 }

@@ -146,20 +146,24 @@ func decodeJSONLRef(rd io.Reader) (*Record, error) {
 	return rec, rec.Validate()
 }
 
-// randomInt draws an integer field: zero, negative, the 64-bit limits, or up
-// to 40 bits.
-func randomInt(rng *rand.Rand) int64 {
+// randomInt draws an int64 field (randomIntOf).
+func randomInt(rng *rand.Rand) int64 { return randomIntOf(rng, 64) }
+
+// randomIntOf draws a field of bits bits from its whole range: zero, a
+// negative, either limit, or a positive value of up to 40 bits that fits.
+func randomIntOf(rng *rand.Rand, bits int) int64 {
+	top := int64(1)<<(bits-1) - 1 // the field's largest value
 	switch rng.Intn(6) {
 	case 0:
 		return 0
 	case 1:
-		return -rng.Int63()
+		return -rng.Int63n(top) - 1
 	case 2:
-		return math.MaxInt64
+		return top
 	case 3:
-		return math.MinInt64
+		return -top - 1
 	}
-	return rng.Int63n(1 << uint(1+rng.Intn(40)))
+	return rng.Int63n(1 << uint(1+rng.Intn(min(40, bits-1))))
 }
 
 // randomFloat draws a finite float of every format: ±0, the switches to
@@ -186,13 +190,16 @@ func randomFloat(rng *rand.Rand) float64 {
 }
 
 // randomEvent draws an event that exercises every omitempty rule and both
-// float formats: zero and negative fields, Origin -1, retire lines, costs
-// from 1e-9 to 1e22 with the format switches at 1e-6 and 1e21 hit exactly.
+// float formats: zero and negative fields, each field's limits at its own
+// width, retire lines, costs from 1e-9 to 1e22 with the format switches at
+// 1e-6 and 1e21 hit exactly.
 func randomEvent(rng *rand.Rand) ChunkEvent {
 	num := func() int64 { return randomInt(rng) }
-	ev := ChunkEvent{Seq: num(), TimeNs: num(), Tid: int(num()), Loop: int(num()), Lo: num(), Hi: num(),
-		Shard: int(num()), Origin: rng.Intn(4) - 1, Cost: randomFloat(rng), ExecNs: num(),
-		PoolAccesses: int(num()), Timestamps: rng.Intn(3)}
+	i32 := func() int32 { return int32(randomIntOf(rng, 32)) }
+	i16 := func() int16 { return int16(randomIntOf(rng, 16)) }
+	ev := ChunkEvent{Seq: num(), TimeNs: num(), Tid: i32(), Loop: i32(), Lo: num(), Hi: num(),
+		Shard: i32(), Origin: i32(), Cost: randomFloat(rng), ExecNs: num(),
+		PoolAccesses: i16(), Timestamps: i16()}
 	if rng.Intn(5) == 0 {
 		ev = ChunkEvent{Seq: ev.Seq, TimeNs: ev.TimeNs, Tid: ev.Tid, Loop: ev.Loop, Shard: ev.Shard,
 			Origin: ev.Origin, PoolAccesses: ev.PoolAccesses, Retire: true}
@@ -321,24 +328,41 @@ func TestEventLineDecodesLikeJSON(t *testing.T) {
 }
 
 // integerEdges are integer tokens at the edges of what parseEventLine reads:
-// the 64-bit limits and one past them, a 20-digit token, the 32-bit limits
-// and one past them, and the spellings strconv.ParseInt reads but
-// strconv.AppendInt never writes.
+// the 64-bit limits and one past them, a 20-digit token, the 32-bit and
+// 16-bit limits and one past them, and the spellings strconv.ParseInt reads
+// but strconv.AppendInt never writes.
 var integerEdges = []string{
 	"0", "1", "-1", "9223372036854775807", "-9223372036854775807", "-9223372036854775808",
 	"9223372036854775808", "-9223372036854775809", "12345678901234567890", "99999999999999999999",
 	"2147483647", "-2147483648", "2147483648", "-2147483649", "4294967296",
+	"32767", "-32768", "32768", "-32769",
 	"-0", "01", "-01", "00", "+1", "-", "",
+}
+
+// eventLineWith is an event line spelled as the encoder spells it, every
+// field zero but hi, which is 1, and field, whose value is the token tok: one
+// of the required seq, tid, loop and shard, or one of origin, pool and ts.
+func eventLineWith(field, tok string) string {
+	v := map[string]string{"seq": "0", "tid": "0", "loop": "0", "shard": "0"}
+	_, required := v[field]
+	v[field] = tok
+	line := `{"t":"ev","d":{"seq":` + v["seq"] + `,"time_ns":0,"tid":` + v["tid"] +
+		`,"loop":` + v["loop"] + `,"lo":0,"hi":1,"shard":` + v["shard"]
+	if !required {
+		line += `,"` + field + `":` + tok
+	}
+	return line + "}}"
 }
 
 // TestEventIntegerEdges: the in-place integer reader accepts a token exactly
 // when strconv.ParseInt reads it at the field's width and strconv.AppendInt
 // spells the value that way, and reads the same value; and a line with an
-// edge token in tid, loop, seq or origin takes the in-place path exactly when
-// encoding/json reads it to an event that the encoder spells the same way.
+// edge token in any integer field of 16, 32 or 64 bits takes the in-place
+// path exactly when encoding/json reads it to an event that the encoder
+// spells the same way.
 func TestEventIntegerEdges(t *testing.T) {
 	accepted := 0
-	for _, bits := range []int{32, 64} {
+	for _, bits := range []int{16, 32, 64} {
 		for _, tok := range integerEdges {
 			txt := eventText{b: []byte(tok + ","), ok: true}
 			got := txt.integer(bits)
@@ -352,19 +376,12 @@ func TestEventIntegerEdges(t *testing.T) {
 			}
 		}
 	}
-	if accepted != 16 {
-		t.Errorf("%d (token, width) pairs accepted, want 16: the table no longer tests what it says", accepted)
+	if accepted != 29 {
+		t.Errorf("%d (token, width) pairs accepted, want 29: the table no longer tests what it says", accepted)
 	}
-	for _, field := range []string{"seq", "tid", "loop", "origin"} {
+	for _, field := range []string{"seq", "tid", "loop", "shard", "origin", "pool", "ts"} {
 		for _, tok := range integerEdges {
-			fields := map[string]string{"seq": "0", "tid": "0", "loop": "0"}
-			fields[field] = tok
-			line := `{"t":"ev","d":{"seq":` + fields["seq"] + `,"time_ns":0,"tid":` + fields["tid"] +
-				`,"loop":` + fields["loop"] + `,"lo":0,"hi":1,"shard":0`
-			if field == "origin" {
-				line += `,"origin":` + tok
-			}
-			line += "}}"
+			line := eventLineWith(field, tok)
 			var env jsonlLine
 			var want ChunkEvent
 			wantOK := json.Unmarshal([]byte(line), &env) == nil && json.Unmarshal(env.D, &want) == nil &&
@@ -373,6 +390,48 @@ func TestEventIntegerEdges(t *testing.T) {
 			if ok := parseEventLine([]byte(line), &got); ok != wantOK || ok && got != want {
 				t.Errorf("%s: parseEventLine read %+v, %v; encoding/json %+v, %v", line, got, ok, want, wantOK)
 			}
+		}
+	}
+}
+
+// narrowEdges are, for each field narrower than 64 bits, its value at one end
+// of its range and the value just past that end.
+var narrowEdges = []struct{ field, last, past string }{
+	{"tid", "2147483647", "2147483648"},
+	{"loop", "2147483647", "2147483648"},
+	{"shard", "2147483647", "2147483648"},
+	{"origin", "2147483647", "2147483648"},
+	{"origin", "-2147483648", "-2147483649"},
+	{"pool", "32767", "32768"},
+	{"pool", "-32768", "-32769"},
+	{"ts", "32767", "32768"},
+	{"ts", "-32768", "-32769"},
+}
+
+// TestNarrowFieldsPastRange: a value just past a narrow field's range, in a
+// line spelled as the encoder spells it, is refused by DecodeJSONL and by
+// json.Unmarshal alike, while the value at the end of the range reads both
+// ways, so that the refusal is the range's.
+func TestNarrowFieldsPastRange(t *testing.T) {
+	read := func(line string) (ChunkEvent, error) {
+		var env jsonlLine
+		var ev ChunkEvent
+		if err := json.Unmarshal([]byte(line), &env); err != nil {
+			t.Fatalf("%s: envelope: %v", line, err)
+		}
+		return ev, json.Unmarshal(env.D, &ev)
+	}
+	for _, e := range narrowEdges {
+		last, past := eventLineWith(e.field, e.last), eventLineWith(e.field, e.past)
+		var got ChunkEvent
+		if want, err := read(last); err != nil || !parseEventLine([]byte(last), &got) || got != want {
+			t.Errorf("%s: parseEventLine read %+v, json.Unmarshal %+v, %v", last, got, want, err)
+		}
+		if _, err := DecodeJSONL(strings.NewReader(headerLines(t) + past + "\n")); err == nil {
+			t.Errorf("DecodeJSONL accepts %s", past)
+		}
+		if ev, err := read(past); err == nil {
+			t.Errorf("json.Unmarshal accepts %s as %+v", past, ev)
 		}
 	}
 }
@@ -653,6 +712,9 @@ func FuzzDecodeJSONL(f *testing.F) {
 	for _, line := range eventLineCases {
 		f.Add([]byte(head + line + "\n"))
 	}
+	for _, e := range narrowEdges {
+		f.Add([]byte(head + eventLineWith(e.field, e.past) + "\n"))
+	}
 	f.Add(encodeBoth(f, sampleRecord()))
 	f.Add([]byte(head))
 	f.Add([]byte(withEventCount(head, 1<<40)))
@@ -748,9 +810,9 @@ func TestEventCodecAllocs(t *testing.T) {
 	r.Events = r.Events[:0]
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < n; i++ {
-		r.Events = append(r.Events, ChunkEvent{Seq: int64(i), TimeNs: int64(i) * 37, Tid: i % r.NThreads, Loop: i % 2,
-			Lo: int64(i), Hi: int64(i) + 1 + rng.Int63n(64), Shard: i % 2, Origin: rng.Intn(3) - 1,
-			Cost: rng.Float64() * 1e5, ExecNs: rng.Int63n(1e6), PoolAccesses: rng.Intn(3), Timestamps: rng.Intn(2)})
+		r.Events = append(r.Events, ChunkEvent{Seq: int64(i), TimeNs: int64(i) * 37, Tid: int32(i % r.NThreads), Loop: int32(i % 2),
+			Lo: int64(i), Hi: int64(i) + 1 + rng.Int63n(64), Shard: int32(i % 2), Origin: rng.Int31n(3) - 1,
+			Cost: rng.Float64() * 1e5, ExecNs: rng.Int63n(1e6), PoolAccesses: int16(rng.Intn(3)), Timestamps: int16(rng.Intn(2))})
 	}
 	var buf bytes.Buffer
 	if err := EncodeJSONL(&buf, r); err != nil {
@@ -814,7 +876,7 @@ func recordEvents(t testing.TB, n int) *Record {
 	}
 	li := rec.AddLoop(LoopRecord{Name: "l", NI: int64(n), Scheduler: "dynamic"})
 	for i := 0; i < n; i++ {
-		rec.Chunk(ChunkEvent{TimeNs: int64(i), Tid: i % 4, Loop: li, Lo: int64(i), Hi: int64(i) + 1, Cost: 1})
+		rec.Chunk(ChunkEvent{TimeNs: int64(i), Tid: int32(i % 4), Loop: int32(li), Lo: int64(i), Hi: int64(i) + 1, Cost: 1})
 	}
 	return rec.Record()
 }

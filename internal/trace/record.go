@@ -145,37 +145,51 @@ type CostRecord struct {
 // ChunkEvent is one scheduler grant: either a chunk assignment or, with
 // Retire set, the final empty call that sends the thread to the loop's
 // barrier (which still costs pool accesses and is therefore recorded).
+//
+// Its small integers are held in the widths the scheduler reports them in,
+// which makes an event 72 bytes (TestChunkEventLayout); a field added here is
+// measured there first. DecodeJSONL reads each at its own bit size and, like
+// encoding/json, refuses a line whose value does not fit.
 type ChunkEvent struct {
 	// Seq is the event's position in the engine's global grant order.
 	Seq int64 `json:"seq"`
 	// TimeNs is when the grant was issued on the producing engine's clock.
 	TimeNs int64 `json:"time_ns"`
-	// Tid is the worker thread the grant went to.
-	Tid int `json:"tid"`
-	// Loop indexes Record.Loops.
-	Loop int `json:"loop"`
+	// Tid is the worker thread the grant went to. A fleet fits: amp.New
+	// caps a platform at 4096 cores, neither engine takes more workers than
+	// the platform has cores (sim.Config.Validate, rt.NewRegistry), and
+	// Validate bounds it by Record.NThreads.
+	Tid int32 `json:"tid"`
+	// Loop indexes Record.Loops, and Validate bounds it by their count. An
+	// engine numbers a run's loops from 0, one LoopRecord each, so it would
+	// hold 2^31 descriptors before the index did not fit.
+	Loop int32 `json:"loop"`
 	// Lo, Hi delimit the granted iterations [Lo, Hi); both zero on retire.
 	Lo int64 `json:"lo"`
 	Hi int64 `json:"hi"`
 	// Shard is the core-type shard the grant was served from (the
-	// thread's home cluster at grant time).
-	Shard int `json:"shard"`
-	// Origin is the chunk's provenance as the scheduler reported it: the
-	// owner core type of the shard the iterations were claimed from, or
-	// core.OriginShared (-1) for a type-shared structure (work-steal's
-	// deques). Replayed
-	// verbatim so the per-shard contention and provenance-tiered locality
-	// charges match the original run.
-	Origin int `json:"origin,omitempty"`
+	// thread's home cluster at grant time). A core type fits: a platform's
+	// clusters are its core types, at most its 4096 cores (amp.New).
+	Shard int32 `json:"shard"`
+	// Origin is the chunk's provenance as the scheduler reported it
+	// (core.AssignCost.Origin, whose type it has): the owner core type of
+	// the shard the iterations were claimed from, or core.OriginShared (-1)
+	// for a type-shared structure (work-steal's deques). Replayed verbatim
+	// so the per-shard contention and provenance-tiered locality charges
+	// match the original run.
+	Origin int32 `json:"origin,omitempty"`
 	// Cost is the chunk's work in abstract units (the simulator's
 	// RangeUnits; derived from ExecNs and the speed model under rt).
 	Cost float64 `json:"cost,omitempty"`
 	// ExecNs is the chunk's execution time on the producing engine.
 	ExecNs int64 `json:"exec_ns,omitempty"`
 	// PoolAccesses and Timestamps are the runtime-cost metadata of the
-	// scheduler call, replayed verbatim so virtual-time charges match.
-	PoolAccesses int `json:"pool,omitempty"`
-	Timestamps   int `json:"ts,omitempty"`
+	// scheduler call (core.AssignCost's, in its types), replayed verbatim so
+	// virtual-time charges match. The scheduler saturates PoolAccesses at
+	// math.MaxInt16 (core's addAccesses) and takes at most one timestamp a
+	// call; CompactEvents merges grants only while both sums still fit.
+	PoolAccesses int16 `json:"pool,omitempty"`
+	Timestamps   int16 `json:"ts,omitempty"`
 	// Retire marks the final empty grant of (Loop, Tid).
 	Retire bool `json:"retire,omitempty"`
 }
@@ -262,10 +276,10 @@ func (r *Record) Validate() error {
 		}
 	}
 	for i, ev := range r.Events {
-		if ev.Loop < 0 || ev.Loop >= len(r.Loops) {
+		if ev.Loop < 0 || int(ev.Loop) >= len(r.Loops) {
 			return fmt.Errorf("trace: event %d references loop %d of %d", i, ev.Loop, len(r.Loops))
 		}
-		if ev.Tid < 0 || ev.Tid >= r.NThreads {
+		if ev.Tid < 0 || int(ev.Tid) >= r.NThreads {
 			return fmt.Errorf("trace: event %d references thread %d of %d", i, ev.Tid, r.NThreads)
 		}
 		if !ev.Retire && ev.Hi <= ev.Lo {
@@ -340,7 +354,7 @@ type runHeader struct {
 }
 
 // maxEventReservation caps what a run header's event count reserves before
-// any event line backs it: 1<<16 events, about 6.8 MB. A stream longer than
+// any event line backs it: 1<<16 events, about 4.7 MB. A stream longer than
 // that grows in blocks past it (eventStream).
 const maxEventReservation = 1 << 16
 

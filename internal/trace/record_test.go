@@ -7,9 +7,30 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/amp"
+	"repro/internal/core"
 )
+
+// TestChunkEventLayout pins a recorded event at 72 bytes, and its cost
+// fields at the types of the core.AssignCost they record: a record holds
+// what the scheduler reported, in the scheduler's widths. A field added to
+// ChunkEvent is measured here first, as core.Assign's are in
+// TestAssignLayout.
+func TestChunkEventLayout(t *testing.T) {
+	if n := unsafe.Sizeof(ChunkEvent{}); n != 72 {
+		t.Errorf("ChunkEvent is %d bytes, want 72", n)
+	}
+	ev, cost := reflect.TypeOf(ChunkEvent{}), reflect.TypeOf(core.AssignCost{})
+	for _, name := range []string{"Origin", "PoolAccesses", "Timestamps"} {
+		got, _ := ev.FieldByName(name)
+		want, _ := cost.FieldByName(name)
+		if got.Type != want.Type {
+			t.Errorf("ChunkEvent.%s is %v, core.AssignCost.%s is %v", name, got.Type, name, want.Type)
+		}
+	}
+}
 
 // sampleRecord builds a small, fully populated record by hand.
 func sampleRecord() *Record {
@@ -131,12 +152,12 @@ func randomRecord(rng *rand.Rand) *Record {
 		ev := ChunkEvent{
 			Seq:          int64(i),
 			TimeNs:       rng.Int63n(1 << 40),
-			Tid:          rng.Intn(nThreads),
-			Loop:         rng.Intn(nLoops),
-			Shard:        rng.Intn(3),
-			Origin:       rng.Intn(4) - 1, // includes OriginShared (-1)
-			PoolAccesses: rng.Intn(4),
-			Timestamps:   rng.Intn(2),
+			Tid:          int32(rng.Intn(nThreads)),
+			Loop:         int32(rng.Intn(nLoops)),
+			Shard:        rng.Int31n(3),
+			Origin:       rng.Int31n(4) - 1, // includes OriginShared (-1)
+			PoolAccesses: int16(rng.Intn(4)),
+			Timestamps:   int16(rng.Intn(2)),
 		}
 		if rng.Intn(8) == 0 {
 			ev.Retire = true
@@ -288,7 +309,7 @@ func TestRecorderEventOrder(t *testing.T) {
 							t.Errorf("n=%d reserve=%d: Record after %d events holds %d", n, reserve, i, got)
 						}
 					}
-					rec.Chunk(ChunkEvent{Loop: li, Lo: int64(i), Hi: int64(i) + 1})
+					rec.Chunk(ChunkEvent{Loop: int32(li), Lo: int64(i), Hi: int64(i) + 1})
 				}
 				evs := rec.Record().Events
 				if len(evs) != n {
