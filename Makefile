@@ -1,8 +1,7 @@
 # CI entry points for the conf_icpp_SaezCP20 reproduction.
 #
 #   make ci      - everything a PR must pass: vet (go vet, gofmt -l .
-#                  listing no file, no Go benchmark outside bench/, no
-#                  policy call in rt or sim outside fair.Fleet, and no
+#                  listing no file, no Go benchmark outside bench/, and no
 #                  imbalance function or timeline TimeIn read outside
 #                  internal/trace, whose Record.Digest is the one per-thread
 #                  busy/sched/sync walk, no sync.Mutex in an AID scheduler
@@ -53,9 +52,9 @@
 #                  the flight-recorder suite with aidstat's golden fixture,
 #                  aidserve's smoke run through both engines, and the two
 #                  exact gates on simulated numbers named below.
-#   make race-multiloop - the multi-tenant conformance + registry race suite
-#                  under -race -count=2, so flaky interleavings surface in
-#                  CI, not in production
+#   make race-multiloop - the multi-tenant conformance, registry and team
+#                  race suite under -race -count=2, so flaky interleavings
+#                  surface in CI, not in production
 #   make fuzz    - every fuzz target of the tree's input codecs for 10 s each,
 #                  one worker, no test run first: the run-record
 #                  decoder (FuzzDecodeJSONL, whose in-place line readers are
@@ -94,9 +93,8 @@ GO ?= go
 ci: vet build race race-multiloop fuzz
 
 # gofmt -l prints the files it would rewrite, and git grep every test file,
-# tracked or not, that declares a benchmark outside bench/, every line of the
-# two engines' code that calls a fairness policy itself instead of through
-# fair.Fleet, every non-test Go line outside internal/trace that defines
+# tracked or not, that declares a benchmark outside bench/, every non-test Go
+# line outside internal/trace that defines
 # an imbalance function or sums a timeline state with TimeIn, every non-test
 # line of an AID scheduler that names sync.Mutex, and every non-test line of
 # internal/core outside sampler.go that completes a phase or scales a sample
@@ -110,7 +108,6 @@ vet:
 	$(GO) vet ./...
 	! gofmt -l . | grep .
 	! git grep --untracked -l '^func Benchmark' -- '*_test.go' ':!bench/' | grep .
-	! git grep --untracked -nE '\.Pick\(|fair\.Retirer' -- internal/rt internal/sim ':!*_test.go' | grep .
 	! git grep --untracked -nE 'func .*[Ii]mbalance|TimeIn\(' -- '*.go' ':!internal/trace' ':!*_test.go' | grep .
 	! git grep --untracked -n 'sync\.Mutex' -- 'internal/core/aid_*.go' ':!*_test.go' | grep .
 	! git grep --untracked -nE 'phase\.complete\(|\*[[:space:]]*1024[[:space:]]*/' -- internal/core ':!internal/core/sampler.go' ':!*_test.go' | grep .
@@ -132,7 +129,7 @@ race:
 	$(GO) test -count=1 ./...
 
 race-multiloop:
-	$(GO) test -race -count=2 -run 'MultiTenant|Registry|MultiLoop' ./internal/core/ ./internal/rt/ ./internal/sim/
+	$(GO) test -race -count=2 -run 'MultiTenant|Registry|MultiLoop|Team' ./internal/core/ ./internal/rt/ ./internal/sim/
 	$(GO) test -race -count=2 ./internal/fair/
 
 # -fuzzminimizetime 0s: minimizing a new input can stall a run at a few

@@ -176,6 +176,7 @@ func runRecord(path, app, schedText, bindingText, platform, engine string) error
 		if err != nil {
 			return err
 		}
+		defer team.Close()
 		cost := r.spec.Cost
 		sinks := make([]struct {
 			v float64

@@ -91,6 +91,7 @@ func parallelBFS(g *kernels.Graph) ([]int32, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	defer team.Close()
 
 	var mu sync.Mutex
 	depth := int32(1)

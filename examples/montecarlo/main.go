@@ -63,6 +63,7 @@ func run(w io.Writer) error {
 		err = team.ParallelForChunked(samples, func(lo, hi int64) {
 			hits.Add(kernels.MonteCarloPiRange(lo, hi, 2024))
 		})
+		team.Close() // each schedule gets its own team: close it before the next
 		if err != nil {
 			return err
 		}

@@ -67,6 +67,7 @@ func run(out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	defer team.Close()
 	var sum atomic.Int64
 	if err := team.ParallelFor(100000, func(i int64) {
 		sum.Add(i)

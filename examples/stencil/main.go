@@ -41,6 +41,7 @@ func run(out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	defer team.Close()
 	for s := 0; s < steps; s++ {
 		if err := team.ParallelFor(int64(h), func(y int64) {
 			kernels.StencilRow(dst, src, int(y), 0.2)

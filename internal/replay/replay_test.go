@@ -302,6 +302,7 @@ func TestWhatIfFromRTRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer team.Close()
 	rec, _, err := team.RecordParallelFor("rt-loop", 4096, func(_ int, lo, hi int64) {
 		runtime.Gosched()
 	})

@@ -37,17 +37,14 @@ func coverageFromEvents(t *testing.T, evs []trace.ChunkEvent, n int64) int {
 // executor now produces a trace.Trace timeline, where before only the
 // simulator did.
 func TestTeamParallelForCapturesTimeline(t *testing.T) {
-	team, err := NewTeam(TeamConfig{NThreads: 4, Schedule: core.Schedule{Kind: core.KindAIDStatic}, Capture: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	team := newTestTeam(t, TeamConfig{NThreads: 4, Schedule: core.Schedule{Kind: core.KindAIDStatic}})
 	// The body yields after each chunk: with a no-op body on GOMAXPROCS=1
 	// the first worker drains the whole pool before the rest of the fleet
 	// wakes, sampling never completes, and no SF transition exists to
 	// capture. Cooperative rotation guarantees every worker participates.
 	const n = 20000
 	var ran atomic.Int64
-	stats, err := team.ParallelForChunkedStats(n, func(_ int, lo, hi int64) {
+	_, stats, err := team.RecordParallelFor("capture", n, func(_ int, lo, hi int64) {
 		ran.Add(hi - lo)
 		runtime.Gosched()
 	})
@@ -102,14 +99,11 @@ func TestTeamParallelForCapturesTimeline(t *testing.T) {
 	}
 }
 
-// TestTeamCaptureOffByDefault: without Capture the hot path must not pay
-// for tapes and the stats carry no timeline.
+// TestTeamCaptureOffByDefault: a loop that is not recorded must not pay for
+// tapes, and its stats carry no timeline.
 func TestTeamCaptureOffByDefault(t *testing.T) {
-	team, err := NewTeam(TeamConfig{NThreads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := team.ParallelForChunkedStats(100, func(_ int, _, _ int64) {})
+	team := newTestTeam(t, TeamConfig{NThreads: 2})
+	stats, _, err := team.run("parallel-for", 100, func(_ int, _, _ int64) {}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,23 +67,20 @@ func TestCrossEngineEquivalence(t *testing.T) {
 	}
 
 	// Engine 2: real goroutines with emulated asymmetry, in wall-clock time.
-	team, err := NewTeam(TeamConfig{
+	team := newTestTeam(t, TeamConfig{
 		Platform: pl,
 		NThreads: nthreads,
 		Binding:  amp.BindBS,
 		Schedule: sched,
 		Profile:  profile,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	covered := make([]atomic.Int32, ni)
-	rtRes, err := team.ParallelForChunkedStats(ni, func(_ int, lo, hi int64) {
+	rtRes, _, err := team.run("parallel-for", ni, func(_ int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			covered[i].Add(1)
 			spinWork(spin)
 		}
-	})
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,16 +170,13 @@ func TestCrossEngineCoverageAllSchedules(t *testing.T) {
 			}
 			checkOutcome(t, "sim", simRes.Outcome, pl, 8, ni)
 
-			team, err := NewTeam(TeamConfig{Platform: pl, Schedule: s, Profile: profile})
-			if err != nil {
-				t.Fatal(err)
-			}
+			team := newTestTeam(t, TeamConfig{Platform: pl, Schedule: s, Profile: profile})
 			covered := make([]atomic.Int32, ni)
-			rtRes, err := team.ParallelForChunkedStats(ni, func(_ int, lo, hi int64) {
+			rtRes, _, err := team.run("parallel-for", ni, func(_ int, lo, hi int64) {
 				for i := lo; i < hi; i++ {
 					covered[i].Add(1)
 				}
-			})
+			}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,10 +249,7 @@ func TestGrantExecIsRunningTime(t *testing.T) {
 	if _, err := sim.RunLoop(cfg, w.Program.Loops()[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	team, err := NewTeam(TeamConfig{Platform: pl, NThreads: 4, Schedule: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
+	team := newTestTeam(t, TeamConfig{Platform: pl, NThreads: 4, Schedule: sched})
 	rtRec, _, err := team.RecordParallelFor("spin", 20000, func(_ int, lo, hi int64) { spinWork(int(hi - lo)) })
 	if err != nil {
 		t.Fatal(err)

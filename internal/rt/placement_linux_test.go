@@ -4,6 +4,7 @@ package rt
 
 import (
 	"math/bits"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -121,4 +122,55 @@ func TestWorkerPlacement(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestTeamKeepsItsThreads: a Team's bound workers keep their threads across
+// ParallelFor calls. A bound thread ends with its worker, so a team that
+// built a fleet per call would show two new thread IDs a call; the few
+// allowed here are the Go runtime's own.
+func TestTeamKeepsItsThreads(t *testing.T) {
+	if placement(2) == nil {
+		t.Skip("fewer than two CPUs in the process's mask: workers are not bound")
+	}
+	team := newTestTeam(t, TeamConfig{NThreads: 2, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 16}})
+	var sum int64
+	var mu sync.Mutex
+	call := func() {
+		if err := team.ParallelForChunked(64, func(lo, hi int64) {
+			mu.Lock()
+			sum += hi - lo
+			mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // warm: the runtime may start threads for the submitter
+	seen := map[string]bool{}
+	taskIDs := func() []os.DirEntry {
+		ids, err := os.ReadDir("/proc/self/task")
+		if err != nil {
+			t.Skipf("cannot list the process's threads: %v", err)
+		}
+		return ids
+	}
+	for _, id := range taskIDs() {
+		seen[id.Name()] = true
+	}
+	const calls, allowed = 100, 4
+	added := 0
+	for i := 0; i < calls; i++ {
+		call()
+		for _, id := range taskIDs() {
+			if !seen[id.Name()] {
+				seen[id.Name()] = true
+				added++
+			}
+		}
+	}
+	if added > allowed {
+		t.Errorf("%d calls added %d thread IDs, want at most %d", calls, added, allowed)
+	}
+	if sum != (calls+1)*64 {
+		t.Errorf("covered %d iterations, want %d", sum, (calls+1)*64)
+	}
 }

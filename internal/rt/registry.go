@@ -2,6 +2,7 @@ package rt
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -17,8 +18,8 @@ import (
 )
 
 // Registry is the multi-loop executor: it owns a fixed fleet of worker
-// goroutines (one per modeled CPU, with the same per-worker slowdown
-// emulation as Team) and admits many concurrent loop submissions. Each
+// goroutines (one per modeled CPU, a small core's worker throttled as Team
+// describes) and admits many concurrent loop submissions. Each
 // admitted loop gets its own core.Scheduler — and therefore its own sharded
 // iteration pool — for as long as it runs; a released loop's scheduler goes
 // on a bounded free list and is re-armed through core.Resettable for a later
@@ -40,13 +41,13 @@ import (
 // executed. Other loops are unaffected: their workers keep running.
 //
 // Every loop runs over the full fleet with the registry's thread-to-core
-// binding, so the scheduler-facing LoopInfo is identical to the one Team
-// builds and the big/small TypeOf mapping each AID variant assumes is
-// stable for the duration of the loop. One fidelity caveat is inherent to
-// sharing workers: an AID sampling window measured by a worker that was
-// handed to another loop in between includes foreign-chunk time, so online
-// SF estimates under heavy multi-tenancy are noisier than in dedicated
-// fleets (coverage and barrier correctness are unaffected).
+// binding, so the scheduler-facing LoopInfo is the one a loop alone on the
+// fleet (a Team's) sees and the big/small TypeOf mapping each AID variant
+// assumes is stable for the duration of the loop. One fidelity caveat is
+// inherent to sharing workers: an AID sampling window measured by a worker
+// that was handed to another loop in between includes foreign-chunk time, so
+// online SF estimates under heavy multi-tenancy are noisier than in
+// dedicated fleets (coverage and barrier correctness are unaffected).
 type Registry struct {
 	platform *amp.Platform
 	nthreads int
@@ -69,7 +70,7 @@ type Registry struct {
 	// counters live on each Loop. Enabled by RegistryConfig.Metrics for the
 	// registry's lifetime.
 	metrics *obs.Metrics
-	team    bool // a Team's: its one loop owns the barrier waits (obs.Ledger)
+	team    bool // a Team's: its loops, one at a time, own the barrier waits (obs.Ledger)
 
 	// gen counts admissions; workers snapshot it at pick time and re-enter
 	// the policy when it changes, so a newly submitted loop is noticed even
@@ -159,50 +160,20 @@ type RegistryConfig struct {
 	Metrics bool
 }
 
-// fleetParams validates and defaults the platform/thread-count/profile
-// triple shared by NewTeam and NewRegistry. NThreads 0 selects the
-// platform core count; anything else must lie in [1, NumCores].
-func fleetParams(pl *amp.Platform, nthreads int, prof amp.Profile) (*amp.Platform, int, error) {
+// NewRegistry builds the worker fleet and starts its goroutines. The fleet
+// runs until Close.
+func NewRegistry(cfg RegistryConfig) (*Registry, error) {
+	pl, nthreads := cfg.Platform, cfg.NThreads
 	if pl == nil {
 		pl = amp.PlatformA()
 	}
 	if nthreads < 0 || nthreads > pl.NumCores() {
-		return nil, 0, fmt.Errorf("rt: thread count %d out of range [0,%d] (0 selects the platform core count)", nthreads, pl.NumCores())
+		return nil, fmt.Errorf("rt: thread count %d out of range [0,%d] (0 selects the platform core count)", nthreads, pl.NumCores())
 	}
 	if nthreads == 0 {
 		nthreads = pl.NumCores()
 	}
-	if err := prof.Validate(); err != nil {
-		return nil, 0, err
-	}
-	return pl, nthreads, nil
-}
-
-// fleetSlowdowns derives each worker's emulated slowdown from the platform
-// speed model: the fastest core type runs unthrottled; others are throttled
-// by the speed ratio.
-func fleetSlowdowns(pl *amp.Platform, nthreads int, binding amp.Binding, prof amp.Profile) []float64 {
-	fastest := 0.0
-	speeds := make([]float64, nthreads)
-	for tid := 0; tid < nthreads; tid++ {
-		cpu := pl.CoreOf(tid, nthreads, binding)
-		speeds[tid] = pl.Speed(cpu, prof, 1)
-		if speeds[tid] > fastest {
-			fastest = speeds[tid]
-		}
-	}
-	slowdown := make([]float64, nthreads)
-	for tid := range speeds {
-		slowdown[tid] = fastest / speeds[tid]
-	}
-	return slowdown
-}
-
-// NewRegistry builds the worker fleet and starts its goroutines. The fleet
-// runs until Close.
-func NewRegistry(cfg RegistryConfig) (*Registry, error) {
-	pl, nthreads, err := fleetParams(cfg.Platform, cfg.NThreads, cfg.Profile)
-	if err != nil {
+	if err := cfg.Profile.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Policy == nil {
@@ -213,14 +184,23 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		nthreads: nthreads,
 		binding:  cfg.Binding,
 		profile:  cfg.Profile,
-		slowdown: fleetSlowdowns(pl, nthreads, cfg.Binding, cfg.Profile),
+		slowdown: make([]float64, nthreads),
 		types:    make([]int, nthreads),
 		policy:   cfg.Policy,
 		base:     time.Now(),
 		cpus:     placement(nthreads),
 	}
+	// The fastest core type runs unthrottled; the others are throttled by
+	// their speed ratio to it.
+	fastest := 0.0
 	for tid := 0; tid < nthreads; tid++ {
-		r.types[tid] = pl.ClusterOf(pl.CoreOf(tid, nthreads, cfg.Binding))
+		cpu := pl.CoreOf(tid, nthreads, cfg.Binding)
+		r.types[tid] = pl.ClusterOf(cpu)
+		r.slowdown[tid] = pl.Speed(cpu, cfg.Profile, 1)
+		fastest = max(fastest, r.slowdown[tid])
+	}
+	for tid, speed := range r.slowdown {
+		r.slowdown[tid] = fastest / speed
 	}
 	r.dist = pl.TypeDist()
 	// One type-lookup closure for the registry's lifetime: LoopInfo wants a
@@ -372,6 +352,9 @@ func (l *Loop) Wait() LoopStats {
 // meaningful once the loop is done.
 func (l *Loop) Latency() time.Duration { return l.latency }
 
+// errNilBody refuses a loop without a body, before any worker could call it.
+var errNilBody = errors.New("rt: nil loop body")
+
 // Submit admits a loop for execution on the fleet and returns immediately;
 // the loop starts as soon as the policy hands workers to it. It fails if
 // the registry is closed or the request is invalid.
@@ -382,7 +365,7 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 		return nil, fmt.Errorf("rt: negative trip count %d", req.N)
 	}
 	if req.Body == nil {
-		return nil, fmt.Errorf("rt: nil loop body")
+		return nil, errNilBody
 	}
 	if req.Weight < 0 {
 		return nil, fmt.Errorf("rt: negative loop weight %d", req.Weight)

@@ -1,7 +1,7 @@
 package rt
 
 import (
-	"fmt"
+	"sync"
 
 	"repro/internal/amp"
 	"repro/internal/core"
@@ -18,20 +18,19 @@ import (
 // the runtime as real parallel code (the simulator validates the
 // performance model).
 //
-// Team is the single-loop facade over Registry: each ParallelFor call
-// spins up a dedicated worker fleet, submits the one loop, waits on its
-// barrier and tears the fleet down — the classic fork/join shape of
-// `#pragma omp parallel for`. Long-lived services that run many loops
-// (from many requests) on one persistent fleet should use Registry
-// directly.
+// Team is the fork/join facade over one Registry, which NewTeam builds and
+// Close joins: its workers persist across ParallelFor calls, as libgomp's
+// thread pool persists across parallel regions, and each call submits one
+// loop and waits on its barrier — the shape of `#pragma omp parallel for`.
+// A Team runs one loop at a time, so that the loop owns its workers'
+// barrier waits (obs.Ledger); concurrent calls queue. A body must therefore
+// not call ParallelFor on its own team: the inner call would wait for the
+// outer loop, which waits for the body. Long-lived services that run many
+// loops at once on one fleet should use Registry directly.
 type Team struct {
-	platform *amp.Platform
-	nthreads int
-	binding  amp.Binding
+	reg      *Registry
 	schedule core.Schedule
-	profile  amp.Profile
-	slowdown []float64 // per thread, >= 1
-	capture  bool
+	mu       sync.Mutex // held for one loop, submission to barrier release
 }
 
 // TeamConfig configures NewTeam.
@@ -49,40 +48,38 @@ type TeamConfig struct {
 	// Profile is the instruction mix used to derive emulated slowdown
 	// factors from the platform model; the zero value is a moderate mix.
 	Profile amp.Profile
-	// Capture records every ParallelFor execution: per-worker wall-clock
-	// timelines, chunk grants and scheduler phase transitions, surfaced
-	// through LoopStats (the real-engine analog of sim.Config.Trace).
-	Capture bool
 }
 
-// NewTeam builds a team of workers.
+// NewTeam builds a team and starts its workers, which run until Close.
 func NewTeam(cfg TeamConfig) (*Team, error) {
-	pl, nthreads, err := fleetParams(cfg.Platform, cfg.NThreads, cfg.Profile)
+	reg, err := NewRegistry(RegistryConfig{
+		Platform: cfg.Platform,
+		NThreads: cfg.NThreads,
+		Binding:  cfg.Binding,
+		Profile:  cfg.Profile,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Team{
-		platform: pl,
-		nthreads: nthreads,
-		binding:  cfg.Binding,
-		schedule: cfg.Schedule,
-		profile:  cfg.Profile,
-		slowdown: fleetSlowdowns(pl, nthreads, cfg.Binding, cfg.Profile),
-		capture:  cfg.Capture,
-	}, nil
+	reg.team = true // read by Submit only, so set before the first one
+	return &Team{reg: reg, schedule: cfg.Schedule}, nil
 }
 
 // NThreads returns the worker count.
-func (t *Team) NThreads() int { return t.nthreads }
+func (t *Team) NThreads() int { return t.reg.NThreads() }
 
-// Slowdown returns worker tid's emulated slowdown factor (1 = big core).
-func (t *Team) Slowdown(tid int) float64 { return t.slowdown[tid] }
+// Close lets a running loop finish and joins the team's workers. A loop
+// started after Close fails. Close is safe to call more than once.
+func (t *Team) Close() { t.reg.Close() }
 
 // ParallelFor executes body(i) for every i in [0, n) across the team's
 // workers under the team's schedule, blocking until the implicit barrier
 // releases (all iterations done). It corresponds to `#pragma omp parallel
 // for schedule(runtime)` under the paper's modified compiler.
 func (t *Team) ParallelFor(n int64, body func(i int64)) error {
+	if body == nil {
+		return errNilBody
+	}
 	return t.ParallelForChunked(n, func(lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			body(i)
@@ -93,7 +90,10 @@ func (t *Team) ParallelFor(n int64, body func(i int64)) error {
 // ParallelForChunked is ParallelFor for bodies that prefer whole chunks
 // (e.g. to vectorize or batch). body must process exactly [lo, hi).
 func (t *Team) ParallelForChunked(n int64, body func(lo, hi int64)) error {
-	_, err := t.ParallelForChunkedStats(n, func(_ int, lo, hi int64) { body(lo, hi) })
+	if body == nil {
+		return errNilBody
+	}
+	_, _, err := t.run("parallel-for", n, func(_ int, lo, hi int64) { body(lo, hi) }, false)
 	return err
 }
 
@@ -106,7 +106,7 @@ type LoopStats struct {
 	obs.Outcome
 
 	// The fields below are populated only for loops submitted with
-	// LoopRequest.Capture (or run on a Team configured with Capture).
+	// LoopRequest.Capture (or recorded by Team.RecordParallelFor).
 
 	// Trace is the merged per-worker wall-clock timeline: Sched for time
 	// inside the scheduler, Running for chunk execution (including the
@@ -122,44 +122,22 @@ type LoopStats struct {
 	Phases []trace.PhaseEvent
 }
 
-// ParallelForChunkedStats executes body(tid, lo, hi) for every scheduled
-// chunk and reports per-thread iteration counts, pool accesses and the
-// scheduler's SF estimate. It is the instrumented core of the ParallelFor
-// family; the tid is the worker's team-local thread ID.
-func (t *Team) ParallelForChunkedStats(n int64, body func(tid int, lo, hi int64)) (LoopStats, error) {
-	stats, _, err := t.run("parallel-for", n, body, false)
-	return stats, err
-}
-
-// RecordParallelFor executes body like ParallelForChunkedStats with capture
-// forced on and additionally assembles the serializable run record — the
-// real-engine entry point of the record & replay subsystem. The record can
-// be written with trace.EncodeJSONL and re-executed (exact or what-if) by
-// internal/replay.
+// RecordParallelFor executes body(tid, lo, hi) for every scheduled chunk,
+// the tid being the worker's team-local thread ID, with capture on, and
+// assembles the serializable run record — the real-engine entry point of the
+// record & replay subsystem. The record can be written with
+// trace.EncodeJSONL and re-executed (exact or what-if) by internal/replay.
 func (t *Team) RecordParallelFor(name string, n int64, body func(tid int, lo, hi int64)) (*trace.Record, LoopStats, error) {
 	stats, rec, err := t.run(name, n, body, true)
 	return rec, stats, err
 }
 
-// run is the shared single-loop execution path: a dedicated fleet, one
-// submission, barrier wait, optional record assembly, teardown.
+// run submits one loop to the team's registry, waits on its barrier and,
+// with record, captures the loop and builds its run record.
 func (t *Team) run(name string, n int64, body func(tid int, lo, hi int64), record bool) (LoopStats, *trace.Record, error) {
-	if n < 0 {
-		return LoopStats{}, nil, fmt.Errorf("rt: negative trip count %d", n)
-	}
-	reg, err := NewRegistry(RegistryConfig{
-		Platform: t.platform,
-		NThreads: t.nthreads,
-		Binding:  t.binding,
-		Profile:  t.profile,
-	})
-	if err != nil {
-		return LoopStats{}, nil, err
-	}
-	defer reg.Close()
-	reg.team = true // the fleet is the loop's own, and so are its barrier waits
-	l, err := reg.Submit(LoopRequest{Name: name, N: n, Schedule: t.schedule, Body: body,
-		Capture: t.capture || record})
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	l, err := t.reg.Submit(LoopRequest{Name: name, N: n, Schedule: t.schedule, Body: body, Capture: record})
 	if err != nil {
 		return LoopStats{}, nil, err
 	}
@@ -167,6 +145,6 @@ func (t *Team) run(name string, n int64, body func(tid int, lo, hi int64), recor
 	if !record {
 		return stats, nil, nil
 	}
-	rec, err := reg.BuildRecord(l)
+	rec, err := t.reg.BuildRecord(l)
 	return stats, rec, err
 }

@@ -54,22 +54,19 @@ func TestCrossEngineZooEquivalence(t *testing.T) {
 					t.Errorf("sim reported no energy on %s", name)
 				}
 
-				team, err := NewTeam(TeamConfig{
+				team := newTestTeam(t, TeamConfig{
 					Platform: pl,
 					NThreads: nthreads,
 					Binding:  amp.BindBS,
 					Schedule: s,
 					Profile:  profile,
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
 				covered := make([]atomic.Int32, ni)
-				rtRes, err := team.ParallelForChunkedStats(ni, func(_ int, lo, hi int64) {
+				rtRes, _, err := team.run("parallel-for", ni, func(_ int, lo, hi int64) {
 					for i := lo; i < hi; i++ {
 						covered[i].Add(1)
 					}
-				})
+				}, false)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -63,6 +63,39 @@ var rules = []rule{{
 		`package p; var s = "trace.ChunkEvent{} and obs.Batch"`,
 		`package p; import trace "repro/internal/other"; var e = trace.ChunkEvent{}`,
 	},
+}, {
+	name: "the engines call no fairness policy themselves",
+	reason: "runnable loops, retirements, candidates, picks and barrier release live in one " +
+		"fair.Fleet, which rt.Registry and the simulator's event loop both drive",
+	dirs: []string{"internal/rt", "internal/sim"},
+	check: func(f *ast.File, report func(ast.Node, string)) {
+		fa := importName(f, "repro/internal/fair")
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pick" {
+					report(n, "calls a Pick method")
+				}
+			case *ast.SelectorExpr:
+				if names(n, fa, "Retirer") {
+					report(n, "names fair.Retirer")
+				}
+			}
+			return true
+		})
+	},
+	bad: []string{
+		`package p; func f(p interface{ Pick(int) int }) int { return p.Pick(0) }`,
+		`package p; type r struct{ policy interface{ Pick() } }; func (x r) f() { x.policy.Pick() }`,
+		`package p; import "repro/internal/fair"; func f(p fair.Policy) bool { _, ok := p.(fair.Retirer); return ok }`,
+		`package p; import f "repro/internal/fair"; var _ f.Retirer`,
+	},
+	good: []string{
+		`package p; import "repro/internal/fair"; func f(fl *fair.Fleet) { fl.Grant(0) } // not policy.Pick(0)`,
+		`package p; var s = "p.Pick(0) and fair.Retirer"`,
+		`package p; func Pick() int { return 0 }; var x = Pick()`,
+		`package p; import fair "repro/internal/other"; var _ fair.Retirer`,
+	},
 }}
 
 // importName is the name under which f imports path: its last element unless
