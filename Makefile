@@ -1,28 +1,11 @@
 # CI entry points for the conf_icpp_SaezCP20 reproduction.
 #
 #   make ci      - everything a PR must pass: vet (go vet, gofmt -l .
-#                  listing no file, no Go benchmark outside bench/, and no
-#                  imbalance function or timeline TimeIn read outside
-#                  internal/trace, whose Record.Digest is the one per-thread
-#                  busy/sched/sync walk, no sync.Mutex in an AID scheduler
-#                  (internal/core/aid_*.go: every AID phase transition rides
-#                  the sampler's CAS epoch word, so no AID path takes a
-#                  lock), and no phase.complete( call or `* 1024 /` sample
-#                  arithmetic in internal/core outside sampler.go, the one
-#                  sampling phase of the AID machines; the schedule
-#                  vocabulary's layering: internal/rt does not import
-#                  internal/sim, the simulated side (internal/exps,
-#                  internal/replay, aidsim, aidbench, examples/replay) does
-#                  not import internal/rt, and no Go file outside bench/
-#                  names rt.Schedule, rt.ParseSchedule or rt.Kind*, whose
-#                  home is internal/core; no non-test Go line that names the
-#                  retired sf-aware policy or a live SF view, since a policy
-#                  sees a loop's ID and weight only, or the retired AID-auto
-#                  schedule (the rules that read parsed code, not text, are
-#                  the tier-1 test internal/rules);
-#                  then a darwin/arm64 and a windows build of everything outside
-#                  bench/, whose spinners are Linux-only, so that the
-#                  non-Linux twin of a Linux-only file keeps compiling),
+#                  listing no file, then a darwin/arm64 and a windows build
+#                  of everything outside bench/, whose spinners are
+#                  Linux-only, so that the non-Linux twin of a Linux-only
+#                  file keeps compiling; the tree's structural rules are the
+#                  tier-1 test internal/rules, not vet lines),
 #                  build, the whole suite (plain, plus the
 #                  lock-free layers and the figure sweeps under -race),
 #                  the multi-loop conformance/race suite under -race
@@ -84,7 +67,8 @@
 #       the AID design choices), internal/sim TestEngineGolden (960 engine
 #       digests), and cmd/aidserve TestServeSmoke (the virtual serve's
 #       percentiles). There are no `go test` benchmarks outside bench/, and
-#       `make vet` keeps it so: a simulated number belongs in a golden table.
+#       internal/rules keeps it so: a simulated number belongs in a golden
+#       table.
 
 GO ?= go
 
@@ -92,29 +76,17 @@ GO ?= go
 
 ci: vet build race race-multiloop fuzz
 
-# gofmt -l prints the files it would rewrite, and git grep every test file,
-# tracked or not, that declares a benchmark outside bench/, every non-test Go
-# line outside internal/trace that defines
-# an imbalance function or sums a timeline state with TimeIn, every non-test
-# line of an AID scheduler that names sync.Mutex, and every non-test line of
-# internal/core outside sampler.go that completes a phase or scales a sample
-# by 1024, and every non-test Go line that still names the sf-aware policy,
-# a live SF view or the AID-auto schedule (help text and comments included);
-# grep passes them on and makes any such line a failure.
+# gofmt -l prints the files it would rewrite, and grep makes any such file a
+# failure. The tree's structural rules (no benchmark outside bench/, one
+# imbalance formula, lock-free AID schedulers, one sampler, the engines'
+# import layering, one home of the schedule vocabulary, no retired names)
+# are rows of the tier-1 test internal/rules, which reads parsed code.
 # The two cross builds compile the build-tagged twins (internal/rt's worker
 # placement) that a Linux build never sees; go build of several packages
 # writes no binary.
 vet:
 	$(GO) vet ./...
 	! gofmt -l . | grep .
-	! git grep --untracked -l '^func Benchmark' -- '*_test.go' ':!bench/' | grep .
-	! git grep --untracked -nE 'func .*[Ii]mbalance|TimeIn\(' -- '*.go' ':!internal/trace' ':!*_test.go' | grep .
-	! git grep --untracked -n 'sync\.Mutex' -- 'internal/core/aid_*.go' ':!*_test.go' | grep .
-	! git grep --untracked -nE 'phase\.complete\(|\*[[:space:]]*1024[[:space:]]*/' -- internal/core ':!internal/core/sampler.go' ':!*_test.go' | grep .
-	! $(GO) list -deps ./internal/rt | grep -x 'repro/internal/sim'
-	! $(GO) list -deps ./internal/exps ./internal/replay ./cmd/aidsim ./cmd/aidbench ./examples/replay | grep -x 'repro/internal/rt'
-	! git grep --untracked -nE '(^|[^[:alnum:]_.])rt\.(Schedule|ParseSchedule|Kind)' -- '*.go' ':!bench/' | grep .
-	! git grep --untracked -nE 'sf-aware|SFAware|SFLiveView|LiveSF|AIDAuto|aid-auto|AID-auto' -- '*.go' ':!*_test.go' | grep .
 	GOOS=darwin GOARCH=arm64 $(GO) build ./internal/... ./cmd/... ./examples/...
 	GOOS=windows $(GO) build ./internal/... ./cmd/... ./examples/...
 

@@ -178,13 +178,8 @@ type Platform struct {
 	Clusters []Cluster
 	Overhead Overheads
 
-	cores []coreInfo // flattened topology
-	dist  [][]int    // cluster-to-cluster distances, built once by New
-}
-
-type coreInfo struct {
-	cluster int
-	big     bool
+	cores []int   // flattened topology: each CPU's cluster index
+	dist  [][]int // cluster-to-cluster distances, built once by New
 }
 
 // Binding is the thread-to-core mapping convention of §5: under SB, cores
@@ -249,7 +244,7 @@ func New(name string, clusters []Cluster, ov Overheads) (*Platform, error) {
 			return nil, fmt.Errorf("amp: platform %q has more than %d cores", name, maxCores)
 		}
 		for i := 0; i < c.NumCores; i++ {
-			p.cores = append(p.cores, coreInfo{cluster: ci, big: ci == 0})
+			p.cores = append(p.cores, ci)
 		}
 	}
 	// Fill defaulted energy and locality-tier fields so descriptions that
@@ -375,14 +370,8 @@ func (p *Platform) Validate() error {
 // NumCores returns the total core count.
 func (p *Platform) NumCores() int { return len(p.cores) }
 
-// NumBig returns the number of cores in the big cluster (cluster 0).
-func (p *Platform) NumBig() int { return p.Clusters[0].NumCores }
-
-// IsBig reports whether CPU id belongs to the big cluster.
-func (p *Platform) IsBig(cpu int) bool { return p.cores[cpu].big }
-
 // ClusterOf returns the cluster index of CPU id.
-func (p *Platform) ClusterOf(cpu int) int { return p.cores[cpu].cluster }
+func (p *Platform) ClusterOf(cpu int) int { return p.cores[cpu] }
 
 // CoreOf maps a thread ID to a CPU under the given binding convention with
 // nthreads total threads. It panics if tid or nthreads is out of range,
@@ -430,7 +419,7 @@ func (p *Platform) effectiveMem(prof Profile, cluster, activeInCluster int) floa
 //
 // where m is the LLC-contention-adjusted memory intensity.
 func (p *Platform) Speed(cpu int, prof Profile, activeInCluster int) float64 {
-	ci := p.cores[cpu].cluster
+	ci := p.cores[cpu]
 	c := p.Clusters[ci]
 	m := p.effectiveMem(prof, ci, activeInCluster)
 	cs := c.Type.ComputeSpeed(prof.ILP)

@@ -78,17 +78,17 @@ func TestNewValidation(t *testing.T) {
 
 func TestPlatformTopologyA(t *testing.T) {
 	p := PlatformA()
-	if p.NumCores() != 8 || p.NumBig() != 4 {
-		t.Fatalf("Platform A topology: cores=%d big=%d", p.NumCores(), p.NumBig())
+	if p.NumCores() != 8 || p.Clusters[0].NumCores != 4 {
+		t.Fatalf("Platform A topology: cores=%d big=%d", p.NumCores(), p.Clusters[0].NumCores)
 	}
 	// Paper convention: CPUs 0-3 are small, CPUs 4-7 are big.
 	for cpu := 0; cpu < 4; cpu++ {
-		if p.IsBig(cpu) {
+		if p.ClusterOf(cpu) == 0 {
 			t.Errorf("CPU %d should be small", cpu)
 		}
 	}
 	for cpu := 4; cpu < 8; cpu++ {
-		if !p.IsBig(cpu) {
+		if p.ClusterOf(cpu) != 0 {
 			t.Errorf("CPU %d should be big", cpu)
 		}
 	}
@@ -97,27 +97,27 @@ func TestPlatformTopologyA(t *testing.T) {
 func TestBindings(t *testing.T) {
 	p := PlatformA()
 	// SB: ascending by thread ID -> thread 0 on CPU 0 (small).
-	if cpu := p.CoreOf(0, 8, BindSB); cpu != 0 || p.IsBig(cpu) {
-		t.Errorf("SB thread 0 -> CPU %d (big=%v), want CPU 0 small", cpu, p.IsBig(cpu))
+	if cpu := p.CoreOf(0, 8, BindSB); cpu != 0 || p.ClusterOf(cpu) == 0 {
+		t.Errorf("SB thread 0 -> CPU %d (big=%v), want CPU 0 small", cpu, p.ClusterOf(cpu) == 0)
 	}
 	// BS: descending -> thread 0 on CPU 7 (big).
-	if cpu := p.CoreOf(0, 8, BindBS); cpu != 7 || !p.IsBig(cpu) {
-		t.Errorf("BS thread 0 -> CPU %d (big=%v), want CPU 7 big", cpu, p.IsBig(cpu))
+	if cpu := p.CoreOf(0, 8, BindBS); cpu != 7 || p.ClusterOf(cpu) != 0 {
+		t.Errorf("BS thread 0 -> CPU %d (big=%v), want CPU 7 big", cpu, p.ClusterOf(cpu) == 0)
 	}
 	// Under BS, threads 0..NB-1 are on big cores (AID's assumption, §4.3).
 	for tid := 0; tid < 4; tid++ {
-		if !p.IsBig(p.CoreOf(tid, 8, BindBS)) {
+		if p.ClusterOf(p.CoreOf(tid, 8, BindBS)) != 0 {
 			t.Errorf("BS thread %d not on big core", tid)
 		}
 	}
 	for tid := 4; tid < 8; tid++ {
-		if p.IsBig(p.CoreOf(tid, 8, BindBS)) {
+		if p.ClusterOf(p.CoreOf(tid, 8, BindBS)) == 0 {
 			t.Errorf("BS thread %d not on small core", tid)
 		}
 	}
 	// 4-thread runs: BS gives all-big, SB gives all-small.
 	for tid := 0; tid < 4; tid++ {
-		if !p.IsBig(p.CoreOf(tid, 4, BindBS)) || p.IsBig(p.CoreOf(tid, 4, BindSB)) {
+		if p.ClusterOf(p.CoreOf(tid, 4, BindBS)) != 0 || p.ClusterOf(p.CoreOf(tid, 4, BindSB)) == 0 {
 			t.Errorf("4 threads: thread %d is not on a big core under BS and a small one under SB", tid)
 		}
 	}
@@ -321,8 +321,8 @@ func TestPlatformTriTopology(t *testing.T) {
 		}
 	}
 	// Only cluster 0 counts as "big".
-	if p.NumBig() != 2 || p.NumCores() != 8 {
-		t.Errorf("big/all counts: %d/%d, want 2/8", p.NumBig(), p.NumCores())
+	if p.Clusters[0].NumCores != 2 || p.NumCores() != 8 {
+		t.Errorf("big/all counts: %d/%d, want 2/8", p.Clusters[0].NumCores, p.NumCores())
 	}
 }
 

@@ -236,12 +236,12 @@ func TestClusterDist(t *testing.T) {
 
 func TestZooTopologies(t *testing.T) {
 	cl := PlatformCluster()
-	if cl.NumCores() != 8 || len(cl.Clusters) != 4 || cl.NumBig() != 2 {
-		t.Errorf("Cluster topology: %d cores, %d clusters, %d big", cl.NumCores(), len(cl.Clusters), cl.NumBig())
+	if cl.NumCores() != 8 || len(cl.Clusters) != 4 || cl.Clusters[0].NumCores != 2 {
+		t.Errorf("Cluster topology: %d cores, %d clusters, %d big", cl.NumCores(), len(cl.Clusters), cl.Clusters[0].NumCores)
 	}
 	hy := PlatformHybrid()
-	if hy.NumCores() != 12 || len(hy.Clusters) != 3 || hy.NumBig() != 4 {
-		t.Errorf("Hybrid topology: %d cores, %d clusters, %d big", hy.NumCores(), len(hy.Clusters), hy.NumBig())
+	if hy.NumCores() != 12 || len(hy.Clusters) != 3 || hy.Clusters[0].NumCores != 4 {
+		t.Errorf("Hybrid topology: %d cores, %d clusters, %d big", hy.NumCores(), len(hy.Clusters), hy.Clusters[0].NumCores)
 	}
 	// Both presets keep the big-core advantage the schedulers depend on.
 	for _, p := range []*Platform{cl, hy} {

@@ -71,8 +71,8 @@ func TestRegistryThrottleFidelity(t *testing.T) {
 	if len(execNs[0]) < 20 || len(execNs[1]) < 20 {
 		t.Fatalf("workers served %d and %d chunks, want both busy", len(execNs[0]), len(execNs[1]))
 	}
-	big, _ := stats.Median(execNs[0]) // errors only on an empty sample, excluded above
-	small, _ := stats.Median(execNs[1])
+	big, _ := stats.Percentile(execNs[0], 50) // errors only on an empty sample, excluded above
+	small, _ := stats.Percentile(execNs[1], 50)
 	if ratio := small / big; math.Abs(ratio-want) > 0.1*want {
 		t.Errorf("small/big median ExecNs = %.0f/%.0f = %.3f, want %.3f within 10%%", small, big, ratio, want)
 	}
@@ -130,7 +130,7 @@ func TestRegistryThrottleUnobserved(t *testing.T) {
 	if len(ratios) < 5 {
 		t.Skipf("only %d of 40 loops ran undisturbed; the host is too busy to judge the throttle", len(ratios))
 	}
-	if ratio, _ := stats.Median(ratios); math.Abs(ratio-want) > 0.15*want {
+	if ratio, _ := stats.Percentile(ratios, 50); math.Abs(ratio-want) > 0.15*want {
 		t.Errorf("big/small iterations, median of %v = %.3f, want %.3f within 15%%", ratios, ratio, want)
 	}
 }

@@ -355,12 +355,17 @@ func (l *Loop) Latency() time.Duration { return l.latency }
 // errNilBody refuses a loop without a body, before any worker could call it.
 var errNilBody = errors.New("rt: nil loop body")
 
+// errClosed refuses a submission to a closed registry.
+var errClosed = errors.New("rt: registry is closed")
+
 // Submit admits a loop for execution on the fleet and returns immediately;
 // the loop starts as soon as the policy hands workers to it. It fails if
 // the registry is closed or the request is invalid.
 func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
-	// Every check comes before arm: a refused request neither builds a
-	// scheduler nor takes one off the free list.
+	// Every check of the request comes before arm, and arm checks for a
+	// closed registry before it takes a free-list entry, so a refused
+	// request takes no scheduler off the free list. The closed check at
+	// admission stays for a Close that lands after arm.
 	if req.N < 0 {
 		return nil, fmt.Errorf("rt: negative trip count %d", req.N)
 	}
@@ -422,7 +427,7 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return nil, fmt.Errorf("rt: registry is closed")
+		return nil, errClosed
 	}
 	l.id = r.nextID
 	r.nextID++
@@ -448,11 +453,16 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 // arm gives l a scheduler armed for its trip count and a ledger for Submit
 // to arm: a released loop's, the scheduler re-armed through core.Resettable
 // outside the lock, when the free list holds one of l's schedule, and new
-// ones otherwise.
+// ones otherwise. A pooled schedule finds a closed registry in the critical
+// section that takes the entry, and takes none.
 func (r *Registry) arm(l *Loop) error {
 	info := r.loopInfo(l.n)
 	if key, ok := keyOf(l.schedule); ok {
 		r.mu.Lock()
+		if r.closed {
+			r.mu.Unlock()
+			return errClosed
+		}
 		fl, ok := r.takeFree(key)
 		r.mu.Unlock()
 		if ok {

@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -218,15 +217,26 @@ func TestRegistrySubmitValidation(t *testing.T) {
 	l.Wait()
 }
 
+// TestRegistrySubmitAfterClose refuses a submission to a closed registry
+// before it takes the released loop's scheduler off the free list.
 func TestRegistrySubmitAfterClose(t *testing.T) {
 	reg, err := NewRegistry(RegistryConfig{NThreads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	req := LoopRequest{N: 10, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 4},
+		Body: func(int, int64, int64) {}}
+	l, err := reg.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Wait()
 	reg.Close()
-	if _, err := reg.Submit(LoopRequest{N: 10, Body: func(int, int64, int64) {}}); err == nil ||
-		!strings.Contains(err.Error(), "closed") {
-		t.Errorf("Submit after Close: err = %v, want closed error", err)
+	if _, err := reg.Submit(req); err == nil || err.Error() != "rt: registry is closed" {
+		t.Errorf("Submit after Close: err = %v, want rt: registry is closed", err)
+	}
+	if len(reg.free) != 1 {
+		t.Errorf("Submit after Close left %d free-list entries, want 1", len(reg.free))
 	}
 	reg.Close() // idempotent
 }

@@ -68,19 +68,11 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Median returns the median of xs (average of the two central elements for
-// even lengths) and an error if xs is empty. xs is not modified. It is
-// exactly Percentile(xs, 50) — kept as its own entry point because the
-// experiment harness reads better asking for "the median".
-func Median(xs []float64) (float64, error) {
-	return Percentile(xs, 50)
-}
-
 // Percentile returns the p-th percentile of xs (0 <= p <= 100) using linear
 // interpolation between closest ranks: rank = (n-1)·p/100, with fractional
 // ranks interpolating the two neighbouring order statistics. Percentile(xs,
 // 0) is the minimum, Percentile(xs, 100) the maximum, and Percentile(xs,
-// 50) the Median (averaging the two central elements for even lengths). It
+// 50) the median (averaging the two central elements for even lengths). It
 // errors on an empty slice or a p outside [0, 100]. xs is not modified.
 func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {

@@ -87,25 +87,26 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
+// TestMedian reads the median as Percentile(xs, 50).
 func TestMedian(t *testing.T) {
 	odd := []float64{5, 1, 3}
-	if m, err := Median(odd); err != nil || m != 3 {
-		t.Errorf("Median(odd) = %v, %v", m, err)
+	if m, err := Percentile(odd, 50); err != nil || m != 3 {
+		t.Errorf("Percentile(odd, 50) = %v, %v", m, err)
 	}
 	even := []float64{4, 1, 3, 2}
-	if m, err := Median(even); err != nil || m != 2.5 {
-		t.Errorf("Median(even) = %v, %v", m, err)
+	if m, err := Percentile(even, 50); err != nil || m != 2.5 {
+		t.Errorf("Percentile(even, 50) = %v, %v", m, err)
 	}
-	if _, err := Median(nil); err != ErrEmpty {
-		t.Errorf("Median(nil) err = %v", err)
+	if _, err := Percentile(nil, 50); err != ErrEmpty {
+		t.Errorf("Percentile(nil, 50) err = %v", err)
 	}
-	// Median must not mutate its input.
+	// The median must not mutate its input.
 	in := []float64{9, 1, 5}
-	if _, err := Median(in); err != nil {
+	if _, err := Percentile(in, 50); err != nil {
 		t.Fatal(err)
 	}
 	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
-		t.Errorf("Median mutated input: %v", in)
+		t.Errorf("Percentile(_, 50) mutated input: %v", in)
 	}
 }
 
