@@ -10,7 +10,11 @@
 //     otherwise — and the result is checked against the record: identical
 //     coverage always, identical event times and makespan for sim-produced
 //     records. Replays are fully deterministic: replaying the same record
-//     twice yields byte-identical serialized output.
+//     twice yields byte-identical serialized output. The replay's recorder
+//     checks each event against the record as the engine makes it
+//     (trace.Recorder.Expect), so the exact replay of a faithful sim record
+//     shares the input's event array: neither record's events may be
+//     mutated afterwards.
 //   - WhatIf keeps the recorded workload (trip counts, cost profile,
 //     platform, fleet shape) but swaps the scheduler, fairness policy,
 //     binding or thread count — answering "would AID-dynamic have beaten
@@ -49,6 +53,7 @@ package replay
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/amp"
@@ -65,17 +70,12 @@ type Result struct {
 	Results []sim.LoopResult
 	// Record is the replayed run's own record — diff it against the
 	// original (or serialize it; two replays of one record are
-	// byte-identical).
+	// byte-identical). After an exact replay of a sim record that
+	// reproduced every event, its Events is the input record's array, so
+	// neither may be mutated; any other replay holds an array of its own.
 	Record *trace.Record
 	// MakespanNs is the replayed start-to-last-barrier-release duration.
 	MakespanNs int64
-}
-
-// grant is one scripted scheduler reply.
-type grant struct {
-	lo, hi int64
-	cost   core.AssignCost
-	retire bool
 }
 
 // scriptSched replays a recorded per-thread grant sequence. It ignores the
@@ -83,8 +83,11 @@ type grant struct {
 // recorded runtime-cost metadata so the simulator charges the same
 // overheads the original run paid.
 type scriptSched struct {
-	name      string
-	perThread [][]grant
+	name string
+	// evs is the record's events in (TimeNs, Tid, Seq) order, and each
+	// thread's script lists its grants as indices into evs.
+	evs       []trace.ChunkEvent
+	perThread [][]int32
 	pos       []int
 	// served counts, per worker, the calls every script of the run has
 	// served it; the scripts and the scriptPolicy share it.
@@ -104,8 +107,9 @@ func (s *scriptSched) Next(tid int, _ int64) (core.Assign, bool) {
 	}
 	s.pos[tid] = i + 1
 	s.served[tid]++
-	g := q[i]
-	return core.Assign{Lo: g.lo, Hi: g.hi, AssignCost: g.cost}, !g.retire
+	ev := &s.evs[q[i]]
+	cost := core.AssignCost{Origin: ev.Origin, PoolAccesses: ev.PoolAccesses, Timestamps: ev.Timestamps}
+	return core.Assign{Lo: ev.Lo, Hi: ev.Hi, AssignCost: cost}, !ev.Retire
 }
 
 // scriptPolicy replays each worker's recorded loop-visit order under
@@ -116,8 +120,8 @@ func (s *scriptSched) Next(tid int, _ int64) (core.Assign, bool) {
 // ends a grant early (sim.RunLoops re-picks for every worker), and the next
 // Pick must resume where the served calls left off.
 type scriptPolicy struct {
-	perThread [][]int // loop index sequence per tid
-	served    []int   // shared with every scriptSched of the run
+	perThread [][]int32 // loop index sequence per tid
+	served    []int     // shared with every scriptSched of the run
 }
 
 func (p *scriptPolicy) Name() string { return "replay-script" }
@@ -193,9 +197,9 @@ func migrationsOf(rec *trace.Record) []sim.Migration {
 // all sharing one per-worker count of served calls. Events are taken in
 // (TimeNs, Tid, Seq) order, which preserves every worker's recorded grant
 // sequence (Seq breaks wall-clock ties within a worker under rt records); a
-// simulator's record is in that order already and is read in place. A
-// counting pass sizes every script and visit list (carve) before the filling
-// pass.
+// simulator's record is in that order already and is read in place, and a
+// script holds indices into it, not copies of its grants. A counting pass
+// sizes every script and visit list (carve) before the filling pass.
 func scriptsOf(rec *trace.Record) (scheds []*scriptSched, pol *scriptPolicy) {
 	byTime := func(a, b trace.ChunkEvent) int {
 		if a.TimeNs != b.TimeNs {
@@ -218,26 +222,24 @@ func scriptsOf(rec *trace.Record) (scheds []*scriptSched, pol *scriptPolicy) {
 		perScript[int(evs[i].Loop)*nt+int(evs[i].Tid)]++
 		perWorker[evs[i].Tid]++
 	}
-	scripts := carve[grant](perScript)
+	scripts := carve[int32](perScript)
 	scheds = make([]*scriptSched, len(rec.Loops))
 	served := make([]int, nt)
 	for li, l := range rec.Loops {
 		scheds[li] = &scriptSched{
 			name:      "replay(" + l.Scheduler + ")",
+			evs:       evs,
 			perThread: scripts[li*nt : (li+1)*nt : (li+1)*nt],
 			pos:       make([]int, nt),
 			served:    served,
 		}
 	}
-	visit := carve[int](perWorker)
+	visit := carve[int32](perWorker)
 	for i := range evs {
 		ev := &evs[i]
 		s := scheds[ev.Loop]
-		s.perThread[ev.Tid] = append(s.perThread[ev.Tid], grant{
-			lo: ev.Lo, hi: ev.Hi, retire: ev.Retire,
-			cost: core.AssignCost{Origin: ev.Origin, PoolAccesses: ev.PoolAccesses, Timestamps: ev.Timestamps},
-		})
-		visit[ev.Tid] = append(visit[ev.Tid], int(ev.Loop))
+		s.perThread[ev.Tid] = append(s.perThread[ev.Tid], int32(i))
+		visit[ev.Tid] = append(visit[ev.Tid], ev.Loop)
 	}
 	return scheds, &scriptPolicy{perThread: visit, served: served}
 }
@@ -284,7 +286,7 @@ func Exact(rec *trace.Record) (*Result, error) {
 	scheds, pol := scriptsOf(rec)
 	next := 0
 	recorder := trace.NewRecorder()
-	recorder.ReserveChunks(len(rec.Events)) // a faithful replay makes the same calls
+	recorder.Expect(rec.Events) // a faithful replay makes the same calls
 	cfg := sim.Config{
 		Platform: pl,
 		NThreads: rec.NThreads,
@@ -340,32 +342,38 @@ func runConfigured(cfg sim.Config, rec *trace.Record, specs []sim.LoopSpec, poli
 // checkCoverage asserts the record's grant events tile each loop's
 // iteration space [0, NI) exactly once — the schedulers' exactly-once
 // guarantee, which a truncated or corrupted record file would violate. A
-// counting pass sizes each loop's span list (carve) before the filling pass.
+// counting pass sizes each loop's list of grant indices (carve) before the
+// filling pass. It also bounds the record to the events an int32 indexes,
+// which the scripts (scriptsOf) rely on.
 func checkCoverage(rec *trace.Record) error {
-	type span struct{ lo, hi int64 }
+	evs := rec.Events
+	if len(evs) > math.MaxInt32 {
+		return fmt.Errorf("replay: record holds %d events, more than %d", len(evs), math.MaxInt32)
+	}
 	counts := make([]int, len(rec.Loops))
-	for i := range rec.Events {
-		if !rec.Events[i].Retire {
-			counts[rec.Events[i].Loop]++
+	for i := range evs {
+		if !evs[i].Retire {
+			counts[evs[i].Loop]++
 		}
 	}
-	perLoop := carve[span](counts)
-	for i := range rec.Events {
-		if ev := &rec.Events[i]; !ev.Retire {
-			perLoop[ev.Loop] = append(perLoop[ev.Loop], span{ev.Lo, ev.Hi})
+	perLoop := carve[int32](counts)
+	for i := range evs {
+		if ev := &evs[i]; !ev.Retire {
+			perLoop[ev.Loop] = append(perLoop[ev.Loop], int32(i))
 		}
 	}
-	for li, spans := range perLoop {
-		slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for li, grants := range perLoop {
+		slices.SortFunc(grants, func(a, b int32) int { return cmp.Compare(evs[a].Lo, evs[b].Lo) })
 		var pos int64
-		for _, s := range spans {
-			if s.lo != pos {
-				if s.lo < pos {
-					return fmt.Errorf("replay: loop %q grants iteration %d twice", rec.Loops[li].Name, s.lo)
+		for _, g := range grants {
+			s := &evs[g]
+			if s.Lo != pos {
+				if s.Lo < pos {
+					return fmt.Errorf("replay: loop %q grants iteration %d twice", rec.Loops[li].Name, s.Lo)
 				}
-				return fmt.Errorf("replay: loop %q never grants iterations [%d,%d)", rec.Loops[li].Name, pos, s.lo)
+				return fmt.Errorf("replay: loop %q never grants iterations [%d,%d)", rec.Loops[li].Name, pos, s.Lo)
 			}
-			pos = s.hi
+			pos = s.Hi
 		}
 		if pos != rec.Loops[li].NI {
 			return fmt.Errorf("replay: loop %q covers %d of %d iterations", rec.Loops[li].Name, pos, rec.Loops[li].NI)
@@ -406,6 +414,9 @@ func verifyExact(rec *trace.Record, res *Result) error {
 	got := res.Record.Events
 	if len(got) != len(rec.Events) {
 		return fmt.Errorf("replay: %d events, recorded %d", len(got), len(rec.Events))
+	}
+	if len(got) > 0 && &got[0] == &rec.Events[0] {
+		return nil // the recorder matched every event (trace.Recorder.Expect)
 	}
 	for i := range got {
 		g, w := got[i], rec.Events[i]

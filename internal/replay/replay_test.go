@@ -21,6 +21,15 @@ import (
 // recordSim records one simulated loop under the given schedule text.
 func recordSim(t *testing.T, schedText string, spec sim.LoopSpec, withTrace bool) *trace.Record {
 	t.Helper()
+	return recordRun(t, schedText, []sim.LoopSpec{spec}, nil, withTrace)
+}
+
+// recordRun records one simulated run on platform A with every core and
+// every loop under the given schedule text: a fork/join team for one spec
+// and no policy, a fleet under policy (nil is the engine's default)
+// otherwise, with migs injected.
+func recordRun(t *testing.T, schedText string, specs []sim.LoopSpec, policy fair.Policy, withTrace bool, migs ...sim.Migration) *trace.Record {
+	t.Helper()
 	sched, err := core.ParseSchedule(schedText)
 	if err != nil {
 		t.Fatal(err)
@@ -28,19 +37,48 @@ func recordSim(t *testing.T, schedText string, spec sim.LoopSpec, withTrace bool
 	pl := amp.PlatformA()
 	rec := trace.NewRecorder()
 	cfg := sim.Config{
-		Platform: pl,
-		NThreads: pl.NumCores(),
-		Factory:  sched.Factory(),
-		Recorder: rec,
+		Platform:   pl,
+		NThreads:   pl.NumCores(),
+		Factory:    sched.Factory(),
+		Recorder:   rec,
+		Migrations: migs,
 	}
 	if withTrace {
 		cfg.Trace = trace.New(pl.NumCores())
 	}
-	if _, err := sim.RunLoop(cfg, spec, 0); err != nil {
+	if len(specs) == 1 && policy == nil {
+		_, err = sim.RunLoop(cfg, specs[0], 0)
+	} else {
+		_, err = sim.RunLoops(cfg, specs, policy, 0)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	rec.SetLoopSchedule(0, sched.Canonical())
+	for i := range specs {
+		rec.SetLoopSchedule(i, sched.Canonical())
+	}
 	return rec.Record()
+}
+
+// burstSpecs are three loops of different profiles and cost shapes.
+func burstSpecs() []sim.LoopSpec {
+	return []sim.LoopSpec{
+		{Name: "a", NI: 4000, Profile: amp.Profile{ILP: 0.6}, Cost: sim.UniformCost{PerIter: 50000}, Weight: 2},
+		{Name: "b", NI: 2000, Profile: amp.Profile{ILP: 0.2, MemIntensity: 0.4}, Cost: sim.LinearCost{Base: 20000, Slope: 30}},
+		{Name: "c", NI: 1000, Profile: amp.Profile{MemIntensity: 0.7}, Cost: sim.UniformCost{PerIter: 90000}},
+	}
+}
+
+// arrivalSpecs are six loops that arrive 0.7 ms apart, each while the
+// earlier ones still run.
+func arrivalSpecs() []sim.LoopSpec {
+	var specs []sim.LoopSpec
+	for i := 0; i < 6; i++ {
+		specs = append(specs, sim.LoopSpec{Name: fmt.Sprint("l", i), NI: 3000,
+			Profile: amp.Profile{ILP: 0.5}, Cost: sim.UniformCost{PerIter: 20000},
+			Weight: 1 + i%3, Arrive: int64(i) * 700_000})
+	}
+	return specs
 }
 
 func epSpec() sim.LoopSpec {
@@ -128,30 +166,11 @@ func TestExactReplaySimMultiLoop(t *testing.T) {
 		"staggered": {0, 5_000_000, 500_000_000},
 	} {
 		t.Run(name, func(t *testing.T) {
-			pl := amp.PlatformA()
-			aid, _ := core.ParseSchedule("aid-dynamic,1,5")
-			rec := trace.NewRecorder()
-			cfg := sim.Config{
-				Platform: pl,
-				NThreads: pl.NumCores(),
-				Factory:  aid.Factory(),
-				Recorder: rec,
-			}
-			specs := []sim.LoopSpec{
-				{Name: "a", NI: 4000, Profile: amp.Profile{ILP: 0.6}, Cost: sim.UniformCost{PerIter: 50000}, Weight: 2},
-				{Name: "b", NI: 2000, Profile: amp.Profile{ILP: 0.2, MemIntensity: 0.4}, Cost: sim.LinearCost{Base: 20000, Slope: 30}},
-				{Name: "c", NI: 1000, Profile: amp.Profile{MemIntensity: 0.7}, Cost: sim.UniformCost{PerIter: 90000}},
-			}
+			specs := burstSpecs()
 			for i := range specs {
 				specs[i].Arrive = arrive[i]
 			}
-			if _, err := sim.RunLoops(cfg, specs, nil, 0); err != nil {
-				t.Fatal(err)
-			}
-			for i := range specs {
-				rec.SetLoopSchedule(i, aid.Canonical())
-			}
-			record := roundTrip(t, rec.Record())
+			record := roundTrip(t, recordRun(t, "aid-dynamic,1,5", specs, nil, false))
 			r1, err := Exact(record)
 			if err != nil {
 				t.Fatalf("Exact multi-loop: %v", err)
@@ -450,23 +469,7 @@ func TestPiecewiseCost(t *testing.T) {
 // and third loops are submitted mid-run, must both replay exactly.
 func TestExactReplayArrivalsCutRuns(t *testing.T) {
 	t.Run("sim", func(t *testing.T) {
-		pl := amp.PlatformA()
-		dyn, _ := core.ParseSchedule("dynamic,4")
-		rec := trace.NewRecorder()
-		cfg := sim.Config{Platform: pl, NThreads: pl.NumCores(), Factory: dyn.Factory(), Recorder: rec}
-		var specs []sim.LoopSpec
-		for i := 0; i < 6; i++ {
-			specs = append(specs, sim.LoopSpec{Name: fmt.Sprint("l", i), NI: 3000,
-				Profile: amp.Profile{ILP: 0.5}, Cost: sim.UniformCost{PerIter: 20000},
-				Weight: 1 + i%3, Arrive: int64(i) * 700_000})
-		}
-		if _, err := sim.RunLoops(cfg, specs, fair.NewFCFS(), 0); err != nil {
-			t.Fatal(err)
-		}
-		for i := range specs {
-			rec.SetLoopSchedule(i, dyn.Canonical())
-		}
-		record := roundTrip(t, rec.Record())
+		record := roundTrip(t, recordRun(t, "dynamic,4", arrivalSpecs(), fair.NewFCFS(), false))
 		r1, err := Exact(record)
 		if err != nil {
 			t.Fatalf("Exact: %v", err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -321,6 +322,83 @@ func TestRecorderEventOrder(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestRecorderExpect: a run that repeats the expected events gets them back
+// as its record's own array; one that differs at an event, makes fewer or
+// more calls, or was told too late gets an array of its own holding exactly
+// what it recorded, and the expected events stay as they were.
+func TestRecorderExpect(t *testing.T) {
+	const n = 40
+	expected := make([]ChunkEvent, n)
+	for i := range expected {
+		expected[i] = ChunkEvent{Seq: int64(i), Lo: int64(i), Hi: int64(i) + 1}
+	}
+	orig := slices.Clone(expected)
+	for _, c := range []struct {
+		name   string
+		calls  int
+		early  bool // Expect before the first Chunk
+		change func(i int, ev *ChunkEvent)
+		shared bool
+	}{
+		{"repeated", n, true, nil, true},
+		{"differs at 0", n, true, func(i int, ev *ChunkEvent) {
+			if i == 0 {
+				ev.ExecNs = 7
+			}
+		}, false},
+		{"differs at 17", n, true, func(i int, ev *ChunkEvent) {
+			if i == 17 {
+				ev.Shard = 1
+			}
+		}, false},
+		{"differs at the last", n, true, func(i int, ev *ChunkEvent) {
+			if i == n-1 {
+				ev.Retire = true
+			}
+		}, false},
+		{"fewer calls", n - 1, true, nil, false},
+		{"more calls", n + 3, true, nil, false},
+		{"told late", n, false, nil, false},
+	} {
+		rec := NewRecorder()
+		if err := rec.BeginRun(RunMeta{Engine: "sim", NThreads: 1, Binding: "BS"}); err != nil {
+			t.Fatal(err)
+		}
+		if c.early {
+			rec.Expect(expected)
+		}
+		want := make([]ChunkEvent, c.calls)
+		for i := range want {
+			ev := ChunkEvent{Lo: int64(i), Hi: int64(i) + 1}
+			if c.change != nil {
+				c.change(i, &ev)
+			}
+			rec.Chunk(ev)
+			if i == 0 && !c.early {
+				rec.Expect(expected)
+			}
+			ev.Seq = int64(i)
+			want[i] = ev
+		}
+		got := rec.Record().Events
+		if len(got) != len(want) {
+			t.Errorf("%s: recorded %d events, want %d", c.name, len(got), len(want))
+		}
+		for i := 0; i < min(len(got), len(want)); i++ {
+			if got[i] != want[i] {
+				t.Errorf("%s: event %d is %+v, want %+v", c.name, i, got[i], want[i])
+				break
+			}
+		}
+		if shared := len(got) > 0 && &got[0] == &expected[0]; shared != c.shared {
+			t.Errorf("%s: record shares the expected array: %v, want %v", c.name, shared, c.shared)
+		}
+		if !slices.Equal(expected, orig) {
+			t.Fatalf("%s: the expected events changed", c.name)
 		}
 	}
 }

@@ -17,6 +17,10 @@ type Recorder struct {
 	events eventStream // rec.Events until Record compacts it
 	begun  bool
 	seq    int64
+	// expect, while non-nil, is the array given to Expect, and the run's
+	// seq events so far equal its first seq; events stays empty until one
+	// differs.
+	expect []ChunkEvent
 }
 
 // eventStream is the one growth policy of a record's event array, shared by
@@ -128,18 +132,45 @@ func (r *Recorder) SetLoopSchedule(idx int, text string) {
 }
 
 // ReserveChunks pre-sizes the event stream for n upcoming Chunk calls, so
-// bulk merges (the registry feeding a whole run's worth of events, an exact
-// replay making the recorded calls again) fill one exact array in place.
-// Without a reservation the stream grows in blocks (eventStream).
+// a bulk merge (the rt registry feeding a whole run's worth of events, its
+// one caller) fills one exact array in place. Without a reservation the
+// stream grows in blocks (eventStream).
 func (r *Recorder) ReserveChunks(n int) {
 	r.events.events(n)
+}
+
+// Expect tells the recorder that the run will repeat evs, as an exact
+// replay of a record does. While the run's events equal evs's in every
+// field, Seq included, Chunk stores nothing; at the first one that differs
+// the recorder reserves len(evs) events, copies in the matched prefix and
+// records on as without Expect. Record returns evs itself when the run
+// matched all of it and made no other call, so the record then shares the
+// caller's array, and neither may be mutated. Expect must come before the
+// run's first Chunk; later it does nothing.
+func (r *Recorder) Expect(evs []ChunkEvent) {
+	if r.seq == 0 {
+		r.expect = evs
+	}
 }
 
 // Chunk appends one grant event, assigning its global sequence number.
 func (r *Recorder) Chunk(ev ChunkEvent) {
 	ev.Seq = r.seq
 	r.seq++
+	if r.expect != nil {
+		if ev.Seq < int64(len(r.expect)) && r.expect[ev.Seq] == ev {
+			return
+		}
+		r.unexpect(int(ev.Seq))
+	}
 	r.events.add(&ev)
+}
+
+// unexpect ends the match with the expected events: the first n, the ones
+// the run matched, go into a reservation of the expected length.
+func (r *Recorder) unexpect(n int) {
+	r.events.head = append(r.events.events(len(r.expect)), r.expect[:n]...)
+	r.expect = nil
 }
 
 // Phase appends one scheduler transition.
@@ -197,10 +228,18 @@ func (r *Recorder) EndRun(makespanNs int64) {
 }
 
 // Record returns the accumulated record, its event stream compacted into one
-// array. The recorder retains ownership; callers must not mutate it while
-// recording is still in progress, and events recorded after the call reach
-// the record at the next call.
+// array, or the array given to Expect when the run repeated it exactly. The
+// recorder retains ownership; callers must not mutate it while recording is
+// still in progress, and events recorded after the call reach the record at
+// the next call.
 func (r *Recorder) Record() *Record {
+	if r.expect != nil {
+		if r.seq == int64(len(r.expect)) {
+			r.rec.Events = r.expect
+			return &r.rec
+		}
+		r.unexpect(int(r.seq)) // the run made fewer calls than expected
+	}
 	r.rec.Events = r.events.events(0)
 	return &r.rec
 }
