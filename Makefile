@@ -35,9 +35,9 @@
 #                  the flight-recorder suite with aidstat's golden fixture,
 #                  aidserve's smoke run through both engines, and the two
 #                  exact gates on simulated numbers named below.
-#   make race-multiloop - the multi-tenant conformance, registry and team
-#                  race suite under -race -count=2, so flaky interleavings
-#                  surface in CI, not in production
+#   make race-multiloop - the multi-tenant conformance, registry, team and
+#                  capture/record race suite under -race -count=2, so flaky
+#                  interleavings surface in CI, not in production
 #   make fuzz    - every fuzz target of the tree's input codecs for 10 s each,
 #                  one worker, no test run first: the run-record
 #                  decoder (FuzzDecodeJSONL, whose in-place line readers are
@@ -101,7 +101,7 @@ race:
 	$(GO) test -count=1 ./...
 
 race-multiloop:
-	$(GO) test -race -count=2 -run 'MultiTenant|Registry|MultiLoop|Team' ./internal/core/ ./internal/rt/ ./internal/sim/
+	$(GO) test -race -count=2 -run 'MultiTenant|Registry|MultiLoop|Team|Capture|BuildRecord' ./internal/core/ ./internal/rt/ ./internal/sim/
 	$(GO) test -race -count=2 ./internal/fair/
 
 # -fuzzminimizetime 0s: minimizing a new input can stall a run at a few

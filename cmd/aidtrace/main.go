@@ -182,7 +182,7 @@ func runRecord(path, app, schedText, bindingText, platform, engine string) error
 			v float64
 			_ [56]byte
 		}, team.NThreads())
-		rec, _, err = team.RecordParallelFor(r.spec.Name, r.spec.NI, func(tid int, lo, hi int64) {
+		rec, err = team.RecordParallelFor(r.spec.Name, r.spec.NI, func(tid int, lo, hi int64) {
 			spin := int64(cost.RangeUnits(lo, hi) / 1000)
 			s := 0.0
 			for k := int64(0); k < spin; k++ {

@@ -76,7 +76,7 @@ func run(out io.Writer) error {
 			}
 		}
 	}()
-	statsOf := make([]rt.LoopStats, len(loops))
+	statsOf := make([]obs.Outcome, len(loops))
 	for i, l := range loops {
 		statsOf[i] = l.Wait()
 	}

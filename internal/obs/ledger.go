@@ -166,8 +166,8 @@ func (ln *Lane) event(asg core.Assign, now int64) trace.ChunkEvent {
 }
 
 // Outcome is what one loop execution reports, in the same terms in both
-// engines: rt.LoopStats and sim.LoopResult embed it, and the loop ledger's
-// Release fills every field but Start.
+// engines: an rt.Loop's Wait returns it, sim.LoopResult embeds it, and the
+// loop ledger's Release fills every field but Start.
 //
 // Start and End bound the loop on the engine's clock: Start is the engine's
 // (a team's fork, a fleet loop's admission, a runtime loop's submission),

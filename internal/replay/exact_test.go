@@ -78,7 +78,7 @@ func TestExactReplayIsTheRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer team.Close()
-		captured, _, err := team.RecordParallelFor("rt-loop", 512, func(int, int64, int64) { runtime.Gosched() })
+		captured, err := team.RecordParallelFor("rt-loop", 512, func(int, int64, int64) { runtime.Gosched() })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,7 +32,7 @@
 //
 //	team, _ := rt.NewTeam(rt.TeamConfig{Schedule: core.Schedule{Kind: core.KindDynamic}})
 //	defer team.Close()
-//	rec, _, _ := team.RecordParallelFor("ingest", 1<<20, body)
+//	rec, _ := team.RecordParallelFor("ingest", 1<<20, body)
 //
 //	// Persist / reload (e.g. ship the JSONL from production to a dev box).
 //	var buf bytes.Buffer

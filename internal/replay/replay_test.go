@@ -322,7 +322,7 @@ func TestWhatIfFromRTRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer team.Close()
-	rec, _, err := team.RecordParallelFor("rt-loop", 4096, func(_ int, lo, hi int64) {
+	rec, err := team.RecordParallelFor("rt-loop", 4096, func(_ int, lo, hi int64) {
 		runtime.Gosched()
 	})
 	if err != nil {

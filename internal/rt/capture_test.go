@@ -2,7 +2,9 @@ package rt
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -33,9 +35,19 @@ func coverageFromEvents(t *testing.T, evs []trace.ChunkEvent, n int64) int {
 	return retires
 }
 
-// TestTeamParallelForCapturesTimeline is the satellite check: the real
-// executor now produces a trace.Trace timeline, where before only the
-// simulator did.
+// stateNs sums thread tid's time in state s on the record's timeline.
+func stateNs(rec *trace.Record, tid int, s trace.State) int64 {
+	var ns int64
+	for _, iv := range rec.Timeline {
+		if iv.Tid == tid && iv.State == s {
+			ns += iv.EndNs - iv.StartNs
+		}
+	}
+	return ns
+}
+
+// TestTeamParallelForCapturesTimeline: a recorded team loop's record carries
+// the real executor's timeline, its chunk events and its phase transitions.
 func TestTeamParallelForCapturesTimeline(t *testing.T) {
 	team := newTestTeam(t, TeamConfig{NThreads: 4, Schedule: core.Schedule{Kind: core.KindAIDStatic}})
 	// The body yields after each chunk: with a no-op body on GOMAXPROCS=1
@@ -44,7 +56,7 @@ func TestTeamParallelForCapturesTimeline(t *testing.T) {
 	// capture. Cooperative rotation guarantees every worker participates.
 	const n = 20000
 	var ran atomic.Int64
-	_, stats, err := team.RecordParallelFor("capture", n, func(_ int, lo, hi int64) {
+	rec, err := team.RecordParallelFor("capture", n, func(_ int, lo, hi int64) {
 		ran.Add(hi - lo)
 		runtime.Gosched()
 	})
@@ -54,61 +66,65 @@ func TestTeamParallelForCapturesTimeline(t *testing.T) {
 	if ran.Load() != n {
 		t.Fatalf("ran %d iterations, want %d", ran.Load(), n)
 	}
-	if stats.Trace == nil {
+	if len(rec.Timeline) == 0 {
 		t.Fatal("capture produced no timeline")
 	}
-	if got := stats.Trace.NThreads(); got != 4 {
-		t.Fatalf("timeline has %d threads, want 4", got)
+	if rec.NThreads != 4 {
+		t.Fatalf("record has %d threads, want 4", rec.NThreads)
 	}
 	totalRun := int64(0)
 	for tid := 0; tid < 4; tid++ {
-		totalRun += stats.Trace.TimeIn(tid, trace.Running)
-		if stats.Trace.TimeIn(tid, trace.Sched) <= 0 {
+		totalRun += stateNs(rec, tid, trace.Running)
+		if stateNs(rec, tid, trace.Sched) <= 0 {
 			t.Errorf("thread %d recorded no Sched time", tid)
 		}
 	}
 	if totalRun <= 0 {
 		t.Error("timeline recorded no Running time")
 	}
-	if stats.End <= stats.Start {
-		t.Errorf("loop bounds [%d,%d] not increasing", stats.Start, stats.End)
+	if rec.MakespanNs <= 0 {
+		t.Errorf("record makespan %d not positive", rec.MakespanNs)
 	}
-	if retires := coverageFromEvents(t, stats.Events, n); retires != 4 {
+	if retires := coverageFromEvents(t, rec.Events, n); retires != 4 {
 		t.Errorf("%d retire events, want one per worker", retires)
 	}
 	// AID-static publishes exactly one SF transition.
 	found := false
-	for _, p := range stats.Phases {
+	for _, p := range rec.Phases {
 		if p.Kind == "sf-published" && len(p.SF) == 2 {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no sf-published phase captured: %+v", stats.Phases)
+		t.Errorf("no sf-published phase captured: %+v", rec.Phases)
 	}
-	// Events must be time-ordered with per-worker sequence preserved.
-	perTid := map[int32]int64{}
-	for i, ev := range stats.Events {
-		if i > 0 && ev.TimeNs < stats.Events[i-1].TimeNs {
+	// Events must be time-ordered (TestRegistryBuildRecordMultiLoop checks
+	// each worker's grant order against its tape).
+	for i, ev := range rec.Events {
+		if i > 0 && ev.TimeNs < rec.Events[i-1].TimeNs {
 			t.Fatalf("event %d out of time order", i)
 		}
-		if last, ok := perTid[ev.Tid]; ok && ev.Seq <= last {
-			t.Fatalf("worker %d capture sequence not increasing", ev.Tid)
-		}
-		perTid[ev.Tid] = ev.Seq
 	}
 }
 
-// TestTeamCaptureOffByDefault: a loop that is not recorded must not pay for
-// tapes, and its stats carry no timeline.
+// TestTeamCaptureOffByDefault: a loop that is not recorded pays for no
+// tapes, and the team builds no record of it.
 func TestTeamCaptureOffByDefault(t *testing.T) {
 	team := newTestTeam(t, TeamConfig{NThreads: 2})
-	stats, _, err := team.run("parallel-for", 100, func(_ int, _, _ int64) {}, false)
+	_, rec, err := team.run("parallel-for", 100, func(_ int, _, _ int64) {}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Trace != nil || stats.Events != nil || stats.Phases != nil {
-		t.Error("capture fields populated without Capture")
+	if rec != nil {
+		t.Error("a record was built for a loop run without capture")
+	}
+	l, err := team.reg.Submit(LoopRequest{N: 100, Body: func(_ int, _, _ int64) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Wait()
+	if l.capture != nil {
+		t.Error("a loop submitted without Capture has tapes")
 	}
 }
 
@@ -166,6 +182,26 @@ func TestRegistryBuildRecordMultiLoop(t *testing.T) {
 	}
 	coverageFromEvents(t, ev0, n0)
 	coverageFromEvents(t, ev1, n1)
+	// Each worker's events of each loop keep the order of its tape: the
+	// grant order replay depends on.
+	for li, l := range []*Loop{l0, l1} {
+		for tid, tp := range l.capture {
+			var got []trace.ChunkEvent
+			for _, ev := range rec.Events {
+				if ev.Loop == int32(li) && ev.Tid == int32(tid) {
+					got = append(got, ev)
+				}
+			}
+			if len(got) != len(tp.events) {
+				t.Fatalf("loop %d worker %d: %d events in the record, %d on its tape", li, tid, len(got), len(tp.events))
+			}
+			for k, ev := range got {
+				if w := tp.events[k]; ev.Lo != w.Lo || ev.Hi != w.Hi || ev.Retire != w.Retire || ev.TimeNs != w.TimeNs {
+					t.Fatalf("loop %d worker %d: record event %d is %+v, tape has %+v", li, tid, k, ev, w)
+				}
+			}
+		}
+	}
 	var buf bytes.Buffer
 	if err := trace.EncodeJSONL(&buf, rec); err != nil {
 		t.Fatalf("record does not encode: %v", err)
@@ -175,8 +211,117 @@ func TestRegistryBuildRecordMultiLoop(t *testing.T) {
 	}
 }
 
-// TestCaptureBudgetBounded pins the sampling recorder's contract: a
-// captured loop submitted with an event budget never publishes more than
+// budgetedPair submits two captured loops with different event budgets at
+// once, their bodies yielding so that the workers' grants interleave, and
+// waits for both.
+func budgetedPair(t *testing.T, reg *Registry) []*Loop {
+	t.Helper()
+	var loops []*Loop
+	for i, budget := range []int{24, 40} {
+		l, err := reg.Submit(LoopRequest{Name: "budgeted", N: 6000, Capture: true, CaptureMaxEvents: budget,
+			Schedule: core.Schedule{Kind: []core.Kind{core.KindDynamic, core.KindAIDDynamic}[i], Chunk: 1, Major: 5},
+			Body:     func(_ int, _, _ int64) { runtime.Gosched() }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loops = append(loops, l)
+	}
+	for _, l := range loops {
+		l.Wait()
+	}
+	return loops
+}
+
+// tapeEvents is every event on a loop's tapes, in the engines' event order.
+func tapeEvents(l *Loop) []trace.ChunkEvent {
+	var evs []trace.ChunkEvent
+	for _, tp := range l.capture {
+		evs = append(evs, tp.events...)
+	}
+	slices.SortFunc(evs, eventOrder)
+	return evs
+}
+
+// TestBuildRecordBudgetPerLoop: a record of several loops reduces each to its
+// own CaptureMaxEvents. It holds that many of the loop's events, or all of
+// them once compacted when they are fewer, and they still begin with the
+// loop's first event (its thread, time and first iteration; compaction may
+// extend its range) and end with its last, the final retirement.
+func TestBuildRecordBudgetPerLoop(t *testing.T) {
+	reg, err := NewRegistry(RegistryConfig{NThreads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	loops := budgetedPair(t, reg)
+	rec, err := reg.BuildRecord(loops...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, l := range loops {
+		var kept []trace.ChunkEvent
+		for _, ev := range rec.Events {
+			if ev.Loop == int32(li) {
+				kept = append(kept, ev)
+			}
+		}
+		raw := tapeEvents(l)
+		if len(raw) <= l.captureMax {
+			t.Fatalf("loop %d: %d captured events, the budget %d binds nothing", li, len(raw), l.captureMax)
+		}
+		if want := min(len(trace.CompactEvents(raw)), l.captureMax); len(kept) != want {
+			t.Fatalf("loop %d: the record holds %d of its events, want %d (budget %d)", li, len(kept), want, l.captureMax)
+		}
+		if h, first := kept[0], raw[0]; h.TimeNs != first.TimeNs || h.Tid != first.Tid || h.Lo != first.Lo {
+			t.Errorf("loop %d: head not kept: record starts with %+v, tapes with %+v", li, h, first)
+		}
+		if tl, last := kept[len(kept)-1], raw[len(raw)-1]; !last.Retire || !tl.Retire || tl.TimeNs != last.TimeNs || tl.Tid != last.Tid {
+			t.Errorf("loop %d: tail not kept: record ends with %+v, tapes with %+v", li, tl, last)
+		}
+		t.Logf("loop %d: %d events captured, %d in the record (budget %d)", li, len(raw), len(kept), l.captureMax)
+	}
+}
+
+// TestBuildRecordLeavesTapes: BuildRecord reads the tapes and writes none
+// of them (no compaction, trim, loop index or cost lands on a tape), so a
+// second record of the same loops equals the first.
+func TestBuildRecordLeavesTapes(t *testing.T) {
+	reg, err := NewRegistry(RegistryConfig{NThreads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	loops := budgetedPair(t, reg)
+	var before [][]trace.ChunkEvent
+	for _, l := range loops {
+		for _, tp := range l.capture {
+			before = append(before, slices.Clone(tp.events))
+		}
+	}
+	first, err := reg.BuildRecord(loops...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := reg.BuildRecord(loops...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Error("two records of the same loops differ")
+	}
+	k := 0
+	for li, l := range loops {
+		for tid, tp := range l.capture {
+			if !slices.Equal(tp.events, before[k]) {
+				t.Errorf("loop %d worker %d: building a record changed the tape", li, tid)
+			}
+			k++
+		}
+	}
+}
+
+// TestCaptureBudgetBounded pins the sampling recorder's contract: the record
+// of a captured loop submitted with an event budget never holds more than
 // CaptureMaxEvents events, head and tail are retained, and compaction
 // preserves the iteration total while (with a fine chunk) reducing the
 // event count.
@@ -196,20 +341,24 @@ func TestCaptureBudgetBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := l.Wait()
-	if len(st.Events) > budget {
-		t.Fatalf("budgeted capture published %d events, budget %d", len(st.Events), budget)
+	rec, err := reg.BuildRecord(l)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(st.Events) == 0 {
-		t.Fatal("budgeted capture published no events")
+	if len(rec.Events) > budget {
+		t.Fatalf("budgeted record holds %d events, budget %d", len(rec.Events), budget)
+	}
+	if len(rec.Events) == 0 {
+		t.Fatal("budgeted record holds no events")
 	}
 	// Head retention: the stream still starts in the loop's opening region
 	// (dynamic grants ranges in claim order, so early events carry low Lo);
 	// tail retention: it still ends in the barrier-convergence region (a
 	// retirement or a grant from the top of the range).
-	if first := st.Events[0]; first.Lo >= n/2 {
+	if first := rec.Events[0]; first.Lo >= n/2 {
 		t.Errorf("head not retained: first event %+v", first)
 	}
-	last := st.Events[len(st.Events)-1]
+	last := rec.Events[len(rec.Events)-1]
 	if !last.Retire && last.Hi <= n/2 {
 		t.Errorf("tail not retained: last event %+v", last)
 	}
@@ -244,15 +393,19 @@ func TestCaptureCompactionPreservesCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := l.Wait()
-	retires := coverageFromEvents(t, st.Events, n)
+	l.Wait()
+	rec, err := reg.BuildRecord(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retires := coverageFromEvents(t, rec.Events, n)
 	if retires != 4 {
 		t.Errorf("%d retire events, want one per worker", retires)
 	}
 	// static,4 hands each worker a long run of contiguous chunks;
 	// compaction must collapse them well below one event per chunk.
-	if max := n/4 + 8; len(st.Events) >= max {
-		t.Errorf("compaction kept %d events for %d chunk grants", len(st.Events), n/4)
+	if max := n/4 + 8; len(rec.Events) >= max {
+		t.Errorf("compaction kept %d events for %d chunk grants", len(rec.Events), n/4)
 	}
 }
 

@@ -92,7 +92,7 @@ func TestCrossEngineEquivalence(t *testing.T) {
 		}
 	}
 	checkOutcome(t, "sim", simRes.Outcome, pl, nthreads, ni)
-	checkOutcome(t, "rt", rtRes.Outcome, pl, nthreads, ni)
+	checkOutcome(t, "rt", rtRes, pl, nthreads, ni)
 	if simRes.SchedulerName != rtRes.SchedulerName {
 		t.Errorf("scheduler name differs across engines: %q vs %q", simRes.SchedulerName, rtRes.SchedulerName)
 	}
@@ -180,7 +180,7 @@ func TestCrossEngineCoverageAllSchedules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkOutcome(t, "rt", rtRes.Outcome, pl, team.NThreads(), ni)
+			checkOutcome(t, "rt", rtRes, pl, team.NThreads(), ni)
 			for i := range covered {
 				if c := covered[i].Load(); c != 1 {
 					t.Fatalf("iteration %d covered %d times", i, c)
@@ -250,7 +250,7 @@ func TestGrantExecIsRunningTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	team := newTestTeam(t, TeamConfig{Platform: pl, NThreads: 4, Schedule: sched})
-	rtRec, _, err := team.RecordParallelFor("spin", 20000, func(_ int, lo, hi int64) { spinWork(int(hi - lo)) })
+	rtRec, err := team.RecordParallelFor("spin", 20000, func(_ int, lo, hi int64) { spinWork(int(hi - lo)) })
 	if err != nil {
 		t.Fatal(err)
 	}

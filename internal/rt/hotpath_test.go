@@ -62,8 +62,13 @@ func TestRegistryThrottleFidelity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.Wait()
+	rec, err := reg.BuildRecord(l)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var execNs [2][]float64
-	for _, ev := range l.Wait().Events {
+	for _, ev := range rec.Events {
 		if !ev.Retire {
 			execNs[ev.Tid] = append(execNs[ev.Tid], float64(ev.ExecNs))
 		}

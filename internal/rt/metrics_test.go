@@ -97,21 +97,30 @@ func TestRegistryMetricsTileCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := l.Wait()
-	if len(st.Events) < 100 {
-		t.Fatalf("captured %d events, want a multi-chunk loop", len(st.Events))
+	rec, err := reg.BuildRecord(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Events) < 100 {
+		t.Fatalf("captured %d events, want a multi-chunk loop", len(rec.Events))
 	}
 	for tid := 0; tid < reg.NThreads(); tid++ {
-		ivs := st.Trace.Intervals(tid)
+		var ivs []trace.IntervalRecord
+		for _, iv := range rec.Timeline {
+			if iv.Tid == tid {
+				ivs = append(ivs, iv)
+			}
+		}
 		for k := 0; k+1 < len(ivs); k++ {
-			if ivs[k].End != ivs[k+1].Start {
+			if ivs[k].EndNs != ivs[k+1].StartNs {
 				t.Fatalf("worker %d: gap between interval %d %+v and %d %+v", tid, k, ivs[k], k+1, ivs[k+1])
 			}
 		}
 		w := st.Metrics.Workers[tid]
-		if tape := st.Trace.TimeIn(tid, trace.Sched) + st.Trace.TimeIn(tid, trace.Running); w.SchedNs+w.BusyNs != tape {
+		if tape := stateNs(rec, tid, trace.Sched) + stateNs(rec, tid, trace.Running); w.SchedNs+w.BusyNs != tape {
 			t.Errorf("worker %d: SchedNs %d + BusyNs %d != %d ns of Sched+Running intervals", tid, w.SchedNs, w.BusyNs, tape)
 		}
-		if sync := st.Trace.TimeIn(tid, trace.Sync); w.IdleNs != sync {
+		if sync := stateNs(rec, tid, trace.Sync); w.IdleNs != sync {
 			t.Errorf("worker %d: IdleNs %d != %d ns of Sync intervals", tid, w.IdleNs, sync)
 		}
 	}

@@ -148,7 +148,7 @@ type RegistryConfig struct {
 	// is stateful and must not be shared between registries.
 	Policy fair.Policy
 	// Metrics enables the always-on runtime counters (internal/obs): each
-	// loop gets per-worker counter cells surfaced via LoopStats.Metrics,
+	// loop gets per-worker counter cells surfaced via Outcome.Metrics,
 	// and Registry.MetricsSnapshot serves the live fleet-wide view. The
 	// hot path stays allocation free with metrics on (gated by
 	// TestRegistryMetricsSteadyStateAllocs). Busy and sched time need both
@@ -273,19 +273,18 @@ type LoopRequest struct {
 	// Capture records the loop's real execution: wall-clock per-worker
 	// timelines, every chunk grant, and the scheduler's phase transitions.
 	// Workers append to private per-worker tapes (the lock-free hot path
-	// stays lock free) which are merged when the loop's barrier releases;
-	// the result lands in LoopStats.Trace/Events/Phases and feeds
-	// Registry.BuildRecord.
+	// stays lock free), which Registry.BuildRecord merges into a run
+	// record once the loop's barrier has released.
 	Capture bool
-	// CaptureMaxEvents, with Capture, bounds the loop's merged event
-	// stream — the sampling recorder's reductions. A positive budget first
-	// merges adjacent contiguous grants to the same worker
-	// (trace.CompactEvents), which keeps every total (iterations, pool
-	// accesses, execution time) and coarsens only grant granularity; then,
-	// when the compacted stream still exceeds the budget, the first and the
-	// last CaptureMaxEvents/2 events are retained and the middle is dropped
-	// (trace.TrimToBudget), so the budget bounds what a record actually
-	// stores. 0 means unbounded and uncompacted.
+	// CaptureMaxEvents, with Capture, bounds the loop's events in a record
+	// — the sampling recorder's reductions. A positive budget first merges
+	// adjacent contiguous grants to the same worker (trace.CompactEvents),
+	// which keeps every total (iterations, pool accesses, execution time)
+	// and coarsens only grant granularity; then, when the compacted stream
+	// still exceeds the budget, the first and the last CaptureMaxEvents/2
+	// events are retained and the middle is dropped (trace.TrimToBudget).
+	// The tapes keep every event; the budget bounds what a record built
+	// from them holds. 0 means unbounded and uncompacted.
 	CaptureMaxEvents int
 }
 
@@ -322,13 +321,13 @@ type Loop struct {
 	// capture is non-nil when the loop records its execution: the sink of
 	// its ledger, whose tape tid is appended only by worker tid.
 	capture tapes
-	// captureMax is the sampled-capture budget applied when the tapes
-	// merge (see LoopRequest.CaptureMaxEvents).
+	// captureMax is the sampled-capture budget BuildRecord applies to the
+	// loop's events (see LoopRequest.CaptureMaxEvents).
 	captureMax int
 
 	submitted time.Time
 	latency   time.Duration
-	stats     LoopStats
+	stats     obs.Outcome
 	done      chan struct{}
 }
 
@@ -342,8 +341,9 @@ func (l *Loop) Weight() int { return l.weight }
 func (l *Loop) Done() <-chan struct{} { return l.done }
 
 // Wait blocks until the loop's barrier releases and returns the loop's
-// execution statistics.
-func (l *Loop) Wait() LoopStats {
+// outcome. Its Start is the submission on the fleet's monotonic clock, and
+// its Metrics exist only on registries built with RegistryConfig.Metrics.
+func (l *Loop) Wait() obs.Outcome {
 	<-l.done
 	return l.stats
 }
@@ -405,20 +405,23 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 		tl, evs = l.capture, l.capture
 		l.stats.Start = r.now()
 		l.captureMax = req.CaptureMaxEvents
-		// Pre-size the tapes from the schedule's chunk geometry so the
+		// Pre-size the tapes from the schedule's chunk geometry — an
+		// event and two intervals (sched + running) per grant — so the
 		// capturing hot path appends into reserved space instead of
 		// growing its buffers mid-run.
 		est := tapeEstimate(req.N, req.Schedule.Chunk, r.nthreads)
 		for tid := range l.capture {
-			l.capture[tid].Reserve(est)
+			tp := &l.capture[tid]
+			tp.events = make([]trace.ChunkEvent, 0, est)
+			tp.intervals = make([]trace.Interval, 0, 2*est+1)
 		}
 		if po, ok := l.sched.(core.PhaseObservable); ok {
 			// The observer runs on the transition-owning worker and appends
 			// to that worker's private tape, so the capture path inherits
 			// the schedulers' lock freedom.
 			po.SetPhaseObserver(func(ev core.PhaseEvent) {
-				tp := &l.capture[ev.Tid].WorkerTape
-				tp.Phases = append(tp.Phases, trace.PhaseEvent{TimeNs: ev.TimeNs,
+				tp := &l.capture[ev.Tid]
+				tp.phases = append(tp.phases, trace.PhaseEvent{TimeNs: ev.TimeNs,
 					Tid: ev.Tid, Epoch: ev.Epoch, Kind: ev.Kind, SF: ev.SF})
 			})
 		}
@@ -510,13 +513,17 @@ func (r *Registry) recycle(l *Loop) {
 }
 
 // BuildRecord assembles a serializable run record from completed captured
-// loops — the real-engine analog of the simulator's native recording. All
-// loops must have been submitted to this registry with Capture set and have
-// released their barriers. Events are merged into global time order (per-
-// worker capture order breaks timestamp ties) and each event's abstract
-// work units are derived from its measured wall time and the platform speed
-// model, so internal/replay can re-execute and what-if the run in virtual
-// time.
+// loops — the real-engine analog of the simulator's native recording, and
+// the one merge of their tapes. All loops must have been submitted to this
+// registry with Capture set and have released their barriers. Each loop's
+// events are put in the engines' event order (per-worker capture order
+// breaks timestamp ties) and reduced to its CaptureMaxEvents, then all are
+// merged into global time order, and each event's abstract work units are
+// derived from its measured wall time and the platform speed model, so
+// internal/replay can re-execute and what-if the run in virtual time. A
+// record of one loop carries its timeline. The tapes are read, never
+// modified, so records built from the same loops are equal; none is built
+// under the registry lock.
 func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 	if len(loops) == 0 {
 		return nil, fmt.Errorf("rt: no loops to record")
@@ -568,8 +575,10 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 	}
 	var nev, nph int
 	for _, l := range loops {
-		nev += len(l.stats.Events)
-		nph += len(l.stats.Phases)
+		for tid := range l.capture {
+			nev += len(l.capture[tid].events)
+			nph += len(l.capture[tid].phases)
+		}
 	}
 	evs := make([]trace.ChunkEvent, 0, nev)
 	phs := make([]trace.PhaseEvent, 0, nph)
@@ -582,16 +591,29 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 			Schedule:  l.schedule.Canonical(),
 			Profile:   r.profile,
 		})
-		for _, ev := range l.stats.Events {
+		// Seq is still the per-worker capture sequence here, the tie-break
+		// of eventOrder; the Recorder assigns the global one. Compaction
+		// needs the loop's events in that order, and the budget is the
+		// loop's own.
+		from := len(evs)
+		for tid := range l.capture {
+			evs = append(evs, l.capture[tid].events...)
+			for _, p := range l.capture[tid].phases {
+				p.Loop = idx
+				phs = append(phs, p)
+			}
+		}
+		slices.SortFunc(evs[from:], eventOrder)
+		if l.captureMax > 0 {
+			kept := trace.TrimToBudget(trace.CompactEvents(evs[from:]), l.captureMax, l.captureMax/2)
+			evs = append(evs[:from], kept...)
+		}
+		for i := from; i < len(evs); i++ {
+			ev := &evs[i]
 			ev.Loop = int32(idx)
 			if !ev.Retire {
 				ev.Cost = float64(ev.ExecNs) * speed[ev.Tid]
 			}
-			evs = append(evs, ev)
-		}
-		for _, p := range l.stats.Phases {
-			p.Loop = idx
-			phs = append(phs, p)
 		}
 	}
 	slices.SortFunc(evs, eventOrder)
@@ -599,8 +621,8 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 	for _, ev := range evs {
 		rec.Chunk(ev)
 	}
-	// Per-loop phase streams are already sorted; interleave them
-	// chronologically across loops (stable, to preserve each stream).
+	// Each worker's transitions are in its own order; interleave them
+	// chronologically (stable, to keep that order on a tie).
 	slices.SortStableFunc(phs, phaseOrder)
 	for _, p := range phs {
 		rec.Phase(p)
@@ -614,7 +636,13 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 		}
 	}
 	if len(loops) == 1 {
-		rec.AttachTimeline(loops[0].stats.Trace)
+		tr := trace.New(r.nthreads)
+		for tid, tp := range loops[0].capture {
+			for _, iv := range tp.intervals {
+				tr.Add(tid, iv.Start, iv.End, iv.State)
+			}
+		}
+		rec.AttachTimeline(tr)
 	}
 	rec.EndRun(endNs - startNs)
 	return rec.Record(), nil
@@ -631,22 +659,30 @@ func (r *Registry) Close() {
 	r.wg.Wait()
 }
 
-// tapes is a captured loop's per-worker tapes, the timeline and the events
-// of its ledger: the lane of worker tid appends to tape tid only. The pad
-// keeps neighbouring workers' tape headers off each other's cache lines.
-type tapes []struct {
-	trace.WorkerTape
-	_ [64]byte
+// tape is one worker's append-only capture of one loop. Only the owning
+// worker appends, so the loop hot path needs no synchronization; the
+// barrier release publishes the tape (through Loop.done) to BuildRecord,
+// which alone reads it. The pad keeps neighbouring workers' tape headers
+// off each other's cache lines.
+type tape struct {
+	events    []trace.ChunkEvent
+	phases    []trace.PhaseEvent
+	intervals []trace.Interval
+	_         [64]byte
 }
+
+// tapes is a captured loop's per-worker tapes, the timeline and the events
+// of its ledger: the lane of worker tid appends to tape tid only.
+type tapes []tape
 
 func (t tapes) Add(tid int, start, end int64, s trace.State) {
 	tp := &t[tid]
-	tp.Intervals = append(tp.Intervals, trace.Interval{Start: start, End: end, State: s})
+	tp.intervals = append(tp.intervals, trace.Interval{Start: start, End: end, State: s})
 }
 
 func (t tapes) Chunk(ev trace.ChunkEvent) {
 	tp := &t[ev.Tid]
-	tp.Events = append(tp.Events, ev)
+	tp.events = append(tp.events, ev)
 }
 
 // tapeEstimate guesses how many chunk grants one worker will capture for a
@@ -791,15 +827,12 @@ func (r *Registry) retire(l *Loop, tid int) {
 	}
 	r.slots[l.slot] = nil
 	l.latency = time.Since(l.submitted)
-	l.ledger.Release(0, l.sched, &l.stats.Outcome)
+	l.ledger.Release(0, l.sched, &l.stats)
 	if l.metrics == nil && l.capture == nil {
 		l.stats.End = 0 // its retirement stamps are stale (obs.Outcome)
 	}
 	if snap := l.stats.Metrics; snap != nil {
 		r.retiredAgg = r.retiredAgg.Add(*snap)
-	}
-	if l.capture != nil {
-		l.mergeCapture()
 	}
 	r.recycle(l)
 	close(l.done)
@@ -832,45 +865,6 @@ func (r *Registry) MetricsSnapshot() obs.Snapshot {
 // MetricsEnabled reports whether the registry was built with Metrics.
 func (r *Registry) MetricsEnabled() bool { return r.metrics != nil }
 
-// mergeCapture folds the per-worker tapes into the loop's stats once the
-// barrier has released (runs under the registry lock, after every worker's
-// retirement published its tape and the ledger's Release appended a team's
-// Sync intervals).
-func (l *Loop) mergeCapture() {
-	var nev, nph int
-	for tid := range l.capture {
-		nev += len(l.capture[tid].Events)
-		nph += len(l.capture[tid].Phases)
-	}
-	tr := trace.New(len(l.capture))
-	evs := make([]trace.ChunkEvent, 0, nev)
-	phs := make([]trace.PhaseEvent, 0, nph)
-	for tid := range l.capture {
-		tp := &l.capture[tid].WorkerTape
-		for _, iv := range tp.Intervals {
-			tr.Add(tid, iv.Start, iv.End, iv.State)
-		}
-		evs = append(evs, tp.Events...)
-		phs = append(phs, tp.Phases...)
-	}
-	// Seq keeps the per-worker capture sequence (NOT reassigned here): it
-	// is the tie-break token BuildRecord needs when merging several loops'
-	// events whose wall-clock stamps collide; the Recorder assigns the
-	// global sequence when a record is built.
-	slices.SortFunc(evs, eventOrder)
-	// The sampled-capture reductions run here, after the merge sort and
-	// before publication: compaction needs the engines' event order, and
-	// the budget must bound what the loop's stats (and any record built
-	// from them) actually retain.
-	if l.captureMax > 0 {
-		evs = trace.TrimToBudget(trace.CompactEvents(evs), l.captureMax, l.captureMax/2)
-	}
-	slices.SortFunc(phs, phaseOrder)
-	l.stats.Trace = tr
-	l.stats.Events = evs
-	l.stats.Phases = phs
-}
-
 // eventOrder orders captured events chronologically; timestamp ties break by
 // thread, then by the per-worker capture sequence (the ground truth for one
 // worker's grant order, which replay depends on).
@@ -885,8 +879,7 @@ func eventOrder(a, b trace.ChunkEvent) int {
 }
 
 // phaseOrder orders phase transitions chronologically, thread as the
-// tie-break (per-loop streams are already internally ordered, so stable
-// merges across loops preserve each stream).
+// tie-break.
 func phaseOrder(a, b trace.PhaseEvent) int {
 	if a.TimeNs != b.TimeNs {
 		return cmp.Compare(a.TimeNs, b.TimeNs)

@@ -135,7 +135,7 @@ func TestParallelForEmptyLoop(t *testing.T) {
 func TestTeamNilBody(t *testing.T) {
 	team := newTestTeam(t, TeamConfig{NThreads: 2})
 	for _, n := range []int64{0, 100} {
-		_, _, recErr := team.RecordParallelFor("nil", n, nil)
+		_, recErr := team.RecordParallelFor("nil", n, nil)
 		for name, err := range map[string]error{
 			"ParallelFor":        team.ParallelFor(n, nil),
 			"ParallelForChunked": team.ParallelForChunked(n, nil),

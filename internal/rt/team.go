@@ -97,49 +97,28 @@ func (t *Team) ParallelForChunked(n int64, body func(lo, hi int64)) error {
 	return err
 }
 
-// LoopStats reports one real-goroutine loop execution: the outcome both
-// engines report (obs.Outcome), so the cross-engine conformance harness can
-// compare them on identical workloads, plus the loop's capture. Its Start
-// is the submission on the fleet's monotonic clock, and its Metrics exist
-// only on registries built with RegistryConfig.Metrics.
-type LoopStats struct {
-	obs.Outcome
-
-	// The fields below are populated only for loops submitted with
-	// LoopRequest.Capture (or recorded by Team.RecordParallelFor).
-
-	// Trace is the merged per-worker wall-clock timeline: Sched for time
-	// inside the scheduler, Running for chunk execution (including the
-	// small-core throttle), and on a Team, whose loop owns its fleet, Sync
-	// for the wait between a worker's retirement and the barrier release
-	// (obs.Ledger). A registry loop's timeline ends at each retirement.
-	Trace *trace.Trace
-	// Events is the loop's chunk-grant stream in wall-clock order; Seq
-	// holds each event's per-worker capture sequence (the tie-break token
-	// Registry.BuildRecord uses when interleaving several loops).
-	Events []trace.ChunkEvent
-	// Phases is the scheduler's transition stream (AID methods only).
-	Phases []trace.PhaseEvent
-}
+// LoopStats is the outcome of a real-goroutine loop, obs.Outcome, under the
+// name the repository benchmark uses.
+type LoopStats = obs.Outcome
 
 // RecordParallelFor executes body(tid, lo, hi) for every scheduled chunk,
 // the tid being the worker's team-local thread ID, with capture on, and
 // assembles the serializable run record — the real-engine entry point of the
 // record & replay subsystem. The record can be written with
 // trace.EncodeJSONL and re-executed (exact or what-if) by internal/replay.
-func (t *Team) RecordParallelFor(name string, n int64, body func(tid int, lo, hi int64)) (*trace.Record, LoopStats, error) {
-	stats, rec, err := t.run(name, n, body, true)
-	return rec, stats, err
+func (t *Team) RecordParallelFor(name string, n int64, body func(tid int, lo, hi int64)) (*trace.Record, error) {
+	_, rec, err := t.run(name, n, body, true)
+	return rec, err
 }
 
 // run submits one loop to the team's registry, waits on its barrier and,
 // with record, captures the loop and builds its run record.
-func (t *Team) run(name string, n int64, body func(tid int, lo, hi int64), record bool) (LoopStats, *trace.Record, error) {
+func (t *Team) run(name string, n int64, body func(tid int, lo, hi int64), record bool) (obs.Outcome, *trace.Record, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	l, err := t.reg.Submit(LoopRequest{Name: name, N: n, Schedule: t.schedule, Body: body, Capture: record})
 	if err != nil {
-		return LoopStats{}, nil, err
+		return obs.Outcome{}, nil, err
 	}
 	stats := l.Wait()
 	if !record {

@@ -101,8 +101,9 @@ type rule struct {
 }
 
 // retired are the names of the retired sf-aware policy, the live SF view a
-// policy once read, and the retired AID-auto schedule.
-var retired = regexp.MustCompile(`sf-aware|SFAware|SFLiveView|LiveSF|AIDAuto|aid-auto|AID-auto`)
+// policy once read, the SF trajectory a simulated loop's result once carried,
+// and the retired AID-auto schedule.
+var retired = regexp.MustCompile(`sf-aware|SFAware|SFLiveView|LiveSF|SFTrajectory|SFPoint|AIDAuto|aid-auto|AID-auto`)
 
 var rules = []rule{{
 	name: "the engines build no chunk event and name no obs.Batch",
@@ -340,9 +341,10 @@ var rules = []rule{{
 		`package p; import . "repro/internal/rt"; import "repro/internal/core"; var s core.Schedule`,
 	},
 }, {
-	name: "no retired policy, live SF view or AID-auto schedule is named",
-	reason: "a fairness policy sees a loop's ID and weight only, and the AID-auto " +
-		"schedule is retired: neither is named anywhere, help text and comments included",
+	name: "no retired policy, live SF view, SF trajectory result or AID-auto schedule is named",
+	reason: "a fairness policy sees a loop's ID and weight only, a run's SF trajectory lives " +
+		"in its trace.Record only, and the AID-auto schedule is retired: none is named " +
+		"anywhere, help text and comments included",
 	reads: func(s source, _ graph) bool { return !s.test },
 	check: func(f *ast.File, report func(ast.Node, string)) {
 		for _, g := range f.Comments {
@@ -373,6 +375,9 @@ var rules = []rule{{
 		`package p; // AID-auto picks a schedule per loop
 		var x int`,
 		`package p; type v interface{ LiveSF() float64 }`,
+		`package p; type LoopResult struct{ SFTrajectory []SFPoint }`,
+		`package p; // the result's SFTrajectory lists each SF table
+		var x int`,
 	},
 	good: []string{
 		`package p; var help = "-policy wrr|fcfs" // sf aware, aid auto`,

@@ -194,31 +194,19 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		*res = LoopResult{
 			Outcome:        obs.Outcome{Start: arrive[li], Iters: res.Iters[:0]},
 			Finish:         sized(res.Finish, nt),
-			SFTrajectory:   res.SFTrajectory[:0],
 			ClusterEnergyJ: res.ClusterEnergyJ[:0],
 		}
-		if cfg.Recorder != nil {
-			addLoopRecord(cfg.Recorder, spec, s, stamp)
-		}
-		if po, observable := s.(core.PhaseObservable); observable {
-			// A scheduler has one observer slot; decision capture and the
-			// SF trajectory share it.
-			li, rec := li, cfg.Recorder
-			po.SetPhaseObserver(func(ev core.PhaseEvent) {
-				if rec != nil {
+		if rec := cfg.Recorder; rec != nil {
+			addLoopRecord(rec, spec, s, stamp)
+			if po, observable := s.(core.PhaseObservable); observable {
+				// Decision capture: the record is where a run's phase
+				// transitions and SF trajectory live. Without a recorder
+				// the scheduler has no observer and copies no SF table.
+				li := li
+				po.SetPhaseObserver(func(ev core.PhaseEvent) {
 					rec.Phase(trace.PhaseEvent{TimeNs: ev.TimeNs, Tid: ev.Tid, Loop: li,
 						Epoch: ev.Epoch, Kind: ev.Kind, SF: ev.SF})
-				}
-				if ev.SF != nil {
-					res.SFTrajectory = append(res.SFTrajectory, SFPoint{TimeNs: ev.TimeNs, SF: ev.SF})
-				}
-			})
-		}
-		if est, isEst := s.(core.SFEstimator); isEst {
-			// Offline-SF variants publish at construction with no event;
-			// the trajectory starts when the loop arrives.
-			if sf, ready := est.SFEstimate(); ready {
-				res.SFTrajectory = append(res.SFTrajectory, SFPoint{TimeNs: arrive[li], SF: sf})
+				})
 			}
 		}
 		for i := li * nt; i < (li+1)*nt; i++ {

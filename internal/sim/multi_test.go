@@ -2,6 +2,7 @@ package sim
 
 import (
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"repro/internal/amp"
@@ -45,8 +46,9 @@ func sumIters(r LoopResult) int64 {
 // mixed trip counts (0, 1, prime, large) and mixed schedulers on one fleet
 // and asserts per-loop exact coverage and per-loop barrier release: every
 // loop gets an End, and the degenerate tenants release long before the
-// large ones. Each AID tenant publishes its SF estimate mid-run: its
-// trajectory starts before its own barrier release, one entry per cluster.
+// large ones. Each AID tenant publishes its SF estimate mid-run: its first
+// SF sample in the run's record comes before its own barrier release, one
+// entry per cluster.
 func TestMultiLoopExactCoverageMixedTenants(t *testing.T) {
 	cfg := multiCfg(4)
 	cfg.Factory = nil
@@ -70,6 +72,7 @@ func TestMultiLoopExactCoverageMixedTenants(t *testing.T) {
 		uniformSpec("big-dynamic", 200_000, 1),
 		uniformSpec("big-aid-hybrid", 200_000, 1),
 	}
+	cfg.Recorder = trace.NewRecorder()
 	results, err := RunLoops(cfg, specs, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -82,13 +85,15 @@ func TestMultiLoopExactCoverageMixedTenants(t *testing.T) {
 			t.Errorf("loop %q barrier never released (End=%d)", specs[li].Name, r.End)
 		}
 	}
+	samples := cfg.Recorder.Record().SFSamples
 	for _, li := range []int{2, 4} {
 		r := results[li]
-		if len(r.SFTrajectory) == 0 {
-			t.Errorf("loop %q has no SF trajectory", specs[li].Name)
+		at := slices.IndexFunc(samples, func(s trace.SFSample) bool { return s.Loop == li })
+		if at < 0 {
+			t.Errorf("loop %q has no SF sample", specs[li].Name)
 			continue
 		}
-		first := r.SFTrajectory[0]
+		first := samples[at]
 		if first.TimeNs >= r.End {
 			t.Errorf("loop %q first SF point at %d, not before End %d", specs[li].Name, first.TimeNs, r.End)
 		}
@@ -428,7 +433,8 @@ func TestMultiLoopTraceTiles(t *testing.T) {
 // loops in index order whatever order they were admitted in, because the
 // position of a candidate decides what a policy picks. The digests were
 // written by the commit before the open-loop list replaced the scan over all
-// loops.
+// loops, and re-taken from the unchanged engine when the result's SF
+// trajectory field was dropped from dumpResult.
 func TestMultiLoopArrivalOrderPinned(t *testing.T) {
 	const n = 24
 	specs := make([]LoopSpec, n)
@@ -442,8 +448,8 @@ func TestMultiLoopArrivalOrderPinned(t *testing.T) {
 		policy fair.Policy
 		want   uint64
 	}{
-		{fair.NewWeightedRoundRobin(0), 0x99a03695df4c019f},
-		{fair.NewFCFS(), 0x1b33c94f7354f377},
+		{fair.NewWeightedRoundRobin(0), 0xf0f0cb03302cba4b},
+		{fair.NewFCFS(), 0x12a2f6cc9c1a966f},
 	} {
 		rs, err := RunLoops(multiCfg(4), specs, c.policy, 0)
 		if err != nil {

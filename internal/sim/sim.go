@@ -90,25 +90,26 @@
 // scheduler, not twenty. Under Config.FactoryNamed, which may configure each
 // loop's scheduler differently, it builds one per loop phase. A repetition it
 // accounts from the phase's first execution (see "Repetitions") allocates
-// nothing; one it simulates allocates only what its scheduler hands out anew
-// (the copies of the SF tables it publishes).
+// nothing; one it simulates without a Recorder allocates only the copy of the
+// final SF estimate its scheduler hands the result. A scheduler is given a
+// phase observer only when the Config carries a Recorder, so the SF tables it
+// publishes mid-run are copied into the record and nowhere else.
 //
 // Results are never part of the workspace. The engine fills the LoopResults
 // it is handed the way append fills a slice: zero results, which is what
 // RunLoop and RunLoops pass, come back with slices of their own, so a result
 // a caller holds is not touched by any later call, whatever that call
 // recycles; RunProgram, which reads a repetition's result and drops it, hands
-// the same one in again and so reuses its slices too. The SF tables in
-// SFEstimate and SFTrajectory are copies the scheduler made for the result;
-// the scheduler's own tables, which the next Reset overwrites, are only ever
-// read through them.
+// the same one in again and so reuses its slices too. SFEstimate is a copy
+// the scheduler made for the result; the scheduler's own tables, which the
+// next Reset overwrites, are only ever read through it.
 //
 // # Repetitions
 //
 // A run is a function of its Config and its specs, translated by startNs:
 // start the same loops d nanoseconds later (on a fleet, with every Arrive
-// stamp moved by d as well) and every time in the results — Start, End,
-// Finish, the SFTrajectory stamps — is d later, and nothing else changes. It
+// stamp moved by d as well) and every time in the results — Start, End and
+// Finish — is d later, and nothing else changes. It
 // holds because virtual time enters the model only as differences. The engine
 // adds durations, which it computes from counts, cost units and speeds, to
 // clocks that start at startNs; a cost model is keyed by iteration index; and
@@ -341,12 +342,6 @@ type LoopResult struct {
 	SchedNs int64
 	// Finish is each thread's arrival time at the implicit barrier.
 	Finish []int64
-	// SFTrajectory is the time-ordered sequence of SF tables the scheduler
-	// published while the loop ran — the estimate was live mid-run at each
-	// point, not reconstructed at retirement. Offline-SF variants contribute
-	// a single point at loop start; methods that estimate nothing leave it
-	// nil.
-	SFTrajectory []SFPoint
 	// EnergyJ is the modeled energy of the loop in Joules, summed over the
 	// worker-occupied cores: each worker draws its core type's ActiveW from
 	// fork to its barrier arrival and IdleW from there to barrier release.
@@ -356,14 +351,6 @@ type LoopResult struct {
 	EnergyJ float64
 	// ClusterEnergyJ breaks EnergyJ down by platform cluster.
 	ClusterEnergyJ []float64
-}
-
-// SFPoint is one timestamped speedup-factor-table publication.
-type SFPoint struct {
-	// TimeNs is the virtual time of the publishing phase transition.
-	TimeNs int64
-	// SF is the per-core-type table (immutable snapshot).
-	SF []float64
 }
 
 // localityNs prices a chunk-discontinuity cache refill by the chunk's

@@ -15,16 +15,13 @@ import (
 var translationStarts = []int64{7, 7_777, 1<<40 + 12345, 1<<53 + 1, 1<<61 + 3}
 
 // shiftedBack returns r as its run would have reported it had everything
-// happened d earlier: the four fields that hold a time move, the rest (counts,
+// happened d earlier: the three fields that hold a time move, the rest (counts,
 // durations, estimates, energy, the metrics snapshot) is taken as is.
 func shiftedBack(r LoopResult, d int64) LoopResult {
 	c := r.clone()
 	c.Start, c.End = c.Start-d, c.End-d
 	for i := range c.Finish {
 		c.Finish[i] -= d
-	}
-	for i := range c.SFTrajectory {
-		c.SFTrajectory[i].TimeNs -= d
 	}
 	return c
 }

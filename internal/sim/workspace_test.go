@@ -40,10 +40,6 @@ func (r LoopResult) clone() LoopResult {
 	c.Finish = append([]int64(nil), r.Finish...)
 	c.SFEstimate = append([]float64(nil), r.SFEstimate...)
 	c.ClusterEnergyJ = append([]float64(nil), r.ClusterEnergyJ...)
-	c.SFTrajectory = nil
-	for _, p := range r.SFTrajectory {
-		c.SFTrajectory = append(c.SFTrajectory, SFPoint{TimeNs: p.TimeNs, SF: append([]float64(nil), p.SF...)})
-	}
 	return c
 }
 
@@ -51,7 +47,7 @@ func (r LoopResult) clone() LoopResult {
 // way RunProgram does, with new results each time: call k's result equals
 // what RunLoop returns for the same loop (a recycled scheduler and workspace
 // change nothing), and it is still that after call k+1 has recycled both — no
-// slice of it, SFEstimate, SFTrajectory and Iters included, aliases engine or
+// slice of it, SFEstimate and Iters included, aliases engine or
 // scheduler state.
 func TestWorkspaceReuse(t *testing.T) {
 	pl := amp.PlatformA()
@@ -326,9 +322,9 @@ func TestRunProgramBuildsOncePerProgram(t *testing.T) {
 // simulated — here because the Config carries a migration, which no clock of
 // the run ever reaches and which allocates nothing itself — costs a small
 // constant number of allocations: none under the conventional schedules, and
-// under the AID ones only what an execution hands to its result (the copies of
-// the SF table it published and of the final estimate, and the observer that
-// files them).
+// under the AID ones only the copy of the final SF estimate an execution hands
+// to its result. Without a Recorder no scheduler has a phase observer, so no
+// SF table published mid-run is copied.
 func TestRunProgramAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -342,8 +338,8 @@ func TestRunProgramAllocs(t *testing.T) {
 	}{
 		{"static", staticFactory, 0},
 		{"dynamic,1", dynamicFactory, 0},
-		{"aid-static,1", aidStaticFactory, 3},
-		{"aid-dynamic,1,5", aidDynamicFactory, 3},
+		{"aid-static,1", aidStaticFactory, 1},
+		{"aid-dynamic,1,5", aidDynamicFactory, 1},
 	} {
 		for _, simulated := range []bool{false, true} {
 			cfg := baseCfg(pl, pl.NumCores(), amp.BindBS, c.factory)

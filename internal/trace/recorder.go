@@ -6,9 +6,9 @@ import (
 
 // Recorder accumulates a Record during one run. It is single-writer: the
 // discrete-event simulator records directly from its event loop, and the
-// real-goroutine runtime records into per-worker buffers (WorkerTape) that
-// the registry merges and feeds to the Recorder under its lock at barrier
-// release, so the lock-free loop hot path never touches the Recorder.
+// real-goroutine runtime records into per-worker tapes that the registry
+// merges and feeds to a Recorder when a record is built, after the loops'
+// barriers have released, so the lock-free loop hot path never touches it.
 //
 // A Recorder serves exactly one run (one sim.RunLoop, one sim.RunLoops, or
 // one rt loop/record batch): BeginRun fails on reuse.
@@ -186,35 +186,6 @@ func (r *Recorder) Phase(p PhaseEvent) {
 // by Phase automatically).
 func (r *Recorder) SFSample(s SFSample) {
 	r.rec.SFSamples = append(r.rec.SFSamples, s)
-}
-
-// WorkerTape is one worker's append-only capture buffer under the
-// real-goroutine engine. Only the owning worker appends, so the loop hot
-// path needs no synchronization; publication to the merger happens through
-// the registry lock at retirement. The registry owns the merge (it alone
-// knows the per-worker capture order that breaks wall-clock ties); merged
-// streams enter the Recorder through Chunk/Phase/SFSample.
-type WorkerTape struct {
-	Events    []ChunkEvent
-	Phases    []PhaseEvent
-	Intervals []Interval
-}
-
-// Reserve pre-sizes the tape for roughly nEvents chunk grants — nEvents
-// event slots plus the two intervals (sched + running) each grant appends —
-// so the capturing hot path does not grow its buffers mid-run. An estimate
-// is fine: appends beyond the reservation still work, they just pay the
-// reallocation the reservation exists to avoid.
-func (t *WorkerTape) Reserve(nEvents int) {
-	if nEvents <= 0 {
-		return
-	}
-	if cap(t.Events) < nEvents {
-		t.Events = make([]ChunkEvent, len(t.Events), nEvents)
-	}
-	if n := 2*nEvents + 1; cap(t.Intervals) < n {
-		t.Intervals = make([]Interval, len(t.Intervals), n)
-	}
 }
 
 // AttachTimeline stores the per-thread timeline.
