@@ -2,10 +2,39 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/trace_all.txt from this build's output")
+
+// TestTraceGolden pins `aidsim -sched all -ni 4096 -trace` byte for byte:
+// the seven schedules' lines and their Gantt charts, each chart's columns,
+// imbalance and sched-overhead line included. Regenerate it (go test
+// ./cmd/aidsim -run TestTraceGolden -update) only for a deliberate change of
+// what the simulator computes or the chart draws, and say why.
+func TestTraceGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out, "A", 0, "BS", "all", 4096, 100000, 0, 0.5, 0.3, 0.2, true, ""); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	const golden = "testdata/trace_all.txt"
+	if *update {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("aidsim -sched all -ni 4096 -trace differs from %s:\n%s", golden, out.String())
+	}
+}
 
 // TestRunWithMigration drives the command's whole path once: Platform A,
 // every schedule, a cross-cluster migration of thread 0 (CPU 7 -> CPU 1)

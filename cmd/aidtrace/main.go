@@ -34,6 +34,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -73,19 +74,19 @@ func main() {
 	var err error
 	switch {
 	case *diffPaths != "":
-		err = runDiff(*diffPaths, *tol)
+		err = runDiff(os.Stdout, *diffPaths, *tol)
 	case *replayPath != "":
-		err = runReplay(*replayPath, *outPath)
+		err = runReplay(os.Stdout, *replayPath, *outPath)
 	case *whatifPath != "":
 		override := ""
 		if schedSet {
 			override = *schedText
 		}
-		err = runWhatIf(*whatifPath, override, *policy, *outPath, *tol)
+		err = runWhatIf(os.Stdout, *whatifPath, override, *policy, *outPath, *tol)
 	case *recordPath != "":
-		err = runRecord(*recordPath, *app, *schedText, *bindingText, *platform, *engine)
+		err = runRecord(os.Stdout, *recordPath, *app, *schedText, *bindingText, *platform, *engine)
 	default:
-		err = run(*app, *schedText, *bindingText, *platform)
+		err = run(os.Stdout, *app, *schedText, *bindingText, *platform)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aidtrace:", err)
@@ -134,7 +135,7 @@ func resolveWorkload(app, schedText, bindingText, platform string) (resolved, er
 
 // runRecord records one loop execution — simulated (virtual time, exact
 // replayability) or real (rt engine, wall-clock capture) — to a JSONL file.
-func runRecord(path, app, schedText, bindingText, platform, engine string) error {
+func runRecord(w io.Writer, path, app, schedText, bindingText, platform, engine string) error {
 	if app == "" {
 		return fmt.Errorf("-record needs -app <workload>")
 	}
@@ -160,7 +161,7 @@ func runRecord(path, app, schedText, bindingText, platform, engine string) error
 		}
 		recorder.SetLoopSchedule(0, r.sched.Canonical())
 		rec = recorder.Record()
-		fmt.Printf("recorded %s / loop %q / %s / %s / Platform %s: makespan %d ns, %d events\n",
+		fmt.Fprintf(w, "recorded %s / loop %q / %s / %s / Platform %s: makespan %d ns, %d events\n",
 			r.workload, r.spec.Name, r.sched, r.binding, r.pl.Name, res.End-res.Start, len(rec.Events))
 	case "rt":
 		// The real engine runs an arbitrary Go body; synthesize one whose
@@ -194,7 +195,7 @@ func runRecord(path, app, schedText, bindingText, platform, engine string) error
 		if err != nil {
 			return err
 		}
-		fmt.Printf("recorded %s / loop %q / %s / %s / Platform %s (rt engine): makespan %d ns, %d events\n",
+		fmt.Fprintf(w, "recorded %s / loop %q / %s / %s / Platform %s (rt engine): makespan %d ns, %d events\n",
 			r.workload, r.spec.Name, r.sched, r.binding, r.pl.Name, rec.MakespanNs, len(rec.Events))
 	default:
 		return fmt.Errorf("engine must be sim or rt, got %q", engine)
@@ -202,12 +203,12 @@ func runRecord(path, app, schedText, bindingText, platform, engine string) error
 	if err := trace.WriteFile(path, rec); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(w, "wrote %s\n", path)
 	return nil
 }
 
 // runReplay exact-replays a record file and reports the verification.
-func runReplay(path, outPath string) error {
+func runReplay(w io.Writer, path, outPath string) error {
 	rec, err := trace.ReadFile(path)
 	if err != nil {
 		return err
@@ -220,24 +221,24 @@ func runReplay(path, outPath string) error {
 	if rec.Engine == "sim" {
 		verified = "coverage, event times and makespan verified exactly"
 	}
-	fmt.Printf("exact replay of %s (%s engine, %d loops, %d events): %s\n",
+	fmt.Fprintf(w, "exact replay of %s (%s engine, %d loops, %d events): %s\n",
 		path, rec.Engine, len(rec.Loops), len(rec.Events), verified)
-	fmt.Printf("makespan: recorded %d ns, replayed %d ns\n", rec.MakespanNs, res.MakespanNs)
+	fmt.Fprintf(w, "makespan: recorded %d ns, replayed %d ns\n", rec.MakespanNs, res.MakespanNs)
 	if tr := res.Record.Trace(); tr != nil {
-		fmt.Print(tr.Render(88))
+		fmt.Fprint(w, tr.Render(88))
 	}
 	if outPath != "" {
 		if err := trace.WriteFile(outPath, res.Record); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", outPath)
+		fmt.Fprintf(w, "wrote %s\n", outPath)
 	}
 	return nil
 }
 
 // runWhatIf re-executes the recorded workload under a swapped configuration
 // and diffs the counterfactual against the record.
-func runWhatIf(path, schedOverride, policy, outPath string, tolPct float64) error {
+func runWhatIf(w io.Writer, path, schedOverride, policy, outPath string, tolPct float64) error {
 	rec, err := trace.ReadFile(path)
 	if err != nil {
 		return err
@@ -250,7 +251,7 @@ func runWhatIf(path, schedOverride, policy, outPath string, tolPct float64) erro
 	if schedOverride != "" {
 		what = fmt.Sprintf("schedule %q", schedOverride)
 	}
-	fmt.Printf("what-if replay of %s under %s:\n", path, what)
+	fmt.Fprintf(w, "what-if replay of %s under %s:\n", path, what)
 	// The diff baseline must live in the same time domain as the
 	// counterfactual: a sim record already does, but an rt record carries
 	// wall-clock measurements, so re-run its recorded schedule in virtual
@@ -262,26 +263,26 @@ func runWhatIf(path, schedOverride, policy, outPath string, tolPct float64) erro
 			return err
 		}
 		baseline = base.Record
-		fmt.Printf("baseline: recorded schedule re-run in virtual time, makespan %d ns (recorded wall clock: %d ns)\n",
+		fmt.Fprintf(w, "baseline: recorded schedule re-run in virtual time, makespan %d ns (recorded wall clock: %d ns)\n",
 			baseline.MakespanNs, rec.MakespanNs)
 	}
-	fmt.Printf("makespan: baseline %d ns -> what-if %d ns\n", baseline.MakespanNs, res.MakespanNs)
-	fmt.Print(replay.Diff(baseline, res.Record, tolPct))
+	fmt.Fprintf(w, "makespan: baseline %d ns -> what-if %d ns\n", baseline.MakespanNs, res.MakespanNs)
+	fmt.Fprint(w, replay.Diff(baseline, res.Record, tolPct))
 	if tr := res.Record.Trace(); tr != nil {
-		fmt.Print(tr.Render(88))
+		fmt.Fprint(w, tr.Render(88))
 	}
 	if outPath != "" {
 		if err := trace.WriteFile(outPath, res.Record); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", outPath)
+		fmt.Fprintf(w, "wrote %s\n", outPath)
 	}
 	return nil
 }
 
 // runDiff compares two record files and fails (non-zero exit) on
 // regressions, so it can gate CI.
-func runDiff(paths string, tolPct float64) error {
+func runDiff(w io.Writer, paths string, tolPct float64) error {
 	parts := strings.Split(paths, ",")
 	if len(parts) != 2 {
 		return fmt.Errorf("-diff wants two files: a.jsonl,b.jsonl")
@@ -295,14 +296,14 @@ func runDiff(paths string, tolPct float64) error {
 		return err
 	}
 	rep := replay.Diff(a, b, tolPct)
-	fmt.Print(rep)
+	fmt.Fprint(w, rep)
 	if rep.Regressions > 0 {
 		return fmt.Errorf("%d regression(s)", rep.Regressions)
 	}
 	return nil
 }
 
-func run(app, schedText, bindingText, platform string) error {
+func run(w io.Writer, app, schedText, bindingText, platform string) error {
 	if app == "" {
 		return fmt.Errorf("need -app <workload> or a -record/-replay/-whatif/-diff invocation")
 	}
@@ -315,6 +316,6 @@ func run(app, schedText, bindingText, platform string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(tr.Render())
+	fmt.Fprint(w, tr.Render())
 	return nil
 }

@@ -2,14 +2,66 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
 )
+
+var update = flag.Bool("update", false, "rewrite the committed golden files from this build's output")
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update. Regenerate (go test ./cmd/aidtrace -run Golden -update) only for a
+// deliberate change of what the simulator computes or the chart draws, and
+// say why.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from %s:\n%s", path, got)
+	}
+}
+
+// TestTraceGolden pins `aidtrace -app EP -sched aid-hybrid,80`: the title
+// with the completion stamp, the Gantt chart and its summary line.
+func TestTraceGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out, "EP", "aid-hybrid,80", "BS", "A"); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "ep_aid_hybrid80.txt", out.Bytes())
+}
+
+// TestReplayGolden pins what `aidtrace -replay` prints for a recorded sim
+// run: the verification lines and the chart drawn from the replayed
+// record's timeline. The record's directory is cut from the output.
+func TestReplayGolden(t *testing.T) {
+	dir := t.TempDir()
+	rec := filepath.Join(dir, "rec.jsonl")
+	if err := runRecord(io.Discard, rec, "EP", "aid-dynamic,1,5", "BS", "A", "sim"); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := runReplay(&out, rec, ""); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "replay_ep_aid_dynamic.txt", []byte(strings.ReplaceAll(out.String(), dir+string(filepath.Separator), "")))
+}
 
 // TestReplayDeterminism is the record & replay subsystem's end-to-end gate:
 // record a simulated run, exact-replay it twice
@@ -18,14 +70,14 @@ import (
 func TestReplayDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	rec := filepath.Join(dir, "rec.jsonl")
-	if err := runRecord(rec, "EP", "aid-dynamic,1,5", "BS", "A", "sim"); err != nil {
+	if err := runRecord(io.Discard, rec, "EP", "aid-dynamic,1,5", "BS", "A", "sim"); err != nil {
 		t.Fatal(err)
 	}
 	var replays [2][]byte
 	var paths [2]string
 	for i := range replays {
 		paths[i] = filepath.Join(dir, fmt.Sprintf("replay%d.jsonl", i+1))
-		if err := runReplay(rec, paths[i]); err != nil {
+		if err := runReplay(io.Discard, rec, paths[i]); err != nil {
 			t.Fatal(err)
 		}
 		var err error
@@ -36,7 +88,7 @@ func TestReplayDeterminism(t *testing.T) {
 	if len(replays[0]) == 0 || !bytes.Equal(replays[0], replays[1]) {
 		t.Fatalf("two replays of one record differ (%d vs %d bytes)", len(replays[0]), len(replays[1]))
 	}
-	if err := runDiff(paths[0]+","+paths[1], 2.0); err != nil {
+	if err := runDiff(io.Discard, paths[0]+","+paths[1], 2.0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -47,7 +99,7 @@ func TestReplayDeterminism(t *testing.T) {
 // staging file next to it.
 func TestRefusedRecordLeavesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rec.jsonl")
-	if err := runRecord(path, "EP", "dynamic,4", "SB", "A", "sim"); err != nil {
+	if err := runRecord(io.Discard, path, "EP", "dynamic,4", "SB", "A", "sim"); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
