@@ -104,17 +104,15 @@ func run(w io.Writer, platform string, threads int, bindingText, schedText strin
 		fmt.Fprintf(w, "offline SF: %.2f\n", sf)
 	}
 	for _, sched := range schedules {
-		var tr *trace.Trace
-		if showTrace {
-			tr = trace.New(threads)
-		}
 		cfg := sim.Config{
 			Platform:   pl,
 			NThreads:   threads,
 			Binding:    binding,
 			Factory:    sched.Factory(),
 			Migrations: migrations,
-			Trace:      tr,
+		}
+		if showTrace {
+			cfg.Recorder = trace.NewTimedRecorder()
 		}
 		res, err := sim.RunLoop(cfg, spec, 0)
 		if err != nil {
@@ -129,8 +127,8 @@ func run(w io.Writer, platform string, threads int, bindingText, schedText strin
 		if iters != ni {
 			return fmt.Errorf("schedule %s executed %d of %d iterations", sched, iters, ni)
 		}
-		if tr != nil {
-			fmt.Fprint(w, tr.Render(88))
+		if showTrace {
+			fmt.Fprint(w, cfg.Recorder.Record().Render(88))
 		}
 	}
 	return nil

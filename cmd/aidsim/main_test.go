@@ -36,6 +36,18 @@ func TestTraceGolden(t *testing.T) {
 	}
 }
 
+// TestTraceBadThreadCount: a thread count the platform cannot hold is the
+// simulator's error with -trace as without it, not a crash.
+func TestTraceBadThreadCount(t *testing.T) {
+	for _, showTrace := range []bool{false, true} {
+		var out bytes.Buffer
+		err := run(&out, "A", -2, "BS", "all", 4096, 100000, 0, 0.5, 0.3, 0.2, showTrace, "")
+		if want := "sim: thread count -2 out of range [1,8]"; err == nil || err.Error() != want {
+			t.Errorf("-threads -2 with trace=%v: error %v, want %q", showTrace, err, want)
+		}
+	}
+}
+
 // TestRunWithMigration drives the command's whole path once: Platform A,
 // every schedule, a cross-cluster migration of thread 0 (CPU 7 -> CPU 1)
 // early in the loop, the timeline rendered. Every schedule must report the

@@ -146,13 +146,12 @@ func runRecord(w io.Writer, path, app, schedText, bindingText, platform, engine 
 	var rec *trace.Record
 	switch engine {
 	case "sim":
-		recorder := trace.NewRecorder()
+		recorder := trace.NewTimedRecorder()
 		cfg := sim.Config{
 			Platform: r.pl,
 			NThreads: r.pl.NumCores(),
 			Binding:  r.binding,
 			Factory:  r.sched.Factory(),
-			Trace:    trace.New(r.pl.NumCores()),
 			Recorder: recorder,
 		}
 		res, err := sim.RunLoop(cfg, r.spec, 0)
@@ -224,8 +223,8 @@ func runReplay(w io.Writer, path, outPath string) error {
 	fmt.Fprintf(w, "exact replay of %s (%s engine, %d loops, %d events): %s\n",
 		path, rec.Engine, len(rec.Loops), len(rec.Events), verified)
 	fmt.Fprintf(w, "makespan: recorded %d ns, replayed %d ns\n", rec.MakespanNs, res.MakespanNs)
-	if tr := res.Record.Trace(); tr != nil {
-		fmt.Fprint(w, tr.Render(88))
+	if len(res.Record.Timeline) > 0 {
+		fmt.Fprint(w, res.Record.Render(88))
 	}
 	if outPath != "" {
 		if err := trace.WriteFile(outPath, res.Record); err != nil {
@@ -268,8 +267,8 @@ func runWhatIf(w io.Writer, path, schedOverride, policy, outPath string, tolPct 
 	}
 	fmt.Fprintf(w, "makespan: baseline %d ns -> what-if %d ns\n", baseline.MakespanNs, res.MakespanNs)
 	fmt.Fprint(w, replay.Diff(baseline, res.Record, tolPct))
-	if tr := res.Record.Trace(); tr != nil {
-		fmt.Fprint(w, tr.Render(88))
+	if len(res.Record.Timeline) > 0 {
+		fmt.Fprint(w, res.Record.Render(88))
 	}
 	if outPath != "" {
 		if err := trace.WriteFile(outPath, res.Record); err != nil {

@@ -45,12 +45,11 @@ func run(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rec := trace.NewRecorder()
+	rec := trace.NewTimedRecorder()
 	cfg := sim.Config{
 		Platform: pl,
 		NThreads: pl.NumCores(),
 		Factory:  sched.Factory(),
-		Trace:    trace.New(pl.NumCores()),
 		Recorder: rec,
 	}
 	spec := sim.LoopSpec{

@@ -205,10 +205,10 @@ func TestFig1Traces(t *testing.T) {
 		t.Errorf("Fig 1: 2B-2S vs 4S completion ratio = %.3f, want ~1", ratio)
 	}
 	// The 2B-2S trace must show the big-core threads idling (imbalance).
-	if imb := a.Trace.ImbalancePct(); imb < 25 {
+	if imb := a.Record.Digest().ImbalancePct; imb < 25 {
 		t.Errorf("Fig 1a imbalance = %.1f%%, expected heavy", imb)
 	}
-	if imb := b.Trace.ImbalancePct(); imb > 10 {
+	if imb := b.Record.Digest().ImbalancePct; imb > 10 {
 		t.Errorf("Fig 1b (symmetric) imbalance = %.1f%%, expected low", imb)
 	}
 	if !strings.Contains(a.Render(), "Fig 1a") {
@@ -263,9 +263,8 @@ func TestFig4HybridBeatsAIDStatic(t *testing.T) {
 		t.Errorf("AID-hybrid gain on EP = %.1f%%, implausibly high (paper: 10.5%%)", gain*100)
 	}
 	// The hybrid trace should end better balanced.
-	if ah.Trace.ImbalancePct() >= as.Trace.ImbalancePct() {
-		t.Errorf("hybrid imbalance (%.1f%%) should be below AID-static's (%.1f%%)",
-			ah.Trace.ImbalancePct(), as.Trace.ImbalancePct())
+	if h, s := ah.Record.Digest().ImbalancePct, as.Record.Digest().ImbalancePct; h >= s {
+		t.Errorf("hybrid imbalance (%.1f%%) should be below AID-static's (%.1f%%)", h, s)
 	}
 }
 

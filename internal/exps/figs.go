@@ -11,18 +11,19 @@ import (
 	"repro/internal/workloads"
 )
 
-// TraceResult bundles a rendered execution trace with its metrics.
+// TraceResult bundles the record of one traced loop, timeline included,
+// with its completion time.
 type TraceResult struct {
 	Title        string
-	Trace        *trace.Trace
+	Record       *trace.Record
 	CompletionNs int64
 }
 
-// Render draws the trace with an 88-column timeline.
+// Render draws the record's timeline with 88 columns.
 func (tr TraceResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (completion: %d ns)\n", tr.Title, tr.CompletionNs)
-	b.WriteString(tr.Trace.Render(88))
+	b.WriteString(tr.Record.Render(88))
 	return b.String()
 }
 
@@ -43,21 +44,21 @@ func epMainLoop() sim.LoopSpec {
 	return loops[0]
 }
 
-// TraceLoop runs one loop under a scheme with tracing enabled.
+// TraceLoop runs one loop under a scheme and records it with its timeline.
 func TraceLoop(pl *amp.Platform, nthreads int, s Scheme, spec sim.LoopSpec, title string) (TraceResult, error) {
-	tr := trace.New(nthreads)
+	rec := trace.NewTimedRecorder()
 	cfg := sim.Config{
 		Platform: pl,
 		NThreads: nthreads,
 		Binding:  s.Binding,
 		Factory:  s.Sched.Factory(),
-		Trace:    tr,
+		Recorder: rec,
 	}
 	res, err := sim.RunLoop(cfg, spec, 0)
 	if err != nil {
 		return TraceResult{}, err
 	}
-	return TraceResult{Title: title, Trace: tr, CompletionNs: res.End - res.Start}, nil
+	return TraceResult{Title: title, Record: rec.Record(), CompletionNs: res.End - res.Start}, nil
 }
 
 // RunFig1 regenerates Fig. 1: EP under static with 4 threads on (a) two big

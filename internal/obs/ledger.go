@@ -8,8 +8,8 @@ import (
 )
 
 // Timeline and Events receive a ledger's intervals and chunk events: a
-// *trace.Trace and a *trace.Recorder, or the runtime's capture tapes. A
-// timeline drops zero-length intervals.
+// *trace.Recorder, timed for the intervals, or the runtime's capture tapes.
+// A timeline drops zero-length intervals.
 type (
 	Timeline interface {
 		Add(tid int, start, end int64, s trace.State)

@@ -286,6 +286,9 @@ func Exact(rec *trace.Record) (*Result, error) {
 	scheds, pol := scriptsOf(rec)
 	next := 0
 	recorder := trace.NewRecorder()
+	if rec.Timeline != nil {
+		recorder = trace.NewTimedRecorder()
+	}
 	recorder.Expect(rec.Events) // a faithful replay makes the same calls
 	cfg := sim.Config{
 		Platform: pl,
@@ -301,7 +304,7 @@ func Exact(rec *trace.Record) (*Result, error) {
 		Migrations: migrationsOf(rec),
 		Recorder:   recorder,
 	}
-	res, err := runConfigured(cfg, rec, specs, pol, rec.Timeline != nil)
+	res, err := runConfigured(cfg, rec, specs, pol)
 	if err != nil {
 		return nil, err
 	}
@@ -314,13 +317,10 @@ func Exact(rec *trace.Record) (*Result, error) {
 // runConfigured executes a rebuilt configuration in the mode the record was
 // made in: a record of one loop that names no fairness policy is a
 // fork/join team (sim.RunLoop), anything else a fleet under the given
-// policy (sim.RunLoops). withTrace adds a per-thread timeline. Shared by
-// exact (scripted schedulers + scripted policy) and what-if (real
-// schedulers + real policy) replay.
-func runConfigured(cfg sim.Config, rec *trace.Record, specs []sim.LoopSpec, policy fair.Policy, withTrace bool) (*Result, error) {
-	if withTrace {
-		cfg.Trace = trace.New(cfg.NThreads)
-	}
+// policy (sim.RunLoops), recorded by cfg's Recorder. Shared by exact
+// (scripted schedulers + scripted policy) and what-if (real schedulers +
+// real policy) replay.
+func runConfigured(cfg sim.Config, rec *trace.Record, specs []sim.LoopSpec, policy fair.Policy) (*Result, error) {
 	var rs []sim.LoopResult
 	var err error
 	if len(specs) == 1 && rec.Policy == "" {
@@ -512,7 +512,7 @@ func WhatIf(rec *trace.Record, wcfg WhatIfConfig) (*Result, error) {
 			return f(info)
 		},
 		Migrations: migrationsOf(rec),
-		Recorder:   trace.NewRecorder(),
+		Recorder:   trace.NewTimedRecorder(),
 	}
 	// The fairness policy keeps the recorded configuration unless
 	// overridden, like every other zero-value field; a record that names none
@@ -529,7 +529,7 @@ func WhatIf(rec *trace.Record, wcfg WhatIfConfig) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
-	res, err := runConfigured(cfg, rec, specs, policy, true)
+	res, err := runConfigured(cfg, rec, specs, policy)
 	if err != nil {
 		return nil, err
 	}

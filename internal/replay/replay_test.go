@@ -36,15 +36,15 @@ func recordRun(t *testing.T, schedText string, specs []sim.LoopSpec, policy fair
 	}
 	pl := amp.PlatformA()
 	rec := trace.NewRecorder()
+	if withTrace {
+		rec = trace.NewTimedRecorder()
+	}
 	cfg := sim.Config{
 		Platform:   pl,
 		NThreads:   pl.NumCores(),
 		Factory:    sched.Factory(),
 		Recorder:   rec,
 		Migrations: migs,
-	}
-	if withTrace {
-		cfg.Trace = trace.New(pl.NumCores())
 	}
 	if len(specs) == 1 && policy == nil {
 		_, err = sim.RunLoop(cfg, specs[0], 0)

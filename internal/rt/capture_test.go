@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/trace"
@@ -318,6 +319,49 @@ func TestBuildRecordLeavesTapes(t *testing.T) {
 			k++
 		}
 	}
+}
+
+// TestBuildRecordEventBytes: BuildRecord stores a record's events once. Two
+// unbudgeted captured loops (a record of two loops carries no timeline) of
+// n events in all cost one n-event array, which the Recorder adopts, and
+// little besides; a merge that copies the array into the Recorder costs two.
+func TestBuildRecordEventBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	reg, err := NewRegistry(RegistryConfig{NThreads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	var loops []*Loop
+	for i := 0; i < 2; i++ {
+		l, err := reg.Submit(LoopRequest{Name: "fine", N: 20_000, Capture: true,
+			Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 1}, Body: func(_ int, _, _ int64) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Wait()
+		loops = append(loops, l)
+	}
+	rec, err := reg.BuildRecord(loops...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := reg.BuildRecord(loops...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	arrays := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(uintptr(len(rec.Events))*unsafe.Sizeof(trace.ChunkEvent{}))
+	if arrays > 1.3 {
+		t.Errorf("BuildRecord of %d events allocates %.2f event arrays, want at most 1.3", len(rec.Events), arrays)
+	}
+	t.Logf("%d events: %.2f event arrays", len(rec.Events), arrays)
 }
 
 // TestCaptureBudgetBounded pins the sampling recorder's contract: the record

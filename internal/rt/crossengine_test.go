@@ -243,9 +243,9 @@ func TestGrantExecIsRunningTime(t *testing.T) {
 	if !ok {
 		t.Fatal("no EP workload")
 	}
-	recorder := trace.NewRecorder()
+	recorder := trace.NewTimedRecorder()
 	cfg := sim.Config{Platform: pl, NThreads: pl.NumCores(), Binding: amp.BindBS,
-		Factory: sched.Factory(), Trace: trace.New(pl.NumCores()), Recorder: recorder}
+		Factory: sched.Factory(), Recorder: recorder}
 	if _, err := sim.RunLoop(cfg, w.Program.Loops()[0], 0); err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +258,11 @@ func TestGrantExecIsRunningTime(t *testing.T) {
 		engine string
 		rec    *trace.Record
 	}{{"sim", recorder.Record()}, {"rt", rtRec}} {
-		tr := c.rec.Trace()
-		if tr == nil {
+		if len(c.rec.Timeline) == 0 {
 			t.Fatalf("%s: record has no timeline", c.engine)
 		}
-		busy := make([]int64, c.rec.NThreads)
-		retired := make([]int64, c.rec.NThreads)
+		n := c.rec.NThreads
+		busy, retired := make([]int64, n), make([]int64, n)
 		for _, ev := range c.rec.Events {
 			if !ev.Retire {
 				busy[ev.Tid] += ev.ExecNs
@@ -276,19 +275,27 @@ func TestGrantExecIsRunningTime(t *testing.T) {
 			fj := c.rec.Platform.Overhead.ForkJoinNs
 			release -= int64(fj) - int64(fj/2)
 		}
-		for tid, r := range retired {
-			for _, iv := range tr.Intervals(tid) {
-				if iv.State == trace.Sched && iv.Start <= r && r < iv.End {
-					r = min(iv.End, release) // the retire call; a join may extend it
+		running, sync, retiredEnd := make([]int64, n), make([]int64, n), slices.Clone(retired)
+		for _, iv := range c.rec.Timeline {
+			switch r := retired[iv.Tid]; iv.State {
+			case trace.Running:
+				running[iv.Tid] += iv.EndNs - iv.StartNs
+			case trace.Sync:
+				sync[iv.Tid] += iv.EndNs - iv.StartNs
+			case trace.Sched:
+				if iv.StartNs <= r && r < iv.EndNs {
+					retiredEnd[iv.Tid] = min(iv.EndNs, release) // the retire call; a join may extend it
 				}
 			}
-			if sync := tr.TimeIn(tid, trace.Sync); sync != release-r {
-				t.Errorf("%s t%d: %d ns of Sync, want release %d - retirement %d = %d", c.engine, tid, sync, release, r, release-r)
+		}
+		for tid, r := range retiredEnd {
+			if sync[tid] != release-r {
+				t.Errorf("%s t%d: %d ns of Sync, want release %d - retirement %d = %d", c.engine, tid, sync[tid], release, r, release-r)
 			}
 		}
 		var total int64
 		for tid, b := range busy {
-			if run := tr.TimeIn(tid, trace.Running); b != run {
+			if run := running[tid]; b != run {
 				t.Errorf("%s t%d: grants' ExecNs sum to %d, timeline Running is %d", c.engine, tid, b, run)
 			}
 			total += b

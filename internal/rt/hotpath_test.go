@@ -40,6 +40,15 @@ func TestRegistryHotLayout(t *testing.T) {
 	}
 }
 
+// TestLoopSize: a Loop, allocated once per Submit, stays within the
+// 320-byte size class of Go's allocator. It is 312 bytes, so one more
+// pointer-sized field still fits.
+func TestLoopSize(t *testing.T) {
+	if got := unsafe.Sizeof(Loop{}); got > 320 {
+		t.Errorf("sizeof(Loop) = %d, want <= 320 (one allocation size class)", got)
+	}
+}
+
 // TestRegistryThrottleFidelity checks the small-core emulation the chunk
 // loop spins inline: on a 1B+1S fleet, with a body that takes the same wall
 // time on either worker, the small worker's chunk occupancy (body plus spin,

@@ -292,7 +292,6 @@ type LoopRequest struct {
 // the loop's own barrier: it releases when this loop's iterations are done,
 // independent of the rest of the fleet's work.
 type Loop struct {
-	reg      *Registry
 	id       uint64
 	name     string
 	weight   int
@@ -382,7 +381,6 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 		req.Weight = 1
 	}
 	l := &Loop{
-		reg:       r,
 		name:      req.Name,
 		weight:    req.Weight,
 		n:         req.N,
@@ -529,6 +527,9 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 		return nil, fmt.Errorf("rt: no loops to record")
 	}
 	rec := trace.NewRecorder()
+	if len(loops) == 1 {
+		rec = trace.NewTimedRecorder()
+	}
 	// The modeled per-worker speed converts measured wall time to work
 	// units. Cluster occupancy is the full fleet, matching the simulator's
 	// single-loop model where every worker is resident.
@@ -617,10 +618,7 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 		}
 	}
 	slices.SortFunc(evs, eventOrder)
-	rec.ReserveChunks(len(evs))
-	for _, ev := range evs {
-		rec.Chunk(ev)
-	}
+	rec.Chunks(evs)
 	// Each worker's transitions are in its own order; interleave them
 	// chronologically (stable, to keep that order on a tie).
 	slices.SortStableFunc(phs, phaseOrder)
@@ -635,14 +633,12 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 				SF: append([]float64(nil), l.stats.SFEstimate...)})
 		}
 	}
-	if len(loops) == 1 {
-		tr := trace.New(r.nthreads)
+	if rec.Timed() {
 		for tid, tp := range loops[0].capture {
 			for _, iv := range tp.intervals {
-				tr.Add(tid, iv.Start, iv.End, iv.State)
+				rec.Add(tid, iv.Start, iv.End, iv.State)
 			}
 		}
-		rec.AttachTimeline(tr)
 	}
 	rec.EndRun(endNs - startNs)
 	return rec.Record(), nil

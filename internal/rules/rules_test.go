@@ -102,8 +102,9 @@ type rule struct {
 
 // retired are the names of the retired sf-aware policy, the live SF view a
 // policy once read, the SF trajectory a simulated loop's result once carried,
-// and the retired AID-auto schedule.
-var retired = regexp.MustCompile(`sf-aware|SFAware|SFLiveView|LiveSF|SFTrajectory|SFPoint|AIDAuto|aid-auto|AID-auto`)
+// the retired AID-auto schedule, and the second timeline carrier's hand-over
+// to a record and its own summary.
+var retired = regexp.MustCompile(`sf-aware|SFAware|SFLiveView|LiveSF|SFTrajectory|SFPoint|AIDAuto|aid-auto|AID-auto|AttachTimeline|SchedOverheadPct|timelineOf`)
 
 var rules = []rule{{
 	name: "the engines build no chunk event and name no obs.Batch",
@@ -213,8 +214,8 @@ var rules = []rule{{
 	bad: []string{
 		`package p; func imbalancePct(busy []int64) float64 { return 0 }`,
 		`package p; type d struct{}; func (d) Imbalance() float64 { return 0 }`,
-		`package p; import "repro/internal/trace"; func f(t *trace.Trace) int64 { return t.TimeIn(0, trace.Sync) }`,
-		`package p; import "repro/internal/trace"; func f(t *trace.Trace) func(int, trace.State) int64 { return t.TimeIn }`,
+		`package p; type tl struct{}; func (tl) TimeIn(int, int) int64 { return 0 }; func f(t tl) int64 { return t.TimeIn(0, 2) }`,
+		`package p; type tl struct{}; func (tl) TimeIn(int, int) int64 { return 0 }; func f(t tl) func(int, int) int64 { return t.TimeIn }`,
 	},
 	good: []string{
 		`package p; // func imbalance(), t.TimeIn(0, s)
@@ -341,9 +342,9 @@ var rules = []rule{{
 		`package p; import . "repro/internal/rt"; import "repro/internal/core"; var s core.Schedule`,
 	},
 }, {
-	name: "no retired policy, live SF view, SF trajectory result or AID-auto schedule is named",
-	reason: "a fairness policy sees a loop's ID and weight only, a run's SF trajectory lives " +
-		"in its trace.Record only, and the AID-auto schedule is retired: none is named " +
+	name: "no retired policy, live SF view, SF trajectory result, AID-auto schedule or second timeline is named",
+	reason: "a fairness policy sees a loop's ID and weight only, a run's SF trajectory and " +
+		"timeline live in its trace.Record only, and the AID-auto schedule is retired: none is named " +
 		"anywhere, help text and comments included",
 	reads: func(s source, _ graph) bool { return !s.test },
 	check: func(f *ast.File, report func(ast.Node, string)) {
@@ -378,9 +379,14 @@ var rules = []rule{{
 		`package p; type LoopResult struct{ SFTrajectory []SFPoint }`,
 		`package p; // the result's SFTrajectory lists each SF table
 		var x int`,
+		`package p; type rec struct{}; func (rec) AttachTimeline(any) {}`,
+		`package p; type tr struct{}; func (tr) SchedOverheadPct() float64 { return 0 }`,
+		`package p; // timelineOf flattens a trace into the record
+		var x int`,
 	},
 	good: []string{
 		`package p; var help = "-policy wrr|fcfs" // sf aware, aid auto`,
+		`package p; type record struct{ Timeline []int } // a record's timeline`,
 	},
 }}
 

@@ -157,18 +157,19 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 	// contends with. setCur keeps the counts in step with cur transitions.
 	ws.engaged, ws.engagedTotal = sized(ws.engaged, nl*ntypes), sized(ws.engagedTotal, nl)
 	engaged, engagedTotal := ws.engaged, ws.engagedTotal
-	// Loop li's ledger streams its intervals and events to the Config's Trace
-	// and Recorder in event-loop order. Not sized, which would clear them:
-	// Arm re-arms each in place.
+	// Loop li's ledger streams its events, and a timed Recorder's intervals,
+	// to the Config's Recorder in event-loop order. Not sized, which would
+	// clear them: Arm re-arms each in place. tl and evs stay nil interfaces
+	// unless set, so an unobserved lane does no interval or event work.
 	ws.ledgers = slices.Grow(ws.ledgers[:0], nl)[:nl]
 	ledgers := ws.ledgers
 	var tl obs.Timeline
 	var evs obs.Events
-	if cfg.Trace != nil {
-		tl = cfg.Trace
-	}
-	if cfg.Recorder != nil {
-		evs = cfg.Recorder
+	if rec := cfg.Recorder; rec != nil {
+		evs = rec
+		if rec.Timed() {
+			tl = rec
+		}
 	}
 	setSpeeds := func() {
 		for li := range specs {
@@ -354,8 +355,8 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 				// worker a retirement is runnable, so would have been a
 				// candidate — and no loop retires a worker before it arrives.
 				next := arrive[order[arrived]]
-				if cfg.Trace != nil {
-					cfg.Trace.Add(tid, now, next, trace.Sync)
+				if tl != nil {
+					tl.Add(tid, now, next, trace.Sync)
 				}
 				clock[tid] = next
 				continue
@@ -433,9 +434,6 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		}
 	}
 	if cfg.Recorder != nil {
-		if cfg.Trace != nil {
-			cfg.Recorder.AttachTimeline(cfg.Trace)
-		}
 		var maxEnd int64
 		for i := range results {
 			maxEnd = max(maxEnd, results[i].End)

@@ -119,8 +119,7 @@ func goldenTeam(cfg Config, spec LoopSpec, startNs int64, observe bool) (uint64,
 			{AtNs: startNs + 400_000, Tid: 1, ToCPU: cfg.Platform.CoreOf(0, nt, cfg.Binding)},
 			{AtNs: 1 << 60, Tid: 2, ToCPU: 0},
 		}
-		cfg.Trace = trace.New(nt)
-		cfg.Recorder = trace.NewRecorder()
+		cfg.Recorder = trace.NewTimedRecorder()
 		cfg.Metrics = true
 	}
 	r, err := RunLoop(cfg, spec, startNs)
@@ -133,9 +132,11 @@ func goldenTeam(cfg Config, spec LoopSpec, startNs int64, observe bool) (uint64,
 	h := fnv.New64a()
 	dumpResult(h, r)
 	if observe {
-		dumpRecord(h, cfg.Recorder.Record())
-		for tid := 0; tid < cfg.NThreads; tid++ {
-			fmt.Fprintf(h, "%+v\n", cfg.Trace.Intervals(tid))
+		rec := cfg.Recorder.Record()
+		dumpRecord(h, rec)
+		// Each thread's intervals once more, as a list of its own.
+		for _, ivs := range threadTimelines(rec) {
+			fmt.Fprintf(h, "%+v\n", ivs)
 		}
 	}
 	return h.Sum64(), nil

@@ -383,7 +383,7 @@ func TestMultiLoopArrivalBreaksBurst(t *testing.T) {
 func TestMultiLoopTraceTiles(t *testing.T) {
 	const startNs = 5_000
 	cfg := multiCfg(8)
-	cfg.Trace = trace.New(cfg.NThreads)
+	cfg.Recorder = trace.NewTimedRecorder()
 	specs := []LoopSpec{
 		uniformSpec("at-start", 20_000, 1),
 		uniformSpec("mid-run", 10_000, 2),
@@ -399,8 +399,9 @@ func TestMultiLoopTraceTiles(t *testing.T) {
 	for _, r := range rs {
 		schedNs += r.SchedNs
 	}
-	for tid := 0; tid < cfg.NThreads; tid++ {
-		ivs := cfg.Trace.Intervals(tid)
+	rec := cfg.Recorder.Record()
+	d := rec.Digest()
+	for tid, ivs := range threadTimelines(rec) {
 		at := int64(startNs)
 		for _, iv := range ivs {
 			if iv.Start != at {
@@ -415,11 +416,10 @@ func TestMultiLoopTraceTiles(t *testing.T) {
 		if at != last {
 			t.Errorf("thread %d: timeline ends at %d, last retirement at %d", tid, at, last)
 		}
-		if cfg.Trace.TimeIn(tid, trace.Sync) < specs[2].Arrive-max(rs[0].End, rs[1].End) {
-			t.Errorf("thread %d: %d ns of Sync do not cover the quiet gap before the last arrival",
-				tid, cfg.Trace.TimeIn(tid, trace.Sync))
+		if sync := d.Threads[tid].SyncNs; sync < specs[2].Arrive-max(rs[0].End, rs[1].End) {
+			t.Errorf("thread %d: %d ns of Sync do not cover the quiet gap before the last arrival", tid, sync)
 		}
-		tracedSched += cfg.Trace.TimeIn(tid, trace.Sched)
+		tracedSched += d.Threads[tid].SchedNs
 	}
 	if tracedSched != schedNs {
 		t.Errorf("timeline has %d ns of Sched, the loops report %d", tracedSched, schedNs)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/amp"
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 // Phase is one element of a program: either a parallel loop (possibly
@@ -105,19 +104,14 @@ func RunProgram(cfg Config, prog Program) (ProgramResult, error) {
 	// one's, slices included.
 	var lr [1]LoopResult
 	// Nothing attached can tell one execution of a phase from the next: a
-	// timeline and a record hold every execution, a migration's AtNs is absolute.
-	unobserved := cfg.Trace == nil && cfg.Recorder == nil && len(cfg.Migrations) == 0
+	// record holds every execution, a migration's AtNs is absolute.
+	unobserved := cfg.Recorder == nil && len(cfg.Migrations) == 0
 	for _, ph := range prog.Phases {
 		if ph.Loop == nil {
 			// Serial phase: the master thread alone, no cluster contention.
+			// It is no part of a loop execution, so of no record.
 			speed := pl.Speed(masterCore, ph.SerialProfile, 1)
 			dur := int64(ph.SerialUnits / speed)
-			if cfg.Trace != nil {
-				cfg.Trace.Add(0, cursor, cursor+dur, trace.Running)
-				for tid := 1; tid < cfg.NThreads; tid++ {
-					cfg.Trace.Add(tid, cursor, cursor+dur, trace.Sync)
-				}
-			}
 			cursor += dur
 			res.SerialNs += dur
 			continue

@@ -64,8 +64,8 @@
 // A loop owns its workers' barrier waits and energy only when it owns its
 // fleet, the rule obs.Ledger keeps for both engines. In a team each worker
 // idles from its own retirement to the release, and its core draws ActiveW
-// before and IdleW after, so LoopResult.EnergyJ, the Sync intervals of
-// Config.Trace and Metrics.IdleNs are filled. A fleet worker that retires
+// before and IdleW after, so LoopResult.EnergyJ, the Sync intervals of a
+// timed Config.Recorder's timeline and Metrics.IdleNs are filled. A fleet worker that retires
 // from one loop moves on to the next, so those fields stay zero and the only
 // Sync intervals of a fleet timeline are the idle-forwards.
 //
@@ -124,10 +124,11 @@
 // values, which is to the digit what simulating each of them adds up to. It
 // still simulates each of them whenever something could tell them apart:
 //
-//   - Config.Trace is set: the timeline holds every execution's intervals.
 //   - Config.Recorder is set: a record holds one run, so a program's second
 //     execution is refused with BeginRun's error. Accounting it instead would
 //     hand back a record that is silently short of the program it describes.
+//     A program's serial phases are in no record: a timed Recorder's
+//     timeline is its one loop execution's.
 //   - Config.Migrations is not empty: AtNs is a point on the absolute clock,
 //     so the execution it falls into, those before and those after all differ.
 //   - the phase's scheduler is not a core.Resettable (a replay script, a test
@@ -153,7 +154,7 @@
 // internal/exps fills a figure's grid: the platform, the cost models and the
 // loop descriptions are only read, and every table a call writes is in the
 // workspace it owns. What a Config points to and a call writes is not shared
-// that way: a Config carrying a Recorder or a Trace serves one call at a time,
+// that way: a Config carrying a Recorder serves one call at a time,
 // and so does a stateful fair.Policy handed to RunLoops.
 package sim
 
@@ -280,16 +281,15 @@ type Config struct {
 	// Schedulers implementing core.Migratable are notified, on a fleet
 	// those of every loop that has not yet retired the thread.
 	Migrations []Migration
-	// Trace, when non-nil, records per-thread timelines: Sched and Running
-	// for every runtime call and chunk, Sync for a team's barrier waits and
-	// a fleet worker's idle-forwards; a fleet loop's barrier waits are the
-	// fleet's, not the loop's (obs.Ledger).
-	Trace *trace.Trace
 	// Recorder, when non-nil, captures the run as a serializable
 	// trace.Record — loop descriptors, every chunk grant with its
 	// runtime-cost metadata, AID phase transitions and the SF trajectory —
-	// and, with Trace set, the timeline — for internal/replay. A Recorder
-	// serves exactly one RunLoop or RunLoops call.
+	// for internal/replay. A Recorder serves exactly one RunLoop or RunLoops
+	// call. A timed one (trace.NewTimedRecorder) also records per-thread
+	// timelines: Sched and Running for every runtime call and chunk, Sync
+	// for a team's barrier waits and a fleet worker's idle-forwards; a
+	// fleet loop's barrier waits are the fleet's, not the loop's
+	// (obs.Ledger).
 	Recorder *trace.Recorder
 	// Metrics populates LoopResult.Metrics with the runtime-counter
 	// snapshot (internal/obs) of each loop: chunks and steals by provenance

@@ -215,25 +215,47 @@ func TestDynamicWinsOnExpensiveIterations(t *testing.T) {
 	}
 }
 
-func TestTraceRecording(t *testing.T) {
-	pl := amp.PlatformA()
-	tr := trace.New(8)
-	cfg := baseCfg(pl, 8, amp.BindBS, staticFactory)
-	cfg.Trace = tr
-	r, err := RunLoop(cfg, epLoop(4000), 0)
+// threadTimelines splits a record's timeline into each thread's intervals.
+func threadTimelines(rec *trace.Record) [][]trace.Interval {
+	threads := make([][]trace.Interval, rec.NThreads)
+	for _, iv := range rec.Timeline {
+		threads[iv.Tid] = append(threads[iv.Tid], trace.Interval{Start: iv.StartNs, End: iv.EndNs, State: iv.State})
+	}
+	return threads
+}
+
+// timedRun runs one loop under a timed Recorder and returns its record.
+func timedRun(t *testing.T, cfg Config, spec LoopSpec) (LoopResult, *trace.Record) {
+	t.Helper()
+	cfg.Recorder = trace.NewTimedRecorder()
+	r, err := RunLoop(cfg, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.EndTime() != r.End {
-		t.Errorf("trace end %d != loop end %d", tr.EndTime(), r.End)
+	return r, cfg.Recorder.Record()
+}
+
+func TestTraceRecording(t *testing.T) {
+	pl := amp.PlatformA()
+	r, rec := timedRun(t, baseCfg(pl, 8, amp.BindBS, staticFactory), epLoop(4000))
+	var end int64
+	running := make([]int64, rec.NThreads)
+	for _, iv := range rec.Timeline {
+		end = max(end, iv.EndNs)
+		if iv.State == trace.Running {
+			running[iv.Tid] += iv.EndNs - iv.StartNs
+		}
+	}
+	if end != r.End {
+		t.Errorf("timeline end %d != loop end %d", end, r.End)
 	}
 	// Under static on an AMP the trace must show heavy imbalance: big-core
 	// threads wait at the barrier.
-	if imb := tr.ImbalancePct(); imb < 30 {
+	if imb := rec.Digest().ImbalancePct; imb < 30 {
 		t.Errorf("static trace imbalance = %v%%, expected heavy imbalance", imb)
 	}
-	for tid := 0; tid < 8; tid++ {
-		if tr.TimeIn(tid, trace.Running) == 0 {
+	for tid, run := range running {
+		if run == 0 {
 			t.Errorf("thread %d recorded no Running time", tid)
 		}
 	}
@@ -241,13 +263,8 @@ func TestTraceRecording(t *testing.T) {
 
 func TestAIDStaticTraceBalanced(t *testing.T) {
 	pl := amp.PlatformA()
-	tr := trace.New(8)
-	cfg := baseCfg(pl, 8, amp.BindBS, aidStaticFactory)
-	cfg.Trace = tr
-	if _, err := RunLoop(cfg, epLoop(8000), 0); err != nil {
-		t.Fatal(err)
-	}
-	if imb := tr.ImbalancePct(); imb > 15 {
+	_, rec := timedRun(t, baseCfg(pl, 8, amp.BindBS, aidStaticFactory), epLoop(8000))
+	if imb := rec.Digest().ImbalancePct; imb > 15 {
 		t.Errorf("AID-static trace imbalance = %v%%, want < 15%%", imb)
 	}
 }
@@ -426,27 +443,36 @@ func TestProgramAccumulatesPhases(t *testing.T) {
 	}
 }
 
+// TestProgramTraceContiguity: a timed Recorder on a program records its one
+// loop execution where the serial phase before it ended, and each thread's
+// timeline tiles the run from that start to its barrier with no hole (an
+// overlap panics in Recorder.Add).
 func TestProgramTraceContiguity(t *testing.T) {
-	// Trace intervals from serial and loop phases must not overlap.
 	pl := amp.PlatformA()
-	tr := trace.New(4)
 	loop := epLoop(500)
-	prog := Program{
-		Name: "t",
-		Phases: []Phase{
-			{SerialUnits: 1e6, SerialProfile: amp.Profile{ILP: 0.5}},
-			{Loop: &loop},
-			{SerialUnits: 1e6, SerialProfile: amp.Profile{ILP: 0.5}},
-			{Loop: &loop},
-		},
-	}
+	serial := Phase{SerialUnits: 1e6, SerialProfile: amp.Profile{ILP: 0.5}}
 	cfg := baseCfg(pl, 4, amp.BindBS, staticFactory)
-	cfg.Trace = tr
-	if _, err := RunProgram(cfg, prog); err != nil {
-		t.Fatal(err) // trace.Add panics on overlap, so reaching here is the test
+	cfg.Recorder = trace.NewTimedRecorder()
+	res, err := RunProgram(cfg, Program{Name: "t", Phases: []Phase{serial, {Loop: &loop}, serial}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tr.EndTime() == 0 {
-		t.Error("no trace recorded")
+	rec := cfg.Recorder.Record()
+	if rec.StartNs != res.SerialNs/2 || rec.MakespanNs != res.LoopNs {
+		t.Errorf("the record starts at %d and spans %d, want the first serial phase's end %d and the loop's %d",
+			rec.StartNs, rec.MakespanNs, res.SerialNs/2, res.LoopNs)
+	}
+	for tid, ivs := range threadTimelines(rec) {
+		at := rec.StartNs
+		for _, iv := range ivs {
+			if iv.Start != at {
+				t.Fatalf("thread %d: interval starts at %d, previous ended at %d", tid, iv.Start, at)
+			}
+			at = iv.End
+		}
+		if at != rec.StartNs+rec.MakespanNs {
+			t.Errorf("thread %d: timeline ends at %d, the run at %d", tid, at, rec.StartNs+rec.MakespanNs)
+		}
 	}
 }
 

@@ -169,79 +169,45 @@ func TestRunProgramMatchesRunLoops(t *testing.T) {
 }
 
 // TestRunProgramObserved: what is attached to a Config sees every execution
-// of a phase, so RunProgram simulates every one. A timeline holds Reps times
-// the intervals of one execution, back to back; a Recorder holds one run, and
-// a program with a second execution is refused with BeginRun's error, not
-// recorded short.
+// of a phase, so RunProgram simulates every one. A Recorder, timed or not,
+// holds one run: a program with a second execution is refused with
+// BeginRun's error, not recorded short. A program of one execution records
+// what RunLoop records of that execution started where the serial phase
+// before it ended, and returns what it returns unrecorded.
 func TestRunProgramObserved(t *testing.T) {
 	pl := amp.PlatformA()
 	a, b := epLoop(700), migrationLoop()
 	serial := Phase{SerialUnits: 1e6, SerialProfile: amp.Profile{ILP: 0.5}}
 	prog := Program{Name: "p", Phases: []Phase{{Loop: &a, Reps: 3}, serial, {Loop: &b, Reps: 2}}}
+	once := Program{Name: "once", Phases: []Phase{serial, {Loop: &a, Reps: 1}, serial}}
 	for _, f := range reuseFactories {
 		cfg := baseCfg(pl, pl.NumCores(), amp.BindBS, f.factory)
-		bare, err := RunProgram(cfg, prog)
+		bare, err := RunProgram(cfg, once)
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		nt := cfg.NThreads
-		cfg.Trace = trace.New(nt)
-		traced, err := RunProgram(cfg, prog)
-		if err != nil {
-			t.Fatalf("%s: %v", f.name, err)
-		}
-		if traced != bare {
-			t.Errorf("%s: a timeline changed the result: %+v with, %+v without", f.name, traced, bare)
-		}
-		// The expected timeline: one traced execution per phase, laid down Reps
-		// times from the cursor on, through the same Add (which merges the join
-		// of one execution with the fork of the next).
-		want := trace.New(nt)
-		cursor := int64(0)
-		for _, ph := range prog.Phases {
-			one, reps := trace.New(nt), 1
-			c := cfg
-			c.Trace = one
-			if ph.Loop == nil {
-				_, err = RunProgram(c, Program{Name: "serial", Phases: []Phase{ph}})
-			} else {
-				_, err = RunLoop(c, *ph.Loop, 0)
-				reps = ph.Reps
+		for _, newRecorder := range []func() *trace.Recorder{trace.NewRecorder, trace.NewTimedRecorder} {
+			cfg.Recorder = newRecorder()
+			if _, err := RunProgram(cfg, prog); err == nil || !strings.Contains(err.Error(), "recorder already holds a run") {
+				t.Errorf("%s: a program of 5 executions under one Recorder: error %v, want BeginRun's refusal", f.name, err)
 			}
+			cfg.Recorder = newRecorder()
+			got, err := RunProgram(cfg, once)
 			if err != nil {
+				t.Fatalf("%s: a program of one execution under a Recorder: %v", f.name, err)
+			}
+			if got != bare {
+				t.Errorf("%s: a Recorder changed the result: %+v with, %+v without", f.name, got, bare)
+			}
+			loop := cfg
+			loop.Recorder = newRecorder()
+			if _, err := RunLoop(loop, a, bare.SerialNs/2); err != nil {
 				t.Fatal(err)
 			}
-			for r := 0; r < reps; r++ {
-				for tid := 0; tid < nt; tid++ {
-					for _, iv := range one.Intervals(tid) {
-						want.Add(tid, cursor+iv.Start, cursor+iv.End, iv.State)
-					}
-				}
-				cursor += one.EndTime()
+			if rec, want := cfg.Recorder.Record(), loop.Recorder.Record(); !reflect.DeepEqual(rec, want) {
+				t.Errorf("%s (timed %v): the program's record (start %d, %d events, %d intervals) is not RunLoop's (start %d, %d events, %d intervals)",
+					f.name, cfg.Recorder.Timed(), rec.StartNs, len(rec.Events), len(rec.Timeline), want.StartNs, len(want.Events), len(want.Timeline))
 			}
-		}
-		if cursor != bare.TotalNs {
-			t.Errorf("%s: the expected timeline ends at %d, the program at %d", f.name, cursor, bare.TotalNs)
-		}
-		for tid := 0; tid < nt; tid++ {
-			if got, want := cfg.Trace.Intervals(tid), want.Intervals(tid); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: thread %d: timeline has %d intervals ending at %d, want %d ending at %d",
-					f.name, tid, len(got), got[len(got)-1].End, len(want), want[len(want)-1].End)
-			}
-		}
-
-		cfg.Trace, cfg.Recorder = nil, trace.NewRecorder()
-		if _, err := RunProgram(cfg, prog); err == nil || !strings.Contains(err.Error(), "recorder already holds a run") {
-			t.Errorf("%s: a program of 5 executions under one Recorder: error %v, want BeginRun's refusal", f.name, err)
-		}
-		cfg.Recorder = trace.NewRecorder()
-		once, err := RunProgram(cfg, Program{Name: "once", Phases: []Phase{serial, {Loop: &a, Reps: 1}}})
-		if err != nil {
-			t.Fatalf("%s: a program of one execution under a Recorder: %v", f.name, err)
-		}
-		if rec := cfg.Recorder.Record(); rec.MakespanNs != once.LoopNs || len(rec.Loops) != 1 {
-			t.Errorf("%s: the record holds %d loops and a makespan of %d, want the one execution's %d",
-				f.name, len(rec.Loops), rec.MakespanNs, once.LoopNs)
 		}
 	}
 }
@@ -397,7 +363,7 @@ func TestTypeDistIsShared(t *testing.T) {
 			if _, err := RunProgram(cfg, Program{Name: "p", Phases: []Phase{{Loop: &a, Reps: 2}}}); err != nil {
 				t.Fatalf("%s/%s: %v", name, f.name, err)
 			}
-			cfg.Recorder, cfg.Trace = trace.NewRecorder(), trace.New(cfg.NThreads)
+			cfg.Recorder = trace.NewTimedRecorder()
 			if _, err := RunLoops(cfg, []LoopSpec{a, epLoop(900)}, fair.NewWeightedRoundRobin(0), 0); err != nil {
 				t.Fatalf("%s/%s: %v", name, f.name, err)
 			}

@@ -5,7 +5,7 @@ import "fmt"
 // Digest is the one summary of a record that every reader of a run shares:
 // aidstat's report (obs.Analyze) and the regression diff (replay.Diff) take
 // their per-thread times, chunk counts, per-loop summaries and imbalance from
-// here, and Trace.ImbalancePct uses the same formula, so one run prints one
+// here, and Record.Render uses the same formula, so one run prints one
 // imbalance whichever command reads it. All times are on the producing
 // engine's clock (virtual ns for sim records, monotonic wall ns for rt).
 type Digest struct {
@@ -110,7 +110,7 @@ func (r *Record) Digest() Digest {
 	}
 	for _, iv := range r.Timeline {
 		if iv.EndNs <= iv.StartNs {
-			continue // Trace.Add drops these too
+			continue // Recorder.Add drops these too
 		}
 		switch th := &d.Threads[iv.Tid]; iv.State {
 		case Sched:

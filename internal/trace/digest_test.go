@@ -2,6 +2,7 @@ package trace
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -72,15 +73,15 @@ func TestDigestTimedMatchesTrace(t *testing.T) {
 			{TimeNs: 400, Tid: 1, Loop: 0, Shard: 1, Retire: true, PoolAccesses: 1},
 		})
 	r.MakespanNs = 1000
-	tr := New(2)
-	tr.Add(0, 0, 50, Sched)
-	tr.Add(0, 50, 650, Running)
-	tr.Add(0, 650, 700, Sched)
-	tr.Add(0, 700, 1000, Sync)
-	tr.Add(1, 0, 100, Sched)
-	tr.Add(1, 100, 400, Running)
-	tr.Add(1, 400, 1000, Sync)
-	r.Timeline = timelineOf(tr)
+	tl := timedRecorder(t, 2)
+	tl.Add(0, 0, 50, Sched)
+	tl.Add(0, 50, 650, Running)
+	tl.Add(0, 650, 700, Sched)
+	tl.Add(0, 700, 1000, Sync)
+	tl.Add(1, 0, 100, Sched)
+	tl.Add(1, 100, 400, Running)
+	tl.Add(1, 400, 1000, Sync)
+	r.Timeline = tl.Record().Timeline
 
 	d := r.Digest()
 	if !d.Timed || d.SpanNs != 1000 {
@@ -91,12 +92,12 @@ func TestDigestTimedMatchesTrace(t *testing.T) {
 		if got := [3]int64{th.BusyNs, th.SchedNs, th.SyncNs}; got != want {
 			t.Errorf("t%d busy/sched/sync %v, want %v", tid, got, want)
 		}
-		if th.BusyNs != tr.TimeIn(tid, Running) {
-			t.Errorf("t%d busy %d, timeline Running %d", tid, th.BusyNs, tr.TimeIn(tid, Running))
+		if run := stateNs(r, tid, Running); th.BusyNs != run {
+			t.Errorf("t%d busy %d, timeline Running %d", tid, th.BusyNs, run)
 		}
 	}
-	if d.ImbalancePct != 50 || tr.ImbalancePct() != d.ImbalancePct {
-		t.Errorf("imbalance: digest %v, trace %v, want 50", d.ImbalancePct, tr.ImbalancePct())
+	if got := summary(r.Render(20)); d.ImbalancePct != 50 || !strings.HasPrefix(got, "imbalance: 50.0%") {
+		t.Errorf("imbalance: digest %v, chart %q, want 50", d.ImbalancePct, got)
 	}
 	if d.Loops[0].SFFirst != nil || d.Loops[0].SFSamples != 0 {
 		t.Errorf("a loop without samples has an SF trajectory: %+v", d.Loops[0])

@@ -24,8 +24,8 @@ const RecordVersion = 1
 // needs to re-execute the run deterministically in virtual time: the
 // platform model, the loop descriptors (workload + cost profile), every
 // chunk grant with its runtime-cost metadata, the AID schedulers' phase
-// transitions, the SF-estimate trajectory, and (for single-loop runs) the
-// per-thread timeline.
+// transitions, the SF-estimate trajectory, and (when a timed Recorder
+// captured it) the per-thread timeline.
 //
 // Records round-trip losslessly through EncodeJSONL/DecodeJSONL:
 // DecodeJSONL(EncodeJSONL(r)) is reflect.DeepEqual to r.
@@ -63,7 +63,8 @@ type Record struct {
 	// SFSamples is the SF-estimate trajectory (one sample per transition
 	// that published an estimate, plus the final estimate per loop).
 	SFSamples []SFSample `json:"-"`
-	// Timeline is the per-thread interval timeline (nil when not captured).
+	// Timeline is the per-thread interval timeline (nil when not captured);
+	// a Recorder lays it out thread by thread, each in time order.
 	Timeline []IntervalRecord `json:"-"`
 }
 
@@ -218,35 +219,6 @@ type IntervalRecord struct {
 	StartNs int64 `json:"start_ns"`
 	EndNs   int64 `json:"end_ns"`
 	State   State `json:"state"`
-}
-
-// Trace reconstructs the per-thread timeline, or nil when the record
-// carries none.
-func (r *Record) Trace() *Trace {
-	if len(r.Timeline) == 0 {
-		return nil
-	}
-	t := New(r.NThreads)
-	for _, iv := range r.Timeline {
-		t.Add(iv.Tid, iv.StartNs, iv.EndNs, iv.State)
-	}
-	return t
-}
-
-// timelineOf flattens a timeline into its serializable form (threads in
-// order, intervals in time order — the canonical layout DecodeJSONL
-// produces).
-func timelineOf(t *Trace) []IntervalRecord {
-	if t == nil {
-		return nil
-	}
-	var out []IntervalRecord
-	for tid := 0; tid < t.NThreads(); tid++ {
-		for _, iv := range t.Intervals(tid) {
-			out = append(out, IntervalRecord{Tid: tid, StartNs: iv.Start, EndNs: iv.End, State: iv.State})
-		}
-	}
-	return out
 }
 
 // Validate checks a record's internal consistency (the invariants Decode

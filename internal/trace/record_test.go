@@ -293,13 +293,16 @@ func TestDecodeRejectsTruncatedRecord(t *testing.T) {
 
 // TestRecorderEventOrder: a Recorder's events come back whole and in order
 // however the stream grew — from a reservation of any size into blocks, and
-// with Record called in the middle of the run.
+// with Record called in the middle of the run. The reservation is the one
+// Expect makes when the run's first event differs from the expected ones.
 func TestRecorderEventOrder(t *testing.T) {
 	for _, n := range []int{0, 1, 15, 16, 17, 49, 5000, 9000} {
 		for _, reserve := range []int{0, 5, n} {
 			for _, mid := range []int{-1, n / 3} {
 				rec := NewRecorder()
-				rec.ReserveChunks(reserve)
+				if reserve > 0 {
+					rec.Expect(make([]ChunkEvent, reserve)) // no event granted [i, i+1) is zero
+				}
 				if err := rec.BeginRun(RunMeta{Engine: "sim", NThreads: 1, Binding: "BS"}); err != nil {
 					t.Fatal(err)
 				}
@@ -412,22 +415,85 @@ func TestDecodeRejectsInconsistentRecord(t *testing.T) {
 	}
 }
 
+// TestRecordTraceReconstruction: feeding a record's timeline to a timed
+// recorder reproduces it, and a record without one draws the chart's header
+// alone.
 func TestRecordTraceReconstruction(t *testing.T) {
 	r := sampleRecord()
-	tr := r.Trace()
-	if tr == nil {
-		t.Fatal("Trace() = nil for a record with a timeline")
+	rec := timedRecorder(t, r.NThreads)
+	for _, iv := range r.Timeline {
+		rec.Add(iv.Tid, iv.StartNs, iv.EndNs, iv.State)
 	}
-	if got := tr.TimeIn(0, Running); got != 700 {
-		t.Errorf("reconstructed Running time = %d, want 700", got)
+	if got := rec.Record().Timeline; !reflect.DeepEqual(got, r.Timeline) {
+		t.Errorf("reconstructed timeline %+v, want %+v", got, r.Timeline)
 	}
-	// Flattening the reconstructed trace must reproduce the section.
-	if got := timelineOf(tr); !reflect.DeepEqual(got, r.Timeline) {
-		t.Errorf("timelineOf(Trace()) = %+v, want %+v", got, r.Timeline)
+	if got := stateNs(r, 0, Running); got != 700 {
+		t.Errorf("Running time = %d, want 700", got)
 	}
 	r.Timeline = nil
-	if r.Trace() != nil {
-		t.Error("Trace() != nil for a record without a timeline")
+	if got := r.Render(20); strings.Count(got, "\n") != 1 {
+		t.Errorf("a record without a timeline draws %q", got)
+	}
+}
+
+// TestRecorderChunks: a bulk append into an empty recorder adopts the
+// caller's array and numbers it in place; one after other events, or under
+// Expect, goes event by event, so the stream reads the same either way.
+func TestRecorderChunks(t *testing.T) {
+	batch := func(n int) []ChunkEvent {
+		evs := make([]ChunkEvent, n)
+		for i := range evs {
+			evs[i] = ChunkEvent{Lo: int64(i), Hi: int64(i) + 1, Seq: -1}
+		}
+		return evs
+	}
+	begin := func() *Recorder {
+		rec := NewRecorder()
+		if err := rec.BeginRun(RunMeta{Engine: "rt", NThreads: 1, Binding: "BS"}); err != nil {
+			t.Fatal(err)
+		}
+		rec.AddLoop(LoopRecord{Name: "l", NI: 100})
+		return rec
+	}
+	check := func(name string, evs []ChunkEvent, n int) {
+		t.Helper()
+		if len(evs) != n {
+			t.Fatalf("%s: %d events, want %d", name, len(evs), n)
+		}
+		for i, ev := range evs {
+			if ev.Seq != int64(i) {
+				t.Fatalf("%s: event %d has Seq %d", name, i, ev.Seq)
+			}
+		}
+	}
+
+	rec, evs := begin(), batch(40)
+	rec.Chunks(evs)
+	got := rec.Record().Events
+	check("adopted", got, 40)
+	if &got[0] != &evs[0] {
+		t.Error("a bulk append into an empty recorder copied the array")
+	}
+	rec.Chunk(ChunkEvent{Lo: 40, Hi: 41})
+	if got = rec.Record().Events; got[40].Lo != 40 {
+		t.Errorf("the event after the bulk append is %+v", got[40])
+	}
+	check("adopted, then one more", got, 41)
+
+	rec = begin()
+	rec.Chunk(ChunkEvent{Lo: 99, Hi: 100})
+	rec.Chunks(batch(40))
+	check("appended", rec.Record().Events, 41)
+
+	rec, evs = begin(), batch(40)
+	expected := batch(40)
+	for i := range expected {
+		expected[i].Seq = int64(i)
+	}
+	rec.Expect(expected)
+	rec.Chunks(evs)
+	if got := rec.Record().Events; &got[0] != &expected[0] {
+		t.Error("a bulk append that repeats the expected events does not hand them back")
 	}
 }
 

@@ -12,15 +12,24 @@ import (
 //
 // A Recorder serves exactly one run (one sim.RunLoop, one sim.RunLoops, or
 // one rt loop/record batch): BeginRun fails on reuse.
+//
+// A timed Recorder (NewTimedRecorder) also keeps each thread's timeline: it
+// is the obs.Timeline an engine's ledger writes intervals to, and Record
+// lays the intervals out in Record.Timeline. An untimed one keeps none, and
+// an engine hands it to no ledger as a timeline.
 type Recorder struct {
 	rec    Record
 	events eventStream // rec.Events until Record compacts it
 	begun  bool
+	timed  bool
 	seq    int64
 	// expect, while non-nil, is the array given to Expect, and the run's
 	// seq events so far equal its first seq; events stays empty until one
 	// differs.
 	expect []ChunkEvent
+	// threads is a timed recorder's timeline, one interval list per thread
+	// in time order, sized by BeginRun.
+	threads [][]Interval
 }
 
 // eventStream is the one growth policy of a record's event array, shared by
@@ -92,17 +101,30 @@ type RunMeta struct {
 	Migrations []MigrationRecord
 }
 
-// NewRecorder returns an empty recorder.
+// NewRecorder returns an empty recorder that keeps no timeline.
 func NewRecorder() *Recorder { return &Recorder{} }
+
+// NewTimedRecorder returns an empty recorder that also keeps the run's
+// per-thread timeline.
+func NewTimedRecorder() *Recorder { return &Recorder{timed: true} }
+
+// Timed reports whether the recorder keeps a timeline.
+func (r *Recorder) Timed() bool { return r.timed }
 
 // BeginRun stamps the run header. It fails if the recorder already served a
 // run — a recorder must not be shared between runs, or the resulting record
-// would interleave two event streams.
+// would interleave two event streams — and on a non-positive thread count.
 func (r *Recorder) BeginRun(meta RunMeta) error {
 	if r.begun {
 		return fmt.Errorf("trace: recorder already holds a run (one Recorder per recorded run)")
 	}
+	if meta.NThreads <= 0 {
+		return fmt.Errorf("trace: run has non-positive thread count %d", meta.NThreads)
+	}
 	r.begun = true
+	if r.timed {
+		r.threads = make([][]Interval, meta.NThreads)
+	}
 	r.rec = Record{
 		Version:    RecordVersion,
 		Engine:     meta.Engine,
@@ -129,14 +151,6 @@ func (r *Recorder) AddLoop(l LoopRecord) int {
 // resolved scheduler name).
 func (r *Recorder) SetLoopSchedule(idx int, text string) {
 	r.rec.Loops[idx].Schedule = text
-}
-
-// ReserveChunks pre-sizes the event stream for n upcoming Chunk calls, so
-// a bulk merge (the rt registry feeding a whole run's worth of events, its
-// one caller) fills one exact array in place. Without a reservation the
-// stream grows in blocks (eventStream).
-func (r *Recorder) ReserveChunks(n int) {
-	r.events.events(n)
 }
 
 // Expect tells the recorder that the run will repeat evs, as an exact
@@ -166,6 +180,24 @@ func (r *Recorder) Chunk(ev ChunkEvent) {
 	r.events.add(&ev)
 }
 
+// Chunks appends evs as chunk events, in order, and takes the array: it
+// assigns their Seq in place and, while the recorder holds no event and
+// expects none, adopts evs as its stream instead of copying it, so a bulk
+// merge (the rt registry's, its one caller) stores its events once. The
+// caller must not touch evs afterwards.
+func (r *Recorder) Chunks(evs []ChunkEvent) {
+	if r.seq > 0 || r.expect != nil {
+		for i := range evs {
+			r.Chunk(evs[i])
+		}
+		return
+	}
+	for i := range evs {
+		evs[i].Seq = int64(i)
+	}
+	r.seq, r.events.head = int64(len(evs)), evs
+}
+
 // unexpect ends the match with the expected events: the first n, the ones
 // the run matched, go into a reservation of the expected length.
 func (r *Recorder) unexpect(n int) {
@@ -188,9 +220,30 @@ func (r *Recorder) SFSample(s SFSample) {
 	r.rec.SFSamples = append(r.rec.SFSamples, s)
 }
 
-// AttachTimeline stores the per-thread timeline.
-func (r *Recorder) AttachTimeline(t *Trace) {
-	r.rec.Timeline = timelineOf(t)
+// Add appends an interval to thread tid's timeline, implementing
+// obs.Timeline. Zero-length intervals are dropped; an interval that
+// continues the thread's previous one in the same state is merged into it.
+// A thread's intervals must come in time order. A tid outside the run's
+// threads (every tid, on an untimed recorder or before BeginRun) or an
+// interval that overlaps the thread's previous one panics: either is a
+// programming error in the recording engine, not a recoverable condition.
+func (r *Recorder) Add(tid int, start, end int64, s State) {
+	if tid < 0 || tid >= len(r.threads) {
+		panic(fmt.Sprintf("trace: Add tid %d out of range [0,%d)", tid, len(r.threads)))
+	}
+	if end <= start {
+		return
+	}
+	ivs := r.threads[tid]
+	if n := len(ivs); n > 0 {
+		if last := &ivs[n-1]; last.End > start {
+			panic(fmt.Sprintf("trace: thread %d interval [%d,%d) overlaps previous end %d", tid, start, end, last.End))
+		} else if last.End == start && last.State == s {
+			last.End = end
+			return
+		}
+	}
+	r.threads[tid] = append(ivs, Interval{Start: start, End: end, State: s})
 }
 
 // EndRun finalizes the record with the run's makespan.
@@ -199,11 +252,13 @@ func (r *Recorder) EndRun(makespanNs int64) {
 }
 
 // Record returns the accumulated record, its event stream compacted into one
-// array, or the array given to Expect when the run repeated it exactly. The
-// recorder retains ownership; callers must not mutate it while recording is
-// still in progress, and events recorded after the call reach the record at
-// the next call.
+// array, or the array given to Expect when the run repeated it exactly, and
+// a timed recorder's timeline laid out thread by thread, each in time order
+// (the layout DecodeJSONL produces). The recorder retains ownership; callers
+// must not mutate it while recording is still in progress, and events and
+// intervals recorded after the call reach the record at the next call.
 func (r *Recorder) Record() *Record {
+	r.rec.Timeline = r.timeline()
 	if r.expect != nil {
 		if r.seq == int64(len(r.expect)) {
 			r.rec.Events = r.expect
@@ -213,4 +268,23 @@ func (r *Recorder) Record() *Record {
 	}
 	r.rec.Events = r.events.events(0)
 	return &r.rec
+}
+
+// timeline flattens the per-thread interval lists into a new array, nil when
+// they hold none.
+func (r *Recorder) timeline() []IntervalRecord {
+	n := 0
+	for _, ivs := range r.threads {
+		n += len(ivs)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]IntervalRecord, 0, n)
+	for tid, ivs := range r.threads {
+		for _, iv := range ivs {
+			out = append(out, IntervalRecord{Tid: tid, StartNs: iv.Start, EndNs: iv.End, State: iv.State})
+		}
+	}
+	return out
 }
