@@ -24,7 +24,11 @@
 #                  about 20 s alone on a 2-CPU box and 30 beside the other
 #                  packages, 11 of them TestRunProgramDifferential, which
 #                  simulates every repetition of the figures' programs twice
-#                  over on purpose),
+#                  over on purpose), then internal/sim's workspace tests (a
+#                  call's workspace goes back to a pool that every goroutine
+#                  takes from, so calls on several goroutines at once share
+#                  workspaces one after the other; a few seconds, where the
+#                  whole sim package takes some 45 s under -race),
 #                  then the whole suite without -race (-count=1). The second
 #                  run is where every gate that a `-run` list used to select
 #                  lives, since a renamed test cannot drop out of ./...: the
@@ -98,6 +102,7 @@ test: build
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/pool/... ./internal/obs/... ./internal/rt/... ./internal/fair/... ./internal/exps/... ./cmd/aidserve/...
+	$(GO) test -race -run 'Pooled|Workspace' ./internal/sim/
 	$(GO) test -count=1 ./...
 
 race-multiloop:

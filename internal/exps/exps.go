@@ -43,10 +43,14 @@
 // cell's index and the tables are assembled from that array afterwards, never
 // in completion order. The error returned is that of the lowest failing
 // index. And cells share only what none of them writes: the platform, the
-// workloads' programs and cost models; everything a cell mutates — its
-// sim.Config with the scheduler factory, hence the engine's workspace, the
-// schedulers and their pools — it builds itself. A new experiment keeps the
-// third rule by constructing its Config inside the cell.
+// workloads' programs and cost models. What a cell mutates it builds itself —
+// its sim.Config with the scheduler factory, hence the schedulers and their
+// pools — or holds alone for the length of one simulator call: the engine's
+// workspace, which the call takes from internal/sim's pool and hands back
+// with nothing of the cell's Config in it, so that the next call, on any
+// worker and for any cell, reuses its tables and reads nothing of this one. A
+// new experiment keeps the third rule by constructing its Config inside the
+// cell.
 package exps
 
 import (

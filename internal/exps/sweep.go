@@ -3,6 +3,7 @@ package exps
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -101,15 +102,17 @@ func runGrid(pl *amp.Platform, apps []workloads.Workload, schemes []Scheme) ([][
 	return ns, nil
 }
 
-// appsNamed looks the named workloads up, in order.
+// appsNamed looks the named workloads up, in order, in one set of models:
+// workloads.ByName would build all of them for every name.
 func appsNamed(names []string) ([]workloads.Workload, error) {
+	all := workloads.All()
 	apps := make([]workloads.Workload, len(names))
 	for i, name := range names {
-		w, ok := workloads.ByName(name)
-		if !ok {
+		at := slices.IndexFunc(all, func(w workloads.Workload) bool { return w.Name == name })
+		if at < 0 {
 			return nil, fmt.Errorf("exps: workload %s missing", name)
 		}
-		apps[i] = w
+		apps[i] = all[at]
 	}
 	return apps, nil
 }

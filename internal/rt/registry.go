@@ -635,6 +635,7 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 	}
 	if rec.Timed() {
 		for tid, tp := range loops[0].capture {
+			rec.Grow(tid, len(tp.intervals))
 			for _, iv := range tp.intervals {
 				rec.Add(tid, iv.Start, iv.End, iv.State)
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/fair"
@@ -12,27 +13,38 @@ import (
 	"repro/internal/trace"
 )
 
-// workspace is what the engine keeps between calls made under one Config:
-// the scheduler-facing loop description, the schedulers of the previous call,
-// and every table the event loop reads and writes while it runs (see "What a
-// call allocates" in the package comment). A workspace serves one call at a
-// time, and its results never point into it.
+// workspace is everything the event loop needs between its first and its
+// last event: the scheduler-facing loop description, the schedulers of the
+// call, and every table the event loop reads and writes while it runs (see
+// "What a call allocates" in the package comment). A workspace serves one
+// call at a time, and its results never point into it. It outlives its call:
+// newWorkspace takes one from workspaces, and release hands it back there
+// once it has forgotten the call's Config, for the next call under any Config
+// to size its tables in the storage this one grew.
 type workspace struct {
 	cfg  Config
 	info core.LoopInfo // all but the trip count; TypeDist is the platform's shared, read-only matrix
 
-	// scheds[li] is the scheduler loop li ran under in the previous call. The
-	// next call re-arms it through core.Resettable for its own loop li instead
-	// of asking the factory for another; forgetSchedulers says the next call's
-	// loops need schedulers of their own (RunProgram under FactoryNamed).
+	// scheds[li] is the scheduler loop li ran under in the call's previous
+	// run. The next run re-arms it through core.Resettable for its own loop li
+	// instead of asking the factory for another; forgetSchedulers says the
+	// next run's loops need schedulers of their own (RunProgram under
+	// FactoryNamed). A call starts with none.
 	scheds []core.Scheduler
 
 	// fleet holds the runnable loops, the retirements and the policy's picks;
-	// loop li lives in slot li, under ID li.
-	fleet *fair.Fleet
+	// loop li lives in slot li, under ID li. It is built for fleetThreads
+	// workers.
+	fleet        *fair.Fleet
+	fleetThreads int
 
 	// ledgers[li] accounts loop li's grants.
 	ledgers []obs.Ledger
+
+	// lr is RunProgram's result of the execution it simulates last: every
+	// execution overwrites the previous one's, slices included, and the
+	// program reads only its scalars.
+	lr [1]LoopResult
 
 	coreOf, typeOf, activeInCluster []int
 	arrive                          []int64
@@ -45,28 +57,68 @@ type workspace struct {
 	migrations                      []Migration
 }
 
-// newWorkspace checks cfg and returns an empty workspace for calls under it;
-// the tables are sized by the first call.
+// workspaces holds the workspaces of the calls that have returned. A
+// workspace keeps its tables there and nothing of its last call's Config.
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// newWorkspace checks cfg and returns a workspace for a call under it, with
+// no scheduler: the one a previous call left in workspaces when there is one,
+// its tables sized by that call, otherwise an empty one. The call hands it
+// back with release.
 func newWorkspace(cfg Config) (*workspace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pl, nt, binding := cfg.Platform, cfg.NThreads, cfg.Binding
-	ws := &workspace{
-		cfg: cfg,
-		info: core.LoopInfo{
-			NThreads: nt,
-			NumTypes: len(pl.Clusters),
-			TypeOf:   func(tid int) int { return pl.ClusterOf(pl.CoreOf(tid, nt, binding)) },
-			TypeDist: pl.TypeDist(),
-		},
-	}
-	ws.fleet = fair.NewFleet(nil, nt)
+	ws := workspaces.Get().(*workspace)
+	ws.begin(cfg)
 	return ws, nil
 }
 
-// forgetSchedulers makes the next call build its schedulers with the
-// configured factory: the loops it runs are not the previous call's, and the
+// begin readies a new or released workspace for a call under cfg, a valid
+// Config.
+func (ws *workspace) begin(cfg Config) {
+	pl, nt, binding := cfg.Platform, cfg.NThreads, cfg.Binding
+	ws.cfg = cfg
+	ws.info = core.LoopInfo{
+		NThreads: nt,
+		NumTypes: len(pl.Clusters),
+		TypeOf:   func(tid int) int { return pl.ClusterOf(pl.CoreOf(tid, nt, binding)) },
+		TypeDist: pl.TypeDist(),
+	}
+	if ws.fleet == nil || ws.fleetThreads != nt {
+		ws.fleet, ws.fleetThreads = fair.NewFleet(nil, nt), nt
+	}
+}
+
+// release ends the call ws served and puts ws into workspaces. It drops every
+// reference to the call's Config, so that a pooled workspace keeps no
+// Recorder, Metrics, factory, platform or policy reachable: the Config and
+// the loop description, the schedulers with their phase observers, the
+// fleet's policy, the ledgers' counters, timeline and events, and the
+// pointers in RunProgram's scratch result. Its tables stay, and schedulers are
+// not kept: a factory cannot be compared, so no later call could tell whether
+// one it left would be the scheduler that call's factory builds.
+//
+// A call releases its workspace only when it returns, with or without an
+// error, never when it panics: a workspace left half-run by a panicking
+// factory, scheduler or cost model goes to the garbage collector.
+func (ws *workspace) release() {
+	ws.cfg, ws.info = Config{}, core.LoopInfo{}
+	clear(ws.scheds)
+	ws.scheds = ws.scheds[:0]
+	ws.fleet.Reset(nil)
+	// This call armed its ledgers for len(ws.typeOf) workers; the storage
+	// past those, lanes and ledgers, was disarmed by the call that used it.
+	for i := range ws.ledgers {
+		ws.ledgers[i].Arm(ws.typeOf, nil, nil, nil, nil, 0, false)
+	}
+	lr := &ws.lr[0]
+	*lr = LoopResult{Outcome: obs.Outcome{Iters: lr.Iters[:0]}, Finish: lr.Finish[:0], ClusterEnergyJ: lr.ClusterEnergyJ[:0]}
+	workspaces.Put(ws)
+}
+
+// forgetSchedulers makes the next run build its schedulers with the
+// configured factory: the loops it runs are not the previous run's, and the
 // factory may configure their schedulers differently.
 func (ws *workspace) forgetSchedulers() { clear(ws.scheds) }
 
@@ -81,9 +133,9 @@ func sized[T any](s []T, n int) []T {
 	return s
 }
 
-// scheduler returns the scheduler for this call's loop li: the previous
-// call's, re-armed, when that one can be; otherwise a new one from the
-// configured factory (a replay script, a test probe).
+// scheduler returns the scheduler for this run's loop li: the one the call's
+// previous run left, re-armed, when that one can be; otherwise a new one from
+// the configured factory (a call's first run, a replay script, a test probe).
 func (ws *workspace) scheduler(li int, name string, info core.LoopInfo) (core.Scheduler, error) {
 	if rs, ok := ws.scheds[li].(core.Resettable); ok {
 		return rs, rs.Reset(info)
@@ -100,7 +152,7 @@ func (ws *workspace) scheduler(li int, name string, info core.LoopInfo) (core.Sc
 // describes. results[i] is overwritten with the outcome of specs[i], in the
 // manner of append: a slice field it already carries is reused when it is
 // large enough, so zero results come back with new slices and a caller that
-// passes the previous call's results gives up what those held. results has
+// passes the previous run's results gives up what those held. results has
 // one entry per spec.
 func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Policy, startNs int64) error {
 	cfg := ws.cfg
@@ -144,7 +196,7 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 	// flat: [li] per loop, [li*nt+tid] per loop and worker, [li*ntypes+t]
 	// per loop and core type.
 	if len(ws.scheds) != nl {
-		ws.scheds = make([]core.Scheduler, nl)
+		ws.scheds = sized(ws.scheds, nl)
 	}
 	ws.arrive = sized(ws.arrive, nl)
 	ws.speed, ws.lastHi = sized(ws.speed, nl*nt), sized(ws.lastHi, nl*nt)

@@ -89,20 +89,27 @@ type ProgramResult struct {
 
 // RunProgram simulates the program under cfg and returns its result.
 func RunProgram(cfg Config, prog Program) (ProgramResult, error) {
+	if err := prog.Validate(); err != nil {
+		return ProgramResult{}, err
+	}
 	ws, err := newWorkspace(cfg)
 	if err != nil {
 		return ProgramResult{}, err
 	}
-	if err := prog.Validate(); err != nil {
-		return ProgramResult{}, err
-	}
+	res, err := ws.runProgram(prog)
+	ws.release()
+	return res, err
+}
+
+// runProgram is RunProgram's walk of the phases, on the workspace of its
+// call.
+func (ws *workspace) runProgram(prog Program) (ProgramResult, error) {
+	cfg := ws.cfg
 	pl := cfg.Platform
 	masterCore := pl.CoreOf(0, cfg.NThreads, cfg.Binding)
 	var res ProgramResult
 	cursor := int64(0)
-	// The loop results stay in here: every repetition overwrites the previous
-	// one's, slices included.
-	var lr [1]LoopResult
+	lr := ws.lr[:]
 	// Nothing attached can tell one execution of a phase from the next: a
 	// record holds every execution, a migration's AtNs is absolute.
 	unobserved := cfg.Recorder == nil && len(cfg.Migrations) == 0
@@ -130,7 +137,7 @@ func RunProgram(cfg Config, prog Program) (ProgramResult, error) {
 		}
 		spec := []LoopSpec{*ph.Loop}
 		for r, n := 0, 1; r < reps; r += n {
-			if err := ws.run(lr[:], spec, nil, cursor); err != nil {
+			if err := ws.run(lr, spec, nil, cursor); err != nil {
 				return ProgramResult{}, err
 			}
 			// What a re-armed scheduler does unobserved is this execution

@@ -73,36 +73,52 @@
 //
 // Everything the event loop needs between its first and its last event lives
 // in one workspace (engine.go): the scheduler-facing loop description with its
-// TypeOf mapping, built once per Config; the platform's TypeDist matrix, which
-// amp.Platform builds once and everybody shares read-only; and some twenty
-// tables — placement, speeds, clocks, grants, engagement counts, the fleet's
-// retirements and candidate scratch — which a call sizes on first use and
-// clears, not reallocates, afterwards. The workspace also remembers the
-// schedulers of its previous call, and re-arms one through core.Resettable
+// TypeOf mapping, built for each call; the platform's TypeDist matrix, which
+// amp.Platform builds once and everybody shares read-only; the fleet and the
+// loops' ledgers; and some twenty tables — placement, speeds, clocks, grants,
+// engagement counts, the fleet's retirements and candidate scratch — which a
+// call sizes on first use and clears, not reallocates, afterwards.
+//
+// A workspace outlives its call. RunLoop, RunLoops and RunProgram take one
+// from a package-level sync.Pool and hand it back when they return, so the
+// hundreds of calls of a figure sweep size their tables in storage that
+// earlier calls grew, under whatever Config those ran. Before it goes back,
+// the workspace forgets its call: the Config with its factory, Recorder and
+// platform, the loop description, the schedulers with their phase observers,
+// the fleet's policy, the ledgers' Metrics, timeline and events. What it keeps
+// is plain tables. A call that panics (a factory, scheduler or cost model)
+// does not hand its half-run workspace back.
+//
+// Schedulers are still built once per call: a factory cannot be compared, so
+// a scheduler one call left behind could not be told to be what the next
+// call's factory would build. Within its call, a workspace remembers the
+// schedulers of its previous run and re-arms one through core.Resettable
 // instead of asking the factory for another; a scheduler that cannot be
 // re-armed (a replay script, a test probe) comes from the factory every time.
 //
-// RunLoop and RunLoops make one call each and own a workspace for its
-// duration, so they pay for the tables once and give up nothing. RunProgram
-// keeps one workspace for the whole program, and under Config.Factory one
-// scheduler too: the first loop phase builds it and every later phase re-arms
-// it for its own loop, so a program of twenty loop phases builds one
-// scheduler, not twenty. Under Config.FactoryNamed, which may configure each
-// loop's scheduler differently, it builds one per loop phase. A repetition it
-// accounts from the phase's first execution (see "Repetitions") allocates
-// nothing; one it simulates without a Recorder allocates only the copy of the
-// final SF estimate its scheduler hands the result. A scheduler is given a
-// phase observer only when the Config carries a Recorder, so the SF tables it
-// publishes mid-run are copied into the record and nowhere else.
+// RunLoop and RunLoops make one run each. RunProgram makes one run per loop
+// phase, and under Config.Factory builds one scheduler for the whole program:
+// the first loop phase builds it and every later phase re-arms it for its own
+// loop, so a program of twenty loop phases builds one scheduler, not twenty.
+// Under Config.FactoryNamed, which may configure each loop's scheduler
+// differently, it builds one per loop phase. A repetition it accounts from the
+// phase's first execution (see "Repetitions") allocates nothing; one it
+// simulates without a Recorder allocates only the copy of the final SF
+// estimate its scheduler hands the result. A warm, unrecorded one-loop
+// RunProgram allocates its scheduler, the TypeOf mapping and that copy. A
+// scheduler is given a phase observer only when the Config carries a
+// Recorder, so the SF tables it publishes mid-run are copied into the record
+// and nowhere else.
 //
 // Results are never part of the workspace. The engine fills the LoopResults
 // it is handed the way append fills a slice: zero results, which is what
 // RunLoop and RunLoops pass, come back with slices of their own, so a result
 // a caller holds is not touched by any later call, whatever that call
-// recycles; RunProgram, which reads a repetition's result and drops it, hands
-// the same one in again and so reuses its slices too. SFEstimate is a copy
-// the scheduler made for the result; the scheduler's own tables, which the
-// next Reset overwrites, are only ever read through it.
+// recycles; RunProgram, which reads a repetition's result and drops it, keeps
+// one scratch result in the workspace and hands it in for every run, so it
+// reuses that result's slices too. SFEstimate is a copy the scheduler made
+// for the result; the scheduler's own tables, which the next Reset
+// overwrites, are only ever read through it.
 //
 // # Repetitions
 //
@@ -153,9 +169,10 @@
 // Configs are independent and may run at the same time, which is how
 // internal/exps fills a figure's grid: the platform, the cost models and the
 // loop descriptions are only read, and every table a call writes is in the
-// workspace it owns. What a Config points to and a call writes is not shared
-// that way: a Config carrying a Recorder serves one call at a time,
-// and so does a stateful fair.Policy handed to RunLoops.
+// workspace it holds, which no other call holds until it is back in the pool.
+// What a Config points to and a call writes is not shared that way: a Config
+// carrying a Recorder serves one call at a time, and so does a stateful
+// fair.Policy handed to RunLoops.
 package sim
 
 import (
@@ -404,7 +421,9 @@ func RunLoop(cfg Config, spec LoopSpec, startNs int64) (LoopResult, error) {
 		return LoopResult{}, err
 	}
 	var res [1]LoopResult
-	if err := ws.run(res[:], []LoopSpec{spec}, nil, startNs); err != nil {
+	err = ws.run(res[:], []LoopSpec{spec}, nil, startNs)
+	ws.release()
+	if err != nil {
 		return LoopResult{}, err
 	}
 	return res[0], nil
@@ -431,7 +450,9 @@ func RunLoops(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) (
 		return nil, err
 	}
 	results := make([]LoopResult, len(specs))
-	if err := ws.run(results, specs, policy, startNs); err != nil {
+	err = ws.run(results, specs, policy, startNs)
+	ws.release()
+	if err != nil {
 		return nil, err
 	}
 	return results, nil

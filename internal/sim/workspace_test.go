@@ -1,14 +1,19 @@
 package sim
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/amp"
 	"repro/internal/core"
 	"repro/internal/fair"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -370,6 +375,425 @@ func TestTypeDistIsShared(t *testing.T) {
 		}
 		if !reflect.DeepEqual(pl.TypeDist(), before) {
 			t.Errorf("%s: TypeDist changed under its readers:\n now %v\n was %v", name, pl.TypeDist(), before)
+		}
+	}
+}
+
+// platform1B1S is Platform A's two core types with one core each: a fleet of
+// two workers, one big and one small.
+func platform1B1S(t *testing.T) *amp.Platform {
+	t.Helper()
+	a := amp.PlatformA()
+	clusters := append([]amp.Cluster(nil), a.Clusters...)
+	for i := range clusters {
+		clusters[i].NumCores = 1
+	}
+	pl, err := amp.New("1B+1S", clusters, a.Overhead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// poolCall is one engine call of the pool tests: a team (RunLoop of
+// specs[0]), a fleet (RunLoops of specs) or a program, recorded by a timed
+// Recorder or not.
+type poolCall struct {
+	name     string
+	cfg      Config
+	specs    []LoopSpec
+	fleet    bool
+	prog     *Program
+	recorded bool
+}
+
+// poolOutcome is what a poolCall returns: its results, deep-copied, or its
+// program result, and its record's bytes.
+type poolOutcome struct {
+	results []LoopResult
+	prog    ProgramResult
+	record  []byte
+}
+
+// do makes the call, through the entry point when fresh is false, and on a
+// workspace of its own that it never releases when fresh is true.
+func (c poolCall) do(fresh bool) (poolOutcome, error) {
+	cfg := c.cfg
+	if c.recorded {
+		cfg.Recorder = trace.NewTimedRecorder()
+	}
+	var out poolOutcome
+	var err error
+	var ws *workspace
+	if fresh {
+		ws = new(workspace)
+		ws.begin(cfg)
+	}
+	switch {
+	case c.prog != nil && fresh:
+		out.prog, err = ws.runProgram(*c.prog)
+	case c.prog != nil:
+		out.prog, err = RunProgram(cfg, *c.prog)
+	case fresh:
+		out.results = make([]LoopResult, len(c.specs))
+		var policy fair.Policy
+		if c.fleet {
+			policy = fair.NewWeightedRoundRobin(0)
+		}
+		err = ws.run(out.results, c.specs, policy, 1000)
+	case c.fleet:
+		out.results, err = RunLoops(cfg, c.specs, fair.NewWeightedRoundRobin(0), 1000)
+	default:
+		var r LoopResult
+		r, err = RunLoop(cfg, c.specs[0], 1000)
+		out.results = []LoopResult{r}
+	}
+	if err != nil {
+		return out, fmt.Errorf("%s: %w", c.name, err)
+	}
+	for i := range out.results {
+		out.results[i] = out.results[i].clone()
+	}
+	if c.recorded {
+		var b bytes.Buffer
+		if err := trace.EncodeJSONL(&b, cfg.Recorder.Record()); err != nil {
+			return out, err
+		}
+		out.record = b.Bytes()
+	}
+	return out, nil
+}
+
+// poolCalls covers Platform A's eight workers and 1B+1S's two, team, fleet
+// and program, recorded and not, with and without Metrics, under schedulers
+// with phase observers and without.
+func poolCalls(t *testing.T) []poolCall {
+	pa, ps := amp.PlatformA(), platform1B1S(t)
+	hybrid := func(info core.LoopInfo) (core.Scheduler, error) { return core.NewAIDHybrid(info, 1, 0.8) }
+	named := func(_ string, info core.LoopInfo) (core.Scheduler, error) { return core.NewAIDStatic(info, 2) }
+	fleetSpecs := []LoopSpec{uniformSpec("a", 900, 2), uniformSpec("b", 400, 1), epLoop(300)}
+	fleetSpecs[1].Arrive = 30_000
+	a, b := epLoop(1200), migrationLoop()
+	prog := &Program{Name: "p", Phases: []Phase{
+		{Loop: &a, Reps: 3},
+		{SerialUnits: 1e6, SerialProfile: amp.Profile{ILP: 0.5}},
+		{Loop: &b, Reps: 2},
+	}}
+	var calls []poolCall
+	for _, recorded := range []bool{false, true} {
+		metricsA := baseCfg(pa, 8, amp.BindBS, aidStaticFactory)
+		metricsA.Metrics = true
+		migrating := baseCfg(ps, 2, amp.BindSB, aidDynamicFactory)
+		migrating.Migrations = []Migration{{AtNs: 20_000, Tid: 0, ToCPU: 1}}
+		calls = append(calls,
+			poolCall{name: "team A aid-static metrics", cfg: metricsA, specs: []LoopSpec{epLoop(2000)}, recorded: recorded},
+			poolCall{name: "team 1B+1S dynamic", cfg: baseCfg(ps, 2, amp.BindBS, dynamicFactory), specs: []LoopSpec{epLoop(700)}, recorded: recorded},
+			poolCall{name: "team 1B+1S aid-dynamic migrating", cfg: migrating, specs: []LoopSpec{migrationLoop()}, recorded: recorded},
+			poolCall{name: "fleet A aid-hybrid", cfg: baseCfg(pa, 8, amp.BindBS, hybrid), specs: fleetSpecs, fleet: true, recorded: recorded},
+			poolCall{name: "fleet 1B+1S aid-dynamic metrics", cfg: Config{Platform: ps, NThreads: 2, Binding: amp.BindBS, Factory: aidDynamicFactory, Metrics: true}, specs: fleetSpecs, fleet: true, recorded: recorded},
+		)
+	}
+	// A Recorder holds one run, so programs of several executions go
+	// unrecorded.
+	calls = append(calls,
+		poolCall{name: "program A named", cfg: Config{Platform: pa, NThreads: 8, Binding: amp.BindBS, FactoryNamed: named}, prog: prog},
+		poolCall{name: "program 1B+1S guided", cfg: baseCfg(ps, 2, amp.BindSB, reuseFactories[6].factory), prog: prog},
+	)
+	return calls
+}
+
+// wantOutcomes runs every call on a fresh workspace.
+func wantOutcomes(t *testing.T, calls []poolCall) []poolOutcome {
+	t.Helper()
+	want := make([]poolOutcome, len(calls))
+	for i, c := range calls {
+		var err error
+		if want[i], err = c.do(true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want
+}
+
+// TestPooledWorkspaceInterleaved: a call on a workspace an earlier call under
+// another Config left in the pool returns what it returns on a fresh one, its
+// results and its record byte for byte, however the calls interleave: on one
+// goroutine in an order where every call follows a different one than
+// before, and on four goroutines at once.
+func TestPooledWorkspaceInterleaved(t *testing.T) {
+	calls := poolCalls(t)
+	want := wantOutcomes(t, calls)
+	check := func(g, k, i int) {
+		got, err := calls[i].do(false)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("goroutine %d, call %d (%s): pooled workspace differs from a fresh one:\n got %+v\nwant %+v",
+				g, k, calls[i].name, got, want[i])
+		}
+	}
+	n := len(calls)
+	for k := 0; k < 3*n; k++ {
+		check(0, k, k*(k/n+1)%n)
+	}
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 2*n; k++ {
+				check(g, k, (k*g+g)%n)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestPooledWorkspaceKeepsNoResult: a result a caller holds is its own. After
+// a result of each kind is taken, every other call runs twice on the pool,
+// and what the held results read, Finish, Iters and SFEstimate included, has
+// not changed.
+func TestPooledWorkspaceKeepsNoResult(t *testing.T) {
+	calls := poolCalls(t)
+	cfg := baseCfg(amp.PlatformA(), 8, amp.BindBS, aidStaticFactory)
+	team, err := RunLoop(cfg, epLoop(3000), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Factory = aidDynamicFactory
+	fleet, err := RunLoops(cfg, []LoopSpec{epLoop(900), uniformSpec("u", 500, 1)}, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := append([]LoopResult{team}, fleet...)
+	was := make([]LoopResult, len(held))
+	for i := range held {
+		if (i < 2 && held[i].SFEstimate == nil) || len(held[i].Finish) != 8 || len(held[i].Iters) != 8 {
+			t.Fatalf("result %d holds no SF estimate, Finish or Iters: %+v", i, held[i])
+		}
+		was[i] = held[i].clone()
+	}
+	for k := 0; k < 2; k++ {
+		for _, c := range calls {
+			if _, err := c.do(false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := range held {
+		if !reflect.DeepEqual(held[i], was[i]) {
+			t.Errorf("held result %d changed under later calls:\n now %+v\n was %+v", i, held[i], was[i])
+		}
+	}
+}
+
+// references lists what v reaches that a pooled workspace must not: every
+// non-nil func, interface, map or channel (a factory, a scheduler, a phase
+// observer, a policy, a ledger's timeline or events) and every pointer but the
+// workspace's own fleet and ledgers (a Recorder, Metrics or their cells, a
+// platform, a snapshot). Slices are read to their capacity.
+func references(v reflect.Value, path string, seen map[uintptr]bool) []string {
+	switch v.Kind() {
+	case reflect.Func, reflect.Interface, reflect.Map, reflect.Chan, reflect.UnsafePointer:
+		if !v.IsNil() {
+			return []string{path + " (" + v.Type().String() + ")"}
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			return nil
+		}
+		switch v.Type() {
+		case reflect.TypeOf((*fair.Fleet)(nil)), reflect.TypeOf((*obs.Ledger)(nil)), reflect.TypeOf((*workspace)(nil)):
+		default:
+			return []string{path + " (" + v.Type().String() + ")"}
+		}
+		if seen[v.Pointer()] {
+			return nil
+		}
+		seen[v.Pointer()] = true
+		return references(v.Elem(), path, seen)
+	case reflect.Struct:
+		var out []string
+		for i := 0; i < v.NumField(); i++ {
+			out = append(out, references(v.Field(i), path+"."+v.Type().Field(i).Name, seen)...)
+		}
+		return out
+	case reflect.Slice:
+		v = v.Slice(0, v.Cap())
+		fallthrough
+	case reflect.Array:
+		var out []string
+		for i := 0; i < v.Len(); i++ {
+			out = append(out, references(v.Index(i), fmt.Sprintf("%s[%d]", path, i), seen)...)
+		}
+		return out
+	}
+	return nil
+}
+
+// pooled empties the pool and returns the workspaces it held. Only the
+// calling P's are certain to be among them unless GOMAXPROCS is 1.
+func pooled() []*workspace {
+	var out []*workspace
+	for {
+		ws := workspaces.Get().(*workspace)
+		if ws.fleet == nil { // a new one: the pool is empty
+			return out
+		}
+		out = append(out, ws)
+	}
+}
+
+// TestPooledWorkspaceForgetsConfig: a released workspace reaches no
+// Recorder, Metrics, factory, scheduler, policy or platform of its call.
+// Calls under every attachment there is run on one workspace, released after
+// each, Platform A's eight workers before 1B+1S's two (so that lanes and
+// ledgers past the second call's reach hold the first's leftovers), and then
+// through the entry points, after which every workspace in the pool is read.
+func TestPooledWorkspaceForgetsConfig(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	calls := poolCalls(t)
+	ws := new(workspace)
+	for _, c := range calls {
+		if c.prog != nil {
+			continue
+		}
+		cfg := c.cfg
+		cfg.Metrics = true
+		cfg.Recorder = trace.NewTimedRecorder()
+		ws.begin(cfg)
+		var policy fair.Policy
+		if c.fleet {
+			policy = fair.NewWeightedRoundRobin(0)
+		}
+		if err := ws.run(make([]LoopResult, len(c.specs)), c.specs, policy, 0); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		ws.release()
+		if refs := references(reflect.ValueOf(ws), "ws", map[uintptr]bool{}); len(refs) > 0 {
+			t.Errorf("after %s, the released workspace holds %s", c.name, strings.Join(refs, ", "))
+		}
+	}
+	pooled()
+	for _, c := range calls {
+		if _, err := c.do(false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wss := pooled()
+	if len(wss) == 0 && !raceEnabled {
+		t.Fatal("no workspace in the pool after a series of calls on one P")
+	}
+	for i, ws := range wss {
+		if refs := references(reflect.ValueOf(ws), "ws", map[uintptr]bool{}); len(refs) > 0 {
+			t.Errorf("pooled workspace %d holds %s", i, strings.Join(refs, ", "))
+		}
+	}
+}
+
+// TestPooledWorkspaceSkipsPanics: a call whose factory panics leaves its
+// workspace half run, and it is not pooled; the calls after it are right.
+// The panicking call runs 29 loops, a count no other call here has, so its
+// workspace is the one pooled workspace sized for 29. Under the race
+// detector, which drops pooled workspaces at random, only the absence is
+// checked.
+func TestPooledWorkspaceSkipsPanics(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const nl = 29
+	calls := poolCalls(t)
+	want := wantOutcomes(t, calls)
+	specs := make([]LoopSpec, nl)
+	for i := range specs {
+		specs[i] = uniformSpec(fmt.Sprint("l", i), 50, 1)
+	}
+	cfg := baseCfg(platform1B1S(t), 2, amp.BindBS, nil)
+	sized29 := func() bool {
+		found := false
+		for _, ws := range pooled() {
+			found = found || len(ws.arrive) == nl
+		}
+		return found
+	}
+	for _, panics := range []bool{false, true} {
+		built := 0
+		cfg.Factory = func(info core.LoopInfo) (core.Scheduler, error) {
+			if built++; panics && built == nl {
+				panic("factory fails")
+			}
+			return core.NewAIDDynamic(info, 1, 5)
+		}
+		pooled()
+		func() {
+			defer func() {
+				if r := recover(); (r != nil) != panics {
+					t.Fatalf("panicking factory %v: recovered %v", panics, r)
+				}
+			}()
+			if _, err := RunLoops(cfg, specs, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		if found := sized29(); panics && found {
+			t.Error("the workspace of a call whose factory panicked was pooled")
+		} else if !panics && !found && !raceEnabled {
+			t.Fatal("the workspace of a call that returned was not pooled")
+		}
+		for i, c := range calls {
+			got, err := c.do(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("%s after a call whose factory panicked %v:\n got %+v\nwant %+v", c.name, panics, got, want[i])
+			}
+		}
+	}
+}
+
+// TestPooledRunProgramAllocs: a warm, unrecorded one-loop RunProgram takes
+// its workspace, fleet, ledgers and tables, and its scratch result, from the
+// pool. What it allocates is the loop description's TypeOf mapping and, under
+// an AID schedule, the copy of the final SF estimate that its result gets,
+// besides what its factory allocates; the factory here hands out one
+// scheduler, re-armed, so that it allocates nothing. Without the pool it is
+// some thirty objects more.
+func TestPooledRunProgramAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled workspaces at random")
+	}
+	pl := amp.PlatformA()
+	loop := epLoop(640)
+	prog := Program{Name: "p", Phases: []Phase{{Loop: &loop, Reps: 4}}}
+	for _, c := range []struct {
+		name    string
+		factory SchedulerFactory
+		bound   float64
+	}{
+		{"static", staticFactory, 1},
+		{"dynamic,1", dynamicFactory, 1},
+		{"aid-static,1", aidStaticFactory, 2},
+		{"aid-dynamic,1,5", aidDynamicFactory, 2},
+	} {
+		cfg := baseCfg(pl, pl.NumCores(), amp.BindBS, nil)
+		var s core.Scheduler
+		cfg.Factory = func(info core.LoopInfo) (core.Scheduler, error) {
+			if s == nil {
+				var err error
+				s, err = c.factory(info)
+				return s, err
+			}
+			return s, s.(core.Resettable).Reset(info)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := RunProgram(cfg, prog); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.bound {
+			t.Errorf("%s: a warm one-loop RunProgram allocates %.1f objects, want at most %.0f", c.name, allocs, c.bound)
 		}
 	}
 }

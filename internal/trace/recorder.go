@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Recorder accumulates a Record during one run. It is single-writer: the
@@ -244,6 +245,17 @@ func (r *Recorder) Add(tid int, start, end int64, s State) {
 		}
 	}
 	r.threads[tid] = append(ivs, Interval{Start: start, End: end, State: s})
+}
+
+// Grow makes room for n more intervals on thread tid's timeline, as
+// slices.Grow does, so that a caller who knows how many it will Add (the rt
+// registry's merge of its capture tapes) has them stored once, not in a list
+// that doubles. A tid outside the run's threads panics, as in Add.
+func (r *Recorder) Grow(tid, n int) {
+	if tid < 0 || tid >= len(r.threads) {
+		panic(fmt.Sprintf("trace: Grow tid %d out of range [0,%d)", tid, len(r.threads)))
+	}
+	r.threads[tid] = slices.Grow(r.threads[tid], n)
 }
 
 // EndRun finalizes the record with the run's makespan.
