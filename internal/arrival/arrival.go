@@ -52,35 +52,35 @@ func expGap(rng *xrand.Rand, ratePerSec float64) int64 {
 	return gap
 }
 
-// Poisson is the memoryless baseline: exponentially distributed gaps with a
+// poisson is the memoryless baseline: exponentially distributed gaps with a
 // constant mean rate — the standard open-loop load model.
-type Poisson struct {
+type poisson struct {
 	rate float64
 	rng  *xrand.Rand
 }
 
-// NewPoisson returns a Poisson process with the given mean arrival rate
+// newPoisson returns a Poisson process with the given mean arrival rate
 // (arrivals per second) and PRNG seed.
-func NewPoisson(ratePerSec float64, seed uint64) (*Poisson, error) {
+func newPoisson(ratePerSec float64, seed uint64) (*poisson, error) {
 	if ratePerSec <= 0 || math.IsInf(ratePerSec, 0) || math.IsNaN(ratePerSec) {
 		return nil, fmt.Errorf("arrival: poisson rate %v must be a positive finite number", ratePerSec)
 	}
-	return &Poisson{rate: ratePerSec, rng: xrand.New(seed)}, nil
+	return &poisson{rate: ratePerSec, rng: xrand.New(seed)}, nil
 }
 
 // Name implements Process.
-func (p *Poisson) Name() string { return "poisson" }
+func (p *poisson) Name() string { return "poisson" }
 
 // Gap implements Process.
-func (p *Poisson) Gap(int64) int64 { return expGap(p.rng, p.rate) }
+func (p *poisson) Gap(int64) int64 { return expGap(p.rng, p.rate) }
 
-// Bursty is a two-state Markov-modulated Poisson process (MMPP): the stream
+// bursty is a two-state Markov-modulated Poisson process (MMPP): the stream
 // alternates between a quiet state at the base rate and a burst state at
 // burstFactor times the base rate, with exponentially distributed state
 // dwell times. Bursts are what break percentile reporting that was tuned on
 // smooth traffic — the p99 under MMPP load is dominated by the queue the
 // burst leaves behind.
-type Bursty struct {
+type bursty struct {
 	base, burst float64 // arrivals/sec in each state
 	meanDwellNs float64 // mean state dwell time
 	inBurst     bool
@@ -88,45 +88,45 @@ type Bursty struct {
 	rng         *xrand.Rand
 }
 
-// BurstFactor is the default burst-to-base rate ratio of NewBursty.
-const BurstFactor = 8
+// defaultBurstFactor is the default burst-to-base rate ratio of newBursty.
+const defaultBurstFactor = 8
 
-// DefaultDwell is the default mean state dwell time of NewBursty.
-const DefaultDwell = 100 * 1e6 // 100ms in ns
+// defaultDwell is the default mean state dwell time of newBursty.
+const defaultDwell = 100 * 1e6 // 100ms in ns
 
-// NewBursty returns an MMPP process whose quiet state arrives at
+// newBursty returns an MMPP process whose quiet state arrives at
 // ratePerSec and whose burst state arrives at burstFactor*ratePerSec
-// (burstFactor 0 selects BurstFactor), with mean state dwell time
-// meanDwellNs (0 selects DefaultDwell).
-func NewBursty(ratePerSec, burstFactor, meanDwellNs float64, seed uint64) (*Bursty, error) {
+// (burstFactor 0 selects defaultBurstFactor), with mean state dwell time
+// meanDwellNs (0 selects defaultDwell).
+func newBursty(ratePerSec, burstFactor, meanDwellNs float64, seed uint64) (*bursty, error) {
 	if ratePerSec <= 0 || math.IsInf(ratePerSec, 0) || math.IsNaN(ratePerSec) {
 		return nil, fmt.Errorf("arrival: bursty base rate %v must be a positive finite number", ratePerSec)
 	}
 	if burstFactor == 0 {
-		burstFactor = BurstFactor
+		burstFactor = defaultBurstFactor
 	}
 	if burstFactor < 1 {
 		return nil, fmt.Errorf("arrival: burst factor %v must be >= 1 (the burst state must not be slower than the base)", burstFactor)
 	}
 	if meanDwellNs == 0 {
-		meanDwellNs = DefaultDwell
+		meanDwellNs = defaultDwell
 	}
 	if meanDwellNs < 0 {
 		return nil, fmt.Errorf("arrival: negative mean dwell %v", meanDwellNs)
 	}
-	b := &Bursty{base: ratePerSec, burst: ratePerSec * burstFactor, meanDwellNs: meanDwellNs, rng: xrand.New(seed)}
+	b := &bursty{base: ratePerSec, burst: ratePerSec * burstFactor, meanDwellNs: meanDwellNs, rng: xrand.New(seed)}
 	b.stateLeftNs = b.rng.Exp() * meanDwellNs
 	return b, nil
 }
 
 // Name implements Process.
-func (b *Bursty) Name() string { return "bursty" }
+func (b *bursty) Name() string { return "bursty" }
 
 // Gap implements Process: the gap is drawn at the current state's rate, and
 // the state advances by the consumed time (a gap that outlives the dwell
 // flips the state; the modulation is applied per arrival, the standard
 // discrete MMPP approximation).
-func (b *Bursty) Gap(int64) int64 {
+func (b *bursty) Gap(int64) int64 {
 	rate := b.base
 	if b.inBurst {
 		rate = b.burst
@@ -140,7 +140,7 @@ func (b *Bursty) Gap(int64) int64 {
 	return gap
 }
 
-// Diurnal modulates a Poisson stream with a sinusoidal rate ramp — the
+// diurnal modulates a Poisson stream with a sinusoidal rate ramp — the
 // day/night cycle compressed to Period. The instantaneous rate swings
 // between trough and peak:
 //
@@ -149,15 +149,15 @@ func (b *Bursty) Gap(int64) int64 {
 // starting at the trough (t=0). Gaps are drawn at the instantaneous rate
 // (piecewise-homogeneous approximation, accurate while gaps are short
 // against the period, which holds for any service-scale rate).
-type Diurnal struct {
+type diurnal struct {
 	trough, peak float64
 	periodNs     float64
 	rng          *xrand.Rand
 }
 
-// NewDiurnal returns a diurnal ramp between troughRate and peakRate
+// newDiurnal returns a diurnal ramp between troughRate and peakRate
 // arrivals/sec over the given cycle period.
-func NewDiurnal(troughRate, peakRate float64, periodNs int64, seed uint64) (*Diurnal, error) {
+func newDiurnal(troughRate, peakRate float64, periodNs int64, seed uint64) (*diurnal, error) {
 	if troughRate <= 0 || math.IsInf(troughRate, 0) || math.IsNaN(troughRate) {
 		return nil, fmt.Errorf("arrival: diurnal trough rate %v must be a positive finite number", troughRate)
 	}
@@ -167,33 +167,33 @@ func NewDiurnal(troughRate, peakRate float64, periodNs int64, seed uint64) (*Diu
 	if periodNs <= 0 {
 		return nil, fmt.Errorf("arrival: diurnal period %dns must be positive", periodNs)
 	}
-	return &Diurnal{trough: troughRate, peak: peakRate, periodNs: float64(periodNs), rng: xrand.New(seed)}, nil
+	return &diurnal{trough: troughRate, peak: peakRate, periodNs: float64(periodNs), rng: xrand.New(seed)}, nil
 }
 
 // Name implements Process.
-func (d *Diurnal) Name() string { return "diurnal" }
+func (d *diurnal) Name() string { return "diurnal" }
 
 // Rate returns the instantaneous arrival rate at stream time nowNs.
-func (d *Diurnal) Rate(nowNs int64) float64 {
+func (d *diurnal) Rate(nowNs int64) float64 {
 	phase := 2 * math.Pi * math.Mod(float64(nowNs), d.periodNs) / d.periodNs
 	return d.trough + (d.peak-d.trough)*(1-math.Cos(phase))/2
 }
 
 // Gap implements Process.
-func (d *Diurnal) Gap(nowNs int64) int64 { return expGap(d.rng, d.Rate(nowNs)) }
+func (d *diurnal) Gap(nowNs int64) int64 { return expGap(d.rng, d.Rate(nowNs)) }
 
 // New builds a process from its CLI name. ratePerSec is the mean (poisson),
 // base (bursty) or trough (diurnal) rate; the remaining shape parameters
-// take their defaults (bursty: BurstFactor/DefaultDwell; diurnal: peak =
-// 4x trough over a 1s period — a full cycle inside even a short smoke run).
+// take their defaults (bursty: defaultBurstFactor, defaultDwell; diurnal:
+// peak = 4x trough over a 1s period, a full cycle in a short smoke run).
 func New(name string, ratePerSec float64, seed uint64) (Process, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "poisson":
-		return NewPoisson(ratePerSec, seed)
+		return newPoisson(ratePerSec, seed)
 	case "bursty", "mmpp":
-		return NewBursty(ratePerSec, 0, 0, seed)
+		return newBursty(ratePerSec, 0, 0, seed)
 	case "diurnal":
-		return NewDiurnal(ratePerSec, 4*ratePerSec, int64(1e9), seed)
+		return newDiurnal(ratePerSec, 4*ratePerSec, int64(1e9), seed)
 	}
 	return nil, fmt.Errorf("arrival: unknown process %q (want poisson, bursty or diurnal)", name)
 }

@@ -24,7 +24,7 @@ func meanGapNs(t *testing.T, p Process, n int) float64 {
 // mean: at 1000 arrivals/s the mean gap must be 1ms within a 10% sampling
 // band over 20k draws.
 func TestPoissonMeanRate(t *testing.T) {
-	p, err := NewPoisson(1000, 42)
+	p, err := newPoisson(1000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestDeterministicSeeds(t *testing.T) {
 // so the long-run mean gap must sit strictly between the pure base-rate and
 // pure burst-rate means.
 func TestBurstyMeanBetweenStates(t *testing.T) {
-	p, err := NewBursty(100, 8, 50e6, 3)
+	p, err := newBursty(100, 8, 50e6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestBurstyMeanBetweenStates(t *testing.T) {
 // envelope: the trough at phase 0, the peak at half period, and every
 // sampled point within [trough, peak].
 func TestDiurnalRateEnvelope(t *testing.T) {
-	d, err := NewDiurnal(50, 200, int64(1e9), 1)
+	d, err := newDiurnal(50, 200, int64(1e9), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDiurnalRateEnvelope(t *testing.T) {
 // TestTimesWindow: materialized stamps are strictly increasing, inside the
 // window, and roughly rate*duration many.
 func TestTimesWindow(t *testing.T) {
-	p, err := NewPoisson(2000, 9)
+	p, err := newPoisson(2000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +145,13 @@ func TestNewRejectsBadSpecs(t *testing.T) {
 			t.Errorf("New(%q, %v) accepted an invalid spec", c.name, c.rate)
 		}
 	}
-	if _, err := NewBursty(100, 0.5, 0, 1); err == nil {
-		t.Error("NewBursty accepted burst factor < 1")
+	if _, err := newBursty(100, 0.5, 0, 1); err == nil {
+		t.Error("newBursty accepted burst factor < 1")
 	}
-	if _, err := NewDiurnal(100, 50, int64(1e9), 1); err == nil {
-		t.Error("NewDiurnal accepted peak < trough")
+	if _, err := newDiurnal(100, 50, int64(1e9), 1); err == nil {
+		t.Error("newDiurnal accepted peak < trough")
 	}
-	if _, err := NewDiurnal(100, 200, 0, 1); err == nil {
-		t.Error("NewDiurnal accepted zero period")
+	if _, err := newDiurnal(100, 200, 0, 1); err == nil {
+		t.Error("newDiurnal accepted zero period")
 	}
 }

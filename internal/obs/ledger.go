@@ -8,8 +8,8 @@ import (
 )
 
 // Timeline and Events receive a ledger's intervals and chunk events: a
-// *trace.Recorder, timed for the intervals, or the runtime's capture tapes.
-// A timeline drops zero-length intervals.
+// *trace.Recorder, timed for the intervals, or a runtime loop's
+// trace.Tapes. A timeline drops zero-length intervals.
 type (
 	Timeline interface {
 		Add(tid int, start, end int64, s trace.State)

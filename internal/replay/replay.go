@@ -195,25 +195,16 @@ func migrationsOf(rec *trace.Record) []sim.Migration {
 // scriptsOf compiles the record's event stream into per-loop, per-thread
 // grant scripts plus the policy that replays each worker's loop-visit order,
 // all sharing one per-worker count of served calls. Events are taken in
-// (TimeNs, Tid, Seq) order, which preserves every worker's recorded grant
-// sequence (Seq breaks wall-clock ties within a worker under rt records); a
-// simulator's record is in that order already and is read in place, and a
+// trace.EventOrder, which preserves every worker's recorded grant sequence
+// (Seq breaks wall-clock ties within a worker under rt records); both
+// engines' records are in that order already and are read in place, and a
 // script holds indices into it, not copies of its grants. A counting pass
 // sizes every script and visit list (carve) before the filling pass.
 func scriptsOf(rec *trace.Record) (scheds []*scriptSched, pol *scriptPolicy) {
-	byTime := func(a, b trace.ChunkEvent) int {
-		if a.TimeNs != b.TimeNs {
-			return cmp.Compare(a.TimeNs, b.TimeNs)
-		}
-		if a.Tid != b.Tid {
-			return cmp.Compare(a.Tid, b.Tid)
-		}
-		return cmp.Compare(a.Seq, b.Seq)
-	}
 	evs := rec.Events
-	if !slices.IsSortedFunc(evs, byTime) {
+	if !slices.IsSortedFunc(evs, trace.EventOrder) {
 		evs = slices.Clone(evs)
-		slices.SortStableFunc(evs, byTime)
+		slices.SortStableFunc(evs, trace.EventOrder)
 	}
 	nt := rec.NThreads
 	perScript := make([]int, len(rec.Loops)*nt)

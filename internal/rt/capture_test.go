@@ -2,6 +2,7 @@ package rt
 
 import (
 	"bytes"
+	"cmp"
 	"reflect"
 	"runtime"
 	"slices"
@@ -186,18 +187,19 @@ func TestRegistryBuildRecordMultiLoop(t *testing.T) {
 	// Each worker's events of each loop keep the order of its tape: the
 	// grant order replay depends on.
 	for li, l := range []*Loop{l0, l1} {
-		for tid, tp := range l.capture {
+		for tid := range l.capture {
+			tape, _, _ := l.capture.Thread(tid)
 			var got []trace.ChunkEvent
 			for _, ev := range rec.Events {
 				if ev.Loop == int32(li) && ev.Tid == int32(tid) {
 					got = append(got, ev)
 				}
 			}
-			if len(got) != len(tp.events) {
-				t.Fatalf("loop %d worker %d: %d events in the record, %d on its tape", li, tid, len(got), len(tp.events))
+			if len(got) != len(tape) {
+				t.Fatalf("loop %d worker %d: %d events in the record, %d on its tape", li, tid, len(got), len(tape))
 			}
 			for k, ev := range got {
-				if w := tp.events[k]; ev.Lo != w.Lo || ev.Hi != w.Hi || ev.Retire != w.Retire || ev.TimeNs != w.TimeNs {
+				if w := tape[k]; ev.Lo != w.Lo || ev.Hi != w.Hi || ev.Retire != w.Retire || ev.TimeNs != w.TimeNs {
 					t.Fatalf("loop %d worker %d: record event %d is %+v, tape has %+v", li, tid, k, ev, w)
 				}
 			}
@@ -236,10 +238,11 @@ func budgetedPair(t *testing.T, reg *Registry) []*Loop {
 // tapeEvents is every event on a loop's tapes, in the engines' event order.
 func tapeEvents(l *Loop) []trace.ChunkEvent {
 	var evs []trace.ChunkEvent
-	for _, tp := range l.capture {
-		evs = append(evs, tp.events...)
+	for tid := range l.capture {
+		tape, _, _ := l.capture.Thread(tid)
+		evs = append(evs, tape...)
 	}
-	slices.SortFunc(evs, eventOrder)
+	slices.SortFunc(evs, trace.EventOrder)
 	return evs
 }
 
@@ -284,8 +287,9 @@ func TestBuildRecordBudgetPerLoop(t *testing.T) {
 }
 
 // TestBuildRecordLeavesTapes: BuildRecord reads the tapes and writes none
-// of them (no compaction, trim, loop index or cost lands on a tape), so a
-// second record of the same loops equals the first.
+// of them (no compaction, trim, loop index or cost lands on a tape, no
+// interval or phase changes), so a second record of the same loops equals
+// the first.
 func TestBuildRecordLeavesTapes(t *testing.T) {
 	reg, err := NewRegistry(RegistryConfig{NThreads: 4})
 	if err != nil {
@@ -293,10 +297,14 @@ func TestBuildRecordLeavesTapes(t *testing.T) {
 	}
 	defer reg.Close()
 	loops := budgetedPair(t, reg)
-	var before [][]trace.ChunkEvent
+	thread := func(l *Loop, tid int) []any {
+		evs, phs, ivs := l.capture.Thread(tid)
+		return []any{evs, slices.Clone(phs), slices.Clone(ivs)}
+	}
+	var before [][]any
 	for _, l := range loops {
-		for _, tp := range l.capture {
-			before = append(before, slices.Clone(tp.events))
+		for tid := range l.capture {
+			before = append(before, thread(l, tid))
 		}
 	}
 	first, err := reg.BuildRecord(loops...)
@@ -312,8 +320,8 @@ func TestBuildRecordLeavesTapes(t *testing.T) {
 	}
 	k := 0
 	for li, l := range loops {
-		for tid, tp := range l.capture {
-			if !slices.Equal(tp.events, before[k]) {
+		for tid := range l.capture {
+			if !reflect.DeepEqual(thread(l, tid), before[k]) {
 				t.Errorf("loop %d worker %d: building a record changed the tape", li, tid)
 			}
 			k++
@@ -321,17 +329,167 @@ func TestBuildRecordLeavesTapes(t *testing.T) {
 	}
 }
 
+// referenceRecord builds the record of loops as BuildRecord did while it
+// merged the tapes itself: it gathers every tape's events, sorts each loop's
+// by (TimeNs, Tid, Seq), compacts and trims them to the loop's budget, stamps
+// each with its loop and, unless it is a retirement, its cost; sorts all of
+// them again, sorts the phases stably by time and thread, adds the final SF
+// samples last and copies a one-loop record's intervals, each through a
+// Recorder's streaming calls.
+func referenceRecord(t *testing.T, r *Registry, loops ...*Loop) *trace.Record {
+	t.Helper()
+	byTime := func(a, b trace.ChunkEvent) int {
+		if a.TimeNs != b.TimeNs {
+			return cmp.Compare(a.TimeNs, b.TimeNs)
+		}
+		if a.Tid != b.Tid {
+			return cmp.Compare(a.Tid, b.Tid)
+		}
+		return cmp.Compare(a.Seq, b.Seq)
+	}
+	byPhaseTime := func(a, b trace.PhaseEvent) int {
+		if a.TimeNs != b.TimeNs {
+			return cmp.Compare(a.TimeNs, b.TimeNs)
+		}
+		return cmp.Compare(a.Tid, b.Tid)
+	}
+	occupancy := make([]int, len(r.platform.Clusters))
+	for tid := 0; tid < r.nthreads; tid++ {
+		occupancy[r.types[tid]]++
+	}
+	speed := make([]float64, r.nthreads)
+	for tid := range speed {
+		speed[tid] = r.platform.Speed(r.platform.CoreOf(tid, r.nthreads, r.binding), r.profile, occupancy[r.types[tid]])
+	}
+	rec, policy := trace.NewTimedRecorder(), ""
+	if len(loops) > 1 {
+		rec, policy = trace.NewRecorder(), r.policy.Name()
+	}
+	startNs, endNs := loops[0].stats.Start, loops[0].stats.End
+	for _, l := range loops {
+		startNs, endNs = min(startNs, l.stats.Start), max(endNs, l.stats.End)
+	}
+	if err := rec.BeginRun(trace.RunMeta{Engine: "rt", Platform: trace.PlatformRecordOf(r.platform),
+		NThreads: r.nthreads, Binding: r.binding.String(), Policy: policy, StartNs: startNs}); err != nil {
+		t.Fatal(err)
+	}
+	var evs []trace.ChunkEvent
+	var phs []trace.PhaseEvent
+	for _, l := range loops {
+		idx := rec.AddLoop(trace.LoopRecord{Name: l.name, NI: l.n, Weight: l.weight,
+			Scheduler: l.stats.SchedulerName, Schedule: l.schedule.Canonical(), Profile: r.profile})
+		from := len(evs)
+		for tid := range l.capture {
+			tape, phases, _ := l.capture.Thread(tid)
+			evs = append(evs, tape...)
+			for _, p := range phases {
+				p.Loop = idx
+				phs = append(phs, p)
+			}
+		}
+		slices.SortFunc(evs[from:], byTime)
+		if l.captureMax > 0 {
+			evs = append(evs[:from], trace.TrimToBudget(trace.CompactEvents(evs[from:]), l.captureMax)...)
+		}
+		for i := from; i < len(evs); i++ {
+			evs[i].Loop = int32(idx)
+			if !evs[i].Retire {
+				evs[i].Cost = float64(evs[i].ExecNs) * speed[evs[i].Tid]
+			}
+		}
+	}
+	slices.SortFunc(evs, byTime)
+	for _, ev := range evs {
+		rec.Chunk(ev)
+	}
+	slices.SortStableFunc(phs, byPhaseTime)
+	for _, p := range phs {
+		rec.Phase(p)
+	}
+	for idx, l := range loops {
+		if l.stats.SFEstimate != nil {
+			rec.SFSample(trace.SFSample{TimeNs: l.stats.End, Loop: idx, SF: slices.Clone(l.stats.SFEstimate)})
+		}
+	}
+	if len(loops) == 1 {
+		for tid := range loops[0].capture {
+			_, _, ivs := loops[0].capture.Thread(tid)
+			for _, iv := range ivs {
+				rec.Add(tid, iv.Start, iv.End, iv.State)
+			}
+		}
+	}
+	rec.EndRun(endNs - startNs)
+	return rec.Record()
+}
+
+// TestBuildRecordMatchesReference: the record BuildRecord builds through
+// trace.Recorder.AddTapes equals referenceRecord's for one timed loop, two
+// loops, a budgeted pair, and an AID team loop with phases and barrier waits.
+func TestBuildRecordMatchesReference(t *testing.T) {
+	type batch struct {
+		reg   *Registry
+		loops []*Loop
+	}
+	cases := map[string]func() batch{
+		"one loop": func() batch {
+			reg, loops, _ := capturedLoops(t, 1)
+			return batch{reg, loops}
+		},
+		"two loops": func() batch {
+			reg, loops, _ := capturedLoops(t, 2)
+			return batch{reg, loops}
+		},
+		"budgeted pair": func() batch {
+			reg, err := NewRegistry(RegistryConfig{NThreads: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(reg.Close)
+			return batch{reg, budgetedPair(t, reg)}
+		},
+		"aid team loop": func() batch {
+			team := newTestTeam(t, TeamConfig{NThreads: 4})
+			// The yielding body lets every worker sample (see
+			// TestTeamParallelForCapturesTimeline).
+			l, err := team.reg.Submit(LoopRequest{Name: "aid", N: 20000, Capture: true,
+				Schedule: core.Schedule{Kind: core.KindAIDStatic}, Body: func(int, int64, int64) { runtime.Gosched() }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.Wait()
+			return batch{team.reg, []*Loop{l}}
+		},
+	}
+	for _, name := range []string{"one loop", "two loops", "budgeted pair", "aid team loop"} {
+		b := cases[name]()
+		got, err := b.reg.BuildRecord(b.loops...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceRecord(t, b.reg, b.loops...)
+		if name == "aid team loop" && (len(want.Phases) == 0 || len(want.SFSamples) < 2) {
+			t.Fatalf("%s: %d phases and %d SF samples, the case checks no phase", name, len(want.Phases), len(want.SFSamples))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: BuildRecord's record differs from the reference's: %d/%d events, %d/%d phases, %d/%d SF samples, %d/%d intervals",
+				name, len(got.Events), len(want.Events), len(got.Phases), len(want.Phases),
+				len(got.SFSamples), len(want.SFSamples), len(got.Timeline), len(want.Timeline))
+		}
+	}
+}
+
 // TestBuildRecordEventBytes: BuildRecord stores a record's events once, and
-// a one-loop record's timeline once besides the per-thread lists it is laid
-// out from. Two unbudgeted captured loops (a record of two loops carries no
-// timeline) of n events in all cost one n-event array, which the Recorder
-// adopts, and little besides; a merge that copies the array into the Recorder
-// costs two. One loop of n events carries about 2n intervals, a Sched and a
-// Running one per grant, so its record costs one event array, the timed
-// Recorder's per-thread lists of exactly the tapes' lengths (two thirds of an
-// array: an interval is 24 bytes, an event 72) and Record.Timeline (nine
-// tenths of one, at 32 bytes an interval): about 2.6 arrays. Per-thread lists
-// that grow by doubling make it 5.4.
+// a one-loop record's timeline once. Two unbudgeted captured loops (a record
+// of two loops carries no timeline) of n events in all cost one n-event
+// array, which the Recorder sizes exactly from the tapes, and little besides;
+// a merge that gathers the tapes into an array of its own and copies it into
+// the Recorder costs two. One loop of n events carries about 2n intervals, a
+// Sched and a Running one per grant, so its record costs one event array and
+// Record.Timeline, laid out straight from the tapes (nine tenths of an
+// array, at 32 bytes an interval against 72 an event): about 1.9 arrays.
+// Copying the intervals into per-thread lists of exactly the tapes' lengths
+// first makes it 2.6, and lists that grow by doubling 5.4.
 func TestBuildRecordEventBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -341,7 +499,7 @@ func TestBuildRecordEventBytes(t *testing.T) {
 		bound float64
 	}{
 		{2, 1.3},
-		{1, 3.0},
+		{1, 2.0},
 	} {
 		reg, loops, rec := capturedLoops(t, c.loops)
 		if (c.loops == 1) != (len(rec.Timeline) > 0) {

@@ -153,4 +153,11 @@
 // TestRegistrySubmitAllocs. Submit's time moved less: rt.submit_us read
 // 11-15 us before and 10 us after in two alternating traced passes,
 // admission to first body 15-17 us on both sides.
+//
+// # Capture
+//
+// A captured loop's workers append to trace.Tapes, each to its own tape,
+// which start empty and grow in blocks. BuildRecord hands each loop's tapes
+// to one trace.Recorder, which orders, merges, compacts and trims them, and
+// stamps each grant's cost from the platform speed model.
 package rt

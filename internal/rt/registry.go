@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -272,19 +271,17 @@ type LoopRequest struct {
 	Body func(tid int, lo, hi int64)
 	// Capture records the loop's real execution: wall-clock per-worker
 	// timelines, every chunk grant, and the scheduler's phase transitions.
-	// Workers append to private per-worker tapes (the lock-free hot path
-	// stays lock free), which Registry.BuildRecord merges into a run
-	// record once the loop's barrier has released.
+	// Workers append to their own tapes (trace.Tapes, which start empty and
+	// grow in blocks; the lock-free hot path stays lock free), which
+	// Registry.BuildRecord hands to a trace.Recorder.
 	Capture bool
 	// CaptureMaxEvents, with Capture, bounds the loop's events in a record
 	// — the sampling recorder's reductions. A positive budget first merges
-	// adjacent contiguous grants to the same worker (trace.CompactEvents),
-	// which keeps every total (iterations, pool accesses, execution time)
-	// and coarsens only grant granularity; then, when the compacted stream
-	// still exceeds the budget, the first and the last CaptureMaxEvents/2
-	// events are retained and the middle is dropped (trace.TrimToBudget).
-	// The tapes keep every event; the budget bounds what a record built
-	// from them holds. 0 means unbounded and uncompacted.
+	// adjacent contiguous grants to the same worker (trace.CompactEvents,
+	// which keeps every total and coarsens only grant granularity), then
+	// keeps the first and the last CaptureMaxEvents/2 events of what still
+	// exceeds it (trace.TrimToBudget). The tapes keep every event. 0 means
+	// unbounded and uncompacted.
 	CaptureMaxEvents int
 }
 
@@ -318,8 +315,9 @@ type Loop struct {
 	metrics *obs.Metrics
 
 	// capture is non-nil when the loop records its execution: the sink of
-	// its ledger, whose tape tid is appended only by worker tid.
-	capture tapes
+	// its ledger and its scheduler's phase observer, whose tape tid is
+	// appended only by worker tid.
+	capture trace.Tapes
 	// captureMax is the sampled-capture budget BuildRecord applies to the
 	// loop's events (see LoopRequest.CaptureMaxEvents).
 	captureMax int
@@ -399,28 +397,16 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 		l.stats.Start = r.now()
 	}
 	if req.Capture {
-		l.capture = make(tapes, r.nthreads)
-		tl, evs = l.capture, l.capture
+		capture := make(trace.Tapes, r.nthreads)
+		l.capture, tl, evs = capture, capture, capture
 		l.stats.Start = r.now()
 		l.captureMax = req.CaptureMaxEvents
-		// Pre-size the tapes from the schedule's chunk geometry — an
-		// event and two intervals (sched + running) per grant — so the
-		// capturing hot path appends into reserved space instead of
-		// growing its buffers mid-run.
-		est := tapeEstimate(req.N, req.Schedule.Chunk, r.nthreads)
-		for tid := range l.capture {
-			tp := &l.capture[tid]
-			tp.events = make([]trace.ChunkEvent, 0, est)
-			tp.intervals = make([]trace.Interval, 0, 2*est+1)
-		}
 		if po, ok := l.sched.(core.PhaseObservable); ok {
 			// The observer runs on the transition-owning worker and appends
-			// to that worker's private tape, so the capture path inherits
-			// the schedulers' lock freedom.
+			// to that worker's own tape, so the capture path inherits the
+			// schedulers' lock freedom.
 			po.SetPhaseObserver(func(ev core.PhaseEvent) {
-				tp := &l.capture[ev.Tid]
-				tp.phases = append(tp.phases, trace.PhaseEvent{TimeNs: ev.TimeNs,
-					Tid: ev.Tid, Epoch: ev.Epoch, Kind: ev.Kind, SF: ev.SF})
+				capture.Phase(trace.PhaseEvent{TimeNs: ev.TimeNs, Tid: ev.Tid, Epoch: ev.Epoch, Kind: ev.Kind, SF: ev.SF})
 			})
 		}
 	}
@@ -497,10 +483,15 @@ func (r *Registry) takeFree(key schedKey) (freeLoop, bool) {
 // recycle hands a released loop's scheduler and worker-indexed storage to
 // the free list, dropping the oldest entry when the list is full, and
 // clears the loop's references to them (caller holds mu; every worker has
-// retired from l).
+// retired from l). The entry keeps nothing of the loop: the ledger is
+// disarmed and the phase observer cleared (TestRegistryRecycleKeepsNoLoop).
 func (r *Registry) recycle(l *Loop) {
 	key, ok := keyOf(l.schedule)
 	if rs, resettable := l.sched.(core.Resettable); ok && resettable {
+		l.ledger.Arm(r.types, nil, nil, nil, nil, 0, false)
+		if po, observed := rs.(core.PhaseObservable); observed {
+			po.SetPhaseObserver(nil)
+		}
 		if len(r.free) == maxFree {
 			copy(r.free, r.free[1:])
 			r.free = r.free[:maxFree-1]
@@ -511,40 +502,21 @@ func (r *Registry) recycle(l *Loop) {
 }
 
 // BuildRecord assembles a serializable run record from completed captured
-// loops — the real-engine analog of the simulator's native recording, and
-// the one merge of their tapes. All loops must have been submitted to this
-// registry with Capture set and have released their barriers. Each loop's
-// events are put in the engines' event order (per-worker capture order
-// breaks timestamp ties) and reduced to its CaptureMaxEvents, then all are
-// merged into global time order, and each event's abstract work units are
-// derived from its measured wall time and the platform speed model, so
+// loops — the real-engine analog of the simulator's native recording. All
+// loops must have been submitted to this registry with Capture set and have
+// released their barriers. Their tapes go to one trace.Recorder
+// (Recorder.AddTapes), and each grant's abstract work units are derived
+// from its measured wall time and the platform speed model, so
 // internal/replay can re-execute and what-if the run in virtual time. A
-// record of one loop carries its timeline. The tapes are read, never
-// modified, so records built from the same loops are equal; none is built
-// under the registry lock.
+// record of one loop carries its timeline. The tapes are never modified, so
+// records built from the same loops are equal; none is built under the
+// registry lock.
 func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 	if len(loops) == 0 {
 		return nil, fmt.Errorf("rt: no loops to record")
 	}
-	rec := trace.NewRecorder()
-	if len(loops) == 1 {
-		rec = trace.NewTimedRecorder()
-	}
-	// The modeled per-worker speed converts measured wall time to work
-	// units. Cluster occupancy is the full fleet, matching the simulator's
-	// single-loop model where every worker is resident.
-	occupancy := make([]int, len(r.platform.Clusters))
-	for tid := 0; tid < r.nthreads; tid++ {
-		occupancy[r.types[tid]]++
-	}
-	speed := make([]float64, r.nthreads)
-	for tid := 0; tid < r.nthreads; tid++ {
-		cpu := r.platform.CoreOf(tid, r.nthreads, r.binding)
-		speed[tid] = r.platform.Speed(cpu, r.profile, occupancy[r.types[tid]])
-	}
-	startNs := int64(-1)
-	var endNs int64
-	for _, l := range loops {
+	var startNs, endNs int64
+	for i, l := range loops {
 		select {
 		case <-l.done:
 		default:
@@ -553,16 +525,14 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 		if l.capture == nil {
 			return nil, fmt.Errorf("rt: loop %q was not submitted with Capture", l.name)
 		}
-		if startNs == -1 || l.stats.Start < startNs {
+		if i == 0 || l.stats.Start < startNs {
 			startNs = l.stats.Start
 		}
-		if l.stats.End > endNs {
-			endNs = l.stats.End
-		}
+		endNs = max(endNs, l.stats.End)
 	}
-	policy := ""
+	rec, policy := trace.NewTimedRecorder(), ""
 	if len(loops) > 1 {
-		policy = r.policy.Name()
+		rec, policy = trace.NewRecorder(), r.policy.Name()
 	}
 	if err := rec.BeginRun(trace.RunMeta{
 		Engine:   "rt",
@@ -574,75 +544,42 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 	}); err != nil {
 		return nil, err
 	}
-	var nev, nph int
 	for _, l := range loops {
-		for tid := range l.capture {
-			nev += len(l.capture[tid].events)
-			nph += len(l.capture[tid].phases)
-		}
-	}
-	evs := make([]trace.ChunkEvent, 0, nev)
-	phs := make([]trace.PhaseEvent, 0, nph)
-	for _, l := range loops {
-		idx := rec.AddLoop(trace.LoopRecord{
+		rec.AddTapes(trace.LoopRecord{
 			Name:      l.name,
 			NI:        l.n,
 			Weight:    l.weight,
 			Scheduler: l.stats.SchedulerName,
 			Schedule:  l.schedule.Canonical(),
 			Profile:   r.profile,
-		})
-		// Seq is still the per-worker capture sequence here, the tie-break
-		// of eventOrder; the Recorder assigns the global one. Compaction
-		// needs the loop's events in that order, and the budget is the
-		// loop's own.
-		from := len(evs)
-		for tid := range l.capture {
-			evs = append(evs, l.capture[tid].events...)
-			for _, p := range l.capture[tid].phases {
-				p.Loop = idx
-				phs = append(phs, p)
-			}
-		}
-		slices.SortFunc(evs[from:], eventOrder)
-		if l.captureMax > 0 {
-			kept := trace.TrimToBudget(trace.CompactEvents(evs[from:]), l.captureMax, l.captureMax/2)
-			evs = append(evs[:from], kept...)
-		}
-		for i := from; i < len(evs); i++ {
-			ev := &evs[i]
-			ev.Loop = int32(idx)
-			if !ev.Retire {
-				ev.Cost = float64(ev.ExecNs) * speed[ev.Tid]
-			}
-		}
-	}
-	slices.SortFunc(evs, eventOrder)
-	rec.Chunks(evs)
-	// Each worker's transitions are in its own order; interleave them
-	// chronologically (stable, to keep that order on a tie).
-	slices.SortStableFunc(phs, phaseOrder)
-	for _, p := range phs {
-		rec.Phase(p)
-	}
-	// Final estimates go last: Phase() auto-derives mid-run SF samples, and
-	// the serialized trajectory must stay chronological.
-	for idx, l := range loops {
-		if l.stats.SFEstimate != nil {
-			rec.SFSample(trace.SFSample{TimeNs: l.stats.End, Loop: idx,
-				SF: append([]float64(nil), l.stats.SFEstimate...)})
-		}
-	}
-	if rec.Timed() {
-		for tid, tp := range loops[0].capture {
-			rec.Grow(tid, len(tp.intervals))
-			for _, iv := range tp.intervals {
-				rec.Add(tid, iv.Start, iv.End, iv.State)
-			}
-		}
+		}, l.capture, l.captureMax)
 	}
 	rec.EndRun(endNs - startNs)
-	return rec.Record(), nil
+	// Final estimates go last, after the SF samples the merged phases
+	// published mid-run.
+	for idx, l := range loops {
+		if l.stats.SFEstimate != nil {
+			rec.SFSample(trace.SFSample{TimeNs: l.stats.End, Loop: idx, SF: slices.Clone(l.stats.SFEstimate)})
+		}
+	}
+	out := rec.Record()
+	// The modeled per-worker speed converts measured wall time to work
+	// units. Cluster occupancy is the full fleet, matching the simulator's
+	// single-loop model where every worker is resident.
+	occupancy := make([]int, len(r.platform.Clusters))
+	for _, typ := range r.types {
+		occupancy[typ]++
+	}
+	speed := make([]float64, r.nthreads)
+	for tid := range speed {
+		speed[tid] = r.platform.Speed(r.platform.CoreOf(tid, r.nthreads, r.binding), r.profile, occupancy[r.types[tid]])
+	}
+	for i := range out.Events {
+		if ev := &out.Events[i]; !ev.Retire {
+			ev.Cost = float64(ev.ExecNs) * speed[ev.Tid]
+		}
+	}
+	return out, nil
 }
 
 // Close stops accepting submissions, lets the already-admitted loops drain,
@@ -654,42 +591,6 @@ func (r *Registry) Close() {
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	r.wg.Wait()
-}
-
-// tape is one worker's append-only capture of one loop. Only the owning
-// worker appends, so the loop hot path needs no synchronization; the
-// barrier release publishes the tape (through Loop.done) to BuildRecord,
-// which alone reads it. The pad keeps neighbouring workers' tape headers
-// off each other's cache lines.
-type tape struct {
-	events    []trace.ChunkEvent
-	phases    []trace.PhaseEvent
-	intervals []trace.Interval
-	_         [64]byte
-}
-
-// tapes is a captured loop's per-worker tapes, the timeline and the events
-// of its ledger: the lane of worker tid appends to tape tid only.
-type tapes []tape
-
-func (t tapes) Add(tid int, start, end int64, s trace.State) {
-	tp := &t[tid]
-	tp.intervals = append(tp.intervals, trace.Interval{Start: start, End: end, State: s})
-}
-
-func (t tapes) Chunk(ev trace.ChunkEvent) {
-	tp := &t[ev.Tid]
-	tp.events = append(tp.events, ev)
-}
-
-// tapeEstimate guesses how many chunk grants one worker will capture for a
-// loop of n iterations under the given chunk size (0 = schedule default,
-// treated as 1, the paper's fine-grained default). The guess is clamped to
-// [8, 1<<14] — an estimate only: workloads that blow past it just pay the
-// append growth the reservation usually avoids, and the cap keeps a huge
-// coarse loop from reserving megabytes per worker up front.
-func tapeEstimate(n, chunk int64, nthreads int) int {
-	return int(min(max(n/(max(chunk, 1)*int64(nthreads))+4, 8), 1<<14))
 }
 
 // worker is one fleet goroutine: pick a loop under the fairness policy,
@@ -861,25 +762,3 @@ func (r *Registry) MetricsSnapshot() obs.Snapshot {
 
 // MetricsEnabled reports whether the registry was built with Metrics.
 func (r *Registry) MetricsEnabled() bool { return r.metrics != nil }
-
-// eventOrder orders captured events chronologically; timestamp ties break by
-// thread, then by the per-worker capture sequence (the ground truth for one
-// worker's grant order, which replay depends on).
-func eventOrder(a, b trace.ChunkEvent) int {
-	if a.TimeNs != b.TimeNs {
-		return cmp.Compare(a.TimeNs, b.TimeNs)
-	}
-	if a.Tid != b.Tid {
-		return cmp.Compare(a.Tid, b.Tid)
-	}
-	return cmp.Compare(a.Seq, b.Seq)
-}
-
-// phaseOrder orders phase transitions chronologically, thread as the
-// tie-break.
-func phaseOrder(a, b trace.PhaseEvent) int {
-	if a.TimeNs != b.TimeNs {
-		return cmp.Compare(a.TimeNs, b.TimeNs)
-	}
-	return cmp.Compare(a.Tid, b.Tid)
-}

@@ -1,9 +1,11 @@
 package rt
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fair"
@@ -339,5 +341,61 @@ func TestRegistryConfigValidation(t *testing.T) {
 	}
 	if reg.Policy().Name() != "wrr" {
 		t.Errorf("default policy = %q, want wrr", reg.Policy().Name())
+	}
+}
+
+// TestRegistryRecycleKeepsNoLoop: the free list keeps a released loop's
+// scheduler and ledger, and nothing of the loop itself. Once the handles are
+// dropped, a captured loop's tapes, a metered loop's counters and an AID
+// loop, whose scheduler had a phase observer, are all collected, although
+// their schedulers and ledgers stay pooled.
+func TestRegistryRecycleKeepsNoLoop(t *testing.T) {
+	reg, err := NewRegistry(RegistryConfig{NThreads: 2, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	var mu sync.Mutex
+	alive := map[string]bool{}
+	watch := func(name string, obj any) {
+		mu.Lock()
+		alive[name] = true
+		mu.Unlock()
+		runtime.SetFinalizer(obj, func(any) {
+			mu.Lock()
+			delete(alive, name)
+			mu.Unlock()
+		})
+	}
+	func() {
+		for _, text := range []string{"dynamic,1", "aid-hybrid,80,1"} {
+			s, err := core.ParseSchedule(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := reg.Submit(LoopRequest{N: 20_000, Schedule: s, Capture: true, Body: func(int, int64, int64) {}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.Wait()
+			watch(text+" tapes", &l.capture[0])
+			watch(text+" metrics", l.metrics)
+			watch(text+" loop", l)
+		}
+	}()
+	reg.mu.Lock()
+	nfree := len(reg.free)
+	reg.mu.Unlock()
+	if nfree != 2 {
+		t.Fatalf("free list holds %d entries after two released loops, want 2", nfree)
+	}
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // finalizers run on their own goroutine
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for name := range alive {
+		t.Errorf("the %s of a released loop was not collected", name)
 	}
 }

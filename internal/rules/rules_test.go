@@ -342,6 +342,45 @@ var rules = []rule{{
 		`package p; import . "repro/internal/rt"; import "repro/internal/core"; var s core.Schedule`,
 	},
 }, {
+	name: "no event or phase order outside internal/trace",
+	reason: "a record's one event order (trace.EventOrder) and one phase order live in " +
+		"internal/trace, which alone orders and merges a captured loop's tapes",
+	reads: func(s source, _ graph) bool { return !s.test && !s.in("internal/trace") },
+	check: func(f *ast.File, report func(ast.Node, string)) {
+		tr := importName(f, "repro/internal/trace")
+		ast.Inspect(f, func(n ast.Node) bool {
+			var ft *ast.FuncType
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				ft = n.Type
+			case *ast.FuncLit:
+				ft = n.Type
+			default:
+				return true
+			}
+			if kind := orderOf(ft, tr); kind != "" {
+				report(n, "orders two trace."+kind+"s")
+			}
+			return true
+		})
+	},
+	bad: []string{
+		`package p; import ("cmp"; "repro/internal/trace"); func eventOrder(a, b trace.ChunkEvent) int { return cmp.Compare(a.TimeNs, b.TimeNs) }`,
+		`package p; import "repro/internal/trace"; var byTime = func(a *trace.ChunkEvent, b *trace.ChunkEvent) int { return 0 }`,
+		`package p; import t "repro/internal/trace"; type s struct{}; func (s) order(a, b t.PhaseEvent) (n int) { return }`,
+		`package p; import . "repro/internal/trace"; func f(evs []ChunkEvent) { _ = func(a, b *ChunkEvent) int { return 0 } }`,
+	},
+	good: []string{
+		`package p; import ("slices"; "repro/internal/trace"); func f(evs []trace.ChunkEvent) { slices.SortFunc(evs, trace.EventOrder) }`,
+		`package p; import "repro/internal/trace"; func before(a, b trace.ChunkEvent) bool { return a.TimeNs < b.TimeNs }`,
+		`package p; import "repro/internal/trace"; func f(a trace.ChunkEvent, b trace.PhaseEvent) int { return 0 }`,
+		`package p; import "repro/internal/trace"; func f(a, b, c trace.ChunkEvent) int { return 0 }`,
+		`package p; import "repro/internal/trace"; func f(a, b []trace.ChunkEvent) int { return 0 }`,
+		`package p; import trace "repro/internal/other"; func f(a, b trace.ChunkEvent) int { return 0 }`,
+		`package p; // func eventOrder(a, b trace.ChunkEvent) int
+		var s = "func(a, b trace.PhaseEvent) int"`,
+	},
+}, {
 	name: "no retired policy, live SF view, SF trajectory result, AID-auto schedule or second timeline is named",
 	reason: "a fairness policy sees a loop's ID and weight only, a run's SF trajectory and " +
 		"timeline live in its trace.Record only, and the AID-auto schedule is retired: none is named " +
@@ -389,6 +428,37 @@ var rules = []rule{{
 		`package p; type record struct{ Timeline []int } // a record's timeline`,
 	},
 }}
+
+// orderOf is "ChunkEvent" or "PhaseEvent" when ft takes exactly two
+// parameters of that type of the package imported as tr, values or pointers,
+// and returns one int, the shape of a comparison; "" otherwise.
+func orderOf(ft *ast.FuncType, tr string) string {
+	if ft.Results == nil || len(ft.Results.List) != 1 || len(ft.Results.List[0].Names) > 1 {
+		return ""
+	}
+	if res, ok := ft.Results.List[0].Type.(*ast.Ident); !ok || res.Name != "int" {
+		return ""
+	}
+	var params []ast.Expr
+	for _, field := range ft.Params.List {
+		for i := 0; i < max(len(field.Names), 1); i++ {
+			if star, ok := field.Type.(*ast.StarExpr); ok {
+				params = append(params, star.X)
+			} else {
+				params = append(params, field.Type)
+			}
+		}
+	}
+	if len(params) != 2 {
+		return ""
+	}
+	for _, kind := range []string{"ChunkEvent", "PhaseEvent"} {
+		if names(params[0], tr, kind) && names(params[1], tr, kind) {
+			return kind
+		}
+	}
+	return ""
+}
 
 // importName is the name under which f imports path: its last element unless
 // the import renames it, "." for a dot import, "" when f does not import it.

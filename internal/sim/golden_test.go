@@ -133,6 +133,9 @@ func goldenTeam(cfg Config, spec LoopSpec, startNs int64, observe bool) (uint64,
 	dumpResult(h, r)
 	if observe {
 		rec := cfg.Recorder.Record()
+		if err := inEventOrder(rec); err != nil {
+			return 0, err
+		}
 		dumpRecord(h, rec)
 		// Each thread's intervals once more, as a list of its own.
 		for _, ivs := range threadTimelines(rec) {
@@ -175,8 +178,24 @@ func goldenFleet(cfg Config, cost func(int64) CostModel, policy fair.Policy, sta
 		}
 		dumpResult(h, r)
 	}
-	dumpRecord(h, cfg.Recorder.Record())
+	rec := cfg.Recorder.Record()
+	if err := inEventOrder(rec); err != nil {
+		return 0, err
+	}
+	dumpRecord(h, rec)
 	return h.Sum64(), nil
+}
+
+// inEventOrder fails unless rec's events are in trace.EventOrder, as the
+// simulator streams them: the reason it needs no merge of its own, and
+// replay reads its records in place.
+func inEventOrder(rec *trace.Record) error {
+	for i := 1; i < len(rec.Events); i++ {
+		if trace.EventOrder(rec.Events[i-1], rec.Events[i]) > 0 {
+			return fmt.Errorf("event %d %+v comes before event %d %+v", i-1, rec.Events[i-1], i, rec.Events[i])
+		}
+	}
+	return nil
 }
 
 // TestEngineGolden pins the simulator's observable behaviour bit for bit:
@@ -190,6 +209,9 @@ func goldenFleet(cfg Config, cost func(int64) CostModel, policy fair.Policy, sta
 // behaviour change regenerate it with
 //
 //	go test ./internal/sim -run TestEngineGolden -update
+//
+// Each of the 630 run records must also hold its events in
+// trace.EventOrder.
 func TestEngineGolden(t *testing.T) {
 	got := map[string]uint64{}
 	var order []string

@@ -59,23 +59,18 @@ func sum16(a, b int16) (int16, bool) {
 }
 
 // TrimToBudget bounds evs to at most budget events by dropping the middle:
-// the first head events and the last budget-head events are retained, the
+// the first budget/2 events and the last budget-budget/2 are retained, the
 // rest discarded. Head/tail retention keeps the two regions an
 // investigation reads first — the start of the loop (AID sampling phases,
 // first grants) and the barrier convergence (final grants, retirements) —
 // at the cost of the steady-state middle, which compaction has usually
 // already collapsed. A budget <= 0 means unbounded (evs is returned as
-// is); head is clamped to [0, budget].
-func TrimToBudget(evs []ChunkEvent, budget, head int) []ChunkEvent {
+// is).
+func TrimToBudget(evs []ChunkEvent, budget int) []ChunkEvent {
 	if budget <= 0 || len(evs) <= budget {
 		return evs
 	}
-	if head < 0 {
-		head = 0
-	}
-	if head > budget {
-		head = budget
-	}
+	head := budget / 2
 	out := make([]ChunkEvent, 0, budget)
 	out = append(out, evs[:head]...)
 	out = append(out, evs[len(evs)-(budget-head):]...)

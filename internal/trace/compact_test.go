@@ -2,6 +2,7 @@ package trace
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -70,36 +71,34 @@ func TestCompactEmpty(t *testing.T) {
 	}
 }
 
-// TestTrimToBudget pins head/tail retention: first head events, last
-// budget-head events, middle dropped.
+// TestTrimToBudget pins head/tail retention: the first budget/2 events, the
+// last budget-budget/2, middle dropped.
 func TestTrimToBudget(t *testing.T) {
 	evs := make([]ChunkEvent, 10)
 	for i := range evs {
 		evs[i] = grant(int64(i), int64(100*i), 0, 0, int64(i), int64(i+1), 1, 1)
 	}
-	got := TrimToBudget(evs, 4, 1)
-	if len(got) != 4 {
-		t.Fatalf("trimmed to %d events, want 4", len(got))
-	}
-	wantSeqs := []int64{0, 7, 8, 9}
-	for i, ev := range got {
-		if ev.Seq != wantSeqs[i] {
-			t.Fatalf("kept seqs %v, want %v", []int64{got[0].Seq, got[1].Seq, got[2].Seq, got[3].Seq}, wantSeqs)
+	for _, c := range []struct {
+		budget int
+		want   []int64
+	}{
+		{4, []int64{0, 1, 8, 9}},
+		{5, []int64{0, 1, 7, 8, 9}},
+	} {
+		var seqs []int64
+		for _, ev := range TrimToBudget(evs, c.budget) {
+			seqs = append(seqs, ev.Seq)
+		}
+		if !slices.Equal(seqs, c.want) {
+			t.Fatalf("budget %d kept seqs %v, want %v", c.budget, seqs, c.want)
 		}
 	}
 	// Under budget: untouched (same backing array, no copy).
-	if got := TrimToBudget(evs, 20, 5); len(got) != len(evs) {
+	if got := TrimToBudget(evs, 20); len(got) != len(evs) {
 		t.Fatalf("under-budget trim dropped events: %d of %d", len(got), len(evs))
 	}
 	// Unbounded budget.
-	if got := TrimToBudget(evs, 0, 5); len(got) != len(evs) {
+	if got := TrimToBudget(evs, 0); len(got) != len(evs) {
 		t.Fatalf("budget 0 must mean unbounded, got %d events", len(got))
-	}
-	// Head clamping.
-	if got := TrimToBudget(evs, 3, 99); len(got) != 3 || got[0].Seq != 0 || got[2].Seq != 2 {
-		t.Fatalf("head>budget clamp broken: %+v", got)
-	}
-	if got := TrimToBudget(evs, 3, -1); len(got) != 3 || got[0].Seq != 7 {
-		t.Fatalf("negative head clamp broken: %+v", got)
 	}
 }

@@ -436,64 +436,131 @@ func TestRecordTraceReconstruction(t *testing.T) {
 	}
 }
 
-// TestRecorderChunks: a bulk append into an empty recorder adopts the
-// caller's array and numbers it in place; one after other events, or under
-// Expect, goes event by event, so the stream reads the same either way.
-func TestRecorderChunks(t *testing.T) {
-	batch := func(n int) []ChunkEvent {
-		evs := make([]ChunkEvent, n)
+// TestRecorderTapes: a recorder that takes two loops' tapes puts their
+// events in EventOrder at EndRun, each with its loop's index and numbered
+// from 0, after reducing the budgeted loop's to its budget; puts their phases
+// in time order, a worker's own order breaking ties, and derives their SF
+// samples; lays out a timed recorder's timeline from the tapes' intervals,
+// which keep Add's contract; and writes none of the tapes.
+func TestRecorderTapes(t *testing.T) {
+	ev := func(seq, at int64, tid int32, lo, hi int64) ChunkEvent {
+		return ChunkEvent{Seq: seq, TimeNs: at, Tid: tid, Lo: lo, Hi: hi, ExecNs: 1}
+	}
+	retire := func(seq, at int64, tid int32) ChunkEvent {
+		return ChunkEvent{Seq: seq, TimeNs: at, Tid: tid, Retire: true}
+	}
+	fill := func(evs []ChunkEvent, phs []PhaseEvent) Tapes {
+		tapes := make(Tapes, 2)
+		for _, e := range evs {
+			tapes.Chunk(e)
+		}
+		for _, p := range phs {
+			tapes.Phase(p)
+		}
+		return tapes
+	}
+	// Each worker's Seq runs on from loop a into loop b, as a runtime
+	// worker's does; the events' ties at 10 and 30 are broken by thread.
+	a := fill([]ChunkEvent{
+		ev(0, 10, 0, 0, 1), ev(1, 30, 0, 2, 3), retire(2, 50, 0),
+		ev(0, 10, 1, 1, 2), ev(1, 30, 1, 3, 4), retire(2, 40, 1),
+	}, []PhaseEvent{
+		{TimeNs: 20, Tid: 1, Epoch: 1, Kind: "sf-published", SF: []float64{2, 1}},
+		{TimeNs: 20, Tid: 0, Epoch: 2, Kind: "tail-switch"},
+		{TimeNs: 20, Tid: 0, Epoch: 3, Kind: "drain"},
+	})
+	// Loop b compacts to four events, [0,3) and [3,6) at 60 and the two
+	// retirements, and its budget of 3 keeps the first and the last two.
+	b := fill([]ChunkEvent{
+		ev(3, 60, 0, 0, 1), ev(4, 61, 0, 1, 2), ev(5, 62, 0, 2, 3), retire(6, 80, 0),
+		ev(3, 60, 1, 3, 4), ev(4, 65, 1, 4, 5), ev(5, 70, 1, 5, 6), retire(6, 75, 1),
+	}, []PhaseEvent{{TimeNs: 65, Tid: 1, Epoch: 1, Kind: "sf-published", SF: []float64{3, 1}}})
+	threads := func(tapes ...Tapes) []any {
+		var out []any
+		for _, tp := range tapes {
+			for tid := range tp {
+				evs, phs, ivs := tp.Thread(tid)
+				out = append(out, evs, slices.Clone(phs), slices.Clone(ivs))
+			}
+		}
+		return out
+	}
+	before := threads(a, b)
+
+	rec := NewRecorder()
+	if err := rec.BeginRun(RunMeta{Engine: "rt", NThreads: 2, Binding: "BS"}); err != nil {
+		t.Fatal(err)
+	}
+	rec.AddTapes(LoopRecord{Name: "a", NI: 4}, a, 0)
+	rec.AddTapes(LoopRecord{Name: "b", NI: 6}, b, 3)
+	rec.EndRun(80)
+	got := rec.Record()
+	if len(got.Loops) != 2 || got.Loops[0].Index != 0 || got.Loops[1].Index != 1 || got.Loops[1].Name != "b" {
+		t.Fatalf("loops %+v", got.Loops)
+	}
+	inLoop := func(loop int32, evs ...ChunkEvent) []ChunkEvent {
 		for i := range evs {
-			evs[i] = ChunkEvent{Lo: int64(i), Hi: int64(i) + 1, Seq: -1}
+			evs[i].Loop = loop
 		}
 		return evs
 	}
-	begin := func() *Recorder {
-		rec := NewRecorder()
-		if err := rec.BeginRun(RunMeta{Engine: "rt", NThreads: 1, Binding: "BS"}); err != nil {
-			t.Fatal(err)
-		}
-		rec.AddLoop(LoopRecord{Name: "l", NI: 100})
-		return rec
+	want := append(inLoop(0, ev(0, 10, 0, 0, 1), ev(0, 10, 1, 1, 2), ev(1, 30, 0, 2, 3), ev(1, 30, 1, 3, 4), retire(2, 40, 1), retire(2, 50, 0)),
+		inLoop(1, ChunkEvent{Seq: 3, TimeNs: 60, Lo: 0, Hi: 3, ExecNs: 3}, retire(6, 75, 1), retire(6, 80, 0))...)
+	for i := range want {
+		want[i].Seq = int64(i)
 	}
-	check := func(name string, evs []ChunkEvent, n int) {
-		t.Helper()
-		if len(evs) != n {
-			t.Fatalf("%s: %d events, want %d", name, len(evs), n)
-		}
-		for i, ev := range evs {
-			if ev.Seq != int64(i) {
-				t.Fatalf("%s: event %d has Seq %d", name, i, ev.Seq)
-			}
-		}
+	if !reflect.DeepEqual(got.Events, want) {
+		t.Errorf("merged events\n%+v\nwant\n%+v", got.Events, want)
+	}
+	wantPhases := []PhaseEvent{
+		{TimeNs: 20, Tid: 0, Epoch: 2, Kind: "tail-switch"},
+		{TimeNs: 20, Tid: 0, Epoch: 3, Kind: "drain"},
+		{TimeNs: 20, Tid: 1, Epoch: 1, Kind: "sf-published", SF: []float64{2, 1}},
+		{TimeNs: 65, Tid: 1, Loop: 1, Epoch: 1, Kind: "sf-published", SF: []float64{3, 1}},
+	}
+	if !reflect.DeepEqual(got.Phases, wantPhases) {
+		t.Errorf("merged phases %+v, want %+v", got.Phases, wantPhases)
+	}
+	wantSamples := []SFSample{{TimeNs: 20, SF: []float64{2, 1}}, {TimeNs: 65, Loop: 1, SF: []float64{3, 1}}}
+	if !reflect.DeepEqual(got.SFSamples, wantSamples) {
+		t.Errorf("SF samples %+v, want %+v", got.SFSamples, wantSamples)
+	}
+	if got.Timeline != nil {
+		t.Errorf("an untimed recorder laid out a timeline: %+v", got.Timeline)
+	}
+	if again := rec.Record(); !reflect.DeepEqual(again.Events, want) || !reflect.DeepEqual(again.Phases, wantPhases) {
+		t.Error("a second Record differs from the first")
+	}
+	if !reflect.DeepEqual(threads(a, b), before) {
+		t.Error("the recorder wrote a tape")
 	}
 
-	rec, evs := begin(), batch(40)
-	rec.Chunks(evs)
-	got := rec.Record().Events
-	check("adopted", got, 40)
-	if &got[0] != &evs[0] {
-		t.Error("a bulk append into an empty recorder copied the array")
+	c := make(Tapes, 2)
+	c.Add(0, 0, 10, Sched)
+	c.Add(0, 10, 10, Running) // empty: dropped
+	c.Add(0, 10, 30, Sched)   // continues [0,10): merged
+	c.Add(0, 30, 50, Running)
+	c.Add(1, 5, 20, Running)
+	timed := timedRecorder(t, 2)
+	timed.Add(1, 0, 5, Sched) // laid out in place of the tapes' intervals: not at all
+	timed.AddTapes(LoopRecord{Name: "c", NI: 1}, c, 0)
+	timed.EndRun(50)
+	wantTimeline := []IntervalRecord{{0, 0, 30, Sched}, {0, 30, 50, Running}, {1, 5, 20, Running}}
+	if tl := timed.Record().Timeline; !reflect.DeepEqual(tl, wantTimeline) {
+		t.Errorf("timeline %+v, want %+v", tl, wantTimeline)
 	}
-	rec.Chunk(ChunkEvent{Lo: 40, Hi: 41})
-	if got = rec.Record().Events; got[40].Lo != 40 {
-		t.Errorf("the event after the bulk append is %+v", got[40])
-	}
-	check("adopted, then one more", got, 41)
-
-	rec = begin()
-	rec.Chunk(ChunkEvent{Lo: 99, Hi: 100})
-	rec.Chunks(batch(40))
-	check("appended", rec.Record().Events, 41)
-
-	rec, evs = begin(), batch(40)
-	expected := batch(40)
-	for i := range expected {
-		expected[i].Seq = int64(i)
-	}
-	rec.Expect(expected)
-	rec.Chunks(evs)
-	if got := rec.Record().Events; &got[0] != &expected[0] {
-		t.Error("a bulk append that repeats the expected events does not hand them back")
+	for name, call := range map[string]func(){
+		"a second loop on a timed recorder": func() { timed.AddTapes(LoopRecord{Name: "d"}, make(Tapes, 2), 0) },
+		"three tapes for two threads":       func() { rec.AddTapes(LoopRecord{Name: "e"}, make(Tapes, 3), 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }
 

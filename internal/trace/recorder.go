@@ -1,23 +1,23 @@
 package trace
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
-// Recorder accumulates a Record during one run. It is single-writer: the
-// discrete-event simulator records directly from its event loop, and the
-// real-goroutine runtime records into per-worker tapes that the registry
-// merges and feeds to a Recorder when a record is built, after the loops'
-// barriers have released, so the lock-free loop hot path never touches it.
+// Recorder accumulates a Record during one run. It is single-writer, and
+// the engines fill it in one of two ways. The discrete-event simulator
+// streams into it from its event loop, through Chunk, Phase, SFSample and
+// Add. The real-goroutine runtime's workers write their loop's Tapes, which
+// the registry hands over once the loop's barrier has released (AddTapes),
+// so the lock-free loop hot path never touches a Recorder; the Recorder
+// orders, merges, compacts and trims them.
 //
 // A Recorder serves exactly one run (one sim.RunLoop, one sim.RunLoops, or
 // one rt loop/record batch): BeginRun fails on reuse.
 //
 // A timed Recorder (NewTimedRecorder) also keeps each thread's timeline: it
 // is the obs.Timeline an engine's ledger writes intervals to, and Record
-// lays the intervals out in Record.Timeline. An untimed one keeps none, and
-// an engine hands it to no ledger as a timeline.
+// lays them out in Record.Timeline, or those of the tapes it took. An
+// untimed one keeps none, and an engine hands it to no ledger as a
+// timeline.
 type Recorder struct {
 	rec    Record
 	events eventStream // rec.Events until Record compacts it
@@ -28,18 +28,21 @@ type Recorder struct {
 	// seq events so far equal its first seq; events stays empty until one
 	// differs.
 	expect []ChunkEvent
-	// threads is a timed recorder's timeline, one interval list per thread
-	// in time order, sized by BeginRun.
-	threads [][]Interval
+	// threads holds a timed recorder's timeline, a tape's intervals per
+	// thread, sized by BeginRun.
+	threads Tapes
+	// taken is every loop's tapes AddTapes took, in order, which EndRun
+	// merges into the record.
+	taken []taken
 }
 
 // eventStream is the one growth policy of a record's event array, shared by
-// Recorder and DecodeJSONL. Events go straight into head while a reservation
-// leaves room there; the rest go into blocks that double from 16 events to
-// 4096 and then stay at 4096, so nothing is copied while the stream grows.
-// events copies the blocks once into an exact array: a stream of n events
-// allocates about 2n events' worth (2.13n for 21 725, 2.02n for 100 000), where
-// an array that doubles allocates 2n to 4n (3.02n for 21 725).
+// Recorder, Tapes and DecodeJSONL. Events go straight into head while a
+// reservation leaves room there; the rest go into blocks that double from 16
+// events to 4096 and then stay at 4096, so nothing is copied while the
+// stream grows. events copies the blocks once into an exact array: a stream
+// of n events allocates about 2n events' worth (2.13n for 21 725, 2.02n for
+// 100 000), where an array that doubles allocates 2n to 4n (3.02n for 21 725).
 type eventStream struct {
 	head   []ChunkEvent   // the reservation, filled in place
 	blocks [][]ChunkEvent // what did not fit into head, in order; all full but the last
@@ -76,19 +79,29 @@ func (s *eventStream) events(extra int) []ChunkEvent {
 	if len(s.head) == 0 && len(s.blocks) == 1 {
 		s.head, s.blocks = s.blocks[0], nil
 	}
+	if n := s.len(); len(s.blocks) > 0 || cap(s.head)-n < extra {
+		s.head, s.blocks = s.appendTo(make([]ChunkEvent, 0, n+extra)), nil
+	}
+	return s.head
+}
+
+// len is the number of events in the stream.
+func (s *eventStream) len() int {
 	n := len(s.head)
 	for _, b := range s.blocks {
 		n += len(b)
 	}
-	if len(s.blocks) > 0 || cap(s.head)-n < extra {
-		evs := make([]ChunkEvent, n, n+extra)
-		i := copy(evs, s.head)
-		for _, b := range s.blocks {
-			i += copy(evs[i:], b)
-		}
-		s.head, s.blocks = evs, nil
+	return n
+}
+
+// appendTo appends the stream's events to dst, in order, and leaves the
+// stream as it is.
+func (s *eventStream) appendTo(dst []ChunkEvent) []ChunkEvent {
+	dst = append(dst, s.head...)
+	for _, b := range s.blocks {
+		dst = append(dst, b...)
 	}
-	return s.head
+	return dst
 }
 
 // RunMeta is the run-level header BeginRun stamps into the record.
@@ -124,7 +137,7 @@ func (r *Recorder) BeginRun(meta RunMeta) error {
 	}
 	r.begun = true
 	if r.timed {
-		r.threads = make([][]Interval, meta.NThreads)
+		r.threads = make(Tapes, meta.NThreads)
 	}
 	r.rec = Record{
 		Version:    RecordVersion,
@@ -181,24 +194,6 @@ func (r *Recorder) Chunk(ev ChunkEvent) {
 	r.events.add(&ev)
 }
 
-// Chunks appends evs as chunk events, in order, and takes the array: it
-// assigns their Seq in place and, while the recorder holds no event and
-// expects none, adopts evs as its stream instead of copying it, so a bulk
-// merge (the rt registry's, its one caller) stores its events once. The
-// caller must not touch evs afterwards.
-func (r *Recorder) Chunks(evs []ChunkEvent) {
-	if r.seq > 0 || r.expect != nil {
-		for i := range evs {
-			r.Chunk(evs[i])
-		}
-		return
-	}
-	for i := range evs {
-		evs[i].Seq = int64(i)
-	}
-	r.seq, r.events.head = int64(len(evs)), evs
-}
-
 // unexpect ends the match with the expected events: the first n, the ones
 // the run matched, go into a reservation of the expected length.
 func (r *Recorder) unexpect(n int) {
@@ -214,9 +209,9 @@ func (r *Recorder) Phase(p PhaseEvent) {
 	}
 }
 
-// SFSample appends one SF-trajectory point (engines add the final estimate
-// of each loop at barrier release; transition-published estimates are added
-// by Phase automatically).
+// SFSample appends one SF-trajectory point (the simulator adds the final
+// estimate of each loop at barrier release; transition-published estimates
+// are added by Phase automatically).
 func (r *Recorder) SFSample(s SFSample) {
 	r.rec.SFSamples = append(r.rec.SFSamples, s)
 }
@@ -228,38 +223,12 @@ func (r *Recorder) SFSample(s SFSample) {
 // threads (every tid, on an untimed recorder or before BeginRun) or an
 // interval that overlaps the thread's previous one panics: either is a
 // programming error in the recording engine, not a recoverable condition.
-func (r *Recorder) Add(tid int, start, end int64, s State) {
-	if tid < 0 || tid >= len(r.threads) {
-		panic(fmt.Sprintf("trace: Add tid %d out of range [0,%d)", tid, len(r.threads)))
-	}
-	if end <= start {
-		return
-	}
-	ivs := r.threads[tid]
-	if n := len(ivs); n > 0 {
-		if last := &ivs[n-1]; last.End > start {
-			panic(fmt.Sprintf("trace: thread %d interval [%d,%d) overlaps previous end %d", tid, start, end, last.End))
-		} else if last.End == start && last.State == s {
-			last.End = end
-			return
-		}
-	}
-	r.threads[tid] = append(ivs, Interval{Start: start, End: end, State: s})
-}
+func (r *Recorder) Add(tid int, start, end int64, s State) { r.threads.Add(tid, start, end, s) }
 
-// Grow makes room for n more intervals on thread tid's timeline, as
-// slices.Grow does, so that a caller who knows how many it will Add (the rt
-// registry's merge of its capture tapes) has them stored once, not in a list
-// that doubles. A tid outside the run's threads panics, as in Add.
-func (r *Recorder) Grow(tid, n int) {
-	if tid < 0 || tid >= len(r.threads) {
-		panic(fmt.Sprintf("trace: Grow tid %d out of range [0,%d)", tid, len(r.threads)))
-	}
-	r.threads[tid] = slices.Grow(r.threads[tid], n)
-}
-
-// EndRun finalizes the record with the run's makespan.
+// EndRun finalizes the record: it merges the loops AddTapes took into it
+// and stamps the run's makespan.
 func (r *Recorder) EndRun(makespanNs int64) {
+	r.merge()
 	r.rec.MakespanNs = makespanNs
 }
 
@@ -282,19 +251,24 @@ func (r *Recorder) Record() *Record {
 	return &r.rec
 }
 
-// timeline flattens the per-thread interval lists into a new array, nil when
-// they hold none.
+// timeline flattens a timed recorder's per-thread interval lists, those of
+// the loop it took when it took one, into a new array, nil when they hold
+// none.
 func (r *Recorder) timeline() []IntervalRecord {
+	threads := r.threads
+	if r.timed && len(r.taken) > 0 {
+		threads = r.taken[0].tapes
+	}
 	n := 0
-	for _, ivs := range r.threads {
-		n += len(ivs)
+	for tid := range threads {
+		n += len(threads[tid].intervals)
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]IntervalRecord, 0, n)
-	for tid, ivs := range r.threads {
-		for _, iv := range ivs {
+	for tid := range threads {
+		for _, iv := range threads[tid].intervals {
 			out = append(out, IntervalRecord{Tid: tid, StartNs: iv.Start, EndNs: iv.End, State: iv.State})
 		}
 	}

@@ -7,6 +7,9 @@
 // scheduling and fork/join overhead), and Sync (waiting at the implicit
 // barrier) — which Record.Render draws as an ASCII Gantt chart and
 // Record.Digest sums per thread.
+//
+// A Recorder assembles every record: the simulator streams into it, and a
+// runtime loop's workers write Tapes that it takes (Recorder.AddTapes).
 package trace
 
 import (

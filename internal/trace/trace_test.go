@@ -230,8 +230,7 @@ func TestStateString(t *testing.T) {
 
 // TestAddPanicsOnBadTid: a tid outside the run's threads panics with a
 // message that names it, and so does every tid on an untimed recorder or
-// before BeginRun, where the recorder has no thread to add to, in Add and in
-// Grow alike.
+// before BeginRun, where the recorder has no thread to add to.
 func TestAddPanicsOnBadTid(t *testing.T) {
 	untimed := NewRecorder()
 	if err := untimed.BeginRun(RunMeta{Engine: "sim", NThreads: 2, Binding: "BS"}); err != nil {
@@ -247,28 +246,20 @@ func TestAddPanicsOnBadTid(t *testing.T) {
 		{"not begun", NewTimedRecorder(), []int{0}},
 	} {
 		for _, tid := range c.tids {
-			for _, op := range []struct {
-				name string
-				call func()
-			}{
-				{"Add", func() { c.rec.Add(tid, 0, 10, Running) }},
-				{"Grow", func() { c.rec.Grow(tid, 4) }},
-			} {
-				func() {
-					defer func() {
-						r := recover()
-						if r == nil {
-							t.Errorf("%s: %s(tid=%d) did not panic", c.name, op.name, tid)
-							return
-						}
-						msg, ok := r.(string)
-						if !ok || !strings.Contains(msg, "out of range") || !strings.Contains(msg, "tid") {
-							t.Errorf("%s: %s(tid=%d) panic %v lacks a descriptive message", c.name, op.name, tid, r)
-						}
-					}()
-					op.call()
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Errorf("%s: Add(tid=%d) did not panic", c.name, tid)
+						return
+					}
+					msg, ok := r.(string)
+					if !ok || !strings.Contains(msg, "out of range") || !strings.Contains(msg, "tid") {
+						t.Errorf("%s: Add(tid=%d) panic %v lacks a descriptive message", c.name, tid, r)
+					}
 				}()
-			}
+				c.rec.Add(tid, 0, 10, Running)
+			}()
 		}
 	}
 }
