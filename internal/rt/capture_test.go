@@ -338,7 +338,7 @@ func TestBuildRecordLeavesTapes(t *testing.T) {
 // Recorder's streaming calls.
 func referenceRecord(t *testing.T, r *Registry, loops ...*Loop) *trace.Record {
 	t.Helper()
-	byTime := func(a, b trace.ChunkEvent) int {
+	oldOrder := func(a, b trace.ChunkEvent) int {
 		if a.TimeNs != b.TimeNs {
 			return cmp.Compare(a.TimeNs, b.TimeNs)
 		}
@@ -387,7 +387,7 @@ func referenceRecord(t *testing.T, r *Registry, loops ...*Loop) *trace.Record {
 				phs = append(phs, p)
 			}
 		}
-		slices.SortFunc(evs[from:], byTime)
+		slices.SortFunc(evs[from:], oldOrder)
 		if l.captureMax > 0 {
 			evs = append(evs[:from], trace.TrimToBudget(trace.CompactEvents(evs[from:]), l.captureMax)...)
 		}
@@ -398,7 +398,7 @@ func referenceRecord(t *testing.T, r *Registry, loops ...*Loop) *trace.Record {
 			}
 		}
 	}
-	slices.SortFunc(evs, byTime)
+	slices.SortFunc(evs, oldOrder)
 	for _, ev := range evs {
 		rec.Chunk(ev)
 	}

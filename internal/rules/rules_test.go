@@ -365,8 +365,8 @@ var rules = []rule{{
 		})
 	},
 	bad: []string{
-		`package p; import ("cmp"; "repro/internal/trace"); func eventOrder(a, b trace.ChunkEvent) int { return cmp.Compare(a.TimeNs, b.TimeNs) }`,
-		`package p; import "repro/internal/trace"; var byTime = func(a *trace.ChunkEvent, b *trace.ChunkEvent) int { return 0 }`,
+		`package p; import ("cmp"; "repro/internal/trace"); func order(a, b trace.ChunkEvent) int { return cmp.Compare(a.TimeNs, b.TimeNs) }`,
+		`package p; import "repro/internal/trace"; var less = func(a *trace.ChunkEvent, b *trace.ChunkEvent) int { return 0 }`,
 		`package p; import t "repro/internal/trace"; type s struct{}; func (s) order(a, b t.PhaseEvent) (n int) { return }`,
 		`package p; import . "repro/internal/trace"; func f(evs []ChunkEvent) { _ = func(a, b *ChunkEvent) int { return 0 } }`,
 	},
@@ -377,7 +377,7 @@ var rules = []rule{{
 		`package p; import "repro/internal/trace"; func f(a, b, c trace.ChunkEvent) int { return 0 }`,
 		`package p; import "repro/internal/trace"; func f(a, b []trace.ChunkEvent) int { return 0 }`,
 		`package p; import trace "repro/internal/other"; func f(a, b trace.ChunkEvent) int { return 0 }`,
-		`package p; // func eventOrder(a, b trace.ChunkEvent) int
+		`package p; // func order(a, b trace.ChunkEvent) int
 		var s = "func(a, b trace.PhaseEvent) int"`,
 	},
 }, {
