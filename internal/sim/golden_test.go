@@ -68,9 +68,9 @@ var goldenPolicies = []struct {
 // whose behaviour did not change.
 func dumpResult(h hash.Hash64, r LoopResult) {
 	fmt.Fprintf(h, "{Start:%d End:%d PoolAccesses:%d SchedNs:%d Iters:%v Finish:%v SchedulerName:%s "+
-		"SFEstimate:%v EnergyJ:%v ClusterEnergyJ:%v Metrics:<nil>}\n",
+		"SFEstimate:%v EnergyJ:%v Metrics:<nil>}\n",
 		r.Start, r.End, r.PoolAccesses, r.SchedNs, r.Iters, r.Finish, r.SchedulerName,
-		r.SFEstimate, r.EnergyJ, r.ClusterEnergyJ)
+		r.SFEstimate, r.EnergyJ)
 	if r.Metrics != nil {
 		dumpSnapshot(h, r.Metrics)
 	}

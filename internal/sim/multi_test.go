@@ -434,7 +434,8 @@ func TestMultiLoopTraceTiles(t *testing.T) {
 // position of a candidate decides what a policy picks. The digests were
 // written by the commit before the open-loop list replaced the scan over all
 // loops, and re-taken from the unchanged engine when the result's SF
-// trajectory field was dropped from dumpResult.
+// trajectory field and then its per-cluster energy were dropped from
+// dumpResult.
 func TestMultiLoopArrivalOrderPinned(t *testing.T) {
 	const n = 24
 	specs := make([]LoopSpec, n)
@@ -448,8 +449,8 @@ func TestMultiLoopArrivalOrderPinned(t *testing.T) {
 		policy fair.Policy
 		want   uint64
 	}{
-		{fair.NewWeightedRoundRobin(0), 0xf0f0cb03302cba4b},
-		{fair.NewFCFS(), 0x12a2f6cc9c1a966f},
+		{fair.NewWeightedRoundRobin(0), 0xf1ec558d9c66fa27},
+		{fair.NewFCFS(), 0x75d059880f3021bf},
 	} {
 		rs, err := RunLoops(multiCfg(4), specs, c.policy, 0)
 		if err != nil {
