@@ -42,7 +42,10 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Schedule is a fully parameterized loop-schedule selection.
+// Schedule is a fully parameterized loop-schedule selection. It is a
+// comparable value: rt's free list finds a pooled scheduler by == on the
+// defaulted schedule. AID-static's offline-SF variant (§5C) takes a table
+// no schedule carries, so NewAIDStaticOffline builds it.
 type Schedule struct {
 	Kind Kind
 	// Chunk is the dynamic/guided/static chunk, or the AID sampling chunk
@@ -52,10 +55,6 @@ type Schedule struct {
 	Major int64
 	// Pct is AID-hybrid's asymmetric share (default 0.80 per §5B).
 	Pct float64
-	// OfflineSF, when non-nil, turns AID-static into the
-	// AID-static(offline-SF) variant of §5C with the given per-core-type
-	// speedup factors.
-	OfflineSF []float64
 }
 
 // WithDefaults fills unset parameters with the paper's defaults (chunk 1,
@@ -85,9 +84,6 @@ func (s Schedule) String() string {
 	case KindDynamic, KindGuided, KindWorkSteal:
 		return fmt.Sprintf("%s/%d", s.Kind, d.Chunk)
 	case KindAIDStatic:
-		if s.OfflineSF != nil {
-			return "AID-static(offline-SF)"
-		}
 		return "AID-static"
 	case KindAIDHybrid:
 		return fmt.Sprintf("AID-hybrid(%d%%)", int(d.Pct*100+0.5))
@@ -100,16 +96,14 @@ func (s Schedule) String() string {
 // Canonical renders the schedule in re-parseable GOOMP_SCHEDULE syntax:
 // ParseSchedule(s.Canonical()) selects the same schedule. Run records store
 // this form so replay's what-if mode can rebuild the recorded schedule.
-// It is "" where the syntax cannot write the fields exactly: the offline-SF
-// table, an AID-hybrid share that is no whole percentage in (0,100], a chunk
-// or Major below 1. A record of such a run carries no re-parseable schedule
-// and what-if replay demands an explicit override rather than silently
-// substituting a different schedule.
+// It is "" where the syntax cannot write the fields exactly: an AID-hybrid
+// share that is no whole percentage in (0,100], a chunk or Major below 1. A
+// record of such a run carries no re-parseable schedule and what-if replay
+// demands an explicit override rather than silently substituting a
+// different schedule.
 func (s Schedule) Canonical() string {
 	d := s.WithDefaults()
-	switch {
-	case s.Kind != KindStatic && d.Chunk <= 0,
-		s.Kind == KindAIDStatic && s.OfflineSF != nil:
+	if s.Kind != KindStatic && d.Chunk <= 0 {
 		return ""
 	}
 	switch s.Kind {
@@ -155,9 +149,6 @@ func (d Schedule) build(info LoopInfo) (Scheduler, error) {
 	case KindGuided:
 		return NewGuided(info, d.Chunk)
 	case KindAIDStatic:
-		if d.OfflineSF != nil {
-			return NewAIDStaticOffline(info, d.Chunk, d.OfflineSF)
-		}
 		return NewAIDStatic(info, d.Chunk)
 	case KindAIDHybrid:
 		return NewAIDHybrid(info, d.Chunk, d.Pct)

@@ -61,10 +61,9 @@ func TestSweepResultsIndependentOfWorkers(t *testing.T) {
 func TestSweepFirstErrorByIndex(t *testing.T) {
 	ep, _ := workloads.ByName("EP")
 	ok := Scheme{Label: "ok", Sched: core.Schedule{Kind: core.KindDynamic}, Binding: amp.BindBS}
-	// Platform A has two core types, so an offline-SF table of one or three
-	// entries makes these factories fail.
-	bad1 := Scheme{Label: "bad-1", Sched: core.Schedule{Kind: core.KindAIDStatic, OfflineSF: []float64{2}}, Binding: amp.BindBS}
-	bad2 := Scheme{Label: "bad-2", Sched: core.Schedule{Kind: core.KindAIDStatic, OfflineSF: []float64{3, 2, 1}}, Binding: amp.BindBS}
+	// A kind no scheduler has makes these factories fail.
+	bad1 := Scheme{Label: "bad-1", Sched: core.Schedule{Kind: core.Kind(99)}, Binding: amp.BindBS}
+	bad2 := Scheme{Label: "bad-2", Sched: core.Schedule{Kind: core.Kind(98)}, Binding: amp.BindBS}
 	schemes := []Scheme{ok, ok, bad1, ok, ok, bad2, ok, ok}
 	withProcs(4, func() {
 		before := runtime.NumGoroutine()

@@ -106,26 +106,11 @@ type Registry struct {
 // them out.
 const maxFree = 32
 
-// schedKey is what a pooled scheduler must match to be re-armed for a
-// request: the defaulted schedule's comparable fields. Canonical would do
-// too, at the price of a formatted string per Submit.
-type schedKey struct {
-	kind         core.Kind
-	chunk, major int64
-	pct          float64
-}
-
-// keyOf returns s's free-list key, and ok=false for the offline-SF schedules,
-// whose table is not part of the key and which are therefore never pooled.
-func keyOf(s core.Schedule) (k schedKey, ok bool) {
-	d := s.WithDefaults()
-	return schedKey{d.Kind, d.Chunk, d.Major, d.Pct}, d.OfflineSF == nil
-}
-
 // freeLoop is one released loop's reusable storage: its scheduler, which owns
-// the loop's sharded pool, and its ledger.
+// the loop's sharded pool, and its ledger. A request re-arms it when its
+// defaulted schedule equals key, the schedule the scheduler was built for.
 type freeLoop struct {
-	key    schedKey
+	key    core.Schedule
 	sched  core.Resettable
 	ledger *obs.Ledger
 }
@@ -440,22 +425,20 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 // arm gives l a scheduler armed for its trip count and a ledger for Submit
 // to arm: a released loop's, the scheduler re-armed through core.Resettable
 // outside the lock, when the free list holds one of l's schedule, and new
-// ones otherwise. A pooled schedule finds a closed registry in the critical
-// section that takes the entry, and takes none.
+// ones otherwise. A request finds a closed registry in the critical section
+// that looks for an entry, and takes none.
 func (r *Registry) arm(l *Loop) error {
 	info := r.loopInfo(l.n)
-	if key, ok := keyOf(l.schedule); ok {
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			return errClosed
-		}
-		fl, ok := r.takeFree(key)
+	r.mu.Lock()
+	if r.closed {
 		r.mu.Unlock()
-		if ok {
-			l.sched, l.ledger = fl.sched, fl.ledger
-			return fl.sched.Reset(info)
-		}
+		return errClosed
+	}
+	fl, ok := r.takeFree(l.schedule.WithDefaults())
+	r.mu.Unlock()
+	if ok {
+		l.sched, l.ledger = fl.sched, fl.ledger
+		return fl.sched.Reset(info)
 	}
 	sched, err := l.schedule.Factory()(info)
 	if err != nil {
@@ -465,9 +448,9 @@ func (r *Registry) arm(l *Loop) error {
 	return nil
 }
 
-// takeFree removes and returns the newest free-list entry for key (caller
-// holds mu).
-func (r *Registry) takeFree(key schedKey) (freeLoop, bool) {
+// takeFree removes and returns the newest free-list entry for key, a
+// defaulted schedule (caller holds mu).
+func (r *Registry) takeFree(key core.Schedule) (freeLoop, bool) {
 	for i := len(r.free) - 1; i >= 0; i-- {
 		if r.free[i].key == key {
 			fl, last := r.free[i], len(r.free)-1
@@ -486,8 +469,7 @@ func (r *Registry) takeFree(key schedKey) (freeLoop, bool) {
 // retired from l). The entry keeps nothing of the loop: the ledger is
 // disarmed and the phase observer cleared (TestRegistryRecycleKeepsNoLoop).
 func (r *Registry) recycle(l *Loop) {
-	key, ok := keyOf(l.schedule)
-	if rs, resettable := l.sched.(core.Resettable); ok && resettable {
+	if rs, resettable := l.sched.(core.Resettable); resettable {
 		l.ledger.Arm(r.types, nil, nil, nil, nil, 0, false)
 		if po, observed := rs.(core.PhaseObservable); observed {
 			po.SetPhaseObserver(nil)
@@ -496,7 +478,7 @@ func (r *Registry) recycle(l *Loop) {
 			copy(r.free, r.free[1:])
 			r.free = r.free[:maxFree-1]
 		}
-		r.free = append(r.free, freeLoop{key, rs, l.ledger})
+		r.free = append(r.free, freeLoop{l.schedule.WithDefaults(), rs, l.ledger})
 	}
 	l.sched, l.ledger = nil, nil
 }

@@ -297,17 +297,20 @@ func TestRegistryZeroTripCount(t *testing.T) {
 }
 
 // TestRegistrySFEstimateSurfaced checks the published stats carry the AID
-// online SF estimate, like Team's.
+// online SF estimate, like Team's: one entry per core type. The estimate
+// exists once every worker has timed a sample, so the fleet is two workers
+// and each iteration spins for 50 us: the big worker alone takes 10 ms to
+// drain the loop, time enough for the small one to take its sample.
 func TestRegistrySFEstimateSurfaced(t *testing.T) {
-	reg, err := NewRegistry(RegistryConfig{NThreads: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newFleet1B1S(t)
 	defer reg.Close()
 	l, err := reg.Submit(LoopRequest{
-		N:        8000,
-		Schedule: core.Schedule{Kind: core.KindAIDStatic, OfflineSF: []float64{3, 1}},
-		Body:     func(int, int64, int64) {},
+		N:        200,
+		Schedule: core.Schedule{Kind: core.KindAIDStatic},
+		Body: func(_ int, lo, hi int64) {
+			for start := time.Now(); time.Since(start) < time.Duration(hi-lo)*50*time.Microsecond; {
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -316,8 +319,8 @@ func TestRegistrySFEstimateSurfaced(t *testing.T) {
 	if stats.SchedulerName != "aid-static" {
 		t.Errorf("SchedulerName = %q", stats.SchedulerName)
 	}
-	if len(stats.SFEstimate) != 2 || stats.SFEstimate[0] != 3 {
-		t.Errorf("SFEstimate = %v, want offline [3 1]", stats.SFEstimate)
+	if len(stats.SFEstimate) != 2 || !(stats.SFEstimate[0] > 0 && stats.SFEstimate[1] > 0) {
+		t.Errorf("SFEstimate = %v, want two positive entries", stats.SFEstimate)
 	}
 }
 
@@ -341,6 +344,45 @@ func TestRegistryConfigValidation(t *testing.T) {
 	}
 	if reg.Policy().Name() != "wrr" {
 		t.Errorf("default policy = %q, want wrr", reg.Policy().Name())
+	}
+}
+
+// TestRegistryFreeListKeyIsDefaultedSchedule: the free list finds a pooled
+// scheduler by the defaulted schedule, so a schedule that spells out a
+// default re-arms the scheduler of one that leaves it unset, and one that
+// differs in a parameter builds its own.
+func TestRegistryFreeListKeyIsDefaultedSchedule(t *testing.T) {
+	reg, err := NewRegistry(RegistryConfig{NThreads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	// run submits one loop and returns the scheduler its release pooled.
+	run := func(text string) core.Resettable {
+		s, err := core.ParseSchedule(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := reg.Submit(LoopRequest{N: 100, Schedule: s, Body: func(int, int64, int64) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Wait()
+		reg.mu.Lock()
+		defer reg.mu.Unlock()
+		return reg.free[len(reg.free)-1].sched
+	}
+	for _, c := range []struct{ first, same, other string }{
+		{"dynamic", "dynamic,1", "dynamic,2"},
+		{"aid-hybrid", "aid-hybrid,80,1", "aid-hybrid,80,2"},
+	} {
+		pooled := run(c.first)
+		if got := run(c.same); got != pooled {
+			t.Errorf("%s built a scheduler instead of re-arming the one %s released", c.same, c.first)
+		}
+		if got := run(c.other); got == pooled {
+			t.Errorf("%s re-armed the scheduler %s released", c.other, c.first)
+		}
 	}
 }
 

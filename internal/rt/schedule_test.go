@@ -33,7 +33,6 @@ func TestScheduleString(t *testing.T) {
 		{core.Schedule{Kind: core.KindDynamic, Chunk: 5}, "dynamic/5"},
 		{core.Schedule{Kind: core.KindGuided, Chunk: 2}, "guided/2"},
 		{core.Schedule{Kind: core.KindAIDStatic}, "AID-static"},
-		{core.Schedule{Kind: core.KindAIDStatic, OfflineSF: []float64{3, 1}}, "AID-static(offline-SF)"},
 		{core.Schedule{Kind: core.KindAIDHybrid}, "AID-hybrid(80%)"},
 		{core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.6}, "AID-hybrid(60%)"},
 		{core.Schedule{Kind: core.KindAIDDynamic}, "AID-dynamic/1,5"},
@@ -161,11 +160,9 @@ func TestScheduleCanonicalRoundTrip(t *testing.T) {
 		{core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.07, Chunk: 3}, "aid-hybrid,7,3"},
 		{core.Schedule{Kind: core.KindAIDDynamic}, "aid-dynamic,1,5"},
 		// Fields the syntax cannot write: an AID-hybrid share that is not a
-		// whole percentage in (0,100], the offline-SF table, a chunk or Major
-		// below 1.
+		// whole percentage in (0,100], a chunk or Major below 1.
 		{core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.805}, ""},
 		{core.Schedule{Kind: core.KindAIDHybrid, Pct: 0.004}, ""},
-		{core.Schedule{Kind: core.KindAIDStatic, OfflineSF: []float64{3, 1}}, ""},
 		{core.Schedule{Kind: core.KindDynamic, Chunk: -3}, ""},
 		{core.Schedule{Kind: core.KindAIDDynamic, Major: -1}, ""},
 	} {
@@ -191,7 +188,6 @@ func TestFactoryProducesRightSchedulers(t *testing.T) {
 		{Kind: core.KindDynamic},
 		{Kind: core.KindGuided},
 		{Kind: core.KindAIDStatic},
-		{Kind: core.KindAIDStatic, OfflineSF: []float64{3, 1}},
 		{Kind: core.KindAIDHybrid},
 		{Kind: core.KindAIDDynamic},
 		{Kind: core.KindWorkSteal, Chunk: 4},
