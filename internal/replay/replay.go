@@ -16,8 +16,8 @@
 //     shares the input's event array: neither record's events may be
 //     mutated afterwards.
 //   - WhatIf keeps the recorded workload (trip counts, cost profile,
-//     platform, fleet shape) but swaps the scheduler, fairness policy,
-//     binding or thread count — answering "would AID-dynamic have beaten
+//     platform, binding, fleet shape) but swaps the scheduler or the
+//     fairness policy — answering "would AID-dynamic have beaten
 //     the schedule we ran in production?" without re-running production.
 //   - Diff compares two runs (recorded or replayed) into a regression
 //     report over makespan, busy/Sched/Sync time, imbalance, pool traffic
@@ -431,17 +431,12 @@ type WhatIfConfig struct {
 	// Policy, when non-empty, selects the fairness policy for multi-loop
 	// records by name (fair.ParsePolicy: "wrr" or "fcfs").
 	Policy string
-	// Binding, when non-empty, overrides the binding convention
-	// (amp.ParseBinding: "BS" or "SB").
-	Binding string
-	// NThreads, when non-zero, overrides the worker count.
-	NThreads int
 }
 
 // WhatIf re-executes the recorded workload — trip counts, cost profile,
-// platform — under a swapped configuration, in virtual time. The run uses
-// real schedulers (not scripts), so it answers how a different runtime
-// configuration would have scheduled the same work. It is deterministic:
+// platform, binding, thread count — under a swapped schedule or policy, in
+// virtual time. The run uses real schedulers (not scripts), so it answers
+// how a different runtime configuration would have scheduled the same work. It is deterministic:
 // the simulator's virtual clock drives the schedulers' sampling machinery,
 // so repeated invocations on one record produce byte-identical records.
 func WhatIf(rec *trace.Record, wcfg WhatIfConfig) (*Result, error) {
@@ -457,15 +452,6 @@ func WhatIf(rec *trace.Record, wcfg WhatIfConfig) (*Result, error) {
 	pl, binding, err := platformOf(rec)
 	if err != nil {
 		return nil, err
-	}
-	if wcfg.Binding != "" {
-		if binding, err = amp.ParseBinding(wcfg.Binding); err != nil {
-			return nil, fmt.Errorf("replay: %w", err)
-		}
-	}
-	nthreads := rec.NThreads
-	if wcfg.NThreads != 0 {
-		nthreads = wcfg.NThreads
 	}
 	specs, err := specsOf(rec)
 	if err != nil {
@@ -493,7 +479,7 @@ func WhatIf(rec *trace.Record, wcfg WhatIfConfig) (*Result, error) {
 	next := 0
 	cfg := sim.Config{
 		Platform: pl,
-		NThreads: nthreads,
+		NThreads: rec.NThreads,
 		Binding:  binding,
 		FactoryNamed: func(_ string, info core.LoopInfo) (core.Scheduler, error) {
 			// The engine builds loops in spec order, so a counter maps
