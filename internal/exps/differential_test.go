@@ -19,8 +19,7 @@ func chainByHand(cfg sim.Config, prog sim.Program) (sim.ProgramResult, error) {
 	cursor := int64(0)
 	for _, ph := range prog.Phases {
 		if ph.Loop == nil {
-			dur := int64(ph.SerialUnits / pl.Speed(pl.CoreOf(0, cfg.NThreads, cfg.Binding), ph.SerialProfile, 1))
-			cursor, res.SerialNs = cursor+dur, res.SerialNs+dur
+			cursor += int64(ph.SerialUnits / pl.Speed(pl.CoreOf(0, cfg.NThreads, cfg.Binding), ph.SerialProfile, 1))
 			continue
 		}
 		for r := 0; r < max(ph.Reps, 1); r++ {
@@ -28,8 +27,6 @@ func chainByHand(cfg sim.Config, prog sim.Program) (sim.ProgramResult, error) {
 			if err != nil {
 				return res, err
 			}
-			res.LoopNs += lr.End - lr.Start
-			res.SchedNs += lr.SchedNs
 			res.PoolAccesses += lr.PoolAccesses
 			cursor = lr.End
 		}

@@ -113,7 +113,7 @@ func (ws *workspace) release() {
 		ws.ledgers[i].Arm(ws.typeOf, nil, nil, nil, nil, 0, false)
 	}
 	lr := &ws.lr[0]
-	*lr = LoopResult{Outcome: obs.Outcome{Iters: lr.Iters[:0]}, Finish: lr.Finish[:0], ClusterEnergyJ: lr.ClusterEnergyJ[:0]}
+	*lr = LoopResult{Outcome: obs.Outcome{Iters: lr.Iters[:0]}, Finish: lr.Finish[:0]}
 	workspaces.Put(ws)
 }
 
@@ -245,9 +245,8 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		}
 		res := &results[li]
 		*res = LoopResult{
-			Outcome:        obs.Outcome{Start: arrive[li], Iters: res.Iters[:0]},
-			Finish:         sized(res.Finish, nt),
-			ClusterEnergyJ: res.ClusterEnergyJ[:0],
+			Outcome: obs.Outcome{Start: arrive[li], Iters: res.Iters[:0]},
+			Finish:  sized(res.Finish, nt),
 		}
 		if rec := cfg.Recorder; rec != nil {
 			addLoopRecord(rec, spec, s, stamp)
@@ -473,12 +472,11 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 			// its core draws ActiveW until that arrival and IdleW after. A
 			// fleet worker retired from one loop moves on to others.
 			res.SchedNs += joinNs
-			res.ClusterEnergyJ = sized(res.ClusterEnergyJ, ntypes)
 			for w, finish := range res.Finish {
+				// The conversion rounds each worker's energy before the sum,
+				// so no fused multiply-add moves the total's last bit.
 				ct := &pl.Clusters[typeOf[w]].Type
-				j := (float64(finish-res.Start)*ct.ActiveW + float64(res.End-finish)*ct.IdleW) * 1e-9
-				res.ClusterEnergyJ[typeOf[w]] += j
-				res.EnergyJ += j
+				res.EnergyJ += float64((float64(finish-res.Start)*ct.ActiveW + float64(res.End-finish)*ct.IdleW) * 1e-9)
 			}
 		}
 		if cfg.Recorder != nil && res.SFEstimate != nil {

@@ -77,14 +77,8 @@ func (pr Program) Loops() []LoopSpec {
 type ProgramResult struct {
 	// TotalNs is the virtual completion time.
 	TotalNs int64
-	// SerialNs is time spent in serial phases (master thread).
-	SerialNs int64
-	// SchedNs is total runtime-system time summed over threads.
-	SchedNs int64
 	// PoolAccesses counts shared-pool operations over the whole run.
 	PoolAccesses int64
-	// LoopNs is the wall time spent inside parallel loops.
-	LoopNs int64
 }
 
 // RunProgram simulates the program under cfg and returns its result.
@@ -118,9 +112,7 @@ func (ws *workspace) runProgram(prog Program) (ProgramResult, error) {
 			// Serial phase: the master thread alone, no cluster contention.
 			// It is no part of a loop execution, so of no record.
 			speed := pl.Speed(masterCore, ph.SerialProfile, 1)
-			dur := int64(ph.SerialUnits / speed)
-			cursor += dur
-			res.SerialNs += dur
+			cursor += int64(ph.SerialUnits / speed)
 			continue
 		}
 		reps := ph.Reps
@@ -147,8 +139,6 @@ func (ws *workspace) runProgram(prog Program) (ProgramResult, error) {
 				n = reps - r
 			}
 			dur := lr[0].End - lr[0].Start
-			res.LoopNs += int64(n) * dur
-			res.SchedNs += int64(n) * lr[0].SchedNs
 			res.PoolAccesses += int64(n) * lr[0].PoolAccesses
 			cursor += int64(n) * dur
 		}

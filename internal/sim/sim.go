@@ -135,8 +135,8 @@
 // phase's first execution translated to where the previous one ended.
 //
 // RunProgram spends that. It simulates the first execution of a phase and
-// accounts the other Reps-1 as copies of it: LoopNs, SchedNs, PoolAccesses and
-// the program's clock advance by their count times the first execution's
+// accounts the other Reps-1 as copies of it: PoolAccesses and the program's
+// clock, so TotalNs, advance by their count times the first execution's
 // values, which is to the digit what simulating each of them adds up to. It
 // still simulates each of them whenever something could tell them apart:
 //
@@ -360,14 +360,12 @@ type LoopResult struct {
 	// Finish is each thread's arrival time at the implicit barrier.
 	Finish []int64
 	// EnergyJ is the modeled energy of the loop in Joules, summed over the
-	// worker-occupied cores: each worker draws its core type's ActiveW from
-	// fork to its barrier arrival and IdleW from there to barrier release.
-	// Unoccupied cores are not charged. Filled for a team (RunLoop); zero
-	// for a fleet loop (RunLoops), since fleet energy cannot be attributed
-	// to one loop.
+	// worker-occupied cores of every cluster: each worker draws its core
+	// type's ActiveW from fork to its barrier arrival and IdleW from there to
+	// barrier release. Unoccupied cores are not charged. Filled for a team
+	// (RunLoop); zero for a fleet loop (RunLoops), since fleet energy cannot
+	// be attributed to one loop.
 	EnergyJ float64
-	// ClusterEnergyJ breaks EnergyJ down by platform cluster.
-	ClusterEnergyJ []float64
 }
 
 // localityNs prices a chunk-discontinuity cache refill by the chunk's

@@ -418,25 +418,32 @@ func TestSerialPhaseFasterUnderBS(t *testing.T) {
 	}
 }
 
+// serialNs is how long a serial phase runs on the master thread under cfg.
+func serialNs(cfg Config, ph Phase) int64 {
+	pl := cfg.Platform
+	return int64(ph.SerialUnits / pl.Speed(pl.CoreOf(0, cfg.NThreads, cfg.Binding), ph.SerialProfile, 1))
+}
+
 func TestProgramAccumulatesPhases(t *testing.T) {
 	pl := amp.PlatformA()
 	loop := epLoop(1000)
-	prog := Program{
-		Name: "mix",
-		Phases: []Phase{
-			{SerialUnits: 1e6, SerialProfile: amp.Profile{ILP: 0.5}},
-			{Loop: &loop, Reps: 3},
-		},
-	}
-	r, err := RunProgram(baseCfg(pl, 8, amp.BindBS, dynamicFactory), prog)
+	serial := Phase{SerialUnits: 1e6, SerialProfile: amp.Profile{ILP: 0.5}}
+	prog := Program{Name: "mix", Phases: []Phase{serial, {Loop: &loop, Reps: 3}}}
+	cfg := baseCfg(pl, 8, amp.BindBS, dynamicFactory)
+	r, err := RunProgram(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.SerialNs <= 0 || r.LoopNs <= 0 {
-		t.Errorf("phase accounting: serial=%d loop=%d", r.SerialNs, r.LoopNs)
+	lr, err := RunLoop(cfg, loop, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.TotalNs != r.SerialNs+r.LoopNs {
-		t.Errorf("total %d != serial %d + loop %d", r.TotalNs, r.SerialNs, r.LoopNs)
+	ser, span := serialNs(cfg, serial), lr.End-lr.Start
+	if ser <= 0 || span <= 0 {
+		t.Fatalf("phase durations: serial=%d loop=%d", ser, span)
+	}
+	if r.TotalNs != ser+3*span {
+		t.Errorf("total %d != serial %d + 3 x loop %d", r.TotalNs, ser, span)
 	}
 	if r.PoolAccesses < 3000 {
 		t.Errorf("3 reps of dynamic(1) over 1000 iters should log >=3000 accesses, got %d", r.PoolAccesses)
@@ -458,9 +465,10 @@ func TestProgramTraceContiguity(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := cfg.Recorder.Record()
-	if rec.StartNs != res.SerialNs/2 || rec.MakespanNs != res.LoopNs {
+	ser := serialNs(cfg, serial)
+	if rec.StartNs != ser || rec.MakespanNs != res.TotalNs-2*ser {
 		t.Errorf("the record starts at %d and spans %d, want the first serial phase's end %d and the loop's %d",
-			rec.StartNs, rec.MakespanNs, res.SerialNs/2, res.LoopNs)
+			rec.StartNs, rec.MakespanNs, ser, res.TotalNs-2*ser)
 	}
 	for tid, ivs := range threadTimelines(rec) {
 		at := rec.StartNs

@@ -44,7 +44,6 @@ func (r LoopResult) clone() LoopResult {
 	c.Iters = append([]int64(nil), r.Iters...)
 	c.Finish = append([]int64(nil), r.Finish...)
 	c.SFEstimate = append([]float64(nil), r.SFEstimate...)
-	c.ClusterEnergyJ = append([]float64(nil), r.ClusterEnergyJ...)
 	return c
 }
 
@@ -150,8 +149,7 @@ func TestRunProgramMatchesRunLoops(t *testing.T) {
 			cursor := int64(0)
 			for _, ph := range prog.Phases {
 				if ph.Loop == nil {
-					dur := int64(ph.SerialUnits / pl.Speed(pl.CoreOf(0, cfg.NThreads, cfg.Binding), ph.SerialProfile, 1))
-					cursor, want.SerialNs = cursor+dur, want.SerialNs+dur
+					cursor += serialNs(cfg, ph)
 					continue
 				}
 				for r := 0; r < max(ph.Reps, 1); r++ {
@@ -159,8 +157,6 @@ func TestRunProgramMatchesRunLoops(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want.LoopNs += lr.End - lr.Start
-					want.SchedNs += lr.SchedNs
 					want.PoolAccesses += lr.PoolAccesses
 					cursor = lr.End
 				}
@@ -206,7 +202,7 @@ func TestRunProgramObserved(t *testing.T) {
 			}
 			loop := cfg
 			loop.Recorder = newRecorder()
-			if _, err := RunLoop(loop, a, bare.SerialNs/2); err != nil {
+			if _, err := RunLoop(loop, a, serialNs(cfg, serial)); err != nil {
 				t.Fatal(err)
 			}
 			if rec, want := cfg.Recorder.Record(), loop.Recorder.Record(); !reflect.DeepEqual(rec, want) {
