@@ -72,4 +72,11 @@ func TestRunWithMigration(t *testing.T) {
 	if err := run(&out, "A", 0, "BS", "static", ni, 100000, 0, 0.5, 0.3, 0.2, false, "0:99:0"); err == nil {
 		t.Error("migration to a CPU the platform does not have was accepted")
 	}
+	// Migrations the run could never deliver: a thread past the default
+	// fleet of 8, a negative thread, a bad CPU due after the run.
+	for _, migrate := range []string{"9:0:0", "-1:0:0", "0:99:900000000000"} {
+		if err := run(&out, "A", 0, "BS", "dynamic,1", 512, 100000, 0, 0.5, 0.3, 0.2, false, migrate); err == nil {
+			t.Errorf("-migrate %s was accepted", migrate)
+		}
+	}
 }

@@ -367,9 +367,6 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 			if mg.Tid != tid || mg.AtNs > now {
 				continue
 			}
-			if mg.ToCPU < 0 || mg.ToCPU >= pl.NumCores() {
-				return fmt.Errorf("sim: migration to invalid CPU %d", mg.ToCPU)
-			}
 			migrations = slices.Delete(migrations, i, i+1)
 			i--
 			from, to := typeOf[tid], pl.ClusterOf(mg.ToCPU)

@@ -22,11 +22,23 @@ func aidDynFactory(info core.LoopInfo) (core.Scheduler, error) {
 	return core.NewAIDDynamic(info, 1, 20)
 }
 
+// TestMigrationValidation: a migration of a thread the run does not have,
+// or to a CPU the platform does not have, is refused, also one that would
+// come due only after the loop has ended.
 func TestMigrationValidation(t *testing.T) {
 	cfg := baseCfg(amp.PlatformA(), 8, amp.BindBS, aidDynFactory)
-	cfg.Migrations = []Migration{{AtNs: 0, Tid: 0, ToCPU: 99}}
-	if _, err := RunLoop(cfg, migrationLoop(), 0); err == nil {
-		t.Error("migration to invalid CPU accepted")
+	for _, m := range []Migration{
+		{AtNs: 0, Tid: 0, ToCPU: 99},
+		{AtNs: 0, Tid: 0, ToCPU: -1},
+		{AtNs: 0, Tid: 8, ToCPU: 0},
+		{AtNs: 0, Tid: -1, ToCPU: 0},
+		{AtNs: 900_000_000_000, Tid: 0, ToCPU: 99},
+		{AtNs: 900_000_000_000, Tid: 9, ToCPU: 0},
+	} {
+		cfg.Migrations = []Migration{m}
+		if _, err := RunLoop(cfg, migrationLoop(), 0); err == nil {
+			t.Errorf("migration %+v accepted", m)
+		}
 	}
 }
 

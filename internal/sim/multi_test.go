@@ -240,9 +240,12 @@ func TestMultiLoopErrors(t *testing.T) {
 		t.Error("empty spec list accepted")
 	}
 	bad := cfg
-	bad.Migrations = []Migration{{Tid: 0, ToCPU: 99}}
-	if _, err := RunLoops(bad, []LoopSpec{spec}, nil, 0); err == nil {
-		t.Error("migration to invalid CPU accepted")
+	for _, m := range []Migration{{Tid: 0, ToCPU: 99}, {Tid: 8, ToCPU: 0}, {Tid: -1, ToCPU: 0},
+		{AtNs: 900_000_000_000, Tid: 0, ToCPU: 99}} {
+		bad.Migrations = []Migration{m}
+		if _, err := RunLoops(bad, []LoopSpec{spec}, nil, 0); err == nil {
+			t.Errorf("migration %+v accepted", m)
+		}
 	}
 	neg := spec
 	neg.Weight = -1

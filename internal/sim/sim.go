@@ -327,7 +327,8 @@ type Migration struct {
 	ToCPU int
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. A migration must name a worker of the
+// run and a CPU of the platform, whether or not it comes due.
 func (c Config) Validate() error {
 	if c.Platform == nil {
 		return fmt.Errorf("sim: nil platform")
@@ -337,6 +338,14 @@ func (c Config) Validate() error {
 	}
 	if c.Factory == nil && c.FactoryNamed == nil {
 		return fmt.Errorf("sim: nil scheduler factory")
+	}
+	for _, m := range c.Migrations {
+		if m.Tid < 0 || m.Tid >= c.NThreads {
+			return fmt.Errorf("sim: migration of thread %d, out of range [0,%d)", m.Tid, c.NThreads)
+		}
+		if m.ToCPU < 0 || m.ToCPU >= c.Platform.NumCores() {
+			return fmt.Errorf("sim: migration to CPU %d, out of range [0,%d)", m.ToCPU, c.Platform.NumCores())
+		}
 	}
 	return nil
 }
