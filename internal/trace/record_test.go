@@ -564,6 +564,37 @@ func TestRecorderTapes(t *testing.T) {
 	}
 }
 
+// TestRecorderBudgetedArray: the record's event array is sized for what it
+// keeps. A budgeted loop of 10 000 captured grants that compact to four
+// events, beside an unbudgeted loop of three, leaves an array of seven
+// events, not one with room for every grant captured.
+func TestRecorderBudgetedArray(t *testing.T) {
+	raw, budgeted := make(Tapes, 2), make(Tapes, 2)
+	raw.Chunk(ChunkEvent{Seq: 0, TimeNs: 1, Tid: 0, Lo: 0, Hi: 2})
+	raw.Chunk(ChunkEvent{Seq: 1, TimeNs: 2, Tid: 0, Retire: true})
+	raw.Chunk(ChunkEvent{Seq: 0, TimeNs: 2, Tid: 1, Retire: true})
+	const n = 5000
+	for i := int64(0); i < n; i++ {
+		for tid := int32(0); tid < 2; tid++ {
+			lo := int64(tid)*n + i
+			budgeted.Chunk(ChunkEvent{Seq: 2 + i, TimeNs: 10 + i, Tid: tid, Lo: lo, Hi: lo + 1, ExecNs: 1})
+		}
+	}
+	budgeted.Chunk(ChunkEvent{Seq: 2 + n, TimeNs: 10 + n, Tid: 0, Retire: true})
+	budgeted.Chunk(ChunkEvent{Seq: 2 + n, TimeNs: 10 + n, Tid: 1, Retire: true})
+	rec := NewRecorder()
+	if err := rec.BeginRun(RunMeta{Engine: "rt", NThreads: 2, Binding: "BS"}); err != nil {
+		t.Fatal(err)
+	}
+	rec.AddTapes(LoopRecord{Name: "raw", NI: 2}, raw, 0)
+	rec.AddTapes(LoopRecord{Name: "budgeted", NI: 2 * n}, budgeted, 64)
+	rec.EndRun(20 + n)
+	evs := rec.Record().Events
+	if len(evs) != 7 || cap(evs) != len(evs) {
+		t.Errorf("the record holds %d events in an array of %d, want 7 in 7", len(evs), cap(evs))
+	}
+}
+
 func TestRecorderSingleRun(t *testing.T) {
 	rec := NewRecorder()
 	meta := RunMeta{Engine: "sim", Platform: PlatformRecordOf(amp.PlatformA()), NThreads: 2, Binding: "BS"}

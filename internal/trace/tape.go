@@ -117,6 +117,11 @@ func (r *Recorder) merge() {
 			evs[i].Loop = int32(tk.loop)
 		}
 	}
+	if len(evs) < cap(evs) {
+		// A budget kept fewer events than were captured, and the record
+		// keeps no room for the rest.
+		evs = append(make([]ChunkEvent, 0, len(evs)), evs...)
+	}
 	// A worker's Seq runs on across its loops, so no two events tie.
 	slices.SortFunc(evs[from:], EventOrder)
 	for i := from; i < len(evs); i++ {
