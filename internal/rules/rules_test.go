@@ -102,9 +102,11 @@ type rule struct {
 
 // retired are the names of the retired sf-aware policy, the live SF view a
 // policy once read, the SF trajectory a simulated loop's result once carried,
-// the retired AID-auto schedule, and the second timeline carrier's hand-over
-// to a record and its own summary.
-var retired = regexp.MustCompile(`sf-aware|SFAware|SFLiveView|LiveSF|SFTrajectory|SFPoint|AIDAuto|aid-auto|AID-auto|AttachTimeline|SchedOverheadPct|timelineOf`)
+// the retired AID-auto schedule, the second timeline carrier's hand-over
+// to a record and its own summary, the registry's second key type for a
+// schedule, which is comparable itself, and the per-cluster energy a
+// simulated loop's result once carried.
+var retired = regexp.MustCompile(`sf-aware|SFAware|SFLiveView|LiveSF|SFTrajectory|SFPoint|AIDAuto|aid-auto|AID-auto|AttachTimeline|SchedOverheadPct|timelineOf|schedKey|ClusterEnergyJ`)
 
 var rules = []rule{{
 	name: "the engines build no chunk event and name no obs.Batch",
@@ -381,9 +383,11 @@ var rules = []rule{{
 		var s = "func(a, b trace.PhaseEvent) int"`,
 	},
 }, {
-	name: "no retired policy, live SF view, SF trajectory result, AID-auto schedule or second timeline is named",
+	name: "no retired policy, live SF view, SF trajectory result, AID-auto schedule, second timeline, " +
+		"schedule key or per-cluster energy is named",
 	reason: "a fairness policy sees a loop's ID and weight only, a run's SF trajectory and " +
-		"timeline live in its trace.Record only, and the AID-auto schedule is retired: none is named " +
+		"timeline live in its trace.Record only, the AID-auto schedule is retired, a core.Schedule " +
+		"is its own free-list key, and a loop's energy is one number: none is named " +
 		"anywhere, help text and comments included",
 	reads: func(s source, _ graph) bool { return !s.test },
 	check: func(f *ast.File, report func(ast.Node, string)) {
@@ -422,10 +426,15 @@ var rules = []rule{{
 		`package p; type tr struct{}; func (tr) SchedOverheadPct() float64 { return 0 }`,
 		`package p; // timelineOf flattens a trace into the record
 		var x int`,
+		`package p; type schedKey struct{ chunk int64 }`,
+		`package p; // ClusterEnergyJ breaks EnergyJ down by cluster
+		var x int`,
 	},
 	good: []string{
 		`package p; var help = "-policy wrr|fcfs" // sf aware, aid auto`,
 		`package p; type record struct{ Timeline []int } // a record's timeline`,
+		`package p; type freeLoop struct{ key Schedule } // the sched key of a pooled loop`,
+		`package p; type LoopResult struct{ EnergyJ float64 } // summed over every cluster's energy`,
 	},
 }}
 
