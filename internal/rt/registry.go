@@ -278,7 +278,7 @@ type Loop struct {
 	name     string
 	weight   int
 	n        int64
-	schedule core.Schedule
+	schedule core.Schedule // defaulted: the loop's free-list key
 	body     func(tid int, lo, hi int64)
 
 	// slot is the loop's fleet slot until its barrier releases (guarded by
@@ -367,7 +367,7 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 		name:      req.Name,
 		weight:    req.Weight,
 		n:         req.N,
-		schedule:  req.Schedule,
+		schedule:  req.Schedule.WithDefaults(),
 		body:      req.Body,
 		submitted: time.Now(),
 		done:      make(chan struct{}),
@@ -434,7 +434,7 @@ func (r *Registry) arm(l *Loop) error {
 		r.mu.Unlock()
 		return errClosed
 	}
-	fl, ok := r.takeFree(l.schedule.WithDefaults())
+	fl, ok := r.takeFree(l.schedule)
 	r.mu.Unlock()
 	if ok {
 		l.sched, l.ledger = fl.sched, fl.ledger
@@ -478,7 +478,7 @@ func (r *Registry) recycle(l *Loop) {
 			copy(r.free, r.free[1:])
 			r.free = r.free[:maxFree-1]
 		}
-		r.free = append(r.free, freeLoop{l.schedule.WithDefaults(), rs, l.ledger})
+		r.free = append(r.free, freeLoop{l.schedule, rs, l.ledger})
 	}
 	l.sched, l.ledger = nil, nil
 }
