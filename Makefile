@@ -18,7 +18,10 @@
 #                  while scrapers read the same cells), the real-goroutine
 #                  runtime, aidserve (its scrapers read
 #                  the request records its submitter and completion
-#                  goroutines write) and internal/exps (its sweeps
+#                  goroutines write), internal/trace (a recording hands
+#                  its event blocks back to pools that every goroutine's
+#                  recordings and decodes take from; about 20 s under -race
+#                  on a 2-CPU box) and internal/exps (its sweeps
 #                  run simulator calls on every CPU at once, so this is where
 #                  "concurrent calls share only read-only inputs" is checked;
 #                  about 20 s alone on a 2-CPU box and 30 beside the other
@@ -101,7 +104,7 @@ test: build
 	$(GO) test -count=1 ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/pool/... ./internal/obs/... ./internal/rt/... ./internal/fair/... ./internal/exps/... ./cmd/aidserve/...
+	$(GO) test -race ./internal/core/... ./internal/pool/... ./internal/obs/... ./internal/rt/... ./internal/fair/... ./internal/trace/... ./internal/exps/... ./cmd/aidserve/...
 	$(GO) test -race -run 'Pooled|Workspace' ./internal/sim/
 	$(GO) test -count=1 ./...
 

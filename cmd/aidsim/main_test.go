@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -77,6 +78,33 @@ func TestRunWithMigration(t *testing.T) {
 	for _, migrate := range []string{"9:0:0", "-1:0:0", "0:99:900000000000"} {
 		if err := run(&out, "A", 0, "BS", "dynamic,1", 512, 100000, 0, 0.5, 0.3, 0.2, false, migrate); err == nil {
 			t.Errorf("-migrate %s was accepted", migrate)
+		}
+	}
+}
+
+// TestRunRefusesBadCost: a -cost and -slope whose chunks cost a negative,
+// NaN or infinite number of units, or run past the end of the virtual clock,
+// are the simulator's error naming the loop and the chunk, with -trace as
+// without it, not a crash or a makespan built from them.
+func TestRunRefusesBadCost(t *testing.T) {
+	for _, c := range []struct {
+		cost, slope float64
+		want        string
+	}{
+		{-100000, 0, `sim: loop "aidsim-loop": iterations [0,64) cost -6.4e+06 work units, want a finite non-negative cost`},
+		{math.NaN(), 0, `sim: loop "aidsim-loop": iterations [0,64) cost NaN work units, want a finite non-negative cost`},
+		{1e308, 1e308, `sim: loop "aidsim-loop": iterations [0,64) cost +Inf work units, want a finite non-negative cost`},
+		{1e300, 0, `sim: loop "aidsim-loop": iterations [0,64) take`},
+	} {
+		for _, showTrace := range []bool{false, true} {
+			var out bytes.Buffer
+			err := run(&out, "A", 0, "BS", "dynamic,64", 4096, c.cost, c.slope, 0.5, 0.3, 0.2, showTrace, "")
+			if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+				t.Errorf("-cost %v -slope %v, trace=%v: error %v, want %q...", c.cost, c.slope, showTrace, err, c.want)
+			}
+			if strings.Contains(out.String(), "iterations") {
+				t.Errorf("-cost %v -slope %v, trace=%v: prints a result:\n%s", c.cost, c.slope, showTrace, out.String())
+			}
 		}
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -238,6 +239,9 @@ func runReplay(w io.Writer, path, outPath string) error {
 // runWhatIf re-executes the recorded workload under a swapped configuration
 // and diffs the counterfactual against the record.
 func runWhatIf(w io.Writer, path, schedOverride, policy, outPath string, tolPct float64) error {
+	if err := checkTol(tolPct); err != nil {
+		return err
+	}
 	rec, err := trace.ReadFile(path)
 	if err != nil {
 		return err
@@ -282,6 +286,9 @@ func runWhatIf(w io.Writer, path, schedOverride, policy, outPath string, tolPct 
 // runDiff compares two record files and fails (non-zero exit) on
 // regressions, so it can gate CI.
 func runDiff(w io.Writer, paths string, tolPct float64) error {
+	if err := checkTol(tolPct); err != nil {
+		return err
+	}
 	parts := strings.Split(paths, ",")
 	if len(parts) != 2 {
 		return fmt.Errorf("-diff wants two files: a.jsonl,b.jsonl")
@@ -298,6 +305,16 @@ func runDiff(w io.Writer, paths string, tolPct float64) error {
 	fmt.Fprint(w, rep)
 	if rep.Regressions > 0 {
 		return fmt.Errorf("%d regression(s)", rep.Regressions)
+	}
+	return nil
+}
+
+// checkTol refuses a -tol that no regression report can compare against: a
+// negative one makes a record regress against itself, and a NaN one lets
+// every regression through.
+func checkTol(tolPct float64) error {
+	if !(tolPct >= 0 && tolPct <= math.MaxFloat64) {
+		return fmt.Errorf("-tol %v: want a finite non-negative percentage", tolPct)
 	}
 	return nil
 }

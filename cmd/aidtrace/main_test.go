@@ -125,3 +125,40 @@ func TestRefusedRecordLeavesFile(t *testing.T) {
 		t.Errorf("refused write left %d files in the directory, want only the record", len(entries))
 	}
 }
+
+// TestTolRefused: -diff and -whatif refuse a -tol that is negative or not
+// finite, before they read a file, so a NaN cannot wave regressions through
+// the gate and a negative one cannot fail a record against itself. The
+// records of two schedules diff with regressions under the default
+// tolerance, and a record diffs clean against itself under zero.
+func TestTolRefused(t *testing.T) {
+	dir := t.TempDir()
+	r, s := filepath.Join(dir, "r.jsonl"), filepath.Join(dir, "s.jsonl")
+	if err := runRecord(io.Discard, r, "EP", "static", "BS", "A", "sim"); err != nil {
+		t.Fatal(err)
+	}
+	if err := runRecord(io.Discard, s, "EP", "dynamic,1", "BS", "A", "sim"); err != nil {
+		t.Fatal(err)
+	}
+	if err := runDiff(io.Discard, r+","+s, 2.0); err == nil {
+		t.Fatal("records of static and dynamic,1 diff without a regression; the case checks nothing")
+	}
+	if err := runDiff(io.Discard, r+","+r, 0); err != nil {
+		t.Errorf("-tol 0: a record regresses against itself: %v", err)
+	}
+	for _, tol := range []float64{math.NaN(), -5, math.Inf(1), math.Inf(-1)} {
+		want := fmt.Sprintf("-tol %v: want a finite non-negative percentage", tol)
+		var out bytes.Buffer
+		for mode, err := range map[string]error{
+			"diff":   runDiff(&out, r+","+s, tol),
+			"whatif": runWhatIf(&out, r, "dynamic,1", "", "", tol),
+		} {
+			if err == nil || err.Error() != want {
+				t.Errorf("-%s -tol %v: error %v, want %q", mode, tol, err, want)
+			}
+		}
+		if out.Len() > 0 {
+			t.Errorf("-tol %v: printed a report:\n%s", tol, out.String())
+		}
+	}
+}

@@ -329,6 +329,45 @@ func TestBuildRecordLeavesTapes(t *testing.T) {
 	}
 }
 
+// TestBuildRecordAfterOtherRecordings: the blocks a recording hands back go
+// to pools that a captured loop's workers take their tapes' blocks from too,
+// but a tape's never go back. Recordings that fill and empty those pools
+// between two BuildRecord calls on the same loops change neither the first
+// record nor the second: both spell the bytes the first spelled when it was
+// built.
+func TestBuildRecordAfterOtherRecordings(t *testing.T) {
+	reg, loops, first := capturedLoops(t, 2)
+	var want bytes.Buffer
+	if err := trace.EncodeJSONL(&want, first); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 3; r++ {
+		rec := trace.NewRecorder()
+		if err := rec.BeginRun(trace.RunMeta{Engine: "sim", Platform: first.Platform, NThreads: 2}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50_000; i++ {
+			rec.Chunk(trace.ChunkEvent{TimeNs: 1<<50 + int64(i), Tid: int32(i % 2), Lo: -7, Hi: -7})
+		}
+		if n := len(rec.Record().Events); n != 50_000 {
+			t.Fatalf("a recording of 50000 events holds %d", n)
+		}
+	}
+	second, err := reg.BuildRecord(loops...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rec := range map[string]*trace.Record{"first": first, "second": second} {
+		var got bytes.Buffer
+		if err := trace.EncodeJSONL(&got, rec); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("the %s record of the loops differs from the first as it was built", name)
+		}
+	}
+}
+
 // referenceRecord builds the record of loops as BuildRecord did while it
 // merged the tapes itself: it gathers every tape's events, sorts each loop's
 // by (TimeNs, Tid, Seq), compacts and trims them to the loop's budget, stamps

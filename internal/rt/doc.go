@@ -157,7 +157,9 @@
 // # Capture
 //
 // A captured loop's workers append to trace.Tapes, each to its own tape,
-// which start empty and grow in blocks. BuildRecord hands each loop's tapes
-// to one trace.Recorder, which orders, merges, compacts and trims them, and
-// stamps each grant's cost from the platform speed model.
+// which start empty and grow in blocks, taken from the pools that
+// recordings hand their blocks back to; a tape's blocks never go back, so a
+// loop's capture stays as its workers wrote it. BuildRecord hands each
+// loop's tapes to one trace.Recorder, which orders, merges, compacts and
+// trims them, and stamps each grant's cost from the platform speed model.
 package rt

@@ -1,0 +1,96 @@
+package sim
+
+import (
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/amp"
+	"repro/internal/fair"
+	"repro/internal/trace"
+)
+
+// costFrom costs 50 000 units an iteration below at and bad from at on.
+type costFrom struct {
+	at  int64
+	bad float64
+}
+
+func (c costFrom) Units(i int64) float64 {
+	if i >= c.at {
+		return c.bad
+	}
+	return 50000
+}
+
+func (c costFrom) RangeUnits(lo, hi int64) float64 {
+	sum := 0.0
+	for i := lo; i < hi; i++ {
+		sum += c.Units(i)
+	}
+	return sum
+}
+
+// TestRunRefusesBadChunkCost: a chunk whose cost is negative, NaN or
+// infinite, or whose time would run its thread's clock past the int64 range,
+// fails the call, in a team and on a fleet, recorded on a timeline or not,
+// with an error that names the loop and the chunk's iterations. The call
+// hands its workspace back, and the next valid run is the run a first call
+// gives.
+func TestRunRefusesBadChunkCost(t *testing.T) {
+	pl := amp.PlatformA()
+	cfg := baseCfg(pl, 8, amp.BindBS, dynamicFactory)
+	want, err := RunLoop(cfg, epLoop(512), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		cost  CostModel
+		chunk string // the refused chunk's iterations under dynamic,1
+	}{
+		{"negative", UniformCost{PerIter: -100000}, "[0,1)"},
+		{"NaN", UniformCost{PerIter: math.NaN()}, "[0,1)"},
+		{"+Inf", UniformCost{PerIter: math.Inf(1)}, "[0,1)"},
+		{"time past int64", UniformCost{PerIter: 1e300}, "[0,1)"},
+		{"time past int64, linear", LinearCost{Base: 1e308, Slope: 1e308}, "[0,1)"},
+		{"negative from 300", costFrom{at: 300, bad: -1e6}, "[300,301)"},
+		{"NaN from 300", costFrom{at: 300, bad: math.NaN()}, "[300,301)"},
+	} {
+		bad := epLoop(512)
+		bad.Cost = c.cost
+		check := func(how string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Errorf("%s, %s: accepted", c.name, how)
+			} else if msg := err.Error(); !strings.Contains(msg, `loop "ep-main": iterations `+c.chunk) {
+				t.Errorf("%s, %s: error %q names no loop %q and chunk %s", c.name, how, msg, "ep-main", c.chunk)
+			}
+		}
+		for _, rec := range []*trace.Recorder{nil, trace.NewTimedRecorder()} {
+			how := "untimed"
+			if rec != nil {
+				how = "timed"
+			}
+			team := cfg
+			team.Recorder = rec
+			_, err := RunLoop(team, bad, 0)
+			check("team "+how, err)
+		}
+		fleet := cfg
+		fleet.Recorder = trace.NewRecorder()
+		_, err := RunLoops(fleet, []LoopSpec{uniformSpec("good", 512, 1), bad}, fair.NewWeightedRoundRobin(0), 0)
+		check("fleet", err)
+		_, err = RunProgram(cfg, Program{Name: "p", Phases: []Phase{{Loop: &bad, Reps: 3}}})
+		check("program", err)
+
+		got, err := RunLoop(cfg, epLoop(512), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.clone(), want.clone()) {
+			t.Errorf("%s: a valid run after the refused ones differs from the first", c.name)
+		}
+	}
+}

@@ -434,9 +434,17 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 			}
 			lastHi[li*nt+tid] = asg.Hi
 			units = specs[li].Cost.RangeUnits(asg.Lo, asg.Hi)
+			if !(units >= 0 && units <= math.MaxFloat64) {
+				return fmt.Errorf("sim: loop %q: iterations [%d,%d) cost %v work units, want a finite non-negative cost",
+					specs[li].Name, asg.Lo, asg.Hi, units)
+			}
 			execNs = units / speed[li*nt+tid]
 		}
 		schedEnd := now + int64(ovhNs)
+		if execNs >= 1<<63 || int64(execNs) >= math.MaxInt64-max(schedEnd, 0) {
+			return fmt.Errorf("sim: loop %q: iterations [%d,%d) take %.4g ns on thread %d from %d ns, past the end of the virtual clock",
+				specs[li].Name, asg.Lo, asg.Hi, execNs, tid, schedEnd)
+		}
 		clock[tid] = schedEnd + int64(execNs)
 		res.SchedNs += int64(ovhNs)
 		ln := ledgers[li].Lane(tid)

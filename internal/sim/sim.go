@@ -193,7 +193,8 @@ type CostModel interface {
 	// RangeUnits returns the summed cost of iterations [lo, hi). It must
 	// equal the sum of Units over the range; implementations provide
 	// closed-form versions where possible because the simulator calls it
-	// for every chunk.
+	// for every chunk. A run fails on a chunk whose cost is negative, NaN
+	// or infinite, or would run its thread's clock past the int64 range.
 	RangeUnits(lo, hi int64) float64
 }
 

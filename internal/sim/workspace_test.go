@@ -462,13 +462,17 @@ func (c poolCall) do(fresh bool) (poolOutcome, error) {
 
 // poolCalls covers Platform A's eight workers and 1B+1S's two, team, fleet
 // and program, recorded and not, with and without Metrics, under schedulers
-// with phase observers and without.
+// with phase observers and without, and a burst whose recorded events fill
+// many blocks.
 func poolCalls(t *testing.T) []poolCall {
 	pa, ps := amp.PlatformA(), platform1B1S(t)
 	hybrid := func(info core.LoopInfo) (core.Scheduler, error) { return core.NewAIDHybrid(info, 1, 0.8) }
 	named := func(_ string, info core.LoopInfo) (core.Scheduler, error) { return core.NewAIDStatic(info, 2) }
 	fleetSpecs := []LoopSpec{uniformSpec("a", 900, 2), uniformSpec("b", 400, 1), epLoop(300)}
 	fleetSpecs[1].Arrive = 30_000
+	// A burst of some 6 500 grants, whose recorded events grow in blocks
+	// that go back to the trace package's pools when the record is taken.
+	burst := []LoopSpec{uniformSpec("a", 3000, 2), uniformSpec("b", 2000, 1), epLoop(1500)}
 	a, b := epLoop(1200), migrationLoop()
 	prog := &Program{Name: "p", Phases: []Phase{
 		{Loop: &a, Reps: 3},
@@ -487,6 +491,7 @@ func poolCalls(t *testing.T) []poolCall {
 			poolCall{name: "team 1B+1S aid-dynamic migrating", cfg: migrating, specs: []LoopSpec{migrationLoop()}, recorded: recorded},
 			poolCall{name: "fleet A aid-hybrid", cfg: baseCfg(pa, 8, amp.BindBS, hybrid), specs: fleetSpecs, fleet: true, recorded: recorded},
 			poolCall{name: "fleet 1B+1S aid-dynamic metrics", cfg: Config{Platform: ps, NThreads: 2, Binding: amp.BindBS, Factory: aidDynamicFactory, Metrics: true}, specs: fleetSpecs, fleet: true, recorded: recorded},
+			poolCall{name: "fleet A dynamic,1 burst", cfg: baseCfg(pa, 8, amp.BindBS, dynamicFactory), specs: burst, fleet: true, recorded: recorded},
 		)
 	}
 	// A Recorder holds one run, so programs of several executions go

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -886,7 +887,9 @@ func recordEvents(t testing.TB, n int) *Record {
 // events) and one past the decoder's reservation cap:
 //
 //   - a Recorder without a reservation allocates at most 2.2n events for n
-//     (blocks, then one exact copy), where an array that doubles took up to 4n;
+//     (blocks, then one exact copy), where an array that doubles took up to 4n,
+//     and a warm one, whose blocks come from the pools an earlier recording
+//     handed them back to, at most 1.2n;
 //   - DecodeJSONL of an encoded n-event record, whose header counts them,
 //     allocates at most 1.2n up to the cap and the Recorder's 2.2n past it;
 //   - a header that claims 1<<40 events and has none is refused for no more
@@ -916,6 +919,17 @@ func TestEventArrayBytes(t *testing.T) {
 		recorded := allocatedBytes(3, func() { recordEvents(t, n) }) - recordBare
 		if recorded > 2.2*float64(n)*size {
 			t.Errorf("Recorder: %.0f bytes for %d events, %.2f times their size, want at most 2.2", recorded, n, recorded/(float64(n)*size))
+		}
+		if n > 10 {
+			// With the GC off nothing empties the block pools, so every
+			// recording after allocatedBytes's first is a warm one.
+			gc := debug.SetGCPercent(-1)
+			warm := allocatedBytes(3, func() { recordEvents(t, n) }) - recordBare
+			debug.SetGCPercent(gc)
+			if warm > 1.2*float64(n)*size {
+				t.Errorf("warm Recorder: %.0f bytes for %d events, %.2f times their size, want at most 1.2", warm, n, warm/(float64(n)*size))
+			}
+			t.Logf("%d events: warm Recorder %.2f times their size", n, warm/(float64(n)*size))
 		}
 		var buf bytes.Buffer
 		if err := EncodeJSONL(&buf, r); err != nil {

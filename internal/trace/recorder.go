@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Recorder accumulates a Record during one run. It is single-writer, and
 // the engines fill it in one of two ways. The discrete-event simulator
@@ -40,19 +43,39 @@ type Recorder struct {
 // Recorder, Tapes and DecodeJSONL. Events go straight into head while a
 // reservation leaves room there; the rest go into blocks that double from 16
 // events to 4096 and then stay at 4096, so nothing is copied while the
-// stream grows. events copies the blocks once into an exact array: a stream
-// of n events allocates about 2n events' worth (2.13n for 21 725, 2.02n for
-// 100 000), where an array that doubles allocates 2n to 4n (3.02n for 21 725).
+// stream grows. events copies the blocks once into an exact array and hands
+// them back to eventBlocks, where the next stream takes them: a warm stream
+// of n events allocates its n-event array and little else, and a cold one
+// about 2n (2.13n for 21 725, 2.02n for 100 000), where an array that
+// doubles allocates 2n to 4n (3.02n for 21 725). A tape's blocks are never
+// handed back: its stream is only read.
 type eventStream struct {
-	head   []ChunkEvent   // the reservation, filled in place
-	blocks [][]ChunkEvent // what did not fit into head, in order; all full but the last
+	head   []ChunkEvent    // the reservation, filled in place
+	blocks []*[]ChunkEvent // what did not fit into head, in order; all full but the last
 }
 
-// Block sizes of an eventStream, in events.
+// Block sizes of an eventStream, in events: block c of a stream holds
+// firstEventBlock<<c, up to maxEventBlock from block eventBlockSizes-1 on.
 const (
 	firstEventBlock = 16
-	maxEventBlock   = 4096
+	eventBlockSizes = 9
+	maxEventBlock   = firstEventBlock << (eventBlockSizes - 1) // 4096
 )
+
+// eventBlocks holds the blocks streams have handed back, one pool per block
+// size, in the order of the sizes. A block is kept by the pointer the stream
+// holds it by, so Put stores it without allocating.
+var eventBlocks [eventBlockSizes]sync.Pool
+
+// eventBlock returns an empty block of the size a stream's block i has.
+func eventBlock(i int) *[]ChunkEvent {
+	c := min(i, len(eventBlocks)-1)
+	if b, ok := eventBlocks[c].Get().(*[]ChunkEvent); ok {
+		return b
+	}
+	b := make([]ChunkEvent, 0, firstEventBlock<<c)
+	return &b
+}
 
 // add appends one event.
 func (s *eventStream) add(ev *ChunkEvent) {
@@ -61,26 +84,30 @@ func (s *eventStream) add(ev *ChunkEvent) {
 		s.head = append(s.head, *ev)
 		return
 	}
-	if n == 0 || len(s.blocks[n-1]) == cap(s.blocks[n-1]) {
-		size := firstEventBlock
-		if n > 0 {
-			size = min(2*cap(s.blocks[n-1]), maxEventBlock)
-		}
-		s.blocks = append(s.blocks, make([]ChunkEvent, 0, size))
+	if n == 0 || len(*s.blocks[n-1]) == cap(*s.blocks[n-1]) {
+		s.blocks = append(s.blocks, eventBlock(n))
 		n++
 	}
-	s.blocks[n-1] = append(s.blocks[n-1], *ev)
+	b := s.blocks[n-1]
+	*b = append(*b, *ev)
 }
 
 // events returns the stream as one array with room for extra more events,
 // which then go into it in place. It copies only when the stream is in
-// blocks or the room is short, and a lone block with the room is taken as is.
+// blocks or the room is short, and then hands the blocks back to
+// eventBlocks; a lone block with the room is taken as is, and so never
+// handed back.
 func (s *eventStream) events(extra int) []ChunkEvent {
-	if len(s.head) == 0 && len(s.blocks) == 1 {
-		s.head, s.blocks = s.blocks[0], nil
+	if len(s.head) == 0 && len(s.blocks) == 1 && cap(*s.blocks[0])-len(*s.blocks[0]) >= extra {
+		s.head, s.blocks = *s.blocks[0], nil
 	}
 	if n := s.len(); len(s.blocks) > 0 || cap(s.head)-n < extra {
-		s.head, s.blocks = s.appendTo(make([]ChunkEvent, 0, n+extra)), nil
+		s.head = s.appendTo(make([]ChunkEvent, 0, n+extra))
+		for i, b := range s.blocks {
+			*b = (*b)[:0]
+			eventBlocks[min(i, len(eventBlocks)-1)].Put(b)
+		}
+		s.blocks = nil
 	}
 	return s.head
 }
@@ -89,7 +116,7 @@ func (s *eventStream) events(extra int) []ChunkEvent {
 func (s *eventStream) len() int {
 	n := len(s.head)
 	for _, b := range s.blocks {
-		n += len(b)
+		n += len(*b)
 	}
 	return n
 }
@@ -99,7 +126,7 @@ func (s *eventStream) len() int {
 func (s *eventStream) appendTo(dst []ChunkEvent) []ChunkEvent {
 	dst = append(dst, s.head...)
 	for _, b := range s.blocks {
-		dst = append(dst, b...)
+		dst = append(dst, *b...)
 	}
 	return dst
 }

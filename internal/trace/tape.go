@@ -14,7 +14,9 @@ import (
 type Tapes []tape
 
 // tape is one worker's capture of one loop: events in eventStream's blocks,
-// intervals under Recorder.Add's contract, phases in the worker's order. The
+// which never go back to eventBlocks (every record built from a tape reads
+// the same events), intervals under Recorder.Add's contract, phases in the
+// worker's order. The
 // pad keeps neighbouring workers' tape headers off each other's cache lines.
 type tape struct {
 	events    eventStream
