@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/amp"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/trace_all.txt from this build's output")
@@ -105,6 +108,41 @@ func TestRunRefusesBadCost(t *testing.T) {
 			if strings.Contains(out.String(), "iterations") {
 				t.Errorf("-cost %v -slope %v, trace=%v: prints a result:\n%s", c.cost, c.slope, showTrace, out.String())
 			}
+		}
+	}
+}
+
+// TestRunRefusesHugeOverhead: a platform file whose runtime-call overhead
+// runs a thread's clock past the int64 range is the simulator's error, with
+// -trace as without it, not a crash or a negative sched time.
+func TestRunRefusesHugeOverhead(t *testing.T) {
+	a := amp.PlatformA()
+	clusters := append([]amp.Cluster(nil), a.Clusters...)
+	for i := range clusters {
+		clusters[i].NumCores = 1
+	}
+	ov := a.Overhead
+	ov.LocalityPenaltyNs = 1e60
+	pl, err := amp.New("amp-1b1s-huge-penalty", clusters, ov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := pl.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "platform.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, showTrace := range []bool{false, true} {
+		var out bytes.Buffer
+		err := run(&out, path, 0, "BS", "dynamic,4", 4096, 100000, 0, 0.5, 0.3, 0.2, showTrace, "")
+		if err == nil || !strings.Contains(err.Error(), "past the end of the virtual clock") {
+			t.Errorf("trace=%v: error %v, want the end of the virtual clock", showTrace, err)
+		}
+		if strings.Contains(out.String(), "iterations") {
+			t.Errorf("trace=%v: prints a result:\n%s", showTrace, out.String())
 		}
 	}
 }

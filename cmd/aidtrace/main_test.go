@@ -162,3 +162,31 @@ func TestTolRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestWhatIfRefusesBadPlatform: a record whose first cluster lost its core
+// type (its "Type" key renamed, so it decodes with a zero frequency) is
+// refused with the platform's error when it is rebuilt, not replayed until
+// the clock wraps and the timeline panics.
+func TestWhatIfRefusesBadPlatform(t *testing.T) {
+	dir := t.TempDir()
+	r, bad := filepath.Join(dir, "r.jsonl"), filepath.Join(dir, "bad.jsonl")
+	if err := runRecord(io.Discard, r, "EP", "aid-dynamic,1,5", "BS", "A", "sim"); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed := bytes.Replace(data, []byte(`"clusters":[{"Type":`), []byte(`"clusters":[{"Kind":`), 1)
+	if bytes.Equal(renamed, data) {
+		t.Fatal(`the record spells its first cluster's core type some other way than "clusters":[{"Type":`)
+	}
+	if err := os.WriteFile(bad, renamed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = runWhatIf(&out, bad, "aid-static", "", "", 2.0)
+	if err == nil || !strings.Contains(err.Error(), "frequency 0 GHz") {
+		t.Errorf("-whatif of a record with a typeless cluster: error %v, want the platform's frequency error", err)
+	}
+}

@@ -94,3 +94,52 @@ func TestRunRefusesBadChunkCost(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRefusesClockOverflow: a platform whose runtime-call overhead would
+// run a thread's clock past the int64 range, and a serial phase whose time
+// would run the program's clock past it, infinite work included, fail the
+// call with an error instead of wrapping the clock negative.
+func TestRunRefusesClockOverflow(t *testing.T) {
+	a := amp.PlatformA()
+	for _, c := range []struct {
+		name  string
+		set   func(*amp.Overheads)
+		start int64
+	}{
+		{"locality penalty", func(ov *amp.Overheads) { ov.LocalityPenaltyNs = 1e60 }, 0},
+		{"pool access", func(ov *amp.Overheads) { ov.PoolAccessNs = 1e60 }, 0},
+		{"timestamp from 2^62", func(ov *amp.Overheads) { ov.TimestampNs = 1 << 62 }, 1 << 62},
+	} {
+		ov := a.Overhead
+		c.set(&ov)
+		pl, err := amp.New("huge overhead", a.Clusters, ov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := baseCfg(pl, 8, amp.BindBS, aidStaticFactory)
+		check := func(how string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), "past the end of the virtual clock") {
+				t.Errorf("%s, %s: err = %v, want the end of the virtual clock", c.name, how, err)
+			}
+		}
+		for _, rec := range []*trace.Recorder{nil, trace.NewTimedRecorder()} {
+			team := cfg
+			team.Recorder = rec
+			_, err := RunLoop(team, epLoop(512), c.start)
+			check("team", err)
+		}
+		_, err = RunLoops(cfg, []LoopSpec{uniformSpec("good", 512, 1), epLoop(512)}, fair.NewWeightedRoundRobin(0), c.start)
+		check("fleet", err)
+	}
+	cfg := baseCfg(a, 8, amp.BindBS, dynamicFactory)
+	loop := epLoop(64)
+	// The second says 0.6 of the clock's range: the first of its phases fits.
+	speed := a.Speed(a.CoreOf(0, 8, amp.BindBS), amp.Profile{}, 1)
+	for _, units := range []float64{math.Inf(1), 1e300, 0.6 * math.MaxInt64 * speed} {
+		prog := Program{Name: "p", Phases: []Phase{{SerialUnits: units}, {Loop: &loop}, {SerialUnits: units}}}
+		if _, err := RunProgram(cfg, prog); err == nil || !strings.Contains(err.Error(), "past the end of the virtual clock") {
+			t.Errorf("a serial phase of %g units: err = %v, want the end of the virtual clock", units, err)
+		}
+	}
+}
