@@ -13,7 +13,11 @@
 #                  tier-1 test. It writes nothing into the tree (a fuzz
 #                  failure adds its input under the package's testdata/fuzz/).
 #   make test    - tier-1: go build ./... && go test -count=1 ./...
-#   make race    - race-detector run over the lock-free scheduler/pool layers,
+#   make race    - race-detector run over the lock-free scheduler/pool layers
+#                  (internal/core's includes the spare-scheduler tests: a
+#                  released loop's scheduler goes back to core's spares, which
+#                  builds on every goroutine take from, so TestSparesMatchFresh
+#                  re-arms spares on four goroutines at once),
 #                  the metrics cells (a loop's release fills its outcome
 #                  while scrapers read the same cells), the real-goroutine
 #                  runtime, aidserve (its scrapers read
@@ -30,7 +34,9 @@
 #                  over on purpose), then internal/sim's workspace tests (a
 #                  call's workspace goes back to a pool that every goroutine
 #                  takes from, so calls on several goroutines at once share
-#                  workspaces one after the other; a few seconds, where the
+#                  workspaces one after the other, and spare schedulers with
+#                  them: poolCalls builds some through Schedule.Factory; a
+#                  few seconds, where the
 #                  whole sim package takes some 45 s under -race),
 #                  then the whole suite without -race (-count=1). The second
 #                  run is where every gate that a `-run` list used to select

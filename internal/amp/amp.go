@@ -226,7 +226,8 @@ const maxCores = 4096
 // ordered big-to-small (cluster 0 = big), mirroring the paper's convention
 // that CPUs with higher numbers are big cores: the flattened CPU numbering
 // puts small-cluster cores first, so CPU IDs 0..NS-1 are small and
-// NS..NS+NB-1 are big, as on the Odroid.
+// NS..NS+NB-1 are big, as on the Odroid. The platform it returns passes
+// Validate, whoever builds it: a platform file, a run record or the zoo.
 func New(name string, clusters []Cluster, ov Overheads) (*Platform, error) {
 	if len(clusters) == 0 {
 		return nil, fmt.Errorf("amp: platform %q has no clusters", name)
@@ -278,6 +279,9 @@ func New(name string, clusters []Cluster, ov Overheads) (*Platform, error) {
 			p.dist[i][j] = p.ClusterDist(i, j)
 		}
 	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -306,8 +310,8 @@ func (p *Platform) TypeDist() [][]int { return p.dist }
 // written or corrupted platform file can carry: zero-core clusters,
 // non-finite or non-positive rates, duty cycles outside (0,1], negative
 // overheads, and clusters not ordered big-first (New's flattening convention
-// requires cluster 0 to be the fastest). New performs only the structural
-// checks; LoadFile and the registry run Validate on top.
+// requires cluster 0 to be the fastest). New runs it on every platform it
+// builds.
 func (p *Platform) Validate() error {
 	if len(p.Clusters) == 0 {
 		return fmt.Errorf("amp: platform %q has no clusters", p.Name)

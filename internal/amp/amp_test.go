@@ -71,7 +71,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New("huge", []Cluster{{NumCores: 1 << 62}, {NumCores: 1 << 62}}, Overheads{}); err == nil {
 		t.Error("New with 2^63 cores should fail")
 	}
-	if p, err := New("large", huge[:1], Overheads{}); err != nil || p.NumCores() != maxCores {
+	// New validates, so the largest platform's cores need a real type.
+	large := []Cluster{{Type: PlatformA().Clusters[0].Type, NumCores: maxCores}}
+	if p, err := New("large", large, Overheads{}); err != nil || p.NumCores() != maxCores {
 		t.Errorf("New with %d cores: %v", maxCores, err)
 	}
 }

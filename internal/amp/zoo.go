@@ -26,22 +26,15 @@ func (p *Platform) EncodeJSON() ([]byte, error) {
 	return json.MarshalIndent(platformFile{Name: p.Name, Clusters: p.Clusters, Overhead: p.Overhead}, "", "  ")
 }
 
-// decodeJSON parses a platform file, rebuilds the platform through New
-// (which fills defaulted energy/locality fields) and rejects descriptions
-// that fail Validate.
+// decodeJSON parses a platform file and rebuilds the platform through New,
+// which fills defaulted energy/locality fields and rejects descriptions that
+// fail Validate.
 func decodeJSON(data []byte) (*Platform, error) {
 	var pf platformFile
 	if err := json.Unmarshal(data, &pf); err != nil {
 		return nil, fmt.Errorf("amp: parsing platform file: %w", err)
 	}
-	p, err := New(pf.Name, pf.Clusters, pf.Overhead)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return New(pf.Name, pf.Clusters, pf.Overhead)
 }
 
 // LoadFile reads a platform file from disk (see decodeJSON).

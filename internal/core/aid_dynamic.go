@@ -36,7 +36,7 @@ import (
 // to M·NThreads or below, which removes the end-of-loop imbalance that large
 // chunks would otherwise cause (§5B, Fig. 8).
 type AIDDynamic struct {
-	info LoopInfo
+	loopBase
 	m, M int64
 
 	ws *pool.ShardedWorkShare

@@ -89,7 +89,7 @@ func resetThreads(th []perThread, n int) []perThread {
 // entirely and the distribution uses the given per-type SF values — the
 // AID-static(offline-SF) variant of §5C.
 type AIDHybrid struct {
-	info    LoopInfo
+	loopBase
 	chunk   int64 // sampling and drain chunk (paper default: 1)
 	pct     float64
 	static  bool      // report as AID-static

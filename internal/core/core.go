@@ -326,6 +326,21 @@ type Resettable interface {
 	Reset(info LoopInfo) error
 }
 
+// loopBase is what every scheduler of this package embeds: its loop and, if
+// Schedule.Factory built it and it is in use, the spares it goes back to.
+type loopBase struct {
+	info LoopInfo
+	home *spareList
+}
+
+func (b *loopBase) base() *loopBase { return b }
+
+// keyed is a scheduler of this package, which Recycle can hand back.
+type keyed interface {
+	Resettable
+	base() *loopBase
+}
+
 // --- static ---
 
 // Static implements the OpenMP static schedule without a chunk: the
@@ -333,7 +348,7 @@ type Resettable interface {
 // size, assigned by thread ID. GCC compiles this distribution directly into
 // the program (§4.1), so it costs no runtime pool accesses at all.
 type Static struct {
-	info LoopInfo
+	loopBase
 	done []bool
 }
 
@@ -393,7 +408,7 @@ func (s *Static) Next(tid int, _ int64) (Assign, bool) {
 // given chunk size are assigned to threads round-robin. Like Static, the
 // distribution is compiled in and costs no pool accesses.
 type StaticChunked struct {
-	info  LoopInfo
+	loopBase
 	chunk int64
 	pos   []int64 // next block start per thread
 }
@@ -457,7 +472,7 @@ func (s *StaticChunked) Next(tid int, _ int64) (Assign, bool) {
 // at most chunk iterations (strict OpenMP semantics — no handoff batching).
 // The default chunk is 1.
 type Dynamic struct {
-	info   LoopInfo
+	loopBase
 	chunk  int64
 	types  []int
 	counts []int // threads per core type: the pool's partition weights
@@ -511,7 +526,7 @@ func (d *Dynamic) Next(tid int, _ int64) (Assign, bool) {
 // both static and dynamic on AMPs (§5: +44%/+65% average completion time);
 // it is provided as a baseline for that comparison.
 type Guided struct {
-	info     LoopInfo
+	loopBase
 	minChunk int64
 	types    []int
 	counts   []int // threads per core type: the pool's partition weights

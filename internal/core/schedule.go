@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Kind enumerates the loop-scheduling methods.
@@ -43,8 +44,8 @@ func (k Kind) String() string {
 }
 
 // Schedule is a fully parameterized loop-schedule selection. It is a
-// comparable value: rt's free list finds a pooled scheduler by == on the
-// defaulted schedule. AID-static's offline-SF variant (§5C) takes a table
+// comparable value: Factory finds a spare scheduler by == on the defaulted
+// schedule. AID-static's offline-SF variant (§5C) takes a table
 // no schedule carries, so NewAIDStaticOffline builds it.
 type Schedule struct {
 	Kind Kind
@@ -132,32 +133,104 @@ func (s Schedule) Canonical() string {
 }
 
 // Factory returns a scheduler factory for either engine: sim's
-// SchedulerFactory and the rt registry's loops both take it as it is.
+// SchedulerFactory and the rt registry's loops both take it as it is. It
+// re-arms a spare (Recycle) of the same defaulted schedule, thread count and
+// core-type count before it builds a new scheduler.
 func (s Schedule) Factory() func(LoopInfo) (Scheduler, error) {
 	return s.WithDefaults().build
 }
 
-// build constructs the scheduler for an already-defaulted schedule.
+// spareKey is what a spare must match to be re-armed: the defaulted
+// schedule and the loop shape that sizes the scheduler's storage.
+type spareKey struct {
+	sched              Schedule
+	nthreads, numTypes int
+}
+
+// spares maps each spareKey that a scheduler was built for to its spares.
+var spares sync.Map
+
+// spareList holds one key's spares: one in a slot that a build on any
+// goroutine takes first, so that a scheduler released on one worker thread
+// serves the next loop submitted from another, and the rest in a sync.Pool,
+// whose per-P caches the garbage collector empties.
+type spareList struct {
+	slot chan keyed // capacity 1
+	pool sync.Pool
+}
+
+// build re-arms a spare of the defaulted schedule d for info, or constructs
+// a scheduler when its key has none. Either way the scheduler carries its
+// key's list, for Recycle.
 func (d Schedule) build(info LoopInfo) (Scheduler, error) {
+	key := spareKey{d, info.NThreads, info.NumTypes}
+	l, _ := spares.Load(key)
+	home, _ := l.(*spareList)
+	if home != nil {
+		var s keyed
+		select {
+		case s = <-home.slot:
+		default:
+			s, _ = home.pool.Get().(keyed)
+		}
+		if s != nil {
+			s.base().home = home
+			return s, s.Reset(info)
+		}
+	}
+	var s keyed
+	var err error
 	switch d.Kind {
 	case KindStatic:
-		return NewStatic(info)
+		s, err = NewStatic(info)
 	case KindStaticChunked:
-		return NewStaticChunked(info, d.Chunk)
+		s, err = NewStaticChunked(info, d.Chunk)
 	case KindDynamic:
-		return NewDynamic(info, d.Chunk)
+		s, err = NewDynamic(info, d.Chunk)
 	case KindGuided:
-		return NewGuided(info, d.Chunk)
+		s, err = NewGuided(info, d.Chunk)
 	case KindAIDStatic:
-		return NewAIDStatic(info, d.Chunk)
+		s, err = NewAIDStatic(info, d.Chunk)
 	case KindAIDHybrid:
-		return NewAIDHybrid(info, d.Chunk, d.Pct)
+		s, err = NewAIDHybrid(info, d.Chunk, d.Pct)
 	case KindAIDDynamic:
-		return NewAIDDynamic(info, d.Chunk, d.Major)
+		s, err = NewAIDDynamic(info, d.Chunk, d.Major)
 	case KindWorkSteal:
-		return NewWorkSteal(info, d.Chunk)
+		s, err = NewWorkSteal(info, d.Chunk)
+	default:
+		err = fmt.Errorf("core: unknown schedule kind %d", int(d.Kind))
 	}
-	return nil, fmt.Errorf("core: unknown schedule kind %d", int(d.Kind))
+	if err != nil {
+		return nil, err
+	}
+	if home == nil {
+		l, _ = spares.LoadOrStore(key, &spareList{slot: make(chan keyed, 1)})
+		home = l.(*spareList)
+	}
+	s.base().home = home
+	return s, nil
+}
+
+// Recycle hands s to the spares of its key when Factory built it and it is
+// not a spare already; any other scheduler is left to the garbage collector.
+// Whoever held s must be done with it. s first forgets its loop and phase
+// observer, so that a spare keeps no engine, registry or recording reachable.
+func Recycle(s Scheduler) {
+	k, ok := s.(keyed)
+	if !ok || k.base().home == nil {
+		return
+	}
+	if po, ok := s.(PhaseObservable); ok {
+		po.SetPhaseObserver(nil)
+	}
+	b := k.base()
+	home := b.home
+	b.info, b.home = LoopInfo{}, nil
+	select {
+	case home.slot <- k:
+	default:
+		home.pool.Put(k)
+	}
 }
 
 // A param names what one positional parameter of the GOOMP_SCHEDULE syntax

@@ -26,7 +26,7 @@ import (
 // stealing continuously rebalances; the method exists so the runtime can
 // treat all adaptive schedulers uniformly.
 type WorkSteal struct {
-	info  LoopInfo
+	loopBase
 	chunk int64
 
 	mu     sync.Mutex

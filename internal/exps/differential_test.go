@@ -45,11 +45,14 @@ func chainByHand(cfg sim.Config, prog sim.Program) (sim.ProgramResult, error) {
 //     of a phase and accounts the others from it;
 //   - RunProgram made to simulate every execution, each under the phase's
 //     scheduler re-armed by Reset, by a migration no clock of the run reaches;
-//   - sim.RunLoop chained by hand, every execution under a new scheduler.
+//   - sim.RunLoop chained by hand, every execution under the scheduler the
+//     factory hands it: a spare (core.Recycle) that another cell's loop left,
+//     as likely as not, re-armed, or a new one.
 //
 // A scheduler whose Reset carries something over from the previous execution
-// separates the second from the other two; a model in which an execution
-// depends on its index or on when it starts separates the first from both.
+// separates the three, whose schedulers ran different executions before; a
+// model in which an execution depends on its index or on when it starts
+// separates the first from both.
 func TestRunProgramDifferential(t *testing.T) {
 	pl := amp.PlatformA()
 	apps, schemes := workloads.All(), Fig6Schemes()

@@ -76,7 +76,9 @@ const unbounded = 1 << 30
 // sequence of Pick calls, which the virtual-time fairness tests rely on.
 type weightedRoundRobin struct {
 	quantum int
-	last    map[int]uint64 // per worker: ID served on the previous turn
+	// last[tid] is 1 + the ID worker tid served on its previous turn while
+	// that loop is live, 0 otherwise; it grows to the highest tid picked for.
+	last []uint64
 }
 
 // NewWeightedRoundRobin returns the default fairness policy: weighted
@@ -88,7 +90,7 @@ func NewWeightedRoundRobin(quantum int) Policy {
 	if quantum <= 0 {
 		quantum = DefaultQuantum
 	}
-	return &weightedRoundRobin{quantum: quantum, last: make(map[int]uint64)}
+	return &weightedRoundRobin{quantum: quantum}
 }
 
 // Name implements Policy.
@@ -100,13 +102,16 @@ func (w *weightedRoundRobin) Name() string { return "wrr" }
 // engine presents candidates in. The burst is weight x quantum, saturated at
 // unbounded so that no weight wraps it; a lone candidate's is unbounded.
 func (w *weightedRoundRobin) Pick(tid int, cands []Candidate) (int, int) {
-	last, seen := w.last[tid]
+	if tid >= len(w.last) {
+		w.last = append(w.last, make([]uint64, tid+1-len(w.last))...)
+	}
+	last := w.last[tid]
 	idx, oldest := -1, 0
 	for i, c := range cands {
 		if c.ID < cands[oldest].ID {
 			oldest = i
 		}
-		if seen && c.ID > last && (idx < 0 || c.ID < cands[idx].ID) {
+		if last > 0 && c.ID >= last && (idx < 0 || c.ID < cands[idx].ID) {
 			idx = i
 		}
 	}
@@ -114,7 +119,7 @@ func (w *weightedRoundRobin) Pick(tid int, cands []Candidate) (int, int) {
 		idx = oldest
 	}
 	c := cands[idx]
-	w.last[tid] = c.ID
+	w.last[tid] = c.ID + 1
 	weight := max(c.Weight, 1)
 	if len(cands) == 1 || weight > unbounded/w.quantum {
 		return idx, unbounded
@@ -123,11 +128,11 @@ func (w *weightedRoundRobin) Pick(tid int, cands []Candidate) (int, int) {
 }
 
 // Retire implements Retirer: cursors pointing at the retired loop are
-// dropped, so the map holds no entries for loops that no longer exist.
+// dropped, so no cursor names a loop that no longer exists.
 func (w *weightedRoundRobin) Retire(id uint64) {
 	for tid, last := range w.last {
-		if last == id {
-			delete(w.last, tid)
+		if last == id+1 {
+			w.last[tid] = 0
 		}
 	}
 }

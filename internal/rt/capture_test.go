@@ -679,8 +679,9 @@ func TestCaptureCompactionPreservesCoverage(t *testing.T) {
 }
 
 // TestSubmitRejectsNegativeCaptureBudget covers the validation path, and
-// that it comes before the free list: a refused request takes no scheduler
-// off it, so the next Submit of the schedule still re-arms the pooled one.
+// that it comes before arm: a refused request takes neither the released
+// loop's ledger nor its spare scheduler, so the next Submit of the schedule
+// re-arms the released one.
 func TestSubmitRejectsNegativeCaptureBudget(t *testing.T) {
 	reg, err := NewRegistry(RegistryConfig{NThreads: 2})
 	if err != nil {
@@ -689,46 +690,19 @@ func TestSubmitRejectsNegativeCaptureBudget(t *testing.T) {
 	defer reg.Close()
 	s := core.Schedule{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5}
 	body := func(_ int, _, _ int64) {}
-	l, err := reg.Submit(LoopRequest{N: 10, Schedule: s, Body: body})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Wait()
-	reg.mu.Lock()
-	nfree := len(reg.free)
-	var pooled core.Scheduler
-	if nfree == 1 {
-		pooled = reg.free[0].sched
-	}
-	reg.mu.Unlock()
-	if nfree != 1 {
-		t.Fatalf("free list holds %d schedulers after one released loop, want 1", nfree)
-	}
-
+	_, released := runHolding(t, reg, LoopRequest{N: 10, Schedule: s, Body: body})
 	if _, err := reg.Submit(LoopRequest{N: 10, Schedule: s, CaptureMaxEvents: -1,
 		Body: body}); err == nil {
 		t.Error("Submit accepted a negative capture budget")
 	}
 	reg.mu.Lock()
-	nfree = len(reg.free)
+	nledgers := len(reg.ledgers)
 	reg.mu.Unlock()
-	if nfree != 1 {
-		t.Errorf("free list holds %d schedulers after a refused Submit, want 1", nfree)
+	if nledgers != 1 {
+		t.Errorf("the registry holds %d spare ledgers after a refused Submit, want 1", nledgers)
 	}
-
-	// The gate holds the loop open while its scheduler is read.
-	gate := make(chan struct{})
-	l, err = reg.Submit(LoopRequest{N: 10, Schedule: s, Body: func(int, int64, int64) { <-gate }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg.mu.Lock()
-	got := l.sched
-	reg.mu.Unlock()
-	close(gate)
-	l.Wait()
-	if got != pooled {
-		t.Error("the Submit after a refusal built a new scheduler instead of re-arming the pooled one")
+	if _, got := runHolding(t, reg, LoopRequest{N: 10, Schedule: s, Body: body}); got != released {
+		t.Error("the Submit after a refusal built a new scheduler instead of re-arming the released one")
 	}
 }
 

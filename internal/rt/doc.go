@@ -126,7 +126,8 @@
 // Around its chunks a loop pays once for Submit, for the wait until a worker
 // picks it up, and for its barrier. On the serve_open_lo workload (requests
 // of 2048 iterations arriving at 125 loops/s, 1B+1S fleet, two-CPU host;
-// medians per request, before the free list below) the time splits as:
+// medians per request, when every Submit built its scheduler) the time
+// splits as:
 //
 //	generator lateness (the benchmark's, before Submit)   63-70 us
 //	Submit                                                 13-22 us
@@ -134,25 +135,18 @@
 //	admission to first body                                18-28 us
 //	last body to Wait return                               12-20 us
 //
-// Construction is not where Submit's time goes; it was where its memory
-// went. Now a released loop's scheduler goes on the registry's free list,
-// together with its ledger (its retirement flags stay in its fleet slot, for
-// the next admission), and a later Submit of the same schedule re-arms it
-// through core.Resettable, which makes it the same
-// scheduler as a new one (core.TestResetEquivalence). Per Submit+Wait of a
-// 2048-iteration loop on that fleet, building -> re-arming:
-//
-//	objects, static .. aid-dynamic,1,5 (eight schedules)    8-25 -> 4-6
-//	bytes                                               860-2490 -> 620-650
-//	serve_open_lo alloc_kb_per_op (./bench, 10 pairs)     2.63 -> 1.16 kB
-//	serve_open_hi, fine_chunk, coarse_chunk (3-6 pairs)  2.5-2.6 -> 1.1-1.2 kB
-//
-// What is left is the Loop handle, its done channel, the default name, the
-// published Iters and, for the AID schedules, the copy of the final SF
-// table: 4 to 5 objects at any loop ID, held to that by
-// TestRegistrySubmitAllocs. Submit's time moved less: rt.submit_us read
-// 11-15 us before and 10 us after in two alternating traced passes,
-// admission to first body 15-17 us on both sides.
+// Construction was not where Submit's time went but where its memory went:
+// 8-25 objects and 860-2490 bytes per Submit+Wait of that loop. Now a
+// released loop's ledger stays with the registry (its retirement flags in its
+// fleet slot) and its scheduler goes back to core's spares (core.Recycle),
+// and the next Submit re-arms both; core.Schedule.Factory re-arms a spare
+// through core.Resettable, which makes it the same scheduler as a new one
+// (core.TestSparesMatchFresh). What is left is the Loop handle, its done
+// channel, the default name, the published Iters and, for the AID schedules,
+// the copy of the final SF table: 4 to 5 objects at any loop ID, held to that
+// by TestRegistrySubmitAllocs. Re-arming took serve_open_lo's
+// alloc_kb_per_op from 2.63 to 1.16 kB (./bench, 10 pairs); Submit's time
+// moved less, rt.submit_us from 11-15 to 10 us.
 //
 // # Capture
 //

@@ -41,8 +41,8 @@ func TestRegistryHotLayout(t *testing.T) {
 }
 
 // TestLoopSize: a Loop, allocated once per Submit, stays within the
-// 320-byte size class of Go's allocator. It is 312 bytes, so one more
-// pointer-sized field still fits.
+// 320-byte size class of Go's allocator. It is 288 bytes, so four more
+// pointer-sized fields still fit.
 func TestLoopSize(t *testing.T) {
 	if got := unsafe.Sizeof(Loop{}); got > 320 {
 		t.Errorf("sizeof(Loop) = %d, want <= 320 (one allocation size class)", got)
@@ -170,26 +170,22 @@ func TestRegistryClockFreeDrain(t *testing.T) {
 		const n, loops = 20000, 3
 		for loop := 0; loop < loops; loop++ {
 			covered := make([]atomic.Int32, n)
-			l, err := reg.Submit(LoopRequest{N: n, Schedule: s, Body: func(_ int, lo, hi int64) {
+			l, held := runHolding(t, reg, LoopRequest{N: n, Schedule: s, Body: func(_ int, lo, hi int64) {
 				for i := lo; i < hi; i++ {
 					covered[i].Add(1)
 					for start := time.Now(); time.Since(start) < time.Microsecond; {
 					}
 				}
 			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats := l.Wait()
 			for i := range covered {
 				if got := covered[i].Load(); got != 1 {
 					t.Fatalf("%s, loop %d: iteration %d covered %d times", sched, loop, i, got)
 				}
 			}
-			// The loop's scheduler is the free list's newest entry until the
-			// next Submit re-arms it.
-			reg.mu.Lock()
-			switch a := reg.free[len(reg.free)-1].sched.(type) {
+			// The loop's scheduler is a spare, untouched until the next Submit
+			// re-arms it.
+			stats := l.Wait()
+			switch a := held.(type) {
 			case *core.AIDHybrid:
 				if len(stats.SFEstimate) != 2 {
 					t.Errorf("%s, loop %d: SFEstimate = %v, want one entry per core type", sched, loop, stats.SFEstimate)
@@ -204,7 +200,6 @@ func TestRegistryClockFreeDrain(t *testing.T) {
 					t.Errorf("%s, loop %d: never switched to its dynamic(1) tail", sched, loop)
 				}
 			}
-			reg.mu.Unlock()
 		}
 		reg.Close()
 	}

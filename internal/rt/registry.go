@@ -21,17 +21,17 @@ import (
 // describes) and admits many concurrent loop submissions. Each
 // admitted loop gets its own core.Scheduler — and therefore its own sharded
 // iteration pool — for as long as it runs; a released loop's scheduler goes
-// on a bounded free list and is re-armed through core.Resettable for a later
-// loop of the same schedule, the way libgomp reuses a team's work-share
-// instead of allocating one per loop. The fleet is shared: a configurable
-// fairness policy (internal/fair) decides which runnable loop a free worker
-// serves next. This is the building block for serving many users at once:
+// back to core's spares (core.Recycle), and the next loop of the same
+// schedule re-arms it (core.Schedule.Factory), the way libgomp reuses a
+// team's work-share instead of allocating one per loop. The fleet is shared:
+// a configurable fairness policy (internal/fair) decides which runnable loop
+// a free worker serves next. This is the building block for serving many users at once:
 // one request's parallel loop no longer needs a private set of threads.
 //
 // Which loops are runnable, who has retired from which, the candidates, the
 // policy's picks and the barrier release are a fair.Fleet's, the same machine
 // the simulator runs; the registry drives it under its lock and keeps to
-// itself the admission generation, the free list and the lock-free chunk
+// itself the admission generation, the spare ledgers and the lock-free chunk
 // loop. A worker that receives ok=false from a loop's scheduler is retired
 // from that loop (ok=false is terminal per thread, the contract every
 // scheduler satisfies); the loop's implicit barrier releases — Wait returns —
@@ -95,24 +95,10 @@ type Registry struct {
 	// (guarded by mu), so MetricsSnapshot stays O(live loops), not
 	// O(all loops ever served).
 	retiredAgg obs.Snapshot
-	// free holds released loops' schedulers and worker-indexed storage for
-	// Submit to re-arm, oldest first, at most maxFree (guarded by mu).
-	free []freeLoop
-}
-
-// maxFree bounds the free list: room for every loop a busy fleet keeps in
-// flight to find its schedule there, while a fleet that stopped using a
-// schedule holds only a few dozen of its schedulers until newer ones push
-// them out.
-const maxFree = 32
-
-// freeLoop is one released loop's reusable storage: its scheduler, which owns
-// the loop's sharded pool, and its ledger. A request re-arms it when its
-// defaulted schedule equals key, the schedule the scheduler was built for.
-type freeLoop struct {
-	key    core.Schedule
-	sched  core.Resettable
-	ledger *obs.Ledger
+	// ledgers holds released loops' ledgers, disarmed, for Submit to re-arm
+	// (guarded by mu): every loop of the registry has the fleet's width, so
+	// any of them fits. At most as many as loops were ever in flight at once.
+	ledgers []*obs.Ledger
 }
 
 // RegistryConfig configures NewRegistry.
@@ -278,7 +264,7 @@ type Loop struct {
 	name     string
 	weight   int
 	n        int64
-	schedule core.Schedule // defaulted: the loop's free-list key
+	schedule core.Schedule // defaulted
 	body     func(tid int, lo, hi int64)
 
 	// slot is the loop's fleet slot until its barrier releases (guarded by
@@ -286,7 +272,7 @@ type Loop struct {
 	slot int
 
 	// sched and ledger are the loop's until its barrier releases; then
-	// retire hands them to the free list and sets them to nil under
+	// retire hands them back and sets them to nil under
 	// Registry.mu. Nothing but Submit, the loop's own workers and its
 	// release reads them.
 	sched core.Scheduler
@@ -345,8 +331,8 @@ var errClosed = errors.New("rt: registry is closed")
 // the registry is closed or the request is invalid.
 func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 	// Every check of the request comes before arm, and arm checks for a
-	// closed registry before it takes a free-list entry, so a refused
-	// request takes no scheduler off the free list. The closed check at
+	// closed registry before it takes a spare ledger or scheduler, so a
+	// refused request takes neither. The closed check at
 	// admission stays for a Close that lands after arm.
 	if req.N < 0 {
 		return nil, fmt.Errorf("rt: negative trip count %d", req.N)
@@ -422,65 +408,27 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 	return l, nil
 }
 
-// arm gives l a scheduler armed for its trip count and a ledger for Submit
-// to arm: a released loop's, the scheduler re-armed through core.Resettable
-// outside the lock, when the free list holds one of l's schedule, and new
-// ones otherwise. A request finds a closed registry in the critical section
-// that looks for an entry, and takes none.
+// arm gives l a scheduler armed for its trip count, from its schedule's
+// factory, which re-arms a spare one when a released loop left one, and a
+// ledger for Submit to arm: a released loop's, when the registry holds one. A
+// request finds a closed registry in the critical section that takes the
+// ledger, and takes nothing.
 func (r *Registry) arm(l *Loop) error {
-	info := r.loopInfo(l.n)
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return errClosed
 	}
-	fl, ok := r.takeFree(l.schedule)
+	if n := len(r.ledgers); n > 0 {
+		l.ledger, r.ledgers = r.ledgers[n-1], r.ledgers[:n-1]
+	}
 	r.mu.Unlock()
-	if ok {
-		l.sched, l.ledger = fl.sched, fl.ledger
-		return fl.sched.Reset(info)
+	if l.ledger == nil {
+		l.ledger = new(obs.Ledger)
 	}
-	sched, err := l.schedule.Factory()(info)
-	if err != nil {
-		return err
-	}
-	l.sched, l.ledger = sched, new(obs.Ledger)
-	return nil
-}
-
-// takeFree removes and returns the newest free-list entry for key, a
-// defaulted schedule (caller holds mu).
-func (r *Registry) takeFree(key core.Schedule) (freeLoop, bool) {
-	for i := len(r.free) - 1; i >= 0; i-- {
-		if r.free[i].key == key {
-			fl, last := r.free[i], len(r.free)-1
-			copy(r.free[i:], r.free[i+1:])
-			r.free[last] = freeLoop{}
-			r.free = r.free[:last]
-			return fl, true
-		}
-	}
-	return freeLoop{}, false
-}
-
-// recycle hands a released loop's scheduler and worker-indexed storage to
-// the free list, dropping the oldest entry when the list is full, and
-// clears the loop's references to them (caller holds mu; every worker has
-// retired from l). The entry keeps nothing of the loop: the ledger is
-// disarmed and the phase observer cleared (TestRegistryRecycleKeepsNoLoop).
-func (r *Registry) recycle(l *Loop) {
-	if rs, resettable := l.sched.(core.Resettable); resettable {
-		l.ledger.Arm(r.types, nil, nil, nil, nil, 0, false)
-		if po, observed := rs.(core.PhaseObservable); observed {
-			po.SetPhaseObserver(nil)
-		}
-		if len(r.free) == maxFree {
-			copy(r.free, r.free[1:])
-			r.free = r.free[:maxFree-1]
-		}
-		r.free = append(r.free, freeLoop{l.schedule, rs, l.ledger})
-	}
-	l.sched, l.ledger = nil, nil
+	var err error
+	l.sched, err = l.schedule.Factory()(r.loopInfo(l.n))
+	return err
 }
 
 // BuildRecord assembles a serializable run record from completed captured
@@ -698,7 +646,7 @@ func (r *Registry) pick(tid int) (*Loop, int, uint64) {
 // retirement releases the loop's barrier: the fleet drops the loop, the
 // ledger's Release publishes its stats (under the registry lock, after every
 // worker's retirement — the quiescent merge of obs's counter invariants), its
-// scheduler and ledger go to the free list, and Done/Wait unblock.
+// scheduler and ledger are recycled, and Done/Wait unblock.
 func (r *Registry) retire(l *Loop, tid int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -714,7 +662,13 @@ func (r *Registry) retire(l *Loop, tid int) {
 	if snap := l.stats.Metrics; snap != nil {
 		r.retiredAgg = r.retiredAgg.Add(*snap)
 	}
-	r.recycle(l)
+	// The scheduler goes back to core's spares, which drop its loop and phase
+	// observer, and the ledger, disarmed, to the registry: neither keeps
+	// anything of the loop (TestRegistryRecycleKeepsNoLoop).
+	core.Recycle(l.sched)
+	l.ledger.Arm(r.types, nil, nil, nil, nil, 0, false)
+	r.ledgers = append(r.ledgers, l.ledger)
+	l.sched, l.ledger = nil, nil
 	close(l.done)
 }
 

@@ -220,7 +220,7 @@ func TestRegistrySubmitValidation(t *testing.T) {
 }
 
 // TestRegistrySubmitAfterClose refuses a submission to a closed registry
-// before it takes the released loop's scheduler off the free list.
+// before it takes the released loop's ledger or its spare scheduler.
 func TestRegistrySubmitAfterClose(t *testing.T) {
 	reg, err := NewRegistry(RegistryConfig{NThreads: 2})
 	if err != nil {
@@ -228,19 +228,41 @@ func TestRegistrySubmitAfterClose(t *testing.T) {
 	}
 	req := LoopRequest{N: 10, Schedule: core.Schedule{Kind: core.KindDynamic, Chunk: 4},
 		Body: func(int, int64, int64) {}}
-	l, err := reg.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Wait()
+	_, released := runHolding(t, reg, req)
 	reg.Close()
 	if _, err := reg.Submit(req); err == nil || err.Error() != "rt: registry is closed" {
 		t.Errorf("Submit after Close: err = %v, want rt: registry is closed", err)
 	}
-	if len(reg.free) != 1 {
-		t.Errorf("Submit after Close left %d free-list entries, want 1", len(reg.free))
+	if len(reg.ledgers) != 1 {
+		t.Errorf("Submit after Close left %d spare ledgers, want 1", len(reg.ledgers))
+	}
+	// With the key's slot empty before, the next build takes the spare.
+	if s, err := req.Schedule.Factory()(reg.loopInfo(10)); err != nil || s != released {
+		t.Errorf("Submit after Close took the released loop's scheduler from the spares (err %v)", err)
 	}
 	reg.Close() // idempotent
+}
+
+// runHolding runs req, a loop of at least one iteration, on reg, and returns
+// it, released, with the scheduler it ran under, which its release recycled.
+// The loop's body waits until the scheduler has been read.
+func runHolding(t *testing.T, reg *Registry, req LoopRequest) (*Loop, core.Scheduler) {
+	t.Helper()
+	gate, body := make(chan struct{}), req.Body
+	req.Body = func(tid int, lo, hi int64) {
+		<-gate
+		body(tid, lo, hi)
+	}
+	l, err := reg.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.mu.Lock()
+	s := l.sched
+	reg.mu.Unlock()
+	close(gate)
+	l.Wait()
+	return l, s
 }
 
 // TestRegistryCloseDrains submits loops and closes immediately: Close must
@@ -347,9 +369,9 @@ func TestRegistryConfigValidation(t *testing.T) {
 	}
 }
 
-// TestRegistryFreeListKeyIsDefaultedSchedule: the free list finds a pooled
-// scheduler by the defaulted schedule, so a schedule that spells out a
-// default re-arms the scheduler of one that leaves it unset, and one that
+// TestRegistryFreeListKeyIsDefaultedSchedule: core's spares find a
+// released scheduler by the defaulted schedule, so a schedule that spells out
+// a default re-arms the scheduler of one that leaves it unset, and one that
 // differs in a parameter builds its own.
 func TestRegistryFreeListKeyIsDefaultedSchedule(t *testing.T) {
 	reg, err := NewRegistry(RegistryConfig{NThreads: 2})
@@ -357,20 +379,14 @@ func TestRegistryFreeListKeyIsDefaultedSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	// run submits one loop and returns the scheduler its release pooled.
-	run := func(text string) core.Resettable {
+	// run submits one loop and returns the scheduler its release recycled.
+	run := func(text string) core.Scheduler {
 		s, err := core.ParseSchedule(text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := reg.Submit(LoopRequest{N: 100, Schedule: s, Body: func(int, int64, int64) {}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Wait()
-		reg.mu.Lock()
-		defer reg.mu.Unlock()
-		return reg.free[len(reg.free)-1].sched
+		_, held := runHolding(t, reg, LoopRequest{N: 100, Schedule: s, Body: func(int, int64, int64) {}})
+		return held
 	}
 	for _, c := range []struct{ first, same, other string }{
 		{"dynamic", "dynamic,1", "dynamic,2"},
@@ -386,17 +402,13 @@ func TestRegistryFreeListKeyIsDefaultedSchedule(t *testing.T) {
 	}
 }
 
-// TestRegistryRecycleKeepsNoLoop: the free list keeps a released loop's
-// scheduler and ledger, and nothing of the loop itself. Once the handles are
-// dropped, a captured loop's tapes, a metered loop's counters and an AID
-// loop, whose scheduler had a phase observer, are all collected, although
-// their schedulers and ledgers stay pooled.
+// TestRegistryRecycleKeepsNoLoop: a released loop's ledger stays with the
+// registry and its scheduler goes back to core's spares, and neither keeps
+// anything of the loop. While the test holds the two schedulers, a captured
+// loop's tapes, a metered loop's counters, an AID loop, whose scheduler had a
+// phase observer, and, once closed, the registry's TypeOf mapping are all
+// collected.
 func TestRegistryRecycleKeepsNoLoop(t *testing.T) {
-	reg, err := NewRegistry(RegistryConfig{NThreads: 2, Metrics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
 	var mu sync.Mutex
 	alive := map[string]bool{}
 	watch := func(name string, obj any) {
@@ -409,28 +421,49 @@ func TestRegistryRecycleKeepsNoLoop(t *testing.T) {
 			mu.Unlock()
 		})
 	}
+	var held []core.Scheduler
 	func() {
+		reg, err := NewRegistry(RegistryConfig{NThreads: 2, Metrics: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Both loops are in flight at once, so each has a ledger of its own.
+		gate := make(chan struct{})
+		var loops []*Loop
 		for _, text := range []string{"dynamic,1", "aid-hybrid,80,1"} {
 			s, err := core.ParseSchedule(text)
 			if err != nil {
 				t.Fatal(err)
 			}
-			l, err := reg.Submit(LoopRequest{N: 20_000, Schedule: s, Capture: true, Body: func(int, int64, int64) {}})
+			l, err := reg.Submit(LoopRequest{N: 20_000, Schedule: s, Capture: true, Body: func(int, int64, int64) { <-gate }})
 			if err != nil {
 				t.Fatal(err)
 			}
-			l.Wait()
-			watch(text+" tapes", &l.capture[0])
-			watch(text+" metrics", l.metrics)
-			watch(text+" loop", l)
+			reg.mu.Lock()
+			held = append(held, l.sched)
+			reg.mu.Unlock()
+			loops = append(loops, l)
 		}
+		close(gate)
+		for i, l := range loops {
+			l.Wait()
+			watch(l.schedule.String()+" tapes", &l.capture[0])
+			watch(l.schedule.String()+" metrics", l.metrics)
+			watch(l.schedule.String()+" loop", l)
+			loops[i] = nil
+		}
+		reg.mu.Lock()
+		nledgers := len(reg.ledgers)
+		reg.mu.Unlock()
+		if nledgers != 2 {
+			t.Fatalf("the registry holds %d spare ledgers after two released loops, want 2", nledgers)
+		}
+		reg.Close()
+		// Not the Registry: its sync.Cond points back into it, and a
+		// finalizer on a cycle need not run. Its thread types are what the
+		// loops' TypeOf mapping reads.
+		watch("registry's thread types", &reg.types[0])
 	}()
-	reg.mu.Lock()
-	nfree := len(reg.free)
-	reg.mu.Unlock()
-	if nfree != 2 {
-		t.Fatalf("free list holds %d entries after two released loops, want 2", nfree)
-	}
 	for i := 0; i < 10; i++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond) // finalizers run on their own goroutine
@@ -440,4 +473,5 @@ func TestRegistryRecycleKeepsNoLoop(t *testing.T) {
 	for name := range alive {
 		t.Errorf("the %s of a released loop was not collected", name)
 	}
+	runtime.KeepAlive(held)
 }

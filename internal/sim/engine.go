@@ -93,18 +93,17 @@ func (ws *workspace) begin(cfg Config) {
 // release ends the call ws served and puts ws into workspaces. It drops every
 // reference to the call's Config, so that a pooled workspace keeps no
 // Recorder, Metrics, factory, platform or policy reachable: the Config and
-// the loop description, the schedulers with their phase observers, the
-// fleet's policy, the ledgers' counters, timeline and events, and the
-// pointers in RunProgram's scratch result. Its tables stay, and schedulers are
-// not kept: a factory cannot be compared, so no later call could tell whether
-// one it left would be the scheduler that call's factory builds.
+// the loop description, the schedulers, which go back to core's spares when
+// Schedule.Factory built them (core.Recycle, which drops their loops and
+// phase observers), the fleet's policy, the ledgers' counters, timeline and
+// events, and the pointers in RunProgram's scratch result. Its tables stay.
 //
 // A call releases its workspace only when it returns, with or without an
 // error, never when it panics: a workspace left half-run by a panicking
 // factory, scheduler or cost model goes to the garbage collector.
 func (ws *workspace) release() {
 	ws.cfg, ws.info = Config{}, core.LoopInfo{}
-	clear(ws.scheds)
+	ws.forgetSchedulers()
 	ws.scheds = ws.scheds[:0]
 	ws.fleet.Reset(nil)
 	// This call armed its ledgers for len(ws.typeOf) workers; the storage
@@ -117,10 +116,16 @@ func (ws *workspace) release() {
 	workspaces.Put(ws)
 }
 
-// forgetSchedulers makes the next run build its schedulers with the
-// configured factory: the loops it runs are not the previous run's, and the
-// factory may configure their schedulers differently.
-func (ws *workspace) forgetSchedulers() { clear(ws.scheds) }
+// forgetSchedulers hands the previous run's schedulers to core.Recycle and
+// makes the next run build its own with the configured factory: the loops
+// it runs are not the previous run's, and the factory may configure their
+// schedulers differently.
+func (ws *workspace) forgetSchedulers() {
+	for _, s := range ws.scheds {
+		core.Recycle(s)
+	}
+	clear(ws.scheds)
+}
 
 // sized returns s with length n and every element zero, in s's own storage
 // when that is large enough.
@@ -141,8 +146,11 @@ func (ws *workspace) scheduler(li int, name string, info core.LoopInfo) (core.Sc
 		return rs, rs.Reset(info)
 	}
 	s, err := ws.cfg.buildScheduler(name, info)
+	if err != nil {
+		return nil, err
+	}
 	ws.scheds[li] = s
-	return s, err
+	return s, nil
 }
 
 // run is the simulator's one event loop (see the package comment). A nil
@@ -440,11 +448,13 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 			}
 			execNs = units / speed[li*nt+tid]
 		}
-		schedEnd := now + int64(ovhNs)
-		if execNs >= 1<<63 || int64(execNs) >= math.MaxInt64-max(schedEnd, 0) {
-			return fmt.Errorf("sim: loop %q: iterations [%d,%d) take %.4g ns on thread %d from %d ns, past the end of the virtual clock",
-				specs[li].Name, asg.Lo, asg.Hi, execNs, tid, schedEnd)
+		// A platform's overheads can run the clock out as a cost can.
+		if left := math.MaxInt64 - max(now, 0); !(ovhNs < 1<<63 && execNs < 1<<63) ||
+			int64(ovhNs) >= left || int64(execNs) >= left-int64(ovhNs) {
+			return fmt.Errorf("sim: loop %q: iterations [%d,%d) take %.4g ns of runtime calls and %.4g ns of execution on thread %d from %d ns, past the end of the virtual clock",
+				specs[li].Name, asg.Lo, asg.Hi, ovhNs, execNs, tid, now)
 		}
+		schedEnd := now + int64(ovhNs)
 		clock[tid] = schedEnd + int64(execNs)
 		res.SchedNs += int64(ovhNs)
 		ln := ledgers[li].Lane(tid)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/amp"
 	"repro/internal/core"
@@ -111,8 +112,11 @@ func (ws *workspace) runProgram(prog Program) (ProgramResult, error) {
 		if ph.Loop == nil {
 			// Serial phase: the master thread alone, no cluster contention.
 			// It is no part of a loop execution, so of no record.
-			speed := pl.Speed(masterCore, ph.SerialProfile, 1)
-			cursor += int64(ph.SerialUnits / speed)
+			d := ph.SerialUnits / pl.Speed(masterCore, ph.SerialProfile, 1)
+			if !(d < 1<<63) || int64(d) >= math.MaxInt64-cursor {
+				return ProgramResult{}, fmt.Errorf("sim: program %q: a serial phase of %.4g ns from %d ns runs past the end of the virtual clock", prog.Name, d, cursor)
+			}
+			cursor += int64(d)
 			continue
 		}
 		reps := ph.Reps

@@ -84,17 +84,20 @@
 // hundreds of calls of a figure sweep size their tables in storage that
 // earlier calls grew, under whatever Config those ran. Before it goes back,
 // the workspace forgets its call: the Config with its factory, Recorder and
-// platform, the loop description, the schedulers with their phase observers,
-// the fleet's policy, the ledgers' Metrics, timeline and events. What it keeps
-// is plain tables. A call that panics (a factory, scheduler or cost model)
-// does not hand its half-run workspace back.
+// platform, the loop description, the schedulers, the fleet's policy, the
+// ledgers' Metrics, timeline and events. What it keeps is plain tables. A call
+// that panics (a factory, scheduler or cost model) does not hand its half-run
+// workspace back.
 //
-// Schedulers are still built once per call: a factory cannot be compared, so
-// a scheduler one call left behind could not be told to be what the next
-// call's factory would build. Within its call, a workspace remembers the
-// schedulers of its previous run and re-arms one through core.Resettable
-// instead of asking the factory for another; a scheduler that cannot be
-// re-armed (a replay script, a test probe) comes from the factory every time.
+// A scheduler that core.Schedule.Factory built outlives its call as well:
+// release hands it to core.Recycle, which drops its loop and phase observer
+// and keeps it as a spare of its schedule and shape, and the next build of
+// that key, by any call on any goroutine or by an rt.Registry, re-arms it
+// (core.Resettable) instead of building anew. Any other scheduler (a replay
+// script, an experiment's own factory, a test probe) is left to the garbage
+// collector. Within its call, a workspace remembers the schedulers of its
+// previous run and re-arms one instead of asking the factory for another; a
+// scheduler that cannot be re-armed comes from the factory every time.
 //
 // RunLoop and RunLoops make one run each. RunProgram makes one run per loop
 // phase, and under Config.Factory builds one scheduler for the whole program:
@@ -105,7 +108,8 @@
 // phase's first execution (see "Repetitions") allocates nothing; one it
 // simulates without a Recorder allocates only the copy of the final SF
 // estimate its scheduler hands the result. A warm, unrecorded one-loop
-// RunProgram allocates its scheduler, the TypeOf mapping and that copy. A
+// RunProgram allocates the TypeOf mapping, that copy and its scheduler, unless
+// Schedule.Factory re-arms a spare. A
 // scheduler is given a phase observer only when the Config carries a
 // Recorder, so the SF tables it publishes mid-run are copied into the record
 // and nowhere else.
@@ -273,7 +277,8 @@ func (ls LoopSpec) Validate() error {
 // A factory sees a loop only through info, so it must return the same kind of
 // scheduler, configured the same way, for every loop of a program: what it
 // makes of one loop's info a Reset makes of the next's. A configuration that
-// differs between loops belongs in Config.FactoryNamed.
+// differs between loops belongs in Config.FactoryNamed. What it returns is the
+// call's: at its end one that core.Schedule.Factory built goes to core.Recycle.
 type SchedulerFactory func(info core.LoopInfo) (core.Scheduler, error)
 
 // Config describes one simulated program execution.

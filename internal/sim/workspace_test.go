@@ -463,11 +463,16 @@ func (c poolCall) do(fresh bool) (poolOutcome, error) {
 // poolCalls covers Platform A's eight workers and 1B+1S's two, team, fleet
 // and program, recorded and not, with and without Metrics, under schedulers
 // with phase observers and without, and a burst whose recorded events fill
-// many blocks.
+// many blocks. Some of their schedulers come from core.Schedule.Factory, so
+// they go back to core's spares with the workspace, and later calls on any
+// goroutine re-arm them.
 func poolCalls(t *testing.T) []poolCall {
 	pa, ps := amp.PlatformA(), platform1B1S(t)
 	hybrid := func(info core.LoopInfo) (core.Scheduler, error) { return core.NewAIDHybrid(info, 1, 0.8) }
 	named := func(_ string, info core.LoopInfo) (core.Scheduler, error) { return core.NewAIDStatic(info, 2) }
+	keyedDynamic := core.Schedule{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5}.Factory()
+	keyedHybrid := core.Schedule{Kind: core.KindAIDHybrid}.Factory()
+	keyedNamed := func(_ string, info core.LoopInfo) (core.Scheduler, error) { return keyedHybrid(info) }
 	fleetSpecs := []LoopSpec{uniformSpec("a", 900, 2), uniformSpec("b", 400, 1), epLoop(300)}
 	fleetSpecs[1].Arrive = 30_000
 	// A burst of some 6 500 grants, whose recorded events grow in blocks
@@ -492,6 +497,7 @@ func poolCalls(t *testing.T) []poolCall {
 			poolCall{name: "fleet A aid-hybrid", cfg: baseCfg(pa, 8, amp.BindBS, hybrid), specs: fleetSpecs, fleet: true, recorded: recorded},
 			poolCall{name: "fleet 1B+1S aid-dynamic metrics", cfg: Config{Platform: ps, NThreads: 2, Binding: amp.BindBS, Factory: aidDynamicFactory, Metrics: true}, specs: fleetSpecs, fleet: true, recorded: recorded},
 			poolCall{name: "fleet A dynamic,1 burst", cfg: baseCfg(pa, 8, amp.BindBS, dynamicFactory), specs: burst, fleet: true, recorded: recorded},
+			poolCall{name: "fleet A spare aid-dynamic", cfg: baseCfg(pa, 8, amp.BindSB, keyedDynamic), specs: fleetSpecs, fleet: true, recorded: recorded},
 		)
 	}
 	// A Recorder holds one run, so programs of several executions go
@@ -499,6 +505,7 @@ func poolCalls(t *testing.T) []poolCall {
 	calls = append(calls,
 		poolCall{name: "program A named", cfg: Config{Platform: pa, NThreads: 8, Binding: amp.BindBS, FactoryNamed: named}, prog: prog},
 		poolCall{name: "program 1B+1S guided", cfg: baseCfg(ps, 2, amp.BindSB, reuseFactories[6].factory), prog: prog},
+		poolCall{name: "program 1B+1S spare named", cfg: Config{Platform: ps, NThreads: 2, Binding: amp.BindBS, FactoryNamed: keyedNamed}, prog: prog},
 	)
 	return calls
 }
