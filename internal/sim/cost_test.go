@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/amp"
+	"repro/internal/core"
 	"repro/internal/fair"
 	"repro/internal/trace"
 )
@@ -141,5 +142,47 @@ func TestRunRefusesClockOverflow(t *testing.T) {
 		if _, err := RunProgram(cfg, prog); err == nil || !strings.Contains(err.Error(), "past the end of the virtual clock") {
 			t.Errorf("a serial phase of %g units: err = %v, want the end of the virtual clock", units, err)
 		}
+	}
+}
+
+// TestRunProgramRefusesRepOverflow: a loop phase whose repetitions, accounted
+// from its first execution, would run the clock or the pool-access count past
+// int64 fails the call with an error naming the program, and the most
+// repetitions that fit are still accounted.
+func TestRunProgramRefusesRepOverflow(t *testing.T) {
+	a := amp.PlatformA()
+	cfg := baseCfg(a, 8, amp.BindBS, core.Schedule{Kind: core.KindDynamic, Chunk: 1}.Factory())
+	loop := epLoop(640)
+	one, err := RunProgram(cfg, Program{Name: "one", Phases: []Phase{{Loop: &loop}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit := int(math.MaxInt64 / one.TotalNs)
+	for _, c := range []struct {
+		reps int
+		ok   bool
+	}{{1 << 50, false}, {fit + 1, false}, {fit, true}} {
+		prog := Program{Name: "reps", Phases: []Phase{{Loop: &loop, Reps: c.reps}}}
+		res, err := RunProgram(cfg, prog)
+		switch {
+		case c.ok && (err != nil || res.TotalNs != int64(c.reps)*one.TotalNs):
+			t.Errorf("%d repetitions: TotalNs %d, err %v; want %d", c.reps, res.TotalNs, err, int64(c.reps)*one.TotalNs)
+		case !c.ok && (err == nil || !strings.Contains(err.Error(), `program "reps"`) ||
+			!strings.Contains(err.Error(), "past the end of the virtual clock")):
+			t.Errorf("%d repetitions: TotalNs %d, err = %v, want program \"reps\" past the end of the virtual clock",
+				c.reps, res.TotalNs, err)
+		}
+	}
+	// With no overheads and free iterations an execution takes no time, so
+	// only its pool accesses can overflow.
+	free, err := amp.New("free", a.Clusters, amp.Overheads{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Platform = free
+	idle := LoopSpec{Name: "idle", NI: 64, Cost: UniformCost{}}
+	prog := Program{Name: "idle", Phases: []Phase{{Loop: &idle, Reps: math.MaxInt64}}}
+	if res, err := RunProgram(cfg, prog); err == nil || !strings.Contains(err.Error(), `program "idle"`) {
+		t.Errorf("%d free repetitions: %+v, err = %v, want an error naming program \"idle\"", math.MaxInt64, res, err)
 	}
 }
