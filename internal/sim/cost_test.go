@@ -182,7 +182,8 @@ func TestRunProgramRefusesRepOverflow(t *testing.T) {
 	cfg.Platform = free
 	idle := LoopSpec{Name: "idle", NI: 64, Cost: UniformCost{}}
 	prog := Program{Name: "idle", Phases: []Phase{{Loop: &idle, Reps: math.MaxInt64}}}
-	if res, err := RunProgram(cfg, prog); err == nil || !strings.Contains(err.Error(), `program "idle"`) {
-		t.Errorf("%d free repetitions: %+v, err = %v, want an error naming program \"idle\"", math.MaxInt64, res, err)
+	if res, err := RunProgram(cfg, prog); err == nil || !strings.Contains(err.Error(), `program "idle"`) ||
+		!strings.Contains(err.Error(), "pool accesses") {
+		t.Errorf("%d free repetitions: %+v, err = %v, want program \"idle\" and its pool accesses", math.MaxInt64, res, err)
 	}
 }

@@ -143,6 +143,12 @@ func (ws *workspace) runProgram(prog Program) (ProgramResult, error) {
 				n = reps - r
 			}
 			dur := lr[0].End - lr[0].Start
+			if dur > (math.MaxInt64-cursor)/int64(n) {
+				return ProgramResult{}, fmt.Errorf("sim: program %q: %d executions of loop %q of %d ns from %d ns run past the end of the virtual clock", prog.Name, n, ph.Loop.Name, dur, cursor)
+			}
+			if lr[0].PoolAccesses > (math.MaxInt64-res.PoolAccesses)/int64(n) {
+				return ProgramResult{}, fmt.Errorf("sim: program %q: %d executions of loop %q count more pool accesses than an int64 holds", prog.Name, n, ph.Loop.Name)
+			}
 			res.PoolAccesses += int64(n) * lr[0].PoolAccesses
 			cursor += int64(n) * dur
 		}
