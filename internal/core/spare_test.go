@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -245,5 +246,45 @@ func TestRecycleOnce(t *testing.T) {
 	core.Recycle(own)
 	if got, _ := (core.Schedule{Kind: core.KindDynamic, Chunk: 7_778}).Factory()(info); got == core.Scheduler(own) {
 		t.Error("Factory re-armed a scheduler its constructor built")
+	}
+}
+
+// TestSparesHoldPeak: a key keeps as many spares as it had schedulers in use
+// at once. k built at once and all recycled leave k spares, two collections
+// later too, and a hundred cycles of one build and its recycling leave k,
+// never more. The shape is one no other test builds.
+func TestSparesHoldPeak(t *testing.T) {
+	const k = 5
+	info := core.LoopInfo{NI: 100, NThreads: 5, NumTypes: 1, TypeOf: func(int) int { return 0 }}
+	s := core.Schedule{Kind: core.KindDynamic, Chunk: 7_779}
+	build := s.Factory()
+	var held []core.Scheduler
+	for i := 0; i < k; i++ {
+		x, err := build(info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, x)
+	}
+	for _, x := range held {
+		core.Recycle(x)
+	}
+	runtime.GC()
+	runtime.GC()
+	if n := core.SpareCount(s, info); n != k {
+		t.Fatalf("%d schedulers built at once and recycled left %d spares after two collections, want %d", k, n, k)
+	}
+	for i := 0; i < 100; i++ {
+		x, err := build(info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := core.SpareCount(s, info); n != k-1 {
+			t.Fatalf("cycle %d: a build left %d spares, want %d", i, n, k-1)
+		}
+		core.Recycle(x)
+		if n := core.SpareCount(s, info); n != k {
+			t.Fatalf("cycle %d: a recycling left %d spares, want %d", i, n, k)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -399,6 +400,57 @@ func TestRegistryFreeListKeyIsDefaultedSchedule(t *testing.T) {
 		if got := run(c.other); got == pooled {
 			t.Errorf("%s re-armed the scheduler %s released", c.other, c.first)
 		}
+	}
+}
+
+// TestRegistrySparesSurviveGC: a schedule keeps as many spares as it had
+// loops in flight at once, and a collection takes none of them. Six gated
+// loops of one schedule run at once on a 2-worker registry; once they have
+// released and two collections have passed, each of the next six re-arms one
+// of their schedulers.
+func TestRegistrySparesSurviveGC(t *testing.T) {
+	reg, err := NewRegistry(RegistryConfig{NThreads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	s, err := core.ParseSchedule("dynamic,7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// batch runs six loops at once and returns the schedulers they ran
+	// under, which their releases recycled.
+	batch := func() []core.Scheduler {
+		gate := make(chan struct{})
+		var loops []*Loop
+		var held []core.Scheduler
+		for i := 0; i < 6; i++ {
+			l, err := reg.Submit(LoopRequest{N: 100, Schedule: s, Body: func(int, int64, int64) { <-gate }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg.mu.Lock()
+			held = append(held, l.sched)
+			reg.mu.Unlock()
+			loops = append(loops, l)
+		}
+		close(gate)
+		for _, l := range loops {
+			l.Wait()
+		}
+		return held
+	}
+	first := batch()
+	runtime.GC()
+	runtime.GC()
+	rearmed := 0
+	for _, s := range batch() {
+		if slices.Contains(first, s) {
+			rearmed++
+		}
+	}
+	if rearmed != 6 {
+		t.Errorf("after two collections, %d of 6 loops re-armed a scheduler the first 6 released, want 6", rearmed)
 	}
 }
 
