@@ -327,7 +327,8 @@ type Resettable interface {
 }
 
 // loopBase is what every scheduler of this package embeds: its loop and, if
-// Schedule.Factory built it and it is in use, the spares it goes back to.
+// Schedule.Factory built it and it is in use, its key's spareList, which
+// Recycle pushes it onto. home is nil while it is a spare.
 type loopBase struct {
 	info LoopInfo
 	home *spareList

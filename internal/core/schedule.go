@@ -147,37 +147,35 @@ type spareKey struct {
 	nthreads, numTypes int
 }
 
-// spares maps each spareKey that a scheduler was built for to its spares.
-var spares sync.Map
+// spares holds the spares of each spareKey that a scheduler was built for,
+// and sparesMu guards the map and every list in it.
+var (
+	sparesMu sync.Mutex
+	spares   = map[spareKey]*spareList{}
+)
 
-// spareList holds one key's spares: one in a slot that a build on any
-// goroutine takes first, so that a scheduler released on one worker thread
-// serves the next loop submitted from another, and the rest in a sync.Pool,
-// whose per-P caches the garbage collector empties.
-type spareList struct {
-	slot chan keyed // capacity 1
-	pool sync.Pool
-}
+// spareList is one key's spares, newest last. Any goroutine takes any of
+// them, and the garbage collector none, so a key holds as many as it ever had
+// in use at once: a scheduler a worker thread released serves the next loop
+// submitted from another, after any number of collections.
+type spareList []keyed
 
-// build re-arms a spare of the defaulted schedule d for info, or constructs
-// a scheduler when its key has none. Either way the scheduler carries its
-// key's list, for Recycle.
+// build re-arms the newest spare of the defaulted schedule d for info, or
+// constructs a scheduler when its key has none. Either way the scheduler
+// carries its key's list, for Recycle.
 func (d Schedule) build(info LoopInfo) (Scheduler, error) {
 	key := spareKey{d, info.NThreads, info.NumTypes}
-	l, _ := spares.Load(key)
-	home, _ := l.(*spareList)
-	if home != nil {
-		var s keyed
-		select {
-		case s = <-home.slot:
-		default:
-			s, _ = home.pool.Get().(keyed)
-		}
-		if s != nil {
-			s.base().home = home
-			return s, s.Reset(info)
-		}
+	sparesMu.Lock()
+	home := spares[key]
+	if home != nil && len(*home) > 0 {
+		n := len(*home) - 1
+		s := (*home)[n]
+		(*home)[n], *home = nil, (*home)[:n]
+		sparesMu.Unlock()
+		s.base().home = home
+		return s, s.Reset(info)
 	}
+	sparesMu.Unlock()
 	var s keyed
 	var err error
 	switch d.Kind {
@@ -204,8 +202,12 @@ func (d Schedule) build(info LoopInfo) (Scheduler, error) {
 		return nil, err
 	}
 	if home == nil {
-		l, _ = spares.LoadOrStore(key, &spareList{slot: make(chan keyed, 1)})
-		home = l.(*spareList)
+		sparesMu.Lock()
+		if home = spares[key]; home == nil {
+			home = new(spareList)
+			spares[key] = home
+		}
+		sparesMu.Unlock()
 	}
 	s.base().home = home
 	return s, nil
@@ -226,11 +228,9 @@ func Recycle(s Scheduler) {
 	b := k.base()
 	home := b.home
 	b.info, b.home = LoopInfo{}, nil
-	select {
-	case home.slot <- k:
-	default:
-		home.pool.Put(k)
-	}
+	sparesMu.Lock()
+	*home = append(*home, k)
+	sparesMu.Unlock()
 }
 
 // A param names what one positional parameter of the GOOMP_SCHEDULE syntax

@@ -107,9 +107,9 @@ func (c spareCase) rearmed() (res sim.LoopResult, warm, used core.Scheduler, err
 // TestSparesMatchFresh: a scheduler that Schedule.Factory re-arms from the
 // spares a recorded, migrating loop left behind is a new one, for every
 // conformance schedule on Platforms A and B under both bindings. Serially,
-// the second run must get the first run's scheduler back: the first run took
-// its key's slot, if full, and its release fills it again. On four goroutines
-// at once, which take each other's spares, only the results are compared.
+// the second run must get the first run's scheduler back: its release made it
+// the newest spare of its key. On four goroutines at once, which take each
+// other's spares, only the results are compared.
 func TestSparesMatchFresh(t *testing.T) {
 	cases := spareCases()
 	want := make([]sim.LoopResult, len(cases))

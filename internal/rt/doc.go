@@ -139,9 +139,12 @@
 // 8-25 objects and 860-2490 bytes per Submit+Wait of that loop. Now a
 // released loop's ledger stays with the registry (its retirement flags in its
 // fleet slot) and its scheduler goes back to core's spares (core.Recycle),
-// and the next Submit re-arms both; core.Schedule.Factory re-arms a spare
-// through core.Resettable, which makes it the same scheduler as a new one
-// (core.TestSparesMatchFresh). What is left is the Loop handle, its done
+// and the next Submit re-arms both. The spares are one locked list per
+// schedule and shape, which any goroutine takes from and the garbage
+// collector never empties, so a schedule keeps as many as it had loops in
+// flight at once (TestRegistrySparesSurviveGC); core.Schedule.Factory re-arms
+// a spare through core.Resettable, which makes it the same scheduler as a new
+// one (core.TestSparesMatchFresh). What is left is the Loop handle, its done
 // channel, the default name, the published Iters and, for the AID schedules,
 // the copy of the final SF table: 4 to 5 objects at any loop ID, held to that
 // by TestRegistrySubmitAllocs. Re-arming took serve_open_lo's

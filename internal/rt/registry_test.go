@@ -237,7 +237,7 @@ func TestRegistrySubmitAfterClose(t *testing.T) {
 	if len(reg.ledgers) != 1 {
 		t.Errorf("Submit after Close left %d spare ledgers, want 1", len(reg.ledgers))
 	}
-	// With the key's slot empty before, the next build takes the spare.
+	// The released scheduler is its key's newest spare, which the next build takes.
 	if s, err := req.Schedule.Factory()(reg.loopInfo(10)); err != nil || s != released {
 		t.Errorf("Submit after Close took the released loop's scheduler from the spares (err %v)", err)
 	}

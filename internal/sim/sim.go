@@ -91,9 +91,10 @@
 //
 // A scheduler that core.Schedule.Factory built outlives its call as well:
 // release hands it to core.Recycle, which drops its loop and phase observer
-// and keeps it as a spare of its schedule and shape, and the next build of
-// that key, by any call on any goroutine or by an rt.Registry, re-arms it
-// (core.Resettable) instead of building anew. Any other scheduler (a replay
+// and keeps it as a spare of its schedule and shape, on a list that the
+// garbage collector never empties, and the next build of that key, by any
+// call on any goroutine or by an rt.Registry, re-arms it (core.Resettable)
+// instead of building anew. Any other scheduler (a replay
 // script, an experiment's own factory, a test probe) is left to the garbage
 // collector. Within its call, a workspace remembers the schedulers of its
 // previous run and re-arms one instead of asking the factory for another; a
@@ -141,7 +142,9 @@
 // RunProgram spends that. It simulates the first execution of a phase and
 // accounts the other Reps-1 as copies of it: PoolAccesses and the program's
 // clock, so TotalNs, advance by their count times the first execution's
-// values, which is to the digit what simulating each of them adds up to. It
+// values, which is to the digit what simulating each of them adds up to. A
+// phase whose count would run either past int64 fails the call with an error
+// naming the program, as a serial phase too long for the clock does. It
 // still simulates each of them whenever something could tell them apart:
 //
 //   - Config.Recorder is set: a record holds one run, so a program's second
