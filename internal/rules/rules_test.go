@@ -250,6 +250,29 @@ var rules = []rule{{
 		`package p; import sync "repro/internal/other"; var mu sync.Mutex`,
 	},
 }, {
+	name: "internal/core keeps its spares in no sync.Pool and no sync.Map",
+	reason: "a spare the garbage collector empties is a construction the next loop pays " +
+		"for, so each key's spares are one list under one mutex (internal/core/schedule.go)",
+	reads: func(s source, _ graph) bool { return !s.test && s.in("internal/core") },
+	check: func(f *ast.File, report func(ast.Node, string)) {
+		uses(f, "sync", func(n ast.Node, name string) {
+			if name == "Pool" || name == "Map" {
+				report(n, "names sync."+name)
+			}
+		})
+	},
+	bad: []string{
+		`package p; import "sync"; var spares sync.Map`,
+		`package p; import "sync"; type list struct{ pool sync.Pool }`,
+		`package p; import s "sync"; var p = &s.Pool{New: func() any { return 0 }}`,
+		`package p; import . "sync"; var m Map`,
+	},
+	good: []string{
+		`package p; import "sync"; var mu sync.Mutex; var spares = map[int][]int{} // not sync.Map`,
+		`package p; var s = "sync.Pool and sync.Map"`,
+		`package p; import sync "repro/internal/other"; var p sync.Pool`,
+	},
+}, {
 	name: "only the sampler completes a phase or scales a sample",
 	reason: "sampler.go is the one sampling phase of the AID machines: it files " +
 		"elapsed·1024/n and detects the last measurer of an epoch",
