@@ -15,9 +15,10 @@
 #   make test    - tier-1: go build ./... && go test -count=1 ./...
 #   make race    - race-detector run over the lock-free scheduler/pool layers
 #                  (internal/core's includes the spare-scheduler tests: a
-#                  released loop's scheduler goes back to core's spares, which
-#                  builds on every goroutine take from, so TestSparesMatchFresh
-#                  re-arms spares on four goroutines at once),
+#                  released loop's scheduler goes back to its key's list of
+#                  spares, one locked slice that builds on every goroutine
+#                  take from, so TestSparesMatchFresh re-arms spares on four
+#                  goroutines at once and TestSparesHoldPeak counts them),
 #                  the metrics cells (a loop's release fills its outcome
 #                  while scrapers read the same cells), the real-goroutine
 #                  runtime, aidserve (its scrapers read
@@ -55,8 +56,11 @@
 #                  one worker, no test run first: the run-record
 #                  decoder (FuzzDecodeJSONL, whose in-place line readers are
 #                  right only as far as the fuzzer finds them agreeing with
-#                  encoding/json), platform files, -classes and schedule
-#                  text. Not tier-1: without -fuzz only the seed corpora run.
+#                  encoding/json), platform files, -classes, schedule
+#                  text, and a decoded record's readers (FuzzReplayRecord:
+#                  exact and what-if replay, the digest, the chart and the
+#                  Chrome export). Not tier-1: without -fuzz only the seed
+#                  corpora run.
 #   make bench-ab BASE=<rev> W=<workload> [PAIRS=10 SECONDS=20] - compare
 #                  the repository benchmark (./bench, BENCHMARK.json) between
 #                  a revision and the working tree: builds BASE's ./bench from
@@ -127,6 +131,7 @@ fuzz:
 	$(GO) test ./internal/amp $(FUZZ) -fuzz '^FuzzDecodePlatform$$'
 	$(GO) test ./internal/fair $(FUZZ) -fuzz '^FuzzParseClasses$$'
 	$(GO) test ./internal/rt $(FUZZ) -fuzz '^FuzzParseSchedule$$'
+	$(GO) test ./internal/replay $(FUZZ) -fuzz '^FuzzReplayRecord$$'
 
 # Both binaries run from the working tree's root, so both read the same
 # bench/platforms file and BENCHMARK.json; only the program under test

@@ -35,6 +35,9 @@ func ExportChrome(w io.Writer, rec *trace.Record) error {
 	if err != nil {
 		return fmt.Errorf("obs: %w", err)
 	}
+	if rec.NThreads > pl.NumCores() {
+		return fmt.Errorf("obs: record has %d threads but platform %q has %d cores", rec.NThreads, pl.Name, pl.NumCores())
+	}
 	for tid := 0; tid < rec.NThreads; tid++ {
 		cluster := pl.ClusterOf(pl.CoreOf(tid, rec.NThreads, binding))
 		events = append(events, obj{

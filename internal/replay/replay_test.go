@@ -28,7 +28,7 @@ func recordSim(t *testing.T, schedText string, spec sim.LoopSpec, withTrace bool
 // every loop under the given schedule text: a fork/join team for one spec
 // and no policy, a fleet under policy (nil is the engine's default)
 // otherwise, with migs injected.
-func recordRun(t *testing.T, schedText string, specs []sim.LoopSpec, policy fair.Policy, withTrace bool, migs ...sim.Migration) *trace.Record {
+func recordRun(t testing.TB, schedText string, specs []sim.LoopSpec, policy fair.Policy, withTrace bool, migs ...sim.Migration) *trace.Record {
 	t.Helper()
 	sched, err := core.ParseSchedule(schedText)
 	if err != nil {
