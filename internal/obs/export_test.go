@@ -105,19 +105,10 @@ func TestAnalyzeSimRecord(t *testing.T) {
 // its platform has cores is refused with an error, not a panic in the
 // thread-to-core mapping.
 func TestExportChromeRefusesMoreThreadsThanCores(t *testing.T) {
-	a := amp.PlatformA()
-	clusters := append([]amp.Cluster(nil), a.Clusters...)
-	for i := range clusters {
-		clusters[i].NumCores = 1
-	}
-	pl, err := amp.New("A-1B1S", clusters, a.Overhead)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := simRecord(t)
-	rec.Platform = trace.PlatformRecordOf(pl)
-	if err := obs.ExportChrome(&bytes.Buffer{}, rec); err == nil || !strings.Contains(err.Error(), "8 threads") {
-		t.Errorf("export of 8 threads on 2 cores: err = %v, want the thread count refused", err)
+	rec.NThreads = amp.PlatformA().NumCores() + 1
+	if err := obs.ExportChrome(&bytes.Buffer{}, rec); err == nil || !strings.Contains(err.Error(), "9 threads") {
+		t.Errorf("export of 9 threads on 8 cores: err = %v, want the thread count refused", err)
 	}
 }
 
