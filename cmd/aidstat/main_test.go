@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -107,5 +108,32 @@ func TestRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{}, &bytes.Buffer{}); err == nil {
 		t.Error("missing record path accepted")
+	}
+}
+
+// TestRefusesMoreThreadsThanCores reads the record of replay's fuzz input
+// chrome-more-threads-than-cores: 8 threads on a platform of 4 cores, whose
+// second cluster a corrupted key folded into the first. The text report
+// refuses it, as the Chrome export does, instead of printing a per-thread
+// table for cores the platform does not have.
+func TestRefusesMoreThreadsThanCores(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "replay", "testdata", "fuzz",
+		"FuzzReplayRecord", "chrome-more-threads-than-cores"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A corpus file is a header line and one Go-quoted []byte value.
+	_, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	jsonl, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(value, "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := os.WriteFile(path, []byte(jsonl), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{path}, &out); err == nil || !strings.Contains(err.Error(), "8 threads") {
+		t.Errorf("report of 8 threads on 4 cores: err = %v, want the thread count refused; printed:\n%s", err, out.String())
 	}
 }

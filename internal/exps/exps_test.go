@@ -2,6 +2,7 @@ package exps
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -228,8 +229,7 @@ func TestFig2Series(t *testing.T) {
 		if len(s.SF) != 30 {
 			t.Errorf("%s on %s: %d loops, want 30", s.App, s.Platform, len(s.SF))
 		}
-		mn, _ := stats.Min(s.SF)
-		mx, _ := stats.Max(s.SF)
+		mn, mx := slices.Min(s.SF), slices.Max(s.SF)
 		onA := strings.HasPrefix(s.Platform, "A")
 		if onA {
 			// Wide spread on the big.LITTLE platform (Fig 2a/2c).

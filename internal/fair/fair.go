@@ -8,7 +8,8 @@
 // policies, so fairness behaviour validated in virtual time carries over to
 // real execution. Every grant asks Pick, a lone candidate's too; the built-in
 // policies give a lone candidate an unbounded burst, which an admission ends
-// in both engines.
+// in both engines: Fleet.Over, the one test of a grant's end, is true from
+// the next admission on.
 //
 // Fairness here is deliberately chunk-granular: a worker is never preempted
 // mid-chunk, matching the paper's model where the runtime system is only

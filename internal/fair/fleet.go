@@ -3,15 +3,19 @@ package fair
 import (
 	"cmp"
 	"slices"
+	"sync/atomic"
 )
 
 // Fleet is the multi-tenant protocol both execution engines run: the set of
 // runnable loops, which workers each loop has retired, the candidates a free
-// worker is offered, the policy's pick and the barrier release. A loop lives
-// in a slot the engine names (the registry reuses released slots; the
-// simulator numbers slots by loop index); Grant answers with a slot, and the
-// engine maps it back to its own loop. Fleet is single threaded: the registry
-// calls it under its control-plane lock, the simulator from its event loop.
+// worker is offered, the policy's pick, the end of a worker's grant and the
+// barrier release. A loop lives in a slot the engine names (the registry
+// reuses released slots; the simulator numbers slots by loop index); a Grant
+// names a slot, and the engine maps it back to its own loop. Fleet is single
+// threaded except for Over: the registry calls every other method under its
+// control-plane lock and the simulator from its event loop, while Over may
+// be called from any goroutine, as the registry's workers do once per chunk
+// without the lock.
 type Fleet struct {
 	policy   Policy
 	nthreads int
@@ -24,6 +28,22 @@ type Fleet struct {
 
 	cands    []Candidate // Grant's scratch, kept at its high-water size
 	candSlot []int       // cands[i]'s slot
+
+	// admitted counts the fleet's admissions. It sits alone on its cache
+	// line: every registry worker loads it once per served chunk (Over), and
+	// letting Admit's increment share a line with anything the control plane
+	// writes would broadcast invalidations into every burst in the fleet.
+	_        [64]byte
+	admitted atomic.Uint64
+	_        [56]byte
+}
+
+// Grant is a worker's lease on one runnable loop: the loop's slot, and the
+// number of scheduler calls (at least 1) the worker may issue to it before
+// asking again. Over tells whether it has ended; the zero Grant has.
+type Grant struct {
+	Slot, Burst int
+	admitted    uint64 // the fleet's admission count when it was granted
 }
 
 // NewFleet returns an empty fleet of nthreads workers. policy chooses among
@@ -34,7 +54,8 @@ func NewFleet(policy Policy, nthreads int) *Fleet {
 }
 
 // Reset empties the fleet for a run under policy, keeping its storage: no
-// loop is runnable and no worker has retired from any slot.
+// loop is runnable and no worker has retired from any slot. A grant made
+// before it names a slot that holds no loop; its worker drops it.
 func (f *Fleet) Reset(policy Policy) {
 	f.policy = policy
 	f.open = f.open[:0]
@@ -43,7 +64,8 @@ func (f *Fleet) Reset(policy Policy) {
 }
 
 // Admit makes the loop id of the given weight runnable in slot, which must
-// not hold a runnable loop. The slot starts with no worker retired.
+// not hold a runnable loop. The slot starts with no worker retired, and
+// every grant made before the admission is over.
 func (f *Fleet) Admit(slot int, id uint64, weight int) {
 	for len(f.id) <= slot {
 		f.id = append(f.id, 0)
@@ -55,6 +77,7 @@ func (f *Fleet) Admit(slot int, id uint64, weight int) {
 	clear(f.retired[slot*f.nthreads : (slot+1)*f.nthreads])
 	at, _ := slices.BinarySearchFunc(f.open, id, f.byID)
 	f.open = slices.Insert(f.open, at, slot)
+	f.admitted.Add(1)
 }
 
 func (f *Fleet) byID(slot int, id uint64) int { return cmp.Compare(f.id[slot], id) }
@@ -70,11 +93,11 @@ func (f *Fleet) Retired(slot, tid int) bool {
 }
 
 // Grant offers worker tid every runnable loop it has not retired from and
-// returns the slot of the policy's choice with the number of scheduler calls
-// to issue to it before picking again. A broken policy is clamped: an index
-// out of range selects the first candidate, a burst below 1 is 1. ok is false
-// when there is no candidate.
-func (f *Fleet) Grant(tid int) (slot, burst int, ok bool) {
+// leases it the policy's choice for the policy's burst. A broken policy is
+// clamped: an index out of range selects the first candidate, a burst below
+// 1 is 1. A fleet without a policy, such as a team's, leases the first
+// candidate for an unbounded burst. ok is false when there is no candidate.
+func (f *Fleet) Grant(tid int) (g Grant, ok bool) {
 	cands, candSlot := f.cands[:0], f.candSlot[:0]
 	for _, s := range f.open {
 		if f.retired[s*f.nthreads+tid] {
@@ -85,13 +108,24 @@ func (f *Fleet) Grant(tid int) (slot, burst int, ok bool) {
 	}
 	f.cands, f.candSlot = cands, candSlot
 	if len(cands) == 0 {
-		return 0, 0, false
+		return Grant{}, false
 	}
-	idx, burst := f.policy.Pick(tid, cands)
-	if idx < 0 || idx >= len(cands) {
-		idx = 0
+	idx, burst := 0, unbounded
+	if f.policy != nil {
+		if idx, burst = f.policy.Pick(tid, cands); idx < 0 || idx >= len(cands) {
+			idx = 0
+		}
 	}
-	return candSlot[idx], max(burst, 1), true
+	return Grant{Slot: candSlot[idx], Burst: max(burst, 1), admitted: f.admitted.Load()}, true
+}
+
+// Over reports whether grant g has ended after its worker issued served
+// scheduler calls under it: the burst is used up, or a loop has been admitted
+// since the grant, which a lone loop's unbounded burst must yield to. It is
+// the one test of a grant's end in either engine, and the one method that
+// needs no serialization.
+func (f *Fleet) Over(g Grant, served int) bool {
+	return served >= g.Burst || f.admitted.Load() != g.admitted
 }
 
 // Retire records that worker tid has no more work in the loop in slot; a

@@ -3,6 +3,7 @@ package fair
 import (
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // recorder is a policy that answers with fixed values and records what it
@@ -38,7 +39,7 @@ func TestFleetCandidatesExcludeRetired(t *testing.T) {
 	f.Admit(2, 30, 1)
 	f.Admit(0, 10, 0)
 	f.Admit(1, 20, 4)
-	if _, _, ok := f.Grant(0); !ok {
+	if _, ok := f.Grant(0); !ok {
 		t.Fatal("Grant found no candidate among three runnable loops")
 	}
 	want := []Candidate{{ID: 10, Weight: 1}, {ID: 20, Weight: 4}, {ID: 30, Weight: 1}}
@@ -59,7 +60,7 @@ func TestFleetCandidatesExcludeRetired(t *testing.T) {
 	}
 	f.Retire(0, 0)
 	f.Retire(2, 0)
-	if _, _, ok := f.Grant(0); ok {
+	if _, ok := f.Grant(0); ok {
 		t.Error("Grant found a candidate for a worker retired from every loop")
 	}
 }
@@ -105,15 +106,15 @@ func TestFleetClampsBrokenPolicy(t *testing.T) {
 	f.Admit(4, 2, 1)
 	for _, c := range []struct{ idx, burst int }{{-1, 0}, {2, -5}, {99, 1 << 40}} {
 		pol.idx, pol.burst = c.idx, c.burst
-		slot, burst, ok := f.Grant(0)
-		if !ok || slot != 3 || burst != max(c.burst, 1) {
+		g, ok := f.Grant(0)
+		if !ok || g.Slot != 3 || g.Burst != max(c.burst, 1) {
 			t.Errorf("policy answering (%d, %d): Grant = slot %d burst %d ok %v, want slot 3 burst %d",
-				c.idx, c.burst, slot, burst, ok, max(c.burst, 1))
+				c.idx, c.burst, g.Slot, g.Burst, ok, max(c.burst, 1))
 		}
 	}
 	pol.idx, pol.burst = 1, 7
-	if slot, burst, _ := f.Grant(0); slot != 4 || burst != 7 {
-		t.Errorf("Grant = slot %d burst %d, want the policy's slot 4 burst 7", slot, burst)
+	if g, _ := f.Grant(0); g.Slot != 4 || g.Burst != 7 {
+		t.Errorf("Grant = slot %d burst %d, want the policy's slot 4 burst 7", g.Slot, g.Burst)
 	}
 }
 
@@ -140,5 +141,20 @@ func TestFleetReusedSlotStartsClean(t *testing.T) {
 	f.Reset(pol)
 	if f.Len() != 0 || f.Retired(1, 0) {
 		t.Error("Reset kept a runnable loop or a retirement")
+	}
+}
+
+// TestFleetAdmittedLayout is the false-sharing guard for the admission
+// count, which every registry worker loads once per served chunk (Over): it
+// must sit clear of the fields before it, which the control plane writes,
+// and nothing may follow it on its cache line.
+func TestFleetAdmittedLayout(t *testing.T) {
+	var f Fleet
+	off := unsafe.Offsetof(f.admitted)
+	if gap := off - (unsafe.Offsetof(f.candSlot) + unsafe.Sizeof(f.candSlot)); gap < 64 {
+		t.Errorf("admitted is %d bytes after the preceding field, want >= 64 (own cache line)", gap)
+	}
+	if gap := unsafe.Sizeof(f) - (off + unsafe.Sizeof(f.admitted)); gap < 56 {
+		t.Errorf("%d bytes follow admitted, want >= 56 (Admit's increment must share its line with nothing)", gap)
 	}
 }

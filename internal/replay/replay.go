@@ -145,7 +145,8 @@ func (p *scriptPolicy) Pick(tid int, cands []fair.Candidate) (int, int) {
 	return 0, 1 // recorded loop already retired this worker; unreachable
 }
 
-// platformOf rebuilds the recorded machine and binding.
+// platformOf rebuilds the recorded machine and binding of a validated record,
+// which has no more threads than its platform has cores.
 func platformOf(rec *trace.Record) (*amp.Platform, amp.Binding, error) {
 	pl, err := rec.Platform.Platform()
 	if err != nil {
@@ -154,9 +155,6 @@ func platformOf(rec *trace.Record) (*amp.Platform, amp.Binding, error) {
 	binding, err := amp.ParseBinding(rec.Binding)
 	if err != nil {
 		return nil, 0, fmt.Errorf("replay: %w", err)
-	}
-	if rec.NThreads > pl.NumCores() {
-		return nil, 0, fmt.Errorf("replay: record has %d threads but platform %q has %d cores", rec.NThreads, pl.Name, pl.NumCores())
 	}
 	return pl, binding, nil
 }

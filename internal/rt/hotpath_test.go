@@ -17,9 +17,8 @@ import (
 // TestRegistryHotLayout is the false-sharing guard for the registry's hot
 // data, the rt companion of pool.TestShardLayout: the per-worker lanes of a
 // loop's ledger must each fill whole cache lines (so worker i's updates never
-// invalidate worker i+1's line), and the admission generation — loaded by
-// every worker once per served chunk — must sit clear of both the control
-// plane's mutex and the fields before it.
+// invalidate worker i+1's line). The admission count every worker loads once
+// per served chunk is the fleet's (fair.TestFleetAdmittedLayout).
 func TestRegistryHotLayout(t *testing.T) {
 	var ledger obs.Ledger
 	ledger.Arm(make([]int, 2), nil, nil, nil, nil, 0, false)
@@ -28,15 +27,6 @@ func TestRegistryHotLayout(t *testing.T) {
 	}
 	if d := uintptr(unsafe.Pointer(ledger.Lane(1))) - uintptr(unsafe.Pointer(ledger.Lane(0))); d != 128 {
 		t.Errorf("adjacent lanes are %d bytes apart, want 128", d)
-	}
-	var r Registry
-	prevEnd := unsafe.Offsetof(r.metrics) + unsafe.Sizeof(r.metrics)
-	genOff := unsafe.Offsetof(r.gen)
-	if gap := genOff - prevEnd; gap < 64 {
-		t.Errorf("gen is %d bytes after the preceding field, want >= 64 (own cache line)", gap)
-	}
-	if gap := unsafe.Offsetof(r.mu) - (genOff + unsafe.Sizeof(r.gen)); gap < 56 {
-		t.Errorf("mu is %d bytes after gen, want >= 56 (Submit's increment must not share the mutex line)", gap)
 	}
 }
 

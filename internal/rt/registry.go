@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/amp"
@@ -29,15 +28,17 @@ import (
 // one request's parallel loop no longer needs a private set of threads.
 //
 // Which loops are runnable, who has retired from which, the candidates, the
-// policy's picks and the barrier release are a fair.Fleet's, the same machine
-// the simulator runs; the registry drives it under its lock and keeps to
-// itself the admission generation, the spare ledgers and the lock-free chunk
-// loop. A worker that receives ok=false from a loop's scheduler is retired
-// from that loop (ok=false is terminal per thread, the contract every
-// scheduler satisfies); the loop's implicit barrier releases — Wait returns —
-// when all fleet workers have retired from it, which by the schedulers'
-// exactly-once coverage guarantee is exactly when all of its iterations have
-// executed. Other loops are unaffected: their workers keep running.
+// policy's picks, the end of a worker's grant and the barrier release are a
+// fair.Fleet's, the same machine the simulator runs; the registry drives it
+// under its lock, asks it without the lock whether a grant is over
+// (fair.Fleet.Over, once per chunk), and keeps to itself the spare ledgers
+// and the lock-free chunk loop. A worker that receives ok=false from a
+// loop's scheduler is retired from that loop (ok=false is terminal per
+// thread, the contract every scheduler satisfies); the loop's implicit
+// barrier releases — Wait returns — when all fleet workers have retired from
+// it, which by the schedulers' exactly-once coverage guarantee is exactly
+// when all of its iterations have executed. Other loops are unaffected:
+// their workers keep running.
 //
 // Every loop runs over the full fleet with the registry's thread-to-core
 // binding, so the scheduler-facing LoopInfo is the one a loop alone on the
@@ -71,20 +72,11 @@ type Registry struct {
 	metrics *obs.Metrics
 	team    bool // a Team's: its loops, one at a time, own the barrier waits (obs.Ledger)
 
-	// gen counts admissions; workers snapshot it at pick time and re-enter
-	// the policy when it changes, so a newly submitted loop is noticed even
-	// by a worker in the middle of an unbounded single-loop burst. It sits
-	// alone on its cache line: every worker loads it once per served chunk,
-	// and letting Submit's increment share a line with the mutex word (or
-	// anything else the control plane writes) would broadcast invalidations
-	// into every burst loop in the fleet.
-	_   [64]byte
-	gen atomic.Uint64
-	_   [56]byte
-
-	mu    sync.Mutex
-	cond  *sync.Cond
-	fleet *fair.Fleet // guarded by mu
+	mu   sync.Mutex
+	cond *sync.Cond
+	// fleet is set once, by NewRegistry; its methods are called under mu,
+	// but for Over, which the workers call from their chunk loops.
+	fleet *fair.Fleet
 	// slots holds each admitted loop whose barrier has not released at its
 	// fleet slot, nil where the slot is free (guarded by mu).
 	slots  []*Loop
@@ -402,7 +394,6 @@ func (r *Registry) Submit(req LoopRequest) (*Loop, error) {
 	}
 	r.slots[l.slot] = l
 	r.fleet.Admit(l.slot, l.id, l.weight)
-	r.gen.Add(1)
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	return l, nil
@@ -524,7 +515,7 @@ func (r *Registry) Close() {
 }
 
 // worker is one fleet goroutine: pick a loop under the fairness policy,
-// serve it for the granted burst of scheduler calls, repeat. The control
+// serve it until the fleet says the grant is over, repeat. The control
 // plane (pick/retire) takes the registry lock only between bursts; the
 // chunk loop in between is lock free and reads the clock at most twice per
 // chunk, schedEnd after Next and end after the body, and only for a consumer:
@@ -543,26 +534,28 @@ func (r *Registry) worker(tid int) {
 	// worker: a chunk that ran d ns occupies the worker for d·(1+stretch),
 	// so its effective throughput is 1/slowdown of a big core's.
 	stretch := r.slowdown[tid] - 1
-	// fleet is this worker's registry-lifetime counter cell, nil without
+	// idle is this worker's registry-lifetime counter cell, nil without
 	// metrics: its time without a loop — between loops, and waiting out the
 	// barrier of a loop it retired from — lands here, not on any tenant.
-	var fleet *obs.Cell
+	var idle *obs.Cell
 	if r.metrics != nil {
-		fleet = r.metrics.Cell(tid)
+		idle = r.metrics.Cell(tid)
 	}
+	// The fleet pointer is read once: it shares a cache line with mu.
+	fleet := r.fleet
 	// wseq totally orders this worker's captured events across loops; the
 	// wall clock alone cannot (two grants can land in the same nanosecond
 	// tick on coarse timers), and replay needs the per-worker grant order.
 	var wseq int64
 	for {
 		var pickStart int64
-		if fleet != nil {
+		if idle != nil {
 			pickStart = r.now()
 		}
-		l, burst, gen := r.pick(tid)
+		l, g := r.pick(tid)
 		nowNs := r.now()
-		if fleet != nil {
-			fleet.Idle(nowNs - pickStart)
+		if idle != nil {
+			idle.Idle(nowNs - pickStart)
 		}
 		if l == nil {
 			return
@@ -581,7 +574,7 @@ func (r *Registry) worker(tid int) {
 		clocked := split || core.ReadsClock(l.sched, tid)
 		const askEvery = 32
 		for served := 0; ; served++ {
-			if served == burst || r.gen.Load() != gen {
+			if fleet.Over(g, served) {
 				// The grant is used up, or a new loop arrived: publish the
 				// lane's counts and give the policy a say.
 				wseq = ln.Seq
@@ -622,21 +615,20 @@ func (r *Registry) worker(tid int) {
 }
 
 // pick blocks until the fleet has a loop that still wants scheduler calls
-// from worker tid, returning it with the policy's burst and the admission
-// generation, or returns nil after Close once nothing is left for this
-// worker. A lone runnable loop gets an unbounded burst from the built-in
-// policies — the generation check in the worker loop restores fairness the
-// moment a second loop arrives — so single-tenant execution pays one pick per
-// loop, not one per chunk.
-func (r *Registry) pick(tid int) (*Loop, int, uint64) {
+// from worker tid, returning it with the fleet's grant of it, or returns nil
+// after Close once nothing is left for this worker. A lone runnable loop gets
+// an unbounded burst from the built-in policies — the grant is over the
+// moment a second loop is admitted (fair.Fleet.Over) — so single-tenant
+// execution pays one pick per loop, not one per chunk.
+func (r *Registry) pick(tid int) (*Loop, fair.Grant) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		if slot, burst, ok := r.fleet.Grant(tid); ok {
-			return r.slots[slot], burst, r.gen.Load()
+		if g, ok := r.fleet.Grant(tid); ok {
+			return r.slots[g.Slot], g
 		}
 		if r.closed {
-			return nil, 0, 0
+			return nil, fair.Grant{}
 		}
 		r.cond.Wait()
 	}

@@ -142,8 +142,8 @@ var rules = []rule{{
 	},
 }, {
 	name: "the engines call no fairness policy themselves",
-	reason: "runnable loops, retirements, candidates, picks and barrier release live in one " +
-		"fair.Fleet, which rt.Registry and the simulator's event loop both drive",
+	reason: "runnable loops, retirements, candidates, picks, a grant's end and barrier release " +
+		"live in one fair.Fleet, which rt.Registry and the simulator's event loop both drive",
 	reads: func(s source, _ graph) bool { return !s.test && s.inDir("internal/rt", "internal/sim") },
 	check: func(f *ast.File, report func(ast.Node, string)) {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -151,6 +151,9 @@ var rules = []rule{{
 				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pick" {
 					report(n, "calls a Pick method")
 				}
+			}
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Burst" {
+				report(sel, "reads a grant's Burst (a grant's end is fair.Fleet.Over's)")
 			}
 			return true
 		})
@@ -165,9 +168,13 @@ var rules = []rule{{
 		`package p; type r struct{ policy interface{ Pick() } }; func (x r) f() { x.policy.Pick() }`,
 		`package p; import "repro/internal/fair"; func f(p fair.Policy) bool { _, ok := p.(fair.Retirer); return ok }`,
 		`package p; import f "repro/internal/fair"; var _ f.Retirer`,
+		`package p; import "repro/internal/fair"; func f(g fair.Grant, served int) bool { return served >= g.Burst }`,
+		`package p; type w struct{ g struct{ Burst int } }; func (x w) f() int { return x.g.Burst - 1 }`,
 	},
 	good: []string{
 		`package p; import "repro/internal/fair"; func f(fl *fair.Fleet) { fl.Grant(0) } // not policy.Pick(0)`,
+		`package p; import "repro/internal/fair"; func f(fl *fair.Fleet, g fair.Grant, served int) bool { return fl.Over(g, served) }`,
+		`package p; import "repro/internal/fair"; var g = fair.Grant{Slot: 1, Burst: 2}; var s = "g.Burst"`,
 		`package p; var s = "p.Pick(0) and fair.Retirer"`,
 		`package p; func Pick() int { return 0 }; var x = Pick()`,
 		`package p; import fair "repro/internal/other"; var _ fair.Retirer`,

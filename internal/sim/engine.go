@@ -53,7 +53,8 @@ type workspace struct {
 	lastHi                          []int64
 	engaged, engagedTotal           []int
 	clock                           []int64
-	cur, burst, owed                []int
+	cur, served, owed               []int
+	grant                           []fair.Grant
 	migrations                      []Migration
 }
 
@@ -303,13 +304,13 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 	}
 
 	// Worker state: virtual clock, the loop currently served (-1 between
-	// loops), the burst remaining in the policy's grant, and the number of
-	// loops that have not retired the worker. A worker is live while it owes
-	// a retirement; after its last one its clock is parked at the end of
-	// time, so the earliest clock is always a live worker's.
-	ws.clock, ws.cur = sized(ws.clock, nt), sized(ws.cur, nt)
-	ws.burst, ws.owed = sized(ws.burst, nt), sized(ws.owed, nt)
-	clock, cur, burst, owed := ws.clock, ws.cur, ws.burst, ws.owed
+	// loops), the fleet's grant with the scheduler calls served under it,
+	// and the number of loops that have not retired the worker. A worker is
+	// live while it owes a retirement; after its last one its clock is parked
+	// at the end of time, so the earliest clock is always a live worker's.
+	ws.clock, ws.cur, ws.grant = sized(ws.clock, nt), sized(ws.cur, nt), sized(ws.grant, nt)
+	ws.served, ws.owed = sized(ws.served, nt), sized(ws.owed, nt)
+	clock, cur, grant, served, owed := ws.clock, ws.cur, ws.grant, ws.served, ws.owed
 	setCur := func(tid, li int) {
 		prev := cur[tid]
 		if prev == li {
@@ -339,10 +340,11 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		}
 		// Fork: every thread pays the fork half of the fork/join cost, a
 		// runtime call that grants nothing, and is on the loop's pool lines
-		// from then on, under a grant that never runs out.
+		// from then on. Its zero grant is over, so its first event asks the
+		// policy-free fleet, which leases it the lone loop for an unbounded
+		// burst.
 		clock[tid] += forkNs
 		setCur(tid, 0)
-		burst[tid] = math.MaxInt
 		results[0].SchedNs += forkNs
 		ledgers[0].Lane(tid).Call(core.Assign{}, startNs, clock[tid])
 	}
@@ -360,12 +362,11 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		}
 		now := clock[tid]
 		// A worker only sees loops that have arrived by its own clock. An
-		// arrival ends every grant made before it (the registry's admission
-		// generation: an unbounded single-tenant burst must yield the moment
-		// a second tenant shows up).
+		// admission ends every grant made before it (fair.Fleet.Over): an
+		// unbounded single-tenant burst must yield the moment a second
+		// tenant shows up.
 		for ; arrived < nl && arrive[order[arrived]] <= now; arrived++ {
 			admit(order[arrived])
-			clear(burst)
 		}
 
 		// Deliver any due migration for this thread before it re-enters the
@@ -400,11 +401,11 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 		}
 
 		// Re-enter the policy when the worker is between loops or its grant
-		// is used up.
+		// is over.
 		li := cur[tid]
-		if li < 0 || burst[tid] <= 0 {
-			var ok bool
-			if li, burst[tid], ok = fleet.Grant(tid); !ok {
+		if li < 0 || fleet.Over(grant[tid], served[tid]) {
+			g, ok := fleet.Grant(tid)
+			if !ok {
 				// Nothing runnable yet (so the worker is between loops):
 				// idle forward to the next arrival. One must exist —
 				// owed[tid] > 0 and every arrived loop that still owes this
@@ -417,9 +418,10 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 				clock[tid] = next
 				continue
 			}
+			li, grant[tid], served[tid] = g.Slot, g, 0
 			setCur(tid, li)
 		}
-		burst[tid]--
+		served[tid]++
 
 		asg, ok := scheds[li].Next(tid, now)
 		res := &results[li]

@@ -348,12 +348,12 @@ func TestMultiLoopArrivalAfterQuietFleet(t *testing.T) {
 	}
 }
 
-// TestMultiLoopArrivalBreaksBurst mirrors the registry's admission
-// generation: a single-tenant fleet serves under one unbounded burst, and
-// the tests pins that a mid-run arrival still gets served promptly (the
-// worker re-enters the policy rather than draining the first loop to
-// completion, which is what FCFS — and a missing generation check — would
-// do).
+// TestMultiLoopArrivalBreaksBurst: a single-tenant fleet serves under one
+// unbounded burst, which an admission ends (fair.Fleet.Over, in both
+// engines), and the test pins that a mid-run arrival still gets served
+// promptly (the worker re-enters the policy rather than draining the first
+// loop to completion, which is what FCFS — and an admission that ended no
+// grant — would do).
 func TestMultiLoopArrivalBreaksBurst(t *testing.T) {
 	cfg := multiCfg(8)
 	big := uniformSpec("big", 80_000, 1)

@@ -21,9 +21,10 @@
 // time, in this order: admits the loops whose arrival stamp has passed,
 // delivers the worker's due migrations (the thread observes the OS signal
 // when it next enters the runtime, §4.3; every scheduler that has not yet
-// retired the worker is told), asks the fleet for a grant if the worker's
-// current one is used up, and makes one runtime call — Scheduler.Next on
-// the served loop. The worker's clock then advances past the call's
+// retired the worker is told), asks the fleet for a grant if the worker is
+// between loops or the fleet says its current one is over (its burst is used
+// up, or a loop was admitted since: fair.Fleet.Over), and makes one runtime
+// call — Scheduler.Next on the served loop. The worker's clock then advances past the call's
 // overhead and the granted chunk's execution, so time never runs backwards
 // and an event's effects are visible to every later event.
 //
@@ -43,10 +44,12 @@
 // The engine has two modes, told apart by what the caller asks for, not by
 // an option. Both keep their loops in a fair.Fleet, the machine rt.Registry
 // drives too: it knows which loops are runnable and who has retired from
-// each, asks the policy for every grant, and releases a loop's barrier at
-// its last retirement. RunLoop runs a fork/join team: one loop, every worker
-// forked onto it at the start (half of ForkJoinNs before the first runtime
-// call, the other half after the last retirement), no grant ever asked for.
+// each, grants a worker a loop, tells when the grant is over, and releases a
+// loop's barrier at its last retirement. RunLoop runs a fork/join team: one
+// loop, every worker forked onto it at the start (half of ForkJoinNs before
+// the first runtime call, the other half after the last retirement), under a
+// fleet without a policy, whose one grant per worker leases it the loop for
+// an unbounded burst that no admission ends.
 // RunLoops runs a persistent fleet, the model of rt.Registry: no fork/join
 // cost, loops admitted at their arrival stamps, workers granted runnable
 // loops in bursts, a worker with nothing runnable idling forward to the

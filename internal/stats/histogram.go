@@ -32,8 +32,7 @@ const histBuckets = (64 - histSubBits) * histSub
 type Histogram struct {
 	counts []int64
 	count  int64
-	sum    float64
-	min    float64
+	min    float64 // the exact extremes, which Percentile clamps to
 	max    float64
 }
 
@@ -81,7 +80,6 @@ func (h *Histogram) Add(x float64) {
 	}
 	h.counts[histIndex(v)]++
 	h.count++
-	h.sum += x
 	if h.count == 1 || x < h.min {
 		h.min = x
 	}
@@ -93,33 +91,6 @@ func (h *Histogram) Add(x float64) {
 // Count returns how many observations were offered.
 func (h *Histogram) Count() int64 { return h.count }
 
-// Sum returns the exact sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Mean returns the exact mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Min returns the exact minimum observation.
-func (h *Histogram) Min() (float64, error) {
-	if h.count == 0 {
-		return 0, fmt.Errorf("stats: empty histogram")
-	}
-	return h.min, nil
-}
-
-// Max returns the exact maximum observation.
-func (h *Histogram) Max() (float64, error) {
-	if h.count == 0 {
-		return 0, fmt.Errorf("stats: empty histogram")
-	}
-	return h.max, nil
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) to within a relative
 // error of 1/histSub: the result is within that fraction of some true order
 // statistic adjacent to the requested rank (the bucket width over its lower
@@ -127,7 +98,8 @@ func (h *Histogram) Max() (float64, error) {
 // maximum), and so is the interpolation, but only within one bucket: a rank
 // between two occupied buckets reads inside the upper one (271.7 and 484.0
 // give 482.3 at p=50, stats.Percentile 377.9). The result is clamped to the
-// exact [Min, Max], and a histogram of one value returns that value.
+// exact range of the observations, and a histogram of one value returns that
+// value.
 func (h *Histogram) Percentile(p float64) (float64, error) {
 	if h.count == 0 {
 		return 0, fmt.Errorf("stats: empty histogram")

@@ -40,34 +40,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(logSum / float64(len(xs)))
 }
 
-// Min returns the minimum of xs and an error if xs is empty.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the maximum of xs and an error if xs is empty.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Percentile returns the p-th percentile of xs (0 <= p <= 100) using linear
 // interpolation between closest ranks: rank = (n-1)·p/100, with fractional
 // ranks interpolating the two neighbouring order statistics. Percentile(xs,

@@ -69,24 +69,6 @@ func TestGeoMeanLEMean(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	mn, err := Min(xs)
-	if err != nil || mn != 1 {
-		t.Errorf("Min = %v, %v; want 1, nil", mn, err)
-	}
-	mx, err := Max(xs)
-	if err != nil || mx != 9 {
-		t.Errorf("Max = %v, %v; want 9, nil", mx, err)
-	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Errorf("Min(nil) err = %v, want ErrEmpty", err)
-	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Errorf("Max(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
 // TestMedian reads the median as Percentile(xs, 50).
 func TestMedian(t *testing.T) {
 	odd := []float64{5, 1, 3}

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/amp"
 )
 
 // digestRecord is a valid hand-built record around the given streams.
@@ -13,7 +15,7 @@ func digestRecord(t *testing.T, nthreads int, loops []LoopRecord, evs []ChunkEve
 		loops[i].Index = i
 	}
 	r := &Record{Version: RecordVersion, Engine: "sim", NThreads: nthreads, Binding: "BS",
-		Loops: loops, Events: evs}
+		Platform: PlatformRecord{Clusters: []amp.Cluster{{NumCores: nthreads}}}, Loops: loops, Events: evs}
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,8 @@ func (g *growSpy) Grow(n int) {
 // the bufio path, and it reserves room once, exactly the record's length when
 // every phase kind is plain and no less when one is not.
 func TestEncodeWriterPaths(t *testing.T) {
-	records := []*Record{sampleRecord(), burstRecord(t), {Version: 1, Engine: "rt", NThreads: 1, Binding: "SB"}}
+	records := []*Record{sampleRecord(), burstRecord(t), {Version: 1, Engine: "rt", NThreads: 1, Binding: "SB",
+		Platform: PlatformRecord{Clusters: []amp.Cluster{{NumCores: 1}}}}}
 	rng := rand.New(rand.NewSource(45))
 	for i := 0; i < 300; i++ {
 		records = append(records, randomRecord(rng), wildRecord(rng))

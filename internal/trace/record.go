@@ -233,6 +233,14 @@ func (r *Record) Validate() error {
 	if r.NThreads <= 0 {
 		return fmt.Errorf("trace: record has non-positive thread count %d", r.NThreads)
 	}
+	// Counted down, so that no sum of cluster sizes can overflow.
+	left := r.NThreads
+	for _, c := range r.Platform.Clusters {
+		left -= max(c.NumCores, 0)
+	}
+	if left > 0 {
+		return fmt.Errorf("trace: record has %d threads but platform %q has %d cores", r.NThreads, r.Platform.Name, r.NThreads-left)
+	}
 	if _, err := amp.ParseBinding(r.Binding); err != nil {
 		return fmt.Errorf("trace: record: %w", err)
 	}

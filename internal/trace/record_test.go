@@ -630,6 +630,7 @@ func TestValidateRejectsOutOfRangeReferences(t *testing.T) {
 		"phase loop":     func(r *Record) { r.Phases[0].Loop = len(r.Loops) },
 		"sf sample loop": func(r *Record) { r.SFSamples[0].Loop = 99 },
 		"loop arrival":   func(r *Record) { r.Loops[1].ArriveNs = -1 },
+		"threads":        func(r *Record) { r.NThreads = 1 << 20 },
 	}
 	for name, corrupt := range cases {
 		r := sampleRecord()
