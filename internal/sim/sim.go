@@ -24,9 +24,9 @@
 // retired the worker is told), asks the fleet for a grant if the worker is
 // between loops or the fleet says its current one is over (its burst is used
 // up, or a loop was admitted since: fair.Fleet.Over), and makes one runtime
-// call — Scheduler.Next on the served loop. The worker's clock then advances past the call's
-// overhead and the granted chunk's execution, so time never runs backwards
-// and an event's effects are visible to every later event.
+// call — Scheduler.Next on the served loop. The worker's clock then advances
+// past the call's overhead and the granted chunk's execution, so time never
+// runs backwards and an event's effects are visible to every later event.
 //
 // A runtime call is charged, whether or not it hands out work (the final
 // empty call that retires the worker still touches the pool):

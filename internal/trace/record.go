@@ -233,9 +233,13 @@ func (r *Record) Validate() error {
 	if r.NThreads <= 0 {
 		return fmt.Errorf("trace: record has non-positive thread count %d", r.NThreads)
 	}
-	// Counted down, so that no sum of cluster sizes can overflow.
+	// Counted down and stopped once the cores suffice, so that no sum of
+	// cluster sizes can overflow.
 	left := r.NThreads
 	for _, c := range r.Platform.Clusters {
+		if left <= 0 {
+			break
+		}
 		left -= max(c.NumCores, 0)
 	}
 	if left > 0 {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -638,5 +639,15 @@ func TestValidateRejectsOutOfRangeReferences(t *testing.T) {
 		if err := r.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an out-of-range value", name)
 		}
+	}
+}
+
+// TestValidateCountsHugeClusters: clusters whose core counts sum past the
+// largest int still have room for a record's threads.
+func TestValidateCountsHugeClusters(t *testing.T) {
+	r := sampleRecord()
+	r.Platform.Clusters = []amp.Cluster{{NumCores: math.MaxInt}, {NumCores: math.MaxInt}}
+	if err := r.Validate(); err != nil {
+		t.Errorf("%d threads on two clusters of %d cores: %v", r.NThreads, math.MaxInt, err)
 	}
 }
