@@ -52,15 +52,18 @@
 #   make race-multiloop - the multi-tenant conformance, registry, team and
 #                  capture/record race suite under -race -count=2, so flaky
 #                  interleavings surface in CI, not in production
-#   make fuzz    - every fuzz target of the tree's input codecs for 10 s each,
-#                  one worker, no test run first: the run-record
+#   make fuzz    - every fuzz target of the tree for 10 s each, one worker,
+#                  no test run first: the run-record
 #                  decoder (FuzzDecodeJSONL, whose in-place line readers are
 #                  right only as far as the fuzzer finds them agreeing with
 #                  encoding/json), platform files, -classes, schedule
-#                  text, and a decoded record's readers (FuzzReplayRecord:
+#                  text, a decoded record's readers (FuzzReplayRecord:
 #                  exact and what-if replay, the digest, the chart and the
-#                  Chrome export). Not tier-1: without -fuzz only the seed
-#                  corpora run.
+#                  Chrome export), and the schedulers under any call order
+#                  and clock (FuzzSchedulerTimeline: every conformance
+#                  scheduler, fresh and after Reset, must cover each
+#                  iteration once within NI + NThreads calls). Not tier-1:
+#                  without -fuzz only the seed corpora run.
 #   make bench-ab BASE=<rev> W=<workload> [PAIRS=10 SECONDS=20] - compare
 #                  the repository benchmark (./bench, BENCHMARK.json) between
 #                  a revision and the working tree: builds BASE's ./bench from
@@ -132,6 +135,7 @@ fuzz:
 	$(GO) test ./internal/fair $(FUZZ) -fuzz '^FuzzParseClasses$$'
 	$(GO) test ./internal/rt $(FUZZ) -fuzz '^FuzzParseSchedule$$'
 	$(GO) test ./internal/replay $(FUZZ) -fuzz '^FuzzReplayRecord$$'
+	$(GO) test ./internal/core $(FUZZ) -fuzz '^FuzzSchedulerTimeline$$'
 
 # Both binaries run from the working tree's root, so both read the same
 # bench/platforms file and BENCHMARK.json; only the program under test

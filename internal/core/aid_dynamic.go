@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-
-	"repro/internal/pool"
 )
 
 // AIDDynamic implements the AID-dynamic schedule of §4.2 (Fig. 5), an
@@ -13,11 +11,12 @@ import (
 // overhead by letting big-core threads remove larger chunks.
 //
 // Two chunk sizes are configured: the minor chunk m (used in the initial
-// sampling phase and in all wait states) and the Major chunk M ≥ m. The
-// schedule alternates:
+// sampling phase, in all wait states and in the drain: the chunk of the
+// aidLoop it embeds) and the Major chunk M ≥ m. The schedule alternates:
 //
-//  1. an initial sampling phase identical to AID-static's, which yields the
-//     first value of R (= the estimated SF);
+//  1. an initial sampling phase identical to AID-static's, the one aidLoop
+//     that AIDHybrid embeds too, which yields the first value of R (= the
+//     estimated SF);
 //  2. AID phases, during which a small-core thread is allotted M iterations
 //     and a big-core thread R·M. Each AID phase doubles as the next sampling
 //     phase: when all threads complete it, the smoothing factor
@@ -26,24 +25,18 @@ import (
 //     perfectly balanced the raw phase times match and SM = 1.
 //
 // The whole schedule is lock free: chunk removal is a fetch-and-add on the
-// caller's per-core-type shard, and phase transitions ride the packed CAS
-// epoch word (phaseWord) — the thread that reports the last measurement of
-// an epoch owns the transition window, re-estimates R, and publishes the
-// next epoch in a single store.
+// caller's per-core-type shard (cut by the pool base, poolLoop), and phase
+// transitions ride the sampler's packed CAS epoch word (phaseWord) — the
+// thread that reports the last measurement of an epoch owns the transition
+// window, re-estimates R, and publishes the next epoch in a single store.
 //
 // Following the optimization noted under Fig. 5, the scheduler switches
 // permanently to dynamic(m) as soon as the remaining iteration count drops
 // to M·NThreads or below, which removes the end-of-loop imbalance that large
 // chunks would otherwise cause (§5B, Fig. 8).
 type AIDDynamic struct {
-	loopBase
-	m, M int64
-
-	ws *pool.ShardedWorkShare
-
-	th     []aidDynThread
-	types  []atomic.Int32 // per-thread core type; mutable via Migrate (§4.3)
-	counts []int          // threads per core type, as the loop started
+	aidLoop
+	M int64
 
 	// smp's epoch 0 is the initial sampling, n>0 the nth AID phase. r is
 	// published by pointer swap inside the transition window, so mid-run
@@ -51,7 +44,6 @@ type AIDDynamic struct {
 	// the two preallocated rbuf slots, written alternately: the window
 	// closing epoch e fills rbuf[e&1] while readers hold the other, so a
 	// published table stays intact until the window after next.
-	smp  sampler
 	r    atomic.Pointer[[]float64] // per core type, progress vs slowest type
 	rbuf [2][]float64
 	tail atomic.Bool // switched to dynamic(m) for the loop's end
@@ -59,36 +51,6 @@ type AIDDynamic struct {
 	// Ablation toggles (see SetAblation); set before the first Next call.
 	noTailSwitch bool
 	noSMClamp    bool
-
-	// observe, when non-nil, receives R publications and the tail switch
-	// (the decision-capture hook of the record & replay subsystem). Set
-	// before the first Next call. Epoch transitions invoke it inside the
-	// transition window; the tail switch invokes it from whichever thread
-	// won the CAS, possibly concurrently with a transition.
-	observe func(PhaseEvent)
-}
-
-// SetPhaseObserver implements PhaseObservable.
-func (a *AIDDynamic) SetPhaseObserver(fn func(PhaseEvent)) { a.observe = fn }
-
-type aidDynThread struct {
-	state threadState
-	// window's epoch is the last epoch this thread received an AID
-	// assignment for, the one its phase measurement reports to.
-	window
-	// nominalN is the intended allotment (R_j·M) of the thread's current
-	// AID phase. The actual allotment may be smaller (δ subtraction, pool
-	// drain); measured phase times are rescaled to the nominal size so
-	// the smoothing-factor invariant holds: a perfectly balanced phase
-	// yields SM = 1 regardless of how many iterations each thread already
-	// covered while waiting.
-	nominalN int64
-	// servedN accumulates the allotment pieces served so far this phase;
-	// the phase measurement covers all of them, so a multi-shard span does
-	// not shrink the measured window to its first piece.
-	servedN int64
-	claimState
-	_ [64]byte
 }
 
 // NewAIDDynamic returns an AID-dynamic scheduler with minor chunk m and
@@ -100,11 +62,7 @@ func NewAIDDynamic(info LoopInfo, m, M int64) (*AIDDynamic, error) {
 	if M < m {
 		return nil, fmt.Errorf("core: Major chunk %d must be >= minor chunk %d", M, m)
 	}
-	a := &AIDDynamic{m: m, M: M, ws: new(pool.ShardedWorkShare)}
-	if err := a.Reset(info); err != nil {
-		return nil, err
-	}
-	return a, nil
+	return armed(&AIDDynamic{aidLoop: aidLoop{chunk: m}, M: M}, info)
 }
 
 // Reset implements Resettable: a new pool cut, and the schedule starts over
@@ -113,26 +71,12 @@ func (a *AIDDynamic) Reset(info LoopInfo) error {
 	if err := info.Validate(); err != nil {
 		return err
 	}
-	a.info = info
-	a.counts = info.typeCounts(a.counts)
-	a.smp.reset(info, 0)
-	if cap(a.th) < info.NThreads {
-		a.th = make([]aidDynThread, info.NThreads)
-	}
-	a.th = a.th[:info.NThreads]
-	for i := range a.th {
-		stash := a.th[i].pending[:0]
-		a.th[i] = aidDynThread{}
-		a.th[i].pending = stash
-	}
-	a.types = info.atomicTypes(a.types)
+	a.reset(info, 0)
 	a.r.Store(nil)
 	for i := range a.rbuf {
 		a.rbuf[i] = sized(a.rbuf[i], info.NumTypes)
 	}
 	a.tail.Store(false)
-	a.observe = nil
-	info.resetPool(a.ws, a.counts)
 	return nil
 }
 
@@ -151,7 +95,7 @@ func (a *AIDDynamic) SetAblation(disableTail, disableSMClamp bool) {
 }
 
 // Chunks returns the configured (m, M) pair.
-func (a *AIDDynamic) Chunks() (m, M int64) { return a.m, a.M }
+func (a *AIDDynamic) Chunks() (m, M int64) { return a.chunk, a.M }
 
 // R returns the current per-core-type progress ratios and ok=false before
 // the initial sampling completes. Exposed for tests and ablations.
@@ -169,14 +113,6 @@ func (a *AIDDynamic) SFEstimate() ([]float64, bool) { return a.R() }
 
 // InTail reports whether the end-of-loop dynamic(m) switch has engaged.
 func (a *AIDDynamic) InTail() bool { return a.tail.Load() }
-
-// take serves thread tid up to n iterations via its claimState, on the
-// batched credit path from the thread's current home shard: the sampling,
-// wait and drain states draw most minor chunks from a thread-local credit
-// instead of paying one pool RMW per chunk.
-func (a *AIDDynamic) take(tid int, st *aidDynThread, n int64, asg *Assign) (Assign, bool) {
-	return st.takeCredit(a.ws, int(a.types[tid].Load()), n, asg)
-}
 
 // clampR keeps the progress ratio inside a sane envelope; a wildly wrong
 // sample (e.g. a descheduled thread) must not produce pathological chunks.
@@ -264,34 +200,28 @@ func (a *AIDDynamic) phaseSpan() int64 {
 // R_j·M − δ iterations (M for the slowest type). It also performs the tail
 // check: with less than one phase of work left, AID phases stop and the
 // loop finishes under dynamic(m) (phaseSpan has what the switch is worth).
-func (a *AIDDynamic) aidAssign(tid int, st *aidDynThread, asg *Assign, nowNs int64) (Assign, bool) {
+func (a *AIDDynamic) aidAssign(tid int, st *aidThread, asg *Assign, nowNs int64) (Assign, bool) {
 	if !a.tail.Load() && !a.noTailSwitch && a.ws.Remaining() <= a.phaseSpan() {
-		if a.tail.CompareAndSwap(false, true) && a.observe != nil {
+		if a.tail.CompareAndSwap(false, true) {
 			// The CAS winner reports the switch exactly once.
-			a.observe(PhaseEvent{TimeNs: nowNs, Tid: tid,
-				Epoch: int(a.smp.epoch()), Kind: PhaseTailSwitch})
+			a.report(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: int(a.smp.epoch()), Kind: PhaseTailSwitch})
 		}
 	}
 	if a.tail.Load() {
 		st.state = stDrain
-		return a.take(tid, st, a.m, asg)
+		return a.take(tid, st, asg)
 	}
 	st.state = stAID
 	st.epoch = a.smp.epoch()
 	a.smp.restamp(&st.window, nowNs)
-	asg.Origin = a.types[tid].Load() // drained-pool probes charge the home line
+	home := a.typeOf(tid)
+	asg.Origin = int32(home) // drained-pool probes charge the home line
 	r := *a.r.Load()
-	nominal := int64(math.Round(r[a.types[tid].Load()] * float64(a.M)))
-	if nominal < a.m {
-		nominal = a.m
-	}
+	nominal := max(int64(math.Round(r[home]*float64(a.M))), a.chunk)
 	st.nominalN = nominal
 	// δ holds what the thread claimed while waiting (§4.2): it has already
 	// covered that much of its share, so the allotment shrinks accordingly.
-	want := nominal - st.delta
-	if want < a.m {
-		want = a.m
-	}
+	want := max(nominal-st.delta, a.chunk)
 	// Re-arm δ at the thread's unserved credit balance: that work is still
 	// owned (and will be executed this phase), so zeroing it outright would
 	// under-count the next allotment subtraction.
@@ -301,7 +231,7 @@ func (a *AIDDynamic) aidAssign(tid int, st *aidDynThread, asg *Assign, nowNs int
 	// measured chunk to the nominal size amplifies timer noise straight
 	// into the SM update. Tail pieces go to the stash and are served (and
 	// measured) before the phase completes.
-	_, acc := st.claimSpan(a.ws, int(a.types[tid].Load()), want)
+	_, acc := st.claimSpan(a.ws, home, want)
 	asg.addAccesses(acc)
 	// The phase-measurement window starts over the claimed span.
 	got, ok := st.serve(asg)
@@ -315,21 +245,9 @@ func (a *AIDDynamic) aidAssign(tid int, st *aidDynThread, asg *Assign, nowNs int
 			// StealSpan above already observed the drained pool.
 			return got, false
 		}
-		return a.take(tid, st, a.m, asg)
+		return a.take(tid, st, asg)
 	}
 	return got, ok
-}
-
-// Migrate implements Migratable (§4.3): thread tid now runs on newType.
-// AID-dynamic adapts naturally — the thread's next AID-phase allotment uses
-// the new type's R, and subsequent smoothing folds the thread's measured
-// times into the new type's average. This is the property that makes
-// AID-dynamic the paper's candidate for multi-application scenarios with
-// OS-driven thread placement.
-func (a *AIDDynamic) Migrate(tid, newType int, _ int64) {
-	if newType >= 0 && newType < a.info.NumTypes {
-		a.types[tid].Store(int32(newType))
-	}
 }
 
 // readsClock answers ReadsClock: the dynamic(m) drain — after the tail switch,
@@ -337,35 +255,13 @@ func (a *AIDDynamic) Migrate(tid, newType int, _ int64) {
 // no longer reach, and no transition leaves it.
 func (a *AIDDynamic) readsClock(tid int) bool { return a.th[tid].state != stDrain }
 
-// Next implements Scheduler, realizing the Fig. 5 state machine.
+// Next implements Scheduler, realizing the Fig. 5 state machine: the
+// sampling phase (aidLoop.sample), then AID phases until the tail switch or
+// a drained pool, then the dynamic(m) drain.
 func (a *AIDDynamic) Next(tid int, nowNs int64) (Assign, bool) {
 	st := &a.th[tid]
 	asg := &Assign{}
 	switch st.state {
-	case stNew:
-		a.smp.open(&st.window, nowNs, asg)
-		st.state = stSampling
-		return a.take(tid, st, a.m, asg)
-
-	case stSampling:
-		if a.smp.close(&st.window, int(a.types[tid].Load()), nowNs, st.lastN, sampleScale, asg) {
-			rv := a.computeInitialR()
-			if a.observe != nil {
-				a.observe(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: 1,
-					Kind: PhaseRInitial, SF: append([]float64(nil), rv...)})
-			}
-			a.smp.advance(1)
-			return a.aidAssign(tid, st, asg, nowNs)
-		}
-		st.state = stSamplingWait
-		return a.take(tid, st, a.m, asg)
-
-	case stSamplingWait:
-		if a.smp.epoch() > 0 {
-			return a.aidAssign(tid, st, asg, nowNs)
-		}
-		return a.take(tid, st, a.m, asg)
-
 	case stAID:
 		// Serve any outstanding pieces of the current allotment first: the
 		// phase measurement must span the whole allotment, not just its
@@ -379,26 +275,28 @@ func (a *AIDDynamic) Next(tid int, nowNs int64) (Assign, bool) {
 		// completion time is the next sampling measurement (Fig. 5). The
 		// elapsed time is rescaled from the served to the nominal allotment
 		// so that δ subtraction and pool drain cannot distort SM.
-		if a.smp.close(&st.window, int(a.types[tid].Load()), nowNs, st.servedN, st.nominalN, asg) {
-			rv := a.smoothR(st.epoch)
-			if a.observe != nil {
-				a.observe(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: int(st.epoch) + 1,
-					Kind: PhaseRSmoothed, SF: append([]float64(nil), rv...)})
-			}
-			a.smp.advance(st.epoch + 1)
+		if a.smp.close(&st.window, a.typeOf(tid), nowNs, st.servedN, st.nominalN, asg) {
+			a.publish(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: int(st.epoch) + 1,
+				Kind: PhaseRSmoothed, SF: a.smoothR(st.epoch)})
 			return a.aidAssign(tid, st, asg, nowNs)
 		}
 		st.state = stSamplingWait2
-		return a.take(tid, st, a.m, asg)
+		return a.take(tid, st, asg)
 
 	case stSamplingWait2:
 		if st.epoch < a.smp.epoch() {
 			return a.aidAssign(tid, st, asg, nowNs)
 		}
-		return a.take(tid, st, a.m, asg)
+		return a.take(tid, st, asg)
 
 	case stDrain:
-		return a.take(tid, st, a.m, asg)
+		return a.take(tid, st, asg)
 	}
-	panic(fmt.Sprintf("core: thread %d in invalid state %v", tid, st.state))
+	switch a.sample(tid, st, nowNs, asg) {
+	case sampleTake:
+		return a.take(tid, st, asg)
+	case samplePublish:
+		a.publish(PhaseEvent{TimeNs: nowNs, Tid: tid, Epoch: 1, Kind: PhaseRInitial, SF: a.computeInitialR()})
+	}
+	return a.aidAssign(tid, st, asg, nowNs)
 }

@@ -91,3 +91,23 @@ func TestAssignCreditWide(t *testing.T) {
 		}
 	}
 }
+
+// TestAIDThreadLayout: in the per-thread table of an AID machine, the fields
+// one thread writes on its calls end at least a cache line before the next
+// thread's begin, so two workers never write one line. The trailing pad of
+// aidThread provides that distance.
+func TestAIDThreadLayout(t *testing.T) {
+	const line = 64
+	var th [2]aidThread
+	stride := uintptr(unsafe.Pointer(&th[1])) - uintptr(unsafe.Pointer(&th[0]))
+	typ := reflect.TypeOf(th[0])
+	first, end := typ.Size(), uintptr(0)
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Name != "_" {
+			first, end = min(first, f.Offset), max(end, f.Offset+f.Type.Size())
+		}
+	}
+	if gap := stride - end + first; gap < line {
+		t.Errorf("one thread's fields end %d bytes before the next thread's begin, want at least %d", gap, line)
+	}
+}

@@ -26,11 +26,6 @@ type claimState struct {
 	credit pool.Credit
 }
 
-// reset empties the bookkeeping for a new loop, keeping the stash's storage.
-func (cs *claimState) reset() {
-	*cs = claimState{pending: cs.pending[:0]}
-}
-
 // pop takes the next stashed range, if any.
 func (cs *claimState) pop() (pool.Range, bool) {
 	if len(cs.pending) == 0 {

@@ -28,9 +28,13 @@
 // work_share; the entire hot path is lock free. Chunk removal is an atomic
 // fetch-and-add on the caller's per-core-type sub-pool
 // (internal/pool.ShardedWorkShare), so big- and small-core threads do not
-// contend on a single counter cache line, and the three AID machines share
-// one sampling phase (sampler) whose phase transitions ride a packed CAS
-// epoch word (phaseWord) instead of a mutex: the thread reporting the last
+// contend on a single counter cache line. Every scheduler that owns such a
+// pool embeds one base (poolLoop), which cuts it for each loop. The three AID
+// methods are two machines, AIDHybrid (AID-static and AID-hybrid) and
+// AIDDynamic, which embed one skeleton (aidLoop): the per-thread state, the
+// thread-to-type table that Migrate updates, the claim path and the Fig. 3
+// sampling phase, written once. Its sampler's phase transitions ride a packed
+// CAS epoch word (phaseWord) instead of a mutex: the thread reporting the last
 // measurement of a phase owns the transition window and publishes the next
 // phase in one atomic store.
 package core
@@ -38,7 +42,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/pool"
 )
@@ -91,6 +94,11 @@ func (li LoopInfo) Validate() error {
 	if li.TypeDist != nil && len(li.TypeDist) < li.NumTypes {
 		return fmt.Errorf("core: topology matrix covers %d types, platform has %d", len(li.TypeDist), li.NumTypes)
 	}
+	for a, row := range li.TypeDist[:min(len(li.TypeDist), li.NumTypes)] {
+		if len(row) < li.NumTypes {
+			return fmt.Errorf("core: topology matrix row %d covers %d types, platform has %d", a, len(row), li.NumTypes)
+		}
+	}
 	return nil
 }
 
@@ -105,43 +113,11 @@ func sized[T any](s []T, n int) []T {
 	return s
 }
 
-// typeCounts returns the number of threads per core type (N_t in §4.2),
-// written into buf's storage.
-func (li LoopInfo) typeCounts(buf []int) []int {
-	counts := sized(buf, li.NumTypes)
-	for tid := 0; tid < li.NThreads; tid++ {
-		counts[li.TypeOf(tid)]++
-	}
-	return counts
-}
-
-// resetPool re-cuts ws for the loop: one shard per core type, sized by the
-// type's thread count, with the loop's topology matrix installed (nil keeps
-// the richest-only victim selection).
-func (li LoopInfo) resetPool(ws *pool.ShardedWorkShare, counts []int) {
-	ws.Reset(li.NI, counts)
-	ws.SetTopology(li.TypeDist)
-}
-
 // typeSlice snapshots the thread-to-core-type mapping into buf's storage.
 func (li LoopInfo) typeSlice(buf []int) []int {
 	types := sized(buf, li.NThreads)
 	for tid := range types {
 		types[tid] = li.TypeOf(tid)
-	}
-	return types
-}
-
-// atomicTypes snapshots the mapping into atomics (in buf's storage), for
-// schedulers whose Migrate updates it concurrently with readers.
-func (li LoopInfo) atomicTypes(buf []atomic.Int32) []atomic.Int32 {
-	types := buf
-	if cap(types) < li.NThreads {
-		types = make([]atomic.Int32, li.NThreads)
-	}
-	types = types[:li.NThreads]
-	for tid := range types {
-		types[tid].Store(int32(li.TypeOf(tid)))
 	}
 	return types
 }
@@ -342,6 +318,42 @@ type keyed interface {
 	base() *loopBase
 }
 
+// armed is every constructor's end: s, its configuration set, armed for info
+// by its own Reset, or Reset's error.
+func armed[S Resettable](s S, info LoopInfo) (S, error) {
+	if err := s.Reset(info); err != nil {
+		var none S
+		return none, err
+	}
+	return s, nil
+}
+
+// poolLoop is what every scheduler that owns a sharded pool embeds (Dynamic,
+// Guided and both AID machines): its loop, the pool, and the threads per core
+// type (N_t in §4.2) that partition it.
+type poolLoop struct {
+	loopBase
+	counts []int
+	ws     *pool.ShardedWorkShare
+}
+
+// cut arms the pool base for info (info valid): the loop, its thread count
+// per core type, and one shard per core type sized by that count, with the
+// loop's topology matrix installed (nil keeps the richest-only victim
+// selection). Every slice keeps its storage when that is large enough.
+func (p *poolLoop) cut(info LoopInfo) {
+	p.info = info
+	p.counts = sized(p.counts, info.NumTypes)
+	for tid := 0; tid < info.NThreads; tid++ {
+		p.counts[info.TypeOf(tid)]++
+	}
+	if p.ws == nil {
+		p.ws = new(pool.ShardedWorkShare)
+	}
+	p.ws.Reset(info.NI, p.counts)
+	p.ws.SetTopology(info.TypeDist)
+}
+
 // --- static ---
 
 // Static implements the OpenMP static schedule without a chunk: the
@@ -354,13 +366,7 @@ type Static struct {
 }
 
 // NewStatic returns a static scheduler for the loop.
-func NewStatic(info LoopInfo) (*Static, error) {
-	s := &Static{}
-	if err := s.Reset(info); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
+func NewStatic(info LoopInfo) (*Static, error) { return armed(&Static{}, info) }
 
 // Reset implements Resettable.
 func (s *Static) Reset(info LoopInfo) error {
@@ -419,11 +425,7 @@ func NewStaticChunked(info LoopInfo, chunk int64) (*StaticChunked, error) {
 	if chunk <= 0 {
 		return nil, fmt.Errorf("core: static chunk must be positive, got %d", chunk)
 	}
-	s := &StaticChunked{chunk: chunk}
-	if err := s.Reset(info); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return armed(&StaticChunked{chunk: chunk}, info)
 }
 
 // Reset implements Resettable.
@@ -473,11 +475,9 @@ func (s *StaticChunked) Next(tid int, _ int64) (Assign, bool) {
 // at most chunk iterations (strict OpenMP semantics — no handoff batching).
 // The default chunk is 1.
 type Dynamic struct {
-	loopBase
-	chunk  int64
-	types  []int
-	counts []int // threads per core type: the pool's partition weights
-	ws     *pool.ShardedWorkShare
+	poolLoop
+	chunk int64
+	types []int
 }
 
 // NewDynamic returns a dynamic scheduler with the given chunk.
@@ -485,11 +485,7 @@ func NewDynamic(info LoopInfo, chunk int64) (*Dynamic, error) {
 	if chunk <= 0 {
 		return nil, fmt.Errorf("core: dynamic chunk must be positive, got %d", chunk)
 	}
-	d := &Dynamic{chunk: chunk, ws: new(pool.ShardedWorkShare)}
-	if err := d.Reset(info); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return armed(&Dynamic{chunk: chunk}, info)
 }
 
 // Reset implements Resettable.
@@ -497,10 +493,8 @@ func (d *Dynamic) Reset(info LoopInfo) error {
 	if err := info.Validate(); err != nil {
 		return err
 	}
-	d.info = info
+	d.cut(info)
 	d.types = info.typeSlice(d.types)
-	d.counts = info.typeCounts(d.counts)
-	info.resetPool(d.ws, d.counts)
 	return nil
 }
 
@@ -527,11 +521,9 @@ func (d *Dynamic) Next(tid int, _ int64) (Assign, bool) {
 // both static and dynamic on AMPs (§5: +44%/+65% average completion time);
 // it is provided as a baseline for that comparison.
 type Guided struct {
-	loopBase
+	poolLoop
 	minChunk int64
 	types    []int
-	counts   []int // threads per core type: the pool's partition weights
-	ws       *pool.ShardedWorkShare
 }
 
 // NewGuided returns a guided scheduler with the given minimum chunk.
@@ -539,11 +531,7 @@ func NewGuided(info LoopInfo, minChunk int64) (*Guided, error) {
 	if minChunk <= 0 {
 		return nil, fmt.Errorf("core: guided min chunk must be positive, got %d", minChunk)
 	}
-	g := &Guided{minChunk: minChunk, ws: new(pool.ShardedWorkShare)}
-	if err := g.Reset(info); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return armed(&Guided{minChunk: minChunk}, info)
 }
 
 // Reset implements Resettable.
@@ -551,10 +539,8 @@ func (g *Guided) Reset(info LoopInfo) error {
 	if err := info.Validate(); err != nil {
 		return err
 	}
-	g.info = info
+	g.cut(info)
 	g.types = info.typeSlice(g.types)
-	g.counts = info.typeCounts(g.counts)
-	info.resetPool(g.ws, g.counts)
 	return nil
 }
 

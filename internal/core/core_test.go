@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -93,6 +94,7 @@ func TestLoopInfoValidate(t *testing.T) {
 		{"types-past-int32", func(li *LoopInfo) { li.NumTypes = math.MaxInt32; li.NumTypes++ }}, // Assign.Origin is an int32
 		{"nil-typeof", func(li *LoopInfo) { li.TypeOf = nil }},
 		{"bad-type", func(li *LoopInfo) { li.TypeOf = func(int) int { return 7 } }},
+		{"short-topology", func(li *LoopInfo) { li.TypeDist = [][]int{{0, 1}} }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -102,6 +104,24 @@ func TestLoopInfoValidate(t *testing.T) {
 				t.Error("invalid info accepted")
 			}
 		})
+	}
+}
+
+// TestRaggedTopologyRefused: a topology matrix with a row shorter than the
+// core-type count is refused when the scheduler is built. Were it accepted,
+// thread 0 would index past its row on its first foreign steal, once its
+// home shard drained.
+func TestRaggedTopologyRefused(t *testing.T) {
+	info := LoopInfo{NI: 100, NThreads: 2, NumTypes: 2, TypeOf: func(tid int) int { return tid },
+		TypeDist: [][]int{{0}, {1, 0}}}
+	d, err := NewDynamic(info, 1)
+	if err == nil {
+		for ok := true; ok; _, ok = d.Next(0, 0) {
+		}
+		t.Fatal("NewDynamic accepted a ragged topology matrix")
+	}
+	if want := "row 0 covers 1 types"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not say %q", err, want)
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 
 // phaseWord is the packed CAS state word that serializes AID phase
 // transitions without a lock (§4.2 keeps the whole loop hot path lock
-// free). Its one caller is the sampler (sampler.go), the sampling phase
-// every AID scheduler embeds. One 64-bit word packs:
+// free). Its one caller is the sampler (sampler.go), which measures the
+// sampling phase both AID machines share through aidLoop. One 64-bit word
+// packs:
 //
 //	bits 32..63  epoch      — 0 is the sampling phase, n>0 the nth AID phase
 //	bits  0..31  remaining  — threads yet to report a measurement this epoch

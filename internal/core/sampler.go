@@ -8,8 +8,9 @@ import "sync/atomic"
 // clipping of the chunk cannot bias.
 const sampleScale = 1024
 
-// sampler is the one home of the AID sampling phase (§4.2, Figs. 3 and 5),
-// which AID-static/hybrid and AID-dynamic each embed. It owns
+// sampler is the measuring machinery of the AID sampling phase (§4.2, Figs.
+// 3 and 5). It lives in aidLoop, the skeleton both AID machines embed, whose
+// sample steps a thread through the phase on top of it. It owns
 //
 //   - the per-core-type sum/count accumulators of footnote 2 of §4.2: the
 //     average measurement of a core type is sum/count;
@@ -30,9 +31,9 @@ type sampler struct {
 }
 
 // window is one thread's measuring window, kept in the thread's own padded
-// state: the clock stamp the window opened at, the epoch its measurement
-// reports to (0, the sampling phase, until AID-dynamic's aidAssign moves it
-// on).
+// state (aidThread): the clock stamp the window opened at, the epoch its
+// measurement reports to (0, the sampling phase, until AID-dynamic's
+// aidAssign moves it on).
 type window struct {
 	lastTS int64
 	epoch  uint32

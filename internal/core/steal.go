@@ -44,32 +44,19 @@ func NewWorkSteal(info LoopInfo, chunk int64) (*WorkSteal, error) {
 	if chunk <= 0 {
 		return nil, fmt.Errorf("core: work-steal chunk must be positive, got %d", chunk)
 	}
-	w := &WorkSteal{chunk: chunk}
-	if err := w.Reset(info); err != nil {
-		return nil, err
-	}
-	return w, nil
+	return armed(&WorkSteal{chunk: chunk}, info)
 }
 
-// Reset implements Resettable.
+// Reset implements Resettable: each thread starts on its static block.
 func (w *WorkSteal) Reset(info LoopInfo) error {
 	if err := info.Validate(); err != nil {
 		return err
 	}
 	w.info, w.steals = info, 0
 	w.ranges = sized(w.ranges, info.NThreads)
-	// Even contiguous split, exactly like Static.Range.
-	n := int64(info.NThreads)
-	q := info.NI / n
-	r := info.NI % n
-	cursor := int64(0)
-	for tid := int64(0); tid < n; tid++ {
-		size := q
-		if tid < r {
-			size++
-		}
-		w.ranges[tid] = stealRange{lo: cursor, hi: cursor + size}
-		cursor += size
+	split := Static{loopBase: loopBase{info: info}}
+	for tid := range w.ranges {
+		w.ranges[tid].lo, w.ranges[tid].hi = split.Range(tid)
 	}
 	return nil
 }

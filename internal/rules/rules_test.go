@@ -281,7 +281,7 @@ var rules = []rule{{
 	},
 }, {
 	name: "only the sampler completes a phase or scales a sample",
-	reason: "sampler.go is the one sampling phase of the AID machines: it files " +
+	reason: "sampler.go measures the one sampling phase of the AID machines: it files " +
 		"elapsed·1024/n and detects the last measurer of an epoch",
 	reads: func(s source, _ graph) bool {
 		return !s.test && s.in("internal/core") && s.path != "internal/core/sampler.go"
