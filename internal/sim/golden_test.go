@@ -93,16 +93,60 @@ func dumpSnapshot(h hash.Hash64, s *obs.Snapshot) {
 
 // dumpRecord prints the record field by field rather than through
 // EncodeJSONL so that a field later added to the record format does not
-// move the digests of runs whose behaviour did not change.
-func dumpRecord(h hash.Hash64, rec *trace.Record) {
+// move the digests of runs whose behaviour did not change. results are the
+// run's loop results, indexed like rec.Loops.
+func dumpRecord(h hash.Hash64, rec *trace.Record, results []LoopResult) error {
 	fmt.Fprintf(h, "run %s %q %d %d %+v\n", rec.Engine, rec.Policy, rec.StartNs, rec.MakespanNs, rec.Migrations)
-	for _, l := range rec.Loops {
-		fmt.Fprintf(h, "loop %d %q %d %d %q %+v\n", l.Index, l.Name, l.NI, l.Weight, l.Scheduler, l.Cost)
+	for i, l := range rec.Loops {
+		fmt.Fprintf(h, "loop %d %q %d %d %q %+v\n", i, l.Name, l.NI, l.Weight, l.Scheduler, l.Cost)
 	}
 	for _, ev := range rec.Events {
 		fmt.Fprintf(h, "%+v\n", ev)
 	}
-	fmt.Fprintf(h, "%+v\n%+v\n%+v\n", rec.Phases, rec.SFSamples, rec.Timeline)
+	samples := sfSamples(rec, results)
+	if fmt.Sprintf("%+v", samples) != fmt.Sprintf("%+v", rec.SFSamples) {
+		return fmt.Errorf("rebuilt SF samples %+v, recorded %+v", samples, rec.SFSamples)
+	}
+	fmt.Fprintf(h, "%+v\n%+v\n%+v\n", rec.Phases, samples, rec.Timeline)
+	return nil
+}
+
+// sfSample is the spelling of one point of the SF list that records of
+// earlier builds carried beside their phases, which the digests still print.
+type sfSample struct {
+	TimeNs int64
+	Loop   int
+	SF     []float64
+}
+
+// sfSamples rebuilds that list from the record and the results: each phase
+// that published an SF, at the event its call produced (same time, thread
+// and loop), and each loop's final estimate at its End, right after the
+// loop's last retirement.
+func sfSamples(rec *trace.Record, results []LoopResult) []sfSample {
+	lastRetire := make([]int, len(rec.Loops))
+	for i, ev := range rec.Events {
+		if ev.Retire {
+			lastRetire[ev.Loop] = i
+		}
+	}
+	var out []sfSample
+	next := 0 // the first phase not yet placed
+	for i, ev := range rec.Events {
+		for ; next < len(rec.Phases); next++ {
+			p := rec.Phases[next]
+			if p.TimeNs != ev.TimeNs || p.Tid != int(ev.Tid) || p.Loop != int(ev.Loop) {
+				break
+			}
+			if len(p.SF) > 0 {
+				out = append(out, sfSample{p.TimeNs, p.Loop, p.SF})
+			}
+		}
+		if r := results[ev.Loop]; ev.Retire && i == lastRetire[ev.Loop] && r.SFEstimate != nil {
+			out = append(out, sfSample{r.End, int(ev.Loop), r.SFEstimate})
+		}
+	}
+	return out
 }
 
 // goldenTeam runs one fork/join loop and digests everything it reports.
@@ -136,7 +180,9 @@ func goldenTeam(cfg Config, spec LoopSpec, startNs int64, observe bool) (uint64,
 		if err := inEventOrder(rec); err != nil {
 			return 0, err
 		}
-		dumpRecord(h, rec)
+		if err := dumpRecord(h, rec, []LoopResult{r}); err != nil {
+			return 0, err
+		}
 		// Each thread's intervals once more, as a list of its own.
 		for _, ivs := range threadTimelines(rec) {
 			fmt.Fprintf(h, "%+v\n", ivs)
@@ -182,7 +228,9 @@ func goldenFleet(cfg Config, cost func(int64) CostModel, policy fair.Policy, sta
 	if err := inEventOrder(rec); err != nil {
 		return 0, err
 	}
-	dumpRecord(h, rec)
+	if err := dumpRecord(h, rec, rs); err != nil {
+		return 0, err
+	}
 	return h.Sum64(), nil
 }
 
