@@ -13,7 +13,8 @@ import (
 // (the chrome://tracing / Perfetto "JSON object" flavor): one complete "X"
 // event per chunk grant on thread lanes named after the workers, instant
 // "i" events for retirements and AID phase transitions, and one "C" counter
-// track per loop charting the SF-estimate trajectory.
+// track per loop charting the SF-estimate trajectory: a point per phase that
+// published an SF table.
 //
 // The output is byte-deterministic for a given record: events are emitted
 // in the record's order, encoding/json sorts object keys, and Go renders
@@ -22,7 +23,7 @@ import (
 // scaled to the format's microseconds.
 func ExportChrome(w io.Writer, rec *trace.Record) error {
 	type obj = map[string]any
-	events := make([]obj, 0, len(rec.Events)+len(rec.Phases)+len(rec.SFSamples)+rec.NThreads+1)
+	events := make([]obj, 0, len(rec.Events)+2*len(rec.Phases)+rec.NThreads+1)
 	events = append(events, obj{
 		"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
 		"args": obj{"name": fmt.Sprintf("%s run on %s", rec.Engine, rec.Platform.Name)},
@@ -69,14 +70,17 @@ func ExportChrome(w io.Writer, rec *trace.Record) error {
 			"args": obj{"epoch": p.Epoch},
 		})
 	}
-	for _, s := range rec.SFSamples {
+	for _, p := range rec.Phases {
+		if len(p.SF) == 0 {
+			continue
+		}
 		args := obj{}
-		for t, v := range s.SF {
+		for t, v := range p.SF {
 			args[fmt.Sprintf("sf%d", t)] = v
 		}
 		events = append(events, obj{
-			"name": "SF " + rec.LoopName(s.Loop), "cat": "sf", "ph": "C",
-			"ts": us(s.TimeNs), "pid": 1,
+			"name": "SF " + rec.LoopName(p.Loop), "cat": "sf", "ph": "C",
+			"ts": us(p.TimeNs), "pid": 1,
 			"args": args,
 		})
 	}

@@ -427,7 +427,7 @@ func TestPiecewiseCost(t *testing.T) {
 		Version: trace.RecordVersion, Engine: "rt",
 		Platform: trace.PlatformRecordOf(amp.PlatformA()),
 		NThreads: 2, Binding: "BS",
-		Loops: []trace.LoopRecord{{Index: 0, Name: "l", NI: 10}},
+		Loops: []trace.LoopRecord{{Name: "l", NI: 10}},
 		Events: []trace.ChunkEvent{
 			{TimeNs: 1, Tid: 0, Loop: 0, Lo: 0, Hi: 4, Cost: 400},
 			{TimeNs: 2, Tid: 1, Loop: 0, Lo: 4, Hi: 10, Cost: 300},

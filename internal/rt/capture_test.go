@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/core"
@@ -445,11 +446,6 @@ func referenceRecord(t *testing.T, r *Registry, loops ...*Loop) *trace.Record {
 	for _, p := range phs {
 		rec.Phase(p)
 	}
-	for idx, l := range loops {
-		if l.stats.SFEstimate != nil {
-			rec.SFSample(trace.SFSample{TimeNs: l.stats.End, Loop: idx, SF: slices.Clone(l.stats.SFEstimate)})
-		}
-	}
 	if len(loops) == 1 {
 		for tid := range loops[0].capture {
 			_, _, ivs := loops[0].capture.Thread(tid)
@@ -507,13 +503,63 @@ func TestBuildRecordMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := referenceRecord(t, b.reg, b.loops...)
-		if name == "aid team loop" && (len(want.Phases) == 0 || len(want.SFSamples) < 2) {
-			t.Fatalf("%s: %d phases and %d SF samples, the case checks no phase", name, len(want.Phases), len(want.SFSamples))
+		if name == "aid team loop" && want.Digest().Loops[0].SFSamples == 0 {
+			t.Fatalf("%s: %d phases and none publishes an SF, the case checks no SF", name, len(want.Phases))
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: BuildRecord's record differs from the reference's: %d/%d events, %d/%d phases, %d/%d SF samples, %d/%d intervals",
-				name, len(got.Events), len(want.Events), len(got.Phases), len(want.Phases),
-				len(got.SFSamples), len(want.SFSamples), len(got.Timeline), len(want.Timeline))
+			t.Errorf("%s: BuildRecord's record differs from the reference's: %d/%d events, %d/%d phases, %d/%d intervals",
+				name, len(got.Events), len(want.Events), len(got.Phases), len(want.Phases), len(got.Timeline), len(want.Timeline))
+		}
+	}
+}
+
+// TestBuildRecordSFLastIsEstimate: a captured record keeps no final SF
+// estimate of its own, because the phases already hold it: each loop's last
+// published SF table is the estimate its Outcome reports, for an AID team
+// loop and for an AID-static and an AID-dynamic loop that share a 1B+1S
+// fleet (50 us iterations, so that both workers sample both loops; see
+// TestRegistrySFEstimateSurfaced).
+func TestBuildRecordSFLastIsEstimate(t *testing.T) {
+	team := newTestTeam(t, TeamConfig{NThreads: 4})
+	aid, err := team.reg.Submit(LoopRequest{Name: "aid", N: 20000, Capture: true,
+		Schedule: core.Schedule{Kind: core.KindAIDStatic}, Body: func(int, int64, int64) { runtime.Gosched() }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aid.Wait()
+	fleet := newFleet1B1S(t)
+	defer fleet.Close()
+	spin := func(_ int, lo, hi int64) {
+		for start := time.Now(); time.Since(start) < time.Duration(hi-lo)*50*time.Microsecond; {
+		}
+	}
+	var pair []*Loop
+	for _, sched := range []core.Schedule{{Kind: core.KindAIDStatic}, {Kind: core.KindAIDDynamic, Chunk: 1, Major: 5}} {
+		l, err := fleet.Submit(LoopRequest{Name: sched.Kind.String(), N: 200, Capture: true, Schedule: sched, Body: spin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair = append(pair, l)
+	}
+	for _, l := range pair {
+		l.Wait()
+	}
+	for _, c := range []struct {
+		reg   *Registry
+		loops []*Loop
+	}{{team.reg, []*Loop{aid}}, {fleet, pair}} {
+		rec, err := c.reg.BuildRecord(c.loops...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li, d := range rec.Digest().Loops {
+			want := c.loops[li].Wait().SFEstimate
+			if want == nil {
+				t.Fatalf("loop %q published no SF estimate: the case checks nothing", d.Name)
+			}
+			if !slices.Equal(d.SFLast, want) {
+				t.Errorf("loop %q: last published SF %v, Outcome.SFEstimate %v", d.Name, d.SFLast, want)
+			}
 		}
 	}
 }

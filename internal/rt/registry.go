@@ -476,13 +476,6 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 		}, l.capture, l.captureMax)
 	}
 	rec.EndRun(endNs - startNs)
-	// Final estimates go last, after the SF samples the merged phases
-	// published mid-run.
-	for idx, l := range loops {
-		if l.stats.SFEstimate != nil {
-			rec.SFSample(trace.SFSample{TimeNs: l.stats.End, Loop: idx, SF: slices.Clone(l.stats.SFEstimate)})
-		}
-	}
 	out := rec.Record()
 	// The modeled per-worker speed converts measured wall time to work
 	// units. Cluster occupancy is the full fleet, matching the simulator's

@@ -496,9 +496,6 @@ func (ws *workspace) run(results []LoopResult, specs []LoopSpec, policy fair.Pol
 				res.EnergyJ += float64((float64(finish-res.Start)*ct.ActiveW + float64(res.End-finish)*ct.IdleW) * 1e-9)
 			}
 		}
-		if cfg.Recorder != nil && res.SFEstimate != nil {
-			cfg.Recorder.SFSample(trace.SFSample{TimeNs: res.End, Loop: li, SF: slices.Clone(res.SFEstimate)})
-		}
 	}
 	if cfg.Recorder != nil {
 		var maxEnd int64

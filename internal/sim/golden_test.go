@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -94,8 +95,10 @@ func dumpSnapshot(h hash.Hash64, s *obs.Snapshot) {
 // dumpRecord prints the record field by field rather than through
 // EncodeJSONL so that a field later added to the record format does not
 // move the digests of runs whose behaviour did not change. results are the
-// run's loop results, indexed like rec.Loops.
-func dumpRecord(h hash.Hash64, rec *trace.Record, results []LoopResult) error {
+// run's loop results, indexed like rec.Loops. It fails unless each loop's
+// last published SF table is its final estimate, or, when the schedule
+// estimates offline, the record carries none.
+func dumpRecord(h hash.Hash64, rec *trace.Record, results []LoopResult, offline bool) error {
 	fmt.Fprintf(h, "run %s %q %d %d %+v\n", rec.Engine, rec.Policy, rec.StartNs, rec.MakespanNs, rec.Migrations)
 	for i, l := range rec.Loops {
 		fmt.Fprintf(h, "loop %d %q %d %d %q %+v\n", i, l.Name, l.NI, l.Weight, l.Scheduler, l.Cost)
@@ -103,16 +106,23 @@ func dumpRecord(h hash.Hash64, rec *trace.Record, results []LoopResult) error {
 	for _, ev := range rec.Events {
 		fmt.Fprintf(h, "%+v\n", ev)
 	}
-	samples := sfSamples(rec, results)
-	if fmt.Sprintf("%+v", samples) != fmt.Sprintf("%+v", rec.SFSamples) {
-		return fmt.Errorf("rebuilt SF samples %+v, recorded %+v", samples, rec.SFSamples)
+	fmt.Fprintf(h, "%+v\n%+v\n%+v\n", rec.Phases, sfSamples(rec, results), rec.Timeline)
+	for li, l := range rec.Digest().Loops {
+		want := results[li].SFEstimate
+		if offline {
+			want = nil
+		}
+		if (l.SFLast == nil) != (want == nil) || !slices.Equal(l.SFLast, want) {
+			return fmt.Errorf("loop %d: last published SF %v, want %v", li, l.SFLast, want)
+		}
 	}
-	fmt.Fprintf(h, "%+v\n%+v\n%+v\n", rec.Phases, samples, rec.Timeline)
 	return nil
 }
 
 // sfSample is the spelling of one point of the SF list that records of
-// earlier builds carried beside their phases, which the digests still print.
+// earlier builds carried beside their phases, which the digests still print
+// (the list was rebuilt this way from every recorded run and found equal to
+// the recorded one before it left the record).
 type sfSample struct {
 	TimeNs int64
 	Loop   int
@@ -154,7 +164,7 @@ func sfSamples(rec *trace.Record, results []LoopResult) []sfSample {
 // migrations, listed out of time order: a cross-cluster move of thread 0
 // early on, the reverse move of the last thread later, a move within a
 // cluster in between, and one that never comes due.
-func goldenTeam(cfg Config, spec LoopSpec, startNs int64, observe bool) (uint64, error) {
+func goldenTeam(cfg Config, spec LoopSpec, startNs int64, observe, offline bool) (uint64, error) {
 	if observe {
 		nt := cfg.NThreads
 		cfg.Migrations = []Migration{
@@ -180,7 +190,7 @@ func goldenTeam(cfg Config, spec LoopSpec, startNs int64, observe bool) (uint64,
 		if err := inEventOrder(rec); err != nil {
 			return 0, err
 		}
-		if err := dumpRecord(h, rec, []LoopResult{r}); err != nil {
+		if err := dumpRecord(h, rec, []LoopResult{r}, offline); err != nil {
 			return 0, err
 		}
 		// Each thread's intervals once more, as a list of its own.
@@ -209,7 +219,7 @@ func goldenFleetSpecs(cost func(int64) CostModel, startNs int64) []LoopSpec {
 
 // goldenFleet runs goldenFleetSpecs under one schedule on the persistent
 // fleet and digests everything it reports.
-func goldenFleet(cfg Config, cost func(int64) CostModel, policy fair.Policy, startNs int64) (uint64, error) {
+func goldenFleet(cfg Config, cost func(int64) CostModel, policy fair.Policy, startNs int64, offline bool) (uint64, error) {
 	specs := goldenFleetSpecs(cost, startNs)
 	cfg.Recorder = trace.NewRecorder()
 	cfg.Metrics = true
@@ -228,7 +238,7 @@ func goldenFleet(cfg Config, cost func(int64) CostModel, policy fair.Policy, sta
 	if err := inEventOrder(rec); err != nil {
 		return 0, err
 	}
-	if err := dumpRecord(h, rec, rs); err != nil {
+	if err := dumpRecord(h, rec, rs, offline); err != nil {
 		return 0, err
 	}
 	return h.Sum64(), nil
@@ -259,7 +269,8 @@ func inEventOrder(rec *trace.Record) error {
 //	go test ./internal/sim -run TestEngineGolden -update
 //
 // Each of the 630 run records must also hold its events in
-// trace.EventOrder.
+// trace.EventOrder, and its phases each loop's final SF estimate as the
+// last table they publish (dumpRecord).
 func TestEngineGolden(t *testing.T) {
 	got := map[string]uint64{}
 	var order []string
@@ -286,12 +297,13 @@ func TestEngineGolden(t *testing.T) {
 					}
 					spec := LoopSpec{Name: "golden", NI: 3001, Profile: amp.Profile{ILP: 0.7, MemIntensity: 0.2},
 						Cost: cm.c(3001), Weight: 3, Arrive: startNs + 123_456} // team mode ignores both
-					d, err := goldenTeam(cfg, spec, startNs, false)
+					offline := sc.name == "aid-static-offline"
+					d, err := goldenTeam(cfg, spec, startNs, false, offline)
 					add("team", d, err)
-					d, err = goldenTeam(cfg, spec, startNs, true)
+					d, err = goldenTeam(cfg, spec, startNs, true, offline)
 					add("team-observed", d, err)
 					for _, pol := range goldenPolicies {
-						d, err = goldenFleet(cfg, cm.c, pol.p(), startNs)
+						d, err = goldenFleet(cfg, cm.c, pol.p(), startNs, offline)
 						add("fleet-"+pol.name, d, err)
 					}
 				}

@@ -85,15 +85,15 @@ func TestMultiLoopExactCoverageMixedTenants(t *testing.T) {
 			t.Errorf("loop %q barrier never released (End=%d)", specs[li].Name, r.End)
 		}
 	}
-	samples := cfg.Recorder.Record().SFSamples
+	phases := cfg.Recorder.Record().Phases
 	for _, li := range []int{2, 4} {
 		r := results[li]
-		at := slices.IndexFunc(samples, func(s trace.SFSample) bool { return s.Loop == li })
+		at := slices.IndexFunc(phases, func(p trace.PhaseEvent) bool { return p.Loop == li && len(p.SF) > 0 })
 		if at < 0 {
-			t.Errorf("loop %q has no SF sample", specs[li].Name)
+			t.Errorf("loop %q published no SF", specs[li].Name)
 			continue
 		}
-		first := samples[at]
+		first := phases[at]
 		if first.TimeNs >= r.End {
 			t.Errorf("loop %q first SF point at %d, not before End %d", specs[li].Name, first.TimeNs, r.End)
 		}

@@ -60,15 +60,15 @@ type LoopDigest struct {
 	// PhaseKinds lists the kinds in first-occurrence order.
 	PhaseCounts map[string]int
 	PhaseKinds  []string
-	// SFFirst and SFLast are the loop's first and last published SF tables
-	// (nil when the method estimates nothing) — the SF trajectory's
-	// endpoints; SFSamples counts the points between them.
+	// SFFirst and SFLast are the SF tables of the loop's first and last
+	// phases that published one (nil when none did) — the SF trajectory's
+	// endpoints; SFSamples counts its points, endpoints included.
 	SFFirst, SFLast []float64
 	SFSamples       int
 }
 
-// Digest summarizes the record in one pass over its events, phases, SF
-// samples and timeline. The record must be valid (decoded records are).
+// Digest summarizes the record in one pass over its events, phases and
+// timeline. The record must be valid (decoded records are).
 func (r *Record) Digest() Digest {
 	d := Digest{
 		StartNs: r.StartNs,
@@ -131,14 +131,13 @@ func (r *Record) Digest() Digest {
 			ls.PhaseKinds = append(ls.PhaseKinds, p.Kind)
 		}
 		ls.PhaseCounts[p.Kind]++
-	}
-	for _, s := range r.SFSamples {
-		ls := &d.Loops[s.Loop]
-		if ls.SFFirst == nil {
-			ls.SFFirst = s.SF
+		if len(p.SF) > 0 {
+			if ls.SFFirst == nil {
+				ls.SFFirst = p.SF
+			}
+			ls.SFLast = p.SF
+			ls.SFSamples++
 		}
-		ls.SFLast = s.SF
-		ls.SFSamples++
 	}
 	return d
 }

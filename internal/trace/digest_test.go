@@ -11,9 +11,6 @@ import (
 // digestRecord is a valid hand-built record around the given streams.
 func digestRecord(t *testing.T, nthreads int, loops []LoopRecord, evs []ChunkEvent) *Record {
 	t.Helper()
-	for i := range loops {
-		loops[i].Index = i
-	}
 	r := &Record{Version: RecordVersion, Engine: "sim", NThreads: nthreads, Binding: "BS",
 		Platform: PlatformRecord{Clusters: []amp.Cluster{{NumCores: nthreads}}}, Loops: loops, Events: evs}
 	if err := r.Validate(); err != nil {
@@ -34,8 +31,10 @@ func TestDigestTwoLoopsUntimed(t *testing.T) {
 			{TimeNs: 1800, Tid: 2, Loop: 1, Shard: 1, Retire: true},
 		})
 	r.StartNs = 1000 // no makespan: the span is the events' extent
-	r.Phases = []PhaseEvent{{Loop: 0, Kind: "r-initial"}, {Loop: 0, Kind: "r-smoothed"}, {Loop: 0, Kind: "tail-switch"}, {Loop: 0, Kind: "r-smoothed"}}
-	r.SFSamples = []SFSample{{Loop: 0, SF: []float64{1.5, 1}}, {Loop: 0, SF: []float64{1.7, 1}}, {Loop: 0, SF: []float64{1.8, 1}}}
+	// The tail switch publishes no SF table, so the trajectory has three
+	// points.
+	r.Phases = []PhaseEvent{{Loop: 0, Kind: "r-initial", SF: []float64{1.5, 1}}, {Loop: 0, Kind: "r-smoothed", SF: []float64{1.7, 1}},
+		{Loop: 0, Kind: "tail-switch"}, {Loop: 0, Kind: "r-smoothed", SF: []float64{1.8, 1}}}
 
 	d := r.Digest()
 	if d.Timed || d.StartNs != 1000 || d.SpanNs != 900 {
@@ -102,7 +101,7 @@ func TestDigestTimedMatchesTrace(t *testing.T) {
 		t.Errorf("imbalance: digest %v, chart %q, want 50", d.ImbalancePct, got)
 	}
 	if d.Loops[0].SFFirst != nil || d.Loops[0].SFSamples != 0 {
-		t.Errorf("a loop without samples has an SF trajectory: %+v", d.Loops[0])
+		t.Errorf("a loop without phases has an SF trajectory: %+v", d.Loops[0])
 	}
 }
 

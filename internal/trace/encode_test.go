@@ -49,10 +49,10 @@ func wildRecord(rng *rand.Rand) *Record {
 	r.NThreads = 1 + rng.Intn(8)
 	r.Loops = r.Loops[:0]
 	for i := rng.Intn(4); i >= 0; i-- {
-		r.Loops = append(r.Loops, LoopRecord{Index: len(r.Loops), Name: phaseKinds[rng.Intn(len(phaseKinds))],
+		r.Loops = append(r.Loops, LoopRecord{Name: phaseKinds[rng.Intn(len(phaseKinds))],
 			NI: rng.Int63n(1 << 40), Scheduler: "dynamic", Profile: amp.Profile{ILP: rng.Float64()}})
 	}
-	r.Events, r.Phases, r.SFSamples, r.Timeline = nil, nil, nil, nil
+	r.Events, r.Phases, r.Timeline = nil, nil, nil
 	for i := rng.Intn(40); i > 0; i-- {
 		ev := randomEvent(rng)
 		ev.Tid, ev.Loop = int32(rng.Intn(r.NThreads)), int32(rng.Intn(len(r.Loops)))
@@ -64,9 +64,6 @@ func wildRecord(rng *rand.Rand) *Record {
 	for i := rng.Intn(10); i > 0; i-- {
 		r.Phases = append(r.Phases, PhaseEvent{TimeNs: randomInt(rng), Tid: rng.Intn(r.NThreads), Loop: rng.Intn(len(r.Loops)),
 			Epoch: int(randomInt(rng)), Kind: phaseKinds[rng.Intn(len(phaseKinds))], SF: randomSF(rng)})
-	}
-	for i := rng.Intn(10); i > 0; i-- {
-		r.SFSamples = append(r.SFSamples, SFSample{TimeNs: randomInt(rng), Loop: rng.Intn(len(r.Loops)), SF: randomSF(rng)})
 	}
 	for i := rng.Intn(10); i > 0; i-- {
 		r.Timeline = append(r.Timeline, IntervalRecord{Tid: rng.Intn(r.NThreads), StartNs: randomInt(rng), EndNs: randomInt(rng),
@@ -151,7 +148,7 @@ func TestEncodeConcurrent(t *testing.T) {
 }
 
 // TestNonFiniteSFRejected is TestNonFiniteCostRejected for the SF values of
-// phases and SF samples: Validate names the line, and EncodeJSONL writes
+// phases: Validate names the line, and EncodeJSONL writes
 // nothing on either path, although the record is well past the bufio path's
 // 4 KiB buffer (json.Marshal used to fail after the events had gone out). A
 // non-finite value that Validate does not look at, in a loop's cost model,
@@ -163,7 +160,6 @@ func TestNonFiniteSFRejected(t *testing.T) {
 			set  func(*Record)
 		}{
 			{"phase 7 ", func(r *Record) { r.Phases[7].SF[1] = bad }},
-			{"SF sample 9 ", func(r *Record) { r.SFSamples[9].SF[0] = bad }},
 			{"", func(r *Record) { r.Loops[20].Cost = &CostRecord{Kind: "uniform", Base: bad} }},
 		} {
 			r := burstRecord(t)
@@ -185,8 +181,7 @@ func TestNonFiniteSFRejected(t *testing.T) {
 }
 
 // TestPerEventLineDecodeAllocs is the decoder's allocation gate for the other
-// per-event lines: a phase or SF-sample line costs one allocation, its SF
-// slice (a phase kind is allocated once per record), and an interval line
+// per-event lines: a phase line costs one allocation, its SF slice (a phase kind is allocated once per record), and an interval line
 // none, each section's own growth aside.
 func TestPerEventLineDecodeAllocs(t *testing.T) {
 	if raceEnabled {
@@ -194,7 +189,7 @@ func TestPerEventLineDecodeAllocs(t *testing.T) {
 	}
 	const n = 2048
 	bare := sampleRecord()
-	bare.Events, bare.Phases, bare.SFSamples, bare.Timeline = nil, nil, nil, nil
+	bare.Events, bare.Phases, bare.Timeline = nil, nil, nil
 	decode := func(r *Record) float64 {
 		data := encodeBoth(t, r)
 		return testing.AllocsPerRun(20, func() {
@@ -213,15 +208,12 @@ func TestPerEventLineDecodeAllocs(t *testing.T) {
 			r.Phases = append(r.Phases, PhaseEvent{TimeNs: int64(i) * 977, Tid: i % 4, Loop: i % 2, Epoch: i,
 				Kind: phaseKinds[i%3], SF: []float64{1 + float64(i)/3, 1}})
 		}},
-		{"SF sample", 1.01, func(r *Record, i int) {
-			r.SFSamples = append(r.SFSamples, SFSample{TimeNs: int64(i) * 977, Loop: i % 2, SF: []float64{1 + float64(i)/7, 1}})
-		}},
 		{"interval", 0.01, func(r *Record, i int) {
 			r.Timeline = append(r.Timeline, IntervalRecord{Tid: i % 4, StartNs: int64(i) * 977, EndNs: int64(i)*977 + 500, State: State(i % 3)})
 		}},
 	} {
 		r := sampleRecord()
-		r.Events, r.Phases, r.SFSamples, r.Timeline = nil, nil, nil, nil
+		r.Events, r.Phases, r.Timeline = nil, nil, nil
 		for i := 0; i < n; i++ {
 			c.fill(r, i)
 		}
@@ -235,8 +227,8 @@ func TestPerEventLineDecodeAllocs(t *testing.T) {
 
 // burstRecord is a record of the shape of the sim_figures benchmark's
 // recorded burst: 21 loops on two threads, 21 725 chunk events, 393 phase
-// transitions (7 of them without an SF) and 400 SF samples, with the
-// burst's whole-number costs and full-precision SF values.
+// transitions (7 of them without an SF), with the burst's whole-number costs
+// and full-precision SF values.
 func burstRecord(t testing.TB) *Record {
 	t.Helper()
 	rec := NewRecorder()
@@ -275,16 +267,13 @@ func burstRecord(t testing.TB) *Record {
 		}
 		r.Phases = append(r.Phases, p)
 	}
-	for i := 0; i < 400; i++ {
-		r.SFSamples = append(r.SFSamples, SFSample{TimeNs: int64(i) * 114_000, Loop: i % 21, SF: sf()})
-	}
 	return r
 }
 
 // TestEncodeBytes is the byte gate of the encoder: encoding into a fresh
 // bytes.Buffer allocates at most 1.15 times the encoded record, the
 // destination's growth included, on a small record and on a burst-sized one
-// with phase transitions and SF samples.
+// with phase transitions.
 func TestEncodeBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

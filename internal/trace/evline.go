@@ -6,19 +6,18 @@ import (
 	"strconv"
 )
 
-// This file is the codec of the JSONL format's per-event lines, the four
-// line types a record has one of per grant, transition, sample or interval:
+// This file is the codec of the JSONL format's per-event lines, the three
+// line types a record has one of per grant, transition or interval:
 //
 //	{"t":"ev","d":{"seq":0,"time_ns":12,"tid":1,"loop":0,"lo":0,"hi":8,"shard":1,"cost":64,"exec_ns":40,"pool":1}}
 //	{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":"r-initial","sf":[1.508450704225352,1]}}
-//	{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[1.508450704225352,1]}}
 //	{"t":"iv","d":{"tid":0,"start_ns":100,"end_ns":104,"state":1}}
 //
 // They are all but a handful of a record's lines; the run header and the
 // loop descriptors are json.Marshal's (record.go). Each append*Line writes
 // its line without reflection, byte for byte as encoding/json spells the
-// struct (field order, omitempty, its float and string formats, nil as
-// null), and each *LineLen is the length of that line, so that EncodeJSONL
+// struct (field order, omitempty, its float and string formats), and each
+// *LineLen is the length of that line, so that EncodeJSONL
 // can reserve a record's bytes before writing them.
 //
 // Each parse*Line reads back exactly that spelling and nothing else: it
@@ -135,24 +134,6 @@ func phaseLineLen(p *PhaseEvent) int {
 	return n
 }
 
-// appendSFLine appends s's line, newline included, to b. Every SF value must
-// be finite (Record.Validate checks it).
-func appendSFLine(b []byte, s *SFSample) []byte {
-	b = append(b, `{"t":"sf","d":{"time_ns":`...)
-	b = strconv.AppendInt(b, s.TimeNs, 10)
-	b = append(b, `,"loop":`...)
-	b = strconv.AppendInt(b, int64(s.Loop), 10)
-	b = append(b, `,"sf":`...)
-	b = appendJSONFloats(b, s.SF)
-	return append(b, "}}\n"...)
-}
-
-// sfLineLen is len(appendSFLine(nil, s)).
-func sfLineLen(s *SFSample) int {
-	return len(`{"t":"sf","d":{"time_ns":,"loop":,"sf":}}`+"\n") +
-		intLen(s.TimeNs) + intLen(int64(s.Loop)) + floatsLen(s.SF)
-}
-
 // appendIntervalLine appends iv's line, newline included, to b.
 func appendIntervalLine(b []byte, iv *IntervalRecord) []byte {
 	b = append(b, `{"t":"iv","d":{"tid":`...)
@@ -199,12 +180,9 @@ func whole(f float64) (int64, bool) {
 	return i, float64(i) == f && -1e15 < i && i < 1e15 && (i != 0 || !math.Signbit(f))
 }
 
-// appendJSONFloats appends fs as encoding/json formats a []float64: null when
-// it is nil, else its finite values between brackets.
+// appendJSONFloats appends a non-empty fs as encoding/json formats a
+// []float64: its finite values between brackets.
 func appendJSONFloats(b []byte, fs []float64) []byte {
-	if fs == nil {
-		return append(b, "null"...)
-	}
 	b = append(b, '[')
 	for i, f := range fs {
 		if i > 0 {
@@ -269,10 +247,7 @@ func floatLen(f float64) int {
 
 // floatsLen is len(appendJSONFloats(nil, fs)).
 func floatsLen(fs []float64) int {
-	if fs == nil {
-		return len("null")
-	}
-	n := len("[]") + max(len(fs)-1, 0)
+	n := len("[]") + len(fs) - 1
 	for _, f := range fs {
 		n += floatLen(f)
 	}
@@ -474,19 +449,6 @@ func parsePhaseLine(line []byte, p *PhaseEvent, kinds map[string]string) bool {
 		kinds[p.Kind] = p.Kind
 	}
 	return true
-}
-
-// parseSFLine is parseEventLine for an SF-sample line whose SF array has
-// values.
-func parseSFLine(line []byte, s *SFSample) bool {
-	t := eventText{b: line, ok: true}
-	if !t.lit(`{"t":"sf","d":{`) {
-		return false
-	}
-	s.TimeNs = t.required(`"time_ns":`, 64)
-	s.Loop = int(t.required(`,"loop":`, strconv.IntSize))
-	s.SF = t.floats(`,"sf":`)
-	return t.lit("}}") && len(t.b) == 0 && t.ok
 }
 
 // parseIntervalLine is parseEventLine for a timeline-interval line.

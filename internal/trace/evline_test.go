@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -61,9 +62,6 @@ func encodeJSONLRef(w io.Writer, r *Record) error {
 	for i := 0; err == nil && i < len(r.Phases); i++ {
 		err = writeLineRef(bw, linePhase, &r.Phases[i])
 	}
-	for i := 0; err == nil && i < len(r.SFSamples); i++ {
-		err = writeLineRef(bw, lineSF, &r.SFSamples[i])
-	}
 	for i := 0; err == nil && i < len(r.Timeline); i++ {
 		err = writeLineRef(bw, lineInterval, &r.Timeline[i])
 	}
@@ -75,7 +73,8 @@ func encodeJSONLRef(w io.Writer, r *Record) error {
 
 // decodeJSONLRef is the reference decoder: DecodeJSONL as it was when every
 // line, envelope and payload, went through encoding/json, with the rule on
-// the run header's event count.
+// the run header's event count, and with an "sf" line read into the struct
+// earlier builds wrote it from and dropped.
 func decodeJSONLRef(rd io.Reader) (*Record, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
@@ -121,9 +120,12 @@ func decodeJSONLRef(rd io.Reader) (*Record, error) {
 			err = json.Unmarshal(env.D, &p)
 			rec.Phases = append(rec.Phases, p)
 		case lineSF:
-			var s SFSample
+			var s struct {
+				TimeNs int64     `json:"time_ns"`
+				Loop   int       `json:"loop"`
+				SF     []float64 `json:"sf"`
+			}
 			err = json.Unmarshal(env.D, &s)
-			rec.SFSamples = append(rec.SFSamples, s)
 		case lineInterval:
 			var iv IntervalRecord
 			err = json.Unmarshal(env.D, &iv)
@@ -464,10 +466,11 @@ var envelopeCases = []string{
 	`{"t":"iv","d":{"tid":"0"}}`,
 	`{"t":"iv","d":7}`,
 	`{"t":"iv","d":{"tid":0}}}`,
-	`{"t":"sf","d":{"loop":2}}`,
 	`{"t":"wat","d":{}}`,
 	`{"t":"","d":{}}`,
 	`{"t":"run","d":{"version":1,"engine":"sim","nthreads":1,"binding":"BS"}}`,
+	// accepted: an "sf" line is read and dropped, whichever loop it names
+	`{"t":"sf","d":{"loop":2}}`,
 }
 
 // TestEnvelopeDecodesLikeJSON is TestEventLineDecodesLikeJSON for the lines
@@ -483,8 +486,8 @@ func TestEnvelopeDecodesLikeJSON(t *testing.T) {
 			accepted++
 		}
 	}
-	if accepted != 13 {
-		t.Errorf("%d of the cases were accepted, want 13: the table no longer tests what it says", accepted)
+	if accepted != 14 {
+		t.Errorf("%d of the cases were accepted, want 14: the table no longer tests what it says", accepted)
 	}
 	rec, err := DecodeJSONL(strings.NewReader(headerLines(t) + envelopeCases[10] + "\n"))
 	if err != nil || len(rec.Loops) != 2 || len(rec.Events) != 1 || rec.Events[0] != (ChunkEvent{Hi: 1}) {
@@ -558,8 +561,8 @@ func checkLineCodec[T any](t *testing.T, tag string, v *T, line []byte, n int, e
 	}
 }
 
-// TestPerEventLinesMatchJSON is TestEventLineMatchesJSON for phase, SF-sample
-// and interval lines: for randomized values each writer's bytes are
+// TestPerEventLinesMatchJSON is TestEventLineMatchesJSON for phase and
+// interval lines: for randomized values each writer's bytes are
 // json.Marshal's and its length function counts them; the in-place reader
 // takes every line whose kind is plain and whose SF array has values, and
 // reads it to what json.Unmarshal reads.
@@ -572,8 +575,6 @@ func TestPerEventLinesMatchJSON(t *testing.T) {
 			Epoch: int(randomInt(rng)), Kind: phaseKinds[rng.Intn(len(phaseKinds))], SF: randomSF(rng)}
 		checkLineCodec(t, linePhase, &p, appendPhaseLine(nil, &p), phaseLineLen(&p), isPlain(p.Kind),
 			parsePhase, isPlain(p.Kind) && len(p.SF) > 0)
-		s := SFSample{TimeNs: randomInt(rng), Loop: int(randomInt(rng)), SF: randomSF(rng)}
-		checkLineCodec(t, lineSF, &s, appendSFLine(nil, &s), sfLineLen(&s), true, parseSFLine, len(s.SF) > 0)
 		iv := IntervalRecord{Tid: int(randomInt(rng)), StartNs: randomInt(rng), EndNs: randomInt(rng), State: State(randomInt(rng))}
 		checkLineCodec(t, lineInterval, &iv, appendIntervalLine(nil, &iv), intervalLineLen(&iv), true, parseIntervalLine, true)
 	}
@@ -582,21 +583,22 @@ func TestPerEventLinesMatchJSON(t *testing.T) {
 	}
 }
 
-// inPlaceLines are phase, SF-sample and interval lines spelled as the encoder
-// spells them: the in-place readers take them.
+// inPlaceLines are phase and interval lines spelled as the encoder spells
+// them: the in-place readers take them.
 var inPlaceLines = []string{
 	`{"t":"phase","d":{"time_ns":300,"tid":3,"loop":0,"epoch":1,"kind":"r-initial","sf":[2.5,1]}}`,
 	`{"t":"phase","d":{"time_ns":-5,"tid":0,"loop":1,"epoch":0,"kind":"","sf":[1.508450704225352,1.0158730158730158,0]}}`,
-	`{"t":"sf","d":{"time_ns":300,"loop":1,"sf":[1e-7,1e+21,5e-324,-0]}}`,
-	`{"t":"sf","d":{"time_ns":0,"loop":0,"sf":[100000000000000,1000000000000000,0.000001]}}`,
+	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":1,"epoch":2,"kind":"r-smoothed","sf":[1e-7,1e+21,5e-324,-0]}}`,
+	`{"t":"phase","d":{"time_ns":0,"tid":0,"loop":0,"epoch":3,"kind":"r-smoothed","sf":[100000000000000,1000000000000000,0.000001]}}`,
 	`{"t":"iv","d":{"tid":0,"start_ns":100,"end_ns":104,"state":1}}`,
 	`{"t":"iv","d":{"tid":3,"start_ns":-9223372036854775808,"end_ns":9223372036854775807,"state":-1}}`,
 }
 
-// fallThroughLines are phase, SF-sample and interval lines that the in-place
-// readers refuse, each spelled a way the encoder would not (or, for an SF
-// array that is absent, null or empty, a way that leaves nil and empty to
-// encoding/json): encoding/json decides them, and the decoder must agree.
+// fallThroughLines are phase and interval lines that the in-place readers
+// refuse, each spelled a way the encoder would not (or, for an SF array that
+// is absent, null or empty, a way that leaves nil and empty to
+// encoding/json), and "sf" lines, which no build writes any more:
+// encoding/json decides them, and the decoder must agree.
 var fallThroughLines = []string{
 	// kinds json.Marshal escapes, escaped and raw
 	`{"t":"phase","d":{"time_ns":1,"tid":0,"loop":0,"epoch":1,"kind":"\u003c\u003e\u0026","sf":[1]}}`,
@@ -610,31 +612,33 @@ var fallThroughLines = []string{
 	`{"t":"phase","d":{"time_ns":800,"tid":1,"loop":0,"epoch":2,"kind":"tail-switch"}}`,
 	`{"t":"phase","d":{"time_ns":800,"tid":1,"loop":0,"epoch":2,"kind":"tail-switch","sf":[]}}`,
 	`{"t":"phase","d":{"time_ns":800,"tid":1,"loop":0,"epoch":2,"kind":"tail-switch","sf":null}}`,
-	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":null}}`,
-	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[]}}`,
-	`{"t":"sf","d":{"time_ns":300,"loop":0}}`,
 	// numbers json.Marshal spells otherwise: exponent forms, trailing zeros,
 	// -0 in an integer field
-	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[2.5e0,1]}}`,
-	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[1E5]}}`,
-	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[1e21]}}`,
-	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[0.0000001]}}`,
-	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[2.50,1.0]}}`,
-	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[1e999]}}`,
+	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":"r-initial","sf":[2.5e0,1]}}`,
+	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":"r-initial","sf":[1E5]}}`,
+	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":"r-initial","sf":[1e21]}}`,
+	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":"r-initial","sf":[0.0000001]}}`,
+	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":"r-initial","sf":[2.50,1.0]}}`,
+	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":"r-initial","sf":[1e999]}}`,
 	`{"t":"iv","d":{"tid":-0,"start_ns":100,"end_ns":104,"state":1}}`,
 	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1.0,"kind":"r-initial","sf":[2.5,1]}}`,
 	// reordered keys, inserted spaces, a key repeated
-	`{"t":"sf","d":{"loop":1,"time_ns":300,"sf":[1]}}`,
+	`{"t":"phase","d":{"tid":1,"time_ns":300,"loop":0,"epoch":1,"kind":"r-initial","sf":[1]}}`,
 	`{"t":"iv","d":{"tid":0, "start_ns":100,"end_ns":104,"state":1}}`,
 	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":"r-initial","sf":[2.5, 1]}}`,
 	`{"t":"iv","d":{"tid":0,"start_ns":100,"end_ns":104,"state":1,"state":2}}`,
 	// not JSON, or not a value of the type
-	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[NaN]}}`,
-	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[1,]}}`,
-	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[1}}`,
+	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":"r-initial","sf":[NaN]}}`,
+	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":"r-initial","sf":[1,]}}`,
+	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":"r-initial","sf":[1}}`,
 	`{"t":"iv","d":{"tid":0,"start_ns":100,"end_ns":104,"state":1.5}}`,
 	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":"r-initial","sf":[2.5,1]}} `,
 	`{"t":"phase","d":{"time_ns":300,"tid":1,"loop":0,"epoch":1,"kind":r-initial,"sf":[2.5,1]}}`,
+	// "sf" lines as earlier builds wrote them, read and dropped, and one
+	// that encoding/json refuses
+	`{"t":"sf","d":{"time_ns":300,"loop":1,"sf":[1e-7,1e+21,5e-324,-0]}}`,
+	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":null}}`,
+	`{"t":"sf","d":{"time_ns":300,"loop":0,"sf":[1e999]}}`,
 }
 
 // TestPerEventLinesDecodeLikeJSON feeds every case, after a run header and
@@ -659,8 +663,8 @@ func TestPerEventLinesDecodeLikeJSON(t *testing.T) {
 			accepted++
 		}
 	}
-	if accepted != 24 {
-		t.Errorf("%d of the fall-through cases were accepted, want 24: the table no longer tests what it says", accepted)
+	if accepted != 23 {
+		t.Errorf("%d of the fall-through cases were accepted, want 23: the table no longer tests what it says", accepted)
 	}
 }
 
@@ -669,7 +673,7 @@ func TestPerEventLinesDecodeLikeJSON(t *testing.T) {
 func headerLines(t testing.TB) string {
 	t.Helper()
 	r := sampleRecord()
-	r.Loops, r.Events, r.Phases, r.SFSamples, r.Timeline = r.Loops[:2], nil, nil, nil, nil
+	r.Loops, r.Events, r.Phases, r.Timeline = r.Loops[:2], nil, nil, nil
 	return string(encodeBoth(t, r))
 }
 
@@ -704,8 +708,8 @@ func checkAgainstReference(t testing.TB, data string) *Record {
 // FuzzDecodeJSONL: the decoder never panics; it accepts exactly the streams
 // the encoding/json path accepted and decodes them to the same record; a line
 // an in-place reader accepts is the line its writer writes for what it read;
-// and the events, SF samples and timeline of a record the decoder produced
-// survive their re-encoding. (The header, loop and phase lines do not always,
+// and the events and timeline of a record the decoder produced survive their
+// re-encoding. (The header, loop and phase lines do not always,
 // on either path: an explicit "migrations":[] comes back nil, and so does a
 // phase's "sf":[], which the encoder leaves out.)
 func FuzzDecodeJSONL(f *testing.F) {
@@ -726,6 +730,11 @@ func FuzzDecodeJSONL(f *testing.F) {
 		f.Add([]byte(head + line + "\n"))
 	}
 	f.Add(encodeBoth(f, wildRecord(rand.New(rand.NewSource(1)))))
+	legacy, err := os.ReadFile("testdata/legacy_v1.jsonl") // "sf" lines and "index" keys
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := bufio.NewScanner(bytes.NewReader(data))
 		sc.Buffer(nil, 1<<24)
@@ -749,9 +758,8 @@ func FuzzDecodeJSONL(f *testing.F) {
 		if !reflect.DeepEqual(back.Events, rec.Events) {
 			t.Fatalf("re-encoding changed the events:\n got %+v\nwant %+v", back.Events, rec.Events)
 		}
-		if !reflect.DeepEqual(back.SFSamples, rec.SFSamples) || !reflect.DeepEqual(back.Timeline, rec.Timeline) {
-			t.Fatalf("re-encoding changed the SF samples or the timeline:\n got %+v %+v\nwant %+v %+v",
-				back.SFSamples, back.Timeline, rec.SFSamples, rec.Timeline)
+		if !reflect.DeepEqual(back.Timeline, rec.Timeline) {
+			t.Fatalf("re-encoding changed the timeline:\n got %+v\nwant %+v", back.Timeline, rec.Timeline)
 		}
 	})
 }
@@ -761,15 +769,12 @@ func FuzzDecodeJSONL(f *testing.F) {
 func rewriteInPlace(line []byte) ([]byte, bool) {
 	var ev ChunkEvent
 	var p PhaseEvent
-	var s SFSample
 	var iv IntervalRecord
 	switch {
 	case parseEventLine(line, &ev):
 		return appendEventLine(nil, &ev), true
 	case parsePhaseLine(line, &p, map[string]string{}):
 		return appendPhaseLine(nil, &p), true
-	case parseSFLine(line, &s):
-		return appendSFLine(nil, &s), true
 	case parseIntervalLine(line, &iv):
 		return appendIntervalLine(nil, &iv), true
 	}
@@ -807,7 +812,7 @@ func TestEventCodecAllocs(t *testing.T) {
 	}
 	const n = 4096
 	r := sampleRecord()
-	r.Phases, r.SFSamples, r.Timeline = nil, nil, nil
+	r.Phases, r.Timeline = nil, nil
 	r.Events = r.Events[:0]
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < n; i++ {

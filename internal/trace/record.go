@@ -24,8 +24,9 @@ const RecordVersion = 1
 // needs to re-execute the run deterministically in virtual time: the
 // platform model, the loop descriptors (workload + cost profile), every
 // chunk grant with its runtime-cost metadata, the AID schedulers' phase
-// transitions, the SF-estimate trajectory, and (when a timed Recorder
-// captured it) the per-thread timeline.
+// transitions, whose published SF tables are the run's SF-estimate
+// trajectory, and (when a timed Recorder captured it) the per-thread
+// timeline.
 //
 // Records round-trip losslessly through EncodeJSONL/DecodeJSONL:
 // DecodeJSONL(EncodeJSONL(r)) is reflect.DeepEqual to r.
@@ -58,11 +59,10 @@ type Record struct {
 	Loops []LoopRecord `json:"-"`
 	// Events is the chronological stream of chunk grants and retirements.
 	Events []ChunkEvent `json:"-"`
-	// Phases is the stream of AID scheduler transitions.
+	// Phases is the stream of AID scheduler transitions. Those that carry
+	// an SF table are the loops' SF-estimate trajectories, and a record
+	// holds them nowhere else.
 	Phases []PhaseEvent `json:"-"`
-	// SFSamples is the SF-estimate trajectory (one sample per transition
-	// that published an estimate, plus the final estimate per loop).
-	SFSamples []SFSample `json:"-"`
 	// Timeline is the per-thread interval timeline (nil when not captured);
 	// a Recorder lays it out thread by thread, each in time order.
 	Timeline []IntervalRecord `json:"-"`
@@ -96,11 +96,9 @@ type MigrationRecord struct {
 	ToCPU int   `json:"to_cpu"`
 }
 
-// LoopRecord describes one loop of the recorded run.
+// LoopRecord describes one loop of the recorded run; its position in
+// Record.Loops is the value ChunkEvent.Loop carries.
 type LoopRecord struct {
-	// Index is the loop's position in Record.Loops (and the value
-	// ChunkEvent.Loop carries).
-	Index int `json:"index"`
 	// Name is the loop's report name (e.g. "ep-main").
 	Name string `json:"name"`
 	// NI is the trip count.
@@ -206,13 +204,6 @@ type PhaseEvent struct {
 	SF     []float64 `json:"sf,omitempty"`
 }
 
-// SFSample is one point of a loop's SF-estimate trajectory.
-type SFSample struct {
-	TimeNs int64     `json:"time_ns"`
-	Loop   int       `json:"loop"`
-	SF     []float64 `json:"sf"`
-}
-
 // IntervalRecord is one serialized timeline interval.
 type IntervalRecord struct {
 	Tid     int   `json:"tid"`
@@ -249,9 +240,6 @@ func (r *Record) Validate() error {
 		return fmt.Errorf("trace: record: %w", err)
 	}
 	for i, l := range r.Loops {
-		if l.Index != i {
-			return fmt.Errorf("trace: loop %d carries index %d", i, l.Index)
-		}
 		if l.NI < 0 {
 			return fmt.Errorf("trace: loop %d has negative trip count %d", i, l.NI)
 		}
@@ -282,14 +270,6 @@ func (r *Record) Validate() error {
 		}
 		if !allFinite(p.SF) {
 			return fmt.Errorf("trace: phase %d has non-finite SF %v", i, p.SF)
-		}
-	}
-	for i, s := range r.SFSamples {
-		if s.Loop < 0 || s.Loop >= len(r.Loops) {
-			return fmt.Errorf("trace: SF sample %d references loop %d of %d", i, s.Loop, len(r.Loops))
-		}
-		if !allFinite(s.SF) {
-			return fmt.Errorf("trace: SF sample %d has non-finite SF %v", i, s.SF)
 		}
 	}
 	for i, iv := range r.Timeline {
@@ -323,8 +303,11 @@ const (
 	lineLoop     = "loop"
 	lineEvent    = "ev"
 	linePhase    = "phase"
-	lineSF       = "sf"
 	lineInterval = "iv"
+	// lineSF is a line earlier builds wrote per SF table, repeating each
+	// SF-bearing phase's and, at each barrier release, the loop's last one.
+	// DecodeJSONL reads it as encoding/json read it and keeps nothing of it.
+	lineSF = "sf"
 )
 
 // runHeader is the payload of the "run" line: the record's header fields and,
@@ -345,7 +328,7 @@ const maxEventReservation = 1 << 16
 // EncodeJSONL writes the record as JSON Lines: a "run" header line (version,
 // engine, platform, fleet shape, makespan and, unless there are none, the
 // number of chunk events) followed by one line per loop descriptor, chunk
-// event, phase transition, SF sample and timeline interval, in that order.
+// event, phase transition and timeline interval, in that order.
 // The encoding is deterministic: encoding the same record twice yields
 // byte-identical output (the property cmd/aidtrace's
 // TestReplayDeterminism checks end to end). A record that fails Validate,
@@ -460,12 +443,6 @@ func (e *encoder) lines(r *Record) error {
 			return err
 		}
 	}
-	for i := range r.SFSamples {
-		e.b = appendSFLine(e.b, &r.SFSamples[i])
-		if err := e.line(); err != nil {
-			return err
-		}
-	}
 	for i := range r.Timeline {
 		e.b = appendIntervalLine(e.b, &r.Timeline[i])
 		if err := e.line(); err != nil {
@@ -519,9 +496,6 @@ func (r *Record) bodyLen() int {
 	for i := range r.Phases {
 		n += phaseLineLen(&r.Phases[i])
 	}
-	for i := range r.SFSamples {
-		n += sfLineLen(&r.SFSamples[i])
-	}
 	for i := range r.Timeline {
 		n += intervalLineLen(&r.Timeline[i])
 	}
@@ -563,13 +537,14 @@ func appendJSON[T any](s []T, payload []byte) ([]T, error) {
 // at most 1<<16 before the event lines back the count, and fails, naming
 // both numbers, on a stream that holds a different number: a record cut
 // short is an error, not a shorter run. A header without a count (as older
-// builds wrote it) is read as before.
+// builds wrote it) is read as before, and so is an "sf" line (lineSF), which
+// is then dropped: the phases carry the same tables.
 //
 // It accepts a stream exactly when encoding/json accepts every line of it,
 // and reads what encoding/json reads, because apart from one shortcut it is
 // encoding/json: a line spelled byte for byte as EncodeJSONL spells it is
-// read in place (a chunk event, phase transition, SF sample or timeline
-// interval by its parse*Line in evline.go, the envelope of the header and
+// read in place (a chunk event, phase transition or timeline interval by its
+// parse*Line in evline.go, the envelope of the header and
 // loop lines by splitEnvelope, their payloads by json.Unmarshal), and any
 // other line goes whole through json.Unmarshal, envelope first. Which of the
 // two a line takes is decided by its bytes alone, and both give the same
@@ -612,7 +587,12 @@ func DecodeJSONL(rd io.Reader) (*Record, error) {
 		case linePhase:
 			rec.Phases, err = appendJSON(rec.Phases, payload)
 		case lineSF:
-			rec.SFSamples, err = appendJSON(rec.SFSamples, payload)
+			var old struct {
+				TimeNs int64     `json:"time_ns"`
+				Loop   int       `json:"loop"`
+				SF     []float64 `json:"sf"`
+			}
+			err = json.Unmarshal(payload, &old)
 		case lineInterval:
 			rec.Timeline, err = appendJSON(rec.Timeline, payload)
 		default:
@@ -631,11 +611,6 @@ func DecodeJSONL(rd io.Reader) (*Record, error) {
 		var p PhaseEvent
 		if parsePhaseLine(raw, &p, kinds) {
 			rec.Phases = append(rec.Phases, p)
-			return true
-		}
-		var s SFSample
-		if parseSFLine(raw, &s) {
-			rec.SFSamples = append(rec.SFSamples, s)
 			return true
 		}
 		var iv IntervalRecord

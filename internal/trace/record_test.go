@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -48,10 +51,10 @@ func sampleRecord() *Record {
 		MakespanNs: 4200,
 		Migrations: []MigrationRecord{{AtNs: 900, Tid: 2, ToCPU: 1}},
 		Loops: []LoopRecord{
-			{Index: 0, Name: "ep-main", NI: 128, Weight: 2, Scheduler: "aid-dynamic",
+			{Name: "ep-main", NI: 128, Weight: 2, Scheduler: "aid-dynamic",
 				Schedule: "aid-dynamic,1,5", Profile: amp.Profile{ILP: 0.25, MemIntensity: 0.05, FootprintMB: 0.1},
 				Cost: &CostRecord{Kind: "block", Base: 120000, Amp: 0.35, BlockLen: 256, Seed: 0xE9}},
-			{Index: 1, Name: "is-l0", NI: 64, Weight: 1, ArriveNs: 108, Scheduler: "dynamic", Schedule: "dynamic,4",
+			{Name: "is-l0", NI: 64, Weight: 1, ArriveNs: 108, Scheduler: "dynamic", Schedule: "dynamic,4",
 				Profile: amp.Profile{ILP: 0.3, MemIntensity: 0.55, FootprintMB: 0.1},
 				Cost:    &CostRecord{Kind: "uniform", Base: 230}},
 		},
@@ -63,10 +66,7 @@ func sampleRecord() *Record {
 		Phases: []PhaseEvent{
 			{TimeNs: 300, Tid: 3, Loop: 0, Epoch: 1, Kind: "r-initial", SF: []float64{2.5, 1}},
 			{TimeNs: 800, Tid: 1, Loop: 0, Epoch: 2, Kind: "tail-switch"},
-		},
-		SFSamples: []SFSample{
-			{TimeNs: 300, Loop: 0, SF: []float64{2.5, 1}},
-			{TimeNs: 4200, Loop: 0, SF: []float64{2.4375, 1}},
+			{TimeNs: 850, Tid: 0, Loop: 0, Epoch: 3, Kind: "r-smoothed", SF: []float64{2.4375, 1}},
 		},
 		Timeline: []IntervalRecord{
 			{Tid: 0, StartNs: 100, EndNs: 104, State: Sched},
@@ -92,6 +92,60 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestLegacyStreamReads: testdata/legacy_v1.jsonl is a record that an
+// earlier build wrote (two simulated AID loops on a 1+1-core Platform A),
+// with an "index" key on each loop line and an "sf" line per published SF
+// table and per barrier release. It still decodes; the "sf" lines held no
+// table the phases lack (each loop's first and last "sf" tables are its
+// digest's SFFirst and SFLast); and its re-encoding is the file without the
+// "sf" lines and "index" keys, byte for byte.
+func TestLegacyStreamReads(t *testing.T) {
+	data, err := os.ReadFile("testdata/legacy_v1.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := DecodeJSONL(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("DecodeJSONL: %v", err)
+	}
+	first, last := map[int][]float64{}, map[int][]float64{}
+	var want []byte
+	index := regexp.MustCompile(`"index":[0-9]+,`)
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte(`{"t":"sf",`)) {
+			want = append(want, index.ReplaceAll(line, nil)...)
+			continue
+		}
+		var env jsonlLine
+		var s struct {
+			Loop int       `json:"loop"`
+			SF   []float64 `json:"sf"`
+		}
+		if err := json.Unmarshal(line, &env); err != nil || json.Unmarshal(env.D, &s) != nil {
+			t.Fatalf("the fixture's line %s does not read", line)
+		}
+		if first[s.Loop] == nil {
+			first[s.Loop] = s.SF
+		}
+		last[s.Loop] = s.SF
+	}
+	if len(last) != 2 || !index.Match(data) {
+		t.Fatalf("the fixture has \"sf\" lines for %d loops (want 2) and \"index\" keys: %v", len(last), index.Match(data))
+	}
+	for li, l := range rec.Digest().Loops {
+		if !slices.Equal(l.SFFirst, first[li]) || !slices.Equal(l.SFLast, last[li]) {
+			t.Errorf("loop %d: digest SF %v .. %v, the \"sf\" lines %v .. %v", li, l.SFFirst, l.SFLast, first[li], last[li])
+		}
+	}
+	var buf bytes.Buffer
+	if err := EncodeJSONL(&buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Errorf("re-encoded:\n%s\nwant the fixture without \"sf\" lines and \"index\" keys:\n%s", got, want)
 	}
 }
 
@@ -127,7 +181,6 @@ func randomRecord(rng *rand.Rand) *Record {
 	}
 	for li := 0; li < nLoops; li++ {
 		l := LoopRecord{
-			Index:     li,
 			Name:      fmt.Sprintf("loop-%d", li),
 			NI:        rng.Int63n(1 << 20),
 			Weight:    rng.Intn(4),
@@ -178,10 +231,6 @@ func randomRecord(rng *rand.Rand) *Record {
 			p.SF = []float64{1 + rng.Float64()*7, 1}
 		}
 		r.Phases = append(r.Phases, p)
-	}
-	for i := rng.Intn(5); i > 0; i-- {
-		r.SFSamples = append(r.SFSamples, SFSample{TimeNs: rng.Int63n(1 << 40),
-			Loop: rng.Intn(nLoops), SF: []float64{1 + rng.Float64()*7}})
 	}
 	if rng.Intn(2) == 0 {
 		start := int64(0)
@@ -496,7 +545,7 @@ func TestRecorderTapes(t *testing.T) {
 	rec.AddTapes(LoopRecord{Name: "b", NI: 6}, b, 3)
 	rec.EndRun(80)
 	got := rec.Record()
-	if len(got.Loops) != 2 || got.Loops[0].Index != 0 || got.Loops[1].Index != 1 || got.Loops[1].Name != "b" {
+	if len(got.Loops) != 2 || got.Loops[0].Name != "a" || got.Loops[1].Name != "b" {
 		t.Fatalf("loops %+v", got.Loops)
 	}
 	inLoop := func(loop int32, evs ...ChunkEvent) []ChunkEvent {
@@ -521,10 +570,6 @@ func TestRecorderTapes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Phases, wantPhases) {
 		t.Errorf("merged phases %+v, want %+v", got.Phases, wantPhases)
-	}
-	wantSamples := []SFSample{{TimeNs: 20, SF: []float64{2, 1}}, {TimeNs: 65, Loop: 1, SF: []float64{3, 1}}}
-	if !reflect.DeepEqual(got.SFSamples, wantSamples) {
-		t.Errorf("SF samples %+v, want %+v", got.SFSamples, wantSamples)
 	}
 	if got.Timeline != nil {
 		t.Errorf("an untimed recorder laid out a timeline: %+v", got.Timeline)
@@ -607,20 +652,31 @@ func TestRecorderSingleRun(t *testing.T) {
 	}
 }
 
-func TestRecorderPhaseDerivesSFSample(t *testing.T) {
+// TestRecorderPhaseCarriesSF: a phase is recorded as given, and the loop's
+// SF trajectory is its SF-bearing phases: one point for one published table.
+func TestRecorderPhaseCarriesSF(t *testing.T) {
 	rec := NewRecorder()
 	if err := rec.BeginRun(RunMeta{Engine: "rt", Platform: PlatformRecordOf(amp.PlatformA()), NThreads: 2, Binding: "BS"}); err != nil {
 		t.Fatalf("BeginRun: %v", err)
 	}
+	rec.AddLoop(LoopRecord{Name: "other", NI: 1})
 	li := rec.AddLoop(LoopRecord{Name: "l", NI: 8, Scheduler: "aid-static"})
-	rec.Phase(PhaseEvent{TimeNs: 20, Tid: 1, Loop: li, Epoch: 1, Kind: "sf-published", SF: []float64{2, 1}})
-	rec.Phase(PhaseEvent{TimeNs: 30, Tid: 0, Loop: li, Epoch: 2, Kind: "tail-switch"})
-	r := rec.Record()
-	if len(r.Phases) != 2 {
-		t.Fatalf("recorded %d phases, want 2", len(r.Phases))
+	if li != 1 {
+		t.Fatalf("AddLoop returned %d for the second loop", li)
 	}
-	if len(r.SFSamples) != 1 || r.SFSamples[0].TimeNs != 20 || r.SFSamples[0].Loop != li {
-		t.Errorf("SF-bearing phase did not derive exactly one sample: %+v", r.SFSamples)
+	want := []PhaseEvent{
+		{TimeNs: 20, Tid: 1, Loop: li, Epoch: 1, Kind: "sf-published", SF: []float64{2, 1}},
+		{TimeNs: 30, Tid: 0, Loop: li, Epoch: 2, Kind: "tail-switch"},
+	}
+	for _, p := range want {
+		rec.Phase(p)
+	}
+	r := rec.Record()
+	if !reflect.DeepEqual(r.Phases, want) {
+		t.Fatalf("recorded phases %+v, want %+v", r.Phases, want)
+	}
+	if l := r.Digest().Loops[li]; l.SFSamples != 1 || !slices.Equal(l.SFFirst, want[0].SF) || !slices.Equal(l.SFLast, want[0].SF) {
+		t.Errorf("SF trajectory %v .. %v in %d points, want the one published table", l.SFFirst, l.SFLast, l.SFSamples)
 	}
 }
 
@@ -629,7 +685,6 @@ func TestValidateRejectsOutOfRangeReferences(t *testing.T) {
 		"timeline tid":   func(r *Record) { r.Timeline[0].Tid = r.NThreads },
 		"phase tid":      func(r *Record) { r.Phases[0].Tid = -1 },
 		"phase loop":     func(r *Record) { r.Phases[0].Loop = len(r.Loops) },
-		"sf sample loop": func(r *Record) { r.SFSamples[0].Loop = 99 },
 		"loop arrival":   func(r *Record) { r.Loops[1].ArriveNs = -1 },
 		"threads":        func(r *Record) { r.NThreads = 1 << 20 },
 	}

@@ -7,8 +7,7 @@ import (
 
 // Recorder accumulates a Record during one run. It is single-writer, and
 // the engines fill it in one of two ways. The discrete-event simulator
-// streams into it from its event loop, through Chunk, Phase, SFSample and
-// Add. The real-goroutine runtime's workers write their loop's Tapes, which
+// streams into it from its event loop, through Chunk, Phase and Add. The real-goroutine runtime's workers write their loop's Tapes, which
 // the registry hands over once the loop's barrier has released (AddTapes),
 // so the lock-free loop hot path never touches a Recorder; the Recorder
 // orders, merges, compacts and trims them.
@@ -182,9 +181,8 @@ func (r *Recorder) BeginRun(meta RunMeta) error {
 // AddLoop registers a loop descriptor and returns its index (the value
 // chunk events must carry in their Loop field).
 func (r *Recorder) AddLoop(l LoopRecord) int {
-	l.Index = len(r.rec.Loops)
 	r.rec.Loops = append(r.rec.Loops, l)
-	return l.Index
+	return len(r.rec.Loops) - 1
 }
 
 // SetLoopSchedule attaches the re-parseable schedule text to a registered
@@ -228,19 +226,11 @@ func (r *Recorder) unexpect(n int) {
 	r.expect = nil
 }
 
-// Phase appends one scheduler transition.
+// Phase appends one scheduler transition. A transition that publishes an
+// SF table is a point of its loop's SF trajectory, the only one the record
+// keeps.
 func (r *Recorder) Phase(p PhaseEvent) {
 	r.rec.Phases = append(r.rec.Phases, p)
-	if p.SF != nil {
-		r.rec.SFSamples = append(r.rec.SFSamples, SFSample{TimeNs: p.TimeNs, Loop: p.Loop, SF: p.SF})
-	}
-}
-
-// SFSample appends one SF-trajectory point (the simulator adds the final
-// estimate of each loop at barrier release; transition-published estimates
-// are added by Phase automatically).
-func (r *Recorder) SFSample(s SFSample) {
-	r.rec.SFSamples = append(r.rec.SFSamples, s)
 }
 
 // Add appends an interval to thread tid's timeline, implementing

@@ -72,8 +72,8 @@ type taken struct {
 // hold of it (0 keeps all, uncompacted). EndRun merges the loops taken: each
 // loop's events are reduced to its budget (CompactEvents, then
 // TrimToBudget), then all are put in EventOrder and numbered; their phases
-// are put in time order, a worker's own order breaking ties, and go through
-// Phase. A timed recorder takes one loop's tapes at most, and lays out their
+// are put in time order, a worker's own order breaking ties, and appended
+// as Phase appends them. A timed recorder takes one loop's tapes at most, and lays out their
 // intervals as its timeline, in place of any given to Add. The recorder
 // never writes a tape. A recorder takes tapes or is handed events through
 // Chunk, not both.
@@ -136,9 +136,7 @@ func (r *Recorder) merge() {
 		}
 		return cmp.Compare(a.Tid, b.Tid)
 	})
-	for _, p := range phs {
-		r.Phase(p)
-	}
+	r.rec.Phases = append(r.rec.Phases, phs...)
 }
 
 // EventOrder is the one order of a record's chunk events: by time, then
