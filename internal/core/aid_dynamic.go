@@ -193,7 +193,18 @@ func (a *AIDDynamic) phaseSpan() int64 {
 		}
 		span += rt
 	}
-	return int64(span * float64(a.M))
+	return a.iters(span * float64(a.M))
+}
+
+// iters converts a count of iterations computed from R·M to an int64,
+// stopping at the loop's trip count: neither an allotment nor a phase span
+// needs more, and a Major chunk near math.MaxInt64 puts the product at or
+// past 2^63, which has no int64 value.
+func (a *AIDDynamic) iters(x float64) int64 {
+	if x >= float64(a.info.NI) {
+		return a.info.NI
+	}
+	return int64(x)
 }
 
 // aidAssign hands thread tid its allotment for the current AID phase:
@@ -217,7 +228,7 @@ func (a *AIDDynamic) aidAssign(tid int, st *aidThread, asg *Assign, nowNs int64)
 	home := a.typeOf(tid)
 	asg.Origin = int32(home) // drained-pool probes charge the home line
 	r := *a.r.Load()
-	nominal := max(int64(math.Round(r[home]*float64(a.M))), a.chunk)
+	nominal := max(a.iters(math.Round(r[home]*float64(a.M))), a.chunk)
 	st.nominalN = nominal
 	// δ holds what the thread claimed while waiting (§4.2): it has already
 	// covered that much of its share, so the allotment shrinks accordingly.

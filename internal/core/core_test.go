@@ -638,6 +638,27 @@ func TestAIDDynamicTailSwitch(t *testing.T) {
 	}
 }
 
+// TestAIDDynamicTailSwitchHugeMajor: the largest Major chunk the grammar
+// takes (aid-dynamic,1,9223372036854775807) puts R·M at or past 2^63, which
+// has no int64 value. The phase span and the allotment stop at the loop's
+// trip count instead, so the tail switch engages at the first AID phase,
+// right after the initial R, and every iteration is covered once.
+func TestAIDDynamicTailSwitchHugeMajor(t *testing.T) {
+	info := conformanceInfo(10007, 2, 2)
+	a, err := NewAIDDynamic(info, 1, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var phases []PhaseEvent
+	a.SetPhaseObserver(func(ev PhaseEvent) { phases = append(phases, ev) })
+	virtualExec(t, a, info, []int64{100, 300})
+	if !a.InTail() || len(phases) != 2 || phases[0].Kind != PhaseRInitial ||
+		phases[1].Kind != PhaseTailSwitch || phases[1].Epoch != phases[0].Epoch {
+		t.Errorf("in tail %v after %d phases, first %+v; want the tail switch in the epoch the initial R opens",
+			a.InTail(), len(phases), phases[:min(len(phases), 3)])
+	}
+}
+
 func TestAIDDynamicUnevenIterations(t *testing.T) {
 	// Cost varies per iteration; AID-dynamic must still cover exactly and
 	// keep threads balanced via R smoothing.
