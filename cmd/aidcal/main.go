@@ -60,13 +60,9 @@ func run(w io.Writer, app, platform string) error {
 
 // loopSF prints the offline SF of every loop of one workload.
 func loopSF(w io.Writer, app string, pl *amp.Platform) error {
-	wl, ok := workloads.ByName(app)
-	if !ok {
-		var names []string
-		for _, x := range workloads.All() {
-			names = append(names, x.Name)
-		}
-		return fmt.Errorf("unknown workload %q; available: %s", app, strings.Join(names, ", "))
+	wl, err := workloads.ByName(app)
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "%s — per-loop offline SF on Platform %s\n", wl.Name, pl.Name)
 	for i, spec := range wl.Program.Loops() {

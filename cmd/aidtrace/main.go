@@ -107,13 +107,9 @@ type resolved struct {
 }
 
 func resolveWorkload(app, schedText, bindingText, platform string) (resolved, error) {
-	w, ok := workloads.ByName(app)
-	if !ok {
-		var names []string
-		for _, x := range workloads.All() {
-			names = append(names, x.Name)
-		}
-		return resolved{}, fmt.Errorf("unknown workload %q; available: %s", app, strings.Join(names, ", "))
+	w, err := workloads.ByName(app)
+	if err != nil {
+		return resolved{}, err
 	}
 	sched, err := core.ParseSchedule(schedText)
 	if err != nil {

@@ -341,9 +341,9 @@ func TestFig9cSFSeries(t *testing.T) {
 func TestHybridPctSweep(t *testing.T) {
 	var wl []workloads.Workload
 	for _, n := range []string{"FT", "leukocyte", "blackscholes", "streamcluster"} {
-		w, ok := workloads.ByName(n)
-		if !ok {
-			t.Fatalf("workload %s missing", n)
+		w, err := workloads.ByName(n)
+		if err != nil {
+			t.Fatal(err)
 		}
 		wl = append(wl, w)
 	}

@@ -239,9 +239,9 @@ func checkOutcome(t *testing.T, engine string, out obs.Outcome, pl *amp.Platform
 func TestGrantExecIsRunningTime(t *testing.T) {
 	pl := amp.PlatformA()
 	sched := core.Schedule{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5}
-	w, ok := workloads.ByName("EP")
-	if !ok {
-		t.Fatal("no EP workload")
+	w, err := workloads.ByName("EP")
+	if err != nil {
+		t.Fatal(err)
 	}
 	recorder := trace.NewTimedRecorder()
 	cfg := sim.Config{Platform: pl, NThreads: pl.NumCores(), Binding: amp.BindBS,

@@ -21,6 +21,7 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/amp"
 	"repro/internal/sim"
@@ -482,12 +483,16 @@ func All() []Workload {
 	return out
 }
 
-// ByName returns the workload with the given name.
-func ByName(name string) (Workload, bool) {
-	for _, w := range All() {
+// ByName returns the workload with the given name, or an error that lists
+// the names there are.
+func ByName(name string) (Workload, error) {
+	all := All()
+	names := make([]string, len(all))
+	for i, w := range all {
 		if w.Name == name {
-			return w, true
+			return w, nil
 		}
+		names[i] = w.Name
 	}
-	return Workload{}, false
+	return Workload{}, fmt.Errorf("unknown workload %q; available: %s", name, strings.Join(names, ", "))
 }

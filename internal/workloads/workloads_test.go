@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/amp"
@@ -31,12 +32,13 @@ func TestAllHas21UniqueValidWorkloads(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	w, ok := ByName("streamcluster")
-	if !ok || w.Name != "streamcluster" || w.Suite != "PARSEC" {
-		t.Errorf("ByName(streamcluster) = %+v, %v", w, ok)
+	w, err := ByName("streamcluster")
+	if err != nil || w.Name != "streamcluster" || w.Suite != "PARSEC" {
+		t.Errorf("ByName(streamcluster) = %+v, %v", w, err)
 	}
-	if _, ok := ByName("nonesuch"); ok {
-		t.Error("ByName accepted unknown name")
+	_, err = ByName("nonesuch")
+	if err == nil || !strings.Contains(err.Error(), `"nonesuch"`) || !strings.Contains(err.Error(), "available: BT, CG, ") {
+		t.Errorf("ByName(nonesuch): %v, want an error naming it and listing the workloads", err)
 	}
 }
 
