@@ -84,11 +84,15 @@
 #       tier-1: cmd/aidbench TestExpGolden (every `aidbench -exp` table:
 #       the Fig. 1/4 traces, Fig. 2 SF series, Fig. 6-9, Table 2, guided,
 #       hybrid-pct, the zoo's makespan and energy, and the ablation table of
-#       the AID design choices), internal/sim TestEngineGolden (960 engine
-#       digests), and cmd/aidserve TestServeSmoke (the virtual serve's
-#       percentiles). There are no `go test` benchmarks outside bench/, and
-#       internal/rules keeps it so: a simulated number belongs in a golden
-#       table.
+#       the AID design choices), internal/sim TestEngineGolden (840 engine
+#       digests, 630 of them of recorded runs), cmd/aidserve TestServeSmoke
+#       (the virtual serve's percentiles), cmd/aidstat TestChromeGolden (the
+#       Chrome export of a recorded run), cmd/aidsim TestTraceGolden
+#       (`aidsim -sched all -ni 4096 -trace`, testdata/trace_all.txt) and
+#       cmd/aidtrace TestTraceGolden and TestReplayGolden (an EP trace under
+#       aid-hybrid,80 and the exact replay of a recorded EP run). There are
+#       no `go test` benchmarks outside bench/, and internal/rules keeps it
+#       so: a simulated number belongs in a golden table.
 
 GO ?= go
 

@@ -429,7 +429,9 @@ func (r *Registry) arm(l *Loop) error {
 // (Recorder.AddTapes), and each grant's abstract work units are derived
 // from its measured wall time and the platform speed model, so
 // internal/replay can re-execute and what-if the run in virtual time. A
-// record of one loop carries its timeline. The tapes are never modified, so
+// record of one loop carries its timeline. A loop's SF trajectory is the SF
+// tables its phases published, the last of them its Outcome.SFEstimate; the
+// record holds no other copy. The tapes are never modified, so
 // records built from the same loops are equal; none is built under the
 // registry lock.
 func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {

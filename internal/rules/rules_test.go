@@ -104,9 +104,11 @@ type rule struct {
 // policy once read, the SF trajectory a simulated loop's result once carried,
 // the retired AID-auto schedule, the second timeline carrier's hand-over
 // to a record and its own summary, the registry's second key type for a
-// schedule, which is comparable itself, and the per-cluster energy a
-// simulated loop's result once carried.
-var retired = regexp.MustCompile(`sf-aware|SFAware|SFLiveView|LiveSF|SFTrajectory|SFPoint|AIDAuto|aid-auto|AID-auto|AttachTimeline|SchedOverheadPct|timelineOf|schedKey|ClusterEnergyJ`)
+// schedule, which is comparable itself, the per-cluster energy a
+// simulated loop's result once carried, and the second copy of a run's SF
+// trajectory that a record once held beside its phases (its type, its line
+// codec and the recorder's method; the digest's SFSamples count stays).
+var retired = regexp.MustCompile(`sf-aware|SFAware|SFLiveView|LiveSF|SFTrajectory|SFPoint|AIDAuto|aid-auto|AID-auto|AttachTimeline|SchedOverheadPct|timelineOf|schedKey|ClusterEnergyJ|SFSample\b|SFLine|sfLineLen`)
 
 var rules = []rule{{
 	name: "the engines build no chunk event and name no obs.Batch",
@@ -414,9 +416,9 @@ var rules = []rule{{
 	},
 }, {
 	name: "no retired policy, live SF view, SF trajectory result, AID-auto schedule, second timeline, " +
-		"schedule key or per-cluster energy is named",
-	reason: "a fairness policy sees a loop's ID and weight only, a run's SF trajectory and " +
-		"timeline live in its trace.Record only, the AID-auto schedule is retired, a core.Schedule " +
+		"schedule key, per-cluster energy or second SF trajectory of a record is named",
+	reason: "a fairness policy sees a loop's ID and weight only, a run's SF trajectory lives in " +
+		"its trace.Record's phases and its timeline in the record, the AID-auto schedule is retired, a core.Schedule " +
 		"is its own free-list key, and a loop's energy is one number: none is named " +
 		"anywhere, help text and comments included",
 	reads: func(s source, _ graph) bool { return !s.test },
@@ -459,12 +461,15 @@ var rules = []rule{{
 		`package p; type schedKey struct{ chunk int64 }`,
 		`package p; // ClusterEnergyJ breaks EnergyJ down by cluster
 		var x int`,
+		`package p; type Record struct{ Samples []SFSample }`,
+		`package p; func appendSFLine(b []byte) []byte { return b }`,
 	},
 	good: []string{
 		`package p; var help = "-policy wrr|fcfs" // sf aware, aid auto`,
 		`package p; type record struct{ Timeline []int } // a record's timeline`,
 		`package p; type freeLoop struct{ key Schedule } // the sched key of a pooled loop`,
 		`package p; type LoopResult struct{ EnergyJ float64 } // summed over every cluster's energy`,
+		`package p; type LoopDigest struct{ SFSamples int } // the SF tables the phases published`,
 	},
 }}
 

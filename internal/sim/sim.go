@@ -115,8 +115,9 @@
 // RunProgram allocates the TypeOf mapping, that copy and its scheduler, unless
 // Schedule.Factory re-arms a spare. A
 // scheduler is given a phase observer only when the Config carries a
-// Recorder, so the SF tables it publishes mid-run are copied into the record
-// and nowhere else.
+// Recorder, so the SF tables it publishes are copied into the record's
+// phases and nowhere else, and the final estimate into the result alone: the
+// record's last published table is that estimate, and it holds no other.
 //
 // Results are never part of the workspace. The engine fills the LoopResults
 // it is handed the way append fills a slice: zero results, which is what
@@ -312,13 +313,13 @@ type Config struct {
 	Migrations []Migration
 	// Recorder, when non-nil, captures the run as a serializable
 	// trace.Record — loop descriptors, every chunk grant with its
-	// runtime-cost metadata, AID phase transitions and the SF trajectory —
-	// for internal/replay. A Recorder serves exactly one RunLoop or RunLoops
-	// call. A timed one (trace.NewTimedRecorder) also records per-thread
-	// timelines: Sched and Running for every runtime call and chunk, Sync
-	// for a team's barrier waits and a fleet worker's idle-forwards; a
-	// fleet loop's barrier waits are the fleet's, not the loop's
-	// (obs.Ledger).
+	// runtime-cost metadata, and AID phase transitions with the SF tables
+	// they publish — for internal/replay. A Recorder serves exactly one
+	// RunLoop or RunLoops call. A timed one (trace.NewTimedRecorder) also
+	// records per-thread timelines: Sched and Running for every runtime call
+	// and chunk, Sync for a team's barrier waits and a fleet worker's
+	// idle-forwards; a fleet loop's barrier waits are the fleet's, not the
+	// loop's (obs.Ledger).
 	Recorder *trace.Recorder
 	// Metrics populates LoopResult.Metrics with the runtime-counter
 	// snapshot (internal/obs) of each loop: chunks and steals by provenance

@@ -17,8 +17,8 @@ import (
 // loop descriptors are json.Marshal's (record.go). Each append*Line writes
 // its line without reflection, byte for byte as encoding/json spells the
 // struct (field order, omitempty, its float and string formats), and each
-// *LineLen is the length of that line, so that EncodeJSONL
-// can reserve a record's bytes before writing them.
+// *LineLen is the length of that line, so that EncodeJSONL can reserve a
+// record's bytes before writing them.
 //
 // Each parse*Line reads back exactly that spelling and nothing else: it
 // knows no JSON, only the one way the encoder writes a line. A line spelled

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/amp"
@@ -59,9 +60,8 @@ type Record struct {
 	Loops []LoopRecord `json:"-"`
 	// Events is the chronological stream of chunk grants and retirements.
 	Events []ChunkEvent `json:"-"`
-	// Phases is the stream of AID scheduler transitions. Those that carry
-	// an SF table are the loops' SF-estimate trajectories, and a record
-	// holds them nowhere else.
+	// Phases is the stream of AID scheduler transitions; those that carry an
+	// SF table are the loops' SF-estimate trajectories, held nowhere else.
 	Phases []PhaseEvent `json:"-"`
 	// Timeline is the per-thread interval timeline (nil when not captured);
 	// a Recorder lays it out thread by thread, each in time order.
@@ -268,7 +268,7 @@ func (r *Record) Validate() error {
 		if p.Tid < 0 || p.Tid >= r.NThreads {
 			return fmt.Errorf("trace: phase %d references thread %d of %d", i, p.Tid, r.NThreads)
 		}
-		if !allFinite(p.SF) {
+		if slices.ContainsFunc(p.SF, func(f float64) bool { return math.IsNaN(f) || math.IsInf(f, 0) }) {
 			return fmt.Errorf("trace: phase %d has non-finite SF %v", i, p.SF)
 		}
 	}
@@ -278,16 +278,6 @@ func (r *Record) Validate() error {
 		}
 	}
 	return nil
-}
-
-// allFinite reports whether no value of fs is NaN or infinite.
-func allFinite(fs []float64) bool {
-	for _, f := range fs {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // jsonlLine is the envelope of one serialized line: a type tag plus the
@@ -304,9 +294,8 @@ const (
 	lineEvent    = "ev"
 	linePhase    = "phase"
 	lineInterval = "iv"
-	// lineSF is a line earlier builds wrote per SF table, repeating each
-	// SF-bearing phase's and, at each barrier release, the loop's last one.
-	// DecodeJSONL reads it as encoding/json read it and keeps nothing of it.
+	// lineSF is the line earlier builds wrote per SF table, repeating the
+	// phases' tables; DecodeJSONL reads it and keeps nothing of it.
 	lineSF = "sf"
 )
 
@@ -544,11 +533,10 @@ func appendJSON[T any](s []T, payload []byte) ([]T, error) {
 // and reads what encoding/json reads, because apart from one shortcut it is
 // encoding/json: a line spelled byte for byte as EncodeJSONL spells it is
 // read in place (a chunk event, phase transition or timeline interval by its
-// parse*Line in evline.go, the envelope of the header and
-// loop lines by splitEnvelope, their payloads by json.Unmarshal), and any
-// other line goes whole through json.Unmarshal, envelope first. Which of the
-// two a line takes is decided by its bytes alone, and both give the same
-// record.
+// parse*Line in evline.go, the envelope of the header and loop lines by
+// splitEnvelope, their payloads by json.Unmarshal), and any other line goes
+// whole through json.Unmarshal, envelope first. Which of the two a line
+// takes is decided by its bytes alone, and both give the same record.
 func DecodeJSONL(rd io.Reader) (*Record, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)

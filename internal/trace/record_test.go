@@ -682,11 +682,11 @@ func TestRecorderPhaseCarriesSF(t *testing.T) {
 
 func TestValidateRejectsOutOfRangeReferences(t *testing.T) {
 	cases := map[string]func(*Record){
-		"timeline tid":   func(r *Record) { r.Timeline[0].Tid = r.NThreads },
-		"phase tid":      func(r *Record) { r.Phases[0].Tid = -1 },
-		"phase loop":     func(r *Record) { r.Phases[0].Loop = len(r.Loops) },
-		"loop arrival":   func(r *Record) { r.Loops[1].ArriveNs = -1 },
-		"threads":        func(r *Record) { r.NThreads = 1 << 20 },
+		"timeline tid": func(r *Record) { r.Timeline[0].Tid = r.NThreads },
+		"phase tid":    func(r *Record) { r.Phases[0].Tid = -1 },
+		"phase loop":   func(r *Record) { r.Phases[0].Loop = len(r.Loops) },
+		"loop arrival": func(r *Record) { r.Loops[1].ArriveNs = -1 },
+		"threads":      func(r *Record) { r.NThreads = 1 << 20 },
 	}
 	for name, corrupt := range cases {
 		r := sampleRecord()

@@ -7,9 +7,10 @@ import (
 
 // Recorder accumulates a Record during one run. It is single-writer, and
 // the engines fill it in one of two ways. The discrete-event simulator
-// streams into it from its event loop, through Chunk, Phase and Add. The real-goroutine runtime's workers write their loop's Tapes, which
-// the registry hands over once the loop's barrier has released (AddTapes),
-// so the lock-free loop hot path never touches a Recorder; the Recorder
+// streams into it from its event loop, through Chunk, Phase and Add. The
+// real-goroutine runtime's workers write their loop's Tapes, which the
+// registry hands over once the loop's barrier has released (AddTapes), so
+// the lock-free loop hot path never touches a Recorder; the Recorder
 // orders, merges, compacts and trims them.
 //
 // A Recorder serves exactly one run (one sim.RunLoop, one sim.RunLoops, or
@@ -227,8 +228,8 @@ func (r *Recorder) unexpect(n int) {
 }
 
 // Phase appends one scheduler transition. A transition that publishes an
-// SF table is a point of its loop's SF trajectory, the only one the record
-// keeps.
+// SF table is a point of its loop's SF trajectory, which the record keeps
+// nowhere else.
 func (r *Recorder) Phase(p PhaseEvent) {
 	r.rec.Phases = append(r.rec.Phases, p)
 }
