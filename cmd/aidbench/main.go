@@ -37,11 +37,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(experiments, "|")+"|all")
-	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table (fig6/fig7)")
-	flag.Parse()
-
-	if err := run(os.Stdout, *exp, *csv); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "aidbench:", err)
 		os.Exit(1)
 	}
@@ -54,8 +50,14 @@ type sweeps struct {
 	a, b func() (exps.FigResult, error)
 }
 
-func run(w io.Writer, exp string, csv bool) error {
-	return runExp(w, exp, csv, sweeps{
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("aidbench", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment to run: "+strings.Join(experiments, "|")+"|all")
+	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table (fig6/fig7)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return runExp(w, *exp, *csv, sweeps{
 		a: sync.OnceValues(func() (exps.FigResult, error) { return exps.RunFig6(amp.PlatformA()) }),
 		b: sync.OnceValues(func() (exps.FigResult, error) { return exps.RunFig6(amp.PlatformB()) }),
 	})

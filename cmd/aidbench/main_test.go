@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -50,7 +51,7 @@ func TestExpGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got bytes.Buffer
-			if err := run(&got, c.exp, c.csv); err != nil {
+			if err := run([]string{"-exp", c.exp, fmt.Sprintf("-csv=%v", c.csv)}, &got); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want) {
@@ -63,7 +64,7 @@ func TestExpGolden(t *testing.T) {
 			}
 		})
 	}
-	if err := run(new(bytes.Buffer), "fig99", false); err == nil {
+	if err := run([]string{"-exp", "fig99"}, new(bytes.Buffer)); err == nil {
 		t.Error("an unknown experiment was accepted")
 	}
 }
@@ -84,7 +85,7 @@ func TestExpAll(t *testing.T) {
 		want.WriteString("\n")
 	}
 	var got bytes.Buffer
-	if err := run(&got, "all", false); err != nil {
+	if err := run(nil, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {

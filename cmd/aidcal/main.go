@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,22 +21,22 @@ import (
 )
 
 func main() {
-	app := flag.String("app", "", "print the per-loop offline SF of this workload")
-	platform := flag.String("platform", "A", "platform: a registry name or a platform JSON file")
-	flag.Parse()
-	if err := run(os.Stdout, *app, *platform); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "aidcal:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, app, platform string) error {
-	pl, err := amp.Resolve(platform)
-	if err != nil {
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("aidcal", flag.ContinueOnError)
+	app := fs.String("app", "", "print the per-loop offline SF of this workload")
+	pl := amp.PlatformFlag{Platform: amp.PlatformA()}
+	fs.Var(&pl, "platform", "platform: a registry name or a platform JSON file")
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if app != "" {
-		return loopSF(w, app, pl)
+	if *app != "" {
+		return loopSF(w, *app, pl.Platform)
 	}
 	// Online SF at the occupancy a full team gives the clusters SF compares.
 	activeBig := pl.Clusters[pl.ClusterOf(pl.NumCores()-1)].NumCores
@@ -44,7 +45,7 @@ func run(w io.Writer, app, platform string) error {
 		loops := wl.Program.Loops()
 		minOff, maxOff, minOn, maxOn := 1e9, 0.0, 1e9, 0.0
 		for _, l := range loops {
-			off, err := sim.MeasureLoopSF(pl, l)
+			off, err := sim.MeasureLoopSF(pl.Platform, l)
 			if err != nil {
 				return fmt.Errorf("%s loop %s: %w", wl.Name, l.Name, err)
 			}

@@ -14,10 +14,10 @@ import (
 // workloads.All order; on Tri (2 prime cores, 3 little) the online SF is
 // taken at that occupancy; -app prints one SF line per loop; an unknown
 // platform or workload is an error for main to report rather than an exit
-// from inside the loop.
+// from inside the loop, and an unknown platform is the flag parse's error.
 func TestRunSmoke(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "", "A"); err != nil {
+	if err := run(nil, &out); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
@@ -36,7 +36,7 @@ func TestRunSmoke(t *testing.T) {
 
 	// EP has one loop, so its online range is that loop's SF.
 	out.Reset()
-	if err := run(&out, "", "Tri"); err != nil {
+	if err := run([]string{"-platform", "Tri"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	ep, _ := workloads.ByName("EP")
@@ -51,7 +51,7 @@ func TestRunSmoke(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run(&out, "EP", "A"); err != nil {
+	if err := run([]string{"-app", "EP", "-platform", "A"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	want := "EP — per-loop offline SF on Platform A (Odroid-XU4 big.LITTLE)\n" +
@@ -61,13 +61,15 @@ func TestRunSmoke(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run(&out, "", "no-such-platform"); err == nil {
-		t.Error("an unknown platform was accepted")
+	// The flag parse refuses an unknown platform and names the flag.
+	const badPlatform = `invalid value "no-such-platform" for flag -platform: `
+	if err := run([]string{"-platform", "no-such-platform"}, &out); err == nil || !strings.HasPrefix(err.Error(), badPlatform) {
+		t.Errorf("an unknown platform: err = %v, want %q...", err, badPlatform)
 	}
-	if err := run(&out, "EP", "no-such-platform"); err == nil {
-		t.Error("-app: an unknown platform was accepted")
+	if err := run([]string{"-app", "EP", "-platform", "no-such-platform"}, &out); err == nil || !strings.HasPrefix(err.Error(), badPlatform) {
+		t.Errorf("-app: an unknown platform: err = %v, want %q...", err, badPlatform)
 	}
-	if err := run(&out, "no-such-app", "A"); err == nil || !strings.Contains(err.Error(), "available: ") {
+	if err := run([]string{"-app", "no-such-app"}, &out); err == nil || !strings.Contains(err.Error(), "available: ") {
 		t.Errorf("unknown workload: err = %v, want one that lists the workloads", err)
 	}
 	if out.Len() != 0 {

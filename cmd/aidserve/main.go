@@ -36,6 +36,7 @@ package main
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -63,39 +64,42 @@ import (
 )
 
 func main() {
-	var o serveOpts
-	flag.IntVar(&o.loops, "loops", 8, "batch mode (no -arrivals): number of loops submitted at once")
-	flag.Int64Var(&o.iters, "iters", 200_000, "iterations per loop")
-	flag.IntVar(&o.threads, "threads", 0, "fleet size (0 = platform core count)")
-	platformText := flag.String("platform", "A", "platform: a registry name or a platform JSON file")
-	flag.StringVar(&o.schedText, "sched", "aid-dynamic,1,5", "loop schedule in GOOMP_SCHEDULE syntax")
-	flag.StringVar(&o.policyName, "policy", "wrr", "fairness policy: wrr|fcfs")
-	flag.IntVar(&o.spin, "spin", 200, "per-iteration spin work units (scaled into virtual cost under -virtual)")
-	flag.BoolVar(&o.virtual, "virtual", false, "replay in the discrete-event engine instead of real goroutines")
-
-	flag.StringVar(&o.kind, "arrivals", "", "open-loop mode: arrival process (poisson|bursty|diurnal)")
-	flag.Float64Var(&o.rate, "rate", 50, "mean arrival rate in loops/sec")
-	flag.DurationVar(&o.duration, "duration", 2*time.Second, "length of the arrival window")
-	flag.Uint64Var(&o.seed, "seed", 1, "arrival and sampling seed")
-	flag.StringVar(&o.classesCSV, "classes", "std", "QoS classes as name:weight list, request i in class i mod len (e.g. gold:8,silver:4,bronze:1)")
-	flag.IntVar(&o.maxPending, "max-pending", 64, "bound on loops admitted but not yet complete (real mode)")
-	flag.BoolVar(&o.shed, "shed", true, "when the pending queue is full, shed the arrival; false blocks the submitter (backpressure)")
-	flag.IntVar(&o.sampleEvery, "sample", 0, "capture every Nth admitted loop for the run record (0 = off, real mode)")
-	flag.IntVar(&o.sampleBudget, "sample-budget", 256, "per-loop event budget of sampled captures, compacted then trimmed (0 = unbounded, uncompacted)")
-	flag.StringVar(&o.recordPath, "record", "", "write the sampled run record as JSONL to this path (real mode, needs -sample)")
-	flag.StringVar(&o.metricsAddr, "metrics", "", "serve live runtime metrics in Prometheus text format, and Go profiles under /debug/pprof/, on this address (real mode, e.g. :9090)")
-	flag.DurationVar(&o.metricsInterval, "metrics-interval", 0, "print a one-line service summary to stderr at this period (real mode, 0 = off)")
-	flag.Parse()
-
-	pl, err := amp.Resolve(*platformText)
-	if err == nil {
-		o.pl = pl
-		err = serve(o, os.Stdout)
-	}
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "aidserve:", err)
 		os.Exit(1)
 	}
+}
+
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("aidserve", flag.ContinueOnError)
+	o := serveOpts{sched: core.Schedule{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5}}
+	fs.IntVar(&o.loops, "loops", 8, "batch mode (no -arrivals): number of loops submitted at once")
+	fs.Int64Var(&o.iters, "iters", 200_000, "iterations per loop")
+	fs.IntVar(&o.threads, "threads", 0, "fleet size (0 = platform core count)")
+	pl := amp.PlatformFlag{Platform: amp.PlatformA()}
+	fs.Var(&pl, "platform", "platform: a registry name or a platform JSON file")
+	fs.Var(&o.sched, "sched", "loop schedule in GOOMP_SCHEDULE syntax")
+	fs.StringVar(&o.policyName, "policy", "wrr", "fairness policy: wrr|fcfs")
+	fs.IntVar(&o.spin, "spin", 200, "per-iteration spin work units (scaled into virtual cost under -virtual)")
+	fs.BoolVar(&o.virtual, "virtual", false, "replay in the discrete-event engine instead of real goroutines")
+
+	fs.StringVar(&o.kind, "arrivals", "", "open-loop mode: arrival process (poisson|bursty|diurnal)")
+	fs.Float64Var(&o.rate, "rate", 50, "mean arrival rate in loops/sec")
+	fs.DurationVar(&o.duration, "duration", 2*time.Second, "length of the arrival window")
+	fs.Uint64Var(&o.seed, "seed", 1, "arrival and sampling seed")
+	fs.StringVar(&o.classesCSV, "classes", "std", "QoS classes as name:weight list, request i in class i mod len (e.g. gold:8,silver:4,bronze:1)")
+	fs.IntVar(&o.maxPending, "max-pending", 64, "bound on loops admitted but not yet complete (real mode)")
+	fs.BoolVar(&o.shed, "shed", true, "when the pending queue is full, shed the arrival; false blocks the submitter (backpressure)")
+	fs.IntVar(&o.sampleEvery, "sample", 0, "capture every Nth admitted loop for the run record (0 = off, real mode)")
+	fs.IntVar(&o.sampleBudget, "sample-budget", 256, "per-loop event budget of sampled captures, compacted then trimmed (0 = unbounded, uncompacted)")
+	fs.StringVar(&o.recordPath, "record", "", "write the sampled run record as JSONL to this path (real mode, needs -sample)")
+	fs.StringVar(&o.metricsAddr, "metrics", "", "serve live runtime metrics in Prometheus text format, and Go profiles under /debug/pprof/, on this address (real mode, e.g. :9090)")
+	fs.DurationVar(&o.metricsInterval, "metrics-interval", 0, "print a one-line service summary to stderr at this period (real mode, 0 = off)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	o.pl = pl.Platform
+	return serve(o, w)
 }
 
 // virtualNsPerSpinUnit converts -spin work units into the discrete-event
@@ -158,19 +162,23 @@ type serveOpts struct {
 	iters      int64
 	threads    int
 	pl         *amp.Platform
-	schedText  string
+	sched      core.Schedule
 	policyName string
 	spin       int
 	virtual    bool
+
+	// hold keeps every body of a real run waiting until the submitter is
+	// done, so that a batch within -max-pending is in flight all at once.
+	// No flag sets it: it is a seam for the tests.
+	hold bool
 }
 
 // plan is a service run resolved from its options: the one request stream
-// both engines read, and what every request runs under.
+// both engines read, and the classes and policy it runs under.
 type plan struct {
 	arrivals string       // the stream's name in the report: a process name or "batch"
 	stamps   []int64      // request i arrives stamps[i] ns after the run starts
 	classes  []fair.Class // request i belongs to classes[i%len(classes)]
-	sched    core.Schedule
 	policy   fair.Policy
 }
 
@@ -190,9 +198,6 @@ func newPlan(o serveOpts) (p plan, err error) {
 		return p, fmt.Errorf("-metrics and -metrics-interval need real mode; the virtual engine has no live run to scrape")
 	}
 	if p.classes, err = fair.ParseClasses(o.classesCSV); err != nil {
-		return p, err
-	}
-	if p.sched, err = core.ParseSchedule(o.schedText); err != nil {
 		return p, err
 	}
 	if p.policy, err = fair.ParsePolicy(o.policyName); err != nil {
@@ -358,9 +363,6 @@ func (r *serveRun) progressLine(w io.Writer, inFlight int) {
 }
 
 func serve(o serveOpts, w io.Writer) error {
-	if o.pl == nil {
-		o.pl = amp.PlatformA()
-	}
 	p, err := newPlan(o)
 	if err != nil {
 		return err
@@ -431,6 +433,13 @@ func serveReal(o serveOpts, p plan) (*serveRun, error) {
 		admitted int
 	)
 	body := func(_ int, lo, hi int64) { sink.Add(kernels.Spin(lo, hi, o.spin)) }
+	submitted := make(chan struct{})
+	release := sync.OnceFunc(func() { close(submitted) })
+	defer release() // a failed Submit returns before the release below
+	if o.hold {
+		spin := body
+		body = func(tid int, lo, hi int64) { <-submitted; spin(tid, lo, hi) }
+	}
 
 	start := time.Now()
 	for i, stamp := range p.stamps {
@@ -459,7 +468,7 @@ func serveReal(o serveOpts, p plan) (*serveRun, error) {
 		req := rt.LoopRequest{
 			Name:     fmt.Sprintf("%s-%d", p.classes[class].Name, i),
 			N:        o.iters,
-			Schedule: p.sched,
+			Schedule: o.sched,
 			Weight:   p.classes[class].Weight,
 			Body:     body,
 		}
@@ -490,6 +499,7 @@ func serveReal(o serveOpts, p plan) (*serveRun, error) {
 			<-sem
 		}(i)
 	}
+	release()
 	wg.Wait()
 	if len(sampled) > 0 {
 		rec, err := reg.BuildRecord(sampled...)
@@ -544,15 +554,11 @@ func metricsHandler(reg *rt.Registry, run *serveRun) http.Handler {
 // is its loop's Start and End. The numbers are exactly reproducible for a
 // given seed.
 func serveVirtual(o serveOpts, p plan) (*serveRun, error) {
-	threads := o.threads
-	if threads == 0 {
-		threads = o.pl.NumCores()
-	}
 	cfg := sim.Config{
 		Platform: o.pl,
-		NThreads: threads,
+		NThreads: o.threads,
 		Binding:  amp.BindBS,
-		Factory:  p.sched.Factory(),
+		Factory:  o.sched.Factory(),
 	}
 	specs := make([]sim.LoopSpec, len(p.stamps))
 	for i, t := range p.stamps {

@@ -170,7 +170,7 @@ func testServeOpts(virtual bool) serveOpts {
 	return serveOpts{
 		kind: "poisson", rate: 400, duration: 250 * time.Millisecond, seed: 7,
 		classesCSV: "gold:8,bronze:1", maxPending: 32, shed: true,
-		iters: 2000, threads: 4, pl: amp.PlatformA(), schedText: "aid-dynamic,1,5",
+		iters: 2000, threads: 4, pl: amp.PlatformA(), sched: core.Schedule{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5},
 		policyName: "wrr", spin: 20, virtual: virtual,
 	}
 }
@@ -518,16 +518,10 @@ func TestServeRealSubmitsEveryArrival(t *testing.T) {
 	}
 }
 
-// smokeOpts is the short open-loop run CI drives through both engines: a
+// smokeArgs is the short open-loop run CI drives through both engines: a
 // few hundred loops under Poisson arrivals across three QoS classes.
-func smokeOpts(virtual bool) serveOpts {
-	return serveOpts{
-		kind: "poisson", rate: 200, duration: time.Second, seed: 1,
-		classesCSV: "gold:8,silver:4,bronze:1", maxPending: 64, shed: true,
-		iters: 5000, pl: amp.PlatformA(), schedText: "aid-dynamic,1,5",
-		policyName: "wrr", spin: 50, virtual: virtual,
-	}
-}
+var smokeArgs = []string{"-arrivals", "poisson", "-rate", "200", "-duration", "1s", "-seed", "1",
+	"-classes", "gold:8,silver:4,bronze:1", "-iters", "5000", "-spin", "50"}
 
 // smokeVirtualReport is what the virtual smoke run prints. Virtual time is
 // seed-deterministic, so the admitted count and every latency percentile,
@@ -553,19 +547,14 @@ const smokeBatchReport = `virtual serve: batch arrivals, 2 admitted, 0 shed, spa
 overall: p50/p95/p99 377.868ms / 473.402ms / 481.894ms, throughput 4.13 loops/s, max in-flight 2
 `
 
-// TestServeSmoke drives the service tier end to end through serve: the
+// TestServeSmoke drives the service tier end to end through run, from argv: the
 // open-loop stream once per engine, and a batch in virtual time. The real
 // run also exercises sampled capture: the record file it leaves must decode
 // and self-diff clean, and a later write that fails must not damage it.
 func TestServeSmoke(t *testing.T) {
 	t.Run("batch", func(t *testing.T) {
-		o := serveOpts{
-			loops: 2, iters: 200_000, classesCSV: "a:8,b:1", maxPending: 64,
-			pl: amp.PlatformA(), schedText: "dynamic,16", policyName: "wrr",
-			spin: 200, virtual: true,
-		}
 		var out bytes.Buffer
-		if err := serve(o, &out); err != nil {
+		if err := run([]string{"-loops", "2", "-iters", "200000", "-sched", "dynamic,16", "-classes", "a:8,b:1", "-virtual"}, &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.String() != smokeBatchReport {
@@ -574,7 +563,7 @@ func TestServeSmoke(t *testing.T) {
 	})
 	t.Run("virtual", func(t *testing.T) {
 		var out bytes.Buffer
-		if err := serve(smokeOpts(true), &out); err != nil {
+		if err := run(append(smokeArgs, "-virtual"), &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.String() != smokeVirtualReport {
@@ -582,17 +571,15 @@ func TestServeSmoke(t *testing.T) {
 		}
 	})
 	t.Run("real", func(t *testing.T) {
-		o := smokeOpts(false)
-		o.sampleEvery, o.sampleBudget = 8, 128
-		o.recordPath = filepath.Join(t.TempDir(), "smoke.jsonl")
+		path := filepath.Join(t.TempDir(), "smoke.jsonl")
 		var out bytes.Buffer
-		if err := serve(o, &out); err != nil {
+		if err := run(append(smokeArgs, "-sample", "8", "-sample-budget", "128", "-record", path), &out); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.HasPrefix(out.String(), "real serve: poisson arrivals, ") || !strings.Contains(out.String(), "(self-diff clean)") {
 			t.Errorf("real smoke report:\n%s", out.String())
 		}
-		f, err := os.Open(o.recordPath)
+		f, err := os.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -610,35 +597,36 @@ func TestServeSmoke(t *testing.T) {
 
 		// A record the encoder refuses must leave the file already at the
 		// path as it was, and no staging file next to it.
-		before, err := os.ReadFile(o.recordPath)
+		before, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec.Events[0].Cost = math.NaN()
-		if err := writeServeRecord(o.recordPath, rec); err == nil {
+		if err := writeServeRecord(path, rec); err == nil {
 			t.Fatal("a record with a NaN cost was written")
 		}
-		after, err := os.ReadFile(o.recordPath)
+		after, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(before, after) {
 			t.Errorf("failed write changed the file: %d bytes before, %d after", len(before), len(after))
 		}
-		if entries, _ := os.ReadDir(filepath.Dir(o.recordPath)); len(entries) != 1 {
+		if entries, _ := os.ReadDir(filepath.Dir(path)); len(entries) != 1 {
 			t.Errorf("failed write left %d files in the directory, want only the record", len(entries))
 		}
 	})
 }
 
-// TestServeRealMaxInFlight: a batch of four loops on a four-worker fleet is
-// admitted at once and runs for tens of milliseconds, so all four are in
-// flight together. Sampling the registry's in-flight count before each
-// Submit missed the loop being admitted and printed 3.
+// TestServeRealMaxInFlight: a batch of four loops on a four-worker fleet,
+// whose bodies wait until all four are submitted, is in flight all at once.
+// Sampling the registry's in-flight count before each Submit missed the loop
+// being admitted and printed 3.
 func TestServeRealMaxInFlight(t *testing.T) {
 	o := serveOpts{
 		loops: 4, iters: 20_000, threads: 4, classesCSV: "std", maxPending: 64, shed: true,
-		pl: amp.PlatformA(), schedText: "aid-dynamic,1,5", policyName: "wrr", spin: 200,
+		pl: amp.PlatformA(), sched: core.Schedule{Kind: core.KindAIDDynamic, Chunk: 1, Major: 5},
+		policyName: "wrr", spin: 200, hold: true,
 	}
 	var out bytes.Buffer
 	if err := serve(o, &out); err != nil {
@@ -646,5 +634,29 @@ func TestServeRealMaxInFlight(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), " 4 admitted, ") || !strings.HasSuffix(out.String(), ", max in-flight 4\n") {
 		t.Errorf("four loops admitted at once, report:\n%s", out.String())
+	}
+}
+
+// TestRefusesBadFlags: the flag parse refuses a bad -platform or -sched and
+// names the flag, and a thread count the platform cannot hold is refused
+// with one range in both engines; nothing is printed.
+func TestRefusesBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-platform", "no-such-platform"}, `invalid value "no-such-platform" for flag -platform: `},
+		{[]string{"-sched", "fastest"}, `invalid value "fastest" for flag -sched: `},
+		{[]string{"-threads", "9"}, "rt: thread count 9 out of range [0,8] (0 selects the platform core count)"},
+		{[]string{"-threads", "9", "-virtual"}, "sim: thread count 9 out of range [0,8] (0 selects the platform core count)"},
+	} {
+		var out bytes.Buffer
+		err := run(append([]string{"-loops", "1", "-iters", "100"}, c.args...), &out)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%v: error %v, want %q...", c.args, err, c.want)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%v: printed %q", c.args, out.String())
+		}
 	}
 }

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,92 +27,93 @@ import (
 )
 
 func main() {
-	platform := flag.String("platform", "A", "platform: a registry name (aidsim -platform list) or a platform JSON file")
-	threads := flag.Int("threads", 0, "worker threads (default: all cores)")
-	bindingText := flag.String("binding", "BS", "thread binding: SB or BS")
-	schedText := flag.String("sched", "all", "schedule (GOOMP_SCHEDULE syntax) or 'all'")
-	ni := flag.Int64("ni", 4096, "loop trip count")
-	cost := flag.Float64("cost", 100000, "work units per iteration")
-	slope := flag.Float64("slope", 0, "linear cost slope (units per iteration index)")
-	ilp := flag.Float64("ilp", 0.5, "instruction-level parallelism in [0,1]")
-	mem := flag.Float64("mem", 0.3, "memory intensity in [0,1]")
-	footprint := flag.Float64("footprint", 0.2, "per-thread working set in MB")
-	showTrace := flag.Bool("trace", false, "render an execution trace")
-	migrate := flag.String("migrate", "", "inject migrations: tid:cpu:atNs[,tid:cpu:atNs...]")
-	flag.Parse()
-
-	if err := run(os.Stdout, *platform, *threads, *bindingText, *schedText, *ni, *cost, *slope,
-		*ilp, *mem, *footprint, *showTrace, *migrate); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "aidsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, platform string, threads int, bindingText, schedText string,
-	ni int64, cost, slope, ilp, mem, footprint float64, showTrace bool, migrate string) error {
-	if strings.EqualFold(platform, "list") {
+// every is -sched all: each kind under its default parameters, work-steal at
+// chunk 16.
+var every = []core.Schedule{
+	{Kind: core.KindStatic},
+	{Kind: core.KindDynamic},
+	{Kind: core.KindGuided},
+	{Kind: core.KindAIDStatic},
+	{Kind: core.KindAIDHybrid},
+	{Kind: core.KindAIDDynamic},
+	{Kind: core.KindWorkSteal, Chunk: 16},
+}
+
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("aidsim", flag.ContinueOnError)
+	pl, list := amp.PlatformFlag{Platform: amp.PlatformA()}, false
+	fs.Func("platform", "platform: a registry name, a platform JSON file, or list to print the registry (default A)", func(text string) error {
+		if list = strings.EqualFold(text, "list"); list {
+			return nil
+		}
+		return pl.Set(text)
+	})
+	threads := fs.Int("threads", 0, "worker threads (default: all cores)")
+	binding := amp.BindBS
+	fs.Var(&binding, "binding", "thread binding: SB or BS (default BS)")
+	schedules := every
+	fs.Func("sched", "schedule (GOOMP_SCHEDULE syntax) or 'all' (default all)", func(text string) error {
+		if text == "all" {
+			schedules = every
+			return nil
+		}
+		schedules = []core.Schedule{{}}
+		return schedules[0].Set(text)
+	})
+	ni := fs.Int64("ni", 4096, "loop trip count")
+	cost := fs.Float64("cost", 100000, "work units per iteration")
+	slope := fs.Float64("slope", 0, "linear cost slope (units per iteration index)")
+	ilp := fs.Float64("ilp", 0.5, "instruction-level parallelism in [0,1]")
+	mem := fs.Float64("mem", 0.3, "memory intensity in [0,1]")
+	footprint := fs.Float64("footprint", 0.2, "per-thread working set in MB")
+	showTrace := fs.Bool("trace", false, "render an execution trace")
+	var migrations []sim.Migration
+	fs.Func("migrate", "inject migrations: tid:cpu:atNs[,tid:cpu:atNs...]", func(text string) (err error) {
+		migrations, err = parseMigrations(text)
+		return err
+	})
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if list {
 		fmt.Fprintln(w, strings.Join(amp.Names(), "\n"))
 		return nil
 	}
-	pl, err := amp.Resolve(platform)
-	if err != nil {
-		return err
-	}
-	if threads == 0 {
-		threads = pl.NumCores()
-	}
-	binding, err := amp.ParseBinding(bindingText)
-	if err != nil {
-		return err
-	}
-	var costModel sim.CostModel = sim.UniformCost{PerIter: cost}
-	if slope != 0 {
-		costModel = sim.LinearCost{Base: cost, Slope: slope}
+	var costModel sim.CostModel = sim.UniformCost{PerIter: *cost}
+	if *slope != 0 {
+		costModel = sim.LinearCost{Base: *cost, Slope: *slope}
 	}
 	spec := sim.LoopSpec{
 		Name:    "aidsim-loop",
-		NI:      ni,
-		Profile: amp.Profile{ILP: ilp, MemIntensity: mem, FootprintMB: footprint},
+		NI:      *ni,
+		Profile: amp.Profile{ILP: *ilp, MemIntensity: *mem, FootprintMB: *footprint},
 		Cost:    costModel,
 	}
-	migrations, err := parseMigrations(migrate)
-	if err != nil {
-		return err
-	}
 
-	var schedules []core.Schedule
-	if schedText == "all" {
-		schedules = []core.Schedule{
-			{Kind: core.KindStatic},
-			{Kind: core.KindDynamic},
-			{Kind: core.KindGuided},
-			{Kind: core.KindAIDStatic},
-			{Kind: core.KindAIDHybrid},
-			{Kind: core.KindAIDDynamic},
-			{Kind: core.KindWorkSteal, Chunk: 16},
-		}
-	} else {
-		s, err := core.ParseSchedule(schedText)
-		if err != nil {
-			return err
-		}
-		schedules = []core.Schedule{s}
+	nt := *threads
+	if nt == 0 {
+		nt = pl.NumCores()
 	}
-
 	fmt.Fprintf(w, "platform %s, %d threads, %s binding, NI=%d, profile{ILP %.2f, mem %.2f, fp %.2fMB}\n",
-		pl.Name, threads, binding, ni, ilp, mem, footprint)
-	if sf, err := sim.MeasureLoopSF(pl, spec); err == nil {
+		pl.Name, nt, binding, *ni, *ilp, *mem, *footprint)
+	if sf, err := sim.MeasureLoopSF(pl.Platform, spec); err == nil {
 		fmt.Fprintf(w, "offline SF: %.2f\n", sf)
 	}
 	for _, sched := range schedules {
 		cfg := sim.Config{
-			Platform:   pl,
-			NThreads:   threads,
+			Platform:   pl.Platform,
+			NThreads:   *threads,
 			Binding:    binding,
 			Factory:    sched.Factory(),
 			Migrations: migrations,
 		}
-		if showTrace {
+		if *showTrace {
 			cfg.Recorder = trace.NewTimedRecorder()
 		}
 		res, err := sim.RunLoop(cfg, spec, 0)
@@ -123,11 +125,11 @@ func run(w io.Writer, platform string, threads int, bindingText, schedText strin
 			iters += n
 		}
 		fmt.Fprintf(w, "%-20s %12.3f ms   pool accesses %7d   sched time %8.3f ms   iterations %d/%d\n",
-			sched, float64(res.End-res.Start)/1e6, res.PoolAccesses, float64(res.SchedNs)/1e6, iters, ni)
-		if iters != ni {
-			return fmt.Errorf("schedule %s executed %d of %d iterations", sched, iters, ni)
+			sched, float64(res.End-res.Start)/1e6, res.PoolAccesses, float64(res.SchedNs)/1e6, iters, *ni)
+		if iters != *ni {
+			return fmt.Errorf("schedule %s executed %d of %d iterations", sched, iters, *ni)
 		}
-		if showTrace {
+		if *showTrace {
 			fmt.Fprint(w, cfg.Recorder.Record().Render(88))
 		}
 	}
@@ -136,9 +138,6 @@ func run(w io.Writer, platform string, threads int, bindingText, schedText strin
 
 // parseMigrations parses "tid:cpu:atNs" triples separated by commas.
 func parseMigrations(text string) ([]sim.Migration, error) {
-	if text == "" {
-		return nil, nil
-	}
 	var out []sim.Migration
 	for _, part := range strings.Split(text, ",") {
 		fields := strings.Split(strings.TrimSpace(part), ":")

@@ -22,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite testdata/trace_all.txt from thi
 // what the simulator computes or the chart draws, and say why.
 func TestTraceGolden(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "A", 0, "BS", "all", 4096, 100000, 0, 0.5, 0.3, 0.2, true, ""); err != nil {
+	if err := run([]string{"-sched", "all", "-ni", "4096", "-trace"}, &out); err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
 	const golden = "testdata/trace_all.txt"
@@ -43,11 +43,11 @@ func TestTraceGolden(t *testing.T) {
 // TestTraceBadThreadCount: a thread count the platform cannot hold is the
 // simulator's error with -trace as without it, not a crash.
 func TestTraceBadThreadCount(t *testing.T) {
-	for _, showTrace := range []bool{false, true} {
+	for _, showTrace := range []string{"-trace=false", "-trace"} {
 		var out bytes.Buffer
-		err := run(&out, "A", -2, "BS", "all", 4096, 100000, 0, 0.5, 0.3, 0.2, showTrace, "")
-		if want := "sim: thread count -2 out of range [1,8]"; err == nil || err.Error() != want {
-			t.Errorf("-threads -2 with trace=%v: error %v, want %q", showTrace, err, want)
+		err := run([]string{"-threads", "-2", showTrace}, &out)
+		if want := "sim: thread count -2 out of range [0,8] (0 selects the platform core count)"; err == nil || err.Error() != want {
+			t.Errorf("-threads -2 %s: error %v, want %q", showTrace, err, want)
 		}
 	}
 }
@@ -59,7 +59,7 @@ func TestTraceBadThreadCount(t *testing.T) {
 func TestRunWithMigration(t *testing.T) {
 	const ni = 4096
 	var out bytes.Buffer
-	if err := run(&out, "A", 0, "BS", "all", ni, 100000, 0, 0.5, 0.3, 0.2, true, "0:1:1000000"); err != nil {
+	if err := run([]string{"-ni", fmt.Sprint(ni), "-trace", "-migrate", "0:1:1000000"}, &out); err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
 	if got, want := strings.Count(out.String(), fmt.Sprintf("iterations %d/%d\n", ni, ni)), 7; got != want {
@@ -67,19 +67,19 @@ func TestRunWithMigration(t *testing.T) {
 	}
 	// A chunk the schedule grammar accepts may exceed any trip count.
 	out.Reset()
-	if err := run(&out, "A", 0, "BS", "dynamic,9223372036854775807", 100, 100000, 0, 0.5, 0.3, 0.2, false, ""); err != nil {
+	if err := run([]string{"-sched", "dynamic,9223372036854775807", "-ni", "100"}, &out); err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "iterations 100/100\n") {
 		t.Errorf("max-chunk dynamic does not report 100/100:\n%s", out.String())
 	}
-	if err := run(&out, "A", 0, "BS", "static", ni, 100000, 0, 0.5, 0.3, 0.2, false, "0:99:0"); err == nil {
+	if err := run([]string{"-sched", "static", "-ni", fmt.Sprint(ni), "-migrate", "0:99:0"}, &out); err == nil {
 		t.Error("migration to a CPU the platform does not have was accepted")
 	}
 	// Migrations the run could never deliver: a thread past the default
 	// fleet of 8, a negative thread, a bad CPU due after the run.
 	for _, migrate := range []string{"9:0:0", "-1:0:0", "0:99:900000000000"} {
-		if err := run(&out, "A", 0, "BS", "dynamic,1", 512, 100000, 0, 0.5, 0.3, 0.2, false, migrate); err == nil {
+		if err := run([]string{"-sched", "dynamic,1", "-ni", "512", "-migrate", migrate}, &out); err == nil {
 			t.Errorf("-migrate %s was accepted", migrate)
 		}
 	}
@@ -99,14 +99,14 @@ func TestRunRefusesBadCost(t *testing.T) {
 		{1e308, 1e308, `sim: loop "aidsim-loop": iterations [0,64) cost +Inf work units, want a finite non-negative cost`},
 		{1e300, 0, `sim: loop "aidsim-loop": iterations [0,64) take`},
 	} {
-		for _, showTrace := range []bool{false, true} {
+		for _, showTrace := range []string{"-trace=false", "-trace"} {
 			var out bytes.Buffer
-			err := run(&out, "A", 0, "BS", "dynamic,64", 4096, c.cost, c.slope, 0.5, 0.3, 0.2, showTrace, "")
+			err := run([]string{"-sched", "dynamic,64", "-cost", fmt.Sprint(c.cost), "-slope", fmt.Sprint(c.slope), showTrace}, &out)
 			if err == nil || !strings.HasPrefix(err.Error(), c.want) {
-				t.Errorf("-cost %v -slope %v, trace=%v: error %v, want %q...", c.cost, c.slope, showTrace, err, c.want)
+				t.Errorf("-cost %v -slope %v %s: error %v, want %q...", c.cost, c.slope, showTrace, err, c.want)
 			}
 			if strings.Contains(out.String(), "iterations") {
-				t.Errorf("-cost %v -slope %v, trace=%v: prints a result:\n%s", c.cost, c.slope, showTrace, out.String())
+				t.Errorf("-cost %v -slope %v %s: prints a result:\n%s", c.cost, c.slope, showTrace, out.String())
 			}
 		}
 	}
@@ -135,14 +135,34 @@ func TestRunRefusesHugeOverhead(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, showTrace := range []bool{false, true} {
+	for _, showTrace := range []string{"-trace=false", "-trace"} {
 		var out bytes.Buffer
-		err := run(&out, path, 0, "BS", "dynamic,4", 4096, 100000, 0, 0.5, 0.3, 0.2, showTrace, "")
+		err := run([]string{"-platform", path, "-sched", "dynamic,4", showTrace}, &out)
 		if err == nil || !strings.Contains(err.Error(), "past the end of the virtual clock") {
-			t.Errorf("trace=%v: error %v, want the end of the virtual clock", showTrace, err)
+			t.Errorf("%s: error %v, want the end of the virtual clock", showTrace, err)
 		}
 		if strings.Contains(out.String(), "iterations") {
-			t.Errorf("trace=%v: prints a result:\n%s", showTrace, out.String())
+			t.Errorf("%s: prints a result:\n%s", showTrace, out.String())
 		}
+	}
+}
+
+// TestRefusesBadFlags: the flag parse refuses a bad -platform, -sched or
+// -binding, names the flag, and nothing is printed; -platform list prints the
+// registry, one name a line, in any letter case.
+func TestRefusesBadFlags(t *testing.T) {
+	for _, args := range [][]string{{"-platform", "no-such-platform"}, {"-sched", "fastest"}, {"-binding", "BB"}} {
+		var out bytes.Buffer
+		err := run(args, &out)
+		if want := fmt.Sprintf("invalid value %q for flag %s: ", args[1], args[0]); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%v: error %v, want %q...", args, err, want)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%v: printed %q", args, out.String())
+		}
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-platform", "LIST"}, &out); err != nil || out.String() != "A\nB\nTri\nCluster\nHybrid\n" {
+		t.Errorf("-platform LIST: error %v, printed %q", err, out.String())
 	}
 }

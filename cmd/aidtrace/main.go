@@ -32,6 +32,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -51,48 +52,67 @@ import (
 )
 
 func main() {
-	app := flag.String("app", "", "workload name for free-form tracing (e.g. EP)")
-	schedText := flag.String("sched", "aid-static", "schedule in GOOMP_SCHEDULE syntax")
-	bindingText := flag.String("binding", "BS", "thread binding: SB or BS")
-	platform := flag.String("platform", "A", "platform: a registry name or a platform JSON file")
-	engine := flag.String("engine", "sim", "record engine: sim (virtual time) or rt (real goroutines)")
-	recordPath := flag.String("record", "", "record the run to this JSONL file")
-	replayPath := flag.String("replay", "", "exact-replay the given record file")
-	whatifPath := flag.String("whatif", "", "what-if replay the given record file (see -sched/-policy)")
-	diffPaths := flag.String("diff", "", "diff two record files: a.jsonl,b.jsonl")
-	policy := flag.String("policy", "", "what-if fairness policy for multi-loop records: wrr or fcfs")
-	outPath := flag.String("o", "", "write the replayed run's record to this JSONL file")
-	tol := flag.Float64("tol", 2.0, "regression tolerance in percent for -diff and the -whatif report")
-	flag.Parse()
-
-	schedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "sched" {
-			schedSet = true
-		}
-	})
-
-	var err error
-	switch {
-	case *diffPaths != "":
-		err = runDiff(os.Stdout, *diffPaths, *tol)
-	case *replayPath != "":
-		err = runReplay(os.Stdout, *replayPath, *outPath)
-	case *whatifPath != "":
-		override := ""
-		if schedSet {
-			override = *schedText
-		}
-		err = runWhatIf(os.Stdout, *whatifPath, override, *policy, *outPath, *tol)
-	case *recordPath != "":
-		err = runRecord(os.Stdout, *recordPath, *app, *schedText, *bindingText, *platform, *engine)
-	default:
-		err = run(os.Stdout, *app, *schedText, *bindingText, *platform)
-	}
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "aidtrace:", err)
 		os.Exit(1)
 	}
+}
+
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("aidtrace", flag.ContinueOnError)
+	app := fs.String("app", "", "workload name for free-form tracing (e.g. EP)")
+	// A what-if replay passes the -sched text on, "" while the flag is unset.
+	sched, schedText := core.Schedule{Kind: core.KindAIDStatic}, ""
+	fs.Func("sched", "schedule in GOOMP_SCHEDULE syntax (default aid-static; -whatif keeps the recorded one)", func(text string) error {
+		schedText = text
+		return sched.Set(text)
+	})
+	binding := amp.BindBS
+	fs.Var(&binding, "binding", "thread binding: SB or BS (default BS)")
+	pl := amp.PlatformFlag{Platform: amp.PlatformA()}
+	fs.Var(&pl, "platform", "platform: a registry name or a platform JSON file")
+	engine := fs.String("engine", "sim", "record engine: sim (virtual time) or rt (real goroutines)")
+	recordPath := fs.String("record", "", "record the run to this JSONL file")
+	replayPath := fs.String("replay", "", "exact-replay the given record file")
+	whatifPath := fs.String("whatif", "", "what-if replay the given record file (see -sched/-policy)")
+	diffPaths := fs.String("diff", "", "diff two record files: a.jsonl,b.jsonl")
+	policy := fs.String("policy", "", "what-if fairness policy for multi-loop records: wrr or fcfs")
+	outPath := fs.String("o", "", "write the replayed run's record to this JSONL file")
+	tol := fs.Float64("tol", 2.0, "regression tolerance in percent for -diff and the -whatif report")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	switch {
+	case *diffPaths != "":
+		return runDiff(w, *diffPaths, *tol)
+	case *replayPath != "":
+		return runReplay(w, *replayPath, *outPath)
+	case *whatifPath != "":
+		return runWhatIf(w, *whatifPath, schedText, *policy, *outPath, *tol)
+	case *app == "" && *recordPath != "":
+		return fmt.Errorf("-record needs -app <workload>")
+	case *app == "":
+		return fmt.Errorf("need -app <workload> or a -record/-replay/-whatif/-diff invocation")
+	}
+	wl, err := workloads.ByName(*app)
+	if err != nil {
+		return err
+	}
+	loops := wl.Program.Loops()
+	if len(loops) == 0 {
+		return fmt.Errorf("workload %s has no parallel loops", *app)
+	}
+	r := resolved{workload: wl.Name, spec: loops[0], sched: sched, binding: binding, pl: pl.Platform}
+	if *recordPath != "" {
+		return runRecord(w, *recordPath, r, *engine)
+	}
+	tr, err := exps.TraceLoop(r.pl, r.pl.NumCores(), exps.Scheme{Sched: r.sched, Binding: r.binding}, r.spec,
+		fmt.Sprintf("%s / loop %q / %s / %s binding / Platform %s", r.workload, r.spec.Name, r.sched, r.binding, r.pl.Name))
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, tr.Render())
+	return nil
 }
 
 // resolved is the outcome of mapping the free-form flags to an executable
@@ -106,47 +126,15 @@ type resolved struct {
 	pl       *amp.Platform
 }
 
-func resolveWorkload(app, schedText, bindingText, platform string) (resolved, error) {
-	w, err := workloads.ByName(app)
-	if err != nil {
-		return resolved{}, err
-	}
-	sched, err := core.ParseSchedule(schedText)
-	if err != nil {
-		return resolved{}, err
-	}
-	binding, err := amp.ParseBinding(bindingText)
-	if err != nil {
-		return resolved{}, err
-	}
-	pl, err := amp.Resolve(platform)
-	if err != nil {
-		return resolved{}, err
-	}
-	loops := w.Program.Loops()
-	if len(loops) == 0 {
-		return resolved{}, fmt.Errorf("workload %s has no parallel loops", app)
-	}
-	return resolved{workload: w.Name, spec: loops[0], sched: sched, binding: binding, pl: pl}, nil
-}
-
 // runRecord records one loop execution — simulated (virtual time, exact
 // replayability) or real (rt engine, wall-clock capture) — to a JSONL file.
-func runRecord(w io.Writer, path, app, schedText, bindingText, platform, engine string) error {
-	if app == "" {
-		return fmt.Errorf("-record needs -app <workload>")
-	}
-	r, err := resolveWorkload(app, schedText, bindingText, platform)
-	if err != nil {
-		return err
-	}
+func runRecord(w io.Writer, path string, r resolved, engine string) error {
 	var rec *trace.Record
 	switch engine {
 	case "sim":
 		recorder := trace.NewTimedRecorder()
 		cfg := sim.Config{
 			Platform: r.pl,
-			NThreads: r.pl.NumCores(),
 			Binding:  r.binding,
 			Factory:  r.sched.Factory(),
 			Recorder: recorder,
@@ -196,6 +184,14 @@ func runRecord(w io.Writer, path, app, schedText, bindingText, platform, engine 
 	default:
 		return fmt.Errorf("engine must be sim or rt, got %q", engine)
 	}
+	return writeRecord(w, path, rec)
+}
+
+// writeRecord writes rec to path and says so; an empty path writes nothing.
+func writeRecord(w io.Writer, path string, rec *trace.Record) error {
+	if path == "" {
+		return nil
+	}
 	if err := trace.WriteFile(path, rec); err != nil {
 		return err
 	}
@@ -223,13 +219,7 @@ func runReplay(w io.Writer, path, outPath string) error {
 	if len(res.Record.Timeline) > 0 {
 		fmt.Fprint(w, res.Record.Render(88))
 	}
-	if outPath != "" {
-		if err := trace.WriteFile(outPath, res.Record); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", outPath)
-	}
-	return nil
+	return writeRecord(w, outPath, res.Record)
 }
 
 // runWhatIf re-executes the recorded workload under a swapped configuration
@@ -270,13 +260,7 @@ func runWhatIf(w io.Writer, path, schedOverride, policy, outPath string, tolPct 
 	if len(res.Record.Timeline) > 0 {
 		fmt.Fprint(w, res.Record.Render(88))
 	}
-	if outPath != "" {
-		if err := trace.WriteFile(outPath, res.Record); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", outPath)
-	}
-	return nil
+	return writeRecord(w, outPath, res.Record)
 }
 
 // runDiff compares two record files and fails (non-zero exit) on
@@ -312,22 +296,5 @@ func checkTol(tolPct float64) error {
 	if !(tolPct >= 0 && tolPct <= math.MaxFloat64) {
 		return fmt.Errorf("-tol %v: want a finite non-negative percentage", tolPct)
 	}
-	return nil
-}
-
-func run(w io.Writer, app, schedText, bindingText, platform string) error {
-	if app == "" {
-		return fmt.Errorf("need -app <workload> or a -record/-replay/-whatif/-diff invocation")
-	}
-	r, err := resolveWorkload(app, schedText, bindingText, platform)
-	if err != nil {
-		return err
-	}
-	tr, err := exps.TraceLoop(r.pl, r.pl.NumCores(), exps.Scheme{Sched: r.sched, Binding: r.binding}, r.spec,
-		fmt.Sprintf("%s / loop %q / %s / %s binding / Platform %s", r.workload, r.spec.Name, r.sched, r.binding, r.pl.Name))
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, tr.Render())
 	return nil
 }

@@ -41,7 +41,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // with the completion stamp, the Gantt chart and its summary line.
 func TestTraceGolden(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "EP", "aid-hybrid,80", "BS", "A"); err != nil {
+	if err := run([]string{"-app", "EP", "-sched", "aid-hybrid,80", "-binding", "BS", "-platform", "A"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "ep_aid_hybrid80.txt", out.Bytes())
@@ -53,11 +53,11 @@ func TestTraceGolden(t *testing.T) {
 func TestReplayGolden(t *testing.T) {
 	dir := t.TempDir()
 	rec := filepath.Join(dir, "rec.jsonl")
-	if err := runRecord(io.Discard, rec, "EP", "aid-dynamic,1,5", "BS", "A", "sim"); err != nil {
+	if err := run([]string{"-app", "EP", "-sched", "aid-dynamic,1,5", "-record", rec}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := runReplay(&out, rec, ""); err != nil {
+	if err := run([]string{"-replay", rec}, &out); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "replay_ep_aid_dynamic.txt", []byte(strings.ReplaceAll(out.String(), dir+string(filepath.Separator), "")))
@@ -70,14 +70,14 @@ func TestReplayGolden(t *testing.T) {
 func TestReplayDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	rec := filepath.Join(dir, "rec.jsonl")
-	if err := runRecord(io.Discard, rec, "EP", "aid-dynamic,1,5", "BS", "A", "sim"); err != nil {
+	if err := run([]string{"-app", "EP", "-sched", "aid-dynamic,1,5", "-record", rec}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var replays [2][]byte
 	var paths [2]string
 	for i := range replays {
 		paths[i] = filepath.Join(dir, fmt.Sprintf("replay%d.jsonl", i+1))
-		if err := runReplay(io.Discard, rec, paths[i]); err != nil {
+		if err := run([]string{"-replay", rec, "-o", paths[i]}, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		var err error
@@ -88,7 +88,7 @@ func TestReplayDeterminism(t *testing.T) {
 	if len(replays[0]) == 0 || !bytes.Equal(replays[0], replays[1]) {
 		t.Fatalf("two replays of one record differ (%d vs %d bytes)", len(replays[0]), len(replays[1]))
 	}
-	if err := runDiff(io.Discard, paths[0]+","+paths[1], 2.0); err != nil {
+	if err := run([]string{"-diff", paths[0] + "," + paths[1]}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -99,7 +99,7 @@ func TestReplayDeterminism(t *testing.T) {
 // staging file next to it.
 func TestRefusedRecordLeavesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rec.jsonl")
-	if err := runRecord(io.Discard, path, "EP", "dynamic,4", "SB", "A", "sim"); err != nil {
+	if err := run([]string{"-app", "EP", "-sched", "dynamic,4", "-binding", "SB", "-record", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -134,24 +134,24 @@ func TestRefusedRecordLeavesFile(t *testing.T) {
 func TestTolRefused(t *testing.T) {
 	dir := t.TempDir()
 	r, s := filepath.Join(dir, "r.jsonl"), filepath.Join(dir, "s.jsonl")
-	if err := runRecord(io.Discard, r, "EP", "static", "BS", "A", "sim"); err != nil {
+	if err := run([]string{"-app", "EP", "-sched", "static", "-record", r}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := runRecord(io.Discard, s, "EP", "dynamic,1", "BS", "A", "sim"); err != nil {
+	if err := run([]string{"-app", "EP", "-sched", "dynamic,1", "-record", s}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := runDiff(io.Discard, r+","+s, 2.0); err == nil {
+	if err := run([]string{"-diff", r + "," + s}, io.Discard); err == nil {
 		t.Fatal("records of static and dynamic,1 diff without a regression; the case checks nothing")
 	}
-	if err := runDiff(io.Discard, r+","+r, 0); err != nil {
+	if err := run([]string{"-diff", r + "," + r, "-tol", "0"}, io.Discard); err != nil {
 		t.Errorf("-tol 0: a record regresses against itself: %v", err)
 	}
 	for _, tol := range []float64{math.NaN(), -5, math.Inf(1), math.Inf(-1)} {
 		want := fmt.Sprintf("-tol %v: want a finite non-negative percentage", tol)
 		var out bytes.Buffer
 		for mode, err := range map[string]error{
-			"diff":   runDiff(&out, r+","+s, tol),
-			"whatif": runWhatIf(&out, r, "dynamic,1", "", "", tol),
+			"diff":   run([]string{"-diff", r + "," + s, "-tol", fmt.Sprint(tol)}, &out),
+			"whatif": run([]string{"-whatif", r, "-sched", "dynamic,1", "-tol", fmt.Sprint(tol)}, &out),
 		} {
 			if err == nil || err.Error() != want {
 				t.Errorf("-%s -tol %v: error %v, want %q", mode, tol, err, want)
@@ -170,7 +170,7 @@ func TestTolRefused(t *testing.T) {
 func TestWhatIfRefusesBadPlatform(t *testing.T) {
 	dir := t.TempDir()
 	r, bad := filepath.Join(dir, "r.jsonl"), filepath.Join(dir, "bad.jsonl")
-	if err := runRecord(io.Discard, r, "EP", "aid-dynamic,1,5", "BS", "A", "sim"); err != nil {
+	if err := run([]string{"-app", "EP", "-sched", "aid-dynamic,1,5", "-record", r}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(r)
@@ -185,8 +185,48 @@ func TestWhatIfRefusesBadPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err = runWhatIf(&out, bad, "aid-static", "", "", 2.0)
+	err = run([]string{"-whatif", bad, "-sched", "aid-static"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "frequency 0 GHz") {
 		t.Errorf("-whatif of a record with a typeless cluster: error %v, want the platform's frequency error", err)
+	}
+}
+
+// TestWhatIfSchedule: -whatif without -sched replays the recorded schedule,
+// to the recorded makespan for a sim record, and with -sched names the
+// schedule as it was given.
+func TestWhatIfSchedule(t *testing.T) {
+	rec := filepath.Join(t.TempDir(), "rec.jsonl")
+	if err := run([]string{"-app", "EP", "-sched", "aid-dynamic,1,5", "-record", rec}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, " under recorded schedule:\nmakespan: baseline 197677732 ns -> what-if 197677732 ns\n"},
+		{[]string{"-sched", "dynamic,1"}, ` under schedule "dynamic,1":` + "\n"},
+	} {
+		var out bytes.Buffer
+		if err := run(append([]string{"-whatif", rec}, c.args...), &out); err != nil {
+			t.Fatal(err)
+		}
+		if want := "what-if replay of " + rec + c.want; !strings.HasPrefix(out.String(), want) {
+			t.Errorf("-whatif %v printed:\n%s\nwant it to begin with:\n%s", c.args, out.String(), want)
+		}
+	}
+}
+
+// TestRefusesBadFlags: the flag parse refuses a bad -platform, -sched or
+// -binding, names the flag, and nothing is printed.
+func TestRefusesBadFlags(t *testing.T) {
+	for _, bad := range [][]string{{"-platform", "no-such-platform"}, {"-sched", "fastest"}, {"-binding", "BB"}} {
+		var out bytes.Buffer
+		err := run(append([]string{"-app", "EP"}, bad...), &out)
+		if want := fmt.Sprintf("invalid value %q for flag %s: ", bad[1], bad[0]); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%v: error %v, want %q...", bad, err, want)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%v: printed %q", bad, out.String())
+		}
 	}
 }

@@ -217,6 +217,12 @@ func ParseBinding(text string) (Binding, error) {
 	return 0, fmt.Errorf("amp: binding %q is neither BS nor SB", text)
 }
 
+// Set implements flag.Value: it reads text with ParseBinding.
+func (b *Binding) Set(text string) (err error) {
+	*b, err = ParseBinding(text)
+	return err
+}
+
 // maxCores bounds a platform's core count. A description can come from a
 // platform file or a run record, and New allocates per core and per pair of
 // clusters, so the count in a file must not decide how much.

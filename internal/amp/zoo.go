@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 )
 
@@ -50,56 +49,35 @@ func LoadFile(path string) (*Platform, error) {
 	return p, nil
 }
 
-// registry maps the zoo's short names to preset constructors. Constructors,
-// not instances: every Lookup returns a fresh platform, so callers can
-// never alias each other's overhead tweaks.
-var registry = map[string]func() *Platform{
-	"a":       PlatformA,
-	"b":       PlatformB,
-	"tri":     PlatformTri,
-	"cluster": PlatformCluster,
-	"hybrid":  PlatformHybrid,
-}
+// registry is the zoo in display order: each preset's name and
+// constructor. Constructors, not instances: every Lookup returns a fresh
+// platform, so callers can never alias each other's overhead tweaks.
+var registry = []struct {
+	name  string
+	build func() *Platform
+}{{"A", PlatformA}, {"B", PlatformB}, {"Tri", PlatformTri}, {"Cluster", PlatformCluster}, {"Hybrid", PlatformHybrid}}
 
 // Lookup resolves a registry name (case-insensitive) to a fresh platform.
 func Lookup(name string) (*Platform, bool) {
-	f, ok := registry[strings.ToLower(name)]
-	if !ok {
-		return nil, false
+	for _, e := range registry {
+		if strings.EqualFold(e.name, name) {
+			return e.build(), true
+		}
 	}
-	return f(), true
+	return nil, false
 }
 
 // Names returns the registry's platform names, the two-cluster paper
-// machines first, then alphabetically.
+// machines first.
 func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
 	}
-	sort.Strings(names)
-	canon := []string{"A", "B", "Tri", "Cluster", "Hybrid"}
-	out := make([]string, 0, len(names))
-	for _, c := range canon {
-		if _, ok := registry[strings.ToLower(c)]; ok {
-			out = append(out, c)
-		}
-	}
-	for _, n := range names {
-		known := false
-		for _, c := range canon {
-			if strings.EqualFold(c, n) {
-				known = true
-			}
-		}
-		if !known {
-			out = append(out, n)
-		}
-	}
-	return out
+	return names
 }
 
-// Resolve is the shared -platform flag helper used by every command: the
+// Resolve reads the commands' -platform value (PlatformFlag): the
 // argument is either a registry name (see Names) or a path to a platform
 // file. Registry names win; anything else must name a readable file.
 func Resolve(nameOrPath string) (*Platform, error) {
@@ -111,6 +89,24 @@ func Resolve(nameOrPath string) (*Platform, error) {
 	}
 	return nil, fmt.Errorf("amp: unknown platform %q (registry: %s; or pass a platform-file path)",
 		nameOrPath, strings.Join(Names(), ", "))
+}
+
+// PlatformFlag is the commands' -platform value (a flag.Value): Set resolves
+// its text with Resolve, and String is the platform's name.
+type PlatformFlag struct{ *Platform }
+
+// String implements flag.Value.
+func (f *PlatformFlag) String() string {
+	if f == nil || f.Platform == nil {
+		return ""
+	}
+	return f.Name
+}
+
+// Set implements flag.Value.
+func (f *PlatformFlag) Set(text string) (err error) {
+	f.Platform, err = Resolve(text)
+	return err
 }
 
 // PlatformCluster returns a dual-package big.LITTLE: two identical big

@@ -119,6 +119,15 @@ func TestLoadFileRoundTrip(t *testing.T) {
 	if _, err := Resolve("no-such-platform"); err == nil {
 		t.Fatal("Resolve of an unknown name should fail")
 	}
+	// PlatformFlag is Resolve as a flag.Value; the zero value the flag
+	// package's help asks for names no platform.
+	var f PlatformFlag
+	if f.String() != "" || (*PlatformFlag)(nil).String() != "" {
+		t.Fatal("a PlatformFlag without a platform names one")
+	}
+	if err := f.Set(path); err != nil || !reflect.DeepEqual(f.Platform, p) || f.String() != p.Name {
+		t.Fatalf("PlatformFlag.Set(path): err %v, String %q", err, f.String())
+	}
 }
 
 // TestValidateRejections covers the malformations a platform file can carry.

@@ -305,3 +305,10 @@ func ParseSchedule(text string) (Schedule, error) {
 	}
 	return s, nil
 }
+
+// Set implements flag.Value: it reads text with ParseSchedule, so a -sched
+// flag parses into a Schedule.
+func (s *Schedule) Set(text string) (err error) {
+	*s, err = ParseSchedule(text)
+	return err
+}

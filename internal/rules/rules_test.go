@@ -110,6 +110,11 @@ type rule struct {
 // codec and the recorder's method; the digest's SFSamples count stays).
 var retired = regexp.MustCompile(`sf-aware|SFAware|SFLiveView|LiveSF|SFTrajectory|SFPoint|AIDAuto|aid-auto|AID-auto|AttachTimeline|SchedOverheadPct|timelineOf|schedKey|ClusterEnergyJ|SFSample\b|SFLine|sfLineLen`)
 
+// globalFlagSet matches the functions and the variable of package flag that
+// act on its global set, flag.CommandLine.
+var globalFlagSet = regexp.MustCompile(`^(Parsed?|Args?|NArg|NFlag|Set|Lookup|Visit(All)?|PrintDefaults|Usage|CommandLine|` +
+	`Var|Func|BoolFunc|TextVar|(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration)(Var)?)$`)
+
 var rules = []rule{{
 	name: "the engines build no chunk event and name no obs.Batch",
 	reason: "a grant is accounted once, in obs.Ledger: an engine hands the grant " +
@@ -413,6 +418,38 @@ var rules = []rule{{
 		`package p; import trace "repro/internal/other"; func f(a, b trace.ChunkEvent) int { return 0 }`,
 		`package p; // func order(a, b trace.ChunkEvent) int
 		var s = "func(a, b trace.PhaseEvent) int"`,
+	},
+}, {
+	name: "no cmd uses the global flag set",
+	reason: "every cmd's main calls run(os.Args[1:], os.Stdout), and run parses its own " +
+		"flag.FlagSet, so a test drives a command's whole flag wiring through its argv",
+	reads: func(s source, _ graph) bool { return !s.test && s.in("cmd") },
+	check: func(f *ast.File, report func(ast.Node, string)) {
+		uses(f, "flag", func(n ast.Node, name string) {
+			if globalFlagSet.MatchString(name) {
+				report(n, "uses flag."+name)
+			}
+		})
+	},
+	bad: []string{
+		`package main; import "flag"; func main() { flag.Parse() }`,
+		`package main; import "flag"; var n = flag.Int("n", 0, "count")`,
+		`package main; import "flag"; var s string; func init() { flag.StringVar(&s, "s", "", "") }`,
+		`package main; import f "flag"; type v struct{ f.Value }; func init() { f.Var(v{}, "v", "") }`,
+		`package main; import . "flag"; var d = Duration("d", 0, "")`,
+		`package main; import "flag"; var fs = flag.CommandLine`,
+		`package main; import "flag"; func main() { flag.Visit(func(*flag.Flag) {}) }`,
+	},
+	good: []string{
+		`package main; import "flag"; func run(args []string) error {
+		fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+		n := fs.Int("n", 0, "count")
+		fs.Func("f", "", func(string) error { return nil })
+		_ = n
+		return fs.Parse(args)
+		}`,
+		`package main; var help = "flag.Parse() and flag.String" // flag.Var`,
+		`package main; import flag "repro/internal/other"; func main() { flag.Parse() }`,
 	},
 }, {
 	name: "no retired policy, live SF view, SF trajectory result, AID-auto schedule, second timeline, " +

@@ -64,12 +64,14 @@ var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
 // newWorkspace checks cfg and returns a workspace for a call under it, with
 // no scheduler: the one a previous call left in workspaces when there is one,
-// its tables sized by that call, otherwise an empty one. The call hands it
-// back with release.
+// its tables sized by that call, otherwise an empty one. The workspace's
+// Config carries the run's worker count, never 0. The call hands it back
+// with release.
 func newWorkspace(cfg Config) (*workspace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg.NThreads = cfg.threads()
 	ws := workspaces.Get().(*workspace)
 	ws.begin(cfg)
 	return ws, nil

@@ -292,7 +292,8 @@ type SchedulerFactory func(info core.LoopInfo) (core.Scheduler, error)
 type Config struct {
 	// Platform is the modeled machine.
 	Platform *amp.Platform
-	// NThreads is the worker count (the paper runs one thread per core).
+	// NThreads is the worker count; 0 selects the platform core count (the
+	// paper runs one thread per core).
 	NThreads int
 	// Binding is the thread-to-core mapping convention (SB or BS).
 	Binding amp.Binding
@@ -346,21 +347,31 @@ func (c Config) Validate() error {
 	if c.Platform == nil {
 		return fmt.Errorf("sim: nil platform")
 	}
-	if c.NThreads <= 0 || c.NThreads > c.Platform.NumCores() {
-		return fmt.Errorf("sim: thread count %d out of range [1,%d]", c.NThreads, c.Platform.NumCores())
+	if c.NThreads < 0 || c.NThreads > c.Platform.NumCores() {
+		return fmt.Errorf("sim: thread count %d out of range [0,%d] (0 selects the platform core count)", c.NThreads, c.Platform.NumCores())
 	}
 	if c.Factory == nil && c.FactoryNamed == nil {
 		return fmt.Errorf("sim: nil scheduler factory")
 	}
+	nt := c.threads()
 	for _, m := range c.Migrations {
-		if m.Tid < 0 || m.Tid >= c.NThreads {
-			return fmt.Errorf("sim: migration of thread %d, out of range [0,%d)", m.Tid, c.NThreads)
+		if m.Tid < 0 || m.Tid >= nt {
+			return fmt.Errorf("sim: migration of thread %d, out of range [0,%d)", m.Tid, nt)
 		}
 		if m.ToCPU < 0 || m.ToCPU >= c.Platform.NumCores() {
 			return fmt.Errorf("sim: migration to CPU %d, out of range [0,%d)", m.ToCPU, c.Platform.NumCores())
 		}
 	}
 	return nil
+}
+
+// threads is the run's worker count: NThreads, or the platform's core count
+// when NThreads is 0.
+func (c Config) threads() int {
+	if c.NThreads == 0 {
+		return c.Platform.NumCores()
+	}
+	return c.NThreads
 }
 
 // buildScheduler invokes the configured factory for one loop execution.

@@ -68,11 +68,21 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
+	// NThreads 0 selects the platform's core count, as in rt.RegistryConfig:
+	// a migration of thread 7 is valid and the run has eight workers.
+	zero := baseCfg(pl, 0, amp.BindBS, staticFactory)
+	zero.Migrations = []Migration{{Tid: 7, ToCPU: 0}}
+	if err := zero.Validate(); err != nil {
+		t.Errorf("NThreads 0 rejected: %v", err)
+	}
+	if res, err := RunLoop(zero, epLoop(64), 0); err != nil || len(res.Iters) != pl.NumCores() {
+		t.Errorf("NThreads 0 ran %d workers (err %v), want %d", len(res.Iters), err, pl.NumCores())
+	}
 	bad := []Config{
-		{NThreads: 8, Factory: staticFactory},               // nil platform
-		{Platform: pl, NThreads: 0, Factory: staticFactory}, // no threads
-		{Platform: pl, NThreads: 9, Factory: staticFactory}, // oversubscribed
-		{Platform: pl, NThreads: 8},                         // nil factory
+		{NThreads: 8, Factory: staticFactory},                // nil platform
+		{Platform: pl, NThreads: -1, Factory: staticFactory}, // negative count
+		{Platform: pl, NThreads: 9, Factory: staticFactory},  // oversubscribed
+		{Platform: pl, NThreads: 8},                          // nil factory
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
